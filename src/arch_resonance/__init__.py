@@ -7,6 +7,8 @@ back to frequencies. :mod:`arch_resonance.sweep` and :mod:`arch_resonance.cli`
 drive parameter studies and file output.
 """
 
+__version__ = "0.1.0"
+
 from .crack import (
     DEFAULT_KAPPA0,
     ComplianceModel,
@@ -77,7 +79,5 @@ from .sweep import (
     validation_table,
     validation_to_csv,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -19,10 +19,11 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Any, Mapping
 
+from . import __version__
 from . import crack as crack_models
 from . import model, solver, sweep
 from .errors import (
@@ -34,8 +35,6 @@ from .errors import (
     OutOfRange,
     UsageError,
 )
-
-__version__ = "0.1.0"
 
 logger = logging.getLogger("arch_resonance")
 
@@ -291,9 +290,7 @@ def _resolve_tube(s: _Settings, chirality) -> model.PhysicalTube | None:
     elif n is not None and m is not None:
         updates["diameter"] = model.tube_diameter(model.ChiralitySpec(n, m)) * 1e-9
     if updates:
-        import dataclasses
-
-        tube = dataclasses.replace(tube, **updates)
+        tube = replace(tube, **updates)
     return tube
 
 
@@ -454,13 +451,7 @@ def _cmd_modeshape(inv: CliInvocation, s: _Settings) -> str:
         raise UsageError("--mode must be >= 1")
     if samples < 2:
         raise UsageError("--samples must be >= 2")
-    if cfg.max_modes < mode:
-        import dataclasses
-
-        cfg = dataclasses.replace(cfg, max_modes=mode)
-    spectrum = solver.find_frequencies(problem, cfg)
-    if len(spectrum) < mode:
-        raise NoRootsInRange(f"fewer than {mode} modes found in range")
+    spectrum = solver.find_frequencies(problem, replace(cfg, max_modes=mode))
     shape = solver.mode_shape(problem, spectrum.roots[mode - 1], samples)
     if inv.format == "json":
         doc = {

@@ -6,9 +6,19 @@ The transverse vibration of the arch reduces to the fourth-order equation
 
 whose exponential ansatz gives the bi-quadratic lam^4 + p2 lam^2 + p0 = 0 with
 p2 = 2 + K*eta and p0 = 1 - K. This module builds the four fundamental
-solutions for a trial K, evaluates their derivatives analytically, assembles
-the simply supported boundary (and crack matching) matrix, and provides a
-numerically safe sign/log-magnitude determinant for root bracketing.
+solutions for trial K values, evaluates their derivatives analytically,
+assembles the simply supported boundary (and crack matching) matrices, and
+provides a numerically safe sign/log-magnitude determinant for root
+bracketing.
+
+Stacks
+------
+Every function takes either one trial K or a 1-D array of N of them. An array
+gives arrays: a basis whose fields have shape (N,), boundary matrices of
+shape (N, 4, 4) or (N, 8, 8), and N determinant signs and log-magnitudes from
+one LU factorization vectorized over the stack. A scalar K is the N = 1 case
+of the same code. The solver evaluates its K grid in fixed-size blocks of
+such stacks.
 
 Basis conventions
 -----------------
@@ -41,6 +51,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegenerateSegment
 
 # Degeneracy window for branch switching, relative to max(1, p2^2).
@@ -52,21 +64,27 @@ SEGMENT_TOL = 1e-9
 # Hyperbolic pairs switch to the decaying-exponential representation here.
 _EXP_SWITCH = 2.0
 
-_LOG_NEG_INF = float("-inf")
-
 
 @dataclass(frozen=True)
 class CharCoeffs:
-    """Coefficients of the characteristic bi-quadratic at a trial eigenvalue."""
+    """Coefficients of the characteristic bi-quadratic at trial eigenvalues.
 
-    K: float
+    ``K``, ``p2`` and ``p0`` are floats for a scalar K and arrays of shape
+    (N,) for a K array.
+    """
+
+    K: float | np.ndarray
     eta_nd: float
-    p2: float  # = 2 + K * eta_nd
-    p0: float  # = 1 - K
+    p2: float | np.ndarray  # = 2 + K * eta_nd
+    p0: float | np.ndarray  # = 1 - K
 
 
-def characteristic_coefficients(K: float, eta_nd: float) -> CharCoeffs:
-    if K < 0:
+def characteristic_coefficients(K, eta_nd: float) -> CharCoeffs:
+    if np.ndim(K):
+        K = np.asarray(K, dtype=float)
+    if not (np.isfinite(K).all() and math.isfinite(eta_nd)):
+        raise ValueError("trial eigenvalue and nonlocal parameter must be finite")
+    if np.any(K < 0):
         raise ValueError("trial eigenvalue K must be nonnegative")
     if eta_nd < 0:
         raise ValueError("nonlocal parameter must be nonnegative")
@@ -80,116 +98,63 @@ class Branch(enum.Enum):
     DEGENERATE_REPEATED = "DegenerateRepeated"
 
 
-def _pair_values(mu: float, phi: float) -> tuple[float, float]:
-    """Even/odd solution pair (e, o) for one quadratic root mu at angle phi."""
-    if mu == 0.0:
-        return 1.0, phi
-    if mu < 0.0:
-        a = math.sqrt(-mu)
-        t = a * phi
-        return math.cos(t), math.sin(t) / a
-    a = math.sqrt(mu)
-    t = a * phi
-    return math.cosh(t), math.sinh(t) / a
-
-
-def _repeated_extra(mu: float, phi: float, e: float, o: float) -> tuple[float, float]:
-    """mu-derivatives (g, h) = (d e/d mu, d o/d mu) for the repeated-root basis."""
-    g = 0.5 * phi * o
-    t2 = abs(mu) * phi * phi
-    if t2 < 0.01:
-        # Series for h; direct (phi*e - o)/(2 mu) cancels at small arguments.
-        p2_ = phi * phi
-        term = phi * p2_ / 6.0
-        h = term
-        kfac = (
-            (2, 120.0),
-            (3, 5040.0),
-            (4, 362880.0),
-            (5, 39916800.0),
-        )
-        mupow = 1.0
-        for k, fact in kfac:
-            mupow *= mu
-            h += k * mupow * phi * p2_**k / fact
-        return g, h
-    return g, (phi * e - o) / (2.0 * mu)
+_BRANCHES = np.array(list(Branch), dtype=object)
 
 
 @dataclass(frozen=True)
 class ModeBasis:
-    """Four fundamental solutions at a trial K with analytic derivatives.
+    """Four fundamental solutions at trial K values with analytic derivatives.
 
-    ``derivative_rows(phi)`` returns rows of basis-function derivatives:
-    row k holds the k-th derivative of each of the four functions at phi.
-    When ``exp_pair`` is set, the hyperbolic pair is represented by the
-    bounded exponentials exp(-a*phi) and exp(a*(phi - phi_max)).
+    ``mu1``, ``mu2``, ``repeated`` and ``exp_pair`` are scalars for a scalar K
+    and arrays of shape (N,) for a K array. ``repeated`` marks the
+    repeated-root basis; when ``exp_pair`` is set, the hyperbolic pair is
+    represented by the bounded exponentials exp(-a*phi) and
+    exp(a*(phi - phi_max)).
     """
 
     coeffs: CharCoeffs
-    branch: Branch
-    mu1: float  # always <= -1: trigonometric pair
-    mu2: float  # second root; > 0 hyperbolic, 0 polynomial, < 0 trigonometric
-    exp_pair: bool = False
+    mu1: float | np.ndarray  # always <= -1: trigonometric pair
+    mu2: float | np.ndarray  # > 0 hyperbolic, 0 polynomial, < 0 trigonometric
+    repeated: bool | np.ndarray = False
+    exp_pair: bool | np.ndarray = False
     phi_max: float | None = None
 
     @property
-    def wavenumbers(self) -> tuple[float, float]:
-        return math.sqrt(-self.mu1), math.sqrt(abs(self.mu2))
+    def branch(self):
+        """The :class:`Branch`, or an object array of them for a K array."""
+        code = np.select(
+            [self.repeated, self.mu2 == 0.0, self.mu2 > 0.0], [3, 2, 1], 0
+        )
+        return _BRANCHES[code] if np.ndim(code) else _BRANCHES[int(code)]
 
-    def derivative_rows(self, phi: float, nrows: int = 4) -> list[tuple[float, ...]]:
+    @property
+    def wavenumbers(self):
+        return np.sqrt(-self.mu1), np.sqrt(np.abs(self.mu2))
+
+    def derivative_rows(self, phi, nrows: int = 4) -> np.ndarray:
+        """Basis-function derivatives at ``phi``, shape (..., nrows, 4).
+
+        Row k holds the k-th derivative of each of the four functions. The
+        leading shape broadcasts the K values of the basis against ``phi``:
+        (nrows, 4) for a scalar K and a scalar phi.
+        """
         if not 1 <= nrows <= 5:
             raise ValueError("nrows must be between 1 and 5")
-        mu1 = self.mu1
-        e1, o1 = _pair_values(mu1, phi)
-        if self.branch is Branch.DEGENERATE_REPEATED:
-            g, h = _repeated_extra(mu1, phi, e1, o1)
-            rows = [
-                (e1, o1, g, h),
-                (mu1 * o1, e1, o1 + mu1 * h, g),
-                (mu1 * e1, mu1 * o1, e1 + mu1 * g, o1 + mu1 * h),
-                (mu1 * mu1 * o1, mu1 * e1, 2.0 * mu1 * o1 + mu1 * mu1 * h, e1 + mu1 * g),
-                (
-                    mu1 * mu1 * e1,
-                    mu1 * mu1 * o1,
-                    2.0 * mu1 * e1 + mu1 * mu1 * g,
-                    2.0 * mu1 * o1 + mu1 * mu1 * h,
-                ),
-            ]
-        elif self.exp_pair:
-            mu2 = self.mu2
-            a = math.sqrt(mu2)
-            f3 = math.exp(-a * phi)
-            f4 = math.exp(a * (phi - self.phi_max))
-            rows = [
-                (e1, o1, f3, f4),
-                (mu1 * o1, e1, -a * f3, a * f4),
-                (mu1 * e1, mu1 * o1, mu2 * f3, mu2 * f4),
-                (mu1 * mu1 * o1, mu1 * e1, -a * mu2 * f3, a * mu2 * f4),
-                (mu1 * mu1 * e1, mu1 * mu1 * o1, mu2 * mu2 * f3, mu2 * mu2 * f4),
-            ]
-        else:
-            mu2 = self.mu2
-            e2, o2 = _pair_values(mu2, phi)
-            rows = [
-                (e1, o1, e2, o2),
-                (mu1 * o1, e1, mu2 * o2, e2),
-                (mu1 * e1, mu1 * o1, mu2 * e2, mu2 * o2),
-                (mu1 * mu1 * o1, mu1 * e1, mu2 * mu2 * o2, mu2 * e2),
-                (mu1 * mu1 * e1, mu1 * mu1 * o1, mu2 * mu2 * e2, mu2 * mu2 * o2),
-            ]
-        return rows[:nrows]
+        shape = np.broadcast_shapes(np.shape(self.mu1), np.shape(phi))
+        return _stack_first(_derivative_table(self, phi, nrows), shape)
 
-    def column_scale_logs(self) -> tuple[float, float, float, float]:
-        """Log of the factor each basis function was scaled down by.
+    def column_scale_logs(self) -> np.ndarray:
+        """Log of the factor each basis function was scaled down by, shape (..., 4).
 
         Only the growing exponential of the ``exp_pair`` representation
         carries one: exp(a*(phi - phi_max)) is the natural solution exp(a*phi)
         divided by exp(a*phi_max).
         """
-        if self.exp_pair:
-            return (0.0, 0.0, 0.0, math.sqrt(self.mu2) * self.phi_max)
-        return (0.0, 0.0, 0.0, 0.0)
+        logs = np.zeros(np.shape(self.mu2) + (4,))
+        if self.phi_max is not None:
+            growth = np.sqrt(np.maximum(self.mu2, 0.0)) * self.phi_max
+            logs[..., 3] = np.where(self.exp_pair, growth, 0.0)
+        return logs
 
 
 def quartic_roots(
@@ -205,37 +170,136 @@ def quartic_roots(
     assembling boundary matrices so that large hyperbolic arguments switch to
     the well-conditioned exponential representation.
     """
-    p2, p0 = coeffs.p2, coeffs.p0
-    scale = max(1.0, p2 * p2)
+    p2, p0 = np.asarray(coeffs.p2), np.asarray(coeffs.p0)
+    scale = np.maximum(1.0, p2 * p2)
     disc = p2 * p2 - 4.0 * p0
-    if disc < -tol * scale:
+    if np.any(disc < -tol * scale):
         # Not reachable for K >= 0, eta >= 0; kept as a hard guard.
-        raise ValueError(f"negative discriminant {disc} for coefficients {coeffs}")
+        raise ValueError(f"negative discriminant for coefficients {coeffs}")
 
-    if abs(p0) <= tol * scale:
-        branch, mu1, mu2 = Branch.DEGENERATE_ZERO_ROOT, -p2, 0.0
-    elif abs(disc) <= tol * scale:
-        branch = Branch.DEGENERATE_REPEATED
-        mu1 = mu2 = -0.5 * p2
-    else:
-        sq = math.sqrt(max(disc, 0.0))
-        mu1 = -0.5 * (p2 + sq)
-        mu2 = p0 / mu1  # Vieta; avoids cancellation in (-p2 + sq)/2
-        branch = Branch.TWO_TRIG if p0 > 0.0 else Branch.TRIG_PLUS_HYPERBOLIC
+    zero_root = np.abs(p0) <= tol * scale
+    repeated = ~zero_root & (np.abs(disc) <= tol * scale)
+    mu1 = -0.5 * (p2 + np.sqrt(np.maximum(disc, 0.0)))
+    mu2 = p0 / mu1  # Vieta; avoids cancellation in (-p2 + sq)/2
+    if zero_root.any() or repeated.any():
+        mu1 = np.where(zero_root, -p2, np.where(repeated, -0.5 * p2, mu1))
+        mu2 = np.where(zero_root, 0.0, np.where(repeated, mu1, mu2))
 
-    exp_pair = (
-        mu2 > 0.0
-        and phi_max is not None
-        and math.sqrt(mu2) * phi_max > _EXP_SWITCH
-    )
+    exp_pair = np.zeros(mu2.shape, dtype=bool)
+    if phi_max is not None:
+        exp_pair = np.sqrt(np.maximum(mu2, 0.0)) * phi_max > _EXP_SWITCH
+    if not mu2.ndim:
+        mu1, mu2 = float(mu1), float(mu2)
+        repeated, exp_pair = bool(repeated), bool(exp_pair)
     return ModeBasis(
         coeffs=coeffs,
-        branch=branch,
         mu1=mu1,
         mu2=mu2,
+        repeated=repeated,
         exp_pair=exp_pair,
         phi_max=phi_max,
     )
+
+
+def _libm(f, t) -> np.ndarray:
+    """``f`` (np.cosh, np.sinh or np.exp) of real ``t``, rounded as libm rounds.
+
+    numpy's real loops for these functions use SIMD approximations that can
+    differ from the C library in the last bit; its complex loops call the C
+    library, and the real part of f(x + 0j) is f(x). The last bit shows in
+    outputs that cancel to rounding level, such as a mode shape's value at
+    the far support.
+    """
+    return f(np.asarray(t, dtype=complex)).real
+
+
+def _pair_rows(mu, e, o, nrows: int) -> tuple[list, list]:
+    """Derivatives 0..nrows-1 of a pair with e' = mu*o and o' = e."""
+    de = [e, mu * o, mu * e]
+    if nrows > 3:
+        mm = mu * mu
+        de += [mm * o, mm * e]
+    return de[:nrows], ([o] + de)[:nrows]
+
+
+def _second_pair(mu, phi, nrows: int) -> tuple[list, list]:
+    """Rows of the (e, o) pair of a root mu of any sign, no exponential form."""
+    a = np.sqrt(np.abs(mu))
+    t = a * phi
+    hyp = mu > 0.0
+    with np.errstate(over="ignore"):
+        e, o = _libm(np.cosh, t), _libm(np.sinh, t)
+    if hyp.all():
+        o = o / a
+    else:
+        e = np.where(hyp, e, np.cos(t))
+        o = np.where(hyp, o, np.sin(t)) / np.where(a == 0.0, 1.0, a)
+        o = np.where(mu == 0.0, phi, o)
+    return _pair_rows(mu, e, o, nrows)
+
+
+def _exp_pair_rows(mu, phi, phi_max: float, nrows: int) -> tuple[list, list]:
+    """Rows of the bounded exponentials exp(-a*phi), exp(a*(phi - phi_max))."""
+    a = np.sqrt(mu)
+    f3 = _libm(np.exp, -a * phi)
+    f4 = _libm(np.exp, a * (phi - phi_max))
+    d3, d4 = [f3, -a * f3, mu * f3], [f4, a * f4, mu * f4]
+    if nrows > 3:
+        mm = mu * mu
+        d3 += [-a * mu * f3, mm * f3]
+        d4 += [a * mu * f4, mm * f4]
+    return d3[:nrows], d4[:nrows]
+
+
+def _repeated_rows(mu, phi, e, o, nrows: int) -> tuple[list, list]:
+    """Rows of (g, h) = (d e/d mu, d o/d mu) for the repeated-root basis."""
+    g = 0.5 * phi * o
+    # Series for h; direct (phi*e - o)/(2 mu) cancels at small arguments.
+    p2_ = phi * phi
+    series = phi * p2_ / 6.0
+    mupow = 1.0
+    for k, fact in ((2, 120.0), (3, 5040.0), (4, 362880.0), (5, 39916800.0)):
+        mupow = mupow * mu
+        series = series + k * mupow * phi * p2_**k / fact
+    h = np.where(np.abs(mu) * phi * phi < 0.01, series, (phi * e - o) / (2.0 * mu))
+    mm = mu * mu
+    dg = [g, o + mu * h, e + mu * g, 2.0 * mu * o + mm * h, 2.0 * mu * e + mm * g]
+    return dg[:nrows], ([h] + dg)[:nrows]
+
+
+def _stack_first(table: np.ndarray, shape: tuple) -> np.ndarray:
+    """View of a stack-last (r, c, M) array as (*shape, r, c)."""
+    return np.moveaxis(table, -1, 0).reshape(shape + table.shape[:-1])
+
+
+def _derivative_table(basis: ModeBasis, phi, nrows: int) -> np.ndarray:
+    """Derivative rows as an (nrows, 4, M) array, the M broadcast K/phi last."""
+    shape = np.broadcast_shapes(np.shape(basis.mu1), np.shape(phi))
+    mu1, mu2, repeated, exp_pair = (
+        x if np.shape(x) == shape != () else np.broadcast_to(x, shape).ravel()
+        for x in (basis.mu1, basis.mu2, basis.repeated, basis.exp_pair)
+    )
+    phi = np.ravel(phi) if np.ndim(phi) else phi
+    a1 = np.sqrt(-mu1)
+    t1 = a1 * phi
+    e1, o1 = np.cos(t1), np.sin(t1) / a1
+    columns = list(_pair_rows(mu1, e1, o1, nrows))
+
+    generic = ~(repeated | exp_pair)
+    if generic.all():
+        columns += _second_pair(mu2, phi, nrows)
+    else:
+        third, fourth = np.empty((2, nrows, mu2.size))
+        g, x, r = generic, exp_pair, repeated
+        at = (lambda m: phi[m]) if np.ndim(phi) else (lambda m: phi)
+        if g.any():
+            third[:, g], fourth[:, g] = _second_pair(mu2[g], at(g), nrows)
+        if x.any():
+            third[:, x], fourth[:, x] = _exp_pair_rows(mu2[x], at(x), basis.phi_max, nrows)
+        if r.any():
+            third[:, r], fourth[:, r] = _repeated_rows(mu1[r], at(r), e1[r], o1[r], nrows)
+        columns += [third, fourth]
+    return np.array([[c[k] for c in columns] for k in range(nrows)])
 
 
 def uncracked_K_closed_form(n: int, beta: float, eta_nd: float) -> float:
@@ -256,16 +320,17 @@ def uncracked_K_closed_form(n: int, beta: float, eta_nd: float) -> float:
 
 @dataclass(frozen=True)
 class BoundaryMatrix:
-    """Dense boundary/matching matrix with its column scale factors.
+    """Dense boundary/matching matrices with their column scale factors.
 
-    ``entries[i][j]`` applies boundary condition i to basis function j. The
+    ``entries[..., i, j]`` applies boundary condition i to basis function j;
+    the leading axis, when present, runs over the K values of the basis. The
     recorded ``column_scale_logs`` allow recovering the determinant of the
     unscaled system: log|det_unscaled| = log|det| + sum(column_scale_logs).
     """
 
     order: int
-    entries: tuple[tuple[float, ...], ...]
-    column_scale_logs: tuple[float, ...]
+    entries: np.ndarray
+    column_scale_logs: np.ndarray
 
 
 def assemble_uncracked(basis: ModeBasis, beta: float) -> BoundaryMatrix:
@@ -276,11 +341,12 @@ def assemble_uncracked(basis: ModeBasis, beta: float) -> BoundaryMatrix:
     """
     if beta <= 0:
         raise ValueError("central angle must be positive")
-    at0 = basis.derivative_rows(0.0, nrows=3)
-    atb = basis.derivative_rows(beta, nrows=3)
+    at0 = _derivative_table(basis, 0.0, 3)
+    atb = _derivative_table(basis, beta, 3)
+    m = np.concatenate([at0[0::2], atb[0::2]])
     return BoundaryMatrix(
         order=4,
-        entries=(at0[0], at0[2], atb[0], atb[2]),
+        entries=_stack_first(m, np.shape(basis.mu2)),
         column_scale_logs=basis.column_scale_logs(),
     )
 
@@ -302,179 +368,158 @@ def assemble_cracked(
         raise DegenerateSegment(
             f"crack at alpha={alpha} leaves a vanishing segment of beta={beta}"
         )
-    at0 = basis.derivative_rows(0.0, nrows=3)
-    ata = basis.derivative_rows(alpha, nrows=4)
-    atb = basis.derivative_rows(beta, nrows=3)
-    zero = (0.0, 0.0, 0.0, 0.0)
-
-    def row(left: tuple[float, ...], right: tuple[float, ...]) -> tuple[float, ...]:
-        return left + right
-
-    neg = lambda r: tuple(-x for x in r)
-    jump = tuple(-ata[1][j] - theta_c * ata[2][j] for j in range(4))
-    entries = (
-        row(at0[0], zero),
-        row(at0[2], zero),
-        row(zero, atb[0]),
-        row(zero, atb[2]),
-        row(ata[0], neg(ata[0])),
-        row(ata[2], neg(ata[2])),
-        row(ata[3], neg(ata[3])),
-        row(jump, ata[1]),
-    )
+    at0 = _derivative_table(basis, 0.0, 3)
+    ata = _derivative_table(basis, alpha, 4)
+    atb = _derivative_table(basis, beta, 3)
+    m = np.zeros((8, 8, at0.shape[-1]))
+    m[0:2, :4] = at0[0::2]
+    m[2:4, 4:] = atb[0::2]
+    m[4:7, :4] = ata[[0, 2, 3]]
+    m[4:7, 4:] = -ata[[0, 2, 3]]
+    m[7, :4] = -ata[1] - theta_c * ata[2]
+    m[7, 4:] = ata[1]
     logs = basis.column_scale_logs()
-    return BoundaryMatrix(order=8, entries=entries, column_scale_logs=logs + logs)
+    return BoundaryMatrix(
+        order=8,
+        entries=_stack_first(m, np.shape(basis.mu2)),
+        column_scale_logs=np.concatenate([logs, logs], axis=-1),
+    )
 
 
-def _as_rows(matrix) -> list[list[float]]:
-    if isinstance(matrix, BoundaryMatrix):
-        return [list(r) for r in matrix.entries]
-    return [[float(x) for x in row] for row in matrix]
+@dataclass(frozen=True)
+class _Factors:
+    """Row-equilibrated LU factors of a stack of N square matrices, stack last.
 
-
-def _lu_inplace(a: list[list[float]]):
-    """LU factorization with partial pivoting, multipliers stored in place.
-
-    Expects rows pre-normalized to unit max norm, so pivot magnitudes are
-    directly comparable to 1. Returns (swaps, parity, degenerate,
-    log_pivot_sum, min_pivot) where parity carries both permutation parity
-    and pivot signs and ``degenerate`` is set when a pivot falls at or below
-    PIVOT_ZERO_TOL.
+    ``lu[:, :, s]`` holds matrix s's unit lower factor (multipliers below the
+    diagonal) and upper factor (on and above it). Step k exchanged rows k
+    and ``pivot_rows[k, s]``, as in LAPACK's ipiv. ``logdet`` is log|det| of
+    the matrix as given, with the row scaling added back; it is -inf where a
+    row or a pivot is exactly zero.
     """
-    n = len(a)
-    swaps: list[tuple[int, int]] = []
-    sign = 1
-    degenerate = False
-    logsum = 0.0
-    minpiv = math.inf
-    for k in range(n):
-        p = k
-        best = abs(a[k][k])
-        for i in range(k + 1, n):
-            v = abs(a[i][k])
-            if v > best:
-                best = v
-                p = i
-        if p != k:
-            a[k], a[p] = a[p], a[k]
-            swaps.append((k, p))
-            sign = -sign
-        row_k = a[k]
-        piv = row_k[k]
-        apiv = abs(piv)
-        if apiv < minpiv:
-            minpiv = apiv
-        if apiv <= PIVOT_ZERO_TOL:
-            degenerate = True
-        if apiv == 0.0:
-            return swaps, sign, True, _LOG_NEG_INF, minpiv
-        if piv < 0.0:
-            sign = -sign
-        logsum += math.log(apiv)
-        inv = 1.0 / piv
-        for i in range(k + 1, n):
-            row_i = a[i]
-            f = row_i[k] * inv
-            row_i[k] = f
-            if f != 0.0:
-                for j in range(k + 1, n):
-                    row_i[j] -= f * row_k[j]
-    return swaps, sign, degenerate, logsum, minpiv
+
+    lu: np.ndarray  # (n, n, N)
+    pivot_rows: np.ndarray  # (n, N)
+    sign: np.ndarray  # (N,) +-1 from pivot signs and permutation parity
+    logdet: np.ndarray  # (N,)
+    min_pivot: np.ndarray  # (N,) smallest scaled pivot magnitude
 
 
-def _normalize_rows(a: list[list[float]]) -> float | None:
-    """Scale each row to unit max norm; returns the log of the scale product."""
-    total = 0.0
-    for row in a:
-        m = 0.0
-        for x in row:
-            v = abs(x)
-            if v > m:
-                m = v
-        if m == 0.0:
-            return None
-        if m != 1.0:
-            inv = 1.0 / m
-            for j in range(len(row)):
-                row[j] *= inv
-        total += math.log(m)
-    return total
+def _factor(matrix) -> tuple[_Factors, bool]:
+    """LU with partial pivoting, vectorized over a stack, after row scaling.
 
-
-def det_sign_logmag(matrix) -> tuple[int, float]:
-    """Determinant sign and log-magnitude of a small dense matrix.
-
-    Rows are normalized to unit max norm, then factored by LU with partial
-    pivoting; the sign comes from pivot signs times permutation parity and is
-    reported as 0 when any pivot falls at or below PIVOT_ZERO_TOL of the unit
-    row scale. The log magnitude refers to the matrix as given (the row
-    scaling is added back), so it spans the full dynamic range of the raw
-    determinant.
+    Rows are scaled to unit max norm, so pivot magnitudes are directly
+    comparable to 1. The elimination loops over the columns, works on all
+    matrices at once, and multiplies by the reciprocal pivot. Returns the
+    factors and whether the input was a single matrix.
     """
-    a = _as_rows(matrix)
-    for row in a:
-        for x in row:
-            if not math.isfinite(x):
-                raise ValueError("matrix entries must be finite")
-    log_norm = _normalize_rows(a)
-    if log_norm is None:
-        return 0, _LOG_NEG_INF
-    _, sign, degenerate, logsum, _ = _lu_inplace(a)
-    if logsum == _LOG_NEG_INF:
-        return 0, _LOG_NEG_INF
-    return (0 if degenerate else sign), logsum + log_norm
+    entries = matrix.entries if isinstance(matrix, BoundaryMatrix) else matrix
+    a = np.asarray(entries, dtype=float)
+    single = a.ndim == 2
+    a = np.moveaxis(a[None] if single else a, 0, -1).copy()
+    n, count = a.shape[1:]
+
+    scale = np.abs(a).max(axis=1)  # NaN where a row holds one
+    if not np.isfinite(scale).all():
+        raise ValueError("matrix entries must be finite")
+    a *= (1.0 / np.where(scale == 0.0, 1.0, scale))[:, None]
+
+    rows = a.reshape(n, n * count)
+    row_index = np.arange(n * count).reshape(n, count)
+    pivot_rows = np.empty((n, count), dtype=int)
+    flips = np.zeros(count, dtype=int)
+    pivot_rows[-1] = n - 1
+    for k in range(n - 1):
+        p = k + np.abs(a[k:, k]).argmax(axis=0)
+        pivot_rows[k] = p
+        swap = p != k
+        if swap.any():
+            row_k = a[k].copy()
+            a[k] = rows[p, row_index]
+            rows[p, row_index] = row_k
+            flips += swap
+        piv = a[k, k]
+        f = a[k + 1 :, k] * (1.0 / np.where(piv == 0.0, 1.0, piv))
+        a[k + 1 :, k] = f
+        a[k + 1 :, k + 1 :] -= f[:, None] * a[k, k + 1 :]
+
+    pivots = a[np.arange(n), np.arange(n)]
+    flips += (pivots < 0.0).sum(axis=0)
+    diag = np.abs(pivots)
+    with np.errstate(divide="ignore"):
+        logdet = np.log(scale).sum(axis=0) + np.log(diag).sum(axis=0)
+    factors = _Factors(
+        lu=a,
+        pivot_rows=pivot_rows,
+        sign=np.where(flips % 2, -1, 1),
+        logdet=logdet,
+        min_pivot=diag.min(axis=0),
+    )
+    return factors, single
 
 
-def null_vector(matrix) -> tuple[list[float], float]:
-    """Approximate null vector of a (nearly) rank-deficient matrix.
+def det_sign_logmag(matrix):
+    """Determinant sign and log-magnitude of small dense matrices.
+
+    Takes one matrix (a :class:`BoundaryMatrix` or anything array-like of
+    shape (n, n)), giving (int, float), or a stack of shape (N, n, n), giving
+    two arrays of length N. Rows are normalized to unit max norm, then
+    factored by LU with partial pivoting; the sign comes from pivot signs
+    times permutation parity and is reported as 0 when any pivot falls at or
+    below PIVOT_ZERO_TOL of the unit row scale. The log magnitude refers to
+    the matrix as given (the row scaling is added back), so it spans the full
+    dynamic range of the raw determinant.
+    """
+    fac, single = _factor(matrix)
+    sign = np.where(fac.min_pivot <= PIVOT_ZERO_TOL, 0, fac.sign)
+    if single:
+        return int(sign[0]), float(fac.logdet[0])
+    return sign, fac.logdet
+
+
+def _safe(d: np.ndarray) -> np.ndarray:
+    """Pivots with magnitudes below 1e-30 replaced by +-1e-30 (+ for zero)."""
+    return np.where(np.abs(d) < 1e-30, np.where(d < 0.0, -1e-30, 1e-30), d)
+
+
+def null_vector(matrix):
+    """Approximate null vectors of (nearly) rank-deficient matrices.
 
     Back-substitutes through the smallest-pivot column of the row-normalized
-    LU, then applies one inverse-iteration step and normalizes so the largest
-    component is exactly 1. Returns (vector, smallest scaled pivot).
+    LU, then applies one inverse-iteration step through the same factors and
+    normalizes so the largest component is exactly 1. Returns (vector,
+    smallest scaled pivot) for one matrix, or an (N, n) array of vectors and
+    N pivots for a stack.
     """
-    a = _as_rows(matrix)
-    n = len(a)
-    _normalize_rows(a)
-    b = [row[:] for row in a]
-    swaps, _, _, _, minpiv = _lu_inplace(b)
+    fac, single = _factor(matrix)
+    lu, (n, count) = fac.lu, fac.pivot_rows.shape
+    stack = np.arange(count)
+    diag = lu[np.arange(n), np.arange(n)]
+    pivots = _safe(diag)
+    k_star = np.abs(diag).argmin(axis=0)
 
-    def _safe(d: float) -> float:
-        if abs(d) < 1e-30:
-            return math.copysign(1e-30, d if d != 0.0 else 1.0)
-        return d
-
-    k_star = min(range(n), key=lambda k: abs(b[k][k]))
-    x = [0.0] * n
-    x[k_star] = 1.0
-    for i in range(k_star - 1, -1, -1):
-        acc = 0.0
-        for j in range(i + 1, k_star + 1):
-            acc += b[i][j] * x[j]
-        x[i] = -acc / _safe(b[i][i])
+    # Sums run term by term in index order, not through matmul: the last bits
+    # of the vector show in mode-shape values that cancel to rounding level.
+    x = np.zeros((n, count))
+    x[k_star, stack] = 1.0
+    for i in range(n - 2, -1, -1):
+        acc = np.zeros(count)
+        for j in range(i + 1, n):
+            acc = acc + lu[i, j] * x[j]
+        x[i] = np.where(i < k_star, -acc / pivots[i], x[i])
 
     # One inverse-iteration step: solve (LU) z = P x.
-    rhs = x[:]
-    for i, j in swaps:
-        rhs[i], rhs[j] = rhs[j], rhs[i]
+    z = x
+    for k, p in enumerate(fac.pivot_rows):
+        z[k], z[p, stack] = z[p, stack], z[k].copy()
     for i in range(n):
-        acc = rhs[i]
-        row = b[i]
         for j in range(i):
-            acc -= row[j] * rhs[j]
-        rhs[i] = acc
+            z[i] -= lu[i, j] * z[j]
     for i in range(n - 1, -1, -1):
-        acc = rhs[i]
-        row = b[i]
         for j in range(i + 1, n):
-            acc -= row[j] * rhs[j]
-        rhs[i] = acc / _safe(row[i])
+            z[i] -= lu[i, j] * z[j]
+        z[i] /= pivots[i]
 
-    im = 0
-    big = abs(rhs[0])
-    for i in range(1, n):
-        v = abs(rhs[i])
-        if v > big:
-            big = v
-            im = i
-    pivot_component = rhs[im]
-    return [v / pivot_component for v in rhs], minpiv
+    z = (z / z[np.abs(z).argmax(axis=0), stack]).T
+    if single:
+        return z[0].tolist(), float(fac.min_pivot[0])
+    return z, fac.min_pivot

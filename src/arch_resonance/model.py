@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 from typing import Mapping
 
 from . import crack as crack_models
-from .errors import InvalidPreset, MissingPreset
+from .errors import DegenerateSegment, InvalidPreset, MissingPreset
+from .kernel import SEGMENT_TOL
 
 DEFAULT_BOND_LENGTH_NM = 0.142
 
@@ -127,7 +128,11 @@ class CrackJoint:
 
 @dataclass(frozen=True)
 class ArchProblem:
-    """Complete nondimensional problem: central angle, nonlocal parameter, crack."""
+    """Complete nondimensional problem: central angle, nonlocal parameter, crack.
+
+    Every field must be finite, and a crack must leave both segments longer
+    than the kernel's ``SEGMENT_TOL`` (else :class:`DegenerateSegment`).
+    """
 
     beta: float  # central angle, rad
     eta_nd: float  # dimensionless nonlocal parameter
@@ -136,13 +141,20 @@ class ArchProblem:
     def __post_init__(self):
         if not 0.0 < self.beta <= 2.0 * math.pi:
             raise ValueError("central angle must lie in (0, 2*pi]")
+        if not math.isfinite(self.eta_nd):
+            raise ValueError("nonlocal parameter must be finite")
         if self.eta_nd < 0:
             raise ValueError("nonlocal parameter must be nonnegative")
         if self.crack is not None:
-            if not 0.0 < self.crack.alpha < self.beta:
+            alpha, theta_c = self.crack.alpha, self.crack.theta_c
+            if not 0.0 < alpha < self.beta:
                 raise ValueError("crack angle must lie strictly inside (0, beta)")
-            if self.crack.theta_c < 0:
-                raise ValueError("crack compliance must be nonnegative")
+            if alpha <= SEGMENT_TOL or self.beta - alpha <= SEGMENT_TOL:
+                raise DegenerateSegment(
+                    f"crack at alpha={alpha} leaves a vanishing segment of beta={self.beta}"
+                )
+            if not 0.0 <= theta_c < math.inf:
+                raise ValueError("crack compliance must be finite and nonnegative")
 
 
 _PRESET_KEYS = (

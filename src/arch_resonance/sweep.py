@@ -8,7 +8,7 @@ Failed points degrade to annotated blank rows instead of aborting the sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 from . import crack as crack_models
@@ -128,19 +128,8 @@ def _solve_point(
             )
             joint = model.CrackJoint(alpha=alpha, theta_c=theta)
         problem = model.ArchProblem(beta=beta, eta_nd=eta_nd, crack=joint)
-        cfg = spec.search
-        if cfg.max_modes < spec.mode:
-            cfg = solver.SearchConfig(
-                k_min=cfg.k_min,
-                k_max=cfg.k_max,
-                grid_points=cfg.grid_points,
-                refine_tol=cfg.refine_tol,
-                max_modes=spec.mode,
-            )
-        spectrum = solver.find_frequencies(problem, cfg)
-        if len(spectrum) < spec.mode:
-            raise NoRootsInRange(f"fewer than {spec.mode} roots in range")
-        k_value = spectrum.roots[spec.mode - 1].K
+        cfg = replace(spec.search, max_modes=spec.mode)
+        k_value = solver.find_frequencies(problem, cfg).roots[-1].K
         omega_nd = model.omega_nd(k_value, beta)
         omega = model.omega_from_K(k_value, tube)
     except (NoRootsInRange, ValueError):

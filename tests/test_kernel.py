@@ -3,19 +3,24 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arch_resonance import (
     Branch,
     DegenerateSegment,
+    SearchConfig,
     assemble_cracked,
     assemble_uncracked,
+    boundary_matrix,
     characteristic_coefficients,
     det_sign_logmag,
+    find_frequencies,
     null_vector,
     quartic_roots,
     uncracked_K_closed_form,
 )
-from conftest import cofactor_det
+from conftest import cofactor_det, make_problem
 
 BETAS = (0.5, 1.0, 2.0, math.pi / 2)
 ETAS = (0.0, 0.5, 1.0, 2.0)
@@ -311,3 +316,95 @@ class TestNullVector:
     def test_largest_component_is_one(self):
         vec, _ = null_vector([[1.0, 1.0], [1.0, 1.0]])
         assert max(abs(v) for v in vec) == 1.0
+
+
+def _random_stack(seed: int, order: int, count: int) -> np.ndarray:
+    """Random matrices with rows scaled over 16 decades, like boundary systems."""
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((count, order, order))
+    return m * 10.0 ** rng.uniform(-8.0, 8.0, (count, order, 1))
+
+
+class TestStackedKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        order=st.sampled_from((4, 8)),
+        count=st.integers(1, 40),
+    )
+    def test_stack_matches_single_calls(self, seed, order, count):
+        stack = _random_stack(seed, order, count)
+        signs, logs = det_sign_logmag(stack)
+        assert signs.shape == logs.shape == (count,)
+        for m, sign, logmag in zip(stack, signs, logs):
+            one_sign, one_log = det_sign_logmag(m)
+            assert sign == one_sign
+            assert abs(logmag - one_log) <= 1e-12
+
+    def test_cracked_stack_against_cofactor_oracle(self):
+        problem = make_problem(beta=1.3, eta=0.7, alpha=0.5, theta=1.2)
+        ks = np.linspace(3.0, 900.0, 12)
+        matrix = boundary_matrix(problem, ks)
+        assert matrix.entries.shape == (12, 8, 8)
+        signs, logs = det_sign_logmag(matrix)
+        for entries, sign, logmag in zip(matrix.entries, signs, logs):
+            ref = cofactor_det(entries.tolist())
+            assert sign == (1 if ref > 0 else -1)
+            assert abs(logmag - math.log(abs(ref))) < 1e-9
+
+    def test_stacked_assembly_matches_single(self):
+        problem = make_problem(beta=2.0, eta=0.3, alpha=0.8, theta=0.5)
+        ks = np.array([0.5, 1.0, 7.0, 400.0, 5.0e4])
+        stack = boundary_matrix(problem, ks)
+        for k, entries in zip(ks, stack.entries):
+            assert np.array_equal(boundary_matrix(problem, float(k)).entries, entries)
+
+    def test_constructed_singular_matrices_have_sign_zero(self):
+        stack = _random_stack(11, 8, 6)
+        stack[0, 3] = stack[0, 5]  # repeated row
+        stack[1, 7] = 2.0 * stack[1, 2]  # exactly proportional row
+        stack[2, :, 6] = stack[2, :, 1]  # repeated column
+        stack[3, 4] = 0.0  # zero row
+        signs, logs = det_sign_logmag(stack)
+        assert signs.tolist()[:4] == [0, 0, 0, 0]
+        assert all(s != 0 for s in signs[4:])
+        assert logs[3] == -math.inf
+        for m in stack[:4]:
+            assert det_sign_logmag(m)[0] == 0
+
+    def test_null_vectors_of_stack_match_single_calls(self):
+        problem = make_problem(beta=1.3, eta=0.7, alpha=0.5, theta=1.2)
+        roots = find_frequencies(problem, SearchConfig(max_modes=4)).K_values
+        stack = boundary_matrix(problem, np.array(roots))
+        vectors, pivots = null_vector(stack)
+        assert vectors.shape == (4, 8)
+        for entries, vec, piv in zip(stack.entries, vectors, pivots):
+            one_vec, one_piv = null_vector(entries)
+            assert one_vec == vec.tolist()
+            assert one_piv == piv
+            assert max(abs(v) for v in one_vec) == 1.0
+            residual = np.abs(entries @ vec).max() / np.abs(entries).max()
+            assert residual < 1e-8
+
+    def test_rejects_nonfinite_trial_values(self):
+        with pytest.raises(ValueError):
+            characteristic_coefficients(np.array([1.0, math.nan]), 0.5)
+        with pytest.raises(ValueError):
+            characteristic_coefficients(1.0, math.inf)
+        with pytest.raises(ValueError):
+            det_sign_logmag(np.array([np.eye(4), np.full((4, 4), math.nan)]))
+
+    def test_branch_of_a_stack(self):
+        coeffs = characteristic_coefficients(np.array([0.0, 0.5, 1.0, 5.0]), 0.0)
+        basis = quartic_roots(coeffs)
+        assert basis.branch.tolist() == [
+            Branch.DEGENERATE_REPEATED,
+            Branch.TWO_TRIG,
+            Branch.DEGENERATE_ZERO_ROOT,
+            Branch.TRIG_PLUS_HYPERBOLIC,
+        ]
+        # Every branch in one stack evaluates like the single-K basis.
+        rows = basis.derivative_rows(0.7, nrows=5)
+        for k, table in zip(coeffs.K, rows):
+            single = quartic_roots(characteristic_coefficients(float(k), 0.0))
+            assert np.array_equal(single.derivative_rows(0.7, nrows=5), table)

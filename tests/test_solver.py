@@ -6,6 +6,7 @@ import pytest
 from arch_resonance import (
     ArchProblem,
     CrackJoint,
+    DegenerateSegment,
     NoRootsInRange,
     RootFlag,
     SearchConfig,
@@ -18,6 +19,9 @@ from arch_resonance import (
     scan_and_bracket,
     uncracked_K_closed_form,
 )
+from arch_resonance import kernel, solver
+from arch_resonance.cli import main
+from arch_resonance.kernel import SEGMENT_TOL
 from conftest import make_problem, rel_err
 
 K1_B1_E0 = 78.6698822318237
@@ -215,3 +219,130 @@ class TestEtaMonotonicity:
                 problem = ArchProblem(beta=1.0, eta_nd=eta, crack=crack)
                 ks.append(find_frequencies(problem, cfg).roots[0].K)
             assert all(b < a for a, b in zip(ks, ks[1:]))
+
+
+class TestNonfiniteAndDegenerateInput:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_problem_rejects_nonfinite_fields(self, bad):
+        with pytest.raises(ValueError):
+            ArchProblem(beta=bad, eta_nd=1.0)
+        with pytest.raises(ValueError):
+            ArchProblem(beta=1.0, eta_nd=bad)
+        with pytest.raises(ValueError):
+            ArchProblem(beta=1.0, eta_nd=1.0, crack=CrackJoint(alpha=bad, theta_c=1.0))
+        with pytest.raises(ValueError):
+            ArchProblem(beta=1.0, eta_nd=1.0, crack=CrackJoint(alpha=0.5, theta_c=bad))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_config_rejects_nonfinite_fields(self, bad):
+        for field in ("k_min", "k_max", "refine_tol"):
+            with pytest.raises(ValueError):
+                SearchConfig(**{field: bad})
+
+    @pytest.mark.parametrize("alpha", [1e-12, SEGMENT_TOL, 1.0 - SEGMENT_TOL / 2])
+    def test_problem_rejects_crack_at_a_support(self, alpha):
+        with pytest.raises(DegenerateSegment):
+            make_problem(beta=1.0, alpha=alpha, theta=1.0)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["freq", "--eta", "nan"],
+            ["freq", "--eta", "inf"],
+            ["freq", "--beta", "nan"],
+            ["freq", "--crack-psi", "0.5", "--crack-alpha", "1e-12"],
+            ["modeshape", "--crack-psi", "0.5", "--crack-alpha", "0.9999999999"],
+        ],
+    )
+    def test_cli_exits_two(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "Traceback" not in err
+
+
+class TestSpectrumLength:
+    def test_default_range_grows_with_requested_modes(self):
+        spectrum = find_frequencies(make_problem(eta=1.0), SearchConfig(max_modes=20))
+        assert len(spectrum) == 20
+        for n, root in enumerate(spectrum.roots, start=1):
+            assert rel_err(root.K, uncracked_K_closed_form(n, 1.0, 1.0)) < 1e-8
+
+    def test_default_range_unchanged_up_to_five_modes(self):
+        k5 = uncracked_K_closed_form(5, 1.0, 1.0)
+        for modes in (1, 5):
+            cfg = solver._resolved(make_problem(eta=1.0), SearchConfig(max_modes=modes))
+            assert cfg.k_max == 10.0 * k5
+
+    def test_short_spectrum_raises(self):
+        # beta = 1, eta = 0: K_1 = 78.7 and K_2 = 1490, so one root below 1000.
+        with pytest.raises(NoRootsInRange, match="1 of 2"):
+            find_frequencies(make_problem(), SearchConfig(k_max=1000.0, max_modes=2))
+
+    def test_cli_many_modes(self, capsys):
+        assert main(["freq", "--beta", "1", "--eta", "1", "--modes", "20", "--format", "csv"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 21
+
+    def test_cli_short_spectrum_exits_one(self, capsys, tmp_path):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[search]\nk-max = 1000\n")
+        assert main(["freq", "--eta", "0", "--modes", "2", "--config", str(cfg)]) == 1
+        assert "1 of 2" in capsys.readouterr().err
+
+
+class TestRefineOnlyReturned:
+    def _record(self, monkeypatch, module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def recording(arg, *args, **kwargs):
+            calls.append(arg)
+            return original(arg, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, recording)
+        return calls
+
+    @pytest.mark.parametrize("modes", [1, 3])
+    def test_brackets_and_null_vectors_cover_returned_roots(self, monkeypatch, modes):
+        problem = make_problem(eta=1.0, alpha=0.4, theta=0.8)
+        full = find_frequencies(problem, SearchConfig(max_modes=5))
+        assert len(scan_and_bracket(problem, SearchConfig(max_modes=5)).brackets) > 5
+        refined = self._record(monkeypatch, solver, "refine_root")
+        nulls = self._record(monkeypatch, kernel, "null_vector")
+        spectrum = find_frequencies(problem, SearchConfig(max_modes=modes))
+        assert sum(len(b) for b in refined) == modes
+        assert [m.entries.shape[0] for m in nulls] == [modes]
+        assert spectrum.roots == full.roots[:modes]
+
+    def test_sweep_point_solves_only_its_mode(self, monkeypatch):
+        from arch_resonance import ChiralityClass, SweepSpec, run_sweep
+        from arch_resonance.cli import load_presets
+
+        asked = []
+        original = solver.find_frequencies
+        monkeypatch.setattr(
+            solver,
+            "find_frequencies",
+            lambda problem, cfg: asked.append(cfg.max_modes) or original(problem, cfg),
+        )
+        spec = SweepSpec(
+            parameter="beta", start=0.5, stop=1.0, steps=2, presets=load_presets(),
+            chirality_set=(ChiralityClass.ARMCHAIR,),
+            mode=3,
+        )
+        rows = run_sweep(spec)
+        assert asked == [3, 3]
+        for row in rows:
+            assert rel_err(row.K, uncracked_K_closed_form(3, row.beta_rad, 1.0)) < 1e-8
+
+    def test_batch_matches_single_brackets(self):
+        problem = make_problem(eta=0.5, alpha=0.3, theta=2.0)
+        scan = scan_and_bracket(problem, SearchConfig(k_max=3000.0))
+        batch = refine_root(scan.brackets, problem, lower_signs=scan.lower_signs)
+        singles = [refine_root(b, problem) for b in scan.brackets]
+        assert batch.tolist() == singles
+
+    def test_scan_lower_signs(self):
+        problem = make_problem(eta=0.5, alpha=0.3, theta=2.0)
+        scan = scan_and_bracket(problem, SearchConfig(k_max=3000.0))
+        for (lo, _), sign in zip(scan.brackets, scan.lower_signs):
+            assert boundary_determinant(problem, lo)[0] == sign
