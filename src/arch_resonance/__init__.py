@@ -15,8 +15,6 @@ from .crack import (
     PolynomialCompliance,
     PowerLawCompliance,
     compliance,
-    get_model,
-    register_model,
 )
 from .errors import (
     DegenerateSegment,
@@ -54,7 +52,6 @@ from .model import (
     omega_nd,
     resolve_preset,
     tube_diameter,
-    with_radius,
 )
 from .solver import (
     Root,

@@ -6,9 +6,12 @@ sweeps as CSV), ``modeshape`` (sampled spatial mode), ``validate``
 from flags or from a sectioned config file; flags win. Dimensioned inputs are
 accepted in nm / TPa at this boundary and converted to SI internally.
 
-Exit codes: 0 success, 1 runtime failure (no roots, unwritable output),
-2 usage error. The environment variable ``ARCH_RESONANCE_LOG`` (error, warn,
-info, debug) controls diagnostics on standard error.
+Exit codes: 0 success; 1 runtime failure, which is fewer roots in the search
+range than modes requested, or unwritable output; 2 usage error, which is any
+bad flag, config or preset value met while resolving them into a problem or a
+sweep, reported in one line on standard error. The environment variable
+``ARCH_RESONANCE_LOG`` (error, warn, info, debug) controls diagnostics on
+standard error.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import json
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Any, Mapping
@@ -26,15 +30,7 @@ from typing import Any, Mapping
 from . import __version__
 from . import crack as crack_models
 from . import model, solver, sweep
-from .errors import (
-    InvalidModel,
-    InvalidPreset,
-    InvalidSpec,
-    MissingPreset,
-    NoRootsInRange,
-    OutOfRange,
-    UsageError,
-)
+from .errors import InvalidPreset, InvalidSpec, MissingPreset, NoRootsInRange, UsageError
 
 logger = logging.getLogger("arch_resonance")
 
@@ -249,7 +245,7 @@ def _resolve_compliance_model(s: _Settings) -> crack_models.ComplianceModel:
         coeffs = _parse_coefficient_list(raw)
         scale = s.get("scale", "crack", cast=float, default=1.0)
         return crack_models.PolynomialCompliance("polynomial", coeffs, scale)
-    return crack_models.get_model(name)
+    raise UsageError(f"--crack-model: unknown model {name!r}")
 
 
 def _resolve_chirality(s: _Settings, allow_all: bool) -> Any:
@@ -294,55 +290,58 @@ def _resolve_tube(s: _Settings, chirality) -> model.PhysicalTube | None:
     return tube
 
 
+@contextmanager
+def _bad_input_is_usage_error():
+    """Report invalid values met while resolving settings as a usage error."""
+    try:
+        yield
+    except (ValueError, MissingPreset) as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _resolve_inputs(s: _Settings, allow_all: bool):
+    """Chirality and the keyword arguments of :func:`model.nondimensionalize`.
+
+    Shared by every command that solves a problem: ``beta``, the nonlocal
+    parameter as ``eta_nd`` or ``eta_physical`` (m^2), and the crack.
+    """
+    beta = s.get("beta", "geometry", cast=float, default=1.0)
+    eta_nd = s.get("eta", "nonlocal", cast=float)
+    eta_nm2 = s.get("eta-nm2", "nonlocal", cast=float)
+    if eta_nd is not None and eta_nm2 is not None:
+        raise UsageError("--eta and --eta-nm2 are mutually exclusive")
+    if eta_nm2 is None and eta_nd is None:
+        eta_nd = 1.0
+    crack = None
+    psi = s.get("crack-psi", "crack", key="psi", cast=float, default=0.0)
+    if psi:
+        alpha = s.get("crack-alpha", "crack", key="alpha_rad", cast=float, default=0.5 * beta)
+        crack = model.CrackSpec(alpha, psi, _resolve_compliance_model(s))
+    inputs = dict(
+        beta=beta,
+        eta_nd=eta_nd,
+        eta_physical=eta_nm2 * 1e-18 if eta_nm2 is not None else None,
+        crack=crack,
+    )
+    return _resolve_chirality(s, allow_all), inputs
+
+
 def _resolve_problem(s: _Settings):
     """Shared context resolution for freq and modeshape.
 
     Returns (problem, tube, chirality, search config).
     """
-    beta = s.get("beta", "geometry", cast=float, default=1.0)
-    if beta <= 0:
-        raise UsageError("--beta must be positive")
-    chirality = _resolve_chirality(s, allow_all=False)
-    tube = _resolve_tube(s, chirality)
-
-    eta_nd = s.get("eta", "nonlocal", cast=float)
-    eta_nm2 = s.get("eta-nm2", "nonlocal", cast=float)
-    if eta_nd is not None and eta_nm2 is not None:
-        raise UsageError("--eta and --eta-nm2 are mutually exclusive")
-    if eta_nm2 is not None:
-        if tube is None:
-            raise UsageError("--eta-nm2 needs a material context (chirality or n/m)")
-        eta_nd = (eta_nm2 * 1e-18) / tube.radius**2
-    if eta_nd is None:
-        eta_nd = 1.0
-    if eta_nd < 0:
-        raise UsageError("the nonlocal parameter must be nonnegative")
-
-    psi = s.get("crack-psi", "crack", key="psi", cast=float, default=0.0)
-    joint = None
-    if psi:
-        alpha = s.get("crack-alpha", "crack", key="alpha_rad", cast=float, default=0.5 * beta)
-        compliance_model = _resolve_compliance_model(s)
-        geometry = (tube.wall_thickness, tube.radius) if tube is not None else (1.0, 1.0)
-        theta = crack_models.compliance(compliance_model, psi, geometry)
-        joint = model.CrackJoint(alpha=alpha, theta_c=theta)
-
-    try:
-        problem = model.ArchProblem(beta=beta, eta_nd=eta_nd, crack=joint)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-    modes = s.get("modes", "search", cast=int, default=5)
-    try:
+    with _bad_input_is_usage_error():
+        chirality, inputs = _resolve_inputs(s, allow_all=False)
+        tube = _resolve_tube(s, chirality)
+        problem = model.nondimensionalize(tube, **inputs)
         cfg = solver.SearchConfig(
             k_min=s.get("k-min", "search", cast=float, default=1e-6),
             k_max=s.get("k-max", "search", cast=float),
             grid_points=s.get("grid-points", "search", cast=int, default=2000),
             refine_tol=s.get("refine-tol", "search", cast=float, default=1e-10),
-            max_modes=modes,
+            max_modes=s.get("modes", "search", cast=int, default=5),
         )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
     return problem, tube, chirality, cfg
 
 
@@ -443,10 +442,8 @@ def _cmd_freq(inv: CliInvocation, s: _Settings) -> str:
 
 def _cmd_modeshape(inv: CliInvocation, s: _Settings) -> str:
     problem, tube, chirality, cfg = _resolve_problem(s)
-    mode = s.overrides.get("mode")
-    mode = 1 if mode is None else mode
-    samples = s.overrides.get("samples")
-    samples = 201 if samples is None else samples
+    mode = s.overrides["mode"]
+    samples = s.overrides["samples"]
     if mode < 1:
         raise UsageError("--mode must be >= 1")
     if samples < 2:
@@ -478,67 +475,37 @@ def _cmd_sweep(inv: CliInvocation, s: _Settings) -> str:
     start = d_from if start is None else start
     stop = d_to if stop is None else stop
     steps = d_steps if steps is None else steps
-    if steps < 2:
-        raise UsageError("--steps must be at least 2")
-    if not start < stop:
-        raise UsageError("--from must be smaller than --to")
     if param == "radius":
         start, stop = start * 1e-9, stop * 1e-9  # nm at the CLI boundary
 
-    chirality = _resolve_chirality(s, allow_all=True)
-    if chirality is None or chirality == "all":
-        chirality_set = (
-            model.ChiralityClass.ARMCHAIR,
-            model.ChiralityClass.ZIGZAG,
-            model.ChiralityClass.CHIRAL,
-        )
-    else:
-        chirality_set = (chirality,)
-
-    beta = s.get("beta", "geometry", cast=float, default=1.0)
-    eta_nd = s.get("eta", "nonlocal", cast=float)
-    eta_nm2 = s.get("eta-nm2", "nonlocal", cast=float)
-    if eta_nd is not None and eta_nm2 is not None:
-        raise UsageError("--eta and --eta-nm2 are mutually exclusive")
-    if eta_nm2 is not None:
-        eta_kind, eta_value = "physical", eta_nm2 * 1e-18
-    elif eta_nd is not None:
-        eta_kind, eta_value = "nd", eta_nd
-    else:
-        eta_kind, eta_value = "nd", 1.0
-
-    crack_spec = None
-    psi = s.get("crack-psi", "crack", key="psi", cast=float, default=0.0)
-    if psi:
-        alpha = s.get("crack-alpha", "crack", key="alpha_rad", cast=float, default=0.5 * beta)
-        crack_spec = model.CrackSpec(
-            position_angle=alpha,
-            depth_ratio=psi,
-            compliance_model=_resolve_compliance_model(s),
-        )
-
-    radius_nm = s.get("radius-nm", "geometry", cast=float)
-    presets = load_presets(s.get("presets", "material", cast=str))
-    mode = s.get("modes", "search", cast=int, default=1)
-    try:
+    with _bad_input_is_usage_error():
+        chirality, inputs = _resolve_inputs(s, allow_all=True)
+        if inputs["eta_physical"] is not None:
+            eta_kind, eta_value = "physical", inputs["eta_physical"]
+        else:
+            eta_kind, eta_value = "nd", inputs["eta_nd"]
+        radius_nm = s.get("radius-nm", "geometry", cast=float)
         spec = sweep.SweepSpec(
             parameter=param,
             start=start,
             stop=stop,
             steps=steps,
-            presets=presets,
-            chirality_set=chirality_set,
-            mode=mode,
-            beta=beta,
+            presets=load_presets(s.get("presets", "material", cast=str)),
+            chirality_set=(
+                tuple(model.ChiralityClass) if chirality in (None, "all") else (chirality,)
+            ),
+            mode=s.get("modes", "search", cast=int, default=1),
+            beta=inputs["beta"],
             eta_kind=eta_kind,
             eta_value=eta_value,
             radius_m=radius_nm * 1e-9 if radius_nm is not None else None,
-            crack=crack_spec,
+            crack=inputs["crack"],
         )
-    except InvalidSpec as exc:
-        raise UsageError(str(exc)) from None
     logger.info("sweep: %s over [%g, %g] x %d", param, start, stop, steps)
-    rows = sweep.run_sweep(spec)
+    try:
+        rows = sweep.run_sweep(spec)
+    except InvalidSpec as exc:  # an invalid end of the range, found before any solve
+        raise UsageError(str(exc)) from None
     if inv.format == "json":
         doc = [row.__dict__ for row in rows]
         return json.dumps(doc, indent=2) + "\n"
@@ -582,7 +549,7 @@ def run(inv: CliInvocation) -> int:
     try:
         text = _COMMANDS[inv.command](inv, settings)
         _write(text, inv.output_path)
-    except (NoRootsInRange, MissingPreset, InvalidPreset, InvalidModel, OutOfRange, InvalidSpec) as exc:
+    except NoRootsInRange as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

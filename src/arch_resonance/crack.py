@@ -82,24 +82,6 @@ class PolynomialCompliance:
 
 ComplianceModel = PowerLawCompliance | PolynomialCompliance
 
-_REGISTRY: dict[str, ComplianceModel] = {}
-
-
-def register_model(model: ComplianceModel) -> ComplianceModel:
-    """Register a model so configs can refer to it by name."""
-    _REGISTRY[model.name] = model
-    return model
-
-
-def get_model(name: str) -> ComplianceModel:
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise InvalidModel(f"unknown compliance model {name!r}") from None
-
-
-register_model(PowerLawCompliance())
-
 
 def compliance(
     model: ComplianceModel,

@@ -18,7 +18,11 @@ class InvalidModel(ValueError):
 
 
 class DegenerateSegment(ValueError):
-    """Crack placed so close to a support that one segment vanishes."""
+    """Crack angle outside the arch or so close to a support that a segment vanishes.
+
+    A sweep reports such a point as a ``crack-outside`` row: with a fixed
+    crack angle, the swept arch may be too short to hold the crack.
+    """
 
 
 class NoRootsInRange(RuntimeError):

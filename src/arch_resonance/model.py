@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 from . import crack as crack_models
@@ -130,8 +130,10 @@ class CrackJoint:
 class ArchProblem:
     """Complete nondimensional problem: central angle, nonlocal parameter, crack.
 
-    Every field must be finite, and a crack must leave both segments longer
-    than the kernel's ``SEGMENT_TOL`` (else :class:`DegenerateSegment`).
+    Every field must be finite, and a crack angle must lie inside the arch,
+    more than the kernel's ``SEGMENT_TOL`` from either support (else
+    :class:`DegenerateSegment`, checked last, so it marks a problem that is
+    valid but for where its crack sits).
     """
 
     beta: float  # central angle, rad
@@ -147,14 +149,13 @@ class ArchProblem:
             raise ValueError("nonlocal parameter must be nonnegative")
         if self.crack is not None:
             alpha, theta_c = self.crack.alpha, self.crack.theta_c
-            if not 0.0 < alpha < self.beta:
-                raise ValueError("crack angle must lie strictly inside (0, beta)")
-            if alpha <= SEGMENT_TOL or self.beta - alpha <= SEGMENT_TOL:
-                raise DegenerateSegment(
-                    f"crack at alpha={alpha} leaves a vanishing segment of beta={self.beta}"
-                )
             if not 0.0 <= theta_c < math.inf:
                 raise ValueError("crack compliance must be finite and nonnegative")
+            if not (alpha > SEGMENT_TOL and self.beta - alpha > SEGMENT_TOL):
+                raise DegenerateSegment(
+                    f"crack angle alpha={alpha} must lie inside the arch of "
+                    f"beta={self.beta}, more than {SEGMENT_TOL} from either support"
+                )
 
 
 _PRESET_KEYS = (
@@ -216,40 +217,37 @@ def resolve_preset(
         raise InvalidPreset(f"preset {chirality.value!r}: {exc}") from None
 
 
-def with_radius(tube: PhysicalTube, radius: float) -> PhysicalTube:
-    """Copy of ``tube`` bent to a different arch radius (m)."""
-    return replace(tube, radius=radius)
-
-
 def nondimensionalize(
-    tube: PhysicalTube,
-    eta_physical: float,
+    tube: PhysicalTube | None,
+    eta_physical: float | None = None,
     crack: CrackSpec | None = None,
     *,
     beta: float,
+    eta_nd: float | None = None,
 ) -> ArchProblem:
     """Reduce a dimensional description to an :class:`ArchProblem`.
 
-    ``eta_physical`` is the small-scale material constant in m^2; the
-    dimensionless parameter entering the governing equation is
-    ``eta_physical / R^2``. A crack's depth ratio is converted to a spring
-    compliance through its model, scaled by the tube's h/R.
+    The nonlocal parameter is given exactly once: either ``eta_physical``,
+    the small-scale material constant in m^2, which enters the governing
+    equation as ``eta_physical / R^2``, or the dimensionless ``eta_nd``
+    itself. A crack's depth ratio is converted to a spring compliance
+    through its model, scaled by the tube's h/R. Without a tube the geometry
+    factor is 1, and a physical constant has no radius to scale by. Invalid
+    input raises ``ValueError``, a crack angle outside the arch
+    :class:`DegenerateSegment`.
     """
-    if eta_physical < 0:
-        raise ValueError("physical nonlocal parameter must be nonnegative")
+    if (eta_physical is None) == (eta_nd is None):
+        raise ValueError("give exactly one of eta_physical and eta_nd")
+    if eta_physical is not None:
+        if tube is None:
+            raise ValueError("a physical nonlocal constant needs a tube radius")
+        eta_nd = eta_physical / tube.radius**2
     joint = None
     if crack is not None:
-        theta = crack_models.compliance(
-            crack.compliance_model,
-            crack.depth_ratio,
-            (tube.wall_thickness, tube.radius),
-        )
+        geometry = (tube.wall_thickness, tube.radius) if tube is not None else (1.0, 1.0)
+        theta = crack_models.compliance(crack.compliance_model, crack.depth_ratio, geometry)
         joint = CrackJoint(alpha=crack.position_angle, theta_c=theta)
-    return ArchProblem(
-        beta=beta,
-        eta_nd=eta_physical / tube.radius**2,
-        crack=joint,
-    )
+    return ArchProblem(beta=beta, eta_nd=eta_nd, crack=joint)
 
 
 def omega_from_K(K: float, tube: PhysicalTube) -> float:

@@ -3,17 +3,20 @@
 A sweep varies one of {central angle, nonlocal parameter, arch radius} while
 holding the rest of the context fixed, solves for the requested mode at every
 point and per chirality class, and emits rows ready for CSV serialization.
-Failed points degrade to annotated blank rows instead of aborting the sweep.
+Every point is reduced through :func:`model.nondimensionalize`. A range that
+is invalid input at either end raises :class:`InvalidSpec` before anything is
+solved; a point that cannot be solved keeps its row, with a blank K and a note
+saying why (``no-root``, ``crack-outside``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 from typing import Mapping
 
-from . import crack as crack_models
 from . import model, solver
-from .errors import InvalidSpec, NoRootsInRange
+from .errors import DegenerateSegment, InvalidPreset, InvalidSpec, MissingPreset, NoRootsInRange
 
 CSV_HEADER = "chirality,beta_rad,eta_nd,radius_m,alpha_rad,psi,mode,K,omega_nd,omega_rad_s,note"
 
@@ -58,15 +61,14 @@ class SweepSpec:
     eta_value: float = 1.0
     radius_m: float | None = None
     crack: model.CrackSpec | None = None
-    search: solver.SearchConfig = field(default_factory=solver.SearchConfig)
 
     def __post_init__(self):
         if self.parameter not in _PARAMETERS:
             raise InvalidSpec(f"parameter must be one of {_PARAMETERS}")
         if self.steps < 2:
             raise InvalidSpec("a sweep needs at least 2 steps")
-        if not self.start < self.stop:
-            raise InvalidSpec("sweep range must satisfy start < stop")
+        if not -math.inf < self.start < self.stop < math.inf:
+            raise InvalidSpec("sweep range must be finite with start < stop")
         if self.eta_kind not in ("nd", "physical"):
             raise InvalidSpec("eta_kind must be 'nd' or 'physical'")
         if self.mode < 1:
@@ -97,55 +99,56 @@ def _linspace(start: float, stop: float, steps: int) -> list[float]:
     return [start + span * i / (steps - 1) for i in range(steps)]
 
 
-def _solve_point(
-    spec: SweepSpec, value: float, chirality: model.ChiralityClass
-) -> SweepRow:
-    tube = model.resolve_preset(chirality, spec.presets)
-    radius = spec.radius_m if spec.radius_m is not None else tube.radius
+def _reduce(
+    spec: SweepSpec,
+    value: float,
+    tube: model.PhysicalTube,
+    crack: model.CrackSpec | None,
+) -> tuple[model.PhysicalTube, model.ArchProblem]:
+    """The tube and the dimensionless problem at one grid value."""
     if spec.parameter == "radius":
-        radius = value
+        tube = replace(tube, radius=value)
+    elif spec.radius_m is not None:
+        tube = replace(tube, radius=spec.radius_m)
     beta = value if spec.parameter == "beta" else spec.beta
+    if spec.parameter == "eta":
+        eta_nd, eta_physical = value, None
+    elif spec.eta_kind == "nd":
+        eta_nd, eta_physical = spec.eta_value, None
+    else:
+        eta_nd, eta_physical = None, spec.eta_value
+    problem = model.nondimensionalize(tube, eta_physical, crack, beta=beta, eta_nd=eta_nd)
+    return tube, problem
 
-    eta_nd: float | None = None
-    k_value = omega_nd = omega = None
-    alpha = spec.crack.position_angle if spec.crack is not None else 0.0
-    psi = spec.crack.depth_ratio if spec.crack is not None else 0.0
+
+def _solve_point(
+    spec: SweepSpec, value: float, chirality: model.ChiralityClass, preset: model.PhysicalTube
+) -> SweepRow:
+    k_value = None
     note = ""
     try:
-        tube = model.with_radius(tube, radius)
-        if spec.parameter == "eta":
-            eta_nd = value
-        elif spec.eta_kind == "nd":
-            eta_nd = spec.eta_value
-        else:
-            eta_nd = spec.eta_value / radius**2
-        joint = None
-        if spec.crack is not None:
-            theta = crack_models.compliance(
-                spec.crack.compliance_model,
-                psi,
-                (tube.wall_thickness, tube.radius),
-            )
-            joint = model.CrackJoint(alpha=alpha, theta_c=theta)
-        problem = model.ArchProblem(beta=beta, eta_nd=eta_nd, crack=joint)
-        cfg = replace(spec.search, max_modes=spec.mode)
-        k_value = solver.find_frequencies(problem, cfg).roots[-1].K
-        omega_nd = model.omega_nd(k_value, beta)
-        omega = model.omega_from_K(k_value, tube)
-    except (NoRootsInRange, ValueError):
-        k_value = omega_nd = omega = None
-        note = "no-root"
+        tube, problem = _reduce(spec, value, preset, spec.crack)
+    except DegenerateSegment:
+        tube, problem = _reduce(spec, value, preset, None)
+        note = "crack-outside"
+    else:
+        cfg = solver.SearchConfig(max_modes=spec.mode)
+        try:
+            k_value = solver.find_frequencies(problem, cfg).roots[-1].K
+        except NoRootsInRange:
+            note = "no-root"
+    solved = k_value is not None
     return SweepRow(
         chirality=chirality.value,
-        beta_rad=beta,
-        eta_nd=eta_nd,
-        radius_m=radius,
-        alpha_rad=alpha,
-        psi=psi,
+        beta_rad=problem.beta,
+        eta_nd=problem.eta_nd,
+        radius_m=tube.radius,
+        alpha_rad=spec.crack.position_angle if spec.crack is not None else 0.0,
+        psi=spec.crack.depth_ratio if spec.crack is not None else 0.0,
         mode=spec.mode,
         K=k_value,
-        omega_nd=omega_nd,
-        omega_rad_s=omega,
+        omega_nd=model.omega_nd(k_value, problem.beta) if solved else None,
+        omega_rad_s=model.omega_from_K(k_value, tube) if solved else None,
         note=note,
     )
 
@@ -153,16 +156,32 @@ def _solve_point(
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate the sweep grid in parameter-major order.
 
-    Produces ``steps * len(chirality_set)`` rows; per-point failures become
-    rows with a blank K and a ``no-root`` note.
+    Produces ``steps * len(chirality_set)`` rows. Before anything is solved,
+    both ends of the range are reduced for each chirality class: validity is
+    monotone in the swept value, so a range with an invalid tube, central
+    angle or nonlocal parameter raises :class:`InvalidSpec`, as does a missing
+    or invalid preset. A point that fails keeps its row with a blank K and a
+    note: ``no-root`` (the search range holds fewer roots than the mode
+    index) or ``crack-outside`` (the crack angle does not fit that arch).
     """
+    grid = _linspace(spec.start, spec.stop, spec.steps)
+    tubes = {}
     for chirality in spec.chirality_set:
-        if chirality.value not in spec.presets:
-            raise InvalidSpec(f"presets lack an entry for {chirality.value!r}")
+        try:
+            tubes[chirality] = model.resolve_preset(chirality, spec.presets)
+        except (MissingPreset, InvalidPreset) as exc:
+            raise InvalidSpec(str(exc)) from None
+        for end in (grid[0], grid[-1]):
+            try:
+                _reduce(spec, end, tubes[chirality], spec.crack)
+            except DegenerateSegment:
+                pass  # a crack-outside row, not an invalid range
+            except ValueError as exc:
+                raise InvalidSpec(f"{spec.parameter} = {end:g}: {exc}") from None
     rows = []
-    for value in _linspace(spec.start, spec.stop, spec.steps):
+    for value in grid:
         for chirality in spec.chirality_set:
-            rows.append(_solve_point(spec, value, chirality))
+            rows.append(_solve_point(spec, value, chirality, tubes[chirality]))
     return rows
 
 

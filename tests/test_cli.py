@@ -231,6 +231,44 @@ class TestSweepCommand:
         assert lines[1].split(",")[3] == "2e-09"
         assert lines[2].split(",")[3] == "2e-08"
 
+    def test_first_row_matches_freq(self, capsys):
+        # Both commands reduce through model.nondimensionalize: same eta_nd, same K.
+        common = ["--chirality", "armchair", "--eta-nm2", "1", "--crack-psi", "0.3",
+                  "--crack-alpha", "0.4", "--format", "json"]
+        assert main(["freq", "--radius-nm", "5", "--modes", "1", *common]) == 0
+        freq = json.loads(capsys.readouterr().out)
+        assert main(["sweep", "--param", "radius", "--from", "5", "--to", "6",
+                     "--steps", "2", *common]) == 0
+        row = json.loads(capsys.readouterr().out)[0]
+        assert row["K"] == freq["spectrum"][0]["K"]
+        assert row["eta_nd"] == freq["problem"]["eta_nd"]
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["freq", "--crack-psi", "nan"],
+            ["freq", "--crack-psi", "0.3", "--crack-model", "foo"],
+            ["freq", "--chirality", "armchair", "--radius-nm", "-1"],
+            ["freq", "--chirality", "armchair", "--radius-nm", "0.1"],
+            ["sweep", "--param", "eta", "--steps", "2", "--chirality", "armchair",
+             "--crack-psi", "nan"],
+            ["sweep", "--param", "beta", "--from", "6", "--to", "7", "--steps", "2",
+             "--chirality", "armchair"],
+            ["sweep", "--param", "eta", "--from", "-1", "--to", "1", "--steps", "2",
+             "--chirality", "armchair"],
+            ["sweep", "--param", "radius", "--from", "0.1", "--to", "2", "--steps", "2",
+             "--chirality", "armchair"],
+        ],
+    )
+    def test_exits_two_with_one_line(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("usage error:") and "Traceback" not in captured.err
+
 
 class TestPresets:
     def test_shipped_presets_complete(self):

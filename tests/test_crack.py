@@ -1,5 +1,3 @@
-import math
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,7 +12,6 @@ from arch_resonance import (
     SearchConfig,
     compliance,
     find_frequencies,
-    get_model,
 )
 
 
@@ -68,17 +65,6 @@ class TestPolynomial:
         model = PolynomialCompliance("cubic", (0.0, 1.0, 0.5, 2.0))
         values = [compliance(model, i / 200 * 0.95) for i in range(201)]
         assert all(b >= a for a, b in zip(values, values[1:]))
-
-
-class TestRegistry:
-    def test_default_power_law(self):
-        model = get_model("power-law")
-        assert isinstance(model, PowerLawCompliance)
-        assert model.kappa0 == pytest.approx(6.0 * math.pi)
-
-    def test_unknown_name(self):
-        with pytest.raises(InvalidModel):
-            get_model("does-not-exist")
 
 
 class TestDownstreamMonotonicity:

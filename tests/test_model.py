@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -20,7 +21,6 @@ from arch_resonance import (
     omega_nd,
     resolve_preset,
     tube_diameter,
-    with_radius,
 )
 
 GOOD_PRESET = {
@@ -103,10 +103,6 @@ class TestPhysicalTube:
         with pytest.raises(ValueError):
             PhysicalTube(1e12, 0.3e-9, 0.678e-9, 0.34e-9, 1.6e-15)
 
-    def test_with_radius(self):
-        tube = PhysicalTube(1e12, 10e-9, 0.678e-9, 0.34e-9, 1.6367e-15)
-        assert with_radius(tube, 5e-9).radius == 5e-9
-
 
 class TestResolvePreset:
     def test_from_diameter(self):
@@ -157,6 +153,22 @@ class TestNondimensionalize:
         with pytest.raises(ValueError):
             nondimensionalize(self.tube, -1.0, beta=1.0)
 
+    def test_dimensionless_eta_passes_through(self):
+        problem = nondimensionalize(self.tube, beta=1.0, eta_nd=0.25)
+        assert problem.eta_nd == 0.25
+
+    def test_without_tube_geometry_factor_is_one(self):
+        crack = CrackSpec(0.5, 0.5, PowerLawCompliance(kappa0=1.0))
+        problem = nondimensionalize(None, None, crack, beta=1.0, eta_nd=0.0)
+        assert problem.crack.theta_c == 1.0
+        with pytest.raises(ValueError, match="tube"):
+            nondimensionalize(None, 1e-18, beta=1.0)
+
+    @pytest.mark.parametrize("eta", [{}, {"eta_physical": 0.0, "eta_nd": 0.0}])
+    def test_exactly_one_eta(self, eta):
+        with pytest.raises(ValueError, match="exactly one"):
+            nondimensionalize(self.tube, beta=1.0, **eta)
+
 
 class TestOmega:
     # Coherent SI tube engineered so E I / (mu R^4) is exactly 1:
@@ -184,7 +196,7 @@ class TestOmega:
         # At fixed K, doubling R divides omega by 4.
         tube = PhysicalTube(1e12, 10e-9, 0.678e-9, 0.34e-9, 1.6367e-15)
         w1 = omega_from_K(5.0, tube)
-        w2 = omega_from_K(5.0, with_radius(tube, 20e-9))
+        w2 = omega_from_K(5.0, replace(tube, radius=20e-9))
         assert w1 / w2 == pytest.approx(4.0, rel=1e-12)
 
     def test_increasing_in_K(self):

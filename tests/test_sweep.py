@@ -14,6 +14,7 @@ from arch_resonance import (
     validation_table,
     validation_to_csv,
 )
+from arch_resonance import solver
 from arch_resonance.cli import load_presets
 from arch_resonance.sweep import CSV_HEADER
 from conftest import rel_err
@@ -44,6 +45,8 @@ class TestSpecValidation:
     def test_reversed_range_rejected(self):
         with pytest.raises(InvalidSpec):
             eta_sweep(start=4.0, stop=0.0)
+        with pytest.raises(InvalidSpec):
+            eta_sweep(parameter="radius", start=2e-9, stop=math.inf)
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(InvalidSpec):
@@ -56,6 +59,18 @@ class TestSpecValidation:
     def test_missing_preset_rejected(self):
         with pytest.raises(InvalidSpec):
             run_sweep(eta_sweep(presets={"zigzag": PRESETS["zigzag"]}))
+
+    @pytest.mark.parametrize(
+        "parameter, start, stop",
+        [("beta", 6.0, 7.0), ("eta", -1.0, 1.0), ("radius", 0.1e-9, 2e-9)],
+    )
+    def test_invalid_range_end_rejected_before_solving(self, monkeypatch, parameter, start, stop):
+        def no_solve(*args):
+            raise AssertionError("solved a point of an invalid range")
+
+        monkeypatch.setattr(solver, "find_frequencies", no_solve)
+        with pytest.raises(InvalidSpec, match=f"{parameter} = "):
+            run_sweep(eta_sweep(parameter=parameter, start=start, stop=stop))
 
 
 class TestEtaSweep:
@@ -144,10 +159,10 @@ class TestOrderingAndDegradation:
         )
         rows = run_sweep(spec)
         assert len(rows) == 5
-        bad = [r for r in rows if r.note == "no-root"]
+        bad = [r for r in rows if r.note == "crack-outside"]
         good = [r for r in rows if r.note == ""]
         assert bad and good
-        assert all(r.K is None for r in bad)
+        assert all(r.K is None and r.eta_nd == 1.0 for r in bad)
         assert all(r.K is not None for r in good)
 
     def test_byte_identical_reruns(self):
