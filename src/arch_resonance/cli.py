@@ -478,6 +478,11 @@ def _cmd_sweep(inv: CliInvocation, s: _Settings) -> str:
     if param == "radius":
         start, stop = start * 1e-9, stop * 1e-9  # nm at the CLI boundary
 
+    if any(s.get(flag, "geometry", cast=str) is not None for flag in ("diameter-nm", "n", "m")):
+        raise UsageError(
+            "sweep uses each chirality preset's diameter; "
+            "--diameter-nm and --n/--m do not apply (use --chirality)"
+        )
     with _bad_input_is_usage_error():
         chirality, inputs = _resolve_inputs(s, allow_all=True)
         if inputs["eta_physical"] is not None:

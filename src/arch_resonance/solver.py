@@ -2,12 +2,15 @@
 
 The boundary determinant is scanned on a K grid (augmented with closed-form
 uncracked eigenvalues as guide nodes), evaluated as stacks of matrices in
-fixed-size blocks of K values, one kernel call per block. Sign changes and
-dips are found with array operations over the grid; the brackets of the
-requested modes are bisected together to the requested tolerance, one kernel
-call per step, and near-singular systems yield the mode-shape coefficients
-through a null-vector extraction. Everything is deterministic: the same
-problem and configuration produce bit-identical spectra.
+fixed-size blocks of K values, one kernel call per block, and only until the
+blocks evaluated so far hold the candidates of the requested modes. Sign
+changes and dips are found with array operations over the grid; the brackets
+of the requested modes are bisected together to the requested tolerance,
+three levels per kernel call, and near-singular systems yield the mode-shape
+coefficients through a null-vector extraction. Everything is deterministic:
+the same problem and configuration produce bit-identical spectra, whatever
+the block size or the number of levels per call, because the kernel
+evaluates each K of a stack independently.
 """
 
 from __future__ import annotations
@@ -27,11 +30,17 @@ _DIP_DECADES = 6.0
 _DIP_THRESHOLD = _DIP_DECADES * math.log(10.0)
 # Relative offset of the closed-form guide nodes inserted around each K_n.
 _GUIDE_OFFSET = 1e-6
+# Bisection levels per bracket; the cap counts levels, not kernel calls.
 _MAX_BISECTIONS = 200
-# K values per kernel call in the grid scan. Blocks bound the matrix stacks:
-# over one cracked and one uncracked default solve, a single stack of the
-# whole grid raised peak memory by 4.3 MB, blocks of 256 by 1.4 MB, for a
-# scan 1.4-2.5x slower than the single stack.
+# Bisection levels per kernel call: each call evaluates the 2**3 - 1 nested
+# midpoints of every live bracket. Over 70 random 5-mode cracked solves, two
+# levels took 1.35x the CPU time of three; four and five stayed within the
+# run-to-run spread (10-15%) of three, for 2-4x the matrices per call.
+_LEVELS = 3
+# K values per kernel call in the grid scan. Blocks bound the matrix stacks
+# (a single stack of the whole grid raised peak memory by 4.3 MB, blocks of
+# 256 by 1.4 MB) and let the scan stop early: with the default k_max the
+# requested roots almost always lie in the first block.
 _BLOCK = 256
 
 
@@ -164,26 +173,14 @@ def _grid_nodes(problem: ArchProblem, cfg: SearchConfig) -> np.ndarray:
     return nodes[np.concatenate([[True], keep])]
 
 
-def scan_and_bracket(problem: ArchProblem, cfg: SearchConfig | None = None) -> ScanResult:
-    """Locate determinant sign changes (and dips) over the configured K range.
+def _candidates(nodes, signs, logs):
+    """Brackets (lower and upper node indices) and dip nodes of a scanned prefix.
 
-    The grid is evaluated in blocks of ``_BLOCK`` K values, one kernel call
-    each, which keeps the matrix stacks small; brackets and dips are then
-    found with array operations over the whole grid. Raises
-    :class:`NoRootsInRange` when the scan yields neither a bracket nor a
-    suspected-double candidate.
+    A node with sign 0 is a bracket of its own; a sign change between two
+    nonzero nodes brackets the gap. Both are keyed by their lower node. A
+    sign change needs its upper node and a dip its right-hand neighbour, so
+    every candidate of a prefix of the grid is also one of the whole grid.
     """
-    cfg = _resolved(problem, cfg)
-    nodes = _grid_nodes(problem, cfg)
-    blocks = [
-        boundary_determinant(problem, nodes[i : i + _BLOCK])
-        for i in range(0, len(nodes), _BLOCK)
-    ]
-    signs = np.concatenate([s for s, _ in blocks])
-    logs = np.concatenate([lm for _, lm in blocks])
-
-    # A node with sign 0 is a bracket of its own; a sign change between two
-    # nonzero nodes brackets the gap. Both are keyed by their lower node.
     zero = signs == 0
     change = np.append(signs[:-1] * signs[1:] < 0, False)
     lower = np.flatnonzero(zero | change)
@@ -192,7 +189,33 @@ def scan_and_bracket(problem: ArchProblem, cfg: SearchConfig | None = None) -> S
     inner, left, right = signs[1:-1], signs[:-2], signs[2:]
     dip = (inner != 0) & (left == inner) & (inner == right)
     dip &= logs[1:-1] <= np.minimum(logs[:-2], logs[2:]) - _DIP_THRESHOLD
-    suspects = nodes[1:-1][dip]
+    return lower, upper, nodes[1 : signs.size - 1][dip]
+
+
+def scan_and_bracket(
+    problem: ArchProblem, cfg: SearchConfig | None = None, *, wanted: int | None = None
+) -> ScanResult:
+    """Locate determinant sign changes (and dips) over the configured K range.
+
+    The grid is evaluated in blocks of ``_BLOCK`` K values, one kernel call
+    each, which keeps the matrix stacks small; brackets and dips are found
+    with array operations over the evaluated nodes. With ``wanted`` the scan
+    stops after the first block that leaves at least that many brackets and
+    dips in hand; since the grid is scanned in ascending K, those are the
+    first candidates of the whole grid, in the same order. ``wanted=None``
+    scans the whole grid. Raises :class:`NoRootsInRange` when the scan yields
+    neither a bracket nor a suspected-double candidate.
+    """
+    cfg = _resolved(problem, cfg)
+    nodes = _grid_nodes(problem, cfg)
+    blocks = []
+    for start in range(0, len(nodes), _BLOCK):
+        blocks.append(boundary_determinant(problem, nodes[start : start + _BLOCK]))
+        signs = np.concatenate([s for s, _ in blocks])
+        logs = np.concatenate([lm for _, lm in blocks])
+        lower, upper, suspects = _candidates(nodes, signs, logs)
+        if wanted is not None and lower.size + suspects.size >= wanted:
+            break
 
     if not lower.size and not suspects.size:
         raise NoRootsInRange(
@@ -214,13 +237,16 @@ def refine_root(
     """Bisect sign-change brackets down to refine_tol * max(1, K).
 
     ``bracket`` is one (lo, hi) pair, giving a float, or a sequence of M
-    pairs, giving an array of M roots; all pairs are bisected together, one
-    kernel call per step. ``lower_signs`` are the determinant signs at the
-    lower ends when the caller already has them (the scan does); otherwise
-    both ends are evaluated and must straddle a sign change. A zero-width
-    bracket is its own root, and a determinant sign of exactly zero at an
-    end or a midpoint ends that bracket's bisection there. Deterministic:
-    identical inputs bisect through identical midpoints.
+    pairs, giving an array of M roots; all pairs are bisected together. Each
+    kernel call evaluates the ``2**_LEVELS - 1`` nested midpoints of every
+    live bracket, and the bisection then walks ``_LEVELS`` levels down that
+    tree, so it goes through exactly the midpoints of one-level-per-call
+    bisection. ``lower_signs`` are the determinant signs at the lower ends
+    when the caller already has them (the scan does); otherwise both ends are
+    evaluated and must straddle a sign change. A zero-width bracket is its
+    own root, and a determinant sign of exactly zero at an end or a midpoint
+    ends that bracket's bisection there. Deterministic: identical inputs
+    bisect through identical midpoints.
     """
     cfg = cfg if cfg is not None else SearchConfig()
     pairs = np.array(bracket, dtype=float)
@@ -239,25 +265,55 @@ def refine_root(
         if np.any(s_lo[live] * s_hi[live] != -1):
             raise ValueError(f"bracket {bracket} does not straddle a sign change")
         idx, s_lo = idx[live], s_lo[live]
+    else:
+        s_lo = np.zeros(0, dtype=int)
     lo, hi = lo[idx], hi[idx]
+    # Where each live bracket's next midpoint sits in the current tree of m
+    # brackets: its row (its index when the tree was built) and its position
+    # within the level being walked.
+    row = pos = np.zeros(idx.size, dtype=int)
 
-    for _ in range(_MAX_BISECTIONS):
-        if not idx.size:
-            break
+    for level in range(_MAX_BISECTIONS + 1):
         mid = 0.5 * (lo + hi)
         go = hi - lo > cfg.refine_tol * np.maximum(1.0, mid)
         roots[idx[~go]] = mid[~go]
-        idx, lo, hi, s_lo, mid = idx[go], lo[go], hi[go], s_lo[go], mid[go]
-        if not idx.size:
+        idx, lo, hi, s_lo, mid, row, pos = (
+            a[go] for a in (idx, lo, hi, s_lo, mid, row, pos)
+        )
+        if not idx.size or level == _MAX_BISECTIONS:
             break
-        s_mid, _ = boundary_determinant(problem, mid)
+        width = 2 ** (level % _LEVELS)
+        if width == 1:
+            tree = _midpoint_tree(lo, hi, min(_LEVELS, _MAX_BISECTIONS - level))
+            signs, _ = boundary_determinant(problem, tree)
+            m, row, pos = idx.size, np.arange(idx.size), np.zeros(idx.size, dtype=int)
+        s_mid = signs[m * (width - 1 + pos) + row]
         up = s_mid == s_lo
         lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+        pos = pos + up * width
         hit = s_mid == 0
         roots[idx[hit]] = mid[hit]
-        idx, lo, hi, s_lo = idx[~hit], lo[~hit], hi[~hit], s_lo[~hit]
+        idx, lo, hi, s_lo, row, pos = (
+            a[~hit] for a in (idx, lo, hi, s_lo, row, pos)
+        )
     roots[idx] = 0.5 * (lo + hi)
     return float(roots[0]) if single else roots
+
+
+def _midpoint_tree(lo: np.ndarray, hi: np.ndarray, depth: int) -> np.ndarray:
+    """Midpoints of ``depth`` levels of nested halvings of the M brackets [lo, hi].
+
+    Each midpoint is 0.5 * (lo + hi) of the ends that bisection would reach.
+    Level d (of 2**d intervals per bracket) follows the levels above it; in
+    it, bracket i's interval at position p sits at offset p * M + i, and its
+    halves are at positions p (lower) and p + 2**d (upper) of level d + 1.
+    """
+    los, his, levels = lo, hi, []
+    for _ in range(depth):
+        mid = 0.5 * (los + his)
+        levels.append(mid)
+        los, his = np.concatenate([los, mid]), np.concatenate([mid, his])
+    return np.concatenate(levels)
 
 
 def find_frequencies(problem: ArchProblem, cfg: SearchConfig | None = None) -> Spectrum:
@@ -265,32 +321,41 @@ def find_frequencies(problem: ArchProblem, cfg: SearchConfig | None = None) -> S
 
     The K = 0 inextensional artifact is excluded by ``k_min``; suspected
     even-multiplicity roots are reported with their dip location and flag
-    rather than silently dropped. Brackets and suspects are taken in
-    ascending order, only as many as the roots still missing, so the
-    refinement and the null vectors cover the returned roots only. Raises
-    :class:`NoRootsInRange` when the range holds fewer than ``max_modes``
-    distinct roots.
+    rather than silently dropped. The scan stops once it holds ``max_modes``
+    candidates; brackets and suspects are taken in ascending order, only as
+    many as the roots still missing, so the refinement and the null vectors
+    cover the returned roots only. When candidates refine to the same root
+    and leave too few, the scan is run again for as many more candidates as
+    are missing. Raises :class:`NoRootsInRange` when the range holds fewer
+    than ``max_modes`` distinct roots.
     """
     cfg = _resolved(problem, cfg)
-    scan = scan_and_bracket(problem, cfg)
-    # A suspect is a zero-width candidate, which refine_root returns as is.
-    candidates = sorted(
-        [(lo, hi, s, RootFlag.BRACKETED) for (lo, hi), s in zip(scan.brackets, scan.lower_signs)]
-        + [(k, k, 0, RootFlag.SUSPECTED_DOUBLE) for k in scan.suspects],
-        key=lambda c: c[0],
-    )
-
     distinct: list[tuple[float, RootFlag]] = []
-    while len(distinct) < cfg.max_modes and candidates:
-        batch = candidates[: cfg.max_modes - len(distinct)]
-        del candidates[: len(batch)]
-        ks = refine_root(
-            [c[:2] for c in batch], problem, cfg, lower_signs=[c[2] for c in batch]
-        )
-        for k, (*_, flag) in zip(ks.tolist(), batch):
-            if distinct and k - distinct[-1][0] <= 1e-9 * max(1.0, k):
-                continue
-            distinct.append((k, flag))
+    taken = 0
+    wanted = cfg.max_modes
+    while True:
+        scan = scan_and_bracket(problem, cfg, wanted=wanted)
+        # A suspect is a zero-width candidate, which refine_root returns as is.
+        candidates = sorted(
+            [(lo, hi, s, RootFlag.BRACKETED) for (lo, hi), s in zip(scan.brackets, scan.lower_signs)]
+            + [(k, k, 0, RootFlag.SUSPECTED_DOUBLE) for k in scan.suspects],
+            key=lambda c: c[0],
+        )[taken:]
+        while len(distinct) < cfg.max_modes and candidates:
+            batch = candidates[: cfg.max_modes - len(distinct)]
+            del candidates[: len(batch)]
+            taken += len(batch)
+            ks = refine_root(
+                [c[:2] for c in batch], problem, cfg, lower_signs=[c[2] for c in batch]
+            )
+            for k, (*_, flag) in zip(ks.tolist(), batch):
+                if distinct and k - distinct[-1][0] <= 1e-9 * max(1.0, k):
+                    continue
+                distinct.append((k, flag))
+        # Fewer candidates than wanted means the whole grid was scanned.
+        if len(distinct) == cfg.max_modes or taken < wanted:
+            break
+        wanted = taken + cfg.max_modes - len(distinct)
     if len(distinct) < cfg.max_modes:
         raise NoRootsInRange(
             f"{len(distinct)} of {cfg.max_modes} requested roots in K range "

@@ -260,6 +260,10 @@ class TestBadInput:
              "--chirality", "armchair"],
             ["sweep", "--param", "radius", "--from", "0.1", "--to", "2", "--steps", "2",
              "--chirality", "armchair"],
+            ["sweep", "--param", "eta", "--from", "0", "--to", "1", "--steps", "2",
+             "--n", "6", "--m", "6"],
+            ["sweep", "--param", "eta", "--from", "0", "--to", "1", "--steps", "2",
+             "--chirality", "armchair", "--diameter-nm", "1.5"],
         ],
     )
     def test_exits_two_with_one_line(self, argv, capsys):

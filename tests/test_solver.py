@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arch_resonance import (
     ArchProblem,
@@ -346,3 +349,186 @@ class TestRefineOnlyReturned:
         scan = scan_and_bracket(problem, SearchConfig(k_max=3000.0))
         for (lo, _), sign in zip(scan.brackets, scan.lower_signs):
             assert boundary_determinant(problem, lo)[0] == sign
+
+
+def _whole_grid_spectrum(problem, cfg):
+    """The first max_modes distinct roots of the whole-grid scan's candidates.
+
+    Refines every candidate of the whole grid in one batch (each bracket is
+    bisected independently), then drops duplicates in ascending order as
+    find_frequencies does.
+    """
+    scan = scan_and_bracket(problem, cfg)
+    candidates = sorted(
+        [(lo, hi, s, RootFlag.BRACKETED) for (lo, hi), s in zip(scan.brackets, scan.lower_signs)]
+        + [(k, k, 0, RootFlag.SUSPECTED_DOUBLE) for k in scan.suspects],
+        key=lambda c: c[0],
+    )
+    ks = solver.refine_root(
+        [c[:2] for c in candidates], problem, cfg, lower_signs=[c[2] for c in candidates]
+    )
+    distinct = []
+    for k, (*_, flag) in zip(ks.tolist(), candidates):
+        if not distinct or k - distinct[-1][0] > 1e-9 * max(1.0, k):
+            distinct.append((k, flag))
+    distinct = distinct[: cfg.max_modes]
+    vectors, pivots = kernel.null_vector(
+        solver.boundary_matrix(problem, np.array([k for k, _ in distinct]))
+    )
+    return tuple(
+        solver.Root(K=k, coefficients=tuple(vec), flag=flag, min_pivot=minpiv)
+        for (k, flag), vec, minpiv in zip(distinct, vectors.tolist(), pivots.tolist())
+    )
+
+
+class TestEarlyExitScan:
+    @pytest.mark.parametrize("block", [16, 256])
+    @settings(max_examples=15, deadline=None)
+    @given(
+        beta=st.floats(0.3, 6.0),
+        eta=st.sampled_from([0.0, 0.5, 1.0, 4.0]),
+        crack=st.one_of(st.none(), st.tuples(st.floats(0.05, 0.95), st.floats(0.0, 3.0))),
+        modes=st.integers(1, 8),
+    )
+    def test_matches_whole_grid(self, block, beta, eta, crack, modes):
+        problem = ArchProblem(
+            beta=beta,
+            eta_nd=eta,
+            crack=None if crack is None else CrackJoint(alpha=crack[0] * beta, theta_c=crack[1]),
+        )
+        cfg = SearchConfig(max_modes=modes)
+        with mock.patch.object(solver, "_BLOCK", block):
+            expected = _whole_grid_spectrum(problem, cfg)
+            if len(expected) < modes:
+                with pytest.raises(NoRootsInRange):
+                    find_frequencies(problem, cfg)
+            else:
+                assert find_frequencies(problem, cfg).roots == expected
+
+    def test_partial_scan_is_a_prefix_of_the_whole_grid(self, monkeypatch):
+        problem = make_problem(eta=1.0, alpha=0.4, theta=0.8)
+        monkeypatch.setattr(solver, "_BLOCK", 16)
+        whole = scan_and_bracket(problem)
+        partial = scan_and_bracket(problem, wanted=3)
+        found = len(partial.brackets) + len(partial.suspects)
+        assert 3 <= found < len(whole.brackets) + len(whole.suspects)
+        assert partial.brackets == whole.brackets[: len(partial.brackets)]
+        assert partial.lower_signs == whole.lower_signs[: len(partial.brackets)]
+
+    def test_rescans_when_duplicates_leave_a_deficit(self, monkeypatch):
+        # The second candidate is made to refine onto the first root, so it is
+        # dropped as a duplicate and one more candidate has to be found.
+        problem = make_problem(eta=1.0, alpha=0.4, theta=0.8)
+        cfg = SearchConfig(max_modes=2)
+        scan = scan_and_bracket(problem, cfg)
+        first_k = find_frequencies(problem, SearchConfig(max_modes=1)).roots[0].K
+        second_lo = scan.brackets[1][0]
+        original = solver.refine_root
+
+        def duplicating(brackets, *args, **kwargs):
+            ks = original(brackets, *args, **kwargs)
+            return np.where(np.array(brackets)[:, 0] == second_lo, first_k, ks)
+
+        monkeypatch.setattr(solver, "refine_root", duplicating)
+        scans = []
+        original_scan = solver.scan_and_bracket
+        monkeypatch.setattr(
+            solver,
+            "scan_and_bracket",
+            lambda *args, **kwargs: scans.append(kwargs["wanted"]) or original_scan(*args, **kwargs),
+        )
+        monkeypatch.setattr(solver, "_BLOCK", 16)
+        partial = find_frequencies(problem, cfg)
+        monkeypatch.setattr(solver, "_BLOCK", 10**6)
+        whole = find_frequencies(problem, cfg)
+        assert scans == [2, 3, 2]
+        assert partial.roots == whole.roots
+        assert partial.K_values[0] == first_k
+        assert partial.K_values[1] == original(scan.brackets[2], problem)
+
+
+def _sequential_bisection(pairs, problem, cfg, lower_signs):
+    """Reference: one bisection level per kernel call, the same midpoints."""
+    lo, hi = np.array(pairs, dtype=float).T.copy()
+    roots = lo.copy()
+    idx = np.flatnonzero(lo != hi)
+    lo, hi, s_lo = lo[idx], hi[idx], np.asarray(lower_signs)[idx]
+    for _ in range(solver._MAX_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        go = hi - lo > cfg.refine_tol * np.maximum(1.0, mid)
+        roots[idx[~go]] = mid[~go]
+        idx, lo, hi, s_lo, mid = idx[go], lo[go], hi[go], s_lo[go], mid[go]
+        if not idx.size:
+            break
+        s_mid, _ = boundary_determinant(problem, mid)
+        up = s_mid == s_lo
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+        hit = s_mid == 0
+        roots[idx[hit]] = mid[hit]
+        idx, lo, hi, s_lo = idx[~hit], lo[~hit], hi[~hit], s_lo[~hit]
+    roots[idx] = 0.5 * (lo + hi)
+    return roots
+
+
+class TestMultiLevelBisection:
+    def _batch(self, problem):
+        # A zero-width bracket, the guide pair around the uncracked K_1 (for
+        # beta = 1, eta = 0 its first midpoint is K_1, where the sign is 0)
+        # and the scan's brackets.
+        scan = scan_and_bracket(problem, SearchConfig(k_max=3000.0))
+        k1 = uncracked_K_closed_form(1, 1.0, 0.0)
+        guide = (k1 * (1.0 - 1e-6), k1 * (1.0 + 1e-6))
+        pairs = [(42.0, 42.0), guide, *scan.brackets]
+        signs = [0, boundary_determinant(problem, guide[0])[0], *scan.lower_signs]
+        return pairs, signs
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-13])
+    @pytest.mark.parametrize("cap", [200, 7])
+    def test_matches_one_level_per_call(self, monkeypatch, tol, cap):
+        monkeypatch.setattr(solver, "_MAX_BISECTIONS", cap)
+        cfg = SearchConfig(refine_tol=tol)
+        for problem in (make_problem(), make_problem(eta=0.5, alpha=0.3, theta=2.0)):
+            pairs, signs = self._batch(problem)
+            expected = _sequential_bisection(pairs, problem, cfg, signs)
+            assert refine_root(pairs, problem, cfg, lower_signs=signs).tolist() == expected.tolist()
+
+    def test_guide_midpoint_is_an_exact_zero(self):
+        # The symmetric guide bracket of K_1 has K_1 itself as its first
+        # midpoint, where the determinant sign is exactly 0.
+        problem = make_problem()
+        k1 = uncracked_K_closed_form(1, 1.0, 0.0)
+        guide = (k1 * (1.0 - 1e-6), k1 * (1.0 + 1e-6))
+        assert 0.5 * (guide[0] + guide[1]) == k1
+        assert boundary_determinant(problem, k1)[0] == 0
+        assert refine_root(guide, problem) == k1
+
+
+class TestKernelCallsPerSolve:
+    def _count(self, monkeypatch):
+        calls = []
+        original = solver.boundary_determinant
+        monkeypatch.setattr(
+            solver,
+            "boundary_determinant",
+            lambda problem, K: calls.append(np.size(K)) or original(problem, K),
+        )
+        return calls
+
+    def test_cracked_five_modes(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        find_frequencies(make_problem(eta=1.0, alpha=0.4, theta=0.8))
+        # One scan block, then ten calls of three bisection levels each.
+        assert calls == [256, 35, 28, 28, 28, 28, 28, 28, 28, 28, 14, 7]
+
+    def test_sweep_point_mode_one(self, monkeypatch):
+        from arch_resonance import ChiralityClass, SweepSpec, run_sweep
+        from arch_resonance.cli import load_presets
+
+        calls = self._count(monkeypatch)
+        spec = SweepSpec(
+            parameter="beta", start=1.0, stop=2.0, steps=2, presets=load_presets(),
+            chirality_set=(ChiralityClass.ARMCHAIR,),
+        )
+        run_sweep(spec)
+        # Per point: one scan block, one call of three bisection levels.
+        assert calls == [256, 7, 256, 7]
