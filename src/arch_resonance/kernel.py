@@ -35,9 +35,9 @@ there the pair is represented instead by the bounded decaying exponentials
 
     exp(-a*phi)  and  exp(a*(phi - phi_max)),
 
-a change of basis with positive determinant (+2a*exp(-a*phi_max), recorded as
-a column scale), so determinant sign changes are unaffected, every entry stays
-within [0, 1], and the root signal survives at any wavenumber.
+a change of basis with positive determinant (+2a*exp(-a*phi_max)), so
+determinant sign changes are unaffected, every entry stays within [0, 1], and
+the root signal survives at any wavenumber.
 
 The basis function order is [e(mu1), o(mu1), e(mu2), o(mu2)] where mu1 is the
 always-negative (trigonometric) root and mu2 carries the branch dependence.
@@ -142,19 +142,6 @@ class ModeBasis:
             raise ValueError("nrows must be between 1 and 5")
         shape = np.broadcast_shapes(np.shape(self.mu1), np.shape(phi))
         return _stack_first(_derivative_table(self, phi, nrows), shape)
-
-    def column_scale_logs(self) -> np.ndarray:
-        """Log of the factor each basis function was scaled down by, shape (..., 4).
-
-        Only the growing exponential of the ``exp_pair`` representation
-        carries one: exp(a*(phi - phi_max)) is the natural solution exp(a*phi)
-        divided by exp(a*phi_max).
-        """
-        logs = np.zeros(np.shape(self.mu2) + (4,))
-        if self.phi_max is not None:
-            growth = np.sqrt(np.maximum(self.mu2, 0.0)) * self.phi_max
-            logs[..., 3] = np.where(self.exp_pair, growth, 0.0)
-        return logs
 
 
 def quartic_roots(
@@ -320,17 +307,18 @@ def uncracked_K_closed_form(n: int, beta: float, eta_nd: float) -> float:
 
 @dataclass(frozen=True)
 class BoundaryMatrix:
-    """Dense boundary/matching matrices with their column scale factors.
+    """Dense boundary/matching matrices.
 
     ``entries[..., i, j]`` applies boundary condition i to basis function j;
-    the leading axis, when present, runs over the K values of the basis. The
-    recorded ``column_scale_logs`` allow recovering the determinant of the
-    unscaled system: log|det_unscaled| = log|det| + sum(column_scale_logs).
+    the leading axis, when present, runs over the K values of the basis.
+    Where the basis uses the bounded exponential pair, the columns differ
+    from the cosh/sinh ones by a change of basis with positive determinant,
+    so the determinant's sign, and with it every sign change in K, is that of
+    the cosh/sinh system.
     """
 
     order: int
     entries: np.ndarray
-    column_scale_logs: np.ndarray
 
 
 def assemble_uncracked(basis: ModeBasis, beta: float) -> BoundaryMatrix:
@@ -344,11 +332,7 @@ def assemble_uncracked(basis: ModeBasis, beta: float) -> BoundaryMatrix:
     at0 = _derivative_table(basis, 0.0, 3)
     atb = _derivative_table(basis, beta, 3)
     m = np.concatenate([at0[0::2], atb[0::2]])
-    return BoundaryMatrix(
-        order=4,
-        entries=_stack_first(m, np.shape(basis.mu2)),
-        column_scale_logs=basis.column_scale_logs(),
-    )
+    return BoundaryMatrix(order=4, entries=_stack_first(m, np.shape(basis.mu2)))
 
 
 def assemble_cracked(
@@ -378,12 +362,7 @@ def assemble_cracked(
     m[4:7, 4:] = -ata[[0, 2, 3]]
     m[7, :4] = -ata[1] - theta_c * ata[2]
     m[7, 4:] = ata[1]
-    logs = basis.column_scale_logs()
-    return BoundaryMatrix(
-        order=8,
-        entries=_stack_first(m, np.shape(basis.mu2)),
-        column_scale_logs=np.concatenate([logs, logs], axis=-1),
-    )
+    return BoundaryMatrix(order=8, entries=_stack_first(m, np.shape(basis.mu2)))
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,14 @@ The boundary determinant is scanned on a K grid (augmented with closed-form
 uncracked eigenvalues as guide nodes), evaluated as stacks of matrices in
 fixed-size blocks of K values, one kernel call per block, and only until the
 blocks evaluated so far hold the candidates of the requested modes. Sign
-changes and dips are found with array operations over the grid; the brackets
-of the requested modes are bisected together to the requested tolerance,
-three levels per kernel call, and near-singular systems yield the mode-shape
-coefficients through a null-vector extraction. Everything is deterministic:
-the same problem and configuration produce bit-identical spectra, whatever
-the block size or the number of levels per call, because the kernel
-evaluates each K of a stack independently.
+changes and dips are found with array operations over the grid, and each
+candidate is one root. The candidates of the requested modes are bisected
+together to the requested tolerance, three levels per kernel call (a
+heap-ordered tree of nested midpoints), and near-singular systems yield the
+mode-shape coefficients through a null-vector extraction. Everything is
+deterministic: the same problem and configuration produce bit-identical
+spectra, whatever the block size or the number of levels per call, because
+the kernel evaluates each K of a stack independently.
 """
 
 from __future__ import annotations
@@ -239,14 +240,15 @@ def refine_root(
     ``bracket`` is one (lo, hi) pair, giving a float, or a sequence of M
     pairs, giving an array of M roots; all pairs are bisected together. Each
     kernel call evaluates the ``2**_LEVELS - 1`` nested midpoints of every
-    live bracket, and the bisection then walks ``_LEVELS`` levels down that
-    tree, so it goes through exactly the midpoints of one-level-per-call
-    bisection. ``lower_signs`` are the determinant signs at the lower ends
-    when the caller already has them (the scan does); otherwise both ends are
-    evaluated and must straddle a sign change. A zero-width bracket is its
-    own root, and a determinant sign of exactly zero at an end or a midpoint
-    ends that bracket's bisection there. Deterministic: identical inputs
-    bisect through identical midpoints.
+    live bracket as one heap-ordered tree (``_midpoint_tree``), and every
+    bracket then walks ``_LEVELS`` levels down it, from node j to its lower
+    or upper half, node 2j+1 or 2j+2; so it goes through exactly the
+    midpoints of one-level-per-call bisection. ``lower_signs`` are the
+    determinant signs at the lower ends when the caller already has them (the
+    scan does); otherwise both ends are evaluated and must straddle a sign
+    change. A zero-width bracket is its own root, and a determinant sign of
+    exactly zero at an end or a midpoint ends that bracket's bisection there.
+    Deterministic: identical inputs bisect through identical midpoints.
     """
     cfg = cfg if cfg is not None else SearchConfig()
     pairs = np.array(bracket, dtype=float)
@@ -268,51 +270,55 @@ def refine_root(
     else:
         s_lo = np.zeros(0, dtype=int)
     lo, hi = lo[idx], hi[idx]
-    # Where each live bracket's next midpoint sits in the current tree of m
-    # brackets: its row (its index when the tree was built) and its position
-    # within the level being walked.
-    row = pos = np.zeros(idx.size, dtype=int)
 
-    for level in range(_MAX_BISECTIONS + 1):
+    level = 0
+    while True:
         mid = 0.5 * (lo + hi)
-        go = hi - lo > cfg.refine_tol * np.maximum(1.0, mid)
-        roots[idx[~go]] = mid[~go]
-        idx, lo, hi, s_lo, mid, row, pos = (
-            a[go] for a in (idx, lo, hi, s_lo, mid, row, pos)
-        )
+        live = hi - lo > cfg.refine_tol * np.maximum(1.0, mid)
+        roots[idx[~live]] = mid[~live]
+        idx, lo, hi, s_lo = idx[live], lo[live], hi[live], s_lo[live]
         if not idx.size or level == _MAX_BISECTIONS:
             break
-        width = 2 ** (level % _LEVELS)
-        if width == 1:
-            tree = _midpoint_tree(lo, hi, min(_LEVELS, _MAX_BISECTIONS - level))
-            signs, _ = boundary_determinant(problem, tree)
-            m, row, pos = idx.size, np.arange(idx.size), np.zeros(idx.size, dtype=int)
-        s_mid = signs[m * (width - 1 + pos) + row]
-        up = s_mid == s_lo
-        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
-        pos = pos + up * width
-        hit = s_mid == 0
-        roots[idx[hit]] = mid[hit]
-        idx, lo, hi, s_lo, row, pos = (
-            a[~hit] for a in (idx, lo, hi, s_lo, row, pos)
-        )
+        depth = min(_LEVELS, _MAX_BISECTIONS - level)
+        tree = _midpoint_tree(lo, hi, depth)
+        signs, _ = boundary_determinant(problem, tree.ravel())
+        signs = signs.reshape(tree.shape)
+        col, node = np.arange(idx.size), np.zeros(idx.size, dtype=int)
+        live = np.ones(idx.size, dtype=bool)
+        for _ in range(depth):
+            # A bracket ends at its midpoint when it is narrow enough or the
+            # midpoint's sign is 0; the others step to the half that keeps
+            # the sign change.
+            mid, s_mid = tree[node, col], signs[node, col]
+            done = live & ((hi - lo <= cfg.refine_tol * np.maximum(1.0, mid)) | (s_mid == 0))
+            roots[idx[done]] = mid[done]
+            live &= ~done
+            if not live.any():
+                break
+            up = s_mid == s_lo
+            lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+            node = 2 * node + 1 + up
+        level += depth
+        idx, lo, hi, s_lo = idx[live], lo[live], hi[live], s_lo[live]
     roots[idx] = 0.5 * (lo + hi)
     return float(roots[0]) if single else roots
 
 
 def _midpoint_tree(lo: np.ndarray, hi: np.ndarray, depth: int) -> np.ndarray:
-    """Midpoints of ``depth`` levels of nested halvings of the M brackets [lo, hi].
+    """The ``2**depth - 1`` nested midpoints of the M brackets [lo, hi], shape (nodes, M).
 
-    Each midpoint is 0.5 * (lo + hi) of the ends that bisection would reach.
-    Level d (of 2**d intervals per bracket) follows the levels above it; in
-    it, bracket i's interval at position p sits at offset p * M + i, and its
-    halves are at positions p (lower) and p + 2**d (upper) of level d + 1.
+    Heap order: node 0 is the midpoint of each bracket, and node j's lower
+    and upper halves have their midpoints at nodes 2j+1 and 2j+2. Each level
+    is built from the ascending ends of the intervals of the level above, so
+    each midpoint is 0.5 * (lo + hi) of the ends bisection would reach.
     """
-    los, his, levels = lo, hi, []
+    ends, levels = np.array([lo, hi]), []
     for _ in range(depth):
-        mid = 0.5 * (los + his)
+        mid = 0.5 * (ends[:-1] + ends[1:])
         levels.append(mid)
-        los, his = np.concatenate([los, mid]), np.concatenate([mid, his])
+        split = np.empty((2 * len(ends) - 1, lo.size))
+        split[0::2], split[1::2] = ends, mid
+        ends = split
     return np.concatenate(levels)
 
 
@@ -322,53 +328,35 @@ def find_frequencies(problem: ArchProblem, cfg: SearchConfig | None = None) -> S
     The K = 0 inextensional artifact is excluded by ``k_min``; suspected
     even-multiplicity roots are reported with their dip location and flag
     rather than silently dropped. The scan stops once it holds ``max_modes``
-    candidates; brackets and suspects are taken in ascending order, only as
-    many as the roots still missing, so the refinement and the null vectors
-    cover the returned roots only. When candidates refine to the same root
-    and leave too few, the scan is run again for as many more candidates as
-    are missing. Raises :class:`NoRootsInRange` when the range holds fewer
-    than ``max_modes`` distinct roots.
+    candidates, and the first ``max_modes`` brackets and suspects in
+    ascending order are refined in one batch, so the refinement and the null
+    vectors cover the returned roots only. Each candidate is one root: the
+    candidates sit in disjoint grid intervals, so two that refine to nearly
+    the same K are a near-double root split by a grid node, and both are
+    reported. Raises :class:`NoRootsInRange` when the range holds fewer than
+    ``max_modes`` candidates.
     """
     cfg = _resolved(problem, cfg)
-    distinct: list[tuple[float, RootFlag]] = []
-    taken = 0
-    wanted = cfg.max_modes
-    while True:
-        scan = scan_and_bracket(problem, cfg, wanted=wanted)
-        # A suspect is a zero-width candidate, which refine_root returns as is.
-        candidates = sorted(
-            [(lo, hi, s, RootFlag.BRACKETED) for (lo, hi), s in zip(scan.brackets, scan.lower_signs)]
-            + [(k, k, 0, RootFlag.SUSPECTED_DOUBLE) for k in scan.suspects],
-            key=lambda c: c[0],
-        )[taken:]
-        while len(distinct) < cfg.max_modes and candidates:
-            batch = candidates[: cfg.max_modes - len(distinct)]
-            del candidates[: len(batch)]
-            taken += len(batch)
-            ks = refine_root(
-                [c[:2] for c in batch], problem, cfg, lower_signs=[c[2] for c in batch]
-            )
-            for k, (*_, flag) in zip(ks.tolist(), batch):
-                if distinct and k - distinct[-1][0] <= 1e-9 * max(1.0, k):
-                    continue
-                distinct.append((k, flag))
-        # Fewer candidates than wanted means the whole grid was scanned.
-        if len(distinct) == cfg.max_modes or taken < wanted:
-            break
-        wanted = taken + cfg.max_modes - len(distinct)
-    if len(distinct) < cfg.max_modes:
+    scan = scan_and_bracket(problem, cfg, wanted=cfg.max_modes)
+    # A suspect is a zero-width candidate, which refine_root returns as is.
+    candidates = sorted(
+        [(lo, hi, s, RootFlag.BRACKETED) for (lo, hi), s in zip(scan.brackets, scan.lower_signs)]
+        + [(k, k, 0, RootFlag.SUSPECTED_DOUBLE) for k in scan.suspects],
+        key=lambda c: c[0],
+    )[: cfg.max_modes]
+    if len(candidates) < cfg.max_modes:
         raise NoRootsInRange(
-            f"{len(distinct)} of {cfg.max_modes} requested roots in K range "
+            f"{len(candidates)} of {cfg.max_modes} requested roots in K range "
             f"[{cfg.k_min}, {cfg.k_max}]"
         )
-
-    vectors, pivots = kernel.null_vector(
-        boundary_matrix(problem, np.array([k for k, _ in distinct]))
+    ks = refine_root(
+        [c[:2] for c in candidates], problem, cfg, lower_signs=[c[2] for c in candidates]
     )
+    vectors, pivots = kernel.null_vector(boundary_matrix(problem, ks))
     return Spectrum(
         roots=tuple(
-            Root(K=k, coefficients=tuple(vec), flag=flag, min_pivot=minpiv)
-            for (k, flag), vec, minpiv in zip(distinct, vectors.tolist(), pivots.tolist())
+            Root(K=k, coefficients=tuple(vec), flag=c[3], min_pivot=minpiv)
+            for k, c, vec, minpiv in zip(ks.tolist(), candidates, vectors.tolist(), pivots.tolist())
         )
     )
 

@@ -352,11 +352,11 @@ class TestRefineOnlyReturned:
 
 
 def _whole_grid_spectrum(problem, cfg):
-    """The first max_modes distinct roots of the whole-grid scan's candidates.
+    """The first max_modes roots of the whole-grid scan's candidates.
 
     Refines every candidate of the whole grid in one batch (each bracket is
-    bisected independently), then drops duplicates in ascending order as
-    find_frequencies does.
+    bisected independently), then keeps the first max_modes in ascending
+    order, each candidate one root, as find_frequencies does.
     """
     scan = scan_and_bracket(problem, cfg)
     candidates = sorted(
@@ -367,17 +367,13 @@ def _whole_grid_spectrum(problem, cfg):
     ks = solver.refine_root(
         [c[:2] for c in candidates], problem, cfg, lower_signs=[c[2] for c in candidates]
     )
-    distinct = []
-    for k, (*_, flag) in zip(ks.tolist(), candidates):
-        if not distinct or k - distinct[-1][0] > 1e-9 * max(1.0, k):
-            distinct.append((k, flag))
-    distinct = distinct[: cfg.max_modes]
+    roots = [(k, flag) for k, (*_, flag) in zip(ks.tolist(), candidates)][: cfg.max_modes]
     vectors, pivots = kernel.null_vector(
-        solver.boundary_matrix(problem, np.array([k for k, _ in distinct]))
+        solver.boundary_matrix(problem, np.array([k for k, _ in roots]))
     )
     return tuple(
         solver.Root(K=k, coefficients=tuple(vec), flag=flag, min_pivot=minpiv)
-        for (k, flag), vec, minpiv in zip(distinct, vectors.tolist(), pivots.tolist())
+        for (k, flag), vec, minpiv in zip(roots, vectors.tolist(), pivots.tolist())
     )
 
 
@@ -415,17 +411,20 @@ class TestEarlyExitScan:
         assert partial.brackets == whole.brackets[: len(partial.brackets)]
         assert partial.lower_signs == whole.lower_signs[: len(partial.brackets)]
 
-    def test_rescans_when_duplicates_leave_a_deficit(self, monkeypatch):
-        # The second candidate is made to refine onto the first root, so it is
-        # dropped as a duplicate and one more candidate has to be found.
+    def test_coincident_candidates_are_two_roots(self, monkeypatch):
+        # The second candidate is made to refine onto the first root. It is
+        # still its own root: candidates sit in disjoint grid intervals, so a
+        # near-coincident pair is a double root split by a grid node.
         problem = make_problem(eta=1.0, alpha=0.4, theta=0.8)
         cfg = SearchConfig(max_modes=2)
         scan = scan_and_bracket(problem, cfg)
         first_k = find_frequencies(problem, SearchConfig(max_modes=1)).roots[0].K
         second_lo = scan.brackets[1][0]
         original = solver.refine_root
+        refines = []
 
         def duplicating(brackets, *args, **kwargs):
+            refines.append(len(brackets))
             ks = original(brackets, *args, **kwargs)
             return np.where(np.array(brackets)[:, 0] == second_lo, first_k, ks)
 
@@ -437,14 +436,10 @@ class TestEarlyExitScan:
             "scan_and_bracket",
             lambda *args, **kwargs: scans.append(kwargs["wanted"]) or original_scan(*args, **kwargs),
         )
-        monkeypatch.setattr(solver, "_BLOCK", 16)
-        partial = find_frequencies(problem, cfg)
-        monkeypatch.setattr(solver, "_BLOCK", 10**6)
-        whole = find_frequencies(problem, cfg)
-        assert scans == [2, 3, 2]
-        assert partial.roots == whole.roots
-        assert partial.K_values[0] == first_k
-        assert partial.K_values[1] == original(scan.brackets[2], problem)
+        spectrum = find_frequencies(problem, cfg)
+        assert scans == [2]
+        assert refines == [2]
+        assert spectrum.K_values == (first_k, first_k)
 
 
 def _sequential_bisection(pairs, problem, cfg, lower_signs):
@@ -482,10 +477,17 @@ class TestMultiLevelBisection:
         signs = [0, boundary_determinant(problem, guide[0])[0], *scan.lower_signs]
         return pairs, signs
 
+    # The ids name the levels per call only where they differ from the default 3.
     @pytest.mark.parametrize("tol", [1e-10, 1e-13])
-    @pytest.mark.parametrize("cap", [200, 7])
-    def test_matches_one_level_per_call(self, monkeypatch, tol, cap):
+    @pytest.mark.parametrize(
+        "cap, levels",
+        [(cap, levels) for levels in (3, 1, 4) for cap in (200, 7)],
+        ids=[f"{cap}" + ("" if levels == 3 else f"-levels{levels}")
+             for levels in (3, 1, 4) for cap in (200, 7)],
+    )
+    def test_matches_one_level_per_call(self, monkeypatch, tol, cap, levels):
         monkeypatch.setattr(solver, "_MAX_BISECTIONS", cap)
+        monkeypatch.setattr(solver, "_LEVELS", levels)
         cfg = SearchConfig(refine_tol=tol)
         for problem in (make_problem(), make_problem(eta=0.5, alpha=0.3, theta=2.0)):
             pairs, signs = self._batch(problem)
