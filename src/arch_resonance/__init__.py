@@ -28,7 +28,6 @@ from .errors import (
 )
 from .kernel import (
     BoundaryMatrix,
-    Branch,
     CharCoeffs,
     ModeBasis,
     assemble_cracked,

@@ -142,18 +142,13 @@ def parse(args: list[str]) -> CliInvocation:
     Unknown flags raise :class:`UsageError` naming the offender; ``--help``
     and ``--version`` short-circuit through SystemExit(0).
     """
-    ns = build_parser().parse_args(args)
-    overrides = vars(ns).copy()
-    command = overrides.pop("command")
-    config_path = overrides.pop("config", None)
-    output_path = overrides.pop("out", None)
-    fmt = overrides.pop("format", "table")
+    overrides = vars(build_parser().parse_args(args)).copy()
     return CliInvocation(
-        command=command,
-        config_path=config_path,
+        command=overrides.pop("command"),
+        config_path=overrides.pop("config", None),
+        output_path=overrides.pop("out", None),
+        format=overrides.pop("format", "table"),
         overrides=overrides,
-        output_path=output_path,
-        format=fmt,
     )
 
 
@@ -364,17 +359,14 @@ def _write(text: str, path: str | None) -> None:
 
 
 def _problem_echo(problem, tube, chirality) -> dict:
-    echo: dict[str, Any] = {"beta": problem.beta, "eta_nd": problem.eta_nd}
-    if problem.crack is not None:
-        echo["crack"] = {
-            "alpha_rad": problem.crack.alpha,
-            "theta_c": problem.crack.theta_c,
-        }
-    else:
-        echo["crack"] = None
-    echo["chirality"] = chirality.value if chirality is not None else None
-    echo["radius_m"] = tube.radius if tube is not None else None
-    return echo
+    crack = problem.crack
+    return {
+        "beta": problem.beta,
+        "eta_nd": problem.eta_nd,
+        "crack": None if crack is None else {"alpha_rad": crack.alpha, "theta_c": crack.theta_c},
+        "chirality": chirality.value if chirality is not None else None,
+        "radius_m": tube.radius if tube is not None else None,
+    }
 
 
 def _spectrum_payload(spectrum, problem, tube) -> list[dict]:
@@ -403,17 +395,8 @@ def _render_spectrum(payload, problem, tube, chirality, fmt: str) -> str:
     if fmt == "csv":
         lines = ["mode,K,omega_nd,omega_rad_s,flag"]
         for row in payload:
-            lines.append(
-                ",".join(
-                    (
-                        str(row["mode"]),
-                        _num(row["K"]),
-                        _num(row["omega_nd"]),
-                        _num(row["omega_rad_s"]),
-                        row["flag"],
-                    )
-                )
-            )
+            values = map(_num, (row["K"], row["omega_nd"], row["omega_rad_s"]))
+            lines.append(",".join([str(row["mode"]), *values, row["flag"]]))
         return "\n".join(lines) + "\n"
     header = f"{'mode':>4}  {'K':>16}  {'omega_nd':>16}  {'omega_rad_s':>16}  flag"
     lines = [header]

@@ -5,20 +5,19 @@ The transverse vibration of the arch reduces to the fourth-order equation
     X'''' + (2 + K*eta) X'' + (1 - K) X = 0,       K = omega^2 mu R^4 / (E I),
 
 whose exponential ansatz gives the bi-quadratic lam^4 + p2 lam^2 + p0 = 0 with
-p2 = 2 + K*eta and p0 = 1 - K. This module builds the four fundamental
-solutions for trial K values, evaluates their derivatives analytically,
-assembles the simply supported boundary (and crack matching) matrices, and
-provides a numerically safe sign/log-magnitude determinant for root
-bracketing.
+p2 = 2 + K*eta and p0 = 1 - K. This module builds the fundamental solutions
+for trial K values, evaluates their derivatives analytically, assembles the
+simply supported boundary (and crack matching) matrices, and provides a
+numerically safe sign/log-magnitude determinant for root bracketing.
 
 Stacks
 ------
 Every function takes either one trial K or a 1-D array of N of them. An array
 gives arrays: a basis whose fields have shape (N,), boundary matrices of
-shape (N, 4, 4) or (N, 8, 8), and N determinant signs and log-magnitudes from
-one LU factorization vectorized over the stack. A scalar K is the N = 1 case
-of the same code. The solver evaluates its K grid in fixed-size blocks of
-such stacks.
+shape (N, 4, 4), and N determinant signs and log-magnitudes from one LU
+factorization vectorized over the stack. A scalar K is the N = 1 case of the
+same code. The solver evaluates its K grid in fixed-size blocks of such
+stacks.
 
 Basis conventions
 -----------------
@@ -39,15 +38,17 @@ a change of basis with positive determinant (+2a*exp(-a*phi_max)), so
 determinant sign changes are unaffected, every entry stays within [0, 1], and
 the root signal survives at any wavenumber.
 
-The basis function order is [e(mu1), o(mu1), e(mu2), o(mu2)] where mu1 is the
+The uncracked basis is [e(mu1), o(mu1), e(mu2), o(mu2)] where mu1 is the
 always-negative (trigonometric) root and mu2 carries the branch dependence.
 For a repeated root the second pair is replaced by the mu-derivatives of the
-first, which span the classical phi*cos/phi*sin solutions.
+first, which span the classical phi*cos/phi*sin solutions. The cracked system
+is 4x4 in the support-adapted basis of :meth:`ModeBasis.support_rows`: the
+odd functions of the distance from a support vanish there with X'', so one
+pair per segment leaves only the four matching conditions at the crack.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -91,16 +92,6 @@ def characteristic_coefficients(K, eta_nd: float) -> CharCoeffs:
     return CharCoeffs(K=K, eta_nd=eta_nd, p2=2.0 + K * eta_nd, p0=1.0 - K)
 
 
-class Branch(enum.Enum):
-    TWO_TRIG = "TwoTrig"
-    TRIG_PLUS_HYPERBOLIC = "TrigPlusHyperbolic"
-    DEGENERATE_ZERO_ROOT = "DegenerateZeroRoot"
-    DEGENERATE_REPEATED = "DegenerateRepeated"
-
-
-_BRANCHES = np.array(list(Branch), dtype=object)
-
-
 @dataclass(frozen=True)
 class ModeBasis:
     """Four fundamental solutions at trial K values with analytic derivatives.
@@ -119,18 +110,6 @@ class ModeBasis:
     exp_pair: bool | np.ndarray = False
     phi_max: float | None = None
 
-    @property
-    def branch(self):
-        """The :class:`Branch`, or an object array of them for a K array."""
-        code = np.select(
-            [self.repeated, self.mu2 == 0.0, self.mu2 > 0.0], [3, 2, 1], 0
-        )
-        return _BRANCHES[code] if np.ndim(code) else _BRANCHES[int(code)]
-
-    @property
-    def wavenumbers(self):
-        return np.sqrt(-self.mu1), np.sqrt(np.abs(self.mu2))
-
     def derivative_rows(self, phi, nrows: int = 4) -> np.ndarray:
         """Basis-function derivatives at ``phi``, shape (..., nrows, 4).
 
@@ -142,6 +121,22 @@ class ModeBasis:
             raise ValueError("nrows must be between 1 and 5")
         shape = np.broadcast_shapes(np.shape(self.mu1), np.shape(phi))
         return _stack_first(_derivative_table(self, phi, nrows), shape)
+
+    def support_rows(self, x, ref, nrows: int = 4) -> np.ndarray:
+        """Derivatives in ``x`` of the two support-adapted columns, shape (..., nrows, 2).
+
+        ``x`` is the distance from a support, ``ref`` the segment's length;
+        the leading shape broadcasts the K values against both. Column 1 is
+        o(mu1, x). Column 2 is o(mu2, x)/cosh(a2*ref) where mu2 > 0 (at x =
+        ref: tanh(a2*ref)/a2 and 1), else the divided difference
+        (o(mu2, x) - o(mu1, x))/(mu2 - mu1), d o/d mu at the repeated root.
+        Both keep the sign of the determinant of (o(mu1), o(mu2)), vanish
+        with their second derivative at x = 0 and are bounded for x <= ref.
+        """
+        if not 1 <= nrows <= 4:
+            raise ValueError("nrows must be between 1 and 4")
+        table = _support_table(self, *np.broadcast_arrays(x, ref), nrows)
+        return np.moveaxis(table, (0, 1), (-2, -1))
 
 
 def quartic_roots(
@@ -289,6 +284,32 @@ def _derivative_table(basis: ModeBasis, phi, nrows: int) -> np.ndarray:
     return np.array([[c[k] for c in columns] for k in range(nrows)])
 
 
+def _support_table(basis: ModeBasis, x, ref, nrows: int) -> np.ndarray:
+    """Support-adapted rows as an (nrows, 2, ...) array, the broadcast K/x/ref last."""
+    mu1, mu2, repeated = basis.mu1, basis.mu2, basis.repeated
+    a1 = np.sqrt(-mu1)
+    e1, o1 = np.cos(a1 * x), np.sin(a1 * x) / a1
+    hyp = mu2 > 0.0
+    a = np.sqrt(np.where(hyp, mu2, 1.0))
+    # cosh(a*x) and sinh(a*x)/a over cosh(a*ref): bounded for x <= ref, and
+    # exact (expm1) where a*x is small.
+    decay = np.exp(a * (x - ref)) / (1.0 + np.exp(-2.0 * a * ref))
+    e, o = (1.0 + np.exp(-2.0 * a * x)) * decay, -np.expm1(-2.0 * a * x) * decay / a
+    second = _pair_rows(mu2, e, o, nrows)[1]
+    if not np.all(hyp):
+        # Divided differences D[f] = (f(mu2) - f(mu1)) / (mu2 - mu1), which
+        # are d f/d mu at a repeated root; D[mu*f] = f(mu2) + mu1*D[f].
+        (e2,), (o2,) = _second_pair(np.where(hyp, -1.0, mu2), x, 1)
+        gap = np.where(repeated, 1.0, mu2 - mu1)
+        de, do = (e2 - e1) / gap, (o2 - o1) / gap
+        if np.any(repeated):
+            (g,), (h,) = _repeated_rows(mu1, x, e1, o1, 1)
+            de, do = np.where(repeated, g, de), np.where(repeated, h, do)
+        divided = [do, de, o2 + mu1 * do, e2 + mu1 * de]
+        second = [np.where(hyp, s, d) for s, d in zip(second, divided)]
+    return np.array([_pair_rows(mu1, e1, o1, nrows)[1], second]).swapaxes(0, 1)
+
+
 def uncracked_K_closed_form(n: int, beta: float, eta_nd: float) -> float:
     """Exact eigenvalue of the simply supported uncracked arch for mode n.
 
@@ -338,13 +359,16 @@ def assemble_uncracked(basis: ModeBasis, beta: float) -> BoundaryMatrix:
 def assemble_cracked(
     basis: ModeBasis, beta: float, alpha: float, theta_c: float
 ) -> BoundaryMatrix:
-    """8x8 two-segment system with a rotational spring at the crack.
+    """4x4 crack matching system in the support-adapted basis.
 
-    Unknowns are four coefficients per segment, [0, alpha] then [alpha, beta].
-    Row order: [X1(0), X1''(0), X2(beta), X2''(beta), X1(a)-X2(a),
-    X1''(a)-X2''(a), X1'''(a)-X2'''(a), X2'(a)-X1'(a)-theta_c*X1''(a)].
-    At theta_c = 0 the last four rows enforce C3 continuity, so the zero set
-    in K coincides with the 4x4 system's.
+    Unknowns (c1, c2, d1, d2): X = c1*u1(phi) + c2*u2(phi) left of the crack
+    and X = d1*u1(beta - phi) + d2*u2(beta - phi) right of it, where u1, u2
+    are the columns of :meth:`ModeBasis.support_rows` with ref alpha on the
+    left and beta - alpha on the right, so both supports hold by
+    construction. Row order: X, X'' and X''' continuous at alpha, then
+    X'(alpha+) - X'(alpha-) - theta_c*X''(alpha). At theta_c = 0 the rows
+    enforce C3 continuity, so the zero set in K coincides with the uncracked
+    system's.
     """
     if theta_c < 0:
         raise ValueError("crack compliance must be nonnegative")
@@ -352,17 +376,17 @@ def assemble_cracked(
         raise DegenerateSegment(
             f"crack at alpha={alpha} leaves a vanishing segment of beta={beta}"
         )
-    at0 = _derivative_table(basis, 0.0, 3)
-    ata = _derivative_table(basis, alpha, 4)
-    atb = _derivative_table(basis, beta, 3)
-    m = np.zeros((8, 8, at0.shape[-1]))
-    m[0:2, :4] = at0[0::2]
-    m[2:4, 4:] = atb[0::2]
-    m[4:7, :4] = ata[[0, 2, 3]]
-    m[4:7, 4:] = -ata[[0, 2, 3]]
-    m[7, :4] = -ata[1] - theta_c * ata[2]
-    m[7, 4:] = ata[1]
-    return BoundaryMatrix(order=8, entries=_stack_first(m, np.shape(basis.mu2)))
+    # Both segments in one evaluation, the K values last.
+    x = np.array([[alpha], [beta - alpha]])
+    rows = _support_table(basis, x, x, 4)
+    left, right = rows[:, :, 0], rows[:, :, 1]
+    # d/dphi = -d/dx right of the crack: odd derivatives change sign there.
+    m = np.empty((4, 4) + left.shape[2:])
+    m[0, :2], m[0, 2:] = left[0], -right[0]
+    m[1, :2], m[1, 2:] = left[2], -right[2]
+    m[2, :2], m[2, 2:] = left[3], right[3]
+    m[3, :2], m[3, 2:] = -left[1] - theta_c * left[2], -right[1]
+    return BoundaryMatrix(order=4, entries=_stack_first(m, np.shape(basis.mu2)))
 
 
 @dataclass(frozen=True)

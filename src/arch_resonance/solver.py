@@ -6,7 +6,7 @@ fixed-size blocks of K values, one kernel call per block, and only until the
 blocks evaluated so far hold the candidates of the requested modes. Sign
 changes and dips are found with array operations over the grid, and each
 candidate is one root. The candidates of the requested modes are bisected
-together to the requested tolerance, three levels per kernel call (a
+together to the requested tolerance, four levels per kernel call (a
 heap-ordered tree of nested midpoints), and near-singular systems yield the
 mode-shape coefficients through a null-vector extraction. Everything is
 deterministic: the same problem and configuration produce bit-identical
@@ -33,11 +33,11 @@ _DIP_THRESHOLD = _DIP_DECADES * math.log(10.0)
 _GUIDE_OFFSET = 1e-6
 # Bisection levels per bracket; the cap counts levels, not kernel calls.
 _MAX_BISECTIONS = 200
-# Bisection levels per kernel call: each call evaluates the 2**3 - 1 nested
-# midpoints of every live bracket. Over 70 random 5-mode cracked solves, two
-# levels took 1.35x the CPU time of three; four and five stayed within the
-# run-to-run spread (10-15%) of three, for 2-4x the matrices per call.
-_LEVELS = 3
+# Bisection levels per kernel call: each call evaluates the 2**4 - 1 nested
+# midpoints of every live bracket. Timed solve by solve over a benchmark pass
+# of 70 five-mode cracked solves, four levels took 0.89x the time of three
+# (10 of 10 rounds, two seeds) and five 0.96x the time of four.
+_LEVELS = 4
 # K values per kernel call in the grid scan. Blocks bound the matrix stacks
 # (a single stack of the whole grid raised peak memory by 4.3 MB, blocks of
 # 256 by 1.4 MB) and let the scan stop early: with the default k_max the
@@ -84,7 +84,11 @@ class RootFlag(enum.Enum):
 
 @dataclass(frozen=True)
 class Root:
-    """One spectrum entry: eigenvalue, null-space coefficients, quality flag."""
+    """One spectrum entry: eigenvalue, null-space coefficients, quality flag.
+
+    Uncracked, the coefficients weight [e(mu1), o(mu1), e(mu2), o(mu2)];
+    cracked, they are (c1, c2, d1, d2) as in :func:`mode_shape`.
+    """
 
     K: float
     coefficients: tuple[float, ...]
@@ -398,9 +402,11 @@ def mode_shape(problem: ArchProblem, root: Root, samples: int = 201) -> np.ndarr
     """Sample the spatial mode X on a uniform grid over [0, beta].
 
     Returns an array of shape (samples, 2) with columns (phi, X), normalized
-    so the largest sample is exactly 1. For cracked problems the first four
-    coefficients describe the segment left of the crack, the last four the
-    right segment; a compliant crack shows up as a slope discontinuity.
+    so the largest sample is exactly 1 and a zero sample is +0.0. For cracked
+    problems X is c1*u1(phi) + c2*u2(phi) left of the crack and
+    d1*u1(beta - phi) + d2*u2(beta - phi) right of it, in the support-adapted
+    columns of :meth:`kernel.ModeBasis.support_rows`; a compliant crack shows
+    up as a slope discontinuity.
     """
     if samples < 2:
         raise ValueError("samples must be at least 2")
@@ -410,13 +416,16 @@ def mode_shape(problem: ArchProblem, root: Root, samples: int = 201) -> np.ndarr
     basis = kernel.quartic_roots(coeffs, phi_max=problem.beta)
 
     phis = problem.beta * np.arange(samples) / (samples - 1)
-    rows = basis.derivative_rows(phis, nrows=1)[:, 0, :]
-    c = np.array(vec[:4])
-    if problem.crack is not None:
-        c = np.where((phis < problem.crack.alpha)[:, None], c, np.array(vec[4:]))
-    # Summed in basis order from +0.0, as a scalar sum() over the four terms.
+    if problem.crack is None:
+        rows, c = basis.derivative_rows(phis, nrows=1)[:, 0, :], np.array(vec)
+    else:
+        left = phis < problem.crack.alpha
+        x, ref = (np.where(left, v, problem.beta - v) for v in (phis, problem.crack.alpha))
+        rows = basis.support_rows(x, ref, nrows=1)[:, 0, :]
+        c = np.where(left[:, None], vec[:2], vec[2:])
+    # Summed in basis order from +0.0, as a scalar sum() over the terms.
     values = 0.0 + c[..., 0] * rows[:, 0]
-    for j in range(1, 4):
+    for j in range(1, rows.shape[1]):
         values = values + c[..., j] * rows[:, j]
-    values = values / values[np.argmax(np.abs(values))]
+    values = values / values[np.argmax(np.abs(values))] + 0.0
     return np.column_stack([phis, values])

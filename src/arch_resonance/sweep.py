@@ -195,23 +195,9 @@ def rows_to_csv(rows: list[SweepRow]) -> str:
     """Serialize sweep rows with the fixed header, 9 significant digits."""
     lines = [CSV_HEADER]
     for r in rows:
-        lines.append(
-            ",".join(
-                (
-                    r.chirality,
-                    _fmt(r.beta_rad),
-                    _fmt(r.eta_nd),
-                    _fmt(r.radius_m),
-                    _fmt(r.alpha_rad),
-                    _fmt(r.psi),
-                    str(r.mode),
-                    _fmt(r.K),
-                    _fmt(r.omega_nd),
-                    _fmt(r.omega_rad_s),
-                    r.note,
-                )
-            )
-        )
+        context = map(_fmt, (r.beta_rad, r.eta_nd, r.radius_m, r.alpha_rad, r.psi))
+        result = map(_fmt, (r.K, r.omega_nd, r.omega_rad_s))
+        lines.append(",".join([r.chirality, *context, str(r.mode), *result, r.note]))
     return "\n".join(lines) + "\n"
 
 
@@ -260,9 +246,6 @@ def validation_table(
 def validation_to_csv(rows: list[ValidationRow]) -> str:
     lines = ["mode,eta,present,thai,omega_nd"]
     for r in rows:
-        lines.append(
-            ",".join(
-                (str(r.mode), _fmt(r.eta), _fmt(r.present), _fmt(r.thai), _fmt(r.omega_nd))
-            )
-        )
+        values = map(_fmt, (r.eta, r.present, r.thai, r.omega_nd))
+        lines.append(",".join([str(r.mode), *values]))
     return "\n".join(lines) + "\n"

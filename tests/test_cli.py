@@ -181,6 +181,15 @@ class TestModeshapeCommand:
         assert abs(float(first[1])) <= 1e-9
         assert abs(float(last[1])) <= 1e-9
 
+    def test_no_signed_zero_at_a_support(self, capsys):
+        # The antisymmetric mode of a mid-span crack: its zero samples are
+        # divided by a negative peak, which must not print as -0.
+        argv = ["modeshape", "--beta", "1", "--eta", "1", "--crack-psi", "0.3", "--mode", "2"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "0,0"
+        assert not any(line.split(",")[1] == "-0" for line in lines[1:])
+
     def test_mode_validation(self):
         assert main(["modeshape", "--beta", "1.0", "--mode", "0"]) == 2
         assert main(["modeshape", "--beta", "1.0", "--samples", "1"]) == 2

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arch_resonance import (
-    Branch,
     DegenerateSegment,
     SearchConfig,
     assemble_cracked,
@@ -50,26 +49,25 @@ class TestQuarticRoots:
     def test_trig_plus_hyperbolic(self):
         # lam^2 roots of lam^4 + 3 lam^2 - 4: (-3 +- 5)/2 -> -4 and 1.
         basis = quartic_roots(characteristic_coefficients(5.0, 0.2))
-        assert basis.branch is Branch.TRIG_PLUS_HYPERBOLIC
+        assert not basis.repeated
         assert basis.mu1 == pytest.approx(-4.0, rel=1e-14)
         assert basis.mu2 == pytest.approx(1.0, rel=1e-14)
-        assert basis.wavenumbers == pytest.approx((2.0, 1.0), rel=1e-14)
 
     def test_repeated_root(self):
         basis = quartic_roots(characteristic_coefficients(0.0, 0.0))
-        assert basis.branch is Branch.DEGENERATE_REPEATED
+        assert basis.repeated
         assert basis.mu1 == basis.mu2 == -1.0
 
     def test_zero_root(self):
         # lam^2 (lam^2 + 3) = 0.
         basis = quartic_roots(characteristic_coefficients(1.0, 1.0))
-        assert basis.branch is Branch.DEGENERATE_ZERO_ROOT
+        assert not basis.repeated
         assert basis.mu1 == -3.0
         assert basis.mu2 == 0.0
 
     def test_two_trig(self):
         basis = quartic_roots(characteristic_coefficients(0.5, 0.0))
-        assert basis.branch is Branch.TWO_TRIG
+        assert not basis.repeated
         assert basis.mu1 < basis.mu2 < 0
 
     def test_discriminant_nonnegative_over_domain(self):
@@ -265,6 +263,60 @@ class TestAssembleCracked:
             assemble_cracked(basis, 1.0, 1.0, 1.0)
 
 
+class TestSupportRows:
+    @pytest.mark.parametrize("K, eta", [(0.5, 0.0), (1.0, 1.0), (5.0, 0.2), (40.0, 0.3)])
+    def test_columns_are_scaled_odd_functions(self, K, eta):
+        # Against the odd columns o(mu1), o(mu2) of the four-function basis.
+        x, ref = 0.3, 0.8
+        basis = quartic_roots(characteristic_coefficients(K, eta))
+        plain = basis.derivative_rows(x, nrows=4)
+        o1, o2 = plain[:, 1], plain[:, 3]
+        if basis.mu2 > 0:
+            second = o2 / math.cosh(math.sqrt(basis.mu2) * ref)
+        else:
+            second = (o2 - o1) / (basis.mu2 - basis.mu1)
+        rows = basis.support_rows(x, ref)
+        assert rows.shape == (4, 2)
+        assert rows[:, 0] == pytest.approx(o1, rel=1e-13, abs=1e-15)
+        assert rows[:, 1] == pytest.approx(second, rel=1e-12, abs=1e-15)
+
+    def test_supports_hold_exactly(self):
+        ks = np.array([0.0, 1e-8, 0.5, 1.0, 5.0, 400.0, 1e6])
+        basis = quartic_roots(characteristic_coefficients(ks, 0.7), phi_max=2.0)
+        rows = basis.support_rows(0.0, 1.3, nrows=3)
+        assert rows.shape == (7, 3, 2)
+        assert np.all(rows[:, 0] == 0.0) and np.all(rows[:, 2] == 0.0)
+
+    def test_hyperbolic_column_at_the_crack(self):
+        # a2 * ref from 1e-4 to about 34: entries tanh(a2*ref)/a2 and 1.
+        ks = np.array([1.0 + 1e-8, 2.0, 50.0, 1e5])
+        basis = quartic_roots(characteristic_coefficients(ks, 0.0))
+        a2 = np.sqrt(basis.mu2)
+        rows = basis.support_rows(1.9, 1.9)
+        assert np.all(np.isfinite(rows))
+        assert rows[:, 0, 1] == pytest.approx(np.tanh(a2 * 1.9) / a2, rel=1e-14)
+        assert rows[:, 1, 1] == pytest.approx(1.0, rel=1e-15)
+
+    def test_repeated_root_column_is_the_limit(self):
+        # At K = 0 the divided difference is replaced by d o/d mu. Outside
+        # the degeneracy window the rows approach it in step with mu2 - mu1,
+        # with no loss to cancellation down to the window's edge.
+        at = quartic_roots(characteristic_coefficients(0.0, 0.5))
+        assert at.repeated
+        limit = at.support_rows(1.7, 2.0)
+        for K in (1e-6, 1e-8, 1e-10):
+            near = quartic_roots(characteristic_coefficients(K, 0.5))
+            assert not near.repeated
+            gap = np.abs(near.support_rows(1.7, 2.0) - limit).max() / np.abs(limit).max()
+            assert gap <= near.mu2 - near.mu1
+
+    @pytest.mark.parametrize("beta, alpha", [(0.5, 0.2), (2.0, 1.4), (6.0, 3.0)])
+    def test_cracked_sign_nonzero_at_repeated_root(self, beta, alpha):
+        basis = quartic_roots(characteristic_coefficients(0.0, 0.3), phi_max=beta)
+        for theta in (0.0, 1.0, 1e3):
+            assert det_sign_logmag(assemble_cracked(basis, beta, alpha, theta))[0] != 0
+
+
 class TestDeterminant:
     def test_identity(self):
         assert det_sign_logmag(np.eye(4)) == (1, 0.0)
@@ -345,7 +397,7 @@ class TestStackedKernel:
         problem = make_problem(beta=1.3, eta=0.7, alpha=0.5, theta=1.2)
         ks = np.linspace(3.0, 900.0, 12)
         matrix = boundary_matrix(problem, ks)
-        assert matrix.entries.shape == (12, 8, 8)
+        assert matrix.entries.shape == (12, 4, 4)
         signs, logs = det_sign_logmag(matrix)
         for entries, sign, logmag in zip(matrix.entries, signs, logs):
             ref = cofactor_det(entries.tolist())
@@ -377,7 +429,7 @@ class TestStackedKernel:
         roots = find_frequencies(problem, SearchConfig(max_modes=4)).K_values
         stack = boundary_matrix(problem, np.array(roots))
         vectors, pivots = null_vector(stack)
-        assert vectors.shape == (4, 8)
+        assert vectors.shape == (4, 4)
         for entries, vec, piv in zip(stack.entries, vectors, pivots):
             one_vec, one_piv = null_vector(entries)
             assert one_vec == vec.tolist()
@@ -397,12 +449,13 @@ class TestStackedKernel:
     def test_branch_of_a_stack(self):
         coeffs = characteristic_coefficients(np.array([0.0, 0.5, 1.0, 5.0]), 0.0)
         basis = quartic_roots(coeffs)
-        assert basis.branch.tolist() == [
-            Branch.DEGENERATE_REPEATED,
-            Branch.TWO_TRIG,
-            Branch.DEGENERATE_ZERO_ROOT,
-            Branch.TRIG_PLUS_HYPERBOLIC,
-        ]
+        # Repeated, two trigonometric, zero root, trigonometric plus hyperbolic.
+        assert basis.repeated.tolist() == [True, False, False, False]
+        assert basis.mu1.tolist() == pytest.approx(
+            [-1.0, -1.0 - math.sqrt(0.5), -2.0, -1.0 - math.sqrt(5.0)], rel=1e-14
+        )
+        assert basis.mu2[0] == -1.0 and -1.0 < basis.mu2[1] < 0.0
+        assert basis.mu2[2] == 0.0 and basis.mu2[3] > 0.0
         # Every branch in one stack evaluates like the single-K basis.
         rows = basis.derivative_rows(0.7, nrows=5)
         for k, table in zip(coeffs.K, rows):

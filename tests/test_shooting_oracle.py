@@ -1,10 +1,10 @@
 """The cracked spectrum checked against an independent shooting determinant.
 
-The oracle shares no code with the 8x8 boundary matrix: the two free initial
-states of the left support are propagated with the matrix exponential of the
-ODE's companion matrix, the crack adds theta_c * X'' to the slope at alpha,
-and the simply supported conditions X = X'' = 0 at beta give a 2x2
-determinant whose sign changes at every simple eigenvalue.
+The oracle shares no code with the support-adapted 4x4 matching matrix: the
+two free initial states of the left support are propagated with the matrix
+exponential of the ODE's companion matrix, the crack adds theta_c * X'' to
+the slope at alpha, and the simply supported conditions X = X'' = 0 at beta
+give a 2x2 determinant whose sign changes at every simple eigenvalue.
 """
 
 import numpy as np

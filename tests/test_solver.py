@@ -140,6 +140,17 @@ class TestFindFrequencies:
             ra.coefficients == rb.coefficients for ra, rb in zip(a.roots, b.roots)
         )
 
+    def test_k_min_zero_cracked(self):
+        # K = 0 is the repeated characteristic root; the cracked determinant
+        # must not read it as a root.
+        problem = make_problem(eta=0.5, alpha=0.3, theta=0.7)
+        assert boundary_determinant(problem, 0.0)[0] != 0
+        base = find_frequencies(problem)
+        from_zero = find_frequencies(problem, SearchConfig(k_min=0.0))
+        assert [r.flag for r in from_zero.roots] == [r.flag for r in base.roots]
+        for k0, k in zip(from_zero.K_values, base.K_values):
+            assert abs(k0 - k) <= 2e-10 * max(1.0, k)
+
     def test_propagates_no_roots(self):
         with pytest.raises(NoRootsInRange):
             find_frequencies(make_problem(), SearchConfig(k_max=10.0))
@@ -197,14 +208,33 @@ class TestModeShape:
         basis = quartic_roots(
             characteristic_coefficients(root.K, problem.eta_nd), phi_max=problem.beta
         )
-        rows = basis.derivative_rows(0.5, nrows=3)
-        c = root.coefficients
-        left_slope = sum(c[j] * rows[1][j] for j in range(4))
-        right_slope = sum(c[4 + j] * rows[1][j] for j in range(4))
-        left_curvature = sum(c[j] * rows[2][j] for j in range(4))
+        # Rows in the distance from each support; d/dphi = -d/dx on the right.
+        left = basis.support_rows(0.5, 0.5, nrows=3)
+        right = basis.support_rows(problem.beta - 0.5, problem.beta - 0.5, nrows=3)
+        c1, c2, d1, d2 = root.coefficients
+        left_slope = c1 * left[1][0] + c2 * left[1][1]
+        right_slope = -(d1 * right[1][0] + d2 * right[1][1])
+        left_curvature = c1 * left[2][0] + c2 * left[2][1]
         jump = right_slope - left_slope
         assert abs(jump) > 1e-3
         assert jump / left_curvature == pytest.approx(theta, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "beta, eta, alpha, theta",
+        [(2.0, 0.5, 0.7, 1.5), (4.0, 0.0, 2.9, 0.5)],  # the second has K_1 < 1
+    )
+    def test_cracked_supports_hold(self, beta, eta, alpha, theta):
+        problem = make_problem(beta=beta, eta=eta, alpha=alpha, theta=theta)
+        for root in find_frequencies(problem, SearchConfig(max_modes=3)).roots:
+            assert len(root.coefficients) == 4
+            shape = mode_shape(problem, root, samples=101)
+            assert abs(shape[0, 1]) <= 1e-12 and abs(shape[-1, 1]) <= 1e-12
+            basis = quartic_roots(characteristic_coefficients(root.K, eta), phi_max=beta)
+            c1, c2, d1, d2 = root.coefficients
+            for (w1, w2), ref in (((c1, c2), alpha), ((d1, d2), beta - alpha)):
+                rows = basis.support_rows(0.0, ref, nrows=3)
+                for k in (0, 2):  # X and X'' at the support
+                    assert abs(w1 * rows[k][0] + w2 * rows[k][1]) <= 1e-12
 
     def test_rejects_tiny_sample_count(self):
         problem = make_problem()
@@ -477,7 +507,7 @@ class TestMultiLevelBisection:
         signs = [0, boundary_determinant(problem, guide[0])[0], *scan.lower_signs]
         return pairs, signs
 
-    # The ids name the levels per call only where they differ from the default 3.
+    # The ids name the levels per call only where they differ from 3.
     @pytest.mark.parametrize("tol", [1e-10, 1e-13])
     @pytest.mark.parametrize(
         "cap, levels",
@@ -519,8 +549,8 @@ class TestKernelCallsPerSolve:
     def test_cracked_five_modes(self, monkeypatch):
         calls = self._count(monkeypatch)
         find_frequencies(make_problem(eta=1.0, alpha=0.4, theta=0.8))
-        # One scan block, then ten calls of three bisection levels each.
-        assert calls == [256, 35, 28, 28, 28, 28, 28, 28, 28, 28, 14, 7]
+        # One scan block, then eight calls of four bisection levels each.
+        assert calls == [256, 75, 60, 60, 60, 60, 60, 60, 30]
 
     def test_sweep_point_mode_one(self, monkeypatch):
         from arch_resonance import ChiralityClass, SweepSpec, run_sweep
@@ -532,5 +562,5 @@ class TestKernelCallsPerSolve:
             chirality_set=(ChiralityClass.ARMCHAIR,),
         )
         run_sweep(spec)
-        # Per point: one scan block, one call of three bisection levels.
-        assert calls == [256, 7, 256, 7]
+        # Per point: one scan block, one call of four bisection levels.
+        assert calls == [256, 15, 256, 15]
