@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import logging
 import os
@@ -136,13 +137,19 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The process's one parser, built on first use: parsing does not mutate it."""
+    return build_parser()
+
+
 def parse(args: list[str]) -> CliInvocation:
     """Parse an argument vector into a validated invocation.
 
     Unknown flags raise :class:`UsageError` naming the offender; ``--help``
     and ``--version`` short-circuit through SystemExit(0).
     """
-    overrides = vars(build_parser().parse_args(args)).copy()
+    overrides = vars(_parser().parse_args(args)).copy()
     return CliInvocation(
         command=overrides.pop("command"),
         config_path=overrides.pop("config", None),
@@ -166,24 +173,7 @@ def _read_config(path: str | None) -> dict[str, dict[str, str]]:
     return {section: dict(cp[section]) for section in cp.sections()}
 
 
-def load_presets(path: str | None = None) -> dict[str, dict[str, float]]:
-    """Parse a presets file (shipped defaults when ``path`` is None).
-
-    Grammar: INI sections named after the chirality class, keys
-    ``youngs_modulus_tpa``, ``wall_thickness_nm``, ``mass_per_length_kg_per_m``,
-    ``arch_radius_nm`` and either ``diameter_nm`` or ``n``/``m`` (plus
-    optional ``bond_length_nm``). All values numeric.
-    """
-    cp = configparser.ConfigParser()
-    if path is None:
-        text = (
-            resources.files("arch_resonance").joinpath("presets.ini").read_text()
-        )
-        cp.read_string(text)
-    else:
-        read = cp.read(path)
-        if not read:
-            raise UsageError(f"presets file not found: {path}")
+def _numeric_table(cp: configparser.ConfigParser) -> dict[str, dict[str, float]]:
     table: dict[str, dict[str, float]] = {}
     for section in cp.sections():
         entry = {}
@@ -196,6 +186,32 @@ def load_presets(path: str | None = None) -> dict[str, dict[str, float]]:
                 ) from None
         table[section.lower()] = entry
     return table
+
+
+@functools.cache
+def _shipped_presets() -> dict[str, dict[str, float]]:
+    """The package's ``presets.ini``, parsed once per process on first use."""
+    cp = configparser.ConfigParser()
+    cp.read_string(resources.files("arch_resonance").joinpath("presets.ini").read_text())
+    return _numeric_table(cp)
+
+
+def load_presets(path: str | None = None) -> dict[str, dict[str, float]]:
+    """Parse a presets file (shipped defaults when ``path`` is None).
+
+    Grammar: INI sections named after the chirality class, keys
+    ``youngs_modulus_tpa``, ``wall_thickness_nm``, ``mass_per_length_kg_per_m``,
+    ``arch_radius_nm`` and either ``diameter_nm`` or ``n``/``m`` (plus
+    optional ``bond_length_nm``). All values numeric. A ``path`` is read on
+    every call; the shipped file is parsed once, and each call returns a
+    fresh copy of it.
+    """
+    if path is None:
+        return {section: dict(entry) for section, entry in _shipped_presets().items()}
+    cp = configparser.ConfigParser()
+    if not cp.read(path):
+        raise UsageError(f"presets file not found: {path}")
+    return _numeric_table(cp)
 
 
 class _Settings:

@@ -7,8 +7,9 @@ blocks evaluated so far hold the candidates of the requested modes. Sign
 changes and dips are found with array operations over the grid, and each
 candidate is one root. The candidates of the requested modes are bisected
 together to the requested tolerance, four levels per kernel call (a
-heap-ordered tree of nested midpoints), and near-singular systems yield the
-mode-shape coefficients through a null-vector extraction. Everything is
+heap-ordered tree of nested midpoints). A spectrum holds eigenvalues and
+flags only: :func:`mode_shape` is the one place that extracts a null vector,
+the coefficients of the shape, from the near-singular system. Everything is
 deterministic: the same problem and configuration produce bit-identical
 spectra, whatever the block size or the number of levels per call, because
 the kernel evaluates each K of a stack independently.
@@ -84,16 +85,15 @@ class RootFlag(enum.Enum):
 
 @dataclass(frozen=True)
 class Root:
-    """One spectrum entry: eigenvalue, null-space coefficients, quality flag.
+    """One spectrum entry: eigenvalue and quality flag.
 
-    Uncracked, the coefficients weight [e(mu1), o(mu1), e(mu2), o(mu2)];
-    cracked, they are (c1, c2, d1, d2) as in :func:`mode_shape`.
+    A root carries no mode coefficients: :func:`mode_shape` computes them, as
+    the null vector of the boundary system (:func:`kernel.null_vector`) at the
+    polished root.
     """
 
     K: float
-    coefficients: tuple[float, ...]
     flag: RootFlag
-    min_pivot: float
 
 
 @dataclass(frozen=True)
@@ -327,14 +327,15 @@ def _midpoint_tree(lo: np.ndarray, hi: np.ndarray, depth: int) -> np.ndarray:
 
 
 def find_frequencies(problem: ArchProblem, cfg: SearchConfig | None = None) -> Spectrum:
-    """First ``max_modes`` eigenvalues in ascending order with coefficients.
+    """First ``max_modes`` eigenvalues in ascending order with their flags.
 
     The K = 0 inextensional artifact is excluded by ``k_min``; suspected
     even-multiplicity roots are reported with their dip location and flag
     rather than silently dropped. The scan stops once it holds ``max_modes``
     candidates, and the first ``max_modes`` brackets and suspects in
-    ascending order are refined in one batch, so the refinement and the null
-    vectors cover the returned roots only. Each candidate is one root: the
+    ascending order are refined in one batch, so the refinement covers the
+    returned roots only, and no null vector is computed (:func:`mode_shape`
+    does that for the one root it samples). Each candidate is one root: the
     candidates sit in disjoint grid intervals, so two that refine to nearly
     the same K are a near-double root split by a grid node, and both are
     reported. Raises :class:`NoRootsInRange` when the range holds fewer than
@@ -356,13 +357,7 @@ def find_frequencies(problem: ArchProblem, cfg: SearchConfig | None = None) -> S
     ks = refine_root(
         [c[:2] for c in candidates], problem, cfg, lower_signs=[c[2] for c in candidates]
     )
-    vectors, pivots = kernel.null_vector(boundary_matrix(problem, ks))
-    return Spectrum(
-        roots=tuple(
-            Root(K=k, coefficients=tuple(vec), flag=c[3], min_pivot=minpiv)
-            for k, c, vec, minpiv in zip(ks.tolist(), candidates, vectors.tolist(), pivots.tolist())
-        )
-    )
+    return Spectrum(roots=tuple(Root(K=k, flag=c[3]) for k, c in zip(ks.tolist(), candidates)))
 
 
 def _polish(problem: ArchProblem, root: Root) -> float:
@@ -402,8 +397,11 @@ def mode_shape(problem: ArchProblem, root: Root, samples: int = 201) -> np.ndarr
     """Sample the spatial mode X on a uniform grid over [0, beta].
 
     Returns an array of shape (samples, 2) with columns (phi, X), normalized
-    so the largest sample is exactly 1 and a zero sample is +0.0. For cracked
-    problems X is c1*u1(phi) + c2*u2(phi) left of the crack and
+    so the largest sample is exactly 1 and a zero sample is +0.0. The root is
+    polished first (:func:`_polish`), and the coefficients are the null vector
+    of the boundary system there. Uncracked, they weight [e(mu1), o(mu1),
+    e(mu2), o(mu2)]; for cracked problems they are (c1, c2, d1, d2), and X is
+    c1*u1(phi) + c2*u2(phi) left of the crack and
     d1*u1(beta - phi) + d2*u2(beta - phi) right of it, in the support-adapted
     columns of :meth:`kernel.ModeBasis.support_rows`; a compliant crack shows
     up as a slope discontinuity.

@@ -1,11 +1,12 @@
+import copy
 import json
 import math
 from pathlib import Path
 
 import pytest
 
-from arch_resonance import UsageError
-from arch_resonance.cli import load_presets, main, parse
+from arch_resonance import UsageError, cli
+from arch_resonance.cli import build_parser, load_presets, main, parse
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -43,6 +44,66 @@ class TestParse:
 
     def test_missing_command(self):
         assert main([]) == 2
+
+
+class TestParseManyRequests:
+    """One process parses many argument vectors with one parser."""
+
+    @staticmethod
+    def _fresh(argv):
+        return vars(build_parser().parse_args(argv))
+
+    @staticmethod
+    def _parsed(argv):
+        inv = parse(argv)
+        return {
+            "command": inv.command,
+            "config": inv.config_path,
+            "out": inv.output_path,
+            "format": inv.format,
+            **inv.overrides,
+        }
+
+    def test_default_returns_after_explicit_value(self):
+        assert parse(["modeshape", "--mode", "3"]).overrides["mode"] == 3
+        assert parse(["modeshape"]).overrides["mode"] == 1
+        assert self._parsed(["modeshape"]) == self._fresh(["modeshape"])
+
+    def test_eta_flags_in_turn(self):
+        assert parse(["freq", "--eta", "1.5"]).overrides["eta"] == 1.5
+        inv = parse(["freq", "--eta-nm2", "0.5"])
+        assert inv.overrides["eta_nm2"] == 0.5 and inv.overrides["eta"] is None
+        with pytest.raises(UsageError):
+            parse(["freq", "--eta", "1", "--eta-nm2", "0.5"])
+        assert parse(["freq", "--eta", "2"]).overrides["eta"] == 2.0
+
+    def test_usage_error_then_valid_argv(self):
+        with pytest.raises(UsageError, match="--bogus"):
+            parse(["freq", "--bogus", "1"])
+        argv = ["sweep", "--param", "radius", "--steps", "2", "--chirality", "zigzag"]
+        assert self._parsed(argv) == self._fresh(argv)
+
+    def test_version_exits_zero_between_requests(self, capsys):
+        parse(["freq", "--beta", "1"])
+        with pytest.raises(SystemExit) as exc:
+            parse(["--version"])
+        assert exc.value.code == 0
+        assert main(["--version"]) == 0
+        assert parse(["validate"]).command == "validate"
+
+    def test_parser_built_at_most_once(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+        cli._parser.cache_clear()
+        try:
+            for argv in (["freq"], ["modeshape", "--mode", "2"], ["validate"], ["freq"]):
+                parse(argv)
+            with pytest.raises(UsageError):
+                parse(["freq", "--bogus"])
+            assert main(["--version"]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
 
 
 class TestFreqCommand:
@@ -308,7 +369,33 @@ class TestPresets:
         assert doc["problem"]["radius_m"] == pytest.approx(5e-9)
 
     def test_missing_presets_file(self, capsys):
+        load_presets()
         assert main(["freq", "--chirality", "armchair", "--presets", "/no/file"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("usage error:")
+
+    def test_mutating_the_table_leaves_the_next_call_alone(self):
+        before = copy.deepcopy(load_presets())
+        table = load_presets()
+        table["armchair"]["youngs_modulus_tpa"] = -1.0
+        del table["zigzag"]
+        table["bogus"] = {}
+        assert load_presets() == before
+
+    def test_presets_file_reread_on_every_call(self, capsys, tmp_path):
+        presets = tmp_path / "p.ini"
+        argv = ["freq", "--beta", "1.0", "--eta", "0", "--chirality", "armchair",
+                "--presets", str(presets), "--format", "json"]
+        radii = []
+        for radius_nm in (5.0, 7.0):
+            presets.write_text(
+                "[armchair]\nyoungs_modulus_tpa = 2.0\ndiameter_nm = 0.7\n"
+                "wall_thickness_nm = 0.3\nmass_per_length_kg_per_m = 2e-15\n"
+                f"arch_radius_nm = {radius_nm}\n"
+            )
+            assert main(argv) == 0
+            radii.append(json.loads(capsys.readouterr().out)["problem"]["radius_m"])
+        assert radii == [pytest.approx(5e-9), pytest.approx(7e-9)]
 
 
 class TestLogging:

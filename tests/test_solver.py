@@ -31,6 +31,12 @@ K1_B1_E0 = 78.6698822318237
 K1_B1_E1 = 7.237603074490859
 
 
+def _coefficients(problem, root):
+    """The root's mode coefficients: the null vector of its boundary system."""
+    vec, _ = kernel.null_vector(solver.boundary_matrix(problem, root.K))
+    return tuple(vec)
+
+
 class TestSearchConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -121,9 +127,11 @@ class TestFindFrequencies:
         assert ks[0] > cfg.k_min
 
     def test_rank_deficiency_at_roots(self):
-        spectrum = find_frequencies(make_problem(), SearchConfig(max_modes=3))
+        problem = make_problem()
+        spectrum = find_frequencies(problem, SearchConfig(max_modes=3))
         for root in spectrum.roots:
-            assert root.min_pivot <= 1e-7
+            _, min_pivot = kernel.null_vector(solver.boundary_matrix(problem, root.K))
+            assert min_pivot <= 1e-7
 
     def test_inextensional_artifact_excluded(self):
         # At beta = pi the n = 1 closed form collapses to K = 0; the first
@@ -133,11 +141,12 @@ class TestFindFrequencies:
         assert rel_err(spectrum.roots[0].K, uncracked_K_closed_form(2, math.pi, 0.0)) < 1e-8
 
     def test_bit_identical_reruns(self):
-        a = find_frequencies(make_problem(eta=0.5, alpha=0.3, theta=0.7))
-        b = find_frequencies(make_problem(eta=0.5, alpha=0.3, theta=0.7))
+        pa = make_problem(eta=0.5, alpha=0.3, theta=0.7)
+        pb = make_problem(eta=0.5, alpha=0.3, theta=0.7)
+        a, b = find_frequencies(pa), find_frequencies(pb)
         assert a.K_values == b.K_values
         assert all(
-            ra.coefficients == rb.coefficients for ra, rb in zip(a.roots, b.roots)
+            _coefficients(pa, ra) == _coefficients(pb, rb) for ra, rb in zip(a.roots, b.roots)
         )
 
     def test_k_min_zero_cracked(self):
@@ -211,7 +220,7 @@ class TestModeShape:
         # Rows in the distance from each support; d/dphi = -d/dx on the right.
         left = basis.support_rows(0.5, 0.5, nrows=3)
         right = basis.support_rows(problem.beta - 0.5, problem.beta - 0.5, nrows=3)
-        c1, c2, d1, d2 = root.coefficients
+        c1, c2, d1, d2 = _coefficients(problem, root)
         left_slope = c1 * left[1][0] + c2 * left[1][1]
         right_slope = -(d1 * right[1][0] + d2 * right[1][1])
         left_curvature = c1 * left[2][0] + c2 * left[2][1]
@@ -226,11 +235,12 @@ class TestModeShape:
     def test_cracked_supports_hold(self, beta, eta, alpha, theta):
         problem = make_problem(beta=beta, eta=eta, alpha=alpha, theta=theta)
         for root in find_frequencies(problem, SearchConfig(max_modes=3)).roots:
-            assert len(root.coefficients) == 4
+            coefficients = _coefficients(problem, root)
+            assert len(coefficients) == 4
             shape = mode_shape(problem, root, samples=101)
             assert abs(shape[0, 1]) <= 1e-12 and abs(shape[-1, 1]) <= 1e-12
             basis = quartic_roots(characteristic_coefficients(root.K, eta), phi_max=beta)
-            c1, c2, d1, d2 = root.coefficients
+            c1, c2, d1, d2 = coefficients
             for (w1, w2), ref in (((c1, c2), alpha), ((d1, d2), beta - alpha)):
                 rows = basis.support_rows(0.0, ref, nrows=3)
                 for k in (0, 2):  # X and X'' at the support
@@ -343,8 +353,10 @@ class TestRefineOnlyReturned:
         nulls = self._record(monkeypatch, kernel, "null_vector")
         spectrum = find_frequencies(problem, SearchConfig(max_modes=modes))
         assert sum(len(b) for b in refined) == modes
-        assert [m.entries.shape[0] for m in nulls] == [modes]
+        assert nulls == []
         assert spectrum.roots == full.roots[:modes]
+        mode_shape(problem, spectrum.roots[-1], samples=11)
+        assert [m.entries.shape for m in nulls] == [(4, 4)]  # one matrix, no stack
 
     def test_sweep_point_solves_only_its_mode(self, monkeypatch):
         from arch_resonance import ChiralityClass, SweepSpec, run_sweep
@@ -397,14 +409,9 @@ def _whole_grid_spectrum(problem, cfg):
     ks = solver.refine_root(
         [c[:2] for c in candidates], problem, cfg, lower_signs=[c[2] for c in candidates]
     )
-    roots = [(k, flag) for k, (*_, flag) in zip(ks.tolist(), candidates)][: cfg.max_modes]
-    vectors, pivots = kernel.null_vector(
-        solver.boundary_matrix(problem, np.array([k for k, _ in roots]))
-    )
     return tuple(
-        solver.Root(K=k, coefficients=tuple(vec), flag=flag, min_pivot=minpiv)
-        for (k, flag), vec, minpiv in zip(roots, vectors.tolist(), pivots.tolist())
-    )
+        solver.Root(K=k, flag=flag) for k, (*_, flag) in zip(ks.tolist(), candidates)
+    )[: cfg.max_modes]
 
 
 class TestEarlyExitScan:
