@@ -27,7 +27,6 @@ from .errors import (
     UsageError,
 )
 from .kernel import (
-    BoundaryMatrix,
     CharCoeffs,
     ModeBasis,
     assemble_cracked,

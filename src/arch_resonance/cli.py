@@ -280,10 +280,12 @@ def _resolve_chirality(s: _Settings, allow_all: bool) -> Any:
         raise UsageError(f"--chirality: unknown class {name!r}") from None
 
 
-def _resolve_tube(s: _Settings, chirality) -> model.PhysicalTube | None:
-    if chirality is None or chirality == "all":
-        return None
-    presets = load_presets(s.get("presets", "material", cast=str))
+def _resolve_tube(s: _Settings, chirality, presets) -> model.PhysicalTube:
+    """The class's tube from ``presets``, with the geometry flags applied.
+
+    The one place ``--radius-nm``, ``--diameter-nm`` and ``--n/--m`` reach a
+    tube, for every command.
+    """
     tube = model.resolve_preset(chirality, presets)
     radius_nm = s.get("radius-nm", "geometry", cast=float)
     diameter_nm = s.get("diameter-nm", "geometry", cast=float)
@@ -299,6 +301,15 @@ def _resolve_tube(s: _Settings, chirality) -> model.PhysicalTube | None:
     if updates:
         tube = replace(tube, **updates)
     return tube
+
+
+def _presets(s: _Settings) -> dict[str, dict[str, float]]:
+    return load_presets(s.get("presets", "material", cast=str))
+
+
+def _given(**values) -> dict[str, Any]:
+    """The values that are set: the constructor they go to owns the defaults."""
+    return {key: value for key, value in values.items() if value is not None}
 
 
 @contextmanager
@@ -344,14 +355,16 @@ def _resolve_problem(s: _Settings):
     """
     with _bad_input_is_usage_error():
         chirality, inputs = _resolve_inputs(s, allow_all=False)
-        tube = _resolve_tube(s, chirality)
+        tube = None if chirality is None else _resolve_tube(s, chirality, _presets(s))
         problem = model.nondimensionalize(tube, **inputs)
         cfg = solver.SearchConfig(
-            k_min=s.get("k-min", "search", cast=float, default=1e-6),
-            k_max=s.get("k-max", "search", cast=float),
-            grid_points=s.get("grid-points", "search", cast=int, default=2000),
-            refine_tol=s.get("refine-tol", "search", cast=float, default=1e-10),
-            max_modes=s.get("modes", "search", cast=int, default=5),
+            **_given(
+                k_min=s.get("k-min", "search", cast=float),
+                k_max=s.get("k-max", "search", cast=float),
+                grid_points=s.get("grid-points", "search", cast=int),
+                refine_tol=s.get("refine-tol", "search", cast=float),
+                max_modes=s.get("modes", "search", cast=int),
+            )
         )
     return problem, tube, chirality, cfg
 
@@ -484,26 +497,16 @@ def _cmd_sweep(inv: CliInvocation, s: _Settings) -> str:
         )
     with _bad_input_is_usage_error():
         chirality, inputs = _resolve_inputs(s, allow_all=True)
-        if inputs["eta_physical"] is not None:
-            eta_kind, eta_value = "physical", inputs["eta_physical"]
-        else:
-            eta_kind, eta_value = "nd", inputs["eta_nd"]
-        radius_nm = s.get("radius-nm", "geometry", cast=float)
+        classes = tuple(model.ChiralityClass) if chirality in (None, "all") else (chirality,)
+        presets = _presets(s)
         spec = sweep.SweepSpec(
             parameter=param,
             start=start,
             stop=stop,
             steps=steps,
-            presets=load_presets(s.get("presets", "material", cast=str)),
-            chirality_set=(
-                tuple(model.ChiralityClass) if chirality in (None, "all") else (chirality,)
-            ),
-            mode=s.get("modes", "search", cast=int, default=1),
-            beta=inputs["beta"],
-            eta_kind=eta_kind,
-            eta_value=eta_value,
-            radius_m=radius_nm * 1e-9 if radius_nm is not None else None,
-            crack=inputs["crack"],
+            tubes={c: _resolve_tube(s, c, presets) for c in classes},
+            **inputs,
+            **_given(mode=s.get("modes", "search", cast=int)),
         )
     logger.info("sweep: %s over [%g, %g] x %d", param, start, stop, steps)
     try:

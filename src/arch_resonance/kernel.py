@@ -70,12 +70,10 @@ _EXP_SWITCH = 2.0
 class CharCoeffs:
     """Coefficients of the characteristic bi-quadratic at trial eigenvalues.
 
-    ``K``, ``p2`` and ``p0`` are floats for a scalar K and arrays of shape
-    (N,) for a K array.
+    ``p2`` and ``p0`` are floats for a scalar K and arrays of shape (N,) for
+    a K array.
     """
 
-    K: float | np.ndarray
-    eta_nd: float
     p2: float | np.ndarray  # = 2 + K * eta_nd
     p0: float | np.ndarray  # = 1 - K
 
@@ -89,7 +87,7 @@ def characteristic_coefficients(K, eta_nd: float) -> CharCoeffs:
         raise ValueError("trial eigenvalue K must be nonnegative")
     if eta_nd < 0:
         raise ValueError("nonlocal parameter must be nonnegative")
-    return CharCoeffs(K=K, eta_nd=eta_nd, p2=2.0 + K * eta_nd, p0=1.0 - K)
+    return CharCoeffs(p2=2.0 + K * eta_nd, p0=1.0 - K)
 
 
 @dataclass(frozen=True)
@@ -103,7 +101,6 @@ class ModeBasis:
     exp(a*(phi - phi_max)).
     """
 
-    coeffs: CharCoeffs
     mu1: float | np.ndarray  # always <= -1: trigonometric pair
     mu2: float | np.ndarray  # > 0 hyperbolic, 0 polynomial, < 0 trigonometric
     repeated: bool | np.ndarray = False
@@ -174,7 +171,6 @@ def quartic_roots(
         mu1, mu2 = float(mu1), float(mu2)
         repeated, exp_pair = bool(repeated), bool(exp_pair)
     return ModeBasis(
-        coeffs=coeffs,
         mu1=mu1,
         mu2=mu2,
         repeated=repeated,
@@ -326,40 +322,30 @@ def uncracked_K_closed_form(n: int, beta: float, eta_nd: float) -> float:
     return (lam2 - 1.0) ** 2 / (1.0 + eta_nd * lam2)
 
 
-@dataclass(frozen=True)
-class BoundaryMatrix:
-    """Dense boundary/matching matrices.
+def assemble_uncracked(basis: ModeBasis, beta: float) -> np.ndarray:
+    """4x4 simply supported boundary system, shape (..., 4, 4).
 
-    ``entries[..., i, j]`` applies boundary condition i to basis function j;
-    the leading axis, when present, runs over the K values of the basis.
-    Where the basis uses the bounded exponential pair, the columns differ
-    from the cosh/sinh ones by a change of basis with positive determinant,
-    so the determinant's sign, and with it every sign change in K, is that of
-    the cosh/sinh system.
-    """
-
-    order: int
-    entries: np.ndarray
-
-
-def assemble_uncracked(basis: ModeBasis, beta: float) -> BoundaryMatrix:
-    """4x4 simply supported boundary system.
-
-    Row order: [X(0), X''(0), X(beta), X''(beta)], realizing zero transverse
-    displacement and zero bending moment at both supports.
+    Entry [..., i, j] applies boundary condition i to basis function j; the
+    leading axis, when present, runs over the K values of the basis. Row
+    order: [X(0), X''(0), X(beta), X''(beta)], realizing zero transverse
+    displacement and zero bending moment at both supports. Where the basis
+    uses the bounded exponential pair, the columns differ from the cosh/sinh
+    ones by a change of basis with positive determinant, so the determinant's
+    sign, and with it every sign change in K, is that of the cosh/sinh
+    system.
     """
     if beta <= 0:
         raise ValueError("central angle must be positive")
     at0 = _derivative_table(basis, 0.0, 3)
     atb = _derivative_table(basis, beta, 3)
     m = np.concatenate([at0[0::2], atb[0::2]])
-    return BoundaryMatrix(order=4, entries=_stack_first(m, np.shape(basis.mu2)))
+    return _stack_first(m, np.shape(basis.mu2))
 
 
 def assemble_cracked(
     basis: ModeBasis, beta: float, alpha: float, theta_c: float
-) -> BoundaryMatrix:
-    """4x4 crack matching system in the support-adapted basis.
+) -> np.ndarray:
+    """4x4 crack matching system in the support-adapted basis, shape (..., 4, 4).
 
     Unknowns (c1, c2, d1, d2): X = c1*u1(phi) + c2*u2(phi) left of the crack
     and X = d1*u1(beta - phi) + d2*u2(beta - phi) right of it, where u1, u2
@@ -386,7 +372,7 @@ def assemble_cracked(
     m[1, :2], m[1, 2:] = left[2], -right[2]
     m[2, :2], m[2, 2:] = left[3], right[3]
     m[3, :2], m[3, 2:] = -left[1] - theta_c * left[2], -right[1]
-    return BoundaryMatrix(order=4, entries=_stack_first(m, np.shape(basis.mu2)))
+    return _stack_first(m, np.shape(basis.mu2))
 
 
 @dataclass(frozen=True)
@@ -415,8 +401,7 @@ def _factor(matrix) -> tuple[_Factors, bool]:
     matrices at once, and multiplies by the reciprocal pivot. Returns the
     factors and whether the input was a single matrix.
     """
-    entries = matrix.entries if isinstance(matrix, BoundaryMatrix) else matrix
-    a = np.asarray(entries, dtype=float)
+    a = np.asarray(matrix, dtype=float)
     single = a.ndim == 2
     a = np.moveaxis(a[None] if single else a, 0, -1).copy()
     n, count = a.shape[1:]
@@ -463,14 +448,14 @@ def _factor(matrix) -> tuple[_Factors, bool]:
 def det_sign_logmag(matrix):
     """Determinant sign and log-magnitude of small dense matrices.
 
-    Takes one matrix (a :class:`BoundaryMatrix` or anything array-like of
-    shape (n, n)), giving (int, float), or a stack of shape (N, n, n), giving
-    two arrays of length N. Rows are normalized to unit max norm, then
-    factored by LU with partial pivoting; the sign comes from pivot signs
-    times permutation parity and is reported as 0 when any pivot falls at or
-    below PIVOT_ZERO_TOL of the unit row scale. The log magnitude refers to
-    the matrix as given (the row scaling is added back), so it spans the full
-    dynamic range of the raw determinant.
+    Takes one array-like matrix of shape (n, n), giving (int, float), or a
+    stack of shape (N, n, n), giving two arrays of length N. Rows are
+    normalized to unit max norm, then factored by LU with partial pivoting;
+    the sign comes from pivot signs times permutation parity and is reported
+    as 0 when any pivot falls at or below PIVOT_ZERO_TOL of the unit row
+    scale. The log magnitude refers to the matrix as given (the row scaling
+    is added back), so it spans the full dynamic range of the raw
+    determinant.
     """
     fac, single = _factor(matrix)
     sign = np.where(fac.min_pivot <= PIVOT_ZERO_TOL, 0, fac.sign)

@@ -121,7 +121,7 @@ class ScanResult:
     lower_signs: tuple[int, ...]
 
 
-def boundary_matrix(problem: ArchProblem, K) -> kernel.BoundaryMatrix:
+def boundary_matrix(problem: ArchProblem, K) -> np.ndarray:
     """Assembled boundary/matching system of the problem at trial K values.
 
     A scalar K gives one matrix, a K array a stack of them.

@@ -16,15 +16,9 @@ from dataclasses import dataclass, replace
 from typing import Mapping
 
 from . import model, solver
-from .errors import DegenerateSegment, InvalidPreset, InvalidSpec, MissingPreset, NoRootsInRange
+from .errors import DegenerateSegment, InvalidSpec, NoRootsInRange
 
 CSV_HEADER = "chirality,beta_rad,eta_nd,radius_m,alpha_rad,psi,mode,K,omega_nd,omega_rad_s,note"
-
-_CANONICAL_ORDER = (
-    model.ChiralityClass.ARMCHAIR,
-    model.ChiralityClass.ZIGZAG,
-    model.ChiralityClass.CHIRAL,
-)
 
 _PARAMETERS = ("beta", "eta", "radius")
 
@@ -41,25 +35,26 @@ REFERENCE_TABLE: dict[int, tuple[float, float]] = {
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One sweep: the varied parameter, its grid, and the fixed context.
+    """One sweep: the varied parameter, its grid, the tubes and the fixed context.
 
-    ``eta_kind`` selects how the nonlocal parameter is held: ``"nd"`` fixes
-    the dimensionless value directly, ``"physical"`` fixes the material
-    constant in m^2 so the dimensionless value tracks the (possibly swept)
-    radius. An ``eta`` sweep always sweeps the dimensionless value.
+    ``tubes`` maps each chirality class to its tube, in row order. ``beta``,
+    ``eta_nd``/``eta_physical`` (m^2; exactly one of the two) and ``crack``
+    are the keywords of :func:`model.nondimensionalize`, and the swept
+    parameter replaces its own at every point: a ``radius`` sweep sets each
+    tube's radius, and an ``eta`` sweep always sweeps the dimensionless
+    value. A fixed ``eta_physical`` makes the dimensionless value track the
+    (possibly swept) radius.
     """
 
     parameter: str
     start: float
     stop: float
     steps: int
-    presets: Mapping[str, Mapping[str, float]]
-    chirality_set: tuple[model.ChiralityClass, ...] = _CANONICAL_ORDER
+    tubes: Mapping[model.ChiralityClass, model.PhysicalTube]
     mode: int = 1
     beta: float = 1.0
-    eta_kind: str = "nd"
-    eta_value: float = 1.0
-    radius_m: float | None = None
+    eta_nd: float | None = None
+    eta_physical: float | None = None
     crack: model.CrackSpec | None = None
 
     def __post_init__(self):
@@ -69,14 +64,12 @@ class SweepSpec:
             raise InvalidSpec("a sweep needs at least 2 steps")
         if not -math.inf < self.start < self.stop < math.inf:
             raise InvalidSpec("sweep range must be finite with start < stop")
-        if self.eta_kind not in ("nd", "physical"):
-            raise InvalidSpec("eta_kind must be 'nd' or 'physical'")
+        if (self.eta_nd is None) == (self.eta_physical is None):
+            raise InvalidSpec("give exactly one of eta_nd and eta_physical")
         if self.mode < 1:
             raise InvalidSpec("mode index must be >= 1")
-        if not self.chirality_set:
-            raise InvalidSpec("chirality_set must not be empty")
-        ordered = tuple(c for c in _CANONICAL_ORDER if c in self.chirality_set)
-        object.__setattr__(self, "chirality_set", ordered)
+        if not self.tubes:
+            raise InvalidSpec("a sweep needs at least one tube")
 
 
 @dataclass(frozen=True)
@@ -106,30 +99,25 @@ def _reduce(
     crack: model.CrackSpec | None,
 ) -> tuple[model.PhysicalTube, model.ArchProblem]:
     """The tube and the dimensionless problem at one grid value."""
+    inputs = dict(beta=spec.beta, eta_nd=spec.eta_nd, eta_physical=spec.eta_physical)
     if spec.parameter == "radius":
         tube = replace(tube, radius=value)
-    elif spec.radius_m is not None:
-        tube = replace(tube, radius=spec.radius_m)
-    beta = value if spec.parameter == "beta" else spec.beta
-    if spec.parameter == "eta":
-        eta_nd, eta_physical = value, None
-    elif spec.eta_kind == "nd":
-        eta_nd, eta_physical = spec.eta_value, None
+    elif spec.parameter == "eta":
+        inputs.update(eta_nd=value, eta_physical=None)
     else:
-        eta_nd, eta_physical = None, spec.eta_value
-    problem = model.nondimensionalize(tube, eta_physical, crack, beta=beta, eta_nd=eta_nd)
-    return tube, problem
+        inputs["beta"] = value
+    return tube, model.nondimensionalize(tube, crack=crack, **inputs)
 
 
 def _solve_point(
-    spec: SweepSpec, value: float, chirality: model.ChiralityClass, preset: model.PhysicalTube
+    spec: SweepSpec, value: float, chirality: model.ChiralityClass, tube: model.PhysicalTube
 ) -> SweepRow:
     k_value = None
     note = ""
     try:
-        tube, problem = _reduce(spec, value, preset, spec.crack)
+        point_tube, problem = _reduce(spec, value, tube, spec.crack)
     except DegenerateSegment:
-        tube, problem = _reduce(spec, value, preset, None)
+        point_tube, problem = _reduce(spec, value, tube, None)
         note = "crack-outside"
     else:
         cfg = solver.SearchConfig(max_modes=spec.mode)
@@ -142,13 +130,13 @@ def _solve_point(
         chirality=chirality.value,
         beta_rad=problem.beta,
         eta_nd=problem.eta_nd,
-        radius_m=tube.radius,
+        radius_m=point_tube.radius,
         alpha_rad=spec.crack.position_angle if spec.crack is not None else 0.0,
         psi=spec.crack.depth_ratio if spec.crack is not None else 0.0,
         mode=spec.mode,
         K=k_value,
         omega_nd=model.omega_nd(k_value, problem.beta) if solved else None,
-        omega_rad_s=model.omega_from_K(k_value, tube) if solved else None,
+        omega_rad_s=model.omega_from_K(k_value, point_tube) if solved else None,
         note=note,
     )
 
@@ -156,33 +144,28 @@ def _solve_point(
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate the sweep grid in parameter-major order.
 
-    Produces ``steps * len(chirality_set)`` rows. Before anything is solved,
-    both ends of the range are reduced for each chirality class: validity is
-    monotone in the swept value, so a range with an invalid tube, central
-    angle or nonlocal parameter raises :class:`InvalidSpec`, as does a missing
-    or invalid preset. A point that fails keeps its row with a blank K and a
-    note: ``no-root`` (the search range holds fewer roots than the mode
+    Produces ``steps * len(tubes)`` rows, the classes of each grid value in
+    the order of ``tubes``. Before anything is solved, both ends of the range
+    are reduced for each tube: validity is monotone in the swept value, so a
+    range with an invalid tube, central angle or nonlocal parameter raises
+    :class:`InvalidSpec`. A point that fails keeps its row with a blank K and
+    a note: ``no-root`` (the search range holds fewer roots than the mode
     index) or ``crack-outside`` (the crack angle does not fit that arch).
     """
     grid = _linspace(spec.start, spec.stop, spec.steps)
-    tubes = {}
-    for chirality in spec.chirality_set:
-        try:
-            tubes[chirality] = model.resolve_preset(chirality, spec.presets)
-        except (MissingPreset, InvalidPreset) as exc:
-            raise InvalidSpec(str(exc)) from None
+    for tube in spec.tubes.values():
         for end in (grid[0], grid[-1]):
             try:
-                _reduce(spec, end, tubes[chirality], spec.crack)
+                _reduce(spec, end, tube, spec.crack)
             except DegenerateSegment:
                 pass  # a crack-outside row, not an invalid range
             except ValueError as exc:
                 raise InvalidSpec(f"{spec.parameter} = {end:g}: {exc}") from None
-    rows = []
-    for value in grid:
-        for chirality in spec.chirality_set:
-            rows.append(_solve_point(spec, value, chirality, tubes[chirality]))
-    return rows
+    return [
+        _solve_point(spec, value, chirality, tube)
+        for value in grid
+        for chirality, tube in spec.tubes.items()
+    ]
 
 
 def _fmt(x: float | None) -> str:
@@ -221,8 +204,10 @@ def validation_table(
     columns is reported, not asserted; their normalization is only pinned in
     the classical limit, where Omega -> pi^2 as beta -> 0.
     """
-    if not 0.0 < beta_small <= 0.5:
-        raise InvalidSpec("validation requires a small central angle in (0, 0.5]")
+    if not model.BETA_MIN <= beta_small <= 0.5:
+        raise InvalidSpec(
+            f"validation requires a small central angle in [{model.BETA_MIN:g}, 0.5]"
+        )
     rows = []
     for eta in eta_list:
         problem = model.ArchProblem(beta=beta_small, eta_nd=eta)

@@ -19,6 +19,7 @@ from arch_resonance import (
     det_sign_logmag,
     find_frequencies,
     mode_shape,
+    resolve_preset,
     run_sweep,
     uncracked_K_closed_form,
 )
@@ -89,21 +90,19 @@ def test_criterion_3_nonlocal_monotonicity():
 
 
 def test_criterion_4_radius_monotonicity():
-    presets = load_presets()
+    armchair = resolve_preset(ChiralityClass.ARMCHAIR, load_presets())
     base = dict(
         parameter="radius",
         start=2e-9,
         stop=2e-8,
         steps=41,
-        presets=presets,
-        chirality_set=(ChiralityClass.ARMCHAIR,),
-        eta_kind="physical",
+        tubes={ChiralityClass.ARMCHAIR: armchair},
     )
-    rows0 = run_sweep(SweepSpec(**base, eta_value=0.0))
+    rows0 = run_sweep(SweepSpec(**base, eta_physical=0.0))
     products = [r.omega_rad_s * r.radius_m**2 for r in rows0]
     worst = max(rel_err(p, products[0]) for p in products[1:])
 
-    rows1 = run_sweep(SweepSpec(**base, eta_value=1e-18))
+    rows1 = run_sweep(SweepSpec(**base, eta_physical=1e-18))
     omegas = [r.omega_rad_s for r in rows1]
     strictly_decreasing = all(b < a for a, b in zip(omegas, omegas[1:]))
 

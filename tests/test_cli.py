@@ -313,6 +313,25 @@ class TestSweepCommand:
         assert row["K"] == freq["spectrum"][0]["K"]
         assert row["eta_nd"] == freq["problem"]["eta_nd"]
 
+    def test_every_row_matches_freq(self, capsys):
+        common = ["--radius-nm", "5", "--eta-nm2", "0.5", "--crack-psi", "0.3",
+                  "--crack-alpha", "0.05", "--modes", "2", "--format", "json"]
+        assert main(["sweep", "--param", "beta", "--chirality", "all", *common]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert len(rows) == 59 * 3
+        for row in rows:
+            assert main(["freq", "--beta", repr(row["beta_rad"]),
+                         "--chirality", row["chirality"], *common]) == 0
+            freq = json.loads(capsys.readouterr().out)
+            mode2 = freq["spectrum"][1]
+            assert row["note"] == ""
+            assert (row["K"], row["omega_nd"], row["omega_rad_s"]) == (
+                mode2["K"], mode2["omega_nd"], mode2["omega_rad_s"]
+            )
+            assert (row["eta_nd"], row["radius_m"]) == (
+                freq["problem"]["eta_nd"], freq["problem"]["radius_m"]
+            )
+
 
 class TestBadInput:
     @pytest.mark.parametrize(
@@ -334,6 +353,13 @@ class TestBadInput:
              "--n", "6", "--m", "6"],
             ["sweep", "--param", "eta", "--from", "0", "--to", "1", "--steps", "2",
              "--chirality", "armchair", "--diameter-nm", "1.5"],
+            ["freq", "--chirality", "armchair", "--radius-nm", "nan"],
+            ["freq", "--chirality", "armchair", "--radius-nm", "inf"],
+            ["freq", "--chirality", "armchair", "--diameter-nm", "nan"],
+            ["sweep", "--param", "beta", "--chirality", "armchair", "--radius-nm", "nan"],
+            ["freq", "--beta", "1e-11"],
+            ["freq", "--beta", "1e-80"],
+            ["validate", "--beta", "1e-200"],
         ],
     )
     def test_exits_two_with_one_line(self, argv, capsys):
@@ -367,6 +393,22 @@ class TestPresets:
         )
         doc = json.loads(capsys.readouterr().out)
         assert doc["problem"]["radius_m"] == pytest.approx(5e-9)
+
+    def test_sweep_rejects_a_missing_class(self, capsys, tmp_path):
+        presets = tmp_path / "p.ini"
+        presets.write_text(
+            "".join(
+                f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in entry.items())
+                for name, entry in load_presets().items()
+                if name != "zigzag"
+            )
+        )
+        argv = ["sweep", "--param", "eta", "--steps", "2", "--chirality", "all",
+                "--presets", str(presets)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: no preset entry for 'zigzag'\n"
 
     def test_missing_presets_file(self, capsys):
         load_presets()

@@ -22,6 +22,7 @@ from arch_resonance import (
     resolve_preset,
     tube_diameter,
 )
+from arch_resonance.model import BETA_MIN
 
 GOOD_PRESET = {
     "youngs_modulus_tpa": 1.0,
@@ -98,6 +99,15 @@ class TestPhysicalTube:
     def test_positivity(self):
         with pytest.raises(ValueError):
             PhysicalTube(0.0, 10e-9, 0.678e-9, 0.34e-9, 1.6e-15)
+
+    @pytest.mark.parametrize(
+        "field", ["youngs_modulus", "radius", "diameter", "wall_thickness", "mass_per_length"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_finiteness(self, field, value):
+        tube = PhysicalTube(1e12, 10e-9, 0.678e-9, 0.34e-9, 1.6e-15)
+        with pytest.raises(ValueError, match="finite"):
+            replace(tube, **{field: value})
 
     def test_diameter_vs_radius(self):
         with pytest.raises(ValueError):
@@ -232,6 +242,9 @@ class TestArchProblem:
             ArchProblem(beta=0.0, eta_nd=0.0)
         with pytest.raises(ValueError):
             ArchProblem(beta=7.0, eta_nd=0.0)
+        with pytest.raises(ValueError, match="central angle"):
+            ArchProblem(beta=0.999 * BETA_MIN, eta_nd=0.0)
+        ArchProblem(beta=BETA_MIN, eta_nd=0.0)
         with pytest.raises(ValueError):
             ArchProblem(beta=1.0, eta_nd=-0.1)
         with pytest.raises(ValueError):

@@ -19,6 +19,7 @@ from arch_resonance import (
     boundary_determinant,
     find_frequencies,
 )
+from arch_resonance.model import BETA_MIN
 
 expm = pytest.importorskip("scipy.linalg").expm
 
@@ -98,3 +99,34 @@ def test_close_low_roots_of_a_stiff_crack():
     # uniform spacing is 0.80 and a guide node sits at 1.41); their two sign
     # changes cancel, so the scan reports K = 9.83 as mode 1.
     _check_against_shooting(4.25, 0.0, 0.4375 * 4.25, 10.0, 1)
+
+
+def _shooting_det_mp(K, beta, eta, alpha, theta):
+    """The unscaled 2x2 shooting determinant in 60-digit arithmetic.
+
+    At the smallest central angle the roots reach K ~ 1e16, where the double
+    precision expm of :func:`shooting_det` loses their sign.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        A = mp.zeros(4, 4)
+        A[0, 1] = A[1, 2] = A[2, 3] = 1
+        A[3, 0] = mp.mpf(K) - 1
+        A[3, 2] = -(2 + mp.mpf(K) * eta)
+        Y = mp.expm(A * alpha) * mp.matrix([[0, 0], [1, 0], [0, 0], [0, 1]])
+        for j in range(2):
+            Y[1, j] += theta * Y[2, j]
+        Y = mp.expm(A * (beta - alpha)) * Y
+        return Y[0, 0] * Y[2, 1] - Y[0, 1] * Y[2, 0]
+
+
+@pytest.mark.parametrize(
+    "eta, alpha_frac, theta", [(0.5, 1 / 3, 0.1), (0.0, 0.5, 1.0), (4.0, 0.1, 100.0)]
+)
+def test_cracked_roots_at_the_smallest_central_angle(eta, alpha_frac, theta):
+    # At beta = 1e-4 the first and last cases report roots that are not.
+    args = (BETA_MIN, eta, alpha_frac * BETA_MIN, theta)
+    problem = ArchProblem(beta=BETA_MIN, eta_nd=eta, crack=CrackJoint(args[2], theta))
+    for k in find_frequencies(problem, SearchConfig(max_modes=5)).K_values:
+        delta = STRADDLE * k
+        assert _shooting_det_mp(k - delta, *args) * _shooting_det_mp(k + delta, *args) < 0, k

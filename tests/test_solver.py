@@ -356,10 +356,10 @@ class TestRefineOnlyReturned:
         assert nulls == []
         assert spectrum.roots == full.roots[:modes]
         mode_shape(problem, spectrum.roots[-1], samples=11)
-        assert [m.entries.shape for m in nulls] == [(4, 4)]  # one matrix, no stack
+        assert [np.shape(m) for m in nulls] == [(4, 4)]  # one matrix, no stack
 
     def test_sweep_point_solves_only_its_mode(self, monkeypatch):
-        from arch_resonance import ChiralityClass, SweepSpec, run_sweep
+        from arch_resonance import ChiralityClass, SweepSpec, resolve_preset, run_sweep
         from arch_resonance.cli import load_presets
 
         asked = []
@@ -369,10 +369,10 @@ class TestRefineOnlyReturned:
             "find_frequencies",
             lambda problem, cfg: asked.append(cfg.max_modes) or original(problem, cfg),
         )
+        armchair = ChiralityClass.ARMCHAIR
         spec = SweepSpec(
-            parameter="beta", start=0.5, stop=1.0, steps=2, presets=load_presets(),
-            chirality_set=(ChiralityClass.ARMCHAIR,),
-            mode=3,
+            parameter="beta", start=0.5, stop=1.0, steps=2, eta_nd=1.0, mode=3,
+            tubes={armchair: resolve_preset(armchair, load_presets())},
         )
         rows = run_sweep(spec)
         assert asked == [3, 3]
@@ -560,13 +560,14 @@ class TestKernelCallsPerSolve:
         assert calls == [256, 75, 60, 60, 60, 60, 60, 60, 30]
 
     def test_sweep_point_mode_one(self, monkeypatch):
-        from arch_resonance import ChiralityClass, SweepSpec, run_sweep
+        from arch_resonance import ChiralityClass, SweepSpec, resolve_preset, run_sweep
         from arch_resonance.cli import load_presets
 
         calls = self._count(monkeypatch)
+        armchair = ChiralityClass.ARMCHAIR
         spec = SweepSpec(
-            parameter="beta", start=1.0, stop=2.0, steps=2, presets=load_presets(),
-            chirality_set=(ChiralityClass.ARMCHAIR,),
+            parameter="beta", start=1.0, stop=2.0, steps=2, eta_nd=1.0,
+            tubes={armchair: resolve_preset(armchair, load_presets())},
         )
         run_sweep(spec)
         # Per point: one scan block, one call of four bisection levels.

@@ -8,6 +8,7 @@ from arch_resonance import (
     InvalidSpec,
     PowerLawCompliance,
     SweepSpec,
+    resolve_preset,
     rows_to_csv,
     run_sweep,
     uncracked_K_closed_form,
@@ -20,7 +21,8 @@ from arch_resonance.sweep import CSV_HEADER
 from conftest import rel_err
 
 PRESETS = load_presets()
-ARMCHAIR = (ChiralityClass.ARMCHAIR,)
+TUBES = {c: resolve_preset(c, PRESETS) for c in ChiralityClass}
+ARMCHAIR = {ChiralityClass.ARMCHAIR: TUBES[ChiralityClass.ARMCHAIR]}
 
 
 def eta_sweep(**kwargs) -> SweepSpec:
@@ -29,9 +31,9 @@ def eta_sweep(**kwargs) -> SweepSpec:
         start=0.0,
         stop=4.0,
         steps=5,
-        presets=PRESETS,
-        chirality_set=ARMCHAIR,
+        tubes=ARMCHAIR,
         beta=1.0,
+        eta_nd=1.0,
     )
     defaults.update(kwargs)
     return SweepSpec(**defaults)
@@ -52,13 +54,15 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpec):
             eta_sweep(parameter="thickness")
 
-    def test_bad_eta_kind_rejected(self):
-        with pytest.raises(InvalidSpec):
-            eta_sweep(eta_kind="both")
+    def test_eta_given_exactly_once(self):
+        with pytest.raises(InvalidSpec, match="exactly one"):
+            eta_sweep(eta_physical=1e-18)
+        with pytest.raises(InvalidSpec, match="exactly one"):
+            eta_sweep(eta_nd=None)
 
-    def test_missing_preset_rejected(self):
+    def test_no_tube_rejected(self):
         with pytest.raises(InvalidSpec):
-            run_sweep(eta_sweep(presets={"zigzag": PRESETS["zigzag"]}))
+            eta_sweep(tubes={})
 
     @pytest.mark.parametrize(
         "parameter, start, stop",
@@ -99,10 +103,8 @@ class TestRadiusSweep:
             start=2e-9,
             stop=2e-8,
             steps=5,
-            presets=PRESETS,
-            chirality_set=ARMCHAIR,
-            eta_kind="physical",
-            eta_value=0.0,
+            tubes=ARMCHAIR,
+            eta_physical=0.0,
         )
         rows = run_sweep(spec)
         products = [row.omega_rad_s * row.radius_m**2 for row in rows]
@@ -115,10 +117,8 @@ class TestRadiusSweep:
             start=2e-9,
             stop=2e-8,
             steps=9,
-            presets=PRESETS,
-            chirality_set=ARMCHAIR,
-            eta_kind="physical",
-            eta_value=1e-18,  # 1 nm^2
+            tubes=ARMCHAIR,
+            eta_physical=1e-18,  # 1 nm^2
         )
         rows = run_sweep(spec)
         values = [row.omega_rad_s for row in rows]
@@ -132,7 +132,8 @@ class TestOrderingAndDegradation:
             start=0.0,
             stop=1.0,
             steps=2,
-            presets=PRESETS,
+            tubes=TUBES,
+            eta_nd=1.0,
         )
         rows = run_sweep(spec)
         assert [r.chirality for r in rows] == [
@@ -153,8 +154,8 @@ class TestOrderingAndDegradation:
             start=0.1,
             stop=3.0,
             steps=5,
-            presets=PRESETS,
-            chirality_set=ARMCHAIR,
+            tubes=ARMCHAIR,
+            eta_nd=1.0,
             crack=crack,
         )
         rows = run_sweep(spec)
@@ -198,6 +199,10 @@ class TestValidationTable:
     def test_large_angle_rejected(self):
         with pytest.raises(InvalidSpec):
             validation_table(0.7)
+
+    def test_angle_below_floor_rejected(self):
+        with pytest.raises(InvalidSpec):
+            validation_table(1e-200)
 
     def test_csv_serialization(self):
         text = validation_to_csv(validation_table(0.05, (0.0,)))
