@@ -7,17 +7,18 @@ The transverse vibration of the arch reduces to the fourth-order equation
 whose exponential ansatz gives the bi-quadratic lam^4 + p2 lam^2 + p0 = 0 with
 p2 = 2 + K*eta and p0 = 1 - K. This module builds the fundamental solutions
 for trial K values, evaluates their derivatives analytically, assembles the
-simply supported boundary (and crack matching) matrices, and provides a
-numerically safe sign/log-magnitude determinant for root bracketing.
+simply supported boundary (and crack matching) matrices whose null vectors
+give the mode shapes, and evaluates the boundary determinant in closed form,
+as the reduced characteristic function whose sign changes bracket the
+eigenvalues.
 
 Stacks
 ------
 Every function takes either one trial K or a 1-D array of N of them. An array
 gives arrays: a basis whose fields have shape (N,), boundary matrices of
-shape (N, 4, 4), and N determinant signs and log-magnitudes from one LU
-factorization vectorized over the stack. A scalar K is the N = 1 case of the
-same code. The solver evaluates its K grid in fixed-size blocks of such
-stacks.
+shape (N, 4, 4), and N signs and log-magnitudes of the reduced characteristic
+function. A scalar K is the N = 1 case of the same code. The solver evaluates
+its K grid in fixed-size blocks of such stacks.
 
 Basis conventions
 -----------------
@@ -45,6 +46,22 @@ first, which span the classical phi*cos/phi*sin solutions. The cracked system
 is 4x4 in the support-adapted basis of :meth:`ModeBasis.support_rows`: the
 odd functions of the distance from a support vanish there with X'', so one
 pair per segment leaves only the four matching conditions at the crack.
+
+Reduced characteristic function
+-------------------------------
+The root search needs only the sign and size of the determinant, and it
+factorizes. In the support-adapted basis the X and X'' conditions at the
+crack split per pair (o'' = mu*o), and the addition theorem
+o(alpha)*e(gamma) + e(alpha)*o(gamma) = o(beta), gamma = beta - alpha, turns
+the X''' and slope-jump rows into a 2x2 whose determinant over mu1 - mu2 is
+
+    F = S1*S2 + theta_c*mu1*mu2*(S1*A2 - S2*A1)/(mu1 - mu2),
+    S_i = o(mu_i, beta),  A_i = o(mu_i, alpha)*o(mu_i, gamma);
+
+uncracked, F = S1*S2. :func:`det_sign_logmag` evaluates F with no matrix. Its
+sign is that of the 4x4 determinant times a fixed factor (-1 uncracked, +1
+cracked), so both change sign at the same K. Mode shapes still come from the
+4x4 matrices through :func:`null_vector`.
 """
 
 from __future__ import annotations
@@ -56,9 +73,9 @@ import numpy as np
 
 from .errors import DegenerateSegment
 
-# Degeneracy window for branch switching, relative to max(1, p2^2).
+# Degeneracy window for branch switching (see _lam2_roots).
 DEGENERACY_TOL = 1e-10
-# A pivot at or below this fraction of the normalized row scale zeroes the sign.
+# |F| at or below this fraction of its scale zeroes the sign (det_sign_logmag).
 PIVOT_ZERO_TOL = 1e-13
 # Minimum admissible crack segment length, rad.
 SEGMENT_TOL = 1e-9
@@ -79,6 +96,11 @@ class CharCoeffs:
 
 
 def characteristic_coefficients(K, eta_nd: float) -> CharCoeffs:
+    """Validated p2 and p0 at one K or a K array (see :class:`CharCoeffs`)."""
+    return _coefficients(K, eta_nd)
+
+
+def _coefficients(K, eta_nd: float) -> CharCoeffs:
     if np.ndim(K):
         K = np.asarray(K, dtype=float)
     if not (np.isfinite(K).all() and math.isfinite(eta_nd)):
@@ -88,6 +110,32 @@ def characteristic_coefficients(K, eta_nd: float) -> CharCoeffs:
     if eta_nd < 0:
         raise ValueError("nonlocal parameter must be nonnegative")
     return CharCoeffs(p2=2.0 + K * eta_nd, p0=1.0 - K)
+
+
+def _lam2_roots(coeffs: CharCoeffs, tol: float = DEGENERACY_TOL):
+    """Roots mu1 <= mu2 of mu^2 + p2 mu + p0 and the repeated-root mask, as arrays.
+
+    A root within about ``tol`` of zero, |p0| <= tol*max(1, |p2|), is snapped
+    to exactly 0, and a pair whose discriminant is within tol*max(1, p2^2) of
+    zero to -p2/2. The zero-root window scales with |p2|, not p2^2: mu2 is
+    about -p0/p2, and at large K*eta a window in p2^2 would snap an O(1)
+    hyperbolic root to 0.
+    """
+    p2, p0 = np.asarray(coeffs.p2), np.asarray(coeffs.p0)
+    scale = np.maximum(1.0, p2 * p2)
+    disc = p2 * p2 - 4.0 * p0
+    if np.any(disc < -tol * scale):
+        # Not reachable for K >= 0, eta >= 0; kept as a hard guard.
+        raise ValueError(f"negative discriminant for coefficients {coeffs}")
+
+    zero_root = np.abs(p0) <= tol * np.maximum(1.0, np.abs(p2))
+    repeated = ~zero_root & (np.abs(disc) <= tol * scale)
+    mu1 = -0.5 * (p2 + np.sqrt(np.maximum(disc, 0.0)))
+    mu2 = p0 / mu1  # Vieta; avoids cancellation in (-p2 + sq)/2
+    if zero_root.any() or repeated.any():
+        mu1 = np.where(zero_root, -p2, np.where(repeated, -0.5 * p2, mu1))
+        mu2 = np.where(zero_root, 0.0, np.where(repeated, mu1, mu2))
+    return mu1, mu2, repeated
 
 
 @dataclass(frozen=True)
@@ -143,27 +191,13 @@ def quartic_roots(
 ) -> ModeBasis:
     """Solve lam^4 + p2 lam^2 + p0 = 0 and build the solution basis.
 
-    The branch follows the sign of the lam^2 roots; ``tol`` (relative to
-    max(1, p2^2)) resolves the zero-root and repeated-root degeneracies.
+    The branch follows the sign of the lam^2 roots; ``tol`` resolves the
+    zero-root and repeated-root degeneracies (see :func:`_lam2_roots`).
     ``phi_max`` bounds the evaluation interval; pass the central angle when
     assembling boundary matrices so that large hyperbolic arguments switch to
     the well-conditioned exponential representation.
     """
-    p2, p0 = np.asarray(coeffs.p2), np.asarray(coeffs.p0)
-    scale = np.maximum(1.0, p2 * p2)
-    disc = p2 * p2 - 4.0 * p0
-    if np.any(disc < -tol * scale):
-        # Not reachable for K >= 0, eta >= 0; kept as a hard guard.
-        raise ValueError(f"negative discriminant for coefficients {coeffs}")
-
-    zero_root = np.abs(p0) <= tol * scale
-    repeated = ~zero_root & (np.abs(disc) <= tol * scale)
-    mu1 = -0.5 * (p2 + np.sqrt(np.maximum(disc, 0.0)))
-    mu2 = p0 / mu1  # Vieta; avoids cancellation in (-p2 + sq)/2
-    if zero_root.any() or repeated.any():
-        mu1 = np.where(zero_root, -p2, np.where(repeated, -0.5 * p2, mu1))
-        mu2 = np.where(zero_root, 0.0, np.where(repeated, mu1, mu2))
-
+    mu1, mu2, repeated = _lam2_roots(coeffs, tol)
     exp_pair = np.zeros(mu2.shape, dtype=bool)
     if phi_max is not None:
         exp_pair = np.sqrt(np.maximum(mu2, 0.0)) * phi_max > _EXP_SWITCH
@@ -375,21 +409,86 @@ def assemble_cracked(
     return _stack_first(m, np.shape(basis.mu2))
 
 
+def det_sign_logmag(
+    K, eta_nd: float, beta: float, alpha: float | None = None, theta_c: float = 0.0
+):
+    """Sign and log-magnitude of the reduced characteristic function at trial K.
+
+    Takes one K, giving (int, float), or a 1-D array of N of them, giving two
+    arrays of length N. ``alpha=None`` is the uncracked arch; otherwise the
+    crack sits at ``alpha`` with compliance ``theta_c``. F is the function
+    of the module docstring, with a hyperbolic pair divided by
+    cosh(a2*alpha)*cosh(a2*(beta - alpha)) (uncracked: cosh(a2*beta)), so it
+    enters as tanh(a2*x)/a2 and F stays bounded; at the repeated root the
+    divided difference is S'*A - S*A', ' = d/d mu. The sign is 0 where |F|
+    is at or below PIVOT_ZERO_TOL of B1*B2 + |theta_c*mu1*mu2*(divided
+    difference)|, B being 1/a for a trigonometric pair, beta for mu2 = 0 and
+    the scaled S2 for a hyperbolic pair: uncracked with two trigonometric
+    pairs, |sin(a1*beta)*sin(a2*beta)| <= PIVOT_ZERO_TOL.
+    """
+    if beta <= 0:
+        raise ValueError("central angle must be positive")
+    if theta_c < 0:
+        raise ValueError("crack compliance must be nonnegative")
+    if alpha is not None and (alpha <= SEGMENT_TOL or beta - alpha <= SEGMENT_TOL):
+        raise DegenerateSegment(
+            f"crack at alpha={alpha} leaves a vanishing segment of beta={beta}"
+        )
+    mu1, mu2, repeated = (np.atleast_1d(v) for v in _lam2_roots(_coefficients(K, eta_nd)))
+    a1 = np.sqrt(-mu1)
+    hyp, zero = mu2 > 0.0, mu2 == 0.0
+    all_hyp = hyp.all()
+    a2 = np.sqrt(np.where(zero, 1.0, np.abs(mu2)))
+
+    def o1(x):
+        return np.sin(a1 * x) / a1
+
+    def o2(x):
+        # tanh(a2*x)/a2 is o(mu2, x)/cosh(a2*x); x itself at mu2 = 0.
+        if all_hyp:
+            return np.tanh(a2 * x) / a2
+        return np.where(zero, x, np.where(hyp, np.tanh(a2 * x), np.sin(a2 * x)) / a2)
+
+    s1, extra = o1(beta), 0.0
+    if alpha is None:
+        s2 = o2(beta)
+    else:
+        gamma = beta - alpha
+        t_a, t_g = o2(alpha), o2(gamma)
+        s2 = np.where(hyp, t_a + t_g, o2(beta))
+        if theta_c > 0.0:
+            o_a, o_g = o1(alpha), o1(gamma)
+            dd = (s1 * t_a * t_g - s2 * o_a * o_g) / np.where(repeated, 1.0, mu1 - mu2)
+            if repeated.any():
+                # S'*A - S*A' with h = d o/d mu at beta, alpha and gamma.
+                r, x = repeated, np.array([[beta], [alpha], [gamma]])
+                t = a1[r] * x
+                (_,), (h,) = _repeated_rows(mu1[r], x, np.cos(t), np.sin(t) / a1[r], 1)
+                o_a, o_g = o_a[r], o_g[r]
+                dd[r] = h[0] * o_a * o_g - s1[r] * (h[1] * o_g + o_a * h[2])
+            extra = theta_c * mu1 * mu2 * dd
+    f = s1 * s2 + extra
+    b2 = np.where(hyp, s2, np.where(zero, beta, 1.0 / a2))
+    bound = PIVOT_ZERO_TOL * (b2 / a1 + np.abs(extra))
+    sign = np.where(np.abs(f) <= bound, 0, np.sign(f).astype(int))
+    with np.errstate(divide="ignore"):
+        logmag = np.log(np.abs(f))
+    if np.ndim(K) == 0:
+        return int(sign[0]), float(logmag[0])
+    return sign, logmag
+
+
 @dataclass(frozen=True)
 class _Factors:
     """Row-equilibrated LU factors of a stack of N square matrices, stack last.
 
     ``lu[:, :, s]`` holds matrix s's unit lower factor (multipliers below the
     diagonal) and upper factor (on and above it). Step k exchanged rows k
-    and ``pivot_rows[k, s]``, as in LAPACK's ipiv. ``logdet`` is log|det| of
-    the matrix as given, with the row scaling added back; it is -inf where a
-    row or a pivot is exactly zero.
+    and ``pivot_rows[k, s]``, as in LAPACK's ipiv.
     """
 
     lu: np.ndarray  # (n, n, N)
     pivot_rows: np.ndarray  # (n, N)
-    sign: np.ndarray  # (N,) +-1 from pivot signs and permutation parity
-    logdet: np.ndarray  # (N,)
     min_pivot: np.ndarray  # (N,) smallest scaled pivot magnitude
 
 
@@ -414,54 +513,21 @@ def _factor(matrix) -> tuple[_Factors, bool]:
     rows = a.reshape(n, n * count)
     row_index = np.arange(n * count).reshape(n, count)
     pivot_rows = np.empty((n, count), dtype=int)
-    flips = np.zeros(count, dtype=int)
     pivot_rows[-1] = n - 1
     for k in range(n - 1):
         p = k + np.abs(a[k:, k]).argmax(axis=0)
         pivot_rows[k] = p
-        swap = p != k
-        if swap.any():
+        if (p != k).any():
             row_k = a[k].copy()
             a[k] = rows[p, row_index]
             rows[p, row_index] = row_k
-            flips += swap
         piv = a[k, k]
         f = a[k + 1 :, k] * (1.0 / np.where(piv == 0.0, 1.0, piv))
         a[k + 1 :, k] = f
         a[k + 1 :, k + 1 :] -= f[:, None] * a[k, k + 1 :]
 
-    pivots = a[np.arange(n), np.arange(n)]
-    flips += (pivots < 0.0).sum(axis=0)
-    diag = np.abs(pivots)
-    with np.errstate(divide="ignore"):
-        logdet = np.log(scale).sum(axis=0) + np.log(diag).sum(axis=0)
-    factors = _Factors(
-        lu=a,
-        pivot_rows=pivot_rows,
-        sign=np.where(flips % 2, -1, 1),
-        logdet=logdet,
-        min_pivot=diag.min(axis=0),
-    )
-    return factors, single
-
-
-def det_sign_logmag(matrix):
-    """Determinant sign and log-magnitude of small dense matrices.
-
-    Takes one array-like matrix of shape (n, n), giving (int, float), or a
-    stack of shape (N, n, n), giving two arrays of length N. Rows are
-    normalized to unit max norm, then factored by LU with partial pivoting;
-    the sign comes from pivot signs times permutation parity and is reported
-    as 0 when any pivot falls at or below PIVOT_ZERO_TOL of the unit row
-    scale. The log magnitude refers to the matrix as given (the row scaling
-    is added back), so it spans the full dynamic range of the raw
-    determinant.
-    """
-    fac, single = _factor(matrix)
-    sign = np.where(fac.min_pivot <= PIVOT_ZERO_TOL, 0, fac.sign)
-    if single:
-        return int(sign[0]), float(fac.logdet[0])
-    return sign, fac.logdet
+    diag = np.abs(a[np.arange(n), np.arange(n)])
+    return _Factors(lu=a, pivot_rows=pivot_rows, min_pivot=diag.min(axis=0)), single
 
 
 def _safe(d: np.ndarray) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Frequency spectrum search as determinant root finding over K.
 
 The boundary determinant is scanned on a K grid (augmented with closed-form
-uncracked eigenvalues as guide nodes), evaluated as stacks of matrices in
-fixed-size blocks of K values, one kernel call per block, and only until the
+uncracked eigenvalues as guide nodes), evaluated in closed form as the
+reduced characteristic function (:func:`kernel.det_sign_logmag`, no matrix)
+in fixed-size blocks of K values, one kernel call per block, and only until the
 blocks evaluated so far hold the candidates of the requested modes. Sign
 changes and dips are found with array operations over the grid, and each
 candidate is one root. The candidates of the requested modes are bisected
@@ -18,6 +19,7 @@ the kernel evaluates each K of a stack independently.
 from __future__ import annotations
 
 import enum
+import logging
 import math
 from dataclasses import dataclass, replace
 
@@ -26,6 +28,8 @@ import numpy as np
 from . import kernel
 from .errors import NoRootsInRange
 from .model import ArchProblem
+
+logger = logging.getLogger(__name__)
 
 # Log-magnitude drop (natural log) that flags a suspected even-multiplicity root.
 _DIP_DECADES = 6.0
@@ -39,10 +43,9 @@ _MAX_BISECTIONS = 200
 # of 70 five-mode cracked solves, four levels took 0.89x the time of three
 # (10 of 10 rounds, two seeds) and five 0.96x the time of four.
 _LEVELS = 4
-# K values per kernel call in the grid scan. Blocks bound the matrix stacks
-# (a single stack of the whole grid raised peak memory by 4.3 MB, blocks of
-# 256 by 1.4 MB) and let the scan stop early: with the default k_max the
-# requested roots almost always lie in the first block.
+# K values per kernel call in the grid scan. Blocks bound the kernel's arrays
+# and let the scan stop early: with the default k_max the requested roots
+# almost always lie in the first block.
 _BLOCK = 256
 
 
@@ -136,8 +139,15 @@ def boundary_matrix(problem: ArchProblem, K) -> np.ndarray:
 
 
 def boundary_determinant(problem: ArchProblem, K):
-    """Determinant sign and log-magnitude at one K, or arrays of them at a K array."""
-    return kernel.det_sign_logmag(boundary_matrix(problem, K))
+    """Sign and log-magnitude of the problem's reduced characteristic function.
+
+    One K gives (int, float), a K array two arrays; no matrix is assembled
+    (:func:`kernel.det_sign_logmag`).
+    """
+    crack = problem.crack
+    if crack is None:
+        return kernel.det_sign_logmag(K, problem.eta_nd, problem.beta)
+    return kernel.det_sign_logmag(K, problem.eta_nd, problem.beta, crack.alpha, crack.theta_c)
 
 
 def _resolved(problem: ArchProblem, cfg: SearchConfig | None) -> SearchConfig:
@@ -367,29 +377,29 @@ def _polish(problem: ArchProblem, root: Root) -> float:
     sampled shape improve with a sharper root, so a short local bisection is
     run first, inside the narrowest of a widening ladder of intervals around
     the root that straddles a sign change (the whole ladder is evaluated in
-    one kernel call). Falls back to the stored value when no sign change is
-    found nearby (suspected doubles).
+    one kernel call). Falls back to the stored value, with one debug log
+    line, for a suspected double or when no sign change is found nearby.
     """
-    if root.flag is RootFlag.SUSPECTED_DOUBLE:
-        return root.K
     k = root.K
-    deltas = np.array([1e-10, 1e-9, 1e-8, 1e-7, 1e-6]) * max(1.0, k)
-    lows, highs = k - deltas, k + deltas
-    ladder = lows > 0
-    lows, highs = lows[ladder], highs[ladder]
-    if not lows.size:
-        return k
-    signs, _ = boundary_determinant(problem, np.concatenate([lows, highs]))
-    for lo, hi, s_lo, s_hi in zip(
-        lows.tolist(), highs.tolist(), signs[: lows.size].tolist(), signs[lows.size :].tolist()
-    ):
-        if s_lo == 0:
-            return lo
-        if s_hi == 0:
-            return hi
-        if s_lo * s_hi == -1:
-            tight = SearchConfig(refine_tol=1e-13)
-            return refine_root((lo, hi), problem, tight, lower_signs=[s_lo])
+    reason = "suspected double root"
+    if root.flag is RootFlag.BRACKETED:
+        reason = "no sign change within 1e-6 max(1, K)"
+        deltas = np.array([1e-10, 1e-9, 1e-8, 1e-7, 1e-6]) * max(1.0, k)
+        lows, highs = k - deltas, k + deltas
+        ladder = lows > 0
+        lows, highs = lows[ladder], highs[ladder]
+        if lows.size:
+            signs, _ = boundary_determinant(problem, np.concatenate([lows, highs]))
+            s_lows, s_highs = signs[: lows.size].tolist(), signs[lows.size :].tolist()
+            for lo, hi, s_lo, s_hi in zip(lows.tolist(), highs.tolist(), s_lows, s_highs):
+                if s_lo == 0:
+                    return lo
+                if s_hi == 0:
+                    return hi
+                if s_lo * s_hi == -1:
+                    tight = SearchConfig(refine_tol=1e-13)
+                    return refine_root((lo, hi), problem, tight, lower_signs=[s_lo])
+    logger.debug("mode shape at the unpolished root K = %r: %s", k, reason)
     return k
 
 

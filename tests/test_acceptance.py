@@ -24,7 +24,7 @@ from arch_resonance import (
     uncracked_K_closed_form,
 )
 from arch_resonance.cli import load_presets, main
-from conftest import cofactor_det, make_problem, rel_err
+from conftest import assembled_signs, make_problem, random_arch_points, reference_log, rel_err
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -144,21 +144,27 @@ def test_criterion_5_crack_reduction_and_symmetry():
 
 
 def test_criterion_6_determinant_oracle():
-    rng = np.random.RandomState(20240815)
+    # The reduced characteristic function against two oracles: its sign
+    # against the cofactor determinant of the assembled 4x4 system (times
+    # the fixed factor of each case), its log-magnitude against 60 digits
+    # away from roots.
     worst = 0.0
     sign_mismatches = 0
-    for n in (3, 4):
-        for _ in range(50):
-            m = rng.standard_normal((n, n))
-            sign, logmag = det_sign_logmag(m)
-            ref = cofactor_det(m.tolist())
-            if sign != (1 if ref > 0 else -1 if ref < 0 else 0):
-                sign_mismatches += 1
-            worst = max(worst, abs(logmag - math.log(abs(ref))))
-    ok = sign_mismatches == 0 and worst < 1e-9
-    _report(6, "determinant oracle", ok, f"worst log gap {worst:.2e}")
+    checked = 0
+    for beta, eta, alpha, theta, ks in random_arch_points(20240815, 100):
+        signs, logs = det_sign_logmag(ks, eta, beta, alpha, theta)
+        expected = assembled_signs(make_problem(beta, eta, alpha, theta), ks)
+        sign_mismatches += sum(s != e for s, e in zip(signs.tolist(), expected))
+        for k, logmag in zip(ks, logs):
+            reference = reference_log(k, eta, beta, alpha, theta)
+            if reference is not None:
+                checked += 1
+                worst = max(worst, abs(logmag - reference))
+    ok = sign_mismatches == 0 and worst < 1e-9 and checked >= 0.9 * 1600
+    _report(6, "determinant oracle", ok, f"worst log gap {worst:.2e} over {checked} points")
     assert sign_mismatches == 0
     assert worst < 1e-9
+    assert checked >= 0.9 * 1600
 
 
 def test_criterion_7_mode_shapes():

@@ -19,10 +19,32 @@ from arch_resonance import (
     quartic_roots,
     uncracked_K_closed_form,
 )
-from conftest import cofactor_det, make_problem
+from arch_resonance.kernel import PIVOT_ZERO_TOL
+from conftest import (
+    assembled_signs,
+    cofactor_det,
+    make_problem,
+    random_arch_points,
+    reference_log,
+)
 
 BETAS = (0.5, 1.0, 2.0, math.pi / 2)
 ETAS = (0.0, 0.5, 1.0, 2.0)
+
+
+def _matrix_signs(stack) -> list[int]:
+    """Cofactor-determinant signs of a stack of matrices."""
+    return [int(np.sign(cofactor_det(m.tolist()))) for m in stack]
+
+
+def _changes(signs) -> list[int]:
+    """Indices i where the sign changes between entries i and i + 1."""
+    return [i for i in range(len(signs) - 1) if signs[i] * signs[i + 1] < 0]
+
+
+def _midpoint(kn: float) -> float:
+    """Midpoint of the two guide nodes the solver places around K_n."""
+    return 0.5 * (kn * (1.0 - 1e-6) + kn * (1.0 + 1e-6))
 
 
 class TestCharacteristicCoefficients:
@@ -64,6 +86,14 @@ class TestQuarticRoots:
         assert not basis.repeated
         assert basis.mu1 == -3.0
         assert basis.mu2 == 0.0
+
+    def test_zero_root_window_scales_with_p2(self):
+        # At K*eta ~ 6e9 the hyperbolic root is about -p0/p2 = 0.31; a window
+        # of 1e-10*p2^2 in p0 snapped it to 0 and dropped the crack term.
+        basis = quartic_roots(characteristic_coefficients(1792313584.2251546, 3.2353752361386796))
+        assert basis.mu2 == pytest.approx(0.30908315915693641, rel=1e-12)
+        near = quartic_roots(characteristic_coefficients(1.0 + 1e-11, 1.0))
+        assert near.mu2 == 0.0
 
     def test_two_trig(self):
         basis = quartic_roots(characteristic_coefficients(0.5, 0.0))
@@ -128,16 +158,15 @@ class TestBasisProperties:
         for K, eta in ((0.5, 0.0), (5.0, 0.2), (1.0, 1.0), (0.0, 0.0)):
             basis = quartic_roots(characteristic_coefficients(K, eta), phi_max=1.0)
             rows = basis.derivative_rows(0.6, nrows=4)
-            sign, _ = det_sign_logmag([list(r) for r in rows])
-            assert sign != 0
+            scale = np.prod(np.abs(rows).max(axis=1))
+            assert abs(cofactor_det(rows.tolist())) > 1e-6 * scale
 
     def test_branch_continuity_at_unity(self):
         # Determinant value is continuous through the K = 1 branch switch.
         beta, eta = 1.3, 0.7
 
         def value(K):
-            basis = quartic_roots(characteristic_coefficients(K, eta), phi_max=beta)
-            sign, logmag = det_sign_logmag(assemble_uncracked(basis, beta))
+            sign, logmag = det_sign_logmag(K, eta, beta)
             return sign * math.exp(logmag)
 
         gaps = []
@@ -155,8 +184,9 @@ class TestBasisProperties:
         assert basis.mu2 == pytest.approx(target**2, rel=1e-12)
         matrix = assemble_uncracked(basis, beta)
         assert np.isfinite(matrix).all()
-        sign, logmag = det_sign_logmag(matrix)
-        assert math.isfinite(logmag)
+        for alpha in (None, 0.7):
+            sign, logmag = det_sign_logmag(K, 0.0, beta, alpha, 10.0)
+            assert sign != 0 and math.isfinite(logmag)
 
 
 class TestClosedForm:
@@ -197,11 +227,7 @@ class TestAssembleUncracked:
                     kn = uncracked_K_closed_form(n, beta, eta)
 
                     def sgn(K):
-                        basis = quartic_roots(
-                            characteristic_coefficients(K, eta), phi_max=beta
-                        )
-                        s, _ = det_sign_logmag(assemble_uncracked(basis, beta))
-                        return s
+                        return det_sign_logmag(K, eta, beta)[0]
 
                     assert sgn(kn * (1 - 1e-6)) * sgn(kn * (1 + 1e-6)) == -1
 
@@ -209,7 +235,7 @@ class TestAssembleUncracked:
         kn = uncracked_K_closed_form(2, 1.0, 0.5)
         basis = quartic_roots(characteristic_coefficients(kn, 0.5), phi_max=1.0)
         matrix = assemble_uncracked(basis, 1.0)
-        _, logmag = det_sign_logmag(matrix)
+        logmag = math.log(abs(cofactor_det(matrix.tolist())))
         rows = [list(r) for r in matrix]
         log_row_scales = sum(math.log(max(abs(x) for x in row)) for row in rows)
         # Normalized determinant magnitude <= 1e-8.
@@ -221,39 +247,27 @@ class TestAssembleCracked:
         beta, eta, alpha = 1.0, 0.3, 0.37
         ks = [1.0 + i * (2000.0 - 1.0) / 120 for i in range(121)]
 
-        def signs(cracked):
-            out = []
-            for K in ks:
-                basis = quartic_roots(characteristic_coefficients(K, eta), phi_max=beta)
-                if cracked:
-                    m = assemble_cracked(basis, beta, alpha, 0.0)
-                else:
-                    m = assemble_uncracked(basis, beta)
-                s, _ = det_sign_logmag(m)
-                out.append(s)
-            return out
-
-        s4, s8 = signs(False), signs(True)
-        changes4 = [i for i in range(120) if s4[i] * s4[i + 1] < 0]
-        changes8 = [i for i in range(120) if s8[i] * s8[i + 1] < 0]
-        assert changes4 == changes8
+        basis = quartic_roots(characteristic_coefficients(np.array(ks), eta), phi_max=beta)
+        plain = _matrix_signs(assemble_uncracked(basis, beta))
+        cracked = _matrix_signs(assemble_cracked(basis, beta, alpha, 0.0))
+        assert _changes(plain) == _changes(cracked)
+        # The reduced function changes sign where the matrices do.
+        assert _changes(det_sign_logmag(np.array(ks), eta, beta)[0]) == _changes(plain)
+        assert _changes(det_sign_logmag(np.array(ks), eta, beta, alpha, 0.0)[0]) == _changes(plain)
 
     def test_mirrored_crack_same_zero_set(self):
         beta, eta, theta = 1.0, 0.0, 0.8
         ks = [1.0 + i * (2000.0 - 1.0) / 160 for i in range(161)]
 
-        def signs(alpha):
-            out = []
-            for K in ks:
-                basis = quartic_roots(characteristic_coefficients(K, eta), phi_max=beta)
-                s, _ = det_sign_logmag(assemble_cracked(basis, beta, alpha, theta))
-                out.append(s)
-            return out
-
-        sa, sb = signs(0.3), signs(0.7)
-        changes_a = [i for i in range(160) if sa[i] * sa[i + 1] < 0]
-        changes_b = [i for i in range(160) if sb[i] * sb[i + 1] < 0]
-        assert changes_a == changes_b
+        basis = quartic_roots(characteristic_coefficients(np.array(ks), eta), phi_max=beta)
+        changes = [
+            _changes(_matrix_signs(assemble_cracked(basis, beta, alpha, theta)))
+            for alpha in (0.3, 0.7)
+        ]
+        assert changes[0] == changes[1]
+        for alpha in (0.3, 0.7):
+            reduced = det_sign_logmag(np.array(ks), eta, beta, alpha, theta)[0]
+            assert _changes(reduced) == changes[0]
 
     def test_degenerate_segment(self):
         basis = quartic_roots(characteristic_coefficients(5.0, 0.0), phi_max=1.0)
@@ -314,40 +328,85 @@ class TestSupportRows:
     def test_cracked_sign_nonzero_at_repeated_root(self, beta, alpha):
         basis = quartic_roots(characteristic_coefficients(0.0, 0.3), phi_max=beta)
         for theta in (0.0, 1.0, 1e3):
-            assert det_sign_logmag(assemble_cracked(basis, beta, alpha, theta))[0] != 0
+            matrix = assemble_cracked(basis, beta, alpha, theta)
+            assert cofactor_det(matrix.tolist()) != 0.0
+            assert det_sign_logmag(0.0, 0.3, beta, alpha, theta)[0] != 0
 
 
 class TestDeterminant:
     def test_identity(self):
-        assert det_sign_logmag(np.eye(4)) == (1, 0.0)
+        # Uncracked, F = o(mu1, beta)*o(mu2, beta) with the hyperbolic pair
+        # divided by cosh(a2*beta); a crack of zero compliance only rescales
+        # the second factor by a positive amount.
+        for K, eta, beta in ((0.5, 0.0, 1.3), (0.3, 2.0, 4.0), (5.0, 0.2, 1.0), (400.0, 1.0, 2.0)):
+            basis = quartic_roots(characteristic_coefficients(K, eta))
+            a1, a2 = math.sqrt(-basis.mu1), math.sqrt(abs(basis.mu2))
+            second = math.tanh(a2 * beta) if basis.mu2 > 0 else math.sin(a2 * beta)
+            expected = math.sin(a1 * beta) / a1 * second / a2
+            sign, logmag = det_sign_logmag(K, eta, beta)
+            assert sign == (1 if expected > 0 else -1)
+            assert logmag == pytest.approx(math.log(abs(expected)), abs=1e-12)
+            assert det_sign_logmag(K, eta, beta, 0.4 * beta, 0.0)[0] == sign
 
-    def test_diagonal(self):
-        sign, logmag = det_sign_logmag(np.diag([2.0, 3.0, 4.0, 5.0]))
-        assert sign == 1
-        assert logmag == pytest.approx(math.log(120.0), rel=1e-14)
+    def test_crack_term_vanishes_at_mu2_zero(self):
+        # At K = 1 the root mu2 is 0, the reduced 2x2 is triangular, and F is
+        # o(mu1, beta)*beta whatever the crack.
+        for eta, beta, alpha in ((0.0, 1.0, 0.3), (1.0, 2.5, 2.0)):
+            assert quartic_roots(characteristic_coefficients(1.0, eta)).mu2 == 0.0
+            a1 = math.sqrt(2.0 + eta)
+            plain = det_sign_logmag(1.0, eta, beta)
+            expected = math.log(abs(math.sin(a1 * beta) / a1 * beta))
+            assert plain[1] == pytest.approx(expected, abs=1e-14)
+            for theta in (0.0, 1.0, 1e4):
+                assert det_sign_logmag(1.0, eta, beta, alpha, theta) == plain
 
     def test_singular(self):
-        sign, logmag = det_sign_logmag([[1.0, 2.0], [2.0, 4.0]])
-        assert sign == 0
+        # The solver's guide midpoint of each closed-form root reads sign 0,
+        # uncracked and behind a crack of zero compliance alike.
+        for beta in BETAS:
+            for eta in ETAS:
+                for n in (1, 2, 3):
+                    mid = _midpoint(uncracked_K_closed_form(n, beta, eta))
+                    assert det_sign_logmag(mid, eta, beta)[0] == 0
+                    assert det_sign_logmag(mid, eta, beta, 0.37 * beta, 0.0)[0] == 0
 
-    def test_zero_row(self):
-        sign, logmag = det_sign_logmag([[0.0, 0.0], [1.0, 2.0]])
-        assert sign == 0
-        assert logmag == -math.inf
+    def test_zero_sign_rule(self):
+        # Two trigonometric pairs (K < 1): sign 0 exactly where
+        # |sin(a1*beta)*sin(a2*beta)| <= PIVOT_ZERO_TOL.
+        beta, eta = 5.0, 0.0
+        kn = uncracked_K_closed_form(1, beta, eta)
+        ks = kn * (1.0 + np.array([0.0, 1e-15, -1e-15, 1e-11, -1e-11, 1e-6]))
+        signs, _ = det_sign_logmag(ks, eta, beta)
+        basis = quartic_roots(characteristic_coefficients(ks, eta))
+        assert np.all(basis.mu2 < 0.0)
+        product = np.sin(np.sqrt(-basis.mu1) * beta) * np.sin(np.sqrt(-basis.mu2) * beta)
+        assert (signs == 0).tolist() == (np.abs(product) <= PIVOT_ZERO_TOL).tolist()
+        assert signs.tolist()[:3] == [0, 0, 0] and 0 not in signs.tolist()[3:]
 
     def test_against_cofactor_oracle(self):
-        rng = np.random.RandomState(42)
-        for n in (3, 4):
-            for _ in range(50):
-                m = rng.standard_normal((n, n))
-                sign, logmag = det_sign_logmag(m)
-                ref = cofactor_det(m.tolist())
-                assert sign == (1 if ref > 0 else -1 if ref < 0 else 0)
-                assert abs(logmag - math.log(abs(ref))) < 1e-9
+        # Signs against the assembled 4x4 systems, log-magnitudes against 60
+        # digits away from roots.
+        checked = 0
+        for beta, eta, alpha, theta, ks in random_arch_points(42, 40):
+            signs, logs = det_sign_logmag(ks, eta, beta, alpha, theta)
+            assert signs.tolist() == assembled_signs(make_problem(beta, eta, alpha, theta), ks)
+            for k, logmag in zip(ks, logs):
+                reference = reference_log(k, eta, beta, alpha, theta)
+                checked += reference is not None
+                point = (beta, eta, alpha, theta, k)
+                assert reference is None or abs(logmag - reference) < 1e-9, point
+        assert checked >= 0.9 * 40 * 16
 
     def test_rejects_nonfinite(self):
+        for K, eta in ((math.inf, 0.0), (np.array([1.0, math.nan]), 0.0), (1.0, math.nan)):
+            with pytest.raises(ValueError):
+                det_sign_logmag(K, eta, 1.0)
         with pytest.raises(ValueError):
-            det_sign_logmag([[1.0, math.inf], [0.0, 1.0]])
+            det_sign_logmag(-1.0, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            det_sign_logmag(1.0, 0.0, 1.0, 0.5, -1.0)
+        with pytest.raises(DegenerateSegment):
+            det_sign_logmag(1.0, 0.0, 1.0, 1.0, 1.0)
 
 
 class TestNullVector:
@@ -370,39 +429,34 @@ class TestNullVector:
         assert max(abs(v) for v in vec) == 1.0
 
 
-def _random_stack(seed: int, order: int, count: int) -> np.ndarray:
-    """Random matrices with rows scaled over 16 decades, like boundary systems."""
-    rng = np.random.default_rng(seed)
-    m = rng.standard_normal((count, order, order))
-    return m * 10.0 ** rng.uniform(-8.0, 8.0, (count, order, 1))
-
-
 class TestStackedKernel:
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        order=st.sampled_from((4, 8)),
+        cracked=st.booleans(),
         count=st.integers(1, 40),
     )
-    def test_stack_matches_single_calls(self, seed, order, count):
-        stack = _random_stack(seed, order, count)
-        signs, logs = det_sign_logmag(stack)
+    def test_stack_matches_single_calls(self, seed, cracked, count):
+        rng = np.random.default_rng(seed)
+        beta, eta = rng.uniform(0.01, 2 * math.pi), rng.choice([0.0, rng.uniform(0.0, 4.0)])
+        crack = (rng.uniform(0.05, 0.95) * beta, 10 ** rng.uniform(-3, 4)) if cracked else ()
+        ks = 10 ** rng.uniform(-8.0, 8.0, count)
+        ks[rng.random(count) < 0.1] = rng.choice([0.0, 1.0])
+        signs, logs = det_sign_logmag(ks, eta, beta, *crack)
         assert signs.shape == logs.shape == (count,)
-        for m, sign, logmag in zip(stack, signs, logs):
-            one_sign, one_log = det_sign_logmag(m)
+        for k, sign, logmag in zip(ks, signs, logs):
+            one_sign, one_log = det_sign_logmag(float(k), eta, beta, *crack)
             assert sign == one_sign
             assert abs(logmag - one_log) <= 1e-12
 
     def test_cracked_stack_against_cofactor_oracle(self):
         problem = make_problem(beta=1.3, eta=0.7, alpha=0.5, theta=1.2)
         ks = np.linspace(3.0, 900.0, 12)
-        matrix = boundary_matrix(problem, ks)
-        assert matrix.shape == (12, 4, 4)
-        signs, logs = det_sign_logmag(matrix)
-        for entries, sign, logmag in zip(matrix, signs, logs):
-            ref = cofactor_det(entries.tolist())
-            assert sign == (1 if ref > 0 else -1)
-            assert abs(logmag - math.log(abs(ref))) < 1e-9
+        assert boundary_matrix(problem, ks).shape == (12, 4, 4)
+        signs, logs = det_sign_logmag(ks, 0.7, 1.3, 0.5, 1.2)
+        assert signs.tolist() == assembled_signs(problem, ks)
+        for k, logmag in zip(ks, logs):
+            assert abs(logmag - reference_log(k, 0.7, 1.3, 0.5, 1.2)) < 1e-9
 
     def test_stacked_assembly_matches_single(self):
         problem = make_problem(beta=2.0, eta=0.3, alpha=0.8, theta=0.5)
@@ -412,17 +466,18 @@ class TestStackedKernel:
             assert np.array_equal(boundary_matrix(problem, float(k)), entries)
 
     def test_constructed_singular_matrices_have_sign_zero(self):
-        stack = _random_stack(11, 8, 6)
-        stack[0, 3] = stack[0, 5]  # repeated row
-        stack[1, 7] = 2.0 * stack[1, 2]  # exactly proportional row
-        stack[2, :, 6] = stack[2, :, 1]  # repeated column
-        stack[3, 4] = 0.0  # zero row
-        signs, logs = det_sign_logmag(stack)
-        assert signs.tolist()[:4] == [0, 0, 0, 0]
-        assert all(s != 0 for s in signs[4:])
-        assert logs[3] == -math.inf
-        for m in stack[:4]:
-            assert det_sign_logmag(m)[0] == 0
+        # Guide midpoints of closed-form roots, where the boundary system is
+        # singular, read 0 anywhere in a stack; the other K values do not.
+        beta, eta = 2.0, 0.3
+        roots = [_midpoint(uncracked_K_closed_form(n, beta, eta)) for n in (1, 2, 3, 4)]
+        others = [0.0, 1.0, 1e6, 0.5 * sum(roots[:2])]
+        ks = np.array([k for pair in zip(roots, others) for k in pair])
+        for alpha in (None, 0.8):
+            signs, _ = det_sign_logmag(ks, eta, beta, alpha, 0.0)
+            assert signs.tolist()[0::2] == [0, 0, 0, 0]
+            assert 0 not in signs.tolist()[1::2]
+            for k, sign in zip(ks, signs):
+                assert det_sign_logmag(float(k), eta, beta, alpha, 0.0)[0] == sign
 
     def test_null_vectors_of_stack_match_single_calls(self):
         problem = make_problem(beta=1.3, eta=0.7, alpha=0.5, theta=1.2)
@@ -444,7 +499,7 @@ class TestStackedKernel:
         with pytest.raises(ValueError):
             characteristic_coefficients(1.0, math.inf)
         with pytest.raises(ValueError):
-            det_sign_logmag(np.array([np.eye(4), np.full((4, 4), math.nan)]))
+            det_sign_logmag(np.array([1.0, math.nan]), 0.5, 1.0)
 
     def test_branch_of_a_stack(self):
         ks = np.array([0.0, 0.5, 1.0, 5.0])

@@ -120,13 +120,48 @@ def _shooting_det_mp(K, beta, eta, alpha, theta):
         return Y[0, 0] * Y[2, 1] - Y[0, 1] * Y[2, 0]
 
 
+def _check_straddles_mp(beta, eta, alpha, theta, modes=5):
+    """Every reported root straddles a sign change of the 60-digit determinant."""
+    args = (beta, eta, alpha, theta)
+    problem = ArchProblem(beta=beta, eta_nd=eta, crack=CrackJoint(alpha, theta))
+    for k in find_frequencies(problem, SearchConfig(max_modes=modes)).K_values:
+        delta = STRADDLE * max(1.0, k)
+        assert _shooting_det_mp(k - delta, *args) * _shooting_det_mp(k + delta, *args) < 0, k
+
+
 @pytest.mark.parametrize(
     "eta, alpha_frac, theta", [(0.5, 1 / 3, 0.1), (0.0, 0.5, 1.0), (4.0, 0.1, 100.0)]
 )
 def test_cracked_roots_at_the_smallest_central_angle(eta, alpha_frac, theta):
     # At beta = 1e-4 the first and last cases report roots that are not.
-    args = (BETA_MIN, eta, alpha_frac * BETA_MIN, theta)
-    problem = ArchProblem(beta=BETA_MIN, eta_nd=eta, crack=CrackJoint(args[2], theta))
-    for k in find_frequencies(problem, SearchConfig(max_modes=5)).K_values:
-        delta = STRADDLE * k
-        assert _shooting_det_mp(k - delta, *args) * _shooting_det_mp(k + delta, *args) < 0, k
+    _check_straddles_mp(BETA_MIN, eta, alpha_frac * BETA_MIN, theta)
+
+
+@pytest.mark.parametrize(
+    "beta, eta, alpha_frac, theta",
+    [
+        (5e-3, 1.4786, 0.53794, 6523.9),
+        (3e-3, 1.4786, 0.53794, 6523.9),
+        (2e-3, 0.8515, 0.8279, 748.7),
+        (1e-3, 0.6603, 0.1126, 17538.0),
+    ],
+)
+def test_stiff_cracks_at_small_central_angles(beta, eta, alpha_frac, theta):
+    # Evaluated as a row-equilibrated 4x4 LU, the determinant lost its sign
+    # near 9 of these 20 roots, and they straddled no sign change.
+    _check_straddles_mp(beta, eta, alpha_frac * beta, theta)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    log_beta=st.floats(np.log10(BETA_MIN), np.log10(0.3)),
+    eta=st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+    alpha_frac=st.floats(0.05, 0.95),
+    log_theta=st.floats(-2.0, 4.0),
+    modes=st.integers(1, 5),
+)
+def test_small_angle_roots_straddle_shooting(log_beta, eta, alpha_frac, log_theta, modes):
+    # The double-precision shooting_det loses its sign at these K (up to
+    # about 1e16), so the check is the 60-digit one.
+    beta = 10.0**log_beta
+    _check_straddles_mp(beta, eta, alpha_frac * beta, 10.0**log_theta, modes)

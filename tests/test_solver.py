@@ -1,3 +1,4 @@
+import logging
 import math
 from unittest import mock
 
@@ -200,6 +201,27 @@ class TestModeShape:
         spectrum = find_frequencies(problem, SearchConfig(max_modes=1))
         shape = mode_shape(problem, spectrum.roots[0], samples=64)
         assert shape[:, 1].max() == 1.0
+
+    def test_unpolished_fallback_is_logged(self, caplog):
+        # One debug line when the shape is sampled at the stored root: a
+        # suspected double, or a bracketed K with no sign change nearby.
+        problem = make_problem()
+        root = find_frequencies(problem, SearchConfig(max_modes=1)).roots[0]
+        fallbacks = [
+            (solver.Root(K=root.K, flag=RootFlag.SUSPECTED_DOUBLE), "suspected double root"),
+            (solver.Root(K=50.0, flag=RootFlag.BRACKETED), "no sign change"),
+        ]
+        with caplog.at_level(logging.DEBUG, logger="arch_resonance"):
+            mode_shape(problem, root, samples=11)
+            assert caplog.records == []
+            for stored, reason in fallbacks:
+                caplog.clear()
+                mode_shape(problem, stored, samples=11)
+                assert len(caplog.records) == 1
+                record = caplog.records[0]
+                assert record.name == "arch_resonance.solver"
+                assert record.levelno == logging.DEBUG
+                assert reason in record.getMessage() and repr(stored.K) in record.getMessage()
 
     def test_sample_count_and_grid(self):
         problem = make_problem()
