@@ -20,6 +20,15 @@ shape (N, 4, 4), and N signs and log-magnitudes of the reduced characteristic
 function. A scalar K is the N = 1 case of the same code. The solver evaluates
 its K grid in fixed-size blocks of such stacks.
 
+:func:`det_sign_logmag` also takes its problem parameters (eta_nd, beta,
+alpha, theta_c) as arrays that broadcast to K's shape, so one call evaluates
+the K values of several problems, each against its own parameters; the
+solver scans and bisects the problems of a sweep this way. Every parameter
+check applies to each element, and since every operation is elementwise,
+each value is bit-identical to a call with that problem's scalar
+parameters. Such a stack is all uncracked (``alpha=None``) or all cracked.
+Scalar parameters take the scalar path, with no broadcast.
+
 Basis conventions
 -----------------
 For each root mu of the quadratic in lam^2 the even/odd solution pair is
@@ -100,16 +109,25 @@ def characteristic_coefficients(K, eta_nd: float) -> CharCoeffs:
     return _coefficients(K, eta_nd)
 
 
-def _coefficients(K, eta_nd: float) -> CharCoeffs:
+def _coefficients(K, eta_nd) -> CharCoeffs:
     if np.ndim(K):
         K = np.asarray(K, dtype=float)
-    if not (np.isfinite(K).all() and math.isfinite(eta_nd)):
+    if isinstance(eta_nd, np.ndarray):
+        finite = np.isfinite(eta_nd).all()
+    else:
+        finite = math.isfinite(eta_nd)
+    if not (finite and np.isfinite(K).all()):
         raise ValueError("trial eigenvalue and nonlocal parameter must be finite")
     if np.any(K < 0):
         raise ValueError("trial eigenvalue K must be nonnegative")
-    if eta_nd < 0:
+    if _any(eta_nd < 0):
         raise ValueError("nonlocal parameter must be nonnegative")
     return CharCoeffs(p2=2.0 + K * eta_nd, p0=1.0 - K)
+
+
+def _any(mask) -> bool:
+    """Whether a parameter check fails: a Python bool, or any element of an array."""
+    return mask.any() if isinstance(mask, np.ndarray) else mask
 
 
 def _lam2_roots(coeffs: CharCoeffs, tol: float = DEGENERACY_TOL):
@@ -414,9 +432,12 @@ def det_sign_logmag(
 ):
     """Sign and log-magnitude of the reduced characteristic function at trial K.
 
-    Takes one K, giving (int, float), or a 1-D array of N of them, giving two
-    arrays of length N. ``alpha=None`` is the uncracked arch; otherwise the
-    crack sits at ``alpha`` with compliance ``theta_c``. F is the function
+    Takes one K, giving (int, float), or an array of them, giving two arrays
+    of its shape. ``alpha=None`` is the uncracked arch; otherwise the crack
+    sits at ``alpha`` with compliance ``theta_c``. ``eta_nd``, ``beta``,
+    ``alpha`` and ``theta_c`` may also be arrays that broadcast to K's
+    shape, which evaluates several problems in one call, each K with its own
+    parameters; such a stack is all uncracked or all cracked. F is the function
     of the module docstring, with a hyperbolic pair divided by
     cosh(a2*alpha)*cosh(a2*(beta - alpha)) (uncracked: cosh(a2*beta)), so it
     enters as tanh(a2*x)/a2 and F stays bounded; at the repeated root the
@@ -426,14 +447,25 @@ def det_sign_logmag(
     the scaled S2 for a hyperbolic pair: uncracked with two trigonometric
     pairs, |sin(a1*beta)*sin(a2*beta)| <= PIVOT_ZERO_TOL.
     """
-    if beta <= 0:
+    stacked = (
+        isinstance(eta_nd, np.ndarray)
+        or isinstance(beta, np.ndarray)
+        or isinstance(alpha, np.ndarray)
+        or isinstance(theta_c, np.ndarray)
+    )
+    if _any(beta <= 0):
         raise ValueError("central angle must be positive")
-    if theta_c < 0:
+    if _any(theta_c < 0):
         raise ValueError("crack compliance must be nonnegative")
-    if alpha is not None and (alpha <= SEGMENT_TOL or beta - alpha <= SEGMENT_TOL):
-        raise DegenerateSegment(
-            f"crack at alpha={alpha} leaves a vanishing segment of beta={beta}"
-        )
+    if alpha is not None:
+        degenerate = (alpha <= SEGMENT_TOL) | (beta - alpha <= SEGMENT_TOL)
+        if _any(degenerate):
+            if stacked:  # the first offending problem
+                alpha, beta, degenerate = np.broadcast_arrays(alpha, beta, degenerate)
+                alpha, beta = float(alpha[degenerate][0]), float(beta[degenerate][0])
+            raise DegenerateSegment(
+                f"crack at alpha={alpha} leaves a vanishing segment of beta={beta}"
+            )
     mu1, mu2, repeated = (np.atleast_1d(v) for v in _lam2_roots(_coefficients(K, eta_nd)))
     a1 = np.sqrt(-mu1)
     hyp, zero = mu2 > 0.0, mu2 == 0.0
@@ -456,12 +488,18 @@ def det_sign_logmag(
         gamma = beta - alpha
         t_a, t_g = o2(alpha), o2(gamma)
         s2 = np.where(hyp, t_a + t_g, o2(beta))
-        if theta_c > 0.0:
+        # In a stack, a problem with theta_c = 0 gets a zero term here, which
+        # leaves its F and sign as those of the scalar call.
+        if _any(theta_c > 0.0):
             o_a, o_g = o1(alpha), o1(gamma)
             dd = (s1 * t_a * t_g - s2 * o_a * o_g) / np.where(repeated, 1.0, mu1 - mu2)
             if repeated.any():
                 # S'*A - S*A' with h = d o/d mu at beta, alpha and gamma.
-                r, x = repeated, np.array([[beta], [alpha], [gamma]])
+                r = repeated
+                if stacked:
+                    x = np.array(np.broadcast_arrays(beta, alpha, gamma, r)[:3])[:, r]
+                else:
+                    x = np.array([[beta], [alpha], [gamma]])
                 t = a1[r] * x
                 (_,), (h,) = _repeated_rows(mu1[r], x, np.cos(t), np.sin(t) / a1[r], 1)
                 o_a, o_g = o_a[r], o_g[r]
@@ -473,7 +511,7 @@ def det_sign_logmag(
     sign = np.where(np.abs(f) <= bound, 0, np.sign(f).astype(int))
     with np.errstate(divide="ignore"):
         logmag = np.log(np.abs(f))
-    if np.ndim(K) == 0:
+    if np.ndim(K) == 0 and not stacked:
         return int(sign[0]), float(logmag[0])
     return sign, logmag
 

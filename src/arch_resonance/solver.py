@@ -10,17 +10,29 @@ candidate is one root. The candidates of the requested modes are bisected
 together to the requested tolerance, four levels per kernel call (a
 heap-ordered tree of nested midpoints). A spectrum holds eigenvalues and
 flags only: :func:`mode_shape` is the one place that extracts a null vector,
-the coefficients of the shape, from the near-singular system. Everything is
-deterministic: the same problem and configuration produce bit-identical
-spectra, whatever the block size or the number of levels per call, because
-the kernel evaluates each K of a stack independently.
+the coefficients of the shape, from the near-singular system.
+
+:func:`find_frequencies` also takes a sequence of problems, all cracked or
+all uncracked, as a sweep or the validation table has, and solves them in
+lockstep, ``_BATCH`` at a time: each scan call evaluates the next block of
+every problem still scanning, and one :func:`refine_root` call bisects the
+brackets of all of them, each K against its own problem's parameters. It
+returns one entry per problem: its :class:`Spectrum`, or the
+:class:`NoRootsInRange` its own solve would raise.
+
+Everything is deterministic: the same problem and configuration produce
+bit-identical spectra, whatever the block size, the number of levels per
+call or the other problems of a batch, because the kernel evaluates each K of
+a stack independently.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import logging
 import math
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,6 +59,10 @@ _LEVELS = 4
 # and let the scan stop early: with the default k_max the requested roots
 # almost always lie in the first block.
 _BLOCK = 256
+# Problems per lockstep search (find_frequencies): a scan call holds at most
+# _BATCH * _BLOCK K values, so a long sweep's stacks stay as small as a short
+# one's.
+_BATCH = 16
 
 
 @dataclass(frozen=True)
@@ -138,12 +154,71 @@ def boundary_matrix(problem: ArchProblem, K) -> np.ndarray:
     )
 
 
-def boundary_determinant(problem: ArchProblem, K):
+@dataclass(frozen=True)
+class _Stack:
+    """The parameters of several problems as arrays, one entry per problem.
+
+    ``alpha`` is None for uncracked problems. :meth:`take` lines the entries
+    up with the K values of one kernel call.
+    """
+
+    eta_nd: np.ndarray
+    beta: np.ndarray
+    alpha: np.ndarray | None
+    theta_c: np.ndarray | float
+
+    @classmethod
+    def of(cls, problems) -> _Stack:
+        eta_nd = np.array([p.eta_nd for p in problems])
+        beta = np.array([p.beta for p in problems])
+        if not _all_cracked(problems):
+            return cls(eta_nd, beta, None, 0.0)
+        cracks = [p.crack for p in problems]
+        alpha = np.array([c.alpha for c in cracks])
+        return cls(eta_nd, beta, alpha, np.array([c.theta_c for c in cracks]))
+
+    def take(self, index) -> _Stack:
+        if self.alpha is None:
+            return _Stack(self.eta_nd[index], self.beta[index], None, 0.0)
+        return _Stack(*(v[index] for v in (self.eta_nd, self.beta, self.alpha, self.theta_c)))
+
+
+def _all_cracked(problems) -> bool:
+    """Whether every problem is cracked; a mix of cracked and uncracked raises."""
+    cracked = {p.crack is not None for p in problems}
+    if len(cracked) > 1:
+        raise ValueError("a batch of problems must be all cracked or all uncracked")
+    return cracked == {True}
+
+
+class _Tally(threading.local):
+    """Kernel calls and K values evaluated through boundary_determinant.
+
+    Per thread, so that concurrent solves do not mix their counts; read
+    around each find_frequencies call for its debug line.
+    """
+
+    calls = 0
+    values = 0
+
+
+_tally = _Tally()
+
+
+def boundary_determinant(problem, K):
     """Sign and log-magnitude of the problem's reduced characteristic function.
 
-    One K gives (int, float), a K array two arrays; no matrix is assembled
-    (:func:`kernel.det_sign_logmag`).
+    One K gives (int, float), a K array two arrays of its shape; no matrix is
+    assembled (:func:`kernel.det_sign_logmag`). ``problem`` is an
+    :class:`ArchProblem`, or the solver's :class:`_Stack` of several problems'
+    parameters, broadcast against K.
     """
+    _tally.calls += 1
+    _tally.values += K.size if isinstance(K, np.ndarray) else 1
+    if isinstance(problem, _Stack):
+        return kernel.det_sign_logmag(
+            K, problem.eta_nd, problem.beta, problem.alpha, problem.theta_c
+        )
     crack = problem.crack
     if crack is None:
         return kernel.det_sign_logmag(K, problem.eta_nd, problem.beta)
@@ -159,7 +234,7 @@ def _resolved(problem: ArchProblem, cfg: SearchConfig | None) -> SearchConfig:
     return cfg
 
 
-def _grid_nodes(problem: ArchProblem, cfg: SearchConfig) -> np.ndarray:
+def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, count: int | None = None) -> np.ndarray:
     """Uniform K grid plus guide nodes straddling each closed-form K_n.
 
     The uncracked closed-form values are used even for cracked problems:
@@ -167,25 +242,37 @@ def _grid_nodes(problem: ArchProblem, cfg: SearchConfig) -> np.ndarray:
     add resolution near it. A crack does not shift every root downward (at
     beta = pi/sqrt(0.4) + 1e-4, eta = 0, alpha = beta/3, theta_c = 0.5 the
     fundamental rises), so the guides are an aid, not a bound.
+
+    With ``count`` only the first ``count`` nodes of the whole grid are
+    built, from the first count + 1 uniform nodes and the guides below the
+    last of them. Every node of the whole grid below that uniform node is one
+    of those, and they are at least count + 1 even after the near-duplicates
+    are dropped, since uniform nodes are never near-duplicates of each other;
+    and K_n grows with n once lam > 1, so the guides stop there. The scan
+    builds its grids a block at a time this way: with the default range a
+    solve evaluates only the first of the eight blocks of the whole grid.
     """
-    k_min, k_max = cfg.k_min, cfg.k_max
-    uniform = k_min + (k_max - k_min) * np.arange(cfg.grid_points) / (cfg.grid_points - 1)
+    k_min, k_max, points = cfg.k_min, cfg.k_max, cfg.grid_points
+    size = points if count is None or count >= points - 1 else count + 1
+    uniform = k_min + (k_max - k_min) * np.arange(size) / (points - 1)
+    bound = k_max if size == points else uniform[-1]
     guides = []
     n = 1
     while n <= 10000:
         kn = kernel.uncracked_K_closed_form(n, problem.beta, problem.eta_nd)
         lam = n * math.pi / problem.beta
-        if kn > k_max and lam > 1.0:
+        if lam > 1.0 and (kn > k_max or kn * (1.0 - _GUIDE_OFFSET) >= bound):
             break
         for guide in (kn * (1.0 - _GUIDE_OFFSET), kn * (1.0 + _GUIDE_OFFSET)):
-            if k_min < guide < k_max:
+            if k_min < guide < bound:
                 guides.append(guide)
         n += 1
     nodes = np.sort(np.concatenate([uniform, guides]))
     # Near-duplicates come at most in pairs: the two guides of a K_n sit 2e-6
     # apart, so comparing neighbours equals comparing with the last kept node.
     keep = np.diff(nodes) > 1e-15 * np.maximum(1.0, nodes[1:])
-    return nodes[np.concatenate([[True], keep])]
+    nodes = nodes[np.concatenate([[True], keep])]
+    return nodes if count is None else nodes[:count]
 
 
 def _candidates(nodes, signs, logs):
@@ -207,52 +294,91 @@ def _candidates(nodes, signs, logs):
     return lower, upper, nodes[1 : signs.size - 1][dip]
 
 
-def scan_and_bracket(
-    problem: ArchProblem, cfg: SearchConfig | None = None, *, wanted: int | None = None
-) -> ScanResult:
+def scan_and_bracket(problem, cfg: SearchConfig | None = None, *, wanted: int | None = None):
     """Locate determinant sign changes (and dips) over the configured K range.
 
     The grid is evaluated in blocks of ``_BLOCK`` K values, one kernel call
-    each, which keeps the matrix stacks small; brackets and dips are found
+    each, which keeps the kernel's arrays small; brackets and dips are found
     with array operations over the evaluated nodes. With ``wanted`` the scan
     stops after the first block that leaves at least that many brackets and
     dips in hand; since the grid is scanned in ascending K, those are the
     first candidates of the whole grid, in the same order. ``wanted=None``
     scans the whole grid. Raises :class:`NoRootsInRange` when the scan yields
     neither a bracket nor a suspected-double candidate.
-    """
-    cfg = _resolved(problem, cfg)
-    nodes = _grid_nodes(problem, cfg)
-    blocks = []
-    for start in range(0, len(nodes), _BLOCK):
-        blocks.append(boundary_determinant(problem, nodes[start : start + _BLOCK]))
-        signs = np.concatenate([s for s, _ in blocks])
-        logs = np.concatenate([lm for _, lm in blocks])
-        lower, upper, suspects = _candidates(nodes, signs, logs)
-        if wanted is not None and lower.size + suspects.size >= wanted:
-            break
 
-    if not lower.size and not suspects.size:
-        raise NoRootsInRange(
-            f"no determinant roots in K range [{cfg.k_min}, {cfg.k_max}]"
-        )
-    return ScanResult(
-        brackets=tuple(zip(nodes[lower].tolist(), nodes[upper].tolist())),
-        suspects=tuple(suspects.tolist()),
-        lower_signs=tuple(signs[lower].tolist()),
-    )
+    ``problem`` is one :class:`ArchProblem`, giving its :class:`ScanResult`,
+    or a sequence of problems, all cracked or all uncracked, giving one entry
+    per problem: its ScanResult or its own NoRootsInRange. A sequence is
+    scanned in lockstep: each kernel call evaluates the next block of every
+    problem still scanning. Each problem keeps its own ``cfg`` range, grid and
+    early stop, so its entry is the one a scan of it alone gives.
+    """
+    single = isinstance(problem, ArchProblem)
+    problems = [problem] if single else list(problem)
+    stack = _Stack.of(problems) if len(problems) > 1 else None
+    cfgs = [_resolved(p, cfg) for p in problems]
+    # With ``wanted``, each grid is built through the next block and one node
+    # more, which tells whether it goes on.
+    count = None if wanted is None else _BLOCK + 1
+    grids = [_grid_nodes(p, c, count) for p, c in zip(problems, cfgs)]
+    scanned = [(None, None)] * len(problems)  # signs and logs of each prefix
+    results = [None] * len(problems)
+    active, start = list(range(len(problems))), 0
+    while active:
+        if start and count is not None:
+            for i in active:
+                grids[i] = _grid_nodes(problems[i], cfgs[i], start + count)
+        chunks = [grids[i][start : start + _BLOCK] for i in active]
+        if stack is None:
+            ends = (0, chunks[0].size)
+            new_signs, new_logs = boundary_determinant(problems[0], chunks[0])
+        else:
+            sizes = [c.size for c in chunks]
+            ends = (0, *itertools.accumulate(sizes))
+            owner = stack.take(np.repeat(active, sizes))
+            new_signs, new_logs = boundary_determinant(owner, np.concatenate(chunks))
+        scanning = []
+        for i, lo, hi in zip(active, ends, ends[1:]):
+            signs, logs = new_signs[lo:hi], new_logs[lo:hi]
+            if start:
+                signs = np.concatenate([scanned[i][0], signs])
+                logs = np.concatenate([scanned[i][1], logs])
+            scanned[i] = signs, logs
+            lower, upper, suspects = _candidates(grids[i], signs, logs)
+            more = start + _BLOCK < grids[i].size
+            if more and (wanted is None or lower.size + suspects.size < wanted):
+                scanning.append(i)
+            elif not lower.size and not suspects.size:
+                results[i] = NoRootsInRange(
+                    f"no determinant roots in K range [{cfgs[i].k_min}, {cfgs[i].k_max}]"
+                )
+            else:
+                nodes = grids[i]
+                results[i] = ScanResult(
+                    brackets=tuple(zip(nodes[lower].tolist(), nodes[upper].tolist())),
+                    suspects=tuple(suspects.tolist()),
+                    lower_signs=tuple(signs[lower].tolist()),
+                )
+        active, start = scanning, start + _BLOCK
+    if not single:
+        return results
+    if isinstance(results[0], NoRootsInRange):
+        raise results[0]
+    return results[0]
 
 
 def refine_root(
     bracket,
-    problem: ArchProblem,
+    problem,
     cfg: SearchConfig | None = None,
     lower_signs=None,
 ):
     """Bisect sign-change brackets down to refine_tol * max(1, K).
 
     ``bracket`` is one (lo, hi) pair, giving a float, or a sequence of M
-    pairs, giving an array of M roots; all pairs are bisected together. Each
+    pairs, giving an array of M roots; all pairs are bisected together.
+    ``problem`` is one :class:`ArchProblem` for every pair, or a sequence of
+    M problems, one per pair, all cracked or all uncracked. Each
     kernel call evaluates the ``2**_LEVELS - 1`` nested midpoints of every
     live bracket as one heap-ordered tree (``_midpoint_tree``), and every
     bracket then walks ``_LEVELS`` levels down it, from node j to its lower
@@ -262,18 +388,25 @@ def refine_root(
     scan does); otherwise both ends are evaluated and must straddle a sign
     change. A zero-width bracket is its own root, and a determinant sign of
     exactly zero at an end or a midpoint ends that bracket's bisection there.
-    Deterministic: identical inputs bisect through identical midpoints.
+    Deterministic: identical inputs bisect through identical midpoints,
+    whatever other brackets share the batch.
     """
     cfg = cfg if cfg is not None else SearchConfig()
     pairs = np.array(bracket, dtype=float)
     single = pairs.ndim == 1
     lo, hi = pairs.reshape(-1, 2).T.copy()
+    stack = None
+    if not isinstance(problem, ArchProblem):
+        if len(problem) != lo.size:
+            raise ValueError("give one problem per bracket")
+        stack = _Stack.of(problem)
     roots = lo.copy()
     idx = np.flatnonzero(lo != hi)
     if lower_signs is not None:
         s_lo = np.asarray(lower_signs)[idx]
     elif idx.size:
-        ends, _ = boundary_determinant(problem, np.concatenate([lo[idx], hi[idx]]))
+        owner = problem if stack is None else stack.take(np.concatenate([idx, idx]))
+        ends, _ = boundary_determinant(owner, np.concatenate([lo[idx], hi[idx]]))
         s_lo, s_hi = ends[: idx.size], ends[idx.size :]
         at_hi = (s_lo != 0) & (s_hi == 0)
         roots[idx[at_hi]] = hi[idx[at_hi]]
@@ -295,7 +428,8 @@ def refine_root(
             break
         depth = min(_LEVELS, _MAX_BISECTIONS - level)
         tree = _midpoint_tree(lo, hi, depth)
-        signs, _ = boundary_determinant(problem, tree.ravel())
+        owner = problem if stack is None else stack.take(np.tile(idx, len(tree)))
+        signs, _ = boundary_determinant(owner, tree.ravel())
         signs = signs.reshape(tree.shape)
         col, node = np.arange(idx.size), np.zeros(idx.size, dtype=int)
         live = np.ones(idx.size, dtype=bool)
@@ -336,7 +470,7 @@ def _midpoint_tree(lo: np.ndarray, hi: np.ndarray, depth: int) -> np.ndarray:
     return np.concatenate(levels)
 
 
-def find_frequencies(problem: ArchProblem, cfg: SearchConfig | None = None) -> Spectrum:
+def find_frequencies(problem, cfg: SearchConfig | None = None):
     """First ``max_modes`` eigenvalues in ascending order with their flags.
 
     The K = 0 inextensional artifact is excluded by ``k_min``; suspected
@@ -350,24 +484,75 @@ def find_frequencies(problem: ArchProblem, cfg: SearchConfig | None = None) -> S
     the same K are a near-double root split by a grid node, and both are
     reported. Raises :class:`NoRootsInRange` when the range holds fewer than
     ``max_modes`` candidates.
+
+    ``problem`` is one :class:`ArchProblem`, giving its :class:`Spectrum`, or
+    a sequence of problems, all cracked or all uncracked, giving one entry
+    per problem, in order: its Spectrum, or the NoRootsInRange its own solve
+    would raise. The problems are solved in lockstep, ``_BATCH`` at a time:
+    one :func:`scan_and_bracket` and one :func:`refine_root` call for each
+    group, each problem with its own range, grid and early stop, so every
+    entry is bit-identical to the problem's solve alone. One problem is the
+    batch of one. Logs one debug line per call.
     """
-    cfg = _resolved(problem, cfg)
-    scan = scan_and_bracket(problem, cfg, wanted=cfg.max_modes)
-    # A suspect is a zero-width candidate, which refine_root returns as is.
-    candidates = sorted(
-        [(lo, hi, s, RootFlag.BRACKETED) for (lo, hi), s in zip(scan.brackets, scan.lower_signs)]
-        + [(k, k, 0, RootFlag.SUSPECTED_DOUBLE) for k in scan.suspects],
-        key=lambda c: c[0],
-    )[: cfg.max_modes]
-    if len(candidates) < cfg.max_modes:
-        raise NoRootsInRange(
-            f"{len(candidates)} of {cfg.max_modes} requested roots in K range "
-            f"[{cfg.k_min}, {cfg.k_max}]"
+    single = isinstance(problem, ArchProblem)
+    problems = [problem] if single else list(problem)
+    cfg = cfg if cfg is not None else SearchConfig()
+    _all_cracked(problems)
+    calls, values = _tally.calls, _tally.values
+    entries = []
+    for start in range(0, len(problems), _BATCH):
+        entries += _solve_group(problems[start : start + _BATCH], cfg)
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug(
+            "find_frequencies: %d problems, %d kernel calls, %d K values, "
+            "%d brackets refined, %d short",
+            len(problems), _tally.calls - calls, _tally.values - values,
+            sum(len(e) for e in entries if isinstance(e, Spectrum)),
+            sum(isinstance(e, NoRootsInRange) for e in entries),
         )
-    ks = refine_root(
-        [c[:2] for c in candidates], problem, cfg, lower_signs=[c[2] for c in candidates]
-    )
-    return Spectrum(roots=tuple(Root(K=k, flag=c[3]) for k, c in zip(ks.tolist(), candidates)))
+    if not single:
+        return entries
+    if isinstance(entries[0], NoRootsInRange):
+        raise entries[0]
+    return entries[0]
+
+
+def _solve_group(problems: list[ArchProblem], cfg: SearchConfig) -> list:
+    """Spectra (or NoRootsInRange) of a few problems: one scan, one refinement."""
+    scans = scan_and_bracket(problems, cfg, wanted=cfg.max_modes)
+    entries, brackets, signs, owners = [], [], [], []
+    for p, scan in zip(problems, scans):
+        if isinstance(scan, NoRootsInRange):
+            entries.append(scan)
+            continue
+        # A suspect is a zero-width candidate, which refine_root returns as is.
+        bracketed = zip(scan.brackets, scan.lower_signs)
+        candidates = sorted(
+            [(lo, hi, s, RootFlag.BRACKETED) for (lo, hi), s in bracketed]
+            + [(k, k, 0, RootFlag.SUSPECTED_DOUBLE) for k in scan.suspects],
+            key=lambda c: c[0],
+        )[: cfg.max_modes]
+        if len(candidates) < cfg.max_modes:
+            k_range = _resolved(p, cfg)
+            message = (
+                f"{len(candidates)} of {cfg.max_modes} requested roots in K range "
+                f"[{k_range.k_min}, {k_range.k_max}]"
+            )
+            entries.append(NoRootsInRange(message))
+            continue
+        entries.append([c[3] for c in candidates])
+        brackets += [c[:2] for c in candidates]
+        signs += [c[2] for c in candidates]
+        owners += [p] * len(candidates)
+    if not brackets:
+        return entries
+    owner = problems[0] if len(problems) == 1 else owners
+    ks = iter(refine_root(brackets, owner, cfg, lower_signs=signs).tolist())
+    return [
+        e if isinstance(e, NoRootsInRange)
+        else Spectrum(roots=tuple(Root(K=next(ks), flag=flag) for flag in e))
+        for e in entries
+    ]
 
 
 def _polish(problem: ArchProblem, root: Root) -> float:

@@ -109,38 +109,6 @@ def _reduce(
     return tube, model.nondimensionalize(tube, crack=crack, **inputs)
 
 
-def _solve_point(
-    spec: SweepSpec, value: float, chirality: model.ChiralityClass, tube: model.PhysicalTube
-) -> SweepRow:
-    k_value = None
-    note = ""
-    try:
-        point_tube, problem = _reduce(spec, value, tube, spec.crack)
-    except DegenerateSegment:
-        point_tube, problem = _reduce(spec, value, tube, None)
-        note = "crack-outside"
-    else:
-        cfg = solver.SearchConfig(max_modes=spec.mode)
-        try:
-            k_value = solver.find_frequencies(problem, cfg).roots[-1].K
-        except NoRootsInRange:
-            note = "no-root"
-    solved = k_value is not None
-    return SweepRow(
-        chirality=chirality.value,
-        beta_rad=problem.beta,
-        eta_nd=problem.eta_nd,
-        radius_m=point_tube.radius,
-        alpha_rad=spec.crack.position_angle if spec.crack is not None else 0.0,
-        psi=spec.crack.depth_ratio if spec.crack is not None else 0.0,
-        mode=spec.mode,
-        K=k_value,
-        omega_nd=model.omega_nd(k_value, problem.beta) if solved else None,
-        omega_rad_s=model.omega_from_K(k_value, point_tube) if solved else None,
-        note=note,
-    )
-
-
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate the sweep grid in parameter-major order.
 
@@ -148,9 +116,11 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     the order of ``tubes``. Before anything is solved, both ends of the range
     are reduced for each tube: validity is monotone in the swept value, so a
     range with an invalid tube, central angle or nonlocal parameter raises
-    :class:`InvalidSpec`. A point that fails keeps its row with a blank K and
-    a note: ``no-root`` (the search range holds fewer roots than the mode
-    index) or ``crack-outside`` (the crack angle does not fit that arch).
+    :class:`InvalidSpec`. Every point is then reduced, and the points that
+    fit the crack are solved with one :func:`solver.find_frequencies` call. A
+    point that fails keeps its row with a blank K and a note: ``no-root``
+    (the search range holds fewer roots than the mode index) or
+    ``crack-outside`` (the crack angle does not fit that arch).
     """
     grid = _linspace(spec.start, spec.stop, spec.steps)
     for tube in spec.tubes.values():
@@ -161,11 +131,41 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
                 pass  # a crack-outside row, not an invalid range
             except ValueError as exc:
                 raise InvalidSpec(f"{spec.parameter} = {end:g}: {exc}") from None
-    return [
-        _solve_point(spec, value, chirality, tube)
-        for value in grid
-        for chirality, tube in spec.tubes.items()
-    ]
+    points = []  # (chirality, tube, problem, note) in row order
+    for value in grid:
+        for chirality, tube in spec.tubes.items():
+            try:
+                points.append((chirality, *_reduce(spec, value, tube, spec.crack), ""))
+            except DegenerateSegment:
+                points.append((chirality, *_reduce(spec, value, tube, None), "crack-outside"))
+    solvable = [problem for *_, problem, note in points if not note]
+    spectra = iter(solver.find_frequencies(solvable, solver.SearchConfig(max_modes=spec.mode)))
+    rows = []
+    for chirality, tube, problem, note in points:
+        k_value = None
+        if not note:
+            spectrum = next(spectra)
+            if isinstance(spectrum, NoRootsInRange):
+                note = "no-root"
+            else:
+                k_value = spectrum.roots[-1].K
+        solved = k_value is not None
+        rows.append(
+            SweepRow(
+                chirality=chirality.value,
+                beta_rad=problem.beta,
+                eta_nd=problem.eta_nd,
+                radius_m=tube.radius,
+                alpha_rad=spec.crack.position_angle if spec.crack is not None else 0.0,
+                psi=spec.crack.depth_ratio if spec.crack is not None else 0.0,
+                mode=spec.mode,
+                K=k_value,
+                omega_nd=model.omega_nd(k_value, problem.beta) if solved else None,
+                omega_rad_s=model.omega_from_K(k_value, tube) if solved else None,
+                note=note,
+            )
+        )
+    return rows
 
 
 def _fmt(x: float | None) -> str:
@@ -208,10 +208,12 @@ def validation_table(
         raise InvalidSpec(
             f"validation requires a small central angle in [{model.BETA_MIN:g}, 0.5]"
         )
+    problems = [model.ArchProblem(beta=beta_small, eta_nd=eta) for eta in eta_list]
+    spectra = solver.find_frequencies(problems, solver.SearchConfig(max_modes=1))
     rows = []
-    for eta in eta_list:
-        problem = model.ArchProblem(beta=beta_small, eta_nd=eta)
-        spectrum = solver.find_frequencies(problem, solver.SearchConfig(max_modes=1))
+    for eta, spectrum in zip(eta_list, spectra):
+        if isinstance(spectrum, NoRootsInRange):
+            raise spectrum
         omega = model.omega_nd(spectrum.roots[0].K, beta_small)
         ref = None
         if float(eta).is_integer():

@@ -449,6 +449,44 @@ class TestStackedKernel:
             assert sign == one_sign
             assert abs(logmag - one_log) <= 1e-12
 
+    @pytest.mark.parametrize("cracked", [False, True])
+    def test_parameter_stack_matches_scalar_calls(self, cracked):
+        # Several problems in one call, each K against its own parameters:
+        # every value is bit-identical to a call with scalar parameters.
+        points = [p for p in random_arch_points(11, 16) if (p[2] is not None) == cracked]
+        ks = np.concatenate([p[4] for p in points])
+        owner = np.repeat(np.arange(len(points)), [p[4].size for p in points])
+        beta, eta, alpha, theta = (np.array([p[i] for p in points]) for i in range(4))
+        theta[0] = 0.0  # a zero compliance among compliant cracks
+        params = [eta[owner], beta[owner]] + ([alpha[owner], theta[owner]] if cracked else [])
+        signs, logs = det_sign_logmag(ks, *params)
+        assert signs.shape == logs.shape == ks.shape
+        for k, *args, sign, logmag in zip(ks, *params, signs, logs):
+            assert det_sign_logmag(float(k), *map(float, args)) == (sign, logmag)
+        # Parameters broadcast against a 2-D K, one column per problem.
+        grid = ks[: 4 * len(points)].reshape(4, len(points))
+        columns = [eta, beta] + ([alpha, theta] if cracked else [])
+        signs, logs = det_sign_logmag(grid, *columns)
+        for row, k_row in enumerate(grid):
+            for col, k in enumerate(k_row):
+                one = det_sign_logmag(float(k), *(float(c[col]) for c in columns))
+                assert one == (signs[row, col], logs[row, col])
+
+    def test_parameter_stack_checks_each_element(self):
+        ks = np.array([1.0, 2.0])
+        with pytest.raises(ValueError, match="central angle must be positive"):
+            det_sign_logmag(ks, 0.0, np.array([1.0, 0.0]))
+        with pytest.raises(ValueError, match="nonlocal parameter must be nonnegative"):
+            det_sign_logmag(ks, np.array([0.0, -1.0]), 1.0)
+        with pytest.raises(ValueError, match="must be finite"):
+            det_sign_logmag(ks, np.array([0.0, math.nan]), 1.0)
+        with pytest.raises(ValueError, match="crack compliance must be nonnegative"):
+            det_sign_logmag(ks, 0.0, 1.0, 0.5, np.array([1.0, -1.0]))
+        # The message names the first problem whose crack leaves no segment.
+        degenerate = "alpha=2.0 leaves a vanishing segment of beta=2.0"
+        with pytest.raises(DegenerateSegment, match=degenerate):
+            det_sign_logmag(ks, 0.0, np.array([1.0, 2.0]), np.array([0.5, 2.0]), 1.0)
+
     def test_cracked_stack_against_cofactor_oracle(self):
         problem = make_problem(beta=1.3, eta=0.7, alpha=0.5, theta=1.2)
         ks = np.linspace(3.0, 900.0, 12)

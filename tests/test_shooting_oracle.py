@@ -101,6 +101,15 @@ def test_close_low_roots_of_a_stiff_crack():
     _check_against_shooting(4.25, 0.0, 0.4375 * 4.25, 10.0, 1)
 
 
+@pytest.mark.xfail(strict=True, reason="two roots in one scan-grid interval are missed")
+def test_close_low_roots_of_a_very_stiff_crack():
+    # Found by test_cracked_roots_match_shooting: the shooting determinant
+    # changes sign at K = 0.861 and 2.403, both inside the grid interval
+    # [0.0093, 3.49] (a guide node, then the first uniform node past it), so
+    # the scan reports K = 35.155 as mode 1.
+    _check_against_shooting(3.0, 0.0, 0.875 * 3.0, 100.0, 1)
+
+
 def _shooting_det_mp(K, beta, eta, alpha, theta):
     """The unscaled 2x2 shooting determinant in 60-digit arithmetic.
 

@@ -26,6 +26,7 @@ from arch_resonance import (
 from arch_resonance import kernel, solver
 from arch_resonance.cli import main
 from arch_resonance.kernel import SEGMENT_TOL
+from arch_resonance.model import BETA_MIN
 from conftest import make_problem, rel_err
 
 K1_B1_E0 = 78.6698822318237
@@ -397,7 +398,8 @@ class TestRefineOnlyReturned:
             tubes={armchair: resolve_preset(armchair, load_presets())},
         )
         rows = run_sweep(spec)
-        assert asked == [3, 3]
+        # One batched call for both points, still asking only for mode 3.
+        assert asked == [3]
         for row in rows:
             assert rel_err(row.K, uncracked_K_closed_form(3, row.beta_rad, 1.0)) < 1e-8
 
@@ -413,6 +415,113 @@ class TestRefineOnlyReturned:
         scan = scan_and_bracket(problem, SearchConfig(k_max=3000.0))
         for (lo, _), sign in zip(scan.brackets, scan.lower_signs):
             assert boundary_determinant(problem, lo)[0] == sign
+
+
+def _alone(problem, cfg):
+    """The problem's solve alone, or the NoRootsInRange it raises."""
+    try:
+        return find_frequencies(problem, cfg)
+    except NoRootsInRange as exc:
+        return exc
+
+
+def _assert_same_entry(entry, alone):
+    if isinstance(alone, NoRootsInRange):
+        assert isinstance(entry, NoRootsInRange) and str(entry) == str(alone)
+    else:
+        assert [(r.K.hex(), r.flag) for r in entry.roots] == [
+            (r.K.hex(), r.flag) for r in alone.roots
+        ]
+
+
+@st.composite
+def _batches(draw):
+    """1-6 problems, all uncracked or all cracked, with up to eight modes."""
+    cracked = draw(st.booleans())
+    problems = []
+    for _ in range(draw(st.integers(1, 6))):
+        beta = 10.0 ** draw(st.floats(math.log10(BETA_MIN), math.log10(2 * math.pi)))
+        eta = draw(st.one_of(st.just(0.0), st.floats(0.0, 4.0)))
+        crack = None
+        if cracked:
+            alpha = draw(st.floats(0.05, 0.95)) * beta
+            crack = CrackJoint(alpha=alpha, theta_c=10.0 ** draw(st.floats(-3.0, 2.0)))
+        problems.append(ArchProblem(beta=beta, eta_nd=eta, crack=crack))
+    return problems, SearchConfig(max_modes=draw(st.integers(1, 8)))
+
+
+class TestBatchedSearch:
+    @settings(max_examples=25, deadline=None)
+    @given(batch=_batches())
+    def test_entries_match_solves_alone(self, batch):
+        problems, cfg = batch
+        entries = find_frequencies(problems, cfg)
+        assert len(entries) == len(problems)
+        for problem, entry in zip(problems, entries):
+            _assert_same_entry(entry, _alone(problem, cfg))
+
+    def test_short_problem_leaves_the_others_alone(self):
+        # With k_max = 10: beta = 1 has no candidate at all (K_1 = 78.67),
+        # beta = 2 one of the two modes (K_2 = 78.6), beta = 6 both.
+        problems = [make_problem(beta=b) for b in (1.0, 2.0, 6.0)]
+        cfg = SearchConfig(max_modes=2, k_max=10.0)
+        entries = find_frequencies(problems, cfg)
+        messages = [str(e) for e in entries[:2]]
+        assert messages == [
+            "no determinant roots in K range [1e-06, 10.0]",
+            "1 of 2 requested roots in K range [1e-06, 10.0]",
+        ]
+        for problem, entry in zip(problems, entries):
+            _assert_same_entry(entry, _alone(problem, cfg))
+        assert len(entries[2]) == 2
+
+    def test_more_problems_than_one_group(self, monkeypatch):
+        # Five problems in groups of two: three lockstep scans.
+        monkeypatch.setattr(solver, "_BATCH", 2)
+        scans, original = [], solver.scan_and_bracket
+        monkeypatch.setattr(
+            solver,
+            "scan_and_bracket",
+            lambda problems, *args, **kwargs: scans.append(len(problems))
+            or original(problems, *args, **kwargs),
+        )
+        problems = [make_problem(beta=b, eta=0.5) for b in (0.5, 1.0, 1.5, 2.0, 2.5)]
+        cfg = SearchConfig(max_modes=3)
+        entries = find_frequencies(problems, cfg)
+        assert scans == [2, 2, 1]
+        for problem, entry in zip(problems, entries):
+            _assert_same_entry(entry, _alone(problem, cfg))
+
+    def test_mixed_batch_rejected(self):
+        problems = [make_problem(), make_problem(alpha=0.4, theta=0.8)]
+        for search in (find_frequencies, scan_and_bracket):
+            with pytest.raises(ValueError, match="all cracked or all uncracked"):
+                search(problems)
+        with pytest.raises(ValueError, match="all cracked or all uncracked"):
+            refine_root([(70.0, 80.0), (60.0, 80.0)], problems, lower_signs=[1, 1])
+
+    def test_refine_needs_one_problem_per_bracket(self):
+        with pytest.raises(ValueError, match="one problem per bracket"):
+            refine_root([(70.0, 80.0), (60.0, 80.0)], [make_problem()], lower_signs=[1, 1])
+
+    def test_empty_batch(self):
+        assert find_frequencies([]) == []
+
+    def test_one_debug_line_per_call(self, caplog):
+        problems = [make_problem(beta=b) for b in (1.0, 2.0, 6.0)]
+        with caplog.at_level(logging.DEBUG, logger="arch_resonance.solver"):
+            find_frequencies(problems, SearchConfig(max_modes=2, k_max=10.0))
+            find_frequencies(make_problem(), SearchConfig(max_modes=1))
+        lines = [r.getMessage() for r in caplog.records if r.name == "arch_resonance.solver"]
+        # beta = 6 stops after its first block of 256; beta = 1 and 2 scan
+        # their whole grids of 2000 and 2002 nodes (8 blocks), then one call
+        # of four bisection levels refines beta = 6's two brackets (2 x 15).
+        assert lines == [
+            "find_frequencies: 3 problems, 9 kernel calls, 4288 K values, "
+            "2 brackets refined, 2 short",
+            "find_frequencies: 1 problems, 2 kernel calls, 271 K values, "
+            "1 brackets refined, 0 short",
+        ]
 
 
 def _whole_grid_spectrum(problem, cfg):
@@ -459,6 +568,25 @@ class TestEarlyExitScan:
                     find_frequencies(problem, cfg)
             else:
                 assert find_frequencies(problem, cfg).roots == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        log_beta=st.floats(math.log10(BETA_MIN), math.log10(2 * math.pi)),
+        eta=st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+        modes=st.integers(1, 12),
+        points=st.sampled_from([16, 17, 257, 258, 2000]),
+        log_k_max=st.one_of(st.none(), st.floats(-2.0, 6.0)),
+    )
+    def test_grid_prefix_is_the_start_of_the_whole_grid(
+        self, log_beta, eta, modes, points, log_k_max
+    ):
+        problem = ArchProblem(beta=10.0**log_beta, eta_nd=eta)
+        k_max = None if log_k_max is None else 10.0**log_k_max
+        cfg = solver._resolved(problem, SearchConfig(max_modes=modes, grid_points=points, k_max=k_max))
+        whole = solver._grid_nodes(problem, cfg)
+        for count in {1, 2, 16, 17, 257, 258, 513, points - 2, points - 1, whole.size, whole.size + 1}:
+            prefix = solver._grid_nodes(problem, cfg, count)
+            assert prefix.tobytes() == whole[:count].tobytes(), count
 
     def test_partial_scan_is_a_prefix_of_the_whole_grid(self, monkeypatch):
         problem = make_problem(eta=1.0, alpha=0.4, theta=0.8)
@@ -592,5 +720,6 @@ class TestKernelCallsPerSolve:
             tubes={armchair: resolve_preset(armchair, load_presets())},
         )
         run_sweep(spec)
-        # Per point: one scan block, one call of four bisection levels.
-        assert calls == [256, 15, 256, 15]
+        # Both points in lockstep: one call with the first scan block of
+        # each, then one call of four bisection levels for both brackets.
+        assert calls == [512, 30]

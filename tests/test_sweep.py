@@ -1,3 +1,4 @@
+import functools
 import math
 
 import pytest
@@ -165,6 +166,21 @@ class TestOrderingAndDegradation:
         assert bad and good
         assert all(r.K is None and r.eta_nd == 1.0 for r in bad)
         assert all(r.K is not None for r in good)
+
+    def test_short_search_degrades_to_no_root(self, monkeypatch):
+        # With k_max = 10 the fundamental at beta = 1 (K = 78.67) is out of
+        # range, while those at beta = 2 and 3 (K = 2.15 and 0.0093) are not.
+        short = functools.partial(solver.SearchConfig, k_max=10.0)
+        monkeypatch.setattr(solver, "SearchConfig", short)
+        spec = SweepSpec(
+            parameter="beta", start=1.0, stop=3.0, steps=3, tubes=ARMCHAIR, eta_nd=0.0
+        )
+        rows = run_sweep(spec)
+        assert [r.note for r in rows] == ["no-root", "", ""]
+        assert rows[0].K is rows[0].omega_nd is rows[0].omega_rad_s is None
+        for row in rows[1:]:
+            assert rel_err(row.K, uncracked_K_closed_form(1, row.beta_rad, 0.0)) < 1e-8
+        assert rows_to_csv(rows).splitlines()[1].endswith(",1,,,,no-root")
 
     def test_byte_identical_reruns(self):
         spec = eta_sweep()
