@@ -206,6 +206,10 @@ FIGURE_COMMANDS = {
     "fig5.csv": ["sweep", "--param", "radius"],
     "fig6.csv": ["sweep", "--param", "radius", "--chirality", "armchair"],
     "fig7.csv": ["sweep", "--param", "radius", "--chirality", "zigzag"],
+    "sweep_beta_cracked.csv": ["sweep", "--param", "beta", "--chirality", "all",
+                               "--crack-psi", "0.5", "--crack-alpha", "0.4"],
+    "sweep_eta_cracked.csv": ["sweep", "--param", "eta", "--beta", "1",
+                              "--crack-psi", "0.5", "--crack-alpha", "0.3"],
 }
 
 

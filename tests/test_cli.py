@@ -453,10 +453,17 @@ class TestGoldenFiles:
     """
 
     CASES = {
+        "freq_cracked.csv": ["freq", "--beta", "1.0", "--eta", "1.0", "--crack-psi", "0.5",
+                             "--crack-alpha", "0.4", "--modes", "5", "--format", "csv"],
         "freq.csv": ["freq", "--beta", "1.0", "--eta", "1.0", "--chirality",
                      "armchair", "--modes", "5", "--format", "csv"],
         "modeshape.csv": ["modeshape", "--beta", "1.0", "--eta", "1.0",
                           "--mode", "1", "--samples", "200", "--format", "csv"],
+        # Mode 2 with the crack off its node: at beta/2 the shape is
+        # antisymmetric and rounding decides the sign of its tied extrema.
+        "modeshape_cracked.csv": ["modeshape", "--beta", "1.0", "--eta", "1.0",
+                                  "--crack-psi", "0.5", "--crack-alpha", "0.3",
+                                  "--mode", "2", "--samples", "200", "--format", "csv"],
         "validate.csv": ["validate", "--format", "csv"],
     }
 

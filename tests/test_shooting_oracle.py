@@ -7,6 +7,10 @@ the slope at alpha, and the simply supported conditions X = X'' = 0 at beta
 give a 2x2 determinant whose sign changes at every simple eigenvalue.
 """
 
+import csv
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,14 +18,21 @@ from hypothesis import strategies as st
 
 from arch_resonance import (
     ArchProblem,
+    ChiralityClass,
     CrackJoint,
+    PowerLawCompliance,
     SearchConfig,
     boundary_determinant,
+    compliance,
     find_frequencies,
+    resolve_preset,
 )
+from arch_resonance.cli import load_presets
 from arch_resonance.model import BETA_MIN
 
 expm = pytest.importorskip("scipy.linalg").expm
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 # A reported root must lie within STRADDLE * max(1, K) of a sign change.
 STRADDLE = 1e-8
@@ -38,22 +49,25 @@ def shooting_det(K, beta, eta, alpha, theta):
     their span (QR with R's diagonal made positive, which keeps the sign of
     the determinant). Without it both align with the growing exponential: at
     beta = 4.25, alpha = 0.4375 beta, theta = 10 the determinant read 0.0 and
-    6.9e-18 on the two sides of the root K = 655.71.
+    6.9e-18 on the two sides of the root K = 655.71. A K array gives an
+    array of determinants, each evaluated on its own.
     """
-    A = np.zeros((4, 4))
-    A[0, 1] = A[1, 2] = A[2, 3] = 1.0
-    A[3, 0] = K - 1.0
-    A[3, 2] = -(2.0 + K * eta)
-    Y = np.eye(4)[:, [1, 3]]  # states started from X'(0) = 1 and X'''(0) = 1
+    K = np.asarray(K, dtype=float)
+    A = np.zeros(K.shape + (4, 4))
+    A[..., 0, 1] = A[..., 1, 2] = A[..., 2, 3] = 1.0
+    A[..., 3, 0] = K - 1.0
+    A[..., 3, 2] = -(2.0 + K * eta)
+    # States started from X'(0) = 1 and X'''(0) = 1.
+    Y = np.broadcast_to(np.eye(4)[:, [1, 3]], K.shape + (4, 2))
     for length, jump in ((alpha, theta), (beta - alpha, 0.0)):
         step = expm(A * (length / SUBSTEPS))
         for _ in range(SUBSTEPS):
             Y, r = np.linalg.qr(step @ Y)
-            Y *= np.sign(np.diag(r))
-        Y[1] += jump * Y[2]
-    M = Y[[0, 2]]
-    M /= np.abs(M).max(axis=1, keepdims=True)
-    return M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+            Y = Y * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+        Y[..., 1, :] += jump * Y[..., 2, :]
+    M = Y[..., [0, 2], :]
+    M = M / np.abs(M).max(axis=-1, keepdims=True)
+    return M[..., 0, 0] * M[..., 1, 1] - M[..., 0, 1] * M[..., 1, 0]
 
 
 def _sign_changes(values):
@@ -72,7 +86,7 @@ def _check_against_shooting(beta, eta, alpha, theta, modes):
     ends = [cfg.k_min, *ks]
     for lo, hi in zip(ends, ends[1:]):
         grid = np.linspace(lo + STRADDLE * max(1.0, lo), hi - STRADDLE * max(1.0, hi), GRID_STEPS + 1)
-        missed = _sign_changes([shooting_det(k, *args) for k in grid])
+        missed = _sign_changes(shooting_det(grid, *args))
         if missed and missed == _sign_changes(boundary_determinant(problem, grid)[0]):
             pytest.xfail(
                 f"the scan missed {missed} roots in ({lo}, {hi}) that the boundary "
@@ -108,6 +122,62 @@ def test_close_low_roots_of_a_very_stiff_crack():
     # [0.0093, 3.49] (a guide node, then the first uniform node past it), so
     # the scan reports K = 35.155 as mode 1.
     _check_against_shooting(3.0, 0.0, 0.875 * 3.0, 100.0, 1)
+
+
+def _golden_rows(name):
+    """Solved rows of a cracked golden file as (beta, eta, alpha, theta, Ks).
+
+    Each row's problem is rebuilt from its printed fields with the default
+    power-law compliance, scaled by the preset tube's h/R (1 without a
+    chirality, as the freq command has). The printed 9 digits keep beta and
+    K within a few 1e-9 relative of the solve, inside the straddle.
+    """
+    with open(GOLDEN_DIR / name, newline="") as f:
+        rows = list(csv.DictReader(f))
+    if name == "freq_cracked.csv":
+        # freq --beta 1.0 --eta 1.0 --crack-psi 0.5 --crack-alpha 0.4
+        theta = compliance(PowerLawCompliance(), 0.5, (1.0, 1.0))
+        return [(1.0, 1.0, 0.4, theta, [float(r["K"]) for r in rows])]
+    presets = load_presets()
+    solved = []
+    for r in rows:
+        if not r["K"]:
+            assert r["note"] == "crack-outside" and float(r["alpha_rad"]) >= float(r["beta_rad"])
+            continue
+        assert r["mode"] == "1"
+        tube = replace(
+            resolve_preset(ChiralityClass(r["chirality"]), presets), radius=float(r["radius_m"])
+        )
+        theta = compliance(
+            PowerLawCompliance(), float(r["psi"]), (tube.wall_thickness, tube.radius)
+        )
+        args = (float(r["beta_rad"]), float(r["eta_nd"]), float(r["alpha_rad"]), theta)
+        solved.append((*args, [float(r["K"])]))
+    return solved
+
+
+@pytest.mark.parametrize(
+    "name, solved",
+    [("sweep_beta_cracked.csv", 156), ("sweep_eta_cracked.csv", 123), ("freq_cracked.csv", 1)],
+)
+def test_cracked_goldens_match_shooting(name, solved):
+    # Every root of the cracked goldens straddles a sign change of the QR
+    # shooting determinant, and none is left out below mode 1 or between
+    # two consecutive modes.
+    rows = _golden_rows(name)
+    assert len(rows) == solved
+    for beta, eta, alpha, theta, ks in rows:
+        args = (beta, eta, alpha, theta)
+        for k in ks:
+            delta = STRADDLE * max(1.0, k)
+            below, above = shooting_det([k - delta, k + delta], *args)
+            assert below * above < 0.0, (args, k)
+        ends = [SearchConfig().k_min, *ks]
+        for lo, hi in zip(ends, ends[1:]):
+            grid = np.linspace(
+                lo + STRADDLE * max(1.0, lo), hi - STRADDLE * max(1.0, hi), GRID_STEPS + 1
+            )
+            assert _sign_changes(shooting_det(grid, *args)) == 0, (args, lo, hi)
 
 
 def _shooting_det_mp(K, beta, eta, alpha, theta):
