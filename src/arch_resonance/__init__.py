@@ -30,7 +30,6 @@ from .kernel import (
     CharCoeffs,
     ModeBasis,
     assemble_cracked,
-    assemble_uncracked,
     characteristic_coefficients,
     det_sign_logmag,
     null_vector,

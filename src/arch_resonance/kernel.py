@@ -5,20 +5,20 @@ The transverse vibration of the arch reduces to the fourth-order equation
     X'''' + (2 + K*eta) X'' + (1 - K) X = 0,       K = omega^2 mu R^4 / (E I),
 
 whose exponential ansatz gives the bi-quadratic lam^4 + p2 lam^2 + p0 = 0 with
-p2 = 2 + K*eta and p0 = 1 - K. This module builds the fundamental solutions
-for trial K values, evaluates their derivatives analytically, assembles the
-simply supported boundary (and crack matching) matrices whose null vectors
-give the mode shapes, and evaluates the boundary determinant in closed form,
-as the reduced characteristic function whose sign changes bracket the
-eigenvalues.
+p2 = 2 + K*eta and p0 = 1 - K. This module builds the support-adapted
+fundamental solutions for trial K values, evaluates their derivatives
+analytically, assembles the crack matching matrix whose null vector gives the
+mode shape, and evaluates the boundary determinant in closed form, as the
+reduced characteristic function whose sign changes bracket the eigenvalues.
 
 Stacks
 ------
-Every function takes either one trial K or a 1-D array of N of them. An array
-gives arrays: a basis whose fields have shape (N,), boundary matrices of
-shape (N, 4, 4), and N signs and log-magnitudes of the reduced characteristic
-function. A scalar K is the N = 1 case of the same code. The solver evaluates
-its K grid in fixed-size blocks of such stacks.
+Every function but :func:`null_vector` takes either one trial K or a 1-D
+array of N of them. An array gives arrays: a basis whose fields have shape
+(N,), matching matrices of shape (N, 4, 4), and N signs and log-magnitudes
+of the reduced characteristic function. A scalar K is the N = 1 case of the
+same code. The solver evaluates its K grid in fixed-size blocks of such
+stacks.
 
 :func:`det_sign_logmag` also takes its problem parameters (eta_nd, beta,
 alpha, theta_c) as arrays that broadcast to K's shape, so one call evaluates
@@ -37,24 +37,17 @@ For each root mu of the quadratic in lam^2 the even/odd solution pair is
     o(mu, phi) = sin(a*phi)/a or sinh(a*phi)/a
 
 which are entire in mu (o -> phi, e -> 1 as mu -> 0), so the determinant is a
-continuous function of K across branch switches. Once a hyperbolic argument
-exceeds a couple of units, cosh and sinh coincide to exponential accuracy and
-their columns would make the boundary matrix artificially rank-deficient;
-there the pair is represented instead by the bounded decaying exponentials
+continuous function of K across branch switches. mu1 is the always-negative
+(trigonometric) root and mu2 carries the branch dependence; at a repeated
+root the mu-derivatives of the first pair stand in for the second.
 
-    exp(-a*phi)  and  exp(a*(phi - phi_max)),
-
-a change of basis with positive determinant (+2a*exp(-a*phi_max)), so
-determinant sign changes are unaffected, every entry stays within [0, 1], and
-the root signal survives at any wavenumber.
-
-The uncracked basis is [e(mu1), o(mu1), e(mu2), o(mu2)] where mu1 is the
-always-negative (trigonometric) root and mu2 carries the branch dependence.
-For a repeated root the second pair is replaced by the mu-derivatives of the
-first, which span the classical phi*cos/phi*sin solutions. The cracked system
-is 4x4 in the support-adapted basis of :meth:`ModeBasis.support_rows`: the
-odd functions of the distance from a support vanish there with X'', so one
-pair per segment leaves only the four matching conditions at the crack.
+The matching system is 4x4 in the support-adapted basis of
+:meth:`ModeBasis.support_rows`: the odd functions of the distance from a
+support vanish there with X'', so one pair per segment leaves only the four
+matching conditions at the crack. An uncracked arch is the crack of zero
+compliance at any angle, whose rows enforce C3 continuity. A hyperbolic
+column is divided by cosh of its argument at the crack, so every entry stays
+bounded at any wavenumber.
 
 Reduced characteristic function
 -------------------------------
@@ -68,9 +61,9 @@ the X''' and slope-jump rows into a 2x2 whose determinant over mu1 - mu2 is
     S_i = o(mu_i, beta),  A_i = o(mu_i, alpha)*o(mu_i, gamma);
 
 uncracked, F = S1*S2. :func:`det_sign_logmag` evaluates F with no matrix. Its
-sign is that of the 4x4 determinant times a fixed factor (-1 uncracked, +1
-cracked), so both change sign at the same K. Mode shapes still come from the
-4x4 matrices through :func:`null_vector`.
+sign is that of the determinant of the matching matrix, so both change sign
+at the same K. A mode shape's coefficients are the null vector of the
+matching matrix at its root (:func:`null_vector`).
 """
 
 from __future__ import annotations
@@ -88,8 +81,6 @@ DEGENERACY_TOL = 1e-10
 PIVOT_ZERO_TOL = 1e-13
 # Minimum admissible crack segment length, rad.
 SEGMENT_TOL = 1e-9
-# Hyperbolic pairs switch to the decaying-exponential representation here.
-_EXP_SWITCH = 2.0
 
 
 @dataclass(frozen=True)
@@ -158,32 +149,16 @@ def _lam2_roots(coeffs: CharCoeffs, tol: float = DEGENERACY_TOL):
 
 @dataclass(frozen=True)
 class ModeBasis:
-    """Four fundamental solutions at trial K values with analytic derivatives.
+    """Roots of the quadratic in lam^2 at trial K values, for the solution basis.
 
-    ``mu1``, ``mu2``, ``repeated`` and ``exp_pair`` are scalars for a scalar K
-    and arrays of shape (N,) for a K array. ``repeated`` marks the
-    repeated-root basis; when ``exp_pair`` is set, the hyperbolic pair is
-    represented by the bounded exponentials exp(-a*phi) and
-    exp(a*(phi - phi_max)).
+    ``mu1``, ``mu2`` and ``repeated`` are scalars for a scalar K and arrays
+    of shape (N,) for a K array. ``repeated`` marks a repeated root, where
+    the support-adapted columns take their mu-derivative limit.
     """
 
     mu1: float | np.ndarray  # always <= -1: trigonometric pair
     mu2: float | np.ndarray  # > 0 hyperbolic, 0 polynomial, < 0 trigonometric
     repeated: bool | np.ndarray = False
-    exp_pair: bool | np.ndarray = False
-    phi_max: float | None = None
-
-    def derivative_rows(self, phi, nrows: int = 4) -> np.ndarray:
-        """Basis-function derivatives at ``phi``, shape (..., nrows, 4).
-
-        Row k holds the k-th derivative of each of the four functions. The
-        leading shape broadcasts the K values of the basis against ``phi``:
-        (nrows, 4) for a scalar K and a scalar phi.
-        """
-        if not 1 <= nrows <= 5:
-            raise ValueError("nrows must be between 1 and 5")
-        shape = np.broadcast_shapes(np.shape(self.mu1), np.shape(phi))
-        return _stack_first(_derivative_table(self, phi, nrows), shape)
 
     def support_rows(self, x, ref, nrows: int = 4) -> np.ndarray:
         """Derivatives in ``x`` of the two support-adapted columns, shape (..., nrows, 2).
@@ -202,87 +177,33 @@ class ModeBasis:
         return np.moveaxis(table, (0, 1), (-2, -1))
 
 
-def quartic_roots(
-    coeffs: CharCoeffs,
-    tol: float = DEGENERACY_TOL,
-    phi_max: float | None = None,
-) -> ModeBasis:
-    """Solve lam^4 + p2 lam^2 + p0 = 0 and build the solution basis.
+def quartic_roots(coeffs: CharCoeffs, tol: float = DEGENERACY_TOL) -> ModeBasis:
+    """Solve lam^4 + p2 lam^2 + p0 = 0 for the roots of the solution basis.
 
     The branch follows the sign of the lam^2 roots; ``tol`` resolves the
     zero-root and repeated-root degeneracies (see :func:`_lam2_roots`).
-    ``phi_max`` bounds the evaluation interval; pass the central angle when
-    assembling boundary matrices so that large hyperbolic arguments switch to
-    the well-conditioned exponential representation.
     """
     mu1, mu2, repeated = _lam2_roots(coeffs, tol)
-    exp_pair = np.zeros(mu2.shape, dtype=bool)
-    if phi_max is not None:
-        exp_pair = np.sqrt(np.maximum(mu2, 0.0)) * phi_max > _EXP_SWITCH
     if not mu2.ndim:
-        mu1, mu2 = float(mu1), float(mu2)
-        repeated, exp_pair = bool(repeated), bool(exp_pair)
-    return ModeBasis(
-        mu1=mu1,
-        mu2=mu2,
-        repeated=repeated,
-        exp_pair=exp_pair,
-        phi_max=phi_max,
-    )
+        mu1, mu2, repeated = float(mu1), float(mu2), bool(repeated)
+    return ModeBasis(mu1=mu1, mu2=mu2, repeated=repeated)
 
 
-def _libm(f, t) -> np.ndarray:
-    """``f`` (np.cosh, np.sinh or np.exp) of real ``t``, rounded as libm rounds.
-
-    numpy's real loops for these functions use SIMD approximations that can
-    differ from the C library in the last bit; its complex loops call the C
-    library, and the real part of f(x + 0j) is f(x). The last bit shows in
-    outputs that cancel to rounding level, such as a mode shape's value at
-    the far support.
-    """
-    return f(np.asarray(t, dtype=complex)).real
+def _odd_derivatives(mu, e, o, nrows: int) -> list:
+    """Derivatives 0..nrows-1 of the odd function o of a pair with o' = e and e' = mu*o."""
+    return [o, e, mu * o, mu * e][:nrows]
 
 
-def _pair_rows(mu, e, o, nrows: int) -> tuple[list, list]:
-    """Derivatives 0..nrows-1 of a pair with e' = mu*o and o' = e."""
-    de = [e, mu * o, mu * e]
-    if nrows > 3:
-        mm = mu * mu
-        de += [mm * o, mm * e]
-    return de[:nrows], ([o] + de)[:nrows]
-
-
-def _second_pair(mu, phi, nrows: int) -> tuple[list, list]:
-    """Rows of the (e, o) pair of a root mu of any sign, no exponential form."""
-    a = np.sqrt(np.abs(mu))
+def _trig_pair(mu, phi) -> tuple:
+    """The pair (e, o) of a root mu <= 0: cos(a*phi) and sin(a*phi)/a, or 1 and phi at 0."""
+    a = np.sqrt(-mu)
     t = a * phi
-    hyp = mu > 0.0
-    with np.errstate(over="ignore"):
-        e, o = _libm(np.cosh, t), _libm(np.sinh, t)
-    if hyp.all():
-        o = o / a
-    else:
-        e = np.where(hyp, e, np.cos(t))
-        o = np.where(hyp, o, np.sin(t)) / np.where(a == 0.0, 1.0, a)
-        o = np.where(mu == 0.0, phi, o)
-    return _pair_rows(mu, e, o, nrows)
+    o = np.sin(t) / np.where(a == 0.0, 1.0, a)
+    return np.cos(t), np.where(mu == 0.0, phi, o)
 
 
-def _exp_pair_rows(mu, phi, phi_max: float, nrows: int) -> tuple[list, list]:
-    """Rows of the bounded exponentials exp(-a*phi), exp(a*(phi - phi_max))."""
-    a = np.sqrt(mu)
-    f3 = _libm(np.exp, -a * phi)
-    f4 = _libm(np.exp, a * (phi - phi_max))
-    d3, d4 = [f3, -a * f3, mu * f3], [f4, a * f4, mu * f4]
-    if nrows > 3:
-        mm = mu * mu
-        d3 += [-a * mu * f3, mm * f3]
-        d4 += [a * mu * f4, mm * f4]
-    return d3[:nrows], d4[:nrows]
-
-
-def _repeated_rows(mu, phi, e, o, nrows: int) -> tuple[list, list]:
-    """Rows of (g, h) = (d e/d mu, d o/d mu) for the repeated-root basis."""
+def _repeated_pair(mu, phi, e, o) -> tuple:
+    """(g, h) = (d e/d mu, d o/d mu) at a repeated root, given e and o there."""
     g = 0.5 * phi * o
     # Series for h; direct (phi*e - o)/(2 mu) cancels at small arguments.
     p2_ = phi * phi
@@ -292,44 +213,12 @@ def _repeated_rows(mu, phi, e, o, nrows: int) -> tuple[list, list]:
         mupow = mupow * mu
         series = series + k * mupow * phi * p2_**k / fact
     h = np.where(np.abs(mu) * phi * phi < 0.01, series, (phi * e - o) / (2.0 * mu))
-    mm = mu * mu
-    dg = [g, o + mu * h, e + mu * g, 2.0 * mu * o + mm * h, 2.0 * mu * e + mm * g]
-    return dg[:nrows], ([h] + dg)[:nrows]
+    return g, h
 
 
 def _stack_first(table: np.ndarray, shape: tuple) -> np.ndarray:
     """View of a stack-last (r, c, M) array as (*shape, r, c)."""
     return np.moveaxis(table, -1, 0).reshape(shape + table.shape[:-1])
-
-
-def _derivative_table(basis: ModeBasis, phi, nrows: int) -> np.ndarray:
-    """Derivative rows as an (nrows, 4, M) array, the M broadcast K/phi last."""
-    shape = np.broadcast_shapes(np.shape(basis.mu1), np.shape(phi))
-    mu1, mu2, repeated, exp_pair = (
-        x if np.shape(x) == shape != () else np.broadcast_to(x, shape).ravel()
-        for x in (basis.mu1, basis.mu2, basis.repeated, basis.exp_pair)
-    )
-    phi = np.ravel(phi) if np.ndim(phi) else phi
-    a1 = np.sqrt(-mu1)
-    t1 = a1 * phi
-    e1, o1 = np.cos(t1), np.sin(t1) / a1
-    columns = list(_pair_rows(mu1, e1, o1, nrows))
-
-    generic = ~(repeated | exp_pair)
-    if generic.all():
-        columns += _second_pair(mu2, phi, nrows)
-    else:
-        third, fourth = np.empty((2, nrows, mu2.size))
-        g, x, r = generic, exp_pair, repeated
-        at = (lambda m: phi[m]) if np.ndim(phi) else (lambda m: phi)
-        if g.any():
-            third[:, g], fourth[:, g] = _second_pair(mu2[g], at(g), nrows)
-        if x.any():
-            third[:, x], fourth[:, x] = _exp_pair_rows(mu2[x], at(x), basis.phi_max, nrows)
-        if r.any():
-            third[:, r], fourth[:, r] = _repeated_rows(mu1[r], at(r), e1[r], o1[r], nrows)
-        columns += [third, fourth]
-    return np.array([[c[k] for c in columns] for k in range(nrows)])
 
 
 def _support_table(basis: ModeBasis, x, ref, nrows: int) -> np.ndarray:
@@ -343,19 +232,19 @@ def _support_table(basis: ModeBasis, x, ref, nrows: int) -> np.ndarray:
     # exact (expm1) where a*x is small.
     decay = np.exp(a * (x - ref)) / (1.0 + np.exp(-2.0 * a * ref))
     e, o = (1.0 + np.exp(-2.0 * a * x)) * decay, -np.expm1(-2.0 * a * x) * decay / a
-    second = _pair_rows(mu2, e, o, nrows)[1]
+    second = _odd_derivatives(mu2, e, o, nrows)
     if not np.all(hyp):
         # Divided differences D[f] = (f(mu2) - f(mu1)) / (mu2 - mu1), which
         # are d f/d mu at a repeated root; D[mu*f] = f(mu2) + mu1*D[f].
-        (e2,), (o2,) = _second_pair(np.where(hyp, -1.0, mu2), x, 1)
+        e2, o2 = _trig_pair(np.where(hyp, -1.0, mu2), x)
         gap = np.where(repeated, 1.0, mu2 - mu1)
         de, do = (e2 - e1) / gap, (o2 - o1) / gap
         if np.any(repeated):
-            (g,), (h,) = _repeated_rows(mu1, x, e1, o1, 1)
+            g, h = _repeated_pair(mu1, x, e1, o1)
             de, do = np.where(repeated, g, de), np.where(repeated, h, do)
         divided = [do, de, o2 + mu1 * do, e2 + mu1 * de]
         second = [np.where(hyp, s, d) for s, d in zip(second, divided)]
-    return np.array([_pair_rows(mu1, e1, o1, nrows)[1], second]).swapaxes(0, 1)
+    return np.array([_odd_derivatives(mu1, e1, o1, nrows), second]).swapaxes(0, 1)
 
 
 def uncracked_K_closed_form(n: int, beta: float, eta_nd: float) -> float:
@@ -374,26 +263,6 @@ def uncracked_K_closed_form(n: int, beta: float, eta_nd: float) -> float:
     return (lam2 - 1.0) ** 2 / (1.0 + eta_nd * lam2)
 
 
-def assemble_uncracked(basis: ModeBasis, beta: float) -> np.ndarray:
-    """4x4 simply supported boundary system, shape (..., 4, 4).
-
-    Entry [..., i, j] applies boundary condition i to basis function j; the
-    leading axis, when present, runs over the K values of the basis. Row
-    order: [X(0), X''(0), X(beta), X''(beta)], realizing zero transverse
-    displacement and zero bending moment at both supports. Where the basis
-    uses the bounded exponential pair, the columns differ from the cosh/sinh
-    ones by a change of basis with positive determinant, so the determinant's
-    sign, and with it every sign change in K, is that of the cosh/sinh
-    system.
-    """
-    if beta <= 0:
-        raise ValueError("central angle must be positive")
-    at0 = _derivative_table(basis, 0.0, 3)
-    atb = _derivative_table(basis, beta, 3)
-    m = np.concatenate([at0[0::2], atb[0::2]])
-    return _stack_first(m, np.shape(basis.mu2))
-
-
 def assemble_cracked(
     basis: ModeBasis, beta: float, alpha: float, theta_c: float
 ) -> np.ndarray:
@@ -405,8 +274,8 @@ def assemble_cracked(
     left and beta - alpha on the right, so both supports hold by
     construction. Row order: X, X'' and X''' continuous at alpha, then
     X'(alpha+) - X'(alpha-) - theta_c*X''(alpha). At theta_c = 0 the rows
-    enforce C3 continuity, so the zero set in K coincides with the uncracked
-    system's.
+    enforce C3 continuity, so at any alpha the zero set in K and the null
+    vectors are the uncracked arch's.
     """
     if theta_c < 0:
         raise ValueError("crack compliance must be nonnegative")
@@ -501,7 +370,7 @@ def det_sign_logmag(
                 else:
                     x = np.array([[beta], [alpha], [gamma]])
                 t = a1[r] * x
-                (_,), (h,) = _repeated_rows(mu1[r], x, np.cos(t), np.sin(t) / a1[r], 1)
+                _, h = _repeated_pair(mu1[r], x, np.cos(t), np.sin(t) / a1[r])
                 o_a, o_g = o_a[r], o_g[r]
                 dd[r] = h[0] * o_a * o_g - s1[r] * (h[1] * o_g + o_a * h[2])
             extra = theta_c * mu1 * mu2 * dd
@@ -516,102 +385,38 @@ def det_sign_logmag(
     return sign, logmag
 
 
-@dataclass(frozen=True)
-class _Factors:
-    """Row-equilibrated LU factors of a stack of N square matrices, stack last.
+# _KEEP[i] lists the indices other than i: the rows or columns of a 3x3 minor.
+_KEEP = np.array([[j for j in range(4) if j != i] for i in range(4)])
+_COFACTOR_SIGN = (-1.0) ** np.add.outer(np.arange(4), np.arange(4))
 
-    ``lu[:, :, s]`` holds matrix s's unit lower factor (multipliers below the
-    diagonal) and upper factor (on and above it). Step k exchanged rows k
-    and ``pivot_rows[k, s]``, as in LAPACK's ipiv.
+
+def null_vector(matrix) -> np.ndarray:
+    """Null vector of one 4x4 matrix of rank 3, its largest component exactly 1.
+
+    The rows are scaled to unit max norm, and the vector is the row of
+    cofactors (a column of the adjugate) with the largest max-abs: A times
+    the cofactors of its row i is det(A) in entry i and exactly 0 elsewhere,
+    so at rank 3 every nonzero row of cofactors spans the null space. The
+    3x3 minors are elementwise float products and sums, not LAPACK or
+    matmul, so their bits do not depend on the BLAS build. Raises ValueError
+    for non-finite entries and for rank below 3, where every cofactor is 0.
     """
-
-    lu: np.ndarray  # (n, n, N)
-    pivot_rows: np.ndarray  # (n, N)
-    min_pivot: np.ndarray  # (N,) smallest scaled pivot magnitude
-
-
-def _factor(matrix) -> tuple[_Factors, bool]:
-    """LU with partial pivoting, vectorized over a stack, after row scaling.
-
-    Rows are scaled to unit max norm, so pivot magnitudes are directly
-    comparable to 1. The elimination loops over the columns, works on all
-    matrices at once, and multiplies by the reciprocal pivot. Returns the
-    factors and whether the input was a single matrix.
-    """
-    a = np.asarray(matrix, dtype=float)
-    single = a.ndim == 2
-    a = np.moveaxis(a[None] if single else a, 0, -1).copy()
-    n, count = a.shape[1:]
-
-    scale = np.abs(a).max(axis=1)  # NaN where a row holds one
-    if not np.isfinite(scale).all():
+    a = np.array(matrix, dtype=float)
+    if a.shape != (4, 4):
+        raise ValueError(f"null_vector takes one 4x4 matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
-    a *= (1.0 / np.where(scale == 0.0, 1.0, scale))[:, None]
-
-    rows = a.reshape(n, n * count)
-    row_index = np.arange(n * count).reshape(n, count)
-    pivot_rows = np.empty((n, count), dtype=int)
-    pivot_rows[-1] = n - 1
-    for k in range(n - 1):
-        p = k + np.abs(a[k:, k]).argmax(axis=0)
-        pivot_rows[k] = p
-        if (p != k).any():
-            row_k = a[k].copy()
-            a[k] = rows[p, row_index]
-            rows[p, row_index] = row_k
-        piv = a[k, k]
-        f = a[k + 1 :, k] * (1.0 / np.where(piv == 0.0, 1.0, piv))
-        a[k + 1 :, k] = f
-        a[k + 1 :, k + 1 :] -= f[:, None] * a[k, k + 1 :]
-
-    diag = np.abs(a[np.arange(n), np.arange(n)])
-    return _Factors(lu=a, pivot_rows=pivot_rows, min_pivot=diag.min(axis=0)), single
-
-
-def _safe(d: np.ndarray) -> np.ndarray:
-    """Pivots with magnitudes below 1e-30 replaced by +-1e-30 (+ for zero)."""
-    return np.where(np.abs(d) < 1e-30, np.where(d < 0.0, -1e-30, 1e-30), d)
-
-
-def null_vector(matrix):
-    """Approximate null vectors of (nearly) rank-deficient matrices.
-
-    Back-substitutes through the smallest-pivot column of the row-normalized
-    LU, then applies one inverse-iteration step through the same factors and
-    normalizes so the largest component is exactly 1. Returns (vector,
-    smallest scaled pivot) for one matrix, or an (N, n) array of vectors and
-    N pivots for a stack.
-    """
-    fac, single = _factor(matrix)
-    lu, (n, count) = fac.lu, fac.pivot_rows.shape
-    stack = np.arange(count)
-    diag = lu[np.arange(n), np.arange(n)]
-    pivots = _safe(diag)
-    k_star = np.abs(diag).argmin(axis=0)
-
-    # Sums run term by term in index order, not through matmul: the last bits
-    # of the vector show in mode-shape values that cancel to rounding level.
-    x = np.zeros((n, count))
-    x[k_star, stack] = 1.0
-    for i in range(n - 2, -1, -1):
-        acc = np.zeros(count)
-        for j in range(i + 1, n):
-            acc = acc + lu[i, j] * x[j]
-        x[i] = np.where(i < k_star, -acc / pivots[i], x[i])
-
-    # One inverse-iteration step: solve (LU) z = P x.
-    z = x
-    for k, p in enumerate(fac.pivot_rows):
-        z[k], z[p, stack] = z[p, stack], z[k].copy()
-    for i in range(n):
-        for j in range(i):
-            z[i] -= lu[i, j] * z[j]
-    for i in range(n - 1, -1, -1):
-        for j in range(i + 1, n):
-            z[i] -= lu[i, j] * z[j]
-        z[i] /= pivots[i]
-
-    z = (z / z[np.abs(z).argmax(axis=0), stack]).T
-    if single:
-        return z[0].tolist(), float(fac.min_pivot[0])
-    return z, fac.min_pivot
+    scale = np.abs(a).max(axis=1)
+    a = a / np.where(scale == 0.0, 1.0, scale)[:, None]
+    m = a[_KEEP[:, None, :, None], _KEEP[None, :, None, :]]  # minor (i, j) at [i, j]
+    minors = (
+        m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1])
+        - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
+        + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0])
+    )
+    cofactors = _COFACTOR_SIGN * minors
+    row = cofactors[np.abs(cofactors).max(axis=1).argmax()]
+    largest = row[np.abs(row).argmax()]
+    if largest == 0.0:
+        raise ValueError("matrix rank is below 3: every cofactor is 0, no unique null vector")
+    return row / largest

@@ -10,7 +10,7 @@ candidate is one root. The candidates of the requested modes are bisected
 together to the requested tolerance, four levels per kernel call (a
 heap-ordered tree of nested midpoints). A spectrum holds eigenvalues and
 flags only: :func:`mode_shape` is the one place that extracts a null vector,
-the coefficients of the shape, from the near-singular system.
+the coefficients of the shape, from the near-singular matching matrix.
 
 :func:`find_frequencies` also takes a sequence of problems, all cracked or
 all uncracked, as a sweep or the validation table has, and solves them in
@@ -39,7 +39,7 @@ import numpy as np
 
 from . import kernel
 from .errors import NoRootsInRange
-from .model import ArchProblem
+from .model import ArchProblem, CrackJoint
 
 logger = logging.getLogger(__name__)
 
@@ -107,8 +107,8 @@ class Root:
     """One spectrum entry: eigenvalue and quality flag.
 
     A root carries no mode coefficients: :func:`mode_shape` computes them, as
-    the null vector of the boundary system (:func:`kernel.null_vector`) at the
-    polished root.
+    the null vector (:func:`kernel.null_vector`) of the support-adapted
+    matching matrix (:func:`boundary_matrix`) at the polished root.
     """
 
     K: float
@@ -140,18 +140,24 @@ class ScanResult:
     lower_signs: tuple[int, ...]
 
 
-def boundary_matrix(problem: ArchProblem, K) -> np.ndarray:
-    """Assembled boundary/matching system of the problem at trial K values.
-
-    A scalar K gives one matrix, a K array a stack of them.
-    """
-    coeffs = kernel.characteristic_coefficients(K, problem.eta_nd)
-    basis = kernel.quartic_roots(coeffs, phi_max=problem.beta)
+def _matching_crack(problem: ArchProblem) -> CrackJoint:
+    """The problem's crack, or for an uncracked arch the crack of zero compliance at beta/2."""
     if problem.crack is None:
-        return kernel.assemble_uncracked(basis, problem.beta)
-    return kernel.assemble_cracked(
-        basis, problem.beta, problem.crack.alpha, problem.crack.theta_c
-    )
+        return CrackJoint(alpha=0.5 * problem.beta, theta_c=0.0)
+    return problem.crack
+
+
+def boundary_matrix(problem: ArchProblem, K) -> np.ndarray:
+    """Support-adapted 4x4 matching system of the problem at trial K values.
+
+    A scalar K gives one matrix, a K array a stack of them
+    (:func:`kernel.assemble_cracked`). An uncracked arch is assembled as the
+    crack of zero compliance at beta/2: its rows enforce C3 continuity, so
+    its zero set in K and its null vectors are those of the uncracked arch.
+    """
+    crack = _matching_crack(problem)
+    basis = kernel.quartic_roots(kernel.characteristic_coefficients(K, problem.eta_nd))
+    return kernel.assemble_cracked(basis, problem.beta, crack.alpha, crack.theta_c)
 
 
 @dataclass(frozen=True)
@@ -591,34 +597,32 @@ def _polish(problem: ArchProblem, root: Root) -> float:
 def mode_shape(problem: ArchProblem, root: Root, samples: int = 201) -> np.ndarray:
     """Sample the spatial mode X on a uniform grid over [0, beta].
 
-    Returns an array of shape (samples, 2) with columns (phi, X), normalized
-    so the largest sample is exactly 1 and a zero sample is +0.0. The root is
-    polished first (:func:`_polish`), and the coefficients are the null vector
-    of the boundary system there. Uncracked, they weight [e(mu1), o(mu1),
-    e(mu2), o(mu2)]; for cracked problems they are (c1, c2, d1, d2), and X is
+    Returns an array of shape (samples, 2) with columns (phi, X). The root is
+    polished first (:func:`_polish`), and the coefficients (c1, c2, d1, d2)
+    are the null vector of :func:`boundary_matrix` there: X is
     c1*u1(phi) + c2*u2(phi) left of the crack and
     d1*u1(beta - phi) + d2*u2(beta - phi) right of it, in the support-adapted
-    columns of :meth:`kernel.ModeBasis.support_rows`; a compliant crack shows
-    up as a slope discontinuity.
+    columns of :meth:`kernel.ModeBasis.support_rows`, with the crack of zero
+    compliance at beta/2 for an uncracked arch; a compliant crack shows up as
+    a slope discontinuity. Guaranteed: X is exactly 0 at both supports, the
+    sample of largest |X| is exactly +1, every sample lies in [-1, 1], and a
+    zero sample is +0.0. When the largest + and - extrema tie, as in an
+    antisymmetric mode, rounding decides which one is +1, and with it the
+    overall sign.
     """
     if samples < 2:
         raise ValueError("samples must be at least 2")
     k = _polish(problem, root)
-    vec, _ = kernel.null_vector(boundary_matrix(problem, k))
-    coeffs = kernel.characteristic_coefficients(k, problem.eta_nd)
-    basis = kernel.quartic_roots(coeffs, phi_max=problem.beta)
+    vec = kernel.null_vector(boundary_matrix(problem, k))
+    basis = kernel.quartic_roots(kernel.characteristic_coefficients(k, problem.eta_nd))
 
     phis = problem.beta * np.arange(samples) / (samples - 1)
-    if problem.crack is None:
-        rows, c = basis.derivative_rows(phis, nrows=1)[:, 0, :], np.array(vec)
-    else:
-        left = phis < problem.crack.alpha
-        x, ref = (np.where(left, v, problem.beta - v) for v in (phis, problem.crack.alpha))
-        rows = basis.support_rows(x, ref, nrows=1)[:, 0, :]
-        c = np.where(left[:, None], vec[:2], vec[2:])
-    # Summed in basis order from +0.0, as a scalar sum() over the terms.
-    values = 0.0 + c[..., 0] * rows[:, 0]
-    for j in range(1, rows.shape[1]):
-        values = values + c[..., j] * rows[:, j]
+    alpha = _matching_crack(problem).alpha
+    left = phis < alpha
+    x, ref = (np.where(left, v, problem.beta - v) for v in (phis, alpha))
+    rows = basis.support_rows(x, ref, nrows=1)[:, 0, :]
+    c = np.where(left[:, None], vec[:2], vec[2:])
+    # Summed from +0.0, so an exact zero is +0.0.
+    values = 0.0 + c[:, 0] * rows[:, 0] + c[:, 1] * rows[:, 1]
     values = values / values[np.argmax(np.abs(values))] + 0.0
     return np.column_stack([phis, values])

@@ -102,12 +102,12 @@ def random_arch_points(seed: int, count: int):
 def assembled_signs(problem: ArchProblem, ks) -> list[int]:
     """Signs the 4x4 boundary systems at ``ks`` give ``det_sign_logmag``.
 
-    Cofactor-determinant signs of ``solver.boundary_matrix``, times the fixed
-    factor between the two: -1 uncracked, +1 cracked (bases and row orders).
+    Cofactor-determinant signs of ``solver.boundary_matrix``, whose support-
+    adapted matching matrix (an uncracked arch's too, as the crack of zero
+    compliance at beta/2) has the sign of the reduced function.
     """
-    factor = -1 if problem.crack is None else 1
     return [
-        factor * ((d > 0) - (d < 0))
+        (d > 0) - (d < 0)
         for d in (cofactor_det(m.tolist()) for m in boundary_matrix(problem, ks))
     ]
 

@@ -8,13 +8,10 @@ from hypothesis import strategies as st
 
 from arch_resonance import (
     DegenerateSegment,
-    SearchConfig,
     assemble_cracked,
-    assemble_uncracked,
     boundary_matrix,
     characteristic_coefficients,
     det_sign_logmag,
-    find_frequencies,
     null_vector,
     quartic_roots,
     uncracked_K_closed_form,
@@ -109,56 +106,81 @@ class TestQuarticRoots:
             assert c.p2 * c.p2 - 4.0 * c.p0 >= 0.0
 
     def test_zero_root_functions(self):
+        # mu1 = -3, mu2 = 0: o(mu1, x) and the divided difference (x - o(mu1, x))/3.
         basis = quartic_roots(characteristic_coefficients(1.0, 1.0))
-        row0 = basis.derivative_rows(0.7, nrows=1)[0]
+        row0 = basis.support_rows(0.7, 1.3, nrows=1)[0]
         a = math.sqrt(3.0)
-        assert row0[0] == pytest.approx(math.cos(a * 0.7), rel=1e-14)
-        assert row0[1] == pytest.approx(math.sin(a * 0.7) / a, rel=1e-14)
-        assert row0[2] == 1.0
-        assert row0[3] == 0.7
+        o1 = math.sin(a * 0.7) / a
+        assert row0[0] == pytest.approx(o1, rel=1e-14)
+        assert row0[1] == pytest.approx((0.7 - o1) / 3.0, rel=1e-13)
 
 
-def _residual(basis, coeffs, phi):
-    rows = basis.derivative_rows(phi, nrows=5)
+def _odd_rows(mu: float, x: float) -> list[float]:
+    """Derivatives 0..3 of o(mu, x) in closed form, independent of the kernel."""
+    if mu == 0.0:
+        return [x, 1.0, 0.0, 0.0]
+    a = math.sqrt(abs(mu))
+    o, e = (math.sinh(a * x), math.cosh(a * x)) if mu > 0 else (math.sin(a * x), math.cos(a * x))
+    return [o / a, e, mu * o / a, mu * e]
+
+
+# Five-point central difference: f'(x) ~ sum(w * f(x + k*h)) / h.
+_FD_STEPS = (-2, -1, 1, 2)
+_FD_WEIGHTS = (1.0 / 12.0, -2.0 / 3.0, 2.0 / 3.0, -1.0 / 12.0)
+
+
+def _residual(basis, coeffs, x, ref):
+    """Worst relative defect of the two support-adapted columns at x.
+
+    Each derivative row is checked against the five-point difference of the
+    row before it, and the governing equation with the fourth derivative
+    taken as the difference of the third-derivative row. With a the largest
+    wavenumber, a defect in derivative n is measured against a**n times the
+    column's size, the largest |row m| / a**m: near a support some rows
+    vanish, and so do their differences, to rounding.
+    """
+    a = max(1.0, math.sqrt(-basis.mu1))
+    h = 1e-3 / a
+    rows = basis.support_rows(x, ref)
+    diff = sum(w * basis.support_rows(x + k * h, ref) for k, w in zip(_FD_STEPS, _FD_WEIGHTS)) / h
     worst = 0.0
-    for j in range(4):
-        r = rows[4][j] + coeffs.p2 * rows[2][j] + coeffs.p0 * rows[0][j]
-        scale = max(
-            abs(rows[4][j]), abs(coeffs.p2 * rows[2][j]), abs(coeffs.p0 * rows[0][j])
-        )
-        if scale > 0:
-            worst = max(worst, abs(r) / scale)
-        else:
-            assert r == 0.0
+    for j in range(2):
+        size = max(abs(rows[m][j]) / a**m for m in range(4))
+        for k in range(3):
+            worst = max(worst, abs(diff[k][j] - rows[k + 1][j]) / (a ** (k + 1) * size))
+        ode = diff[3][j] + coeffs.p2 * rows[2][j] + coeffs.p0 * rows[0][j]
+        worst = max(worst, abs(ode) / (a**4 * size))
     return worst
 
 
 class TestBasisProperties:
     def test_residual_random_sample(self):
-        # Every basis function solves the governing equation pointwise.
+        # Every support-adapted column solves the governing equation
+        # pointwise, and its rows are its successive derivatives.
         rng = random.Random(20240814)
         beta = 2.0
         for _ in range(1000):
             K = rng.uniform(0.0, 500.0)
             eta = rng.uniform(0.0, 4.0)
-            phi = rng.uniform(0.0, beta)
+            x = rng.uniform(0.0, beta)
             coeffs = characteristic_coefficients(K, eta)
-            basis = quartic_roots(coeffs, phi_max=beta)
-            assert _residual(basis, coeffs, phi) <= 1e-8
+            basis = quartic_roots(coeffs)
+            assert _residual(basis, coeffs, x, beta) <= 1e-8
 
     def test_residual_tight_on_grid(self):
         for K, eta in ((0.0, 0.0), (0.5, 1.0), (1.0, 1.0), (40.0, 0.3), (400.0, 2.0)):
             coeffs = characteristic_coefficients(K, eta)
-            basis = quartic_roots(coeffs, phi_max=1.5)
+            basis = quartic_roots(coeffs)
             for i in range(21):
-                assert _residual(basis, coeffs, 1.5 * i / 20) <= 1e-9
+                assert _residual(basis, coeffs, 1.5 * i / 20, 1.5) <= 1e-9
 
     def test_linear_independence(self):
-        # Wronskian at a generic angle is far from singular for each branch.
+        # The Wronskian of the two columns at a generic distance from the
+        # support is far from singular for each branch.
         for K, eta in ((0.5, 0.0), (5.0, 0.2), (1.0, 1.0), (0.0, 0.0)):
-            basis = quartic_roots(characteristic_coefficients(K, eta), phi_max=1.0)
-            rows = basis.derivative_rows(0.6, nrows=4)
-            scale = np.prod(np.abs(rows).max(axis=1))
+            basis = quartic_roots(characteristic_coefficients(K, eta))
+            rows = basis.support_rows(0.6, 1.0, nrows=2)
+            scale = np.prod(np.abs(rows).max(axis=0))
             assert abs(cofactor_det(rows.tolist())) > 1e-6 * scale
 
     def test_branch_continuity_at_unity(self):
@@ -180,10 +202,11 @@ class TestBasisProperties:
         beta = 2.0
         target = 25.0  # hyperbolic wavenumber; a * beta = 50
         K = (target**2 + 1.0) ** 2  # eta = 0: mu2 = sqrt(K) - 1
-        basis = quartic_roots(characteristic_coefficients(K, 0.0), phi_max=beta)
+        basis = quartic_roots(characteristic_coefficients(K, 0.0))
         assert basis.mu2 == pytest.approx(target**2, rel=1e-12)
-        matrix = assemble_uncracked(basis, beta)
-        assert np.isfinite(matrix).all()
+        for alpha in (None, 0.7):
+            matrix = boundary_matrix(make_problem(beta, 0.0, alpha, 10.0), K)
+            assert np.isfinite(matrix).all()
         for alpha in (None, 0.7):
             sign, logmag = det_sign_logmag(K, 0.0, beta, alpha, 10.0)
             assert sign != 0 and math.isfinite(logmag)
@@ -211,13 +234,20 @@ class TestClosedForm:
 
 
 class TestAssembleUncracked:
+    """The boundary matrix of an uncracked problem: the crack of zero compliance at beta/2."""
+
     def test_row_patterns(self):
-        basis = quartic_roots(characteristic_coefficients(5.0, 0.2), phi_max=1.0)
-        m = assemble_uncracked(basis, 1.0)
+        # Both segments have length beta/2, so the rows of X and X'' are
+        # antisymmetric and those of the third derivative and the slope jump
+        # symmetric, bit for bit.
+        m = boundary_matrix(make_problem(beta=1.0, eta=0.2), 5.0)
         assert m.shape == (4, 4)
-        assert m[0] == pytest.approx((1.0, 0.0, 1.0, 0.0), abs=1e-15)
-        # Second derivative row: [mu1, 0, mu2, 0] = [-a^2, 0, b^2, 0].
-        assert m[1] == pytest.approx((-4.0, 0.0, 1.0, 0.0), abs=1e-14)
+        assert np.array_equal(m[:2, 2:], -m[:2, :2])
+        assert np.array_equal(m[2:, 2:], m[2:, :2])
+        # mu1 = -4, mu2 = 1, crack at 0.5: the X row is [o(mu1), o(mu2)/cosh]
+        # and the X'' row mu times it.
+        assert m[0, :2] == pytest.approx((math.sin(1.0) / 2.0, math.tanh(0.5)), rel=1e-14)
+        assert m[1, :2] == pytest.approx((-2.0 * math.sin(1.0), math.tanh(0.5)), rel=1e-14)
 
     def test_determinant_vanishes_at_closed_form(self):
         # Sign change bracketed within K_n * (1 +- 1e-6) for the whole grid.
@@ -233,8 +263,7 @@ class TestAssembleUncracked:
 
     def test_near_zero_normalized_determinant_at_root(self):
         kn = uncracked_K_closed_form(2, 1.0, 0.5)
-        basis = quartic_roots(characteristic_coefficients(kn, 0.5), phi_max=1.0)
-        matrix = assemble_uncracked(basis, 1.0)
+        matrix = boundary_matrix(make_problem(beta=1.0, eta=0.5), kn)
         logmag = math.log(abs(cofactor_det(matrix.tolist())))
         rows = [list(r) for r in matrix]
         log_row_scales = sum(math.log(max(abs(x) for x in row)) for row in rows)
@@ -247,8 +276,9 @@ class TestAssembleCracked:
         beta, eta, alpha = 1.0, 0.3, 0.37
         ks = [1.0 + i * (2000.0 - 1.0) / 120 for i in range(121)]
 
-        basis = quartic_roots(characteristic_coefficients(np.array(ks), eta), phi_max=beta)
-        plain = _matrix_signs(assemble_uncracked(basis, beta))
+        # The uncracked matrix is the crack of zero compliance at beta/2.
+        plain = _matrix_signs(boundary_matrix(make_problem(beta, eta), np.array(ks)))
+        basis = quartic_roots(characteristic_coefficients(np.array(ks), eta))
         cracked = _matrix_signs(assemble_cracked(basis, beta, alpha, 0.0))
         assert _changes(plain) == _changes(cracked)
         # The reduced function changes sign where the matrices do.
@@ -259,7 +289,7 @@ class TestAssembleCracked:
         beta, eta, theta = 1.0, 0.0, 0.8
         ks = [1.0 + i * (2000.0 - 1.0) / 160 for i in range(161)]
 
-        basis = quartic_roots(characteristic_coefficients(np.array(ks), eta), phi_max=beta)
+        basis = quartic_roots(characteristic_coefficients(np.array(ks), eta))
         changes = [
             _changes(_matrix_signs(assemble_cracked(basis, beta, alpha, theta)))
             for alpha in (0.3, 0.7)
@@ -270,7 +300,7 @@ class TestAssembleCracked:
             assert _changes(reduced) == changes[0]
 
     def test_degenerate_segment(self):
-        basis = quartic_roots(characteristic_coefficients(5.0, 0.0), phi_max=1.0)
+        basis = quartic_roots(characteristic_coefficients(5.0, 0.0))
         with pytest.raises(DegenerateSegment):
             assemble_cracked(basis, 1.0, 0.0, 1.0)
         with pytest.raises(DegenerateSegment):
@@ -280,11 +310,10 @@ class TestAssembleCracked:
 class TestSupportRows:
     @pytest.mark.parametrize("K, eta", [(0.5, 0.0), (1.0, 1.0), (5.0, 0.2), (40.0, 0.3)])
     def test_columns_are_scaled_odd_functions(self, K, eta):
-        # Against the odd columns o(mu1), o(mu2) of the four-function basis.
+        # Against o(mu1) and o(mu2) and their derivatives in closed form.
         x, ref = 0.3, 0.8
         basis = quartic_roots(characteristic_coefficients(K, eta))
-        plain = basis.derivative_rows(x, nrows=4)
-        o1, o2 = plain[:, 1], plain[:, 3]
+        o1, o2 = np.array(_odd_rows(basis.mu1, x)), np.array(_odd_rows(basis.mu2, x))
         if basis.mu2 > 0:
             second = o2 / math.cosh(math.sqrt(basis.mu2) * ref)
         else:
@@ -296,7 +325,7 @@ class TestSupportRows:
 
     def test_supports_hold_exactly(self):
         ks = np.array([0.0, 1e-8, 0.5, 1.0, 5.0, 400.0, 1e6])
-        basis = quartic_roots(characteristic_coefficients(ks, 0.7), phi_max=2.0)
+        basis = quartic_roots(characteristic_coefficients(ks, 0.7))
         rows = basis.support_rows(0.0, 1.3, nrows=3)
         assert rows.shape == (7, 3, 2)
         assert np.all(rows[:, 0] == 0.0) and np.all(rows[:, 2] == 0.0)
@@ -326,7 +355,7 @@ class TestSupportRows:
 
     @pytest.mark.parametrize("beta, alpha", [(0.5, 0.2), (2.0, 1.4), (6.0, 3.0)])
     def test_cracked_sign_nonzero_at_repeated_root(self, beta, alpha):
-        basis = quartic_roots(characteristic_coefficients(0.0, 0.3), phi_max=beta)
+        basis = quartic_roots(characteristic_coefficients(0.0, 0.3))
         for theta in (0.0, 1.0, 1e3):
             matrix = assemble_cracked(basis, beta, alpha, theta)
             assert cofactor_det(matrix.tolist()) != 0.0
@@ -418,15 +447,22 @@ class TestNullVector:
         for _ in range(4):
             r = rng.standard_normal(4)
             rows.append(r - (r @ x0) * x0)  # every row orthogonal to x0
-        vec, minpiv = null_vector([list(r) for r in rows])
-        v = np.array(vec)
-        assert minpiv < 1e-12
+        v = null_vector(rows)
         cosine = abs(v @ x0) / np.linalg.norm(v)
         assert cosine == pytest.approx(1.0, abs=1e-9)
 
     def test_largest_component_is_one(self):
-        vec, _ = null_vector([[1.0, 1.0], [1.0, 1.0]])
-        assert max(abs(v) for v in vec) == 1.0
+        # The null direction of these rows is (1, -1, 0, 0).
+        v = null_vector([[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [2, 2, 3, 4]])
+        assert v.shape == (4,) and np.abs(v).max() == 1.0 and v[np.abs(v).argmax()] == 1.0
+        assert np.abs(v).tolist() == [1.0, 1.0, 0.0, 0.0]
+
+    def test_rank_below_three_raises(self):
+        # Rank 2: every 3x3 minor keeps a zero column, so every cofactor is 0.
+        with pytest.raises(ValueError, match="rank is below 3"):
+            null_vector([[1, 2, 0, 0], [3, 4, 0, 0], [5, 6, 0, 0], [0, 1, 0, 0]])
+        with pytest.raises(ValueError, match="one 4x4 matrix"):
+            null_vector(np.zeros((2, 4, 4)))
 
 
 class TestStackedKernel:
@@ -517,20 +553,6 @@ class TestStackedKernel:
             for k, sign in zip(ks, signs):
                 assert det_sign_logmag(float(k), eta, beta, alpha, 0.0)[0] == sign
 
-    def test_null_vectors_of_stack_match_single_calls(self):
-        problem = make_problem(beta=1.3, eta=0.7, alpha=0.5, theta=1.2)
-        roots = find_frequencies(problem, SearchConfig(max_modes=4)).K_values
-        stack = boundary_matrix(problem, np.array(roots))
-        vectors, pivots = null_vector(stack)
-        assert vectors.shape == (4, 4)
-        for entries, vec, piv in zip(stack, vectors, pivots):
-            one_vec, one_piv = null_vector(entries)
-            assert one_vec == vec.tolist()
-            assert one_piv == piv
-            assert max(abs(v) for v in one_vec) == 1.0
-            residual = np.abs(entries @ vec).max() / np.abs(entries).max()
-            assert residual < 1e-8
-
     def test_rejects_nonfinite_trial_values(self):
         with pytest.raises(ValueError):
             characteristic_coefficients(np.array([1.0, math.nan]), 0.5)
@@ -550,7 +572,7 @@ class TestStackedKernel:
         assert basis.mu2[0] == -1.0 and -1.0 < basis.mu2[1] < 0.0
         assert basis.mu2[2] == 0.0 and basis.mu2[3] > 0.0
         # Every branch in one stack evaluates like the single-K basis.
-        rows = basis.derivative_rows(0.7, nrows=5)
+        rows = basis.support_rows(0.7, 1.3)
         for k, table in zip(ks, rows):
             single = quartic_roots(characteristic_coefficients(float(k), 0.0))
-            assert np.array_equal(single.derivative_rows(0.7, nrows=5), table)
+            assert np.array_equal(single.support_rows(0.7, 1.3), table)
