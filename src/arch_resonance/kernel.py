@@ -395,8 +395,8 @@ def null_vector(matrix) -> np.ndarray:
 
     The rows are scaled to unit max norm, and the vector is the row of
     cofactors (a column of the adjugate) with the largest max-abs: A times
-    the cofactors of its row i is det(A) in entry i and exactly 0 elsewhere,
-    so at rank 3 every nonzero row of cofactors spans the null space. The
+    the cofactors of its row i is det(A) in entry i and 0 elsewhere, so at
+    rank 3 every nonzero row of cofactors spans the null space. The
     3x3 minors are elementwise float products and sums, not LAPACK or
     matmul, so their bits do not depend on the BLAS build. Raises ValueError
     for non-finite entries and for rank below 3, where every cofactor is 0.
