@@ -7,10 +7,12 @@ in fixed-size blocks of K values, one kernel call per block, and only until the
 blocks evaluated so far hold the candidates of the requested modes. Sign
 changes and dips are found with array operations over the grid, and each
 candidate is one root. The candidates of the requested modes are bisected
-together to the requested tolerance, four levels per kernel call (a
-heap-ordered tree of nested midpoints). A spectrum holds eigenvalues and
-flags only: :func:`mode_shape` is the one place that extracts a null vector,
-the coefficients of the shape, from the near-singular matching matrix.
+together to the requested tolerance, four levels in the first kernel call
+and six in each later one (a heap-ordered tree of nested midpoints, where
+array operations over the whole tree find each bracket's path and stop). A
+spectrum holds eigenvalues and flags only: :func:`mode_shape` is the one
+place that extracts a null vector, the coefficients of the shape, from the
+near-singular matching matrix.
 
 :func:`find_frequencies` also takes a sequence of problems, all cracked or
 all uncracked, as a sweep or the validation table has, and solves them in
@@ -29,6 +31,7 @@ a stack independently.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import logging
 import math
@@ -50,11 +53,16 @@ _DIP_THRESHOLD = _DIP_DECADES * math.log(10.0)
 _GUIDE_OFFSET = 1e-6
 # Bisection levels per bracket; the cap counts levels, not kernel calls.
 _MAX_BISECTIONS = 200
-# Bisection levels per kernel call: each call evaluates the 2**4 - 1 nested
-# midpoints of every live bracket. Timed solve by solve over a benchmark pass
-# of 70 five-mode cracked solves, four levels took 0.89x the time of three
-# (10 of 10 rounds, two seeds) and five 0.96x the time of four.
-_LEVELS = 4
+# Bisection levels per kernel call: a call evaluates the 2**levels - 1 nested
+# midpoints of every live bracket. The first call of a refinement bisects
+# four levels (15 midpoints): an uncracked root almost always ends at its
+# first midpoint (sign 0 between its guide nodes), so the rest of a deeper
+# first tree would be waste. Every later call bisects six levels, so a
+# five-mode cracked solve, which needs 28-35 levels, takes 5-6 bisection
+# calls, not the 8 of four levels per call; a kernel call is mostly fixed
+# cost (about 127 us for 1 K value against 181 us for 315).
+_FIRST_LEVELS = 4
+_LEVELS = 6
 # K values per kernel call in the grid scan. Blocks bound the kernel's arrays
 # and let the scan stop early: with the default k_max the requested roots
 # almost always lie in the first block.
@@ -200,11 +208,13 @@ def _all_cracked(problems) -> bool:
 class _Tally(threading.local):
     """Kernel calls and K values evaluated through boundary_determinant.
 
-    Per thread, so that concurrent solves do not mix their counts; read
-    around each find_frequencies call for its debug line.
+    ``scan_calls`` counts the calls of the grid scan among them. Per thread,
+    so that concurrent solves do not mix their counts; read around each
+    find_frequencies call for its debug line.
     """
 
     calls = 0
+    scan_calls = 0
     values = 0
 
 
@@ -335,6 +345,7 @@ def scan_and_bracket(problem, cfg: SearchConfig | None = None, *, wanted: int | 
             for i in active:
                 grids[i] = _grid_nodes(problems[i], cfgs[i], start + count)
         chunks = [grids[i][start : start + _BLOCK] for i in active]
+        _tally.scan_calls += 1
         if stack is None:
             ends = (0, chunks[0].size)
             new_signs, new_logs = boundary_determinant(problems[0], chunks[0])
@@ -384,16 +395,21 @@ def refine_root(
     ``bracket`` is one (lo, hi) pair, giving a float, or a sequence of M
     pairs, giving an array of M roots; all pairs are bisected together.
     ``problem`` is one :class:`ArchProblem` for every pair, or a sequence of
-    M problems, one per pair, all cracked or all uncracked. Each
-    kernel call evaluates the ``2**_LEVELS - 1`` nested midpoints of every
-    live bracket as one heap-ordered tree (``_midpoint_tree``), and every
-    bracket then walks ``_LEVELS`` levels down it, from node j to its lower
-    or upper half, node 2j+1 or 2j+2; so it goes through exactly the
-    midpoints of one-level-per-call bisection. ``lower_signs`` are the
-    determinant signs at the lower ends when the caller already has them (the
-    scan does); otherwise both ends are evaluated and must straddle a sign
-    change. A zero-width bracket is its own root, and a determinant sign of
-    exactly zero at an end or a midpoint ends that bracket's bisection there.
+    M problems, one per pair, all cracked or all uncracked. Each kernel call
+    evaluates the ``2**depth - 1`` nested midpoints of every live bracket as
+    one heap-ordered tree (``_midpoint_tree``), ``_FIRST_LEVELS`` deep in the
+    first call and ``_LEVELS`` deep after it. Every node of the tree is an
+    interval bisection can reach, with the same ends, so one comparison over
+    the tree tells where bisection would end (the interval is narrow enough
+    or its midpoint's sign is 0), and one over the signs which half it keeps
+    (node 2j+1 or 2j+2 below node j). Each bracket follows its path down the
+    tree and ends at the first node that stops it, or goes on from its last
+    node's kept half: it goes through exactly the midpoints of
+    one-level-per-call bisection. ``lower_signs`` are the determinant signs
+    at the lower ends when the caller already has them (the scan does);
+    otherwise both ends are evaluated and must straddle a sign change. A
+    zero-width bracket is its own root, and a determinant sign of exactly
+    zero at an end or a midpoint ends that bracket's bisection there.
     Deterministic: identical inputs bisect through identical midpoints,
     whatever other brackets share the batch.
     """
@@ -432,48 +448,74 @@ def refine_root(
         idx, lo, hi, s_lo = idx[live], lo[live], hi[live], s_lo[live]
         if not idx.size or level == _MAX_BISECTIONS:
             break
-        depth = min(_LEVELS, _MAX_BISECTIONS - level)
-        tree = _midpoint_tree(lo, hi, depth)
-        owner = problem if stack is None else stack.take(np.tile(idx, len(tree)))
-        signs, _ = boundary_determinant(owner, tree.ravel())
-        signs = signs.reshape(tree.shape)
-        col, node = np.arange(idx.size), np.zeros(idx.size, dtype=int)
-        live = np.ones(idx.size, dtype=bool)
-        for _ in range(depth):
-            # A bracket ends at its midpoint when it is narrow enough or the
-            # midpoint's sign is 0; the others step to the half that keeps
-            # the sign change.
-            mid, s_mid = tree[node, col], signs[node, col]
-            done = live & ((hi - lo <= cfg.refine_tol * np.maximum(1.0, mid)) | (s_mid == 0))
-            roots[idx[done]] = mid[done]
-            live &= ~done
-            if not live.any():
-                break
-            up = s_mid == s_lo
-            lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
-            node = 2 * node + 1 + up
+        depth = min(_LEVELS if level else _FIRST_LEVELS, _MAX_BISECTIONS - level)
+        mids, lows, highs = _midpoint_tree(lo, hi, depth)
+        owner = problem if stack is None else stack.take(np.tile(idx, len(mids)))
+        signs, _ = boundary_determinant(owner, mids.ravel())
+        signs = signs.reshape(mids.shape)
+        # Bisection ends at a node narrow enough or at a midpoint of sign 0.
+        stop = (highs - lows <= cfg.refine_tol * np.maximum(1.0, mids)) | (signs == 0)
+        if stop[0].all():
+            # Node 0 is each bracket's midpoint, its root after the loop.
+            break
+        # Each bracket's path: node 0, then the kept half of each node on it,
+        # as flat indices (node * M + column) into the tree's arrays.
+        up = signs == s_lo
+        col = np.arange(idx.size)
+        below = (((2 * np.arange(len(mids)) + 1)[:, None] + up) * idx.size + col).ravel()
+        path = [col]
+        for _ in range(depth - 1):
+            path.append(below[path[-1]])
+        path = np.array(path)
+        stops = stop.ravel()[path]
+        ended = stops.any(axis=0)
+        # Where each bracket stops, or the last node of a bracket that goes on.
+        at = path[np.where(ended, stops.argmax(axis=0), depth - 1), col]
+        mid, up = mids.ravel()[at], up.ravel()[at]
+        roots[idx[ended]] = mid[ended]
+        lo = np.where(up, mid, lows.ravel()[at])[~ended]
+        hi = np.where(up, highs.ravel()[at], mid)[~ended]
+        idx, s_lo = idx[~ended], s_lo[~ended]
         level += depth
-        idx, lo, hi, s_lo = idx[live], lo[live], hi[live], s_lo[live]
     roots[idx] = 0.5 * (lo + hi)
     return float(roots[0]) if single else roots
 
 
-def _midpoint_tree(lo: np.ndarray, hi: np.ndarray, depth: int) -> np.ndarray:
-    """The ``2**depth - 1`` nested midpoints of the M brackets [lo, hi], shape (nodes, M).
+def _midpoint_tree(lo: np.ndarray, hi: np.ndarray, depth: int):
+    """Midpoints and interval ends of the ``2**depth - 1`` nested bisection nodes.
 
-    Heap order: node 0 is the midpoint of each bracket, and node j's lower
-    and upper halves have their midpoints at nodes 2j+1 and 2j+2. Each level
-    is built from the ascending ends of the intervals of the level above, so
-    each midpoint is 0.5 * (lo + hi) of the ends bisection would reach.
+    Returns three (nodes, M) arrays for the M brackets [lo, hi]: each node's
+    midpoint, lower end and upper end. Heap order: node 0 is the bracket
+    itself, and node j's lower and upper halves are nodes 2j+1 and 2j+2.
+    The ``2**depth + 1`` ascending ends of the deepest level are filled in a
+    level at a time, each new end the 0.5 * (lo + hi) of the two ends of the
+    level above around it, so each node's ends are the floats bisection
+    holds there, and its midpoint is the one bisection evaluates.
     """
-    ends, levels = np.array([lo, hi]), []
-    for _ in range(depth):
-        mid = 0.5 * (ends[:-1] + ends[1:])
-        levels.append(mid)
-        split = np.empty((2 * len(ends) - 1, lo.size))
-        split[0::2], split[1::2] = ends, mid
-        ends = split
-    return np.concatenate(levels)
+    n = 2**depth
+    ends = np.empty((n + 1, lo.size))
+    ends[0], ends[n] = lo, hi
+    for level in range(depth):
+        stride = n >> level
+        ends[stride // 2 :: stride] = 0.5 * (ends[:-1:stride] + ends[stride::stride])
+    mid, low, high = _tree_rows(depth)
+    return ends[mid], ends[low], ends[high]
+
+
+@functools.cache
+def _tree_rows(depth: int):
+    """Rows of ``_midpoint_tree``'s ends holding each node's midpoint, lower and upper end.
+
+    Read-only arrays in heap order: a node of level l spans 2**(depth - l)
+    of the 2**depth intervals of the deepest level.
+    """
+    n = 2**depth
+    low = np.concatenate([np.arange(0, n, n >> level) for level in range(depth)])
+    size = np.concatenate([np.full(2**level, n >> level) for level in range(depth)])
+    rows = low + size // 2, low, low + size
+    for r in rows:
+        r.flags.writeable = False
+    return rows
 
 
 def find_frequencies(problem, cfg: SearchConfig | None = None):
@@ -498,21 +540,23 @@ def find_frequencies(problem, cfg: SearchConfig | None = None):
     one :func:`scan_and_bracket` and one :func:`refine_root` call for each
     group, each problem with its own range, grid and early stop, so every
     entry is bit-identical to the problem's solve alone. One problem is the
-    batch of one. Logs one debug line per call.
+    batch of one. Logs one debug line per call, which splits the kernel
+    calls into scan and bisection calls.
     """
     single = isinstance(problem, ArchProblem)
     problems = [problem] if single else list(problem)
     cfg = cfg if cfg is not None else SearchConfig()
     _all_cracked(problems)
-    calls, values = _tally.calls, _tally.values
+    calls, scan_calls, values = _tally.calls, _tally.scan_calls, _tally.values
     entries = []
     for start in range(0, len(problems), _BATCH):
         entries += _solve_group(problems[start : start + _BATCH], cfg)
     if logger.isEnabledFor(logging.DEBUG):
+        calls, scans = _tally.calls - calls, _tally.scan_calls - scan_calls
         logger.debug(
-            "find_frequencies: %d problems, %d kernel calls, %d K values, "
-            "%d brackets refined, %d short",
-            len(problems), _tally.calls - calls, _tally.values - values,
+            "find_frequencies: %d problems, %d kernel calls (%d scan, %d bisection), "
+            "%d K values, %d brackets refined, %d short",
+            len(problems), calls, scans, calls - scans, _tally.values - values,
             sum(len(e) for e in entries if isinstance(e, Spectrum)),
             sum(isinstance(e, NoRootsInRange) for e in entries),
         )

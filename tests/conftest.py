@@ -1,14 +1,24 @@
-"""Shared helpers: determinant oracles and problem builders."""
+"""Shared helpers: determinant oracles and problem builders.
+
+Hypothesis draws at random unless ``HYPOTHESIS_PROFILE=ci`` selects the
+``ci`` profile, whose draws are fixed per test, so that CI's test count does
+not depend on which examples a run happens to draw.
+"""
 
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from arch_resonance import ArchProblem, CrackJoint, boundary_matrix
 from arch_resonance.model import BETA_MIN
+
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def cofactor_det(m) -> float:

@@ -124,6 +124,15 @@ def test_close_low_roots_of_a_very_stiff_crack():
     _check_against_shooting(3.0, 0.0, 0.875 * 3.0, 100.0, 1)
 
 
+@pytest.mark.xfail(strict=True, reason="two roots in one scan-grid interval are missed")
+def test_close_low_roots_of_a_stiff_crack_at_a_quarter_span():
+    # Found by test_cracked_roots_match_shooting: the shooting determinant
+    # changes sign at K = 0.939 and 1.701, both inside the grid interval
+    # [0.0378, 1.833] (a guide node, then the first uniform node past it), so
+    # the scan reports K = 29.8124 as mode 1.
+    _check_against_shooting(3.5, 0.0, 0.25 * 3.5, 100.0, 1)
+
+
 def _golden_rows(name):
     """Solved rows of a cracked golden file as (beta, eta, alpha, theta, Ks).
 

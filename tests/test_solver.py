@@ -1,10 +1,11 @@
 import logging
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arch_resonance import (
@@ -525,10 +526,10 @@ class TestBatchedSearch:
         # their whole grids of 2000 and 2002 nodes (8 blocks), then one call
         # of four bisection levels refines beta = 6's two brackets (2 x 15).
         assert lines == [
-            "find_frequencies: 3 problems, 9 kernel calls, 4288 K values, "
-            "2 brackets refined, 2 short",
-            "find_frequencies: 1 problems, 2 kernel calls, 271 K values, "
-            "1 brackets refined, 0 short",
+            "find_frequencies: 3 problems, 9 kernel calls (8 scan, 1 bisection), "
+            "4288 K values, 2 brackets refined, 2 short",
+            "find_frequencies: 1 problems, 2 kernel calls (1 scan, 1 bisection), "
+            "271 K values, 1 brackets refined, 0 short",
         ]
 
 
@@ -660,6 +661,13 @@ def _sequential_bisection(pairs, problem, cfg, lower_signs):
     return roots
 
 
+# Levels of the first and of every later bisection call, by test id suffix:
+# the shipped schedule, and flat ones of n levels per call.
+_SCHEDULES = {
+    "": (4, 6), "-levels1": (1, 1), "-levels3": (3, 3), "-levels4": (4, 4), "-levels6": (6, 6)
+}
+
+
 class TestMultiLevelBisection:
     def _batch(self, problem):
         # A zero-width bracket, the guide pair around the uncracked K_1 (for
@@ -672,22 +680,50 @@ class TestMultiLevelBisection:
         signs = [0, boundary_determinant(problem, guide[0])[0], *scan.lower_signs]
         return pairs, signs
 
-    # The ids name the levels per call only where they differ from 3.
+    # A cap of 7 levels cuts a call short: 4 + 3 levels, or 6 + 1.
     @pytest.mark.parametrize("tol", [1e-10, 1e-13])
     @pytest.mark.parametrize(
-        "cap, levels",
-        [(cap, levels) for levels in (3, 1, 4) for cap in (200, 7)],
-        ids=[f"{cap}" + ("" if levels == 3 else f"-levels{levels}")
-             for levels in (3, 1, 4) for cap in (200, 7)],
+        "cap, first, later",
+        [(cap, *levels) for levels in _SCHEDULES.values() for cap in (200, 7)],
+        ids=[f"{cap}{suffix}" for suffix in _SCHEDULES for cap in (200, 7)],
     )
-    def test_matches_one_level_per_call(self, monkeypatch, tol, cap, levels):
+    def test_matches_one_level_per_call(self, monkeypatch, tol, cap, first, later):
         monkeypatch.setattr(solver, "_MAX_BISECTIONS", cap)
-        monkeypatch.setattr(solver, "_LEVELS", levels)
+        monkeypatch.setattr(solver, "_FIRST_LEVELS", first)
+        monkeypatch.setattr(solver, "_LEVELS", later)
         cfg = SearchConfig(refine_tol=tol)
         for problem in (make_problem(), make_problem(eta=0.5, alpha=0.3, theta=2.0)):
             pairs, signs = self._batch(problem)
             expected = _sequential_bisection(pairs, problem, cfg, signs)
             assert refine_root(pairs, problem, cfg, lower_signs=signs).tolist() == expected.tolist()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        batch=_batches(),
+        tol=st.one_of(
+            st.sampled_from([1e-10, 1e-13]), st.floats(-13.0, -4.0).map(lambda e: 10.0**e)
+        ),
+    )
+    def test_random_batches_match_one_level_per_call(self, batch, tol):
+        # The scan's brackets and dips (zero-width brackets) of every problem,
+        # bisected as one batch, against each problem's alone, one level per
+        # call; uncracked brackets are guide pairs that end at their midpoint.
+        problems, cfg = batch
+        scans = scan_and_bracket(problems, cfg, wanted=cfg.max_modes)
+        cfg = replace(cfg, refine_tol=tol)
+        pairs, signs, owners, expected = [], [], [], []
+        for problem, scan in zip(problems, scans):
+            if isinstance(scan, NoRootsInRange):
+                continue
+            own = [*scan.brackets, *((k, k) for k in scan.suspects)]
+            own_signs = [*scan.lower_signs, *[0] * len(scan.suspects)]
+            pairs += own
+            signs += own_signs
+            owners += [problem] * len(own)
+            expected += _sequential_bisection(own, problem, cfg, own_signs).tolist()
+        assume(pairs)
+        roots = refine_root(pairs, owners, cfg, lower_signs=signs)
+        assert [k.hex() for k in roots.tolist()] == [k.hex() for k in expected]
 
     def test_guide_midpoint_is_an_exact_zero(self):
         # The symmetric guide bracket of K_1 has K_1 itself as its first
@@ -714,8 +750,20 @@ class TestKernelCallsPerSolve:
     def test_cracked_five_modes(self, monkeypatch):
         calls = self._count(monkeypatch)
         find_frequencies(make_problem(eta=1.0, alpha=0.4, theta=0.8))
-        # One scan block, then eight calls of four bisection levels each.
-        assert calls == [256, 75, 60, 60, 60, 60, 60, 60, 30]
+        # One scan block, one call of four bisection levels (5 x 15), in which
+        # one bracket ends, then calls of six levels (4 x 63, then 2 x 63).
+        assert calls == [256, 75, 252, 252, 252, 252, 126]
+
+    def test_brackets_ended_at_their_midpoints_take_one_call(self, monkeypatch):
+        # The guide pairs around the first five uncracked K_n, whose midpoints
+        # have sign 0: the first call ends them all at node 0.
+        problem = make_problem(eta=1.0)
+        scan = scan_and_bracket(problem, wanted=5)
+        brackets = scan.brackets[:5]
+        calls = self._count(monkeypatch)
+        roots = refine_root(brackets, problem, lower_signs=scan.lower_signs[:5])
+        assert calls == [75]
+        assert roots.tolist() == [0.5 * (lo + hi) for lo, hi in brackets]
 
     def test_sweep_point_mode_one(self, monkeypatch):
         from arch_resonance import ChiralityClass, SweepSpec, resolve_preset, run_sweep
