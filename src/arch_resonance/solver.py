@@ -1,7 +1,7 @@
 """Frequency spectrum search as determinant root finding over K.
 
-The boundary determinant is scanned on a K grid (augmented with closed-form
-uncracked eigenvalues as guide nodes), evaluated in closed form as the
+The boundary determinant is scanned on a K grid (augmented with guide nodes
+around K = 1 and the closed-form uncracked eigenvalues), evaluated in closed form as the
 reduced characteristic function (:func:`kernel.det_sign_logmag`, no matrix)
 in fixed-size blocks of K values, one kernel call per block, and only until the
 blocks evaluated so far hold the candidates of the requested modes. Sign
@@ -49,7 +49,7 @@ logger = logging.getLogger(__name__)
 # Log-magnitude drop (natural log) that flags a suspected even-multiplicity root.
 _DIP_DECADES = 6.0
 _DIP_THRESHOLD = _DIP_DECADES * math.log(10.0)
-# Relative offset of the closed-form guide nodes inserted around each K_n.
+# Relative offset of the guide nodes inserted around K = 1 and each K_n.
 _GUIDE_OFFSET = 1e-6
 # Bisection levels per bracket; the cap counts levels, not kernel calls.
 _MAX_BISECTIONS = 200
@@ -251,13 +251,21 @@ def _resolved(problem: ArchProblem, cfg: SearchConfig | None) -> SearchConfig:
 
 
 def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, count: int | None = None) -> np.ndarray:
-    """Uniform K grid plus guide nodes straddling each closed-form K_n.
+    """Uniform K grid plus guide nodes straddling K = 1 and each closed-form K_n.
 
     The uncracked closed-form values are used even for cracked problems:
     tight nodes around each K_n either bracket the uncracked root directly or
     add resolution near it. A crack does not shift every root downward (at
     beta = pi/sqrt(0.4) + 1e-4, eta = 0, alpha = beta/3, theta_c = 0.5 the
     fundamental rises), so the guides are an aid, not a bound.
+
+    At K = 1 the constant term 1 - K of the characteristic quartic changes
+    sign, and a crack at eta = 0 often puts one root below it and the next
+    above it, both far below the first uniform node past 1 (k_max is ten
+    times K_5 or more, so the uniform spacing there can exceed 1). Without
+    the nodes at 1 -+ 1e-6 the two sign changes share an interval and
+    cancel: at beta = 4.25, eta = 0, alpha = 0.4375 beta, theta_c = 10 the
+    roots 0.825 and 1.31 both lay in [0.80, 1.41] and 9.83 came back as mode 1.
 
     With ``count`` only the first ``count`` nodes of the whole grid are
     built, from the first count + 1 uniform nodes and the guides below the
@@ -272,7 +280,7 @@ def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, count: int | None = Non
     size = points if count is None or count >= points - 1 else count + 1
     uniform = k_min + (k_max - k_min) * np.arange(size) / (points - 1)
     bound = k_max if size == points else uniform[-1]
-    guides = []
+    guides = [g for g in (1.0 - _GUIDE_OFFSET, 1.0 + _GUIDE_OFFSET) if k_min < g < bound]
     n = 1
     while n <= 10000:
         kn = kernel.uncracked_K_closed_form(n, problem.beta, problem.eta_nd)
@@ -284,8 +292,9 @@ def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, count: int | None = Non
                 guides.append(guide)
         n += 1
     nodes = np.sort(np.concatenate([uniform, guides]))
-    # Near-duplicates come at most in pairs: the two guides of a K_n sit 2e-6
-    # apart, so comparing neighbours equals comparing with the last kept node.
+    # Near-duplicates come at most in pairs: the two guides of K = 1 or of a
+    # K_n sit 2e-6 apart, so comparing neighbours equals comparing with the
+    # last kept node.
     keep = np.diff(nodes) > 1e-15 * np.maximum(1.0, nodes[1:])
     nodes = nodes[np.concatenate([[True], keep])]
     return nodes if count is None else nodes[:count]

@@ -22,7 +22,6 @@ from arch_resonance import (
     CrackJoint,
     PowerLawCompliance,
     SearchConfig,
-    boundary_determinant,
     compliance,
     find_frequencies,
     resolve_preset,
@@ -86,13 +85,7 @@ def _check_against_shooting(beta, eta, alpha, theta, modes):
     ends = [cfg.k_min, *ks]
     for lo, hi in zip(ends, ends[1:]):
         grid = np.linspace(lo + STRADDLE * max(1.0, lo), hi - STRADDLE * max(1.0, hi), GRID_STEPS + 1)
-        missed = _sign_changes(shooting_det(grid, *args))
-        if missed and missed == _sign_changes(boundary_determinant(problem, grid)[0]):
-            pytest.xfail(
-                f"the scan missed {missed} roots in ({lo}, {hi}) that the boundary "
-                "determinant resolves on a finer grid"
-            )
-        assert missed == 0, (lo, hi)
+        assert _sign_changes(shooting_det(grid, *args)) == 0, (lo, hi)
 
 
 @settings(max_examples=25, deadline=None)
@@ -107,30 +100,27 @@ def test_cracked_roots_match_shooting(beta, eta, alpha_frac, log_theta, modes):
     _check_against_shooting(beta, eta, alpha_frac * beta, 10.0**log_theta, modes)
 
 
-@pytest.mark.xfail(strict=True, reason="two roots in one scan-grid interval are missed")
 def test_close_low_roots_of_a_stiff_crack():
-    # Roots at K = 0.825 and 1.31 share the grid interval [0.80, 1.41] (the
-    # uniform spacing is 0.80 and a guide node sits at 1.41); their two sign
-    # changes cancel, so the scan reports K = 9.83 as mode 1.
-    _check_against_shooting(4.25, 0.0, 0.4375 * 4.25, 10.0, 1)
+    # Roots at K = 0.825 and 1.31 lie in the uniform grid interval
+    # [0.80, 1.41]; without the guide nodes at K = 1 -+ 1e-6 their two sign
+    # changes cancelled and the scan reported K = 9.83 as mode 1.
+    _check_against_shooting(4.25, 0.0, 0.4375 * 4.25, 10.0, 2)
 
 
-@pytest.mark.xfail(strict=True, reason="two roots in one scan-grid interval are missed")
 def test_close_low_roots_of_a_very_stiff_crack():
     # Found by test_cracked_roots_match_shooting: the shooting determinant
     # changes sign at K = 0.861 and 2.403, both inside the grid interval
-    # [0.0093, 3.49] (a guide node, then the first uniform node past it), so
-    # the scan reports K = 35.155 as mode 1.
-    _check_against_shooting(3.0, 0.0, 0.875 * 3.0, 100.0, 1)
+    # [0.0093, 3.49] (a guide node, then the first uniform node past it);
+    # without the guide nodes at K = 1 the scan reported K = 35.155 as mode 1.
+    _check_against_shooting(3.0, 0.0, 0.875 * 3.0, 100.0, 2)
 
 
-@pytest.mark.xfail(strict=True, reason="two roots in one scan-grid interval are missed")
 def test_close_low_roots_of_a_stiff_crack_at_a_quarter_span():
     # Found by test_cracked_roots_match_shooting: the shooting determinant
     # changes sign at K = 0.939 and 1.701, both inside the grid interval
-    # [0.0378, 1.833] (a guide node, then the first uniform node past it), so
-    # the scan reports K = 29.8124 as mode 1.
-    _check_against_shooting(3.5, 0.0, 0.25 * 3.5, 100.0, 1)
+    # [0.0378, 1.833] (a guide node, then the first uniform node past it);
+    # without the guide nodes at K = 1 the scan reported K = 29.8124 as mode 1.
+    _check_against_shooting(3.5, 0.0, 0.25 * 3.5, 100.0, 2)
 
 
 def _golden_rows(name):

@@ -523,11 +523,13 @@ class TestBatchedSearch:
             find_frequencies(make_problem(), SearchConfig(max_modes=1))
         lines = [r.getMessage() for r in caplog.records if r.name == "arch_resonance.solver"]
         # beta = 6 stops after its first block of 256; beta = 1 and 2 scan
-        # their whole grids of 2000 and 2002 nodes (8 blocks), then one call
-        # of four bisection levels refines beta = 6's two brackets (2 x 15).
+        # their whole grids of 2002 and 2004 nodes (8 blocks: 2000 uniform,
+        # the guides at K = 1 and, for beta = 2, those at K_1 = 2.15), then
+        # one call of four bisection levels refines beta = 6's two brackets
+        # (2 x 15).
         assert lines == [
             "find_frequencies: 3 problems, 9 kernel calls (8 scan, 1 bisection), "
-            "4288 K values, 2 brackets refined, 2 short",
+            "4292 K values, 2 brackets refined, 2 short",
             "find_frequencies: 1 problems, 2 kernel calls (1 scan, 1 bisection), "
             "271 K values, 1 brackets refined, 0 short",
         ]
