@@ -7,9 +7,13 @@ in fixed-size blocks of K values, one kernel call per block, and only until the
 blocks evaluated so far hold the candidates of the requested modes. Sign
 changes and dips are found with array operations over the grid, and each
 candidate is one root. The candidates of the requested modes are bisected
-together to the requested tolerance, four levels in the first kernel call
-and six in each later one (a heap-ordered tree of nested midpoints, where
-array operations over the whole tree find each bracket's path and stop). A
+together to the requested tolerance. Each kernel call evaluates, for every
+open bracket, the midpoints of plain bisection along the path toward the
+secant estimate of its root (from the signed function values at its ends,
+which the scan hands on), all the way down to the tolerance; bisection's
+own rules walk that path until a midpoint's sign disagrees with the
+prediction, and the kept half there is the next call's bracket. A
+five-mode cracked solve takes about three bisection calls this way. A
 spectrum holds eigenvalues and flags only: :func:`mode_shape` is the one
 place that extracts a null vector, the coefficients of the shape, from the
 near-singular matching matrix.
@@ -23,15 +27,15 @@ returns one entry per problem: its :class:`Spectrum`, or the
 :class:`NoRootsInRange` its own solve would raise.
 
 Everything is deterministic: the same problem and configuration produce
-bit-identical spectra, whatever the block size, the number of levels per
-call or the other problems of a batch, because the kernel evaluates each K of
-a stack independently.
+bit-identical spectra, whatever the block size, the estimates that set how
+far each bisection call goes, or the other problems of a batch, because
+bisection keeps its own midpoints and the kernel evaluates each K of a stack
+independently.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 import logging
 import math
@@ -53,16 +57,6 @@ _DIP_THRESHOLD = _DIP_DECADES * math.log(10.0)
 _GUIDE_OFFSET = 1e-6
 # Bisection levels per bracket; the cap counts levels, not kernel calls.
 _MAX_BISECTIONS = 200
-# Bisection levels per kernel call: a call evaluates the 2**levels - 1 nested
-# midpoints of every live bracket. The first call of a refinement bisects
-# four levels (15 midpoints): an uncracked root almost always ends at its
-# first midpoint (sign 0 between its guide nodes), so the rest of a deeper
-# first tree would be waste. Every later call bisects six levels, so a
-# five-mode cracked solve, which needs 28-35 levels, takes 5-6 bisection
-# calls, not the 8 of four levels per call; a kernel call is mostly fixed
-# cost (about 127 us for 1 K value against 181 us for 315).
-_FIRST_LEVELS = 4
-_LEVELS = 6
 # K values per kernel call in the grid scan. Blocks bound the kernel's arrays
 # and let the scan stop early: with the default k_max the requested roots
 # almost always lie in the first block.
@@ -139,13 +133,14 @@ class Spectrum:
 class ScanResult:
     """Sign-change brackets plus dip locations without a sign change.
 
-    ``lower_signs`` holds the determinant sign at each bracket's lower end,
-    so refinement need not evaluate the ends again.
+    ``end_values`` holds the determinant's sign and log-magnitude at each
+    bracket's ends, ((s_lo, m_lo), (s_hi, m_hi)), so refinement need not
+    evaluate the ends again and can aim at the secant estimate of the root.
     """
 
     brackets: tuple[tuple[float, float], ...]
     suspects: tuple[float, ...]
-    lower_signs: tuple[int, ...]
+    end_values: tuple[tuple[tuple[int, float], tuple[int, float]], ...]
 
 
 def _matching_crack(problem: ArchProblem) -> CrackJoint:
@@ -208,14 +203,18 @@ def _all_cracked(problems) -> bool:
 class _Tally(threading.local):
     """Kernel calls and K values evaluated through boundary_determinant.
 
-    ``scan_calls`` counts the calls of the grid scan among them. Per thread,
-    so that concurrent solves do not mix their counts; read around each
+    ``scan_calls`` counts the calls of the grid scan among them, and
+    ``levels`` the bisection levels refine_root's calls advanced its
+    brackets by, summed over the brackets: the midpoints that plain
+    bisection uses among the K values evaluated. Per thread, so that
+    concurrent solves do not mix their counts; read around each
     find_frequencies call for its debug line.
     """
 
     calls = 0
     scan_calls = 0
     values = 0
+    levels = 0
 
 
 _tally = _Tally()
@@ -383,7 +382,12 @@ def scan_and_bracket(problem, cfg: SearchConfig | None = None, *, wanted: int | 
                 results[i] = ScanResult(
                     brackets=tuple(zip(nodes[lower].tolist(), nodes[upper].tolist())),
                     suspects=tuple(suspects.tolist()),
-                    lower_signs=tuple(signs[lower].tolist()),
+                    end_values=tuple(
+                        zip(
+                            zip(signs[lower].tolist(), logs[lower].tolist()),
+                            zip(signs[upper].tolist(), logs[upper].tolist()),
+                        )
+                    ),
                 )
         active, start = scanning, start + _BLOCK
     if not single:
@@ -397,134 +401,141 @@ def refine_root(
     bracket,
     problem,
     cfg: SearchConfig | None = None,
-    lower_signs=None,
+    end_values=None,
 ):
     """Bisect sign-change brackets down to refine_tol * max(1, K).
 
     ``bracket`` is one (lo, hi) pair, giving a float, or a sequence of M
-    pairs, giving an array of M roots; all pairs are bisected together.
-    ``problem`` is one :class:`ArchProblem` for every pair, or a sequence of
-    M problems, one per pair, all cracked or all uncracked. Each kernel call
-    evaluates the ``2**depth - 1`` nested midpoints of every live bracket as
-    one heap-ordered tree (``_midpoint_tree``), ``_FIRST_LEVELS`` deep in the
-    first call and ``_LEVELS`` deep after it. Every node of the tree is an
-    interval bisection can reach, with the same ends, so one comparison over
-    the tree tells where bisection would end (the interval is narrow enough
-    or its midpoint's sign is 0), and one over the signs which half it keeps
-    (node 2j+1 or 2j+2 below node j). Each bracket follows its path down the
-    tree and ends at the first node that stops it, or goes on from its last
-    node's kept half: it goes through exactly the midpoints of
-    one-level-per-call bisection. ``lower_signs`` are the determinant signs
-    at the lower ends when the caller already has them (the scan does);
-    otherwise both ends are evaluated and must straddle a sign change. A
-    zero-width bracket is its own root, and a determinant sign of exactly
-    zero at an end or a midpoint ends that bracket's bisection there.
-    Deterministic: identical inputs bisect through identical midpoints,
-    whatever other brackets share the batch.
+    pairs, giving an array of M roots (an empty one for no pairs); all pairs
+    are bisected together. ``problem`` is one :class:`ArchProblem` for every
+    pair, or a sequence of M problems, one per pair, all cracked or all
+    uncracked. ``end_values`` are the determinant's (sign, log-magnitude) at
+    each bracket's ends, ((s_lo, m_lo), (s_hi, m_hi)) per pair (one such
+    entry for one pair; ignored for a zero-width pair), when the caller
+    already has them, as the scan does; otherwise both ends are evaluated.
+    A zero-width bracket is its own root, an end of sign 0 is the root, and
+    the other brackets must straddle a sign change.
+
+    Each kernel call evaluates, for every open bracket, the midpoints of
+    plain bisection along the path toward the secant estimate of its root,
+    the zero of the line through its signed end values s * exp(m), down to
+    the tolerance (``_predicted_path``). Bisection's own rules then walk the
+    path: a midpoint keeps the upper half when its sign equals the lower
+    end's, and the bracket ends at a midpoint of sign 0 or at an interval
+    narrow enough. The walk stops at the first midpoint whose sign
+    disagrees with the prediction; that node's kept half, with its two
+    evaluated ends, is the bracket of the next call. So every midpoint the
+    walk uses is one that one-level-per-call bisection evaluates, and the
+    roots are those of plain bisection, bit for bit, whatever the estimate
+    or the other brackets of the batch; a poor estimate costs calls only,
+    and each call advances every open bracket at least one level.
     """
     cfg = cfg if cfg is not None else SearchConfig()
     pairs = np.array(bracket, dtype=float)
-    single = pairs.ndim == 1
-    lo, hi = pairs.reshape(-1, 2).T.copy()
+    single = pairs.shape == (2,)
+    lows, highs = pairs.reshape(-1, 2).T.tolist()
     stack = None
     if not isinstance(problem, ArchProblem):
-        if len(problem) != lo.size:
+        if len(problem) != len(lows):
             raise ValueError("give one problem per bracket")
         stack = _Stack.of(problem)
-    roots = lo.copy()
-    idx = np.flatnonzero(lo != hi)
-    if lower_signs is not None:
-        s_lo = np.asarray(lower_signs)[idx]
-    elif idx.size:
-        owner = problem if stack is None else stack.take(np.concatenate([idx, idx]))
-        ends, _ = boundary_determinant(owner, np.concatenate([lo[idx], hi[idx]]))
-        s_lo, s_hi = ends[: idx.size], ends[idx.size :]
-        at_hi = (s_lo != 0) & (s_hi == 0)
-        roots[idx[at_hi]] = hi[idx[at_hi]]
-        live = (s_lo != 0) & (s_hi != 0)
-        if np.any(s_lo[live] * s_hi[live] != -1):
-            raise ValueError(f"bracket {bracket} does not straddle a sign change")
-        idx, s_lo = idx[live], s_lo[live]
+    roots = list(lows)
+    live = [i for i, (lo, hi) in enumerate(zip(lows, highs)) if lo != hi]
+    if end_values is not None:
+        given = [end_values] if single else end_values
+        values = [given[i] for i in live]
+    elif live:
+        owner = problem if stack is None else stack.take(np.array(live * 2))
+        K = np.array([lows[i] for i in live] + [highs[i] for i in live])
+        ends = list(zip(*(v.tolist() for v in boundary_determinant(owner, K))))
+        values = list(zip(ends, ends[len(live) :]))
     else:
-        s_lo = np.zeros(0, dtype=int)
-    lo, hi = lo[idx], hi[idx]
+        values = []
+    # Open brackets as (index, lo, hi, s_lo, m_lo, m_hi, levels bisected).
+    open_ = []
+    for i, ((s_lo, m_lo), (s_hi, m_hi)) in zip(live, values):
+        if s_lo == 0:
+            continue
+        if s_hi == 0:
+            roots[i] = highs[i]
+        elif s_lo == s_hi:
+            raise ValueError(f"bracket {bracket} does not straddle a sign change")
+        else:
+            open_.append((i, lows[i], highs[i], s_lo, m_lo, m_hi, 0))
 
-    level = 0
-    while True:
+    while open_:
+        paths = []
+        for b in open_:
+            mids, predicted, end = _predicted_path(*b[1:], cfg.refine_tol)
+            if mids:
+                paths.append((b, mids, predicted, end))
+            else:
+                roots[b[0]] = end
+        if not paths:
+            break
+        sizes = [len(mids) for _, mids, _, _ in paths]
+        K = np.array([k for _, mids, _, _ in paths for k in mids])
+        owner = problem
+        if stack is not None:
+            owner = stack.take(np.repeat([b[0] for b, *_ in paths], sizes))
+        signs, logs = (v.tolist() for v in boundary_determinant(owner, K))
+        open_, start = [], 0
+        for (b, mids, predicted, end), size in zip(paths, sizes):
+            got, m = signs[start : start + size], logs[start : start + size]
+            start += size
+            # The first midpoint whose sign is not the predicted one, or the
+            # path's end.
+            j = next((j for j, (s, p) in enumerate(zip(got, predicted)) if s != p), size)
+            _tally.levels += min(j + 1, size)
+            i, lo, hi, s_lo, m_lo, m_hi, level = b
+            if j == size or got[j] == 0:
+                roots[i] = end if j == size else mids[j]
+                continue
+            # Node j's kept half: replay the path's halves through it.
+            for k in range(j + 1):
+                if got[k] == s_lo:
+                    lo, m_lo = mids[k], m[k]
+                else:
+                    hi, m_hi = mids[k], m[k]
+            open_.append((i, lo, hi, s_lo, m_lo, m_hi, level + j + 1))
+    return roots[0] if single else np.array(roots, dtype=float)
+
+
+def _secant_estimate(lo: float, hi: float, m_lo: float, m_hi: float) -> float:
+    """Where the line through a bracket's signed end values crosses zero.
+
+    The ends have opposite signs and log-magnitudes m_lo and m_hi, so the
+    zero is lo + (hi - lo) / (1 + exp(m_hi - m_lo)), written with tanh so
+    that no magnitude overflows.
+    """
+    return lo + (hi - lo) * (0.5 - 0.5 * math.tanh(0.5 * (m_hi - m_lo)))
+
+
+def _predicted_path(lo, hi, s_lo, m_lo, m_hi, level, tol):
+    """Bisection's midpoints from [lo, hi] toward the bracket's secant estimate.
+
+    Returns the midpoints that bisection evaluates if every one of them
+    keeps the half holding the estimate (:func:`_secant_estimate`), the sign
+    each must then have (``s_lo`` for the upper half), and the root where
+    that path ends: the midpoint of the first interval no wider than
+    tol * max(1, mid), or of the interval reached after ``_MAX_BISECTIONS``
+    levels in all, ``level`` of them already bisected.
+    """
+    estimate = _secant_estimate(lo, hi, m_lo, m_hi)
+    mids, predicted = [], []
+    for _ in range(level, _MAX_BISECTIONS):
         mid = 0.5 * (lo + hi)
-        live = hi - lo > cfg.refine_tol * np.maximum(1.0, mid)
-        roots[idx[~live]] = mid[~live]
-        idx, lo, hi, s_lo = idx[live], lo[live], hi[live], s_lo[live]
-        if not idx.size or level == _MAX_BISECTIONS:
+        # max(1.0, mid) without the call, which costs as much as the rest.
+        if hi - lo <= tol * (mid if mid > 1.0 else 1.0):
             break
-        depth = min(_LEVELS if level else _FIRST_LEVELS, _MAX_BISECTIONS - level)
-        mids, lows, highs = _midpoint_tree(lo, hi, depth)
-        owner = problem if stack is None else stack.take(np.tile(idx, len(mids)))
-        signs, _ = boundary_determinant(owner, mids.ravel())
-        signs = signs.reshape(mids.shape)
-        # Bisection ends at a node narrow enough or at a midpoint of sign 0.
-        stop = (highs - lows <= cfg.refine_tol * np.maximum(1.0, mids)) | (signs == 0)
-        if stop[0].all():
-            # Node 0 is each bracket's midpoint, its root after the loop.
-            break
-        # Each bracket's path: node 0, then the kept half of each node on it,
-        # as flat indices (node * M + column) into the tree's arrays.
-        up = signs == s_lo
-        col = np.arange(idx.size)
-        below = (((2 * np.arange(len(mids)) + 1)[:, None] + up) * idx.size + col).ravel()
-        path = [col]
-        for _ in range(depth - 1):
-            path.append(below[path[-1]])
-        path = np.array(path)
-        stops = stop.ravel()[path]
-        ended = stops.any(axis=0)
-        # Where each bracket stops, or the last node of a bracket that goes on.
-        at = path[np.where(ended, stops.argmax(axis=0), depth - 1), col]
-        mid, up = mids.ravel()[at], up.ravel()[at]
-        roots[idx[ended]] = mid[ended]
-        lo = np.where(up, mid, lows.ravel()[at])[~ended]
-        hi = np.where(up, highs.ravel()[at], mid)[~ended]
-        idx, s_lo = idx[~ended], s_lo[~ended]
-        level += depth
-    roots[idx] = 0.5 * (lo + hi)
-    return float(roots[0]) if single else roots
-
-
-def _midpoint_tree(lo: np.ndarray, hi: np.ndarray, depth: int):
-    """Midpoints and interval ends of the ``2**depth - 1`` nested bisection nodes.
-
-    Returns three (nodes, M) arrays for the M brackets [lo, hi]: each node's
-    midpoint, lower end and upper end. Heap order: node 0 is the bracket
-    itself, and node j's lower and upper halves are nodes 2j+1 and 2j+2.
-    The ``2**depth + 1`` ascending ends of the deepest level are filled in a
-    level at a time, each new end the 0.5 * (lo + hi) of the two ends of the
-    level above around it, so each node's ends are the floats bisection
-    holds there, and its midpoint is the one bisection evaluates.
-    """
-    n = 2**depth
-    ends = np.empty((n + 1, lo.size))
-    ends[0], ends[n] = lo, hi
-    for level in range(depth):
-        stride = n >> level
-        ends[stride // 2 :: stride] = 0.5 * (ends[:-1:stride] + ends[stride::stride])
-    mid, low, high = _tree_rows(depth)
-    return ends[mid], ends[low], ends[high]
-
-
-@functools.cache
-def _tree_rows(depth: int):
-    """Rows of ``_midpoint_tree``'s ends holding each node's midpoint, lower and upper end.
-
-    Read-only arrays in heap order: a node of level l spans 2**(depth - l)
-    of the 2**depth intervals of the deepest level.
-    """
-    n = 2**depth
-    low = np.concatenate([np.arange(0, n, n >> level) for level in range(depth)])
-    size = np.concatenate([np.full(2**level, n >> level) for level in range(depth)])
-    rows = low + size // 2, low, low + size
-    for r in rows:
-        r.flags.writeable = False
-    return rows
+        mids.append(mid)
+        if estimate > mid:
+            lo = mid
+            predicted.append(s_lo)
+        else:
+            hi = mid
+            predicted.append(-s_lo)
+    return mids, predicted, 0.5 * (lo + hi)
 
 
 def find_frequencies(problem, cfg: SearchConfig | None = None):
@@ -550,13 +561,16 @@ def find_frequencies(problem, cfg: SearchConfig | None = None):
     group, each problem with its own range, grid and early stop, so every
     entry is bit-identical to the problem's solve alone. One problem is the
     batch of one. Logs one debug line per call, which splits the kernel
-    calls into scan and bisection calls.
+    calls into scan and bisection calls and gives the bisection levels those
+    calls advanced the brackets by, summed over the brackets.
     """
     single = isinstance(problem, ArchProblem)
     problems = [problem] if single else list(problem)
     cfg = cfg if cfg is not None else SearchConfig()
     _all_cracked(problems)
-    calls, scan_calls, values = _tally.calls, _tally.scan_calls, _tally.values
+    calls, scan_calls, values, levels = (
+        _tally.calls, _tally.scan_calls, _tally.values, _tally.levels
+    )
     entries = []
     for start in range(0, len(problems), _BATCH):
         entries += _solve_group(problems[start : start + _BATCH], cfg)
@@ -564,8 +578,9 @@ def find_frequencies(problem, cfg: SearchConfig | None = None):
         calls, scans = _tally.calls - calls, _tally.scan_calls - scan_calls
         logger.debug(
             "find_frequencies: %d problems, %d kernel calls (%d scan, %d bisection), "
-            "%d K values, %d brackets refined, %d short",
+            "%d K values, %d bisection levels, %d brackets refined, %d short",
             len(problems), calls, scans, calls - scans, _tally.values - values,
+            _tally.levels - levels,
             sum(len(e) for e in entries if isinstance(e, Spectrum)),
             sum(isinstance(e, NoRootsInRange) for e in entries),
         )
@@ -579,16 +594,16 @@ def find_frequencies(problem, cfg: SearchConfig | None = None):
 def _solve_group(problems: list[ArchProblem], cfg: SearchConfig) -> list:
     """Spectra (or NoRootsInRange) of a few problems: one scan, one refinement."""
     scans = scan_and_bracket(problems, cfg, wanted=cfg.max_modes)
-    entries, brackets, signs, owners = [], [], [], []
+    entries, brackets, values, owners = [], [], [], []
     for p, scan in zip(problems, scans):
         if isinstance(scan, NoRootsInRange):
             entries.append(scan)
             continue
         # A suspect is a zero-width candidate, which refine_root returns as is.
-        bracketed = zip(scan.brackets, scan.lower_signs)
+        bracketed = zip(scan.brackets, scan.end_values)
         candidates = sorted(
-            [(lo, hi, s, RootFlag.BRACKETED) for (lo, hi), s in bracketed]
-            + [(k, k, 0, RootFlag.SUSPECTED_DOUBLE) for k in scan.suspects],
+            [(lo, hi, ends, RootFlag.BRACKETED) for (lo, hi), ends in bracketed]
+            + [(k, k, None, RootFlag.SUSPECTED_DOUBLE) for k in scan.suspects],
             key=lambda c: c[0],
         )[: cfg.max_modes]
         if len(candidates) < cfg.max_modes:
@@ -601,12 +616,12 @@ def _solve_group(problems: list[ArchProblem], cfg: SearchConfig) -> list:
             continue
         entries.append([c[3] for c in candidates])
         brackets += [c[:2] for c in candidates]
-        signs += [c[2] for c in candidates]
+        values += [c[2] for c in candidates]
         owners += [p] * len(candidates)
     if not brackets:
         return entries
     owner = problems[0] if len(problems) == 1 else owners
-    ks = iter(refine_root(brackets, owner, cfg, lower_signs=signs).tolist())
+    ks = iter(refine_root(brackets, owner, cfg, end_values=values).tolist())
     return [
         e if isinstance(e, NoRootsInRange)
         else Spectrum(roots=tuple(Root(K=next(ks), flag=flag) for flag in e))
@@ -633,16 +648,16 @@ def _polish(problem: ArchProblem, root: Root) -> float:
         ladder = lows > 0
         lows, highs = lows[ladder], highs[ladder]
         if lows.size:
-            signs, _ = boundary_determinant(problem, np.concatenate([lows, highs]))
-            s_lows, s_highs = signs[: lows.size].tolist(), signs[lows.size :].tolist()
-            for lo, hi, s_lo, s_hi in zip(lows.tolist(), highs.tolist(), s_lows, s_highs):
-                if s_lo == 0:
+            signs, logs = boundary_determinant(problem, np.concatenate([lows, highs]))
+            ends = list(zip(signs.tolist(), logs.tolist()))
+            for lo, hi, at_lo, at_hi in zip(lows.tolist(), highs.tolist(), ends, ends[lows.size :]):
+                if at_lo[0] == 0:
                     return lo
-                if s_hi == 0:
+                if at_hi[0] == 0:
                     return hi
-                if s_lo * s_hi == -1:
+                if at_lo[0] * at_hi[0] == -1:
                     tight = SearchConfig(refine_tol=1e-13)
-                    return refine_root((lo, hi), problem, tight, lower_signs=[s_lo])
+                    return refine_root((lo, hi), problem, tight, end_values=(at_lo, at_hi))
     logger.debug("mode shape at the unpolished root K = %r: %s", k, reason)
     return k
 

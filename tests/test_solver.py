@@ -92,6 +92,11 @@ class TestRefineRoot:
     def test_degenerate_bracket_returns_endpoint(self):
         assert refine_root((42.0, 42.0), make_problem()) == 42.0
 
+    def test_empty_bracket_list(self):
+        roots = refine_root([], make_problem())
+        assert isinstance(roots, np.ndarray) and roots.shape == (0,)
+        assert refine_root([], []).shape == (0,)
+
     def test_unbracketed_rejected(self):
         with pytest.raises(ValueError):
             refine_root((1.0, 2.0), make_problem())
@@ -415,15 +420,17 @@ class TestRefineOnlyReturned:
     def test_batch_matches_single_brackets(self):
         problem = make_problem(eta=0.5, alpha=0.3, theta=2.0)
         scan = scan_and_bracket(problem, SearchConfig(k_max=3000.0))
-        batch = refine_root(scan.brackets, problem, lower_signs=scan.lower_signs)
+        batch = refine_root(scan.brackets, problem, end_values=scan.end_values)
         singles = [refine_root(b, problem) for b in scan.brackets]
         assert batch.tolist() == singles
 
-    def test_scan_lower_signs(self):
+    def test_scan_end_values(self):
         problem = make_problem(eta=0.5, alpha=0.3, theta=2.0)
         scan = scan_and_bracket(problem, SearchConfig(k_max=3000.0))
-        for (lo, _), sign in zip(scan.brackets, scan.lower_signs):
-            assert boundary_determinant(problem, lo)[0] == sign
+        for (lo, hi), (at_lo, at_hi) in zip(scan.brackets, scan.end_values):
+            assert boundary_determinant(problem, lo) == at_lo
+            assert boundary_determinant(problem, hi) == at_hi
+            assert at_lo[0] * at_hi[0] == -1
 
 
 def _alone(problem, cfg):
@@ -507,11 +514,11 @@ class TestBatchedSearch:
             with pytest.raises(ValueError, match="all cracked or all uncracked"):
                 search(problems)
         with pytest.raises(ValueError, match="all cracked or all uncracked"):
-            refine_root([(70.0, 80.0), (60.0, 80.0)], problems, lower_signs=[1, 1])
+            refine_root([(70.0, 80.0), (60.0, 80.0)], problems)
 
     def test_refine_needs_one_problem_per_bracket(self):
         with pytest.raises(ValueError, match="one problem per bracket"):
-            refine_root([(70.0, 80.0), (60.0, 80.0)], [make_problem()], lower_signs=[1, 1])
+            refine_root([(70.0, 80.0), (60.0, 80.0)], [make_problem()])
 
     def test_empty_batch(self):
         assert find_frequencies([]) == []
@@ -525,13 +532,15 @@ class TestBatchedSearch:
         # beta = 6 stops after its first block of 256; beta = 1 and 2 scan
         # their whole grids of 2002 and 2004 nodes (8 blocks: 2000 uniform,
         # the guides at K = 1 and, for beta = 2, those at K_1 = 2.15), then
-        # one call of four bisection levels refines beta = 6's two brackets
-        # (2 x 15).
+        # one bisection call evaluates the paths of beta = 6's two guide
+        # pairs down to the tolerance (8 + 14 midpoints), and each ends at
+        # its first midpoint, one level. The single solve's guide pair takes
+        # 15 midpoints.
         assert lines == [
             "find_frequencies: 3 problems, 9 kernel calls (8 scan, 1 bisection), "
-            "4292 K values, 2 brackets refined, 2 short",
+            "4284 K values, 2 bisection levels, 2 brackets refined, 2 short",
             "find_frequencies: 1 problems, 2 kernel calls (1 scan, 1 bisection), "
-            "271 K values, 1 brackets refined, 0 short",
+            "271 K values, 1 bisection levels, 1 brackets refined, 0 short",
         ]
 
 
@@ -544,12 +553,12 @@ def _whole_grid_spectrum(problem, cfg):
     """
     scan = scan_and_bracket(problem, cfg)
     candidates = sorted(
-        [(lo, hi, s, RootFlag.BRACKETED) for (lo, hi), s in zip(scan.brackets, scan.lower_signs)]
-        + [(k, k, 0, RootFlag.SUSPECTED_DOUBLE) for k in scan.suspects],
+        [(*b, ends, RootFlag.BRACKETED) for b, ends in zip(scan.brackets, scan.end_values)]
+        + [(k, k, None, RootFlag.SUSPECTED_DOUBLE) for k in scan.suspects],
         key=lambda c: c[0],
     )
     ks = solver.refine_root(
-        [c[:2] for c in candidates], problem, cfg, lower_signs=[c[2] for c in candidates]
+        [c[:2] for c in candidates], problem, cfg, end_values=[c[2] for c in candidates]
     )
     return tuple(
         solver.Root(K=k, flag=flag) for k, (*_, flag) in zip(ks.tolist(), candidates)
@@ -607,7 +616,7 @@ class TestEarlyExitScan:
         found = len(partial.brackets) + len(partial.suspects)
         assert 3 <= found < len(whole.brackets) + len(whole.suspects)
         assert partial.brackets == whole.brackets[: len(partial.brackets)]
-        assert partial.lower_signs == whole.lower_signs[: len(partial.brackets)]
+        assert partial.end_values == whole.end_values[: len(partial.brackets)]
 
     def test_coincident_candidates_are_two_roots(self, monkeypatch):
         # The second candidate is made to refine onto the first root. It is
@@ -640,12 +649,13 @@ class TestEarlyExitScan:
         assert spectrum.K_values == (first_k, first_k)
 
 
-def _sequential_bisection(pairs, problem, cfg, lower_signs):
+def _sequential_bisection(pairs, problem, cfg):
     """Reference: one bisection level per kernel call, the same midpoints."""
     lo, hi = np.array(pairs, dtype=float).T.copy()
     roots = lo.copy()
     idx = np.flatnonzero(lo != hi)
-    lo, hi, s_lo = lo[idx], hi[idx], np.asarray(lower_signs)[idx]
+    lo, hi = lo[idx], hi[idx]
+    s_lo = boundary_determinant(problem, lo)[0] if idx.size else idx
     for _ in range(solver._MAX_BISECTIONS):
         mid = 0.5 * (lo + hi)
         go = hi - lo > cfg.refine_tol * np.maximum(1.0, mid)
@@ -663,41 +673,82 @@ def _sequential_bisection(pairs, problem, cfg, lower_signs):
     return roots
 
 
-# Levels of the first and of every later bisection call, by test id suffix:
-# the shipped schedule, and flat ones of n levels per call.
-_SCHEDULES = {
-    "": (4, 6), "-levels1": (1, 1), "-levels3": (3, 3), "-levels4": (4, 4), "-levels6": (6, 6)
-}
+def _estimate_leaving_the_path(levels, roots):
+    """An estimate that follows the path to the bracket's root for levels - 1
+    levels and leaves it at the next, so each call advances ``levels`` levels.
+
+    ``roots`` are the roots plain bisection finds; the one in the bracket is
+    the target (brackets sharing a root only change the schedule).
+    """
+
+    def estimate(lo, hi, m_lo, m_hi):
+        root = next(r for r in roots if lo <= r <= hi)
+        for _ in range(levels):
+            mid = 0.5 * (lo + hi)
+            lo, hi, wrong = (mid, hi, lo) if root > mid else (lo, mid, hi)
+        return 0.5 * (wrong + mid)
+
+    return estimate
+
+
+# Estimates by test id suffix: the shipped secant estimate, and deliberately
+# wrong ones that leave the path at the n-th level of every call.
+_SCHEDULES = {"": None, "-levels1": 1, "-levels3": 3, "-levels4": 4, "-levels6": 6}
 
 
 class TestMultiLevelBisection:
     def _batch(self, problem):
-        # A zero-width bracket, the guide pair around the uncracked K_1 (for
-        # beta = 1, eta = 0 its first midpoint is K_1, where the sign is 0)
-        # and the scan's brackets.
+        # A zero-width bracket, for the uncracked problem the guide pair
+        # around K_1 (for beta = 1, eta = 0 its first midpoint is K_1, where
+        # the sign is 0), and the scan's brackets, with their end values.
         scan = scan_and_bracket(problem, SearchConfig(k_max=3000.0))
-        k1 = uncracked_K_closed_form(1, 1.0, 0.0)
-        guide = (k1 * (1.0 - 1e-6), k1 * (1.0 + 1e-6))
-        pairs = [(42.0, 42.0), guide, *scan.brackets]
-        signs = [0, boundary_determinant(problem, guide[0])[0], *scan.lower_signs]
-        return pairs, signs
+        pairs, ends = [(42.0, 42.0)], [None]
+        if problem.crack is None:
+            k1 = uncracked_K_closed_form(1, 1.0, 0.0)
+            pairs.append((k1 * (1.0 - 1e-6), k1 * (1.0 + 1e-6)))
+            ends.append(tuple(boundary_determinant(problem, k) for k in pairs[-1]))
+        return [*pairs, *scan.brackets], [*ends, *scan.end_values]
 
-    # A cap of 7 levels cuts a call short: 4 + 3 levels, or 6 + 1.
+    # A cap of 7 levels cuts a path short.
     @pytest.mark.parametrize("tol", [1e-10, 1e-13])
     @pytest.mark.parametrize(
-        "cap, first, later",
-        [(cap, *levels) for levels in _SCHEDULES.values() for cap in (200, 7)],
+        "cap, levels",
+        [(cap, levels) for levels in _SCHEDULES.values() for cap in (200, 7)],
         ids=[f"{cap}{suffix}" for suffix in _SCHEDULES for cap in (200, 7)],
     )
-    def test_matches_one_level_per_call(self, monkeypatch, tol, cap, first, later):
+    def test_matches_one_level_per_call(self, monkeypatch, tol, cap, levels):
         monkeypatch.setattr(solver, "_MAX_BISECTIONS", cap)
-        monkeypatch.setattr(solver, "_FIRST_LEVELS", first)
-        monkeypatch.setattr(solver, "_LEVELS", later)
         cfg = SearchConfig(refine_tol=tol)
         for problem in (make_problem(), make_problem(eta=0.5, alpha=0.3, theta=2.0)):
-            pairs, signs = self._batch(problem)
-            expected = _sequential_bisection(pairs, problem, cfg, signs)
-            assert refine_root(pairs, problem, cfg, lower_signs=signs).tolist() == expected.tolist()
+            pairs, ends = self._batch(problem)
+            expected = _sequential_bisection(pairs, problem, cfg).tolist()
+            if levels is not None:
+                estimate = _estimate_leaving_the_path(levels, expected)
+                monkeypatch.setattr(solver, "_secant_estimate", estimate)
+            # With the end values given, and evaluated by refine_root.
+            assert refine_root(pairs, problem, cfg, end_values=ends).tolist() == expected
+            assert refine_root(pairs, problem, cfg).tolist() == expected
+
+    def test_wrong_estimate_advances_its_levels_per_call(self, monkeypatch):
+        # An estimate that leaves the path at the third level of every call:
+        # each call advances each bracket three levels, so a bracket that
+        # needs L levels takes ceil(L / 3) calls.
+        problem = make_problem(eta=0.5, alpha=0.3, theta=2.0)
+        scan = scan_and_bracket(problem, SearchConfig(max_modes=1), wanted=1)
+        pair, ends = scan.brackets[0], scan.end_values[0]
+        cfg = SearchConfig()
+        expected = _sequential_bisection([pair], problem, cfg).tolist()
+        sizes = []
+        original = solver.boundary_determinant
+        monkeypatch.setattr(
+            solver, "boundary_determinant", lambda p, K: sizes.append(K.size) or original(p, K)
+        )
+        levels = solver._tally.levels
+        monkeypatch.setattr(solver, "_secant_estimate", _estimate_leaving_the_path(3, expected))
+        assert refine_root(pair, problem, cfg, end_values=ends) == expected[0]
+        needed = solver._tally.levels - levels
+        assert len(sizes) == math.ceil(needed / 3)
+        assert 25 <= needed <= 40
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -713,18 +764,17 @@ class TestMultiLevelBisection:
         problems, cfg = batch
         scans = scan_and_bracket(problems, cfg, wanted=cfg.max_modes)
         cfg = replace(cfg, refine_tol=tol)
-        pairs, signs, owners, expected = [], [], [], []
+        pairs, ends, owners, expected = [], [], [], []
         for problem, scan in zip(problems, scans):
             if isinstance(scan, NoRootsInRange):
                 continue
             own = [*scan.brackets, *((k, k) for k in scan.suspects)]
-            own_signs = [*scan.lower_signs, *[0] * len(scan.suspects)]
             pairs += own
-            signs += own_signs
+            ends += [*scan.end_values, *[None] * len(scan.suspects)]
             owners += [problem] * len(own)
-            expected += _sequential_bisection(own, problem, cfg, own_signs).tolist()
+            expected += _sequential_bisection(own, problem, cfg).tolist()
         assume(pairs)
-        roots = refine_root(pairs, owners, cfg, lower_signs=signs)
+        roots = refine_root(pairs, owners, cfg, end_values=ends)
         assert [k.hex() for k in roots.tolist()] == [k.hex() for k in expected]
 
     def test_guide_midpoint_is_an_exact_zero(self):
@@ -752,18 +802,22 @@ class TestKernelCallsPerSolve:
     def test_cracked_five_modes(self, monkeypatch):
         calls = self._count(monkeypatch)
         find_frequencies(make_problem(eta=1.0, alpha=0.4, theta=0.8))
-        # One scan block, one call of four bisection levels (5 x 15), in which
-        # one bracket ends, then calls of six levels (4 x 63, then 2 x 63).
-        assert calls == [256, 75, 252, 252, 252, 252, 126]
+        # One scan block, then the paths toward the secant estimates: four
+        # wide brackets (31 + 29 + 26 + 27 midpoints) and a guide pair (15)
+        # that ends at its first midpoint; four paths leave their estimates
+        # (28 + 21 + 16 + 18 midpoints left to go), then three (19 + 5 + 1),
+        # then one (3).
+        assert calls == [256, 128, 83, 25, 3]
 
     def test_brackets_ended_at_their_midpoints_take_one_call(self, monkeypatch):
         # The guide pairs around the first five uncracked K_n, whose midpoints
-        # have sign 0: the first call ends them all at node 0.
+        # have sign 0: the first call, 15 midpoints down each path to the
+        # tolerance, ends them all at their first midpoint.
         problem = make_problem(eta=1.0)
         scan = scan_and_bracket(problem, wanted=5)
         brackets = scan.brackets[:5]
         calls = self._count(monkeypatch)
-        roots = refine_root(brackets, problem, lower_signs=scan.lower_signs[:5])
+        roots = refine_root(brackets, problem, end_values=scan.end_values[:5])
         assert calls == [75]
         assert roots.tolist() == [0.5 * (lo + hi) for lo, hi in brackets]
 
@@ -779,5 +833,6 @@ class TestKernelCallsPerSolve:
         )
         run_sweep(spec)
         # Both points in lockstep: one call with the first scan block of
-        # each, then one call of four bisection levels for both brackets.
-        assert calls == [512, 30]
+        # each, then one bisection call down both guide pairs' paths to the
+        # tolerance (15 and 14 midpoints), which end at their first midpoint.
+        assert calls == [512, 29]
