@@ -255,7 +255,7 @@ def _resolve_compliance_model(s: _Settings) -> crack_models.ComplianceModel:
             raise UsageError("[crack] coefficients required for the polynomial model")
         coeffs = _parse_coefficient_list(raw)
         scale = s.get("scale", "crack", cast=float, default=1.0)
-        return crack_models.PolynomialCompliance("polynomial", coeffs, scale)
+        return crack_models.PolynomialCompliance(coeffs, scale)
     raise UsageError(f"--crack-model: unknown model {name!r}")
 
 
@@ -536,8 +536,8 @@ def _cmd_validate(inv: CliInvocation, s: _Settings) -> str:
     lines = [f"{'Mode':>4}  {'eta':>5}  {'Present':>10}  {'Thai':>10}  {'Computed':>12}"]
     for r in rows:
         lines.append(
-            f"{r.mode:>4}  {_num(r.eta):>5}  {_num(r.present) or '-':>10}  "
-            f"{_num(r.thai) or '-':>10}  {_num(r.omega_nd):>12}"
+            f"{r.mode:>4}  {_num(r.eta):>5}  {_num(r.present):>10}  "
+            f"{_num(r.thai):>10}  {_num(r.omega_nd):>12}"
         )
     return "\n".join(lines) + "\n"
 

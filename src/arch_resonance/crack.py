@@ -12,7 +12,7 @@ the same contract: zero at ``psi = 0``, nonnegative and nondecreasing on
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InvalidModel, OutOfRange
 
@@ -27,7 +27,6 @@ _VALIDATION_GRID_END = 0.95
 class PowerLawCompliance:
     """theta_c = kappa0 * (h/R) * psi**2 / (1 - psi)**2."""
 
-    name: str = "power-law"
     kappa0: float = DEFAULT_KAPPA0
 
     def __post_init__(self):
@@ -50,8 +49,7 @@ class PolynomialCompliance:
     violations raise :class:`InvalidModel` at construction.
     """
 
-    name: str
-    coefficients: tuple[float, ...] = field(default=())
+    coefficients: tuple[float, ...]
     scale: float = 1.0
 
     def __post_init__(self):

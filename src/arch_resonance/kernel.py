@@ -121,24 +121,24 @@ def _any(mask) -> bool:
     return mask.any() if isinstance(mask, np.ndarray) else mask
 
 
-def _lam2_roots(coeffs: CharCoeffs, tol: float = DEGENERACY_TOL):
+def _lam2_roots(coeffs: CharCoeffs):
     """Roots mu1 <= mu2 of mu^2 + p2 mu + p0 and the repeated-root mask, as arrays.
 
-    A root within about ``tol`` of zero, |p0| <= tol*max(1, |p2|), is snapped
-    to exactly 0, and a pair whose discriminant is within tol*max(1, p2^2) of
-    zero to -p2/2. The zero-root window scales with |p2|, not p2^2: mu2 is
-    about -p0/p2, and at large K*eta a window in p2^2 would snap an O(1)
-    hyperbolic root to 0.
+    With tol = ``DEGENERACY_TOL``, a root within about tol of zero,
+    |p0| <= tol*max(1, |p2|), is snapped to exactly 0, and a pair whose
+    discriminant is within tol*max(1, p2^2) of zero to -p2/2. The zero-root
+    window scales with |p2|, not p2^2: mu2 is about -p0/p2, and at large
+    K*eta a window in p2^2 would snap an O(1) hyperbolic root to 0.
     """
     p2, p0 = np.asarray(coeffs.p2), np.asarray(coeffs.p0)
     scale = np.maximum(1.0, p2 * p2)
     disc = p2 * p2 - 4.0 * p0
-    if np.any(disc < -tol * scale):
+    if np.any(disc < -DEGENERACY_TOL * scale):
         # Not reachable for K >= 0, eta >= 0; kept as a hard guard.
         raise ValueError(f"negative discriminant for coefficients {coeffs}")
 
-    zero_root = np.abs(p0) <= tol * np.maximum(1.0, np.abs(p2))
-    repeated = ~zero_root & (np.abs(disc) <= tol * scale)
+    zero_root = np.abs(p0) <= DEGENERACY_TOL * np.maximum(1.0, np.abs(p2))
+    repeated = ~zero_root & (np.abs(disc) <= DEGENERACY_TOL * scale)
     mu1 = -0.5 * (p2 + np.sqrt(np.maximum(disc, 0.0)))
     mu2 = p0 / mu1  # Vieta; avoids cancellation in (-p2 + sq)/2
     if zero_root.any() or repeated.any():
@@ -177,13 +177,13 @@ class ModeBasis:
         return np.moveaxis(table, (0, 1), (-2, -1))
 
 
-def quartic_roots(coeffs: CharCoeffs, tol: float = DEGENERACY_TOL) -> ModeBasis:
+def quartic_roots(coeffs: CharCoeffs) -> ModeBasis:
     """Solve lam^4 + p2 lam^2 + p0 = 0 for the roots of the solution basis.
 
-    The branch follows the sign of the lam^2 roots; ``tol`` resolves the
-    zero-root and repeated-root degeneracies (see :func:`_lam2_roots`).
+    The branch follows the sign of the lam^2 roots; :func:`_lam2_roots`
+    resolves the zero-root and repeated-root degeneracies.
     """
-    mu1, mu2, repeated = _lam2_roots(coeffs, tol)
+    mu1, mu2, repeated = _lam2_roots(coeffs)
     if not mu2.ndim:
         mu1, mu2, repeated = float(mu1), float(mu2), bool(repeated)
     return ModeBasis(mu1=mu1, mu2=mu2, repeated=repeated)

@@ -240,8 +240,7 @@ def boundary_determinant(problem, K):
     return kernel.det_sign_logmag(K, problem.eta_nd, problem.beta, crack.alpha, crack.theta_c)
 
 
-def _resolved(problem: ArchProblem, cfg: SearchConfig | None) -> SearchConfig:
-    cfg = cfg if cfg is not None else SearchConfig()
+def _resolved(problem: ArchProblem, cfg: SearchConfig) -> SearchConfig:
     if cfg.k_max is None:
         n = max(5, cfg.max_modes)
         estimate = kernel.uncracked_K_closed_form(n, problem.beta, problem.eta_nd)
@@ -249,8 +248,8 @@ def _resolved(problem: ArchProblem, cfg: SearchConfig | None) -> SearchConfig:
     return cfg
 
 
-def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, count: int | None = None) -> np.ndarray:
-    """Uniform K grid plus guide nodes straddling K = 1 and each closed-form K_n.
+def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, count: int) -> np.ndarray:
+    """First ``count`` nodes of the uniform K grid plus guides around K = 1 and each K_n.
 
     The uncracked closed-form values are used even for cracked problems:
     tight nodes around each K_n either bracket the uncracked root directly or
@@ -266,17 +265,17 @@ def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, count: int | None = Non
     cancel: at beta = 4.25, eta = 0, alpha = 0.4375 beta, theta_c = 10 the
     roots 0.825 and 1.31 both lay in [0.80, 1.41] and 9.83 came back as mode 1.
 
-    With ``count`` only the first ``count`` nodes of the whole grid are
-    built, from the first count + 1 uniform nodes and the guides below the
-    last of them. Every node of the whole grid below that uniform node is one
-    of those, and they are at least count + 1 even after the near-duplicates
-    are dropped, since uniform nodes are never near-duplicates of each other;
+    Only the first ``count`` nodes of the whole grid are built, from the
+    first count + 1 uniform nodes and the guides below the last of them.
+    Every node of the whole grid below that uniform node is one of those,
+    and they are at least count + 1 even after the near-duplicates are
+    dropped, since uniform nodes are never near-duplicates of each other;
     and K_n grows with n once lam > 1, so the guides stop there. The scan
     builds its grids a block at a time this way: with the default range a
     solve evaluates only the first of the eight blocks of the whole grid.
     """
     k_min, k_max, points = cfg.k_min, cfg.k_max, cfg.grid_points
-    size = points if count is None or count >= points - 1 else count + 1
+    size = min(count + 1, points)
     uniform = k_min + (k_max - k_min) * np.arange(size) / (points - 1)
     bound = k_max if size == points else uniform[-1]
     guides = [g for g in (1.0 - _GUIDE_OFFSET, 1.0 + _GUIDE_OFFSET) if k_min < g < bound]
@@ -296,7 +295,7 @@ def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, count: int | None = Non
     # last kept node.
     keep = np.diff(nodes) > 1e-15 * np.maximum(1.0, nodes[1:])
     nodes = nodes[np.concatenate([[True], keep])]
-    return nodes if count is None else nodes[:count]
+    return nodes[:count]
 
 
 def _candidates(nodes, signs, logs):
@@ -318,40 +317,34 @@ def _candidates(nodes, signs, logs):
     return lower, upper, nodes[1 : signs.size - 1][dip]
 
 
-def scan_and_bracket(problem, cfg: SearchConfig | None = None, *, wanted: int | None = None):
-    """Locate determinant sign changes (and dips) over the configured K range.
+def scan_and_bracket(problems, cfg: SearchConfig) -> list:
+    """Locate determinant sign changes (and dips) of each problem over its K range.
 
-    The grid is evaluated in blocks of ``_BLOCK`` K values, one kernel call
-    each, which keeps the kernel's arrays small; brackets and dips are found
-    with array operations over the evaluated nodes. With ``wanted`` the scan
-    stops after the first block that leaves at least that many brackets and
-    dips in hand; since the grid is scanned in ascending K, those are the
-    first candidates of the whole grid, in the same order. ``wanted=None``
-    scans the whole grid. Raises :class:`NoRootsInRange` when the scan yields
-    neither a bracket nor a suspected-double candidate.
+    ``problems`` is a sequence of problems, all cracked or all uncracked,
+    scanned in lockstep: each kernel call evaluates the next block of
+    ``_BLOCK`` K values of every problem still scanning, which keeps the
+    kernel's arrays small; brackets and dips are found with array operations
+    over the evaluated nodes. A problem's scan stops after the first block
+    that leaves at least ``max_modes`` brackets and dips in hand; since the
+    grid is scanned in ascending K, those are the first candidates of the
+    whole grid, in the same order. Each problem keeps its own ``cfg`` range,
+    grid and early stop, so its entry is the one a scan of it alone gives.
 
-    ``problem`` is one :class:`ArchProblem`, giving its :class:`ScanResult`,
-    or a sequence of problems, all cracked or all uncracked, giving one entry
-    per problem: its ScanResult or its own NoRootsInRange. A sequence is
-    scanned in lockstep: each kernel call evaluates the next block of every
-    problem still scanning. Each problem keeps its own ``cfg`` range, grid and
-    early stop, so its entry is the one a scan of it alone gives.
+    Returns one entry per problem: its :class:`ScanResult`, or a
+    :class:`NoRootsInRange` when its scan yields neither a bracket nor a
+    suspected-double candidate.
     """
-    single = isinstance(problem, ArchProblem)
-    problems = [problem] if single else list(problem)
     stack = _Stack.of(problems) if len(problems) > 1 else None
     cfgs = [_resolved(p, cfg) for p in problems]
-    # With ``wanted``, each grid is built through the next block and one node
-    # more, which tells whether it goes on.
-    count = None if wanted is None else _BLOCK + 1
-    grids = [_grid_nodes(p, c, count) for p, c in zip(problems, cfgs)]
+    grids = [None] * len(problems)
     scanned = [(None, None)] * len(problems)  # signs and logs of each prefix
     results = [None] * len(problems)
     active, start = list(range(len(problems))), 0
     while active:
-        if start and count is not None:
-            for i in active:
-                grids[i] = _grid_nodes(problems[i], cfgs[i], start + count)
+        # Each grid is built through the next block and one node more, which
+        # tells whether it goes on.
+        for i in active:
+            grids[i] = _grid_nodes(problems[i], cfgs[i], start + _BLOCK + 1)
         chunks = [grids[i][start : start + _BLOCK] for i in active]
         _tally.scan_calls += 1
         if stack is None:
@@ -371,7 +364,7 @@ def scan_and_bracket(problem, cfg: SearchConfig | None = None, *, wanted: int | 
             scanned[i] = signs, logs
             lower, upper, suspects = _candidates(grids[i], signs, logs)
             more = start + _BLOCK < grids[i].size
-            if more and (wanted is None or lower.size + suspects.size < wanted):
+            if more and lower.size + suspects.size < cfg.max_modes:
                 scanning.append(i)
             elif not lower.size and not suspects.size:
                 results[i] = NoRootsInRange(
@@ -390,31 +383,21 @@ def scan_and_bracket(problem, cfg: SearchConfig | None = None, *, wanted: int | 
                     ),
                 )
         active, start = scanning, start + _BLOCK
-    if not single:
-        return results
-    if isinstance(results[0], NoRootsInRange):
-        raise results[0]
-    return results[0]
+    return results
 
 
-def refine_root(
-    bracket,
-    problem,
-    cfg: SearchConfig | None = None,
-    end_values=None,
-):
+def refine_root(brackets, problem, cfg: SearchConfig, end_values) -> np.ndarray:
     """Bisect sign-change brackets down to refine_tol * max(1, K).
 
-    ``bracket`` is one (lo, hi) pair, giving a float, or a sequence of M
-    pairs, giving an array of M roots (an empty one for no pairs); all pairs
-    are bisected together. ``problem`` is one :class:`ArchProblem` for every
-    pair, or a sequence of M problems, one per pair, all cracked or all
-    uncracked. ``end_values`` are the determinant's (sign, log-magnitude) at
-    each bracket's ends, ((s_lo, m_lo), (s_hi, m_hi)) per pair (one such
-    entry for one pair; ignored for a zero-width pair), when the caller
-    already has them, as the scan does; otherwise both ends are evaluated.
-    A zero-width bracket is its own root, an end of sign 0 is the root, and
-    the other brackets must straddle a sign change.
+    ``brackets`` is a sequence of M (lo, hi) pairs, all bisected together,
+    giving an array of M roots (an empty one for no pairs). ``problem`` is
+    one :class:`ArchProblem` for every pair, or a sequence of M problems,
+    one per pair, all cracked or all uncracked. ``end_values`` are the
+    determinant's (sign, log-magnitude) at each bracket's ends,
+    ((s_lo, m_lo), (s_hi, m_hi)) per pair (ignored for a zero-width pair),
+    as the scan hands them on. A zero-width bracket is its own root, an end
+    of sign 0 is the root, and the other brackets must straddle a sign
+    change.
 
     Each kernel call evaluates, for every open bracket, the midpoints of
     plain bisection along the path toward the secant estimate of its root,
@@ -430,38 +413,29 @@ def refine_root(
     or the other brackets of the batch; a poor estimate costs calls only,
     and each call advances every open bracket at least one level.
     """
-    cfg = cfg if cfg is not None else SearchConfig()
-    pairs = np.array(bracket, dtype=float)
-    single = pairs.shape == (2,)
-    lows, highs = pairs.reshape(-1, 2).T.tolist()
+    lows, highs = np.array(brackets, dtype=float).reshape(-1, 2).T.tolist()
+    if len(end_values) != len(lows):
+        raise ValueError("give one pair of end values per bracket")
     stack = None
     if not isinstance(problem, ArchProblem):
         if len(problem) != len(lows):
             raise ValueError("give one problem per bracket")
         stack = _Stack.of(problem)
     roots = list(lows)
-    live = [i for i, (lo, hi) in enumerate(zip(lows, highs)) if lo != hi]
-    if end_values is not None:
-        given = [end_values] if single else end_values
-        values = [given[i] for i in live]
-    elif live:
-        owner = problem if stack is None else stack.take(np.array(live * 2))
-        K = np.array([lows[i] for i in live] + [highs[i] for i in live])
-        ends = list(zip(*(v.tolist() for v in boundary_determinant(owner, K))))
-        values = list(zip(ends, ends[len(live) :]))
-    else:
-        values = []
     # Open brackets as (index, lo, hi, s_lo, m_lo, m_hi, levels bisected).
     open_ = []
-    for i, ((s_lo, m_lo), (s_hi, m_hi)) in zip(live, values):
+    for i, (lo, hi, ends) in enumerate(zip(lows, highs, end_values)):
+        if lo == hi:
+            continue
+        (s_lo, m_lo), (s_hi, m_hi) = ends
         if s_lo == 0:
             continue
         if s_hi == 0:
-            roots[i] = highs[i]
+            roots[i] = hi
         elif s_lo == s_hi:
-            raise ValueError(f"bracket {bracket} does not straddle a sign change")
+            raise ValueError(f"bracket {(lo, hi)} does not straddle a sign change")
         else:
-            open_.append((i, lows[i], highs[i], s_lo, m_lo, m_hi, 0))
+            open_.append((i, lo, hi, s_lo, m_lo, m_hi, 0))
 
     while open_:
         paths = []
@@ -498,7 +472,7 @@ def refine_root(
                 else:
                     hi, m_hi = mids[k], m[k]
             open_.append((i, lo, hi, s_lo, m_lo, m_hi, level + j + 1))
-    return roots[0] if single else np.array(roots, dtype=float)
+    return np.array(roots, dtype=float)
 
 
 def _secant_estimate(lo: float, hi: float, m_lo: float, m_hi: float) -> float:
@@ -593,7 +567,7 @@ def find_frequencies(problem, cfg: SearchConfig | None = None):
 
 def _solve_group(problems: list[ArchProblem], cfg: SearchConfig) -> list:
     """Spectra (or NoRootsInRange) of a few problems: one scan, one refinement."""
-    scans = scan_and_bracket(problems, cfg, wanted=cfg.max_modes)
+    scans = scan_and_bracket(problems, cfg)
     entries, brackets, values, owners = [], [], [], []
     for p, scan in zip(problems, scans):
         if isinstance(scan, NoRootsInRange):
@@ -621,7 +595,7 @@ def _solve_group(problems: list[ArchProblem], cfg: SearchConfig) -> list:
     if not brackets:
         return entries
     owner = problems[0] if len(problems) == 1 else owners
-    ks = iter(refine_root(brackets, owner, cfg, end_values=values).tolist())
+    ks = iter(refine_root(brackets, owner, cfg, values).tolist())
     return [
         e if isinstance(e, NoRootsInRange)
         else Spectrum(roots=tuple(Root(K=next(ks), flag=flag) for flag in e))
@@ -657,7 +631,7 @@ def _polish(problem: ArchProblem, root: Root) -> float:
                     return hi
                 if at_lo[0] * at_hi[0] == -1:
                     tight = SearchConfig(refine_tol=1e-13)
-                    return refine_root((lo, hi), problem, tight, end_values=(at_lo, at_hi))
+                    return refine_root([(lo, hi)], problem, tight, [(at_lo, at_hi)]).item()
     logger.debug("mode shape at the unpolished root K = %r: %s", k, reason)
     return k
 

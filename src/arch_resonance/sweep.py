@@ -188,44 +188,34 @@ def rows_to_csv(rows: list[SweepRow]) -> str:
 class ValidationRow:
     mode: int
     eta: float
-    present: float | None
-    thai: float | None
+    present: float
+    thai: float
     omega_nd: float
 
 
-def validation_table(
-    beta_small: float = 0.05,
-    eta_list: tuple[float, ...] = (0.0, 1.0, 2.0, 3.0, 4.0),
-) -> list[ValidationRow]:
+def validation_table(beta_small: float = 0.05) -> list[ValidationRow]:
     """Computed near-straight frequencies next to the published reference columns.
 
-    For each nonlocal value the fundamental of the uncracked arch is solved
-    and reported as Omega = sqrt(K1) * beta^2. Agreement with the reference
-    columns is reported, not asserted; their normalization is only pinned in
-    the classical limit, where Omega -> pi^2 as beta -> 0.
+    For each nonlocal value of :data:`REFERENCE_TABLE` the fundamental of the
+    uncracked arch is solved and reported as Omega = sqrt(K1) * beta^2.
+    Agreement with the reference columns is reported, not asserted; their
+    normalization is only pinned in the classical limit, where
+    Omega -> pi^2 as beta -> 0.
     """
     if not model.BETA_MIN <= beta_small <= 0.5:
         raise InvalidSpec(
             f"validation requires a small central angle in [{model.BETA_MIN:g}, 0.5]"
         )
-    problems = [model.ArchProblem(beta=beta_small, eta_nd=eta) for eta in eta_list]
+    etas = [float(eta) for eta in REFERENCE_TABLE]
+    problems = [model.ArchProblem(beta=beta_small, eta_nd=eta) for eta in etas]
     spectra = solver.find_frequencies(problems, solver.SearchConfig(max_modes=1))
     rows = []
-    for eta, spectrum in zip(eta_list, spectra):
+    for eta, (present, thai), spectrum in zip(etas, REFERENCE_TABLE.values(), spectra):
         if isinstance(spectrum, NoRootsInRange):
             raise spectrum
         omega = model.omega_nd(spectrum.roots[0].K, beta_small)
-        ref = None
-        if float(eta).is_integer():
-            ref = REFERENCE_TABLE.get(int(eta))
         rows.append(
-            ValidationRow(
-                mode=1,
-                eta=eta,
-                present=ref[0] if ref else None,
-                thai=ref[1] if ref else None,
-                omega_nd=omega,
-            )
+            ValidationRow(mode=1, eta=eta, present=present, thai=thai, omega_nd=omega)
         )
     return rows
 

@@ -46,23 +46,23 @@ class TestPowerLaw:
 
 class TestPolynomial:
     def test_evaluates(self):
-        model = PolynomialCompliance("quad", (0.0, 0.0, 2.0), scale=3.0)
+        model = PolynomialCompliance((0.0, 0.0, 2.0), scale=3.0)
         assert compliance(model, 0.5) == pytest.approx(1.5, rel=1e-14)
 
     def test_negative_rejected(self):
         with pytest.raises(InvalidModel):
-            PolynomialCompliance("bad", (0.0, -1.0))
+            PolynomialCompliance((0.0, -1.0))
 
     def test_nonzero_constant_rejected(self):
         with pytest.raises(InvalidModel):
-            PolynomialCompliance("bad", (0.5, 1.0))
+            PolynomialCompliance((0.5, 1.0))
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidModel):
-            PolynomialCompliance("bad", ())
+            PolynomialCompliance(())
 
     def test_monotone_on_grid(self):
-        model = PolynomialCompliance("cubic", (0.0, 1.0, 0.5, 2.0))
+        model = PolynomialCompliance((0.0, 1.0, 0.5, 2.0))
         values = [compliance(model, i / 200 * 0.95) for i in range(201)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 

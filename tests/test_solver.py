@@ -1,5 +1,6 @@
 import logging
 import math
+import sys
 from dataclasses import replace
 from unittest import mock
 
@@ -39,6 +40,25 @@ def _coefficients(problem, root):
     return tuple(kernel.null_vector(solver.boundary_matrix(problem, root.K)).tolist())
 
 
+def _scan(problem, cfg=SearchConfig()):
+    """The problem's scan alone: its ScanResult or its NoRootsInRange."""
+    return scan_and_bracket([problem], cfg)[0]
+
+
+def _whole_scan(problem, cfg=SearchConfig()):
+    """The problem's scan over its whole grid, in the range ``cfg`` gives it.
+
+    No grid holds ``sys.maxsize`` candidates, so the scan never stops early.
+    """
+    return _scan(problem, replace(solver._resolved(problem, cfg), max_modes=sys.maxsize))
+
+
+def _refine(pair, problem, cfg=SearchConfig()):
+    """One bracket's root, with its end values evaluated here."""
+    ends = tuple(boundary_determinant(problem, k) for k in pair)
+    return refine_root([pair], problem, cfg, [ends]).item()
+
+
 class TestSearchConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -55,25 +75,24 @@ class TestSearchConfig:
 
 class TestScanAndBracket:
     def test_single_bracket_contains_fundamental(self):
-        result = scan_and_bracket(make_problem(), SearchConfig(k_max=100.0))
+        result = _whole_scan(make_problem(), SearchConfig(k_max=100.0))
         assert len(result.brackets) == 1
         lo, hi = result.brackets[0]
         assert lo <= K1_B1_E0 <= hi
         assert result.suspects == ()
 
     def test_no_roots_below_fundamental(self):
-        with pytest.raises(NoRootsInRange):
-            scan_and_bracket(make_problem(), SearchConfig(k_max=10.0))
+        assert isinstance(_scan(make_problem(), SearchConfig(k_max=10.0)), NoRootsInRange)
 
     def test_zero_compliance_same_bracket_count(self):
         cfg = SearchConfig(k_max=10000.0)
-        plain = scan_and_bracket(make_problem(), cfg)
-        cracked = scan_and_bracket(make_problem(alpha=0.4, theta=0.0), cfg)
+        plain = _whole_scan(make_problem(), cfg)
+        cracked = _whole_scan(make_problem(alpha=0.4, theta=0.0), cfg)
         assert len(plain.brackets) == len(cracked.brackets)
 
     def test_bracket_endpoints_straddle(self):
         problem = make_problem(eta=0.5)
-        result = scan_and_bracket(problem, SearchConfig(k_max=5000.0))
+        result = _whole_scan(problem, SearchConfig(k_max=5000.0))
         for lo, hi in result.brackets:
             s_lo, _ = boundary_determinant(problem, lo)
             s_hi, _ = boundary_determinant(problem, hi)
@@ -82,28 +101,28 @@ class TestScanAndBracket:
 
 class TestRefineRoot:
     def test_fundamental(self):
-        k = refine_root((70.0, 90.0), make_problem())
+        k = _refine((70.0, 90.0), make_problem())
         assert rel_err(k, K1_B1_E0) < 1e-8
 
     def test_fundamental_nonlocal(self):
-        k = refine_root((7.0, 7.5), make_problem(eta=1.0))
+        k = _refine((7.0, 7.5), make_problem(eta=1.0))
         assert rel_err(k, K1_B1_E1) < 1e-8
 
     def test_degenerate_bracket_returns_endpoint(self):
-        assert refine_root((42.0, 42.0), make_problem()) == 42.0
+        assert refine_root([(42.0, 42.0)], make_problem(), SearchConfig(), [None]).item() == 42.0
 
     def test_empty_bracket_list(self):
-        roots = refine_root([], make_problem())
+        roots = refine_root([], make_problem(), SearchConfig(), [])
         assert isinstance(roots, np.ndarray) and roots.shape == (0,)
-        assert refine_root([], []).shape == (0,)
+        assert refine_root([], [], SearchConfig(), []).shape == (0,)
 
     def test_unbracketed_rejected(self):
         with pytest.raises(ValueError):
-            refine_root((1.0, 2.0), make_problem())
+            _refine((1.0, 2.0), make_problem())
 
     def test_deterministic(self):
-        a = refine_root((70.0, 90.0), make_problem())
-        b = refine_root((70.0, 90.0), make_problem())
+        a = _refine((70.0, 90.0), make_problem())
+        b = _refine((70.0, 90.0), make_problem())
         assert a == b
 
 
@@ -385,7 +404,7 @@ class TestRefineOnlyReturned:
     def test_brackets_and_null_vectors_cover_returned_roots(self, monkeypatch, modes):
         problem = make_problem(eta=1.0, alpha=0.4, theta=0.8)
         full = find_frequencies(problem, SearchConfig(max_modes=5))
-        assert len(scan_and_bracket(problem, SearchConfig(max_modes=5)).brackets) > 5
+        assert len(_whole_scan(problem, SearchConfig(max_modes=5)).brackets) > 5
         refined = self._record(monkeypatch, solver, "refine_root")
         nulls = self._record(monkeypatch, kernel, "null_vector")
         spectrum = find_frequencies(problem, SearchConfig(max_modes=modes))
@@ -419,14 +438,14 @@ class TestRefineOnlyReturned:
 
     def test_batch_matches_single_brackets(self):
         problem = make_problem(eta=0.5, alpha=0.3, theta=2.0)
-        scan = scan_and_bracket(problem, SearchConfig(k_max=3000.0))
-        batch = refine_root(scan.brackets, problem, end_values=scan.end_values)
-        singles = [refine_root(b, problem) for b in scan.brackets]
+        scan = _whole_scan(problem, SearchConfig(k_max=3000.0))
+        batch = refine_root(scan.brackets, problem, SearchConfig(), scan.end_values)
+        singles = [_refine(b, problem) for b in scan.brackets]
         assert batch.tolist() == singles
 
     def test_scan_end_values(self):
         problem = make_problem(eta=0.5, alpha=0.3, theta=2.0)
-        scan = scan_and_bracket(problem, SearchConfig(k_max=3000.0))
+        scan = _whole_scan(problem, SearchConfig(k_max=3000.0))
         for (lo, hi), (at_lo, at_hi) in zip(scan.brackets, scan.end_values):
             assert boundary_determinant(problem, lo) == at_lo
             assert boundary_determinant(problem, hi) == at_hi
@@ -512,13 +531,22 @@ class TestBatchedSearch:
         problems = [make_problem(), make_problem(alpha=0.4, theta=0.8)]
         for search in (find_frequencies, scan_and_bracket):
             with pytest.raises(ValueError, match="all cracked or all uncracked"):
-                search(problems)
+                search(problems, SearchConfig())
         with pytest.raises(ValueError, match="all cracked or all uncracked"):
-            refine_root([(70.0, 80.0), (60.0, 80.0)], problems)
+            refine_root([(70.0, 80.0), (60.0, 80.0)], problems, SearchConfig(), [None, None])
 
     def test_refine_needs_one_problem_per_bracket(self):
         with pytest.raises(ValueError, match="one problem per bracket"):
-            refine_root([(70.0, 80.0), (60.0, 80.0)], [make_problem()])
+            refine_root(
+                [(70.0, 80.0), (60.0, 80.0)], [make_problem()], SearchConfig(), [None, None]
+            )
+
+    def test_refine_needs_one_pair_of_end_values_per_bracket(self):
+        pairs = [(70.0, 80.0), (60.0, 80.0), (50.0, 80.0)]
+        ends = ((1, 0.0), (-1, 0.0))
+        for given in ([ends] * 2, [ends] * 4):
+            with pytest.raises(ValueError, match="one pair of end values per bracket"):
+                refine_root(pairs, make_problem(), SearchConfig(), given)
 
     def test_empty_batch(self):
         assert find_frequencies([]) == []
@@ -551,7 +579,7 @@ def _whole_grid_spectrum(problem, cfg):
     bisected independently), then keeps the first max_modes in ascending
     order, each candidate one root, as find_frequencies does.
     """
-    scan = scan_and_bracket(problem, cfg)
+    scan = _whole_scan(problem, cfg)
     candidates = sorted(
         [(*b, ends, RootFlag.BRACKETED) for b, ends in zip(scan.brackets, scan.end_values)]
         + [(k, k, None, RootFlag.SUSPECTED_DOUBLE) for k in scan.suspects],
@@ -603,7 +631,7 @@ class TestEarlyExitScan:
         problem = ArchProblem(beta=10.0**log_beta, eta_nd=eta)
         k_max = None if log_k_max is None else 10.0**log_k_max
         cfg = solver._resolved(problem, SearchConfig(max_modes=modes, grid_points=points, k_max=k_max))
-        whole = solver._grid_nodes(problem, cfg)
+        whole = solver._grid_nodes(problem, cfg, sys.maxsize)  # no grid is that long
         for count in {1, 2, 16, 17, 257, 258, 513, points - 2, points - 1, whole.size, whole.size + 1}:
             prefix = solver._grid_nodes(problem, cfg, count)
             assert prefix.tobytes() == whole[:count].tobytes(), count
@@ -611,8 +639,9 @@ class TestEarlyExitScan:
     def test_partial_scan_is_a_prefix_of_the_whole_grid(self, monkeypatch):
         problem = make_problem(eta=1.0, alpha=0.4, theta=0.8)
         monkeypatch.setattr(solver, "_BLOCK", 16)
-        whole = scan_and_bracket(problem)
-        partial = scan_and_bracket(problem, wanted=3)
+        cfg = SearchConfig(max_modes=3)
+        whole = _whole_scan(problem, cfg)
+        partial = _scan(problem, cfg)
         found = len(partial.brackets) + len(partial.suspects)
         assert 3 <= found < len(whole.brackets) + len(whole.suspects)
         assert partial.brackets == whole.brackets[: len(partial.brackets)]
@@ -624,7 +653,7 @@ class TestEarlyExitScan:
         # near-coincident pair is a double root split by a grid node.
         problem = make_problem(eta=1.0, alpha=0.4, theta=0.8)
         cfg = SearchConfig(max_modes=2)
-        scan = scan_and_bracket(problem, cfg)
+        scan = _scan(problem, cfg)
         first_k = find_frequencies(problem, SearchConfig(max_modes=1)).roots[0].K
         second_lo = scan.brackets[1][0]
         original = solver.refine_root
@@ -641,7 +670,7 @@ class TestEarlyExitScan:
         monkeypatch.setattr(
             solver,
             "scan_and_bracket",
-            lambda *args, **kwargs: scans.append(kwargs["wanted"]) or original_scan(*args, **kwargs),
+            lambda problems, cfg: scans.append(cfg.max_modes) or original_scan(problems, cfg),
         )
         spectrum = find_frequencies(problem, cfg)
         assert scans == [2]
@@ -701,7 +730,7 @@ class TestMultiLevelBisection:
         # A zero-width bracket, for the uncracked problem the guide pair
         # around K_1 (for beta = 1, eta = 0 its first midpoint is K_1, where
         # the sign is 0), and the scan's brackets, with their end values.
-        scan = scan_and_bracket(problem, SearchConfig(k_max=3000.0))
+        scan = _whole_scan(problem, SearchConfig(k_max=3000.0))
         pairs, ends = [(42.0, 42.0)], [None]
         if problem.crack is None:
             k1 = uncracked_K_closed_form(1, 1.0, 0.0)
@@ -725,16 +754,14 @@ class TestMultiLevelBisection:
             if levels is not None:
                 estimate = _estimate_leaving_the_path(levels, expected)
                 monkeypatch.setattr(solver, "_secant_estimate", estimate)
-            # With the end values given, and evaluated by refine_root.
-            assert refine_root(pairs, problem, cfg, end_values=ends).tolist() == expected
-            assert refine_root(pairs, problem, cfg).tolist() == expected
+            assert refine_root(pairs, problem, cfg, ends).tolist() == expected
 
     def test_wrong_estimate_advances_its_levels_per_call(self, monkeypatch):
         # An estimate that leaves the path at the third level of every call:
         # each call advances each bracket three levels, so a bracket that
         # needs L levels takes ceil(L / 3) calls.
         problem = make_problem(eta=0.5, alpha=0.3, theta=2.0)
-        scan = scan_and_bracket(problem, SearchConfig(max_modes=1), wanted=1)
+        scan = _scan(problem, SearchConfig(max_modes=1))
         pair, ends = scan.brackets[0], scan.end_values[0]
         cfg = SearchConfig()
         expected = _sequential_bisection([pair], problem, cfg).tolist()
@@ -745,7 +772,7 @@ class TestMultiLevelBisection:
         )
         levels = solver._tally.levels
         monkeypatch.setattr(solver, "_secant_estimate", _estimate_leaving_the_path(3, expected))
-        assert refine_root(pair, problem, cfg, end_values=ends) == expected[0]
+        assert refine_root([pair], problem, cfg, [ends]).tolist() == expected
         needed = solver._tally.levels - levels
         assert len(sizes) == math.ceil(needed / 3)
         assert 25 <= needed <= 40
@@ -762,7 +789,7 @@ class TestMultiLevelBisection:
         # bisected as one batch, against each problem's alone, one level per
         # call; uncracked brackets are guide pairs that end at their midpoint.
         problems, cfg = batch
-        scans = scan_and_bracket(problems, cfg, wanted=cfg.max_modes)
+        scans = scan_and_bracket(problems, cfg)
         cfg = replace(cfg, refine_tol=tol)
         pairs, ends, owners, expected = [], [], [], []
         for problem, scan in zip(problems, scans):
@@ -774,7 +801,7 @@ class TestMultiLevelBisection:
             owners += [problem] * len(own)
             expected += _sequential_bisection(own, problem, cfg).tolist()
         assume(pairs)
-        roots = refine_root(pairs, owners, cfg, end_values=ends)
+        roots = refine_root(pairs, owners, cfg, ends)
         assert [k.hex() for k in roots.tolist()] == [k.hex() for k in expected]
 
     def test_guide_midpoint_is_an_exact_zero(self):
@@ -785,7 +812,7 @@ class TestMultiLevelBisection:
         guide = (k1 * (1.0 - 1e-6), k1 * (1.0 + 1e-6))
         assert 0.5 * (guide[0] + guide[1]) == k1
         assert boundary_determinant(problem, k1)[0] == 0
-        assert refine_root(guide, problem) == k1
+        assert _refine(guide, problem) == k1
 
 
 class TestKernelCallsPerSolve:
@@ -814,10 +841,10 @@ class TestKernelCallsPerSolve:
         # have sign 0: the first call, 15 midpoints down each path to the
         # tolerance, ends them all at their first midpoint.
         problem = make_problem(eta=1.0)
-        scan = scan_and_bracket(problem, wanted=5)
+        scan = _scan(problem)
         brackets = scan.brackets[:5]
         calls = self._count(monkeypatch)
-        roots = refine_root(brackets, problem, end_values=scan.end_values[:5])
+        roots = refine_root(brackets, problem, SearchConfig(), scan.end_values[:5])
         assert calls == [75]
         assert roots.tolist() == [0.5 * (lo + hi) for lo, hi in brackets]
 

@@ -197,7 +197,7 @@ class TestOrderingAndDegradation:
 
 class TestValidationTable:
     def test_classical_limit_value(self):
-        rows = validation_table(0.05, (0.0,))
+        rows = validation_table(0.05)
         # Omega = pi^2 - beta^2 in the classical uncracked limit.
         assert rel_err(rows[0].omega_nd, math.pi**2 - 0.05**2) < 1e-8
         assert rows[0].present == 9.75821
@@ -209,7 +209,7 @@ class TestValidationTable:
         assert [r.thai for r in rows] == [9.2745, 8.8482, 8.4757, 8.1466, 7.8530]
 
     def test_straight_limit_approaches_pi_squared(self):
-        rows = validation_table(0.005, (0.0,))
+        rows = validation_table(0.005)
         assert abs(rows[0].omega_nd - math.pi**2) / math.pi**2 < 3e-4
 
     def test_large_angle_rejected(self):
@@ -221,7 +221,7 @@ class TestValidationTable:
             validation_table(1e-200)
 
     def test_csv_serialization(self):
-        text = validation_to_csv(validation_table(0.05, (0.0,)))
+        text = validation_to_csv(validation_table(0.05))
         lines = text.splitlines()
         assert lines[0] == "mode,eta,present,thai,omega_nd"
         assert lines[1].startswith("1,0,9.75821,9.2745,")
