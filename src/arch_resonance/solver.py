@@ -8,15 +8,15 @@ blocks evaluated so far hold the candidates of the requested modes. Sign
 changes and dips are found with array operations over the grid, and each
 candidate is one root. The candidates of the requested modes are bisected
 together to the requested tolerance. Each kernel call evaluates, for every
-open bracket, the midpoints of plain bisection along the path toward the
-secant estimate of its root (from the signed function values at its ends,
-which the scan hands on), all the way down to the tolerance; bisection's
-own rules walk that path until a midpoint's sign disagrees with the
-prediction, and the kept half there is the next call's bracket. A
-five-mode cracked solve takes about three bisection calls this way. A
-spectrum holds eigenvalues and flags only: :func:`mode_shape` is the one
-place that extracts a null vector, the coefficients of the shape, from the
-near-singular matching matrix.
+open bracket, the midpoints of plain bisection along the path toward an
+estimate of its root (the secant one from the signed function values at
+its ends, which the scan hands on, then an inverse cubic interpolant), all
+the way down to the tolerance; bisection's own rules walk that path until a
+midpoint's sign disagrees with the prediction, and the kept half there is
+the next call's bracket. A five-mode cracked solve takes two or three
+bisection calls this way. A spectrum holds eigenvalues and flags only:
+:func:`mode_shape` is the one place that extracts a null vector, the
+coefficients of the shape, from the near-singular matching matrix.
 
 :func:`find_frequencies` also takes a sequence of problems, all cracked or
 all uncracked, as a sweep or the validation table has, and solves them in
@@ -400,18 +400,20 @@ def refine_root(brackets, problem, cfg: SearchConfig, end_values) -> np.ndarray:
     change.
 
     Each kernel call evaluates, for every open bracket, the midpoints of
-    plain bisection along the path toward the secant estimate of its root,
-    the zero of the line through its signed end values s * exp(m), down to
-    the tolerance (``_predicted_path``). Bisection's own rules then walk the
-    path: a midpoint keeps the upper half when its sign equals the lower
-    end's, and the bracket ends at a midpoint of sign 0 or at an interval
-    narrow enough. The walk stops at the first midpoint whose sign
-    disagrees with the prediction; that node's kept half, with its two
-    evaluated ends, is the bracket of the next call. So every midpoint the
-    walk uses is one that one-level-per-call bisection evaluates, and the
-    roots are those of plain bisection, bit for bit, whatever the estimate
-    or the other brackets of the batch; a poor estimate costs calls only,
-    and each call advances every open bracket at least one level.
+    plain bisection along the path toward an estimate of its root, down to
+    the tolerance (``_predicted_path``): first the zero of the line through
+    its signed end values s * exp(m), then the inverse cubic interpolant
+    through its ends and the two nearest points the walk evaluated
+    (``_root_estimate``). Bisection's own rules then walk the path: a
+    midpoint keeps the upper half when its sign equals the lower end's, and
+    the bracket ends at a midpoint of sign 0 or at an interval narrow
+    enough. The walk stops at the first midpoint whose sign disagrees with
+    the prediction; that node's kept half, with its two evaluated ends, is
+    the bracket of the next call. So every midpoint the walk uses is one
+    that one-level-per-call bisection evaluates, and the roots are those of
+    plain bisection, bit for bit, whatever the estimate or the other
+    brackets of the batch; a poor estimate costs calls only, and each call
+    advances every open bracket at least one level.
     """
     lows, highs = np.array(brackets, dtype=float).reshape(-1, 2).T.tolist()
     if len(end_values) != len(lows):
@@ -422,7 +424,7 @@ def refine_root(brackets, problem, cfg: SearchConfig, end_values) -> np.ndarray:
             raise ValueError("give one problem per bracket")
         stack = _Stack.of(problem)
     roots = list(lows)
-    # Open brackets as (index, lo, hi, s_lo, m_lo, m_hi, levels bisected).
+    # Open brackets as (index, lo, hi, s_lo, m_lo, m_hi, near, levels bisected).
     open_ = []
     for i, (lo, hi, ends) in enumerate(zip(lows, highs, end_values)):
         if lo == hi:
@@ -435,7 +437,7 @@ def refine_root(brackets, problem, cfg: SearchConfig, end_values) -> np.ndarray:
         elif s_lo == s_hi:
             raise ValueError(f"bracket {(lo, hi)} does not straddle a sign change")
         else:
-            open_.append((i, lo, hi, s_lo, m_lo, m_hi, 0))
+            open_.append((i, lo, hi, s_lo, m_lo, m_hi, (), 0))
 
     while open_:
         paths = []
@@ -461,41 +463,63 @@ def refine_root(brackets, problem, cfg: SearchConfig, end_values) -> np.ndarray:
             # path's end.
             j = next((j for j, (s, p) in enumerate(zip(got, predicted)) if s != p), size)
             _tally.levels += min(j + 1, size)
-            i, lo, hi, s_lo, m_lo, m_hi, level = b
+            i, lo, hi, s_lo, m_lo, m_hi, _, level = b
             if j == size or got[j] == 0:
                 roots[i] = end if j == size else mids[j]
                 continue
+            # Outside node j's kept half, the points nearest it: this call's
+            # bracket ends and the midpoints around node j.
+            others = [(lo, s_lo, m_lo), (hi, -s_lo, m_hi)]
+            others += [(mids[k], got[k], m[k]) for k in (j - 1, j + 1, j + 2) if 0 <= k < size]
             # Node j's kept half: replay the path's halves through it.
             for k in range(j + 1):
                 if got[k] == s_lo:
                     lo, m_lo = mids[k], m[k]
                 else:
                     hi, m_hi = mids[k], m[k]
-            open_.append((i, lo, hi, s_lo, m_lo, m_hi, level + j + 1))
+            gaps = sorted([(lo - p[0] if p[0] < lo else p[0] - hi, p) for p in others])
+            near = [p for gap, p in gaps if gap > 0][:2]
+            open_.append((i, lo, hi, s_lo, m_lo, m_hi, near, level + j + 1))
     return np.array(roots, dtype=float)
 
 
-def _secant_estimate(lo: float, hi: float, m_lo: float, m_hi: float) -> float:
-    """Where the line through a bracket's signed end values crosses zero.
+def _root_estimate(lo, hi, s_lo, m_lo, m_hi, near) -> float:
+    """The root in [lo, hi] that a bisection call's path aims at.
 
-    The ends have opposite signs and log-magnitudes m_lo and m_hi, so the
-    zero is lo + (hi - lo) / (1 + exp(m_hi - m_lo)), written with tanh so
-    that no magnitude overflows.
+    ``near`` holds up to two evaluated points (K, sign, log-magnitude) outside
+    the bracket. Through them and the ends, K as a polynomial in the signed
+    value s * exp(m - max m) is taken at 0 (inverse cubic interpolation).
+    Without them, or if two values coincide or this leaves the bracket, it
+    is the secant estimate lo + (hi - lo) / (1 + exp(m_hi - m_lo)), where the
+    line through the ends' signed values crosses zero (tanh avoids overflow).
     """
+    if near:
+        ks, signs, logs = zip((lo, s_lo, m_lo), (hi, -s_lo, m_hi), *near)
+        top = max(logs)
+        ys = [s * math.exp(m - top) for s, m in zip(signs, logs)]
+        if len(set(ys)) == len(ys):
+            estimate = 0.0  # Lagrange's form at 0
+            for k, z in zip(ks, ys):
+                for y in ys:
+                    if y != z:
+                        k *= y / (y - z)
+                estimate += k
+            if lo < estimate < hi:
+                return estimate
     return lo + (hi - lo) * (0.5 - 0.5 * math.tanh(0.5 * (m_hi - m_lo)))
 
 
-def _predicted_path(lo, hi, s_lo, m_lo, m_hi, level, tol):
-    """Bisection's midpoints from [lo, hi] toward the bracket's secant estimate.
+def _predicted_path(lo, hi, s_lo, m_lo, m_hi, near, level, tol):
+    """Bisection's midpoints from [lo, hi] toward the bracket's root estimate.
 
     Returns the midpoints that bisection evaluates if every one of them
-    keeps the half holding the estimate (:func:`_secant_estimate`), the sign
+    keeps the half holding the estimate (:func:`_root_estimate`), the sign
     each must then have (``s_lo`` for the upper half), and the root where
     that path ends: the midpoint of the first interval no wider than
     tol * max(1, mid), or of the interval reached after ``_MAX_BISECTIONS``
     levels in all, ``level`` of them already bisected.
     """
-    estimate = _secant_estimate(lo, hi, m_lo, m_hi)
+    estimate = _root_estimate(lo, hi, s_lo, m_lo, m_hi, near)
     mids, predicted = [], []
     for _ in range(level, _MAX_BISECTIONS):
         mid = 0.5 * (lo + hi)

@@ -16,7 +16,8 @@ from arch_resonance import (
     quartic_roots,
     uncracked_K_closed_form,
 )
-from arch_resonance.kernel import PIVOT_ZERO_TOL
+from arch_resonance import kernel
+from arch_resonance.kernel import DEGENERACY_TOL, PIVOT_ZERO_TOL
 from conftest import (
     assembled_signs,
     cofactor_det,
@@ -576,3 +577,86 @@ class TestStackedKernel:
         for k, table in zip(ks, rows):
             single = quartic_roots(characteristic_coefficients(float(k), 0.0))
             assert np.array_equal(single.support_rows(0.7, 1.3), table)
+
+
+class TestMaskShortcut:
+    """det_sign_logmag builds the zero-root and repeated-root masks only when
+    its K range reaches their windows near K = 1 and K = 0; the values are
+    those of a call that always builds them."""
+
+    PROBLEMS = [(2.0,), (2.0, 0.7, 0.3)]  # uncracked, cracked
+
+    def _record(self, monkeypatch, force=False):
+        # Each _lam2_roots call as (masks built, zero-root mask, repeated mask).
+        calls, original = [], kernel._lam2_roots
+
+        def recording(p2, p0, masks=True):
+            mu1, mu2, repeated = original(p2, p0, masks or force)
+            calls.append((masks, mu2 == 0.0, repeated))
+            return mu1, mu2, repeated
+
+        monkeypatch.setattr(kernel, "_lam2_roots", recording)
+        return calls
+
+    def _evaluate(self, monkeypatch, ks, eta, problem):
+        """The stack's values, its _lam2_roots call, and the values with forced masks."""
+        with monkeypatch.context() as m:
+            calls = self._record(m)
+            values = det_sign_logmag(np.array(ks), eta, *problem)
+        with monkeypatch.context() as m:
+            self._record(m, force=True)
+            forced = det_sign_logmag(np.array(ks), eta, *problem)
+        for v, f in zip(values, forced):
+            assert np.array_equal(v, f)
+        for k, sign, logmag in zip(ks, *values):
+            assert det_sign_logmag(float(k), eta, *problem) == (sign, logmag)
+        assert len(calls) == 1
+        return calls[0]
+
+    @pytest.mark.parametrize("eta", [0.0, 4.0])
+    @pytest.mark.parametrize("problem", PROBLEMS, ids=["uncracked", "cracked"])
+    def test_special_value_among_far_ones(self, monkeypatch, eta, problem):
+        p2 = 2.0 + eta
+        zero_roots = (1.0, 1.0 + 1e-11, 1.0 - 1e-11)
+        edges = (1.0 + 1e-10 * p2, 1.0 - 1e-10 * p2)
+        repeated_roots = (0.0, 1e-12)
+        for k in zero_roots + edges + repeated_roots:
+            # Far values above 1, then below 1 (and above 0).
+            for far in ([5.0, 40.0, 260.0], [0.3, 0.6]):
+                masks, zero, repeated = self._evaluate(monkeypatch, [*far, k], eta, problem)
+                assert masks
+                assert zero[-1] == (k in zero_roots) or k in edges
+                assert repeated[-1] == (k in repeated_roots)
+                assert not zero[:-1].any() and not repeated[:-1].any()
+
+    @pytest.mark.parametrize("eta", [0.0, 4.0])
+    @pytest.mark.parametrize("problem", PROBLEMS, ids=["uncracked", "cracked"])
+    def test_stacks_at_the_windows(self, monkeypatch, eta, problem):
+        width = DEGENERACY_TOL * (2.0 + eta)  # of the zero-root window, either side of 1
+        for side in (1.0, -1.0):
+            inside = [1.0 + side * t * width for t in (0.0, 0.2, 0.5, 0.9)]
+            masks, zero, repeated = self._evaluate(monkeypatch, inside, eta, problem)
+            assert masks and zero.all() and not repeated.any()
+            # Past the window but within the shortcut's margin of 2.
+            margin = [1.0 + side * t * width for t in (1.2, 1.5, 1.9)]
+            masks, zero, repeated = self._evaluate(monkeypatch, margin, eta, problem)
+            assert masks and not zero.any() and not repeated.any()
+            outside = [1.0 + side * t * width for t in (2.5, 4.0, 10.0)]
+            masks, _, repeated = self._evaluate(monkeypatch, outside, eta, problem)
+            assert not masks and repeated is None
+        # A stack on both sides of 1 with none of its values in the window.
+        across = [0.5, 1.0 - 3.0 * width, 1.0 + 3.0 * width, 7.0]
+        masks, _, repeated = self._evaluate(monkeypatch, across, eta, problem)
+        assert not masks and repeated is None
+        masks, zero, _ = self._evaluate(monkeypatch, across + [1.0 + 0.5 * width], eta, problem)
+        assert masks and zero.tolist() == [False] * 4 + [True]
+        # The repeated-root window is K <= tol / (1 + eta).
+        inside = [t * DEGENERACY_TOL / (1.0 + eta) for t in (0.0, 0.1, 0.5, 0.9)]
+        masks, zero, repeated = self._evaluate(monkeypatch, inside, eta, problem)
+        assert masks and repeated.all() and not zero.any()
+        margin = [t * DEGENERACY_TOL for t in (1.5, 1.9)]
+        masks, zero, repeated = self._evaluate(monkeypatch, margin, eta, problem)
+        assert masks and not repeated.any() and not zero.any()
+        outside = [t * DEGENERACY_TOL for t in (2.5, 5.0, 10.0)]
+        masks, _, repeated = self._evaluate(monkeypatch, outside, eta, problem)
+        assert not masks and repeated is None

@@ -710,7 +710,7 @@ def _estimate_leaving_the_path(levels, roots):
     the target (brackets sharing a root only change the schedule).
     """
 
-    def estimate(lo, hi, m_lo, m_hi):
+    def estimate(lo, hi, *values):
         root = next(r for r in roots if lo <= r <= hi)
         for _ in range(levels):
             mid = 0.5 * (lo + hi)
@@ -720,7 +720,7 @@ def _estimate_leaving_the_path(levels, roots):
     return estimate
 
 
-# Estimates by test id suffix: the shipped secant estimate, and deliberately
+# Estimates by test id suffix: the shipped estimate, and deliberately
 # wrong ones that leave the path at the n-th level of every call.
 _SCHEDULES = {"": None, "-levels1": 1, "-levels3": 3, "-levels4": 4, "-levels6": 6}
 
@@ -753,7 +753,7 @@ class TestMultiLevelBisection:
             expected = _sequential_bisection(pairs, problem, cfg).tolist()
             if levels is not None:
                 estimate = _estimate_leaving_the_path(levels, expected)
-                monkeypatch.setattr(solver, "_secant_estimate", estimate)
+                monkeypatch.setattr(solver, "_root_estimate", estimate)
             assert refine_root(pairs, problem, cfg, ends).tolist() == expected
 
     def test_wrong_estimate_advances_its_levels_per_call(self, monkeypatch):
@@ -771,7 +771,7 @@ class TestMultiLevelBisection:
             solver, "boundary_determinant", lambda p, K: sizes.append(K.size) or original(p, K)
         )
         levels = solver._tally.levels
-        monkeypatch.setattr(solver, "_secant_estimate", _estimate_leaving_the_path(3, expected))
+        monkeypatch.setattr(solver, "_root_estimate", _estimate_leaving_the_path(3, expected))
         assert refine_root([pair], problem, cfg, [ends]).tolist() == expected
         needed = solver._tally.levels - levels
         assert len(sizes) == math.ceil(needed / 3)
@@ -832,9 +832,48 @@ class TestKernelCallsPerSolve:
         # One scan block, then the paths toward the secant estimates: four
         # wide brackets (31 + 29 + 26 + 27 midpoints) and a guide pair (15)
         # that ends at its first midpoint; four paths leave their estimates
-        # (28 + 21 + 16 + 18 midpoints left to go), then three (19 + 5 + 1),
-        # then one (3).
-        assert calls == [256, 128, 83, 25, 3]
+        # (28 + 21 + 16 + 18 midpoints left to go), and from then on each
+        # path aims at the inverse cubic interpolant of the points the walk
+        # has evaluated nearest its bracket, so three brackets end in the
+        # next call and one (8) in the call after.
+        assert calls == [256, 128, 83, 8]
+
+    @staticmethod
+    def _bisection_calls(problem, cfg):
+        """The problem's spectrum and the bisection calls its solve took."""
+        before = solver._tally.calls - solver._tally.scan_calls
+        spectrum = find_frequencies(problem, cfg)
+        return spectrum, solver._tally.calls - solver._tally.scan_calls - before
+
+    def test_cracked_five_modes_in_the_benchmark_ranges(self):
+        # Cracked problems drawn as the benchmark's cracked workload draws
+        # them, the compliance scaled by the armchair geometry. With the
+        # secant estimate in every call they took 3.08 calls a solve.
+        from arch_resonance import (
+            ChiralityClass, PowerLawCompliance, compliance, resolve_preset,
+        )
+        from arch_resonance.cli import load_presets
+
+        tube = resolve_preset(ChiralityClass.ARMCHAIR, load_presets())
+        geometry = (tube.wall_thickness, tube.radius)
+        rng = np.random.default_rng(2015)
+        calls = []
+        for _ in range(50):
+            beta, eta = rng.uniform(0.5, 3.0), rng.uniform(0.0, 4.0)
+            alpha = beta * rng.uniform(0.1, 0.9)
+            theta = compliance(PowerLawCompliance(), rng.uniform(0.1, 0.8), geometry)
+            problem = ArchProblem(beta, eta, CrackJoint(alpha, theta))
+            calls.append(self._bisection_calls(problem, SearchConfig(max_modes=5))[1])
+        assert sum(calls) / len(calls) <= 2.4
+
+    def test_wide_bracket(self):
+        # A bracket [1.000001, 5.6e6] where F is far from linear: the secant
+        # estimate alone took 7 calls, advancing 1, 1, 2, 2, 7, 12 and 6 levels.
+        problem = ArchProblem(0.06454, 0.0, CrackJoint(0.030614, 0.15648))
+        cfg = SearchConfig(max_modes=1, refine_tol=4.66e-9)
+        spectrum, calls = self._bisection_calls(problem, cfg)
+        assert calls <= 6
+        assert spectrum.K_values == (953745.4129525002,)
 
     def test_brackets_ended_at_their_midpoints_take_one_call(self, monkeypatch):
         # The guide pairs around the first five uncracked K_n, whose midpoints
