@@ -18,6 +18,7 @@ from .crack import (
 )
 from .errors import (
     DegenerateSegment,
+    DoubleRoot,
     InvalidModel,
     InvalidPreset,
     InvalidSpec,

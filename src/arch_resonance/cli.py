@@ -7,11 +7,11 @@ from flags or from a sectioned config file; flags win. Dimensioned inputs are
 accepted in nm / TPa at this boundary and converted to SI internally.
 
 Exit codes: 0 success; 1 runtime failure, which is fewer roots in the search
-range than modes requested, or unwritable output; 2 usage error, which is any
-bad flag, config or preset value met while resolving them into a problem or a
-sweep, reported in one line on standard error. The environment variable
-``ARCH_RESONANCE_LOG`` (error, warn, info, debug) controls diagnostics on
-standard error.
+range than modes requested, a mode shape of a double root, or unwritable
+output; 2 usage error, which is any bad flag, config or preset value met
+while resolving them into a problem or a sweep, reported in one line on
+standard error. The environment variable ``ARCH_RESONANCE_LOG`` (error,
+warn, info, debug) controls diagnostics on standard error.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from typing import Any, Mapping
 from . import __version__
 from . import crack as crack_models
 from . import model, solver, sweep
-from .errors import InvalidPreset, InvalidSpec, MissingPreset, NoRootsInRange, UsageError
+from .errors import DoubleRoot, InvalidPreset, InvalidSpec, MissingPreset, NoRootsInRange
+from .errors import UsageError
 
 logger = logging.getLogger("arch_resonance")
 
@@ -134,6 +135,7 @@ def build_parser() -> _Parser:
         "--beta", type=float, help="small central angle in rad (default 0.05)"
     )
     _add_common(val, "table")
+    parser.commands = sub.choices  # command word -> its subparser
     return parser
 
 
@@ -146,10 +148,14 @@ def _parser() -> _Parser:
 def parse(args: list[str]) -> CliInvocation:
     """Parse an argument vector into a validated invocation.
 
-    Unknown flags raise :class:`UsageError` naming the offender; ``--help``
-    and ``--version`` short-circuit through SystemExit(0).
+    A vector led by a command word goes to its subparser alone, anything else
+    to the full parser. Unknown flags raise :class:`UsageError` naming the
+    offender; ``--help`` and ``--version`` short-circuit through SystemExit(0).
     """
-    overrides = vars(_parser().parse_args(args)).copy()
+    parser = _parser()
+    sub = parser.commands.get(args[0]) if args else None
+    namespace = sub.parse_args(args[1:], argparse.Namespace(command=args[0])) if sub else None
+    overrides = vars(namespace or parser.parse_args(args))
     return CliInvocation(
         command=overrides.pop("command"),
         config_path=overrides.pop("config", None),
@@ -556,7 +562,7 @@ def run(inv: CliInvocation) -> int:
     try:
         text = _COMMANDS[inv.command](inv, settings)
         _write(text, inv.output_path)
-    except NoRootsInRange as exc:
+    except (NoRootsInRange, DoubleRoot) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

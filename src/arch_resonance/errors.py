@@ -29,6 +29,10 @@ class NoRootsInRange(RuntimeError):
     """The determinant scan found neither a sign change nor a dip candidate."""
 
 
+class DoubleRoot(RuntimeError):
+    """A mode shape was asked of a double root, whose shapes span a plane."""
+
+
 class InvalidSpec(ValueError):
     """A sweep or validation request is internally inconsistent."""
 

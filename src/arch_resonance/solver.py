@@ -1,22 +1,21 @@
 """Frequency spectrum search as determinant root finding over K.
 
-The boundary determinant is scanned on a K grid (augmented with guide nodes
-around K = 1 and the closed-form uncracked eigenvalues), evaluated in closed form as the
-reduced characteristic function (:func:`kernel.det_sign_logmag`, no matrix)
-in fixed-size blocks of K values, one kernel call per block, and only until the
-blocks evaluated so far hold the candidates of the requested modes. Sign
-changes and dips are found with array operations over the grid, and each
-candidate is one root. The candidates of the requested modes are bisected
-together to the requested tolerance. Each kernel call evaluates, for every
-open bracket, the midpoints of plain bisection along the path toward an
-estimate of its root (the secant one from the signed function values at
-its ends, which the scan hands on, then an inverse cubic interpolant), all
-the way down to the tolerance; bisection's own rules walk that path until a
-midpoint's sign disagrees with the prediction, and the kept half there is
-the next call's bracket. A five-mode cracked solve takes two or three
-bisection calls this way. A spectrum holds eigenvalues and flags only:
-:func:`mode_shape` is the one place that extracts a null vector, the
-coefficients of the shape, from the near-singular matching matrix.
+The boundary determinant, the reduced characteristic function in closed
+form (:func:`kernel.det_sign_logmag`, no matrix), is scanned on a K grid of
+uniform nodes and guides around K = 1 and around each uncracked eigenvalue
+K_n in closed form, with their midpoint, in blocks of at most 256 K values,
+one kernel call each, until the blocks hold the candidates of the requested
+modes: sign changes and dips, each one root. An uncracked root is a midpoint
+of sign 0, a zero-width bracket, so an uncracked solve is one kernel call;
+its candidates are checked against the exact count N(K), a double root
+twice. The rest are bisected together: each kernel call evaluates, for every
+open bracket, bisection's midpoints down the path toward an estimate of its
+root (the secant one from its ends' signed values, then an inverse cubic
+interpolant), and bisection's rules walk the path until a midpoint's sign
+disagrees with the prediction, whose kept half is the next call's bracket.
+A five-mode cracked solve takes two or three bisection calls. A spectrum
+holds roots and flags only: :func:`mode_shape` alone extracts a null vector,
+the shape's coefficients, from the matching matrix.
 
 :func:`find_frequencies` also takes a sequence of problems, all cracked or
 all uncracked, as a sweep or the validation table has, and solves them in
@@ -45,7 +44,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import kernel
-from .errors import NoRootsInRange
+from .errors import DoubleRoot, NoRootsInRange
 from .model import ArchProblem, CrackJoint
 
 logger = logging.getLogger(__name__)
@@ -248,14 +247,17 @@ def _resolved(problem: ArchProblem, cfg: SearchConfig) -> SearchConfig:
     return cfg
 
 
-def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, count: int) -> np.ndarray:
+def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, count: int, kns=None) -> np.ndarray:
     """First ``count`` nodes of the uniform K grid plus guides around K = 1 and each K_n.
 
     The uncracked closed-form values are used even for cracked problems:
     tight nodes around each K_n either bracket the uncracked root directly or
     add resolution near it. A crack does not shift every root downward (at
     beta = pi/sqrt(0.4) + 1e-4, eta = 0, alpha = beta/3, theta_c = 0.5 the
-    fundamental rises), so the guides are an aid, not a bound.
+    fundamental rises), so the guides are an aid, not a bound. A pair with
+    no uniform node between its guides (to rounding) gets their midpoint,
+    bisection's first: uncracked, the root, of sign 0, a zero-width bracket.
+    ``kns``, a list if given, receives the K_n above k_min the loop computed.
 
     At K = 1 the constant term 1 - K of the characteristic quartic changes
     sign, and a crack at eta = 0 often puts one root below it and the next
@@ -271,28 +273,31 @@ def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, count: int) -> np.ndarr
     and they are at least count + 1 even after the near-duplicates are
     dropped, since uniform nodes are never near-duplicates of each other;
     and K_n grows with n once lam > 1, so the guides stop there. The scan
-    builds its grids a block at a time this way: with the default range a
-    solve evaluates only the first of the eight blocks of the whole grid.
+    builds its grids a block at a time this way.
     """
     k_min, k_max, points = cfg.k_min, cfg.k_max, cfg.grid_points
     size = min(count + 1, points)
     uniform = k_min + (k_max - k_min) * np.arange(size) / (points - 1)
     bound = k_max if size == points else uniform[-1]
     guides = [g for g in (1.0 - _GUIDE_OFFSET, 1.0 + _GUIDE_OFFSET) if k_min < g < bound]
+    step = (k_max - k_min) / (points - 1)
     n = 1
     while n <= 10000:
         kn = kernel.uncracked_K_closed_form(n, problem.beta, problem.eta_nd)
         lam = n * math.pi / problem.beta
         if lam > 1.0 and (kn > k_max or kn * (1.0 - _GUIDE_OFFSET) >= bound):
             break
-        for guide in (kn * (1.0 - _GUIDE_OFFSET), kn * (1.0 + _GUIDE_OFFSET)):
-            if k_min < guide < bound:
-                guides.append(guide)
+        lo, hi = kn * (1.0 - _GUIDE_OFFSET), kn * (1.0 + _GUIDE_OFFSET)
+        guides += [g for g in (lo, hi) if k_min < g < bound]
+        if k_min < lo and hi < bound and (lo - k_min) // step == (hi - k_min) // step:
+            guides.append(0.5 * (lo + hi))
+        if kns is not None and kn > k_min:
+            kns.append(kn)
         n += 1
     nodes = np.sort(np.concatenate([uniform, guides]))
-    # Near-duplicates come at most in pairs: the two guides of K = 1 or of a
-    # K_n sit 2e-6 apart, so comparing neighbours equals comparing with the
-    # last kept node.
+    # Near-duplicates come at most in pairs: the guides of K = 1 and the
+    # nodes of a K_n's pair sit 1e-6 apart or more, so comparing neighbours
+    # equals comparing with the last kept node.
     keep = np.diff(nodes) > 1e-15 * np.maximum(1.0, nodes[1:])
     nodes = nodes[np.concatenate([[True], keep])]
     return nodes[:count]
@@ -317,18 +322,58 @@ def _candidates(nodes, signs, logs):
     return lower, upper, nodes[1 : signs.size - 1][dip]
 
 
+def _count_below(problem: ArchProblem, K: float) -> int:
+    """N(K), the uncracked eigenvalues below K with multiplicity; F has the sign (-1)**N.
+
+    F = S1*S2, S_i = sin(a_i*beta)/a_i (mu_i = -a_i^2): a1 grows from 1 with K,
+    a2 falls from 1 to 0 at K = 1, above which S2 > 0, so N = floor(a1*beta/pi)
+    - floor(a2*beta/pi).
+    """
+    eta = problem.eta_nd
+    x1 = 1.0 + 0.5 * K * eta + 0.5 * math.sqrt(K * (4.0 + 4.0 * eta + K * eta * eta))
+    c = problem.beta / math.pi
+    return math.floor(math.sqrt(x1) * c) - math.floor(math.sqrt(max(1.0 - K, 0.0) / x1) * c)
+
+
+def _certified(problem, nodes, signs, lower, upper):
+    """An uncracked prefix's candidates, a double root twice, checked against N(K).
+
+    A node of sign 0 between two of one sign is a double root (F's factors
+    have simple zeros). Tie rule: N is read only at nodes of sign (-1)**N; a
+    node of sign 0 or the other sign lies on a root to rounding. The
+    candidates between the first and last such nodes number the difference.
+    """
+    s, lows, highs = signs.tolist(), lower.tolist(), upper.tolist()
+    twice = [s[a] == 0 and 0 < a < len(s) - 1 and s[a - 1] == s[a + 1] != 0 for a in lows]
+    if any(twice):
+        lower, upper = (np.repeat(v, np.add(twice, 1)) for v in (lower, upper))
+    refs = []  # the first and last nodes where N can be read, with N there
+    for order in (range(len(s)), range(len(s) - 1, -1, -1)):
+        for i in order:
+            n = _count_below(problem, float(nodes[i]))
+            if s[i] == (-1) ** n:
+                refs.append((i, n))
+                break
+    if refs:
+        (first, n_first), (last, n_last) = refs
+        found = sum(1 + t for a, b, t in zip(lows, highs, twice) if first <= a and b <= last)
+        if found != n_last - n_first:
+            raise RuntimeError(f"{found} roots where N(K) counts {n_last - n_first}: {problem}")
+    return lower, upper
+
+
 def scan_and_bracket(problems, cfg: SearchConfig) -> list:
     """Locate determinant sign changes (and dips) of each problem over its K range.
 
     ``problems`` is a sequence of problems, all cracked or all uncracked,
-    scanned in lockstep: each kernel call evaluates the next block of
-    ``_BLOCK`` K values of every problem still scanning, which keeps the
-    kernel's arrays small; brackets and dips are found with array operations
-    over the evaluated nodes. A problem's scan stops after the first block
-    that leaves at least ``max_modes`` brackets and dips in hand; since the
-    grid is scanned in ascending K, those are the first candidates of the
-    whole grid, in the same order. Each problem keeps its own ``cfg`` range,
-    grid and early stop, so its entry is the one a scan of it alone gives.
+    scanned in lockstep: each kernel call evaluates the next block of every
+    problem still scanning, at most ``_BLOCK`` K values, and a first block
+    ends at the upper guide of the (max_modes + 1)-th smallest K_n above
+    k_min, one mode to spare for a crack's shift. A scan stops after the
+    first block that leaves ``max_modes`` brackets and dips in hand, checked
+    by :func:`_certified` if uncracked: the first candidates of the whole
+    grid, in order. Each problem keeps its own ``cfg`` range, grid, blocks
+    and early stop, so its entry is the one a scan of it alone gives.
 
     Returns one entry per problem: its :class:`ScanResult`, or a
     :class:`NoRootsInRange` when its scan yields neither a bracket nor a
@@ -339,31 +384,40 @@ def scan_and_bracket(problems, cfg: SearchConfig) -> list:
     grids = [None] * len(problems)
     scanned = [(None, None)] * len(problems)  # signs and logs of each prefix
     results = [None] * len(problems)
-    active, start = list(range(len(problems))), 0
+    ends = [0] * len(problems)  # nodes scanned so far
+    active = list(range(len(problems)))
     while active:
         # Each grid is built through the next block and one node more, which
         # tells whether it goes on.
+        chunks = []
         for i in active:
-            grids[i] = _grid_nodes(problems[i], cfgs[i], start + _BLOCK + 1)
-        chunks = [grids[i][start : start + _BLOCK] for i in active]
+            start, kns = ends[i], []
+            grids[i] = _grid_nodes(problems[i], cfgs[i], start + _BLOCK + 1, kns)
+            ends[i] = start + _BLOCK
+            if not start and len(kns) > cfg.max_modes:
+                top = sorted(kns)[cfg.max_modes] * (1.0 + _GUIDE_OFFSET)
+                ends[i] = min(_BLOCK, int(np.searchsorted(grids[i], top, "right")))
+            chunks.append(grids[i][start : ends[i]])
         _tally.scan_calls += 1
         if stack is None:
-            ends = (0, chunks[0].size)
+            offsets = (0, chunks[0].size)
             new_signs, new_logs = boundary_determinant(problems[0], chunks[0])
         else:
             sizes = [c.size for c in chunks]
-            ends = (0, *itertools.accumulate(sizes))
+            offsets = (0, *itertools.accumulate(sizes))
             owner = stack.take(np.repeat(active, sizes))
             new_signs, new_logs = boundary_determinant(owner, np.concatenate(chunks))
         scanning = []
-        for i, lo, hi in zip(active, ends, ends[1:]):
+        for i, lo, hi in zip(active, offsets, offsets[1:]):
             signs, logs = new_signs[lo:hi], new_logs[lo:hi]
-            if start:
+            if scanned[i][0] is not None:
                 signs = np.concatenate([scanned[i][0], signs])
                 logs = np.concatenate([scanned[i][1], logs])
             scanned[i] = signs, logs
             lower, upper, suspects = _candidates(grids[i], signs, logs)
-            more = start + _BLOCK < grids[i].size
+            if problems[i].crack is None:
+                lower, upper = _certified(problems[i], grids[i], signs, lower, upper)
+            more = ends[i] < grids[i].size
             if more and lower.size + suspects.size < cfg.max_modes:
                 scanning.append(i)
             elif not lower.size and not suspects.size:
@@ -382,7 +436,7 @@ def scan_and_bracket(problems, cfg: SearchConfig) -> list:
                         )
                     ),
                 )
-        active, start = scanning, start + _BLOCK
+        active = scanning
     return results
 
 
@@ -674,10 +728,15 @@ def mode_shape(problem: ArchProblem, root: Root, samples: int = 201) -> np.ndarr
     sample of largest |X| is exactly +1, every sample lies in [-1, 1], and a
     zero sample is +0.0. When the largest + and - extrema tie, as in an
     antisymmetric mode, rounding decides which one is +1, and with it the
-    overall sign.
+    overall sign. An uncracked double root, where N (:func:`_count_below`)
+    jumps by 2 across K(1 -+ 1e-12), raises :class:`DoubleRoot`.
     """
     if samples < 2:
         raise ValueError("samples must be at least 2")
+    if problem.crack is None:
+        below, above = (_count_below(problem, root.K * f) for f in (1 - 1e-12, 1 + 1e-12))
+        if above - below > 1:
+            raise DoubleRoot(f"K = {root.K!r} is a double root: its mode shapes span a plane")
     k = _polish(problem, root)
     vec = kernel.null_vector(boundary_matrix(problem, k))
     basis = kernel.quartic_roots(kernel.characteristic_coefficients(k, problem.eta_nd))

@@ -106,6 +106,43 @@ class TestParseManyRequests:
         assert built == [1]
 
 
+class TestDispatch:
+    """A command word's subparser parses alone; anything else, the full parser."""
+
+    @pytest.mark.parametrize("command", ["freq", "sweep", "modeshape", "validate"])
+    def test_command_help_is_its_usage(self, command, capsys):
+        assert main([command, "--help"]) == 0
+        assert capsys.readouterr().out.startswith(f"usage: arch-resonance {command} ")
+
+    def test_version(self, capsys):
+        assert main(["--version"]) == 0
+        assert capsys.readouterr().out == f"arch-resonance {cli.__version__}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "the following arguments are required: command"),
+            (["bogus"], "argument command: invalid choice: 'bogus'"),
+            (["--beta", "1", "freq"], "argument command: invalid choice: '1'"),
+            (["--format", "csv", "freq"], "argument command: invalid choice: 'csv'"),
+        ],
+    )
+    def test_no_command_is_one_usage_error_line(self, argv, message, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {message}") and err.count("\n") == 1
+
+    def test_command_word_skips_the_full_parser(self, monkeypatch):
+        def full_parse(*args, **kwargs):
+            raise AssertionError("the full parser parsed a command's argument vector")
+
+        monkeypatch.setattr(cli._parser(), "parse_args", full_parse)
+        inv = parse(["modeshape", "--beta", "2", "--mode", "3"])
+        assert (inv.command, inv.overrides["beta"], inv.overrides["mode"]) == ("modeshape", 2.0, 3)
+        with pytest.raises(UsageError, match="unrecognized arguments: --bogus"):
+            parse(["freq", "--bogus"])
+
+
 class TestFreqCommand:
     def test_reports_fundamental(self, capsys):
         assert main(["freq", "--beta", "1.0", "--eta", "0"]) == 0

@@ -13,6 +13,7 @@ from arch_resonance import (
     ArchProblem,
     CrackJoint,
     DegenerateSegment,
+    DoubleRoot,
     NoRootsInRange,
     RootFlag,
     SearchConfig,
@@ -91,12 +92,17 @@ class TestScanAndBracket:
         assert len(plain.brackets) == len(cracked.brackets)
 
     def test_bracket_endpoints_straddle(self):
-        problem = make_problem(eta=0.5)
-        result = _whole_scan(problem, SearchConfig(k_max=5000.0))
-        for lo, hi in result.brackets:
-            s_lo, _ = boundary_determinant(problem, lo)
-            s_hi, _ = boundary_determinant(problem, hi)
-            assert s_lo * s_hi == -1
+        # An uncracked root is the midpoint of its K_n guide pair, where the
+        # sign is 0: a zero-width bracket. A cracked root's bracket straddles.
+        for problem in (make_problem(eta=0.5), make_problem(eta=0.5, alpha=0.3, theta=2.0)):
+            result = _whole_scan(problem, SearchConfig(k_max=5000.0))
+            for lo, hi in result.brackets:
+                s_lo, _ = boundary_determinant(problem, lo)
+                s_hi, _ = boundary_determinant(problem, hi)
+                if problem.crack is None:
+                    assert lo == hi and s_lo == 0
+                else:
+                    assert s_lo * s_hi == -1 or (lo == hi and s_lo == 0)
 
 
 class TestRefineRoot:
@@ -449,7 +455,13 @@ class TestRefineOnlyReturned:
         for (lo, hi), (at_lo, at_hi) in zip(scan.brackets, scan.end_values):
             assert boundary_determinant(problem, lo) == at_lo
             assert boundary_determinant(problem, hi) == at_hi
-            assert at_lo[0] * at_hi[0] == -1
+            # The crack at alpha = 0.3 = 3 beta / 10 sits on a zero of mode
+            # 10's curvature, so K_10 = 1965.94 stays a root: the midpoint of
+            # its guide pair, of sign 0, is a zero-width bracket.
+            if lo == hi:
+                assert at_lo[0] == 0 and lo == uncracked_K_closed_form(10, 1.0, 0.5)
+            else:
+                assert at_lo[0] * at_hi[0] == -1
 
 
 def _alone(problem, cfg):
@@ -557,18 +569,19 @@ class TestBatchedSearch:
             find_frequencies(problems, SearchConfig(max_modes=2, k_max=10.0))
             find_frequencies(make_problem(), SearchConfig(max_modes=1))
         lines = [r.getMessage() for r in caplog.records if r.name == "arch_resonance.solver"]
-        # beta = 6 stops after its first block of 256; beta = 1 and 2 scan
-        # their whole grids of 2002 and 2004 nodes (8 blocks: 2000 uniform,
-        # the guides at K = 1 and, for beta = 2, those at K_1 = 2.15), then
-        # one bisection call evaluates the paths of beta = 6's two guide
-        # pairs down to the tolerance (8 + 14 midpoints), and each ends at
-        # its first midpoint, one level. The single solve's guide pair takes
-        # 15 midpoints.
+        # beta = 6 stops after its first block of 256 (its third K_n, 2.15,
+        # which would end the block, lies past node 256); beta = 1 and 2 scan
+        # their whole grids of 2002 and 2005 nodes (8 blocks: 2000 uniform,
+        # the guides at K = 1 and, for beta = 2, the guides and midpoint of
+        # K_1 = 2.15). beta = 6's two roots are the midpoints of their guide
+        # pairs, of sign 0, so no bisection call is made. The single solve
+        # scans 13 nodes, through the upper guide of K_2: k_min, the guides
+        # at K = 1, the three nodes of K_1 and of K_2, and four uniform ones.
         assert lines == [
-            "find_frequencies: 3 problems, 9 kernel calls (8 scan, 1 bisection), "
-            "4284 K values, 2 bisection levels, 2 brackets refined, 2 short",
-            "find_frequencies: 1 problems, 2 kernel calls (1 scan, 1 bisection), "
-            "271 K values, 1 bisection levels, 1 brackets refined, 0 short",
+            "find_frequencies: 3 problems, 8 kernel calls (8 scan, 0 bisection), "
+            "4263 K values, 0 bisection levels, 2 brackets refined, 2 short",
+            "find_frequencies: 1 problems, 1 kernel calls (1 scan, 0 bisection), "
+            "13 K values, 0 bisection levels, 1 brackets refined, 0 short",
         ]
 
 
@@ -829,14 +842,17 @@ class TestKernelCallsPerSolve:
     def test_cracked_five_modes(self, monkeypatch):
         calls = self._count(monkeypatch)
         find_frequencies(make_problem(eta=1.0, alpha=0.4, theta=0.8))
-        # One scan block, then the paths toward the secant estimates: four
-        # wide brackets (31 + 29 + 26 + 27 midpoints) and a guide pair (15)
-        # that ends at its first midpoint; four paths leave their estimates
-        # (28 + 21 + 16 + 18 midpoints left to go), and from then on each
-        # path aims at the inverse cubic interpolant of the points the walk
-        # has evaluated nearest its bracket, so three brackets end in the
-        # next call and one (8) in the call after.
-        assert calls == [256, 128, 83, 8]
+        # One scan block, then the paths toward the secant estimates of four
+        # wide brackets (31 + 29 + 26 + 27 midpoints). The crack at
+        # alpha = 0.4 = 2 beta / 5 sits on a zero of mode 5's curvature, so
+        # K_5 stays a root: its guide midpoint, of sign 0, is a zero-width
+        # bracket, where the parent grid's guide pair cost a 15-midpoint
+        # path. The four paths leave their estimates (28 + 21 + 16 + 18
+        # midpoints left to go), and from then on each path aims at the
+        # inverse cubic interpolant of the points the walk has evaluated
+        # nearest its bracket, so three brackets end in the next call and
+        # one (8) in the call after.
+        assert calls == [256, 113, 83, 8]
 
     @staticmethod
     def _bisection_calls(problem, cfg):
@@ -878,14 +894,25 @@ class TestKernelCallsPerSolve:
     def test_brackets_ended_at_their_midpoints_take_one_call(self, monkeypatch):
         # The guide pairs around the first five uncracked K_n, whose midpoints
         # have sign 0: the first call, 15 midpoints down each path to the
-        # tolerance, ends them all at their first midpoint.
+        # tolerance, ends them all at their first midpoint. The scan holds
+        # those midpoints as nodes and hands them on as zero-width brackets,
+        # which take no call.
         problem = make_problem(eta=1.0)
+        brackets = [
+            (k * (1.0 - 1e-6), k * (1.0 + 1e-6))
+            for k in (uncracked_K_closed_form(n, 1.0, 1.0) for n in range(1, 6))
+        ]
+        ends = [tuple(boundary_determinant(problem, k) for k in pair) for pair in brackets]
         scan = _scan(problem)
-        brackets = scan.brackets[:5]
         calls = self._count(monkeypatch)
-        roots = refine_root(brackets, problem, SearchConfig(), scan.end_values[:5])
+        roots = refine_root(brackets, problem, SearchConfig(), ends)
         assert calls == [75]
-        assert roots.tolist() == [0.5 * (lo + hi) for lo, hi in brackets]
+        midpoints = [0.5 * (lo + hi) for lo, hi in brackets]
+        assert roots.tolist() == midpoints
+        assert scan.brackets == tuple((k, k) for k in midpoints)
+        roots = refine_root(scan.brackets, problem, SearchConfig(), scan.end_values)
+        assert calls == [75]
+        assert roots.tolist() == midpoints
 
     def test_sweep_point_mode_one(self, monkeypatch):
         from arch_resonance import ChiralityClass, SweepSpec, resolve_preset, run_sweep
@@ -899,6 +926,144 @@ class TestKernelCallsPerSolve:
         )
         run_sweep(spec)
         # Both points in lockstep: one call with the first scan block of
-        # each, then one bisection call down both guide pairs' paths to the
-        # tolerance (15 and 14 midpoints), which end at their first midpoint.
-        assert calls == [512, 29]
+        # each, which ends at the upper guide of its K_2 (38 and 33 nodes:
+        # the uniform nodes below K_2, the guides at K = 1, and the guides
+        # and midpoint of K_1 and of K_2). Each root is its K_1 midpoint, of
+        # sign 0, so no bisection call is made.
+        assert calls == [71]
+
+    def test_figure_points_take_one_call(self, monkeypatch):
+        # Every point of the fig3-5 grids (all uncracked), solved alone, is one
+        # kernel call: a first scan block through the upper guide of K_2, at
+        # most 64 K values, whose K_1 midpoint is the root.
+        from arch_resonance import cli
+
+        batches, original = [], solver.find_frequencies
+        monkeypatch.setattr(
+            solver,
+            "find_frequencies",
+            lambda problems, cfg: batches.append((problems, cfg)) or original(problems, cfg),
+        )
+        for param in ("beta", "eta", "radius"):
+            with mock.patch("sys.stdout"):
+                assert main(["sweep", "--param", param]) == 0
+        assert sum(len(problems) for problems, _ in batches) == 3 * (59 + 41 + 41)
+        tally = solver._tally
+        for problems, cfg in batches:
+            for problem in problems:
+                calls, scans, values = tally.calls, tally.scan_calls, tally.values
+                original(problem, cfg)
+                assert (tally.calls - calls, tally.scan_calls - scans) == (1, 1)
+                assert tally.values - values <= 64
+
+    def test_first_block_sized_to_the_requested_modes(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        # beta = 2 pi, eta = 4: the fundamental, K_3 = 0.15625 (lam = 1.5),
+        # lies near node 100 of the whole grid, K_1 = 0.28125 (lam = 0.5) is
+        # the second mode, and K_2 = 0 lies below k_min.
+        problem = make_problem(beta=2 * math.pi, eta=4.0)
+        spectrum = find_frequencies(problem, SearchConfig(max_modes=1))
+        assert calls == [60]
+        assert spectrum.K_values == (uncracked_K_closed_form(3, 2 * math.pi, 4.0),)
+        calls.clear()
+        find_frequencies(make_problem(eta=1.0), SearchConfig(max_modes=5))
+        assert calls == [256]
+
+
+def _closed_form_count(beta, eta, K):
+    """Uncracked eigenvalues K_n < K, by enumerating the closed form."""
+    count, n = 0, 1
+    while True:
+        k_n = uncracked_K_closed_form(n, beta, eta)
+        if n * math.pi / beta > 1.0 and k_n >= K:
+            return count
+        count += k_n < K
+        n += 1
+
+
+DOUBLE_BETA = 4.967294132898051  # pi / sqrt(0.4): K_1 = K_2 = 0.36 at eta = 0
+
+
+class TestExactCount:
+    def test_count_matches_the_closed_form(self):
+        rng = np.random.default_rng(9)
+        for _ in range(3000):
+            beta = 10.0 ** rng.uniform(math.log10(0.05), math.log10(2 * math.pi))
+            eta = 0.0 if rng.random() < 0.2 else rng.uniform(0.0, 4.0)
+            K = 10.0 ** rng.uniform(math.log10(6e-6), math.log10(1.6e5))
+            problem = make_problem(beta=beta, eta=eta)
+            n = solver._count_below(problem, K)
+            assert n == _closed_form_count(beta, eta, K), (beta, eta, K)
+            sign, _ = boundary_determinant(problem, K)
+            assert sign in (0, (-1) ** n)
+
+    def test_double_root_twice(self, monkeypatch):
+        problem = make_problem(beta=DOUBLE_BETA)
+        for modes, expected in ((1, 1), (2, 2), (3, 2)):
+            before = solver._tally.calls
+            spectrum = find_frequencies(problem, SearchConfig(max_modes=modes))
+            assert solver._tally.calls - before == 1  # the scan counts it twice
+            assert [rel_err(k, 0.36) < 1e-12 for k in spectrum.K_values].count(True) == expected
+        assert rel_err(spectrum.K_values[2], 6.76) < 1e-12
+
+    def test_double_root_freq_and_modeshape(self, capsys):
+        beta = repr(DOUBLE_BETA)
+        assert main(["freq", "--beta", beta, "--eta", "0", "--modes", "2", "--format", "csv"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["0.36", "0.36"]
+        # Its shapes span a plane: one line, exit 1, for either mode.
+        for mode in ("1", "2"):
+            assert main(["modeshape", "--beta", beta, "--eta", "0", "--mode", mode]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: K = 0.36 is a double root: its mode shapes span a plane\n"
+        assert main(["modeshape", "--beta", beta, "--eta", "0", "--mode", "3", "--samples", "5"]) == 0
+        root = find_frequencies(make_problem(beta=DOUBLE_BETA), SearchConfig(max_modes=1)).roots[0]
+        with pytest.raises(DoubleRoot):
+            mode_shape(make_problem(beta=DOUBLE_BETA), root)
+
+    def test_tie_rule_at_a_node_on_a_root(self):
+        # A prefix that ends on K_1's midpoint, of sign 0, reads the count at
+        # the guide below it; one that ends at the upper guide counts K_1.
+        problem = make_problem()
+        cfg = solver._resolved(problem, SearchConfig())
+        grid = solver._grid_nodes(problem, cfg, 64)
+        k1 = uncracked_K_closed_form(1, 1.0, 0.0)
+        at = int(np.flatnonzero(grid == k1)[0])
+        for end in (at + 1, at + 2):
+            nodes = grid[:end]
+            signs, logs = boundary_determinant(problem, nodes)
+            lower, upper, _ = solver._candidates(nodes, signs, logs)
+            assert lower.tolist() == upper.tolist() == [at]
+            assert [v.tolist() for v in solver._certified(problem, nodes, signs, lower, upper)] == [
+                [at], [at]
+            ]
+        with pytest.raises(RuntimeError, match=r"0 roots where N\(K\) counts 1"):
+            solver._certified(problem, nodes, signs, lower[:0], upper[:0])
+
+    def test_mismatch_fails_loudly(self, monkeypatch):
+        original = solver._count_below
+        monkeypatch.setattr(
+            solver, "_count_below", lambda problem, K: original(problem, K) + 2 * (K > 50.0)
+        )
+        # The first block holds K_1 and K_2, above 50, where the count reads 2 more.
+        with pytest.raises(RuntimeError, match=r"2 roots where N\(K\) counts 4"):
+            find_frequencies(make_problem(), SearchConfig(max_modes=1))
+
+    def test_uniform_node_inside_a_guide_pair(self):
+        # With 16 grid points and this k_max, uniform node 1 lies between the
+        # guides of K_1, so their midpoint is not a node: the scan's bracket is
+        # [lower guide, uniform node], bisected as plain bisection does.
+        problem = make_problem()
+        k1 = uncracked_K_closed_form(1, 1.0, 0.0)
+        k_min = 1e-6
+        cfg = SearchConfig(max_modes=1, grid_points=16, k_max=k_min + (k1 * (1 + 5e-7) - k_min) * 15)
+        grid = solver._grid_nodes(problem, cfg, sys.maxsize)
+        lo, hi = k1 * (1 - 1e-6), k1 * (1 + 1e-6)
+        inside = grid[(grid > lo) & (grid < hi)]
+        assert inside.size == 1 and inside[0] != 0.5 * (lo + hi)
+        scan = _scan(problem, cfg)
+        assert scan.brackets == ((lo, inside[0]),)
+        expected = _sequential_bisection(scan.brackets, problem, cfg).tolist()
+        assert find_frequencies(problem, cfg).K_values == tuple(expected)
+        assert rel_err(expected[0], k1) < 1e-10
