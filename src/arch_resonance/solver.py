@@ -326,8 +326,8 @@ def _count_below(problem: ArchProblem, K: float) -> int:
     """N(K), the uncracked eigenvalues below K with multiplicity; F has the sign (-1)**N.
 
     F = S1*S2, S_i = sin(a_i*beta)/a_i (mu_i = -a_i^2): a1 grows from 1 with K,
-    a2 falls from 1 to 0 at K = 1, above which S2 > 0, so N = floor(a1*beta/pi)
-    - floor(a2*beta/pi).
+    a2 falls from 1 to 0 at K = 1, above which S2 > 0, so
+    N = floor(a1*beta/pi) - floor(a2*beta/pi).
     """
     eta = problem.eta_nd
     x1 = 1.0 + 0.5 * K * eta + 0.5 * math.sqrt(K * (4.0 + 4.0 * eta + K * eta * eta))
@@ -384,7 +384,7 @@ def scan_and_bracket(problems, cfg: SearchConfig) -> list:
     grids = [None] * len(problems)
     scanned = [(None, None)] * len(problems)  # signs and logs of each prefix
     results = [None] * len(problems)
-    ends = [0] * len(problems)  # nodes scanned so far
+    ends = [0] * len(problems)  # the end of each problem's scanned prefix
     active = list(range(len(problems)))
     while active:
         # Each grid is built through the next block and one node more, which
