@@ -936,8 +936,6 @@ class TestKernelCallsPerSolve:
         # Every point of the fig3-5 grids (all uncracked), solved alone, is one
         # kernel call: a first scan block through the upper guide of K_2, at
         # most 64 K values, whose K_1 midpoint is the root.
-        from arch_resonance import cli
-
         batches, original = [], solver.find_frequencies
         monkeypatch.setattr(
             solver,
@@ -997,12 +995,15 @@ class TestExactCount:
             sign, _ = boundary_determinant(problem, K)
             assert sign in (0, (-1) ** n)
 
-    def test_double_root_twice(self, monkeypatch):
+    def test_double_root_twice(self):
+        # The guide midpoint at 0.36, of sign 0 between two guides of one
+        # sign, is listed twice and counts twice in the early stop: each
+        # solve is one scan call, and K = 0.36 is modes 1 and 2.
         problem = make_problem(beta=DOUBLE_BETA)
         for modes, expected in ((1, 1), (2, 2), (3, 2)):
             before = solver._tally.calls
             spectrum = find_frequencies(problem, SearchConfig(max_modes=modes))
-            assert solver._tally.calls - before == 1  # the scan counts it twice
+            assert solver._tally.calls - before == 1
             assert [rel_err(k, 0.36) < 1e-12 for k in spectrum.K_values].count(True) == expected
         assert rel_err(spectrum.K_values[2], 6.76) < 1e-12
 
