@@ -468,18 +468,21 @@ def _cmd_modeshape(inv: CliInvocation, s: _Settings) -> str:
         raise UsageError("--samples must be >= 2")
     spectrum = solver.find_frequencies(problem, replace(cfg, max_modes=mode))
     shape = solver.mode_shape(problem, spectrum.roots[mode - 1], samples)
+    flat = tuple(shape.ravel().tolist())  # phi_0, X_0, phi_1, X_1, ...
     if inv.format == "json":
         doc = {
             "problem": _problem_echo(problem, tube, chirality),
             "mode": mode,
             "K": spectrum.roots[mode - 1].K,
-            "shape": [[phi, x] for phi, x in shape.tolist()],
+            "shape": [],
         }
-        return json.dumps(doc, indent=2) + "\n"
-    lines = ["phi_rad,X"]
-    for phi, x in shape:
-        lines.append(f"{_FMT % phi},{_FMT % x}")
-    return "\n".join(lines) + "\n"
+        # json.dumps with an indent runs json's pure-Python encoder, slow for
+        # a long shape, so the pairs are spliced in at the last key, "shape",
+        # in that encoder's layout; repr is what json writes for a finite
+        # float, and every sample is finite.
+        pairs = ",\n".join(["    [\n      %r,\n      %r\n    ]"] * samples) % flat
+        return json.dumps(doc, indent=2).removesuffix("[]\n}") + f"[\n{pairs}\n  ]\n}}\n"
+    return ("phi_rad,X\n" + f"{_FMT},{_FMT}\n" * samples) % flat
 
 
 def _cmd_sweep(inv: CliInvocation, s: _Settings) -> str:

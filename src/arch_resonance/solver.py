@@ -109,7 +109,8 @@ class Root:
 
     A root carries no mode coefficients: :func:`mode_shape` computes them, as
     the null vector (:func:`kernel.null_vector`) of the support-adapted
-    matching matrix (:func:`boundary_matrix`) at the polished root.
+    matching matrix at the polished root, assembled by :func:`_matching`
+    from the same mode basis that samples the shape.
     """
 
     K: float
@@ -157,9 +158,14 @@ def boundary_matrix(problem: ArchProblem, K) -> np.ndarray:
     crack of zero compliance at beta/2: its rows enforce C3 continuity, so
     its zero set in K and its null vectors are those of the uncracked arch.
     """
+    return _matching(problem, K)[1]
+
+
+def _matching(problem: ArchProblem, K) -> tuple[kernel.ModeBasis, np.ndarray]:
+    """The mode basis at K and the matching matrix of :func:`boundary_matrix` built from it."""
     crack = _matching_crack(problem)
     basis = kernel.quartic_roots(kernel.characteristic_coefficients(K, problem.eta_nd))
-    return kernel.assemble_cracked(basis, problem.beta, crack.alpha, crack.theta_c)
+    return basis, kernel.assemble_cracked(basis, problem.beta, crack.alpha, crack.theta_c)
 
 
 @dataclass(frozen=True)
@@ -684,11 +690,12 @@ def _solve_group(problems: list[ArchProblem], cfg: SearchConfig) -> list:
 def _polish(problem: ArchProblem, root: Root) -> float:
     """Re-tighten a bracketed root to ~1e-13 relative before shape sampling.
 
-    The stored eigenvalue honors the search tolerance; boundary values of the
-    sampled shape improve with a sharper root, so a short local bisection is
-    run first, inside the narrowest of a widening ladder of intervals around
-    the root that straddles a sign change (the whole ladder is evaluated in
-    one kernel call). Falls back to the stored value, with one debug log
+    The stored eigenvalue honors the search tolerance. The support-adapted
+    basis makes X and X'' exactly 0 at both supports for any K, but the null
+    vector, which sets the matching at the crack, sharpens with the root, so a
+    short local bisection is run first, inside the narrowest of a widening
+    ladder of intervals around the root that straddles a sign change (the
+    whole ladder is evaluated in one kernel call). Falls back to the stored value, with one debug log
     line, for a suspected double or when no sign change is found nearby.
     """
     k = root.K
@@ -719,14 +726,16 @@ def mode_shape(problem: ArchProblem, root: Root, samples: int = 201) -> np.ndarr
 
     Returns an array of shape (samples, 2) with columns (phi, X). The root is
     polished first (:func:`_polish`), and the coefficients (c1, c2, d1, d2)
-    are the null vector of :func:`boundary_matrix` there: X is
+    are the null vector there of the matching matrix of :func:`boundary_matrix`,
+    assembled by :func:`_matching` from the basis that also samples X: X is
     c1*u1(phi) + c2*u2(phi) left of the crack and
     d1*u1(beta - phi) + d2*u2(beta - phi) right of it, in the support-adapted
     columns of :meth:`kernel.ModeBasis.support_rows`, with the crack of zero
     compliance at beta/2 for an uncracked arch; a compliant crack shows up as
     a slope discontinuity. Guaranteed: X is exactly 0 at both supports, the
     sample of largest |X| is exactly +1, every sample lies in [-1, 1], and a
-    zero sample is +0.0. When the largest + and - extrema tie, as in an
+    zero sample is +0.0; when every sample is 0, as with 2 samples (the
+    supports), every X is +0.0. When the largest + and - extrema tie, as in an
     antisymmetric mode, rounding decides which one is +1, and with it the
     overall sign. An uncracked double root, where N (:func:`_count_below`)
     jumps by 2 across K(1 -+ 1e-12), raises :class:`DoubleRoot`.
@@ -738,8 +747,8 @@ def mode_shape(problem: ArchProblem, root: Root, samples: int = 201) -> np.ndarr
         if above - below > 1:
             raise DoubleRoot(f"K = {root.K!r} is a double root: its mode shapes span a plane")
     k = _polish(problem, root)
-    vec = kernel.null_vector(boundary_matrix(problem, k))
-    basis = kernel.quartic_roots(kernel.characteristic_coefficients(k, problem.eta_nd))
+    basis, matrix = _matching(problem, k)
+    vec = kernel.null_vector(matrix)
 
     phis = problem.beta * np.arange(samples) / (samples - 1)
     alpha = _matching_crack(problem).alpha
@@ -749,5 +758,7 @@ def mode_shape(problem: ArchProblem, root: Root, samples: int = 201) -> np.ndarr
     c = np.where(left[:, None], vec[:2], vec[2:])
     # Summed from +0.0, so an exact zero is +0.0.
     values = 0.0 + c[:, 0] * rows[:, 0] + c[:, 1] * rows[:, 1]
-    values = values / values[np.argmax(np.abs(values))] + 0.0
+    peak = values[np.argmax(np.abs(values))]
+    if peak:
+        values = values / peak + 0.0
     return np.column_stack([phis, values])

@@ -288,6 +288,16 @@ class TestModeshapeCommand:
         assert lines[1] == "0,0"
         assert not any(line.split(",")[1] == "-0" for line in lines[1:])
 
+    def test_table_format_is_csv(self, capsys):
+        # The subparser shares --format {table,csv,json}; a shape's table is its CSV.
+        argv = ["modeshape", "--beta", "1", "--eta", "1", "--crack-psi", "0.3", "--samples", "7"]
+        outputs = []
+        for fmt in ("table", "csv"):
+            assert main(argv + ["--format", fmt]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].startswith("phi_rad,X\n")
+
     def test_mode_validation(self):
         assert main(["modeshape", "--beta", "1.0", "--mode", "0"]) == 2
         assert main(["modeshape", "--beta", "1.0", "--samples", "1"]) == 2
@@ -481,6 +491,36 @@ class TestLogging:
     def test_env_var_controls_level(self, capsys, monkeypatch):
         monkeypatch.setenv("ARCH_RESONANCE_LOG", "debug")
         assert main(["freq", "--beta", "1.0", "--eta", "0"]) == 0
+
+
+class TestJsonBytes:
+    """``--format json`` prints what ``json.dumps(..., indent=2)`` of its own document does.
+
+    A mode shape writes its (phi, X) pairs without the json module, so these
+    requests pin every command's JSON bytes to the stdlib's rendering.
+    """
+
+    CRACK = ["--crack-psi", "0.3", "--crack-alpha", "0.4"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["freq", "--beta", "1", "--eta", "1"],
+            ["freq", "--beta", "1", "--eta", "1", *CRACK],
+            ["sweep", "--param", "beta", "--steps", "2", "--chirality", "zigzag"],
+            ["validate"],
+            ["modeshape", "--beta", "1", "--eta", "1", "--samples", "2"],
+            ["modeshape", "--beta", "1", "--eta", "1", *CRACK, "--samples", "2"],
+            ["modeshape", "--beta", "1", "--eta", "1", "--mode", "2"],
+            ["modeshape", "--beta", "1", "--eta", "1", *CRACK, "--mode", "2"],
+        ],
+        ids=["freq", "freq-cracked", "sweep", "validate", "modeshape-2", "modeshape-2-cracked",
+             "modeshape", "modeshape-cracked"],
+    )
+    def test_stdlib_rendering(self, argv, capsys):
+        assert main(argv + ["--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 class TestGoldenFiles:

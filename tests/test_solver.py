@@ -308,6 +308,15 @@ class TestModeShape:
                 for k in (0, 2):  # X and X'' at the support
                     assert abs(w1 * rows[k][0] + w2 * rows[k][1]) <= 1e-12
 
+    def test_two_samples_are_the_supports(self):
+        # Both samples lie on a support, where X is 0, so there is no peak to
+        # divide by: every X is +0.0, not 0/0, uncracked and cracked.
+        for problem in (make_problem(eta=1.0), make_problem(eta=1.0, alpha=0.3, theta=0.7)):
+            root = find_frequencies(problem, SearchConfig(max_modes=1)).roots[0]
+            shape = mode_shape(problem, root, samples=2)
+            assert shape[:, 0].tolist() == [0.0, problem.beta]
+            assert [math.copysign(1.0, x) * (x == 0.0) for x in shape[:, 1]] == [1.0, 1.0]
+
     def test_rejects_tiny_sample_count(self):
         problem = make_problem()
         spectrum = find_frequencies(problem, SearchConfig(max_modes=1))
