@@ -695,8 +695,9 @@ def _polish(problem: ArchProblem, root: Root) -> float:
     vector, which sets the matching at the crack, sharpens with the root, so a
     short local bisection is run first, inside the narrowest of a widening
     ladder of intervals around the root that straddles a sign change (the
-    whole ladder is evaluated in one kernel call). Falls back to the stored value, with one debug log
-    line, for a suspected double or when no sign change is found nearby.
+    whole ladder is evaluated in one kernel call). Falls back to the stored
+    value, with one debug log line, for a suspected double or when no sign
+    change is found nearby.
     """
     k = root.K
     reason = "suspected double root"
@@ -726,7 +727,7 @@ def mode_shape(problem: ArchProblem, root: Root, samples: int = 201) -> np.ndarr
 
     Returns an array of shape (samples, 2) with columns (phi, X). The root is
     polished first (:func:`_polish`), and the coefficients (c1, c2, d1, d2)
-    are the null vector there of the matching matrix of :func:`boundary_matrix`,
+    are the null vector there of :func:`boundary_matrix`'s matching matrix,
     assembled by :func:`_matching` from the basis that also samples X: X is
     c1*u1(phi) + c2*u2(phi) left of the crack and
     d1*u1(beta - phi) + d2*u2(beta - phi) right of it, in the support-adapted
@@ -735,8 +736,8 @@ def mode_shape(problem: ArchProblem, root: Root, samples: int = 201) -> np.ndarr
     a slope discontinuity. Guaranteed: X is exactly 0 at both supports, the
     sample of largest |X| is exactly +1, every sample lies in [-1, 1], and a
     zero sample is +0.0; when every sample is 0, as with 2 samples (the
-    supports), every X is +0.0. When the largest + and - extrema tie, as in an
-    antisymmetric mode, rounding decides which one is +1, and with it the
+    supports), every X is +0.0. When the largest + and - extrema tie, as in
+    an antisymmetric mode, rounding decides which one is +1, and with it the
     overall sign. An uncracked double root, where N (:func:`_count_below`)
     jumps by 2 across K(1 -+ 1e-12), raises :class:`DoubleRoot`.
     """
