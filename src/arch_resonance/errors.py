@@ -26,7 +26,7 @@ class DegenerateSegment(ValueError):
 
 
 class NoRootsInRange(RuntimeError):
-    """The determinant scan found neither a sign change nor a dip candidate."""
+    """The scan bracketed fewer roots than requested, or met a dip among them."""
 
 
 class DoubleRoot(RuntimeError):

@@ -5,17 +5,20 @@ form (:func:`kernel.det_sign_logmag`, no matrix), is scanned on a K grid of
 uniform nodes and guides around K = 1 and around each uncracked eigenvalue
 K_n in closed form, with their midpoint, in blocks of at most 256 K values,
 one kernel call each, until the blocks hold the candidates of the requested
-modes: sign changes and dips, each one root. An uncracked root is a midpoint
-of sign 0, a zero-width bracket, so an uncracked solve is one kernel call;
-its candidates are checked against the exact count N(K), a double root
-twice. The rest are bisected together: each kernel call evaluates, for every
-open bracket, bisection's midpoints down the path toward an estimate of its
-root (the secant one from its ends' signed values, then an inverse cubic
-interpolant), and bisection's rules walk the path until a midpoint's sign
-disagrees with the prediction, whose kept half is the next call's bracket.
-A five-mode cracked solve takes two or three bisection calls. A spectrum
-holds roots and flags only: :func:`mode_shape` alone extracts a null vector,
-the shape's coefficients, from the matching matrix.
+modes: sign changes, each one root, and dips. A dip is a node far below both
+neighbours of its sign, around which an even number of roots may lie
+unbracketed, so a dip among them fails the solve. An uncracked root is a
+midpoint of sign 0, a zero-width bracket, so an uncracked solve is one
+kernel call; its candidates are checked against the exact count N(K), a
+double root twice. The rest are bisected together: each kernel call
+evaluates, for every open bracket, bisection's midpoints down the path
+toward an estimate of its root (the secant one from its ends' signed values,
+then an inverse cubic interpolant), and bisection's rules walk the path
+until a midpoint's sign disagrees with the prediction, whose kept half is
+the next call's bracket. A five-mode cracked solve takes two or three
+bisection calls. A spectrum
+holds roots only: :func:`mode_shape` alone extracts a null vector, the
+shape's coefficients, from the matching matrix.
 
 :func:`find_frequencies` also takes a sequence of problems, all cracked or
 all uncracked, as a sweep or the validation table has, and solves them in
@@ -34,7 +37,6 @@ independently.
 
 from __future__ import annotations
 
-import enum
 import itertools
 import logging
 import math
@@ -49,7 +51,8 @@ from .model import ArchProblem, CrackJoint
 
 logger = logging.getLogger(__name__)
 
-# Log-magnitude drop (natural log) that flags a suspected even-multiplicity root.
+# Log-magnitude drop (natural log) below both same-sign neighbours that makes
+# a node a dip, which fails the solve when among the requested modes' candidates.
 _DIP_DECADES = 6.0
 _DIP_THRESHOLD = _DIP_DECADES * math.log(10.0)
 # Relative offset of the guide nodes inserted around K = 1 and each K_n.
@@ -98,14 +101,9 @@ class SearchConfig:
             raise ValueError("max_modes must be at least 1")
 
 
-class RootFlag(enum.Enum):
-    BRACKETED = "Bracketed"
-    SUSPECTED_DOUBLE = "SuspectedDouble"
-
-
 @dataclass(frozen=True)
 class Root:
-    """One spectrum entry: eigenvalue and quality flag.
+    """One spectrum entry: an eigenvalue, refined inside a sign-change bracket.
 
     A root carries no mode coefficients: :func:`mode_shape` computes them, as
     the null vector (:func:`kernel.null_vector`) of the support-adapted
@@ -114,7 +112,6 @@ class Root:
     """
 
     K: float
-    flag: RootFlag
 
 
 @dataclass(frozen=True)
@@ -131,7 +128,7 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Sign-change brackets plus dip locations without a sign change.
+    """Sign-change brackets of one problem's scan, in ascending order.
 
     ``end_values`` holds the determinant's sign and log-magnitude at each
     bracket's ends, ((s_lo, m_lo), (s_hi, m_hi)), so refinement need not
@@ -139,7 +136,6 @@ class ScanResult:
     """
 
     brackets: tuple[tuple[float, float], ...]
-    suspects: tuple[float, ...]
     end_values: tuple[tuple[tuple[int, float], tuple[int, float]], ...]
 
 
@@ -369,21 +365,23 @@ def _certified(problem, nodes, signs, lower, upper):
 
 
 def scan_and_bracket(problems, cfg: SearchConfig) -> list:
-    """Locate determinant sign changes (and dips) of each problem over its K range.
+    """Locate determinant sign changes of each problem over its K range.
 
     ``problems`` is a sequence of problems, all cracked or all uncracked,
     scanned in lockstep: each kernel call evaluates the next block of every
     problem still scanning, at most ``_BLOCK`` K values, and a first block
     ends at the upper guide of the (max_modes + 1)-th smallest K_n above
     k_min, one mode to spare for a crack's shift. A scan stops after the
-    first block that leaves ``max_modes`` brackets and dips in hand, checked
-    by :func:`_certified` if uncracked: the first candidates of the whole
-    grid, in order. Each problem keeps its own ``cfg`` range, grid, blocks
-    and early stop, so its entry is the one a scan of it alone gives.
+    first block that leaves ``max_modes`` candidates, brackets and dips, in
+    hand, the brackets checked by :func:`_certified` if uncracked: the first
+    candidates of the whole grid, in order. Each problem keeps its own
+    ``cfg`` range, grid, blocks and early stop, so its entry is the one a
+    scan of it alone gives.
 
     Returns one entry per problem: its :class:`ScanResult`, or a
-    :class:`NoRootsInRange` when its scan yields neither a bracket nor a
-    suspected-double candidate.
+    :class:`NoRootsInRange` when its scan yields no bracket, or a dip among
+    its first ``max_modes`` candidates (named by its K); a dip above those
+    is ignored.
     """
     stack = _Stack.of(problems) if len(problems) > 1 else None
     cfgs = [_resolved(p, cfg) for p in problems]
@@ -420,21 +418,25 @@ def scan_and_bracket(problems, cfg: SearchConfig) -> list:
                 signs = np.concatenate([scanned[i][0], signs])
                 logs = np.concatenate([scanned[i][1], logs])
             scanned[i] = signs, logs
-            lower, upper, suspects = _candidates(grids[i], signs, logs)
+            nodes = grids[i]
+            lower, upper, dips = _candidates(nodes, signs, logs)
             if problems[i].crack is None:
-                lower, upper = _certified(problems[i], grids[i], signs, lower, upper)
-            more = ends[i] < grids[i].size
-            if more and lower.size + suspects.size < cfg.max_modes:
+                lower, upper = _certified(problems[i], nodes, signs, lower, upper)
+            more = ends[i] < nodes.size
+            if more and lower.size + dips.size < cfg.max_modes:
                 scanning.append(i)
-            elif not lower.size and not suspects.size:
+            elif dips.size and np.searchsorted(nodes[lower], dips[0]) < cfg.max_modes:
+                results[i] = NoRootsInRange(
+                    f"the determinant dips without a sign change at K = {dips.tolist()[0]!r}:"
+                    " an even number of roots may lie there unbracketed"
+                )
+            elif not lower.size:
                 results[i] = NoRootsInRange(
                     f"no determinant roots in K range [{cfgs[i].k_min}, {cfgs[i].k_max}]"
                 )
             else:
-                nodes = grids[i]
                 results[i] = ScanResult(
                     brackets=tuple(zip(nodes[lower].tolist(), nodes[upper].tolist())),
-                    suspects=tuple(suspects.tolist()),
                     end_values=tuple(
                         zip(
                             zip(signs[lower].tolist(), logs[lower].tolist()),
@@ -597,19 +599,18 @@ def _predicted_path(lo, hi, s_lo, m_lo, m_hi, near, level, tol):
 
 
 def find_frequencies(problem, cfg: SearchConfig | None = None):
-    """First ``max_modes`` eigenvalues in ascending order with their flags.
+    """First ``max_modes`` eigenvalues in ascending order.
 
-    The K = 0 inextensional artifact is excluded by ``k_min``; suspected
-    even-multiplicity roots are reported with their dip location and flag
-    rather than silently dropped. The scan stops once it holds ``max_modes``
-    candidates, and the first ``max_modes`` brackets and suspects in
-    ascending order are refined in one batch, so the refinement covers the
-    returned roots only, and no null vector is computed (:func:`mode_shape`
-    does that for the one root it samples). Each candidate is one root: the
-    candidates sit in disjoint grid intervals, so two that refine to nearly
-    the same K are a near-double root split by a grid node, and both are
-    reported. Raises :class:`NoRootsInRange` when the range holds fewer than
-    ``max_modes`` candidates.
+    The K = 0 inextensional artifact is excluded by ``k_min``. The scan
+    stops once it holds ``max_modes`` candidates, and the first
+    ``max_modes`` brackets are refined in one batch, so the refinement
+    covers the returned roots only, and no null vector is computed
+    (:func:`mode_shape` does that for the one root it samples). Each bracket
+    is one root: the brackets sit in disjoint grid intervals, so two that
+    refine to nearly the same K are a near-double root split by a grid node,
+    and both are reported. Raises :class:`NoRootsInRange` when the range holds fewer than
+    ``max_modes`` brackets, or when a dip, where an even number of roots may
+    hide, is among the first ``max_modes`` candidates.
 
     ``problem`` is one :class:`ArchProblem`, giving its :class:`Spectrum`, or
     a sequence of problems, all cracked or all uncracked, giving one entry
@@ -657,37 +658,31 @@ def _solve_group(problems: list[ArchProblem], cfg: SearchConfig) -> list:
         if isinstance(scan, NoRootsInRange):
             entries.append(scan)
             continue
-        # A suspect is a zero-width candidate, which refine_root returns as is.
-        bracketed = zip(scan.brackets, scan.end_values)
-        candidates = sorted(
-            [(lo, hi, ends, RootFlag.BRACKETED) for (lo, hi), ends in bracketed]
-            + [(k, k, None, RootFlag.SUSPECTED_DOUBLE) for k in scan.suspects],
-            key=lambda c: c[0],
-        )[: cfg.max_modes]
-        if len(candidates) < cfg.max_modes:
+        found = scan.brackets[: cfg.max_modes]
+        if len(found) < cfg.max_modes:
             k_range = _resolved(p, cfg)
             message = (
-                f"{len(candidates)} of {cfg.max_modes} requested roots in K range "
+                f"{len(found)} of {cfg.max_modes} requested roots in K range "
                 f"[{k_range.k_min}, {k_range.k_max}]"
             )
             entries.append(NoRootsInRange(message))
             continue
-        entries.append([c[3] for c in candidates])
-        brackets += [c[:2] for c in candidates]
-        values += [c[2] for c in candidates]
-        owners += [p] * len(candidates)
+        entries.append(None)
+        brackets += found
+        values += scan.end_values[: cfg.max_modes]
+        owners += [p] * len(found)
     if not brackets:
         return entries
     owner = problems[0] if len(problems) == 1 else owners
     ks = iter(refine_root(brackets, owner, cfg, values).tolist())
     return [
         e if isinstance(e, NoRootsInRange)
-        else Spectrum(roots=tuple(Root(K=next(ks), flag=flag) for flag in e))
+        else Spectrum(roots=tuple(Root(K=next(ks)) for _ in range(cfg.max_modes)))
         for e in entries
     ]
 
 
-def _polish(problem: ArchProblem, root: Root) -> float:
+def _polish(problem: ArchProblem, k: float) -> float:
     """Re-tighten a bracketed root to ~1e-13 relative before shape sampling.
 
     The stored eigenvalue honors the search tolerance. The support-adapted
@@ -696,29 +691,26 @@ def _polish(problem: ArchProblem, root: Root) -> float:
     short local bisection is run first, inside the narrowest of a widening
     ladder of intervals around the root that straddles a sign change (the
     whole ladder is evaluated in one kernel call). Falls back to the stored
-    value, with one debug log line, for a suspected double or when no sign
-    change is found nearby.
+    value, with one debug log line, when no sign change is found nearby.
     """
-    k = root.K
-    reason = "suspected double root"
-    if root.flag is RootFlag.BRACKETED:
-        reason = "no sign change within 1e-6 max(1, K)"
-        deltas = np.array([1e-10, 1e-9, 1e-8, 1e-7, 1e-6]) * max(1.0, k)
-        lows, highs = k - deltas, k + deltas
-        ladder = lows > 0
-        lows, highs = lows[ladder], highs[ladder]
-        if lows.size:
-            signs, logs = boundary_determinant(problem, np.concatenate([lows, highs]))
-            ends = list(zip(signs.tolist(), logs.tolist()))
-            for lo, hi, at_lo, at_hi in zip(lows.tolist(), highs.tolist(), ends, ends[lows.size :]):
-                if at_lo[0] == 0:
-                    return lo
-                if at_hi[0] == 0:
-                    return hi
-                if at_lo[0] * at_hi[0] == -1:
-                    tight = SearchConfig(refine_tol=1e-13)
-                    return refine_root([(lo, hi)], problem, tight, [(at_lo, at_hi)]).item()
-    logger.debug("mode shape at the unpolished root K = %r: %s", k, reason)
+    deltas = np.array([1e-10, 1e-9, 1e-8, 1e-7, 1e-6]) * max(1.0, k)
+    lows, highs = k - deltas, k + deltas
+    ladder = lows > 0
+    lows, highs = lows[ladder], highs[ladder]
+    if lows.size:
+        signs, logs = boundary_determinant(problem, np.concatenate([lows, highs]))
+        ends = list(zip(signs.tolist(), logs.tolist()))
+        for lo, hi, at_lo, at_hi in zip(lows.tolist(), highs.tolist(), ends, ends[lows.size :]):
+            if at_lo[0] == 0:
+                return lo
+            if at_hi[0] == 0:
+                return hi
+            if at_lo[0] * at_hi[0] == -1:
+                tight = SearchConfig(refine_tol=1e-13)
+                return refine_root([(lo, hi)], problem, tight, [(at_lo, at_hi)]).item()
+    logger.debug(
+        "mode shape at the unpolished root K = %r: no sign change within 1e-6 max(1, K)", k
+    )
     return k
 
 
@@ -747,7 +739,7 @@ def mode_shape(problem: ArchProblem, root: Root, samples: int = 201) -> np.ndarr
         below, above = (_count_below(problem, root.K * f) for f in (1 - 1e-12, 1 + 1e-12))
         if above - below > 1:
             raise DoubleRoot(f"K = {root.K!r} is a double root: its mode shapes span a plane")
-    k = _polish(problem, root)
+    k = _polish(problem, root.K)
     basis, matrix = _matching(problem, k)
     vec = kernel.null_vector(matrix)
 

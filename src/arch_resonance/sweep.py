@@ -168,10 +168,11 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     return rows
 
 
+_FMT = "%.9g"  # 9 significant digits, every number the package writes
+
+
 def _fmt(x: float | None) -> str:
-    if x is None:
-        return ""
-    return "%.9g" % x
+    return "" if x is None else _FMT % x
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:

@@ -487,6 +487,33 @@ class TestPresets:
         assert radii == [pytest.approx(5e-9), pytest.approx(7e-9)]
 
 
+_MALFORMED_FILES = {
+    "no-section-header": b"beta = 1\n",
+    "repeated-section": b"[armchair]\nbeta = 1\n[armchair]\nbeta = 2\n",
+    "interpolation": b"[armchair]\nbeta = %(x)s\n",
+    "non-utf-8-byte": b"[armchair]\nbeta = 1\xff\n",
+}
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("flag", ["--config", "--presets"])
+    @pytest.mark.parametrize("content", _MALFORMED_FILES.values(), ids=list(_MALFORMED_FILES))
+    def test_usage_error_in_one_line(self, flag, content, capsys, tmp_path):
+        path = tmp_path / "bad.ini"
+        path.write_bytes(content)
+        assert main(["freq", "--chirality", "armchair", flag, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("usage error:") and str(path) in captured.err
+
+    @pytest.mark.parametrize("flag, kind", [("--config", "config"), ("--presets", "presets")])
+    def test_missing_file(self, flag, kind, capsys, tmp_path):
+        path = tmp_path / "none.ini"
+        assert main(["freq", "--chirality", "armchair", flag, str(path)]) == 2
+        assert capsys.readouterr().err == f"usage error: {kind} file not found: {path}\n"
+
+
 class TestLogging:
     def test_env_var_controls_level(self, capsys, monkeypatch):
         monkeypatch.setenv("ARCH_RESONANCE_LOG", "debug")

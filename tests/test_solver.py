@@ -15,7 +15,6 @@ from arch_resonance import (
     DegenerateSegment,
     DoubleRoot,
     NoRootsInRange,
-    RootFlag,
     SearchConfig,
     boundary_determinant,
     characteristic_coefficients,
@@ -80,7 +79,6 @@ class TestScanAndBracket:
         assert len(result.brackets) == 1
         lo, hi = result.brackets[0]
         assert lo <= K1_B1_E0 <= hi
-        assert result.suspects == ()
 
     def test_no_roots_below_fundamental(self):
         assert isinstance(_scan(make_problem(), SearchConfig(k_max=10.0)), NoRootsInRange)
@@ -137,7 +135,6 @@ class TestFindFrequencies:
         spectrum = find_frequencies(make_problem(), SearchConfig(max_modes=3))
         for n, root in enumerate(spectrum.roots, start=1):
             assert rel_err(root.K, uncracked_K_closed_form(n, 1.0, 0.0)) < 1e-8
-            assert root.flag is RootFlag.BRACKETED
 
     def test_matches_closed_form_nonlocal(self):
         spectrum = find_frequencies(make_problem(eta=1.0), SearchConfig(max_modes=3))
@@ -191,7 +188,7 @@ class TestFindFrequencies:
         assert boundary_determinant(problem, 0.0)[0] != 0
         base = find_frequencies(problem)
         from_zero = find_frequencies(problem, SearchConfig(k_min=0.0))
-        assert [r.flag for r in from_zero.roots] == [r.flag for r in base.roots]
+        assert len(from_zero) == len(base)
         for k0, k in zip(from_zero.K_values, base.K_values):
             assert abs(k0 - k) <= 2e-10 * max(1.0, k)
 
@@ -245,25 +242,21 @@ class TestModeShape:
             assert shape[:, 1].min() >= -1.0
 
     def test_unpolished_fallback_is_logged(self, caplog):
-        # One debug line when the shape is sampled at the stored root: a
-        # suspected double, or a bracketed K with no sign change nearby.
+        # One debug line when the shape is sampled at the stored root: a K
+        # with no sign change nearby.
         problem = make_problem()
         root = find_frequencies(problem, SearchConfig(max_modes=1)).roots[0]
-        fallbacks = [
-            (solver.Root(K=root.K, flag=RootFlag.SUSPECTED_DOUBLE), "suspected double root"),
-            (solver.Root(K=50.0, flag=RootFlag.BRACKETED), "no sign change"),
-        ]
+        stored = solver.Root(K=50.0)
         with caplog.at_level(logging.DEBUG, logger="arch_resonance"):
             mode_shape(problem, root, samples=11)
             assert caplog.records == []
-            for stored, reason in fallbacks:
-                caplog.clear()
-                mode_shape(problem, stored, samples=11)
-                assert len(caplog.records) == 1
-                record = caplog.records[0]
-                assert record.name == "arch_resonance.solver"
-                assert record.levelno == logging.DEBUG
-                assert reason in record.getMessage() and repr(stored.K) in record.getMessage()
+            mode_shape(problem, stored, samples=11)
+            assert len(caplog.records) == 1
+            record = caplog.records[0]
+            assert record.name == "arch_resonance.solver"
+            assert record.levelno == logging.DEBUG
+            assert "no sign change" in record.getMessage()
+            assert repr(stored.K) in record.getMessage()
 
     def test_sample_count_and_grid(self):
         problem = make_problem()
@@ -486,9 +479,7 @@ def _assert_same_entry(entry, alone):
     if isinstance(alone, NoRootsInRange):
         assert isinstance(entry, NoRootsInRange) and str(entry) == str(alone)
     else:
-        assert [(r.K.hex(), r.flag) for r in entry.roots] == [
-            (r.K.hex(), r.flag) for r in alone.roots
-        ]
+        assert [r.K.hex() for r in entry.roots] == [r.K.hex() for r in alone.roots]
 
 
 @st.composite
@@ -595,25 +586,103 @@ class TestBatchedSearch:
         ]
 
 
-def _whole_grid_spectrum(problem, cfg):
-    """The first max_modes roots of the whole-grid scan's candidates.
+def _dip(monkeypatch, problem):
+    """Make the determinant of ``problem`` dip at a grid node between its modes 1 and 2.
 
-    Refines every candidate of the whole grid in one batch (each bracket is
+    The node keeps its sign, and its log-magnitude drops by four times the
+    dip threshold, so it lies far below its same-sign neighbours. Other
+    problems of a batch, told apart by their central angle, are left alone.
+    Returns the node's K and a list that gets one entry per kernel call that
+    evaluates it.
+    """
+    lo, hi = find_frequencies(problem, SearchConfig(max_modes=2)).K_values
+    nodes = solver._grid_nodes(problem, solver._resolved(problem, SearchConfig()), solver._BLOCK)
+    inside = nodes[(nodes > lo) & (nodes < hi)]
+    assert inside.size >= 3  # so the node's neighbours lie between the roots too
+    k = inside[inside.size // 2].item()
+    original = solver.boundary_determinant
+    hits = []
+
+    def dipping(p, K):
+        signs, logs = original(p, K)
+        hit = (K == k) & (np.asarray(p.beta) == problem.beta)
+        if hit.any():
+            hits.append(k)
+        return signs, np.where(hit, logs - 4.0 * solver._DIP_THRESHOLD, logs)
+
+    monkeypatch.setattr(solver, "boundary_determinant", dipping)
+    return k, hits
+
+
+_DIP_PROBLEMS = [make_problem(), make_problem(eta=1.0, alpha=0.4, theta=0.8)]
+
+
+class TestDip:
+    """A node far below both neighbours of its sign fails the solve.
+
+    An even number of roots may lie around a dip, none of them bracketed, so
+    a dip among the first max_modes candidates is a NoRootsInRange naming
+    its K.
+    """
+
+    @pytest.mark.parametrize("problem", _DIP_PROBLEMS, ids=["uncracked", "cracked"])
+    def test_dip_fails_the_solve(self, problem, monkeypatch):
+        k, _ = _dip(monkeypatch, problem)
+        with pytest.raises(NoRootsInRange) as raised:
+            find_frequencies(problem, SearchConfig(max_modes=2))
+        assert repr(k) in str(raised.value)
+
+    @pytest.mark.parametrize("problem", _DIP_PROBLEMS, ids=["uncracked", "cracked"])
+    def test_dip_above_the_requested_modes_is_ignored(self, problem, monkeypatch):
+        # The scan of one mode evaluates the dip, its second candidate, and
+        # ignores it; asking for two modes then fails.
+        one = find_frequencies(problem, SearchConfig(max_modes=1))
+        k, hits = _dip(monkeypatch, problem)
+        _assert_same_entry(find_frequencies(problem, SearchConfig(max_modes=1)), one)
+        assert hits == [k]
+        with pytest.raises(NoRootsInRange):
+            find_frequencies(problem, SearchConfig(max_modes=2))
+
+    def test_only_the_dipping_problem_of_a_batch_fails(self, monkeypatch):
+        problems = [make_problem(beta=b) for b in (0.8, 1.0, 1.5)]
+        cfg = SearchConfig(max_modes=2)
+        alone = [find_frequencies(p, cfg) for p in problems]
+        k, _ = _dip(monkeypatch, problems[1])
+        entries = find_frequencies(problems, cfg)
+        assert isinstance(entries[1], NoRootsInRange) and repr(k) in str(entries[1])
+        _assert_same_entry(entries[0], alone[0])
+        _assert_same_entry(entries[2], alone[2])
+
+    def test_freq_exits_one_with_one_line(self, monkeypatch, capsys):
+        k, _ = _dip(monkeypatch, make_problem())
+        assert main(["freq", "--beta", "1", "--eta", "0", "--modes", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error:") and repr(k) in captured.err
+
+    def test_sweep_point_reads_no_root(self, monkeypatch, capsys):
+        argv = ["sweep", "--param", "beta", "--from", "1", "--to", "2", "--steps", "2",
+                "--eta", "0", "--chirality", "armchair", "--modes", "2"]
+        assert main(argv) == 0
+        before = capsys.readouterr().out.splitlines()
+        _dip(monkeypatch, make_problem())
+        assert main(argv) == 0
+        after = capsys.readouterr().out.splitlines()
+        assert after[1].startswith("armchair,1,0,") and after[1].endswith(",2,,,,no-root")
+        assert before[1] != after[1] and after[2] == before[2]
+
+
+def _whole_grid_spectrum(problem, cfg):
+    """The first max_modes roots of the whole-grid scan's brackets.
+
+    Refines every bracket of the whole grid in one batch (each bracket is
     bisected independently), then keeps the first max_modes in ascending
-    order, each candidate one root, as find_frequencies does.
+    order, each bracket one root, as find_frequencies does.
     """
     scan = _whole_scan(problem, cfg)
-    candidates = sorted(
-        [(*b, ends, RootFlag.BRACKETED) for b, ends in zip(scan.brackets, scan.end_values)]
-        + [(k, k, None, RootFlag.SUSPECTED_DOUBLE) for k in scan.suspects],
-        key=lambda c: c[0],
-    )
-    ks = solver.refine_root(
-        [c[:2] for c in candidates], problem, cfg, end_values=[c[2] for c in candidates]
-    )
-    return tuple(
-        solver.Root(K=k, flag=flag) for k, (*_, flag) in zip(ks.tolist(), candidates)
-    )[: cfg.max_modes]
+    ks = solver.refine_root(scan.brackets, problem, cfg, end_values=scan.end_values)
+    return tuple(solver.Root(K=k) for k in ks.tolist())[: cfg.max_modes]
 
 
 class TestEarlyExitScan:
@@ -665,8 +734,7 @@ class TestEarlyExitScan:
         cfg = SearchConfig(max_modes=3)
         whole = _whole_scan(problem, cfg)
         partial = _scan(problem, cfg)
-        found = len(partial.brackets) + len(partial.suspects)
-        assert 3 <= found < len(whole.brackets) + len(whole.suspects)
+        assert 3 <= len(partial.brackets) < len(whole.brackets)
         assert partial.brackets == whole.brackets[: len(partial.brackets)]
         assert partial.end_values == whole.end_values[: len(partial.brackets)]
 
@@ -808,7 +876,7 @@ class TestMultiLevelBisection:
         ),
     )
     def test_random_batches_match_one_level_per_call(self, batch, tol):
-        # The scan's brackets and dips (zero-width brackets) of every problem,
+        # The scan's brackets (zero-width ones included) of every problem,
         # bisected as one batch, against each problem's alone, one level per
         # call; uncracked brackets are guide pairs that end at their midpoint.
         problems, cfg = batch
@@ -818,11 +886,10 @@ class TestMultiLevelBisection:
         for problem, scan in zip(problems, scans):
             if isinstance(scan, NoRootsInRange):
                 continue
-            own = [*scan.brackets, *((k, k) for k in scan.suspects)]
-            pairs += own
-            ends += [*scan.end_values, *[None] * len(scan.suspects)]
-            owners += [problem] * len(own)
-            expected += _sequential_bisection(own, problem, cfg).tolist()
+            pairs += scan.brackets
+            ends += scan.end_values
+            owners += [problem] * len(scan.brackets)
+            expected += _sequential_bisection(scan.brackets, problem, cfg).tolist()
         assume(pairs)
         roots = refine_root(pairs, owners, cfg, ends)
         assert [k.hex() for k in roots.tolist()] == [k.hex() for k in expected]
