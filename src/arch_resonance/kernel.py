@@ -18,9 +18,13 @@ array of N of them. An array gives arrays: a basis whose fields have shape
 (N,), matching matrices of shape (N, 4, 4), and N signs and log-magnitudes
 of the reduced characteristic function. A scalar K is the N = 1 case of the
 same code. A :func:`det_sign_logmag` call costs mostly a fixed part: 1 and
-256 K values of a cracked problem take about 45 and 65 us in a tight loop
-(numpy 2.4, shared 2-core x86-64 VM), so the solver evaluates its K grid in
-fixed-size blocks and each bisection call's midpoints as one stack.
+256 K values of a cracked problem take about 32 and 58 us in a tight loop
+(48 us for 256 values all above K = 1; numpy 2.4, shared 2-core x86-64 VM),
+so the solver evaluates its K grid in fixed-size blocks and each bisection
+call's midpoints as one stack. To keep that part small, a call takes the
+branch of mu2 from its K range when the range lies on one side of K = 1,
+and builds the degeneracy masks of :func:`_lam2_roots` only when a K may
+lie in their windows.
 
 :func:`det_sign_logmag` also takes its problem parameters (eta_nd, beta,
 alpha, theta_c) as arrays that broadcast to K's shape, so one call evaluates
@@ -99,12 +103,12 @@ class CharCoeffs:
 
 def characteristic_coefficients(K, eta_nd: float) -> CharCoeffs:
     """Validated p2 and p0 at one K or a K array (see :class:`CharCoeffs`)."""
-    K, _, _ = _checked(K, eta_nd)
+    K = _checked(K, eta_nd)[0]
     return CharCoeffs(p2=2.0 + K * eta_nd, p0=1.0 - K)
 
 
 def _checked(K, eta_nd):
-    """K (a float array if it has dimensions) and its least and largest value, once checked."""
+    """Checked K (a float array if it has dimensions), its extremes, and eta's largest value."""
     if np.ndim(K):
         K = np.asarray(K, dtype=float)
         k_lo, k_hi = (K.min(), K.max()) if K.size else (0.0, 0.0)
@@ -117,7 +121,7 @@ def _checked(K, eta_nd):
         raise ValueError("trial eigenvalue K must be nonnegative")
     if eta[0] < 0:
         raise ValueError("nonlocal parameter must be nonnegative")
-    return K, k_lo, k_hi
+    return K, k_lo, k_hi, eta[-1]
 
 
 def _any(mask) -> bool:
@@ -142,7 +146,8 @@ def _lam2_roots(p2, p0, masks=True):
     if scale is not None and np.any(disc < -DEGENERACY_TOL * scale):
         # Not reachable for K >= 0, eta >= 0; kept as a hard guard.
         raise ValueError(f"negative discriminant for coefficients p2={p2}, p0={p0}")
-    mu1 = -0.5 * (p2 + np.sqrt(np.maximum(disc, 0.0)))
+    # Without ``scale`` no disc is below 0.
+    mu1 = -0.5 * (p2 + np.sqrt(disc if scale is None else np.maximum(disc, 0.0)))
     mu2 = p0 / mu1  # Vieta; avoids cancellation in (-p2 + sq)/2
     if not masks:
         return mu1, mu2, None
@@ -342,28 +347,43 @@ def det_sign_logmag(
             raise DegenerateSegment(
                 f"crack at alpha={alpha} leaves a vanishing segment of beta={beta}"
             )
-    K, k_lo, k_hi = _checked(K, eta_nd)
-    # _lam2_roots builds its masks for a stack of problems or if a K may lie in
-    # a window; ``wide`` (2 tol) covers rounding. Zero root: |1 - K| <= tol*(2 +
-    # K*eta), as p2 >= 2, and the ratio grows with |1 - K| on both sides of 1, so
-    # it is >= d/(2 + (1 + d)*eta) for d the least |1 - K|. Repeated root: |disc|
-    # <= tol*p2^2, but disc - tol*p2^2 >= 4*(K - tol) as disc = K*(4 + 4 eta + K eta^2).
+    K, k_lo, k_hi, eta_hi = _checked(K, eta_nd)
+    # _lam2_roots builds its masks only if a K may lie in a window, for eta's
+    # largest value in a stack; ``wide`` (2 tol) covers rounding. Zero root:
+    # |1 - K| <= tol*(2 + K*eta), as p2 >= 2, and the ratio grows with |1 - K| on
+    # both sides of 1 and falls with eta, so it is >= d/(2 + (1 + d)*eta_hi) for d
+    # the least |1 - K|. Repeated root: |disc| <= tol*p2^2, but disc - tol*p2^2 >=
+    # 4*(K - tol) as disc = K*(4 + 4 eta + K eta^2).
     p0, wide = 1.0 - np.atleast_1d(K), 2.0 * DEGENERACY_TOL
-    masks = stacked or k_lo <= wide
+    masks = k_lo <= wide
     if not masks:
         d = k_lo - 1.0 if k_lo > 1.0 else 1.0 - k_hi if k_hi < 1.0 else np.abs(p0).min()
-        masks = d <= wide * (2.0 + (1.0 + d) * eta_nd)
+        masks = d <= wide * (2.0 + (1.0 + d) * eta_hi)
     mu1, mu2, repeated = _lam2_roots(2.0 + K * eta_nd, p0, masks)
-    a1, hyp = np.sqrt(-mu1), mu2 > 0.0
-    all_hyp = hyp.all()
-    zero = None if all_hyp else mu2 == 0.0
-    a2 = np.sqrt(mu2 if all_hyp else np.where(zero, 1.0, np.abs(mu2)))
+    # The branch of mu2, decided once. Outside the windows mu2 = p0/mu1 is
+    # nonzero with the sign of -p0 (mu1 < 0): hyperbolic (True) for every K
+    # above 1, trigonometric (False) for every K below it, else per value. Only
+    # a window snaps a mu2 to 0 (``zero``).
+    if masks:
+        hyp, zero = mu2 > 0.0, mu2 == 0.0
+    else:
+        hyp, zero = True if k_lo > 1.0 else False if k_hi < 1.0 else p0 < 0.0, None
+    per_value = isinstance(hyp, np.ndarray)
+    a1 = np.sqrt(-mu1)
+    if per_value:
+        a2 = np.sqrt(np.abs(mu2) if zero is None else np.where(zero, 1.0, np.abs(mu2)))
+    else:
+        a2 = np.sqrt(mu2 if hyp else -mu2)
 
     def o2(x):
         # tanh(a2*x)/a2 is o(mu2, x)/cosh(a2*x); x itself at mu2 = 0.
-        if all_hyp:
-            return np.tanh(a2 * x) / a2
-        return np.where(zero, x, np.where(hyp, np.tanh(a2 * x), np.sin(a2 * x)) / a2)
+        t = a2 * x
+        if not per_value:
+            return (np.tanh(t) if hyp else np.sin(t)) / a2
+        o = np.tanh(t)
+        np.sin(t, out=o, where=~hyp)  # at the trigonometric values only
+        o /= a2
+        return o if zero is None else np.where(zero, x, o)
 
     extra = 0.0
     if alpha is None:
@@ -371,11 +391,17 @@ def det_sign_logmag(
     else:
         # beta, alpha and gamma as the rows of one array, so each function of
         # them runs once; o2 at beta is needed only where mu2 <= 0.
-        rows = (beta, alpha, beta - alpha)
-        x = np.array(np.broadcast_arrays(*rows, mu1)[:3] if stacked else [[v] for v in rows])
+        if stacked:
+            x = np.empty((3, *np.broadcast(beta, alpha, mu1).shape))
+            x[0], x[1], x[2] = beta, alpha, beta - alpha
+        else:
+            x = np.array([[beta], [alpha], [beta - alpha]])
         s1, o_a, o_g = np.sin(a1 * x) / a1
-        *s_b, t_a, t_g = o2(x[1:] if all_hyp else x)
-        s2 = t_a + t_g if all_hyp else np.where(hyp, t_a + t_g, s_b[0])
+        *s_b, t_a, t_g = o2(x[1:] if hyp is True else x)
+        if per_value:
+            s2 = np.where(hyp, t_a + t_g, s_b[0])
+        else:
+            s2 = t_a + t_g if hyp else s_b[0]
         # In a stack, a problem with theta_c = 0 gets a zero term here, which
         # leaves its F and sign as those of the scalar call.
         if _any(theta_c > 0.0):
@@ -391,11 +417,14 @@ def det_sign_logmag(
                 dd[r] = h[0] * o_a * o_g - s1[r] * (h[1] * o_g + o_a * h[2])
             extra = theta_c * mu1 * mu2 * dd
     f = s1 * s2 + extra
-    b2 = s2 if all_hyp else np.where(hyp, s2, np.where(zero, beta, 1.0 / a2))
-    bound = PIVOT_ZERO_TOL * (b2 / a1 + np.abs(extra))
-    sign = np.where(np.abs(f) <= bound, 0, np.sign(f).astype(int))
+    if per_value:
+        b2 = np.where(hyp, s2, 1.0 / a2 if zero is None else np.where(zero, beta, 1.0 / a2))
+    else:
+        b2 = s2 if hyp else 1.0 / a2
+    size = np.abs(f)
+    sign = np.where(size <= PIVOT_ZERO_TOL * (b2 / a1 + np.abs(extra)), 0, np.sign(f).astype(int))
     with np.errstate(divide="ignore"):
-        logmag = np.log(np.abs(f))
+        logmag = np.log(size)
     if np.ndim(K) == 0 and not stacked:
         return int(sign[0]), float(logmag[0])
     return sign, logmag

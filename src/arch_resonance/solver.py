@@ -463,28 +463,31 @@ def refine_root(brackets, problem, cfg: SearchConfig, end_values) -> np.ndarray:
 
     Each kernel call evaluates, for every open bracket, the midpoints of
     plain bisection along the path toward an estimate of its root, down to
-    the tolerance (``_predicted_path``): first the zero of the line through
-    its signed end values s * exp(m), then the inverse cubic interpolant
+    the tolerance (``_path``): first the zero of the line through its
+    signed end values s * exp(m), then the inverse cubic interpolant
     through its ends and the two nearest points the walk evaluated
-    (``_root_estimate``). Bisection's own rules then walk the path: a
+    (``_root_estimate``). Bisection's own rules then walk the path once: a
     midpoint keeps the upper half when its sign equals the lower end's, and
     the bracket ends at a midpoint of sign 0 or at an interval narrow
-    enough. The walk stops at the first midpoint whose sign disagrees with
-    the prediction; that node's kept half, with its two evaluated ends, is
-    the bracket of the next call. So every midpoint the walk uses is one
-    that one-level-per-call bisection evaluates, and the roots are those of
+    enough. The walk stops at the first midpoint whose kept half does not
+    hold the estimate; that half, with its two evaluated ends, is the
+    bracket of the next call. So every midpoint the walk uses is one that
+    one-level-per-call bisection evaluates, and the roots are those of
     plain bisection, bit for bit, whatever the estimate or the other
     brackets of the batch; a poor estimate costs calls only, and each call
-    advances every open bracket at least one level.
+    advances every open bracket at least one level. The parameters of a
+    sequence of problems are stacked (:class:`_Stack`) for the first kernel
+    call, so brackets that all end without one build no stack.
     """
     lows, highs = np.array(brackets, dtype=float).reshape(-1, 2).T.tolist()
     if len(end_values) != len(lows):
         raise ValueError("give one pair of end values per bracket")
-    stack = None
-    if not isinstance(problem, ArchProblem):
+    one = isinstance(problem, ArchProblem)
+    if not one:
         if len(problem) != len(lows):
             raise ValueError("give one problem per bracket")
-        stack = _Stack.of(problem)
+        _all_cracked(problem)
+    stack = None  # the problems' parameters, built for the first kernel call
     roots = list(lows)
     # Open brackets as (index, lo, hi, s_lo, m_lo, m_hi, near, levels bisected).
     open_ = []
@@ -501,47 +504,58 @@ def refine_root(brackets, problem, cfg: SearchConfig, end_values) -> np.ndarray:
         else:
             open_.append((i, lo, hi, s_lo, m_lo, m_hi, (), 0))
 
+    tol = cfg.refine_tol
     while open_:
-        paths = []
+        # Each path as (bracket, estimate, its first and last index in K, end).
+        paths, K = [], []
         for b in open_:
-            mids, predicted, end = _predicted_path(*b[1:], cfg.refine_tol)
+            estimate = _root_estimate(*b[1:7])
+            mids, end = _path(b[1], b[2], estimate, b[7], tol)
             if mids:
-                paths.append((b, mids, predicted, end))
+                paths.append((b, estimate, len(K), len(K) + len(mids), end))
+                K += mids
             else:
                 roots[b[0]] = end
         if not paths:
             break
-        sizes = [len(mids) for _, mids, _, _ in paths]
-        K = np.array([k for _, mids, _, _ in paths for k in mids])
         owner = problem
-        if stack is not None:
-            owner = stack.take(np.repeat([b[0] for b, *_ in paths], sizes))
-        signs, logs = (v.tolist() for v in boundary_determinant(owner, K))
-        open_, start = [], 0
-        for (b, mids, predicted, end), size in zip(paths, sizes):
-            got, m = signs[start : start + size], logs[start : start + size]
-            start += size
-            # The first midpoint whose sign is not the predicted one, or the
-            # path's end.
-            j = next((j for j, (s, p) in enumerate(zip(got, predicted)) if s != p), size)
-            _tally.levels += min(j + 1, size)
+        if not one:
+            if stack is None:
+                stack = _Stack.of(problem)
+            owner = stack.take(np.repeat([p[0][0] for p in paths], [p[3] - p[2] for p in paths]))
+        signs, logs = (v.tolist() for v in boundary_determinant(owner, np.array(K)))
+        open_ = []
+        for b, estimate, first, last, end in paths:
             i, lo, hi, s_lo, m_lo, m_hi, _, level = b
-            if j == size or got[j] == 0:
-                roots[i] = end if j == size else mids[j]
+            # Bisection's rules along the path: a midpoint of sign s_lo keeps
+            # the upper half. The walk stops at a midpoint of sign 0, the
+            # root, or at the first one whose kept half does not hold the
+            # estimate, or else passes the last midpoint to the path's end.
+            for j in range(first, last):
+                s, mid = signs[j], K[j]
+                if s == s_lo:
+                    lo, m_lo = mid, logs[j]
+                    if estimate > mid:
+                        continue
+                elif s:
+                    hi, m_hi = mid, logs[j]
+                    if not estimate > mid:
+                        continue
+                break
+            else:
+                j = last
+            _tally.levels += min(j + 1, last) - first
+            if j == last or not signs[j]:
+                roots[i] = end if j == last else K[j]
                 continue
-            # Outside node j's kept half, the points nearest it: this call's
-            # bracket ends and the midpoints around node j.
-            others = [(lo, s_lo, m_lo), (hi, -s_lo, m_hi)]
-            others += [(mids[k], got[k], m[k]) for k in (j - 1, j + 1, j + 2) if 0 <= k < size]
-            # Node j's kept half: replay the path's halves through it.
-            for k in range(j + 1):
-                if got[k] == s_lo:
-                    lo, m_lo = mids[k], m[k]
-                else:
-                    hi, m_hi = mids[k], m[k]
+            # The points nearest node j's kept half outside it, among this
+            # call's bracket ends and the midpoints around node j.
+            others = [(b[1], s_lo, b[4]), (b[2], -s_lo, b[5])]
+            around = [k for k in (j - 1, j + 1, j + 2) if first <= k < last]
+            others += [(K[k], signs[k], logs[k]) for k in around]
             gaps = sorted([(lo - p[0] if p[0] < lo else p[0] - hi, p) for p in others])
             near = [p for gap, p in gaps if gap > 0][:2]
-            open_.append((i, lo, hi, s_lo, m_lo, m_hi, near, level + j + 1))
+            open_.append((i, lo, hi, s_lo, m_lo, m_hi, near, level + j + 1 - first))
     return np.array(roots, dtype=float)
 
 
@@ -556,9 +570,11 @@ def _root_estimate(lo, hi, s_lo, m_lo, m_hi, near) -> float:
     line through the ends' signed values crosses zero (tanh avoids overflow).
     """
     if near:
-        ks, signs, logs = zip((lo, s_lo, m_lo), (hi, -s_lo, m_hi), *near)
-        top = max(logs)
-        ys = [s * math.exp(m - top) for s, m in zip(signs, logs)]
+        top = max(m_lo, m_hi, *[p[2] for p in near])
+        ks, ys = [lo, hi], [s_lo * math.exp(m_lo - top), -s_lo * math.exp(m_hi - top)]
+        for k, s, m in near:
+            ks.append(k)
+            ys.append(s * math.exp(m - top))
         if len(set(ys)) == len(ys):
             estimate = 0.0  # Lagrange's form at 0
             for k, z in zip(ks, ys):
@@ -571,18 +587,16 @@ def _root_estimate(lo, hi, s_lo, m_lo, m_hi, near) -> float:
     return lo + (hi - lo) * (0.5 - 0.5 * math.tanh(0.5 * (m_hi - m_lo)))
 
 
-def _predicted_path(lo, hi, s_lo, m_lo, m_hi, near, level, tol):
-    """Bisection's midpoints from [lo, hi] toward the bracket's root estimate.
+def _path(lo, hi, estimate, level, tol):
+    """Bisection's midpoints from [lo, hi] toward ``estimate``, and the path's end.
 
-    Returns the midpoints that bisection evaluates if every one of them
-    keeps the half holding the estimate (:func:`_root_estimate`), the sign
-    each must then have (``s_lo`` for the upper half), and the root where
-    that path ends: the midpoint of the first interval no wider than
+    The midpoints are those bisection evaluates if every one of them keeps
+    the half holding the estimate (:func:`_root_estimate`); the end, the root
+    if they all do, is the midpoint of the first interval no wider than
     tol * max(1, mid), or of the interval reached after ``_MAX_BISECTIONS``
     levels in all, ``level`` of them already bisected.
     """
-    estimate = _root_estimate(lo, hi, s_lo, m_lo, m_hi, near)
-    mids, predicted = [], []
+    mids = []
     for _ in range(level, _MAX_BISECTIONS):
         mid = 0.5 * (lo + hi)
         # max(1.0, mid) without the call, which costs as much as the rest.
@@ -591,11 +605,9 @@ def _predicted_path(lo, hi, s_lo, m_lo, m_hi, near, level, tol):
         mids.append(mid)
         if estimate > mid:
             lo = mid
-            predicted.append(s_lo)
         else:
             hi = mid
-            predicted.append(-s_lo)
-    return mids, predicted, 0.5 * (lo + hi)
+    return mids, 0.5 * (lo + hi)
 
 
 def find_frequencies(problem, cfg: SearchConfig | None = None):

@@ -660,3 +660,118 @@ class TestMaskShortcut:
         outside = [t * DEGENERACY_TOL for t in (2.5, 5.0, 10.0)]
         masks, _, repeated = self._evaluate(monkeypatch, outside, eta, problem)
         assert not masks and repeated is None
+
+    # Parameter stacks: (eta, beta, alpha, theta_c) of three problems, the
+    # first and last with the smallest and largest eta, the last uncompliant.
+    STACK = [(0.0, 1.0, 0.4, 0.5), (1.5, 2.0, 0.7, 3.0), (4.0, 3.0, 1.1, 0.0)]
+    FAR = [0.3, 5.0, 40.0]  # far from both windows for every eta of STACK
+
+    def _evaluate_stack(self, monkeypatch, ks, cracked):
+        """As _evaluate, for a parameter stack with the K values ``ks[i]`` of problem i."""
+        owner = np.repeat(np.arange(len(ks)), [len(k) for k in ks])
+        params = [np.array(c)[owner] for c in zip(*self.STACK)][: 4 if cracked else 2]
+        flat = np.concatenate([np.array(k, dtype=float) for k in ks])
+        with monkeypatch.context() as m:
+            calls = self._record(m)
+            values = det_sign_logmag(flat, *params)
+        with monkeypatch.context() as m:
+            self._record(m, force=True)
+            forced = det_sign_logmag(flat, *params)
+        for v, f in zip(values, forced):
+            assert v.tobytes() == f.tobytes()
+        for k, *args, sign, logmag in zip(flat, *params, *values):
+            one = det_sign_logmag(float(k), *map(float, args))
+            assert (one[0], one[1].hex()) == (sign, float(logmag).hex())
+        assert len(calls) == 1
+        return calls[0]
+
+    @pytest.mark.parametrize("cracked", [False, True], ids=["uncracked", "cracked"])
+    def test_parameter_stack_with_one_value_in_a_window(self, monkeypatch, cracked):
+        masks, _, repeated = self._evaluate_stack(monkeypatch, [self.FAR] * 3, cracked)
+        assert not masks and repeated is None
+        for i, (eta, *_) in enumerate(self.STACK):
+            width = DEGENERACY_TOL * (2.0 + eta)  # of problem i's zero-root window
+            repeated_root = 0.5 * DEGENERACY_TOL / (1.0 + eta)
+            for k in (1.0 + 0.9 * width, 1.0 - 0.5 * width, repeated_root):
+                ks = [self.FAR] * 3
+                ks[i] = [*self.FAR, k]
+                masks, zero, repeated = self._evaluate_stack(monkeypatch, ks, cracked)
+                at = np.zeros(zero.size, dtype=bool)
+                at[3 * i + 3] = True  # the one value in its window
+                assert masks
+                assert zero.tolist() == (at & (k != repeated_root)).tolist()
+                assert repeated.tolist() == (at & (k == repeated_root)).tolist()
+
+    @pytest.mark.parametrize("cracked", [False, True], ids=["uncracked", "cracked"])
+    def test_parameter_stack_margin_follows_the_largest_eta(self, monkeypatch, cracked):
+        # 1 + 8 tol lies outside the zero-root window of eta = 0 (tol*2) and
+        # the margin it sets alone (2 tol*2), but within the margin of the
+        # stack's largest eta, 4 (2 tol*6): masks are built, and snap nothing.
+        alone = [[1.0 + 8.0 * DEGENERACY_TOL]]
+        with monkeypatch.context() as m:
+            calls = self._record(m)
+            det_sign_logmag(np.array(alone[0]), *self.STACK[0][: 4 if cracked else 2])
+        assert not calls[0][0]
+        masks, zero, repeated = self._evaluate_stack(monkeypatch, alone + [self.FAR] * 2, cracked)
+        assert masks and not zero.any() and not repeated.any()
+
+
+class TestOneSidedBranches:
+    """Every mu2 of a K stack wholly above 1 is hyperbolic, and wholly below 1
+    trigonometric; det_sign_logmag then evaluates that branch alone. Each value
+    equals that of the same K inside a stack that straddles K = 1, where the
+    branch is chosen per value."""
+
+    BELOW = [1e-6, 0.05, 0.3, 0.7, 0.999]
+    ABOVE = [1.001, 1.2, 4.0, 60.0, 900.0, 2.5e5]
+    # Stacks by side, those next to 1 out of the degeneracy windows.
+    SIDES = {
+        "below": BELOW,
+        "above": ABOVE,
+        "just-below": [1.0 - 1e-3, 1.0 - 1e-4, 1.0 - 1e-6],
+        "just-above": [1.0 + 1e-6, 1.0 + 1e-4, 1.0 + 1e-3],
+    }
+    # (eta, beta, alpha, theta_c): uncracked, cracked, and cracked with theta_c = 0.
+    PROBLEMS = [
+        (0.0, 1.0), (2.0, 1.5), (1.0, 1.0, 0.4, 0.8), (3.0, 2.5, 2.0, 40.0), (0.5, 2.0, 0.7, 0.0)
+    ]
+
+    @staticmethod
+    def _check(ks, params, monkeypatch):
+        """Values of ``ks`` alone, checked against ``ks`` between the other side's values."""
+        one_sided = all(k > 1.0 for k in ks) or all(k < 1.0 for k in ks)
+        calls, original = [], kernel._lam2_roots
+        monkeypatch.setattr(
+            kernel,
+            "_lam2_roots",
+            lambda p2, p0, masks: calls.append(masks) or original(p2, p0, masks),
+        )
+        signs, logs = det_sign_logmag(np.array(ks), *params)
+        assert one_sided and calls == [False]
+        other = TestOneSidedBranches.ABOVE if ks[0] < 1.0 else TestOneSidedBranches.BELOW
+        n, rest = len(ks), len(other) - 2
+        mixed = np.array(other[:2] + ks + other[2:])
+        # A parameter stack is repeated over the other side's values.
+        wide = [
+            np.concatenate([np.resize(p, 2), p, np.resize(p, rest)])
+            if isinstance(p, np.ndarray) else p
+            for p in params
+        ]
+        mixed_signs, mixed_logs = det_sign_logmag(mixed, *wide)
+        assert signs.tobytes() == mixed_signs[2 : 2 + n].tobytes()
+        assert logs.tobytes() == mixed_logs[2 : 2 + n].tobytes()
+        assert calls == [False, False]
+
+    @pytest.mark.parametrize("problem", PROBLEMS)
+    @pytest.mark.parametrize("side", SIDES)
+    def test_single_parameters(self, monkeypatch, problem, side):
+        self._check(self.SIDES[side], problem, monkeypatch)
+
+    @pytest.mark.parametrize("cracked", [False, True], ids=["uncracked", "cracked"])
+    @pytest.mark.parametrize("side", SIDES)
+    def test_stacked_parameters(self, monkeypatch, cracked, side):
+        problems = [p for p in self.PROBLEMS if (len(p) == 4) == cracked]
+        ks = self.SIDES[side]
+        owner = np.arange(len(ks)) % len(problems)
+        params = [np.array(c, dtype=float)[owner] for c in zip(*problems)]
+        self._check(ks, params, monkeypatch)

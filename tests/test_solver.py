@@ -931,6 +931,31 @@ class TestKernelCallsPerSolve:
         # one (8) in the call after.
         assert calls == [256, 113, 83, 8]
 
+    def test_cracked_batch_of_three(self, monkeypatch):
+        # The problem above and two more, solved alone and then as one batch.
+        # Each call of the batch evaluates what the three solves' calls with
+        # the same number evaluate: a first scan block each, then the paths
+        # of every open bracket. A first bisection call's paths run down to
+        # the tolerance, so its K values are the levels its brackets need.
+        problems = [
+            make_problem(eta=1.0, alpha=0.4, theta=0.8),
+            make_problem(beta=2.5, eta=0.0, alpha=0.7, theta=5.0),
+            make_problem(beta=0.8, eta=3.0, alpha=0.6, theta=0.05),
+        ]
+        calls = self._count(monkeypatch)
+        alone = []
+        for problem, schedule in zip(
+            problems, ([256, 113, 83, 8], [256, 150, 115, 13], [256, 111, 65])
+        ):
+            levels = solver._tally.levels
+            alone.append(find_frequencies(problem))
+            assert (calls, solver._tally.levels - levels) == (schedule, schedule[1])
+            calls.clear()
+        levels = solver._tally.levels
+        assert find_frequencies(problems) == alone
+        assert calls == [768, 374, 263, 21]
+        assert solver._tally.levels - levels == 374
+
     @staticmethod
     def _bisection_calls(problem, cfg):
         """The problem's spectrum and the bisection calls its solve took."""
