@@ -28,10 +28,8 @@ from .errors import (
     UsageError,
 )
 from .kernel import (
-    CharCoeffs,
     ModeBasis,
     assemble_cracked,
-    characteristic_coefficients,
     det_sign_logmag,
     null_vector,
     quartic_roots,

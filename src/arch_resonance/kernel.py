@@ -6,18 +6,19 @@ The transverse vibration of the arch reduces to the fourth-order equation
 
 whose exponential ansatz gives the bi-quadratic lam^4 + p2 lam^2 + p0 = 0 with
 p2 = 2 + K*eta and p0 = 1 - K. This module builds the support-adapted
-fundamental solutions for trial K values, evaluates their derivatives
+fundamental solutions at a trial K, evaluates their derivatives
 analytically, assembles the crack matching matrix whose null vector gives the
 mode shape, and evaluates the boundary determinant in closed form, as the
 reduced characteristic function whose sign changes bracket the eigenvalues.
 
 Stacks
 ------
-Every function but :func:`null_vector` takes either one trial K or a 1-D
-array of N of them. An array gives arrays: a basis whose fields have shape
-(N,), matching matrices of shape (N, 4, 4), and N signs and log-magnitudes
-of the reduced characteristic function. A scalar K is the N = 1 case of the
-same code. A :func:`det_sign_logmag` call costs mostly a fixed part: 1 and
+:func:`det_sign_logmag`, which the root search evaluates, takes either one
+trial K or an array of N of them, giving N signs and log-magnitudes of the
+reduced characteristic function; a scalar K is the N = 1 case of the same
+code. The matching path (:func:`quartic_roots`, :class:`ModeBasis` and
+:func:`assemble_cracked`) samples one mode shape at its polished root and
+takes one K. A :func:`det_sign_logmag` call costs mostly a fixed part: 1 and
 256 K values of a cracked problem take about 32 and 58 us in a tight loop
 (48 us for 256 values all above K = 1; numpy 2.4, shared 2-core x86-64 VM),
 so the solver evaluates its K grid in fixed-size blocks and each bisection
@@ -89,24 +90,6 @@ PIVOT_ZERO_TOL = 1e-13
 SEGMENT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class CharCoeffs:
-    """Coefficients of the characteristic bi-quadratic at trial eigenvalues.
-
-    ``p2`` and ``p0`` are floats for a scalar K and arrays of shape (N,) for
-    a K array.
-    """
-
-    p2: float | np.ndarray  # = 2 + K * eta_nd
-    p0: float | np.ndarray  # = 1 - K
-
-
-def characteristic_coefficients(K, eta_nd: float) -> CharCoeffs:
-    """Validated p2 and p0 at one K or a K array (see :class:`CharCoeffs`)."""
-    K = _checked(K, eta_nd)[0]
-    return CharCoeffs(p2=2.0 + K * eta_nd, p0=1.0 - K)
-
-
 def _checked(K, eta_nd):
     """Checked K (a float array if it has dimensions), its extremes, and eta's largest value."""
     if np.ndim(K):
@@ -161,44 +144,65 @@ def _lam2_roots(p2, p0, masks=True):
 
 @dataclass(frozen=True)
 class ModeBasis:
-    """Roots of the quadratic in lam^2 at trial K values, for the solution basis.
+    """Roots of the quadratic in lam^2 at one trial K, for the solution basis.
 
-    ``mu1``, ``mu2`` and ``repeated`` are scalars for a scalar K and arrays
-    of shape (N,) for a K array. ``repeated`` marks a repeated root, where
-    the support-adapted columns take their mu-derivative limit.
+    ``repeated`` marks a repeated root, where the support-adapted columns
+    take their mu-derivative limit.
     """
 
-    mu1: float | np.ndarray  # always <= -1: trigonometric pair
-    mu2: float | np.ndarray  # > 0 hyperbolic, 0 polynomial, < 0 trigonometric
-    repeated: bool | np.ndarray = False
+    mu1: float  # always <= -1: trigonometric pair
+    mu2: float  # > 0 hyperbolic, 0 polynomial, < 0 trigonometric
+    repeated: bool = False
 
     def support_rows(self, x, ref, nrows: int = 4) -> np.ndarray:
         """Derivatives in ``x`` of the two support-adapted columns, shape (..., nrows, 2).
 
         ``x`` is the distance from a support, ``ref`` the segment's length;
-        the leading shape broadcasts the K values against both. Column 1 is
-        o(mu1, x). Column 2 is o(mu2, x)/cosh(a2*ref) where mu2 > 0 (at x =
-        ref: tanh(a2*ref)/a2 and 1), else the divided difference
+        the leading shape is theirs, broadcast against each other. Column 1
+        is o(mu1, x). Column 2 is o(mu2, x)/cosh(a2*ref) where mu2 > 0 (at
+        x = ref: tanh(a2*ref)/a2 and 1), else the divided difference
         (o(mu2, x) - o(mu1, x))/(mu2 - mu1), d o/d mu at the repeated root.
         Both keep the sign of the determinant of (o(mu1), o(mu2)), vanish
         with their second derivative at x = 0 and are bounded for x <= ref.
         """
         if not 1 <= nrows <= 4:
             raise ValueError("nrows must be between 1 and 4")
-        table = _support_table(self, *np.broadcast_arrays(x, ref), nrows)
-        return np.moveaxis(table, (0, 1), (-2, -1))
+        x, ref = np.broadcast_arrays(x, ref)
+        mu1, mu2 = self.mu1, self.mu2
+        a1 = math.sqrt(-mu1)
+        e1, o1 = np.cos(a1 * x), np.sin(a1 * x) / a1
+        if mu2 > 0.0:
+            a = math.sqrt(mu2)
+            # cosh(a*x) and sinh(a*x)/a over cosh(a*ref): bounded for x <= ref,
+            # and exact (expm1) where a*x is small.
+            decay = np.exp(a * (x - ref)) / (1.0 + np.exp(-2.0 * a * ref))
+            e, o = (1.0 + np.exp(-2.0 * a * x)) * decay, -np.expm1(-2.0 * a * x) * decay / a
+            second = _odd_derivatives(mu2, e, o, nrows)
+        else:
+            # Divided differences D[f] = (f(mu2) - f(mu1)) / (mu2 - mu1), which
+            # are d f/d mu at a repeated root; D[mu*f] = f(mu2) + mu1*D[f].
+            e2, o2 = _trig_pair(mu2, x)
+            if self.repeated:
+                de, do = _repeated_pair(mu1, x, e1, o1)
+            else:
+                de, do = (e2 - e1) / (mu2 - mu1), (o2 - o1) / (mu2 - mu1)
+            second = [do, de, o2 + mu1 * do, e2 + mu1 * de][:nrows]
+        table = np.array([_odd_derivatives(mu1, e1, o1, nrows), second])
+        return np.moveaxis(table, (0, 1), (-1, -2))
 
 
-def quartic_roots(coeffs: CharCoeffs) -> ModeBasis:
-    """Solve lam^4 + p2 lam^2 + p0 = 0 for the roots of the solution basis.
+def quartic_roots(K: float, eta_nd: float) -> ModeBasis:
+    """Solve lam^4 + p2 lam^2 + p0 = 0, p2 = 2 + K*eta_nd and p0 = 1 - K, at one K.
 
     The branch follows the sign of the lam^2 roots; :func:`_lam2_roots`
-    resolves the zero-root and repeated-root degeneracies.
+    resolves the zero-root and repeated-root degeneracies, as for
+    :func:`det_sign_logmag`. Raises ValueError for an array K or eta_nd.
     """
-    mu1, mu2, repeated = _lam2_roots(coeffs.p2, coeffs.p0)
-    if not mu2.ndim:
-        mu1, mu2, repeated = float(mu1), float(mu2), bool(repeated)
-    return ModeBasis(mu1=mu1, mu2=mu2, repeated=repeated)
+    if np.ndim(K) or np.ndim(eta_nd):
+        raise ValueError("quartic_roots takes one trial eigenvalue K and one eta_nd")
+    K = _checked(K, eta_nd)[0]
+    mu1, mu2, repeated = _lam2_roots(2.0 + K * eta_nd, 1.0 - K)
+    return ModeBasis(mu1=float(mu1), mu2=float(mu2), repeated=bool(repeated))
 
 
 def _odd_derivatives(mu, e, o, nrows: int) -> list:
@@ -206,12 +210,11 @@ def _odd_derivatives(mu, e, o, nrows: int) -> list:
     return [o, e, mu * o, mu * e][:nrows]
 
 
-def _trig_pair(mu, phi) -> tuple:
+def _trig_pair(mu: float, phi) -> tuple:
     """The pair (e, o) of a root mu <= 0: cos(a*phi) and sin(a*phi)/a, or 1 and phi at 0."""
-    a = np.sqrt(-mu)
+    a = math.sqrt(-mu)
     t = a * phi
-    o = np.sin(t) / np.where(a == 0.0, 1.0, a)
-    return np.cos(t), np.where(mu == 0.0, phi, o)
+    return np.cos(t), phi if mu == 0.0 else np.sin(t) / a
 
 
 def _repeated_pair(mu, phi, e, o) -> tuple:
@@ -226,37 +229,6 @@ def _repeated_pair(mu, phi, e, o) -> tuple:
         series = series + k * mupow * phi * p2_**k / fact
     h = np.where(np.abs(mu) * phi * phi < 0.01, series, (phi * e - o) / (2.0 * mu))
     return g, h
-
-
-def _stack_first(table: np.ndarray, shape: tuple) -> np.ndarray:
-    """View of a stack-last (r, c, M) array as (*shape, r, c)."""
-    return np.moveaxis(table, -1, 0).reshape(shape + table.shape[:-1])
-
-
-def _support_table(basis: ModeBasis, x, ref, nrows: int) -> np.ndarray:
-    """Support-adapted rows as an (nrows, 2, ...) array, the broadcast K/x/ref last."""
-    mu1, mu2, repeated = basis.mu1, basis.mu2, basis.repeated
-    a1 = np.sqrt(-mu1)
-    e1, o1 = np.cos(a1 * x), np.sin(a1 * x) / a1
-    hyp = mu2 > 0.0
-    a = np.sqrt(np.where(hyp, mu2, 1.0))
-    # cosh(a*x) and sinh(a*x)/a over cosh(a*ref): bounded for x <= ref, and
-    # exact (expm1) where a*x is small.
-    decay = np.exp(a * (x - ref)) / (1.0 + np.exp(-2.0 * a * ref))
-    e, o = (1.0 + np.exp(-2.0 * a * x)) * decay, -np.expm1(-2.0 * a * x) * decay / a
-    second = _odd_derivatives(mu2, e, o, nrows)
-    if not np.all(hyp):
-        # Divided differences D[f] = (f(mu2) - f(mu1)) / (mu2 - mu1), which
-        # are d f/d mu at a repeated root; D[mu*f] = f(mu2) + mu1*D[f].
-        e2, o2 = _trig_pair(np.where(hyp, -1.0, mu2), x)
-        gap = np.where(repeated, 1.0, mu2 - mu1)
-        de, do = (e2 - e1) / gap, (o2 - o1) / gap
-        if np.any(repeated):
-            g, h = _repeated_pair(mu1, x, e1, o1)
-            de, do = np.where(repeated, g, de), np.where(repeated, h, do)
-        divided = [do, de, o2 + mu1 * do, e2 + mu1 * de]
-        second = [np.where(hyp, s, d) for s, d in zip(second, divided)]
-    return np.array([_odd_derivatives(mu1, e1, o1, nrows), second]).swapaxes(0, 1)
 
 
 def uncracked_K_closed_form(n: int, beta: float, eta_nd: float) -> float:
@@ -278,7 +250,7 @@ def uncracked_K_closed_form(n: int, beta: float, eta_nd: float) -> float:
 def assemble_cracked(
     basis: ModeBasis, beta: float, alpha: float, theta_c: float
 ) -> np.ndarray:
-    """4x4 crack matching system in the support-adapted basis, shape (..., 4, 4).
+    """4x4 crack matching system in the support-adapted basis at the basis's K.
 
     Unknowns (c1, c2, d1, d2): X = c1*u1(phi) + c2*u2(phi) left of the crack
     and X = d1*u1(beta - phi) + d2*u2(beta - phi) right of it, where u1, u2
@@ -295,17 +267,16 @@ def assemble_cracked(
         raise DegenerateSegment(
             f"crack at alpha={alpha} leaves a vanishing segment of beta={beta}"
         )
-    # Both segments in one evaluation, the K values last.
-    x = np.array([[alpha], [beta - alpha]])
-    rows = _support_table(basis, x, x, 4)
-    left, right = rows[:, :, 0], rows[:, :, 1]
+    # Both segments in one evaluation.
+    x = np.array([alpha, beta - alpha])
+    left, right = basis.support_rows(x, x)
     # d/dphi = -d/dx right of the crack: odd derivatives change sign there.
-    m = np.empty((4, 4) + left.shape[2:])
+    m = np.empty((4, 4))
     m[0, :2], m[0, 2:] = left[0], -right[0]
     m[1, :2], m[1, 2:] = left[2], -right[2]
     m[2, :2], m[2, 2:] = left[3], right[3]
     m[3, :2], m[3, 2:] = -left[1] - theta_c * left[2], -right[1]
-    return _stack_first(m, np.shape(basis.mu2))
+    return m
 
 
 def det_sign_logmag(

@@ -67,6 +67,10 @@ _BLOCK = 256
 # _BATCH * _BLOCK K values, so a long sweep's stacks stay as small as a short
 # one's.
 _BATCH = 16
+# A mode shape whose largest sample is at or below _NOISE times its amplitude,
+# its largest |X| at beta times these 64 cell midpoints, reads +0.0 throughout.
+_NOISE = 1e-8
+_AMPLITUDE_AT = (np.arange(64) + 0.5) / 64
 
 
 @dataclass(frozen=True)
@@ -146,21 +150,21 @@ def _matching_crack(problem: ArchProblem) -> CrackJoint:
     return problem.crack
 
 
-def boundary_matrix(problem: ArchProblem, K) -> np.ndarray:
-    """Support-adapted 4x4 matching system of the problem at trial K values.
+def boundary_matrix(problem: ArchProblem, K: float) -> np.ndarray:
+    """Support-adapted 4x4 matching system of the problem at one trial K.
 
-    A scalar K gives one matrix, a K array a stack of them
-    (:func:`kernel.assemble_cracked`). An uncracked arch is assembled as the
-    crack of zero compliance at beta/2: its rows enforce C3 continuity, so
-    its zero set in K and its null vectors are those of the uncracked arch.
+    Returns one (4, 4) matrix (:func:`kernel.assemble_cracked`); a K array
+    raises ValueError. An uncracked arch is assembled as the crack of zero
+    compliance at beta/2: its rows enforce C3 continuity, so its zero set in
+    K and its null vectors are those of the uncracked arch.
     """
     return _matching(problem, K)[1]
 
 
-def _matching(problem: ArchProblem, K) -> tuple[kernel.ModeBasis, np.ndarray]:
+def _matching(problem: ArchProblem, K: float) -> tuple[kernel.ModeBasis, np.ndarray]:
     """The mode basis at K and the matching matrix of :func:`boundary_matrix` built from it."""
     crack = _matching_crack(problem)
-    basis = kernel.quartic_roots(kernel.characteristic_coefficients(K, problem.eta_nd))
+    basis = kernel.quartic_roots(K, problem.eta_nd)
     return basis, kernel.assemble_cracked(basis, problem.beta, crack.alpha, crack.theta_c)
 
 
@@ -739,11 +743,14 @@ def mode_shape(problem: ArchProblem, root: Root, samples: int = 201) -> np.ndarr
     compliance at beta/2 for an uncracked arch; a compliant crack shows up as
     a slope discontinuity. Guaranteed: X is exactly 0 at both supports, the
     sample of largest |X| is exactly +1, every sample lies in [-1, 1], and a
-    zero sample is +0.0; when every sample is 0, as with 2 samples (the
-    supports), every X is +0.0. When the largest + and - extrema tie, as in
-    an antisymmetric mode, rounding decides which one is +1, and with it the
-    overall sign. An uncracked double root, where N (:func:`_count_below`)
-    jumps by 2 across K(1 -+ 1e-12), raises :class:`DoubleRoot`.
+    zero sample is +0.0. When every sample lies on a node, as with 2 samples
+    (the supports) or mode 2 at 3, every X is +0.0: the largest sampled |X|
+    is at or below 1e-8 times the largest at 64 cell midpoints of [0, beta].
+    When the largest + and - extrema tie, as in an antisymmetric mode,
+    rounding decides which one is +1, and with it the overall sign. An
+    uncracked double root, where N (:func:`_count_below`) jumps by 2 across
+    K(1 -+ 1e-12), raises :class:`DoubleRoot`; a cracked double root is not
+    detected, and its shape is one of a plane of them.
     """
     if samples < 2:
         raise ValueError("samples must be at least 2")
@@ -756,14 +763,17 @@ def mode_shape(problem: ArchProblem, root: Root, samples: int = 201) -> np.ndarr
     vec = kernel.null_vector(matrix)
 
     phis = problem.beta * np.arange(samples) / (samples - 1)
+    at = np.concatenate([phis, problem.beta * _AMPLITUDE_AT])  # the samples, then the cells
     alpha = _matching_crack(problem).alpha
-    left = phis < alpha
-    x, ref = (np.where(left, v, problem.beta - v) for v in (phis, alpha))
+    left = at < alpha
+    x, ref = (np.where(left, v, problem.beta - v) for v in (at, alpha))
     rows = basis.support_rows(x, ref, nrows=1)[:, 0, :]
     c = np.where(left[:, None], vec[:2], vec[2:])
     # Summed from +0.0, so an exact zero is +0.0.
     values = 0.0 + c[:, 0] * rows[:, 0] + c[:, 1] * rows[:, 1]
-    peak = values[np.argmax(np.abs(values))]
-    if peak:
-        values = values / peak + 0.0
+    peak = values[np.argmax(np.abs(values[:samples]))]
+    if abs(peak) > _NOISE * np.abs(values[samples:]).max():
+        values = values[:samples] / peak + 0.0
+    else:
+        values = np.zeros(samples)
     return np.column_stack([phis, values])

@@ -118,7 +118,7 @@ def assembled_signs(problem: ArchProblem, ks) -> list[int]:
     """
     return [
         (d > 0) - (d < 0)
-        for d in (cofactor_det(m.tolist()) for m in boundary_matrix(problem, ks))
+        for d in (cofactor_det(boundary_matrix(problem, float(k)).tolist()) for k in ks)
     ]
 
 

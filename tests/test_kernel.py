@@ -10,7 +10,6 @@ from arch_resonance import (
     DegenerateSegment,
     assemble_cracked,
     boundary_matrix,
-    characteristic_coefficients,
     det_sign_logmag,
     null_vector,
     quartic_roots,
@@ -45,42 +44,46 @@ def _midpoint(kn: float) -> float:
     return 0.5 * (kn * (1.0 - 1e-6) + kn * (1.0 + 1e-6))
 
 
+def _coefficients(basis) -> tuple[float, float]:
+    """(p2, p0) of the bi-quadratic, from its lam^2 roots by Vieta."""
+    return -(basis.mu1 + basis.mu2), basis.mu1 * basis.mu2
+
+
 class TestCharacteristicCoefficients:
+    """p2 = 2 + K*eta and p0 = 1 - K, as the roots of quartic_roots carry them."""
+
     def test_static_case(self):
-        c = characteristic_coefficients(0.0, 0.0)
-        assert (c.p2, c.p0) == (2.0, 1.0)
+        assert _coefficients(quartic_roots(0.0, 0.0)) == (2.0, 1.0)
 
     def test_arithmetic(self):
-        c = characteristic_coefficients(5.0, 0.2)
-        assert (c.p2, c.p0) == (3.0, -4.0)
+        assert _coefficients(quartic_roots(5.0, 0.2)) == pytest.approx((3.0, -4.0), rel=1e-14)
 
     def test_branch_boundary(self):
-        c = characteristic_coefficients(1.0, 1.0)
-        assert (c.p2, c.p0) == (3.0, 0.0)
+        assert _coefficients(quartic_roots(1.0, 1.0)) == (3.0, 0.0)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            characteristic_coefficients(-1.0, 0.0)
+            quartic_roots(-1.0, 0.0)
         with pytest.raises(ValueError):
-            characteristic_coefficients(1.0, -0.5)
+            quartic_roots(1.0, -0.5)
 
 
 class TestQuarticRoots:
     def test_trig_plus_hyperbolic(self):
         # lam^2 roots of lam^4 + 3 lam^2 - 4: (-3 +- 5)/2 -> -4 and 1.
-        basis = quartic_roots(characteristic_coefficients(5.0, 0.2))
+        basis = quartic_roots(5.0, 0.2)
         assert not basis.repeated
         assert basis.mu1 == pytest.approx(-4.0, rel=1e-14)
         assert basis.mu2 == pytest.approx(1.0, rel=1e-14)
 
     def test_repeated_root(self):
-        basis = quartic_roots(characteristic_coefficients(0.0, 0.0))
+        basis = quartic_roots(0.0, 0.0)
         assert basis.repeated
         assert basis.mu1 == basis.mu2 == -1.0
 
     def test_zero_root(self):
         # lam^2 (lam^2 + 3) = 0.
-        basis = quartic_roots(characteristic_coefficients(1.0, 1.0))
+        basis = quartic_roots(1.0, 1.0)
         assert not basis.repeated
         assert basis.mu1 == -3.0
         assert basis.mu2 == 0.0
@@ -88,13 +91,13 @@ class TestQuarticRoots:
     def test_zero_root_window_scales_with_p2(self):
         # At K*eta ~ 6e9 the hyperbolic root is about -p0/p2 = 0.31; a window
         # of 1e-10*p2^2 in p0 snapped it to 0 and dropped the crack term.
-        basis = quartic_roots(characteristic_coefficients(1792313584.2251546, 3.2353752361386796))
+        basis = quartic_roots(1792313584.2251546, 3.2353752361386796)
         assert basis.mu2 == pytest.approx(0.30908315915693641, rel=1e-12)
-        near = quartic_roots(characteristic_coefficients(1.0 + 1e-11, 1.0))
+        near = quartic_roots(1.0 + 1e-11, 1.0)
         assert near.mu2 == 0.0
 
     def test_two_trig(self):
-        basis = quartic_roots(characteristic_coefficients(0.5, 0.0))
+        basis = quartic_roots(0.5, 0.0)
         assert not basis.repeated
         assert basis.mu1 < basis.mu2 < 0
 
@@ -103,12 +106,23 @@ class TestQuarticRoots:
         for _ in range(2000):
             K = rng.uniform(0.0, 500.0)
             eta = rng.uniform(0.0, 4.0)
-            c = characteristic_coefficients(K, eta)
-            assert c.p2 * c.p2 - 4.0 * c.p0 >= 0.0
+            p2, p0 = 2.0 + K * eta, 1.0 - K
+            assert p2 * p2 - 4.0 * p0 >= 0.0
+            basis = quartic_roots(K, eta)
+            assert basis.mu1 <= basis.mu2
+
+    def test_rejects_an_array(self):
+        # The matching path takes one K; only det_sign_logmag takes stacks.
+        with pytest.raises(ValueError, match="one trial eigenvalue"):
+            quartic_roots(np.array([0.5, 5.0]), 0.2)
+        with pytest.raises(ValueError, match="one trial eigenvalue"):
+            quartic_roots(5.0, np.array([0.2, 0.3]))
+        basis = quartic_roots(np.float64(5.0), 0.2)
+        assert type(basis.mu1) is type(basis.mu2) is float and type(basis.repeated) is bool
 
     def test_zero_root_functions(self):
         # mu1 = -3, mu2 = 0: o(mu1, x) and the divided difference (x - o(mu1, x))/3.
-        basis = quartic_roots(characteristic_coefficients(1.0, 1.0))
+        basis = quartic_roots(1.0, 1.0)
         row0 = basis.support_rows(0.7, 1.3, nrows=1)[0]
         a = math.sqrt(3.0)
         o1 = math.sin(a * 0.7) / a
@@ -130,7 +144,7 @@ _FD_STEPS = (-2, -1, 1, 2)
 _FD_WEIGHTS = (1.0 / 12.0, -2.0 / 3.0, 2.0 / 3.0, -1.0 / 12.0)
 
 
-def _residual(basis, coeffs, x, ref):
+def _residual(basis, p2, p0, x, ref):
     """Worst relative defect of the two support-adapted columns at x.
 
     Each derivative row is checked against the five-point difference of the
@@ -149,7 +163,7 @@ def _residual(basis, coeffs, x, ref):
         size = max(abs(rows[m][j]) / a**m for m in range(4))
         for k in range(3):
             worst = max(worst, abs(diff[k][j] - rows[k + 1][j]) / (a ** (k + 1) * size))
-        ode = diff[3][j] + coeffs.p2 * rows[2][j] + coeffs.p0 * rows[0][j]
+        ode = diff[3][j] + p2 * rows[2][j] + p0 * rows[0][j]
         worst = max(worst, abs(ode) / (a**4 * size))
     return worst
 
@@ -164,22 +178,20 @@ class TestBasisProperties:
             K = rng.uniform(0.0, 500.0)
             eta = rng.uniform(0.0, 4.0)
             x = rng.uniform(0.0, beta)
-            coeffs = characteristic_coefficients(K, eta)
-            basis = quartic_roots(coeffs)
-            assert _residual(basis, coeffs, x, beta) <= 1e-8
+            basis = quartic_roots(K, eta)
+            assert _residual(basis, 2.0 + K * eta, 1.0 - K, x, beta) <= 1e-8
 
     def test_residual_tight_on_grid(self):
         for K, eta in ((0.0, 0.0), (0.5, 1.0), (1.0, 1.0), (40.0, 0.3), (400.0, 2.0)):
-            coeffs = characteristic_coefficients(K, eta)
-            basis = quartic_roots(coeffs)
+            basis = quartic_roots(K, eta)
             for i in range(21):
-                assert _residual(basis, coeffs, 1.5 * i / 20, 1.5) <= 1e-9
+                assert _residual(basis, 2.0 + K * eta, 1.0 - K, 1.5 * i / 20, 1.5) <= 1e-9
 
     def test_linear_independence(self):
         # The Wronskian of the two columns at a generic distance from the
         # support is far from singular for each branch.
         for K, eta in ((0.5, 0.0), (5.0, 0.2), (1.0, 1.0), (0.0, 0.0)):
-            basis = quartic_roots(characteristic_coefficients(K, eta))
+            basis = quartic_roots(K, eta)
             rows = basis.support_rows(0.6, 1.0, nrows=2)
             scale = np.prod(np.abs(rows).max(axis=0))
             assert abs(cofactor_det(rows.tolist())) > 1e-6 * scale
@@ -203,7 +215,7 @@ class TestBasisProperties:
         beta = 2.0
         target = 25.0  # hyperbolic wavenumber; a * beta = 50
         K = (target**2 + 1.0) ** 2  # eta = 0: mu2 = sqrt(K) - 1
-        basis = quartic_roots(characteristic_coefficients(K, 0.0))
+        basis = quartic_roots(K, 0.0)
         assert basis.mu2 == pytest.approx(target**2, rel=1e-12)
         for alpha in (None, 0.7):
             matrix = boundary_matrix(make_problem(beta, 0.0, alpha, 10.0), K)
@@ -278,9 +290,9 @@ class TestAssembleCracked:
         ks = [1.0 + i * (2000.0 - 1.0) / 120 for i in range(121)]
 
         # The uncracked matrix is the crack of zero compliance at beta/2.
-        plain = _matrix_signs(boundary_matrix(make_problem(beta, eta), np.array(ks)))
-        basis = quartic_roots(characteristic_coefficients(np.array(ks), eta))
-        cracked = _matrix_signs(assemble_cracked(basis, beta, alpha, 0.0))
+        plain = _matrix_signs(boundary_matrix(make_problem(beta, eta), k) for k in ks)
+        bases = [quartic_roots(k, eta) for k in ks]
+        cracked = _matrix_signs(assemble_cracked(b, beta, alpha, 0.0) for b in bases)
         assert _changes(plain) == _changes(cracked)
         # The reduced function changes sign where the matrices do.
         assert _changes(det_sign_logmag(np.array(ks), eta, beta)[0]) == _changes(plain)
@@ -290,9 +302,9 @@ class TestAssembleCracked:
         beta, eta, theta = 1.0, 0.0, 0.8
         ks = [1.0 + i * (2000.0 - 1.0) / 160 for i in range(161)]
 
-        basis = quartic_roots(characteristic_coefficients(np.array(ks), eta))
+        bases = [quartic_roots(k, eta) for k in ks]
         changes = [
-            _changes(_matrix_signs(assemble_cracked(basis, beta, alpha, theta)))
+            _changes(_matrix_signs(assemble_cracked(b, beta, alpha, theta) for b in bases))
             for alpha in (0.3, 0.7)
         ]
         assert changes[0] == changes[1]
@@ -301,11 +313,18 @@ class TestAssembleCracked:
             assert _changes(reduced) == changes[0]
 
     def test_degenerate_segment(self):
-        basis = quartic_roots(characteristic_coefficients(5.0, 0.0))
+        basis = quartic_roots(5.0, 0.0)
         with pytest.raises(DegenerateSegment):
             assemble_cracked(basis, 1.0, 0.0, 1.0)
         with pytest.raises(DegenerateSegment):
             assemble_cracked(basis, 1.0, 1.0, 1.0)
+
+    def test_one_matrix_per_k(self):
+        for problem in (make_problem(2.0, 0.3), make_problem(2.0, 0.3, 0.8, 0.5)):
+            for k in (0.0, 0.5, 1.0, 7.0, 5.0e4):
+                assert boundary_matrix(problem, k).shape == (4, 4)
+            with pytest.raises(ValueError, match="one trial eigenvalue"):
+                boundary_matrix(problem, np.array([0.5, 7.0]))
 
 
 class TestSupportRows:
@@ -313,7 +332,7 @@ class TestSupportRows:
     def test_columns_are_scaled_odd_functions(self, K, eta):
         # Against o(mu1) and o(mu2) and their derivatives in closed form.
         x, ref = 0.3, 0.8
-        basis = quartic_roots(characteristic_coefficients(K, eta))
+        basis = quartic_roots(K, eta)
         o1, o2 = np.array(_odd_rows(basis.mu1, x)), np.array(_odd_rows(basis.mu2, x))
         if basis.mu2 > 0:
             second = o2 / math.cosh(math.sqrt(basis.mu2) * ref)
@@ -325,38 +344,37 @@ class TestSupportRows:
         assert rows[:, 1] == pytest.approx(second, rel=1e-12, abs=1e-15)
 
     def test_supports_hold_exactly(self):
-        ks = np.array([0.0, 1e-8, 0.5, 1.0, 5.0, 400.0, 1e6])
-        basis = quartic_roots(characteristic_coefficients(ks, 0.7))
-        rows = basis.support_rows(0.0, 1.3, nrows=3)
-        assert rows.shape == (7, 3, 2)
-        assert np.all(rows[:, 0] == 0.0) and np.all(rows[:, 2] == 0.0)
+        for k in (0.0, 1e-8, 0.5, 1.0, 5.0, 400.0, 1e6):
+            rows = quartic_roots(k, 0.7).support_rows(0.0, 1.3, nrows=3)
+            assert rows.shape == (3, 2)
+            assert np.all(rows[0] == 0.0) and np.all(rows[2] == 0.0)
 
     def test_hyperbolic_column_at_the_crack(self):
         # a2 * ref from 1e-4 to about 34: entries tanh(a2*ref)/a2 and 1.
-        ks = np.array([1.0 + 1e-8, 2.0, 50.0, 1e5])
-        basis = quartic_roots(characteristic_coefficients(ks, 0.0))
-        a2 = np.sqrt(basis.mu2)
-        rows = basis.support_rows(1.9, 1.9)
-        assert np.all(np.isfinite(rows))
-        assert rows[:, 0, 1] == pytest.approx(np.tanh(a2 * 1.9) / a2, rel=1e-14)
-        assert rows[:, 1, 1] == pytest.approx(1.0, rel=1e-15)
+        for k in (1.0 + 1e-8, 2.0, 50.0, 1e5):
+            basis = quartic_roots(k, 0.0)
+            a2 = math.sqrt(basis.mu2)
+            rows = basis.support_rows(1.9, 1.9)
+            assert np.all(np.isfinite(rows))
+            assert rows[0, 1] == pytest.approx(math.tanh(a2 * 1.9) / a2, rel=1e-14)
+            assert rows[1, 1] == pytest.approx(1.0, rel=1e-15)
 
     def test_repeated_root_column_is_the_limit(self):
         # At K = 0 the divided difference is replaced by d o/d mu. Outside
         # the degeneracy window the rows approach it in step with mu2 - mu1,
         # with no loss to cancellation down to the window's edge.
-        at = quartic_roots(characteristic_coefficients(0.0, 0.5))
+        at = quartic_roots(0.0, 0.5)
         assert at.repeated
         limit = at.support_rows(1.7, 2.0)
         for K in (1e-6, 1e-8, 1e-10):
-            near = quartic_roots(characteristic_coefficients(K, 0.5))
+            near = quartic_roots(K, 0.5)
             assert not near.repeated
             gap = np.abs(near.support_rows(1.7, 2.0) - limit).max() / np.abs(limit).max()
             assert gap <= near.mu2 - near.mu1
 
     @pytest.mark.parametrize("beta, alpha", [(0.5, 0.2), (2.0, 1.4), (6.0, 3.0)])
     def test_cracked_sign_nonzero_at_repeated_root(self, beta, alpha):
-        basis = quartic_roots(characteristic_coefficients(0.0, 0.3))
+        basis = quartic_roots(0.0, 0.3)
         for theta in (0.0, 1.0, 1e3):
             matrix = assemble_cracked(basis, beta, alpha, theta)
             assert cofactor_det(matrix.tolist()) != 0.0
@@ -369,7 +387,7 @@ class TestDeterminant:
         # divided by cosh(a2*beta); a crack of zero compliance only rescales
         # the second factor by a positive amount.
         for K, eta, beta in ((0.5, 0.0, 1.3), (0.3, 2.0, 4.0), (5.0, 0.2, 1.0), (400.0, 1.0, 2.0)):
-            basis = quartic_roots(characteristic_coefficients(K, eta))
+            basis = quartic_roots(K, eta)
             a1, a2 = math.sqrt(-basis.mu1), math.sqrt(abs(basis.mu2))
             second = math.tanh(a2 * beta) if basis.mu2 > 0 else math.sin(a2 * beta)
             expected = math.sin(a1 * beta) / a1 * second / a2
@@ -382,7 +400,7 @@ class TestDeterminant:
         # At K = 1 the root mu2 is 0, the reduced 2x2 is triangular, and F is
         # o(mu1, beta)*beta whatever the crack.
         for eta, beta, alpha in ((0.0, 1.0, 0.3), (1.0, 2.5, 2.0)):
-            assert quartic_roots(characteristic_coefficients(1.0, eta)).mu2 == 0.0
+            assert quartic_roots(1.0, eta).mu2 == 0.0
             a1 = math.sqrt(2.0 + eta)
             plain = det_sign_logmag(1.0, eta, beta)
             expected = math.log(abs(math.sin(a1 * beta) / a1 * beta))
@@ -407,9 +425,10 @@ class TestDeterminant:
         kn = uncracked_K_closed_form(1, beta, eta)
         ks = kn * (1.0 + np.array([0.0, 1e-15, -1e-15, 1e-11, -1e-11, 1e-6]))
         signs, _ = det_sign_logmag(ks, eta, beta)
-        basis = quartic_roots(characteristic_coefficients(ks, eta))
-        assert np.all(basis.mu2 < 0.0)
-        product = np.sin(np.sqrt(-basis.mu1) * beta) * np.sin(np.sqrt(-basis.mu2) * beta)
+        bases = [quartic_roots(float(k), eta) for k in ks]
+        mu1, mu2 = (np.array([getattr(b, name) for b in bases]) for name in ("mu1", "mu2"))
+        assert np.all(mu2 < 0.0)
+        product = np.sin(np.sqrt(-mu1) * beta) * np.sin(np.sqrt(-mu2) * beta)
         assert (signs == 0).tolist() == (np.abs(product) <= PIVOT_ZERO_TOL).tolist()
         assert signs.tolist()[:3] == [0, 0, 0] and 0 not in signs.tolist()[3:]
 
@@ -527,18 +546,10 @@ class TestStackedKernel:
     def test_cracked_stack_against_cofactor_oracle(self):
         problem = make_problem(beta=1.3, eta=0.7, alpha=0.5, theta=1.2)
         ks = np.linspace(3.0, 900.0, 12)
-        assert boundary_matrix(problem, ks).shape == (12, 4, 4)
         signs, logs = det_sign_logmag(ks, 0.7, 1.3, 0.5, 1.2)
         assert signs.tolist() == assembled_signs(problem, ks)
         for k, logmag in zip(ks, logs):
             assert abs(logmag - reference_log(k, 0.7, 1.3, 0.5, 1.2)) < 1e-9
-
-    def test_stacked_assembly_matches_single(self):
-        problem = make_problem(beta=2.0, eta=0.3, alpha=0.8, theta=0.5)
-        ks = np.array([0.5, 1.0, 7.0, 400.0, 5.0e4])
-        stack = boundary_matrix(problem, ks)
-        for k, entries in zip(ks, stack):
-            assert np.array_equal(boundary_matrix(problem, float(k)), entries)
 
     def test_constructed_singular_matrices_have_sign_zero(self):
         # Guide midpoints of closed-form roots, where the boundary system is
@@ -555,28 +566,21 @@ class TestStackedKernel:
                 assert det_sign_logmag(float(k), eta, beta, alpha, 0.0)[0] == sign
 
     def test_rejects_nonfinite_trial_values(self):
-        with pytest.raises(ValueError):
-            characteristic_coefficients(np.array([1.0, math.nan]), 0.5)
-        with pytest.raises(ValueError):
-            characteristic_coefficients(1.0, math.inf)
+        for K, eta in ((1.0, math.nan), (math.nan, 0.5), (math.inf, 0.5), (1.0, math.inf)):
+            with pytest.raises(ValueError, match="must be finite"):
+                quartic_roots(K, eta)
         with pytest.raises(ValueError):
             det_sign_logmag(np.array([1.0, math.nan]), 0.5, 1.0)
 
     def test_branch_of_a_stack(self):
-        ks = np.array([0.0, 0.5, 1.0, 5.0])
-        basis = quartic_roots(characteristic_coefficients(ks, 0.0))
+        bases = [quartic_roots(k, 0.0) for k in (0.0, 0.5, 1.0, 5.0)]
         # Repeated, two trigonometric, zero root, trigonometric plus hyperbolic.
-        assert basis.repeated.tolist() == [True, False, False, False]
-        assert basis.mu1.tolist() == pytest.approx(
+        assert [b.repeated for b in bases] == [True, False, False, False]
+        assert [b.mu1 for b in bases] == pytest.approx(
             [-1.0, -1.0 - math.sqrt(0.5), -2.0, -1.0 - math.sqrt(5.0)], rel=1e-14
         )
-        assert basis.mu2[0] == -1.0 and -1.0 < basis.mu2[1] < 0.0
-        assert basis.mu2[2] == 0.0 and basis.mu2[3] > 0.0
-        # Every branch in one stack evaluates like the single-K basis.
-        rows = basis.support_rows(0.7, 1.3)
-        for k, table in zip(ks, rows):
-            single = quartic_roots(characteristic_coefficients(float(k), 0.0))
-            assert np.array_equal(single.support_rows(0.7, 1.3), table)
+        assert bases[0].mu2 == -1.0 and -1.0 < bases[1].mu2 < 0.0
+        assert bases[2].mu2 == 0.0 and bases[3].mu2 > 0.0
 
 
 class TestMaskShortcut:

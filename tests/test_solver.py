@@ -17,7 +17,6 @@ from arch_resonance import (
     NoRootsInRange,
     SearchConfig,
     boundary_determinant,
-    characteristic_coefficients,
     find_frequencies,
     mode_shape,
     quartic_roots,
@@ -271,7 +270,7 @@ class TestModeShape:
         problem = make_problem(alpha=0.5, theta=theta)
         spectrum = find_frequencies(problem, SearchConfig(max_modes=1))
         root = spectrum.roots[0]
-        basis = quartic_roots(characteristic_coefficients(root.K, problem.eta_nd))
+        basis = quartic_roots(root.K, problem.eta_nd)
         # Rows in the distance from each support; d/dphi = -d/dx on the right.
         left = basis.support_rows(0.5, 0.5, nrows=3)
         right = basis.support_rows(problem.beta - 0.5, problem.beta - 0.5, nrows=3)
@@ -294,7 +293,7 @@ class TestModeShape:
             assert len(coefficients) == 4
             shape = mode_shape(problem, root, samples=101)
             assert abs(shape[0, 1]) <= 1e-12 and abs(shape[-1, 1]) <= 1e-12
-            basis = quartic_roots(characteristic_coefficients(root.K, eta))
+            basis = quartic_roots(root.K, eta)
             c1, c2, d1, d2 = coefficients
             for (w1, w2), ref in (((c1, c2), alpha), ((d1, d2), beta - alpha)):
                 rows = basis.support_rows(0.0, ref, nrows=3)
@@ -310,6 +309,50 @@ class TestModeShape:
             assert shape[:, 0].tolist() == [0.0, problem.beta]
             assert shape[:, 1].tolist() == [0.0, 0.0]
             assert not np.signbit(shape[:, 1]).any()
+
+    def test_samples_all_on_nodes_read_zero(self):
+        # When every sample lies on a node, only rounding is left, and every X
+        # is +0.0 rather than noise scaled to +-1: mode n at n + 1 samples of
+        # an uncracked arch, and an antisymmetric mode whose middle node holds
+        # the crack. One more sample moves them off the nodes: a real shape.
+        for problem, mode, samples in (
+            (make_problem(1.0, 1.0), 2, 3),
+            (make_problem(1.0, 0.0), 3, 4),
+            (make_problem(2.5, 0.7), 4, 5),
+            (make_problem(1.0, 0.0, 0.5, 1.0), 2, 3),
+        ):
+            root = find_frequencies(problem, SearchConfig(max_modes=mode)).roots[mode - 1]
+            shape = mode_shape(problem, root, samples=samples)
+            assert shape[:, 1].tolist() == [0.0] * samples
+            assert not np.signbit(shape[:, 1]).any()
+            assert mode_shape(problem, root, samples=samples + 1)[:, 1].max() == 1.0
+
+    def test_uncracked_shapes_match_the_sine_oracle(self):
+        # An uncracked shape is sin(a*phi) with a = n*pi/beta, for the n whose
+        # K_n = (a^2 - 1)^2 / (1 + eta*a^2) is the root, both written out here
+        # so that the check shares no code with the kernel. Up to sign: the
+        # largest sample of mode_shape is +1, and antisymmetric extrema tie.
+        rng = np.random.default_rng(21)
+        wavenumbers = np.arange(1, 64) * math.pi
+        worst, checked = 0.0, 0
+        for _ in range(300):
+            beta = float(rng.uniform(0.1, 2.0 * math.pi))
+            eta = 0.0 if rng.random() < 0.3 else float(rng.uniform(0.0, 4.0))
+            mode = int(rng.integers(1, 6))
+            problem = make_problem(beta, eta)
+            root = find_frequencies(problem, SearchConfig(max_modes=mode)).roots[mode - 1]
+            try:
+                shape = mode_shape(problem, root, samples=200)
+            except DoubleRoot:
+                continue
+            a = wavenumbers / beta
+            n = np.abs((a * a - 1.0) ** 2 / (1.0 + eta * a * a) - root.K).argmin()
+            sine = np.sin(a[n] * shape[:, 0])
+            sine /= np.abs(sine).max()
+            worst = max(worst, min(np.abs(shape[:, 1] - s * sine).max() for s in (1.0, -1.0)))
+            checked += 1
+        assert checked >= 290
+        assert worst <= 1e-9
 
     def test_rejects_tiny_sample_count(self):
         problem = make_problem()
