@@ -5,71 +5,57 @@ dimensionless arch problem, find eigenvalues as boundary-determinant roots
 (:mod:`arch_resonance.solver` over :mod:`arch_resonance.kernel`), and map them
 back to frequencies. :mod:`arch_resonance.sweep` and :mod:`arch_resonance.cli`
 drive parameter studies and file output.
+
+Every exported name resolves on first access (PEP 562): ``import
+arch_resonance`` loads no submodule, and so no numpy, until a name is used.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .crack import (
-    DEFAULT_KAPPA0,
-    ComplianceModel,
-    PolynomialCompliance,
-    PowerLawCompliance,
-    compliance,
-)
-from .errors import (
-    DegenerateSegment,
-    DoubleRoot,
-    InvalidModel,
-    InvalidPreset,
-    InvalidSpec,
-    MissingPreset,
-    NoRootsInRange,
-    OutOfRange,
-    UsageError,
-)
-from .kernel import (
-    ModeBasis,
-    assemble_cracked,
-    det_sign_logmag,
-    null_vector,
-    quartic_roots,
-    uncracked_K_closed_form,
-)
-from .model import (
-    ArchProblem,
-    ChiralityClass,
-    ChiralitySpec,
-    CrackJoint,
-    CrackSpec,
-    PhysicalTube,
-    classify_chirality,
-    nondimensionalize,
-    omega_from_K,
-    omega_nd,
-    resolve_preset,
-    tube_diameter,
-)
-from .solver import (
-    Root,
-    ScanResult,
-    SearchConfig,
-    Spectrum,
-    boundary_determinant,
-    boundary_matrix,
-    find_frequencies,
-    mode_shape,
-    refine_root,
-    scan_and_bracket,
-)
-from .sweep import (
-    REFERENCE_TABLE,
-    SweepRow,
-    SweepSpec,
-    ValidationRow,
-    rows_to_csv,
-    run_sweep,
-    validation_table,
-    validation_to_csv,
-)
+# Each submodule with the names the package exports from it.
+_EXPORTS = {
+    "crack": (
+        "DEFAULT_KAPPA0", "ComplianceModel", "PolynomialCompliance", "PowerLawCompliance",
+        "compliance",
+    ),
+    "errors": (
+        "DegenerateSegment", "DoubleRoot", "InvalidModel", "InvalidPreset", "InvalidSpec",
+        "MissingPreset", "NoRootsInRange", "OutOfRange", "UsageError",
+    ),
+    "kernel": (
+        "ModeBasis", "assemble_cracked", "det_sign_logmag", "null_vector", "quartic_roots",
+        "uncracked_K_closed_form",
+    ),
+    "model": (
+        "ArchProblem", "ChiralityClass", "ChiralitySpec", "CrackJoint", "CrackSpec",
+        "PhysicalTube", "classify_chirality", "nondimensionalize", "omega_from_K", "omega_nd",
+        "resolve_preset", "tube_diameter",
+    ),
+    "solver": (
+        "Root", "ScanResult", "SearchConfig", "Spectrum", "boundary_determinant",
+        "boundary_matrix", "find_frequencies", "mode_shape", "refine_root", "scan_and_bracket",
+    ),
+    "sweep": (
+        "REFERENCE_TABLE", "SweepRow", "SweepSpec", "ValidationRow", "rows_to_csv", "run_sweep",
+        "validation_table", "validation_to_csv",
+    ),
+}
+# Exported name -> the submodule that defines it; a submodule names itself.
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in (module, *names)}
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name: str):
+    """Import the submodule behind ``name`` on first access and keep the value."""
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_SOURCE[name]}")
+    value = globals()[name] = module if name in _EXPORTS else getattr(module, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -17,10 +17,9 @@ warn, info, debug) controls diagnostics on standard error.
 
 from __future__ import annotations
 
+# Only what every request needs; each command imports the rest where it is used.
 import argparse
-import configparser
 import functools
-import json
 import logging
 import os
 import sys
@@ -30,12 +29,10 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
 
-from . import __version__
-from . import crack as crack_models
-from . import model, solver, sweep
+from . import __version__, model
 from .errors import DoubleRoot, InvalidPreset, InvalidSpec, MissingPreset, NoRootsInRange
 from .errors import UsageError
-from .sweep import _FMT, _fmt
+from .model import _FMT, _fmt
 
 logger = logging.getLogger("arch_resonance")
 
@@ -178,6 +175,8 @@ def _read_ini(source, kind: str) -> dict[str, dict[str, str]]:
     Values are interpolated here, so a file that is missing, unreadable or
     malformed is a :class:`UsageError` naming it, in one line.
     """
+    import configparser
+
     cp = configparser.ConfigParser()
     try:
         with source.open(encoding="utf-8") as fh:
@@ -261,6 +260,8 @@ def _parse_coefficient_list(raw: str) -> tuple[float, ...]:
 
 
 def _resolve_compliance_model(s: _Settings) -> crack_models.ComplianceModel:
+    from . import crack as crack_models
+
     name = s.get("crack-model", "crack", key="model", cast=str, default="power-law")
     if name == "power-law":
         kappa0 = s.get("kappa0", "crack", cast=float, default=crack_models.DEFAULT_KAPPA0)
@@ -369,6 +370,8 @@ def _resolve_problem(s: _Settings):
 
     Returns (problem, tube, chirality, search config).
     """
+    from . import solver
+
     with _bad_input_is_usage_error():
         chirality, inputs = _resolve_inputs(s, allow_all=False)
         tube = None if chirality is None else _resolve_tube(s, chirality, _presets(s))
@@ -387,6 +390,12 @@ def _resolve_problem(s: _Settings):
 
 # --------------------------------------------------------------------------
 # Output helpers
+
+def _json(doc) -> str:
+    import json
+
+    return json.dumps(doc, indent=2) + "\n"
+
 
 def _write(text: str, path: str | None) -> None:
     if path is None:
@@ -430,7 +439,7 @@ def _render_spectrum(payload, problem, tube, chirality, fmt: str) -> str:
             "problem": _problem_echo(problem, tube, chirality),
             "spectrum": payload,
         }
-        return json.dumps(doc, indent=2) + "\n"
+        return _json(doc)
     if fmt == "csv":
         lines = ["mode,K,omega_nd,omega_rad_s,flag"]
         for row in payload:
@@ -453,6 +462,8 @@ def _render_spectrum(payload, problem, tube, chirality, fmt: str) -> str:
 
 
 def _cmd_freq(inv: CliInvocation, s: _Settings) -> str:
+    from . import solver
+
     problem, tube, chirality, cfg = _resolve_problem(s)
     logger.info(
         "freq: beta=%g eta_nd=%g crack=%s", problem.beta, problem.eta_nd, problem.crack
@@ -463,6 +474,8 @@ def _cmd_freq(inv: CliInvocation, s: _Settings) -> str:
 
 
 def _cmd_modeshape(inv: CliInvocation, s: _Settings) -> str:
+    from . import solver
+
     problem, tube, chirality, cfg = _resolve_problem(s)
     mode = s.overrides["mode"]
     samples = s.overrides["samples"]
@@ -485,11 +498,13 @@ def _cmd_modeshape(inv: CliInvocation, s: _Settings) -> str:
         # in that encoder's layout; repr is what json writes for a finite
         # float, and every sample is finite.
         pairs = ",\n".join(["    [\n      %r,\n      %r\n    ]"] * samples) % flat
-        return json.dumps(doc, indent=2).removesuffix("[]\n}") + f"[\n{pairs}\n  ]\n}}\n"
+        return _json(doc).removesuffix("[]\n}\n") + f"[\n{pairs}\n  ]\n}}\n"
     return ("phi_rad,X\n" + f"{_FMT},{_FMT}\n" * samples) % flat
 
 
 def _cmd_sweep(inv: CliInvocation, s: _Settings) -> str:
+    from . import sweep
+
     param = s.overrides.get("param")
     if param is None:
         raise UsageError("--param is required for sweep")
@@ -527,8 +542,7 @@ def _cmd_sweep(inv: CliInvocation, s: _Settings) -> str:
     except InvalidSpec as exc:  # an invalid end of the range, found before any solve
         raise UsageError(str(exc)) from None
     if inv.format == "json":
-        doc = [row.__dict__ for row in rows]
-        return json.dumps(doc, indent=2) + "\n"
+        return _json([row.__dict__ for row in rows])
     if inv.format == "table":
         text_rows = sweep.rows_to_csv(rows).splitlines()
         return "\n".join(line.replace(",", "\t") for line in text_rows) + "\n"
@@ -536,6 +550,8 @@ def _cmd_sweep(inv: CliInvocation, s: _Settings) -> str:
 
 
 def _cmd_validate(inv: CliInvocation, s: _Settings) -> str:
+    from . import sweep
+
     beta_small = s.overrides.get("beta")
     beta_small = 0.05 if beta_small is None else beta_small
     try:
@@ -543,7 +559,7 @@ def _cmd_validate(inv: CliInvocation, s: _Settings) -> str:
     except InvalidSpec as exc:
         raise UsageError(str(exc)) from None
     if inv.format == "json":
-        return json.dumps([row.__dict__ for row in rows], indent=2) + "\n"
+        return _json([row.__dict__ for row in rows])
     if inv.format == "csv":
         return sweep.validation_to_csv(rows)
     lines = [f"{'Mode':>4}  {'eta':>5}  {'Present':>10}  {'Thai':>10}  {'Computed':>12}"]

@@ -80,14 +80,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSegment
+from .errors import SEGMENT_TOL, DegenerateSegment
 
 # Degeneracy window for branch switching (see _lam2_roots).
 DEGENERACY_TOL = 1e-10
 # |F| at or below this fraction of its scale zeroes the sign (det_sign_logmag).
 PIVOT_ZERO_TOL = 1e-13
-# Minimum admissible crack segment length, rad.
-SEGMENT_TOL = 1e-9
 
 
 def _checked(K, eta_nd):

@@ -12,11 +12,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from . import crack as crack_models
-from .errors import DegenerateSegment, InvalidPreset, MissingPreset
-from .kernel import SEGMENT_TOL
+from .errors import SEGMENT_TOL, DegenerateSegment, InvalidPreset, MissingPreset
+
+if TYPE_CHECKING:
+    from . import crack as crack_models
 
 DEFAULT_BOND_LENGTH_NM = 0.142
 # Smallest central angle, rad. Eigenvalues grow like (pi/beta)^4 and the
@@ -24,6 +25,11 @@ DEFAULT_BOND_LENGTH_NM = 0.142
 # of random problems match an 80-digit shooting determinant, at 1e-4 half of
 # them do not.
 BETA_MIN = 1e-3
+_FMT = "%.9g"  # 9 significant digits, every number the package writes
+
+
+def _fmt(x: float | None) -> str:
+    return "" if x is None else _FMT % x
 
 
 class ChiralityClass(enum.Enum):
@@ -136,8 +142,8 @@ class ArchProblem:
     """Complete nondimensional problem: central angle, nonlocal parameter, crack.
 
     Every field must be finite, the central angle must lie in [``BETA_MIN``,
-    2*pi], and a crack angle must lie inside the arch, more than the kernel's
-    ``SEGMENT_TOL`` from either support (else :class:`DegenerateSegment`,
+    2*pi], and a crack angle must lie inside the arch, more than
+    ``errors.SEGMENT_TOL`` from either support (else :class:`DegenerateSegment`,
     checked last, so it marks a problem that is valid but for where its crack
     sits).
     """
@@ -250,6 +256,8 @@ def nondimensionalize(
         eta_nd = eta_physical / tube.radius**2
     joint = None
     if crack is not None:
+        from . import crack as crack_models
+
         geometry = (tube.wall_thickness, tube.radius) if tube is not None else (1.0, 1.0)
         theta = crack_models.compliance(crack.compliance_model, crack.depth_ratio, geometry)
         joint = CrackJoint(alpha=crack.position_angle, theta_c=theta)

@@ -17,6 +17,7 @@ from typing import Mapping
 
 from . import model, solver
 from .errors import DegenerateSegment, InvalidSpec, NoRootsInRange
+from .model import _fmt
 
 CSV_HEADER = "chirality,beta_rad,eta_nd,radius_m,alpha_rad,psi,mode,K,omega_nd,omega_rad_s,note"
 
@@ -166,13 +167,6 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
             )
         )
     return rows
-
-
-_FMT = "%.9g"  # 9 significant digits, every number the package writes
-
-
-def _fmt(x: float | None) -> str:
-    return "" if x is None else _FMT % x
 
 
 def rows_to_csv(rows: list[SweepRow]) -> str:

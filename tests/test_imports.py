@@ -1,0 +1,138 @@
+"""What each entry point imports, and the package surface its lazy exports keep.
+
+A module stays in ``sys.modules`` once any test has loaded it, so every
+import check runs in a fresh interpreter and compares its ``sys.modules``
+with that of a bare one.
+"""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import arch_resonance
+from arch_resonance import errors, kernel
+
+SRC = Path(arch_resonance.__file__).resolve().parents[1]
+MARKER = "--- sys.modules ---"
+
+# The package's exports, by defining submodule; the submodule names are exported too.
+EXPORTS = {
+    "crack": (
+        "DEFAULT_KAPPA0", "ComplianceModel", "PolynomialCompliance", "PowerLawCompliance",
+        "compliance",
+    ),
+    "errors": (
+        "DegenerateSegment", "DoubleRoot", "InvalidModel", "InvalidPreset", "InvalidSpec",
+        "MissingPreset", "NoRootsInRange", "OutOfRange", "UsageError",
+    ),
+    "kernel": (
+        "ModeBasis", "assemble_cracked", "det_sign_logmag", "null_vector", "quartic_roots",
+        "uncracked_K_closed_form",
+    ),
+    "model": (
+        "ArchProblem", "ChiralityClass", "ChiralitySpec", "CrackJoint", "CrackSpec",
+        "PhysicalTube", "classify_chirality", "nondimensionalize", "omega_from_K", "omega_nd",
+        "resolve_preset", "tube_diameter",
+    ),
+    "solver": (
+        "Root", "ScanResult", "SearchConfig", "Spectrum", "boundary_determinant",
+        "boundary_matrix", "find_frequencies", "mode_shape", "refine_root", "scan_and_bracket",
+    ),
+    "sweep": (
+        "REFERENCE_TABLE", "SweepRow", "SweepSpec", "ValidationRow", "rows_to_csv", "run_sweep",
+        "validation_table", "validation_to_csv",
+    ),
+}
+ALL = sorted([*EXPORTS, *(name for names in EXPORTS.values() for name in names)])
+
+
+def run_fresh(statements: str) -> set[str]:
+    """Run ``statements`` in a fresh interpreter; the modules it has loaded after them."""
+    code = f"{statements}\nimport sys\nprint({MARKER!r}, *sys.modules, sep='\\n')"
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=SRC,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.rpartition(MARKER + "\n")[2].split())
+
+
+@pytest.fixture(scope="module")
+def loaded_by():
+    """Modules a fresh interpreter loads for ``statements`` beyond what it starts with."""
+    bare = run_fresh("pass")
+    return lambda statements: run_fresh(statements) - bare
+
+
+class TestImportGraph:
+    def test_package_loads_no_submodule(self, loaded_by):
+        loaded = loaded_by("import arch_resonance")
+        assert "numpy" not in loaded
+        assert not {m for m in loaded if m.startswith("arch_resonance.")}
+
+    def test_cli_loads_only_what_every_request_needs(self, loaded_by):
+        loaded = loaded_by("import arch_resonance.cli")
+        heavy = {"numpy", "json", "configparser"} | {
+            f"arch_resonance.{m}" for m in ("solver", "kernel", "sweep", "crack")
+        }
+        assert not loaded & heavy
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["--version"], 0), (["--help"], 0), (["freq", "--bogus"], 2)],
+        ids=["version", "help", "usage-error"],
+    )
+    def test_requests_answered_at_parse_time_skip_numpy(self, loaded_by, argv, code):
+        loaded = loaded_by(f"from arch_resonance.cli import main\nassert main({argv!r}) == {code}")
+        assert "numpy" not in loaded
+
+    def test_uncracked_freq_loads_the_solver_alone(self, loaded_by):
+        loaded = loaded_by(
+            "from arch_resonance.cli import main\n"
+            "assert main(['freq', '--beta', '1', '--eta', '1']) == 0"
+        )
+        assert {"numpy", "arch_resonance.solver", "arch_resonance.kernel"} <= loaded
+        unused = {"arch_resonance.sweep", "arch_resonance.crack", "json", "configparser"}
+        assert not loaded & unused
+
+
+class TestSurface:
+    def test_all_is_unchanged(self):
+        assert len(ALL) == 56
+        assert sorted(arch_resonance.__all__) == ALL
+
+    @pytest.mark.parametrize("module", sorted(EXPORTS))
+    def test_each_name_is_its_modules_object(self, module):
+        source = importlib.import_module(f"arch_resonance.{module}")
+        assert getattr(arch_resonance, module) is source
+        for name in EXPORTS[module]:
+            assert getattr(arch_resonance, name) is getattr(source, name), name
+
+    def test_star_import_binds_every_name(self):
+        run_fresh(f"from arch_resonance import *\nassert not set({ALL!r}) - set(globals())")
+
+    def test_dir_lists_every_name_before_any_is_loaded(self):
+        loaded = run_fresh(
+            f"import arch_resonance\nassert set({ALL!r}) <= set(dir(arch_resonance))"
+        )
+        assert "arch_resonance.kernel" not in loaded
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            arch_resonance.no_such_name  # noqa: B018
+        assert not hasattr(arch_resonance, "no_such_name")
+
+    def test_cli_imports_from_the_package(self):
+        loaded = run_fresh("from arch_resonance import cli\nassert callable(cli.main)")
+        assert "arch_resonance.cli" in loaded
+
+    def test_segment_tol_is_shared(self):
+        assert kernel.SEGMENT_TOL is errors.SEGMENT_TOL
