@@ -170,14 +170,6 @@ class ArchProblem:
                 )
 
 
-_PRESET_KEYS = (
-    "youngs_modulus_tpa",
-    "wall_thickness_nm",
-    "mass_per_length_kg_per_m",
-    "arch_radius_nm",
-)
-
-
 def resolve_preset(
     chirality: ChiralityClass,
     preset_table: Mapping[str, Mapping[str, float]],

@@ -1,31 +1,30 @@
 """Frequency spectrum search as determinant root finding over K.
 
-The boundary determinant, the reduced characteristic function in closed
-form (:func:`kernel.det_sign_logmag`, no matrix), is scanned on a K grid of
-uniform nodes and guides around K = 1 and around each uncracked eigenvalue
-K_n in closed form, with their midpoint, in blocks of at most 256 K values,
-one kernel call each, until the blocks hold the candidates of the requested
-modes: sign changes, each one root, and dips. A dip is a node far below both
-neighbours of its sign, around which an even number of roots may lie
-unbracketed, so a dip among them fails the solve. An uncracked root is a
-midpoint of sign 0, a zero-width bracket, so an uncracked solve is one
-kernel call; its candidates are checked against the exact count N(K), a
-double root twice. The rest are bisected together: each kernel call
-evaluates, for every open bracket, bisection's midpoints down the path
-toward an estimate of its root (the secant one from its ends' signed values,
-then an inverse cubic interpolant), and bisection's rules walk the path
-until a midpoint's sign disagrees with the prediction, whose kept half is
-the next call's bracket. A five-mode cracked solve takes two or three
-bisection calls. A spectrum
-holds roots only: :func:`mode_shape` alone extracts a null vector, the
-shape's coefficients, from the matching matrix.
+An uncracked arch's spectrum is its closed form, the K_n of the modes
+sin(n*pi*phi/beta) (:func:`kernel.uncracked_K_closed_form`), listed with no
+kernel call. A cracked arch's boundary determinant, the reduced
+characteristic function in closed form (:func:`kernel.det_sign_logmag`, no
+matrix), is scanned on a K grid of uniform nodes and guides around K = 1 and
+around each uncracked eigenvalue K_n, with their midpoint, in blocks of at
+most 256 K values, one kernel call each, until the blocks hold the
+candidates of the requested modes: sign changes, each one root, and dips. A
+dip is a node far below both neighbours of its sign, around which an even
+number of roots may lie unbracketed, so a dip among them fails the solve.
+The brackets are bisected together: each kernel call evaluates, for every
+open bracket, bisection's midpoints down the path toward an estimate of its
+root (the secant one from its ends' signed values, then an inverse cubic
+interpolant), and bisection's rules walk the path until a midpoint's sign
+disagrees with the prediction, whose kept half is the next call's bracket. A
+five-mode cracked solve takes two or three bisection calls. A spectrum holds
+roots only: :func:`mode_shape` alone extracts a null vector, the shape's
+coefficients, from the matching matrix.
 
 :func:`find_frequencies` also takes a sequence of problems, all cracked or
-all uncracked, as a sweep or the validation table has, and solves them in
-lockstep, ``_BATCH`` at a time: each scan call evaluates the next block of
-every problem still scanning, and one :func:`refine_root` call bisects the
-brackets of all of them, each K against its own problem's parameters. It
-returns one entry per problem: its :class:`Spectrum`, or the
+all uncracked, as a sweep or the validation table has. Cracked ones are
+solved in lockstep, ``_BATCH`` at a time: each scan call evaluates the next
+block of every problem still scanning, and one :func:`refine_root` call
+bisects the brackets of all of them, each K against its own problem's
+parameters. It returns one entry per problem: its :class:`Spectrum`, or the
 :class:`NoRootsInRange` its own solve would raise.
 
 Everything is deterministic: the same problem and configuration produce
@@ -71,15 +70,18 @@ _BATCH = 16
 # its largest |X| at beta times these 64 cell midpoints, reads +0.0 throughout.
 _NOISE = 1e-8
 _AMPLITUDE_AT = (np.arange(64) + 0.5) / 64
+# Relative window of an uncracked double root (the closed form and mode_shape).
+_DOUBLE_ROOT = 1e-12
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs of the determinant scan.
+    """The K range and number of modes of a solve, and the cracked search's knobs.
 
-    ``k_max=None`` defaults to ten times the closed-form eigenvalue of the
-    uncracked problem at mode max(5, max_modes), which leaves ample room for
-    the roots a crack shifts.
+    ``grid_points`` and ``refine_tol`` tune only the scan and bisection; an
+    uncracked spectrum is its closed form. ``k_max=None`` defaults to ten
+    times the closed-form eigenvalue of the uncracked problem at mode
+    max(5, max_modes), which leaves ample room for the roots a crack shifts.
     """
 
     k_min: float = 1e-6
@@ -262,7 +264,7 @@ def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, count: int, kns=None) -
     beta = pi/sqrt(0.4) + 1e-4, eta = 0, alpha = beta/3, theta_c = 0.5 the
     fundamental rises), so the guides are an aid, not a bound. A pair with
     no uniform node between its guides (to rounding) gets their midpoint,
-    bisection's first: uncracked, the root, of sign 0, a zero-width bracket.
+    bisection's first, which resolves a close cracked pair there.
     ``kns``, a list if given, receives the K_n above k_min the loop computed.
 
     At K = 1 the constant term 1 - K of the characteristic quartic changes
@@ -341,33 +343,6 @@ def _count_below(problem: ArchProblem, K: float) -> int:
     return math.floor(math.sqrt(x1) * c) - math.floor(math.sqrt(max(1.0 - K, 0.0) / x1) * c)
 
 
-def _certified(problem, nodes, signs, lower, upper):
-    """An uncracked prefix's candidates, a double root twice, checked against N(K).
-
-    A node of sign 0 between two of one sign is a double root (F's factors
-    have simple zeros). Tie rule: N is read only at nodes of sign (-1)**N; a
-    node of sign 0 or the other sign lies on a root to rounding. The
-    candidates between the first and last such nodes number the difference.
-    """
-    s, lows, highs = signs.tolist(), lower.tolist(), upper.tolist()
-    twice = [s[a] == 0 and 0 < a < len(s) - 1 and s[a - 1] == s[a + 1] != 0 for a in lows]
-    if any(twice):
-        lower, upper = (np.repeat(v, np.add(twice, 1)) for v in (lower, upper))
-    refs = []  # the first and last nodes where N can be read, with N there
-    for order in (range(len(s)), range(len(s) - 1, -1, -1)):
-        for i in order:
-            n = _count_below(problem, float(nodes[i]))
-            if s[i] == (-1) ** n:
-                refs.append((i, n))
-                break
-    if refs:
-        (first, n_first), (last, n_last) = refs
-        found = sum(1 + t for a, b, t in zip(lows, highs, twice) if first <= a and b <= last)
-        if found != n_last - n_first:
-            raise RuntimeError(f"{found} roots where N(K) counts {n_last - n_first}: {problem}")
-    return lower, upper
-
-
 def scan_and_bracket(problems, cfg: SearchConfig) -> list:
     """Locate determinant sign changes of each problem over its K range.
 
@@ -377,10 +352,11 @@ def scan_and_bracket(problems, cfg: SearchConfig) -> list:
     ends at the upper guide of the (max_modes + 1)-th smallest K_n above
     k_min, one mode to spare for a crack's shift. A scan stops after the
     first block that leaves ``max_modes`` candidates, brackets and dips, in
-    hand, the brackets checked by :func:`_certified` if uncracked: the first
-    candidates of the whole grid, in order. Each problem keeps its own
-    ``cfg`` range, grid, blocks and early stop, so its entry is the one a
-    scan of it alone gives.
+    hand: the first candidates of the whole grid, in order. A node of sign 0
+    is one zero-width bracket, even at a double root. Each problem keeps its
+    own ``cfg`` range, grid, blocks and early stop, so its entry is the one
+    a scan of it alone gives. Only a cracked solve scans; an uncracked scan
+    checks the search against the known K_n.
 
     Returns one entry per problem: its :class:`ScanResult`, or a
     :class:`NoRootsInRange` when its scan yields no bracket, or a dip among
@@ -424,8 +400,6 @@ def scan_and_bracket(problems, cfg: SearchConfig) -> list:
             scanned[i] = signs, logs
             nodes = grids[i]
             lower, upper, dips = _candidates(nodes, signs, logs)
-            if problems[i].crack is None:
-                lower, upper = _certified(problems[i], nodes, signs, lower, upper)
             more = ends[i] < nodes.size
             if more and lower.size + dips.size < cfg.max_modes:
                 scanning.append(i)
@@ -435,9 +409,7 @@ def scan_and_bracket(problems, cfg: SearchConfig) -> list:
                     " an even number of roots may lie there unbracketed"
                 )
             elif not lower.size:
-                results[i] = NoRootsInRange(
-                    f"no determinant roots in K range [{cfgs[i].k_min}, {cfgs[i].k_max}]"
-                )
+                results[i] = _short(0, cfgs[i])
             else:
                 results[i] = ScanResult(
                     brackets=tuple(zip(nodes[lower].tolist(), nodes[upper].tolist())),
@@ -615,34 +587,32 @@ def _path(lo, hi, estimate, level, tol):
 
 
 def find_frequencies(problem, cfg: SearchConfig | None = None):
-    """First ``max_modes`` eigenvalues in ascending order.
+    """First ``max_modes`` eigenvalues in (k_min, k_max), in ascending order.
 
-    The K = 0 inextensional artifact is excluded by ``k_min``. The scan
-    stops once it holds ``max_modes`` candidates, and the first
-    ``max_modes`` brackets are refined in one batch, so the refinement
-    covers the returned roots only, and no null vector is computed
-    (:func:`mode_shape` does that for the one root it samples). Each bracket
-    is one root: the brackets sit in disjoint grid intervals, so two that
+    The K = 0 inextensional artifact is excluded by ``k_min``. An uncracked
+    spectrum is its closed form (:func:`_closed_form_spectrum`), with no
+    kernel call. A cracked scan stops once it holds ``max_modes``
+    candidates, and only the first ``max_modes`` brackets are refined; no
+    null vector is computed (:func:`mode_shape` does that). Each bracket is
+    one root: the brackets sit in disjoint grid intervals, so two that
     refine to nearly the same K are a near-double root split by a grid node,
-    and both are reported. Raises :class:`NoRootsInRange` when the range holds fewer than
-    ``max_modes`` brackets, or when a dip, where an even number of roots may
-    hide, is among the first ``max_modes`` candidates.
+    and both are reported. Raises :class:`NoRootsInRange` when the range
+    holds fewer than ``max_modes`` roots, or when a dip is among the first
+    ``max_modes`` candidates.
 
     ``problem`` is one :class:`ArchProblem`, giving its :class:`Spectrum`, or
     a sequence of problems, all cracked or all uncracked, giving one entry
     per problem, in order: its Spectrum, or the NoRootsInRange its own solve
-    would raise. The problems are solved in lockstep, ``_BATCH`` at a time:
-    one :func:`scan_and_bracket` and one :func:`refine_root` call for each
-    group, each problem with its own range, grid and early stop, so every
-    entry is bit-identical to the problem's solve alone. One problem is the
-    batch of one. Logs one debug line per call, which splits the kernel
-    calls into scan and bisection calls and gives the bisection levels those
-    calls advanced the brackets by, summed over the brackets.
+    would raise, bit for bit (cracked ones are searched in lockstep, as the
+    module docstring says). Logs one debug line per call: the problems, the
+    kernel calls split into scan and bisection calls, the K values, the
+    bisection levels summed over the brackets, the brackets refined (the
+    searched roots) and the short solves.
     """
     single = isinstance(problem, ArchProblem)
     problems = [problem] if single else list(problem)
     cfg = cfg if cfg is not None else SearchConfig()
-    _all_cracked(problems)
+    cracked = _all_cracked(problems)
     calls, scan_calls, values, levels = (
         _tally.calls, _tally.scan_calls, _tally.values, _tally.levels
     )
@@ -656,7 +626,7 @@ def find_frequencies(problem, cfg: SearchConfig | None = None):
             "%d K values, %d bisection levels, %d brackets refined, %d short",
             len(problems), calls, scans, calls - scans, _tally.values - values,
             _tally.levels - levels,
-            sum(len(e) for e in entries if isinstance(e, Spectrum)),
+            sum(len(e) for e in entries if cracked and isinstance(e, Spectrum)),
             sum(isinstance(e, NoRootsInRange) for e in entries),
         )
     if not single:
@@ -667,7 +637,9 @@ def find_frequencies(problem, cfg: SearchConfig | None = None):
 
 
 def _solve_group(problems: list[ArchProblem], cfg: SearchConfig) -> list:
-    """Spectra (or NoRootsInRange) of a few problems: one scan, one refinement."""
+    """Spectra (or NoRootsInRange) of a few problems: closed forms, or one scan and refinement."""
+    if problems[0].crack is None:
+        return [_closed_form_spectrum(p, cfg) for p in problems]
     scans = scan_and_bracket(problems, cfg)
     entries, brackets, values, owners = [], [], [], []
     for p, scan in zip(problems, scans):
@@ -676,12 +648,7 @@ def _solve_group(problems: list[ArchProblem], cfg: SearchConfig) -> list:
             continue
         found = scan.brackets[: cfg.max_modes]
         if len(found) < cfg.max_modes:
-            k_range = _resolved(p, cfg)
-            message = (
-                f"{len(found)} of {cfg.max_modes} requested roots in K range "
-                f"[{k_range.k_min}, {k_range.k_max}]"
-            )
-            entries.append(NoRootsInRange(message))
+            entries.append(_short(len(found), _resolved(p, cfg)))
             continue
         entries.append(None)
         brackets += found
@@ -696,6 +663,45 @@ def _solve_group(problems: list[ArchProblem], cfg: SearchConfig) -> list:
         else Spectrum(roots=tuple(Root(K=next(ks)) for _ in range(cfg.max_modes)))
         for e in entries
     ]
+
+
+def _closed_form_spectrum(problem: ArchProblem, cfg: SearchConfig):
+    """The uncracked spectrum: the closed-form K_n of the modes sin(n*pi*phi/beta).
+
+    The first ``max_modes`` K_n in (k_min, k_max), ascending, or the
+    :class:`NoRootsInRange` a scan of a short range gives. K_n falls as n
+    grows while lam = n*pi/beta <= 1 and rises after. Rising modes are tried
+    from N(k_min) (:func:`_count_below`) on, at most floor(beta/pi) + 2 below
+    the first above k_min, rounding included, to k_max or max_modes in range.
+    A K_n within ``_DOUBLE_ROOT`` of the one listed before it, a double root,
+    is listed as that value again.
+    """
+    k_range = _resolved(problem, cfg)
+    k_min, k_max = k_range.k_min, k_range.k_max
+    c = problem.beta / math.pi
+    falling = (kernel.uncracked_K_closed_form(n, problem.beta, problem.eta_nd)
+               for n in range(1, math.floor(c) + 1))
+    ks = [k for k in falling if k_min < k < k_max]
+    start = max(math.floor(c) + 1, _count_below(problem, k_min))
+    for n in range(start, start + math.floor(c) + cfg.max_modes + 3):
+        kn = kernel.uncracked_K_closed_form(n, problem.beta, problem.eta_nd)
+        if kn >= k_max:
+            break
+        if kn > k_min:
+            ks.append(kn)
+    ks = sorted(ks)[: cfg.max_modes]
+    for i in range(1, len(ks)):
+        if ks[i] - ks[i - 1] <= _DOUBLE_ROOT * ks[i]:
+            ks[i] = ks[i - 1]
+    if len(ks) < cfg.max_modes:
+        return _short(len(ks), k_range)
+    return Spectrum(roots=tuple(Root(K=k) for k in ks))
+
+
+def _short(found: int, cfg: SearchConfig) -> NoRootsInRange:
+    """The error of a resolved K range that holds ``found`` < max_modes roots."""
+    count = f"{found} of {cfg.max_modes} requested" if found else "no determinant"
+    return NoRootsInRange(f"{count} roots in K range [{cfg.k_min}, {cfg.k_max}]")
 
 
 def _polish(problem: ArchProblem, k: float) -> float:
@@ -755,7 +761,8 @@ def mode_shape(problem: ArchProblem, root: Root, samples: int = 201) -> np.ndarr
     if samples < 2:
         raise ValueError("samples must be at least 2")
     if problem.crack is None:
-        below, above = (_count_below(problem, root.K * f) for f in (1 - 1e-12, 1 + 1e-12))
+        window = (1.0 - _DOUBLE_ROOT, 1.0 + _DOUBLE_ROOT)
+        below, above = (_count_below(problem, root.K * f) for f in window)
         if above - below > 1:
             raise DoubleRoot(f"K = {root.K!r} is a double root: its mode shapes span a plane")
     k = _polish(problem, root.K)

@@ -39,12 +39,15 @@ def _report(number: int, label: str, ok: bool, detail: str = "") -> None:
 
 
 def test_criterion_1_closed_form_oracle_suite():
+    # An uncracked spectrum is the closed form itself, so the root search is
+    # checked on a crack of zero compliance, which has the same spectrum.
     start = time.perf_counter()
     worst = 0.0
     cfg = SearchConfig(max_modes=5)
     for beta in BETAS:
         for eta in ETAS:
-            spectrum = find_frequencies(make_problem(beta=beta, eta=eta), cfg)
+            problem = make_problem(beta=beta, eta=eta, alpha=0.4 * beta, theta=0.0)
+            spectrum = find_frequencies(problem, cfg)
             for n, root in enumerate(spectrum.roots, start=1):
                 expected = uncracked_K_closed_form(n, beta, eta)
                 worst = max(worst, rel_err(root.K, expected))

@@ -15,8 +15,10 @@ from arch_resonance import (
     DegenerateSegment,
     DoubleRoot,
     NoRootsInRange,
+    PowerLawCompliance,
     SearchConfig,
     boundary_determinant,
+    compliance,
     find_frequencies,
     mode_shape,
     quartic_roots,
@@ -32,6 +34,7 @@ from conftest import make_problem, rel_err
 
 K1_B1_E0 = 78.6698822318237
 K1_B1_E1 = 7.237603074490859
+DOUBLE_BETA = 4.967294132898051  # pi / sqrt(0.4): K_1 = K_2 = 0.36 at eta = 0
 
 
 def _coefficients(problem, root):
@@ -198,14 +201,67 @@ class TestFindFrequencies:
 
 class TestOracleEquivalence:
     def test_closed_form_grid(self):
-        # Subset here; the full acceptance grid lives in test_acceptance.
+        # Subset here; the full acceptance grid lives in test_acceptance. A
+        # crack of zero compliance has the uncracked spectrum and takes the
+        # root search, so the closed form checks the search.
         cfg = SearchConfig(max_modes=3)
         for beta in (0.5, 2.0):
             for eta in (0.0, 2.0):
-                spectrum = find_frequencies(make_problem(beta=beta, eta=eta), cfg)
+                problem = make_problem(beta=beta, eta=eta, alpha=0.4 * beta, theta=0.0)
+                spectrum = find_frequencies(problem, cfg)
                 for n, root in enumerate(spectrum.roots, start=1):
                     expected = uncracked_K_closed_form(n, beta, eta)
                     assert rel_err(root.K, expected) < 1e-8
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        betas=st.lists(
+            st.one_of(st.just(DOUBLE_BETA), st.floats(BETA_MIN, 2 * math.pi)),
+            min_size=1,
+            max_size=4,
+        ),
+        eta=st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+        log_k_min=st.floats(-8.0, 4.0),
+        log_span=st.one_of(st.none(), st.floats(0.01, 6.0)),
+        modes=st.integers(1, 12),
+    )
+    def test_uncracked_spectrum_is_the_enumerated_closed_form(
+        self, betas, eta, log_k_min, log_span, modes
+    ):
+        # Every K_n in (k_min, k_max), in ascending order, a double root
+        # (K_1 = K_2 at DOUBLE_BETA, eta = 0) as one value twice, single or
+        # batched, with no kernel call.
+        k_min = 10.0**log_k_min
+        k_max = None if log_span is None else k_min * 10.0**log_span
+        cfg = SearchConfig(k_min=k_min, k_max=k_max, max_modes=modes)
+        problems = [make_problem(beta=beta, eta=eta) for beta in betas]
+        expected = []
+        for problem in problems:
+            try:
+                k_range = solver._resolved(problem, cfg)
+            except ValueError:  # the default k_max lies below k_min
+                return
+            ks, n = [], 1
+            while True:
+                k = uncracked_K_closed_form(n, problem.beta, eta)
+                if n * math.pi / problem.beta > 1.0 and k >= k_range.k_max:
+                    break
+                ks.append(k)
+                n += 1
+            ks = sorted(k for k in ks if k_range.k_min < k < k_range.k_max)[:modes]
+            for i in range(1, len(ks)):
+                if rel_err(ks[i], ks[i - 1]) <= 1e-12:
+                    ks[i] = ks[i - 1]
+            expected.append(tuple(ks))
+        calls = solver._tally.calls
+        entries = find_frequencies(problems, cfg)
+        for problem, entry, ks in zip(problems, entries, expected):
+            if len(ks) < modes:
+                assert isinstance(entry, NoRootsInRange)
+                _assert_same_entry(entry, _alone(problem, cfg))
+            else:
+                assert entry.K_values == ks == find_frequencies(problem, cfg).K_values
+        assert solver._tally.calls == calls
 
 
 class TestModeShape:
@@ -567,7 +623,7 @@ class TestBatchedSearch:
         assert len(entries[2]) == 2
 
     def test_more_problems_than_one_group(self, monkeypatch):
-        # Five problems in groups of two: three lockstep scans.
+        # Five cracked problems in groups of two: three lockstep scans.
         monkeypatch.setattr(solver, "_BATCH", 2)
         scans, original = [], solver.scan_and_bracket
         monkeypatch.setattr(
@@ -576,7 +632,10 @@ class TestBatchedSearch:
             lambda problems, *args, **kwargs: scans.append(len(problems))
             or original(problems, *args, **kwargs),
         )
-        problems = [make_problem(beta=b, eta=0.5) for b in (0.5, 1.0, 1.5, 2.0, 2.5)]
+        problems = [
+            make_problem(beta=b, eta=0.5, alpha=0.4 * b, theta=0.8)
+            for b in (0.5, 1.0, 1.5, 2.0, 2.5)
+        ]
         cfg = SearchConfig(max_modes=3)
         entries = find_frequencies(problems, cfg)
         assert scans == [2, 2, 1]
@@ -608,24 +667,26 @@ class TestBatchedSearch:
         assert find_frequencies([]) == []
 
     def test_one_debug_line_per_call(self, caplog):
-        problems = [make_problem(beta=b) for b in (1.0, 2.0, 6.0)]
+        problems = [make_problem(beta=b, alpha=0.4 * b, theta=0.8) for b in (1.0, 2.0, 6.0)]
         with caplog.at_level(logging.DEBUG, logger="arch_resonance.solver"):
             find_frequencies(problems, SearchConfig(max_modes=2, k_max=10.0))
-            find_frequencies(make_problem(), SearchConfig(max_modes=1))
+            cracked = make_problem(eta=1.0, alpha=0.4, theta=0.8)
+            find_frequencies(cracked, SearchConfig(max_modes=1))
+            find_frequencies([make_problem(beta=b) for b in (1.0, 2.0)], SearchConfig(max_modes=2))
         lines = [r.getMessage() for r in caplog.records if r.name == "arch_resonance.solver"]
-        # beta = 6 stops after its first block of 256 (its third K_n, 2.15,
-        # which would end the block, lies past node 256); beta = 1 and 2 scan
+        # Below k_max = 10, beta = 1 has no root and beta = 2 one, so both scan
         # their whole grids of 2002 and 2005 nodes (8 blocks: 2000 uniform,
         # the guides at K = 1 and, for beta = 2, the guides and midpoint of
-        # K_1 = 2.15). beta = 6's two roots are the midpoints of their guide
-        # pairs, of sign 0, so no bisection call is made. The single solve
-        # scans 13 nodes, through the upper guide of K_2: k_min, the guides
-        # at K = 1, the three nodes of K_1 and of K_2, and four uniform ones.
+        # K_1 = 2.15); beta = 6 stops after its first block, and its two
+        # roots take two bisection calls. The uncracked batch is its closed
+        # form: no kernel call, and no bracket refined.
         assert lines == [
-            "find_frequencies: 3 problems, 8 kernel calls (8 scan, 0 bisection), "
-            "4263 K values, 0 bisection levels, 2 brackets refined, 2 short",
-            "find_frequencies: 1 problems, 1 kernel calls (1 scan, 0 bisection), "
-            "13 K values, 0 bisection levels, 1 brackets refined, 0 short",
+            "find_frequencies: 3 problems, 10 kernel calls (8 scan, 2 bisection), "
+            "4344 K values, 52 bisection levels, 2 brackets refined, 2 short",
+            "find_frequencies: 1 problems, 4 kernel calls (1 scan, 3 bisection), "
+            "105 K values, 31 bisection levels, 1 brackets refined, 0 short",
+            "find_frequencies: 2 problems, 0 kernel calls (0 scan, 0 bisection), "
+            "0 K values, 0 bisection levels, 0 brackets refined, 0 short",
         ]
 
 
@@ -657,7 +718,9 @@ def _dip(monkeypatch, problem):
     return k, hits
 
 
-_DIP_PROBLEMS = [make_problem(), make_problem(eta=1.0, alpha=0.4, theta=0.8)]
+# The dip guards the search, which only cracked arches take; a crack of zero
+# compliance has the uncracked spectrum.
+_DIP_PROBLEMS = [make_problem(alpha=0.4, theta=0.0), make_problem(eta=1.0, alpha=0.4, theta=0.8)]
 
 
 class TestDip:
@@ -668,14 +731,14 @@ class TestDip:
     its K.
     """
 
-    @pytest.mark.parametrize("problem", _DIP_PROBLEMS, ids=["uncracked", "cracked"])
+    @pytest.mark.parametrize("problem", _DIP_PROBLEMS, ids=["zero-compliance", "cracked"])
     def test_dip_fails_the_solve(self, problem, monkeypatch):
         k, _ = _dip(monkeypatch, problem)
         with pytest.raises(NoRootsInRange) as raised:
             find_frequencies(problem, SearchConfig(max_modes=2))
         assert repr(k) in str(raised.value)
 
-    @pytest.mark.parametrize("problem", _DIP_PROBLEMS, ids=["uncracked", "cracked"])
+    @pytest.mark.parametrize("problem", _DIP_PROBLEMS, ids=["zero-compliance", "cracked"])
     def test_dip_above_the_requested_modes_is_ignored(self, problem, monkeypatch):
         # The scan of one mode evaluates the dip, its second candidate, and
         # ignores it; asking for two modes then fails.
@@ -687,7 +750,7 @@ class TestDip:
             find_frequencies(problem, SearchConfig(max_modes=2))
 
     def test_only_the_dipping_problem_of_a_batch_fails(self, monkeypatch):
-        problems = [make_problem(beta=b) for b in (0.8, 1.0, 1.5)]
+        problems = [make_problem(beta=b, alpha=0.4 * b, theta=0.8) for b in (0.8, 1.0, 1.5)]
         cfg = SearchConfig(max_modes=2)
         alone = [find_frequencies(p, cfg) for p in problems]
         k, _ = _dip(monkeypatch, problems[1])
@@ -697,19 +760,29 @@ class TestDip:
         _assert_same_entry(entries[2], alone[2])
 
     def test_freq_exits_one_with_one_line(self, monkeypatch, capsys):
-        k, _ = _dip(monkeypatch, make_problem())
-        assert main(["freq", "--beta", "1", "--eta", "0", "--modes", "2"]) == 1
+        # The CLI's problem: a crack of depth 0.3 at beta / 2, no geometry factor.
+        theta = compliance(PowerLawCompliance(), 0.3)
+        k, _ = _dip(monkeypatch, make_problem(alpha=0.5, theta=theta))
+        argv = ["freq", "--beta", "1", "--eta", "0", "--crack-psi", "0.3", "--modes", "2"]
+        assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("error:") and repr(k) in captured.err
 
     def test_sweep_point_reads_no_root(self, monkeypatch, capsys):
+        from arch_resonance import ChiralityClass, resolve_preset
+        from arch_resonance.cli import load_presets
+
         argv = ["sweep", "--param", "beta", "--from", "1", "--to", "2", "--steps", "2",
-                "--eta", "0", "--chirality", "armchair", "--modes", "2"]
+                "--eta", "0", "--chirality", "armchair", "--modes", "2",
+                "--crack-psi", "0.3", "--crack-alpha", "0.4"]
         assert main(argv) == 0
         before = capsys.readouterr().out.splitlines()
-        _dip(monkeypatch, make_problem())
+        # The sweep's compliance carries the tube's geometry factor h / R.
+        tube = resolve_preset(ChiralityClass.ARMCHAIR, load_presets())
+        theta = compliance(PowerLawCompliance(), 0.3, (tube.wall_thickness, tube.radius))
+        _dip(monkeypatch, make_problem(alpha=0.4, theta=theta))
         assert main(argv) == 0
         after = capsys.readouterr().out.splitlines()
         assert after[1].startswith("armchair,1,0,") and after[1].endswith(",2,,,,no-root")
@@ -734,15 +807,12 @@ class TestEarlyExitScan:
     @given(
         beta=st.floats(0.3, 6.0),
         eta=st.sampled_from([0.0, 0.5, 1.0, 4.0]),
-        crack=st.one_of(st.none(), st.tuples(st.floats(0.05, 0.95), st.floats(0.0, 3.0))),
+        crack=st.tuples(st.floats(0.05, 0.95), st.floats(0.0, 3.0)),
         modes=st.integers(1, 8),
     )
     def test_matches_whole_grid(self, block, beta, eta, crack, modes):
-        problem = ArchProblem(
-            beta=beta,
-            eta_nd=eta,
-            crack=None if crack is None else CrackJoint(alpha=crack[0] * beta, theta_c=crack[1]),
-        )
+        # Cracked problems only: an uncracked solve is the closed form, no scan.
+        problem = ArchProblem(beta, eta, CrackJoint(alpha=crack[0] * beta, theta_c=crack[1]))
         cfg = SearchConfig(max_modes=modes)
         with mock.patch.object(solver, "_BLOCK", block):
             expected = _whole_grid_spectrum(problem, cfg)
@@ -1070,17 +1140,12 @@ class TestKernelCallsPerSolve:
             tubes={armchair: resolve_preset(armchair, load_presets())},
         )
         run_sweep(spec)
-        # Both points in lockstep: one call with the first scan block of
-        # each, which ends at the upper guide of its K_2 (38 and 33 nodes:
-        # the uniform nodes below K_2, the guides at K = 1, and the guides
-        # and midpoint of K_1 and of K_2). Each root is its K_1 midpoint, of
-        # sign 0, so no bisection call is made.
-        assert calls == [71]
+        # Both points are uncracked, so each is its closed-form K_1.
+        assert calls == []
 
-    def test_figure_points_take_one_call(self, monkeypatch):
-        # Every point of the fig3-5 grids (all uncracked), solved alone, is one
-        # kernel call: a first scan block through the upper guide of K_2, at
-        # most 64 K values, whose K_1 midpoint is the root.
+    def test_figure_points_take_no_kernel_call(self, monkeypatch):
+        # Every point of the fig3-5 grids (all uncracked), solved alone, is
+        # its closed form: no kernel call.
         batches, original = [], solver.find_frequencies
         monkeypatch.setattr(
             solver,
@@ -1091,25 +1156,26 @@ class TestKernelCallsPerSolve:
             with mock.patch("sys.stdout"):
                 assert main(["sweep", "--param", param]) == 0
         assert sum(len(problems) for problems, _ in batches) == 3 * (59 + 41 + 41)
-        tally = solver._tally
+        calls = self._count(monkeypatch)
         for problems, cfg in batches:
             for problem in problems:
-                calls, scans, values = tally.calls, tally.scan_calls, tally.values
                 original(problem, cfg)
-                assert (tally.calls - calls, tally.scan_calls - scans) == (1, 1)
-                assert tally.values - values <= 64
+        assert calls == []
 
     def test_first_block_sized_to_the_requested_modes(self, monkeypatch):
+        # The first-block rule serves cracked solves and direct scans of
+        # either kind; an uncracked scan shows it against known K_n.
         calls = self._count(monkeypatch)
         # beta = 2 pi, eta = 4: the fundamental, K_3 = 0.15625 (lam = 1.5),
         # lies near node 100 of the whole grid, K_1 = 0.28125 (lam = 0.5) is
         # the second mode, and K_2 = 0 lies below k_min.
         problem = make_problem(beta=2 * math.pi, eta=4.0)
-        spectrum = find_frequencies(problem, SearchConfig(max_modes=1))
+        scan = _scan(problem, SearchConfig(max_modes=1))
         assert calls == [60]
-        assert spectrum.K_values == (uncracked_K_closed_form(3, 2 * math.pi, 4.0),)
+        k3 = uncracked_K_closed_form(3, 2 * math.pi, 4.0)
+        assert scan.brackets[0] == (k3, k3)
         calls.clear()
-        find_frequencies(make_problem(eta=1.0), SearchConfig(max_modes=5))
+        _scan(make_problem(eta=1.0), SearchConfig(max_modes=5))
         assert calls == [256]
 
 
@@ -1122,9 +1188,6 @@ def _closed_form_count(beta, eta, K):
             return count
         count += k_n < K
         n += 1
-
-
-DOUBLE_BETA = 4.967294132898051  # pi / sqrt(0.4): K_1 = K_2 = 0.36 at eta = 0
 
 
 class TestExactCount:
@@ -1141,15 +1204,16 @@ class TestExactCount:
             assert sign in (0, (-1) ** n)
 
     def test_double_root_twice(self):
-        # The guide midpoint at 0.36, of sign 0 between two guides of one
-        # sign, is listed twice and counts twice in the early stop: each
-        # solve is one scan call, and K = 0.36 is modes 1 and 2.
+        # K_1 = K_2 = 0.36 (to rounding) is modes 1 and 2, listed as one
+        # float twice, from the closed form with no kernel call.
         problem = make_problem(beta=DOUBLE_BETA)
-        for modes, expected in ((1, 1), (2, 2), (3, 2)):
+        for modes in (1, 2, 3):
             before = solver._tally.calls
             spectrum = find_frequencies(problem, SearchConfig(max_modes=modes))
-            assert solver._tally.calls - before == 1
-            assert [rel_err(k, 0.36) < 1e-12 for k in spectrum.K_values].count(True) == expected
+            assert solver._tally.calls == before
+            assert len(spectrum) == modes
+            assert rel_err(spectrum.K_values[0], 0.36) < 1e-12
+            assert spectrum.K_values[:2] == (spectrum.K_values[0],) * min(modes, 2)
         assert rel_err(spectrum.K_values[2], 6.76) < 1e-12
 
     def test_double_root_freq_and_modeshape(self, capsys):
@@ -1168,34 +1232,6 @@ class TestExactCount:
         with pytest.raises(DoubleRoot):
             mode_shape(make_problem(beta=DOUBLE_BETA), root)
 
-    def test_tie_rule_at_a_node_on_a_root(self):
-        # A prefix that ends on K_1's midpoint, of sign 0, reads the count at
-        # the guide below it; one that ends at the upper guide counts K_1.
-        problem = make_problem()
-        cfg = solver._resolved(problem, SearchConfig())
-        grid = solver._grid_nodes(problem, cfg, 64)
-        k1 = uncracked_K_closed_form(1, 1.0, 0.0)
-        at = int(np.flatnonzero(grid == k1)[0])
-        for end in (at + 1, at + 2):
-            nodes = grid[:end]
-            signs, logs = boundary_determinant(problem, nodes)
-            lower, upper, _ = solver._candidates(nodes, signs, logs)
-            assert lower.tolist() == upper.tolist() == [at]
-            assert [v.tolist() for v in solver._certified(problem, nodes, signs, lower, upper)] == [
-                [at], [at]
-            ]
-        with pytest.raises(RuntimeError, match=r"0 roots where N\(K\) counts 1"):
-            solver._certified(problem, nodes, signs, lower[:0], upper[:0])
-
-    def test_mismatch_fails_loudly(self, monkeypatch):
-        original = solver._count_below
-        monkeypatch.setattr(
-            solver, "_count_below", lambda problem, K: original(problem, K) + 2 * (K > 50.0)
-        )
-        # The first block holds K_1 and K_2, above 50, where the count reads 2 more.
-        with pytest.raises(RuntimeError, match=r"2 roots where N\(K\) counts 4"):
-            find_frequencies(make_problem(), SearchConfig(max_modes=1))
-
     def test_uniform_node_inside_a_guide_pair(self):
         # With 16 grid points and this k_max, uniform node 1 lies between the
         # guides of K_1, so their midpoint is not a node: the scan's bracket is
@@ -1211,5 +1247,5 @@ class TestExactCount:
         scan = _scan(problem, cfg)
         assert scan.brackets == ((lo, inside[0]),)
         expected = _sequential_bisection(scan.brackets, problem, cfg).tolist()
-        assert find_frequencies(problem, cfg).K_values == tuple(expected)
+        assert refine_root(scan.brackets, problem, cfg, scan.end_values).tolist() == expected
         assert rel_err(expected[0], k1) < 1e-10
