@@ -26,12 +26,11 @@ _EXPORTS = {
     ),
     "kernel": (
         "ModeBasis", "assemble_cracked", "det_sign_logmag", "null_vector", "quartic_roots",
-        "uncracked_K_closed_form",
     ),
     "model": (
         "ArchProblem", "ChiralityClass", "ChiralitySpec", "CrackJoint", "CrackSpec",
         "PhysicalTube", "classify_chirality", "nondimensionalize", "omega_from_K", "omega_nd",
-        "resolve_preset", "tube_diameter",
+        "resolve_preset", "tube_diameter", "uncracked_K_closed_form",
     ),
     "solver": (
         "Root", "ScanResult", "SearchConfig", "Spectrum", "boundary_determinant",

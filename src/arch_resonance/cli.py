@@ -7,12 +7,13 @@ from flags or from a sectioned config file; flags win. Dimensioned inputs are
 accepted in nm / TPa at this boundary and converted to SI internally.
 
 Exit codes: 0 success; 1 runtime failure, which is fewer roots in the search
-range than modes requested or a determinant dip among them, a mode shape of
-a double root, or unwritable output; 2 usage error, which is any bad flag, a
-missing or malformed config or presets file, or a bad config or preset value
-met while resolving them into a problem or a sweep, reported in one line on
-standard error. The environment variable ``ARCH_RESONANCE_LOG`` (error,
-warn, info, debug) controls diagnostics on standard error.
+range than modes requested, a determinant dip among them or a range beyond
+double precision, a mode shape of a double root, or unwritable output; 2
+usage error, which is any bad flag, a missing or malformed config or presets
+file, or a bad config or preset value met while resolving them into a
+problem or a sweep, reported in one line on standard error. The environment
+variable ``ARCH_RESONANCE_LOG`` (error, warn, info, debug) controls
+diagnostics on standard error.
 """
 
 from __future__ import annotations

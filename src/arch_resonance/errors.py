@@ -30,7 +30,7 @@ class DegenerateSegment(ValueError):
 
 
 class NoRootsInRange(RuntimeError):
-    """The scan bracketed fewer roots than requested, or met a dip among them."""
+    """Fewer roots than requested, a dip among them, or a K range beyond double precision."""
 
 
 class DoubleRoot(RuntimeError):

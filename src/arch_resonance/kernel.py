@@ -70,7 +70,9 @@ the X''' and slope-jump rows into a 2x2 whose determinant over mu1 - mu2 is
 uncracked, F = S1*S2. :func:`det_sign_logmag` evaluates F with no matrix. Its
 sign is that of the determinant of the matching matrix, so both change sign
 at the same K. A mode shape's coefficients are the null vector of the
-matching matrix at its root (:func:`null_vector`).
+matching matrix at its root (:func:`null_vector`). The uncracked K_n need
+none of this: their closed form, :func:`model.uncracked_K_closed_form`,
+lives in numpy-free ``model`` and is re-exported here.
 """
 
 from __future__ import annotations
@@ -81,6 +83,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SEGMENT_TOL, DegenerateSegment
+from .model import uncracked_K_closed_form  # noqa: F401 (re-exported)
 
 # Degeneracy window for branch switching (see _lam2_roots).
 DEGENERACY_TOL = 1e-10
@@ -227,22 +230,6 @@ def _repeated_pair(mu, phi, e, o) -> tuple:
         series = series + k * mupow * phi * p2_**k / fact
     h = np.where(np.abs(mu) * phi * phi < 0.01, series, (phi * e - o) / (2.0 * mu))
     return g, h
-
-
-def uncracked_K_closed_form(n: int, beta: float, eta_nd: float) -> float:
-    """Exact eigenvalue of the simply supported uncracked arch for mode n.
-
-    Substituting X = sin(n*pi*phi/beta) gives
-    K_n = (lam^2 - 1)^2 / (1 + eta*lam^2) with lam = n*pi/beta.
-    """
-    if n < 1:
-        raise ValueError("mode index must be >= 1")
-    if beta <= 0:
-        raise ValueError("central angle must be positive")
-    if eta_nd < 0:
-        raise ValueError("nonlocal parameter must be nonnegative")
-    lam2 = (n * math.pi / beta) ** 2
-    return (lam2 - 1.0) ** 2 / (1.0 + eta_nd * lam2)
 
 
 def assemble_cracked(

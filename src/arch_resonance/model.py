@@ -3,7 +3,8 @@
 Chirality indices, tube geometry and material presets live here, together
 with the reduction of a dimensional tube description to the dimensionless
 :class:`ArchProblem` the solver consumes, and the reverse conversion from the
-dimensionless eigenvalue K back to an angular frequency. Internal units are
+dimensionless eigenvalue K back to an angular frequency, and the uncracked
+arch's closed-form eigenvalues; none of it imports numpy. Internal units are
 SI; the few helpers that speak nanometers say so explicitly.
 """
 
@@ -254,6 +255,22 @@ def nondimensionalize(
         theta = crack_models.compliance(crack.compliance_model, crack.depth_ratio, geometry)
         joint = CrackJoint(alpha=crack.position_angle, theta_c=theta)
     return ArchProblem(beta=beta, eta_nd=eta_nd, crack=joint)
+
+
+def uncracked_K_closed_form(n: int, beta: float, eta_nd: float) -> float:
+    """Exact eigenvalue of the simply supported uncracked arch for mode n.
+
+    Substituting X = sin(n*pi*phi/beta) gives
+    K_n = (lam^2 - 1)^2 / (1 + eta*lam^2) with lam = n*pi/beta.
+    """
+    if n < 1:
+        raise ValueError("mode index must be >= 1")
+    if beta <= 0:
+        raise ValueError("central angle must be positive")
+    if eta_nd < 0:
+        raise ValueError("nonlocal parameter must be nonnegative")
+    lam2 = (n * math.pi / beta) ** 2
+    return (lam2 - 1.0) ** 2 / (1.0 + eta_nd * lam2)
 
 
 def omega_from_K(K: float, tube: PhysicalTube) -> float:

@@ -1,7 +1,7 @@
 """Frequency spectrum search as determinant root finding over K.
 
 An uncracked arch's spectrum is its closed form, the K_n of the modes
-sin(n*pi*phi/beta) (:func:`kernel.uncracked_K_closed_form`), listed with no
+sin(n*pi*phi/beta) (:func:`model.uncracked_K_closed_form`), listed with no
 kernel call. A cracked arch's boundary determinant, the reduced
 characteristic function in closed form (:func:`kernel.det_sign_logmag`, no
 matrix), is scanned on a K grid of uniform nodes and guides around K = 1 and
@@ -32,6 +32,10 @@ bit-identical spectra, whatever the block size, the estimates that set how
 far each bisection call goes, or the other problems of a batch, because
 bisection keeps its own midpoints and the kernel evaluates each K of a stack
 independently.
+
+An uncracked solve imports neither numpy nor :mod:`kernel`: each function
+that works on arrays or calls the kernel imports them itself, so they load
+with the first cracked search or mode shape.
 """
 
 from __future__ import annotations
@@ -41,12 +45,16 @@ import logging
 import math
 import threading
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import kernel
+from . import model
 from .errors import DoubleRoot, NoRootsInRange
 from .model import ArchProblem, CrackJoint
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from . import kernel
 
 logger = logging.getLogger(__name__)
 
@@ -67,9 +75,8 @@ _BLOCK = 256
 # one's.
 _BATCH = 16
 # A mode shape whose largest sample is at or below _NOISE times its amplitude,
-# its largest |X| at beta times these 64 cell midpoints, reads +0.0 throughout.
+# its largest |X| at 64 cell midpoints of [0, beta], reads +0.0 throughout.
 _NOISE = 1e-8
-_AMPLITUDE_AT = (np.arange(64) + 0.5) / 64
 # Relative window of an uncracked double root (the closed form and mode_shape).
 _DOUBLE_ROOT = 1e-12
 
@@ -165,6 +172,7 @@ def boundary_matrix(problem: ArchProblem, K: float) -> np.ndarray:
 
 def _matching(problem: ArchProblem, K: float) -> tuple[kernel.ModeBasis, np.ndarray]:
     """The mode basis at K and the matching matrix of :func:`boundary_matrix` built from it."""
+    from . import kernel
     crack = _matching_crack(problem)
     basis = kernel.quartic_roots(K, problem.eta_nd)
     return basis, kernel.assemble_cracked(basis, problem.beta, crack.alpha, crack.theta_c)
@@ -185,6 +193,7 @@ class _Stack:
 
     @classmethod
     def of(cls, problems) -> _Stack:
+        import numpy as np
         eta_nd = np.array([p.eta_nd for p in problems])
         beta = np.array([p.beta for p in problems])
         if not _all_cracked(problems):
@@ -235,6 +244,8 @@ def boundary_determinant(problem, K):
     :class:`ArchProblem`, or the solver's :class:`_Stack` of several problems'
     parameters, broadcast against K.
     """
+    import numpy as np
+    from . import kernel
     _tally.calls += 1
     _tally.values += K.size if isinstance(K, np.ndarray) else 1
     if isinstance(problem, _Stack):
@@ -250,7 +261,7 @@ def boundary_determinant(problem, K):
 def _resolved(problem: ArchProblem, cfg: SearchConfig) -> SearchConfig:
     if cfg.k_max is None:
         n = max(5, cfg.max_modes)
-        estimate = kernel.uncracked_K_closed_form(n, problem.beta, problem.eta_nd)
+        estimate = model.uncracked_K_closed_form(n, problem.beta, problem.eta_nd)
         cfg = replace(cfg, k_max=10.0 * max(estimate, 1.0e-3))
     return cfg
 
@@ -283,6 +294,7 @@ def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, count: int, kns=None) -
     and K_n grows with n once lam > 1, so the guides stop there. The scan
     builds its grids a block at a time this way.
     """
+    import numpy as np
     k_min, k_max, points = cfg.k_min, cfg.k_max, cfg.grid_points
     size = min(count + 1, points)
     uniform = k_min + (k_max - k_min) * np.arange(size) / (points - 1)
@@ -291,7 +303,7 @@ def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, count: int, kns=None) -
     step = (k_max - k_min) / (points - 1)
     n = 1
     while n <= 10000:
-        kn = kernel.uncracked_K_closed_form(n, problem.beta, problem.eta_nd)
+        kn = model.uncracked_K_closed_form(n, problem.beta, problem.eta_nd)
         lam = n * math.pi / problem.beta
         if lam > 1.0 and (kn > k_max or kn * (1.0 - _GUIDE_OFFSET) >= bound):
             break
@@ -319,6 +331,7 @@ def _candidates(nodes, signs, logs):
     sign change needs its upper node and a dip its right-hand neighbour, so
     every candidate of a prefix of the grid is also one of the whole grid.
     """
+    import numpy as np
     zero = signs == 0
     change = np.append(signs[:-1] * signs[1:] < 0, False)
     lower = np.flatnonzero(zero | change)
@@ -363,6 +376,7 @@ def scan_and_bracket(problems, cfg: SearchConfig) -> list:
     its first ``max_modes`` candidates (named by its K); a dip above those
     is ignored.
     """
+    import numpy as np
     stack = _Stack.of(problems) if len(problems) > 1 else None
     cfgs = [_resolved(p, cfg) for p in problems]
     grids = [None] * len(problems)
@@ -455,6 +469,7 @@ def refine_root(brackets, problem, cfg: SearchConfig, end_values) -> np.ndarray:
     sequence of problems are stacked (:class:`_Stack`) for the first kernel
     call, so brackets that all end without one build no stack.
     """
+    import numpy as np
     lows, highs = np.array(brackets, dtype=float).reshape(-1, 2).T.tolist()
     if len(end_values) != len(lows):
         raise ValueError("give one pair of end values per bracket")
@@ -672,23 +687,33 @@ def _closed_form_spectrum(problem: ArchProblem, cfg: SearchConfig):
     :class:`NoRootsInRange` a scan of a short range gives. K_n falls as n
     grows while lam = n*pi/beta <= 1 and rises after. Rising modes are tried
     from N(k_min) (:func:`_count_below`) on, at most floor(beta/pi) + 2 below
-    the first above k_min, rounding included, to k_max or max_modes in range.
-    A K_n within ``_DOUBLE_ROOT`` of the one listed before it, a double root,
-    is listed as that value again.
+    the first above k_min, rounding included, to max_modes in range or one
+    past the first at or above k_max. Where N or a K_n overflows or two rising
+    K_n are one float, the range is beyond double precision. A K_n within
+    ``_DOUBLE_ROOT`` of the one listed before it, a double root, is listed as
+    that value again.
     """
     k_range = _resolved(problem, cfg)
     k_min, k_max = k_range.k_min, k_range.k_max
     c = problem.beta / math.pi
-    falling = (kernel.uncracked_K_closed_form(n, problem.beta, problem.eta_nd)
+    falling = (model.uncracked_K_closed_form(n, problem.beta, problem.eta_nd)
                for n in range(1, math.floor(c) + 1))
     ks = [k for k in falling if k_min < k < k_max]
-    start = max(math.floor(c) + 1, _count_below(problem, k_min))
-    for n in range(start, start + math.floor(c) + cfg.max_modes + 3):
-        kn = kernel.uncracked_K_closed_form(n, problem.beta, problem.eta_nd)
-        if kn >= k_max:
-            break
-        if kn > k_min:
-            ks.append(kn)
+    rising = [-1.0]  # the K_n tried, after a value below them all
+    try:
+        start = max(math.floor(c) + 1, _count_below(problem, k_min))
+        for n in range(start, start + math.floor(c) + cfg.max_modes + 3):
+            rising.append(model.uncracked_K_closed_form(n, problem.beta, problem.eta_nd))
+            if rising[-2] >= k_max:
+                break
+        resolved = all(a < b for a, b in zip(rising, rising[1:]))
+    except OverflowError:  # N(k_min) or a K_n beyond the largest float
+        resolved = False
+    if not resolved:
+        return NoRootsInRange(
+            f"K range [{k_min}, {k_max}] is beyond what double precision resolves"
+        )
+    ks += [k for k in rising if k_min < k < k_max]
     ks = sorted(ks)[: cfg.max_modes]
     for i in range(1, len(ks)):
         if ks[i] - ks[i - 1] <= _DOUBLE_ROOT * ks[i]:
@@ -715,6 +740,7 @@ def _polish(problem: ArchProblem, k: float) -> float:
     whole ladder is evaluated in one kernel call). Falls back to the stored
     value, with one debug log line, when no sign change is found nearby.
     """
+    import numpy as np
     deltas = np.array([1e-10, 1e-9, 1e-8, 1e-7, 1e-6]) * max(1.0, k)
     lows, highs = k - deltas, k + deltas
     ladder = lows > 0
@@ -758,6 +784,8 @@ def mode_shape(problem: ArchProblem, root: Root, samples: int = 201) -> np.ndarr
     K(1 -+ 1e-12), raises :class:`DoubleRoot`; a cracked double root is not
     detected, and its shape is one of a plane of them.
     """
+    import numpy as np
+    from . import kernel
     if samples < 2:
         raise ValueError("samples must be at least 2")
     if problem.crack is None:
@@ -770,7 +798,8 @@ def mode_shape(problem: ArchProblem, root: Root, samples: int = 201) -> np.ndarr
     vec = kernel.null_vector(matrix)
 
     phis = problem.beta * np.arange(samples) / (samples - 1)
-    at = np.concatenate([phis, problem.beta * _AMPLITUDE_AT])  # the samples, then the cells
+    cells = (np.arange(64) + 0.5) / 64
+    at = np.concatenate([phis, problem.beta * cells])  # the samples, then the cells
     alpha = _matching_crack(problem).alpha
     left = at < alpha
     x, ref = (np.where(left, v, problem.beta - v) for v in (at, alpha))

@@ -14,9 +14,10 @@ from pathlib import Path
 import pytest
 
 import arch_resonance
-from arch_resonance import errors, kernel
+from arch_resonance import errors, kernel, model
 
 SRC = Path(arch_resonance.__file__).resolve().parents[1]
+GOLDEN = Path(__file__).parent / "golden"
 MARKER = "--- sys.modules ---"
 
 # The package's exports, by defining submodule; the submodule names are exported too.
@@ -31,12 +32,11 @@ EXPORTS = {
     ),
     "kernel": (
         "ModeBasis", "assemble_cracked", "det_sign_logmag", "null_vector", "quartic_roots",
-        "uncracked_K_closed_form",
     ),
     "model": (
         "ArchProblem", "ChiralityClass", "ChiralitySpec", "CrackJoint", "CrackSpec",
         "PhysicalTube", "classify_chirality", "nondimensionalize", "omega_from_K", "omega_nd",
-        "resolve_preset", "tube_diameter",
+        "resolve_preset", "tube_diameter", "uncracked_K_closed_form",
     ),
     "solver": (
         "Root", "ScanResult", "SearchConfig", "Spectrum", "boundary_determinant",
@@ -99,9 +99,50 @@ class TestImportGraph:
             "from arch_resonance.cli import main\n"
             "assert main(['freq', '--beta', '1', '--eta', '1']) == 0"
         )
-        assert {"numpy", "arch_resonance.solver", "arch_resonance.kernel"} <= loaded
-        unused = {"arch_resonance.sweep", "arch_resonance.crack", "json", "configparser"}
+        assert "arch_resonance.solver" in loaded
+        unused = {"numpy", "arch_resonance.kernel", "arch_resonance.sweep", "arch_resonance.crack",
+                  "json", "configparser"}
         assert not loaded & unused
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["freq", "--beta", "1", "--eta", "1", "--format", "json"],
+            ["sweep", "--param", "beta", "--steps", "3", "--chirality", "all"],
+            ["validate"],
+        ],
+        ids=["freq-json", "sweep", "validate"],
+    )
+    def test_uncracked_requests_skip_numpy(self, loaded_by, argv):
+        loaded = loaded_by(f"from arch_resonance.cli import main\nassert main({argv!r}) == 0")
+        assert "arch_resonance.solver" in loaded
+        assert not loaded & {"numpy", "arch_resonance.kernel"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["freq", "--beta", "1", "--eta", "1", "--crack-psi", "0.3"],
+            ["modeshape", "--beta", "1", "--eta", "1", "--samples", "5"],
+        ],
+        ids=["cracked-freq", "uncracked-modeshape"],
+    )
+    def test_searches_and_shapes_load_numpy(self, loaded_by, argv):
+        loaded = loaded_by(f"from arch_resonance.cli import main\nassert main({argv!r}) == 0")
+        assert {"numpy", "arch_resonance.kernel"} <= loaded
+
+    def test_closed_form_export_skips_numpy(self, loaded_by):
+        loaded = loaded_by(
+            "from arch_resonance import uncracked_K_closed_form\n"
+            "assert uncracked_K_closed_form(1, 1.0, 1.0) > 0"
+        )
+        assert not loaded & {"numpy", "arch_resonance.kernel"}
+
+    def test_fresh_figure_sweep_writes_the_golden_without_numpy(self, loaded_by, tmp_path):
+        out = tmp_path / "fig3.csv"
+        argv = ["sweep", "--param", "beta", "--out", str(out)]
+        loaded = loaded_by(f"from arch_resonance.cli import main\nassert main({argv!r}) == 0")
+        assert "numpy" not in loaded
+        assert out.read_bytes() == (GOLDEN / "fig3.csv").read_bytes()
 
 
 class TestSurface:
@@ -136,3 +177,6 @@ class TestSurface:
 
     def test_segment_tol_is_shared(self):
         assert kernel.SEGMENT_TOL is errors.SEGMENT_TOL
+
+    def test_closed_form_is_defined_once(self):
+        assert kernel.uncracked_K_closed_form is model.uncracked_K_closed_form

@@ -495,6 +495,28 @@ class TestSpectrumLength:
         assert main(["freq", "--eta", "0", "--modes", "2", "--config", str(cfg)]) == 1
         assert "1 of 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k_min", ["1e300", "1e200"])
+    @pytest.mark.parametrize("eta", ["4", "0"])
+    def test_cli_range_beyond_double_precision_exits_one(self, eta, k_min, capsys, tmp_path):
+        # At eta = 4, N(k_min) or K_n overflows; at eta = 0 the K_n there
+        # are finite but adjacent ones are one float. Neither range is empty.
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(f"[search]\nk-min = {k_min}\nk-max = 1e301\n")
+        assert main(["freq", "--beta", "1", "--eta", eta, "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: K range [{float(k_min)!r}, 1e+301] is beyond what double precision resolves\n"
+        )
+
+    @pytest.mark.parametrize("eta, k_min", [(0.0, 1e300), (4.0, 1e70)])
+    def test_range_one_float_wide_is_not_empty(self, eta, k_min):
+        # N(k_min) and the K_n are finite, and the range lies below the first
+        # K_n tried, but adjacent K_n there are one float: it holds roots.
+        cfg = SearchConfig(k_min=k_min, k_max=math.nextafter(k_min, math.inf))
+        with pytest.raises(NoRootsInRange, match="beyond what double precision resolves"):
+            find_frequencies(make_problem(eta=eta), cfg)
+
 
 class TestRefineOnlyReturned:
     def _record(self, monkeypatch, module, name):
