@@ -17,8 +17,8 @@ Stacks
 trial K or an array of N of them, giving N signs and log-magnitudes of the
 reduced characteristic function; a scalar K is the N = 1 case of the same
 code. The matching path (:func:`quartic_roots`, :class:`ModeBasis` and
-:func:`assemble_cracked`) samples one mode shape at its polished root and
-takes one K. A :func:`det_sign_logmag` call costs mostly a fixed part: 1 and
+:func:`assemble_cracked`) samples one mode shape at its root and takes one
+K. A :func:`det_sign_logmag` call costs mostly a fixed part: 1 and
 256 K values of a cracked problem take about 32 and 58 us in a tight loop
 (48 us for 256 values all above K = 1; numpy 2.4, shared 2-core x86-64 VM),
 so the solver evaluates its K grid in fixed-size blocks and each bisection
@@ -33,8 +33,7 @@ the K values of several problems, each against its own parameters; the
 solver scans and bisects the problems of a sweep this way. Every parameter
 check applies to each element, and since every operation is elementwise,
 each value is bit-identical to a call with that problem's scalar
-parameters. Such a stack is all uncracked (``alpha=None``) or all cracked.
-Scalar parameters take the scalar path, with no broadcast.
+parameters. Scalar parameters take the scalar path, with no broadcast.
 
 Basis conventions
 -----------------
@@ -67,7 +66,8 @@ the X''' and slope-jump rows into a 2x2 whose determinant over mu1 - mu2 is
     F = S1*S2 + theta_c*mu1*mu2*(S1*A2 - S2*A1)/(mu1 - mu2),
     S_i = o(mu_i, beta),  A_i = o(mu_i, alpha)*o(mu_i, gamma);
 
-uncracked, F = S1*S2. :func:`det_sign_logmag` evaluates F with no matrix. Its
+at theta_c = 0, F = S1*S2: an uncracked arch is that crack, as the solver
+passes it (at beta/2). :func:`det_sign_logmag` evaluates F with no matrix. Its
 sign is that of the determinant of the matching matrix, so both change sign
 at the same K. A mode shape's coefficients are the null vector of the
 matching matrix at its root (:func:`null_vector`). The uncracked K_n need
@@ -264,25 +264,23 @@ def assemble_cracked(
     return m
 
 
-def det_sign_logmag(
-    K, eta_nd: float, beta: float, alpha: float | None = None, theta_c: float = 0.0
-):
+def det_sign_logmag(K, eta_nd, beta, alpha, theta_c):
     """Sign and log-magnitude of the reduced characteristic function at trial K.
 
     Takes one K, giving (int, float), or an array of them, giving two arrays
-    of its shape. ``alpha=None`` is the uncracked arch; otherwise the crack
-    sits at ``alpha`` with compliance ``theta_c``. ``eta_nd``, ``beta``,
-    ``alpha`` and ``theta_c`` may also be arrays that broadcast to K's
-    shape, which evaluates several problems in one call, each K with its own
-    parameters; such a stack is all uncracked or all cracked. F is the function
-    of the module docstring, with a hyperbolic pair divided by
-    cosh(a2*alpha)*cosh(a2*(beta - alpha)) (uncracked: cosh(a2*beta)), so it
-    enters as tanh(a2*x)/a2 and F stays bounded; at the repeated root the
-    divided difference is S'*A - S*A', ' = d/d mu. The sign is 0 where |F|
-    is at or below PIVOT_ZERO_TOL of B1*B2 + |theta_c*mu1*mu2*(divided
-    difference)|, B being 1/a for a trigonometric pair, beta for mu2 = 0 and
-    the scaled S2 for a hyperbolic pair: uncracked with two trigonometric
-    pairs, |sin(a1*beta)*sin(a2*beta)| <= PIVOT_ZERO_TOL.
+    of its shape. The crack sits at ``alpha`` with compliance ``theta_c``;
+    an uncracked arch is the crack of zero compliance at any alpha.
+    ``eta_nd``, ``beta``, ``alpha`` and ``theta_c`` may also be arrays that
+    broadcast to K's shape, which evaluates several problems in one call,
+    each K with its own parameters. F is the function of the module
+    docstring, with a hyperbolic pair divided by
+    cosh(a2*alpha)*cosh(a2*(beta - alpha)), so it enters as tanh(a2*x)/a2
+    and F stays bounded; at the repeated root the divided difference is
+    S'*A - S*A', ' = d/d mu. The sign is 0 where |F| is at or below
+    PIVOT_ZERO_TOL of B1*B2 + |theta_c*mu1*mu2*(divided difference)|, B
+    being 1/a for a trigonometric pair, beta for mu2 = 0 and the scaled S2
+    for a hyperbolic pair: at theta_c = 0 with two trigonometric pairs,
+    |sin(a1*beta)*sin(a2*beta)| <= PIVOT_ZERO_TOL.
     """
     stacked = (
         isinstance(eta_nd, np.ndarray)
@@ -294,15 +292,14 @@ def det_sign_logmag(
         raise ValueError("central angle must be positive")
     if _any(theta_c < 0):
         raise ValueError("crack compliance must be nonnegative")
-    if alpha is not None:
-        degenerate = (alpha <= SEGMENT_TOL) | (beta - alpha <= SEGMENT_TOL)
-        if _any(degenerate):
-            if stacked:  # the first offending problem
-                alpha, beta, degenerate = np.broadcast_arrays(alpha, beta, degenerate)
-                alpha, beta = float(alpha[degenerate][0]), float(beta[degenerate][0])
-            raise DegenerateSegment(
-                f"crack at alpha={alpha} leaves a vanishing segment of beta={beta}"
-            )
+    degenerate = (alpha <= SEGMENT_TOL) | (beta - alpha <= SEGMENT_TOL)
+    if _any(degenerate):
+        if stacked:  # the first offending problem
+            alpha, beta, degenerate = np.broadcast_arrays(alpha, beta, degenerate)
+            alpha, beta = float(alpha[degenerate][0]), float(beta[degenerate][0])
+        raise DegenerateSegment(
+            f"crack at alpha={alpha} leaves a vanishing segment of beta={beta}"
+        )
     K, k_lo, k_hi, eta_hi = _checked(K, eta_nd)
     # _lam2_roots builds its masks only if a K may lie in a window, for eta's
     # largest value in a stack; ``wide`` (2 tol) covers rounding. Zero root:
@@ -341,37 +338,34 @@ def det_sign_logmag(
         o /= a2
         return o if zero is None else np.where(zero, x, o)
 
-    extra = 0.0
-    if alpha is None:
-        s1, s2 = np.sin(a1 * beta) / a1, o2(beta)
+    # beta, alpha and gamma as the rows of one array, so each function of
+    # them runs once; o2 at beta is needed only where mu2 <= 0.
+    if stacked:
+        x = np.empty((3, *np.broadcast(beta, alpha, mu1).shape))
+        x[0], x[1], x[2] = beta, alpha, beta - alpha
     else:
-        # beta, alpha and gamma as the rows of one array, so each function of
-        # them runs once; o2 at beta is needed only where mu2 <= 0.
-        if stacked:
-            x = np.empty((3, *np.broadcast(beta, alpha, mu1).shape))
-            x[0], x[1], x[2] = beta, alpha, beta - alpha
-        else:
-            x = np.array([[beta], [alpha], [beta - alpha]])
-        s1, o_a, o_g = np.sin(a1 * x) / a1
-        *s_b, t_a, t_g = o2(x[1:] if hyp is True else x)
-        if per_value:
-            s2 = np.where(hyp, t_a + t_g, s_b[0])
-        else:
-            s2 = t_a + t_g if hyp else s_b[0]
-        # In a stack, a problem with theta_c = 0 gets a zero term here, which
-        # leaves its F and sign as those of the scalar call.
-        if _any(theta_c > 0.0):
-            r = repeated if repeated is not None and repeated.any() else None
-            gap = mu1 - mu2 if r is None else np.where(r, 1.0, mu1 - mu2)
-            dd = (s1 * t_a * t_g - s2 * o_a * o_g) / gap
-            if r is not None:
-                # S'*A - S*A' with h = d o/d mu at beta, alpha and gamma.
-                xr = x[:, r] if stacked else x
-                t = a1[r] * xr
-                _, h = _repeated_pair(mu1[r], xr, np.cos(t), np.sin(t) / a1[r])
-                o_a, o_g = o_a[r], o_g[r]
-                dd[r] = h[0] * o_a * o_g - s1[r] * (h[1] * o_g + o_a * h[2])
-            extra = theta_c * mu1 * mu2 * dd
+        x = np.array([[beta], [alpha], [beta - alpha]])
+    s1, o_a, o_g = np.sin(a1 * x) / a1
+    *s_b, t_a, t_g = o2(x[1:] if hyp is True else x)
+    if per_value:
+        s2 = np.where(hyp, t_a + t_g, s_b[0])
+    else:
+        s2 = t_a + t_g if hyp else s_b[0]
+    # In a stack, a problem with theta_c = 0 gets a zero term here, which
+    # leaves its F and sign as those of the scalar call.
+    extra = 0.0
+    if _any(theta_c > 0.0):
+        r = repeated if repeated is not None and repeated.any() else None
+        gap = mu1 - mu2 if r is None else np.where(r, 1.0, mu1 - mu2)
+        dd = (s1 * t_a * t_g - s2 * o_a * o_g) / gap
+        if r is not None:
+            # S'*A - S*A' with h = d o/d mu at beta, alpha and gamma.
+            xr = x[:, r] if stacked else x
+            t = a1[r] * xr
+            _, h = _repeated_pair(mu1[r], xr, np.cos(t), np.sin(t) / a1[r])
+            o_a, o_g = o_a[r], o_g[r]
+            dd[r] = h[0] * o_a * o_g - s1[r] * (h[1] * o_g + o_a * h[2])
+        extra = theta_c * mu1 * mu2 * dd
     f = s1 * s2 + extra
     if per_value:
         b2 = np.where(hyp, s2, 1.0 / a2 if zero is None else np.where(zero, beta, 1.0 / a2))

@@ -19,13 +19,15 @@ five-mode cracked solve takes two or three bisection calls. A spectrum holds
 roots only: :func:`mode_shape` alone extracts a null vector, the shape's
 coefficients, from the matching matrix.
 
-:func:`find_frequencies` also takes a sequence of problems, all cracked or
-all uncracked, as a sweep or the validation table has. Cracked ones are
-solved in lockstep, ``_BATCH`` at a time: each scan call evaluates the next
-block of every problem still scanning, and one :func:`refine_root` call
-bisects the brackets of all of them, each K against its own problem's
+:func:`find_frequencies` also takes a sequence of problems, as a sweep or
+the validation table has. Each uncracked one is its closed form; the cracked
+ones are solved in lockstep, ``_BATCH`` at a time: each scan call evaluates
+the next block of every problem still scanning, and one :func:`refine_root`
+call bisects the brackets of all of them, each K against its own problem's
 parameters. It returns one entry per problem: its :class:`Spectrum`, or the
-:class:`NoRootsInRange` its own solve would raise.
+:class:`NoRootsInRange` its own solve would raise. Where the solver hands
+the kernel an uncracked arch, in a matching matrix or a determinant, it is
+the crack of zero compliance at beta/2 (:func:`_matching_crack`).
 
 Everything is deterministic: the same problem and configuration produce
 bit-identical spectra, whatever the block size, the estimates that set how
@@ -77,7 +79,8 @@ _BATCH = 16
 # A mode shape whose largest sample is at or below _NOISE times its amplitude,
 # its largest |X| at 64 cell midpoints of [0, beta], reads +0.0 throughout.
 _NOISE = 1e-8
-# Relative window of an uncracked double root (the closed form and mode_shape).
+# Relative window of an uncracked double root (the closed form and mode_shape),
+# below K = 1 only: a falling K_n (lam <= 1, so K_n < 1) meets a rising one.
 _DOUBLE_ROOT = 1e-12
 
 
@@ -120,8 +123,8 @@ class Root:
 
     A root carries no mode coefficients: :func:`mode_shape` computes them, as
     the null vector (:func:`kernel.null_vector`) of the support-adapted
-    matching matrix at the polished root, assembled by :func:`_matching`
-    from the same mode basis that samples the shape.
+    matching matrix at the root (a cracked one polished first), assembled by
+    :func:`_matching` from the same mode basis that samples the shape.
     """
 
     K: float
@@ -178,42 +181,18 @@ def _matching(problem: ArchProblem, K: float) -> tuple[kernel.ModeBasis, np.ndar
     return basis, kernel.assemble_cracked(basis, problem.beta, crack.alpha, crack.theta_c)
 
 
-@dataclass(frozen=True)
-class _Stack:
-    """The parameters of several problems as arrays, one entry per problem.
+def _parameters(problems) -> np.ndarray:
+    """(eta_nd, beta, alpha, theta_c) of each problem, a column of a (4, P) array.
 
-    ``alpha`` is None for uncracked problems. :meth:`take` lines the entries
-    up with the K values of one kernel call.
+    An uncracked problem's crack is :func:`_matching_crack`'s. Indexing the
+    columns lines the problems up with the K values of one kernel call.
     """
-
-    eta_nd: np.ndarray
-    beta: np.ndarray
-    alpha: np.ndarray | None
-    theta_c: np.ndarray | float
-
-    @classmethod
-    def of(cls, problems) -> _Stack:
-        import numpy as np
-        eta_nd = np.array([p.eta_nd for p in problems])
-        beta = np.array([p.beta for p in problems])
-        if not _all_cracked(problems):
-            return cls(eta_nd, beta, None, 0.0)
-        cracks = [p.crack for p in problems]
-        alpha = np.array([c.alpha for c in cracks])
-        return cls(eta_nd, beta, alpha, np.array([c.theta_c for c in cracks]))
-
-    def take(self, index) -> _Stack:
-        if self.alpha is None:
-            return _Stack(self.eta_nd[index], self.beta[index], None, 0.0)
-        return _Stack(*(v[index] for v in (self.eta_nd, self.beta, self.alpha, self.theta_c)))
-
-
-def _all_cracked(problems) -> bool:
-    """Whether every problem is cracked; a mix of cracked and uncracked raises."""
-    cracked = {p.crack is not None for p in problems}
-    if len(cracked) > 1:
-        raise ValueError("a batch of problems must be all cracked or all uncracked")
-    return cracked == {True}
+    import numpy as np
+    cracks = [_matching_crack(p) for p in problems]
+    return np.array([
+        [p.eta_nd for p in problems], [p.beta for p in problems],
+        [c.alpha for c in cracks], [c.theta_c for c in cracks],
+    ])
 
 
 class _Tally(threading.local):
@@ -241,21 +220,18 @@ def boundary_determinant(problem, K):
 
     One K gives (int, float), a K array two arrays of its shape; no matrix is
     assembled (:func:`kernel.det_sign_logmag`). ``problem`` is an
-    :class:`ArchProblem`, or the solver's :class:`_Stack` of several problems'
-    parameters, broadcast against K.
+    :class:`ArchProblem`, an uncracked one taken as the crack of zero
+    compliance at beta/2, or a (4, N) array of N problems' parameters
+    (:func:`_parameters`), broadcast against K.
     """
     import numpy as np
     from . import kernel
     _tally.calls += 1
     _tally.values += K.size if isinstance(K, np.ndarray) else 1
-    if isinstance(problem, _Stack):
-        return kernel.det_sign_logmag(
-            K, problem.eta_nd, problem.beta, problem.alpha, problem.theta_c
-        )
-    crack = problem.crack
-    if crack is None:
-        return kernel.det_sign_logmag(K, problem.eta_nd, problem.beta)
-    return kernel.det_sign_logmag(K, problem.eta_nd, problem.beta, crack.alpha, crack.theta_c)
+    if isinstance(problem, ArchProblem):
+        crack = _matching_crack(problem)
+        return kernel.det_sign_logmag(K, problem.eta_nd, problem.beta, crack.alpha, crack.theta_c)
+    return kernel.det_sign_logmag(K, *problem)
 
 
 def _resolved(problem: ArchProblem, cfg: SearchConfig) -> SearchConfig:
@@ -359,31 +335,36 @@ def _count_below(problem: ArchProblem, K: float) -> int:
 def scan_and_bracket(problems, cfg: SearchConfig) -> list:
     """Locate determinant sign changes of each problem over its K range.
 
-    ``problems`` is a sequence of problems, all cracked or all uncracked,
-    scanned in lockstep: each kernel call evaluates the next block of every
-    problem still scanning, at most ``_BLOCK`` K values, and a first block
-    ends at the upper guide of the (max_modes + 1)-th smallest K_n above
-    k_min, one mode to spare for a crack's shift. A scan stops after the
-    first block that leaves ``max_modes`` candidates, brackets and dips, in
-    hand: the first candidates of the whole grid, in order. A node of sign 0
-    is one zero-width bracket, even at a double root. Each problem keeps its
-    own ``cfg`` range, grid, blocks and early stop, so its entry is the one
-    a scan of it alone gives. Only a cracked solve scans; an uncracked scan
-    checks the search against the known K_n.
+    ``problems`` is a sequence of problems scanned in lockstep: each kernel
+    call evaluates the next block of every problem still scanning, at most
+    ``_BLOCK`` K values, and a first block ends at the upper guide of the
+    (max_modes + 1)-th smallest K_n above k_min, one mode to spare for a
+    crack's shift. A scan stops after the first block that leaves
+    ``max_modes`` candidates, brackets and dips, in hand: the first
+    candidates of the whole grid, in order. A node of sign 0 is one
+    zero-width bracket, even at a double root. Each problem keeps its own
+    ``cfg`` range, grid, blocks and early stop, so its entry is the one a
+    scan of it alone gives. Only a cracked solve scans.
 
     Returns one entry per problem: its :class:`ScanResult`, or a
-    :class:`NoRootsInRange` when its scan yields no bracket, or a dip among
-    its first ``max_modes`` candidates (named by its K); a dip above those
-    is ignored.
+    :class:`NoRootsInRange` when its scan yields no bracket, a dip among its
+    first ``max_modes`` candidates (named by its K; a dip above is ignored),
+    or N(k_max) (:func:`_count_below`) overflows, a range beyond doubles.
     """
     import numpy as np
-    stack = _Stack.of(problems) if len(problems) > 1 else None
+    stack = _parameters(problems) if len(problems) > 1 else None
     cfgs = [_resolved(p, cfg) for p in problems]
     grids = [None] * len(problems)
     scanned = [(None, None)] * len(problems)  # signs and logs of each prefix
     results = [None] * len(problems)
     ends = [0] * len(problems)  # the end of each problem's scanned prefix
-    active = list(range(len(problems)))
+    active = []
+    for i, (p, k_range) in enumerate(zip(problems, cfgs)):
+        try:
+            _count_below(p, k_range.k_max)
+            active.append(i)
+        except OverflowError:
+            results[i] = _beyond(k_range)
     while active:
         # Each grid is built through the next block and one node more, which
         # tells whether it goes on.
@@ -403,7 +384,7 @@ def scan_and_bracket(problems, cfg: SearchConfig) -> list:
         else:
             sizes = [c.size for c in chunks]
             offsets = (0, *itertools.accumulate(sizes))
-            owner = stack.take(np.repeat(active, sizes))
+            owner = stack[:, np.repeat(active, sizes)]
             new_signs, new_logs = boundary_determinant(owner, np.concatenate(chunks))
         scanning = []
         for i, lo, hi in zip(active, offsets, offsets[1:]):
@@ -443,13 +424,12 @@ def refine_root(brackets, problem, cfg: SearchConfig, end_values) -> np.ndarray:
 
     ``brackets`` is a sequence of M (lo, hi) pairs, all bisected together,
     giving an array of M roots (an empty one for no pairs). ``problem`` is
-    one :class:`ArchProblem` for every pair, or a sequence of M problems,
-    one per pair, all cracked or all uncracked. ``end_values`` are the
-    determinant's (sign, log-magnitude) at each bracket's ends,
-    ((s_lo, m_lo), (s_hi, m_hi)) per pair (ignored for a zero-width pair),
-    as the scan hands them on. A zero-width bracket is its own root, an end
-    of sign 0 is the root, and the other brackets must straddle a sign
-    change.
+    one :class:`ArchProblem` for every pair, or a sequence of M problems, one
+    per pair. ``end_values`` are the determinant's (sign, log-magnitude) at
+    each bracket's ends, ((s_lo, m_lo), (s_hi, m_hi)) per pair (ignored for
+    a zero-width pair), as the scan hands them on. A zero-width bracket is
+    its own root, an end of sign 0 is the root, and the other brackets must
+    straddle a sign change.
 
     Each kernel call evaluates, for every open bracket, the midpoints of
     plain bisection along the path toward an estimate of its root, down to
@@ -466,18 +446,16 @@ def refine_root(brackets, problem, cfg: SearchConfig, end_values) -> np.ndarray:
     plain bisection, bit for bit, whatever the estimate or the other
     brackets of the batch; a poor estimate costs calls only, and each call
     advances every open bracket at least one level. The parameters of a
-    sequence of problems are stacked (:class:`_Stack`) for the first kernel
-    call, so brackets that all end without one build no stack.
+    sequence of problems are stacked (:func:`_parameters`) for the first
+    kernel call, so brackets that all end without one build no stack.
     """
     import numpy as np
     lows, highs = np.array(brackets, dtype=float).reshape(-1, 2).T.tolist()
     if len(end_values) != len(lows):
         raise ValueError("give one pair of end values per bracket")
     one = isinstance(problem, ArchProblem)
-    if not one:
-        if len(problem) != len(lows):
-            raise ValueError("give one problem per bracket")
-        _all_cracked(problem)
+    if not one and len(problem) != len(lows):
+        raise ValueError("give one problem per bracket")
     stack = None  # the problems' parameters, built for the first kernel call
     roots = list(lows)
     # Open brackets as (index, lo, hi, s_lo, m_lo, m_hi, near, levels bisected).
@@ -512,8 +490,8 @@ def refine_root(brackets, problem, cfg: SearchConfig, end_values) -> np.ndarray:
         owner = problem
         if not one:
             if stack is None:
-                stack = _Stack.of(problem)
-            owner = stack.take(np.repeat([p[0][0] for p in paths], [p[3] - p[2] for p in paths]))
+                stack = _parameters(problem)
+            owner = stack[:, np.repeat([p[0][0] for p in paths], [p[3] - p[2] for p in paths])]
         signs, logs = (v.tolist() for v in boundary_determinant(owner, np.array(K)))
         open_ = []
         for b, estimate, first, last, end in paths:
@@ -616,10 +594,10 @@ def find_frequencies(problem, cfg: SearchConfig | None = None):
     ``max_modes`` candidates.
 
     ``problem`` is one :class:`ArchProblem`, giving its :class:`Spectrum`, or
-    a sequence of problems, all cracked or all uncracked, giving one entry
-    per problem, in order: its Spectrum, or the NoRootsInRange its own solve
-    would raise, bit for bit (cracked ones are searched in lockstep, as the
-    module docstring says). Logs one debug line per call: the problems, the
+    a sequence of problems, cracked or not, giving one entry per problem, in
+    order: its Spectrum, or the NoRootsInRange its own solve would raise,
+    bit for bit (cracked ones are searched in lockstep, as the module
+    docstring says). Logs one debug line per call: the problems, the
     kernel calls split into scan and bisection calls, the K values, the
     bisection levels summed over the brackets, the brackets refined (the
     searched roots) and the short solves.
@@ -627,7 +605,6 @@ def find_frequencies(problem, cfg: SearchConfig | None = None):
     single = isinstance(problem, ArchProblem)
     problems = [problem] if single else list(problem)
     cfg = cfg if cfg is not None else SearchConfig()
-    cracked = _all_cracked(problems)
     calls, scan_calls, values, levels = (
         _tally.calls, _tally.scan_calls, _tally.values, _tally.levels
     )
@@ -641,7 +618,7 @@ def find_frequencies(problem, cfg: SearchConfig | None = None):
             "%d K values, %d bisection levels, %d brackets refined, %d short",
             len(problems), calls, scans, calls - scans, _tally.values - values,
             _tally.levels - levels,
-            sum(len(e) for e in entries if cracked and isinstance(e, Spectrum)),
+            sum(len(e) for p, e in zip(problems, entries) if p.crack and isinstance(e, Spectrum)),
             sum(isinstance(e, NoRootsInRange) for e in entries),
         )
     if not single:
@@ -652,12 +629,15 @@ def find_frequencies(problem, cfg: SearchConfig | None = None):
 
 
 def _solve_group(problems: list[ArchProblem], cfg: SearchConfig) -> list:
-    """Spectra (or NoRootsInRange) of a few problems: closed forms, or one scan and refinement."""
-    if problems[0].crack is None:
-        return [_closed_form_spectrum(p, cfg) for p in problems]
-    scans = scan_and_bracket(problems, cfg)
+    """Spectra (or NoRootsInRange) of a few problems: closed forms, and one search of the cracked."""
+    cracked = [p for p in problems if p.crack is not None]
+    scans = iter(scan_and_bracket(cracked, cfg) if cracked else ())
     entries, brackets, values, owners = [], [], [], []
-    for p, scan in zip(problems, scans):
+    for p in problems:
+        if p.crack is None:
+            entries.append(_closed_form_spectrum(p, cfg))
+            continue
+        scan = next(scans)
         if isinstance(scan, NoRootsInRange):
             entries.append(scan)
             continue
@@ -671,11 +651,11 @@ def _solve_group(problems: list[ArchProblem], cfg: SearchConfig) -> list:
         owners += [p] * len(found)
     if not brackets:
         return entries
-    owner = problems[0] if len(problems) == 1 else owners
+    owner = cracked[0] if len(cracked) == 1 else owners
     ks = iter(refine_root(brackets, owner, cfg, values).tolist())
     return [
-        e if isinstance(e, NoRootsInRange)
-        else Spectrum(roots=tuple(Root(K=next(ks)) for _ in range(cfg.max_modes)))
+        Spectrum(roots=tuple(Root(K=next(ks)) for _ in range(cfg.max_modes)))
+        if e is None else e
         for e in entries
     ]
 
@@ -689,9 +669,9 @@ def _closed_form_spectrum(problem: ArchProblem, cfg: SearchConfig):
     from N(k_min) (:func:`_count_below`) on, at most floor(beta/pi) + 2 below
     the first above k_min, rounding included, to max_modes in range or one
     past the first at or above k_max. Where N or a K_n overflows or two rising
-    K_n are one float, the range is beyond double precision. A K_n within
-    ``_DOUBLE_ROOT`` of the one listed before it, a double root, is listed as
-    that value again.
+    K_n are one float, the range is beyond double precision. A K_n below 1
+    within ``_DOUBLE_ROOT`` of the one listed before it, a double root, is
+    listed as that value again.
     """
     k_range = _resolved(problem, cfg)
     k_min, k_max = k_range.k_min, k_range.k_max
@@ -710,13 +690,11 @@ def _closed_form_spectrum(problem: ArchProblem, cfg: SearchConfig):
     except OverflowError:  # N(k_min) or a K_n beyond the largest float
         resolved = False
     if not resolved:
-        return NoRootsInRange(
-            f"K range [{k_min}, {k_max}] is beyond what double precision resolves"
-        )
+        return _beyond(k_range)
     ks += [k for k in rising if k_min < k < k_max]
     ks = sorted(ks)[: cfg.max_modes]
     for i in range(1, len(ks)):
-        if ks[i] - ks[i - 1] <= _DOUBLE_ROOT * ks[i]:
+        if ks[i] < 1.0 and ks[i] - ks[i - 1] <= _DOUBLE_ROOT * ks[i]:
             ks[i] = ks[i - 1]
     if len(ks) < cfg.max_modes:
         return _short(len(ks), k_range)
@@ -729,8 +707,15 @@ def _short(found: int, cfg: SearchConfig) -> NoRootsInRange:
     return NoRootsInRange(f"{count} roots in K range [{cfg.k_min}, {cfg.k_max}]")
 
 
+def _beyond(cfg: SearchConfig) -> NoRootsInRange:
+    """The error of a resolved K range whose roots double precision cannot tell apart."""
+    return NoRootsInRange(
+        f"K range [{cfg.k_min}, {cfg.k_max}] is beyond what double precision resolves"
+    )
+
+
 def _polish(problem: ArchProblem, k: float) -> float:
-    """Re-tighten a bracketed root to ~1e-13 relative before shape sampling.
+    """Re-tighten a searched (cracked) root to ~1e-13 relative before shape sampling.
 
     The stored eigenvalue honors the search tolerance. The support-adapted
     basis makes X and X'' exactly 0 at both supports for any K, but the null
@@ -765,8 +750,9 @@ def _polish(problem: ArchProblem, k: float) -> float:
 def mode_shape(problem: ArchProblem, root: Root, samples: int = 201) -> np.ndarray:
     """Sample the spatial mode X on a uniform grid over [0, beta].
 
-    Returns an array of shape (samples, 2) with columns (phi, X). The root is
-    polished first (:func:`_polish`), and the coefficients (c1, c2, d1, d2)
+    Returns an array of shape (samples, 2) with columns (phi, X). A cracked
+    root is polished first (:func:`_polish`); an uncracked one, its closed
+    form, is exact and takes no kernel call. The coefficients (c1, c2, d1, d2)
     are the null vector there of :func:`boundary_matrix`'s matching matrix,
     assembled by :func:`_matching` from the basis that also samples X: X is
     c1*u1(phi) + c2*u2(phi) left of the crack and
@@ -780,20 +766,20 @@ def mode_shape(problem: ArchProblem, root: Root, samples: int = 201) -> np.ndarr
     is at or below 1e-8 times the largest at 64 cell midpoints of [0, beta].
     When the largest + and - extrema tie, as in an antisymmetric mode,
     rounding decides which one is +1, and with it the overall sign. An
-    uncracked double root, where N (:func:`_count_below`) jumps by 2 across
-    K(1 -+ 1e-12), raises :class:`DoubleRoot`; a cracked double root is not
-    detected, and its shape is one of a plane of them.
+    uncracked double root, a K below 1 where N (:func:`_count_below`) jumps
+    by 2 across K(1 -+ 1e-12), raises :class:`DoubleRoot`; a cracked double
+    root is not detected, and its shape is one of a plane of them.
     """
     import numpy as np
     from . import kernel
     if samples < 2:
         raise ValueError("samples must be at least 2")
-    if problem.crack is None:
+    k = root.K if problem.crack is None else _polish(problem, root.K)
+    if problem.crack is None and k < 1.0:
         window = (1.0 - _DOUBLE_ROOT, 1.0 + _DOUBLE_ROOT)
-        below, above = (_count_below(problem, root.K * f) for f in window)
+        below, above = (_count_below(problem, k * f) for f in window)
         if above - below > 1:
-            raise DoubleRoot(f"K = {root.K!r} is a double root: its mode shapes span a plane")
-    k = _polish(problem, root.K)
+            raise DoubleRoot(f"K = {k!r} is a double root: its mode shapes span a plane")
     basis, matrix = _matching(problem, k)
     vec = kernel.null_vector(matrix)
 

@@ -36,7 +36,7 @@ def cofactor_det(m) -> float:
     return total
 
 
-def reduced_det_mp(K, eta, beta, alpha=None, theta=0.0, dps=60):
+def reduced_det_mp(K, eta, beta, alpha, theta, dps=60):
     """The reduced characteristic function of ``kernel.det_sign_logmag`` in mpmath.
 
     The same scaling (tanh(a2*x)/a2 for a hyperbolic pair) evaluated at
@@ -55,8 +55,6 @@ def reduced_det_mp(K, eta, beta, alpha=None, theta=0.0, dps=60):
                 return mp.tanh(mp.sqrt(mu) * x) / mp.sqrt(mu)
             return x if mu == 0 else mp.sin(mp.sqrt(-mu) * x) / mp.sqrt(-mu)
 
-        if alpha is None:
-            return odd(mu1, beta) * odd(mu2, beta)
         alpha = mp.mpf(alpha)
         gamma = beta - alpha
 
@@ -73,7 +71,7 @@ def reduced_det_mp(K, eta, beta, alpha=None, theta=0.0, dps=60):
         return s(mu1) * s(mu2) + theta * mu1 * mu2 * dd
 
 
-def reference_log(K, eta, beta, alpha=None, theta=0.0):
+def reference_log(K, eta, beta, alpha, theta):
     """60-digit log|F| of :func:`reduced_det_mp`, or None near a root.
 
     Near a root means |d log|F| / d log K| > 1e6 (K below 1 counts as 1):
@@ -93,17 +91,20 @@ def random_arch_points(seed: int, count: int):
     """Random (beta, eta, alpha, theta, K array) tuples for determinant checks.
 
     Central angles are log-uniform down to ``model.BETA_MIN``; 40% of the
-    problems have eta = 0 and 40% no crack (alpha None). Each K array holds
-    K = 0 (the repeated root), K = 1 (mu2 = 0), both sides of the K = 1
-    branch switch, and twelve log-uniform values from 1e-8 to 1e10, where
-    the hyperbolic argument a2*beta reaches the thousands at eta = 0.
+    problems have eta = 0 and 40% no crack, given as the crack of zero
+    compliance at beta/2 (theta 0) that the solver passes for an uncracked
+    arch. Each K array holds K = 0 (the repeated root), K = 1 (mu2 = 0),
+    both sides of the K = 1 branch switch, and twelve log-uniform values
+    from 1e-8 to 1e10, where the hyperbolic argument a2*beta reaches the
+    thousands at eta = 0.
     """
     rng = np.random.default_rng(seed)
     for _ in range(count):
         beta = float(10 ** rng.uniform(math.log10(BETA_MIN), math.log10(2 * math.pi)))
         eta = 0.0 if rng.random() < 0.4 else float(rng.uniform(0.0, 4.0))
-        alpha = float(rng.uniform(0.05, 0.95) * beta) if rng.random() < 0.6 else None
-        theta = float(10 ** rng.uniform(-3.0, 4.0)) if alpha is not None else 0.0
+        cracked = rng.random() < 0.6
+        alpha = float(rng.uniform(0.05, 0.95) * beta) if cracked else 0.5 * beta
+        theta = float(10 ** rng.uniform(-3.0, 4.0)) if cracked else 0.0
         special = [0.0, 1.0, 1.0 - 1e-9, 1.0 + 1e-9]
         ks = np.concatenate([special, 10 ** rng.uniform(-8.0, 10.0, 12)])
         yield beta, eta, alpha, theta, ks

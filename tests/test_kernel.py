@@ -201,7 +201,7 @@ class TestBasisProperties:
         beta, eta = 1.3, 0.7
 
         def value(K):
-            sign, logmag = det_sign_logmag(K, eta, beta)
+            sign, logmag = det_sign_logmag(K, eta, beta, 0.5 * beta, 0.0)
             return sign * math.exp(logmag)
 
         gaps = []
@@ -220,8 +220,8 @@ class TestBasisProperties:
         for alpha in (None, 0.7):
             matrix = boundary_matrix(make_problem(beta, 0.0, alpha, 10.0), K)
             assert np.isfinite(matrix).all()
-        for alpha in (None, 0.7):
-            sign, logmag = det_sign_logmag(K, 0.0, beta, alpha, 10.0)
+        for alpha, theta in ((0.5 * beta, 0.0), (0.7, 10.0)):
+            sign, logmag = det_sign_logmag(K, 0.0, beta, alpha, theta)
             assert sign != 0 and math.isfinite(logmag)
 
 
@@ -270,7 +270,7 @@ class TestAssembleUncracked:
                     kn = uncracked_K_closed_form(n, beta, eta)
 
                     def sgn(K):
-                        return det_sign_logmag(K, eta, beta)[0]
+                        return det_sign_logmag(K, eta, beta, 0.5 * beta, 0.0)[0]
 
                     assert sgn(kn * (1 - 1e-6)) * sgn(kn * (1 + 1e-6)) == -1
 
@@ -295,8 +295,8 @@ class TestAssembleCracked:
         cracked = _matrix_signs(assemble_cracked(b, beta, alpha, 0.0) for b in bases)
         assert _changes(plain) == _changes(cracked)
         # The reduced function changes sign where the matrices do.
-        assert _changes(det_sign_logmag(np.array(ks), eta, beta)[0]) == _changes(plain)
-        assert _changes(det_sign_logmag(np.array(ks), eta, beta, alpha, 0.0)[0]) == _changes(plain)
+        for at in (0.5 * beta, alpha):
+            assert _changes(det_sign_logmag(np.array(ks), eta, beta, at, 0.0)[0]) == _changes(plain)
 
     def test_mirrored_crack_same_zero_set(self):
         beta, eta, theta = 1.0, 0.0, 0.8
@@ -383,15 +383,16 @@ class TestSupportRows:
 
 class TestDeterminant:
     def test_identity(self):
-        # Uncracked, F = o(mu1, beta)*o(mu2, beta) with the hyperbolic pair
-        # divided by cosh(a2*beta); a crack of zero compliance only rescales
-        # the second factor by a positive amount.
+        # Uncracked, the crack of zero compliance at beta/2: F =
+        # o(mu1, beta)*o(mu2, beta) with the hyperbolic pair divided by
+        # cosh(a2*beta/2)^2, which is 2*tanh(a2*beta/2)/a2; the crack at
+        # another angle only rescales the second factor by a positive amount.
         for K, eta, beta in ((0.5, 0.0, 1.3), (0.3, 2.0, 4.0), (5.0, 0.2, 1.0), (400.0, 1.0, 2.0)):
             basis = quartic_roots(K, eta)
             a1, a2 = math.sqrt(-basis.mu1), math.sqrt(abs(basis.mu2))
-            second = math.tanh(a2 * beta) if basis.mu2 > 0 else math.sin(a2 * beta)
+            second = 2.0 * math.tanh(0.5 * a2 * beta) if basis.mu2 > 0 else math.sin(a2 * beta)
             expected = math.sin(a1 * beta) / a1 * second / a2
-            sign, logmag = det_sign_logmag(K, eta, beta)
+            sign, logmag = det_sign_logmag(K, eta, beta, 0.5 * beta, 0.0)
             assert sign == (1 if expected > 0 else -1)
             assert logmag == pytest.approx(math.log(abs(expected)), abs=1e-12)
             assert det_sign_logmag(K, eta, beta, 0.4 * beta, 0.0)[0] == sign
@@ -402,20 +403,20 @@ class TestDeterminant:
         for eta, beta, alpha in ((0.0, 1.0, 0.3), (1.0, 2.5, 2.0)):
             assert quartic_roots(1.0, eta).mu2 == 0.0
             a1 = math.sqrt(2.0 + eta)
-            plain = det_sign_logmag(1.0, eta, beta)
+            plain = det_sign_logmag(1.0, eta, beta, 0.5 * beta, 0.0)
             expected = math.log(abs(math.sin(a1 * beta) / a1 * beta))
             assert plain[1] == pytest.approx(expected, abs=1e-14)
             for theta in (0.0, 1.0, 1e4):
                 assert det_sign_logmag(1.0, eta, beta, alpha, theta) == plain
 
     def test_singular(self):
-        # The solver's guide midpoint of each closed-form root reads sign 0,
-        # uncracked and behind a crack of zero compliance alike.
+        # The solver's guide midpoint of each closed-form root reads sign 0
+        # behind a crack of zero compliance, at beta/2 (uncracked) or not.
         for beta in BETAS:
             for eta in ETAS:
                 for n in (1, 2, 3):
                     mid = _midpoint(uncracked_K_closed_form(n, beta, eta))
-                    assert det_sign_logmag(mid, eta, beta)[0] == 0
+                    assert det_sign_logmag(mid, eta, beta, 0.5 * beta, 0.0)[0] == 0
                     assert det_sign_logmag(mid, eta, beta, 0.37 * beta, 0.0)[0] == 0
 
     def test_zero_sign_rule(self):
@@ -424,7 +425,7 @@ class TestDeterminant:
         beta, eta = 5.0, 0.0
         kn = uncracked_K_closed_form(1, beta, eta)
         ks = kn * (1.0 + np.array([0.0, 1e-15, -1e-15, 1e-11, -1e-11, 1e-6]))
-        signs, _ = det_sign_logmag(ks, eta, beta)
+        signs, _ = det_sign_logmag(ks, eta, beta, 0.5 * beta, 0.0)
         bases = [quartic_roots(float(k), eta) for k in ks]
         mu1, mu2 = (np.array([getattr(b, name) for b in bases]) for name in ("mu1", "mu2"))
         assert np.all(mu2 < 0.0)
@@ -449,9 +450,9 @@ class TestDeterminant:
     def test_rejects_nonfinite(self):
         for K, eta in ((math.inf, 0.0), (np.array([1.0, math.nan]), 0.0), (1.0, math.nan)):
             with pytest.raises(ValueError):
-                det_sign_logmag(K, eta, 1.0)
+                det_sign_logmag(K, eta, 1.0, 0.5, 0.0)
         with pytest.raises(ValueError):
-            det_sign_logmag(-1.0, 0.0, 1.0)
+            det_sign_logmag(-1.0, 0.0, 1.0, 0.5, 0.0)
         with pytest.raises(ValueError):
             det_sign_logmag(1.0, 0.0, 1.0, 0.5, -1.0)
         with pytest.raises(DegenerateSegment):
@@ -495,7 +496,9 @@ class TestStackedKernel:
     def test_stack_matches_single_calls(self, seed, cracked, count):
         rng = np.random.default_rng(seed)
         beta, eta = rng.uniform(0.01, 2 * math.pi), rng.choice([0.0, rng.uniform(0.0, 4.0)])
-        crack = (rng.uniform(0.05, 0.95) * beta, 10 ** rng.uniform(-3, 4)) if cracked else ()
+        crack = (0.5 * beta, 0.0)  # uncracked
+        if cracked:
+            crack = (rng.uniform(0.05, 0.95) * beta, 10 ** rng.uniform(-3, 4))
         ks = 10 ** rng.uniform(-8.0, 8.0, count)
         ks[rng.random(count) < 0.1] = rng.choice([0.0, 1.0])
         signs, logs = det_sign_logmag(ks, eta, beta, *crack)
@@ -509,19 +512,19 @@ class TestStackedKernel:
     def test_parameter_stack_matches_scalar_calls(self, cracked):
         # Several problems in one call, each K against its own parameters:
         # every value is bit-identical to a call with scalar parameters.
-        points = [p for p in random_arch_points(11, 16) if (p[2] is not None) == cracked]
+        points = [p for p in random_arch_points(11, 16) if (p[3] > 0.0) == cracked]
         ks = np.concatenate([p[4] for p in points])
         owner = np.repeat(np.arange(len(points)), [p[4].size for p in points])
         beta, eta, alpha, theta = (np.array([p[i] for p in points]) for i in range(4))
         theta[0] = 0.0  # a zero compliance among compliant cracks
-        params = [eta[owner], beta[owner]] + ([alpha[owner], theta[owner]] if cracked else [])
+        params = [eta[owner], beta[owner], alpha[owner], theta[owner]]
         signs, logs = det_sign_logmag(ks, *params)
         assert signs.shape == logs.shape == ks.shape
         for k, *args, sign, logmag in zip(ks, *params, signs, logs):
             assert det_sign_logmag(float(k), *map(float, args)) == (sign, logmag)
         # Parameters broadcast against a 2-D K, one column per problem.
         grid = ks[: 4 * len(points)].reshape(4, len(points))
-        columns = [eta, beta] + ([alpha, theta] if cracked else [])
+        columns = [eta, beta, alpha, theta]
         signs, logs = det_sign_logmag(grid, *columns)
         for row, k_row in enumerate(grid):
             for col, k in enumerate(k_row):
@@ -531,11 +534,11 @@ class TestStackedKernel:
     def test_parameter_stack_checks_each_element(self):
         ks = np.array([1.0, 2.0])
         with pytest.raises(ValueError, match="central angle must be positive"):
-            det_sign_logmag(ks, 0.0, np.array([1.0, 0.0]))
+            det_sign_logmag(ks, 0.0, np.array([1.0, 0.0]), 0.25, 0.0)
         with pytest.raises(ValueError, match="nonlocal parameter must be nonnegative"):
-            det_sign_logmag(ks, np.array([0.0, -1.0]), 1.0)
+            det_sign_logmag(ks, np.array([0.0, -1.0]), 1.0, 0.5, 0.0)
         with pytest.raises(ValueError, match="must be finite"):
-            det_sign_logmag(ks, np.array([0.0, math.nan]), 1.0)
+            det_sign_logmag(ks, np.array([0.0, math.nan]), 1.0, 0.5, 0.0)
         with pytest.raises(ValueError, match="crack compliance must be nonnegative"):
             det_sign_logmag(ks, 0.0, 1.0, 0.5, np.array([1.0, -1.0]))
         # The message names the first problem whose crack leaves no segment.
@@ -558,7 +561,7 @@ class TestStackedKernel:
         roots = [_midpoint(uncracked_K_closed_form(n, beta, eta)) for n in (1, 2, 3, 4)]
         others = [0.0, 1.0, 1e6, 0.5 * sum(roots[:2])]
         ks = np.array([k for pair in zip(roots, others) for k in pair])
-        for alpha in (None, 0.8):
+        for alpha in (0.5 * beta, 0.8):
             signs, _ = det_sign_logmag(ks, eta, beta, alpha, 0.0)
             assert signs.tolist()[0::2] == [0, 0, 0, 0]
             assert 0 not in signs.tolist()[1::2]
@@ -570,7 +573,7 @@ class TestStackedKernel:
             with pytest.raises(ValueError, match="must be finite"):
                 quartic_roots(K, eta)
         with pytest.raises(ValueError):
-            det_sign_logmag(np.array([1.0, math.nan]), 0.5, 1.0)
+            det_sign_logmag(np.array([1.0, math.nan]), 0.5, 1.0, 0.5, 0.0)
 
     def test_branch_of_a_stack(self):
         bases = [quartic_roots(k, 0.0) for k in (0.0, 0.5, 1.0, 5.0)]
@@ -588,7 +591,8 @@ class TestMaskShortcut:
     its K range reaches their windows near K = 1 and K = 0; the values are
     those of a call that always builds them."""
 
-    PROBLEMS = [(2.0,), (2.0, 0.7, 0.3)]  # uncracked, cracked
+    # Uncracked (the crack of zero compliance at beta/2), cracked.
+    PROBLEMS = [(2.0, 1.0, 0.0), (2.0, 0.7, 0.3)]
 
     def _record(self, monkeypatch, force=False):
         # Each _lam2_roots call as (masks built, zero-root mask, repeated mask).
@@ -670,10 +674,15 @@ class TestMaskShortcut:
     STACK = [(0.0, 1.0, 0.4, 0.5), (1.5, 2.0, 0.7, 3.0), (4.0, 3.0, 1.1, 0.0)]
     FAR = [0.3, 5.0, 40.0]  # far from both windows for every eta of STACK
 
+    def _columns(self, cracked):
+        """STACK's columns; uncracked, each crack is the zero-compliance one at beta/2."""
+        eta, beta, alpha, theta = (np.array(c) for c in zip(*self.STACK))
+        return [eta, beta, alpha, theta] if cracked else [eta, beta, 0.5 * beta, 0.0 * theta]
+
     def _evaluate_stack(self, monkeypatch, ks, cracked):
         """As _evaluate, for a parameter stack with the K values ``ks[i]`` of problem i."""
         owner = np.repeat(np.arange(len(ks)), [len(k) for k in ks])
-        params = [np.array(c)[owner] for c in zip(*self.STACK)][: 4 if cracked else 2]
+        params = [c[owner] for c in self._columns(cracked)]
         flat = np.concatenate([np.array(k, dtype=float) for k in ks])
         with monkeypatch.context() as m:
             calls = self._record(m)
@@ -714,7 +723,7 @@ class TestMaskShortcut:
         alone = [[1.0 + 8.0 * DEGENERACY_TOL]]
         with monkeypatch.context() as m:
             calls = self._record(m)
-            det_sign_logmag(np.array(alone[0]), *self.STACK[0][: 4 if cracked else 2])
+            det_sign_logmag(np.array(alone[0]), *(float(c[0]) for c in self._columns(cracked)))
         assert not calls[0][0]
         masks, zero, repeated = self._evaluate_stack(monkeypatch, alone + [self.FAR] * 2, cracked)
         assert masks and not zero.any() and not repeated.any()
@@ -735,9 +744,11 @@ class TestOneSidedBranches:
         "just-below": [1.0 - 1e-3, 1.0 - 1e-4, 1.0 - 1e-6],
         "just-above": [1.0 + 1e-6, 1.0 + 1e-4, 1.0 + 1e-3],
     }
-    # (eta, beta, alpha, theta_c): uncracked, cracked, and cracked with theta_c = 0.
+    # (eta, beta, alpha, theta_c): two uncracked (the crack of zero compliance
+    # at beta/2), then cracked, and cracked with theta_c = 0.
     PROBLEMS = [
-        (0.0, 1.0), (2.0, 1.5), (1.0, 1.0, 0.4, 0.8), (3.0, 2.5, 2.0, 40.0), (0.5, 2.0, 0.7, 0.0)
+        (0.0, 1.0, 0.5, 0.0), (2.0, 1.5, 0.75, 0.0),
+        (1.0, 1.0, 0.4, 0.8), (3.0, 2.5, 2.0, 40.0), (0.5, 2.0, 0.7, 0.0),
     ]
 
     @staticmethod
@@ -774,7 +785,7 @@ class TestOneSidedBranches:
     @pytest.mark.parametrize("cracked", [False, True], ids=["uncracked", "cracked"])
     @pytest.mark.parametrize("side", SIDES)
     def test_stacked_parameters(self, monkeypatch, cracked, side):
-        problems = [p for p in self.PROBLEMS if (len(p) == 4) == cracked]
+        problems = self.PROBLEMS[2:] if cracked else self.PROBLEMS[:2]
         ks = self.SIDES[side]
         owner = np.arange(len(ks)) % len(problems)
         params = [np.array(c, dtype=float)[owner] for c in zip(*problems)]

@@ -297,9 +297,9 @@ class TestModeShape:
             assert shape[:, 1].min() >= -1.0
 
     def test_unpolished_fallback_is_logged(self, caplog):
-        # One debug line when the shape is sampled at the stored root: a K
-        # with no sign change nearby.
-        problem = make_problem()
+        # One debug line when a cracked shape is sampled at the stored root: a
+        # K with no sign change nearby.
+        problem = make_problem(alpha=0.4, theta=0.8)
         root = find_frequencies(problem, SearchConfig(max_modes=1)).roots[0]
         stored = solver.Root(K=50.0)
         with caplog.at_level(logging.DEBUG, logger="arch_resonance"):
@@ -312,6 +312,29 @@ class TestModeShape:
             assert record.levelno == logging.DEBUG
             assert "no sign change" in record.getMessage()
             assert repr(stored.K) in record.getMessage()
+
+    def test_uncracked_shape_takes_no_kernel_call(self):
+        # An uncracked root is its closed form, exact: it is not polished, and
+        # only the matching matrix at that K is assembled. A cracked root is.
+        cases = ((make_problem(eta=0.5), False), (make_problem(0.5, 0.5, 0.2, 1.0), True))
+        for problem, polished in cases:
+            for root in find_frequencies(problem, SearchConfig(max_modes=3)).roots:
+                calls = solver._tally.calls
+                mode_shape(problem, root, samples=11)
+                assert (solver._tally.calls > calls) == polished
+
+    def test_uncracked_shape_at_a_high_root_is_the_sine(self):
+        # K_62991 = 1.00006e10 at beta = 1 is exact. A bisection polish once
+        # moved it by 5e-14 relative, and the shape sampled there strayed
+        # from the sine by 1.9.
+        problem = make_problem(eta=3.915896)
+        cfg = SearchConfig(k_min=1e10, k_max=1e12, max_modes=2)
+        root = find_frequencies(problem, cfg).roots[1]
+        assert root.K == uncracked_K_closed_form(62991, 1.0, 3.915896)
+        shape = mode_shape(problem, root, samples=200)
+        sine = np.sin(62991 * math.pi * shape[:, 0])
+        sine /= np.abs(sine).max()
+        assert min(np.abs(shape[:, 1] - s * sine).max() for s in (1.0, -1.0)) <= 1e-6
 
     def test_sample_count_and_grid(self):
         problem = make_problem()
@@ -509,6 +532,26 @@ class TestSpectrumLength:
             f"error: K range [{float(k_min)!r}, 1e+301] is beyond what double precision resolves\n"
         )
 
+    @pytest.mark.filterwarnings("error")
+    def test_cracked_range_beyond_double_precision_exits_one(self, capsys, tmp_path):
+        # At eta > 0, N(k_max) overflows, and so would the kernel's roots mu:
+        # one line, as for an uncracked range, and no numpy warning. At
+        # eta = 0 nothing overflows, and the range is searched.
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[search]\nk-min = 1e300\nk-max = 1e301\n")
+        argv = ["freq", "--beta", "5.9108", "--eta", "3.82", "--chirality", "armchair",
+                "--crack-psi", "0.54", "--crack-alpha", "0.646447878", "--modes", "12",
+                "--config", str(cfg)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: K range [1e+300, 1e+301] is beyond what double precision resolves\n"
+        )
+        argv = ["freq", "--beta", "1", "--eta", "0", "--crack-psi", "0.3", "--config", str(cfg)]
+        assert main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 6
+
     @pytest.mark.parametrize("eta, k_min", [(0.0, 1e300), (4.0, 1e70)])
     def test_range_one_float_wide_is_not_empty(self, eta, k_min):
         # N(k_min) and the K_n are finite, and the range lies below the first
@@ -605,14 +648,13 @@ def _assert_same_entry(entry, alone):
 
 @st.composite
 def _batches(draw):
-    """1-6 problems, all uncracked or all cracked, with up to eight modes."""
-    cracked = draw(st.booleans())
+    """1-6 problems, each cracked or not, with up to eight modes."""
     problems = []
     for _ in range(draw(st.integers(1, 6))):
         beta = 10.0 ** draw(st.floats(math.log10(BETA_MIN), math.log10(2 * math.pi)))
         eta = draw(st.one_of(st.just(0.0), st.floats(0.0, 4.0)))
         crack = None
-        if cracked:
+        if draw(st.booleans()):
             alpha = draw(st.floats(0.05, 0.95)) * beta
             crack = CrackJoint(alpha=alpha, theta_c=10.0 ** draw(st.floats(-3.0, 2.0)))
         problems.append(ArchProblem(beta=beta, eta_nd=eta, crack=crack))
@@ -664,13 +706,22 @@ class TestBatchedSearch:
         for problem, entry in zip(problems, entries):
             _assert_same_entry(entry, _alone(problem, cfg))
 
-    def test_mixed_batch_rejected(self):
-        problems = [make_problem(), make_problem(alpha=0.4, theta=0.8)]
-        for search in (find_frequencies, scan_and_bracket):
-            with pytest.raises(ValueError, match="all cracked or all uncracked"):
-                search(problems, SearchConfig())
-        with pytest.raises(ValueError, match="all cracked or all uncracked"):
-            refine_root([(70.0, 80.0), (60.0, 80.0)], problems, SearchConfig(), [None, None])
+    def test_mixed_batch_matches_solves_alone(self):
+        # Uncracked problems among cracked ones: each entry of the search, the
+        # scan and the bisection is the one of that problem alone, bit for bit.
+        problems = [
+            make_problem(eta=0.5), make_problem(alpha=0.4, theta=0.8),
+            make_problem(beta=2.0), make_problem(beta=2.0, eta=1.0, alpha=1.5, theta=0.0),
+        ]
+        cfg = SearchConfig(max_modes=3)
+        for problem, entry in zip(problems, find_frequencies(problems, cfg)):
+            _assert_same_entry(entry, _alone(problem, cfg))
+        scans = scan_and_bracket(problems, cfg)
+        assert scans == [_scan(problem, cfg) for problem in problems]
+        pairs = [scan.brackets[0] for scan in scans]
+        ends = [scan.end_values[0] for scan in scans]
+        roots = refine_root(pairs, problems, cfg, ends).tolist()
+        assert roots == [_refine(pair, problem) for pair, problem in zip(pairs, problems)]
 
     def test_refine_needs_one_problem_per_bracket(self):
         with pytest.raises(ValueError, match="one problem per bracket"):
@@ -731,7 +782,8 @@ def _dip(monkeypatch, problem):
 
     def dipping(p, K):
         signs, logs = original(p, K)
-        hit = (K == k) & (np.asarray(p.beta) == problem.beta)
+        beta = p.beta if isinstance(p, ArchProblem) else p[1]  # a stack's second row
+        hit = (K == k) & (beta == problem.beta)
         if hit.any():
             hits.append(k)
         return signs, np.where(hit, logs - 4.0 * solver._DIP_THRESHOLD, logs)
@@ -1253,6 +1305,19 @@ class TestExactCount:
         root = find_frequencies(make_problem(beta=DOUBLE_BETA), SearchConfig(max_modes=1)).roots[0]
         with pytest.raises(DoubleRoot):
             mode_shape(make_problem(beta=DOUBLE_BETA), root)
+
+    def test_close_roots_above_one_are_distinct(self):
+        # Only a falling and a rising K_n, both below 1, can coincide: above
+        # 1, K_n closer than the double-root window are distinct roots, each
+        # listed, and a mode shape is asked of one of them.
+        problem = make_problem()
+        cfg = SearchConfig(k_min=1e60, k_max=1e61, max_modes=3)
+        n = solver._count_below(problem, 1e60)
+        expected = tuple(uncracked_K_closed_form(n + i, 1.0, 0.0) for i in (1, 2, 3))
+        assert rel_err(expected[2], expected[0]) < 1e-12
+        spectrum = find_frequencies(problem, cfg)
+        assert spectrum.K_values == expected
+        assert mode_shape(problem, spectrum.roots[1], samples=5)[:, 1].max() == 1.0
 
     def test_uniform_node_inside_a_guide_pair(self):
         # With 16 grid points and this k_max, uniform node 1 lies between the
