@@ -6,10 +6,10 @@ The transverse vibration of the arch reduces to the fourth-order equation
 
 whose exponential ansatz gives the bi-quadratic lam^4 + p2 lam^2 + p0 = 0 with
 p2 = 2 + K*eta and p0 = 1 - K. This module builds the support-adapted
-fundamental solutions at a trial K, evaluates their derivatives
-analytically, assembles the crack matching matrix whose null vector gives the
-mode shape, and evaluates the boundary determinant in closed form, as the
-reduced characteristic function whose sign changes bracket the eigenvalues.
+fundamental solutions at a trial K, evaluates their derivatives analytically,
+assembles the crack matching matrix whose null vector gives a cracked mode
+shape, and evaluates the boundary determinant in closed form, as the reduced
+characteristic function whose sign changes bracket the eigenvalues.
 
 Stacks
 ------
@@ -17,8 +17,8 @@ Stacks
 trial K or an array of N of them, giving N signs and log-magnitudes of the
 reduced characteristic function; a scalar K is the N = 1 case of the same
 code. The matching path (:func:`quartic_roots`, :class:`ModeBasis` and
-:func:`assemble_cracked`) samples one mode shape at its root and takes one
-K. A :func:`det_sign_logmag` call costs mostly a fixed part: 1 and
+:func:`assemble_cracked`) samples one cracked mode shape at its root and
+takes one K. A :func:`det_sign_logmag` call costs mostly a fixed part: 1 and
 256 K values of a cracked problem take about 32 and 58 us in a tight loop
 (48 us for 256 values all above K = 1; numpy 2.4, shared 2-core x86-64 VM),
 so the solver evaluates its K grid in fixed-size blocks and each bisection
@@ -69,10 +69,10 @@ the X''' and slope-jump rows into a 2x2 whose determinant over mu1 - mu2 is
 at theta_c = 0, F = S1*S2: an uncracked arch is that crack, as the solver
 passes it (at beta/2). :func:`det_sign_logmag` evaluates F with no matrix. Its
 sign is that of the determinant of the matching matrix, so both change sign
-at the same K. A mode shape's coefficients are the null vector of the
-matching matrix at its root (:func:`null_vector`). The uncracked K_n need
-none of this: their closed form, :func:`model.uncracked_K_closed_form`,
-lives in numpy-free ``model`` and is re-exported here.
+at the same K. A cracked mode shape's coefficients are the null vector of
+the matching matrix at its root (:func:`null_vector`). The uncracked K_n and
+shapes sin(n*pi*phi/beta) need none of this: the closed form of K_n,
+:func:`model.uncracked_K_closed_form`, is re-exported here.
 """
 
 from __future__ import annotations

@@ -16,8 +16,8 @@ root (the secant one from its ends' signed values, then an inverse cubic
 interpolant), and bisection's rules walk the path until a midpoint's sign
 disagrees with the prediction, whose kept half is the next call's bracket. A
 five-mode cracked solve takes two or three bisection calls. A spectrum holds
-roots only: :func:`mode_shape` alone extracts a null vector, the shape's
-coefficients, from the matching matrix.
+roots only: :func:`mode_shape` samples an uncracked root's shape as its sine
+and a cracked one's from the null vector of the matching matrix.
 
 :func:`find_frequencies` also takes a sequence of problems, as a sweep or
 the validation table has. Each uncracked one is its closed form; the cracked
@@ -36,8 +36,8 @@ bisection keeps its own midpoints and the kernel evaluates each K of a stack
 independently.
 
 An uncracked solve imports neither numpy nor :mod:`kernel`: each function
-that works on arrays or calls the kernel imports them itself, so they load
-with the first cracked search or mode shape.
+that works on arrays or calls the kernel imports them itself, so numpy loads
+with the first cracked search or mode shape, the kernel with a cracked one.
 """
 
 from __future__ import annotations
@@ -119,12 +119,9 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class Root:
-    """One spectrum entry: an eigenvalue, refined inside a sign-change bracket.
+    """One spectrum entry: an eigenvalue, a closed-form K_n or a refined root.
 
-    A root carries no mode coefficients: :func:`mode_shape` computes them, as
-    the null vector (:func:`kernel.null_vector`) of the support-adapted
-    matching matrix at the root (a cracked one polished first), assembled by
-    :func:`_matching` from the same mode basis that samples the shape.
+    A root carries no mode shape: :func:`mode_shape` samples it.
     """
 
     K: float
@@ -319,17 +316,23 @@ def _candidates(nodes, signs, logs):
     return lower, upper, nodes[1 : signs.size - 1][dip]
 
 
+def _mode_numbers(problem: ArchProblem, K: float) -> tuple[float, float]:
+    """a1*beta/pi and a2*beta/pi at K: the real n, rising and falling, whose K_n is K."""
+    eta = problem.eta_nd
+    x1 = 1.0 + 0.5 * K * eta + 0.5 * math.sqrt(K * (4.0 + 4.0 * eta + K * eta * eta))
+    c = problem.beta / math.pi
+    return math.sqrt(x1) * c, math.sqrt(max(1.0 - K, 0.0) / x1) * c
+
+
 def _count_below(problem: ArchProblem, K: float) -> int:
     """N(K), the uncracked eigenvalues below K with multiplicity; F has the sign (-1)**N.
 
     F = S1*S2, S_i = sin(a_i*beta)/a_i (mu_i = -a_i^2): a1 grows from 1 with K,
     a2 falls from 1 to 0 at K = 1, above which S2 > 0, so
-    N = floor(a1*beta/pi) - floor(a2*beta/pi).
+    N = floor(a1*beta/pi) - floor(a2*beta/pi) (:func:`_mode_numbers`).
     """
-    eta = problem.eta_nd
-    x1 = 1.0 + 0.5 * K * eta + 0.5 * math.sqrt(K * (4.0 + 4.0 * eta + K * eta * eta))
-    c = problem.beta / math.pi
-    return math.floor(math.sqrt(x1) * c) - math.floor(math.sqrt(max(1.0 - K, 0.0) / x1) * c)
+    rising, falling = _mode_numbers(problem, K)
+    return math.floor(rising) - math.floor(falling)
 
 
 def scan_and_bracket(problems, cfg: SearchConfig) -> list:
@@ -750,49 +753,56 @@ def _polish(problem: ArchProblem, k: float) -> float:
 def mode_shape(problem: ArchProblem, root: Root, samples: int = 201) -> np.ndarray:
     """Sample the spatial mode X on a uniform grid over [0, beta].
 
-    Returns an array of shape (samples, 2) with columns (phi, X). A cracked
-    root is polished first (:func:`_polish`); an uncracked one, its closed
-    form, is exact and takes no kernel call. The coefficients (c1, c2, d1, d2)
-    are the null vector there of :func:`boundary_matrix`'s matching matrix,
-    assembled by :func:`_matching` from the basis that also samples X: X is
-    c1*u1(phi) + c2*u2(phi) left of the crack and
-    d1*u1(beta - phi) + d2*u2(beta - phi) right of it, in the support-adapted
-    columns of :meth:`kernel.ModeBasis.support_rows`, with the crack of zero
-    compliance at beta/2 for an uncracked arch; a compliant crack shows up as
-    a slope discontinuity. Guaranteed: X is exactly 0 at both supports, the
-    sample of largest |X| is exactly +1, every sample lies in [-1, 1], and a
-    zero sample is +0.0. When every sample lies on a node, as with 2 samples
-    (the supports) or mode 2 at 3, every X is +0.0: the largest sampled |X|
-    is at or below 1e-8 times the largest at 64 cell midpoints of [0, beta].
-    When the largest + and - extrema tie, as in an antisymmetric mode,
-    rounding decides which one is +1, and with it the overall sign. An
-    uncracked double root, a K below 1 where N (:func:`_count_below`) jumps
-    by 2 across K(1 -+ 1e-12), raises :class:`DoubleRoot`; a cracked double
-    root is not detected, and its shape is one of a plane of them.
+    Returns an array of shape (samples, 2) with columns (phi, X). An uncracked
+    root is sin(n*pi*phi/beta), for the one n whose closed-form K_n is its K,
+    with n*i reduced modulo 2*(samples - 1) in integers at sample i, so a node
+    reads exactly 0; a K that is no K_n raises ValueError, and a double root
+    (two n at one K below 1) :class:`DoubleRoot`. A cracked root is polished
+    (:func:`_polish`), and X is c1*u1(phi) + c2*u2(phi) left of the crack and
+    d1*u1(beta - phi) + d2*u2(beta - phi) right of it
+    (:meth:`kernel.ModeBasis.support_rows`), (c1, c2, d1, d2) the null vector
+    of :func:`_matching`'s matrix there; a double root is not detected.
+    Guaranteed: X is exactly 0 at both supports, the sample of largest |X|
+    is exactly +1, every sample lies in [-1, 1], and a zero sample is +0.0.
+    When every sample lies on a node, as with 2 samples or mode 2 at 3,
+    every X is +0.0: the largest sampled |X| is at or below 1e-8 times the
+    largest at 64 cell midpoints of [0, beta]. When the largest + and -
+    extrema tie, rounding decides which one is +1.
     """
     import numpy as np
-    from . import kernel
     if samples < 2:
         raise ValueError("samples must be at least 2")
-    k = root.K if problem.crack is None else _polish(problem, root.K)
-    if problem.crack is None and k < 1.0:
-        window = (1.0 - _DOUBLE_ROOT, 1.0 + _DOUBLE_ROOT)
-        below, above = (_count_below(problem, k * f) for f in window)
-        if above - below > 1:
-            raise DoubleRoot(f"K = {k!r} is a double root: its mode shapes span a plane")
-    basis, matrix = _matching(problem, k)
-    vec = kernel.null_vector(matrix)
-
     phis = problem.beta * np.arange(samples) / (samples - 1)
-    cells = (np.arange(64) + 0.5) / 64
-    at = np.concatenate([phis, problem.beta * cells])  # the samples, then the cells
-    alpha = _matching_crack(problem).alpha
-    left = at < alpha
-    x, ref = (np.where(left, v, problem.beta - v) for v in (at, alpha))
-    rows = basis.support_rows(x, ref, nrows=1)[:, 0, :]
-    c = np.where(left[:, None], vec[:2], vec[2:])
-    # Summed from +0.0, so an exact zero is +0.0.
-    values = 0.0 + c[:, 0] * rows[:, 0] + c[:, 1] * rows[:, 1]
+    K = root.K
+    if problem.crack is None:
+        # n lies within 1 + 2**-49 n of a mode number below 2**55: K_n is rounded by a few ulps.
+        near = {}
+        for v in _mode_numbers(problem, K):
+            if v < 2.0**55:
+                w = 1 + int(v * 2.0**-49)
+                for n in range(max(1, round(v) - w), round(v) + w + 1):
+                    near[n] = model.uncracked_K_closed_form(n, problem.beta, problem.eta_nd)
+        exact = [n for n, k in near.items() if k == K]
+        if exact and K < 1.0 and sum(abs(k - K) <= _DOUBLE_ROOT * K for k in near.values()) > 1:
+            raise DoubleRoot(f"K = {K!r} is a double root: its mode shapes span a plane")
+        if len(exact) != 1:
+            raise ValueError(f"K = {K!r} is not the closed-form K_n of one uncracked mode n")
+        # sin(n*pi*num/den) at the samples, num/den = i/(samples - 1), then the
+        # cells, (2j + 1)/128, with n*num reduced modulo 2*den in integers.
+        num = np.concatenate([np.arange(samples), 2 * np.arange(64) + 1])
+        den = np.repeat(np.array([samples - 1, 128], dtype=np.int64), [samples, 64])
+        m = exact[0] % (2 * den) * num % (2 * den)
+        values = np.sin(np.pi * (m % den) / den) * np.where(m < den, 1.0, -1.0)
+    else:
+        from . import kernel
+        basis, matrix = _matching(problem, _polish(problem, K))
+        at = np.concatenate([phis, problem.beta * ((np.arange(64) + 0.5) / 64)])  # samples, cells
+        left = at < problem.crack.alpha
+        x, ref = (np.where(left, v, problem.beta - v) for v in (at, problem.crack.alpha))
+        rows = basis.support_rows(x, ref, nrows=1)[:, 0, :]
+        c = np.where(left[:, None], *kernel.null_vector(matrix).reshape(2, 2))  # (c1, c2), (d1, d2)
+        # Summed from +0.0, so an exact zero is +0.0.
+        values = 0.0 + c[:, 0] * rows[:, 0] + c[:, 1] * rows[:, 1]
     peak = values[np.argmax(np.abs(values[:samples]))]
     if abs(peak) > _NOISE * np.abs(values[samples:]).max():
         values = values[:samples] / peak + 0.0

@@ -122,13 +122,22 @@ class TestImportGraph:
         "argv",
         [
             ["freq", "--beta", "1", "--eta", "1", "--crack-psi", "0.3"],
-            ["modeshape", "--beta", "1", "--eta", "1", "--samples", "5"],
+            ["modeshape", "--beta", "1", "--eta", "1", "--crack-psi", "0.3", "--samples", "5"],
         ],
-        ids=["cracked-freq", "uncracked-modeshape"],
+        ids=["cracked-freq", "cracked-modeshape"],
     )
     def test_searches_and_shapes_load_numpy(self, loaded_by, argv):
         loaded = loaded_by(f"from arch_resonance.cli import main\nassert main({argv!r}) == 0")
         assert {"numpy", "arch_resonance.kernel"} <= loaded
+
+    def test_uncracked_modeshape_skips_the_kernel(self, loaded_by):
+        # Its shape is the closed-form sine, sampled in numpy's arrays.
+        loaded = loaded_by(
+            "from arch_resonance.cli import main\n"
+            "assert main(['modeshape', '--beta', '1', '--eta', '1', '--samples', '5']) == 0"
+        )
+        assert "numpy" in loaded
+        assert "arch_resonance.kernel" not in loaded
 
     def test_closed_form_export_skips_numpy(self, loaded_by):
         loaded = loaded_by(

@@ -42,6 +42,18 @@ def _coefficients(problem, root):
     return tuple(kernel.null_vector(solver.boundary_matrix(problem, root.K)).tolist())
 
 
+def _exact_sine(n, samples):
+    """sin(n*pi*i/(samples - 1)) at each sample i, scaled to a largest |value| of 1.
+
+    The argument is reduced modulo 2*pi exactly, in Python's integers: a
+    plain ``np.sin(n*pi*phi/beta)`` carries about 1e-11 of argument rounding
+    at n near 1e4 and is meaningless at n near 1e14.
+    """
+    d = samples - 1
+    sine = np.array([math.sin(math.pi * (n * i % (2 * d)) / d) for i in range(samples)])
+    return sine / np.abs(sine).max()
+
+
 def _scan(problem, cfg=SearchConfig()):
     """The problem's scan alone: its ScanResult or its NoRootsInRange."""
     return scan_and_bracket([problem], cfg)[0]
@@ -314,14 +326,20 @@ class TestModeShape:
             assert repr(stored.K) in record.getMessage()
 
     def test_uncracked_shape_takes_no_kernel_call(self):
-        # An uncracked root is its closed form, exact: it is not polished, and
-        # only the matching matrix at that K is assembled. A cracked root is.
+        # An uncracked root is sampled as its closed-form sine: it is not
+        # polished, and no basis, matching matrix or null vector is built. A
+        # cracked root takes all of them.
         cases = ((make_problem(eta=0.5), False), (make_problem(0.5, 0.5, 0.2, 1.0), True))
-        for problem, polished in cases:
+        for problem, cracked in cases:
             for root in find_frequencies(problem, SearchConfig(max_modes=3)).roots:
                 calls = solver._tally.calls
-                mode_shape(problem, root, samples=11)
-                assert (solver._tally.calls > calls) == polished
+                with (
+                    mock.patch.object(kernel, "quartic_roots", wraps=kernel.quartic_roots) as basis,
+                    mock.patch.object(kernel, "null_vector", wraps=kernel.null_vector) as null,
+                ):
+                    mode_shape(problem, root, samples=11)
+                assert (solver._tally.calls > calls) == cracked
+                assert basis.called == null.called == cracked
 
     def test_uncracked_shape_at_a_high_root_is_the_sine(self):
         # K_62991 = 1.00006e10 at beta = 1 is exact. A bisection polish once
@@ -335,6 +353,47 @@ class TestModeShape:
         sine = np.sin(62991 * math.pi * shape[:, 0])
         sine /= np.abs(sine).max()
         assert min(np.abs(shape[:, 1] - s * sine).max() for s in (1.0, -1.0)) <= 1e-6
+
+    @pytest.mark.parametrize(
+        "beta, eta, cfg, mode, n, samples",
+        [
+            # Mode 2 of this range strayed from its sine by 0.21 when it was
+            # the null vector of the matching matrix.
+            (1.528537, 1.692185, SearchConfig(k_min=1e10, k_max=1e12, max_modes=2), 2, 63294, 200),
+            # Mode 4 of this range is K_n for n = 3183098861837911, but its
+            # nearest-integer mode number is n + 1.
+            (1.0, 1.0, SearchConfig(k_min=1e32, k_max=1e33, max_modes=4), 4, 3183098861837911, 200),
+            # n * i passes the largest int64 from i = 28977 of 100001 samples on.
+            (1.0, 0.0, SearchConfig(k_min=1e60, k_max=1e61, max_modes=1), 1, 318309886183791, 100_001),
+        ],
+        ids=["K_63294", "float-limit", "K_1e60"],
+    )
+    def test_high_mode_is_the_exactly_reduced_sine(self, beta, eta, cfg, mode, n, samples):
+        problem = make_problem(beta, eta)
+        root = find_frequencies(problem, cfg).roots[mode - 1]
+        assert root.K == uncracked_K_closed_form(n, beta, eta)
+        shape = mode_shape(problem, root, samples=samples)
+        sine = _exact_sine(n, samples)
+        assert min(np.abs(shape[:, 1] - s * sine).max() for s in (1.0, -1.0)) <= 1e-12
+        assert shape[0, 1] == shape[-1, 1] == 0.0 and shape[:, 1].max() == 1.0
+
+    @pytest.mark.parametrize("n, beta, eta", [(3000, 1.0, 1.0), (10001, 1.3, 3.0)])
+    def test_hand_built_mode_is_the_exactly_reduced_sine(self, n, beta, eta):
+        # At 200 samples these strayed from their sines by 3.8e-5 and 1.92
+        # when a shape was the null vector of the matching matrix with a crack
+        # of zero compliance at beta/2.
+        root = solver.Root(K=uncracked_K_closed_form(n, beta, eta))
+        shape = mode_shape(make_problem(beta, eta), root, samples=200)
+        sine = _exact_sine(n, 200)
+        assert min(np.abs(shape[:, 1] - s * sine).max() for s in (1.0, -1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("K", [50.0, K1_B1_E0 * (1 + 1e-15), 1e300, math.inf])
+    def test_k_that_is_no_eigenvalue_is_rejected(self, K):
+        # 1e300 and inf are beyond every K_n a double resolves: their mode
+        # numbers at eta = 1 pass 2**55, or the largest float.
+        for eta in (0.0, 1.0):
+            with pytest.raises(ValueError, match="not the closed-form K_n"):
+                mode_shape(make_problem(eta=eta), solver.Root(K=K), samples=5)
 
     def test_sample_count_and_grid(self):
         problem = make_problem()
@@ -431,7 +490,7 @@ class TestModeShape:
             worst = max(worst, min(np.abs(shape[:, 1] - s * sine).max() for s in (1.0, -1.0)))
             checked += 1
         assert checked >= 290
-        assert worst <= 1e-9
+        assert worst <= 1e-13
 
     def test_rejects_tiny_sample_count(self):
         problem = make_problem()
@@ -1309,15 +1368,20 @@ class TestExactCount:
     def test_close_roots_above_one_are_distinct(self):
         # Only a falling and a rising K_n, both below 1, can coincide: above
         # 1, K_n closer than the double-root window are distinct roots, each
-        # listed, and a mode shape is asked of one of them.
+        # listed, and a mode shape is asked of one of them. Mode n + 2 is a
+        # multiple of 4, so its 5 samples all lie on nodes and read +0.0; at
+        # 6 samples it peaks at +1.
         problem = make_problem()
         cfg = SearchConfig(k_min=1e60, k_max=1e61, max_modes=3)
         n = solver._count_below(problem, 1e60)
+        assert (n + 2) % 4 == 0
         expected = tuple(uncracked_K_closed_form(n + i, 1.0, 0.0) for i in (1, 2, 3))
         assert rel_err(expected[2], expected[0]) < 1e-12
         spectrum = find_frequencies(problem, cfg)
         assert spectrum.K_values == expected
-        assert mode_shape(problem, spectrum.roots[1], samples=5)[:, 1].max() == 1.0
+        shape = mode_shape(problem, spectrum.roots[1], samples=5)[:, 1]
+        assert shape.tolist() == [0.0] * 5 and not np.signbit(shape).any()
+        assert mode_shape(problem, spectrum.roots[1], samples=6)[:, 1].max() == 1.0
 
     def test_uniform_node_inside_a_guide_pair(self):
         # With 16 grid points and this k_max, uniform node 1 lies between the
