@@ -24,18 +24,15 @@ _EXPORTS = {
         "DegenerateSegment", "DoubleRoot", "InvalidModel", "InvalidPreset", "InvalidSpec",
         "MissingPreset", "NoRootsInRange", "OutOfRange", "UsageError",
     ),
-    "kernel": (
-        "ModeBasis", "assemble_cracked", "det_sign_logmag", "null_vector", "quartic_roots",
-    ),
+    # The kernel's functions, and the solver's search internals, are reached
+    # through their modules.
+    "kernel": (),
     "model": (
         "ArchProblem", "ChiralityClass", "ChiralitySpec", "CrackJoint", "CrackSpec",
         "PhysicalTube", "classify_chirality", "nondimensionalize", "omega_from_K", "omega_nd",
         "resolve_preset", "tube_diameter", "uncracked_K_closed_form",
     ),
-    "solver": (
-        "Root", "ScanResult", "SearchConfig", "Spectrum", "boundary_determinant",
-        "boundary_matrix", "find_frequencies", "mode_shape", "refine_root", "scan_and_bracket",
-    ),
+    "solver": ("Root", "SearchConfig", "Spectrum", "find_frequencies", "mode_shape"),
     "sweep": (
         "REFERENCE_TABLE", "SweepRow", "SweepSpec", "ValidationRow", "rows_to_csv", "run_sweep",
         "validation_table", "validation_to_csv",

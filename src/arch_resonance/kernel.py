@@ -13,10 +13,10 @@ characteristic function whose sign changes bracket the eigenvalues.
 
 Stacks
 ------
-:func:`det_sign_logmag`, which the root search evaluates, takes either one
-trial K or an array of N of them, giving N signs and log-magnitudes of the
-reduced characteristic function; a scalar K is the N = 1 case of the same
-code. The matching path (:func:`quartic_roots`, :class:`ModeBasis` and
+:func:`det_sign_logmag`, which the cracked root search evaluates, takes
+either one trial K or an array of N of them, giving N signs and
+log-magnitudes of the reduced characteristic function; a scalar K is the
+N = 1 case of the same code. The matching path (:func:`quartic_roots`, :class:`ModeBasis` and
 :func:`assemble_cracked`) samples one cracked mode shape at its root and
 takes one K. A :func:`det_sign_logmag` call costs mostly a fixed part: 1 and
 256 K values of a cracked problem take about 32 and 58 us in a tight loop
@@ -30,10 +30,11 @@ lie in their windows.
 :func:`det_sign_logmag` also takes its problem parameters (eta_nd, beta,
 alpha, theta_c) as arrays that broadcast to K's shape, so one call evaluates
 the K values of several problems, each against its own parameters; the
-solver scans and bisects the problems of a sweep this way. Every parameter
-check applies to each element, and since every operation is elementwise,
-each value is bit-identical to a call with that problem's scalar
-parameters. Scalar parameters take the scalar path, with no broadcast.
+solver scans and bisects the cracked problems of a sweep this way, and
+passes one problem's parameters as scalars. Every parameter check applies
+to each element, and since every operation is elementwise, each value is
+bit-identical to a call with that problem's scalar parameters. Scalar
+parameters take the scalar path, with no broadcast, which costs less.
 
 Basis conventions
 -----------------
@@ -66,13 +67,13 @@ the X''' and slope-jump rows into a 2x2 whose determinant over mu1 - mu2 is
     F = S1*S2 + theta_c*mu1*mu2*(S1*A2 - S2*A1)/(mu1 - mu2),
     S_i = o(mu_i, beta),  A_i = o(mu_i, alpha)*o(mu_i, gamma);
 
-at theta_c = 0, F = S1*S2: an uncracked arch is that crack, as the solver
-passes it (at beta/2). :func:`det_sign_logmag` evaluates F with no matrix. Its
-sign is that of the determinant of the matching matrix, so both change sign
-at the same K. A cracked mode shape's coefficients are the null vector of
-the matching matrix at its root (:func:`null_vector`). The uncracked K_n and
-shapes sin(n*pi*phi/beta) need none of this: the closed form of K_n,
-:func:`model.uncracked_K_closed_form`, is re-exported here.
+at theta_c = 0, F = S1*S2, the uncracked arch's function at any alpha.
+:func:`det_sign_logmag` evaluates F with no matrix. Its sign is that of the
+determinant of the matching matrix, so both change sign at the same K. A
+cracked mode shape's coefficients are the null vector of the matching
+matrix at its root (:func:`null_vector`). The solver needs none of this for
+an uncracked arch: its K_n and shapes sin(n*pi*phi/beta) are closed forms
+(:func:`model.uncracked_K_closed_form`).
 """
 
 from __future__ import annotations
@@ -83,7 +84,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SEGMENT_TOL, DegenerateSegment
-from .model import uncracked_K_closed_form  # noqa: F401 (re-exported)
 
 # Degeneracy window for branch switching (see _lam2_roots).
 DEGENERACY_TOL = 1e-10

@@ -17,7 +17,7 @@ interpolant), and bisection's rules walk the path until a midpoint's sign
 disagrees with the prediction, whose kept half is the next call's bracket. A
 five-mode cracked solve takes two or three bisection calls. A spectrum holds
 roots only: :func:`mode_shape` samples an uncracked root's shape as its sine
-and a cracked one's from the null vector of the matching matrix.
+and a cracked one's from the null vector of its crack's matching matrix.
 
 :func:`find_frequencies` also takes a sequence of problems, as a sweep or
 the validation table has. Each uncracked one is its closed form; the cracked
@@ -25,9 +25,10 @@ ones are solved in lockstep, ``_BATCH`` at a time: each scan call evaluates
 the next block of every problem still scanning, and one :func:`refine_root`
 call bisects the brackets of all of them, each K against its own problem's
 parameters. It returns one entry per problem: its :class:`Spectrum`, or the
-:class:`NoRootsInRange` its own solve would raise. Where the solver hands
-the kernel an uncracked arch, in a matching matrix or a determinant, it is
-the crack of zero compliance at beta/2 (:func:`_matching_crack`).
+:class:`NoRootsInRange` its own solve would raise. Every kernel call goes
+through :func:`boundary_determinant`, which takes cracked problems only (a
+crack of zero compliance is one) and passes one problem's parameters as
+scalars, several as a stack with one column per K.
 
 Everything is deterministic: the same problem and configuration produce
 bit-identical spectra, whatever the block size, the estimates that set how
@@ -45,18 +46,17 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import sys
 import threading
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from . import model
 from .errors import DoubleRoot, NoRootsInRange
-from .model import ArchProblem, CrackJoint
+from .model import ArchProblem
 
 if TYPE_CHECKING:
     import numpy as np
-
-    from . import kernel
 
 logger = logging.getLogger(__name__)
 
@@ -91,7 +91,9 @@ class SearchConfig:
     ``grid_points`` and ``refine_tol`` tune only the scan and bisection; an
     uncracked spectrum is its closed form. ``k_max=None`` defaults to ten
     times the closed-form eigenvalue of the uncracked problem at mode
-    max(5, max_modes), which leaves ample room for the roots a crack shifts.
+    max(5, max_modes), which leaves ample room for the roots a crack shifts;
+    where that does not exceed k_min, the modes are counted from the
+    eigenvalues below k_min (:func:`_resolved`).
     """
 
     k_min: float = 1e-6
@@ -109,6 +111,8 @@ class SearchConfig:
             raise ValueError("k_min must be nonnegative")
         if self.k_max is not None and self.k_max <= self.k_min:
             raise ValueError("k_max must exceed k_min")
+        if self.k_max is None and self.k_min >= sys.float_info.max:
+            raise ValueError("k_min must leave room for a default k_max")
         if self.grid_points < 16:
             raise ValueError("grid_points must be at least 16")
         if not 0.0 < self.refine_tol < 1e-3:
@@ -152,46 +156,6 @@ class ScanResult:
     end_values: tuple[tuple[tuple[int, float], tuple[int, float]], ...]
 
 
-def _matching_crack(problem: ArchProblem) -> CrackJoint:
-    """The problem's crack, or for an uncracked arch the crack of zero compliance at beta/2."""
-    if problem.crack is None:
-        return CrackJoint(alpha=0.5 * problem.beta, theta_c=0.0)
-    return problem.crack
-
-
-def boundary_matrix(problem: ArchProblem, K: float) -> np.ndarray:
-    """Support-adapted 4x4 matching system of the problem at one trial K.
-
-    Returns one (4, 4) matrix (:func:`kernel.assemble_cracked`); a K array
-    raises ValueError. An uncracked arch is assembled as the crack of zero
-    compliance at beta/2: its rows enforce C3 continuity, so its zero set in
-    K and its null vectors are those of the uncracked arch.
-    """
-    return _matching(problem, K)[1]
-
-
-def _matching(problem: ArchProblem, K: float) -> tuple[kernel.ModeBasis, np.ndarray]:
-    """The mode basis at K and the matching matrix of :func:`boundary_matrix` built from it."""
-    from . import kernel
-    crack = _matching_crack(problem)
-    basis = kernel.quartic_roots(K, problem.eta_nd)
-    return basis, kernel.assemble_cracked(basis, problem.beta, crack.alpha, crack.theta_c)
-
-
-def _parameters(problems) -> np.ndarray:
-    """(eta_nd, beta, alpha, theta_c) of each problem, a column of a (4, P) array.
-
-    An uncracked problem's crack is :func:`_matching_crack`'s. Indexing the
-    columns lines the problems up with the K values of one kernel call.
-    """
-    import numpy as np
-    cracks = [_matching_crack(p) for p in problems]
-    return np.array([
-        [p.eta_nd for p in problems], [p.beta for p in problems],
-        [c.alpha for c in cracks], [c.theta_c for c in cracks],
-    ])
-
-
 class _Tally(threading.local):
     """Kernel calls and K values evaluated through boundary_determinant.
 
@@ -212,31 +176,52 @@ class _Tally(threading.local):
 _tally = _Tally()
 
 
-def boundary_determinant(problem, K):
-    """Sign and log-magnitude of the problem's reduced characteristic function.
+def boundary_determinant(problems, K, runs=()):
+    """Sign and log-magnitude of cracked problems' reduced characteristic function.
 
-    One K gives (int, float), a K array two arrays of its shape; no matrix is
-    assembled (:func:`kernel.det_sign_logmag`). ``problem`` is an
-    :class:`ArchProblem`, an uncracked one taken as the crack of zero
-    compliance at beta/2, or a (4, N) array of N problems' parameters
-    (:func:`_parameters`), broadcast against K.
+    ``problems`` is a sequence of cracked problems (a crack of zero
+    compliance is one), and ``runs`` gives each K's index into it, as
+    (index, length) pairs of consecutive K values; one problem need not give
+    them. One K gives (int, float), a K array two arrays of its shape; no
+    matrix is assembled (:func:`kernel.det_sign_logmag`). One problem's
+    parameters are passed as scalars, several as a (4, N) stack with one
+    column per K: the scalar call costs less, and each value is
+    bit-identical either way.
     """
     import numpy as np
     from . import kernel
     _tally.calls += 1
     _tally.values += K.size if isinstance(K, np.ndarray) else 1
-    if isinstance(problem, ArchProblem):
-        crack = _matching_crack(problem)
-        return kernel.det_sign_logmag(K, problem.eta_nd, problem.beta, crack.alpha, crack.theta_c)
-    return kernel.det_sign_logmag(K, *problem)
+    if len(problems) == 1:
+        p = problems[0]
+        return kernel.det_sign_logmag(K, p.eta_nd, p.beta, p.crack.alpha, p.crack.theta_c)
+    cracks = [p.crack for p in problems]
+    stack = np.array([
+        [p.eta_nd for p in problems], [p.beta for p in problems],
+        [c.alpha for c in cracks], [c.theta_c for c in cracks],
+    ])
+    index, lengths = zip(*runs)
+    return kernel.det_sign_logmag(K, *stack[:, np.repeat(index, lengths)])
 
 
 def _resolved(problem: ArchProblem, cfg: SearchConfig) -> SearchConfig:
-    if cfg.k_max is None:
-        n = max(5, cfg.max_modes)
-        estimate = model.uncracked_K_closed_form(n, problem.beta, problem.eta_nd)
-        cfg = replace(cfg, k_max=10.0 * max(estimate, 1.0e-3))
-    return cfg
+    """``cfg`` with its default k_max (:class:`SearchConfig`) where it has none.
+
+    Where ten times K_n at n = max(5, max_modes) does not exceed k_min, n
+    counts on from N(k_min) (:func:`_count_below`), so K_n lies above k_min;
+    a default beyond the largest float is that float.
+    """
+    if cfg.k_max is not None:
+        return cfg
+    n = max(5, cfg.max_modes)
+    k_max = 10.0 * max(model.uncracked_K_closed_form(n, problem.beta, problem.eta_nd), 1.0e-3)
+    if k_max <= cfg.k_min:
+        try:
+            n += _count_below(problem, cfg.k_min)
+            k_max = 10.0 * model.uncracked_K_closed_form(n, problem.beta, problem.eta_nd)
+        except OverflowError:  # N(k_min) or K_n beyond the largest float
+            k_max = math.inf
+    return replace(cfg, k_max=min(k_max, sys.float_info.max))
 
 
 def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, count: int, kns=None) -> np.ndarray:
@@ -263,8 +248,14 @@ def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, count: int, kns=None) -
     first count + 1 uniform nodes and the guides below the last of them.
     Every node of the whole grid below that uniform node is one of those,
     and they are at least count + 1 even after the near-duplicates are
-    dropped, since uniform nodes are never near-duplicates of each other;
-    and K_n grows with n once lam > 1, so the guides stop there. The scan
+    dropped, since uniform nodes are never near-duplicates of each other.
+    The guides come from the falling modes (lam <= 1) and then the rising
+    ones, whose K_n grows with n: from N(k_min (1 - 2e-6)) on
+    (:func:`_count_below`), below which no guide reaches past k_min, to the
+    first past that bound or k_max, the first after count + 1 lower guides
+    above k_min, which every later guide lies above, or the first whose lower
+    guide is not above the upper one before it: where adjacent K_n lie within
+    2e-6 of each other, guides no longer tell the modes apart. The scan
     builds its grids a block at a time this way.
     """
     import numpy as np
@@ -274,19 +265,21 @@ def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, count: int, kns=None) -
     bound = k_max if size == points else uniform[-1]
     guides = [g for g in (1.0 - _GUIDE_OFFSET, 1.0 + _GUIDE_OFFSET) if k_min < g < bound]
     step = (k_max - k_min) / (points - 1)
-    n = 1
-    while n <= 10000:
+    c = math.floor(problem.beta / math.pi)
+    first = max(c + 1, _count_below(problem, k_min * (1.0 - 2.0 * _GUIDE_OFFSET)))
+    above, last = 0, -1.0  # rising modes with a lower guide above k_min; the last upper guide
+    for n in itertools.chain(range(1, c + 1), itertools.count(first)):
         kn = model.uncracked_K_closed_form(n, problem.beta, problem.eta_nd)
-        lam = n * math.pi / problem.beta
-        if lam > 1.0 and (kn > k_max or kn * (1.0 - _GUIDE_OFFSET) >= bound):
-            break
         lo, hi = kn * (1.0 - _GUIDE_OFFSET), kn * (1.0 + _GUIDE_OFFSET)
+        if n > c:
+            if kn > k_max or lo >= bound or above > count or lo <= last:
+                break
+            above, last = above + (k_min < lo), hi
         guides += [g for g in (lo, hi) if k_min < g < bound]
         if k_min < lo and hi < bound and (lo - k_min) // step == (hi - k_min) // step:
             guides.append(0.5 * (lo + hi))
         if kns is not None and kn > k_min:
             kns.append(kn)
-        n += 1
     nodes = np.sort(np.concatenate([uniform, guides]))
     # Near-duplicates come at most in pairs: the guides of K = 1 and the
     # nodes of a K_n's pair sit 1e-6 apart or more, so comparing neighbours
@@ -338,16 +331,16 @@ def _count_below(problem: ArchProblem, K: float) -> int:
 def scan_and_bracket(problems, cfg: SearchConfig) -> list:
     """Locate determinant sign changes of each problem over its K range.
 
-    ``problems`` is a sequence of problems scanned in lockstep: each kernel
-    call evaluates the next block of every problem still scanning, at most
-    ``_BLOCK`` K values, and a first block ends at the upper guide of the
-    (max_modes + 1)-th smallest K_n above k_min, one mode to spare for a
+    ``problems`` is a sequence of cracked problems scanned in lockstep: each
+    kernel call evaluates the next block of every problem still scanning, at
+    most ``_BLOCK`` K values, and a first block ends at the upper guide of
+    the (max_modes + 1)-th smallest K_n above k_min, one mode to spare for a
     crack's shift. A scan stops after the first block that leaves
     ``max_modes`` candidates, brackets and dips, in hand: the first
     candidates of the whole grid, in order. A node of sign 0 is one
     zero-width bracket, even at a double root. Each problem keeps its own
     ``cfg`` range, grid, blocks and early stop, so its entry is the one a
-    scan of it alone gives. Only a cracked solve scans.
+    scan of it alone gives.
 
     Returns one entry per problem: its :class:`ScanResult`, or a
     :class:`NoRootsInRange` when its scan yields no bracket, a dip among its
@@ -355,7 +348,6 @@ def scan_and_bracket(problems, cfg: SearchConfig) -> list:
     or N(k_max) (:func:`_count_below`) overflows, a range beyond doubles.
     """
     import numpy as np
-    stack = _parameters(problems) if len(problems) > 1 else None
     cfgs = [_resolved(p, cfg) for p in problems]
     grids = [None] * len(problems)
     scanned = [(None, None)] * len(problems)  # signs and logs of each prefix
@@ -381,14 +373,11 @@ def scan_and_bracket(problems, cfg: SearchConfig) -> list:
                 ends[i] = min(_BLOCK, int(np.searchsorted(grids[i], top, "right")))
             chunks.append(grids[i][start : ends[i]])
         _tally.scan_calls += 1
-        if stack is None:
-            offsets = (0, chunks[0].size)
-            new_signs, new_logs = boundary_determinant(problems[0], chunks[0])
-        else:
-            sizes = [c.size for c in chunks]
-            offsets = (0, *itertools.accumulate(sizes))
-            owner = stack[:, np.repeat(active, sizes)]
-            new_signs, new_logs = boundary_determinant(owner, np.concatenate(chunks))
+        sizes = [c.size for c in chunks]
+        offsets = (0, *itertools.accumulate(sizes))
+        new_signs, new_logs = boundary_determinant(
+            problems, np.concatenate(chunks), list(zip(active, sizes))
+        )
         scanning = []
         for i, lo, hi in zip(active, offsets, offsets[1:]):
             signs, logs = new_signs[lo:hi], new_logs[lo:hi]
@@ -422,17 +411,16 @@ def scan_and_bracket(problems, cfg: SearchConfig) -> list:
     return results
 
 
-def refine_root(brackets, problem, cfg: SearchConfig, end_values) -> np.ndarray:
+def refine_root(brackets, problems, cfg: SearchConfig, end_values) -> np.ndarray:
     """Bisect sign-change brackets down to refine_tol * max(1, K).
 
     ``brackets`` is a sequence of M (lo, hi) pairs, all bisected together,
-    giving an array of M roots (an empty one for no pairs). ``problem`` is
-    one :class:`ArchProblem` for every pair, or a sequence of M problems, one
-    per pair. ``end_values`` are the determinant's (sign, log-magnitude) at
-    each bracket's ends, ((s_lo, m_lo), (s_hi, m_hi)) per pair (ignored for
-    a zero-width pair), as the scan hands them on. A zero-width bracket is
-    its own root, an end of sign 0 is the root, and the other brackets must
-    straddle a sign change.
+    giving an array of M roots (an empty one for no pairs). ``problems``
+    holds the cracked problem of each pair. ``end_values`` are the
+    determinant's (sign, log-magnitude) at each bracket's ends,
+    ((s_lo, m_lo), (s_hi, m_hi)) per pair (ignored for a zero-width pair), as
+    the scan hands them on. A zero-width bracket is its own root, an end of
+    sign 0 is the root, and the other brackets must straddle a sign change.
 
     Each kernel call evaluates, for every open bracket, the midpoints of
     plain bisection along the path toward an estimate of its root, down to
@@ -448,18 +436,19 @@ def refine_root(brackets, problem, cfg: SearchConfig, end_values) -> np.ndarray:
     one-level-per-call bisection evaluates, and the roots are those of
     plain bisection, bit for bit, whatever the estimate or the other
     brackets of the batch; a poor estimate costs calls only, and each call
-    advances every open bracket at least one level. The parameters of a
-    sequence of problems are stacked (:func:`_parameters`) for the first
-    kernel call, so brackets that all end without one build no stack.
+    advances every open bracket at least one level. Each kernel call takes
+    the distinct problems and the index among them of each bracket's path
+    (:func:`boundary_determinant`).
     """
     import numpy as np
     lows, highs = np.array(brackets, dtype=float).reshape(-1, 2).T.tolist()
     if len(end_values) != len(lows):
         raise ValueError("give one pair of end values per bracket")
-    one = isinstance(problem, ArchProblem)
-    if not one and len(problem) != len(lows):
+    if len(problems) != len(lows):
         raise ValueError("give one problem per bracket")
-    stack = None  # the problems' parameters, built for the first kernel call
+    index = {}  # each distinct problem's index, in order of first appearance
+    slots = [index.setdefault(p, len(index)) for p in problems]
+    distinct = list(index)
     roots = list(lows)
     # Open brackets as (index, lo, hi, s_lo, m_lo, m_hi, near, levels bisected).
     open_ = []
@@ -490,12 +479,8 @@ def refine_root(brackets, problem, cfg: SearchConfig, end_values) -> np.ndarray:
                 roots[b[0]] = end
         if not paths:
             break
-        owner = problem
-        if not one:
-            if stack is None:
-                stack = _parameters(problem)
-            owner = stack[:, np.repeat([p[0][0] for p in paths], [p[3] - p[2] for p in paths])]
-        signs, logs = (v.tolist() for v in boundary_determinant(owner, np.array(K)))
+        runs = [(slots[p[0][0]], p[3] - p[2]) for p in paths]
+        signs, logs = (v.tolist() for v in boundary_determinant(distinct, np.array(K), runs))
         open_ = []
         for b, estimate, first, last, end in paths:
             i, lo, hi, s_lo, m_lo, m_hi, _, level = b
@@ -654,8 +639,7 @@ def _solve_group(problems: list[ArchProblem], cfg: SearchConfig) -> list:
         owners += [p] * len(found)
     if not brackets:
         return entries
-    owner = cracked[0] if len(cracked) == 1 else owners
-    ks = iter(refine_root(brackets, owner, cfg, values).tolist())
+    ks = iter(refine_root(brackets, owners, cfg, values).tolist())
     return [
         Spectrum(roots=tuple(Root(K=next(ks)) for _ in range(cfg.max_modes)))
         if e is None else e
@@ -734,7 +718,7 @@ def _polish(problem: ArchProblem, k: float) -> float:
     ladder = lows > 0
     lows, highs = lows[ladder], highs[ladder]
     if lows.size:
-        signs, logs = boundary_determinant(problem, np.concatenate([lows, highs]))
+        signs, logs = boundary_determinant([problem], np.concatenate([lows, highs]))
         ends = list(zip(signs.tolist(), logs.tolist()))
         for lo, hi, at_lo, at_hi in zip(lows.tolist(), highs.tolist(), ends, ends[lows.size :]):
             if at_lo[0] == 0:
@@ -743,7 +727,7 @@ def _polish(problem: ArchProblem, k: float) -> float:
                 return hi
             if at_lo[0] * at_hi[0] == -1:
                 tight = SearchConfig(refine_tol=1e-13)
-                return refine_root([(lo, hi)], problem, tight, [(at_lo, at_hi)]).item()
+                return refine_root([(lo, hi)], [problem], tight, [(at_lo, at_hi)]).item()
     logger.debug(
         "mode shape at the unpolished root K = %r: no sign change within 1e-6 max(1, K)", k
     )
@@ -761,7 +745,8 @@ def mode_shape(problem: ArchProblem, root: Root, samples: int = 201) -> np.ndarr
     (:func:`_polish`), and X is c1*u1(phi) + c2*u2(phi) left of the crack and
     d1*u1(beta - phi) + d2*u2(beta - phi) right of it
     (:meth:`kernel.ModeBasis.support_rows`), (c1, c2, d1, d2) the null vector
-    of :func:`_matching`'s matrix there; a double root is not detected.
+    of the crack's matching matrix there (:func:`kernel.assemble_cracked`); a
+    double root is not detected.
     Guaranteed: X is exactly 0 at both supports, the sample of largest |X|
     is exactly +1, every sample lies in [-1, 1], and a zero sample is +0.0.
     When every sample lies on a node, as with 2 samples or mode 2 at 3,
@@ -777,7 +762,7 @@ def mode_shape(problem: ArchProblem, root: Root, samples: int = 201) -> np.ndarr
     if problem.crack is None:
         # n lies within 1 + 2**-49 n of a mode number below 2**55: K_n is rounded by a few ulps.
         near = {}
-        for v in _mode_numbers(problem, K):
+        for v in _mode_numbers(problem, K) if K >= 0.0 else ():
             if v < 2.0**55:
                 w = 1 + int(v * 2.0**-49)
                 for n in range(max(1, round(v) - w), round(v) + w + 1):
@@ -795,10 +780,12 @@ def mode_shape(problem: ArchProblem, root: Root, samples: int = 201) -> np.ndarr
         values = np.sin(np.pi * (m % den) / den) * np.where(m < den, 1.0, -1.0)
     else:
         from . import kernel
-        basis, matrix = _matching(problem, _polish(problem, K))
+        crack = problem.crack
+        basis = kernel.quartic_roots(_polish(problem, K), problem.eta_nd)
+        matrix = kernel.assemble_cracked(basis, problem.beta, crack.alpha, crack.theta_c)
         at = np.concatenate([phis, problem.beta * ((np.arange(64) + 0.5) / 64)])  # samples, cells
-        left = at < problem.crack.alpha
-        x, ref = (np.where(left, v, problem.beta - v) for v in (at, problem.crack.alpha))
+        left = at < crack.alpha
+        x, ref = (np.where(left, v, problem.beta - v) for v in (at, crack.alpha))
         rows = basis.support_rows(x, ref, nrows=1)[:, 0, :]
         c = np.where(left[:, None], *kernel.null_vector(matrix).reshape(2, 2))  # (c1, c2), (d1, d2)
         # Summed from +0.0, so an exact zero is +0.0.

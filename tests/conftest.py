@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from arch_resonance import ArchProblem, CrackJoint, boundary_matrix
-from arch_resonance.model import BETA_MIN
+from arch_resonance import kernel
+from arch_resonance.model import BETA_MIN, ArchProblem, CrackJoint
 
 settings.register_profile("ci", derandomize=True)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
@@ -92,8 +92,8 @@ def random_arch_points(seed: int, count: int):
 
     Central angles are log-uniform down to ``model.BETA_MIN``; 40% of the
     problems have eta = 0 and 40% no crack, given as the crack of zero
-    compliance at beta/2 (theta 0) that the solver passes for an uncracked
-    arch. Each K array holds K = 0 (the repeated root), K = 1 (mu2 = 0),
+    compliance at beta/2 (theta 0), which has the uncracked arch's function.
+    Each K array holds K = 0 (the repeated root), K = 1 (mu2 = 0),
     both sides of the K = 1 branch switch, and twelve log-uniform values
     from 1e-8 to 1e10, where the hyperbolic argument a2*beta reaches the
     thousands at eta = 0.
@@ -110,16 +110,22 @@ def random_arch_points(seed: int, count: int):
         yield beta, eta, alpha, theta, ks
 
 
+def matching_matrix(problem: ArchProblem, K: float) -> np.ndarray:
+    """The 4x4 support-adapted matching matrix of a cracked problem at one K."""
+    basis = kernel.quartic_roots(K, problem.eta_nd)
+    return kernel.assemble_cracked(basis, problem.beta, problem.crack.alpha, problem.crack.theta_c)
+
+
 def assembled_signs(problem: ArchProblem, ks) -> list[int]:
     """Signs the 4x4 boundary systems at ``ks`` give ``det_sign_logmag``.
 
-    Cofactor-determinant signs of ``solver.boundary_matrix``, whose support-
-    adapted matching matrix (an uncracked arch's too, as the crack of zero
-    compliance at beta/2) has the sign of the reduced function.
+    Cofactor-determinant signs of :func:`matching_matrix`, whose matrix (that
+    of an uncracked arch as the crack of zero compliance too) has the sign of
+    the reduced function.
     """
     return [
         (d > 0) - (d < 0)
-        for d in (cofactor_det(boundary_matrix(problem, float(k)).tolist()) for k in ks)
+        for d in (cofactor_det(matching_matrix(problem, float(k)).tolist()) for k in ks)
     ]
 
 

@@ -16,7 +16,6 @@ from arch_resonance import (
     CrackJoint,
     SearchConfig,
     SweepSpec,
-    det_sign_logmag,
     find_frequencies,
     mode_shape,
     resolve_preset,
@@ -24,6 +23,7 @@ from arch_resonance import (
     uncracked_K_closed_form,
 )
 from arch_resonance.cli import load_presets, main
+from arch_resonance.kernel import det_sign_logmag
 from conftest import assembled_signs, make_problem, random_arch_points, reference_log, rel_err
 
 GOLDEN_DIR = Path(__file__).parent / "golden"

@@ -261,6 +261,26 @@ class TestConfigPrecedence:
     def test_missing_config_file(self, capsys):
         assert main(["freq", "--config", "/no/such/file.ini"]) == 2
 
+    @pytest.mark.parametrize("crack", [[], ["--crack-psi", "0.3"]], ids=["uncracked", "cracked"])
+    def test_k_min_above_the_default_k_max(self, capsys, tmp_path, crack):
+        # Ten times K_5 lies far below k-min: the default k-max is counted
+        # from the modes below k-min, so the range holds the modes asked for.
+        cfg = tmp_path / "arch.ini"
+        cfg.write_text("[search]\nk-min = 1e20\n")
+        argv = ["--beta", "1", "--eta", "1", *crack, "--config", str(cfg)]
+        assert main(["freq", *argv, "--format", "json"]) == 0
+        ks = [row["K"] for row in json.loads(capsys.readouterr().out)["spectrum"]]
+        assert len(ks) == 5 and all(1e20 < k for k in ks)
+        assert main(["modeshape", *argv, "--samples", "5"]) == 0
+        assert capsys.readouterr().out.startswith("phi_rad,X\n0,0\n")
+
+    def test_k_min_with_no_room_for_a_default_k_max(self, capsys, tmp_path):
+        cfg = tmp_path / "arch.ini"
+        cfg.write_text("[search]\nk-min = 1.7976931348623157e308\n")
+        assert main(["freq", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "usage error: k_min must leave room for a default k_max\n"
+
 
 class TestModeshapeCommand:
     def test_csv_output(self, capsys):

@@ -30,18 +30,13 @@ EXPORTS = {
         "DegenerateSegment", "DoubleRoot", "InvalidModel", "InvalidPreset", "InvalidSpec",
         "MissingPreset", "NoRootsInRange", "OutOfRange", "UsageError",
     ),
-    "kernel": (
-        "ModeBasis", "assemble_cracked", "det_sign_logmag", "null_vector", "quartic_roots",
-    ),
+    "kernel": (),
     "model": (
         "ArchProblem", "ChiralityClass", "ChiralitySpec", "CrackJoint", "CrackSpec",
         "PhysicalTube", "classify_chirality", "nondimensionalize", "omega_from_K", "omega_nd",
         "resolve_preset", "tube_diameter", "uncracked_K_closed_form",
     ),
-    "solver": (
-        "Root", "ScanResult", "SearchConfig", "Spectrum", "boundary_determinant",
-        "boundary_matrix", "find_frequencies", "mode_shape", "refine_root", "scan_and_bracket",
-    ),
+    "solver": ("Root", "SearchConfig", "Spectrum", "find_frequencies", "mode_shape"),
     "sweep": (
         "REFERENCE_TABLE", "SweepRow", "SweepSpec", "ValidationRow", "rows_to_csv", "run_sweep",
         "validation_table", "validation_to_csv",
@@ -156,7 +151,7 @@ class TestImportGraph:
 
 class TestSurface:
     def test_all_is_unchanged(self):
-        assert len(ALL) == 56
+        assert len(ALL) == 46
         assert sorted(arch_resonance.__all__) == ALL
 
     @pytest.mark.parametrize("module", sorted(EXPORTS))
@@ -188,4 +183,5 @@ class TestSurface:
         assert kernel.SEGMENT_TOL is errors.SEGMENT_TOL
 
     def test_closed_form_is_defined_once(self):
-        assert kernel.uncracked_K_closed_form is model.uncracked_K_closed_form
+        assert arch_resonance.uncracked_K_closed_form is model.uncracked_K_closed_form
+        assert "uncracked_K_closed_form" not in vars(kernel)

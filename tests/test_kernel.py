@@ -6,21 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arch_resonance import (
-    DegenerateSegment,
+from arch_resonance import DegenerateSegment, kernel, uncracked_K_closed_form
+from arch_resonance.kernel import (
+    DEGENERACY_TOL,
+    PIVOT_ZERO_TOL,
     assemble_cracked,
-    boundary_matrix,
     det_sign_logmag,
     null_vector,
     quartic_roots,
-    uncracked_K_closed_form,
 )
-from arch_resonance import kernel
-from arch_resonance.kernel import DEGENERACY_TOL, PIVOT_ZERO_TOL
 from conftest import (
     assembled_signs,
     cofactor_det,
     make_problem,
+    matching_matrix,
     random_arch_points,
     reference_log,
 )
@@ -217,8 +216,8 @@ class TestBasisProperties:
         K = (target**2 + 1.0) ** 2  # eta = 0: mu2 = sqrt(K) - 1
         basis = quartic_roots(K, 0.0)
         assert basis.mu2 == pytest.approx(target**2, rel=1e-12)
-        for alpha in (None, 0.7):
-            matrix = boundary_matrix(make_problem(beta, 0.0, alpha, 10.0), K)
+        for alpha, theta in ((0.5 * beta, 0.0), (0.7, 10.0)):
+            matrix = matching_matrix(make_problem(beta, 0.0, alpha, theta), K)
             assert np.isfinite(matrix).all()
         for alpha, theta in ((0.5 * beta, 0.0), (0.7, 10.0)):
             sign, logmag = det_sign_logmag(K, 0.0, beta, alpha, theta)
@@ -247,13 +246,13 @@ class TestClosedForm:
 
 
 class TestAssembleUncracked:
-    """The boundary matrix of an uncracked problem: the crack of zero compliance at beta/2."""
+    """The matching matrix of an uncracked arch as the crack of zero compliance at beta/2."""
 
     def test_row_patterns(self):
         # Both segments have length beta/2, so the rows of X and X'' are
         # antisymmetric and those of the third derivative and the slope jump
         # symmetric, bit for bit.
-        m = boundary_matrix(make_problem(beta=1.0, eta=0.2), 5.0)
+        m = matching_matrix(make_problem(beta=1.0, eta=0.2, alpha=0.5, theta=0.0), 5.0)
         assert m.shape == (4, 4)
         assert np.array_equal(m[:2, 2:], -m[:2, :2])
         assert np.array_equal(m[2:, 2:], m[2:, :2])
@@ -276,7 +275,7 @@ class TestAssembleUncracked:
 
     def test_near_zero_normalized_determinant_at_root(self):
         kn = uncracked_K_closed_form(2, 1.0, 0.5)
-        matrix = boundary_matrix(make_problem(beta=1.0, eta=0.5), kn)
+        matrix = matching_matrix(make_problem(beta=1.0, eta=0.5, alpha=0.5, theta=0.0), kn)
         logmag = math.log(abs(cofactor_det(matrix.tolist())))
         rows = [list(r) for r in matrix]
         log_row_scales = sum(math.log(max(abs(x) for x in row)) for row in rows)
@@ -290,7 +289,8 @@ class TestAssembleCracked:
         ks = [1.0 + i * (2000.0 - 1.0) / 120 for i in range(121)]
 
         # The uncracked matrix is the crack of zero compliance at beta/2.
-        plain = _matrix_signs(boundary_matrix(make_problem(beta, eta), k) for k in ks)
+        uncracked = make_problem(beta, eta, 0.5 * beta, 0.0)
+        plain = _matrix_signs(matching_matrix(uncracked, k) for k in ks)
         bases = [quartic_roots(k, eta) for k in ks]
         cracked = _matrix_signs(assemble_cracked(b, beta, alpha, 0.0) for b in bases)
         assert _changes(plain) == _changes(cracked)
@@ -320,11 +320,11 @@ class TestAssembleCracked:
             assemble_cracked(basis, 1.0, 1.0, 1.0)
 
     def test_one_matrix_per_k(self):
-        for problem in (make_problem(2.0, 0.3), make_problem(2.0, 0.3, 0.8, 0.5)):
+        for problem in (make_problem(2.0, 0.3, 1.0, 0.0), make_problem(2.0, 0.3, 0.8, 0.5)):
             for k in (0.0, 0.5, 1.0, 7.0, 5.0e4):
-                assert boundary_matrix(problem, k).shape == (4, 4)
+                assert matching_matrix(problem, k).shape == (4, 4)
             with pytest.raises(ValueError, match="one trial eigenvalue"):
-                boundary_matrix(problem, np.array([0.5, 7.0]))
+                matching_matrix(problem, np.array([0.5, 7.0]))
 
 
 class TestSupportRows:

@@ -17,20 +17,17 @@ from arch_resonance import (
     NoRootsInRange,
     PowerLawCompliance,
     SearchConfig,
-    boundary_determinant,
     compliance,
     find_frequencies,
     mode_shape,
-    quartic_roots,
-    refine_root,
-    scan_and_bracket,
     uncracked_K_closed_form,
 )
 from arch_resonance import kernel, solver
 from arch_resonance.cli import main
-from arch_resonance.kernel import SEGMENT_TOL
+from arch_resonance.kernel import SEGMENT_TOL, quartic_roots
 from arch_resonance.model import BETA_MIN
-from conftest import make_problem, rel_err
+from arch_resonance.solver import boundary_determinant, refine_root, scan_and_bracket
+from conftest import make_problem, matching_matrix, rel_err
 
 K1_B1_E0 = 78.6698822318237
 K1_B1_E1 = 7.237603074490859
@@ -39,7 +36,12 @@ DOUBLE_BETA = 4.967294132898051  # pi / sqrt(0.4): K_1 = K_2 = 0.36 at eta = 0
 
 def _coefficients(problem, root):
     """The root's mode coefficients: the null vector of its boundary system."""
-    return tuple(kernel.null_vector(solver.boundary_matrix(problem, root.K)).tolist())
+    return tuple(kernel.null_vector(matching_matrix(problem, root.K)).tolist())
+
+
+def _zero_crack(beta=1.0, eta=0.0):
+    """An uncracked arch as a cracked problem: the crack of zero compliance at beta/2."""
+    return ArchProblem(beta=beta, eta_nd=eta, crack=CrackJoint(alpha=0.5 * beta, theta_c=0.0))
 
 
 def _exact_sine(n, samples):
@@ -69,8 +71,8 @@ def _whole_scan(problem, cfg=SearchConfig()):
 
 def _refine(pair, problem, cfg=SearchConfig()):
     """One bracket's root, with its end values evaluated here."""
-    ends = tuple(boundary_determinant(problem, k) for k in pair)
-    return refine_root([pair], problem, cfg, [ends]).item()
+    ends = tuple(boundary_determinant([problem], k) for k in pair)
+    return refine_root([pair], [problem], cfg, [ends]).item()
 
 
 class TestSearchConfig:
@@ -85,33 +87,35 @@ class TestSearchConfig:
             SearchConfig(refine_tol=0.0)
         with pytest.raises(ValueError):
             SearchConfig(max_modes=0)
+        with pytest.raises(ValueError, match="room for a default k_max"):
+            SearchConfig(k_min=sys.float_info.max)
 
 
 class TestScanAndBracket:
     def test_single_bracket_contains_fundamental(self):
-        result = _whole_scan(make_problem(), SearchConfig(k_max=100.0))
+        result = _whole_scan(_zero_crack(), SearchConfig(k_max=100.0))
         assert len(result.brackets) == 1
         lo, hi = result.brackets[0]
         assert lo <= K1_B1_E0 <= hi
 
     def test_no_roots_below_fundamental(self):
-        assert isinstance(_scan(make_problem(), SearchConfig(k_max=10.0)), NoRootsInRange)
+        assert isinstance(_scan(_zero_crack(), SearchConfig(k_max=10.0)), NoRootsInRange)
 
     def test_zero_compliance_same_bracket_count(self):
         cfg = SearchConfig(k_max=10000.0)
-        plain = _whole_scan(make_problem(), cfg)
+        plain = _whole_scan(_zero_crack(), cfg)
         cracked = _whole_scan(make_problem(alpha=0.4, theta=0.0), cfg)
         assert len(plain.brackets) == len(cracked.brackets)
 
     def test_bracket_endpoints_straddle(self):
         # An uncracked root is the midpoint of its K_n guide pair, where the
         # sign is 0: a zero-width bracket. A cracked root's bracket straddles.
-        for problem in (make_problem(eta=0.5), make_problem(eta=0.5, alpha=0.3, theta=2.0)):
+        for problem in (_zero_crack(eta=0.5), make_problem(eta=0.5, alpha=0.3, theta=2.0)):
             result = _whole_scan(problem, SearchConfig(k_max=5000.0))
             for lo, hi in result.brackets:
-                s_lo, _ = boundary_determinant(problem, lo)
-                s_hi, _ = boundary_determinant(problem, hi)
-                if problem.crack is None:
+                s_lo, _ = boundary_determinant([problem], lo)
+                s_hi, _ = boundary_determinant([problem], hi)
+                if problem.crack.theta_c == 0.0:
                     assert lo == hi and s_lo == 0
                 else:
                     assert s_lo * s_hi == -1 or (lo == hi and s_lo == 0)
@@ -119,28 +123,27 @@ class TestScanAndBracket:
 
 class TestRefineRoot:
     def test_fundamental(self):
-        k = _refine((70.0, 90.0), make_problem())
+        k = _refine((70.0, 90.0), _zero_crack())
         assert rel_err(k, K1_B1_E0) < 1e-8
 
     def test_fundamental_nonlocal(self):
-        k = _refine((7.0, 7.5), make_problem(eta=1.0))
+        k = _refine((7.0, 7.5), _zero_crack(eta=1.0))
         assert rel_err(k, K1_B1_E1) < 1e-8
 
     def test_degenerate_bracket_returns_endpoint(self):
-        assert refine_root([(42.0, 42.0)], make_problem(), SearchConfig(), [None]).item() == 42.0
+        assert refine_root([(42.0, 42.0)], [_zero_crack()], SearchConfig(), [None]).item() == 42.0
 
     def test_empty_bracket_list(self):
-        roots = refine_root([], make_problem(), SearchConfig(), [])
+        roots = refine_root([], [], SearchConfig(), [])
         assert isinstance(roots, np.ndarray) and roots.shape == (0,)
-        assert refine_root([], [], SearchConfig(), []).shape == (0,)
 
     def test_unbracketed_rejected(self):
         with pytest.raises(ValueError):
-            _refine((1.0, 2.0), make_problem())
+            _refine((1.0, 2.0), _zero_crack())
 
     def test_deterministic(self):
-        a = _refine((70.0, 90.0), make_problem())
-        b = _refine((70.0, 90.0), make_problem())
+        a = _refine((70.0, 90.0), _zero_crack())
+        b = _refine((70.0, 90.0), _zero_crack())
         assert a == b
 
 
@@ -171,10 +174,9 @@ class TestFindFrequencies:
 
     def test_rank_deficiency_at_roots(self):
         # The null vector annihilates the row-scaled boundary matrix.
-        problem = make_problem()
-        spectrum = find_frequencies(problem, SearchConfig(max_modes=3))
+        spectrum = find_frequencies(make_problem(), SearchConfig(max_modes=3))
         for root in spectrum.roots:
-            matrix = solver.boundary_matrix(problem, root.K)
+            matrix = matching_matrix(_zero_crack(), root.K)
             matrix /= np.abs(matrix).max(axis=1, keepdims=True)
             vec = kernel.null_vector(matrix)
             assert np.abs(matrix @ vec).max() <= 1e-7
@@ -199,7 +201,7 @@ class TestFindFrequencies:
         # K = 0 is the repeated characteristic root; the cracked determinant
         # must not read it as a root.
         problem = make_problem(eta=0.5, alpha=0.3, theta=0.7)
-        assert boundary_determinant(problem, 0.0)[0] != 0
+        assert boundary_determinant([problem], 0.0)[0] != 0
         base = find_frequencies(problem)
         from_zero = find_frequencies(problem, SearchConfig(k_min=0.0))
         assert len(from_zero) == len(base)
@@ -387,10 +389,11 @@ class TestModeShape:
         sine = _exact_sine(n, 200)
         assert min(np.abs(shape[:, 1] - s * sine).max() for s in (1.0, -1.0)) <= 1e-12
 
-    @pytest.mark.parametrize("K", [50.0, K1_B1_E0 * (1 + 1e-15), 1e300, math.inf])
+    @pytest.mark.parametrize("K", [50.0, K1_B1_E0 * (1 + 1e-15), 1e300, math.inf, -1.0])
     def test_k_that_is_no_eigenvalue_is_rejected(self, K):
         # 1e300 and inf are beyond every K_n a double resolves: their mode
-        # numbers at eta = 1 pass 2**55, or the largest float.
+        # numbers at eta = 1 pass 2**55, or the largest float. A negative K
+        # has no mode numbers.
         for eta in (0.0, 1.0):
             with pytest.raises(ValueError, match="not the closed-form K_n"):
                 mode_shape(make_problem(eta=eta), solver.Root(K=K), samples=5)
@@ -671,7 +674,8 @@ class TestRefineOnlyReturned:
     def test_batch_matches_single_brackets(self):
         problem = make_problem(eta=0.5, alpha=0.3, theta=2.0)
         scan = _whole_scan(problem, SearchConfig(k_max=3000.0))
-        batch = refine_root(scan.brackets, problem, SearchConfig(), scan.end_values)
+        owners = [problem] * len(scan.brackets)
+        batch = refine_root(scan.brackets, owners, SearchConfig(), scan.end_values)
         singles = [_refine(b, problem) for b in scan.brackets]
         assert batch.tolist() == singles
 
@@ -679,8 +683,8 @@ class TestRefineOnlyReturned:
         problem = make_problem(eta=0.5, alpha=0.3, theta=2.0)
         scan = _whole_scan(problem, SearchConfig(k_max=3000.0))
         for (lo, hi), (at_lo, at_hi) in zip(scan.brackets, scan.end_values):
-            assert boundary_determinant(problem, lo) == at_lo
-            assert boundary_determinant(problem, hi) == at_hi
+            assert boundary_determinant([problem], lo) == at_lo
+            assert boundary_determinant([problem], hi) == at_hi
             # The crack at alpha = 0.3 = 3 beta / 10 sits on a zero of mode
             # 10's curvature, so K_10 = 1965.94 stays a root: the midpoint of
             # its guide pair, of sign 0, is a zero-width bracket.
@@ -775,17 +779,19 @@ class TestBatchedSearch:
         cfg = SearchConfig(max_modes=3)
         for problem, entry in zip(problems, find_frequencies(problems, cfg)):
             _assert_same_entry(entry, _alone(problem, cfg))
-        scans = scan_and_bracket(problems, cfg)
-        assert scans == [_scan(problem, cfg) for problem in problems]
+        # The search internals take the uncracked ones as the crack of zero compliance.
+        searched = [p if p.crack else _zero_crack(p.beta, p.eta_nd) for p in problems]
+        scans = scan_and_bracket(searched, cfg)
+        assert scans == [_scan(problem, cfg) for problem in searched]
         pairs = [scan.brackets[0] for scan in scans]
         ends = [scan.end_values[0] for scan in scans]
-        roots = refine_root(pairs, problems, cfg, ends).tolist()
-        assert roots == [_refine(pair, problem) for pair, problem in zip(pairs, problems)]
+        roots = refine_root(pairs, searched, cfg, ends).tolist()
+        assert roots == [_refine(pair, problem) for pair, problem in zip(pairs, searched)]
 
     def test_refine_needs_one_problem_per_bracket(self):
         with pytest.raises(ValueError, match="one problem per bracket"):
             refine_root(
-                [(70.0, 80.0), (60.0, 80.0)], [make_problem()], SearchConfig(), [None, None]
+                [(70.0, 80.0), (60.0, 80.0)], [_zero_crack()], SearchConfig(), [None, None]
             )
 
     def test_refine_needs_one_pair_of_end_values_per_bracket(self):
@@ -793,7 +799,7 @@ class TestBatchedSearch:
         ends = ((1, 0.0), (-1, 0.0))
         for given in ([ends] * 2, [ends] * 4):
             with pytest.raises(ValueError, match="one pair of end values per bracket"):
-                refine_root(pairs, make_problem(), SearchConfig(), given)
+                refine_root(pairs, [_zero_crack()] * 3, SearchConfig(), given)
 
     def test_empty_batch(self):
         assert find_frequencies([]) == []
@@ -839,10 +845,10 @@ def _dip(monkeypatch, problem):
     original = solver.boundary_determinant
     hits = []
 
-    def dipping(p, K):
-        signs, logs = original(p, K)
-        beta = p.beta if isinstance(p, ArchProblem) else p[1]  # a stack's second row
-        hit = (K == k) & (beta == problem.beta)
+    def dipping(problems, K, runs=()):
+        signs, logs = original(problems, K, runs)
+        betas = np.array([p.beta for p in problems])
+        hit = (K == k) & (betas[np.repeat(*zip(*runs)) if runs else 0] == problem.beta)
         if hit.any():
             hits.append(k)
         return signs, np.where(hit, logs - 4.0 * solver._DIP_THRESHOLD, logs)
@@ -930,7 +936,8 @@ def _whole_grid_spectrum(problem, cfg):
     order, each bracket one root, as find_frequencies does.
     """
     scan = _whole_scan(problem, cfg)
-    ks = solver.refine_root(scan.brackets, problem, cfg, end_values=scan.end_values)
+    owners = [problem] * len(scan.brackets)
+    ks = solver.refine_root(scan.brackets, owners, cfg, end_values=scan.end_values)
     return tuple(solver.Root(K=k) for k in ks.tolist())[: cfg.max_modes]
 
 
@@ -1021,7 +1028,7 @@ def _sequential_bisection(pairs, problem, cfg):
     roots = lo.copy()
     idx = np.flatnonzero(lo != hi)
     lo, hi = lo[idx], hi[idx]
-    s_lo = boundary_determinant(problem, lo)[0] if idx.size else idx
+    s_lo = boundary_determinant([problem], lo)[0] if idx.size else idx
     for _ in range(solver._MAX_BISECTIONS):
         mid = 0.5 * (lo + hi)
         go = hi - lo > cfg.refine_tol * np.maximum(1.0, mid)
@@ -1029,7 +1036,7 @@ def _sequential_bisection(pairs, problem, cfg):
         idx, lo, hi, s_lo, mid = idx[go], lo[go], hi[go], s_lo[go], mid[go]
         if not idx.size:
             break
-        s_mid, _ = boundary_determinant(problem, mid)
+        s_mid, _ = boundary_determinant([problem], mid)
         up = s_mid == s_lo
         lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
         hit = s_mid == 0
@@ -1064,15 +1071,15 @@ _SCHEDULES = {"": None, "-levels1": 1, "-levels3": 3, "-levels4": 4, "-levels6":
 
 class TestMultiLevelBisection:
     def _batch(self, problem):
-        # A zero-width bracket, for the uncracked problem the guide pair
-        # around K_1 (for beta = 1, eta = 0 its first midpoint is K_1, where
-        # the sign is 0), and the scan's brackets, with their end values.
+        # A zero-width bracket, for the crack of zero compliance the guide
+        # pair around K_1 (for beta = 1, eta = 0 its first midpoint is K_1,
+        # where the sign is 0), and the scan's brackets, with their end values.
         scan = _whole_scan(problem, SearchConfig(k_max=3000.0))
         pairs, ends = [(42.0, 42.0)], [None]
-        if problem.crack is None:
+        if problem.crack.theta_c == 0.0:
             k1 = uncracked_K_closed_form(1, 1.0, 0.0)
             pairs.append((k1 * (1.0 - 1e-6), k1 * (1.0 + 1e-6)))
-            ends.append(tuple(boundary_determinant(problem, k) for k in pairs[-1]))
+            ends.append(tuple(boundary_determinant([problem], k) for k in pairs[-1]))
         return [*pairs, *scan.brackets], [*ends, *scan.end_values]
 
     # A cap of 7 levels cuts a path short.
@@ -1085,13 +1092,13 @@ class TestMultiLevelBisection:
     def test_matches_one_level_per_call(self, monkeypatch, tol, cap, levels):
         monkeypatch.setattr(solver, "_MAX_BISECTIONS", cap)
         cfg = SearchConfig(refine_tol=tol)
-        for problem in (make_problem(), make_problem(eta=0.5, alpha=0.3, theta=2.0)):
+        for problem in (_zero_crack(), make_problem(eta=0.5, alpha=0.3, theta=2.0)):
             pairs, ends = self._batch(problem)
             expected = _sequential_bisection(pairs, problem, cfg).tolist()
             if levels is not None:
                 estimate = _estimate_leaving_the_path(levels, expected)
                 monkeypatch.setattr(solver, "_root_estimate", estimate)
-            assert refine_root(pairs, problem, cfg, ends).tolist() == expected
+            assert refine_root(pairs, [problem] * len(pairs), cfg, ends).tolist() == expected
 
     def test_wrong_estimate_advances_its_levels_per_call(self, monkeypatch):
         # An estimate that leaves the path at the third level of every call:
@@ -1105,11 +1112,13 @@ class TestMultiLevelBisection:
         sizes = []
         original = solver.boundary_determinant
         monkeypatch.setattr(
-            solver, "boundary_determinant", lambda p, K: sizes.append(K.size) or original(p, K)
+            solver,
+            "boundary_determinant",
+            lambda problems, K, runs=(): sizes.append(K.size) or original(problems, K, runs),
         )
         levels = solver._tally.levels
         monkeypatch.setattr(solver, "_root_estimate", _estimate_leaving_the_path(3, expected))
-        assert refine_root([pair], problem, cfg, [ends]).tolist() == expected
+        assert refine_root([pair], [problem], cfg, [ends]).tolist() == expected
         needed = solver._tally.levels - levels
         assert len(sizes) == math.ceil(needed / 3)
         assert 25 <= needed <= 40
@@ -1124,8 +1133,10 @@ class TestMultiLevelBisection:
     def test_random_batches_match_one_level_per_call(self, batch, tol):
         # The scan's brackets (zero-width ones included) of every problem,
         # bisected as one batch, against each problem's alone, one level per
-        # call; uncracked brackets are guide pairs that end at their midpoint.
+        # call; uncracked brackets, of the crack of zero compliance, are
+        # guide pairs that end at their midpoint.
         problems, cfg = batch
+        problems = [p if p.crack else _zero_crack(p.beta, p.eta_nd) for p in problems]
         scans = scan_and_bracket(problems, cfg)
         cfg = replace(cfg, refine_tol=tol)
         pairs, ends, owners, expected = [], [], [], []
@@ -1143,11 +1154,11 @@ class TestMultiLevelBisection:
     def test_guide_midpoint_is_an_exact_zero(self):
         # The symmetric guide bracket of K_1 has K_1 itself as its first
         # midpoint, where the determinant sign is exactly 0.
-        problem = make_problem()
+        problem = _zero_crack()
         k1 = uncracked_K_closed_form(1, 1.0, 0.0)
         guide = (k1 * (1.0 - 1e-6), k1 * (1.0 + 1e-6))
         assert 0.5 * (guide[0] + guide[1]) == k1
-        assert boundary_determinant(problem, k1)[0] == 0
+        assert boundary_determinant([problem], k1)[0] == 0
         assert _refine(guide, problem) == k1
 
 
@@ -1158,7 +1169,7 @@ class TestKernelCallsPerSolve:
         monkeypatch.setattr(
             solver,
             "boundary_determinant",
-            lambda problem, K: calls.append(np.size(K)) or original(problem, K),
+            lambda problems, K, runs=(): calls.append(np.size(K)) or original(problems, K, runs),
         )
         return calls
 
@@ -1245,20 +1256,20 @@ class TestKernelCallsPerSolve:
         # tolerance, ends them all at their first midpoint. The scan holds
         # those midpoints as nodes and hands them on as zero-width brackets,
         # which take no call.
-        problem = make_problem(eta=1.0)
+        problem = _zero_crack(eta=1.0)
         brackets = [
             (k * (1.0 - 1e-6), k * (1.0 + 1e-6))
             for k in (uncracked_K_closed_form(n, 1.0, 1.0) for n in range(1, 6))
         ]
-        ends = [tuple(boundary_determinant(problem, k) for k in pair) for pair in brackets]
+        ends = [tuple(boundary_determinant([problem], k) for k in pair) for pair in brackets]
         scan = _scan(problem)
         calls = self._count(monkeypatch)
-        roots = refine_root(brackets, problem, SearchConfig(), ends)
+        roots = refine_root(brackets, [problem] * 5, SearchConfig(), ends)
         assert calls == [75]
         midpoints = [0.5 * (lo + hi) for lo, hi in brackets]
         assert roots.tolist() == midpoints
         assert scan.brackets == tuple((k, k) for k in midpoints)
-        roots = refine_root(scan.brackets, problem, SearchConfig(), scan.end_values)
+        roots = refine_root(scan.brackets, [problem] * 5, SearchConfig(), scan.end_values)
         assert calls == [75]
         assert roots.tolist() == midpoints
 
@@ -1296,19 +1307,19 @@ class TestKernelCallsPerSolve:
         assert calls == []
 
     def test_first_block_sized_to_the_requested_modes(self, monkeypatch):
-        # The first-block rule serves cracked solves and direct scans of
-        # either kind; an uncracked scan shows it against known K_n.
+        # The first-block rule serves cracked solves; the crack of zero
+        # compliance shows it against known K_n.
         calls = self._count(monkeypatch)
         # beta = 2 pi, eta = 4: the fundamental, K_3 = 0.15625 (lam = 1.5),
         # lies near node 100 of the whole grid, K_1 = 0.28125 (lam = 0.5) is
         # the second mode, and K_2 = 0 lies below k_min.
-        problem = make_problem(beta=2 * math.pi, eta=4.0)
+        problem = _zero_crack(beta=2 * math.pi, eta=4.0)
         scan = _scan(problem, SearchConfig(max_modes=1))
         assert calls == [60]
         k3 = uncracked_K_closed_form(3, 2 * math.pi, 4.0)
         assert scan.brackets[0] == (k3, k3)
         calls.clear()
-        _scan(make_problem(eta=1.0), SearchConfig(max_modes=5))
+        _scan(_zero_crack(eta=1.0), SearchConfig(max_modes=5))
         assert calls == [256]
 
 
@@ -1330,10 +1341,10 @@ class TestExactCount:
             beta = 10.0 ** rng.uniform(math.log10(0.05), math.log10(2 * math.pi))
             eta = 0.0 if rng.random() < 0.2 else rng.uniform(0.0, 4.0)
             K = 10.0 ** rng.uniform(math.log10(6e-6), math.log10(1.6e5))
-            problem = make_problem(beta=beta, eta=eta)
+            problem = _zero_crack(beta=beta, eta=eta)
             n = solver._count_below(problem, K)
             assert n == _closed_form_count(beta, eta, K), (beta, eta, K)
-            sign, _ = boundary_determinant(problem, K)
+            sign, _ = boundary_determinant([problem], K)
             assert sign in (0, (-1) ** n)
 
     def test_double_root_twice(self):
@@ -1383,11 +1394,35 @@ class TestExactCount:
         assert shape.tolist() == [0.0] * 5 and not np.signbit(shape).any()
         assert mode_shape(problem, spectrum.roots[1], samples=6)[:, 1].max() == 1.0
 
+    def test_guides_at_a_large_k_min(self):
+        # Mode 31831 is the first above K = 1e20; each K_n of the range has its
+        # guide pair, however far up the mode numbers start.
+        problem = make_problem()
+        cfg = SearchConfig(k_min=1e20, k_max=1.001e20)
+        grid = set(solver._grid_nodes(problem, cfg, sys.maxsize).tolist())
+        first = solver._count_below(problem, cfg.k_min) + 1
+        kns = [uncracked_K_closed_form(n, 1.0, 0.0) for n in range(first, first + 9)]
+        inside = [k for k in kns if k < cfg.k_max]
+        assert first == 31831 and len(inside) == 8
+        for k in inside:
+            assert {k * (1.0 - 1e-6), k * (1.0 + 1e-6)} <= grid
+
+    def test_k_max_defaults_above_a_large_k_min(self):
+        # Ten times K_5 lies below k_min, so the modes count on from N(k_min).
+        for eta in (0.0, 1.0):
+            problem = make_problem(eta=eta)
+            cfg = solver._resolved(problem, SearchConfig(k_min=1e20))
+            n = solver._count_below(problem, 1e20) + 5
+            assert cfg.k_max == 10.0 * uncracked_K_closed_form(n, 1.0, eta)
+            assert cfg.k_max > cfg.k_min
+        cfg = solver._resolved(make_problem(eta=1.0), SearchConfig(k_min=1e300))
+        assert cfg.k_max == sys.float_info.max
+
     def test_uniform_node_inside_a_guide_pair(self):
         # With 16 grid points and this k_max, uniform node 1 lies between the
         # guides of K_1, so their midpoint is not a node: the scan's bracket is
         # [lower guide, uniform node], bisected as plain bisection does.
-        problem = make_problem()
+        problem = _zero_crack()
         k1 = uncracked_K_closed_form(1, 1.0, 0.0)
         k_min = 1e-6
         cfg = SearchConfig(max_modes=1, grid_points=16, k_max=k_min + (k1 * (1 + 5e-7) - k_min) * 15)
@@ -1398,5 +1433,6 @@ class TestExactCount:
         scan = _scan(problem, cfg)
         assert scan.brackets == ((lo, inside[0]),)
         expected = _sequential_bisection(scan.brackets, problem, cfg).tolist()
-        assert refine_root(scan.brackets, problem, cfg, scan.end_values).tolist() == expected
+        owners = [problem] * len(scan.brackets)
+        assert refine_root(scan.brackets, owners, cfg, scan.end_values).tolist() == expected
         assert rel_err(expected[0], k1) < 1e-10
