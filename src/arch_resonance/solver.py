@@ -181,27 +181,30 @@ def boundary_determinant(problems, K, runs=()):
 
     ``problems`` is a sequence of cracked problems (a crack of zero
     compliance is one), and ``runs`` gives each K's index into it, as
-    (index, length) pairs of consecutive K values; one problem need not give
-    them. One K gives (int, float), a K array two arrays of its shape; no
-    matrix is assembled (:func:`kernel.det_sign_logmag`). One problem's
-    parameters are passed as scalars, several as a (4, N) stack with one
-    column per K: the scalar call costs less, and each value is
-    bit-identical either way.
+    (index, length) pairs of consecutive K values covering all of K, which
+    one problem need not give. One K gives (int, float), a K array two
+    arrays of its shape; no matrix is assembled
+    (:func:`kernel.det_sign_logmag`). One problem's parameters are passed as
+    scalars, several as a (4, N) stack with one column per K: the scalar
+    call costs less, and each value is bit-identical either way.
     """
     import numpy as np
     from . import kernel
+    size = K.size if isinstance(K, np.ndarray) else 1
     _tally.calls += 1
-    _tally.values += K.size if isinstance(K, np.ndarray) else 1
+    _tally.values += size
     if len(problems) == 1:
         p = problems[0]
         return kernel.det_sign_logmag(K, p.eta_nd, p.beta, p.crack.alpha, p.crack.theta_c)
+    index = np.repeat(*zip(*runs)) if runs else ()
+    if len(index) != size:
+        raise ValueError("runs must give the problem of every K value")
     cracks = [p.crack for p in problems]
     stack = np.array([
         [p.eta_nd for p in problems], [p.beta for p in problems],
         [c.alpha for c in cracks], [c.theta_c for c in cracks],
     ])
-    index, lengths = zip(*runs)
-    return kernel.det_sign_logmag(K, *stack[:, np.repeat(index, lengths)])
+    return kernel.det_sign_logmag(K, *stack[:, index])
 
 
 def _resolved(problem: ArchProblem, cfg: SearchConfig) -> SearchConfig:
@@ -224,7 +227,7 @@ def _resolved(problem: ArchProblem, cfg: SearchConfig) -> SearchConfig:
     return replace(cfg, k_max=min(k_max, sys.float_info.max))
 
 
-def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, count: int, kns=None) -> np.ndarray:
+def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, count: int, kns=None):
     """First ``count`` nodes of the uniform K grid plus guides around K = 1 and each K_n.
 
     The uncracked closed-form values are used even for cracked problems:
@@ -257,6 +260,8 @@ def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, count: int, kns=None) -
     guide is not above the upper one before it: where adjacent K_n lie within
     2e-6 of each other, guides no longer tell the modes apart. The scan
     builds its grids a block at a time this way.
+    Returns the nodes and the last upper guide before such a pair, above
+    which the grid does not resolve the modes, or inf.
     """
     import numpy as np
     k_min, k_max, points = cfg.k_min, cfg.k_max, cfg.grid_points
@@ -267,12 +272,15 @@ def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, count: int, kns=None) -
     step = (k_max - k_min) / (points - 1)
     c = math.floor(problem.beta / math.pi)
     first = max(c + 1, _count_below(problem, k_min * (1.0 - 2.0 * _GUIDE_OFFSET)))
-    above, last = 0, -1.0  # rising modes with a lower guide above k_min; the last upper guide
+    above, last, limit = 0, -1.0, math.inf  # limit: where guides stop telling modes apart
     for n in itertools.chain(range(1, c + 1), itertools.count(first)):
         kn = model.uncracked_K_closed_form(n, problem.beta, problem.eta_nd)
         lo, hi = kn * (1.0 - _GUIDE_OFFSET), kn * (1.0 + _GUIDE_OFFSET)
         if n > c:
-            if kn > k_max or lo >= bound or above > count or lo <= last:
+            if kn > k_max or lo >= bound or above > count:
+                break
+            if lo <= last:
+                limit = last
                 break
             above, last = above + (k_min < lo), hi
         guides += [g for g in (lo, hi) if k_min < g < bound]
@@ -286,7 +294,7 @@ def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, count: int, kns=None) -
     # equals comparing with the last kept node.
     keep = np.diff(nodes) > 1e-15 * np.maximum(1.0, nodes[1:])
     nodes = nodes[np.concatenate([[True], keep])]
-    return nodes[:count]
+    return nodes[:count], limit
 
 
 def _candidates(nodes, signs, logs):
@@ -345,7 +353,10 @@ def scan_and_bracket(problems, cfg: SearchConfig) -> list:
     Returns one entry per problem: its :class:`ScanResult`, or a
     :class:`NoRootsInRange` when its scan yields no bracket, a dip among its
     first ``max_modes`` candidates (named by its K; a dip above is ignored),
-    or N(k_max) (:func:`_count_below`) overflows, a range beyond doubles.
+    fewer than ``max_modes`` candidates below the limit past which its grid's
+    guides do not tell the modes apart (:func:`_grid_nodes`), once the scan
+    passes it, or N(k_max) (:func:`_count_below`) overflows, a range beyond
+    doubles.
     """
     import numpy as np
     cfgs = [_resolved(p, cfg) for p in problems]
@@ -353,6 +364,7 @@ def scan_and_bracket(problems, cfg: SearchConfig) -> list:
     scanned = [(None, None)] * len(problems)  # signs and logs of each prefix
     results = [None] * len(problems)
     ends = [0] * len(problems)  # the end of each problem's scanned prefix
+    limits = [math.inf] * len(problems)  # where each grid stops resolving the modes
     active = []
     for i, (p, k_range) in enumerate(zip(problems, cfgs)):
         try:
@@ -366,7 +378,7 @@ def scan_and_bracket(problems, cfg: SearchConfig) -> list:
         chunks = []
         for i in active:
             start, kns = ends[i], []
-            grids[i] = _grid_nodes(problems[i], cfgs[i], start + _BLOCK + 1, kns)
+            grids[i], limits[i] = _grid_nodes(problems[i], cfgs[i], start + _BLOCK + 1, kns)
             ends[i] = start + _BLOCK
             if not start and len(kns) > cfg.max_modes:
                 top = sorted(kns)[cfg.max_modes] * (1.0 + _GUIDE_OFFSET)
@@ -387,8 +399,12 @@ def scan_and_bracket(problems, cfg: SearchConfig) -> list:
             scanned[i] = signs, logs
             nodes = grids[i]
             lower, upper, dips = _candidates(nodes, signs, logs)
-            more = ends[i] < nodes.size
-            if more and lower.size + dips.size < cfg.max_modes:
+            more, limit = ends[i] < nodes.size, limits[i]
+            if limit < nodes[signs.size - 1] and cfg.max_modes > (
+                np.searchsorted(nodes[upper], limit, "right") + np.searchsorted(dips, limit)
+            ):
+                results[i] = _beyond(cfgs[i], "holds modes closer than the grid tells apart")
+            elif more and lower.size + dips.size < cfg.max_modes:
                 scanning.append(i)
             elif dips.size and np.searchsorted(nodes[lower], dips[0]) < cfg.max_modes:
                 results[i] = NoRootsInRange(
@@ -694,11 +710,9 @@ def _short(found: int, cfg: SearchConfig) -> NoRootsInRange:
     return NoRootsInRange(f"{count} roots in K range [{cfg.k_min}, {cfg.k_max}]")
 
 
-def _beyond(cfg: SearchConfig) -> NoRootsInRange:
-    """The error of a resolved K range whose roots double precision cannot tell apart."""
-    return NoRootsInRange(
-        f"K range [{cfg.k_min}, {cfg.k_max}] is beyond what double precision resolves"
-    )
+def _beyond(cfg: SearchConfig, why="is beyond what double precision resolves") -> NoRootsInRange:
+    """The error of a resolved K range whose roots cannot be told apart, and why."""
+    return NoRootsInRange(f"K range [{cfg.k_min}, {cfg.k_max}] {why}")
 
 
 def _polish(problem: ArchProblem, k: float) -> float:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from arch_resonance import UsageError, cli
+from arch_resonance import ArchProblem, UsageError, cli, solver, uncracked_K_closed_form
 from arch_resonance.cli import build_parser, load_presets, main, parse
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -264,13 +264,28 @@ class TestConfigPrecedence:
     @pytest.mark.parametrize("crack", [[], ["--crack-psi", "0.3"]], ids=["uncracked", "cracked"])
     def test_k_min_above_the_default_k_max(self, capsys, tmp_path, crack):
         # Ten times K_5 lies far below k-min: the default k-max is counted
-        # from the modes below k-min, so the range holds the modes asked for.
+        # from the modes below k-min. The closed form lists the five K_n
+        # above k-min. Adjacent K_n there lie about 6e10, under 2e-6 of K,
+        # apart, closer than the cracked scan's guides tell apart, so a
+        # cracked solve fails with one line instead of skipping roots.
         cfg = tmp_path / "arch.ini"
         cfg.write_text("[search]\nk-min = 1e20\n")
         argv = ["--beta", "1", "--eta", "1", *crack, "--config", str(cfg)]
+        if crack:
+            message = (
+                "error: K range [1e+20, 1.0000000026151204e+21] holds modes"
+                " closer than the grid tells apart\n"
+            )
+            for command in (["freq", *argv], ["modeshape", *argv, "--samples", "5"]):
+                assert main(command) == 1
+                captured = capsys.readouterr()
+                assert (captured.out, captured.err) == ("", message)
+            return
         assert main(["freq", *argv, "--format", "json"]) == 0
         ks = [row["K"] for row in json.loads(capsys.readouterr().out)["spectrum"]]
-        assert len(ks) == 5 and all(1e20 < k for k in ks)
+        n = solver._count_below(ArchProblem(beta=1.0, eta_nd=1.0), 1e20)
+        assert ks == [uncracked_K_closed_form(n + i, 1.0, 1.0) for i in range(1, 6)]
+        assert all(1e20 < k for k in ks)
         assert main(["modeshape", *argv, "--samples", "5"]) == 0
         assert capsys.readouterr().out.startswith("phi_rad,X\n0,0\n")
 

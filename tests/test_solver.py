@@ -598,7 +598,10 @@ class TestSpectrumLength:
     def test_cracked_range_beyond_double_precision_exits_one(self, capsys, tmp_path):
         # At eta > 0, N(k_max) overflows, and so would the kernel's roots mu:
         # one line, as for an uncracked range, and no numpy warning. At
-        # eta = 0 nothing overflows, and the range is searched.
+        # eta = 0 nothing overflows, and the range is searched, with no numpy
+        # warning either; adjacent K_n there lie far closer than the guides
+        # tell apart, so the scan fails with one line rather than list sign
+        # changes of the uniform grid, each across some 1e71 modes, as roots.
         cfg = tmp_path / "c.ini"
         cfg.write_text("[search]\nk-min = 1e300\nk-max = 1e301\n")
         argv = ["freq", "--beta", "5.9108", "--eta", "3.82", "--chirality", "armchair",
@@ -611,8 +614,12 @@ class TestSpectrumLength:
             "error: K range [1e+300, 1e+301] is beyond what double precision resolves\n"
         )
         argv = ["freq", "--beta", "1", "--eta", "0", "--crack-psi", "0.3", "--config", str(cfg)]
-        assert main(argv) == 0
-        assert len(capsys.readouterr().out.splitlines()) == 6
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: K range [1e+300, 1e+301] holds modes closer than the grid tells apart\n"
+        )
 
     @pytest.mark.parametrize("eta, k_min", [(0.0, 1e300), (4.0, 1e70)])
     def test_range_one_float_wide_is_not_empty(self, eta, k_min):
@@ -801,6 +808,17 @@ class TestBatchedSearch:
             with pytest.raises(ValueError, match="one pair of end values per bracket"):
                 refine_root(pairs, [_zero_crack()] * 3, SearchConfig(), given)
 
+    def test_runs_give_the_problem_of_every_k(self):
+        # Several problems need runs, and runs must add up to the K values.
+        problems = [_zero_crack(), make_problem(alpha=0.3, theta=0.5)]
+        K = np.array([0.5, 2.0, 3.0])
+        for runs in [(), [(0, 1), (1, 1)], [(0, 2), (1, 2)]]:
+            with pytest.raises(ValueError, match="runs must give the problem of every K value"):
+                boundary_determinant(problems, K, runs)
+        owners = [*problems, problems[1]]
+        alone = [boundary_determinant([p], K[i : i + 1])[0].item() for i, p in enumerate(owners)]
+        assert boundary_determinant(problems, K, [(0, 1), (1, 2)])[0].tolist() == alone
+
     def test_empty_batch(self):
         assert find_frequencies([]) == []
 
@@ -838,7 +856,7 @@ def _dip(monkeypatch, problem):
     evaluates it.
     """
     lo, hi = find_frequencies(problem, SearchConfig(max_modes=2)).K_values
-    nodes = solver._grid_nodes(problem, solver._resolved(problem, SearchConfig()), solver._BLOCK)
+    nodes, _ = solver._grid_nodes(problem, solver._resolved(problem, SearchConfig()), solver._BLOCK)
     inside = nodes[(nodes > lo) & (nodes < hi)]
     assert inside.size >= 3  # so the node's neighbours lie between the roots too
     k = inside[inside.size // 2].item()
@@ -976,9 +994,10 @@ class TestEarlyExitScan:
         problem = ArchProblem(beta=10.0**log_beta, eta_nd=eta)
         k_max = None if log_k_max is None else 10.0**log_k_max
         cfg = solver._resolved(problem, SearchConfig(max_modes=modes, grid_points=points, k_max=k_max))
-        whole = solver._grid_nodes(problem, cfg, sys.maxsize)  # no grid is that long
+        whole, limit = solver._grid_nodes(problem, cfg, sys.maxsize)  # no grid is that long
+        assert limit == math.inf
         for count in {1, 2, 16, 17, 257, 258, 513, points - 2, points - 1, whole.size, whole.size + 1}:
-            prefix = solver._grid_nodes(problem, cfg, count)
+            prefix, _ = solver._grid_nodes(problem, cfg, count)
             assert prefix.tobytes() == whole[:count].tobytes(), count
 
     def test_partial_scan_is_a_prefix_of_the_whole_grid(self, monkeypatch):
@@ -1399,13 +1418,51 @@ class TestExactCount:
         # guide pair, however far up the mode numbers start.
         problem = make_problem()
         cfg = SearchConfig(k_min=1e20, k_max=1.001e20)
-        grid = set(solver._grid_nodes(problem, cfg, sys.maxsize).tolist())
+        nodes, limit = solver._grid_nodes(problem, cfg, sys.maxsize)
+        grid = set(nodes.tolist())
         first = solver._count_below(problem, cfg.k_min) + 1
         kns = [uncracked_K_closed_form(n, 1.0, 0.0) for n in range(first, first + 9)]
         inside = [k for k in kns if k < cfg.k_max]
-        assert first == 31831 and len(inside) == 8
+        assert first == 31831 and len(inside) == 8 and limit == math.inf
         for k in inside:
             assert {k * (1.0 - 1e-6), k * (1.0 + 1e-6)} <= grid
+
+    @pytest.mark.parametrize("k_max", [None, 1e21, 1.001e20])
+    def test_modes_closer_than_the_guides_fail_a_cracked_scan(self, k_max):
+        # At eta = 1 adjacent K_n near 1e20 lie about 6e10 apart, under 2e-6
+        # of K: guides no longer tell the modes apart, and a scan that took
+        # the uniform grid's sign changes for the first modes skipped almost
+        # every root in between.
+        problem = make_problem(eta=1.0, alpha=0.3, theta=0.5)
+        cfg = solver._resolved(problem, SearchConfig(k_min=1e20, k_max=k_max))
+        with pytest.raises(NoRootsInRange) as info:
+            find_frequencies(problem, cfg)
+        assert str(info.value) == (
+            f"K range [{cfg.k_min}, {cfg.k_max}] holds modes closer than the grid tells apart"
+        )
+
+    def test_modes_below_the_grid_limit_are_found(self):
+        # From mode 10**6 on, the guides of adjacent K_n (beta = 1, eta = 1)
+        # overlap: the grid resolves the modes up to the upper guide of
+        # K_(10**6). With k_min between K_n0 and K_(n0 + 1), n0 = 10**6 - 9,
+        # the nine roots below that limit each lie nearest their own K_n, and
+        # a tenth is past it.
+        def kn(n):
+            return uncracked_K_closed_form(n, 1.0, 1.0)
+
+        onset = 10**6
+        assert kn(onset + 1) * (1 - 1e-6) <= kn(onset) * (1 + 1e-6)
+        assert kn(onset) * (1 - 1e-6) > kn(onset - 1) * (1 + 1e-6)
+        problem = make_problem(eta=1.0, alpha=0.3, theta=0.5)
+        cfg = SearchConfig(k_min=0.5 * (kn(onset - 9) + kn(onset - 8)), k_max=kn(onset + 50))
+        _, limit = solver._grid_nodes(problem, cfg, sys.maxsize)
+        assert limit == kn(onset) * (1 + 1e-6)
+        ks = find_frequencies(problem, replace(cfg, max_modes=9)).K_values
+        for i, k in enumerate(ks):
+            n = onset - 8 + i
+            assert abs(k - kn(n)) < 0.5 * min(kn(n) - kn(n - 1), kn(n + 1) - kn(n))
+        with pytest.raises(NoRootsInRange, match="closer than the grid tells apart"):
+            find_frequencies(problem, replace(cfg, max_modes=10))
 
     def test_k_max_defaults_above_a_large_k_min(self):
         # Ten times K_5 lies below k_min, so the modes count on from N(k_min).
@@ -1426,7 +1483,7 @@ class TestExactCount:
         k1 = uncracked_K_closed_form(1, 1.0, 0.0)
         k_min = 1e-6
         cfg = SearchConfig(max_modes=1, grid_points=16, k_max=k_min + (k1 * (1 + 5e-7) - k_min) * 15)
-        grid = solver._grid_nodes(problem, cfg, sys.maxsize)
+        grid, _ = solver._grid_nodes(problem, cfg, sys.maxsize)
         lo, hi = k1 * (1 - 1e-6), k1 * (1 + 1e-6)
         inside = grid[(grid > lo) & (grid < hi)]
         assert inside.size == 1 and inside[0] != 0.5 * (lo + hi)
