@@ -13,26 +13,29 @@ characteristic function whose sign changes bracket the eigenvalues.
 
 Stacks
 ------
-:func:`det_sign_logmag`, which the cracked root search evaluates, takes
+The reduced characteristic function has two forms, one for each shape of
+the root search's work. :func:`det_sign_logmag`, the array form, takes
 either one trial K or an array of N of them, giving N signs and
-log-magnitudes of the reduced characteristic function; a scalar K is the
-N = 1 case of the same code. The matching path (:func:`quartic_roots`, :class:`ModeBasis` and
-:func:`assemble_cracked`) samples one cracked mode shape at its root and
-takes one K. A :func:`det_sign_logmag` call costs mostly a fixed part: 1 and
-256 K values of a cracked problem take about 32 and 58 us in a tight loop
-(48 us for 256 values all above K = 1; numpy 2.4, shared 2-core x86-64 VM),
-so the solver evaluates its K grid in fixed-size blocks and each bisection
-call's midpoints as one stack. To keep that part small, a call takes the
-branch of mu2 from its K range when the range lies on one side of K = 1,
-and builds the degeneracy masks of :func:`_lam2_roots` only when a K may
-lie in their windows.
+log-magnitudes; a scalar K is the N = 1 case of the same code. A call costs
+mostly a fixed part: 1 and 256 K values of a cracked problem take about 55
+and 70-90 us in a tight loop (numpy 2.4, Python 3.11, shared 2-core x86-64
+VM), so the solver's grid scan evaluates its K grid in blocks of 256, one
+call each. :func:`det_sign_logmag_at`, the one-K form, evaluates the same F
+with ``math`` on floats in about 2-3 us, which serves refinement and a mode
+shape's polish: a sequential method there needs a few values at a time,
+each chosen from the last. To keep the array form's fixed part small, a
+call takes the branch of mu2 from its K range when the range lies on one
+side of K = 1, and builds the degeneracy masks of :func:`_lam2_roots` only
+when a K may lie in their windows. The matching path
+(:func:`quartic_roots`, :class:`ModeBasis` and :func:`assemble_cracked`)
+samples one cracked mode shape at its root and takes one K.
 
 :func:`det_sign_logmag` also takes its problem parameters (eta_nd, beta,
 alpha, theta_c) as arrays that broadcast to K's shape, so one call evaluates
 the K values of several problems, each against its own parameters; the
-solver scans and bisects the cracked problems of a sweep this way, and
-passes one problem's parameters as scalars. Every parameter check applies
-to each element, and since every operation is elementwise, each value is
+solver scans the cracked problems of a sweep this way, and passes one
+problem's parameters as scalars. Every parameter check applies to each
+element, and since every operation is elementwise, each value is
 bit-identical to a call with that problem's scalar parameters. Scalar
 parameters take the scalar path, with no broadcast, which costs less.
 
@@ -68,10 +71,10 @@ the X''' and slope-jump rows into a 2x2 whose determinant over mu1 - mu2 is
     S_i = o(mu_i, beta),  A_i = o(mu_i, alpha)*o(mu_i, gamma);
 
 at theta_c = 0, F = S1*S2, the uncracked arch's function at any alpha.
-:func:`det_sign_logmag` evaluates F with no matrix. Its sign is that of the
-determinant of the matching matrix, so both change sign at the same K. A
-cracked mode shape's coefficients are the null vector of the matching
-matrix at its root (:func:`null_vector`). The solver needs none of this for
+:func:`det_sign_logmag` and :func:`det_sign_logmag_at` evaluate F with no
+matrix. Its sign is that of the determinant of the matching matrix, so both
+change sign at the same K. A cracked mode shape's coefficients are the null
+vector of the matching matrix at its root (:func:`null_vector`). The solver needs none of this for
 an uncracked arch: its K_n and shapes sin(n*pi*phi/beta) are closed forms
 (:func:`model.uncracked_K_closed_form`).
 """
@@ -378,6 +381,57 @@ def det_sign_logmag(K, eta_nd, beta, alpha, theta_c):
     if np.ndim(K) == 0 and not stacked:
         return int(sign[0]), float(logmag[0])
     return sign, logmag
+
+
+def det_sign_logmag_at(K: float, eta_nd: float, beta: float, alpha: float, theta_c: float):
+    """:func:`det_sign_logmag` at one float K, with ``math`` on floats: (sign, log|F|).
+
+    The same F, windows of :func:`_lam2_roots`, series at a repeated root and
+    sign-0 rule; the values agree with the array form's to rounding. Nothing
+    is checked: the caller passes a finite K >= 0 and the parameters of a
+    valid cracked problem (:class:`model.ArchProblem` checks them).
+    """
+    p2, p0 = 2.0 + K * eta_nd, 1.0 - K
+    square = p2 * p2
+    disc = square - 4.0 * p0
+    repeated = False
+    if abs(p0) <= DEGENERACY_TOL * max(1.0, p2):  # p2 >= 2 > 0
+        mu1, mu2 = -p2, 0.0
+    elif abs(disc) <= DEGENERACY_TOL * max(1.0, square):
+        mu1 = mu2 = -0.5 * p2
+        repeated = True
+    else:
+        mu1 = -0.5 * (p2 + math.sqrt(max(disc, 0.0)))
+        mu2 = p0 / mu1
+    a1 = math.sqrt(-mu1)
+    gamma = beta - alpha
+    s1 = math.sin(a1 * beta) / a1
+    o_a, o_g = math.sin(a1 * alpha) / a1, math.sin(a1 * gamma) / a1
+    if mu2 > 0.0:  # over cosh(a2*alpha)*cosh(a2*gamma)
+        a2 = math.sqrt(mu2)
+        t_a, t_g = math.tanh(a2 * alpha) / a2, math.tanh(a2 * gamma) / a2
+        s2 = b2 = t_a + t_g
+    elif mu2 == 0.0:
+        t_a, t_g, s2, b2 = alpha, gamma, beta, beta
+    else:
+        a2 = math.sqrt(-mu2)
+        t_a, t_g = math.sin(a2 * alpha) / a2, math.sin(a2 * gamma) / a2
+        s2, b2 = math.sin(a2 * beta) / a2, 1.0 / a2
+    extra = 0.0
+    if theta_c > 0.0:
+        if repeated:
+            x = np.array([beta, alpha, gamma])
+            _, h = _repeated_pair(mu1, x, np.cos(a1 * x), np.sin(a1 * x) / a1)
+            h_b, h_a, h_g = h.tolist()
+            dd = h_b * o_a * o_g - s1 * (h_a * o_g + o_a * h_g)
+        else:
+            dd = (s1 * t_a * t_g - s2 * o_a * o_g) / (mu1 - mu2)
+        extra = theta_c * mu1 * mu2 * dd
+    f = s1 * s2 + extra
+    size = abs(f)
+    if size <= PIVOT_ZERO_TOL * (b2 / a1 + abs(extra)):
+        return 0, math.log(size) if size else -math.inf
+    return (1 if f > 0.0 else -1), math.log(size)
 
 
 # _KEEP[i] lists the indices other than i: the rows or columns of a 3x3 minor.

@@ -10,31 +10,32 @@ most 256 K values, one kernel call each, until the blocks hold the
 candidates of the requested modes: sign changes, each one root, and dips. A
 dip is a node far below both neighbours of its sign, around which an even
 number of roots may lie unbracketed, so a dip among them fails the solve.
-The brackets are bisected together: each kernel call evaluates, for every
-open bracket, bisection's midpoints down the path toward an estimate of its
-root (the secant one from its ends' signed values, then an inverse cubic
-interpolant), and bisection's rules walk the path until a midpoint's sign
-disagrees with the prediction, whose kept half is the next call's bracket. A
-five-mode cracked solve takes two or three bisection calls. A spectrum holds
-roots only: :func:`mode_shape` samples an uncracked root's shape as its sine
-and a cracked one's from the null vector of its crack's matching matrix.
+Each bracket is then refined on its own by Brent's method, one K at a time
+(:func:`refine_root`), about three evaluations a root. The two forms of F
+serve the two shapes of work: a call of the array form
+(:func:`kernel.det_sign_logmag`) costs mostly its fixed part, which a
+block of 256 K values shares, while the one-K form
+(:func:`kernel.det_sign_logmag_at`) costs a few microseconds a value, so a
+sequential method pays only for the values it needs. A spectrum holds roots
+only: :func:`mode_shape` samples an uncracked root's shape as its sine and
+a cracked one's from the null vector of its crack's matching matrix.
 
 :func:`find_frequencies` also takes a sequence of problems, as a sweep or
 the validation table has. Each uncracked one is its closed form; the cracked
-ones are solved in lockstep, ``_BATCH`` at a time: each scan call evaluates
-the next block of every problem still scanning, and one :func:`refine_root`
-call bisects the brackets of all of them, each K against its own problem's
-parameters. It returns one entry per problem: its :class:`Spectrum`, or the
-:class:`NoRootsInRange` its own solve would raise. Every kernel call goes
-through :func:`boundary_determinant`, which takes cracked problems only (a
-crack of zero compliance is one) and passes one problem's parameters as
-scalars, several as a stack with one column per K.
+ones are scanned in lockstep, ``_BATCH`` at a time: each scan call evaluates
+the next block of every problem still scanning, each K against its own
+problem's parameters, and the brackets of all of them are refined in one
+:func:`refine_root` call. It returns one entry per problem: its
+:class:`Spectrum`, or the :class:`NoRootsInRange` its own solve would raise.
+Every array-kernel call goes through :func:`boundary_determinant`, which
+takes cracked problems only (a crack of zero compliance is one) and passes
+one problem's parameters as scalars, several as a stack with one column per
+K.
 
 Everything is deterministic: the same problem and configuration produce
-bit-identical spectra, whatever the block size, the estimates that set how
-far each bisection call goes, or the other problems of a batch, because
-bisection keeps its own midpoints and the kernel evaluates each K of a stack
-independently.
+bit-identical spectra, whatever the block size or the other problems of a
+batch, because the kernel evaluates each K of a stack independently and
+each bracket is refined alone.
 
 An uncracked solve imports neither numpy nor :mod:`kernel`: each function
 that works on arrays or calls the kernel imports them itself, so numpy loads
@@ -66,8 +67,8 @@ _DIP_DECADES = 6.0
 _DIP_THRESHOLD = _DIP_DECADES * math.log(10.0)
 # Relative offset of the guide nodes inserted around K = 1 and each K_n.
 _GUIDE_OFFSET = 1e-6
-# Bisection levels per bracket; the cap counts levels, not kernel calls.
-_MAX_BISECTIONS = 200
+# One-K evaluations per refined bracket (refine_root).
+_MAX_EVALUATIONS = 200
 # K values per kernel call in the grid scan. Blocks bound the kernel's arrays
 # and let the scan stop early: with the default k_max the requested roots
 # almost always lie in the first block.
@@ -88,7 +89,7 @@ _DOUBLE_ROOT = 1e-12
 class SearchConfig:
     """The K range and number of modes of a solve, and the cracked search's knobs.
 
-    ``grid_points`` and ``refine_tol`` tune only the scan and bisection; an
+    ``grid_points`` and ``refine_tol`` tune only the scan and refinement; an
     uncracked spectrum is its closed form. ``k_max=None`` defaults to ten
     times the closed-form eigenvalue of the uncracked problem at mode
     max(5, max_modes), which leaves ample room for the roots a crack shifts;
@@ -149,7 +150,7 @@ class ScanResult:
 
     ``end_values`` holds the determinant's sign and log-magnitude at each
     bracket's ends, ((s_lo, m_lo), (s_hi, m_hi)), so refinement need not
-    evaluate the ends again and can aim at the secant estimate of the root.
+    evaluate the ends again.
     """
 
     brackets: tuple[tuple[float, float], ...]
@@ -157,20 +158,16 @@ class ScanResult:
 
 
 class _Tally(threading.local):
-    """Kernel calls and K values evaluated through boundary_determinant.
+    """Array-kernel calls and K values (boundary_determinant, the scan's), and one-K evaluations.
 
-    ``scan_calls`` counts the calls of the grid scan among them, and
-    ``levels`` the bisection levels refine_root's calls advanced its
-    brackets by, summed over the brackets: the midpoints that plain
-    bisection uses among the K values evaluated. Per thread, so that
-    concurrent solves do not mix their counts; read around each
+    ``evals`` counts the one-K evaluations of refine_root. Per thread, so
+    that concurrent solves do not mix their counts; read around each
     find_frequencies call for its debug line.
     """
 
     calls = 0
-    scan_calls = 0
     values = 0
-    levels = 0
+    evals = 0
 
 
 _tally = _Tally()
@@ -384,7 +381,6 @@ def scan_and_bracket(problems, cfg: SearchConfig) -> list:
                 top = sorted(kns)[cfg.max_modes] * (1.0 + _GUIDE_OFFSET)
                 ends[i] = min(_BLOCK, int(np.searchsorted(grids[i], top, "right")))
             chunks.append(grids[i][start : ends[i]])
-        _tally.scan_calls += 1
         sizes = [c.size for c in chunks]
         offsets = (0, *itertools.accumulate(sizes))
         new_signs, new_logs = boundary_determinant(
@@ -428,159 +424,103 @@ def scan_and_bracket(problems, cfg: SearchConfig) -> list:
 
 
 def refine_root(brackets, problems, cfg: SearchConfig, end_values) -> np.ndarray:
-    """Bisect sign-change brackets down to refine_tol * max(1, K).
+    """Refine sign-change brackets down to refine_tol * max(1, K), one at a time.
 
-    ``brackets`` is a sequence of M (lo, hi) pairs, all bisected together,
-    giving an array of M roots (an empty one for no pairs). ``problems``
-    holds the cracked problem of each pair. ``end_values`` are the
-    determinant's (sign, log-magnitude) at each bracket's ends,
-    ((s_lo, m_lo), (s_hi, m_hi)) per pair (ignored for a zero-width pair), as
-    the scan hands them on. A zero-width bracket is its own root, an end of
-    sign 0 is the root, and the other brackets must straddle a sign change.
+    ``brackets`` is a sequence of M (lo, hi) pairs, giving an array of M
+    roots (an empty one for no pairs). ``problems`` holds the cracked problem
+    of each pair. ``end_values`` are the determinant's (sign, log-magnitude)
+    at each bracket's ends, ((s_lo, m_lo), (s_hi, m_hi)) per pair (ignored
+    for a zero-width pair), as the scan hands them on. A zero-width bracket
+    is its own root, an end of sign 0 is the root, and the other brackets
+    must straddle a sign change and lie in [0, inf).
 
-    Each kernel call evaluates, for every open bracket, the midpoints of
-    plain bisection along the path toward an estimate of its root, down to
-    the tolerance (``_path``): first the zero of the line through its
-    signed end values s * exp(m), then the inverse cubic interpolant
-    through its ends and the two nearest points the walk evaluated
-    (``_root_estimate``). Bisection's own rules then walk the path once: a
-    midpoint keeps the upper half when its sign equals the lower end's, and
-    the bracket ends at a midpoint of sign 0 or at an interval narrow
-    enough. The walk stops at the first midpoint whose kept half does not
-    hold the estimate; that half, with its two evaluated ends, is the
-    bracket of the next call. So every midpoint the walk uses is one that
-    one-level-per-call bisection evaluates, and the roots are those of
-    plain bisection, bit for bit, whatever the estimate or the other
-    brackets of the batch; a poor estimate costs calls only, and each call
-    advances every open bracket at least one level. Each kernel call takes
-    the distinct problems and the index among them of each bracket's path
-    (:func:`boundary_determinant`).
+    Each bracket runs Brent's method (zeroin; Brent, *Algorithms for
+    Minimization without Derivatives*, 1973) on s * exp(m - m_ref), m_ref
+    the larger log-magnitude of its ends, so every value shares one scale,
+    with one-K evaluations (:func:`kernel.det_sign_logmag_at`). An inverse
+    quadratic or secant step is taken when it stays well inside the bracket
+    and shrinks it fast enough, a bisection step otherwise, and no step is
+    shorter than half the tolerance. The bracket ends when it is no wider
+    than refine_tol * max(1, mid), at its midpoint, at an evaluated K of
+    sign 0, or after ``_MAX_EVALUATIONS`` evaluations, at its midpoint.
     """
     import numpy as np
-    lows, highs = np.array(brackets, dtype=float).reshape(-1, 2).T.tolist()
-    if len(end_values) != len(lows):
+    if len(end_values) != len(brackets):
         raise ValueError("give one pair of end values per bracket")
-    if len(problems) != len(lows):
+    if len(problems) != len(brackets):
         raise ValueError("give one problem per bracket")
-    index = {}  # each distinct problem's index, in order of first appearance
-    slots = [index.setdefault(p, len(index)) for p in problems]
-    distinct = list(index)
-    roots = list(lows)
-    # Open brackets as (index, lo, hi, s_lo, m_lo, m_hi, near, levels bisected).
-    open_ = []
-    for i, (lo, hi, ends) in enumerate(zip(lows, highs, end_values)):
-        if lo == hi:
-            continue
-        (s_lo, m_lo), (s_hi, m_hi) = ends
-        if s_lo == 0:
-            continue
-        if s_hi == 0:
-            roots[i] = hi
-        elif s_lo == s_hi:
-            raise ValueError(f"bracket {(lo, hi)} does not straddle a sign change")
-        else:
-            open_.append((i, lo, hi, s_lo, m_lo, m_hi, (), 0))
+    return np.array(
+        [_brent(p, float(lo), float(hi), ends, cfg.refine_tol)
+         for (lo, hi), p, ends in zip(brackets, problems, end_values)],
+        dtype=float,
+    )
 
-    tol = cfg.refine_tol
-    while open_:
-        # Each path as (bracket, estimate, its first and last index in K, end).
-        paths, K = [], []
-        for b in open_:
-            estimate = _root_estimate(*b[1:7])
-            mids, end = _path(b[1], b[2], estimate, b[7], tol)
-            if mids:
-                paths.append((b, estimate, len(K), len(K) + len(mids), end))
-                K += mids
+
+def _brent(problem: ArchProblem, lo: float, hi: float, ends, tol: float) -> float:
+    """The root of one bracket (:func:`refine_root`)."""
+    if lo == hi:
+        return lo
+    (s_lo, m_lo), (s_hi, m_hi) = ends
+    if s_lo == 0:
+        return lo
+    if s_hi == 0:
+        return hi
+    if s_lo == s_hi:
+        raise ValueError(f"bracket {(lo, hi)} does not straddle a sign change")
+    if not 0.0 <= lo < hi < math.inf:
+        raise ValueError(f"bracket {(lo, hi)} must lie in [0, inf) with lo < hi")
+    from . import kernel
+    evaluate = kernel.det_sign_logmag_at
+    crack = problem.crack
+    args = (problem.eta_nd, problem.beta, crack.alpha, crack.theta_c)
+    ref = max(m_lo, m_hi)
+    # b is the end of smaller |f|, c the other end, a the b before this one;
+    # d is the last step and e the one before it.
+    b, fb = hi, s_hi * math.exp(m_hi - ref)
+    a = c = lo
+    fa = fc = s_lo * math.exp(m_lo - ref)
+    d = e = b - a
+    for _ in range(_MAX_EVALUATIONS):
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        mid = 0.5 * (b + c)
+        # max(1.0, mid) without the call, which costs as much as the test.
+        if abs(c - b) <= tol * (mid if mid > 1.0 else 1.0):
+            return mid
+        half = 0.5 * (c - b)
+        least = 0.5 * tol * (b if b > 1.0 else 1.0)
+        if abs(e) >= least and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * half * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
             else:
-                roots[b[0]] = end
-        if not paths:
-            break
-        runs = [(slots[p[0][0]], p[3] - p[2]) for p in paths]
-        signs, logs = (v.tolist() for v in boundary_determinant(distinct, np.array(K), runs))
-        open_ = []
-        for b, estimate, first, last, end in paths:
-            i, lo, hi, s_lo, m_lo, m_hi, _, level = b
-            # Bisection's rules along the path: a midpoint of sign s_lo keeps
-            # the upper half. The walk stops at a midpoint of sign 0, the
-            # root, or at the first one whose kept half does not hold the
-            # estimate, or else passes the last midpoint to the path's end.
-            for j in range(first, last):
-                s, mid = signs[j], K[j]
-                if s == s_lo:
-                    lo, m_lo = mid, logs[j]
-                    if estimate > mid:
-                        continue
-                elif s:
-                    hi, m_hi = mid, logs[j]
-                    if not estimate > mid:
-                        continue
-                break
+                p = -p
+            if 2.0 * p < min(3.0 * half * q - abs(least * q), abs(e * q)):
+                e, d = d, p / q
             else:
-                j = last
-            _tally.levels += min(j + 1, last) - first
-            if j == last or not signs[j]:
-                roots[i] = end if j == last else K[j]
-                continue
-            # The points nearest node j's kept half outside it, among this
-            # call's bracket ends and the midpoints around node j.
-            others = [(b[1], s_lo, b[4]), (b[2], -s_lo, b[5])]
-            around = [k for k in (j - 1, j + 1, j + 2) if first <= k < last]
-            others += [(K[k], signs[k], logs[k]) for k in around]
-            gaps = sorted([(lo - p[0] if p[0] < lo else p[0] - hi, p) for p in others])
-            near = [p for gap, p in gaps if gap > 0][:2]
-            open_.append((i, lo, hi, s_lo, m_lo, m_hi, near, level + j + 1 - first))
-    return np.array(roots, dtype=float)
-
-
-def _root_estimate(lo, hi, s_lo, m_lo, m_hi, near) -> float:
-    """The root in [lo, hi] that a bisection call's path aims at.
-
-    ``near`` holds up to two evaluated points (K, sign, log-magnitude) outside
-    the bracket. Through them and the ends, K as a polynomial in the signed
-    value s * exp(m - max m) is taken at 0 (inverse cubic interpolation).
-    Without them, or if two values coincide or this leaves the bracket, it
-    is the secant estimate lo + (hi - lo) / (1 + exp(m_hi - m_lo)), where the
-    line through the ends' signed values crosses zero (tanh avoids overflow).
-    """
-    if near:
-        top = max(m_lo, m_hi, *[p[2] for p in near])
-        ks, ys = [lo, hi], [s_lo * math.exp(m_lo - top), -s_lo * math.exp(m_hi - top)]
-        for k, s, m in near:
-            ks.append(k)
-            ys.append(s * math.exp(m - top))
-        if len(set(ys)) == len(ys):
-            estimate = 0.0  # Lagrange's form at 0
-            for k, z in zip(ks, ys):
-                for y in ys:
-                    if y != z:
-                        k *= y / (y - z)
-                estimate += k
-            if lo < estimate < hi:
-                return estimate
-    return lo + (hi - lo) * (0.5 - 0.5 * math.tanh(0.5 * (m_hi - m_lo)))
-
-
-def _path(lo, hi, estimate, level, tol):
-    """Bisection's midpoints from [lo, hi] toward ``estimate``, and the path's end.
-
-    The midpoints are those bisection evaluates if every one of them keeps
-    the half holding the estimate (:func:`_root_estimate`); the end, the root
-    if they all do, is the midpoint of the first interval no wider than
-    tol * max(1, mid), or of the interval reached after ``_MAX_BISECTIONS``
-    levels in all, ``level`` of them already bisected.
-    """
-    mids = []
-    for _ in range(level, _MAX_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        # max(1.0, mid) without the call, which costs as much as the rest.
-        if hi - lo <= tol * (mid if mid > 1.0 else 1.0):
-            break
-        mids.append(mid)
-        if estimate > mid:
-            lo = mid
+                d = e = half
         else:
-            hi = mid
-    return mids, 0.5 * (lo + hi)
+            d = e = half
+        a, fa = b, fb
+        b += d if abs(d) > least else math.copysign(least, half)
+        sign, logmag = evaluate(b, *args)
+        _tally.evals += 1
+        if not sign:
+            return b
+        # Clamped so that exp neither overflows nor reaches 0: only the sign
+        # keeps the bracket, and it is kept.
+        fb = sign * math.exp(min(max(logmag - ref, -700.0), 700.0))
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+    return 0.5 * (b + c)
 
 
 def find_frequencies(problem, cfg: SearchConfig | None = None):
@@ -602,26 +542,22 @@ def find_frequencies(problem, cfg: SearchConfig | None = None):
     order: its Spectrum, or the NoRootsInRange its own solve would raise,
     bit for bit (cracked ones are searched in lockstep, as the module
     docstring says). Logs one debug line per call: the problems, the
-    kernel calls split into scan and bisection calls, the K values, the
-    bisection levels summed over the brackets, the brackets refined (the
-    searched roots) and the short solves.
+    scan's array-kernel calls and K values, the refinement's one-K
+    evaluations, the brackets refined (the searched roots) and the short
+    solves.
     """
     single = isinstance(problem, ArchProblem)
     problems = [problem] if single else list(problem)
     cfg = cfg if cfg is not None else SearchConfig()
-    calls, scan_calls, values, levels = (
-        _tally.calls, _tally.scan_calls, _tally.values, _tally.levels
-    )
+    calls, values, evals = _tally.calls, _tally.values, _tally.evals
     entries = []
     for start in range(0, len(problems), _BATCH):
         entries += _solve_group(problems[start : start + _BATCH], cfg)
     if logger.isEnabledFor(logging.DEBUG):
-        calls, scans = _tally.calls - calls, _tally.scan_calls - scan_calls
         logger.debug(
-            "find_frequencies: %d problems, %d kernel calls (%d scan, %d bisection), "
-            "%d K values, %d bisection levels, %d brackets refined, %d short",
-            len(problems), calls, scans, calls - scans, _tally.values - values,
-            _tally.levels - levels,
+            "find_frequencies: %d problems, %d scan kernel calls, %d K values, "
+            "%d refinement evaluations, %d brackets refined, %d short",
+            len(problems), _tally.calls - calls, _tally.values - values, _tally.evals - evals,
             sum(len(e) for p, e in zip(problems, entries) if p.crack and isinstance(e, Spectrum)),
             sum(isinstance(e, NoRootsInRange) for e in entries),
         )
@@ -720,28 +656,23 @@ def _polish(problem: ArchProblem, k: float) -> float:
 
     The stored eigenvalue honors the search tolerance. The support-adapted
     basis makes X and X'' exactly 0 at both supports for any K, but the null
-    vector, which sets the matching at the crack, sharpens with the root, so a
-    short local bisection is run first, inside the narrowest of a widening
-    ladder of intervals around the root that straddles a sign change (the
-    whole ladder is evaluated in one kernel call). Falls back to the stored
-    value, with one debug log line, when no sign change is found nearby.
+    vector, which sets the matching at the crack, sharpens with the root, so
+    the root is refined again first (:func:`refine_root`'s method), inside
+    the narrowest of a widening ladder of intervals around it that straddles
+    a sign change or ends at a sign 0, walked outward with one-K
+    evaluations. Falls back to the stored value, with one debug log line,
+    when no sign change is found nearby.
     """
-    import numpy as np
-    deltas = np.array([1e-10, 1e-9, 1e-8, 1e-7, 1e-6]) * max(1.0, k)
-    lows, highs = k - deltas, k + deltas
-    ladder = lows > 0
-    lows, highs = lows[ladder], highs[ladder]
-    if lows.size:
-        signs, logs = boundary_determinant([problem], np.concatenate([lows, highs]))
-        ends = list(zip(signs.tolist(), logs.tolist()))
-        for lo, hi, at_lo, at_hi in zip(lows.tolist(), highs.tolist(), ends, ends[lows.size :]):
-            if at_lo[0] == 0:
-                return lo
-            if at_hi[0] == 0:
-                return hi
-            if at_lo[0] * at_hi[0] == -1:
-                tight = SearchConfig(refine_tol=1e-13)
-                return refine_root([(lo, hi)], [problem], tight, [(at_lo, at_hi)]).item()
+    from . import kernel
+    crack = problem.crack
+    args = (problem.eta_nd, problem.beta, crack.alpha, crack.theta_c)
+    for delta in (1e-10, 1e-9, 1e-8, 1e-7, 1e-6):
+        lo, hi = k - delta * max(1.0, k), k + delta * max(1.0, k)
+        if not 0.0 < lo < hi < math.inf:
+            break
+        ends = kernel.det_sign_logmag_at(lo, *args), kernel.det_sign_logmag_at(hi, *args)
+        if ends[0][0] * ends[1][0] != 1:
+            return _brent(problem, lo, hi, ends, 1e-13)
     logger.debug(
         "mode shape at the unpolished root K = %r: no sign change within 1e-6 max(1, K)", k
     )

@@ -12,6 +12,7 @@ from arch_resonance.kernel import (
     PIVOT_ZERO_TOL,
     assemble_cracked,
     det_sign_logmag,
+    det_sign_logmag_at,
     null_vector,
     quartic_roots,
 )
@@ -21,6 +22,7 @@ from conftest import (
     make_problem,
     matching_matrix,
     random_arch_points,
+    reduced_det_mp,
     reference_log,
 )
 
@@ -790,3 +792,74 @@ class TestOneSidedBranches:
         owner = np.arange(len(ks)) % len(problems)
         params = [np.array(c, dtype=float)[owner] for c in zip(*problems)]
         self._check(ks, params, monkeypatch)
+
+
+def _branch(K: float, eta: float) -> str:
+    """The branch of mu2 at K, as :func:`kernel._lam2_roots` resolves it."""
+    basis = quartic_roots(K, eta)
+    if basis.repeated:
+        return "repeated"
+    return "zero" if basis.mu2 == 0.0 else "hyperbolic" if basis.mu2 > 0.0 else "trigonometric"
+
+
+class TestOneK:
+    """det_sign_logmag_at, the one-K form of F in math on floats, against the
+    array form and 60 digits.
+
+    The bound on |log|F| - log|F|| between the two forms, 1e-10, was set
+    before the test ran: both evaluate the same expressions, and they differ
+    only in how numpy and libm round sin, tanh and sqrt, which F's
+    cancellation can amplify. Over 115,000 random values the largest
+    difference was 3.3e-12, at beta 0.0023 and K 2e7.
+    """
+
+    @staticmethod
+    def _points():
+        """random_arch_points' K values plus K within 2e-10 of 1 and below 3e-11."""
+        rng = np.random.default_rng(28)
+        for beta, eta, alpha, theta, ks in random_arch_points(28, 200):
+            near_one = 1.0 + rng.uniform(-2e-10, 2e-10, 3)
+            tiny = rng.uniform(0.0, 3e-11, 3)
+            yield beta, eta, alpha, theta, np.concatenate([ks, near_one, tiny]).tolist()
+
+    def test_matches_the_array_form_in_every_branch(self):
+        branches = set()
+        for beta, eta, alpha, theta, ks in self._points():
+            signs, logs = det_sign_logmag(np.array(ks), eta, beta, alpha, theta)
+            for k, sign, logmag in zip(ks, signs.tolist(), logs.tolist()):
+                one = det_sign_logmag_at(k, eta, beta, alpha, theta)
+                assert type(one[0]) is int and type(one[1]) is float
+                assert one[0] == sign, (beta, eta, alpha, theta, k)
+                assert abs(one[1] - logmag) <= 1e-10 or one[1] == logmag, (beta, eta, alpha, theta, k)
+                branches.add((_branch(k, eta), theta > 0.0, eta > 0.0))
+        kinds = ("repeated", "zero", "hyperbolic", "trigonometric")
+        assert branches == {(b, c, e) for b in kinds for c in (False, True) for e in (False, True)}
+
+    def test_against_60_digits(self):
+        # Away from the windows, whose snapped roots are off by up to their
+        # width: random_arch_points' values, K = 0 and K = 1 exactly included.
+        checked = 0
+        for beta, eta, alpha, theta, ks in random_arch_points(28, 200):
+            for k in ks.tolist()[::2]:
+                sign, logmag = det_sign_logmag_at(k, eta, beta, alpha, theta)
+                reference = reference_log(k, eta, beta, alpha, theta)
+                if reference is None:  # near a root: rounding K moves F too much
+                    continue
+                checked += 1
+                exact = reduced_det_mp(k, eta, beta, alpha, theta)
+                assert sign == (1 if exact > 0 else -1), (beta, eta, alpha, theta, k)
+                assert abs(logmag - reference) < 1e-9, (beta, eta, alpha, theta, k)
+        assert checked >= 0.9 * 200 * 8
+
+    def test_zero_sign_rule(self):
+        # The sign-0 rule of det_sign_logmag: guide midpoints of closed-form
+        # roots, where the uncracked F is 0 to rounding, read 0; K = 1 and a
+        # cracked K_n do not.
+        beta, eta = 2.0, 0.3
+        for n in (1, 2, 3, 4):
+            k = _midpoint(uncracked_K_closed_form(n, beta, eta))
+            for alpha, theta in ((0.5 * beta, 0.0), (0.8, 0.0), (0.8, 1.0)):
+                one = det_sign_logmag_at(k, eta, beta, alpha, theta)
+                assert one == det_sign_logmag(k, eta, beta, alpha, theta)
+                assert (one[0] == 0) == (theta == 0.0)
+        assert det_sign_logmag_at(1.0, eta, beta, 0.8, 1.0)[0] != 0

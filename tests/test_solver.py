@@ -27,7 +27,7 @@ from arch_resonance.cli import main
 from arch_resonance.kernel import SEGMENT_TOL, quartic_roots
 from arch_resonance.model import BETA_MIN
 from arch_resonance.solver import boundary_determinant, refine_root, scan_and_bracket
-from conftest import make_problem, matching_matrix, rel_err
+from conftest import make_problem, matching_matrix, reduced_det_mp, rel_err
 
 K1_B1_E0 = 78.6698822318237
 K1_B1_E1 = 7.237603074490859
@@ -327,10 +327,40 @@ class TestModeShape:
             assert "no sign change" in record.getMessage()
             assert repr(stored.K) in record.getMessage()
 
+    @pytest.mark.parametrize(
+        "problem, mode",
+        [
+            (make_problem(alpha=0.4, theta=0.8), 1),
+            (make_problem(eta=1.0, alpha=0.3, theta=0.7), 3),
+            (make_problem(beta=0.2, eta=2.5, alpha=0.15, theta=20.0), 2),
+            (make_problem(beta=5.5, eta=0.0, alpha=1.0, theta=0.05), 4),
+        ],
+    )
+    def test_polish_refines_in_the_rung_the_whole_ladder_picks(self, problem, mode):
+        # _polish walks its ladder of intervals k -+ delta*max(1, k) outward,
+        # one K at a time, to the first that straddles a sign change or ends
+        # at a sign 0: the rung that evaluating the whole ladder in one
+        # array-kernel call picks. Its root lies in that rung, within
+        # 1e-13 max(1, K) of a sign change there.
+        k = find_frequencies(problem, SearchConfig(max_modes=mode)).roots[-1].K
+        deltas = np.array([1e-10, 1e-9, 1e-8, 1e-7, 1e-6]) * max(1.0, k)
+        signs, _ = boundary_determinant([problem], np.concatenate([k - deltas, k + deltas]))
+        rung = next(i for i in range(5) if signs[i] * signs[i + 5] != 1)
+        lo, hi = k - deltas[rung], k + deltas[rung]
+        polished = solver._polish(problem, k)
+        assert lo <= polished <= hi
+        if signs[rung] == 0 or signs[rung + 5] == 0:
+            assert polished == (lo if signs[rung] == 0 else hi)
+        elif boundary_determinant([problem], polished)[0] != 0:
+            d = 1e-13 * max(1.0, polished)
+            around = boundary_determinant([problem], np.array([polished - d, polished + d]))[0]
+            assert around[0] * around[1] == -1
+
     def test_uncracked_shape_takes_no_kernel_call(self):
         # An uncracked root is sampled as its closed-form sine: it is not
         # polished, and no basis, matching matrix or null vector is built. A
-        # cracked root takes all of them.
+        # cracked root takes all of them, and its polish evaluates F one K at
+        # a time: no shape makes an array-kernel call.
         cases = ((make_problem(eta=0.5), False), (make_problem(0.5, 0.5, 0.2, 1.0), True))
         for problem, cracked in cases:
             for root in find_frequencies(problem, SearchConfig(max_modes=3)).roots:
@@ -338,10 +368,13 @@ class TestModeShape:
                 with (
                     mock.patch.object(kernel, "quartic_roots", wraps=kernel.quartic_roots) as basis,
                     mock.patch.object(kernel, "null_vector", wraps=kernel.null_vector) as null,
+                    mock.patch.object(
+                        kernel, "det_sign_logmag_at", wraps=kernel.det_sign_logmag_at
+                    ) as one_k,
                 ):
                     mode_shape(problem, root, samples=11)
-                assert (solver._tally.calls > calls) == cracked
-                assert basis.called == null.called == cracked
+                assert solver._tally.calls == calls
+                assert basis.called == null.called == one_k.called == cracked
 
     def test_uncracked_shape_at_a_high_root_is_the_sine(self):
         # K_62991 = 1.00006e10 at beta = 1 is exact. A bisection polish once
@@ -834,15 +867,15 @@ class TestBatchedSearch:
         # their whole grids of 2002 and 2005 nodes (8 blocks: 2000 uniform,
         # the guides at K = 1 and, for beta = 2, the guides and midpoint of
         # K_1 = 2.15); beta = 6 stops after its first block, and its two
-        # roots take two bisection calls. The uncracked batch is its closed
+        # roots take six one-K evaluations. The uncracked batch is its closed
         # form: no kernel call, and no bracket refined.
         assert lines == [
-            "find_frequencies: 3 problems, 10 kernel calls (8 scan, 2 bisection), "
-            "4344 K values, 52 bisection levels, 2 brackets refined, 2 short",
-            "find_frequencies: 1 problems, 4 kernel calls (1 scan, 3 bisection), "
-            "105 K values, 31 bisection levels, 1 brackets refined, 0 short",
-            "find_frequencies: 2 problems, 0 kernel calls (0 scan, 0 bisection), "
-            "0 K values, 0 bisection levels, 0 brackets refined, 0 short",
+            "find_frequencies: 3 problems, 8 scan kernel calls, 4263 K values, "
+            "6 refinement evaluations, 2 brackets refined, 2 short",
+            "find_frequencies: 1 problems, 1 scan kernel calls, 38 K values, "
+            "5 refinement evaluations, 1 brackets refined, 0 short",
+            "find_frequencies: 2 problems, 0 scan kernel calls, 0 K values, "
+            "0 refinement evaluations, 0 brackets refined, 0 short",
         ]
 
 
@@ -1041,144 +1074,169 @@ class TestEarlyExitScan:
         assert spectrum.K_values == (first_k, first_k)
 
 
-def _sequential_bisection(pairs, problem, cfg):
-    """Reference: one bisection level per kernel call, the same midpoints."""
-    lo, hi = np.array(pairs, dtype=float).T.copy()
-    roots = lo.copy()
-    idx = np.flatnonzero(lo != hi)
-    lo, hi = lo[idx], hi[idx]
-    s_lo = boundary_determinant([problem], lo)[0] if idx.size else idx
-    for _ in range(solver._MAX_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        go = hi - lo > cfg.refine_tol * np.maximum(1.0, mid)
-        roots[idx[~go]] = mid[~go]
-        idx, lo, hi, s_lo, mid = idx[go], lo[go], hi[go], s_lo[go], mid[go]
-        if not idx.size:
-            break
-        s_mid, _ = boundary_determinant([problem], mid)
-        up = s_mid == s_lo
-        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
-        hit = s_mid == 0
-        roots[idx[hit]] = mid[hit]
-        idx, lo, hi, s_lo = idx[~hit], lo[~hit], hi[~hit], s_lo[~hit]
-    roots[idx] = 0.5 * (lo + hi)
-    return roots
+def _straddles_a_true_root(problem, lo, hi, k, tol):
+    """Whether the 60-digit F changes sign within tol/2 * max(1, k) of k, inside [lo, hi]."""
+    d = 0.5 * tol * max(1.0, k)
+    crack = problem.crack
+    args = (problem.eta_nd, problem.beta, crack.alpha, crack.theta_c)
+    a, b = (reduced_det_mp(x, *args) for x in (max(lo, k - d), min(hi, k + d)))
+    return lo <= k <= hi and a * b <= 0
 
 
-def _estimate_leaving_the_path(levels, roots):
-    """An estimate that follows the path to the bracket's root for levels - 1
-    levels and leaves it at the next, so each call advances ``levels`` levels.
+def _armchair_theta(psi):
+    """The compliance of a crack of depth ``psi`` in the armchair preset's tube."""
+    from arch_resonance import ChiralityClass, resolve_preset
+    from arch_resonance.cli import load_presets
 
-    ``roots`` are the roots plain bisection finds; the one in the bracket is
-    the target (brackets sharing a root only change the schedule).
-    """
-
-    def estimate(lo, hi, *values):
-        root = next(r for r in roots if lo <= r <= hi)
-        for _ in range(levels):
-            mid = 0.5 * (lo + hi)
-            lo, hi, wrong = (mid, hi, lo) if root > mid else (lo, mid, hi)
-        return 0.5 * (wrong + mid)
-
-    return estimate
+    tube = resolve_preset(ChiralityClass.ARMCHAIR, load_presets())
+    return compliance(PowerLawCompliance(), psi, (tube.wall_thickness, tube.radius))
 
 
-# Estimates by test id suffix: the shipped estimate, and deliberately
-# wrong ones that leave the path at the n-th level of every call.
-_SCHEDULES = {"": None, "-levels1": 1, "-levels3": 3, "-levels4": 4, "-levels6": 6}
+def _draw(family, rng):
+    """One random cracked problem of a family, and the modes to solve."""
+    if family == "benchmark":  # as the benchmark's cracked workload draws them
+        beta = rng.uniform(0.5, 3.0)
+        crack = CrackJoint(beta * rng.uniform(0.1, 0.9), _armchair_theta(rng.uniform(0.1, 0.8)))
+        return ArchProblem(beta, rng.uniform(0.0, 4.0), crack), 5
+    beta = 10.0 ** rng.uniform(math.log10(BETA_MIN), math.log10(2 * math.pi))
+    eta = 0.0 if rng.random() < 0.3 else rng.uniform(0.0, 4.0)
+    log_theta = rng.uniform(1.0, 3.0) if family == "stiff" else rng.uniform(-3.0, 2.0)
+    crack = CrackJoint(beta * rng.uniform(0.05, 0.95), 10.0**log_theta)
+    return ArchProblem(beta, eta, crack), 8 if family == "eight-modes" else 5
 
 
-class TestMultiLevelBisection:
-    def _batch(self, problem):
-        # A zero-width bracket, for the crack of zero compliance the guide
-        # pair around K_1 (for beta = 1, eta = 0 its first midpoint is K_1,
-        # where the sign is 0), and the scan's brackets, with their end values.
-        scan = _whole_scan(problem, SearchConfig(k_max=3000.0))
-        pairs, ends = [(42.0, 42.0)], [None]
-        if problem.crack.theta_c == 0.0:
-            k1 = uncracked_K_closed_form(1, 1.0, 0.0)
-            pairs.append((k1 * (1.0 - 1e-6), k1 * (1.0 + 1e-6)))
-            ends.append(tuple(boundary_determinant([problem], k) for k in pairs[-1]))
-        return [*pairs, *scan.brackets], [*ends, *scan.end_values]
+class TestBrentRefinement:
+    """refine_root runs Brent's method on each bracket, one K at a time."""
 
-    # A cap of 7 levels cuts a path short.
-    @pytest.mark.parametrize("tol", [1e-10, 1e-13])
     @pytest.mark.parametrize(
-        "cap, levels",
-        [(cap, levels) for levels in _SCHEDULES.values() for cap in (200, 7)],
-        ids=[f"{cap}{suffix}" for suffix in _SCHEDULES for cap in (200, 7)],
+        "family, count",
+        [("all-angles", 240), ("benchmark", 60), ("stiff", 60), ("eight-modes", 40)],
     )
-    def test_matches_one_level_per_call(self, monkeypatch, tol, cap, levels):
-        monkeypatch.setattr(solver, "_MAX_BISECTIONS", cap)
-        cfg = SearchConfig(refine_tol=tol)
-        for problem in (_zero_crack(), make_problem(eta=0.5, alpha=0.3, theta=2.0)):
-            pairs, ends = self._batch(problem)
-            expected = _sequential_bisection(pairs, problem, cfg).tolist()
-            if levels is not None:
-                estimate = _estimate_leaving_the_path(levels, expected)
-                monkeypatch.setattr(solver, "_root_estimate", estimate)
-            assert refine_root(pairs, [problem] * len(pairs), cfg, ends).tolist() == expected
-
-    def test_wrong_estimate_advances_its_levels_per_call(self, monkeypatch):
-        # An estimate that leaves the path at the third level of every call:
-        # each call advances each bracket three levels, so a bracket that
-        # needs L levels takes ceil(L / 3) calls.
-        problem = make_problem(eta=0.5, alpha=0.3, theta=2.0)
-        scan = _scan(problem, SearchConfig(max_modes=1))
-        pair, ends = scan.brackets[0], scan.end_values[0]
-        cfg = SearchConfig()
-        expected = _sequential_bisection([pair], problem, cfg).tolist()
-        sizes = []
-        original = solver.boundary_determinant
-        monkeypatch.setattr(
-            solver,
-            "boundary_determinant",
-            lambda problems, K, runs=(): sizes.append(K.size) or original(problems, K, runs),
-        )
-        levels = solver._tally.levels
-        monkeypatch.setattr(solver, "_root_estimate", _estimate_leaving_the_path(3, expected))
-        assert refine_root([pair], [problem], cfg, [ends]).tolist() == expected
-        needed = solver._tally.levels - levels
-        assert len(sizes) == math.ceil(needed / 3)
-        assert 25 <= needed <= 40
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        batch=_batches(),
-        tol=st.one_of(
-            st.sampled_from([1e-10, 1e-13]), st.floats(-13.0, -4.0).map(lambda e: 10.0**e)
-        ),
-    )
-    def test_random_batches_match_one_level_per_call(self, batch, tol):
-        # The scan's brackets (zero-width ones included) of every problem,
-        # bisected as one batch, against each problem's alone, one level per
-        # call; uncracked brackets, of the crack of zero compliance, are
-        # guide pairs that end at their midpoint.
-        problems, cfg = batch
-        problems = [p if p.crack else _zero_crack(p.beta, p.eta_nd) for p in problems]
-        scans = scan_and_bracket(problems, cfg)
-        cfg = replace(cfg, refine_tol=tol)
-        pairs, ends, owners, expected = [], [], [], []
-        for problem, scan in zip(problems, scans):
+    def test_random_roots_lie_within_half_the_tolerance_of_60_digit_roots(self, family, count):
+        # Each root the scan's first brackets refine to lies in its bracket,
+        # within refine_tol/2 * max(1, K) of a sign change of the 60-digit F.
+        # "all-angles" draws central angles down to BETA_MIN, "stiff" cracks
+        # of compliance 10 to 1000.
+        rng = np.random.default_rng(2828)
+        checked = 0
+        for _ in range(count):
+            problem, modes = _draw(family, rng)
+            cfg = SearchConfig(max_modes=modes)
+            scan = _scan(problem, cfg)
             if isinstance(scan, NoRootsInRange):
                 continue
-            pairs += scan.brackets
-            ends += scan.end_values
-            owners += [problem] * len(scan.brackets)
-            expected += _sequential_bisection(scan.brackets, problem, cfg).tolist()
-        assume(pairs)
-        roots = refine_root(pairs, owners, cfg, ends)
-        assert [k.hex() for k in roots.tolist()] == [k.hex() for k in expected]
+            brackets = scan.brackets[:modes]
+            ks = refine_root(brackets, [problem] * len(brackets), cfg, scan.end_values[:modes])
+            for (lo, hi), k in zip(brackets, ks.tolist()):
+                if lo != hi:
+                    checked += 1
+                    assert _straddles_a_true_root(problem, lo, hi, k, cfg.refine_tol), (problem, k)
+        assert checked >= 3 * count
+
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            make_problem(eta=1.0, alpha=0.4, theta=0.8),
+            make_problem(beta=0.01, eta=2.0, alpha=0.003, theta=50.0),
+            ArchProblem(0.06454, 0.0, CrackJoint(0.030614, 0.15648)),
+        ],
+        ids=["moderate", "small-angle", "wide-bracket"],
+    )
+    def test_evaluations_stay_inside_the_bracket(self, problem, monkeypatch):
+        # Every K Brent's method evaluates lies strictly inside the bracket
+        # it refines, whatever its steps: interpolated, bisecting or least.
+        cfg = SearchConfig(max_modes=3)
+        scan = _scan(problem, cfg)
+        seen, original = [], kernel.det_sign_logmag_at
+        monkeypatch.setattr(
+            kernel, "det_sign_logmag_at", lambda K, *args: seen.append(K) or original(K, *args)
+        )
+        for pair, ends in zip(scan.brackets[:3], scan.end_values[:3]):
+            seen.clear()
+            refine_root([pair], [problem], cfg, [ends])
+            assert len(seen) <= solver._MAX_EVALUATIONS
+            assert all(pair[0] < k < pair[1] for k in seen), (pair, seen)
 
     def test_guide_midpoint_is_an_exact_zero(self):
-        # The symmetric guide bracket of K_1 has K_1 itself as its first
-        # midpoint, where the determinant sign is exactly 0.
+        # The symmetric guide bracket of K_1 has K_1 itself as its midpoint,
+        # where the determinant sign is exactly 0. Brent's steps need not
+        # land on it: the bracket ends within the tolerance of K_1.
         problem = _zero_crack()
         k1 = uncracked_K_closed_form(1, 1.0, 0.0)
         guide = (k1 * (1.0 - 1e-6), k1 * (1.0 + 1e-6))
         assert 0.5 * (guide[0] + guide[1]) == k1
         assert boundary_determinant([problem], k1)[0] == 0
-        assert _refine(guide, problem) == k1
+        evals = solver._tally.evals
+        k = _refine(guide, problem)
+        assert solver._tally.evals - evals <= solver._MAX_EVALUATIONS
+        assert abs(k - k1) <= 0.5e-10 * k1 or boundary_determinant([problem], k)[0] == 0
+
+    def test_bracket_at_a_double_root(self):
+        # At beta = pi/sqrt(0.4), eta = 0, K_1 = K_2 = 0.36 is a double root:
+        # F touches 0 there without a sign change, so an end next to it reads
+        # a tiny value. Brackets holding it and the simple root K_3 = 6.76
+        # end within the cap, at a K of sign 0 or within the tolerance of a
+        # sign change.
+        problem = _zero_crack(beta=DOUBLE_BETA)
+        cfg = SearchConfig()
+        for pair in [(0.3, 7.0), (0.36 - 1e-6, 6.77), (0.36 + 1e-6, 6.77)]:
+            ends = tuple(boundary_determinant([problem], k) for k in pair)
+            assert ends[0][0] * ends[1][0] == -1
+            evals = solver._tally.evals
+            k = refine_root([pair], [problem], cfg, [ends]).item()
+            assert solver._tally.evals - evals <= solver._MAX_EVALUATIONS
+            if boundary_determinant([problem], k)[0] != 0:
+                assert _straddles_a_true_root(problem, *pair, k, cfg.refine_tol), (pair, k)
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 5])
+    def test_evaluation_cap(self, monkeypatch, cap):
+        # Capped below the eight evaluations it needs, the wide bracket of
+        # TestKernelCallsPerSolve ends at the midpoint of the bracket it holds
+        # then, which still straddles the root but is wider than the tolerance.
+        problem = ArchProblem(0.06454, 0.0, CrackJoint(0.030614, 0.15648))
+        scan = _scan(problem, SearchConfig(max_modes=1))
+        (lo, hi), ends = scan.brackets[0], scan.end_values[0]
+        evals = solver._tally.evals
+        root = refine_root([(lo, hi)], [problem], SearchConfig(), [ends]).item()
+        assert solver._tally.evals - evals == 8
+        monkeypatch.setattr(solver, "_MAX_EVALUATIONS", cap)
+        evals = solver._tally.evals
+        capped = refine_root([(lo, hi)], [problem], SearchConfig(), [ends]).item()
+        assert solver._tally.evals - evals == cap
+        assert lo < capped < hi
+        assert abs(capped - root) > SearchConfig().refine_tol * root
+
+    @pytest.mark.parametrize("pair", [(-1.0, 2.0), (1.0, math.inf), (2.0, 1.0)])
+    def test_bracket_outside_the_range_is_rejected(self, pair):
+        problem = make_problem(alpha=0.4, theta=0.8)
+        ends = ((1, 0.0), (-1, 0.0))
+        with pytest.raises(ValueError, match="must lie in"):
+            refine_root([pair], [problem], SearchConfig(), [ends])
+
+    @pytest.mark.parametrize("end", [0, 1])
+    def test_end_of_sign_zero_is_the_root(self, end):
+        # An end the scan read as sign 0 is the root, with no evaluation.
+        problem = make_problem(alpha=0.4, theta=0.8)
+        pair = (60.0, 80.0)
+        ends = [(-1, 0.0), (1, 0.0)]
+        ends[end] = (0, -40.0)
+        evals = solver._tally.evals
+        assert refine_root([pair], [problem], SearchConfig(), [ends]).item() == pair[end]
+        assert solver._tally.evals == evals
+
+    def test_evaluated_sign_zero_is_the_root(self, monkeypatch):
+        # The first K evaluated reads sign 0 here, so it is the root.
+        problem = make_problem(eta=0.5, alpha=0.3, theta=2.0)
+        scan = _scan(problem, SearchConfig(max_modes=1))
+        seen, original = [], kernel.det_sign_logmag_at
+
+        def zero_at_first(K, *args):
+            seen.append(K)
+            return (0, -40.0) if len(seen) == 1 else original(K, *args)
+
+        monkeypatch.setattr(kernel, "det_sign_logmag_at", zero_at_first)
+        root = refine_root(scan.brackets[:1], [problem], SearchConfig(), scan.end_values[:1])
+        assert root.tolist() == seen == [seen[0]]
 
 
 class TestKernelCallsPerSolve:
@@ -1192,27 +1250,28 @@ class TestKernelCallsPerSolve:
         )
         return calls
 
+    @staticmethod
+    def _solve(problem, cfg=SearchConfig()):
+        """The problem's spectrum and the one-K evaluations its refinement took."""
+        before = solver._tally.evals
+        spectrum = find_frequencies(problem, cfg)
+        return spectrum, solver._tally.evals - before
+
     def test_cracked_five_modes(self, monkeypatch):
+        # One scan block is the solve's only array-kernel call; its five
+        # brackets take 15 one-K evaluations. The crack at alpha = 0.4 =
+        # 2 beta / 5 sits on a zero of mode 5's curvature, so K_5 stays a
+        # root: its guide midpoint, of sign 0, is a zero-width bracket, which
+        # takes none.
         calls = self._count(monkeypatch)
-        find_frequencies(make_problem(eta=1.0, alpha=0.4, theta=0.8))
-        # One scan block, then the paths toward the secant estimates of four
-        # wide brackets (31 + 29 + 26 + 27 midpoints). The crack at
-        # alpha = 0.4 = 2 beta / 5 sits on a zero of mode 5's curvature, so
-        # K_5 stays a root: its guide midpoint, of sign 0, is a zero-width
-        # bracket, where the parent grid's guide pair cost a 15-midpoint
-        # path. The four paths leave their estimates (28 + 21 + 16 + 18
-        # midpoints left to go), and from then on each path aims at the
-        # inverse cubic interpolant of the points the walk has evaluated
-        # nearest its bracket, so three brackets end in the next call and
-        # one (8) in the call after.
-        assert calls == [256, 113, 83, 8]
+        _, evals = self._solve(make_problem(eta=1.0, alpha=0.4, theta=0.8))
+        assert calls == [256]
+        assert evals == 15
 
     def test_cracked_batch_of_three(self, monkeypatch):
-        # The problem above and two more, solved alone and then as one batch.
-        # Each call of the batch evaluates what the three solves' calls with
-        # the same number evaluate: a first scan block each, then the paths
-        # of every open bracket. A first bisection call's paths run down to
-        # the tolerance, so its K values are the levels its brackets need.
+        # The problem above and two more, solved alone and then as one batch:
+        # the batch scans in one call of the three first blocks, and refines
+        # each bracket as its solve alone does.
         problems = [
             make_problem(eta=1.0, alpha=0.4, theta=0.8),
             make_problem(beta=2.5, eta=0.0, alpha=0.7, theta=5.0),
@@ -1220,29 +1279,20 @@ class TestKernelCallsPerSolve:
         ]
         calls = self._count(monkeypatch)
         alone = []
-        for problem, schedule in zip(
-            problems, ([256, 113, 83, 8], [256, 150, 115, 13], [256, 111, 65])
-        ):
-            levels = solver._tally.levels
-            alone.append(find_frequencies(problem))
-            assert (calls, solver._tally.levels - levels) == (schedule, schedule[1])
+        for problem, expected in zip(problems, (15, 20, 13)):
+            spectrum, evals = self._solve(problem)
+            alone.append(spectrum)
+            assert (calls, evals) == ([256], expected)
             calls.clear()
-        levels = solver._tally.levels
-        assert find_frequencies(problems) == alone
-        assert calls == [768, 374, 263, 21]
-        assert solver._tally.levels - levels == 374
-
-    @staticmethod
-    def _bisection_calls(problem, cfg):
-        """The problem's spectrum and the bisection calls its solve took."""
-        before = solver._tally.calls - solver._tally.scan_calls
-        spectrum = find_frequencies(problem, cfg)
-        return spectrum, solver._tally.calls - solver._tally.scan_calls - before
+        entries, evals = self._solve(problems)
+        assert entries == alone
+        assert calls == [768]
+        assert evals == 15 + 20 + 13
 
     def test_cracked_five_modes_in_the_benchmark_ranges(self):
         # Cracked problems drawn as the benchmark's cracked workload draws
-        # them, the compliance scaled by the armchair geometry. With the
-        # secant estimate in every call they took 3.08 calls a solve.
+        # them, the compliance scaled by the armchair geometry: 16.7 one-K
+        # evaluations a solve, at most 19.
         from arch_resonance import (
             ChiralityClass, PowerLawCompliance, compliance, resolve_preset,
         )
@@ -1251,30 +1301,33 @@ class TestKernelCallsPerSolve:
         tube = resolve_preset(ChiralityClass.ARMCHAIR, load_presets())
         geometry = (tube.wall_thickness, tube.radius)
         rng = np.random.default_rng(2015)
-        calls = []
+        evals = []
         for _ in range(50):
             beta, eta = rng.uniform(0.5, 3.0), rng.uniform(0.0, 4.0)
             alpha = beta * rng.uniform(0.1, 0.9)
             theta = compliance(PowerLawCompliance(), rng.uniform(0.1, 0.8), geometry)
             problem = ArchProblem(beta, eta, CrackJoint(alpha, theta))
-            calls.append(self._bisection_calls(problem, SearchConfig(max_modes=5))[1])
-        assert sum(calls) / len(calls) <= 2.4
+            evals.append(self._solve(problem, SearchConfig(max_modes=5))[1])
+        assert sum(evals) / len(evals) <= 17.0 and max(evals) <= 20
 
     def test_wide_bracket(self):
-        # A bracket [1.000001, 5.6e6] where F is far from linear: the secant
-        # estimate alone took 7 calls, advancing 1, 1, 2, 2, 7, 12 and 6 levels.
+        # A bracket [1.000001, 5.6e6] where F is far from linear: bisection
+        # needed 31 levels, Brent's method takes 8 evaluations.
         problem = ArchProblem(0.06454, 0.0, CrackJoint(0.030614, 0.15648))
         cfg = SearchConfig(max_modes=1, refine_tol=4.66e-9)
-        spectrum, calls = self._bisection_calls(problem, cfg)
-        assert calls <= 6
-        assert spectrum.K_values == (953745.4129525002,)
+        spectrum, evals = self._solve(problem, cfg)
+        assert evals == 8
+        assert spectrum.K_values == (953745.4126992151,)
+        lo, hi = _scan(problem, cfg).brackets[0]
+        assert lo == 1.000001
+        assert _straddles_a_true_root(problem, lo, hi, spectrum.K_values[0], cfg.refine_tol)
 
-    def test_brackets_ended_at_their_midpoints_take_one_call(self, monkeypatch):
+    def test_guide_pairs_end_near_their_midpoints(self, monkeypatch):
         # The guide pairs around the first five uncracked K_n, whose midpoints
-        # have sign 0: the first call, 15 midpoints down each path to the
-        # tolerance, ends them all at their first midpoint. The scan holds
-        # those midpoints as nodes and hands them on as zero-width brackets,
-        # which take no call.
+        # have sign 0, take two one-K evaluations each and no array-kernel
+        # call, and end within the tolerance of their midpoints. The scan
+        # holds those midpoints as nodes and hands them on as zero-width
+        # brackets, which take no evaluation.
         problem = _zero_crack(eta=1.0)
         brackets = [
             (k * (1.0 - 1e-6), k * (1.0 + 1e-6))
@@ -1283,13 +1336,16 @@ class TestKernelCallsPerSolve:
         ends = [tuple(boundary_determinant([problem], k) for k in pair) for pair in brackets]
         scan = _scan(problem)
         calls = self._count(monkeypatch)
+        evals = solver._tally.evals
         roots = refine_root(brackets, [problem] * 5, SearchConfig(), ends)
-        assert calls == [75]
+        assert calls == [] and solver._tally.evals - evals == 10
         midpoints = [0.5 * (lo + hi) for lo, hi in brackets]
-        assert roots.tolist() == midpoints
+        for k, mid in zip(roots.tolist(), midpoints):
+            assert abs(k - mid) <= 0.5e-10 * mid
         assert scan.brackets == tuple((k, k) for k in midpoints)
+        evals = solver._tally.evals
         roots = refine_root(scan.brackets, [problem] * 5, SearchConfig(), scan.end_values)
-        assert calls == [75]
+        assert calls == [] and solver._tally.evals == evals
         assert roots.tolist() == midpoints
 
     def test_sweep_point_mode_one(self, monkeypatch):
@@ -1478,7 +1534,7 @@ class TestExactCount:
     def test_uniform_node_inside_a_guide_pair(self):
         # With 16 grid points and this k_max, uniform node 1 lies between the
         # guides of K_1, so their midpoint is not a node: the scan's bracket is
-        # [lower guide, uniform node], bisected as plain bisection does.
+        # [lower guide, uniform node], refined to within the tolerance of K_1.
         problem = _zero_crack()
         k1 = uncracked_K_closed_form(1, 1.0, 0.0)
         k_min = 1e-6
@@ -1489,7 +1545,6 @@ class TestExactCount:
         assert inside.size == 1 and inside[0] != 0.5 * (lo + hi)
         scan = _scan(problem, cfg)
         assert scan.brackets == ((lo, inside[0]),)
-        expected = _sequential_bisection(scan.brackets, problem, cfg).tolist()
         owners = [problem] * len(scan.brackets)
-        assert refine_root(scan.brackets, owners, cfg, scan.end_values).tolist() == expected
-        assert rel_err(expected[0], k1) < 1e-10
+        k = refine_root(scan.brackets, owners, cfg, scan.end_values).item()
+        assert abs(k - k1) <= 0.5 * cfg.refine_tol * k1
