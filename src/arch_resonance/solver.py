@@ -514,8 +514,8 @@ def _brent(problem: ArchProblem, lo: float, hi: float, ends, tol: float) -> floa
         _tally.evals += 1
         if not sign:
             return b
-        # Clamped so that exp neither overflows nor reaches 0: only the sign
-        # keeps the bracket, and it is kept.
+        # Clamped so that exp neither overflows nor underflows to 0: the
+        # bracket is kept by the sign alone, which the clamp leaves as it is.
         fb = sign * math.exp(min(max(logmag - ref, -700.0), 700.0))
         if (fb > 0.0) == (fc > 0.0):
             c, fc = a, fa
@@ -666,8 +666,9 @@ def _polish(problem: ArchProblem, k: float) -> float:
     from . import kernel
     crack = problem.crack
     args = (problem.eta_nd, problem.beta, crack.alpha, crack.theta_c)
+    scale = max(1.0, k)
     for delta in (1e-10, 1e-9, 1e-8, 1e-7, 1e-6):
-        lo, hi = k - delta * max(1.0, k), k + delta * max(1.0, k)
+        lo, hi = k - delta * scale, k + delta * scale
         if not 0.0 < lo < hi < math.inf:
             break
         ends = kernel.det_sign_logmag_at(lo, *args), kernel.det_sign_logmag_at(hi, *args)
