@@ -1293,20 +1293,12 @@ class TestKernelCallsPerSolve:
         # Cracked problems drawn as the benchmark's cracked workload draws
         # them, the compliance scaled by the armchair geometry: 16.7 one-K
         # evaluations a solve, at most 19.
-        from arch_resonance import (
-            ChiralityClass, PowerLawCompliance, compliance, resolve_preset,
-        )
-        from arch_resonance.cli import load_presets
-
-        tube = resolve_preset(ChiralityClass.ARMCHAIR, load_presets())
-        geometry = (tube.wall_thickness, tube.radius)
         rng = np.random.default_rng(2015)
         evals = []
         for _ in range(50):
             beta, eta = rng.uniform(0.5, 3.0), rng.uniform(0.0, 4.0)
             alpha = beta * rng.uniform(0.1, 0.9)
-            theta = compliance(PowerLawCompliance(), rng.uniform(0.1, 0.8), geometry)
-            problem = ArchProblem(beta, eta, CrackJoint(alpha, theta))
+            problem = ArchProblem(beta, eta, CrackJoint(alpha, _armchair_theta(rng.uniform(0.1, 0.8))))
             evals.append(self._solve(problem, SearchConfig(max_modes=5))[1])
         assert sum(evals) / len(evals) <= 17.0 and max(evals) <= 20
 
