@@ -1239,6 +1239,129 @@ class TestBrentRefinement:
         assert root.tolist() == seen == [seen[0]]
 
 
+def _sequential_bisection(pairs, problem, cfg, levels=200):
+    """Reference: plain bisection, one level per kernel call, at most ``levels`` levels."""
+    lo, hi = np.array(pairs, dtype=float).T.copy()
+    roots = lo.copy()
+    idx = np.flatnonzero(lo != hi)
+    lo, hi = lo[idx], hi[idx]
+    s_lo = boundary_determinant([problem], lo)[0] if idx.size else idx
+    for _ in range(levels):
+        mid = 0.5 * (lo + hi)
+        go = hi - lo > cfg.refine_tol * np.maximum(1.0, mid)
+        roots[idx[~go]] = mid[~go]
+        idx, lo, hi, s_lo, mid = idx[go], lo[go], hi[go], s_lo[go], mid[go]
+        if not idx.size:
+            break
+        s_mid, _ = boundary_determinant([problem], mid)
+        up = s_mid == s_lo
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+        hit = s_mid == 0
+        roots[idx[hit]] = mid[hit]
+        idx, lo, hi, s_lo = idx[~hit], lo[~hit], hi[~hit], s_lo[~hit]
+    roots[idx] = 0.5 * (lo + hi)
+    return roots
+
+
+def _bisected(pair, problem, levels):
+    """The bracket plain bisection holds after ``levels`` levels of ``pair``:
+    a zero-width one at a midpoint of sign 0."""
+    lo, hi = pair
+    s_lo = boundary_determinant([problem], lo)[0]
+    for _ in range(levels if lo != hi else 0):
+        mid = 0.5 * (lo + hi)
+        s_mid = boundary_determinant([problem], mid)[0]
+        if s_mid == 0:
+            return mid, mid
+        lo, hi = (mid, hi) if s_mid == s_lo else (lo, mid)
+    return lo, hi
+
+
+def _same_root(problem, k, ref, tol):
+    """Whether two refinements of a bracket, k and ref, end at the same root:
+    within tol * max(1, K) of each other, or both at a K of sign 0, which
+    each takes as the root (the band of sign 0 can be wider than tol * K)."""
+    if abs(k - ref) <= tol * max(1.0, k, ref):
+        return True
+    return boundary_determinant([problem], k)[0] == 0 == boundary_determinant([problem], ref)[0]
+
+
+# Brackets by test id suffix: the batch's own, and the brackets plain
+# bisection holds after its first N levels of each.
+_SCHEDULES = {"": None, "-levels1": 1, "-levels3": 3, "-levels4": 4, "-levels6": 6}
+
+
+class TestMultiLevelBisection:
+    """refine_root against plain bisection, one level per kernel call: each
+    root lies within refine_tol * max(1, K) of bisection's, since both end
+    within half the tolerance of the bracket's sign change."""
+
+    def _batch(self, problem):
+        # A zero-width bracket, for the crack of zero compliance the guide
+        # pair around K_1 (for beta = 1, eta = 0 its midpoint is K_1, where
+        # the sign is 0), and the scan's brackets, with their end values.
+        scan = _whole_scan(problem, SearchConfig(k_max=3000.0))
+        pairs, ends = [(42.0, 42.0)], [None]
+        if problem.crack.theta_c == 0.0:
+            k1 = uncracked_K_closed_form(1, 1.0, 0.0)
+            pairs.append((k1 * (1.0 - 1e-6), k1 * (1.0 + 1e-6)))
+            ends.append(tuple(boundary_determinant([problem], k) for k in pairs[-1]))
+        return [*pairs, *scan.brackets], [*ends, *scan.end_values]
+
+    # A cap of 7 evaluations: a bracket that reaches it ends at the midpoint
+    # of the bracket Brent's method holds then, inside its own.
+    @pytest.mark.parametrize("tol", [1e-10, 1e-13])
+    @pytest.mark.parametrize(
+        "cap, levels",
+        [(cap, levels) for levels in _SCHEDULES.values() for cap in (200, 7)],
+        ids=[f"{cap}{suffix}" for suffix in _SCHEDULES for cap in (200, 7)],
+    )
+    def test_matches_one_level_per_call(self, monkeypatch, tol, cap, levels):
+        monkeypatch.setattr(solver, "_MAX_EVALUATIONS", cap)
+        cfg = SearchConfig(refine_tol=tol)
+        for problem in (_zero_crack(), make_problem(eta=0.5, alpha=0.3, theta=2.0)):
+            pairs, ends = self._batch(problem)
+            expected = _sequential_bisection(pairs, problem, cfg).tolist()
+            if levels is not None:
+                pairs = [_bisected(pair, problem, levels) for pair in pairs]
+                ends = [tuple(boundary_determinant([problem], k) for k in p) for p in pairs]
+            for pair, end, ref in zip(pairs, ends, expected):
+                evals = solver._tally.evals
+                k = refine_root([pair], [problem], cfg, [end]).item()
+                assert pair[0] <= k <= pair[1]
+                if solver._tally.evals - evals < cap:
+                    assert _same_root(problem, k, ref, tol), (pair, k, ref)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        batch=_batches(),
+        tol=st.one_of(
+            st.sampled_from([1e-10, 1e-13]), st.floats(-13.0, -4.0).map(lambda e: 10.0**e)
+        ),
+    )
+    def test_random_batches_match_one_level_per_call(self, batch, tol):
+        # The scan's brackets (zero-width ones included) of every problem,
+        # refined as one batch, against each problem's bisected alone, one
+        # level per call; uncracked brackets, of the crack of zero
+        # compliance, are guide pairs whose midpoints have sign 0.
+        problems, cfg = batch
+        problems = [p if p.crack else _zero_crack(p.beta, p.eta_nd) for p in problems]
+        scans = scan_and_bracket(problems, cfg)
+        cfg = replace(cfg, refine_tol=tol)
+        pairs, ends, owners, expected = [], [], [], []
+        for problem, scan in zip(problems, scans):
+            if isinstance(scan, NoRootsInRange):
+                continue
+            pairs += scan.brackets
+            ends += scan.end_values
+            owners += [problem] * len(scan.brackets)
+            expected += _sequential_bisection(scan.brackets, problem, cfg).tolist()
+        assume(pairs)
+        roots = refine_root(pairs, owners, cfg, ends)
+        for pair, problem, k, ref in zip(pairs, owners, roots.tolist(), expected):
+            assert _same_root(problem, k, ref, tol), (pair, k, ref)
+
+
 class TestKernelCallsPerSolve:
     def _count(self, monkeypatch):
         calls = []
