@@ -94,23 +94,6 @@ DEGENERACY_TOL = 1e-10
 PIVOT_ZERO_TOL = 1e-13
 
 
-def _checked(K, eta_nd):
-    """Checked K (a float array if it has dimensions), its extremes, and eta's largest value."""
-    if np.ndim(K):
-        K = np.asarray(K, dtype=float)
-        k_lo, k_hi = (K.min(), K.max()) if K.size else (0.0, 0.0)
-    else:
-        k_lo = k_hi = K
-    eta = (eta_nd.min(), eta_nd.max()) if isinstance(eta_nd, np.ndarray) else (eta_nd,)
-    if not all(math.isfinite(v) for v in (k_lo, k_hi, *eta)):
-        raise ValueError("trial eigenvalue and nonlocal parameter must be finite")
-    if k_lo < 0:
-        raise ValueError("trial eigenvalue K must be nonnegative")
-    if eta[0] < 0:
-        raise ValueError("nonlocal parameter must be nonnegative")
-    return K, k_lo, k_hi, eta[-1]
-
-
 def _any(mask) -> bool:
     """Whether a parameter check fails: a Python bool, or any element of an array."""
     return mask.any() if isinstance(mask, np.ndarray) else mask
@@ -124,20 +107,20 @@ def _lam2_roots(p2, p0, masks=True):
     discriminant is within tol*max(1, p2^2) of zero to -p2/2. The zero-root
     window scales with |p2|, not p2^2: mu2 is about -p0/p2, and at large
     K*eta a window in p2^2 would snap an O(1) hyperbolic root to 0.
-    ``masks=False`` says no value lies in a window: no mask is built.
+    ``masks=False`` says no value lies in a window: no mask is built, and
+    every K exceeds 2 tol, so disc = fl(p2^2) - 4 fl(1 - K) > 0, as p2 >= 2.
     """
-    p2, p0 = np.asarray(p2), np.asarray(p0)
     square = p2 * p2
     disc = square - 4.0 * p0
-    scale = np.maximum(1.0, square) if masks or disc.min(initial=0.0) < 0.0 else None
-    if scale is not None and np.any(disc < -DEGENERACY_TOL * scale):
+    if not masks:
+        mu1 = -0.5 * (p2 + np.sqrt(disc))
+        return mu1, p0 / mu1, None  # Vieta; avoids cancellation in (-p2 + sq)/2
+    scale = np.maximum(1.0, square)
+    if np.any(disc < -DEGENERACY_TOL * scale):
         # Not reachable for K >= 0, eta >= 0; kept as a hard guard.
         raise ValueError(f"negative discriminant for coefficients p2={p2}, p0={p0}")
-    # Without ``scale`` no disc is below 0.
-    mu1 = -0.5 * (p2 + np.sqrt(disc if scale is None else np.maximum(disc, 0.0)))
-    mu2 = p0 / mu1  # Vieta; avoids cancellation in (-p2 + sq)/2
-    if not masks:
-        return mu1, mu2, None
+    mu1 = -0.5 * (p2 + np.sqrt(np.maximum(disc, 0.0)))
+    mu2 = p0 / mu1
     zero_root = np.abs(p0) <= DEGENERACY_TOL * np.maximum(1.0, np.abs(p2))
     repeated = ~zero_root & (np.abs(disc) <= DEGENERACY_TOL * scale)
     if zero_root.any() or repeated.any():
@@ -198,15 +181,39 @@ class ModeBasis:
 def quartic_roots(K: float, eta_nd: float) -> ModeBasis:
     """Solve lam^4 + p2 lam^2 + p0 = 0, p2 = 2 + K*eta_nd and p0 = 1 - K, at one K.
 
-    The branch follows the sign of the lam^2 roots; :func:`_lam2_roots`
+    The branch follows the sign of the lam^2 roots; :func:`_lam2_roots_at`
     resolves the zero-root and repeated-root degeneracies, as for
     :func:`det_sign_logmag`. Raises ValueError for an array K or eta_nd.
     """
     if np.ndim(K) or np.ndim(eta_nd):
         raise ValueError("quartic_roots takes one trial eigenvalue K and one eta_nd")
-    K = _checked(K, eta_nd)[0]
-    mu1, mu2, repeated = _lam2_roots(2.0 + K * eta_nd, 1.0 - K)
-    return ModeBasis(mu1=float(mu1), mu2=float(mu2), repeated=bool(repeated))
+    K, eta_nd = float(K), float(eta_nd)
+    if not (math.isfinite(K) and math.isfinite(eta_nd)):
+        raise ValueError("trial eigenvalue and nonlocal parameter must be finite")
+    if K < 0:
+        raise ValueError("trial eigenvalue K must be nonnegative")
+    if eta_nd < 0:
+        raise ValueError("nonlocal parameter must be nonnegative")
+    return ModeBasis(*_lam2_roots_at(K, eta_nd))
+
+
+def _lam2_roots_at(K: float, eta_nd: float) -> tuple:
+    """(mu1, mu2, repeated) at one K >= 0 and eta_nd >= 0, with ``math`` on floats.
+
+    The windows and values of :func:`_lam2_roots`, for one float.
+    """
+    p2, p0 = 2.0 + K * eta_nd, 1.0 - K
+    square = p2 * p2
+    disc = square - 4.0 * p0
+    if abs(p0) <= DEGENERACY_TOL * max(1.0, p2):  # p2 >= 2 > 0
+        return -p2, 0.0, False
+    if abs(disc) <= DEGENERACY_TOL * max(1.0, square):
+        return -0.5 * p2, -0.5 * p2, True
+    if disc < 0.0:
+        # Not reachable for K >= 0, eta >= 0; kept as a hard guard.
+        raise ValueError(f"negative discriminant for coefficients p2={p2}, p0={p0}")
+    mu1 = -0.5 * (p2 + math.sqrt(disc))
+    return mu1, p0 / mu1, False
 
 
 def _odd_derivatives(mu, e, o, nrows: int) -> list:
@@ -285,8 +292,9 @@ def det_sign_logmag(K, eta_nd, beta, alpha, theta_c):
     for a hyperbolic pair: at theta_c = 0 with two trigonometric pairs,
     |sin(a1*beta)*sin(a2*beta)| <= PIVOT_ZERO_TOL.
     """
+    stacked_eta = isinstance(eta_nd, np.ndarray)
     stacked = (
-        isinstance(eta_nd, np.ndarray)
+        stacked_eta
         or isinstance(beta, np.ndarray)
         or isinstance(alpha, np.ndarray)
         or isinstance(theta_c, np.ndarray)
@@ -303,14 +311,24 @@ def det_sign_logmag(K, eta_nd, beta, alpha, theta_c):
         raise DegenerateSegment(
             f"crack at alpha={alpha} leaves a vanishing segment of beta={beta}"
         )
-    K, k_lo, k_hi, eta_hi = _checked(K, eta_nd)
+    one = not np.ndim(K)
+    K = np.asarray(K, dtype=float).reshape(1) if one else np.asarray(K, dtype=float)
+    k_lo, k_hi = (K.min(), K.max()) if K.size else (0.0, 0.0)
+    eta_lo, eta_hi = (eta_nd.min(), eta_nd.max()) if stacked_eta else (eta_nd, eta_nd)
+    if not (math.isfinite(k_lo) and math.isfinite(k_hi)
+            and math.isfinite(eta_lo) and math.isfinite(eta_hi)):
+        raise ValueError("trial eigenvalue and nonlocal parameter must be finite")
+    if k_lo < 0:
+        raise ValueError("trial eigenvalue K must be nonnegative")
+    if eta_lo < 0:
+        raise ValueError("nonlocal parameter must be nonnegative")
     # _lam2_roots builds its masks only if a K may lie in a window, for eta's
     # largest value in a stack; ``wide`` (2 tol) covers rounding. Zero root:
     # |1 - K| <= tol*(2 + K*eta), as p2 >= 2, and the ratio grows with |1 - K| on
     # both sides of 1 and falls with eta, so it is >= d/(2 + (1 + d)*eta_hi) for d
     # the least |1 - K|. Repeated root: |disc| <= tol*p2^2, but disc - tol*p2^2 >=
     # 4*(K - tol) as disc = K*(4 + 4 eta + K eta^2).
-    p0, wide = 1.0 - np.atleast_1d(K), 2.0 * DEGENERACY_TOL
+    p0, wide = 1.0 - K, 2.0 * DEGENERACY_TOL
     masks = k_lo <= wide
     if not masks:
         d = k_lo - 1.0 if k_lo > 1.0 else 1.0 - k_hi if k_hi < 1.0 else np.abs(p0).min()
@@ -324,61 +342,73 @@ def det_sign_logmag(K, eta_nd, beta, alpha, theta_c):
         hyp, zero = mu2 > 0.0, mu2 == 0.0
     else:
         hyp, zero = True if k_lo > 1.0 else False if k_hi < 1.0 else p0 < 0.0, None
-    per_value = isinstance(hyp, np.ndarray)
-    a1 = np.sqrt(-mu1)
-    if per_value:
-        a2 = np.sqrt(np.abs(mu2) if zero is None else np.where(zero, 1.0, np.abs(mu2)))
-    else:
-        a2 = np.sqrt(mu2 if hyp else -mu2)
-
-    def o2(x):
-        # tanh(a2*x)/a2 is o(mu2, x)/cosh(a2*x); x itself at mu2 = 0.
-        t = a2 * x
-        if not per_value:
-            return (np.tanh(t) if hyp else np.sin(t)) / a2
-        o = np.tanh(t)
-        np.sin(t, out=o, where=~hyp)  # at the trigonometric values only
-        o /= a2
-        return o if zero is None else np.where(zero, x, o)
-
     # beta, alpha and gamma as the rows of one array, so each function of
-    # them runs once; o2 at beta is needed only where mu2 <= 0.
+    # them runs once.
     if stacked:
         x = np.empty((3, *np.broadcast(beta, alpha, mu1).shape))
         x[0], x[1], x[2] = beta, alpha, beta - alpha
     else:
-        x = np.array([[beta], [alpha], [beta - alpha]])
+        x = np.array((beta, alpha, beta - alpha)).reshape(3, *(1,) * K.ndim)
+    a1 = np.sqrt(-mu1)
     s1, o_a, o_g = np.sin(a1 * x) / a1
-    *s_b, t_a, t_g = o2(x[1:] if hyp is True else x)
-    if per_value:
-        s2 = np.where(hyp, t_a + t_g, s_b[0])
+    # The pair of mu2 at beta, alpha and gamma, and B2 of the sign-0 rule.
+    # tanh(a2*x)/a2 is o(mu2, x)/cosh(a2*x), and its S2 the sum at alpha and
+    # gamma; x itself at mu2 = 0.
+    if hyp is True:
+        a2 = np.sqrt(mu2)
+        t_a, t_g = np.tanh(a2 * x[1:]) / a2
+        s2 = b2 = t_a + t_g
+    elif hyp is False:
+        a2 = np.sqrt(-mu2)
+        s2, t_a, t_g = np.sin(a2 * x) / a2
+        b2 = 1.0 / a2
     else:
-        s2 = t_a + t_g if hyp else s_b[0]
+        a2 = np.sqrt(np.abs(mu2) if zero is None else np.where(zero, 1.0, np.abs(mu2)))
+        t = a2 * x
+        o = np.tanh(t)
+        np.sin(t, out=o, where=~hyp)  # at the trigonometric values only
+        o /= a2
+        if zero is not None:
+            o = np.where(zero, x, o)
+        s2, t_a, t_g = o
+        np.add(t_a, t_g, out=s2, where=hyp)
+        b2 = 1.0 / a2
+        np.copyto(b2, s2, where=hyp)
+        if zero is not None:
+            np.copyto(b2, beta, where=zero)
     # In a stack, a problem with theta_c = 0 gets a zero term here, which
     # leaves its F and sign as those of the scalar call.
     extra = 0.0
     if _any(theta_c > 0.0):
         r = repeated if repeated is not None and repeated.any() else None
         gap = mu1 - mu2 if r is None else np.where(r, 1.0, mu1 - mu2)
-        dd = (s1 * t_a * t_g - s2 * o_a * o_g) / gap
+        dd = s1 * t_a
+        dd *= t_g
+        dd -= s2 * o_a * o_g
+        dd /= gap
         if r is not None:
             # S'*A - S*A' with h = d o/d mu at beta, alpha and gamma.
-            xr = x[:, r] if stacked else x
+            xr = x[:, r] if stacked else x.reshape(3, 1)
             t = a1[r] * xr
             _, h = _repeated_pair(mu1[r], xr, np.cos(t), np.sin(t) / a1[r])
             o_a, o_g = o_a[r], o_g[r]
             dd[r] = h[0] * o_a * o_g - s1[r] * (h[1] * o_g + o_a * h[2])
-        extra = theta_c * mu1 * mu2 * dd
-    f = s1 * s2 + extra
-    if per_value:
-        b2 = np.where(hyp, s2, 1.0 / a2 if zero is None else np.where(zero, beta, 1.0 / a2))
-    else:
-        b2 = s2 if hyp else 1.0 / a2
+        extra = theta_c * mu1
+        extra *= mu2
+        extra *= dd
+    f = s1 * s2
+    f += extra
     size = np.abs(f)
-    sign = np.where(size <= PIVOT_ZERO_TOL * (b2 / a1 + np.abs(extra)), 0, np.sign(f).astype(int))
-    with np.errstate(divide="ignore"):
+    bound = b2 / a1
+    bound += np.abs(extra)
+    bound *= PIVOT_ZERO_TOL
+    sign = np.sign(f).astype(int)
+    sign[size <= bound] = 0
+    if np.count_nonzero(size) == size.size:
         logmag = np.log(size)
-    if np.ndim(K) == 0 and not stacked:
+    else:  # log(0) is -inf, taken without numpy's divide-by-zero warning
+        logmag = np.log(size, out=np.full(size.shape, -np.inf), where=size > 0.0)
+    if one and not stacked:
         return int(sign[0]), float(logmag[0])
     return sign, logmag
 
@@ -386,23 +416,12 @@ def det_sign_logmag(K, eta_nd, beta, alpha, theta_c):
 def det_sign_logmag_at(K: float, eta_nd: float, beta: float, alpha: float, theta_c: float):
     """:func:`det_sign_logmag` at one float K, with ``math`` on floats: (sign, log|F|).
 
-    The same F, windows of :func:`_lam2_roots`, series at a repeated root and
+    The same F, windows (:func:`_lam2_roots_at`), series at a repeated root and
     sign-0 rule; the values agree with the array form's to rounding. Nothing
     is checked: the caller passes a finite K >= 0 and the parameters of a
     valid cracked problem (:class:`model.ArchProblem` checks them).
     """
-    p2, p0 = 2.0 + K * eta_nd, 1.0 - K
-    square = p2 * p2
-    disc = square - 4.0 * p0
-    repeated = False
-    if abs(p0) <= DEGENERACY_TOL * max(1.0, p2):  # p2 >= 2 > 0
-        mu1, mu2 = -p2, 0.0
-    elif abs(disc) <= DEGENERACY_TOL * max(1.0, square):
-        mu1 = mu2 = -0.5 * p2
-        repeated = True
-    else:
-        mu1 = -0.5 * (p2 + math.sqrt(max(disc, 0.0)))
-        mu2 = p0 / mu1
+    mu1, mu2, repeated = _lam2_roots_at(K, eta_nd)
     a1 = math.sqrt(-mu1)
     gamma = beta - alpha
     s1 = math.sin(a1 * beta) / a1

@@ -44,12 +44,13 @@ with the first cracked search or mode shape, the kernel with a cracked one.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import logging
 import math
 import sys
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from . import model
@@ -221,7 +222,11 @@ def _resolved(problem: ArchProblem, cfg: SearchConfig) -> SearchConfig:
             k_max = 10.0 * model.uncracked_K_closed_form(n, problem.beta, problem.eta_nd)
         except OverflowError:  # N(k_min) or K_n beyond the largest float
             k_max = math.inf
-    return replace(cfg, k_max=min(k_max, sys.float_info.max))
+    # A copy that skips __post_init__, which checked cfg's fields: the default
+    # is ten times a K_n above k_min, or the largest float, so it exceeds k_min.
+    resolved = object.__new__(SearchConfig)
+    resolved.__dict__.update(vars(cfg), k_max=min(k_max, sys.float_info.max))
+    return resolved
 
 
 def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, count: int, kns=None):
@@ -264,7 +269,7 @@ def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, count: int, kns=None):
     k_min, k_max, points = cfg.k_min, cfg.k_max, cfg.grid_points
     size = min(count + 1, points)
     uniform = k_min + (k_max - k_min) * np.arange(size) / (points - 1)
-    bound = k_max if size == points else uniform[-1]
+    bound = k_max if size == points else float(uniform[-1])
     guides = [g for g in (1.0 - _GUIDE_OFFSET, 1.0 + _GUIDE_OFFSET) if k_min < g < bound]
     step = (k_max - k_min) / (points - 1)
     c = math.floor(problem.beta / math.pi)
@@ -280,18 +285,30 @@ def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, count: int, kns=None):
                 limit = last
                 break
             above, last = above + (k_min < lo), hi
-        guides += [g for g in (lo, hi) if k_min < g < bound]
-        if k_min < lo and hi < bound and (lo - k_min) // step == (hi - k_min) // step:
-            guides.append(0.5 * (lo + hi))
+        if k_min < lo:
+            if hi < bound:
+                guides.append(lo)
+                guides.append(hi)
+                if (lo - k_min) // step == (hi - k_min) // step:
+                    guides.append(0.5 * (lo + hi))
+            elif lo < bound:
+                guides.append(lo)
+        elif k_min < hi < bound:
+            guides.append(hi)
         if kns is not None and kn > k_min:
             kns.append(kn)
-    nodes = np.sort(np.concatenate([uniform, guides]))
+    nodes = np.empty(size + len(guides))
+    nodes[:size] = uniform
+    nodes[size:] = guides
+    nodes.sort()
     # Near-duplicates come at most in pairs: the guides of K = 1 and the
     # nodes of a K_n's pair sit 1e-6 apart or more, so comparing neighbours
     # equals comparing with the last kept node.
-    keep = np.diff(nodes) > 1e-15 * np.maximum(1.0, nodes[1:])
-    nodes = nodes[np.concatenate([[True], keep])]
-    return nodes[:count], limit
+    keep = np.empty(nodes.size, dtype=bool)
+    keep[0] = True
+    upper = nodes[1:]
+    np.greater(upper - nodes[:-1], 1e-15 * np.maximum(1.0, upper), out=keep[1:])
+    return nodes[keep][:count], limit
 
 
 def _candidates(nodes, signs, logs):
@@ -301,17 +318,20 @@ def _candidates(nodes, signs, logs):
     nonzero nodes brackets the gap. Both are keyed by their lower node. A
     sign change needs its upper node and a dip its right-hand neighbour, so
     every candidate of a prefix of the grid is also one of the whole grid.
+    The dips are a list of floats.
     """
     import numpy as np
-    zero = signs == 0
-    change = np.append(signs[:-1] * signs[1:] < 0, False)
-    lower = np.flatnonzero(zero | change)
-    upper = np.where(zero[lower], lower, lower + 1)
-
-    inner, left, right = signs[1:-1], signs[:-2], signs[2:]
-    dip = (inner != 0) & (left == inner) & (inner == right)
-    dip &= logs[1:-1] <= np.minimum(logs[:-2], logs[2:]) - _DIP_THRESHOLD
-    return lower, upper, nodes[1 : signs.size - 1][dip]
+    lower = np.flatnonzero(signs[:-1] * signs[1:] < 0)
+    upper = lower + 1
+    if np.count_nonzero(signs) < signs.size:  # nodes of sign 0, no sign change beside them
+        zero = np.flatnonzero(signs == 0)
+        order = np.argsort(np.concatenate((lower, zero)))
+        lower, upper = np.concatenate((lower, zero))[order], np.concatenate((upper, zero))[order]
+    # The log-magnitude test first: few nodes pass it, and only those need
+    # their signs compared.
+    deep = np.flatnonzero(logs[1:-1] <= np.minimum(logs[:-2], logs[2:]) - _DIP_THRESHOLD)
+    dips = [j + 1 for j in deep.tolist() if signs[j] == signs[j + 1] == signs[j + 2] != 0]
+    return lower, upper, [nodes[j].item() for j in dips]
 
 
 def _mode_numbers(problem: ArchProblem, K: float) -> tuple[float, float]:
@@ -397,27 +417,25 @@ def scan_and_bracket(problems, cfg: SearchConfig) -> list:
             lower, upper, dips = _candidates(nodes, signs, logs)
             more, limit = ends[i] < nodes.size, limits[i]
             if limit < nodes[signs.size - 1] and cfg.max_modes > (
-                np.searchsorted(nodes[upper], limit, "right") + np.searchsorted(dips, limit)
+                np.searchsorted(nodes[upper], limit, "right") + bisect.bisect_left(dips, limit)
             ):
                 results[i] = _beyond(cfgs[i], "holds modes closer than the grid tells apart")
-            elif more and lower.size + dips.size < cfg.max_modes:
+            elif more and lower.size + len(dips) < cfg.max_modes:
                 scanning.append(i)
-            elif dips.size and np.searchsorted(nodes[lower], dips[0]) < cfg.max_modes:
+            elif dips and np.searchsorted(nodes[lower], dips[0]) < cfg.max_modes:
                 results[i] = NoRootsInRange(
-                    f"the determinant dips without a sign change at K = {dips.tolist()[0]!r}:"
+                    f"the determinant dips without a sign change at K = {dips[0]!r}:"
                     " an even number of roots may lie there unbracketed"
                 )
             elif not lower.size:
                 results[i] = _short(0, cfgs[i])
             else:
+                n = lower.size
+                at = np.concatenate((lower, upper))
+                ks, ss, ms = nodes[at].tolist(), signs[at].tolist(), logs[at].tolist()
+                values = tuple(zip(ss, ms))
                 results[i] = ScanResult(
-                    brackets=tuple(zip(nodes[lower].tolist(), nodes[upper].tolist())),
-                    end_values=tuple(
-                        zip(
-                            zip(signs[lower].tolist(), logs[lower].tolist()),
-                            zip(signs[upper].tolist(), logs[upper].tolist()),
-                        )
-                    ),
+                    brackets=tuple(zip(ks[:n], ks[n:])), end_values=tuple(zip(values[:n], values[n:]))
                 )
         active = scanning
     return results
@@ -445,19 +463,21 @@ def refine_root(brackets, problems, cfg: SearchConfig, end_values) -> np.ndarray
     sign 0, or after ``_MAX_EVALUATIONS`` evaluations, at its midpoint.
     """
     import numpy as np
+    from . import kernel
     if len(end_values) != len(brackets):
         raise ValueError("give one pair of end values per bracket")
     if len(problems) != len(brackets):
         raise ValueError("give one problem per bracket")
+    evaluate, tol = kernel.det_sign_logmag_at, cfg.refine_tol
     return np.array(
-        [_brent(p, float(lo), float(hi), ends, cfg.refine_tol)
+        [_brent(p, float(lo), float(hi), ends, tol, evaluate)
          for (lo, hi), p, ends in zip(brackets, problems, end_values)],
         dtype=float,
     )
 
 
-def _brent(problem: ArchProblem, lo: float, hi: float, ends, tol: float) -> float:
-    """The root of one bracket (:func:`refine_root`)."""
+def _brent(problem: ArchProblem, lo: float, hi: float, ends, tol: float, evaluate) -> float:
+    """The root of one bracket (:func:`refine_root`), F evaluated by ``evaluate``."""
     if lo == hi:
         return lo
     (s_lo, m_lo), (s_hi, m_hi) = ends
@@ -469,8 +489,6 @@ def _brent(problem: ArchProblem, lo: float, hi: float, ends, tol: float) -> floa
         raise ValueError(f"bracket {(lo, hi)} does not straddle a sign change")
     if not 0.0 <= lo < hi < math.inf:
         raise ValueError(f"bracket {(lo, hi)} must lie in [0, inf) with lo < hi")
-    from . import kernel
-    evaluate = kernel.det_sign_logmag_at
     crack = problem.crack
     args = (problem.eta_nd, problem.beta, crack.alpha, crack.theta_c)
     ref = max(m_lo, m_hi)
@@ -591,12 +609,9 @@ def _solve_group(problems: list[ArchProblem], cfg: SearchConfig) -> list:
         owners += [p] * len(found)
     if not brackets:
         return entries
-    ks = iter(refine_root(brackets, owners, cfg, values).tolist())
-    return [
-        Spectrum(roots=tuple(Root(K=next(ks)) for _ in range(cfg.max_modes)))
-        if e is None else e
-        for e in entries
-    ]
+    ks, m = refine_root(brackets, owners, cfg, values).tolist(), cfg.max_modes
+    spectra = iter([Spectrum(tuple(map(Root, ks[i : i + m]))) for i in range(0, len(ks), m)])
+    return [next(spectra) if e is None else e for e in entries]
 
 
 def _closed_form_spectrum(problem: ArchProblem, cfg: SearchConfig):
@@ -664,6 +679,7 @@ def _polish(problem: ArchProblem, k: float) -> float:
     when no sign change is found nearby.
     """
     from . import kernel
+    evaluate = kernel.det_sign_logmag_at
     crack = problem.crack
     args = (problem.eta_nd, problem.beta, crack.alpha, crack.theta_c)
     scale = max(1.0, k)
@@ -671,9 +687,9 @@ def _polish(problem: ArchProblem, k: float) -> float:
         lo, hi = k - delta * scale, k + delta * scale
         if not 0.0 < lo < hi < math.inf:
             break
-        ends = kernel.det_sign_logmag_at(lo, *args), kernel.det_sign_logmag_at(hi, *args)
+        ends = evaluate(lo, *args), evaluate(hi, *args)
         if ends[0][0] * ends[1][0] != 1:
-            return _brent(problem, lo, hi, ends, 1e-13)
+            return _brent(problem, lo, hi, ends, 1e-13, evaluate)
     logger.debug(
         "mode shape at the unpolished root K = %r: no sign change within 1e-6 max(1, K)", k
     )
