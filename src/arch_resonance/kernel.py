@@ -313,7 +313,9 @@ def det_sign_logmag(K, eta_nd, beta, alpha, theta_c):
         )
     one = not np.ndim(K)
     K = np.asarray(K, dtype=float).reshape(1) if one else np.asarray(K, dtype=float)
-    k_lo, k_hi = (K.min(), K.max()) if K.size else (0.0, 0.0)
+    k_lo, k_hi = (
+        (np.minimum.reduce(K, axis=None), np.maximum.reduce(K, axis=None)) if K.size else (0.0, 0.0)
+    )
     eta_lo, eta_hi = (eta_nd.min(), eta_nd.max()) if stacked_eta else (eta_nd, eta_nd)
     if not (math.isfinite(k_lo) and math.isfinite(k_hi)
             and math.isfinite(eta_lo) and math.isfinite(eta_hi)):
@@ -331,7 +333,8 @@ def det_sign_logmag(K, eta_nd, beta, alpha, theta_c):
     p0, wide = 1.0 - K, 2.0 * DEGENERACY_TOL
     masks = k_lo <= wide
     if not masks:
-        d = k_lo - 1.0 if k_lo > 1.0 else 1.0 - k_hi if k_hi < 1.0 else np.abs(p0).min()
+        d = (k_lo - 1.0 if k_lo > 1.0 else 1.0 - k_hi if k_hi < 1.0
+             else np.minimum.reduce(np.abs(p0), axis=None))
         masks = d <= wide * (2.0 + (1.0 + d) * eta_hi)
     mu1, mu2, repeated = _lam2_roots(2.0 + K * eta_nd, p0, masks)
     # The branch of mu2, decided once. Outside the windows mu2 = p0/mu1 is
@@ -348,7 +351,7 @@ def det_sign_logmag(K, eta_nd, beta, alpha, theta_c):
         x = np.empty((3, *np.broadcast(beta, alpha, mu1).shape))
         x[0], x[1], x[2] = beta, alpha, beta - alpha
     else:
-        x = np.array((beta, alpha, beta - alpha)).reshape(3, *(1,) * K.ndim)
+        x = np.array((beta, alpha, beta - alpha)).reshape((3,) + (1,) * K.ndim)
     a1 = np.sqrt(-mu1)
     s1, o_a, o_g = np.sin(a1 * x) / a1
     # The pair of mu2 at beta, alpha and gamma, and B2 of the sign-0 rule.

@@ -267,11 +267,10 @@ def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, count: int, kns=None):
     """
     import numpy as np
     k_min, k_max, points = cfg.k_min, cfg.k_max, cfg.grid_points
-    size = min(count + 1, points)
-    uniform = k_min + (k_max - k_min) * np.arange(size) / (points - 1)
-    bound = k_max if size == points else float(uniform[-1])
+    size, span = min(count + 1, points), k_max - k_min
+    bound = k_max if size == points else k_min + span * (size - 1) / (points - 1)
     guides = [g for g in (1.0 - _GUIDE_OFFSET, 1.0 + _GUIDE_OFFSET) if k_min < g < bound]
-    step = (k_max - k_min) / (points - 1)
+    step = span / (points - 1)
     c = math.floor(problem.beta / math.pi)
     first = max(c + 1, _count_below(problem, k_min * (1.0 - 2.0 * _GUIDE_OFFSET)))
     above, last, limit = 0, -1.0, math.inf  # limit: where guides stop telling modes apart
@@ -297,17 +296,25 @@ def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, count: int, kns=None):
             guides.append(hi)
         if kns is not None and kn > k_min:
             kns.append(kn)
+    # The uniform nodes k_min + span*i/(points - 1), bound the last, and the guides.
     nodes = np.empty(size + len(guides))
-    nodes[:size] = uniform
+    uniform = nodes[:size]
+    np.multiply(np.arange(size, dtype=float), span, out=uniform)
+    uniform /= points - 1
+    uniform += k_min
     nodes[size:] = guides
     nodes.sort()
-    # Near-duplicates come at most in pairs: the guides of K = 1 and the
-    # nodes of a K_n's pair sit 1e-6 apart or more, so comparing neighbours
-    # equals comparing with the last kept node.
+    # A node within 1e-15*max(1, K) above its neighbour is dropped. There is
+    # none when the least gap exceeds that tolerance at the largest node. They
+    # come at most in pairs: the guides of K = 1 and the nodes of a K_n's pair
+    # sit 1e-6 apart or more, so comparing neighbours equals comparing with
+    # the last kept node.
+    gaps = nodes[1:] - nodes[:-1]
+    if gaps.min() > 1e-15 * max(1.0, nodes[-1]):
+        return nodes[:count], limit
     keep = np.empty(nodes.size, dtype=bool)
     keep[0] = True
-    upper = nodes[1:]
-    np.greater(upper - nodes[:-1], 1e-15 * np.maximum(1.0, upper), out=keep[1:])
+    np.greater(gaps, 1e-15 * np.maximum(1.0, nodes[1:]), out=keep[1:])
     return nodes[keep][:count], limit
 
 
@@ -321,15 +328,15 @@ def _candidates(nodes, signs, logs):
     The dips are a list of floats.
     """
     import numpy as np
-    lower = np.flatnonzero(signs[:-1] * signs[1:] < 0)
+    lower = (signs[:-1] * signs[1:] < 0).nonzero()[0]
     upper = lower + 1
     if np.count_nonzero(signs) < signs.size:  # nodes of sign 0, no sign change beside them
-        zero = np.flatnonzero(signs == 0)
+        zero = (signs == 0).nonzero()[0]
         order = np.argsort(np.concatenate((lower, zero)))
         lower, upper = np.concatenate((lower, zero))[order], np.concatenate((upper, zero))[order]
     # The log-magnitude test first: few nodes pass it, and only those need
     # their signs compared.
-    deep = np.flatnonzero(logs[1:-1] <= np.minimum(logs[:-2], logs[2:]) - _DIP_THRESHOLD)
+    deep = (logs[1:-1] <= np.minimum(logs[:-2], logs[2:]) - _DIP_THRESHOLD).nonzero()[0]
     dips = [j + 1 for j in deep.tolist() if signs[j] == signs[j + 1] == signs[j + 2] != 0]
     return lower, upper, [nodes[j].item() for j in dips]
 
