@@ -121,6 +121,30 @@ class TestQuarticRoots:
         basis = quartic_roots(np.float64(5.0), 0.2)
         assert type(basis.mu1) is type(basis.mu2) is float and type(basis.repeated) is bool
 
+    def test_one_k_roots_are_the_array_roots(self):
+        # quartic_roots and det_sign_logmag_at take (mu1, mu2, repeated) from
+        # _lam2_roots_at, in math on floats; det_sign_logmag from _lam2_roots,
+        # on arrays. Both resolve the same windows to the same bits.
+        rng = random.Random(29)
+        ks, etas = [], []
+        for i in range(4000):
+            eta = (0.0, rng.uniform(0.0, 4.0), 10.0 ** rng.uniform(-3.0, 6.0))[i % 3]
+            window = 1e-10 * (2.0 + eta)
+            ks.append((
+                rng.uniform(0.0, 100.0), 1.0 + rng.uniform(-3.0, 3.0) * window,
+                rng.uniform(0.0, 3e-10), 10.0 ** rng.uniform(-12.0, 12.0),
+            )[i % 4])
+            etas.append(eta)
+        K, eta = np.array(ks), np.array(etas)
+        mu1, mu2, repeated = kernel._lam2_roots(2.0 + K * eta, 1.0 - K)
+        expected = list(zip(mu1.tolist(), mu2.tolist(), repeated.tolist()))
+        assert [kernel._lam2_roots_at(k, e) for k, e in zip(ks, etas)] == expected
+        assert [tuple(vars(quartic_roots(k, e)).values()) for k, e in zip(ks, etas)] == expected
+        # Every branch is drawn: hyperbolic, trigonometric, zero and repeated roots.
+        assert {"hyperbolic", "trigonometric", "zero", "repeated"} == {
+            _branch(k, e) for k, e in zip(ks, etas)
+        }
+
     def test_zero_root_functions(self):
         # mu1 = -3, mu2 = 0: o(mu1, x) and the divided difference (x - o(mu1, x))/3.
         basis = quartic_roots(1.0, 1.0)
@@ -448,6 +472,28 @@ class TestDeterminant:
                 point = (beta, eta, alpha, theta, k)
                 assert reference is None or abs(logmag - reference) < 1e-9, point
         assert checked >= 0.9 * 40 * 16
+
+    # (K, beta, alpha, theta_c) at eta 0 where S1*S2 and the crack term
+    # cancel exactly, so F rounds to 0.0; found next to cracked roots.
+    EXACT_ZEROS = [
+        (1.625935444831332, 1.751999250360589, 0.6004010480260427, 5.7908433710764955),
+        (3.6589697716577048, 1.0740125781925598, 0.8471887350126307, 24.849452341406003),
+        (1506.6317890992786, 0.835910610281003, 0.25416298500379697, 3.0641164139276005),
+    ]
+
+    @pytest.mark.parametrize("point", EXACT_ZEROS)
+    def test_exact_zero_reads_minus_infinity(self, point):
+        # log|F| of an exact 0.0 is -inf, with sign 0, and no RuntimeWarning
+        # (pyproject makes one an error); the other values of the array are
+        # those of their own calls.
+        k, beta, alpha, theta = point
+        ks = np.array([0.5 * k, k, 2.0 * k])
+        signs, logs = det_sign_logmag(ks, 0.0, beta, alpha, theta)
+        assert signs[1] == 0 and logs[1] == -math.inf
+        assert det_sign_logmag(k, 0.0, beta, alpha, theta) == (0, -math.inf)
+        for i in (0, 2):
+            assert math.isfinite(logs[i])
+            assert det_sign_logmag(float(ks[i]), 0.0, beta, alpha, theta) == (signs[i], logs[i])
 
     def test_rejects_nonfinite(self):
         for K, eta in ((math.inf, 0.0), (np.array([1.0, math.nan]), 0.0), (1.0, math.nan)):

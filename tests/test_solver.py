@@ -1033,6 +1033,31 @@ class TestEarlyExitScan:
             prefix, _ = solver._grid_nodes(problem, cfg, count)
             assert prefix.tobytes() == whole[:count].tobytes(), count
 
+    @pytest.mark.parametrize("node", [1.0 - solver._GUIDE_OFFSET, 1.0 + solver._GUIDE_OFFSET])
+    def test_a_guide_on_a_uniform_node_is_dropped(self, node):
+        # k_max puts uniform node 1 within rounding of a guide of K = 1. The
+        # grid drops the upper node of each pair within 1e-15 max(1, K),
+        # compared here in a plain loop over the sorted nodes and guides.
+        problem = make_problem(beta=1.3, eta=1.0, alpha=0.4, theta=0.8)
+        k_min, points = 1e-6, 2000
+        cfg = SearchConfig(k_min=k_min, k_max=k_min + (node - k_min) * (points - 1), grid_points=points)
+        nodes, _ = solver._grid_nodes(problem, cfg, 300)
+        uniform = (k_min + (cfg.k_max - k_min) * np.arange(301) / (points - 1)).tolist()
+        step, bound = (cfg.k_max - k_min) / (points - 1), uniform[-1]
+        guides = [1.0 - solver._GUIDE_OFFSET, 1.0 + solver._GUIDE_OFFSET]
+        for n in range(1, 40):  # beta < pi: rising modes only
+            kn = uncracked_K_closed_form(n, problem.beta, problem.eta_nd)
+            lo, hi = kn * (1.0 - solver._GUIDE_OFFSET), kn * (1.0 + solver._GUIDE_OFFSET)
+            guides += [lo, hi]
+            if k_min < lo and hi < bound and (lo - k_min) // step == (hi - k_min) // step:
+                guides.append(0.5 * (lo + hi))
+        kept = []
+        for k in sorted(uniform + [g for g in guides if k_min < g < bound]):
+            if not kept or k - kept[-1] > 1e-15 * max(1.0, k):
+                kept.append(k)
+        assert abs(uniform[1] - node) <= 1e-15
+        assert nodes.tolist() == kept[:300]
+
     def test_partial_scan_is_a_prefix_of_the_whole_grid(self, monkeypatch):
         problem = make_problem(eta=1.0, alpha=0.4, theta=0.8)
         monkeypatch.setattr(solver, "_BLOCK", 16)
