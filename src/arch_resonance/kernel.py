@@ -17,16 +17,17 @@ The reduced characteristic function has two forms, one for each shape of
 the root search's work. :func:`det_sign_logmag`, the array form, takes
 either one trial K or an array of N of them, giving N signs and
 log-magnitudes; a scalar K is the N = 1 case of the same code. A call costs
-mostly a fixed part: 1 and 256 K values of a cracked problem take about 55
-and 70-90 us in a tight loop (numpy 2.4, Python 3.11, shared 2-core x86-64
-VM), so the solver's grid scan evaluates its K grid in blocks of 256, one
-call each. :func:`det_sign_logmag_at`, the one-K form, evaluates the same F
-with ``math`` on floats in about 2-3 us, which serves refinement and a mode
-shape's polish: a sequential method there needs a few values at a time,
-each chosen from the last. To keep the array form's fixed part small, a
-call takes the branch of mu2 from its K range when the range lies on one
-side of K = 1, and builds the degeneracy masks of :func:`_lam2_roots` only
-when a K may lie in their windows. The matching path
+mostly a fixed part, some 50 numpy operations: 1 and 256 K values of a
+cracked problem take about 65-75 and 100-115 us in a tight loop (numpy 2.4,
+Python 3.11, shared 2-core x86-64 VM), so the solver's grid scan evaluates
+its K grid in blocks of 256, one call each. :func:`det_sign_logmag_at`, the
+one-K form, evaluates the same F with ``math`` on floats in about 2-3 us,
+which serves refinement and a mode shape's polish: a sequential method there
+needs a few values at a time, each chosen from the last. To keep the array
+form's fixed part small, a call takes the branch of mu2 from its K range
+when the range lies on one side of K = 1, builds the degeneracy masks of
+:func:`_lam2_roots` only when a K may lie in their windows, and takes
+log|F| in no error-state context. The matching path
 (:func:`quartic_roots`, :class:`ModeBasis` and :func:`assemble_cracked`)
 samples one cracked mode shape at its root and takes one K.
 
@@ -92,6 +93,17 @@ from .errors import SEGMENT_TOL, DegenerateSegment
 DEGENERACY_TOL = 1e-10
 # |F| at or below this fraction of its scale zeroes the sign (det_sign_logmag).
 PIVOT_ZERO_TOL = 1e-13
+
+
+def _check(k_lo, k_hi, eta_lo, eta_hi):
+    """Raise ValueError unless K and eta, given by their extremes, are finite and nonnegative."""
+    if not (math.isfinite(k_lo) and math.isfinite(k_hi)
+            and math.isfinite(eta_lo) and math.isfinite(eta_hi)):
+        raise ValueError("trial eigenvalue and nonlocal parameter must be finite")
+    if k_lo < 0:
+        raise ValueError("trial eigenvalue K must be nonnegative")
+    if eta_lo < 0:
+        raise ValueError("nonlocal parameter must be nonnegative")
 
 
 def _any(mask) -> bool:
@@ -188,20 +200,12 @@ def quartic_roots(K: float, eta_nd: float) -> ModeBasis:
     if np.ndim(K) or np.ndim(eta_nd):
         raise ValueError("quartic_roots takes one trial eigenvalue K and one eta_nd")
     K, eta_nd = float(K), float(eta_nd)
-    if not (math.isfinite(K) and math.isfinite(eta_nd)):
-        raise ValueError("trial eigenvalue and nonlocal parameter must be finite")
-    if K < 0:
-        raise ValueError("trial eigenvalue K must be nonnegative")
-    if eta_nd < 0:
-        raise ValueError("nonlocal parameter must be nonnegative")
+    _check(K, K, eta_nd, eta_nd)
     return ModeBasis(*_lam2_roots_at(K, eta_nd))
 
 
 def _lam2_roots_at(K: float, eta_nd: float) -> tuple:
-    """(mu1, mu2, repeated) at one K >= 0 and eta_nd >= 0, with ``math`` on floats.
-
-    The windows and values of :func:`_lam2_roots`, for one float.
-    """
+    """:func:`_lam2_roots` at one K >= 0 and eta_nd >= 0 in ``math``: (mu1, mu2, repeated)."""
     p2, p0 = 2.0 + K * eta_nd, 1.0 - K
     square = p2 * p2
     disc = square - 4.0 * p0
@@ -292,9 +296,8 @@ def det_sign_logmag(K, eta_nd, beta, alpha, theta_c):
     for a hyperbolic pair: at theta_c = 0 with two trigonometric pairs,
     |sin(a1*beta)*sin(a2*beta)| <= PIVOT_ZERO_TOL.
     """
-    stacked_eta = isinstance(eta_nd, np.ndarray)
     stacked = (
-        stacked_eta
+        isinstance(eta_nd, np.ndarray)
         or isinstance(beta, np.ndarray)
         or isinstance(alpha, np.ndarray)
         or isinstance(theta_c, np.ndarray)
@@ -313,17 +316,9 @@ def det_sign_logmag(K, eta_nd, beta, alpha, theta_c):
         )
     one = not np.ndim(K)
     K = np.asarray(K, dtype=float).reshape(1) if one else np.asarray(K, dtype=float)
-    k_lo, k_hi = (
-        (np.minimum.reduce(K, axis=None), np.maximum.reduce(K, axis=None)) if K.size else (0.0, 0.0)
-    )
-    eta_lo, eta_hi = (eta_nd.min(), eta_nd.max()) if stacked_eta else (eta_nd, eta_nd)
-    if not (math.isfinite(k_lo) and math.isfinite(k_hi)
-            and math.isfinite(eta_lo) and math.isfinite(eta_hi)):
-        raise ValueError("trial eigenvalue and nonlocal parameter must be finite")
-    if k_lo < 0:
-        raise ValueError("trial eigenvalue K must be nonnegative")
-    if eta_lo < 0:
-        raise ValueError("nonlocal parameter must be nonnegative")
+    k_lo, k_hi = (np.minimum.reduce(K, None), np.maximum.reduce(K, None)) if K.size else (0, 0)
+    eta_lo, eta_hi = (eta_nd.min(), eta_nd.max()) if np.ndim(eta_nd) else (eta_nd, eta_nd)
+    _check(k_lo, k_hi, eta_lo, eta_hi)
     # _lam2_roots builds its masks only if a K may lie in a window, for eta's
     # largest value in a stack; ``wide`` (2 tol) covers rounding. Zero root:
     # |1 - K| <= tol*(2 + K*eta), as p2 >= 2, and the ratio grows with |1 - K| on
@@ -333,8 +328,7 @@ def det_sign_logmag(K, eta_nd, beta, alpha, theta_c):
     p0, wide = 1.0 - K, 2.0 * DEGENERACY_TOL
     masks = k_lo <= wide
     if not masks:
-        d = (k_lo - 1.0 if k_lo > 1.0 else 1.0 - k_hi if k_hi < 1.0
-             else np.minimum.reduce(np.abs(p0), axis=None))
+        d = k_lo - 1.0 if k_lo > 1.0 else 1.0 - k_hi if k_hi < 1.0 else np.abs(p0).min()
         masks = d <= wide * (2.0 + (1.0 + d) * eta_hi)
     mu1, mu2, repeated = _lam2_roots(2.0 + K * eta_nd, p0, masks)
     # The branch of mu2, decided once. Outside the windows mu2 = p0/mu1 is
@@ -354,9 +348,8 @@ def det_sign_logmag(K, eta_nd, beta, alpha, theta_c):
         x = np.array((beta, alpha, beta - alpha)).reshape((3,) + (1,) * K.ndim)
     a1 = np.sqrt(-mu1)
     s1, o_a, o_g = np.sin(a1 * x) / a1
-    # The pair of mu2 at beta, alpha and gamma, and B2 of the sign-0 rule.
-    # tanh(a2*x)/a2 is o(mu2, x)/cosh(a2*x), and its S2 the sum at alpha and
-    # gamma; x itself at mu2 = 0.
+    # The pair of mu2 at x and B2 of the sign-0 rule: tanh(a2*x)/a2 is
+    # o(mu2, x)/cosh(a2*x), S2 its sum at alpha and gamma; x itself at mu2 = 0.
     if hyp is True:
         a2 = np.sqrt(mu2)
         t_a, t_g = np.tanh(a2 * x[1:]) / a2
@@ -375,20 +368,14 @@ def det_sign_logmag(K, eta_nd, beta, alpha, theta_c):
             o = np.where(zero, x, o)
         s2, t_a, t_g = o
         np.add(t_a, t_g, out=s2, where=hyp)
-        b2 = 1.0 / a2
-        np.copyto(b2, s2, where=hyp)
-        if zero is not None:
-            np.copyto(b2, beta, where=zero)
+        b2 = np.where(hyp, s2, 1.0 / a2 if zero is None else np.where(zero, beta, 1.0 / a2))
     # In a stack, a problem with theta_c = 0 gets a zero term here, which
     # leaves its F and sign as those of the scalar call.
     extra = 0.0
     if _any(theta_c > 0.0):
         r = repeated if repeated is not None and repeated.any() else None
         gap = mu1 - mu2 if r is None else np.where(r, 1.0, mu1 - mu2)
-        dd = s1 * t_a
-        dd *= t_g
-        dd -= s2 * o_a * o_g
-        dd /= gap
+        dd = (s1 * t_a * t_g - s2 * o_a * o_g) / gap
         if r is not None:
             # S'*A - S*A' with h = d o/d mu at beta, alpha and gamma.
             xr = x[:, r] if stacked else x.reshape(3, 1)
@@ -396,17 +383,11 @@ def det_sign_logmag(K, eta_nd, beta, alpha, theta_c):
             _, h = _repeated_pair(mu1[r], xr, np.cos(t), np.sin(t) / a1[r])
             o_a, o_g = o_a[r], o_g[r]
             dd[r] = h[0] * o_a * o_g - s1[r] * (h[1] * o_g + o_a * h[2])
-        extra = theta_c * mu1
-        extra *= mu2
-        extra *= dd
-    f = s1 * s2
-    f += extra
+        extra = theta_c * mu1 * mu2 * dd
+    f = s1 * s2 + extra
     size = np.abs(f)
-    bound = b2 / a1
-    bound += np.abs(extra)
-    bound *= PIVOT_ZERO_TOL
     sign = np.sign(f).astype(int)
-    sign[size <= bound] = 0
+    sign[size <= PIVOT_ZERO_TOL * (b2 / a1 + np.abs(extra))] = 0
     if np.count_nonzero(size) == size.size:
         logmag = np.log(size)
     else:  # log(0) is -inf, taken without numpy's divide-by-zero warning

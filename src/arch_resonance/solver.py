@@ -44,7 +44,6 @@ with the first cracked search or mode shape, the kernel with a cracked one.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import logging
 import math
@@ -222,8 +221,7 @@ def _resolved(problem: ArchProblem, cfg: SearchConfig) -> SearchConfig:
             k_max = 10.0 * model.uncracked_K_closed_form(n, problem.beta, problem.eta_nd)
         except OverflowError:  # N(k_min) or K_n beyond the largest float
             k_max = math.inf
-    # A copy that skips __post_init__, which checked cfg's fields: the default
-    # is ten times a K_n above k_min, or the largest float, so it exceeds k_min.
+    # Not replace(): __post_init__ checked cfg, and the default exceeds k_min.
     resolved = object.__new__(SearchConfig)
     resolved.__dict__.update(vars(cfg), k_max=min(k_max, sys.float_info.max))
     return resolved
@@ -284,56 +282,40 @@ def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, count: int, kns=None):
                 limit = last
                 break
             above, last = above + (k_min < lo), hi
-        if k_min < lo:
-            if hi < bound:
-                guides.append(lo)
-                guides.append(hi)
-                if (lo - k_min) // step == (hi - k_min) // step:
-                    guides.append(0.5 * (lo + hi))
-            elif lo < bound:
-                guides.append(lo)
-        elif k_min < hi < bound:
-            guides.append(hi)
+        for g in (lo, hi):
+            if k_min < g < bound:
+                guides.append(g)
+        if k_min < lo and hi < bound and (lo - k_min) // step == (hi - k_min) // step:
+            guides.append(0.5 * (lo + hi))
         if kns is not None and kn > k_min:
             kns.append(kn)
-    # The uniform nodes k_min + span*i/(points - 1), bound the last, and the guides.
-    nodes = np.empty(size + len(guides))
-    uniform = nodes[:size]
-    np.multiply(np.arange(size, dtype=float), span, out=uniform)
-    uniform /= points - 1
-    uniform += k_min
-    nodes[size:] = guides
+    nodes = np.empty(size + len(guides))  # the uniform nodes, bound the last, and the guides
+    nodes[:size], nodes[size:] = k_min + span * np.arange(size) / (points - 1), guides
     nodes.sort()
-    # A node within 1e-15*max(1, K) above its neighbour is dropped. There is
-    # none when the least gap exceeds that tolerance at the largest node. They
-    # come at most in pairs: the guides of K = 1 and the nodes of a K_n's pair
-    # sit 1e-6 apart or more, so comparing neighbours equals comparing with
-    # the last kept node.
+    # A node within 1e-15*max(1, K) above its neighbour is dropped (none is if
+    # the least gap exceeds that at the largest node). Such pairs never chain:
+    # the nodes of K = 1 and of a K_n sit 1e-6 apart or more.
     gaps = nodes[1:] - nodes[:-1]
     if gaps.min() > 1e-15 * max(1.0, nodes[-1]):
         return nodes[:count], limit
-    keep = np.empty(nodes.size, dtype=bool)
-    keep[0] = True
-    np.greater(gaps, 1e-15 * np.maximum(1.0, nodes[1:]), out=keep[1:])
+    keep = np.concatenate(([True], gaps > 1e-15 * np.maximum(1.0, nodes[1:])))
     return nodes[keep][:count], limit
 
 
 def _candidates(nodes, signs, logs):
-    """Brackets (lower and upper node indices) and dip nodes of a scanned prefix.
+    """Brackets (lower and upper node indices) and dip nodes (floats) of a scanned prefix.
 
     A node with sign 0 is a bracket of its own; a sign change between two
     nonzero nodes brackets the gap. Both are keyed by their lower node. A
     sign change needs its upper node and a dip its right-hand neighbour, so
     every candidate of a prefix of the grid is also one of the whole grid.
-    The dips are a list of floats.
     """
     import numpy as np
     lower = (signs[:-1] * signs[1:] < 0).nonzero()[0]
     upper = lower + 1
     if np.count_nonzero(signs) < signs.size:  # nodes of sign 0, no sign change beside them
-        zero = (signs == 0).nonzero()[0]
-        order = np.argsort(np.concatenate((lower, zero)))
-        lower, upper = np.concatenate((lower, zero))[order], np.concatenate((upper, zero))[order]
+        both = np.concatenate(((lower, upper), [(signs == 0).nonzero()[0]] * 2), axis=1)
+        lower, upper = both[:, both[0].argsort()]
     # The log-magnitude test first: few nodes pass it, and only those need
     # their signs compared.
     deep = (logs[1:-1] <= np.minimum(logs[:-2], logs[2:]) - _DIP_THRESHOLD).nonzero()[0]
@@ -424,7 +406,7 @@ def scan_and_bracket(problems, cfg: SearchConfig) -> list:
             lower, upper, dips = _candidates(nodes, signs, logs)
             more, limit = ends[i] < nodes.size, limits[i]
             if limit < nodes[signs.size - 1] and cfg.max_modes > (
-                np.searchsorted(nodes[upper], limit, "right") + bisect.bisect_left(dips, limit)
+                np.searchsorted(nodes[upper], limit, "right") + sum(d < limit for d in dips)
             ):
                 results[i] = _beyond(cfgs[i], "holds modes closer than the grid tells apart")
             elif more and lower.size + len(dips) < cfg.max_modes:
@@ -437,10 +419,8 @@ def scan_and_bracket(problems, cfg: SearchConfig) -> list:
             elif not lower.size:
                 results[i] = _short(0, cfgs[i])
             else:
-                n = lower.size
-                at = np.concatenate((lower, upper))
-                ks, ss, ms = nodes[at].tolist(), signs[at].tolist(), logs[at].tolist()
-                values = tuple(zip(ss, ms))
+                n, at = lower.size, np.concatenate((lower, upper))
+                ks, values = nodes[at].tolist(), tuple(zip(signs[at].tolist(), logs[at].tolist()))
                 results[i] = ScanResult(
                     brackets=tuple(zip(ks[:n], ks[n:])), end_values=tuple(zip(values[:n], values[n:]))
                 )
@@ -475,9 +455,8 @@ def refine_root(brackets, problems, cfg: SearchConfig, end_values) -> np.ndarray
         raise ValueError("give one pair of end values per bracket")
     if len(problems) != len(brackets):
         raise ValueError("give one problem per bracket")
-    evaluate, tol = kernel.det_sign_logmag_at, cfg.refine_tol
     return np.array(
-        [_brent(p, float(lo), float(hi), ends, tol, evaluate)
+        [_brent(p, float(lo), float(hi), ends, cfg.refine_tol, kernel.det_sign_logmag_at)
          for (lo, hi), p, ends in zip(brackets, problems, end_values)],
         dtype=float,
     )
@@ -686,7 +665,6 @@ def _polish(problem: ArchProblem, k: float) -> float:
     when no sign change is found nearby.
     """
     from . import kernel
-    evaluate = kernel.det_sign_logmag_at
     crack = problem.crack
     args = (problem.eta_nd, problem.beta, crack.alpha, crack.theta_c)
     scale = max(1.0, k)
@@ -694,9 +672,9 @@ def _polish(problem: ArchProblem, k: float) -> float:
         lo, hi = k - delta * scale, k + delta * scale
         if not 0.0 < lo < hi < math.inf:
             break
-        ends = evaluate(lo, *args), evaluate(hi, *args)
+        ends = kernel.det_sign_logmag_at(lo, *args), kernel.det_sign_logmag_at(hi, *args)
         if ends[0][0] * ends[1][0] != 1:
-            return _brent(problem, lo, hi, ends, 1e-13, evaluate)
+            return _brent(problem, lo, hi, ends, 1e-13, kernel.det_sign_logmag_at)
     logger.debug(
         "mode shape at the unpolished root K = %r: no sign change within 1e-6 max(1, K)", k
     )

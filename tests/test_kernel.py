@@ -579,6 +579,16 @@ class TestStackedKernel:
                 one = det_sign_logmag(float(k), *(float(c[col]) for c in columns))
                 assert one == (signs[row, col], logs[row, col])
 
+    @pytest.mark.parametrize("theta", [0.0, 0.8])
+    def test_two_dimensional_k_with_scalar_parameters(self, theta):
+        # A (2, n) K with one problem's parameters gives arrays of its shape,
+        # each value that of its own call, the windows at K = 0 and 1 included.
+        ks = np.array([[0.0, 3e-11, 0.5, 1.0, 7.0], [2e-11, 0.9, 1.0 + 1e-11, 40.0, 1e3]])
+        signs, logs = det_sign_logmag(ks, 1.0, 1.3, 0.4, theta)
+        assert signs.shape == logs.shape == ks.shape
+        for k, sign, logmag in zip(ks.ravel().tolist(), signs.ravel().tolist(), logs.ravel().tolist()):
+            assert det_sign_logmag(k, 1.0, 1.3, 0.4, theta) == (sign, logmag)
+
     def test_parameter_stack_checks_each_element(self):
         ks = np.array([1.0, 2.0])
         with pytest.raises(ValueError, match="central angle must be positive"):
