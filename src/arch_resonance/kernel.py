@@ -209,9 +209,10 @@ def _lam2_roots_at(K: float, eta_nd: float) -> tuple:
     p2, p0 = 2.0 + K * eta_nd, 1.0 - K
     square = p2 * p2
     disc = square - 4.0 * p0
-    if abs(p0) <= DEGENERACY_TOL * max(1.0, p2):  # p2 >= 2 > 0
+    # p2 >= 2, so max(1, |p2|) = p2 and max(1, p2^2) = p2^2.
+    if abs(p0) <= DEGENERACY_TOL * p2:
         return -p2, 0.0, False
-    if abs(disc) <= DEGENERACY_TOL * max(1.0, square):
+    if abs(disc) <= DEGENERACY_TOL * square:
         return -0.5 * p2, -0.5 * p2, True
     if disc < 0.0:
         # Not reachable for K >= 0, eta >= 0; kept as a hard guard.

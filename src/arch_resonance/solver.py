@@ -272,8 +272,9 @@ def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, count: int, kns=None):
     c = math.floor(problem.beta / math.pi)
     first = max(c + 1, _count_below(problem, k_min * (1.0 - 2.0 * _GUIDE_OFFSET)))
     above, last, limit = 0, -1.0, math.inf  # limit: where guides stop telling modes apart
+    closed_form, beta, eta = model.uncracked_K_closed_form, problem.beta, problem.eta_nd
     for n in itertools.chain(range(1, c + 1), itertools.count(first)):
-        kn = model.uncracked_K_closed_form(n, problem.beta, problem.eta_nd)
+        kn = closed_form(n, beta, eta)
         lo, hi = kn * (1.0 - _GUIDE_OFFSET), kn * (1.0 + _GUIDE_OFFSET)
         if n > c:
             if kn > k_max or lo >= bound or above > count:
@@ -289,8 +290,13 @@ def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, count: int, kns=None):
             guides.append(0.5 * (lo + hi))
         if kns is not None and kn > k_min:
             kns.append(kn)
-    nodes = np.empty(size + len(guides))  # the uniform nodes, bound the last, and the guides
-    nodes[:size], nodes[size:] = k_min + span * np.arange(size) / (points - 1), guides
+    # The uniform nodes k_min + span*i/(points - 1), bound the last, then the guides.
+    nodes = np.empty(size + len(guides))
+    uniform = nodes[:size]
+    np.multiply(np.arange(size, dtype=float), span, out=uniform)
+    uniform /= points - 1
+    uniform += k_min
+    nodes[size:] = guides
     nodes.sort()
     # A node within 1e-15*max(1, K) above its neighbour is dropped (none is if
     # the least gap exceeds that at the largest node). Such pairs never chain:
@@ -475,22 +481,23 @@ def _brent(problem: ArchProblem, lo: float, hi: float, ends, tol: float, evaluat
         raise ValueError(f"bracket {(lo, hi)} does not straddle a sign change")
     if not 0.0 <= lo < hi < math.inf:
         raise ValueError(f"bracket {(lo, hi)} must lie in [0, inf) with lo < hi")
-    crack = problem.crack
-    args = (problem.eta_nd, problem.beta, crack.alpha, crack.theta_c)
-    ref = max(m_lo, m_hi)
+    eta, beta, alpha, theta = problem.eta_nd, problem.beta, problem.crack.alpha, problem.crack.theta_c
+    exp, ref = math.exp, max(m_lo, m_hi)
     # b is the end of smaller |f|, c the other end, a the b before this one;
     # d is the last step and e the one before it.
-    b, fb = hi, s_hi * math.exp(m_hi - ref)
+    b, fb = hi, s_hi * exp(m_hi - ref)
     a = c = lo
-    fa = fc = s_lo * math.exp(m_lo - ref)
+    fa = fc = s_lo * exp(m_lo - ref)
     d = e = b - a
-    for _ in range(_MAX_EVALUATIONS):
+    # The tally (a thread-local) is updated once, on the way out.
+    for evals in range(_MAX_EVALUATIONS):
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
         mid = 0.5 * (b + c)
         # max(1.0, mid) without the call, which costs as much as the test.
         if abs(c - b) <= tol * (mid if mid > 1.0 else 1.0):
+            _tally.evals += evals
             return mid
         half = 0.5 * (c - b)
         least = 0.5 * tol * (b if b > 1.0 else 1.0)
@@ -514,16 +521,18 @@ def _brent(problem: ArchProblem, lo: float, hi: float, ends, tol: float, evaluat
             d = e = half
         a, fa = b, fb
         b += d if abs(d) > least else math.copysign(least, half)
-        sign, logmag = evaluate(b, *args)
-        _tally.evals += 1
+        sign, logmag = evaluate(b, eta, beta, alpha, theta)
         if not sign:
+            _tally.evals += evals + 1
             return b
         # Clamped so that exp neither overflows nor underflows to 0: the
         # bracket is kept by the sign alone, which the clamp leaves as it is.
-        fb = sign * math.exp(min(max(logmag - ref, -700.0), 700.0))
+        x = logmag - ref
+        fb = sign * exp(-700.0 if x < -700.0 else 700.0 if x > 700.0 else x)
         if (fb > 0.0) == (fc > 0.0):
             c, fc = a, fa
             d = e = b - a
+    _tally.evals += _MAX_EVALUATIONS
     return 0.5 * (b + c)
 
 
