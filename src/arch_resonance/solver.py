@@ -469,7 +469,8 @@ def refine_root(brackets, problems, cfg: SearchConfig, end_values) -> np.ndarray
 
 
 def _brent(problem: ArchProblem, lo: float, hi: float, ends, tol: float, evaluate) -> float:
-    """The root of one bracket (:func:`refine_root`), F evaluated by ``evaluate``."""
+    """The root of one bracket (:func:`refine_root`); ``evaluate`` is
+    :func:`kernel.det_sign_logmag_at`, which the caller imports once."""
     if lo == hi:
         return lo
     (s_lo, m_lo), (s_hi, m_hi) = ends
