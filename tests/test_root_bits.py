@@ -65,11 +65,6 @@ def _rows():
     return rows
 
 
-def _problem(row):
-    beta, eta, alpha, theta = (float.fromhex(row[f]) for f in FIELDS[1:5])
-    return ArchProblem(beta, eta, CrackJoint(alpha, theta))
-
-
 def test_cracked_roots_are_bit_identical_to_the_table():
     with TABLE.open(newline="") as f:
         table = list(csv.DictReader(f))
