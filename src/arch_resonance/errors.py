@@ -17,10 +17,6 @@ class InvalidModel(ValueError):
     """Compliance model is unknown or violates the nonnegativity contract."""
 
 
-# Minimum admissible crack segment length, rad.
-SEGMENT_TOL = 1e-9
-
-
 class DegenerateSegment(ValueError):
     """Crack angle outside the arch or so close to a support that a segment vanishes.
 

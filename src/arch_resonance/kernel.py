@@ -18,7 +18,7 @@ the root search's work. :func:`det_sign_logmag`, the array form, takes
 either one trial K or an array of N of them, giving N signs and
 log-magnitudes; a scalar K is the N = 1 case of the same code. A call costs
 mostly a fixed part, some 50 numpy operations: 1 and 256 K values of a
-cracked problem take about 65-75 and 100-115 us in a tight loop (numpy 2.4,
+cracked problem take about 55 and 95 us in a tight loop (numpy 2.4,
 Python 3.11, shared 2-core x86-64 VM), so the solver's grid scan evaluates
 its K grid in blocks of 256, one call each. :func:`det_sign_logmag_at`, the
 one-K form, evaluates the same F with ``math`` on floats in about 2-3 us,
@@ -35,10 +35,14 @@ samples one cracked mode shape at its root and takes one K.
 alpha, theta_c) as arrays that broadcast to K's shape, so one call evaluates
 the K values of several problems, each against its own parameters; the
 solver scans the cracked problems of a sweep this way, and passes one
-problem's parameters as scalars. Every parameter check applies to each
-element, and since every operation is elementwise, each value is
-bit-identical to a call with that problem's scalar parameters. Scalar
-parameters take the scalar path, with no broadcast, which costs less.
+problem's parameters as scalars. Since every operation is elementwise, each
+value is bit-identical to a call with that problem's scalar parameters.
+Scalar parameters take the scalar path, with no broadcast, which costs less.
+
+The kernel checks none of its input: callers pass valid problems, which
+:class:`model.ArchProblem` checks, and finite K >= 0 (the solver's own grid
+nodes and brackets, or a root :func:`solver.mode_shape` checks). Only
+:func:`null_vector` checks what it computes: a non-finite or singular matrix.
 
 Basis conventions
 -----------------
@@ -75,9 +79,9 @@ at theta_c = 0, F = S1*S2, the uncracked arch's function at any alpha.
 :func:`det_sign_logmag` and :func:`det_sign_logmag_at` evaluate F with no
 matrix. Its sign is that of the determinant of the matching matrix, so both
 change sign at the same K. A cracked mode shape's coefficients are the null
-vector of the matching matrix at its root (:func:`null_vector`). The solver needs none of this for
-an uncracked arch: its K_n and shapes sin(n*pi*phi/beta) are closed forms
-(:func:`model.uncracked_K_closed_form`).
+vector of the matching matrix at its root (:func:`null_vector`). The solver
+needs none of this for an uncracked arch: its K_n and shapes
+sin(n*pi*phi/beta) are closed forms (:func:`model.uncracked_K_closed_form`).
 """
 
 from __future__ import annotations
@@ -87,27 +91,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SEGMENT_TOL, DegenerateSegment
-
 # Degeneracy window for branch switching (see _lam2_roots).
 DEGENERACY_TOL = 1e-10
 # |F| at or below this fraction of its scale zeroes the sign (det_sign_logmag).
 PIVOT_ZERO_TOL = 1e-13
 
 
-def _check(k_lo, k_hi, eta_lo, eta_hi):
-    """Raise ValueError unless K and eta, given by their extremes, are finite and nonnegative."""
-    if not (math.isfinite(k_lo) and math.isfinite(k_hi)
-            and math.isfinite(eta_lo) and math.isfinite(eta_hi)):
-        raise ValueError("trial eigenvalue and nonlocal parameter must be finite")
-    if k_lo < 0:
-        raise ValueError("trial eigenvalue K must be nonnegative")
-    if eta_lo < 0:
-        raise ValueError("nonlocal parameter must be nonnegative")
-
-
 def _any(mask) -> bool:
-    """Whether a parameter check fails: a Python bool, or any element of an array."""
+    """Whether a mask holds anywhere: a Python bool, or any element of an array."""
     return mask.any() if isinstance(mask, np.ndarray) else mask
 
 
@@ -115,26 +106,21 @@ def _lam2_roots(p2, p0, masks=True):
     """Roots mu1 <= mu2 of mu^2 + p2 mu + p0 and the repeated-root mask, as arrays.
 
     With tol = ``DEGENERACY_TOL``, a root within about tol of zero,
-    |p0| <= tol*max(1, |p2|), is snapped to exactly 0, and a pair whose
-    discriminant is within tol*max(1, p2^2) of zero to -p2/2. The zero-root
-    window scales with |p2|, not p2^2: mu2 is about -p0/p2, and at large
-    K*eta a window in p2^2 would snap an O(1) hyperbolic root to 0.
-    ``masks=False`` says no value lies in a window: no mask is built, and
-    every K exceeds 2 tol, so disc = fl(p2^2) - 4 fl(1 - K) > 0, as p2 >= 2.
+    |p0| <= tol*p2, is snapped to exactly 0, and a pair whose discriminant
+    is within tol*p2^2 of zero to -p2/2. The zero-root window scales with
+    p2, not p2^2: mu2 is about -p0/p2, and at large K*eta a window in p2^2
+    would snap an O(1) hyperbolic root to 0. For K >= 0 and eta >= 0,
+    p2 >= 2, so disc = fl(p2^2) - 4 fl(1 - K) >= 4 - 4 = 0 in floating point
+    too. ``masks=False`` says no value lies in a window: no mask is built.
     """
     square = p2 * p2
     disc = square - 4.0 * p0
+    mu1 = -0.5 * (p2 + np.sqrt(disc))
+    mu2 = p0 / mu1  # Vieta; avoids cancellation in (-p2 + sq)/2
     if not masks:
-        mu1 = -0.5 * (p2 + np.sqrt(disc))
-        return mu1, p0 / mu1, None  # Vieta; avoids cancellation in (-p2 + sq)/2
-    scale = np.maximum(1.0, square)
-    if np.any(disc < -DEGENERACY_TOL * scale):
-        # Not reachable for K >= 0, eta >= 0; kept as a hard guard.
-        raise ValueError(f"negative discriminant for coefficients p2={p2}, p0={p0}")
-    mu1 = -0.5 * (p2 + np.sqrt(np.maximum(disc, 0.0)))
-    mu2 = p0 / mu1
-    zero_root = np.abs(p0) <= DEGENERACY_TOL * np.maximum(1.0, np.abs(p2))
-    repeated = ~zero_root & (np.abs(disc) <= DEGENERACY_TOL * scale)
+        return mu1, mu2, None
+    zero_root = np.abs(p0) <= DEGENERACY_TOL * p2
+    repeated = ~zero_root & (np.abs(disc) <= DEGENERACY_TOL * square)
     if zero_root.any() or repeated.any():
         mu1 = np.where(zero_root, -p2, np.where(repeated, -0.5 * p2, mu1))
         mu2 = np.where(zero_root, 0.0, np.where(repeated, mu1, mu2))
@@ -164,8 +150,6 @@ class ModeBasis:
         Both keep the sign of the determinant of (o(mu1), o(mu2)), vanish
         with their second derivative at x = 0 and are bounded for x <= ref.
         """
-        if not 1 <= nrows <= 4:
-            raise ValueError("nrows must be between 1 and 4")
         x, ref = np.broadcast_arrays(x, ref)
         mu1, mu2 = self.mu1, self.mu2
         a1 = math.sqrt(-mu1)
@@ -195,13 +179,9 @@ def quartic_roots(K: float, eta_nd: float) -> ModeBasis:
 
     The branch follows the sign of the lam^2 roots; :func:`_lam2_roots_at`
     resolves the zero-root and repeated-root degeneracies, as for
-    :func:`det_sign_logmag`. Raises ValueError for an array K or eta_nd.
+    :func:`det_sign_logmag`.
     """
-    if np.ndim(K) or np.ndim(eta_nd):
-        raise ValueError("quartic_roots takes one trial eigenvalue K and one eta_nd")
-    K, eta_nd = float(K), float(eta_nd)
-    _check(K, K, eta_nd, eta_nd)
-    return ModeBasis(*_lam2_roots_at(K, eta_nd))
+    return ModeBasis(*_lam2_roots_at(float(K), float(eta_nd)))
 
 
 def _lam2_roots_at(K: float, eta_nd: float) -> tuple:
@@ -214,9 +194,6 @@ def _lam2_roots_at(K: float, eta_nd: float) -> tuple:
         return -p2, 0.0, False
     if abs(disc) <= DEGENERACY_TOL * square:
         return -0.5 * p2, -0.5 * p2, True
-    if disc < 0.0:
-        # Not reachable for K >= 0, eta >= 0; kept as a hard guard.
-        raise ValueError(f"negative discriminant for coefficients p2={p2}, p0={p0}")
     mu1 = -0.5 * (p2 + math.sqrt(disc))
     return mu1, p0 / mu1, False
 
@@ -261,12 +238,6 @@ def assemble_cracked(
     enforce C3 continuity, so at any alpha the zero set in K and the null
     vectors are the uncracked arch's.
     """
-    if theta_c < 0:
-        raise ValueError("crack compliance must be nonnegative")
-    if alpha <= SEGMENT_TOL or beta - alpha <= SEGMENT_TOL:
-        raise DegenerateSegment(
-            f"crack at alpha={alpha} leaves a vanishing segment of beta={beta}"
-        )
     # Both segments in one evaluation.
     x = np.array([alpha, beta - alpha])
     left, right = basis.support_rows(x, x)
@@ -297,29 +268,11 @@ def det_sign_logmag(K, eta_nd, beta, alpha, theta_c):
     for a hyperbolic pair: at theta_c = 0 with two trigonometric pairs,
     |sin(a1*beta)*sin(a2*beta)| <= PIVOT_ZERO_TOL.
     """
-    stacked = (
-        isinstance(eta_nd, np.ndarray)
-        or isinstance(beta, np.ndarray)
-        or isinstance(alpha, np.ndarray)
-        or isinstance(theta_c, np.ndarray)
-    )
-    if _any(beta <= 0):
-        raise ValueError("central angle must be positive")
-    if _any(theta_c < 0):
-        raise ValueError("crack compliance must be nonnegative")
-    degenerate = (alpha <= SEGMENT_TOL) | (beta - alpha <= SEGMENT_TOL)
-    if _any(degenerate):
-        if stacked:  # the first offending problem
-            alpha, beta, degenerate = np.broadcast_arrays(alpha, beta, degenerate)
-            alpha, beta = float(alpha[degenerate][0]), float(beta[degenerate][0])
-        raise DegenerateSegment(
-            f"crack at alpha={alpha} leaves a vanishing segment of beta={beta}"
-        )
+    stacked = np.ndarray in (type(eta_nd), type(beta), type(alpha), type(theta_c))
     one = not np.ndim(K)
     K = np.asarray(K, dtype=float).reshape(1) if one else np.asarray(K, dtype=float)
     k_lo, k_hi = (np.minimum.reduce(K, None), np.maximum.reduce(K, None)) if K.size else (0, 0)
-    eta_lo, eta_hi = (eta_nd.min(), eta_nd.max()) if np.ndim(eta_nd) else (eta_nd, eta_nd)
-    _check(k_lo, k_hi, eta_lo, eta_hi)
+    eta_hi = eta_nd.max() if np.ndim(eta_nd) else eta_nd
     # _lam2_roots builds its masks only if a K may lie in a window, for eta's
     # largest value in a stack; ``wide`` (2 tol) covers rounding. Zero root:
     # |1 - K| <= tol*(2 + K*eta), as p2 >= 2, and the ratio grows with |1 - K| on
@@ -402,9 +355,7 @@ def det_sign_logmag_at(K: float, eta_nd: float, beta: float, alpha: float, theta
     """:func:`det_sign_logmag` at one float K, with ``math`` on floats: (sign, log|F|).
 
     The same F, windows (:func:`_lam2_roots_at`), series at a repeated root and
-    sign-0 rule; the values agree with the array form's to rounding. Nothing
-    is checked: the caller passes a finite K >= 0 and the parameters of a
-    valid cracked problem (:class:`model.ArchProblem` checks them).
+    sign-0 rule; the values agree with the array form's to rounding.
     """
     mu1, mu2, repeated = _lam2_roots_at(K, eta_nd)
     a1 = math.sqrt(-mu1)
@@ -455,8 +406,6 @@ def null_vector(matrix) -> np.ndarray:
     for non-finite entries and for rank below 3, where every cofactor is 0.
     """
     a = np.array(matrix, dtype=float)
-    if a.shape != (4, 4):
-        raise ValueError(f"null_vector takes one 4x4 matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     scale = np.abs(a).max(axis=1)

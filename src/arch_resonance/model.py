@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
-from .errors import SEGMENT_TOL, DegenerateSegment, InvalidPreset, MissingPreset
+from .errors import DegenerateSegment, InvalidPreset, MissingPreset
 
 if TYPE_CHECKING:
     from . import crack as crack_models
@@ -26,6 +26,8 @@ DEFAULT_BOND_LENGTH_NM = 0.142
 # of random problems match an 80-digit shooting determinant, at 1e-4 half of
 # them do not.
 BETA_MIN = 1e-3
+# Shortest segment a crack may leave at either side, rad.
+SEGMENT_TOL = 1e-9
 _FMT = "%.9g"  # 9 significant digits, every number the package writes
 
 
@@ -87,7 +89,8 @@ class PhysicalTube:
 
     ``mass_per_length`` folds the density-thickness product into a single
     effective inertia parameter. The second moment of area is always
-    recomputed from the diameter, never stored.
+    recomputed from the diameter, never stored. Every field, and I, E*I and
+    mass_per_length*R^4 (:func:`omega_from_K`), must be finite and positive.
     """
 
     youngs_modulus: float  # Pa
@@ -108,6 +111,13 @@ class PhysicalTube:
                 raise ValueError(f"{name} must be finite and positive")
         if self.diameter >= 2.0 * self.radius:
             raise ValueError("tube diameter must be smaller than twice the arch radius")
+        try:  # the factors of omega_from_K; ** raises OverflowError where * gives inf
+            moment = self.moment_of_inertia
+            factors = (moment, self.youngs_modulus * moment, self.mass_per_length * self.radius**4)
+        except OverflowError:
+            factors = (math.inf,)
+        if not all(0.0 < f < math.inf for f in factors):
+            raise ValueError("the tube's I, E*I and mass_per_length*R^4 must be finite and positive")
 
     @property
     def moment_of_inertia(self) -> float:
@@ -144,7 +154,7 @@ class ArchProblem:
 
     Every field must be finite, the central angle must lie in [``BETA_MIN``,
     2*pi], and a crack angle must lie inside the arch, more than
-    ``errors.SEGMENT_TOL`` from either support (else :class:`DegenerateSegment`,
+    ``SEGMENT_TOL`` from either support (else :class:`DegenerateSegment`,
     checked last, so it marks a problem that is valid but for where its crack
     sits).
     """

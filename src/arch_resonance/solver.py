@@ -193,9 +193,7 @@ def boundary_determinant(problems, K, runs=()):
     if len(problems) == 1:
         p = problems[0]
         return kernel.det_sign_logmag(K, p.eta_nd, p.beta, p.crack.alpha, p.crack.theta_c)
-    index = np.repeat(*zip(*runs)) if runs else ()
-    if len(index) != size:
-        raise ValueError("runs must give the problem of every K value")
+    index = np.repeat(*zip(*runs))
     cracks = [p.crack for p in problems]
     stack = np.array([
         [p.eta_nd for p in problems], [p.beta for p in problems],
@@ -261,7 +259,10 @@ def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, count: int, kns=None):
     2e-6 of each other, guides no longer tell the modes apart. The scan
     builds its grids a block at a time this way.
     Returns the nodes and the last upper guide before such a pair, above
-    which the grid does not resolve the modes, or inf.
+    which the grid does not resolve the modes, or inf. Every node is finite
+    and nonnegative, as the kernel requires of K: where i*span overflows (a
+    range near the largest float, which the scan fails first unless eta is 0
+    or nearly), a uniform node is k_max - (1 - i/(points - 1))*span instead.
     """
     import numpy as np
     k_min, k_max, points = cfg.k_min, cfg.k_max, cfg.grid_points
@@ -293,9 +294,16 @@ def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, count: int, kns=None):
     # The uniform nodes k_min + span*i/(points - 1), bound the last, then the guides.
     nodes = np.empty(size + len(guides))
     uniform = nodes[:size]
-    np.multiply(np.arange(size, dtype=float), span, out=uniform)
-    uniform /= points - 1
-    uniform += k_min
+    i = np.arange(size, dtype=float)
+    if (size - 1) * span / (points - 1) + k_min < math.inf:  # the largest node, as below
+        np.multiply(i, span, out=uniform)
+        uniform /= points - 1
+        uniform += k_min
+    else:  # i*span overflows, so those nodes count down from k_max
+        with np.errstate(over="ignore"):
+            uniform[:] = i * span / (points - 1) + k_min
+        over = uniform == math.inf
+        uniform[over] = k_max - (1.0 - i[over] / (points - 1)) * span
     nodes[size:] = guides
     nodes.sort()
     # A node within 1e-15*max(1, K) above its neighbour is dropped (none is if
@@ -457,10 +465,6 @@ def refine_root(brackets, problems, cfg: SearchConfig, end_values) -> np.ndarray
     """
     import numpy as np
     from . import kernel
-    if len(end_values) != len(brackets):
-        raise ValueError("give one pair of end values per bracket")
-    if len(problems) != len(brackets):
-        raise ValueError("give one problem per bracket")
     return np.array(
         [_brent(p, float(lo), float(hi), ends, cfg.refine_tol, kernel.det_sign_logmag_at)
          for (lo, hi), p, ends in zip(brackets, problems, end_values)],
@@ -698,7 +702,8 @@ def mode_shape(problem: ArchProblem, root: Root, samples: int = 201) -> np.ndarr
     root is sin(n*pi*phi/beta), for the one n whose closed-form K_n is its K,
     with n*i reduced modulo 2*(samples - 1) in integers at sample i, so a node
     reads exactly 0; a K that is no K_n raises ValueError, and a double root
-    (two n at one K below 1) :class:`DoubleRoot`. A cracked root is polished
+    (two n at one K below 1) :class:`DoubleRoot`. A cracked root's K must be
+    finite and nonnegative (else ValueError); it is polished
     (:func:`_polish`), and X is c1*u1(phi) + c2*u2(phi) left of the crack and
     d1*u1(beta - phi) + d2*u2(beta - phi) right of it
     (:meth:`kernel.ModeBasis.support_rows`), (c1, c2, d1, d2) the null vector
@@ -736,6 +741,11 @@ def mode_shape(problem: ArchProblem, root: Root, samples: int = 201) -> np.ndarr
         m = exact[0] % (2 * den) * num % (2 * den)
         values = np.sin(np.pi * (m % den) / den) * np.where(m < den, 1.0, -1.0)
     else:
+        # The kernel takes K on trust, so a caller's root is checked here.
+        if not math.isfinite(K):
+            raise ValueError("trial eigenvalue and nonlocal parameter must be finite")
+        if K < 0:
+            raise ValueError("trial eigenvalue K must be nonnegative")
         from . import kernel
         crack = problem.crack
         basis = kernel.quartic_roots(_polish(problem, K), problem.eta_nd)

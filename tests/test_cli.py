@@ -1,6 +1,8 @@
 import copy
 import json
 import math
+import random
+import warnings
 from pathlib import Path
 
 import pytest
@@ -442,6 +444,14 @@ class TestBadInput:
             ["freq", "--beta", "1e-11"],
             ["freq", "--beta", "1e-80"],
             ["validate", "--beta", "1e-200"],
+            # A tube whose E*I or mass_per_length*R^4 overflows or underflows.
+            ["freq", "--radius-nm", "1e87", "--chirality", "armchair"],
+            ["freq", "--eta-nm2", "1", "--radius-nm", "1e200", "--chirality", "armchair"],
+            ["freq", "--radius-nm", "1e-80", "--diameter-nm", "1e-81", "--chirality", "armchair"],
+            ["sweep", "--param", "radius", "--from", "1e100", "--to", "1e300", "--steps", "2",
+             "--chirality", "armchair"],
+            ["sweep", "--param", "beta", "--steps", "2", "--radius-nm", "1e300",
+             "--chirality", "armchair"],
         ],
     )
     def test_exits_two_with_one_line(self, argv, capsys):
@@ -611,3 +621,109 @@ class TestGoldenFiles:
         out = tmp_path / name
         assert main(self.CASES[name] + ["--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN_DIR / name).read_bytes()
+
+
+# Flag values at the edges of what each input admits, and past them: each
+# value list is (admitted, refused), and a refused value is drawn one time in ten.
+_TINY = ["0", "5e-324", "1e-300"]
+_PAST = ["-5e-324", "-1e300", "1.7976931348623157e308", "nan", "inf", "-inf"]
+_BETAS = (["1e-3", "0.05", "1", "3", "6.283185307179585", "6.283185307179586"],  # 2*pi - ulp
+          [*_TINY, *_PAST, "6.283185307179587"])
+_ETAS = ([*_TINY, "1", "4", "1e300"], _PAST)
+_PSIS = (["5e-324", "0.3", "0.999999", "0.9999999999999999"], ["1", "nan", "-0.1"])
+_LENGTHS_NM = (["1e-30", "0.5", "5", "1e20"], ["1e-81", "1e-80", "1e87", "1e200", "nan", "-1"])
+_SEARCH = {
+    "k-min": (["0", "5e-324", "1e-6", "1", "1e20", "1e300"], ["1.7976931348623157e308", "nan"]),
+    "k-max": (["2e-6", "1e3", "1e300", "4e307", "1.7976931348623157e308"], ["inf", "-1"]),
+    "grid-points": (["16", "17", "300"], ["15"]),
+    "refine-tol": (["1e-300", "9.99e-4"], ["0"]),
+    "modes": (["1", "3", "12"], ["0"]),
+}
+# Each failed once with a traceback or a numpy warning: a tube whose I, E*I
+# or mu*R^4 overflows or underflows, and a range near the largest float at
+# eta = 0, whose uniform grid nodes i*span/(points - 1) overflowed.
+_KNOWN = [
+    (["freq", "--radius-nm", "1e87", "--chirality", "armchair"], None),
+    (["freq", "--eta-nm2", "1", "--radius-nm", "1e200", "--chirality", "armchair"], None),
+    (["sweep", "--param", "radius", "--from", "1e100", "--to", "1e300", "--steps", "2",
+      "--chirality", "armchair"], None),
+    (["sweep", "--param", "beta", "--steps", "2", "--radius-nm", "1e300",
+      "--chirality", "armchair"], None),
+    (["freq", "--radius-nm", "1e-80", "--diameter-nm", "1e-81", "--chirality", "armchair"],
+     None),
+    (["freq", "--beta", "1", "--eta", "0", "--crack-psi", "0.3"],
+     {"k-min": "1e300", "k-max": "4e307"}),
+    (["freq", "--beta", "6.2831853", "--eta", "0", "--crack-psi", "0.999999",
+      "--crack-alpha", "0.9"], {"k-min": "1e20", "k-max": "4e307", "grid-points": "16"}),
+]
+
+
+def robustness_requests(seed: int, count: int) -> list:
+    """``count`` seeded (argv, [search] settings or None) requests of extreme values."""
+    rng = random.Random(seed)
+
+    def pick(values):
+        admitted, refused = values
+        return rng.choice(refused if rng.random() < 0.1 else admitted)
+
+    def some(argv, flag, values, p=0.5):
+        if rng.random() < p:
+            argv += [flag, pick(values)]
+
+    requests = []
+    for _ in range(count):
+        command = rng.choice(["freq", "freq", "sweep", "modeshape", "validate"])
+        argv, search = [command], None
+        if command == "validate":
+            some(argv, "--beta", (["1e-3", "0.05", "0.5"], ["0.50001", *_TINY, *_PAST]), 0.8)
+        else:
+            beta = pick(_BETAS)
+            argv += ["--beta", beta, "--eta" if rng.random() < 0.8 else "--eta-nm2", pick(_ETAS)]
+            if rng.random() < 0.6:
+                argv += ["--crack-psi", pick(_PSIS)]
+                b = float(beta)
+                near = [repr(b * f) for f in (2e-9, 0.3, 0.5, 1 - 2e-9)]
+                some(argv, "--crack-alpha", (near, ["5e-324", "nan", "inf", "-1"]), 0.7)
+            classes = ["armchair", "zigzag", "chiral"]
+            some(argv, "--chirality", (classes + ["all"] * (command == "sweep"), ["bogus"]))
+            some(argv, "--radius-nm", _LENGTHS_NM, 0.3)
+            if command != "sweep":
+                some(argv, "--diameter-nm", _LENGTHS_NM, 0.2)
+            if command != "sweep" and rng.random() < 0.5:
+                search = {key: pick(values) for key, values in _SEARCH.items()
+                          if rng.random() < 0.5}
+        if command == "sweep":
+            param = rng.choice(["beta", "eta", "radius"])
+            ends = {"beta": _BETAS, "eta": _ETAS, "radius": _LENGTHS_NM}[param]
+            argv += ["--param", param, "--steps", pick((["2", "3"], ["1"]))]
+            some(argv, "--from", ends, 0.7)
+            some(argv, "--to", ends, 0.7)
+            some(argv, "--modes", (["1", "2"], ["0"]), 0.3)
+        if command == "modeshape":
+            argv += ["--samples", pick((["2", "3", "5"], ["1"]))]
+            some(argv, "--mode", (["1", "2", "5"], ["0"]))
+        some(argv, "--format", (["table", "csv", "json"], ["xml"]), 0.3)
+        requests.append((argv, search))
+    return requests
+
+
+class TestRobustness:
+    """Seeded extreme requests: each answers with an exit code, never a traceback."""
+
+    def test_extreme_requests_fail_in_one_line(self, capsys, tmp_path):
+        failures = []
+        for i, (argv, search) in enumerate(_KNOWN + robustness_requests(30, 400)):
+            if search is not None:
+                config = tmp_path / f"{i}.ini"
+                config.write_text("[search]\n" + "".join(f"{k} = {v}\n" for k, v in search.items()))
+                argv = [*argv, "--config", str(config)]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    code = main(argv)
+                except Exception as exc:  # noqa: BLE001 - a traceback is the failure
+                    code = f"{type(exc).__name__}: {exc}"
+            lines = capsys.readouterr().err.splitlines()
+            if code not in (0, 1, 2) or len(lines) != (0 if code == 0 else 1) or caught:
+                failures.append((argv, search, code, lines[:3], [str(w.message) for w in caught]))
+        assert not failures, f"{len(failures)} requests failed, first: {failures[:3]}"

@@ -179,8 +179,9 @@ class TestSurface:
         loaded = run_fresh("from arch_resonance import cli\nassert callable(cli.main)")
         assert "arch_resonance.cli" in loaded
 
-    def test_segment_tol_is_shared(self):
-        assert kernel.SEGMENT_TOL is errors.SEGMENT_TOL
+    def test_segment_tol_is_defined_once(self):
+        assert model.SEGMENT_TOL == 1e-9
+        assert "SEGMENT_TOL" not in vars(kernel) and "SEGMENT_TOL" not in vars(errors)
 
     def test_closed_form_is_defined_once(self):
         assert arch_resonance.uncracked_K_closed_form is model.uncracked_K_closed_form

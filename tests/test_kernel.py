@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arch_resonance import DegenerateSegment, kernel, uncracked_K_closed_form
+from arch_resonance import kernel, uncracked_K_closed_form
 from arch_resonance.kernel import (
     DEGENERACY_TOL,
     PIVOT_ZERO_TOL,
@@ -62,12 +62,6 @@ class TestCharacteristicCoefficients:
     def test_branch_boundary(self):
         assert _coefficients(quartic_roots(1.0, 1.0)) == (3.0, 0.0)
 
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            quartic_roots(-1.0, 0.0)
-        with pytest.raises(ValueError):
-            quartic_roots(1.0, -0.5)
-
 
 class TestQuarticRoots:
     def test_trig_plus_hyperbolic(self):
@@ -112,12 +106,8 @@ class TestQuarticRoots:
             basis = quartic_roots(K, eta)
             assert basis.mu1 <= basis.mu2
 
-    def test_rejects_an_array(self):
-        # The matching path takes one K; only det_sign_logmag takes stacks.
-        with pytest.raises(ValueError, match="one trial eigenvalue"):
-            quartic_roots(np.array([0.5, 5.0]), 0.2)
-        with pytest.raises(ValueError, match="one trial eigenvalue"):
-            quartic_roots(5.0, np.array([0.2, 0.3]))
+    def test_basis_holds_floats(self):
+        # The matching path takes one K, whose basis holds Python floats.
         basis = quartic_roots(np.float64(5.0), 0.2)
         assert type(basis.mu1) is type(basis.mu2) is float and type(basis.repeated) is bool
 
@@ -338,19 +328,10 @@ class TestAssembleCracked:
             reduced = det_sign_logmag(np.array(ks), eta, beta, alpha, theta)[0]
             assert _changes(reduced) == changes[0]
 
-    def test_degenerate_segment(self):
-        basis = quartic_roots(5.0, 0.0)
-        with pytest.raises(DegenerateSegment):
-            assemble_cracked(basis, 1.0, 0.0, 1.0)
-        with pytest.raises(DegenerateSegment):
-            assemble_cracked(basis, 1.0, 1.0, 1.0)
-
     def test_one_matrix_per_k(self):
         for problem in (make_problem(2.0, 0.3, 1.0, 0.0), make_problem(2.0, 0.3, 0.8, 0.5)):
             for k in (0.0, 0.5, 1.0, 7.0, 5.0e4):
                 assert matching_matrix(problem, k).shape == (4, 4)
-            with pytest.raises(ValueError, match="one trial eigenvalue"):
-                matching_matrix(problem, np.array([0.5, 7.0]))
 
 
 class TestSupportRows:
@@ -495,17 +476,6 @@ class TestDeterminant:
             assert math.isfinite(logs[i])
             assert det_sign_logmag(float(ks[i]), 0.0, beta, alpha, theta) == (signs[i], logs[i])
 
-    def test_rejects_nonfinite(self):
-        for K, eta in ((math.inf, 0.0), (np.array([1.0, math.nan]), 0.0), (1.0, math.nan)):
-            with pytest.raises(ValueError):
-                det_sign_logmag(K, eta, 1.0, 0.5, 0.0)
-        with pytest.raises(ValueError):
-            det_sign_logmag(-1.0, 0.0, 1.0, 0.5, 0.0)
-        with pytest.raises(ValueError):
-            det_sign_logmag(1.0, 0.0, 1.0, 0.5, -1.0)
-        with pytest.raises(DegenerateSegment):
-            det_sign_logmag(1.0, 0.0, 1.0, 1.0, 1.0)
-
 
 class TestNullVector:
     def test_recovers_known_null_direction(self):
@@ -530,8 +500,6 @@ class TestNullVector:
         # Rank 2: every 3x3 minor keeps a zero column, so every cofactor is 0.
         with pytest.raises(ValueError, match="rank is below 3"):
             null_vector([[1, 2, 0, 0], [3, 4, 0, 0], [5, 6, 0, 0], [0, 1, 0, 0]])
-        with pytest.raises(ValueError, match="one 4x4 matrix"):
-            null_vector(np.zeros((2, 4, 4)))
 
 
 class TestStackedKernel:
@@ -589,21 +557,6 @@ class TestStackedKernel:
         for k, sign, logmag in zip(ks.ravel().tolist(), signs.ravel().tolist(), logs.ravel().tolist()):
             assert det_sign_logmag(k, 1.0, 1.3, 0.4, theta) == (sign, logmag)
 
-    def test_parameter_stack_checks_each_element(self):
-        ks = np.array([1.0, 2.0])
-        with pytest.raises(ValueError, match="central angle must be positive"):
-            det_sign_logmag(ks, 0.0, np.array([1.0, 0.0]), 0.25, 0.0)
-        with pytest.raises(ValueError, match="nonlocal parameter must be nonnegative"):
-            det_sign_logmag(ks, np.array([0.0, -1.0]), 1.0, 0.5, 0.0)
-        with pytest.raises(ValueError, match="must be finite"):
-            det_sign_logmag(ks, np.array([0.0, math.nan]), 1.0, 0.5, 0.0)
-        with pytest.raises(ValueError, match="crack compliance must be nonnegative"):
-            det_sign_logmag(ks, 0.0, 1.0, 0.5, np.array([1.0, -1.0]))
-        # The message names the first problem whose crack leaves no segment.
-        degenerate = "alpha=2.0 leaves a vanishing segment of beta=2.0"
-        with pytest.raises(DegenerateSegment, match=degenerate):
-            det_sign_logmag(ks, 0.0, np.array([1.0, 2.0]), np.array([0.5, 2.0]), 1.0)
-
     def test_cracked_stack_against_cofactor_oracle(self):
         problem = make_problem(beta=1.3, eta=0.7, alpha=0.5, theta=1.2)
         ks = np.linspace(3.0, 900.0, 12)
@@ -625,13 +578,6 @@ class TestStackedKernel:
             assert 0 not in signs.tolist()[1::2]
             for k, sign in zip(ks, signs):
                 assert det_sign_logmag(float(k), eta, beta, alpha, 0.0)[0] == sign
-
-    def test_rejects_nonfinite_trial_values(self):
-        for K, eta in ((1.0, math.nan), (math.nan, 0.5), (math.inf, 0.5), (1.0, math.inf)):
-            with pytest.raises(ValueError, match="must be finite"):
-                quartic_roots(K, eta)
-        with pytest.raises(ValueError):
-            det_sign_logmag(np.array([1.0, math.nan]), 0.5, 1.0, 0.5, 0.0)
 
     def test_branch_of_a_stack(self):
         bases = [quartic_roots(k, 0.0) for k in (0.0, 0.5, 1.0, 5.0)]

@@ -113,6 +113,23 @@ class TestPhysicalTube:
         with pytest.raises(ValueError):
             PhysicalTube(1e12, 0.3e-9, 0.678e-9, 0.34e-9, 1.6e-15)
 
+    @pytest.mark.parametrize(
+        "youngs, radius, diameter, mass",
+        [
+            (1e12, 1e78, 0.678e-9, 1.6e-15),  # R**4 raises OverflowError
+            (1e12, 1e3, 1.0, 1e300),  # mass_per_length * R^4 is inf
+            (1e12, 1e-78, 1e-78, 1.6e-15),  # ... and 0
+            (1e308, 10.0, 10.0, 1.6e-15),  # E*I is inf
+            (1e-300, 10e-9, 0.678e-9, 1.6e-15),  # ... and 0
+            (1e12, 1e-89, 1e-90, 1.6e-15),  # I is 0
+        ],
+    )
+    def test_factors_of_omega_are_finite_and_positive(self, youngs, radius, diameter, mass):
+        # Each field is a positive finite float, but omega_from_K's E*I or
+        # mass_per_length*R^4 is not.
+        with pytest.raises(ValueError, match=r"I, E\*I and mass_per_length\*R\^4"):
+            PhysicalTube(youngs, radius, diameter, min(diameter, 0.34e-9), mass)
+
 
 class TestResolvePreset:
     def test_from_diameter(self):

@@ -67,7 +67,8 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize(
         "parameter, start, stop",
-        [("beta", 6.0, 7.0), ("eta", -1.0, 1.0), ("radius", 0.1e-9, 2e-9)],
+        [("beta", 6.0, 7.0), ("eta", -1.0, 1.0), ("radius", 0.1e-9, 2e-9),
+         ("radius", 1.0, 1e91)],  # the last: R^4 overflows
     )
     def test_invalid_range_end_rejected_before_solving(self, monkeypatch, parameter, start, stop):
         def no_solve(*args):
