@@ -31,14 +31,6 @@ log|F| in no error-state context. The matching path
 (:func:`quartic_roots`, :class:`ModeBasis` and :func:`assemble_cracked`)
 samples one cracked mode shape at its root and takes one K.
 
-:func:`det_sign_logmag` also takes its problem parameters (eta_nd, beta,
-alpha, theta_c) as arrays that broadcast to K's shape, so one call evaluates
-the K values of several problems, each against its own parameters; the
-solver scans the cracked problems of a sweep this way, and passes one
-problem's parameters as scalars. Since every operation is elementwise, each
-value is bit-identical to a call with that problem's scalar parameters.
-Scalar parameters take the scalar path, with no broadcast, which costs less.
-
 The kernel checks none of its input: callers pass valid problems, which
 :class:`model.ArchProblem` checks, and finite K >= 0 (the solver's own grid
 nodes and brackets, or a root :func:`solver.mode_shape` checks). Only
@@ -95,11 +87,6 @@ import numpy as np
 DEGENERACY_TOL = 1e-10
 # |F| at or below this fraction of its scale zeroes the sign (det_sign_logmag).
 PIVOT_ZERO_TOL = 1e-13
-
-
-def _any(mask) -> bool:
-    """Whether a mask holds anywhere: a Python bool, or any element of an array."""
-    return mask.any() if isinstance(mask, np.ndarray) else mask
 
 
 def _lam2_roots(p2, p0, masks=True):
@@ -255,10 +242,8 @@ def det_sign_logmag(K, eta_nd, beta, alpha, theta_c):
 
     Takes one K, giving (int, float), or an array of them, giving two arrays
     of its shape. The crack sits at ``alpha`` with compliance ``theta_c``;
-    an uncracked arch is the crack of zero compliance at any alpha.
-    ``eta_nd``, ``beta``, ``alpha`` and ``theta_c`` may also be arrays that
-    broadcast to K's shape, which evaluates several problems in one call,
-    each K with its own parameters. F is the function of the module
+    an uncracked arch is the crack of zero compliance at any alpha. The
+    problem parameters are floats. F is the function of the module
     docstring, with a hyperbolic pair divided by
     cosh(a2*alpha)*cosh(a2*(beta - alpha)), so it enters as tanh(a2*x)/a2
     and F stays bounded; at the repeated root the divided difference is
@@ -268,22 +253,20 @@ def det_sign_logmag(K, eta_nd, beta, alpha, theta_c):
     for a hyperbolic pair: at theta_c = 0 with two trigonometric pairs,
     |sin(a1*beta)*sin(a2*beta)| <= PIVOT_ZERO_TOL.
     """
-    stacked = np.ndarray in (type(eta_nd), type(beta), type(alpha), type(theta_c))
     one = not np.ndim(K)
     K = np.asarray(K, dtype=float).reshape(1) if one else np.asarray(K, dtype=float)
     k_lo, k_hi = (np.minimum.reduce(K, None), np.maximum.reduce(K, None)) if K.size else (0, 0)
-    eta_hi = eta_nd.max() if np.ndim(eta_nd) else eta_nd
-    # _lam2_roots builds its masks only if a K may lie in a window, for eta's
-    # largest value in a stack; ``wide`` (2 tol) covers rounding. Zero root:
-    # |1 - K| <= tol*(2 + K*eta), as p2 >= 2, and the ratio grows with |1 - K| on
-    # both sides of 1 and falls with eta, so it is >= d/(2 + (1 + d)*eta_hi) for d
-    # the least |1 - K|. Repeated root: |disc| <= tol*p2^2, but disc - tol*p2^2 >=
-    # 4*(K - tol) as disc = K*(4 + 4 eta + K eta^2).
+    # _lam2_roots builds its masks only if a K may lie in a window; ``wide`` (2
+    # tol) covers rounding. Zero root: |1 - K| <= tol*(2 + K*eta), as p2 >= 2,
+    # and the ratio grows with |1 - K| on both sides of 1 and falls with eta, so
+    # it is >= d/(2 + (1 + d)*eta) for d the least |1 - K|. Repeated root:
+    # |disc| <= tol*p2^2, but disc - tol*p2^2 >= 4*(K - tol) as
+    # disc = K*(4 + 4 eta + K eta^2).
     p0, wide = 1.0 - K, 2.0 * DEGENERACY_TOL
     masks = k_lo <= wide
     if not masks:
         d = k_lo - 1.0 if k_lo > 1.0 else 1.0 - k_hi if k_hi < 1.0 else np.abs(p0).min()
-        masks = d <= wide * (2.0 + (1.0 + d) * eta_hi)
+        masks = d <= wide * (2.0 + (1.0 + d) * eta_nd)
     mu1, mu2, repeated = _lam2_roots(2.0 + K * eta_nd, p0, masks)
     # The branch of mu2, decided once. Outside the windows mu2 = p0/mu1 is
     # nonzero with the sign of -p0 (mu1 < 0): hyperbolic (True) for every K
@@ -295,11 +278,7 @@ def det_sign_logmag(K, eta_nd, beta, alpha, theta_c):
         hyp, zero = True if k_lo > 1.0 else False if k_hi < 1.0 else p0 < 0.0, None
     # beta, alpha and gamma as the rows of one array, so each function of
     # them runs once.
-    if stacked:
-        x = np.empty((3, *np.broadcast(beta, alpha, mu1).shape))
-        x[0], x[1], x[2] = beta, alpha, beta - alpha
-    else:
-        x = np.array((beta, alpha, beta - alpha)).reshape((3,) + (1,) * K.ndim)
+    x = np.array((beta, alpha, beta - alpha)).reshape((3,) + (1,) * K.ndim)
     a1 = np.sqrt(-mu1)
     s1, o_a, o_g = np.sin(a1 * x) / a1
     # The pair of mu2 at x and B2 of the sign-0 rule: tanh(a2*x)/a2 is
@@ -323,21 +302,31 @@ def det_sign_logmag(K, eta_nd, beta, alpha, theta_c):
         s2, t_a, t_g = o
         np.add(t_a, t_g, out=s2, where=hyp)
         b2 = np.where(hyp, s2, 1.0 / a2 if zero is None else np.where(zero, beta, 1.0 / a2))
-    # In a stack, a problem with theta_c = 0 gets a zero term here, which
-    # leaves its F and sign as those of the scalar call.
     extra = 0.0
-    if _any(theta_c > 0.0):
+    if theta_c > 0.0:
         r = repeated if repeated is not None and repeated.any() else None
         gap = mu1 - mu2 if r is None else np.where(r, 1.0, mu1 - mu2)
-        dd = (s1 * t_a * t_g - s2 * o_a * o_g) / gap
+        num = s1 * t_a * t_g - s2 * o_a * o_g
         if r is not None:
             # S'*A - S*A' with h = d o/d mu at beta, alpha and gamma.
-            xr = x[:, r] if stacked else x.reshape(3, 1)
+            xr = x.reshape(3, 1)
             t = a1[r] * xr
             _, h = _repeated_pair(mu1[r], xr, np.cos(t), np.sin(t) / a1[r])
             o_a, o_g = o_a[r], o_g[r]
-            dd[r] = h[0] * o_a * o_g - s1[r] * (h[1] * o_g + o_a * h[2])
-        extra = theta_c * mu1 * mu2 * dd
+            num[r] = h[0] * o_a * o_g - s1[r] * (h[1] * o_g + o_a * h[2])
+        # |mu1| and |mu1*mu2| = |1 - K| are at most 3 + K*(1 + eta), and
+        # |num/gap| below 1e7 (|num| <= beta^3/2, |gap| > 2e-5 off the
+        # repeated-root window), so below this bound the product is finite.
+        # Above it theta_c*mu1*mu2 may overflow while num/gap underflows to
+        # 0, and inf*0 is NaN: there the factors are regrouped, theta_c*num
+        # and mu1/gap*mu2 each in range.
+        if theta_c * (3.0 + float(k_hi) * (1.0 + eta_nd)) < 1e290:
+            extra = theta_c * mu1 * mu2 * (num / gap)
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                extra = theta_c * mu1 * mu2 * (num / gap)
+            bad = ~np.isfinite(extra)
+            extra[bad] = theta_c * num[bad] * (mu1[bad] / gap[bad] * mu2[bad])
     f = s1 * s2 + extra
     size = np.abs(f)
     sign = np.sign(f).astype(int)
@@ -346,7 +335,7 @@ def det_sign_logmag(K, eta_nd, beta, alpha, theta_c):
         logmag = np.log(size)
     else:  # log(0) is -inf, taken without numpy's divide-by-zero warning
         logmag = np.log(size, out=np.full(size.shape, -np.inf), where=size > 0.0)
-    if one and not stacked:
+    if one:
         return int(sign[0]), float(logmag[0])
     return sign, logmag
 
@@ -378,10 +367,12 @@ def det_sign_logmag_at(K: float, eta_nd: float, beta: float, alpha: float, theta
             x = np.array([beta, alpha, gamma])
             _, h = _repeated_pair(mu1, x, np.cos(a1 * x), np.sin(a1 * x) / a1)
             h_b, h_a, h_g = h.tolist()
-            dd = h_b * o_a * o_g - s1 * (h_a * o_g + o_a * h_g)
+            num, gap = h_b * o_a * o_g - s1 * (h_a * o_g + o_a * h_g), 1.0
         else:
-            dd = (s1 * t_a * t_g - s2 * o_a * o_g) / (mu1 - mu2)
-        extra = theta_c * mu1 * mu2 * dd
+            num, gap = s1 * t_a * t_g - s2 * o_a * o_g, mu1 - mu2
+        extra = theta_c * mu1 * mu2 * (num / gap)
+        if not abs(extra) < math.inf:  # NaN or inf: regrouped as in det_sign_logmag
+            extra = theta_c * num * (mu1 / gap * mu2)
     f = s1 * s2 + extra
     size = abs(f)
     if size <= PIVOT_ZERO_TOL * (b2 / a1 + abs(extra)):

@@ -21,21 +21,16 @@ only: :func:`mode_shape` samples an uncracked root's shape as its sine and
 a cracked one's from the null vector of its crack's matching matrix.
 
 :func:`find_frequencies` also takes a sequence of problems, as a sweep or
-the validation table has. Each uncracked one is its closed form; the cracked
-ones are scanned in lockstep, ``_BATCH`` at a time: each scan call evaluates
-the next block of every problem still scanning, each K against its own
-problem's parameters, and the brackets of all of them are refined in one
-:func:`refine_root` call. It returns one entry per problem: its
+the validation table has, and solves each alone: its closed form, or its own
+scan and refinement. It returns one entry per problem: its
 :class:`Spectrum`, or the :class:`NoRootsInRange` its own solve would raise.
 Every array-kernel call goes through :func:`boundary_determinant`, which
-takes cracked problems only (a crack of zero compliance is one) and passes
-one problem's parameters as scalars, several as a stack with one column per
-K.
+takes a cracked problem only (a crack of zero compliance is one).
 
 Everything is deterministic: the same problem and configuration produce
 bit-identical spectra, whatever the block size or the other problems of a
-batch, because the kernel evaluates each K of a stack independently and
-each bracket is refined alone.
+call, because the kernel evaluates each K independently, each problem is
+searched alone and each bracket is refined alone.
 
 An uncracked solve imports neither numpy nor :mod:`kernel`: each function
 that works on arrays or calls the kernel imports them itself, so numpy loads
@@ -73,10 +68,6 @@ _MAX_EVALUATIONS = 200
 # and let the scan stop early: with the default k_max the requested roots
 # almost always lie in the first block.
 _BLOCK = 256
-# Problems per lockstep search (find_frequencies): a scan call holds at most
-# _BATCH * _BLOCK K values, so a long sweep's stacks stay as small as a short
-# one's.
-_BATCH = 16
 # A mode shape whose largest sample is at or below _NOISE times its amplitude,
 # its largest |X| at 64 cell midpoints of [0, beta], reads +0.0 throughout.
 _NOISE = 1e-8
@@ -173,33 +164,19 @@ class _Tally(threading.local):
 _tally = _Tally()
 
 
-def boundary_determinant(problems, K, runs=()):
-    """Sign and log-magnitude of cracked problems' reduced characteristic function.
+def boundary_determinant(problem: ArchProblem, K):
+    """Sign and log-magnitude of a cracked problem's reduced characteristic function.
 
-    ``problems`` is a sequence of cracked problems (a crack of zero
-    compliance is one), and ``runs`` gives each K's index into it, as
-    (index, length) pairs of consecutive K values covering all of K, which
-    one problem need not give. One K gives (int, float), a K array two
-    arrays of its shape; no matrix is assembled
-    (:func:`kernel.det_sign_logmag`). One problem's parameters are passed as
-    scalars, several as a (4, N) stack with one column per K: the scalar
-    call costs less, and each value is bit-identical either way.
+    ``problem`` is cracked (a crack of zero compliance is one). One K gives
+    (int, float), a K array two arrays of its shape; no matrix is assembled
+    (:func:`kernel.det_sign_logmag`).
     """
     import numpy as np
     from . import kernel
-    size = K.size if isinstance(K, np.ndarray) else 1
     _tally.calls += 1
-    _tally.values += size
-    if len(problems) == 1:
-        p = problems[0]
-        return kernel.det_sign_logmag(K, p.eta_nd, p.beta, p.crack.alpha, p.crack.theta_c)
-    index = np.repeat(*zip(*runs))
-    cracks = [p.crack for p in problems]
-    stack = np.array([
-        [p.eta_nd for p in problems], [p.beta for p in problems],
-        [c.alpha for c in cracks], [c.theta_c for c in cracks],
-    ])
-    return kernel.det_sign_logmag(K, *stack[:, index])
+    _tally.values += K.size if isinstance(K, np.ndarray) else 1
+    crack = problem.crack
+    return kernel.det_sign_logmag(K, problem.eta_nd, problem.beta, crack.alpha, crack.theta_c)
 
 
 def _resolved(problem: ArchProblem, cfg: SearchConfig) -> SearchConfig:
@@ -356,98 +333,72 @@ def _count_below(problem: ArchProblem, K: float) -> int:
     return math.floor(rising) - math.floor(falling)
 
 
-def scan_and_bracket(problems, cfg: SearchConfig) -> list:
-    """Locate determinant sign changes of each problem over its K range.
+def scan_and_bracket(problem: ArchProblem, cfg: SearchConfig):
+    """Locate determinant sign changes of a cracked problem over its K range.
 
-    ``problems`` is a sequence of cracked problems scanned in lockstep: each
-    kernel call evaluates the next block of every problem still scanning, at
-    most ``_BLOCK`` K values, and a first block ends at the upper guide of
-    the (max_modes + 1)-th smallest K_n above k_min, one mode to spare for a
-    crack's shift. A scan stops after the first block that leaves
+    Each kernel call evaluates the next block of the grid, at most
+    ``_BLOCK`` K values, and a first block ends at the upper guide of the
+    (max_modes + 1)-th smallest K_n above k_min, one mode to spare for a
+    crack's shift. The scan stops after the first block that leaves
     ``max_modes`` candidates, brackets and dips, in hand: the first
     candidates of the whole grid, in order. A node of sign 0 is one
-    zero-width bracket, even at a double root. Each problem keeps its own
-    ``cfg`` range, grid, blocks and early stop, so its entry is the one a
-    scan of it alone gives.
+    zero-width bracket, even at a double root.
 
-    Returns one entry per problem: its :class:`ScanResult`, or a
-    :class:`NoRootsInRange` when its scan yields no bracket, a dip among its
-    first ``max_modes`` candidates (named by its K; a dip above is ignored),
-    fewer than ``max_modes`` candidates below the limit past which its grid's
-    guides do not tell the modes apart (:func:`_grid_nodes`), once the scan
-    passes it, or N(k_max) (:func:`_count_below`) overflows, a range beyond
-    doubles.
+    Returns a :class:`ScanResult`, or a :class:`NoRootsInRange` when the scan
+    yields no bracket, a dip among its first ``max_modes`` candidates (named
+    by its K; a dip above is ignored), fewer than ``max_modes`` candidates
+    below the limit past which the grid's guides do not tell the modes apart
+    (:func:`_grid_nodes`), once the scan passes it, or N(k_max)
+    (:func:`_count_below`) overflows, a range beyond doubles.
     """
     import numpy as np
-    cfgs = [_resolved(p, cfg) for p in problems]
-    grids = [None] * len(problems)
-    scanned = [(None, None)] * len(problems)  # signs and logs of each prefix
-    results = [None] * len(problems)
-    ends = [0] * len(problems)  # the end of each problem's scanned prefix
-    limits = [math.inf] * len(problems)  # where each grid stops resolving the modes
-    active = []
-    for i, (p, k_range) in enumerate(zip(problems, cfgs)):
-        try:
-            _count_below(p, k_range.k_max)
-            active.append(i)
-        except OverflowError:
-            results[i] = _beyond(k_range)
-    while active:
-        # Each grid is built through the next block and one node more, which
+    k_range = _resolved(problem, cfg)
+    try:
+        _count_below(problem, k_range.k_max)
+    except OverflowError:
+        return _beyond(k_range)
+    end, signs, logs = 0, None, None  # the end, signs and logs of the scanned prefix
+    while True:
+        # The grid is built through the next block and one node more, which
         # tells whether it goes on.
-        chunks = []
-        for i in active:
-            start, kns = ends[i], []
-            grids[i], limits[i] = _grid_nodes(problems[i], cfgs[i], start + _BLOCK + 1, kns)
-            ends[i] = start + _BLOCK
-            if not start and len(kns) > cfg.max_modes:
-                top = sorted(kns)[cfg.max_modes] * (1.0 + _GUIDE_OFFSET)
-                ends[i] = min(_BLOCK, int(np.searchsorted(grids[i], top, "right")))
-            chunks.append(grids[i][start : ends[i]])
-        sizes = [c.size for c in chunks]
-        offsets = (0, *itertools.accumulate(sizes))
-        new_signs, new_logs = boundary_determinant(
-            problems, np.concatenate(chunks), list(zip(active, sizes))
+        start, kns = end, []
+        nodes, limit = _grid_nodes(problem, k_range, start + _BLOCK + 1, kns)
+        end = start + _BLOCK
+        if not start and len(kns) > cfg.max_modes:
+            top = sorted(kns)[cfg.max_modes] * (1.0 + _GUIDE_OFFSET)
+            end = min(_BLOCK, int(np.searchsorted(nodes, top, "right")))
+        new_signs, new_logs = boundary_determinant(problem, nodes[start:end])
+        if signs is None:
+            signs, logs = new_signs, new_logs
+        else:
+            signs, logs = np.concatenate([signs, new_signs]), np.concatenate([logs, new_logs])
+        lower, upper, dips = _candidates(nodes, signs, logs)
+        if limit < nodes[signs.size - 1] and cfg.max_modes > (
+            np.searchsorted(nodes[upper], limit, "right") + sum(d < limit for d in dips)
+        ):
+            return _beyond(k_range, "holds modes closer than the grid tells apart")
+        if end >= nodes.size or lower.size + len(dips) >= cfg.max_modes:
+            break
+    if dips and np.searchsorted(nodes[lower], dips[0]) < cfg.max_modes:
+        return NoRootsInRange(
+            f"the determinant dips without a sign change at K = {dips[0]!r}:"
+            " an even number of roots may lie there unbracketed"
         )
-        scanning = []
-        for i, lo, hi in zip(active, offsets, offsets[1:]):
-            signs, logs = new_signs[lo:hi], new_logs[lo:hi]
-            if scanned[i][0] is not None:
-                signs = np.concatenate([scanned[i][0], signs])
-                logs = np.concatenate([scanned[i][1], logs])
-            scanned[i] = signs, logs
-            nodes = grids[i]
-            lower, upper, dips = _candidates(nodes, signs, logs)
-            more, limit = ends[i] < nodes.size, limits[i]
-            if limit < nodes[signs.size - 1] and cfg.max_modes > (
-                np.searchsorted(nodes[upper], limit, "right") + sum(d < limit for d in dips)
-            ):
-                results[i] = _beyond(cfgs[i], "holds modes closer than the grid tells apart")
-            elif more and lower.size + len(dips) < cfg.max_modes:
-                scanning.append(i)
-            elif dips and np.searchsorted(nodes[lower], dips[0]) < cfg.max_modes:
-                results[i] = NoRootsInRange(
-                    f"the determinant dips without a sign change at K = {dips[0]!r}:"
-                    " an even number of roots may lie there unbracketed"
-                )
-            elif not lower.size:
-                results[i] = _short(0, cfgs[i])
-            else:
-                n, at = lower.size, np.concatenate((lower, upper))
-                ks, values = nodes[at].tolist(), tuple(zip(signs[at].tolist(), logs[at].tolist()))
-                results[i] = ScanResult(
-                    brackets=tuple(zip(ks[:n], ks[n:])), end_values=tuple(zip(values[:n], values[n:]))
-                )
-        active = scanning
-    return results
+    if not lower.size:
+        return _short(0, k_range)
+    n, at = lower.size, np.concatenate((lower, upper))
+    ks, values = nodes[at].tolist(), tuple(zip(signs[at].tolist(), logs[at].tolist()))
+    return ScanResult(
+        brackets=tuple(zip(ks[:n], ks[n:])), end_values=tuple(zip(values[:n], values[n:]))
+    )
 
 
-def refine_root(brackets, problems, cfg: SearchConfig, end_values) -> np.ndarray:
+def refine_root(brackets, problem: ArchProblem, cfg: SearchConfig, end_values) -> np.ndarray:
     """Refine sign-change brackets down to refine_tol * max(1, K), one at a time.
 
-    ``brackets`` is a sequence of M (lo, hi) pairs, giving an array of M
-    roots (an empty one for no pairs). ``problems`` holds the cracked problem
-    of each pair. ``end_values`` are the determinant's (sign, log-magnitude)
+    ``brackets`` is a sequence of M (lo, hi) pairs of the cracked
+    ``problem``, giving an array of M roots (an empty one for no pairs).
+    ``end_values`` are the determinant's (sign, log-magnitude)
     at each bracket's ends, ((s_lo, m_lo), (s_hi, m_hi)) per pair (ignored
     for a zero-width pair), as the scan hands them on. A zero-width bracket
     is its own root, an end of sign 0 is the root, and the other brackets
@@ -466,8 +417,8 @@ def refine_root(brackets, problems, cfg: SearchConfig, end_values) -> np.ndarray
     import numpy as np
     from . import kernel
     return np.array(
-        [_brent(p, float(lo), float(hi), ends, cfg.refine_tol, kernel.det_sign_logmag_at)
-         for (lo, hi), p, ends in zip(brackets, problems, end_values)],
+        [_brent(problem, float(lo), float(hi), ends, cfg.refine_tol, kernel.det_sign_logmag_at)
+         for (lo, hi), ends in zip(brackets, end_values)],
         dtype=float,
     )
 
@@ -557,20 +508,16 @@ def find_frequencies(problem, cfg: SearchConfig | None = None):
 
     ``problem`` is one :class:`ArchProblem`, giving its :class:`Spectrum`, or
     a sequence of problems, cracked or not, giving one entry per problem, in
-    order: its Spectrum, or the NoRootsInRange its own solve would raise,
-    bit for bit (cracked ones are searched in lockstep, as the module
-    docstring says). Logs one debug line per call: the problems, the
-    scan's array-kernel calls and K values, the refinement's one-K
-    evaluations, the brackets refined (the searched roots) and the short
-    solves.
+    order: its Spectrum, or the NoRootsInRange its own solve would raise.
+    Logs one debug line per call: the problems, the scan's array-kernel
+    calls and K values, the refinement's one-K evaluations, the brackets
+    refined (the searched roots) and the short solves.
     """
     single = isinstance(problem, ArchProblem)
     problems = [problem] if single else list(problem)
     cfg = cfg if cfg is not None else SearchConfig()
     calls, values, evals = _tally.calls, _tally.values, _tally.evals
-    entries = []
-    for start in range(0, len(problems), _BATCH):
-        entries += _solve_group(problems[start : start + _BATCH], cfg)
+    entries = [_solve(p, cfg) for p in problems]
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug(
             "find_frequencies: %d problems, %d scan kernel calls, %d K values, "
@@ -586,32 +533,18 @@ def find_frequencies(problem, cfg: SearchConfig | None = None):
     return entries[0]
 
 
-def _solve_group(problems: list[ArchProblem], cfg: SearchConfig) -> list:
-    """Spectra (or NoRootsInRange) of a few problems: closed forms, and one search of the cracked."""
-    cracked = [p for p in problems if p.crack is not None]
-    scans = iter(scan_and_bracket(cracked, cfg) if cracked else ())
-    entries, brackets, values, owners = [], [], [], []
-    for p in problems:
-        if p.crack is None:
-            entries.append(_closed_form_spectrum(p, cfg))
-            continue
-        scan = next(scans)
-        if isinstance(scan, NoRootsInRange):
-            entries.append(scan)
-            continue
-        found = scan.brackets[: cfg.max_modes]
-        if len(found) < cfg.max_modes:
-            entries.append(_short(len(found), _resolved(p, cfg)))
-            continue
-        entries.append(None)
-        brackets += found
-        values += scan.end_values[: cfg.max_modes]
-        owners += [p] * len(found)
-    if not brackets:
-        return entries
-    ks, m = refine_root(brackets, owners, cfg, values).tolist(), cfg.max_modes
-    spectra = iter([Spectrum(tuple(map(Root, ks[i : i + m]))) for i in range(0, len(ks), m)])
-    return [next(spectra) if e is None else e for e in entries]
+def _solve(problem: ArchProblem, cfg: SearchConfig):
+    """One problem's Spectrum, or its NoRootsInRange: its closed form, or its search."""
+    if problem.crack is None:
+        return _closed_form_spectrum(problem, cfg)
+    scan = scan_and_bracket(problem, cfg)
+    if isinstance(scan, NoRootsInRange):
+        return scan
+    found = scan.brackets[: cfg.max_modes]
+    if len(found) < cfg.max_modes:
+        return _short(len(found), _resolved(problem, cfg))
+    ks = refine_root(found, problem, cfg, scan.end_values[: cfg.max_modes])
+    return Spectrum(tuple(map(Root, ks.tolist())))
 
 
 def _closed_form_spectrum(problem: ArchProblem, cfg: SearchConfig):

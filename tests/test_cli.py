@@ -640,8 +640,9 @@ _SEARCH = {
     "modes": (["1", "3", "12"], ["0"]),
 }
 # Each failed once with a traceback or a numpy warning: a tube whose I, E*I
-# or mu*R^4 overflows or underflows, and a range near the largest float at
-# eta = 0, whose uniform grid nodes i*span/(points - 1) overflowed.
+# or mu*R^4 overflows or underflows, a range near the largest float at
+# eta = 0, whose uniform grid nodes i*span/(points - 1) overflowed, and one
+# at eta = 5e-324, where the crack term theta_c*mu1*mu2 overflowed.
 _KNOWN = [
     (["freq", "--radius-nm", "1e87", "--chirality", "armchair"], None),
     (["freq", "--eta-nm2", "1", "--radius-nm", "1e200", "--chirality", "armchair"], None),
@@ -655,6 +656,9 @@ _KNOWN = [
      {"k-min": "1e300", "k-max": "4e307"}),
     (["freq", "--beta", "6.2831853", "--eta", "0", "--crack-psi", "0.999999",
       "--crack-alpha", "0.9"], {"k-min": "1e20", "k-max": "4e307", "grid-points": "16"}),
+    (["freq", "--beta", "6.283185307179585", "--eta", "5e-324", "--crack-psi",
+      "0.9999999999999999", "--crack-alpha", "3.1415926535897927", "--diameter-nm", "0.5"],
+     {"k-min": "1e300", "k-max": "4e307"}),
 ]
 
 

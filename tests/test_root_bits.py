@@ -3,11 +3,11 @@
 The sweep goldens print nine digits, so a drift in the last bits of a root
 passes them. ``golden/cracked_roots.csv`` holds roots as ``float.hex``, one
 row each: ``solve`` rows are five-mode solves of one problem, drawn as the
-benchmark's ``cracked`` workload draws them; ``batch`` rows are one lockstep
-call over more problems than a batch holds, at ten modes on a grid long
-enough to take two scan blocks, one problem with a crack of zero
-compliance; ``polish`` rows are the re-tightened roots of a few cracked mode
-shapes. A deliberate change of the roots rewrites the table with
+benchmark's ``cracked`` workload draws them; ``batch`` rows are one call
+over a sequence of 18 problems, at ten modes on a grid long enough to take
+two scan blocks, one problem with a crack of zero compliance; ``polish``
+rows are the re-tightened roots of a few cracked mode shapes. A deliberate
+change of the roots rewrites the table with
 ``python tests/test_root_bits.py`` and records why.
 """
 
@@ -23,6 +23,7 @@ TABLE = Path(__file__).parent / "golden" / "cracked_roots.csv"
 FIELDS = ("case", "beta", "eta", "alpha", "theta_c", "mode", "K")
 SOLVE = SearchConfig(max_modes=5)
 BATCH = SearchConfig(max_modes=10, grid_points=4000)
+BATCH_SIZE = 18
 
 
 def _armchair_theta(psi):
@@ -55,7 +56,7 @@ def _rows():
     solved = [_draw(rng) for _ in range(40)]
     for p in solved:
         add("solve", p, enumerate(find_frequencies(p, SOLVE).K_values, 1))
-    batch = [_draw(rng) for _ in range(solver._BATCH + 2)]
+    batch = [_draw(rng) for _ in range(BATCH_SIZE)]
     batch[-1] = ArchProblem(batch[-1].beta, batch[-1].eta_nd, CrackJoint(0.5 * batch[-1].beta, 0.0))
     for p, spectrum in zip(batch, find_frequencies(batch, BATCH)):
         add("batch", p, enumerate(spectrum.K_values, 1))
@@ -68,7 +69,7 @@ def _rows():
 def test_cracked_roots_are_bit_identical_to_the_table():
     with TABLE.open(newline="") as f:
         table = list(csv.DictReader(f))
-    assert [r["case"] for r in table].count("batch") == 10 * (solver._BATCH + 2)
+    assert [r["case"] for r in table].count("batch") == 10 * BATCH_SIZE
     expected = [[r[f] for f in FIELDS] for r in table]
     assert _rows() == expected
 

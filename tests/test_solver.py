@@ -26,7 +26,7 @@ from arch_resonance import kernel, solver
 from arch_resonance.cli import main
 from arch_resonance.kernel import quartic_roots
 from arch_resonance.model import BETA_MIN, SEGMENT_TOL
-from arch_resonance.solver import boundary_determinant, refine_root, scan_and_bracket
+from arch_resonance.solver import ScanResult, boundary_determinant, refine_root, scan_and_bracket
 from conftest import make_problem, matching_matrix, reduced_det_mp, rel_err
 
 K1_B1_E0 = 78.6698822318237
@@ -58,7 +58,7 @@ def _exact_sine(n, samples):
 
 def _scan(problem, cfg=SearchConfig()):
     """The problem's scan alone: its ScanResult or its NoRootsInRange."""
-    return scan_and_bracket([problem], cfg)[0]
+    return scan_and_bracket(problem, cfg)
 
 
 def _whole_scan(problem, cfg=SearchConfig()):
@@ -71,8 +71,8 @@ def _whole_scan(problem, cfg=SearchConfig()):
 
 def _refine(pair, problem, cfg=SearchConfig()):
     """One bracket's root, with its end values evaluated here."""
-    ends = tuple(boundary_determinant([problem], k) for k in pair)
-    return refine_root([pair], [problem], cfg, [ends]).item()
+    ends = tuple(boundary_determinant(problem, k) for k in pair)
+    return refine_root([pair], problem, cfg, [ends]).item()
 
 
 class TestSearchConfig:
@@ -113,8 +113,8 @@ class TestScanAndBracket:
         for problem in (_zero_crack(eta=0.5), make_problem(eta=0.5, alpha=0.3, theta=2.0)):
             result = _whole_scan(problem, SearchConfig(k_max=5000.0))
             for lo, hi in result.brackets:
-                s_lo, _ = boundary_determinant([problem], lo)
-                s_hi, _ = boundary_determinant([problem], hi)
+                s_lo, _ = boundary_determinant(problem, lo)
+                s_hi, _ = boundary_determinant(problem, hi)
                 if problem.crack.theta_c == 0.0:
                     assert lo == hi and s_lo == 0
                 else:
@@ -131,10 +131,10 @@ class TestRefineRoot:
         assert rel_err(k, K1_B1_E1) < 1e-8
 
     def test_degenerate_bracket_returns_endpoint(self):
-        assert refine_root([(42.0, 42.0)], [_zero_crack()], SearchConfig(), [None]).item() == 42.0
+        assert refine_root([(42.0, 42.0)], _zero_crack(), SearchConfig(), [None]).item() == 42.0
 
     def test_empty_bracket_list(self):
-        roots = refine_root([], [], SearchConfig(), [])
+        roots = refine_root([], _zero_crack(), SearchConfig(), [])
         assert isinstance(roots, np.ndarray) and roots.shape == (0,)
 
     def test_unbracketed_rejected(self):
@@ -201,7 +201,7 @@ class TestFindFrequencies:
         # K = 0 is the repeated characteristic root; the cracked determinant
         # must not read it as a root.
         problem = make_problem(eta=0.5, alpha=0.3, theta=0.7)
-        assert boundary_determinant([problem], 0.0)[0] != 0
+        assert boundary_determinant(problem, 0.0)[0] != 0
         base = find_frequencies(problem)
         from_zero = find_frequencies(problem, SearchConfig(k_min=0.0))
         assert len(from_zero) == len(base)
@@ -344,16 +344,16 @@ class TestModeShape:
         # 1e-13 max(1, K) of a sign change there.
         k = find_frequencies(problem, SearchConfig(max_modes=mode)).roots[-1].K
         deltas = np.array([1e-10, 1e-9, 1e-8, 1e-7, 1e-6]) * max(1.0, k)
-        signs, _ = boundary_determinant([problem], np.concatenate([k - deltas, k + deltas]))
+        signs, _ = boundary_determinant(problem, np.concatenate([k - deltas, k + deltas]))
         rung = next(i for i in range(5) if signs[i] * signs[i + 5] != 1)
         lo, hi = k - deltas[rung], k + deltas[rung]
         polished = solver._polish(problem, k)
         assert lo <= polished <= hi
         if signs[rung] == 0 or signs[rung + 5] == 0:
             assert polished == (lo if signs[rung] == 0 else hi)
-        elif boundary_determinant([problem], polished)[0] != 0:
+        elif boundary_determinant(problem, polished)[0] != 0:
             d = 1e-13 * max(1.0, polished)
-            around = boundary_determinant([problem], np.array([polished - d, polished + d]))[0]
+            around = boundary_determinant(problem, np.array([polished - d, polished + d]))[0]
             assert around[0] * around[1] == -1
 
     def test_uncracked_shape_takes_no_kernel_call(self):
@@ -724,8 +724,7 @@ class TestRefineOnlyReturned:
     def test_batch_matches_single_brackets(self):
         problem = make_problem(eta=0.5, alpha=0.3, theta=2.0)
         scan = _whole_scan(problem, SearchConfig(k_max=3000.0))
-        owners = [problem] * len(scan.brackets)
-        batch = refine_root(scan.brackets, owners, SearchConfig(), scan.end_values)
+        batch = refine_root(scan.brackets, problem, SearchConfig(), scan.end_values)
         singles = [_refine(b, problem) for b in scan.brackets]
         assert batch.tolist() == singles
 
@@ -733,8 +732,8 @@ class TestRefineOnlyReturned:
         problem = make_problem(eta=0.5, alpha=0.3, theta=2.0)
         scan = _whole_scan(problem, SearchConfig(k_max=3000.0))
         for (lo, hi), (at_lo, at_hi) in zip(scan.brackets, scan.end_values):
-            assert boundary_determinant([problem], lo) == at_lo
-            assert boundary_determinant([problem], hi) == at_hi
+            assert boundary_determinant(problem, lo) == at_lo
+            assert boundary_determinant(problem, hi) == at_hi
             # The crack at alpha = 0.3 = 3 beta / 10 sits on a zero of mode
             # 10's curvature, so K_10 = 1965.94 stays a root: the midpoint of
             # its guide pair, of sign 0, is a zero-width bracket.
@@ -799,29 +798,10 @@ class TestBatchedSearch:
             _assert_same_entry(entry, _alone(problem, cfg))
         assert len(entries[2]) == 2
 
-    def test_more_problems_than_one_group(self, monkeypatch):
-        # Five cracked problems in groups of two: three lockstep scans.
-        monkeypatch.setattr(solver, "_BATCH", 2)
-        scans, original = [], solver.scan_and_bracket
-        monkeypatch.setattr(
-            solver,
-            "scan_and_bracket",
-            lambda problems, *args, **kwargs: scans.append(len(problems))
-            or original(problems, *args, **kwargs),
-        )
-        problems = [
-            make_problem(beta=b, eta=0.5, alpha=0.4 * b, theta=0.8)
-            for b in (0.5, 1.0, 1.5, 2.0, 2.5)
-        ]
-        cfg = SearchConfig(max_modes=3)
-        entries = find_frequencies(problems, cfg)
-        assert scans == [2, 2, 1]
-        for problem, entry in zip(problems, entries):
-            _assert_same_entry(entry, _alone(problem, cfg))
-
     def test_mixed_batch_matches_solves_alone(self):
-        # Uncracked problems among cracked ones: each entry of the search, the
-        # scan and the bisection is the one of that problem alone, bit for bit.
+        # Uncracked problems among cracked ones: each entry of the search is
+        # the one of that problem alone, bit for bit, and so are its scan and
+        # refinement, repeated after the other problems'.
         problems = [
             make_problem(eta=0.5), make_problem(alpha=0.4, theta=0.8),
             make_problem(beta=2.0), make_problem(beta=2.0, eta=1.0, alpha=1.5, theta=0.0),
@@ -831,20 +811,15 @@ class TestBatchedSearch:
             _assert_same_entry(entry, _alone(problem, cfg))
         # The search internals take the uncracked ones as the crack of zero compliance.
         searched = [p if p.crack else _zero_crack(p.beta, p.eta_nd) for p in problems]
-        scans = scan_and_bracket(searched, cfg)
-        assert scans == [_scan(problem, cfg) for problem in searched]
-        pairs = [scan.brackets[0] for scan in scans]
-        ends = [scan.end_values[0] for scan in scans]
-        roots = refine_root(pairs, searched, cfg, ends).tolist()
-        assert roots == [_refine(pair, problem) for pair, problem in zip(pairs, searched)]
-
-    def test_runs_give_the_problem_of_every_k(self):
-        # Several problems take runs, (index, length) pairs over the K values.
-        problems = [_zero_crack(), make_problem(alpha=0.3, theta=0.5)]
-        K = np.array([0.5, 2.0, 3.0])
-        owners = [*problems, problems[1]]
-        alone = [boundary_determinant([p], K[i : i + 1])[0].item() for i, p in enumerate(owners)]
-        assert boundary_determinant(problems, K, [(0, 1), (1, 2)])[0].tolist() == alone
+        scans = [scan_and_bracket(problem, cfg) for problem in searched]
+        roots = [
+            refine_root(scan.brackets, problem, cfg, scan.end_values).tolist()
+            for problem, scan in zip(searched, scans)
+        ]
+        # Again in reverse order, and each bracket alone: no solve leaves state behind.
+        for problem, scan, ks in reversed(list(zip(searched, scans, roots))):
+            assert scan_and_bracket(problem, cfg) == scan
+            assert ks == [_refine(pair, problem, cfg) for pair in scan.brackets]
 
     def test_empty_batch(self):
         assert find_frequencies([]) == []
@@ -858,13 +833,13 @@ class TestBatchedSearch:
             find_frequencies([make_problem(beta=b) for b in (1.0, 2.0)], SearchConfig(max_modes=2))
         lines = [r.getMessage() for r in caplog.records if r.name == "arch_resonance.solver"]
         # Below k_max = 10, beta = 1 has no root and beta = 2 one, so both scan
-        # their whole grids of 2002 and 2005 nodes (8 blocks: 2000 uniform,
-        # the guides at K = 1 and, for beta = 2, the guides and midpoint of
-        # K_1 = 2.15); beta = 6 stops after its first block, and its two
-        # roots take six one-K evaluations. The uncracked batch is its closed
-        # form: no kernel call, and no bracket refined.
+        # their whole grids of 2002 and 2005 nodes in 8 blocks each (2000
+        # uniform, the guides at K = 1 and, for beta = 2, the guides and
+        # midpoint of K_1 = 2.15); beta = 6 stops after its first block, and
+        # its two roots take six one-K evaluations. The uncracked problems
+        # are their closed forms: no kernel call, and no bracket refined.
         assert lines == [
-            "find_frequencies: 3 problems, 8 scan kernel calls, 4263 K values, "
+            "find_frequencies: 3 problems, 17 scan kernel calls, 4263 K values, "
             "6 refinement evaluations, 2 brackets refined, 2 short",
             "find_frequencies: 1 problems, 1 scan kernel calls, 38 K values, "
             "5 refinement evaluations, 1 brackets refined, 0 short",
@@ -890,10 +865,9 @@ def _dip(monkeypatch, problem):
     original = solver.boundary_determinant
     hits = []
 
-    def dipping(problems, K, runs=()):
-        signs, logs = original(problems, K, runs)
-        betas = np.array([p.beta for p in problems])
-        hit = (K == k) & (betas[np.repeat(*zip(*runs)) if runs else 0] == problem.beta)
+    def dipping(searched, K):
+        signs, logs = original(searched, K)
+        hit = (K == k) & (searched.beta == problem.beta)
         if hit.any():
             hits.append(k)
         return signs, np.where(hit, logs - 4.0 * solver._DIP_THRESHOLD, logs)
@@ -981,8 +955,7 @@ def _whole_grid_spectrum(problem, cfg):
     order, each bracket one root, as find_frequencies does.
     """
     scan = _whole_scan(problem, cfg)
-    owners = [problem] * len(scan.brackets)
-    ks = solver.refine_root(scan.brackets, owners, cfg, end_values=scan.end_values)
+    ks = solver.refine_root(scan.brackets, problem, cfg, end_values=scan.end_values)
     return tuple(solver.Root(K=k) for k in ks.tolist())[: cfg.max_modes]
 
 
@@ -1085,7 +1058,7 @@ class TestEarlyExitScan:
         monkeypatch.setattr(
             solver,
             "scan_and_bracket",
-            lambda problems, cfg: scans.append(cfg.max_modes) or original_scan(problems, cfg),
+            lambda problem, cfg: scans.append(cfg.max_modes) or original_scan(problem, cfg),
         )
         spectrum = find_frequencies(problem, cfg)
         assert scans == [2]
@@ -1145,7 +1118,7 @@ class TestBrentRefinement:
             if isinstance(scan, NoRootsInRange):
                 continue
             brackets = scan.brackets[:modes]
-            ks = refine_root(brackets, [problem] * len(brackets), cfg, scan.end_values[:modes])
+            ks = refine_root(brackets, problem, cfg, scan.end_values[:modes])
             for (lo, hi), k in zip(brackets, ks.tolist()):
                 if lo != hi:
                     checked += 1
@@ -1172,7 +1145,7 @@ class TestBrentRefinement:
         )
         for pair, ends in zip(scan.brackets[:3], scan.end_values[:3]):
             seen.clear()
-            refine_root([pair], [problem], cfg, [ends])
+            refine_root([pair], problem, cfg, [ends])
             assert len(seen) <= solver._MAX_EVALUATIONS
             assert all(pair[0] < k < pair[1] for k in seen), (pair, seen)
 
@@ -1184,11 +1157,11 @@ class TestBrentRefinement:
         k1 = uncracked_K_closed_form(1, 1.0, 0.0)
         guide = (k1 * (1.0 - 1e-6), k1 * (1.0 + 1e-6))
         assert 0.5 * (guide[0] + guide[1]) == k1
-        assert boundary_determinant([problem], k1)[0] == 0
+        assert boundary_determinant(problem, k1)[0] == 0
         evals = solver._tally.evals
         k = _refine(guide, problem)
         assert solver._tally.evals - evals <= solver._MAX_EVALUATIONS
-        assert abs(k - k1) <= 0.5e-10 * k1 or boundary_determinant([problem], k)[0] == 0
+        assert abs(k - k1) <= 0.5e-10 * k1 or boundary_determinant(problem, k)[0] == 0
 
     def test_bracket_at_a_double_root(self):
         # At beta = pi/sqrt(0.4), eta = 0, K_1 = K_2 = 0.36 is a double root:
@@ -1199,12 +1172,12 @@ class TestBrentRefinement:
         problem = _zero_crack(beta=DOUBLE_BETA)
         cfg = SearchConfig()
         for pair in [(0.3, 7.0), (0.36 - 1e-6, 6.77), (0.36 + 1e-6, 6.77)]:
-            ends = tuple(boundary_determinant([problem], k) for k in pair)
+            ends = tuple(boundary_determinant(problem, k) for k in pair)
             assert ends[0][0] * ends[1][0] == -1
             evals = solver._tally.evals
-            k = refine_root([pair], [problem], cfg, [ends]).item()
+            k = refine_root([pair], problem, cfg, [ends]).item()
             assert solver._tally.evals - evals <= solver._MAX_EVALUATIONS
-            if boundary_determinant([problem], k)[0] != 0:
+            if boundary_determinant(problem, k)[0] != 0:
                 assert _straddles_a_true_root(problem, *pair, k, cfg.refine_tol), (pair, k)
 
     @pytest.mark.parametrize("cap", [1, 2, 3, 5])
@@ -1216,11 +1189,11 @@ class TestBrentRefinement:
         scan = _scan(problem, SearchConfig(max_modes=1))
         (lo, hi), ends = scan.brackets[0], scan.end_values[0]
         evals = solver._tally.evals
-        root = refine_root([(lo, hi)], [problem], SearchConfig(), [ends]).item()
+        root = refine_root([(lo, hi)], problem, SearchConfig(), [ends]).item()
         assert solver._tally.evals - evals == 8
         monkeypatch.setattr(solver, "_MAX_EVALUATIONS", cap)
         evals = solver._tally.evals
-        capped = refine_root([(lo, hi)], [problem], SearchConfig(), [ends]).item()
+        capped = refine_root([(lo, hi)], problem, SearchConfig(), [ends]).item()
         assert solver._tally.evals - evals == cap
         assert lo < capped < hi
         assert abs(capped - root) > SearchConfig().refine_tol * root
@@ -1230,7 +1203,7 @@ class TestBrentRefinement:
         problem = make_problem(alpha=0.4, theta=0.8)
         ends = ((1, 0.0), (-1, 0.0))
         with pytest.raises(ValueError, match="must lie in"):
-            refine_root([pair], [problem], SearchConfig(), [ends])
+            refine_root([pair], problem, SearchConfig(), [ends])
 
     @pytest.mark.parametrize("end", [0, 1])
     def test_end_of_sign_zero_is_the_root(self, end):
@@ -1240,7 +1213,7 @@ class TestBrentRefinement:
         ends = [(-1, 0.0), (1, 0.0)]
         ends[end] = (0, -40.0)
         evals = solver._tally.evals
-        assert refine_root([pair], [problem], SearchConfig(), [ends]).item() == pair[end]
+        assert refine_root([pair], problem, SearchConfig(), [ends]).item() == pair[end]
         assert solver._tally.evals == evals
 
     def test_evaluated_sign_zero_is_the_root(self, monkeypatch):
@@ -1254,7 +1227,7 @@ class TestBrentRefinement:
             return (0, -40.0) if len(seen) == 1 else original(K, *args)
 
         monkeypatch.setattr(kernel, "det_sign_logmag_at", zero_at_first)
-        root = refine_root(scan.brackets[:1], [problem], SearchConfig(), scan.end_values[:1])
+        root = refine_root(scan.brackets[:1], problem, SearchConfig(), scan.end_values[:1])
         assert root.tolist() == seen == [seen[0]]
 
 
@@ -1264,7 +1237,7 @@ def _sequential_bisection(pairs, problem, cfg, levels=200):
     roots = lo.copy()
     idx = np.flatnonzero(lo != hi)
     lo, hi = lo[idx], hi[idx]
-    s_lo = boundary_determinant([problem], lo)[0] if idx.size else idx
+    s_lo = boundary_determinant(problem, lo)[0] if idx.size else idx
     for _ in range(levels):
         mid = 0.5 * (lo + hi)
         go = hi - lo > cfg.refine_tol * np.maximum(1.0, mid)
@@ -1272,7 +1245,7 @@ def _sequential_bisection(pairs, problem, cfg, levels=200):
         idx, lo, hi, s_lo, mid = idx[go], lo[go], hi[go], s_lo[go], mid[go]
         if not idx.size:
             break
-        s_mid, _ = boundary_determinant([problem], mid)
+        s_mid, _ = boundary_determinant(problem, mid)
         up = s_mid == s_lo
         lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
         hit = s_mid == 0
@@ -1286,10 +1259,10 @@ def _bisected(pair, problem, levels):
     """The bracket plain bisection holds after ``levels`` levels of ``pair``:
     a zero-width one at a midpoint of sign 0."""
     lo, hi = pair
-    s_lo = boundary_determinant([problem], lo)[0]
+    s_lo = boundary_determinant(problem, lo)[0]
     for _ in range(levels if lo != hi else 0):
         mid = 0.5 * (lo + hi)
-        s_mid = boundary_determinant([problem], mid)[0]
+        s_mid = boundary_determinant(problem, mid)[0]
         if s_mid == 0:
             return mid, mid
         lo, hi = (mid, hi) if s_mid == s_lo else (lo, mid)
@@ -1302,7 +1275,7 @@ def _same_root(problem, k, ref, tol):
     each takes as the root (the band of sign 0 can be wider than tol * K)."""
     if abs(k - ref) <= tol * max(1.0, k, ref):
         return True
-    return boundary_determinant([problem], k)[0] == 0 == boundary_determinant([problem], ref)[0]
+    return boundary_determinant(problem, k)[0] == 0 == boundary_determinant(problem, ref)[0]
 
 
 # Brackets by test id suffix: the batch's own, and the brackets plain
@@ -1324,7 +1297,7 @@ class TestMultiLevelBisection:
         if problem.crack.theta_c == 0.0:
             k1 = uncracked_K_closed_form(1, 1.0, 0.0)
             pairs.append((k1 * (1.0 - 1e-6), k1 * (1.0 + 1e-6)))
-            ends.append(tuple(boundary_determinant([problem], k) for k in pairs[-1]))
+            ends.append(tuple(boundary_determinant(problem, k) for k in pairs[-1]))
         return [*pairs, *scan.brackets], [*ends, *scan.end_values]
 
     # A cap of 7 evaluations: a bracket that reaches it ends at the midpoint
@@ -1343,10 +1316,10 @@ class TestMultiLevelBisection:
             expected = _sequential_bisection(pairs, problem, cfg).tolist()
             if levels is not None:
                 pairs = [_bisected(pair, problem, levels) for pair in pairs]
-                ends = [tuple(boundary_determinant([problem], k) for k in p) for p in pairs]
+                ends = [tuple(boundary_determinant(problem, k) for k in p) for p in pairs]
             for pair, end, ref in zip(pairs, ends, expected):
                 evals = solver._tally.evals
-                k = refine_root([pair], [problem], cfg, [end]).item()
+                k = refine_root([pair], problem, cfg, [end]).item()
                 assert pair[0] <= k <= pair[1]
                 if solver._tally.evals - evals < cap:
                     assert _same_root(problem, k, ref, tol), (pair, k, ref)
@@ -1360,25 +1333,20 @@ class TestMultiLevelBisection:
     )
     def test_random_batches_match_one_level_per_call(self, batch, tol):
         # The scan's brackets (zero-width ones included) of every problem,
-        # refined as one batch, against each problem's bisected alone, one
+        # refined by Brent's method, against the same brackets bisected one
         # level per call; uncracked brackets, of the crack of zero
         # compliance, are guide pairs whose midpoints have sign 0.
         problems, cfg = batch
         problems = [p if p.crack else _zero_crack(p.beta, p.eta_nd) for p in problems]
-        scans = scan_and_bracket(problems, cfg)
+        scans = [scan_and_bracket(problem, cfg) for problem in problems]
         cfg = replace(cfg, refine_tol=tol)
-        pairs, ends, owners, expected = [], [], [], []
-        for problem, scan in zip(problems, scans):
-            if isinstance(scan, NoRootsInRange):
-                continue
-            pairs += scan.brackets
-            ends += scan.end_values
-            owners += [problem] * len(scan.brackets)
-            expected += _sequential_bisection(scan.brackets, problem, cfg).tolist()
-        assume(pairs)
-        roots = refine_root(pairs, owners, cfg, ends)
-        for pair, problem, k, ref in zip(pairs, owners, roots.tolist(), expected):
-            assert _same_root(problem, k, ref, tol), (pair, k, ref)
+        searched = [(p, scan) for p, scan in zip(problems, scans) if isinstance(scan, ScanResult)]
+        assume(searched)
+        for problem, scan in searched:
+            roots = refine_root(scan.brackets, problem, cfg, scan.end_values)
+            expected = _sequential_bisection(scan.brackets, problem, cfg)
+            for pair, k, ref in zip(scan.brackets, roots.tolist(), expected.tolist()):
+                assert _same_root(problem, k, ref, tol), (pair, k, ref)
 
 
 class TestKernelCallsPerSolve:
@@ -1388,7 +1356,7 @@ class TestKernelCallsPerSolve:
         monkeypatch.setattr(
             solver,
             "boundary_determinant",
-            lambda problems, K, runs=(): calls.append(np.size(K)) or original(problems, K, runs),
+            lambda problem, K: calls.append(np.size(K)) or original(problem, K),
         )
         return calls
 
@@ -1411,9 +1379,9 @@ class TestKernelCallsPerSolve:
         assert evals == 15
 
     def test_cracked_batch_of_three(self, monkeypatch):
-        # The problem above and two more, solved alone and then as one batch:
-        # the batch scans in one call of the three first blocks, and refines
-        # each bracket as its solve alone does.
+        # The problem above and two more, solved alone and then as one
+        # sequence: the sequence scans each problem's first block in a call of
+        # its own, and refines each bracket as its solve alone does.
         problems = [
             make_problem(eta=1.0, alpha=0.4, theta=0.8),
             make_problem(beta=2.5, eta=0.0, alpha=0.7, theta=5.0),
@@ -1428,7 +1396,7 @@ class TestKernelCallsPerSolve:
             calls.clear()
         entries, evals = self._solve(problems)
         assert entries == alone
-        assert calls == [768]
+        assert calls == [256, 256, 256]
         assert evals == 15 + 20 + 13
 
     def test_cracked_five_modes_in_the_benchmark_ranges(self):
@@ -1467,18 +1435,18 @@ class TestKernelCallsPerSolve:
             (k * (1.0 - 1e-6), k * (1.0 + 1e-6))
             for k in (uncracked_K_closed_form(n, 1.0, 1.0) for n in range(1, 6))
         ]
-        ends = [tuple(boundary_determinant([problem], k) for k in pair) for pair in brackets]
+        ends = [tuple(boundary_determinant(problem, k) for k in pair) for pair in brackets]
         scan = _scan(problem)
         calls = self._count(monkeypatch)
         evals = solver._tally.evals
-        roots = refine_root(brackets, [problem] * 5, SearchConfig(), ends)
+        roots = refine_root(brackets, problem, SearchConfig(), ends)
         assert calls == [] and solver._tally.evals - evals == 10
         midpoints = [0.5 * (lo + hi) for lo, hi in brackets]
         for k, mid in zip(roots.tolist(), midpoints):
             assert abs(k - mid) <= 0.5e-10 * mid
         assert scan.brackets == tuple((k, k) for k in midpoints)
         evals = solver._tally.evals
-        roots = refine_root(scan.brackets, [problem] * 5, SearchConfig(), scan.end_values)
+        roots = refine_root(scan.brackets, problem, SearchConfig(), scan.end_values)
         assert calls == [] and solver._tally.evals == evals
         assert roots.tolist() == midpoints
 
@@ -1553,7 +1521,7 @@ class TestExactCount:
             problem = _zero_crack(beta=beta, eta=eta)
             n = solver._count_below(problem, K)
             assert n == _closed_form_count(beta, eta, K), (beta, eta, K)
-            sign, _ = boundary_determinant([problem], K)
+            sign, _ = boundary_determinant(problem, K)
             assert sign in (0, (-1) ** n)
 
     def test_double_root_twice(self):
@@ -1679,6 +1647,5 @@ class TestExactCount:
         assert inside.size == 1 and inside[0] != 0.5 * (lo + hi)
         scan = _scan(problem, cfg)
         assert scan.brackets == ((lo, inside[0]),)
-        owners = [problem] * len(scan.brackets)
-        k = refine_root(scan.brackets, owners, cfg, scan.end_values).item()
+        k = refine_root(scan.brackets, problem, cfg, scan.end_values).item()
         assert abs(k - k1) <= 0.5 * cfg.refine_tol * k1
