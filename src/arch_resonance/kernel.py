@@ -302,7 +302,7 @@ def det_sign_logmag(K, eta_nd, beta, alpha, theta_c):
         s2, t_a, t_g = o
         np.add(t_a, t_g, out=s2, where=hyp)
         b2 = np.where(hyp, s2, 1.0 / a2 if zero is None else np.where(zero, beta, 1.0 / a2))
-    extra = 0.0
+    extra, big = 0.0, None
     if theta_c > 0.0:
         r = repeated if repeated is not None and repeated.any() else None
         gap = mu1 - mu2 if r is None else np.where(r, 1.0, mu1 - mu2)
@@ -314,19 +314,19 @@ def det_sign_logmag(K, eta_nd, beta, alpha, theta_c):
             _, h = _repeated_pair(mu1[r], xr, np.cos(t), np.sin(t) / a1[r])
             o_a, o_g = o_a[r], o_g[r]
             num[r] = h[0] * o_a * o_g - s1[r] * (h[1] * o_g + o_a * h[2])
-        # |mu1| and |mu1*mu2| = |1 - K| are at most 3 + K*(1 + eta), and
-        # |num/gap| below 1e7 (|num| <= beta^3/2, |gap| > 2e-5 off the
-        # repeated-root window), so below this bound the product is finite.
-        # Above it theta_c*mu1*mu2 may overflow while num/gap underflows to
-        # 0, and inf*0 is NaN: there the factors are regrouped, theta_c*num
-        # and mu1/gap*mu2 each in range.
-        if theta_c * (3.0 + float(k_hi) * (1.0 + eta_nd)) < 1e290:
+        # theta_c*mu1*mu2 may overflow while num/gap underflows to 0, and inf*0
+        # is NaN: there the factors are regrouped, theta_c*num and mu1/gap*mu2
+        # = q each in range. A NaN left is inf*0 at q = 0, a crack term of 0;
+        # past the float range even so (``big``), F is the crack term, kept as
+        # its log below.
+        with np.errstate(over="ignore", invalid="ignore"):
             extra = theta_c * mu1 * mu2 * (num / gap)
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                extra = theta_c * mu1 * mu2 * (num / gap)
             bad = ~np.isfinite(extra)
-            extra[bad] = theta_c * num[bad] * (mu1[bad] / gap[bad] * mu2[bad])
+            if bad.any():
+                q = mu1 / gap * mu2
+                extra[bad] = theta_c * num[bad] * q[bad]
+                extra[np.isnan(extra)] = 0.0
+                big = np.isinf(extra)
     f = s1 * s2 + extra
     size = np.abs(f)
     sign = np.sign(f).astype(int)
@@ -335,6 +335,9 @@ def det_sign_logmag(K, eta_nd, beta, alpha, theta_c):
         logmag = np.log(size)
     else:  # log(0) is -inf, taken without numpy's divide-by-zero warning
         logmag = np.log(size, out=np.full(size.shape, -np.inf), where=size > 0.0)
+    if big is not None and big.any():
+        sign[big] = np.sign(num[big]) * np.sign(q[big])
+        logmag[big] = math.log(theta_c) + np.log(np.abs(num[big])) + np.log(np.abs(q[big]))
     if one:
         return int(sign[0]), float(logmag[0])
     return sign, logmag
@@ -372,7 +375,13 @@ def det_sign_logmag_at(K: float, eta_nd: float, beta: float, alpha: float, theta
             num, gap = s1 * t_a * t_g - s2 * o_a * o_g, mu1 - mu2
         extra = theta_c * mu1 * mu2 * (num / gap)
         if not abs(extra) < math.inf:  # NaN or inf: regrouped as in det_sign_logmag
-            extra = theta_c * num * (mu1 / gap * mu2)
+            q = mu1 / gap * mu2
+            extra = theta_c * num * q
+            if extra != extra:
+                extra = 0.0
+            elif abs(extra) == math.inf:
+                log = math.log(theta_c) + math.log(abs(num)) + math.log(abs(q))
+                return (1 if (num > 0.0) == (q > 0.0) else -1), log
     f = s1 * s2 + extra
     size = abs(f)
     if size <= PIVOT_ZERO_TOL * (b2 / a1 + abs(extra)):

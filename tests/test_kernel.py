@@ -820,3 +820,33 @@ class TestCrackTermNearTheLargestFloat:
             ones = [det_sign_logmag_at(k, *self.FAR, theta) for k in ks.tolist()]
         assert np.isfinite(logs).all() and set(signs.tolist()) <= {-1, 1}
         assert all(sign in (-1, 1) and math.isfinite(logmag) for sign, logmag in ones)
+
+    # Near the largest theta_c, where theta_c*num*(mu1/gap*mu2) itself passes
+    # the largest float (|F| near 5e308): both forms keep F as its log.
+    PAST = [(0.0, 6.25, 1.44, 1.7e308, 0.003), (3.0, 6.13, 4.47, 1.7e308, 0.005),
+            (0.1, 6.18, 1.6, 1e308, 0.0025)]
+
+    @pytest.mark.parametrize("point", PAST)
+    def test_crack_term_past_the_largest_float(self, point):
+        eta, beta, alpha, theta, k = point
+        exact = reduced_det_mp(k, eta, beta, alpha, theta)
+        assert math.isinf(float(exact))
+        reference = reference_log(k, eta, beta, alpha, theta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sign, logmag in (det_sign_logmag_at(k, *point[:4]),
+                                 det_sign_logmag(k, *point[:4]),
+                                 det_sign_logmag(np.array([k, 1.0]), *point[:4])):
+                assert np.ravel(sign)[0] == (1 if exact > 0 else -1)
+                assert abs(np.ravel(logmag)[0] - reference) < 1e-9
+
+    def test_crack_term_of_zero_at_the_largest_theta(self):
+        # At K = 1 mu2 snaps to 0, and theta_c*mu1 and theta_c*num (num near
+        # 1.3) both overflow: inf meets 0 in both groupings. The crack term is
+        # 0 and F that of no crack.
+        args = (0.0, 6.25, 1.44)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for form in (det_sign_logmag_at, det_sign_logmag):
+                assert form(1.0, *args, 1.7e308) == form(1.0, *args, 0.0)
+                assert form(1.0, *args, 0.0)[0] == 1

@@ -568,6 +568,13 @@ class TestNonfiniteAndDegenerateInput:
         with pytest.raises(ValueError):
             ArchProblem(beta=1.0, eta_nd=1.0, crack=CrackJoint(alpha=0.5, theta_c=bad))
 
+    def test_largest_compliance_solves_as_a_hinge(self):
+        # At theta_c = 1.7e308 the crack term passes the largest float near
+        # K = 0; the roots are those of a compliance far below it, and no
+        # sign 0 of an infinite F reads as a root.
+        roots = [find_frequencies(make_problem(6.25, 0.0, 1.44, theta)).roots for theta in (1e300, 1.7e308)]
+        assert all(rel_err(b.K, a.K) < 1e-12 for a, b in zip(*roots))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_config_rejects_nonfinite_fields(self, bad):
         for field in ("k_min", "k_max", "refine_tol"):
