@@ -306,6 +306,10 @@ def det_sign_logmag(K, eta_nd, beta, alpha, theta_c):
     if theta_c > 0.0:
         r = repeated if repeated is not None and repeated.any() else None
         gap = mu1 - mu2 if r is None else np.where(r, 1.0, mu1 - mu2)
+        # The zero-root window's mu2 of 0 would zero the crack term, whose root
+        # a large theta_c puts there: its factor mu2 is (1 - K)/mu1 (Vieta).
+        if zero is not None and zero.any():
+            mu2 = np.where(zero, p0 / mu1, mu2)
         num = s1 * t_a * t_g - s2 * o_a * o_g
         if r is not None:
             # S'*A - S*A' with h = d o/d mu at beta, alpha and gamma.
@@ -373,6 +377,8 @@ def det_sign_logmag_at(K: float, eta_nd: float, beta: float, alpha: float, theta
             num, gap = h_b * o_a * o_g - s1 * (h_a * o_g + o_a * h_g), 1.0
         else:
             num, gap = s1 * t_a * t_g - s2 * o_a * o_g, mu1 - mu2
+        if not mu2:  # the zero-root window, as in det_sign_logmag
+            mu2 = (1.0 - K) / mu1
         extra = theta_c * mu1 * mu2 * (num / gap)
         if not abs(extra) < math.inf:  # NaN or inf: regrouped as in det_sign_logmag
             q = mu1 / gap * mu2

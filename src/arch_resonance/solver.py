@@ -20,17 +20,12 @@ sequential method pays only for the values it needs. A spectrum holds roots
 only: :func:`mode_shape` samples an uncracked root's shape as its sine and
 a cracked one's from the null vector of its crack's matching matrix.
 
-:func:`find_frequencies` also takes a sequence of problems, as a sweep or
-the validation table has, and solves each alone: its closed form, or its own
-scan and refinement. It returns one entry per problem: its
-:class:`Spectrum`, or the :class:`NoRootsInRange` its own solve would raise.
 Every array-kernel call goes through :func:`boundary_determinant`, which
 takes a cracked problem only (a crack of zero compliance is one).
 
 Everything is deterministic: the same problem and configuration produce
-bit-identical spectra, whatever the block size or the other problems of a
-call, because the kernel evaluates each K independently, each problem is
-searched alone and each bracket is refined alone.
+bit-identical spectra, whatever the block size, because the kernel
+evaluates each K independently and each bracket is refined alone.
 
 An uncracked solve imports neither numpy nor :mod:`kernel`: each function
 that works on arrays or calls the kernel imports them itself, so numpy loads
@@ -317,7 +312,8 @@ def _candidates(nodes, signs, logs):
 def _mode_numbers(problem: ArchProblem, K: float) -> tuple[float, float]:
     """a1*beta/pi and a2*beta/pi at K: the real n, rising and falling, whose K_n is K."""
     eta = problem.eta_nd
-    x1 = 1.0 + 0.5 * K * eta + 0.5 * math.sqrt(K * (4.0 + 4.0 * eta + K * eta * eta))
+    root = math.sqrt(K * (4.0 + 4.0 * eta + K * eta * eta)) if K else 0.0  # 0*inf is NaN
+    x1 = 1.0 + 0.5 * K * eta + 0.5 * root
     c = problem.beta / math.pi
     return math.sqrt(x1) * c, math.sqrt(max(1.0 - K, 0.0) / x1) * c
 
@@ -333,7 +329,7 @@ def _count_below(problem: ArchProblem, K: float) -> int:
     return math.floor(rising) - math.floor(falling)
 
 
-def scan_and_bracket(problem: ArchProblem, cfg: SearchConfig):
+def scan_and_bracket(problem: ArchProblem, cfg: SearchConfig) -> ScanResult:
     """Locate determinant sign changes of a cracked problem over its K range.
 
     Each kernel call evaluates the next block of the grid, at most
@@ -344,19 +340,19 @@ def scan_and_bracket(problem: ArchProblem, cfg: SearchConfig):
     candidates of the whole grid, in order. A node of sign 0 is one
     zero-width bracket, even at a double root.
 
-    Returns a :class:`ScanResult`, or a :class:`NoRootsInRange` when the scan
-    yields no bracket, a dip among its first ``max_modes`` candidates (named
-    by its K; a dip above is ignored), fewer than ``max_modes`` candidates
-    below the limit past which the grid's guides do not tell the modes apart
-    (:func:`_grid_nodes`), once the scan passes it, or N(k_max)
-    (:func:`_count_below`) overflows, a range beyond doubles.
+    Raises :class:`NoRootsInRange` when the scan yields no bracket, a dip
+    among its first ``max_modes`` candidates (named by its K; a dip above is
+    ignored), fewer than ``max_modes`` candidates below the limit past which
+    the grid's guides do not tell the modes apart (:func:`_grid_nodes`), once
+    the scan passes it, or N(k_max) (:func:`_count_below`) overflows, a range
+    beyond doubles.
     """
     import numpy as np
     k_range = _resolved(problem, cfg)
     try:
         _count_below(problem, k_range.k_max)
     except OverflowError:
-        return _beyond(k_range)
+        raise _beyond(k_range) from None
     end, signs, logs = 0, None, None  # the end, signs and logs of the scanned prefix
     while True:
         # The grid is built through the next block and one node more, which
@@ -376,16 +372,16 @@ def scan_and_bracket(problem: ArchProblem, cfg: SearchConfig):
         if limit < nodes[signs.size - 1] and cfg.max_modes > (
             np.searchsorted(nodes[upper], limit, "right") + sum(d < limit for d in dips)
         ):
-            return _beyond(k_range, "holds modes closer than the grid tells apart")
+            raise _beyond(k_range, "holds modes closer than the grid tells apart")
         if end >= nodes.size or lower.size + len(dips) >= cfg.max_modes:
             break
     if dips and np.searchsorted(nodes[lower], dips[0]) < cfg.max_modes:
-        return NoRootsInRange(
+        raise NoRootsInRange(
             f"the determinant dips without a sign change at K = {dips[0]!r}:"
             " an even number of roots may lie there unbracketed"
         )
     if not lower.size:
-        return _short(0, k_range)
+        raise _short(0, k_range)
     n, at = lower.size, np.concatenate((lower, upper))
     ks, values = nodes[at].tolist(), tuple(zip(signs[at].tolist(), logs[at].tolist()))
     return ScanResult(
@@ -393,11 +389,11 @@ def scan_and_bracket(problem: ArchProblem, cfg: SearchConfig):
     )
 
 
-def refine_root(brackets, problem: ArchProblem, cfg: SearchConfig, end_values) -> np.ndarray:
+def refine_root(brackets, problem: ArchProblem, cfg: SearchConfig, end_values) -> list[float]:
     """Refine sign-change brackets down to refine_tol * max(1, K), one at a time.
 
     ``brackets`` is a sequence of M (lo, hi) pairs of the cracked
-    ``problem``, giving an array of M roots (an empty one for no pairs).
+    ``problem``, giving a list of M roots.
     ``end_values`` are the determinant's (sign, log-magnitude)
     at each bracket's ends, ((s_lo, m_lo), (s_hi, m_hi)) per pair (ignored
     for a zero-width pair), as the scan hands them on. A zero-width bracket
@@ -414,13 +410,9 @@ def refine_root(brackets, problem: ArchProblem, cfg: SearchConfig, end_values) -
     than refine_tol * max(1, mid), at its midpoint, at an evaluated K of
     sign 0, or after ``_MAX_EVALUATIONS`` evaluations, at its midpoint.
     """
-    import numpy as np
     from . import kernel
-    return np.array(
-        [_brent(problem, float(lo), float(hi), ends, cfg.refine_tol, kernel.det_sign_logmag_at)
-         for (lo, hi), ends in zip(brackets, end_values)],
-        dtype=float,
-    )
+    return [_brent(problem, float(lo), float(hi), ends, cfg.refine_tol, kernel.det_sign_logmag_at)
+            for (lo, hi), ends in zip(brackets, end_values)]
 
 
 def _brent(problem: ArchProblem, lo: float, hi: float, ends, tol: float, evaluate) -> float:
@@ -492,7 +484,7 @@ def _brent(problem: ArchProblem, lo: float, hi: float, ends, tol: float, evaluat
     return 0.5 * (b + c)
 
 
-def find_frequencies(problem, cfg: SearchConfig | None = None):
+def find_frequencies(problem: ArchProblem, cfg: SearchConfig | None = None) -> Spectrum:
     """First ``max_modes`` eigenvalues in (k_min, k_max), in ascending order.
 
     The K = 0 inextensional artifact is excluded by ``k_min``. An uncracked
@@ -506,52 +498,36 @@ def find_frequencies(problem, cfg: SearchConfig | None = None):
     holds fewer than ``max_modes`` roots, or when a dip is among the first
     ``max_modes`` candidates.
 
-    ``problem`` is one :class:`ArchProblem`, giving its :class:`Spectrum`, or
-    a sequence of problems, cracked or not, giving one entry per problem, in
-    order: its Spectrum, or the NoRootsInRange its own solve would raise.
-    Logs one debug line per call: the problems, the scan's array-kernel
-    calls and K values, the refinement's one-K evaluations, the brackets
-    refined (the searched roots) and the short solves.
+    Logs one debug line per call, also when it raises: the scan's
+    array-kernel calls and K values, the refinement's one-K evaluations and
+    the brackets refined (the searched roots).
     """
-    single = isinstance(problem, ArchProblem)
-    problems = [problem] if single else list(problem)
     cfg = cfg if cfg is not None else SearchConfig()
-    calls, values, evals = _tally.calls, _tally.values, _tally.evals
-    entries = [_solve(p, cfg) for p in problems]
-    if logger.isEnabledFor(logging.DEBUG):
-        logger.debug(
-            "find_frequencies: %d problems, %d scan kernel calls, %d K values, "
-            "%d refinement evaluations, %d brackets refined, %d short",
-            len(problems), _tally.calls - calls, _tally.values - values, _tally.evals - evals,
-            sum(len(e) for p, e in zip(problems, entries) if p.crack and isinstance(e, Spectrum)),
-            sum(isinstance(e, NoRootsInRange) for e in entries),
-        )
-    if not single:
-        return entries
-    if isinstance(entries[0], NoRootsInRange):
-        raise entries[0]
-    return entries[0]
+    calls, values, evals, refined = _tally.calls, _tally.values, _tally.evals, 0
+    try:
+        if problem.crack is None:
+            return _closed_form_spectrum(problem, cfg)
+        scan = scan_and_bracket(problem, cfg)
+        found = scan.brackets[: cfg.max_modes]
+        if len(found) < cfg.max_modes:
+            raise _short(len(found), _resolved(problem, cfg))
+        ks = refine_root(found, problem, cfg, scan.end_values[: cfg.max_modes])
+        refined = len(ks)
+        return Spectrum(tuple(map(Root, ks)))
+    finally:
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug(
+                "find_frequencies: %d scan kernel calls, %d K values, "
+                "%d refinement evaluations, %d brackets refined",
+                _tally.calls - calls, _tally.values - values, _tally.evals - evals, refined,
+            )
 
 
-def _solve(problem: ArchProblem, cfg: SearchConfig):
-    """One problem's Spectrum, or its NoRootsInRange: its closed form, or its search."""
-    if problem.crack is None:
-        return _closed_form_spectrum(problem, cfg)
-    scan = scan_and_bracket(problem, cfg)
-    if isinstance(scan, NoRootsInRange):
-        return scan
-    found = scan.brackets[: cfg.max_modes]
-    if len(found) < cfg.max_modes:
-        return _short(len(found), _resolved(problem, cfg))
-    ks = refine_root(found, problem, cfg, scan.end_values[: cfg.max_modes])
-    return Spectrum(tuple(map(Root, ks.tolist())))
-
-
-def _closed_form_spectrum(problem: ArchProblem, cfg: SearchConfig):
+def _closed_form_spectrum(problem: ArchProblem, cfg: SearchConfig) -> Spectrum:
     """The uncracked spectrum: the closed-form K_n of the modes sin(n*pi*phi/beta).
 
-    The first ``max_modes`` K_n in (k_min, k_max), ascending, or the
-    :class:`NoRootsInRange` a scan of a short range gives. K_n falls as n
+    The first ``max_modes`` K_n in (k_min, k_max), ascending; a short range
+    raises :class:`NoRootsInRange` as a scan of it does. K_n falls as n
     grows while lam = n*pi/beta <= 1 and rises after. Rising modes are tried
     from N(k_min) (:func:`_count_below`) on, at most floor(beta/pi) + 2 below
     the first above k_min, rounding included, to max_modes in range or one
@@ -577,14 +553,14 @@ def _closed_form_spectrum(problem: ArchProblem, cfg: SearchConfig):
     except OverflowError:  # N(k_min) or a K_n beyond the largest float
         resolved = False
     if not resolved:
-        return _beyond(k_range)
+        raise _beyond(k_range)
     ks += [k for k in rising if k_min < k < k_max]
     ks = sorted(ks)[: cfg.max_modes]
     for i in range(1, len(ks)):
         if ks[i] < 1.0 and ks[i] - ks[i - 1] <= _DOUBLE_ROOT * ks[i]:
             ks[i] = ks[i - 1]
     if len(ks) < cfg.max_modes:
-        return _short(len(ks), k_range)
+        raise _short(len(ks), k_range)
     return Spectrum(roots=tuple(Root(K=k) for k in ks))
 
 

@@ -1,8 +1,8 @@
 """Parameter sweeps and the near-straight validation table.
 
 A sweep varies one of {central angle, nonlocal parameter, arch radius} while
-holding the rest of the context fixed, solves for the requested mode at every
-point and per chirality class, and emits rows ready for CSV serialization.
+holding the rest of the context fixed, solves for the requested mode at each
+point and chirality class in turn, and emits rows ready for CSV serialization.
 Every point is reduced through :func:`model.nondimensionalize`. A range that
 is invalid input at either end raises :class:`InvalidSpec` before anything is
 solved; a point that cannot be solved keeps its row, with a blank K and a note
@@ -117,11 +117,11 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     the order of ``tubes``. Before anything is solved, both ends of the range
     are reduced for each tube: validity is monotone in the swept value, so a
     range with an invalid tube, central angle or nonlocal parameter raises
-    :class:`InvalidSpec`. Every point is then reduced, and the points that
-    fit the crack are solved with one :func:`solver.find_frequencies` call. A
-    point that fails keeps its row with a blank K and a note: ``no-root``
-    (the search range holds fewer roots than the mode index) or
-    ``crack-outside`` (the crack angle does not fit that arch).
+    :class:`InvalidSpec`. Each point is then reduced and solved in turn
+    (:func:`solver.find_frequencies`). A point that fails keeps its row with
+    a blank K and a note: ``no-root`` (the search range holds fewer roots
+    than the mode index) or ``crack-outside`` (the crack angle does not fit
+    that arch).
     """
     grid = _linspace(spec.start, spec.stop, spec.steps)
     for tube in spec.tubes.values():
@@ -132,40 +132,37 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
                 pass  # a crack-outside row, not an invalid range
             except ValueError as exc:
                 raise InvalidSpec(f"{spec.parameter} = {end:g}: {exc}") from None
-    points = []  # (chirality, tube, problem, note) in row order
+    cfg = solver.SearchConfig(max_modes=spec.mode)
+    rows = []
     for value in grid:
         for chirality, tube in spec.tubes.items():
+            k_value, note = None, ""
             try:
-                points.append((chirality, *_reduce(spec, value, tube, spec.crack), ""))
+                point_tube, problem = _reduce(spec, value, tube, spec.crack)
             except DegenerateSegment:
-                points.append((chirality, *_reduce(spec, value, tube, None), "crack-outside"))
-    solvable = [problem for *_, problem, note in points if not note]
-    spectra = iter(solver.find_frequencies(solvable, solver.SearchConfig(max_modes=spec.mode)))
-    rows = []
-    for chirality, tube, problem, note in points:
-        k_value = None
-        if not note:
-            spectrum = next(spectra)
-            if isinstance(spectrum, NoRootsInRange):
-                note = "no-root"
+                point_tube, problem = _reduce(spec, value, tube, None)
+                note = "crack-outside"
             else:
-                k_value = spectrum.roots[-1].K
-        solved = k_value is not None
-        rows.append(
-            SweepRow(
-                chirality=chirality.value,
-                beta_rad=problem.beta,
-                eta_nd=problem.eta_nd,
-                radius_m=tube.radius,
-                alpha_rad=spec.crack.position_angle if spec.crack is not None else 0.0,
-                psi=spec.crack.depth_ratio if spec.crack is not None else 0.0,
-                mode=spec.mode,
-                K=k_value,
-                omega_nd=model.omega_nd(k_value, problem.beta) if solved else None,
-                omega_rad_s=model.omega_from_K(k_value, tube) if solved else None,
-                note=note,
+                try:
+                    k_value = solver.find_frequencies(problem, cfg).roots[-1].K
+                except NoRootsInRange:
+                    note = "no-root"
+            solved = k_value is not None
+            rows.append(
+                SweepRow(
+                    chirality=chirality.value,
+                    beta_rad=problem.beta,
+                    eta_nd=problem.eta_nd,
+                    radius_m=point_tube.radius,
+                    alpha_rad=spec.crack.position_angle if spec.crack is not None else 0.0,
+                    psi=spec.crack.depth_ratio if spec.crack is not None else 0.0,
+                    mode=spec.mode,
+                    K=k_value,
+                    omega_nd=model.omega_nd(k_value, problem.beta) if solved else None,
+                    omega_rad_s=model.omega_from_K(k_value, point_tube) if solved else None,
+                    note=note,
+                )
             )
-        )
     return rows
 
 
@@ -201,13 +198,11 @@ def validation_table(beta_small: float = 0.05) -> list[ValidationRow]:
         raise InvalidSpec(
             f"validation requires a small central angle in [{model.BETA_MIN:g}, 0.5]"
         )
-    etas = [float(eta) for eta in REFERENCE_TABLE]
-    problems = [model.ArchProblem(beta=beta_small, eta_nd=eta) for eta in etas]
-    spectra = solver.find_frequencies(problems, solver.SearchConfig(max_modes=1))
+    cfg = solver.SearchConfig(max_modes=1)
     rows = []
-    for eta, (present, thai), spectrum in zip(etas, REFERENCE_TABLE.values(), spectra):
-        if isinstance(spectrum, NoRootsInRange):
-            raise spectrum
+    for eta, (present, thai) in REFERENCE_TABLE.items():
+        eta = float(eta)
+        spectrum = solver.find_frequencies(model.ArchProblem(beta=beta_small, eta_nd=eta), cfg)
         omega = model.omega_nd(spectrum.roots[0].K, beta_small)
         rows.append(
             ValidationRow(mode=1, eta=eta, present=present, thai=thai, omega_nd=omega)

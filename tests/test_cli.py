@@ -641,8 +641,9 @@ _SEARCH = {
 }
 # Each failed once with a traceback or a numpy warning: a tube whose I, E*I
 # or mu*R^4 overflows or underflows, a range near the largest float at
-# eta = 0, whose uniform grid nodes i*span/(points - 1) overflowed, and one
-# at eta = 5e-324, where the crack term theta_c*mu1*mu2 overflowed.
+# eta = 0, whose uniform grid nodes i*span/(points - 1) overflowed, one at
+# eta = 5e-324, where the crack term theta_c*mu1*mu2 overflowed, and two at
+# k-min = 0 and an eta whose 4*eta overflows, where N(0) was 0*inf, a NaN.
 _KNOWN = [
     (["freq", "--radius-nm", "1e87", "--chirality", "armchair"], None),
     (["freq", "--eta-nm2", "1", "--radius-nm", "1e200", "--chirality", "armchair"], None),
@@ -659,6 +660,9 @@ _KNOWN = [
     (["freq", "--beta", "6.283185307179585", "--eta", "5e-324", "--crack-psi",
       "0.9999999999999999", "--crack-alpha", "3.1415926535897927", "--diameter-nm", "0.5"],
      {"k-min": "1e300", "k-max": "4e307"}),
+    (["freq", "--beta", "1", "--eta", "1e308"], {"k-min": "0"}),
+    (["freq", "--beta", "0.05", "--eta", "1.7976931348623157e308"],
+     {"k-min": "0", "k-max": "1.7976931348623157e308", "modes": "1"}),
 ]
 
 

@@ -3,9 +3,9 @@
 The sweep goldens print nine digits, so a drift in the last bits of a root
 passes them. ``golden/cracked_roots.csv`` holds roots as ``float.hex``, one
 row each: ``solve`` rows are five-mode solves of one problem, drawn as the
-benchmark's ``cracked`` workload draws them; ``batch`` rows are one call
-over a sequence of 18 problems, at ten modes on a grid long enough to take
-two scan blocks, one problem with a crack of zero compliance; ``polish``
+benchmark's ``cracked`` workload draws them; ``batch`` rows are 18 more
+problems at ten modes on a grid long enough to take two scan blocks, one
+with a crack of zero compliance; ``polish``
 rows are the re-tightened roots of a few cracked mode shapes. A deliberate
 change of the roots rewrites the table with
 ``python tests/test_root_bits.py`` and records why.
@@ -58,8 +58,8 @@ def _rows():
         add("solve", p, enumerate(find_frequencies(p, SOLVE).K_values, 1))
     batch = [_draw(rng) for _ in range(BATCH_SIZE)]
     batch[-1] = ArchProblem(batch[-1].beta, batch[-1].eta_nd, CrackJoint(0.5 * batch[-1].beta, 0.0))
-    for p, spectrum in zip(batch, find_frequencies(batch, BATCH)):
-        add("batch", p, enumerate(spectrum.K_values, 1))
+    for p in batch:
+        add("batch", p, enumerate(find_frequencies(p, BATCH).K_values, 1))
     for p, mode in zip(solved[:6], (1, 2, 3, 1, 2, 3)):
         k = find_frequencies(p, SOLVE).K_values[mode - 1]
         add("polish", p, [(mode, solver._polish(p, k))])
