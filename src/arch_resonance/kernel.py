@@ -11,23 +11,24 @@ assembles the crack matching matrix whose null vector gives a cracked mode
 shape, and evaluates the boundary determinant in closed form, as the reduced
 characteristic function whose sign changes bracket the eigenvalues.
 
-Stacks
-------
+Two forms
+---------
 The reduced characteristic function has two forms, one for each shape of
-the root search's work. :func:`det_sign_logmag`, the array form, takes
-either one trial K or an array of N of them, giving N signs and
-log-magnitudes; a scalar K is the N = 1 case of the same code. A call costs
-mostly a fixed part, some 50 numpy operations: 1 and 256 K values of a
-cracked problem take about 55 and 95 us in a tight loop (numpy 2.4,
-Python 3.11, shared 2-core x86-64 VM), so the solver's grid scan evaluates
-its K grid in blocks of 256, one call each. :func:`det_sign_logmag_at`, the
-one-K form, evaluates the same F with ``math`` on floats in about 2-3 us,
-which serves refinement and a mode shape's polish: a sequential method there
-needs a few values at a time, each chosen from the last. To keep the array
-form's fixed part small, a call takes the branch of mu2 from its K range
-when the range lies on one side of K = 1, builds the degeneracy masks of
-:func:`_lam2_roots` only when a K may lie in their windows, and takes
-log|F| in no error-state context. The matching path
+the root search's work. :func:`det_sign_logmag`, the array form, takes one
+trial K or an array of them of any shape, giving a sign and a log-magnitude
+for each. A call costs mostly a fixed part, some 50 numpy operations: 1 and
+256 K values of a cracked problem take about 55 and 90 us in a tight loop
+(numpy 2.4, Python 3.11, shared 2-core x86-64 VM), so the solver's grid scan
+evaluates its K grid in blocks of 256, one call each.
+:func:`det_sign_logmag_at`, the one-K form, evaluates the same F with
+``math`` on floats in about 2-3 us, which serves refinement and a mode
+shape's polish: a sequential method there needs a few values at a time,
+each chosen from the last. The array form evaluates every K in the generic
+branch, two distinct nonzero roots with mu2's branch chosen per value, then
+hands each special K, one in a window of :func:`_lam2_roots_at` or whose F
+is not finite, to the one-K form, which alone holds F's degenerate cases: a
+zero root, a repeated root and a crack term past the float range. A scan's
+grid nodes are seldom special. The matching path
 (:func:`quartic_roots`, :class:`ModeBasis` and :func:`assemble_cracked`)
 samples one cracked mode shape at its root and takes one K.
 
@@ -83,35 +84,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Degeneracy window for branch switching (see _lam2_roots).
+# Degeneracy window for branch switching (see _lam2_roots_at).
 DEGENERACY_TOL = 1e-10
 # |F| at or below this fraction of its scale zeroes the sign (det_sign_logmag).
 PIVOT_ZERO_TOL = 1e-13
-
-
-def _lam2_roots(p2, p0, masks=True):
-    """Roots mu1 <= mu2 of mu^2 + p2 mu + p0 and the repeated-root mask, as arrays.
-
-    With tol = ``DEGENERACY_TOL``, a root within about tol of zero,
-    |p0| <= tol*p2, is snapped to exactly 0, and a pair whose discriminant
-    is within tol*p2^2 of zero to -p2/2. The zero-root window scales with
-    p2, not p2^2: mu2 is about -p0/p2, and at large K*eta a window in p2^2
-    would snap an O(1) hyperbolic root to 0. For K >= 0 and eta >= 0,
-    p2 >= 2, so disc = fl(p2^2) - 4 fl(1 - K) >= 4 - 4 = 0 in floating point
-    too. ``masks=False`` says no value lies in a window: no mask is built.
-    """
-    square = p2 * p2
-    disc = square - 4.0 * p0
-    mu1 = -0.5 * (p2 + np.sqrt(disc))
-    mu2 = p0 / mu1  # Vieta; avoids cancellation in (-p2 + sq)/2
-    if not masks:
-        return mu1, mu2, None
-    zero_root = np.abs(p0) <= DEGENERACY_TOL * p2
-    repeated = ~zero_root & (np.abs(disc) <= DEGENERACY_TOL * square)
-    if zero_root.any() or repeated.any():
-        mu1 = np.where(zero_root, -p2, np.where(repeated, -0.5 * p2, mu1))
-        mu2 = np.where(zero_root, 0.0, np.where(repeated, mu1, mu2))
-    return mu1, mu2, repeated
 
 
 @dataclass(frozen=True)
@@ -166,17 +142,25 @@ def quartic_roots(K: float, eta_nd: float) -> ModeBasis:
 
     The branch follows the sign of the lam^2 roots; :func:`_lam2_roots_at`
     resolves the zero-root and repeated-root degeneracies, as for
-    :func:`det_sign_logmag`.
+    :func:`det_sign_logmag_at`.
     """
     return ModeBasis(*_lam2_roots_at(float(K), float(eta_nd)))
 
 
 def _lam2_roots_at(K: float, eta_nd: float) -> tuple:
-    """:func:`_lam2_roots` at one K >= 0 and eta_nd >= 0 in ``math``: (mu1, mu2, repeated)."""
+    """Roots mu1 <= mu2 of mu^2 + p2 mu + p0 at one K >= 0 and eta_nd >= 0: (mu1, mu2, repeated).
+
+    p2 = 2 + K*eta_nd and p0 = 1 - K. With tol = ``DEGENERACY_TOL``, a root
+    within about tol of zero, |p0| <= tol*p2, is snapped to exactly 0, and a
+    pair whose discriminant is within tol*p2^2 of zero to -p2/2, ``repeated``
+    then True. The zero-root window scales with p2, not p2^2: mu2 is about
+    -p0/p2, and at large K*eta a window in p2^2 would snap an O(1)
+    hyperbolic root to 0. For K >= 0 and eta >= 0, p2 >= 2, so
+    disc = fl(p2^2) - 4 fl(1 - K) >= 4 - 4 = 0 in floating point too.
+    """
     p2, p0 = 2.0 + K * eta_nd, 1.0 - K
     square = p2 * p2
     disc = square - 4.0 * p0
-    # p2 >= 2, so max(1, |p2|) = p2 and max(1, p2^2) = p2^2.
     if abs(p0) <= DEGENERACY_TOL * p2:
         return -p2, 0.0, False
     if abs(disc) <= DEGENERACY_TOL * square:
@@ -240,108 +224,56 @@ def assemble_cracked(
 def det_sign_logmag(K, eta_nd, beta, alpha, theta_c):
     """Sign and log-magnitude of the reduced characteristic function at trial K.
 
-    Takes one K, giving (int, float), or an array of them, giving two arrays
-    of its shape. The crack sits at ``alpha`` with compliance ``theta_c``;
-    an uncracked arch is the crack of zero compliance at any alpha. The
-    problem parameters are floats. F is the function of the module
-    docstring, with a hyperbolic pair divided by
-    cosh(a2*alpha)*cosh(a2*(beta - alpha)), so it enters as tanh(a2*x)/a2
-    and F stays bounded; at the repeated root the divided difference is
-    S'*A - S*A', ' = d/d mu. The sign is 0 where |F| is at or below
-    PIVOT_ZERO_TOL of B1*B2 + |theta_c*mu1*mu2*(divided difference)|, B
-    being 1/a for a trigonometric pair, beta for mu2 = 0 and the scaled S2
-    for a hyperbolic pair: at theta_c = 0 with two trigonometric pairs,
-    |sin(a1*beta)*sin(a2*beta)| <= PIVOT_ZERO_TOL.
+    Takes one K, giving (int, float), or an array of them of any shape,
+    giving two arrays of its shape. The crack sits at ``alpha`` with
+    compliance ``theta_c``; an uncracked arch is the crack of zero compliance
+    at any alpha. The problem parameters are floats. F is the module
+    docstring's, a hyperbolic pair divided by cosh(a2*alpha)*cosh(a2*gamma),
+    so it enters as tanh(a2*x)/a2 and F stays bounded. The sign is 0 where
+    |F| is at or below PIVOT_ZERO_TOL of B1*B2 + |theta_c*mu1*mu2*(divided
+    difference)|, B being 1/a for a trigonometric pair, beta for mu2 = 0 and
+    the scaled S2 for a hyperbolic pair: at theta_c = 0 with two
+    trigonometric pairs, |sin(a1*beta)*sin(a2*beta)| <= PIVOT_ZERO_TOL. A K
+    in a window of :func:`_lam2_roots_at`, or whose F is not finite in the
+    generic branch, takes the value of :func:`det_sign_logmag_at`.
     """
     one = not np.ndim(K)
     K = np.asarray(K, dtype=float).reshape(1) if one else np.asarray(K, dtype=float)
-    k_lo, k_hi = (np.minimum.reduce(K, None), np.maximum.reduce(K, None)) if K.size else (0, 0)
-    # _lam2_roots builds its masks only if a K may lie in a window; ``wide`` (2
-    # tol) covers rounding. Zero root: |1 - K| <= tol*(2 + K*eta), as p2 >= 2,
-    # and the ratio grows with |1 - K| on both sides of 1 and falls with eta, so
-    # it is >= d/(2 + (1 + d)*eta) for d the least |1 - K|. Repeated root:
-    # |disc| <= tol*p2^2, but disc - tol*p2^2 >= 4*(K - tol) as
-    # disc = K*(4 + 4 eta + K eta^2).
-    p0, wide = 1.0 - K, 2.0 * DEGENERACY_TOL
-    masks = k_lo <= wide
-    if not masks:
-        d = k_lo - 1.0 if k_lo > 1.0 else 1.0 - k_hi if k_hi < 1.0 else np.abs(p0).min()
-        masks = d <= wide * (2.0 + (1.0 + d) * eta_nd)
-    mu1, mu2, repeated = _lam2_roots(2.0 + K * eta_nd, p0, masks)
-    # The branch of mu2, decided once. Outside the windows mu2 = p0/mu1 is
-    # nonzero with the sign of -p0 (mu1 < 0): hyperbolic (True) for every K
-    # above 1, trigonometric (False) for every K below it, else per value. Only
-    # a window snaps a mu2 to 0 (``zero``).
-    if masks:
-        hyp, zero = mu2 > 0.0, mu2 == 0.0
-    else:
-        hyp, zero = True if k_lo > 1.0 else False if k_hi < 1.0 else p0 < 0.0, None
-    # beta, alpha and gamma as the rows of one array, so each function of
-    # them runs once.
+    p2, p0 = 2.0 + K * eta_nd, 1.0 - K
+    square = p2 * p2
+    disc = square - 4.0 * p0
+    mu1 = -0.5 * (p2 + np.sqrt(disc))
+    mu2 = p0 / mu1  # Vieta; avoids cancellation in (-p2 + sq)/2
+    hyp = mu2 > 0.0
+    # beta, alpha and gamma as rows of one array: each function of them runs once.
     x = np.array((beta, alpha, beta - alpha)).reshape((3,) + (1,) * K.ndim)
-    a1 = np.sqrt(-mu1)
-    s1, o_a, o_g = np.sin(a1 * x) / a1
-    # The pair of mu2 at x and B2 of the sign-0 rule: tanh(a2*x)/a2 is
-    # o(mu2, x)/cosh(a2*x), S2 its sum at alpha and gamma; x itself at mu2 = 0.
-    if hyp is True:
-        a2 = np.sqrt(mu2)
-        t_a, t_g = np.tanh(a2 * x[1:]) / a2
-        s2 = b2 = t_a + t_g
-    elif hyp is False:
-        a2 = np.sqrt(-mu2)
-        s2, t_a, t_g = np.sin(a2 * x) / a2
-        b2 = 1.0 / a2
-    else:
-        a2 = np.sqrt(np.abs(mu2) if zero is None else np.where(zero, 1.0, np.abs(mu2)))
+    # None warns: a special K's NaN or inf is overwritten below, and log(0) is -inf.
+    with np.errstate(all="ignore"):
+        a1 = np.sqrt(-mu1)
+        s1, o_a, o_g = np.sin(a1 * x) / a1
+        # The pair of mu2 at x and B2 of the sign-0 rule: tanh(a2*x)/a2 is
+        # o(mu2, x)/cosh(a2*x), S2 its sum at alpha and gamma.
+        a2 = np.sqrt(np.abs(mu2))
         t = a2 * x
         o = np.tanh(t)
         np.sin(t, out=o, where=~hyp)  # at the trigonometric values only
         o /= a2
-        if zero is not None:
-            o = np.where(zero, x, o)
         s2, t_a, t_g = o
         np.add(t_a, t_g, out=s2, where=hyp)
-        b2 = np.where(hyp, s2, 1.0 / a2 if zero is None else np.where(zero, beta, 1.0 / a2))
-    extra, big = 0.0, None
-    if theta_c > 0.0:
-        r = repeated if repeated is not None and repeated.any() else None
-        gap = mu1 - mu2 if r is None else np.where(r, 1.0, mu1 - mu2)
-        # The zero-root window's mu2 of 0 would zero the crack term, whose root
-        # a large theta_c puts there: its factor mu2 is (1 - K)/mu1 (Vieta).
-        if zero is not None and zero.any():
-            mu2 = np.where(zero, p0 / mu1, mu2)
-        num = s1 * t_a * t_g - s2 * o_a * o_g
-        if r is not None:
-            # S'*A - S*A' with h = d o/d mu at beta, alpha and gamma.
-            xr = x.reshape(3, 1)
-            t = a1[r] * xr
-            _, h = _repeated_pair(mu1[r], xr, np.cos(t), np.sin(t) / a1[r])
-            o_a, o_g = o_a[r], o_g[r]
-            num[r] = h[0] * o_a * o_g - s1[r] * (h[1] * o_g + o_a * h[2])
-        # theta_c*mu1*mu2 may overflow while num/gap underflows to 0, and inf*0
-        # is NaN: there the factors are regrouped, theta_c*num and mu1/gap*mu2
-        # = q each in range. A NaN left is inf*0 at q = 0, a crack term of 0;
-        # past the float range even so (``big``), F is the crack term, kept as
-        # its log below.
-        with np.errstate(over="ignore", invalid="ignore"):
-            extra = theta_c * mu1 * mu2 * (num / gap)
-            bad = ~np.isfinite(extra)
-            if bad.any():
-                q = mu1 / gap * mu2
-                extra[bad] = theta_c * num[bad] * q[bad]
-                extra[np.isnan(extra)] = 0.0
-                big = np.isinf(extra)
-    f = s1 * s2 + extra
-    size = np.abs(f)
-    sign = np.sign(f).astype(int)
-    sign[size <= PIVOT_ZERO_TOL * (b2 / a1 + np.abs(extra))] = 0
-    if np.count_nonzero(size) == size.size:
+        b2 = np.where(hyp, s2, 1.0 / a2)
+        extra = 0.0
+        if theta_c > 0.0:
+            num = s1 * t_a * t_g - s2 * o_a * o_g
+            extra = theta_c * mu1 * mu2 * (num / (mu1 - mu2))
+        f = s1 * s2 + extra
+        size = np.abs(f)
+        sign = np.sign(f).astype(int)
+        sign[size <= PIVOT_ZERO_TOL * (b2 / a1 + np.abs(extra))] = 0
         logmag = np.log(size)
-    else:  # log(0) is -inf, taken without numpy's divide-by-zero warning
-        logmag = np.log(size, out=np.full(size.shape, -np.inf), where=size > 0.0)
-    if big is not None and big.any():
-        sign[big] = np.sign(num[big]) * np.sign(q[big])
-        logmag[big] = math.log(theta_c) + np.log(np.abs(num[big])) + np.log(np.abs(q[big]))
+    special = ~np.isfinite(f) | (np.abs(p0) <= DEGENERACY_TOL * p2)
+    special |= np.abs(disc) <= DEGENERACY_TOL * square
+    for i in np.flatnonzero(special).tolist():
+        sign.flat[i], logmag.flat[i] = det_sign_logmag_at(K.item(i), eta_nd, beta, alpha, theta_c)
     if one:
         return int(sign[0]), float(logmag[0])
     return sign, logmag
@@ -350,8 +282,10 @@ def det_sign_logmag(K, eta_nd, beta, alpha, theta_c):
 def det_sign_logmag_at(K: float, eta_nd: float, beta: float, alpha: float, theta_c: float):
     """:func:`det_sign_logmag` at one float K, with ``math`` on floats: (sign, log|F|).
 
-    The same F, windows (:func:`_lam2_roots_at`), series at a repeated root and
-    sign-0 rule; the values agree with the array form's to rounding.
+    The same F and sign-0 rule, and the one code for F's degenerate cases: a
+    zero or repeated root (:func:`_lam2_roots_at`; at the latter the divided
+    difference is S'*A - S*A', ' = d/d mu) and a crack term past the float
+    range. Elsewhere the values agree with the array form's to rounding.
     """
     mu1, mu2, repeated = _lam2_roots_at(K, eta_nd)
     a1 = math.sqrt(-mu1)
@@ -377,10 +311,16 @@ def det_sign_logmag_at(K: float, eta_nd: float, beta: float, alpha: float, theta
             num, gap = h_b * o_a * o_g - s1 * (h_a * o_g + o_a * h_g), 1.0
         else:
             num, gap = s1 * t_a * t_g - s2 * o_a * o_g, mu1 - mu2
-        if not mu2:  # the zero-root window, as in det_sign_logmag
+        # The zero-root window's mu2 of 0 would zero the crack term, whose root
+        # a large theta_c puts there: its factor mu2 is (1 - K)/mu1 (Vieta).
+        if not mu2:
             mu2 = (1.0 - K) / mu1
+        # theta_c*mu1*mu2 may overflow while num/gap underflows to 0, and inf*0
+        # is NaN: there the factors are regrouped, theta_c*num and mu1/gap*mu2
+        # = q each in range. A NaN left is inf*0 at q = 0, a crack term of 0;
+        # past the float range even so, F is the crack term, kept as its log.
         extra = theta_c * mu1 * mu2 * (num / gap)
-        if not abs(extra) < math.inf:  # NaN or inf: regrouped as in det_sign_logmag
+        if not abs(extra) < math.inf:
             q = mu1 / gap * mu2
             extra = theta_c * num * q
             if extra != extra:

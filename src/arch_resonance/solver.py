@@ -229,7 +229,7 @@ def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, count: int, kns=None):
     above k_min, which every later guide lies above, or the first whose lower
     guide is not above the upper one before it: where adjacent K_n lie within
     2e-6 of each other, guides no longer tell the modes apart. The scan
-    builds its grids a block at a time this way.
+    builds its grid this way, each prefix at least twice the last.
     Returns the nodes and the last upper guide before such a pair, above
     which the grid does not resolve the modes, or inf. Every node is finite
     and nonnegative, as the kernel requires of K: where i*span overflows (a
@@ -354,11 +354,15 @@ def scan_and_bracket(problem: ArchProblem, cfg: SearchConfig) -> ScanResult:
     except OverflowError:
         raise _beyond(k_range) from None
     end, signs, logs = 0, None, None  # the end, signs and logs of the scanned prefix
+    built = 0  # the nodes asked of the last grid build
     while True:
         # The grid is built through the next block and one node more, which
-        # tells whether it goes on.
-        start, kns = end, []
-        nodes, limit = _grid_nodes(problem, k_range, start + _BLOCK + 1, kns)
+        # tells whether it goes on; a rebuild at least doubles the prefix, so
+        # a scan of B blocks builds it about log2(B) times.
+        start = end
+        if start + _BLOCK + 1 > built:
+            built, kns = max(start + _BLOCK + 1, 2 * built), []
+            nodes, limit = _grid_nodes(problem, k_range, built, kns)
         end = start + _BLOCK
         if not start and len(kns) > cfg.max_modes:
             top = sorted(kns)[cfg.max_modes] * (1.0 + _GUIDE_OFFSET)

@@ -112,30 +112,6 @@ class TestQuarticRoots:
         basis = quartic_roots(np.float64(5.0), 0.2)
         assert type(basis.mu1) is type(basis.mu2) is float and type(basis.repeated) is bool
 
-    def test_one_k_roots_are_the_array_roots(self):
-        # quartic_roots and det_sign_logmag_at take (mu1, mu2, repeated) from
-        # _lam2_roots_at, in math on floats; det_sign_logmag from _lam2_roots,
-        # on arrays. Both resolve the same windows to the same bits.
-        rng = random.Random(29)
-        ks, etas = [], []
-        for i in range(4000):
-            eta = (0.0, rng.uniform(0.0, 4.0), 10.0 ** rng.uniform(-3.0, 6.0))[i % 3]
-            window = 1e-10 * (2.0 + eta)
-            ks.append((
-                rng.uniform(0.0, 100.0), 1.0 + rng.uniform(-3.0, 3.0) * window,
-                rng.uniform(0.0, 3e-10), 10.0 ** rng.uniform(-12.0, 12.0),
-            )[i % 4])
-            etas.append(eta)
-        K, eta = np.array(ks), np.array(etas)
-        mu1, mu2, repeated = kernel._lam2_roots(2.0 + K * eta, 1.0 - K)
-        expected = list(zip(mu1.tolist(), mu2.tolist(), repeated.tolist()))
-        assert [kernel._lam2_roots_at(k, e) for k, e in zip(ks, etas)] == expected
-        assert [tuple(vars(quartic_roots(k, e)).values()) for k, e in zip(ks, etas)] == expected
-        # Every branch is drawn: hyperbolic, trigonometric, zero and repeated roots.
-        assert {"hyperbolic", "trigonometric", "zero", "repeated"} == {
-            _branch(k, e) for k, e in zip(ks, etas)
-        }
-
     def test_zero_root_functions(self):
         # mu1 = -3, mu2 = 0: o(mu1, x) and the divided difference (x - o(mu1, x))/3.
         basis = quartic_roots(1.0, 1.0)
@@ -568,144 +544,71 @@ class TestStackedKernel:
         assert bases[2].mu2 == 0.0 and bases[3].mu2 > 0.0
 
 
-class TestMaskShortcut:
-    """det_sign_logmag builds the zero-root and repeated-root masks only when
-    its K range reaches their windows near K = 1 and K = 0; the values are
-    those of a call that always builds them."""
-
-    # Uncracked (the crack of zero compliance at beta/2), cracked.
-    PROBLEMS = [(2.0, 1.0, 0.0), (2.0, 0.7, 0.3)]
-
-    def _record(self, monkeypatch, force=False):
-        # Each _lam2_roots call as (masks built, zero-root mask, repeated mask).
-        calls, original = [], kernel._lam2_roots
-
-        def recording(p2, p0, masks=True):
-            mu1, mu2, repeated = original(p2, p0, masks or force)
-            calls.append((masks, mu2 == 0.0, repeated))
-            return mu1, mu2, repeated
-
-        monkeypatch.setattr(kernel, "_lam2_roots", recording)
-        return calls
-
-    def _evaluate(self, monkeypatch, ks, eta, problem):
-        """The stack's values, its _lam2_roots call, and the values with forced masks."""
-        with monkeypatch.context() as m:
-            calls = self._record(m)
-            values = det_sign_logmag(np.array(ks), eta, *problem)
-        with monkeypatch.context() as m:
-            self._record(m, force=True)
-            forced = det_sign_logmag(np.array(ks), eta, *problem)
-        for v, f in zip(values, forced):
-            assert np.array_equal(v, f)
-        for k, sign, logmag in zip(ks, *values):
-            assert det_sign_logmag(float(k), eta, *problem) == (sign, logmag)
-        assert len(calls) == 1
-        return calls[0]
-
-    @pytest.mark.parametrize("eta", [0.0, 4.0])
-    @pytest.mark.parametrize("problem", PROBLEMS, ids=["uncracked", "cracked"])
-    def test_special_value_among_far_ones(self, monkeypatch, eta, problem):
-        p2 = 2.0 + eta
-        zero_roots = (1.0, 1.0 + 1e-11, 1.0 - 1e-11)
-        edges = (1.0 + 1e-10 * p2, 1.0 - 1e-10 * p2)
-        repeated_roots = (0.0, 1e-12)
-        for k in zero_roots + edges + repeated_roots:
-            # Far values above 1, then below 1 (and above 0).
-            for far in ([5.0, 40.0, 260.0], [0.3, 0.6]):
-                masks, zero, repeated = self._evaluate(monkeypatch, [*far, k], eta, problem)
-                assert masks
-                assert zero[-1] == (k in zero_roots) or k in edges
-                assert repeated[-1] == (k in repeated_roots)
-                assert not zero[:-1].any() and not repeated[:-1].any()
-
-    @pytest.mark.parametrize("eta", [0.0, 4.0])
-    @pytest.mark.parametrize("problem", PROBLEMS, ids=["uncracked", "cracked"])
-    def test_stacks_at_the_windows(self, monkeypatch, eta, problem):
-        width = DEGENERACY_TOL * (2.0 + eta)  # of the zero-root window, either side of 1
-        for side in (1.0, -1.0):
-            inside = [1.0 + side * t * width for t in (0.0, 0.2, 0.5, 0.9)]
-            masks, zero, repeated = self._evaluate(monkeypatch, inside, eta, problem)
-            assert masks and zero.all() and not repeated.any()
-            # Past the window but within the shortcut's margin of 2.
-            margin = [1.0 + side * t * width for t in (1.2, 1.5, 1.9)]
-            masks, zero, repeated = self._evaluate(monkeypatch, margin, eta, problem)
-            assert masks and not zero.any() and not repeated.any()
-            outside = [1.0 + side * t * width for t in (2.5, 4.0, 10.0)]
-            masks, _, repeated = self._evaluate(monkeypatch, outside, eta, problem)
-            assert not masks and repeated is None
-        # A stack on both sides of 1 with none of its values in the window.
-        across = [0.5, 1.0 - 3.0 * width, 1.0 + 3.0 * width, 7.0]
-        masks, _, repeated = self._evaluate(monkeypatch, across, eta, problem)
-        assert not masks and repeated is None
-        masks, zero, _ = self._evaluate(monkeypatch, across + [1.0 + 0.5 * width], eta, problem)
-        assert masks and zero.tolist() == [False] * 4 + [True]
-        # The repeated-root window is K <= tol / (1 + eta).
-        inside = [t * DEGENERACY_TOL / (1.0 + eta) for t in (0.0, 0.1, 0.5, 0.9)]
-        masks, zero, repeated = self._evaluate(monkeypatch, inside, eta, problem)
-        assert masks and repeated.all() and not zero.any()
-        margin = [t * DEGENERACY_TOL for t in (1.5, 1.9)]
-        masks, zero, repeated = self._evaluate(monkeypatch, margin, eta, problem)
-        assert masks and not repeated.any() and not zero.any()
-        outside = [t * DEGENERACY_TOL for t in (2.5, 5.0, 10.0)]
-        masks, _, repeated = self._evaluate(monkeypatch, outside, eta, problem)
-        assert not masks and repeated is None
-
-
-class TestOneSidedBranches:
-    """Every mu2 of a K stack wholly above 1 is hyperbolic, and wholly below 1
-    trigonometric; det_sign_logmag then evaluates that branch alone. Each value
-    equals that of the same K inside a stack that straddles K = 1, where the
-    branch is chosen per value."""
-
-    BELOW = [1e-6, 0.05, 0.3, 0.7, 0.999]
-    ABOVE = [1.001, 1.2, 4.0, 60.0, 900.0, 2.5e5]
-    # Stacks by side, those next to 1 out of the degeneracy windows.
-    SIDES = {
-        "below": BELOW,
-        "above": ABOVE,
-        "just-below": [1.0 - 1e-3, 1.0 - 1e-4, 1.0 - 1e-6],
-        "just-above": [1.0 + 1e-6, 1.0 + 1e-4, 1.0 + 1e-3],
-    }
-    # (eta, beta, alpha, theta_c): two uncracked (the crack of zero compliance
-    # at beta/2), then cracked, and cracked with theta_c = 0.
-    PROBLEMS = [
-        (0.0, 1.0, 0.5, 0.0), (2.0, 1.5, 0.75, 0.0),
-        (1.0, 1.0, 0.4, 0.8), (3.0, 2.5, 2.0, 40.0), (0.5, 2.0, 0.7, 0.0),
-    ]
-
-    @staticmethod
-    def _check(ks, params, monkeypatch):
-        """Values of ``ks`` alone, checked against ``ks`` between the other side's values."""
-        one_sided = all(k > 1.0 for k in ks) or all(k < 1.0 for k in ks)
-        calls, original = [], kernel._lam2_roots
-        monkeypatch.setattr(
-            kernel,
-            "_lam2_roots",
-            lambda p2, p0, masks: calls.append(masks) or original(p2, p0, masks),
-        )
-        signs, logs = det_sign_logmag(np.array(ks), *params)
-        assert one_sided and calls == [False]
-        other = TestOneSidedBranches.ABOVE if ks[0] < 1.0 else TestOneSidedBranches.BELOW
-        n = len(ks)
-        mixed = np.array(other[:2] + ks + other[2:])
-        mixed_signs, mixed_logs = det_sign_logmag(mixed, *params)
-        assert signs.tobytes() == mixed_signs[2 : 2 + n].tobytes()
-        assert logs.tobytes() == mixed_logs[2 : 2 + n].tobytes()
-        assert calls == [False, False]
-
-    @pytest.mark.parametrize("problem", PROBLEMS)
-    @pytest.mark.parametrize("side", SIDES)
-    def test_single_parameters(self, monkeypatch, problem, side):
-        self._check(self.SIDES[side], problem, monkeypatch)
-
-
 def _branch(K: float, eta: float) -> str:
-    """The branch of mu2 at K, as :func:`kernel._lam2_roots` resolves it."""
+    """The branch of mu2 at K, as :func:`kernel._lam2_roots_at` resolves it."""
     basis = quartic_roots(K, eta)
     if basis.repeated:
         return "repeated"
     return "zero" if basis.mu2 == 0.0 else "hyperbolic" if basis.mu2 > 0.0 else "trigonometric"
+
+
+class TestSpecialK:
+    """det_sign_logmag evaluates every K in the generic branch and hands each
+    special K, one in a window of _lam2_roots_at or whose generic F is not
+    finite, to det_sign_logmag_at: those entries are its values bit for bit,
+    and every entry is that of its K alone."""
+
+    GENERIC = [0.3, 0.9, 2.5, 40.0, 1e3]
+    # (eta, beta, alpha, theta_c): uncracked (the crack of zero compliance at
+    # beta/2), cracked, and a theta_c whose crack term passes the largest
+    # float at K = 0.003 (TestCrackTermNearTheLargestFloat.PAST).
+    PROBLEMS = [(4.0, 1.3, 0.65, 0.0), (0.0, 2.0, 0.7, 0.3), (1.0, 1.5, 0.5, 40.0),
+                (0.0, 6.25, 1.44, 1.7e308)]
+
+    @staticmethod
+    def _record(monkeypatch):
+        """The K values det_sign_logmag hands to det_sign_logmag_at."""
+        calls, original = [], kernel.det_sign_logmag_at
+        monkeypatch.setattr(
+            kernel, "det_sign_logmag_at", lambda k, *args: calls.append(k) or original(k, *args)
+        )
+        return calls
+
+    @staticmethod
+    def _bits(sign, logmag) -> tuple:
+        return int(sign), float(logmag).hex()
+
+    @pytest.mark.parametrize("problem", PROBLEMS)
+    def test_special_entries_are_the_one_k_values(self, monkeypatch, problem):
+        eta, *rest = problem
+        width = DEGENERACY_TOL * (2.0 + eta)  # of the zero-root window, either side of 1
+        special = [0.0, 1.0, 1.0 - 0.5 * width, 1.0 + 0.5 * width, 0.5 * DEGENERACY_TOL / (1.0 + eta)]
+        for k in special:
+            mu1, mu2, repeated = kernel._lam2_roots_at(k, eta)
+            assert repeated or mu2 == 0.0
+        if problem[3] > 1e300:
+            special.append(0.003)
+            assert math.isinf(float(reduced_det_mp(0.003, *problem)))
+        ks = [k for pair in zip(self.GENERIC, special) for k in pair] + special[len(self.GENERIC):]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            calls = self._record(monkeypatch)
+            signs, logs = det_sign_logmag(np.array(ks), *problem)
+            assert set(special) <= set(calls)
+            monkeypatch.undo()
+            for k, sign, logmag in zip(ks, signs.tolist(), logs.tolist()):
+                alone = det_sign_logmag(np.array([k]), *problem)
+                assert self._bits(sign, logmag) == self._bits(alone[0][0], alone[1][0]), k
+                if k in special:
+                    assert self._bits(sign, logmag) == self._bits(*det_sign_logmag_at(k, *problem)), k
+
+    @pytest.mark.parametrize("problem", PROBLEMS[:3])
+    def test_generic_block_makes_no_one_k_call(self, monkeypatch, problem):
+        # A scan's block, across K = 1 and below it, none of it special.
+        calls = self._record(monkeypatch)
+        for ks in (np.linspace(0.01, 900.0, 256), np.linspace(0.02, 0.98, 40)):
+            det_sign_logmag(ks, *problem)
+        assert calls == []
 
 
 class TestOneK:
@@ -773,8 +676,9 @@ class TestOneK:
 
 class TestCrackTermNearTheLargestFloat:
     """theta_c*mu1*mu2 overflows where theta_c*(K - 1) passes the largest
-    float, while the divided difference may underflow to 0: both forms then
-    regroup the crack term's factors, so they neither warn nor return NaN."""
+    float, while the divided difference may underflow to 0: the one-K form
+    then regroups the crack term's factors, and the array form hands it such
+    a K, so neither warns nor returns NaN."""
 
     # (eta, beta, alpha, theta_c, K) where F is well-conditioned, so the
     # 60-digit reference holds, and theta_c*mu1*mu2 overflows.
@@ -822,7 +726,7 @@ class TestCrackTermNearTheLargestFloat:
         assert all(sign in (-1, 1) and math.isfinite(logmag) for sign, logmag in ones)
 
     # Near the largest theta_c, where theta_c*num*(mu1/gap*mu2) itself passes
-    # the largest float (|F| near 5e308): both forms keep F as its log.
+    # the largest float (|F| near 5e308): the one-K form keeps F as its log.
     PAST = [(0.0, 6.25, 1.44, 1.7e308, 0.003), (3.0, 6.13, 4.47, 1.7e308, 0.005),
             (0.1, 6.18, 1.6, 1e308, 0.0025)]
 

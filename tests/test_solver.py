@@ -1087,6 +1087,24 @@ class TestEarlyExitScan:
         assert abs(uniform[1] - node) <= 1e-15
         assert nodes.tolist() == kept[:300]
 
+    @pytest.mark.parametrize("block, modes", [(16, 60), (256, 1400)])
+    def test_grid_builds_grow_geometrically(self, monkeypatch, block, modes):
+        # A rebuild at least doubles the grid prefix, so a many-mode scan
+        # builds it about log2(blocks) times, not once a block.
+        problem = make_problem(beta=1.0, eta=1.0, alpha=0.4, theta=0.8)
+        cfg = SearchConfig(max_modes=modes)
+        monkeypatch.setattr(solver, "_BLOCK", block)
+        builds, original = [], solver._grid_nodes
+        monkeypatch.setattr(
+            solver, "_grid_nodes", lambda *args: builds.append(args[2]) or original(*args)
+        )
+        before = solver._tally.calls
+        spectrum = find_frequencies(problem, cfg)
+        blocks = solver._tally.calls - before
+        assert blocks >= 16
+        assert len(builds) <= math.log2(blocks) + 2, builds
+        assert spectrum.roots == _whole_grid_spectrum(problem, cfg)
+
     def test_partial_scan_is_a_prefix_of_the_whole_grid(self, monkeypatch):
         problem = make_problem(eta=1.0, alpha=0.4, theta=0.8)
         monkeypatch.setattr(solver, "_BLOCK", 16)
