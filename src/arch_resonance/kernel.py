@@ -19,7 +19,7 @@ trial K or an array of them of any shape, giving a sign and a log-magnitude
 for each. A call costs mostly a fixed part, some 50 numpy operations: 1 and
 256 K values of a cracked problem take about 55 and 90 us in a tight loop
 (numpy 2.4, Python 3.11, shared 2-core x86-64 VM), so the solver's grid scan
-evaluates its K grid in blocks of 256, one call each.
+makes one call a pass: 256 values at most, then each pass doubles the prefix.
 :func:`det_sign_logmag_at`, the one-K form, evaluates the same F with
 ``math`` on floats in about 2-3 us, which serves refinement and a mode
 shape's polish: a sequential method there needs a few values at a time,

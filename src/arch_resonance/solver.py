@@ -5,16 +5,18 @@ sin(n*pi*phi/beta) (:func:`model.uncracked_K_closed_form`), listed with no
 kernel call. A cracked arch's boundary determinant, the reduced
 characteristic function in closed form (:func:`kernel.det_sign_logmag`, no
 matrix), is scanned on a K grid of uniform nodes and guides around K = 1 and
-around each uncracked eigenvalue K_n, with their midpoint, in blocks of at
-most 256 K values, one kernel call each, until the blocks hold the
-candidates of the requested modes: sign changes, each one root, and dips. A
-dip is a node far below both neighbours of its sign, around which an even
-number of roots may lie unbracketed, so a dip among them fails the solve.
+around each uncracked eigenvalue K_n, with their midpoint, in passes of one
+kernel call each, until the scanned prefix holds the candidates of the
+requested modes: sign changes, each one root, and dips. The first pass
+evaluates at most 256 K values, almost always all a solve needs, and each
+later pass doubles the prefix. A dip is a node far below both neighbours of
+its sign, around which an even number of roots may lie unbracketed, so a
+dip among them fails the solve.
 Each bracket is then refined on its own by Brent's method, one K at a time
 (:func:`refine_root`), about three evaluations a root. The two forms of F
 serve the two shapes of work: a call of the array form
-(:func:`kernel.det_sign_logmag`) costs mostly its fixed part, which a
-block of 256 K values shares, while the one-K form
+(:func:`kernel.det_sign_logmag`) costs mostly its fixed part, which all the
+K values of a pass share, while the one-K form
 (:func:`kernel.det_sign_logmag_at`) costs a few microseconds a value, so a
 sequential method pays only for the values it needs. A spectrum holds roots
 only: :func:`mode_shape` samples an uncracked root's shape as its sine and
@@ -24,8 +26,9 @@ Every array-kernel call goes through :func:`boundary_determinant`, which
 takes a cracked problem only (a crack of zero compliance is one).
 
 Everything is deterministic: the same problem and configuration produce
-bit-identical spectra, whatever the block size, because the kernel
-evaluates each K independently and each bracket is refined alone.
+bit-identical spectra, however the scan splits its grid into passes,
+because the kernel evaluates each K independently and each bracket is
+refined alone.
 
 An uncracked solve imports neither numpy nor :mod:`kernel`: each function
 that works on arrays or calls the kernel imports them itself, so numpy loads
@@ -59,9 +62,8 @@ _DIP_THRESHOLD = _DIP_DECADES * math.log(10.0)
 _GUIDE_OFFSET = 1e-6
 # One-K evaluations per refined bracket (refine_root).
 _MAX_EVALUATIONS = 200
-# K values per kernel call in the grid scan. Blocks bound the kernel's arrays
-# and let the scan stop early: with the default k_max the requested roots
-# almost always lie in the first block.
+# Most K values of the grid scan's first pass. It lets the scan stop early:
+# with the default k_max the requested roots almost always lie in it.
 _BLOCK = 256
 # A mode shape whose largest sample is at or below _NOISE times its amplitude,
 # its largest |X| at 64 cell midpoints of [0, beta], reads +0.0 throughout.
@@ -229,7 +231,7 @@ def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, count: int, kns=None):
     above k_min, which every later guide lies above, or the first whose lower
     guide is not above the upper one before it: where adjacent K_n lie within
     2e-6 of each other, guides no longer tell the modes apart. The scan
-    builds its grid this way, each prefix at least twice the last.
+    builds its grid this way, each pass through twice the prefix it scanned.
     Returns the nodes and the last upper guide before such a pair, above
     which the grid does not resolve the modes, or inf. Every node is finite
     and nonnegative, as the kernel requires of K: where i*span overflows (a
@@ -332,13 +334,15 @@ def _count_below(problem: ArchProblem, K: float) -> int:
 def scan_and_bracket(problem: ArchProblem, cfg: SearchConfig) -> ScanResult:
     """Locate determinant sign changes of a cracked problem over its K range.
 
-    Each kernel call evaluates the next block of the grid, at most
-    ``_BLOCK`` K values, and a first block ends at the upper guide of the
-    (max_modes + 1)-th smallest K_n above k_min, one mode to spare for a
-    crack's shift. The scan stops after the first block that leaves
-    ``max_modes`` candidates, brackets and dips, in hand: the first
-    candidates of the whole grid, in order. A node of sign 0 is one
-    zero-width bracket, even at a double root.
+    The grid is scanned in ascending passes, one kernel call each. The first
+    pass ends at the upper guide of the (max_modes + 1)-th smallest K_n above
+    k_min, one mode to spare for a crack's shift, or after ``_BLOCK`` K
+    values, whichever comes first. Each later pass doubles the scanned
+    prefix, so a scan of N nodes builds the grid, looks for candidates and
+    joins the values about log2(N) times, O(N) work in all. The scan stops
+    after the first pass that leaves ``max_modes`` candidates, brackets and
+    dips, in hand: the first candidates of the whole grid, in order. A node
+    of sign 0 is one zero-width bracket, even at a double root.
 
     Raises :class:`NoRootsInRange` when the scan yields no bracket, a dip
     among its first ``max_modes`` candidates (named by its K; a dip above is
@@ -353,25 +357,14 @@ def scan_and_bracket(problem: ArchProblem, cfg: SearchConfig) -> ScanResult:
         _count_below(problem, k_range.k_max)
     except OverflowError:
         raise _beyond(k_range) from None
-    end, signs, logs = 0, None, None  # the end, signs and logs of the scanned prefix
-    built = 0  # the nodes asked of the last grid build
+    kns = []
+    nodes, limit = _grid_nodes(problem, k_range, _BLOCK + 1, kns)
+    end = _BLOCK
+    if len(kns) > cfg.max_modes:
+        top = sorted(kns)[cfg.max_modes] * (1.0 + _GUIDE_OFFSET)
+        end = min(_BLOCK, int(np.searchsorted(nodes, top, "right")))
+    signs, logs = boundary_determinant(problem, nodes[:end])
     while True:
-        # The grid is built through the next block and one node more, which
-        # tells whether it goes on; a rebuild at least doubles the prefix, so
-        # a scan of B blocks builds it about log2(B) times.
-        start = end
-        if start + _BLOCK + 1 > built:
-            built, kns = max(start + _BLOCK + 1, 2 * built), []
-            nodes, limit = _grid_nodes(problem, k_range, built, kns)
-        end = start + _BLOCK
-        if not start and len(kns) > cfg.max_modes:
-            top = sorted(kns)[cfg.max_modes] * (1.0 + _GUIDE_OFFSET)
-            end = min(_BLOCK, int(np.searchsorted(nodes, top, "right")))
-        new_signs, new_logs = boundary_determinant(problem, nodes[start:end])
-        if signs is None:
-            signs, logs = new_signs, new_logs
-        else:
-            signs, logs = np.concatenate([signs, new_signs]), np.concatenate([logs, new_logs])
         lower, upper, dips = _candidates(nodes, signs, logs)
         if limit < nodes[signs.size - 1] and cfg.max_modes > (
             np.searchsorted(nodes[upper], limit, "right") + sum(d < limit for d in dips)
@@ -379,6 +372,12 @@ def scan_and_bracket(problem: ArchProblem, cfg: SearchConfig) -> ScanResult:
             raise _beyond(k_range, "holds modes closer than the grid tells apart")
         if end >= nodes.size or lower.size + len(dips) >= cfg.max_modes:
             break
+        # The grid is built through twice the scanned prefix and one node
+        # more, which tells whether it goes on; only the added nodes are evaluated.
+        end *= 2
+        nodes, limit = _grid_nodes(problem, k_range, end + 1)
+        new_signs, new_logs = boundary_determinant(problem, nodes[signs.size:end])
+        signs, logs = np.concatenate([signs, new_signs]), np.concatenate([logs, new_logs])
     if dips and np.searchsorted(nodes[lower], dips[0]) < cfg.max_modes:
         raise NoRootsInRange(
             f"the determinant dips without a sign change at K = {dips[0]!r}:"

@@ -544,6 +544,86 @@ class TestModeShape:
             mode_shape(problem, spectrum.roots[0], samples=1)
 
 
+def _pair_form_shape(problem, K, phis):
+    """A cracked mode shape at ``phis`` from the 2x2 pair form, in mpmath at 60 digits.
+
+    Independent of the kernel's 4x4 matching system. At the 60-digit root of
+    :func:`conftest.reduced_det_mp` near ``K``, each characteristic pair i
+    (mu_i, u_i(x) = sin(a_i x)/a_i, x or sinh(b_i x)/b_i) is continuous in X
+    and X'' across the crack, so its coefficients are t_i*(u_i(gamma),
+    u_i(alpha)) left and right of it, gamma = beta - alpha. Shear continuity
+    and the slope jump theta_c*X''(alpha) give (t1, t2) as the null vector of
+    [[mu1 S1, mu2 S2], [S1 + theta_c mu1 A1, S2 + theta_c mu2 A2]], S_i =
+    u_i(beta), A_i = u_i(alpha)*u_i(gamma), whose determinant over mu1 - mu2
+    is F. Returns the shape scaled to a largest sample of +1, and the least
+    of |sin(a1 alpha)| and |sin(a1 gamma)|, small where the crack sits near
+    a node of the mode and the pair form loses the shape.
+    """
+    mp = pytest.importorskip("mpmath")
+    beta, eta, crack = problem.beta, problem.eta_nd, problem.crack
+    args = (eta, beta, crack.alpha, crack.theta_c)
+    with mp.workdps(60):
+        k = mp.findroot(
+            lambda x: reduced_det_mp(x, *args), (mp.mpf(K), K * (1 + mp.mpf(1e-9))),
+            solver="secant", verify=False,
+        )
+        assert abs(k - K) <= 1e-9 * max(1.0, K)
+        p2 = 2 + k * eta
+        root = mp.sqrt(p2 * p2 - 4 * (1 - k))
+        mus = (-(p2 + root) / 2, (root - p2) / 2)
+
+        def u(mu, x):
+            if mu > 0:
+                return mp.sinh(mp.sqrt(mu) * x) / mp.sqrt(mu)
+            return x if mu == 0 else mp.sin(mp.sqrt(-mu) * x) / mp.sqrt(-mu)
+
+        beta, alpha = mp.mpf(beta), mp.mpf(crack.alpha)
+        gamma = beta - alpha
+        s = [u(mu, beta) for mu in mus]
+        rows = (
+            [mu * si for mu, si in zip(mus, s)],
+            [si + crack.theta_c * mu * u(mu, alpha) * u(mu, gamma) for mu, si in zip(mus, s)],
+        )
+        m = max(rows, key=lambda row: max(map(abs, row)))
+        left = [t * u(mu, gamma) for t, mu in zip((m[1], -m[0]), mus)]
+        right = [t * u(mu, alpha) for t, mu in zip((m[1], -m[0]), mus)]
+        x = [
+            sum(c * u(mu, phi) for c, mu in zip(left, mus)) if phi < alpha
+            else sum(c * u(mu, beta - phi) for c, mu in zip(right, mus))
+            for phi in map(mp.mpf, phis)
+        ]
+        peak = max(x, key=abs)
+        a1 = mp.sqrt(-mus[0])
+        return np.array([float(v / peak) for v in x]), float(
+            min(abs(mp.sin(a1 * alpha)), abs(mp.sin(a1 * gamma)))
+        )
+
+
+class TestCrackedShapeOracle:
+    def test_matches_the_pair_form(self):
+        # 40 seeded low-mode cracked shapes against the 60-digit pair form,
+        # both scaled to a peak of +1. A crack near a node of the mode, where
+        # the pair form loses the shape, is left out, and so is a shape whose
+        # + and - extrema nearly tie, where rounding picks the sign.
+        rng = np.random.default_rng(14)
+        worst, checked = 0.0, 0
+        for _ in range(40):
+            beta = float(rng.uniform(0.5, 6.0))
+            eta = 0.0 if rng.random() < 0.3 else float(rng.uniform(0.0, 4.0))
+            alpha, theta = float(rng.uniform(0.1, 0.9)) * beta, float(10 ** rng.uniform(-2, 1))
+            problem = make_problem(beta, eta, alpha, theta)
+            mode = int(rng.integers(1, 6))
+            root = find_frequencies(problem, SearchConfig(max_modes=mode)).roots[mode - 1]
+            shape = mode_shape(problem, root)
+            reference, node = _pair_form_shape(problem, root.K, shape[:, 0])
+            if node < 0.1 or reference.min() < -1.0 + 1e-6:
+                continue
+            worst = max(worst, np.abs(shape[:, 1] - reference).max())
+            checked += 1
+        assert checked >= 35
+        assert worst <= 1e-9
+
+
 class TestEtaMonotonicity:
     def test_fundamental_decreases_with_nonlocal_parameter(self):
         cfg = SearchConfig(max_modes=1)
@@ -889,16 +969,17 @@ class TestBatchedSearch:
             _alone(make_problem(), SearchConfig(max_modes=2, k_max=10.0))
         lines = [r.getMessage() for r in caplog.records if r.name == "arch_resonance.solver"]
         # Below k_max = 10, beta = 1 has no root and beta = 2 one, so both
-        # raise after scanning their whole grids of 2002 and 2005 nodes in 8
-        # blocks each (2000 uniform, the guides at K = 1 and, for beta = 2,
-        # the guides and midpoint of K_1 = 2.15), and refine nothing; beta =
-        # 6 stops after its first block, and its two roots take six one-K
-        # evaluations. An uncracked problem is its closed form: no kernel
-        # call and no bracket refined, whether it solves or raises.
+        # raise after scanning their whole grids of 2002 and 2005 nodes in 4
+        # passes each, of 256, 256, 512 and the rest (2000 uniform, the guides
+        # at K = 1 and, for beta = 2, the guides and midpoint of K_1 = 2.15),
+        # and refine nothing; beta = 6 stops after its first pass, and its two
+        # roots take six one-K evaluations. An uncracked problem is its closed
+        # form: no kernel call and no bracket refined, whether it solves or
+        # raises.
         assert lines == [
-            "find_frequencies: 8 scan kernel calls, 2002 K values, "
+            "find_frequencies: 4 scan kernel calls, 2002 K values, "
             "0 refinement evaluations, 0 brackets refined",
-            "find_frequencies: 8 scan kernel calls, 2005 K values, "
+            "find_frequencies: 4 scan kernel calls, 2005 K values, "
             "0 refinement evaluations, 0 brackets refined",
             "find_frequencies: 1 scan kernel calls, 256 K values, "
             "6 refinement evaluations, 2 brackets refined",
@@ -1089,20 +1170,49 @@ class TestEarlyExitScan:
 
     @pytest.mark.parametrize("block, modes", [(16, 60), (256, 1400)])
     def test_grid_builds_grow_geometrically(self, monkeypatch, block, modes):
-        # A rebuild at least doubles the grid prefix, so a many-mode scan
-        # builds it about log2(blocks) times, not once a block.
+        # Each pass builds the grid once and evaluates at least as many values
+        # as all the passes before it, so a many-mode scan makes about
+        # log2(nodes / first pass) kernel calls.
         problem = make_problem(beta=1.0, eta=1.0, alpha=0.4, theta=0.8)
         cfg = SearchConfig(max_modes=modes)
         monkeypatch.setattr(solver, "_BLOCK", block)
-        builds, original = [], solver._grid_nodes
-        monkeypatch.setattr(
-            solver, "_grid_nodes", lambda *args: builds.append(args[2]) or original(*args)
-        )
-        before = solver._tally.calls
+        builds, passes = [], []
+        grid, determinant = solver._grid_nodes, solver.boundary_determinant
+
+        def built(*args):
+            builds.append(args[2])
+            return grid(*args)
+
+        def evaluated(searched, K):
+            passes.append(K.size)
+            return determinant(searched, K)
+
+        monkeypatch.setattr(solver, "_grid_nodes", built)
+        monkeypatch.setattr(solver, "boundary_determinant", evaluated)
         spectrum = find_frequencies(problem, cfg)
-        blocks = solver._tally.calls - before
-        assert blocks >= 16
-        assert len(builds) <= math.log2(blocks) + 2, builds
+        builds, passes = list(builds), list(passes)  # before the whole-grid scan adds to them
+        assert len(builds) == len(passes) >= 4, (builds, passes)
+        assert all(size >= sum(passes[:i]) for i, size in enumerate(passes) if i), passes
+        assert len(passes) <= math.log2(sum(passes) / passes[0]) + 2, passes
+        assert spectrum.roots == _whole_grid_spectrum(problem, cfg)
+
+    def test_candidate_search_is_linear_in_the_scan(self, monkeypatch):
+        # A scan of a few thousand modes looks for candidates in prefixes
+        # that double, so the nodes it hands _candidates sum to about twice
+        # the last prefix. Once per 256 nodes, they would grow as its square.
+        problem = make_problem(beta=1.0, eta=1.0, alpha=0.4, theta=0.8)
+        cfg = SearchConfig(max_modes=2000)
+        prefixes, candidates = [], solver._candidates
+
+        def counted(nodes, signs, logs):
+            prefixes.append(signs.size)
+            return candidates(nodes, signs, logs)
+
+        monkeypatch.setattr(solver, "_candidates", counted)
+        spectrum = find_frequencies(problem, cfg)
+        prefixes = list(prefixes)
+        assert prefixes[-1] > 4 * solver._BLOCK
+        assert sum(prefixes) <= 4 * prefixes[-1], prefixes
         assert spectrum.roots == _whole_grid_spectrum(problem, cfg)
 
     def test_partial_scan_is_a_prefix_of_the_whole_grid(self, monkeypatch):
