@@ -11,26 +11,16 @@ assembles the crack matching matrix whose null vector gives a cracked mode
 shape, and evaluates the boundary determinant in closed form, as the reduced
 characteristic function whose sign changes bracket the eigenvalues.
 
-Two forms
----------
-The reduced characteristic function has two forms, one for each shape of
-the root search's work. :func:`det_sign_logmag`, the array form, takes one
-trial K or an array of them of any shape, giving a sign and a log-magnitude
-for each. A call costs mostly a fixed part, some 50 numpy operations: 1 and
-256 K values of a cracked problem take about 55 and 90 us in a tight loop
-(numpy 2.4, Python 3.11, shared 2-core x86-64 VM), so the solver's grid scan
-makes one call a pass: 256 values at most, then each pass doubles the prefix.
-:func:`det_sign_logmag_at`, the one-K form, evaluates the same F with
-``math`` on floats in about 2-3 us, which serves refinement and a mode
-shape's polish: a sequential method there needs a few values at a time,
-each chosen from the last. The array form evaluates every K in the generic
-branch, two distinct nonzero roots with mu2's branch chosen per value, then
-hands each special K, one in a window of :func:`_lam2_roots_at` or whose F
-is not finite, to the one-K form, which alone holds F's degenerate cases: a
-zero root, a repeated root and a crack term past the float range. A scan's
-grid nodes are seldom special. The matching path
-(:func:`quartic_roots`, :class:`ModeBasis` and :func:`assemble_cracked`)
-samples one cracked mode shape at its root and takes one K.
+One form of F
+-------------
+:func:`det_sign_logmag_at` evaluates the reduced characteristic function at
+one float K with ``math`` on floats, in about 2 us (Python 3.11, shared
+2-core x86-64 VM). It serves every value the root search takes: the grid
+scan's nodes, one at a time, Brent refinement and a mode shape's polish. It
+alone holds F's degenerate cases: a zero root, a repeated root and a crack
+term past the float range. The matching path (:func:`quartic_roots`,
+:class:`ModeBasis` and :func:`assemble_cracked`) samples one cracked mode
+shape at its root and takes one K.
 
 The kernel checks none of its input: callers pass valid problems, which
 :class:`model.ArchProblem` checks, and finite K >= 0 (the solver's own grid
@@ -69,10 +59,10 @@ the X''' and slope-jump rows into a 2x2 whose determinant over mu1 - mu2 is
     S_i = o(mu_i, beta),  A_i = o(mu_i, alpha)*o(mu_i, gamma);
 
 at theta_c = 0, F = S1*S2, the uncracked arch's function at any alpha.
-:func:`det_sign_logmag` and :func:`det_sign_logmag_at` evaluate F with no
-matrix. Its sign is that of the determinant of the matching matrix, so both
-change sign at the same K. A cracked mode shape's coefficients are the null
-vector of the matching matrix at its root (:func:`null_vector`). The solver
+:func:`det_sign_logmag_at` evaluates F with no matrix. Its sign is that of
+the determinant of the matching matrix, so both change sign at the same K.
+A cracked mode shape's coefficients are the null vector of the matching
+matrix at its root (:func:`null_vector`). The solver
 needs none of this for an uncracked arch: its K_n and shapes
 sin(n*pi*phi/beta) are closed forms (:func:`model.uncracked_K_closed_form`).
 """
@@ -86,7 +76,7 @@ import numpy as np
 
 # Degeneracy window for branch switching (see _lam2_roots_at).
 DEGENERACY_TOL = 1e-10
-# |F| at or below this fraction of its scale zeroes the sign (det_sign_logmag).
+# |F| at or below this fraction of its scale zeroes the sign (det_sign_logmag_at).
 PIVOT_ZERO_TOL = 1e-13
 
 
@@ -221,71 +211,20 @@ def assemble_cracked(
     return m
 
 
-def det_sign_logmag(K, eta_nd, beta, alpha, theta_c):
-    """Sign and log-magnitude of the reduced characteristic function at trial K.
+def det_sign_logmag_at(K: float, eta_nd: float, beta: float, alpha: float, theta_c: float):
+    """Sign and log-magnitude of the reduced characteristic function at one float K.
 
-    Takes one K, giving (int, float), or an array of them of any shape,
-    giving two arrays of its shape. The crack sits at ``alpha`` with
-    compliance ``theta_c``; an uncracked arch is the crack of zero compliance
-    at any alpha. The problem parameters are floats. F is the module
+    The crack sits at ``alpha`` with compliance ``theta_c``; an uncracked
+    arch is the crack of zero compliance at any alpha. F is the module
     docstring's, a hyperbolic pair divided by cosh(a2*alpha)*cosh(a2*gamma),
     so it enters as tanh(a2*x)/a2 and F stays bounded. The sign is 0 where
     |F| is at or below PIVOT_ZERO_TOL of B1*B2 + |theta_c*mu1*mu2*(divided
     difference)|, B being 1/a for a trigonometric pair, beta for mu2 = 0 and
     the scaled S2 for a hyperbolic pair: at theta_c = 0 with two
-    trigonometric pairs, |sin(a1*beta)*sin(a2*beta)| <= PIVOT_ZERO_TOL. A K
-    in a window of :func:`_lam2_roots_at`, or whose F is not finite in the
-    generic branch, takes the value of :func:`det_sign_logmag_at`.
-    """
-    one = not np.ndim(K)
-    K = np.asarray(K, dtype=float).reshape(1) if one else np.asarray(K, dtype=float)
-    p2, p0 = 2.0 + K * eta_nd, 1.0 - K
-    square = p2 * p2
-    disc = square - 4.0 * p0
-    mu1 = -0.5 * (p2 + np.sqrt(disc))
-    mu2 = p0 / mu1  # Vieta; avoids cancellation in (-p2 + sq)/2
-    hyp = mu2 > 0.0
-    # beta, alpha and gamma as rows of one array: each function of them runs once.
-    x = np.array((beta, alpha, beta - alpha)).reshape((3,) + (1,) * K.ndim)
-    # None warns: a special K's NaN or inf is overwritten below, and log(0) is -inf.
-    with np.errstate(all="ignore"):
-        a1 = np.sqrt(-mu1)
-        s1, o_a, o_g = np.sin(a1 * x) / a1
-        # The pair of mu2 at x and B2 of the sign-0 rule: tanh(a2*x)/a2 is
-        # o(mu2, x)/cosh(a2*x), S2 its sum at alpha and gamma.
-        a2 = np.sqrt(np.abs(mu2))
-        t = a2 * x
-        o = np.tanh(t)
-        np.sin(t, out=o, where=~hyp)  # at the trigonometric values only
-        o /= a2
-        s2, t_a, t_g = o
-        np.add(t_a, t_g, out=s2, where=hyp)
-        b2 = np.where(hyp, s2, 1.0 / a2)
-        extra = 0.0
-        if theta_c > 0.0:
-            num = s1 * t_a * t_g - s2 * o_a * o_g
-            extra = theta_c * mu1 * mu2 * (num / (mu1 - mu2))
-        f = s1 * s2 + extra
-        size = np.abs(f)
-        sign = np.sign(f).astype(int)
-        sign[size <= PIVOT_ZERO_TOL * (b2 / a1 + np.abs(extra))] = 0
-        logmag = np.log(size)
-    special = ~np.isfinite(f) | (np.abs(p0) <= DEGENERACY_TOL * p2)
-    special |= np.abs(disc) <= DEGENERACY_TOL * square
-    for i in np.flatnonzero(special).tolist():
-        sign.flat[i], logmag.flat[i] = det_sign_logmag_at(K.item(i), eta_nd, beta, alpha, theta_c)
-    if one:
-        return int(sign[0]), float(logmag[0])
-    return sign, logmag
-
-
-def det_sign_logmag_at(K: float, eta_nd: float, beta: float, alpha: float, theta_c: float):
-    """:func:`det_sign_logmag` at one float K, with ``math`` on floats: (sign, log|F|).
-
-    The same F and sign-0 rule, and the one code for F's degenerate cases: a
-    zero or repeated root (:func:`_lam2_roots_at`; at the latter the divided
-    difference is S'*A - S*A', ' = d/d mu) and a crack term past the float
-    range. Elsewhere the values agree with the array form's to rounding.
+    trigonometric pairs, |sin(a1*beta)*sin(a2*beta)| <= PIVOT_ZERO_TOL.
+    F's degenerate cases are a zero or repeated root (:func:`_lam2_roots_at`;
+    at the latter the divided difference is S'*A - S*A', ' = d/d mu) and a
+    crack term past the float range, kept as its log.
     """
     mu1, mu2, repeated = _lam2_roots_at(K, eta_nd)
     a1 = math.sqrt(-mu1)

@@ -3,40 +3,33 @@
 An uncracked arch's spectrum is its closed form, the K_n of the modes
 sin(n*pi*phi/beta) (:func:`model.uncracked_K_closed_form`), listed with no
 kernel call. A cracked arch's boundary determinant, the reduced
-characteristic function in closed form (:func:`kernel.det_sign_logmag`, no
-matrix), is scanned on a K grid of uniform nodes and guides around K = 1 and
-around each uncracked eigenvalue K_n, with their midpoint, in passes of one
-kernel call each, until the scanned prefix holds the candidates of the
-requested modes: sign changes, each one root, and dips. The first pass
-evaluates at most 256 K values, almost always all a solve needs, and each
-later pass doubles the prefix. A dip is a node far below both neighbours of
-its sign, around which an even number of roots may lie unbracketed, so a
-dip among them fails the solve.
-Each bracket is then refined on its own by Brent's method, one K at a time
-(:func:`refine_root`), about three evaluations a root. The two forms of F
-serve the two shapes of work: a call of the array form
-(:func:`kernel.det_sign_logmag`) costs mostly its fixed part, which all the
-K values of a pass share, while the one-K form
-(:func:`kernel.det_sign_logmag_at`) costs a few microseconds a value, so a
-sequential method pays only for the values it needs. A spectrum holds roots
-only: :func:`mode_shape` samples an uncracked root's shape as its sine and
-a cracked one's from the null vector of its crack's matching matrix.
-
-Every array-kernel call goes through :func:`boundary_determinant`, which
-takes a cracked problem only (a crack of zero compliance is one).
+characteristic function F in closed form (:func:`kernel.det_sign_logmag_at`,
+no matrix), is scanned one K at a time on a grid of uniform nodes and guides
+around K = 1 and around each uncracked eigenvalue K_n, with their midpoint,
+in passes, until the scanned prefix holds the candidates of the requested
+modes: sign changes, each one root, and dips. The first pass runs through
+the upper guide of the K_n one past the requested modes, almost always all
+a solve needs, and each later pass doubles the prefix. A dip is a node far
+below both neighbours of its sign, around which an even number of roots may
+lie unbracketed, so a dip among them fails the solve.
+Each bracket is then refined on its own by Brent's method with the same
+one-K form (:func:`refine_root`), about four evaluations a root. A spectrum
+holds roots only: :func:`mode_shape` samples an uncracked root's shape as
+its sine and a cracked one's from the null vector of its crack's matching
+matrix.
 
 Everything is deterministic: the same problem and configuration produce
 bit-identical spectra, however the scan splits its grid into passes,
-because the kernel evaluates each K independently and each bracket is
-refined alone.
+because F is evaluated at each K alone and each bracket is refined alone.
 
-An uncracked solve imports neither numpy nor :mod:`kernel`: each function
-that works on arrays or calls the kernel imports them itself, so numpy loads
-with the first cracked search or mode shape, the kernel with a cracked one.
+An uncracked solve imports neither numpy nor :mod:`kernel`, and the search
+works on lists: only a mode shape imports numpy itself, and a cracked search
+imports the kernel, which loads numpy with it.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import logging
 import math
@@ -62,9 +55,6 @@ _DIP_THRESHOLD = _DIP_DECADES * math.log(10.0)
 _GUIDE_OFFSET = 1e-6
 # One-K evaluations per refined bracket (refine_root).
 _MAX_EVALUATIONS = 200
-# Most K values of the grid scan's first pass. It lets the scan stop early:
-# with the default k_max the requested roots almost always lie in it.
-_BLOCK = 256
 # A mode shape whose largest sample is at or below _NOISE times its amplitude,
 # its largest |X| at 64 cell midpoints of [0, beta], reads +0.0 throughout.
 _NOISE = 1e-8
@@ -87,7 +77,7 @@ class SearchConfig:
 
     k_min: float = 1e-6
     k_max: float | None = None
-    grid_points: int = 2000
+    grid_points: int = 256
     refine_tol: float = 1e-10
     max_modes: int = 5
 
@@ -146,34 +136,18 @@ class ScanResult:
 
 
 class _Tally(threading.local):
-    """Array-kernel calls and K values (boundary_determinant, the scan's), and one-K evaluations.
+    """Scan passes and evaluations, and refine_root's one-K evaluations.
 
-    ``evals`` counts the one-K evaluations of refine_root. Per thread, so
-    that concurrent solves do not mix their counts; read around each
-    find_frequencies call for its debug line.
+    Per thread, so that concurrent solves do not mix their counts; read
+    around each find_frequencies call for its debug line.
     """
 
-    calls = 0
+    passes = 0
     values = 0
     evals = 0
 
 
 _tally = _Tally()
-
-
-def boundary_determinant(problem: ArchProblem, K):
-    """Sign and log-magnitude of a cracked problem's reduced characteristic function.
-
-    ``problem`` is cracked (a crack of zero compliance is one). One K gives
-    (int, float), a K array two arrays of its shape; no matrix is assembled
-    (:func:`kernel.det_sign_logmag`).
-    """
-    import numpy as np
-    from . import kernel
-    _tally.calls += 1
-    _tally.values += K.size if isinstance(K, np.ndarray) else 1
-    crack = problem.crack
-    return kernel.det_sign_logmag(K, problem.eta_nd, problem.beta, crack.alpha, crack.theta_c)
 
 
 def _resolved(problem: ArchProblem, cfg: SearchConfig) -> SearchConfig:
@@ -199,7 +173,7 @@ def _resolved(problem: ArchProblem, cfg: SearchConfig) -> SearchConfig:
     return resolved
 
 
-def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, count: int, kns=None):
+def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, count: int, modes=None):
     """First ``count`` nodes of the uniform K grid plus guides around K = 1 and each K_n.
 
     The uncracked closed-form values are used even for cracked problems:
@@ -209,7 +183,6 @@ def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, count: int, kns=None):
     fundamental rises), so the guides are an aid, not a bound. A pair with
     no uniform node between its guides (to rounding) gets their midpoint,
     bisection's first, which resolves a close cracked pair there.
-    ``kns``, a list if given, receives the K_n above k_min the loop computed.
 
     At K = 1 the constant term 1 - K of the characteristic quartic changes
     sign, and a crack at eta = 0 often puts one root below it and the next
@@ -232,13 +205,17 @@ def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, count: int, kns=None):
     guide is not above the upper one before it: where adjacent K_n lie within
     2e-6 of each other, guides no longer tell the modes apart. The scan
     builds its grid this way, each pass through twice the prefix it scanned.
-    Returns the nodes and the last upper guide before such a pair, above
-    which the grid does not resolve the modes, or inf. Every node is finite
-    and nonnegative, as the kernel requires of K: where i*span overflows (a
-    range near the largest float, which the scan fails first unless eta is 0
-    or nearly), a uniform node is k_max - (1 - i/(points - 1))*span instead.
+    With ``modes``, the nodes end at the first past the upper guide of the
+    (modes + 1)-th smallest K_n above k_min, if that comes sooner: the scan's
+    first pass and the node that tells whether the grid goes on. Once the
+    rising K_n reach that guide, the uniform nodes and guides stop two
+    uniform nodes past it (one to spare for rounding). Returns the nodes and
+    the last upper guide before a pair of guides that overlap, above which
+    the grid does not resolve the modes, or inf. Every node is finite and
+    nonnegative, as the kernel requires of K: where i*span overflows (a range
+    near the largest float, which the scan fails first unless eta is 0 or
+    nearly), a uniform node is k_max - (1 - i/(points - 1))*span instead.
     """
-    import numpy as np
     k_min, k_max, points = cfg.k_min, cfg.k_max, cfg.grid_points
     size, span = min(count + 1, points), k_max - k_min
     bound = k_max if size == points else k_min + span * (size - 1) / (points - 1)
@@ -247,6 +224,7 @@ def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, count: int, kns=None):
     c = math.floor(problem.beta / math.pi)
     first = max(c + 1, _count_below(problem, k_min * (1.0 - 2.0 * _GUIDE_OFFSET)))
     above, last, limit = 0, -1.0, math.inf  # limit: where guides stop telling modes apart
+    kns, through = [], math.inf  # the K_n above k_min, and the first pass's end
     closed_form, beta, eta = model.uncracked_K_closed_form, problem.beta, problem.eta_nd
     for n in itertools.chain(range(1, c + 1), itertools.count(first)):
         kn = closed_form(n, beta, eta)
@@ -263,52 +241,47 @@ def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, count: int, kns=None):
                 guides.append(g)
         if k_min < lo and hi < bound and (lo - k_min) // step == (hi - k_min) // step:
             guides.append(0.5 * (lo + hi))
-        if kns is not None and kn > k_min:
+        if modes is not None and kn > k_min and through == math.inf:
             kns.append(kn)
+            # The rising K_n ascend: once this one is the (modes + 1)-th
+            # smallest or above it, that K_n is known.
+            if n > c and len(kns) > modes and (top := sorted(kns)[modes]) <= kn:
+                through = top * (1.0 + _GUIDE_OFFSET)
+                size = min(size, math.floor((through - k_min) / step) + 3)
+                if size < points:
+                    bound = k_min + span * (size - 1) / (points - 1)
     # The uniform nodes k_min + span*i/(points - 1), bound the last, then the guides.
-    nodes = np.empty(size + len(guides))
-    uniform = nodes[:size]
-    i = np.arange(size, dtype=float)
-    if (size - 1) * span / (points - 1) + k_min < math.inf:  # the largest node, as below
-        np.multiply(i, span, out=uniform)
-        uniform /= points - 1
-        uniform += k_min
-    else:  # i*span overflows, so those nodes count down from k_max
-        with np.errstate(over="ignore"):
-            uniform[:] = i * span / (points - 1) + k_min
-        over = uniform == math.inf
-        uniform[over] = k_max - (1.0 - i[over] / (points - 1)) * span
-    nodes[size:] = guides
+    den = points - 1
+    nodes = [i * span / den + k_min for i in range(size)]
+    if nodes[-1] == math.inf:  # i*span overflows, so those nodes count down from k_max
+        nodes = [x if x < math.inf else k_max - (1.0 - i / den) * span for i, x in enumerate(nodes)]
+    nodes += guides
     nodes.sort()
-    # A node within 1e-15*max(1, K) above its neighbour is dropped (none is if
-    # the least gap exceeds that at the largest node). Such pairs never chain:
-    # the nodes of K = 1 and of a K_n sit 1e-6 apart or more.
-    gaps = nodes[1:] - nodes[:-1]
-    if gaps.min() > 1e-15 * max(1.0, nodes[-1]):
-        return nodes[:count], limit
-    keep = np.concatenate(([True], gaps > 1e-15 * np.maximum(1.0, nodes[1:])))
-    return nodes[keep][:count], limit
+    # A node within 1e-15*max(1, K) above its neighbour is dropped. Such pairs
+    # never chain: the nodes of K = 1 and of a K_n sit 1e-6 apart or more.
+    kept = [b for a, b in zip(nodes, nodes[1:]) if b - a > 1e-15 * (b if b > 1.0 else 1.0)]
+    nodes = [nodes[0], *kept[:count - 1]]
+    return nodes[:bisect.bisect_right(nodes, through) + 1], limit
 
 
-def _candidates(nodes, signs, logs):
+def _candidates(nodes, values):
     """Brackets (lower and upper node indices) and dip nodes (floats) of a scanned prefix.
 
-    A node with sign 0 is a bracket of its own; a sign change between two
-    nonzero nodes brackets the gap. Both are keyed by their lower node. A
-    sign change needs its upper node and a dip its right-hand neighbour, so
-    every candidate of a prefix of the grid is also one of the whole grid.
+    ``values`` holds the (sign, log-magnitude) of the prefix's nodes. A node
+    with sign 0 is a bracket of its own; a sign change between two nonzero
+    nodes brackets the gap. Both are keyed by their lower node. A sign change
+    needs its upper node and a dip its right-hand neighbour, so every
+    candidate of a prefix of the grid is also one of the whole grid.
     """
-    import numpy as np
-    lower = (signs[:-1] * signs[1:] < 0).nonzero()[0]
-    upper = lower + 1
-    if np.count_nonzero(signs) < signs.size:  # nodes of sign 0, no sign change beside them
-        both = np.concatenate(((lower, upper), [(signs == 0).nonzero()[0]] * 2), axis=1)
-        lower, upper = both[:, both[0].argsort()]
-    # The log-magnitude test first: few nodes pass it, and only those need
-    # their signs compared.
-    deep = (logs[1:-1] <= np.minimum(logs[:-2], logs[2:]) - _DIP_THRESHOLD).nonzero()[0]
-    dips = [j + 1 for j in deep.tolist() if signs[j] == signs[j + 1] == signs[j + 2] != 0]
-    return lower, upper, [nodes[j].item() for j in dips]
+    signs, logs = zip(*values) if values else ((), ())
+    # A node of sign 0, or one whose sign the next node's (none past the last) changes.
+    lower = [j for j, s, t in zip(itertools.count(), signs, signs[1:] + (0,)) if s * t < 0 or not s]
+    upper = [j + 1 if signs[j] else j for j in lower]
+    # A node below min(a, b) - drop, its neighbours' log-magnitudes a and b, of their sign.
+    dips = [nodes[j] for j, a, m, b in zip(itertools.count(1), logs, logs[1:], logs[2:])
+            if m <= (a if a < b else b) - _DIP_THRESHOLD
+            and signs[j - 1] == signs[j] == signs[j + 1] != 0]
+    return lower, upper, dips
 
 
 def _mode_numbers(problem: ArchProblem, K: float) -> tuple[float, float]:
@@ -334,15 +307,16 @@ def _count_below(problem: ArchProblem, K: float) -> int:
 def scan_and_bracket(problem: ArchProblem, cfg: SearchConfig) -> ScanResult:
     """Locate determinant sign changes of a cracked problem over its K range.
 
-    The grid is scanned in ascending passes, one kernel call each. The first
-    pass ends at the upper guide of the (max_modes + 1)-th smallest K_n above
-    k_min, one mode to spare for a crack's shift, or after ``_BLOCK`` K
-    values, whichever comes first. Each later pass doubles the scanned
-    prefix, so a scan of N nodes builds the grid, looks for candidates and
-    joins the values about log2(N) times, O(N) work in all. The scan stops
-    after the first pass that leaves ``max_modes`` candidates, brackets and
-    dips, in hand: the first candidates of the whole grid, in order. A node
-    of sign 0 is one zero-width bracket, even at a double root.
+    The grid is scanned in ascending passes, each node evaluated alone by
+    :func:`kernel.det_sign_logmag_at`. The first pass ends at the upper guide
+    of the (max_modes + 1)-th smallest K_n above k_min, one mode to spare for
+    a crack's shift, or with the grid. Each later pass doubles the scanned
+    prefix, so a scan of N nodes builds the grid and looks for candidates
+    about log2(N) times at most, O(N) work in all.
+    The scan stops after the first pass that leaves ``max_modes``
+    candidates, brackets and dips, in hand: the first candidates of the
+    whole grid, in order. A node of sign 0 is one zero-width bracket, even
+    at a double root.
 
     Raises :class:`NoRootsInRange` when the scan yields no bracket, a dip
     among its first ``max_modes`` candidates (named by its K; a dip above is
@@ -351,44 +325,46 @@ def scan_and_bracket(problem: ArchProblem, cfg: SearchConfig) -> ScanResult:
     the scan passes it, or N(k_max) (:func:`_count_below`) overflows, a range
     beyond doubles.
     """
-    import numpy as np
+    from . import kernel
     k_range = _resolved(problem, cfg)
     try:
         _count_below(problem, k_range.k_max)
     except OverflowError:
         raise _beyond(k_range) from None
-    kns = []
-    nodes, limit = _grid_nodes(problem, k_range, _BLOCK + 1, kns)
-    end = _BLOCK
-    if len(kns) > cfg.max_modes:
-        top = sorted(kns)[cfg.max_modes] * (1.0 + _GUIDE_OFFSET)
-        end = min(_BLOCK, int(np.searchsorted(nodes, top, "right")))
-    signs, logs = boundary_determinant(problem, nodes[:end])
+    # The first pass ends before the grid's next node, which tells whether it goes on.
+    nodes, limit = _grid_nodes(problem, k_range, sys.maxsize, cfg.max_modes)
+    end = len(nodes) - 1
+    # Looked up here, not bound at import, so a wrapper set on the module sees each value.
+    evaluate = kernel.det_sign_logmag_at
+    crack = problem.crack
+    eta, beta, alpha, theta = problem.eta_nd, problem.beta, crack.alpha, crack.theta_c
+    values = []
     while True:
-        lower, upper, dips = _candidates(nodes, signs, logs)
-        if limit < nodes[signs.size - 1] and cfg.max_modes > (
-            np.searchsorted(nodes[upper], limit, "right") + sum(d < limit for d in dips)
+        _tally.passes += 1
+        _tally.values += end - len(values)
+        values += [evaluate(k, eta, beta, alpha, theta) for k in nodes[len(values):end]]
+        lower, upper, dips = _candidates(nodes, values)
+        if limit < nodes[end - 1] and cfg.max_modes > (
+            sum(nodes[j] <= limit for j in upper) + sum(d < limit for d in dips)
         ):
             raise _beyond(k_range, "holds modes closer than the grid tells apart")
-        if end >= nodes.size or lower.size + len(dips) >= cfg.max_modes:
+        if end >= len(nodes) or len(lower) + len(dips) >= cfg.max_modes:
             break
         # The grid is built through twice the scanned prefix and one node
         # more, which tells whether it goes on; only the added nodes are evaluated.
-        end *= 2
-        nodes, limit = _grid_nodes(problem, k_range, end + 1)
-        new_signs, new_logs = boundary_determinant(problem, nodes[signs.size:end])
-        signs, logs = np.concatenate([signs, new_signs]), np.concatenate([logs, new_logs])
-    if dips and np.searchsorted(nodes[lower], dips[0]) < cfg.max_modes:
+        nodes, limit = _grid_nodes(problem, k_range, 2 * end + 1)
+        end = min(2 * end, len(nodes))
+    if dips and sum(nodes[j] < dips[0] for j in lower) < cfg.max_modes:
         raise NoRootsInRange(
             f"the determinant dips without a sign change at K = {dips[0]!r}:"
             " an even number of roots may lie there unbracketed"
         )
-    if not lower.size:
+    if not lower:
         raise _short(0, k_range)
-    n, at = lower.size, np.concatenate((lower, upper))
-    ks, values = nodes[at].tolist(), tuple(zip(signs[at].tolist(), logs[at].tolist()))
+    pairs = list(zip(lower, upper))
     return ScanResult(
-        brackets=tuple(zip(ks[:n], ks[n:])), end_values=tuple(zip(values[:n], values[n:]))
+        brackets=tuple((nodes[i], nodes[j]) for i, j in pairs),
+        end_values=tuple((values[i], values[j]) for i, j in pairs),
     )
 
 
@@ -501,12 +477,12 @@ def find_frequencies(problem: ArchProblem, cfg: SearchConfig | None = None) -> S
     holds fewer than ``max_modes`` roots, or when a dip is among the first
     ``max_modes`` candidates.
 
-    Logs one debug line per call, also when it raises: the scan's
-    array-kernel calls and K values, the refinement's one-K evaluations and
-    the brackets refined (the searched roots).
+    Logs one debug line per call, also when it raises: the scan's passes
+    and evaluations, the refinement's evaluations and the brackets refined
+    (the searched roots).
     """
     cfg = cfg if cfg is not None else SearchConfig()
-    calls, values, evals, refined = _tally.calls, _tally.values, _tally.evals, 0
+    passes, values, evals, refined = _tally.passes, _tally.values, _tally.evals, 0
     try:
         if problem.crack is None:
             return _closed_form_spectrum(problem, cfg)
@@ -520,9 +496,9 @@ def find_frequencies(problem: ArchProblem, cfg: SearchConfig | None = None) -> S
     finally:
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug(
-                "find_frequencies: %d scan kernel calls, %d K values, "
+                "find_frequencies: %d scan passes, %d scan evaluations, "
                 "%d refinement evaluations, %d brackets refined",
-                _tally.calls - calls, _tally.values - values, _tally.evals - evals, refined,
+                _tally.passes - passes, _tally.values - values, _tally.evals - evals, refined,
             )
 
 

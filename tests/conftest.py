@@ -37,7 +37,7 @@ def cofactor_det(m) -> float:
 
 
 def reduced_det_mp(K, eta, beta, alpha, theta, dps=60):
-    """The reduced characteristic function of ``kernel.det_sign_logmag`` in mpmath.
+    """The reduced characteristic function of ``kernel.det_sign_logmag_at`` in mpmath.
 
     The same scaling (tanh(a2*x)/a2 for a hyperbolic pair) evaluated at
     ``dps`` digits from the exact roots of mu^2 + p2*mu + p0, with the
@@ -117,7 +117,7 @@ def matching_matrix(problem: ArchProblem, K: float) -> np.ndarray:
 
 
 def assembled_signs(problem: ArchProblem, ks) -> list[int]:
-    """Signs the 4x4 boundary systems at ``ks`` give ``det_sign_logmag``.
+    """Signs the 4x4 boundary systems at ``ks`` give ``det_sign_logmag_at``.
 
     Cofactor-determinant signs of :func:`matching_matrix`, whose matrix (that
     of an uncracked arch as the crack of zero compliance too) has the sign of
@@ -127,6 +127,12 @@ def assembled_signs(problem: ArchProblem, ks) -> list[int]:
         (d > 0) - (d < 0)
         for d in (cofactor_det(matching_matrix(problem, float(k)).tolist()) for k in ks)
     ]
+
+
+def reduced_det(problem: ArchProblem, K: float) -> tuple[int, float]:
+    """(sign, log|F|) of a cracked problem's reduced characteristic function at one K."""
+    crack, eta, beta = problem.crack, problem.eta_nd, problem.beta
+    return kernel.det_sign_logmag_at(float(K), eta, beta, crack.alpha, crack.theta_c)
 
 
 def make_problem(

@@ -4,15 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from arch_resonance import kernel, uncracked_K_closed_form
+from arch_resonance import uncracked_K_closed_form
 from arch_resonance.kernel import (
-    DEGENERACY_TOL,
     PIVOT_ZERO_TOL,
     assemble_cracked,
-    det_sign_logmag,
     det_sign_logmag_at,
     null_vector,
     quartic_roots,
@@ -34,6 +30,11 @@ ETAS = (0.0, 0.5, 1.0, 2.0)
 def _matrix_signs(stack) -> list[int]:
     """Cofactor-determinant signs of a stack of matrices."""
     return [int(np.sign(cofactor_det(m.tolist()))) for m in stack]
+
+
+def _signs(ks, eta, beta, alpha, theta) -> list[int]:
+    """Signs of the reduced characteristic function at each K of ``ks``."""
+    return [det_sign_logmag_at(float(k), eta, beta, alpha, theta)[0] for k in ks]
 
 
 def _changes(signs) -> list[int]:
@@ -111,6 +112,16 @@ class TestQuarticRoots:
         # The matching path takes one K, whose basis holds Python floats.
         basis = quartic_roots(np.float64(5.0), 0.2)
         assert type(basis.mu1) is type(basis.mu2) is float and type(basis.repeated) is bool
+
+    def test_branch_of_each_k(self):
+        bases = [quartic_roots(k, 0.0) for k in (0.0, 0.5, 1.0, 5.0)]
+        # Repeated, two trigonometric, zero root, trigonometric plus hyperbolic.
+        assert [b.repeated for b in bases] == [True, False, False, False]
+        assert [b.mu1 for b in bases] == pytest.approx(
+            [-1.0, -1.0 - math.sqrt(0.5), -2.0, -1.0 - math.sqrt(5.0)], rel=1e-14
+        )
+        assert bases[0].mu2 == -1.0 and -1.0 < bases[1].mu2 < 0.0
+        assert bases[2].mu2 == 0.0 and bases[3].mu2 > 0.0
 
     def test_zero_root_functions(self):
         # mu1 = -3, mu2 = 0: o(mu1, x) and the divided difference (x - o(mu1, x))/3.
@@ -193,7 +204,7 @@ class TestBasisProperties:
         beta, eta = 1.3, 0.7
 
         def value(K):
-            sign, logmag = det_sign_logmag(K, eta, beta, 0.5 * beta, 0.0)
+            sign, logmag = det_sign_logmag_at(K, eta, beta, 0.5 * beta, 0.0)
             return sign * math.exp(logmag)
 
         gaps = []
@@ -213,7 +224,7 @@ class TestBasisProperties:
             matrix = matching_matrix(make_problem(beta, 0.0, alpha, theta), K)
             assert np.isfinite(matrix).all()
         for alpha, theta in ((0.5 * beta, 0.0), (0.7, 10.0)):
-            sign, logmag = det_sign_logmag(K, 0.0, beta, alpha, theta)
+            sign, logmag = det_sign_logmag_at(K, 0.0, beta, alpha, theta)
             assert sign != 0 and math.isfinite(logmag)
 
 
@@ -262,7 +273,7 @@ class TestAssembleUncracked:
                     kn = uncracked_K_closed_form(n, beta, eta)
 
                     def sgn(K):
-                        return det_sign_logmag(K, eta, beta, 0.5 * beta, 0.0)[0]
+                        return det_sign_logmag_at(K, eta, beta, 0.5 * beta, 0.0)[0]
 
                     assert sgn(kn * (1 - 1e-6)) * sgn(kn * (1 + 1e-6)) == -1
 
@@ -289,7 +300,7 @@ class TestAssembleCracked:
         assert _changes(plain) == _changes(cracked)
         # The reduced function changes sign where the matrices do.
         for at in (0.5 * beta, alpha):
-            assert _changes(det_sign_logmag(np.array(ks), eta, beta, at, 0.0)[0]) == _changes(plain)
+            assert _changes(_signs(ks, eta, beta, at, 0.0)) == _changes(plain)
 
     def test_mirrored_crack_same_zero_set(self):
         beta, eta, theta = 1.0, 0.0, 0.8
@@ -302,7 +313,7 @@ class TestAssembleCracked:
         ]
         assert changes[0] == changes[1]
         for alpha in (0.3, 0.7):
-            reduced = det_sign_logmag(np.array(ks), eta, beta, alpha, theta)[0]
+            reduced = _signs(ks, eta, beta, alpha, theta)
             assert _changes(reduced) == changes[0]
 
     def test_one_matrix_per_k(self):
@@ -362,7 +373,7 @@ class TestSupportRows:
         for theta in (0.0, 1.0, 1e3):
             matrix = assemble_cracked(basis, beta, alpha, theta)
             assert cofactor_det(matrix.tolist()) != 0.0
-            assert det_sign_logmag(0.0, 0.3, beta, alpha, theta)[0] != 0
+            assert det_sign_logmag_at(0.0, 0.3, beta, alpha, theta)[0] != 0
 
 
 class TestDeterminant:
@@ -376,10 +387,10 @@ class TestDeterminant:
             a1, a2 = math.sqrt(-basis.mu1), math.sqrt(abs(basis.mu2))
             second = 2.0 * math.tanh(0.5 * a2 * beta) if basis.mu2 > 0 else math.sin(a2 * beta)
             expected = math.sin(a1 * beta) / a1 * second / a2
-            sign, logmag = det_sign_logmag(K, eta, beta, 0.5 * beta, 0.0)
+            sign, logmag = det_sign_logmag_at(K, eta, beta, 0.5 * beta, 0.0)
             assert sign == (1 if expected > 0 else -1)
             assert logmag == pytest.approx(math.log(abs(expected)), abs=1e-12)
-            assert det_sign_logmag(K, eta, beta, 0.4 * beta, 0.0)[0] == sign
+            assert det_sign_logmag_at(K, eta, beta, 0.4 * beta, 0.0)[0] == sign
 
     def test_crack_term_vanishes_at_mu2_zero(self):
         # At K = 1 the root mu2 is 0, the reduced 2x2 is triangular, and F is
@@ -387,11 +398,11 @@ class TestDeterminant:
         for eta, beta, alpha in ((0.0, 1.0, 0.3), (1.0, 2.5, 2.0)):
             assert quartic_roots(1.0, eta).mu2 == 0.0
             a1 = math.sqrt(2.0 + eta)
-            plain = det_sign_logmag(1.0, eta, beta, 0.5 * beta, 0.0)
+            plain = det_sign_logmag_at(1.0, eta, beta, 0.5 * beta, 0.0)
             expected = math.log(abs(math.sin(a1 * beta) / a1 * beta))
             assert plain[1] == pytest.approx(expected, abs=1e-14)
             for theta in (0.0, 1.0, 1e4):
-                assert det_sign_logmag(1.0, eta, beta, alpha, theta) == plain
+                assert det_sign_logmag_at(1.0, eta, beta, alpha, theta) == plain
 
     def test_singular(self):
         # The solver's guide midpoint of each closed-form root reads sign 0
@@ -400,8 +411,19 @@ class TestDeterminant:
             for eta in ETAS:
                 for n in (1, 2, 3):
                     mid = _midpoint(uncracked_K_closed_form(n, beta, eta))
-                    assert det_sign_logmag(mid, eta, beta, 0.5 * beta, 0.0)[0] == 0
-                    assert det_sign_logmag(mid, eta, beta, 0.37 * beta, 0.0)[0] == 0
+                    assert det_sign_logmag_at(mid, eta, beta, 0.5 * beta, 0.0)[0] == 0
+                    assert det_sign_logmag_at(mid, eta, beta, 0.37 * beta, 0.0)[0] == 0
+
+    def test_constructed_singular_matrices_have_sign_zero(self):
+        # Guide midpoints of closed-form roots, where the boundary system is
+        # singular, read 0 behind a crack of zero compliance; the K values
+        # between them do not.
+        beta, eta = 2.0, 0.3
+        roots = [_midpoint(uncracked_K_closed_form(n, beta, eta)) for n in (1, 2, 3, 4)]
+        others = [0.0, 1.0, 1e6, 0.5 * sum(roots[:2])]
+        for alpha in (0.5 * beta, 0.8):
+            assert _signs(roots, eta, beta, alpha, 0.0) == [0, 0, 0, 0]
+            assert 0 not in _signs(others, eta, beta, alpha, 0.0)
 
     def test_zero_sign_rule(self):
         # Two trigonometric pairs (K < 1): sign 0 exactly where
@@ -409,7 +431,7 @@ class TestDeterminant:
         beta, eta = 5.0, 0.0
         kn = uncracked_K_closed_form(1, beta, eta)
         ks = kn * (1.0 + np.array([0.0, 1e-15, -1e-15, 1e-11, -1e-11, 1e-6]))
-        signs, _ = det_sign_logmag(ks, eta, beta, 0.5 * beta, 0.0)
+        signs = np.array(_signs(ks, eta, beta, 0.5 * beta, 0.0))
         bases = [quartic_roots(float(k), eta) for k in ks]
         mu1, mu2 = (np.array([getattr(b, name) for b in bases]) for name in ("mu1", "mu2"))
         assert np.all(mu2 < 0.0)
@@ -422,8 +444,8 @@ class TestDeterminant:
         # digits away from roots.
         checked = 0
         for beta, eta, alpha, theta, ks in random_arch_points(42, 40):
-            signs, logs = det_sign_logmag(ks, eta, beta, alpha, theta)
-            assert signs.tolist() == assembled_signs(make_problem(beta, eta, alpha, theta), ks)
+            signs, logs = zip(*(det_sign_logmag_at(k, eta, beta, alpha, theta) for k in ks.tolist()))
+            assert list(signs) == assembled_signs(make_problem(beta, eta, alpha, theta), ks)
             for k, logmag in zip(ks, logs):
                 reference = reference_log(k, eta, beta, alpha, theta)
                 checked += reference is not None
@@ -434,24 +456,22 @@ class TestDeterminant:
     # (K, beta, alpha, theta_c) at eta 0 where S1*S2 and the crack term
     # cancel exactly, so F rounds to 0.0; found next to cracked roots.
     EXACT_ZEROS = [
-        (1.625935444831332, 1.751999250360589, 0.6004010480260427, 5.7908433710764955),
-        (3.6589697716577048, 1.0740125781925598, 0.8471887350126307, 24.849452341406003),
-        (1506.6317890992786, 0.835910610281003, 0.25416298500379697, 3.0641164139276005),
+        (10.045952766868375, 1.3235221796021612, 0.7085917783337312, 0.8411780206429167),
+        (1822.1389308810603, 0.8289695814207232, 0.6382860736927121, 0.445025642449315),
+        (2.7676791337501343, 1.1313561328517527, 0.6877384126909744, 14.794942030829308),
     ]
 
     @pytest.mark.parametrize("point", EXACT_ZEROS)
     def test_exact_zero_reads_minus_infinity(self, point):
         # log|F| of an exact 0.0 is -inf, with sign 0, and no RuntimeWarning
-        # (pyproject makes one an error); the other values of the array are
-        # those of their own calls.
+        # (pyproject makes one an error); K on either side reads finite.
         k, beta, alpha, theta = point
-        ks = np.array([0.5 * k, k, 2.0 * k])
-        signs, logs = det_sign_logmag(ks, 0.0, beta, alpha, theta)
-        assert signs[1] == 0 and logs[1] == -math.inf
-        assert det_sign_logmag(k, 0.0, beta, alpha, theta) == (0, -math.inf)
-        for i in (0, 2):
-            assert math.isfinite(logs[i])
-            assert det_sign_logmag(float(ks[i]), 0.0, beta, alpha, theta) == (signs[i], logs[i])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert det_sign_logmag_at(k, 0.0, beta, alpha, theta) == (0, -math.inf)
+            for other in (0.5 * k, 2.0 * k):
+                sign, logmag = det_sign_logmag_at(other, 0.0, beta, alpha, theta)
+                assert sign != 0 and math.isfinite(logmag)
 
 
 class TestNullVector:
@@ -479,71 +499,6 @@ class TestNullVector:
             null_vector([[1, 2, 0, 0], [3, 4, 0, 0], [5, 6, 0, 0], [0, 1, 0, 0]])
 
 
-class TestStackedKernel:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        cracked=st.booleans(),
-        count=st.integers(1, 40),
-    )
-    def test_stack_matches_single_calls(self, seed, cracked, count):
-        rng = np.random.default_rng(seed)
-        beta, eta = rng.uniform(0.01, 2 * math.pi), rng.choice([0.0, rng.uniform(0.0, 4.0)])
-        crack = (0.5 * beta, 0.0)  # uncracked
-        if cracked:
-            crack = (rng.uniform(0.05, 0.95) * beta, 10 ** rng.uniform(-3, 4))
-        ks = 10 ** rng.uniform(-8.0, 8.0, count)
-        ks[rng.random(count) < 0.1] = rng.choice([0.0, 1.0])
-        signs, logs = det_sign_logmag(ks, eta, beta, *crack)
-        assert signs.shape == logs.shape == (count,)
-        for k, sign, logmag in zip(ks, signs, logs):
-            one_sign, one_log = det_sign_logmag(float(k), eta, beta, *crack)
-            assert sign == one_sign
-            assert abs(logmag - one_log) <= 1e-12
-
-    @pytest.mark.parametrize("theta", [0.0, 0.8])
-    def test_two_dimensional_k_with_scalar_parameters(self, theta):
-        # A (2, n) K with one problem's parameters gives arrays of its shape,
-        # each value that of its own call, the windows at K = 0 and 1 included.
-        ks = np.array([[0.0, 3e-11, 0.5, 1.0, 7.0], [2e-11, 0.9, 1.0 + 1e-11, 40.0, 1e3]])
-        signs, logs = det_sign_logmag(ks, 1.0, 1.3, 0.4, theta)
-        assert signs.shape == logs.shape == ks.shape
-        for k, sign, logmag in zip(ks.ravel().tolist(), signs.ravel().tolist(), logs.ravel().tolist()):
-            assert det_sign_logmag(k, 1.0, 1.3, 0.4, theta) == (sign, logmag)
-
-    def test_cracked_stack_against_cofactor_oracle(self):
-        problem = make_problem(beta=1.3, eta=0.7, alpha=0.5, theta=1.2)
-        ks = np.linspace(3.0, 900.0, 12)
-        signs, logs = det_sign_logmag(ks, 0.7, 1.3, 0.5, 1.2)
-        assert signs.tolist() == assembled_signs(problem, ks)
-        for k, logmag in zip(ks, logs):
-            assert abs(logmag - reference_log(k, 0.7, 1.3, 0.5, 1.2)) < 1e-9
-
-    def test_constructed_singular_matrices_have_sign_zero(self):
-        # Guide midpoints of closed-form roots, where the boundary system is
-        # singular, read 0 anywhere in a stack; the other K values do not.
-        beta, eta = 2.0, 0.3
-        roots = [_midpoint(uncracked_K_closed_form(n, beta, eta)) for n in (1, 2, 3, 4)]
-        others = [0.0, 1.0, 1e6, 0.5 * sum(roots[:2])]
-        ks = np.array([k for pair in zip(roots, others) for k in pair])
-        for alpha in (0.5 * beta, 0.8):
-            signs, _ = det_sign_logmag(ks, eta, beta, alpha, 0.0)
-            assert signs.tolist()[0::2] == [0, 0, 0, 0]
-            assert 0 not in signs.tolist()[1::2]
-            for k, sign in zip(ks, signs):
-                assert det_sign_logmag(float(k), eta, beta, alpha, 0.0)[0] == sign
-
-    def test_branch_of_a_stack(self):
-        bases = [quartic_roots(k, 0.0) for k in (0.0, 0.5, 1.0, 5.0)]
-        # Repeated, two trigonometric, zero root, trigonometric plus hyperbolic.
-        assert [b.repeated for b in bases] == [True, False, False, False]
-        assert [b.mu1 for b in bases] == pytest.approx(
-            [-1.0, -1.0 - math.sqrt(0.5), -2.0, -1.0 - math.sqrt(5.0)], rel=1e-14
-        )
-        assert bases[0].mu2 == -1.0 and -1.0 < bases[1].mu2 < 0.0
-        assert bases[2].mu2 == 0.0 and bases[3].mu2 > 0.0
-
-
 def _branch(K: float, eta: float) -> str:
     """The branch of mu2 at K, as :func:`kernel._lam2_roots_at` resolves it."""
     basis = quartic_roots(K, eta)
@@ -552,75 +507,9 @@ def _branch(K: float, eta: float) -> str:
     return "zero" if basis.mu2 == 0.0 else "hyperbolic" if basis.mu2 > 0.0 else "trigonometric"
 
 
-class TestSpecialK:
-    """det_sign_logmag evaluates every K in the generic branch and hands each
-    special K, one in a window of _lam2_roots_at or whose generic F is not
-    finite, to det_sign_logmag_at: those entries are its values bit for bit,
-    and every entry is that of its K alone."""
-
-    GENERIC = [0.3, 0.9, 2.5, 40.0, 1e3]
-    # (eta, beta, alpha, theta_c): uncracked (the crack of zero compliance at
-    # beta/2), cracked, and a theta_c whose crack term passes the largest
-    # float at K = 0.003 (TestCrackTermNearTheLargestFloat.PAST).
-    PROBLEMS = [(4.0, 1.3, 0.65, 0.0), (0.0, 2.0, 0.7, 0.3), (1.0, 1.5, 0.5, 40.0),
-                (0.0, 6.25, 1.44, 1.7e308)]
-
-    @staticmethod
-    def _record(monkeypatch):
-        """The K values det_sign_logmag hands to det_sign_logmag_at."""
-        calls, original = [], kernel.det_sign_logmag_at
-        monkeypatch.setattr(
-            kernel, "det_sign_logmag_at", lambda k, *args: calls.append(k) or original(k, *args)
-        )
-        return calls
-
-    @staticmethod
-    def _bits(sign, logmag) -> tuple:
-        return int(sign), float(logmag).hex()
-
-    @pytest.mark.parametrize("problem", PROBLEMS)
-    def test_special_entries_are_the_one_k_values(self, monkeypatch, problem):
-        eta, *rest = problem
-        width = DEGENERACY_TOL * (2.0 + eta)  # of the zero-root window, either side of 1
-        special = [0.0, 1.0, 1.0 - 0.5 * width, 1.0 + 0.5 * width, 0.5 * DEGENERACY_TOL / (1.0 + eta)]
-        for k in special:
-            mu1, mu2, repeated = kernel._lam2_roots_at(k, eta)
-            assert repeated or mu2 == 0.0
-        if problem[3] > 1e300:
-            special.append(0.003)
-            assert math.isinf(float(reduced_det_mp(0.003, *problem)))
-        ks = [k for pair in zip(self.GENERIC, special) for k in pair] + special[len(self.GENERIC):]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            calls = self._record(monkeypatch)
-            signs, logs = det_sign_logmag(np.array(ks), *problem)
-            assert set(special) <= set(calls)
-            monkeypatch.undo()
-            for k, sign, logmag in zip(ks, signs.tolist(), logs.tolist()):
-                alone = det_sign_logmag(np.array([k]), *problem)
-                assert self._bits(sign, logmag) == self._bits(alone[0][0], alone[1][0]), k
-                if k in special:
-                    assert self._bits(sign, logmag) == self._bits(*det_sign_logmag_at(k, *problem)), k
-
-    @pytest.mark.parametrize("problem", PROBLEMS[:3])
-    def test_generic_block_makes_no_one_k_call(self, monkeypatch, problem):
-        # A scan's block, across K = 1 and below it, none of it special.
-        calls = self._record(monkeypatch)
-        for ks in (np.linspace(0.01, 900.0, 256), np.linspace(0.02, 0.98, 40)):
-            det_sign_logmag(ks, *problem)
-        assert calls == []
-
-
 class TestOneK:
-    """det_sign_logmag_at, the one-K form of F in math on floats, against the
-    array form and 60 digits.
-
-    The bound on |log|F| - log|F|| between the two forms, 1e-10, was set
-    before the test ran: both evaluate the same expressions, and they differ
-    only in how numpy and libm round sin, tanh and sqrt, which F's
-    cancellation can amplify. Over 115,000 random values the largest
-    difference was 3.3e-12, at beta 0.0023 and K 2e7.
-    """
+    """det_sign_logmag_at, the one form of F, in math on floats, in every
+    branch of mu2 against the matching matrix and against 60 digits."""
 
     @staticmethod
     def _points():
@@ -631,15 +520,16 @@ class TestOneK:
             tiny = rng.uniform(0.0, 3e-11, 3)
             yield beta, eta, alpha, theta, np.concatenate([ks, near_one, tiny]).tolist()
 
-    def test_matches_the_array_form_in_every_branch(self):
+    def test_signs_match_the_matching_matrix_in_every_branch(self):
+        # The sign against the cofactor determinant of the assembled 4x4
+        # system, whose basis takes the same windows at K = 0 and K = 1.
         branches = set()
         for beta, eta, alpha, theta, ks in self._points():
-            signs, logs = det_sign_logmag(np.array(ks), eta, beta, alpha, theta)
-            for k, sign, logmag in zip(ks, signs.tolist(), logs.tolist()):
+            expected = assembled_signs(make_problem(beta, eta, alpha, theta), ks)
+            for k, sign in zip(ks, expected):
                 one = det_sign_logmag_at(k, eta, beta, alpha, theta)
                 assert type(one[0]) is int and type(one[1]) is float
                 assert one[0] == sign, (beta, eta, alpha, theta, k)
-                assert abs(one[1] - logmag) <= 1e-10 or one[1] == logmag, (beta, eta, alpha, theta, k)
                 branches.add((_branch(k, eta), theta > 0.0, eta > 0.0))
         kinds = ("repeated", "zero", "hyperbolic", "trigonometric")
         assert branches == {(b, c, e) for b in kinds for c in (False, True) for e in (False, True)}
@@ -661,15 +551,13 @@ class TestOneK:
         assert checked >= 0.9 * 200 * 8
 
     def test_zero_sign_rule(self):
-        # The sign-0 rule of det_sign_logmag: guide midpoints of closed-form
-        # roots, where the uncracked F is 0 to rounding, read 0; K = 1 and a
-        # cracked K_n do not.
+        # Guide midpoints of closed-form roots, where the uncracked F is 0 to
+        # rounding, read 0; K = 1 and a cracked K_n do not.
         beta, eta = 2.0, 0.3
         for n in (1, 2, 3, 4):
             k = _midpoint(uncracked_K_closed_form(n, beta, eta))
             for alpha, theta in ((0.5 * beta, 0.0), (0.8, 0.0), (0.8, 1.0)):
                 one = det_sign_logmag_at(k, eta, beta, alpha, theta)
-                assert one == det_sign_logmag(k, eta, beta, alpha, theta)
                 assert (one[0] == 0) == (theta == 0.0)
         assert det_sign_logmag_at(1.0, eta, beta, 0.8, 1.0)[0] != 0
 
@@ -677,8 +565,8 @@ class TestOneK:
 class TestCrackTermNearTheLargestFloat:
     """theta_c*mu1*mu2 overflows where theta_c*(K - 1) passes the largest
     float, while the divided difference may underflow to 0: the one-K form
-    then regroups the crack term's factors, and the array form hands it such
-    a K, so neither warns nor returns NaN."""
+    then regroups the crack term's factors, so it neither warns nor returns
+    NaN."""
 
     # (eta, beta, alpha, theta_c, K) where F is well-conditioned, so the
     # 60-digit reference holds, and theta_c*mu1*mu2 overflows.
@@ -699,9 +587,9 @@ class TestCrackTermNearTheLargestFloat:
         reference = reference_log(k, eta, beta, alpha, theta)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for sign, logmag in (det_sign_logmag_at(k, *point[:4]), det_sign_logmag(k, *point[:4])):
-                assert sign == (1 if exact > 0 else -1)
-                assert abs(logmag - reference) < 1e-9
+            sign, logmag = det_sign_logmag_at(k, *point[:4])
+            assert sign == (1 if exact > 0 else -1)
+            assert abs(logmag - reference) < 1e-9
 
     @pytest.mark.parametrize("theta, k", [(1e3, 1e307), (1e10, 1e300)])
     def test_one_k_near_the_largest_float(self, theta, k):
@@ -711,18 +599,15 @@ class TestCrackTermNearTheLargestFloat:
         assert reference_log(k, *self.FAR, theta) is None
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for sign, logmag in (det_sign_logmag_at(k, *self.FAR, theta),
-                                 det_sign_logmag(k, *self.FAR, theta)):
-                assert sign in (-1, 1) and math.isfinite(logmag)
+            sign, logmag = det_sign_logmag_at(k, *self.FAR, theta)
+            assert sign in (-1, 1) and math.isfinite(logmag)
 
     @pytest.mark.parametrize("theta", [1.0, 1e3, 1e10, 1e300])
     def test_k_array_near_the_largest_float(self, theta):
         ks = np.sort(np.concatenate([np.geomspace(1e290, 4e307, 120), [1e300, 1e307]]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            signs, logs = det_sign_logmag(ks, *self.FAR, theta)
             ones = [det_sign_logmag_at(k, *self.FAR, theta) for k in ks.tolist()]
-        assert np.isfinite(logs).all() and set(signs.tolist()) <= {-1, 1}
         assert all(sign in (-1, 1) and math.isfinite(logmag) for sign, logmag in ones)
 
     # Near the largest theta_c, where theta_c*num*(mu1/gap*mu2) itself passes
@@ -738,11 +623,9 @@ class TestCrackTermNearTheLargestFloat:
         reference = reference_log(k, eta, beta, alpha, theta)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for sign, logmag in (det_sign_logmag_at(k, *point[:4]),
-                                 det_sign_logmag(k, *point[:4]),
-                                 det_sign_logmag(np.array([k, 1.0]), *point[:4])):
-                assert np.ravel(sign)[0] == (1 if exact > 0 else -1)
-                assert abs(np.ravel(logmag)[0] - reference) < 1e-9
+            sign, logmag = det_sign_logmag_at(k, *point[:4])
+            assert sign == (1 if exact > 0 else -1)
+            assert abs(logmag - reference) < 1e-9
 
     def test_crack_term_of_zero_at_the_largest_theta(self):
         # At K = 1 mu2 snaps to 0, and theta_c*mu1 and theta_c*num (num near
@@ -751,6 +634,5 @@ class TestCrackTermNearTheLargestFloat:
         args = (0.0, 6.25, 1.44)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for form in (det_sign_logmag_at, det_sign_logmag):
-                assert form(1.0, *args, 1.7e308) == form(1.0, *args, 0.0)
-                assert form(1.0, *args, 0.0)[0] == 1
+            assert det_sign_logmag_at(1.0, *args, 1.7e308) == det_sign_logmag_at(1.0, *args, 0.0)
+            assert det_sign_logmag_at(1.0, *args, 0.0)[0] == 1

@@ -4,8 +4,8 @@ The sweep goldens print nine digits, so a drift in the last bits of a root
 passes them. ``golden/cracked_roots.csv`` holds roots as ``float.hex``, one
 row each: ``solve`` rows are five-mode solves of one problem, drawn as the
 benchmark's ``cracked`` workload draws them; ``batch`` rows are 18 more
-problems at ten modes on a grid long enough to take more than one scan
-pass, one with a crack of zero compliance; ``polish``
+problems at ten modes on a grid of 4000 points, one with a crack of zero
+compliance; ``polish``
 rows are the re-tightened roots of a few cracked mode shapes. A deliberate
 change of the roots rewrites the table with
 ``python tests/test_root_bits.py`` and records why.

@@ -101,24 +101,24 @@ def test_cracked_roots_match_shooting(beta, eta, alpha_frac, log_theta, modes):
 
 
 def test_close_low_roots_of_a_stiff_crack():
-    # Roots at K = 0.825 and 1.31 lie in the uniform grid interval
-    # [0.80, 1.41]; without the guide nodes at K = 1 -+ 1e-6 their two sign
+    # Roots at K = 0.825 and 1.31 lie in the interval [0.80, 1.41] of a
+    # 2000-point grid; without the guide nodes at K = 1 -+ 1e-6 their two sign
     # changes cancelled and the scan reported K = 9.83 as mode 1.
     _check_against_shooting(4.25, 0.0, 0.4375 * 4.25, 10.0, 2)
 
 
 def test_close_low_roots_of_a_very_stiff_crack():
     # Found by test_cracked_roots_match_shooting: the shooting determinant
-    # changes sign at K = 0.861 and 2.403, both inside the grid interval
-    # [0.0093, 3.49] (a guide node, then the first uniform node past it);
+    # changes sign at K = 0.861 and 2.403, both inside the 2000-point grid's
+    # interval [0.0093, 3.49] (a guide node, then the first uniform node past it);
     # without the guide nodes at K = 1 the scan reported K = 35.155 as mode 1.
     _check_against_shooting(3.0, 0.0, 0.875 * 3.0, 100.0, 2)
 
 
 def test_close_low_roots_of_a_stiff_crack_at_a_quarter_span():
     # Found by test_cracked_roots_match_shooting: the shooting determinant
-    # changes sign at K = 0.939 and 1.701, both inside the grid interval
-    # [0.0378, 1.833] (a guide node, then the first uniform node past it);
+    # changes sign at K = 0.939 and 1.701, both inside the 2000-point grid's
+    # interval [0.0378, 1.833] (a guide node, then the first uniform node past it);
     # without the guide nodes at K = 1 the scan reported K = 29.8124 as mode 1.
     _check_against_shooting(3.5, 0.0, 0.25 * 3.5, 100.0, 2)
 

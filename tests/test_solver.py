@@ -1,3 +1,4 @@
+import bisect
 import logging
 import math
 import sys
@@ -26,8 +27,8 @@ from arch_resonance import kernel, solver
 from arch_resonance.cli import main
 from arch_resonance.kernel import quartic_roots
 from arch_resonance.model import BETA_MIN, SEGMENT_TOL
-from arch_resonance.solver import boundary_determinant, refine_root, scan_and_bracket
-from conftest import make_problem, matching_matrix, reduced_det_mp, rel_err
+from arch_resonance.solver import refine_root, scan_and_bracket
+from conftest import make_problem, matching_matrix, reduced_det, reduced_det_mp, rel_err
 
 K1_B1_E0 = 78.6698822318237
 K1_B1_E1 = 7.237603074490859
@@ -71,7 +72,7 @@ def _whole_scan(problem, cfg=SearchConfig()):
 
 def _refine(pair, problem, cfg=SearchConfig()):
     """One bracket's root, with its end values evaluated here."""
-    ends = tuple(boundary_determinant(problem, k) for k in pair)
+    ends = tuple(reduced_det(problem, k) for k in pair)
     return refine_root([pair], problem, cfg, [ends])[0]
 
 
@@ -114,12 +115,35 @@ class TestScanAndBracket:
         for problem in (_zero_crack(eta=0.5), make_problem(eta=0.5, alpha=0.3, theta=2.0)):
             result = _whole_scan(problem, SearchConfig(k_max=5000.0))
             for lo, hi in result.brackets:
-                s_lo, _ = boundary_determinant(problem, lo)
-                s_hi, _ = boundary_determinant(problem, hi)
+                s_lo, _ = reduced_det(problem, lo)
+                s_hi, _ = reduced_det(problem, hi)
                 if problem.crack.theta_c == 0.0:
                     assert lo == hi and s_lo == 0
                 else:
                     assert s_lo * s_hi == -1 or (lo == hi and s_lo == 0)
+
+
+    def test_scan_runs_on_lists(self):
+        # numpy serves mode shapes only: the grid, its candidates, the scan
+        # and the refinement run on Python floats with numpy unimportable.
+        problem = make_problem(eta=1.0, alpha=0.4, theta=0.8)
+        expected = find_frequencies(problem).K_values
+        with mock.patch.dict(sys.modules, {"numpy": None}):
+            scan = _scan(problem)
+            assert find_frequencies(problem).K_values == expected
+        assert {type(k) for pair in scan.brackets for k in pair} == {float}
+
+    def test_candidates_of_a_constructed_prefix(self):
+        # A node of sign 0 is a bracket of its own and a sign change between
+        # nonzero nodes brackets the gap, both keyed by their lower node; a
+        # node far below both same-sign neighbours is a dip, and the last
+        # node, with no right-hand neighbour, is none.
+        deep = -2.0 * solver._DIP_THRESHOLD
+        values = [(1, 0.0), (-1, 0.0), (-1, deep), (-1, 0.0), (0, -math.inf), (1, 0.0),
+                  (1, 0.0), (1, deep)]
+        nodes = [float(i) for i in range(len(values))]
+        assert solver._candidates(nodes, values) == ([0, 4], [1, 4], [2.0])
+        assert solver._candidates(nodes[:3], values[:3]) == ([0], [1], [])
 
 
 class TestRefineRoot:
@@ -201,7 +225,7 @@ class TestFindFrequencies:
         # K = 0 is the repeated characteristic root; the cracked determinant
         # must not read it as a root.
         problem = make_problem(eta=0.5, alpha=0.3, theta=0.7)
-        assert boundary_determinant(problem, 0.0)[0] != 0
+        assert reduced_det(problem, 0.0)[0] != 0
         base = find_frequencies(problem)
         from_zero = find_frequencies(problem, SearchConfig(k_min=0.0))
         assert len(from_zero) == len(base)
@@ -267,14 +291,14 @@ class TestOracleEquivalence:
                 if rel_err(ks[i], ks[i - 1]) <= 1e-12:
                     ks[i] = ks[i - 1]
             expected.append(tuple(ks))
-        calls = solver._tally.calls
+        passes = solver._tally.passes
         for problem, ks in zip(problems, expected):
             if len(ks) < modes:
                 with pytest.raises(NoRootsInRange):
                     find_frequencies(problem, cfg)
             else:
                 assert find_frequencies(problem, cfg).K_values == ks
-        assert solver._tally.calls == calls
+        assert solver._tally.passes == passes
 
 
 class TestModeShape:
@@ -338,32 +362,31 @@ class TestModeShape:
     def test_polish_refines_in_the_rung_the_whole_ladder_picks(self, problem, mode):
         # _polish walks its ladder of intervals k -+ delta*max(1, k) outward,
         # one K at a time, to the first that straddles a sign change or ends
-        # at a sign 0: the rung that evaluating the whole ladder in one
-        # array-kernel call picks. Its root lies in that rung, within
-        # 1e-13 max(1, K) of a sign change there.
+        # at a sign 0: the rung that evaluating the whole ladder picks. Its
+        # root lies in that rung, within 1e-13 max(1, K) of a sign change there.
         k = find_frequencies(problem, SearchConfig(max_modes=mode)).roots[-1].K
         deltas = np.array([1e-10, 1e-9, 1e-8, 1e-7, 1e-6]) * max(1.0, k)
-        signs, _ = boundary_determinant(problem, np.concatenate([k - deltas, k + deltas]))
+        signs = [reduced_det(problem, x)[0] for x in np.concatenate([k - deltas, k + deltas])]
         rung = next(i for i in range(5) if signs[i] * signs[i + 5] != 1)
         lo, hi = k - deltas[rung], k + deltas[rung]
         polished = solver._polish(problem, k)
         assert lo <= polished <= hi
         if signs[rung] == 0 or signs[rung + 5] == 0:
             assert polished == (lo if signs[rung] == 0 else hi)
-        elif boundary_determinant(problem, polished)[0] != 0:
+        elif reduced_det(problem, polished)[0] != 0:
             d = 1e-13 * max(1.0, polished)
-            around = boundary_determinant(problem, np.array([polished - d, polished + d]))[0]
+            around = [reduced_det(problem, x)[0] for x in (polished - d, polished + d)]
             assert around[0] * around[1] == -1
 
     def test_uncracked_shape_takes_no_kernel_call(self):
         # An uncracked root is sampled as its closed-form sine: it is not
         # polished, and no basis, matching matrix or null vector is built. A
         # cracked root takes all of them, and its polish evaluates F one K at
-        # a time: no shape makes an array-kernel call.
+        # a time: no shape runs a scan pass.
         cases = ((make_problem(eta=0.5), False), (make_problem(0.5, 0.5, 0.2, 1.0), True))
         for problem, cracked in cases:
             for root in find_frequencies(problem, SearchConfig(max_modes=3)).roots:
-                calls = solver._tally.calls
+                passes = solver._tally.passes
                 with (
                     mock.patch.object(kernel, "quartic_roots", wraps=kernel.quartic_roots) as basis,
                     mock.patch.object(kernel, "null_vector", wraps=kernel.null_vector) as null,
@@ -372,7 +395,7 @@ class TestModeShape:
                     ) as one_k,
                 ):
                     mode_shape(problem, root, samples=11)
-                assert solver._tally.calls == calls
+                assert solver._tally.passes == passes
                 assert basis.called == null.called == one_k.called == cracked
 
     def test_uncracked_shape_at_a_high_root_is_the_sine(self):
@@ -818,8 +841,8 @@ class TestRefineOnlyReturned:
         problem = make_problem(eta=0.5, alpha=0.3, theta=2.0)
         scan = _whole_scan(problem, SearchConfig(k_max=3000.0))
         for (lo, hi), (at_lo, at_hi) in zip(scan.brackets, scan.end_values):
-            assert boundary_determinant(problem, lo) == at_lo
-            assert boundary_determinant(problem, hi) == at_hi
+            assert reduced_det(problem, lo) == at_lo
+            assert reduced_det(problem, hi) == at_hi
             # The crack at alpha = 0.3 = 3 beta / 10 sits on a zero of mode
             # 10's curvature, so K_10 = 1965.94 stays a root: the midpoint of
             # its guide pair, of sign 0, is a zero-width bracket.
@@ -969,25 +992,25 @@ class TestBatchedSearch:
             _alone(make_problem(), SearchConfig(max_modes=2, k_max=10.0))
         lines = [r.getMessage() for r in caplog.records if r.name == "arch_resonance.solver"]
         # Below k_max = 10, beta = 1 has no root and beta = 2 one, so both
-        # raise after scanning their whole grids of 2002 and 2005 nodes in 4
-        # passes each, of 256, 256, 512 and the rest (2000 uniform, the guides
-        # at K = 1 and, for beta = 2, the guides and midpoint of K_1 = 2.15),
-        # and refine nothing; beta = 6 stops after its first pass, and its two
-        # roots take six one-K evaluations. An uncracked problem is its closed
-        # form: no kernel call and no bracket refined, whether it solves or
-        # raises.
+        # raise after scanning their whole grids of 258 and 261 nodes in 2
+        # passes each, of 256 and the rest (256 uniform, the guides at K = 1
+        # and, for beta = 2, the guides and midpoint of K_1 = 2.15), and
+        # refine nothing; beta = 6 stops after its first pass, through the
+        # upper guide of its third K_n, and its two roots take nine one-K
+        # evaluations. An uncracked problem is its closed form: no scan pass
+        # and no bracket refined, whether it solves or raises.
         assert lines == [
-            "find_frequencies: 4 scan kernel calls, 2002 K values, "
+            "find_frequencies: 2 scan passes, 258 scan evaluations, "
             "0 refinement evaluations, 0 brackets refined",
-            "find_frequencies: 4 scan kernel calls, 2005 K values, "
+            "find_frequencies: 2 scan passes, 261 scan evaluations, "
             "0 refinement evaluations, 0 brackets refined",
-            "find_frequencies: 1 scan kernel calls, 256 K values, "
-            "6 refinement evaluations, 2 brackets refined",
-            "find_frequencies: 1 scan kernel calls, 38 K values, "
+            "find_frequencies: 1 scan passes, 66 scan evaluations, "
+            "9 refinement evaluations, 2 brackets refined",
+            "find_frequencies: 1 scan passes, 12 scan evaluations, "
             "5 refinement evaluations, 1 brackets refined",
-            "find_frequencies: 0 scan kernel calls, 0 K values, "
+            "find_frequencies: 0 scan passes, 0 scan evaluations, "
             "0 refinement evaluations, 0 brackets refined",
-            "find_frequencies: 0 scan kernel calls, 0 K values, "
+            "find_frequencies: 0 scan passes, 0 scan evaluations, "
             "0 refinement evaluations, 0 brackets refined",
         ]
 
@@ -998,31 +1021,34 @@ def _dip(monkeypatch, problem):
     The node keeps its sign, and its log-magnitude drops by four times the
     dip threshold, so it lies far below its same-sign neighbours. Other
     problems, told apart by their central angle, are left alone.
-    Returns the node's K and a list that gets one entry per kernel call that
-    evaluates it.
+    Returns the node's K and a list that gets one entry per evaluation of it.
     """
     lo, hi = find_frequencies(problem, SearchConfig(max_modes=2)).K_values
-    nodes, _ = solver._grid_nodes(problem, solver._resolved(problem, SearchConfig()), solver._BLOCK)
-    inside = nodes[(nodes > lo) & (nodes < hi)]
-    assert inside.size >= 3  # so the node's neighbours lie between the roots too
-    k = inside[inside.size // 2].item()
-    original = solver.boundary_determinant
+    cfg = solver._resolved(problem, SearchConfig())
+    nodes, _ = solver._grid_nodes(problem, cfg, cfg.grid_points)
+    inside = [k for k in nodes if lo < k < hi]
+    assert len(inside) >= 3  # so the node's neighbours lie between the roots too
+    k = inside[len(inside) // 2]
+    original = kernel.det_sign_logmag_at
     hits = []
 
-    def dipping(searched, K):
-        signs, logs = original(searched, K)
-        hit = (K == k) & (searched.beta == problem.beta)
-        if hit.any():
+    def dipping(K, eta, beta, alpha, theta):
+        sign, logmag = original(K, eta, beta, alpha, theta)
+        if K == k and beta == problem.beta:
             hits.append(k)
-        return signs, np.where(hit, logs - 4.0 * solver._DIP_THRESHOLD, logs)
+            logmag -= 4.0 * solver._DIP_THRESHOLD
+        return sign, logmag
 
-    monkeypatch.setattr(solver, "boundary_determinant", dipping)
+    monkeypatch.setattr(kernel, "det_sign_logmag_at", dipping)
     return k, hits
 
 
 # The dip guards the search, which only cracked arches take; a crack of zero
 # compliance has the uncracked spectrum.
-_DIP_PROBLEMS = [make_problem(alpha=0.4, theta=0.0), make_problem(eta=1.0, alpha=0.4, theta=0.8)]
+# At eta = 1 the default grid holds five nodes between modes 1 and 2.
+_DIP_PROBLEMS = [
+    make_problem(eta=1.0, alpha=0.4, theta=0.0), make_problem(eta=1.0, alpha=0.4, theta=0.8)
+]
 
 
 class TestDip:
@@ -1103,7 +1129,7 @@ def _whole_grid_spectrum(problem, cfg):
 
 
 class TestEarlyExitScan:
-    @pytest.mark.parametrize("block", [16, 256])
+    @pytest.mark.parametrize("points", [16, 256])
     @settings(max_examples=15, deadline=None)
     @given(
         beta=st.floats(0.3, 6.0),
@@ -1111,17 +1137,16 @@ class TestEarlyExitScan:
         crack=st.tuples(st.floats(0.05, 0.95), st.floats(0.0, 3.0)),
         modes=st.integers(1, 8),
     )
-    def test_matches_whole_grid(self, block, beta, eta, crack, modes):
+    def test_matches_whole_grid(self, points, beta, eta, crack, modes):
         # Cracked problems only: an uncracked solve is the closed form, no scan.
         problem = ArchProblem(beta, eta, CrackJoint(alpha=crack[0] * beta, theta_c=crack[1]))
-        cfg = SearchConfig(max_modes=modes)
-        with mock.patch.object(solver, "_BLOCK", block):
-            expected = _whole_grid_spectrum(problem, cfg)
-            if len(expected) < modes:
-                with pytest.raises(NoRootsInRange):
-                    find_frequencies(problem, cfg)
-            else:
-                assert find_frequencies(problem, cfg).roots == expected
+        cfg = SearchConfig(max_modes=modes, grid_points=points)
+        expected = _whole_grid_spectrum(problem, cfg)
+        if len(expected) < modes:
+            with pytest.raises(NoRootsInRange):
+                find_frequencies(problem, cfg)
+        else:
+            assert find_frequencies(problem, cfg).roots == expected
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -1134,14 +1159,23 @@ class TestEarlyExitScan:
     def test_grid_prefix_is_the_start_of_the_whole_grid(
         self, log_beta, eta, modes, points, log_k_max
     ):
+        # A prefix of count nodes, or one that ends at the first node past the
+        # upper guide of K_n one past ``modes`` (the scan's first pass), is the
+        # start of the whole grid bit for bit.
         problem = ArchProblem(beta=10.0**log_beta, eta_nd=eta)
         k_max = None if log_k_max is None else 10.0**log_k_max
         cfg = solver._resolved(problem, SearchConfig(max_modes=modes, grid_points=points, k_max=k_max))
         whole, limit = solver._grid_nodes(problem, cfg, sys.maxsize)  # no grid is that long
         assert limit == math.inf
-        for count in {1, 2, 16, 17, 257, 258, 513, points - 2, points - 1, whole.size, whole.size + 1}:
+        kns = _closed_form_ks(problem.beta, eta, cfg.k_min, whole[-1])
+        through = kns[modes] * (1.0 + solver._GUIDE_OFFSET) if len(kns) > modes else math.inf
+        counts = {1, 2, 16, 17, 257, 258, 513, points - 2, points - 1, len(whole), len(whole) + 1}
+        for count in counts:
             prefix, _ = solver._grid_nodes(problem, cfg, count)
-            assert prefix.tobytes() == whole[:count].tobytes(), count
+            assert [k.hex() for k in prefix] == [k.hex() for k in whole[:count]], count
+            first, _ = solver._grid_nodes(problem, cfg, count, modes)
+            end = min(count, bisect.bisect_right(whole, through) + 1)
+            assert [k.hex() for k in first] == [k.hex() for k in whole[:end]], count
 
     @pytest.mark.parametrize("node", [1.0 - solver._GUIDE_OFFSET, 1.0 + solver._GUIDE_OFFSET])
     def test_a_guide_on_a_uniform_node_is_dropped(self, node):
@@ -1166,58 +1200,65 @@ class TestEarlyExitScan:
             if not kept or k - kept[-1] > 1e-15 * max(1.0, k):
                 kept.append(k)
         assert abs(uniform[1] - node) <= 1e-15
-        assert nodes.tolist() == kept[:300]
+        assert nodes == kept[:300]
 
-    @pytest.mark.parametrize("block, modes", [(16, 60), (256, 1400)])
-    def test_grid_builds_grow_geometrically(self, monkeypatch, block, modes):
-        # Each pass builds the grid once and evaluates at least as many values
-        # as all the passes before it, so a many-mode scan makes about
-        # log2(nodes / first pass) kernel calls.
-        problem = make_problem(beta=1.0, eta=1.0, alpha=0.4, theta=0.8)
-        cfg = SearchConfig(max_modes=modes)
-        monkeypatch.setattr(solver, "_BLOCK", block)
-        builds, passes = [], []
-        grid, determinant = solver._grid_nodes, solver.boundary_determinant
+    @staticmethod
+    def _first_pass(monkeypatch, size, builds):
+        """Cut the scan's first pass to ``size`` nodes, as a grid whose K_n one
+        past the modes lay further up would; ``builds`` gets each build's count."""
+        grid = solver._grid_nodes
 
-        def built(*args):
-            builds.append(args[2])
-            return grid(*args)
-
-        def evaluated(searched, K):
-            passes.append(K.size)
-            return determinant(searched, K)
+        def built(problem, cfg, count, modes=None):
+            builds.append(count)
+            return grid(problem, cfg, size + 1 if modes else count)
 
         monkeypatch.setattr(solver, "_grid_nodes", built)
-        monkeypatch.setattr(solver, "boundary_determinant", evaluated)
+
+    @pytest.mark.parametrize("first, modes", [(16, 60), (256, 1400)])
+    def test_grid_builds_grow_geometrically(self, monkeypatch, first, modes):
+        # After a short first pass, each pass builds the grid once and
+        # evaluates at least as many values as all the passes before it, so
+        # a scan makes about log2(nodes / first pass) passes.
+        problem = make_problem(beta=1.0, eta=1.0, alpha=0.4, theta=0.8)
+        cfg = SearchConfig(max_modes=modes)
+        builds, prefixes, candidates = [], [], solver._candidates
+        self._first_pass(monkeypatch, first, builds)
+        monkeypatch.setattr(
+            solver, "_candidates", lambda nodes, values: prefixes.append(len(values)) or candidates(nodes, values)
+        )
         spectrum = find_frequencies(problem, cfg)
-        builds, passes = list(builds), list(passes)  # before the whole-grid scan adds to them
-        assert len(builds) == len(passes) >= 4, (builds, passes)
+        builds, prefixes = list(builds), list(prefixes)  # before the whole-grid scan adds to them
+        passes = [b - a for a, b in zip([0, *prefixes], prefixes)]
+        assert passes[0] == first and len(builds) == len(passes) >= 4, (builds, passes)
         assert all(size >= sum(passes[:i]) for i, size in enumerate(passes) if i), passes
         assert len(passes) <= math.log2(sum(passes) / passes[0]) + 2, passes
+        monkeypatch.undo()
         assert spectrum.roots == _whole_grid_spectrum(problem, cfg)
 
     def test_candidate_search_is_linear_in_the_scan(self, monkeypatch):
-        # A scan of a few thousand modes looks for candidates in prefixes
-        # that double, so the nodes it hands _candidates sum to about twice
-        # the last prefix. Once per 256 nodes, they would grow as its square.
+        # A scan of a few thousand modes, from a first pass of 256 nodes,
+        # looks for candidates in prefixes that double, so the nodes it hands
+        # _candidates sum to about twice the last prefix. Once per 256 nodes,
+        # they would grow as its square.
         problem = make_problem(beta=1.0, eta=1.0, alpha=0.4, theta=0.8)
         cfg = SearchConfig(max_modes=2000)
         prefixes, candidates = [], solver._candidates
+        self._first_pass(monkeypatch, 256, [])
 
-        def counted(nodes, signs, logs):
-            prefixes.append(signs.size)
-            return candidates(nodes, signs, logs)
+        def counted(nodes, values):
+            prefixes.append(len(values))
+            return candidates(nodes, values)
 
         monkeypatch.setattr(solver, "_candidates", counted)
         spectrum = find_frequencies(problem, cfg)
         prefixes = list(prefixes)
-        assert prefixes[-1] > 4 * solver._BLOCK
+        assert prefixes[-1] > 16 * 256
         assert sum(prefixes) <= 4 * prefixes[-1], prefixes
+        monkeypatch.undo()
         assert spectrum.roots == _whole_grid_spectrum(problem, cfg)
 
-    def test_partial_scan_is_a_prefix_of_the_whole_grid(self, monkeypatch):
+    def test_partial_scan_is_a_prefix_of_the_whole_grid(self):
         problem = make_problem(eta=1.0, alpha=0.4, theta=0.8)
-        monkeypatch.setattr(solver, "_BLOCK", 16)
         cfg = SearchConfig(max_modes=3)
         whole = _whole_scan(problem, cfg)
         partial = _scan(problem, cfg)
@@ -1305,12 +1346,10 @@ class TestCrackTermInTheZeroRootWindow:
         assert a * b <= 0
 
     @pytest.mark.parametrize("theta", THETAS)
-    def test_both_forms_in_the_window(self, theta):
+    def test_one_k_form_in_the_window(self, theta):
         ks = [1 - 1e-10, 1 - 2e-11, 1 - 3.7e-12, 1 - 3.6e-12, 1 + 5e-11]
-        signs, logs = kernel.det_sign_logmag(np.array(ks), *self.ARGS, theta)
-        for k, sign, log in zip(ks, signs.tolist(), logs.tolist()):
-            one = kernel.det_sign_logmag_at(k, *self.ARGS, theta)
-            assert one[0] == sign and one[1] == pytest.approx(log, abs=1e-12)
+        for k in ks:
+            sign, _ = kernel.det_sign_logmag_at(k, *self.ARGS, theta)
             assert sign == (1 if reduced_det_mp(k, *self.ARGS, theta) > 0 else -1)
 
 
@@ -1375,11 +1414,11 @@ class TestBrentRefinement:
         k1 = uncracked_K_closed_form(1, 1.0, 0.0)
         guide = (k1 * (1.0 - 1e-6), k1 * (1.0 + 1e-6))
         assert 0.5 * (guide[0] + guide[1]) == k1
-        assert boundary_determinant(problem, k1)[0] == 0
+        assert reduced_det(problem, k1)[0] == 0
         evals = solver._tally.evals
         k = _refine(guide, problem)
         assert solver._tally.evals - evals <= solver._MAX_EVALUATIONS
-        assert abs(k - k1) <= 0.5e-10 * k1 or boundary_determinant(problem, k)[0] == 0
+        assert abs(k - k1) <= 0.5e-10 * k1 or reduced_det(problem, k)[0] == 0
 
     def test_bracket_at_a_double_root(self):
         # At beta = pi/sqrt(0.4), eta = 0, K_1 = K_2 = 0.36 is a double root:
@@ -1390,12 +1429,12 @@ class TestBrentRefinement:
         problem = _zero_crack(beta=DOUBLE_BETA)
         cfg = SearchConfig()
         for pair in [(0.3, 7.0), (0.36 - 1e-6, 6.77), (0.36 + 1e-6, 6.77)]:
-            ends = tuple(boundary_determinant(problem, k) for k in pair)
+            ends = tuple(reduced_det(problem, k) for k in pair)
             assert ends[0][0] * ends[1][0] == -1
             evals = solver._tally.evals
             k = refine_root([pair], problem, cfg, [ends])[0]
             assert solver._tally.evals - evals <= solver._MAX_EVALUATIONS
-            if boundary_determinant(problem, k)[0] != 0:
+            if reduced_det(problem, k)[0] != 0:
                 assert _straddles_a_true_root(problem, *pair, k, cfg.refine_tol), (pair, k)
 
     @pytest.mark.parametrize("cap", [1, 2, 3, 5])
@@ -1450,26 +1489,20 @@ class TestBrentRefinement:
 
 
 def _sequential_bisection(pairs, problem, cfg, levels=200):
-    """Reference: plain bisection, one level per kernel call, at most ``levels`` levels."""
-    lo, hi = np.array(pairs, dtype=float).T.copy()
-    roots = lo.copy()
-    idx = np.flatnonzero(lo != hi)
-    lo, hi = lo[idx], hi[idx]
-    s_lo = boundary_determinant(problem, lo)[0] if idx.size else idx
-    for _ in range(levels):
-        mid = 0.5 * (lo + hi)
-        go = hi - lo > cfg.refine_tol * np.maximum(1.0, mid)
-        roots[idx[~go]] = mid[~go]
-        idx, lo, hi, s_lo, mid = idx[go], lo[go], hi[go], s_lo[go], mid[go]
-        if not idx.size:
-            break
-        s_mid, _ = boundary_determinant(problem, mid)
-        up = s_mid == s_lo
-        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
-        hit = s_mid == 0
-        roots[idx[hit]] = mid[hit]
-        idx, lo, hi, s_lo = idx[~hit], lo[~hit], hi[~hit], s_lo[~hit]
-    roots[idx] = 0.5 * (lo + hi)
+    """Reference: plain bisection of each bracket, at most ``levels`` levels."""
+    roots = []
+    for lo, hi in pairs:
+        s_lo = reduced_det(problem, lo)[0] if lo != hi else 0
+        for _ in range(levels):
+            mid = 0.5 * (lo + hi)
+            if hi - lo <= cfg.refine_tol * max(1.0, mid):
+                break
+            s_mid = reduced_det(problem, mid)[0]
+            if s_mid == 0:
+                lo = hi = mid
+                break
+            lo, hi = (mid, hi) if s_mid == s_lo else (lo, mid)
+        roots.append(0.5 * (lo + hi))
     return roots
 
 
@@ -1477,10 +1510,10 @@ def _bisected(pair, problem, levels):
     """The bracket plain bisection holds after ``levels`` levels of ``pair``:
     a zero-width one at a midpoint of sign 0."""
     lo, hi = pair
-    s_lo = boundary_determinant(problem, lo)[0]
+    s_lo = reduced_det(problem, lo)[0]
     for _ in range(levels if lo != hi else 0):
         mid = 0.5 * (lo + hi)
-        s_mid = boundary_determinant(problem, mid)[0]
+        s_mid = reduced_det(problem, mid)[0]
         if s_mid == 0:
             return mid, mid
         lo, hi = (mid, hi) if s_mid == s_lo else (lo, mid)
@@ -1493,7 +1526,7 @@ def _same_root(problem, k, ref, tol):
     each takes as the root (the band of sign 0 can be wider than tol * K)."""
     if abs(k - ref) <= tol * max(1.0, k, ref):
         return True
-    return boundary_determinant(problem, k)[0] == 0 == boundary_determinant(problem, ref)[0]
+    return reduced_det(problem, k)[0] == 0 == reduced_det(problem, ref)[0]
 
 
 # Brackets by test id suffix: the batch's own, and the brackets plain
@@ -1502,7 +1535,7 @@ _SCHEDULES = {"": None, "-levels1": 1, "-levels3": 3, "-levels4": 4, "-levels6":
 
 
 class TestMultiLevelBisection:
-    """refine_root against plain bisection, one level per kernel call: each
+    """refine_root against plain bisection, one level at a time: each
     root lies within refine_tol * max(1, K) of bisection's, since both end
     within half the tolerance of the bracket's sign change."""
 
@@ -1515,7 +1548,7 @@ class TestMultiLevelBisection:
         if problem.crack.theta_c == 0.0:
             k1 = uncracked_K_closed_form(1, 1.0, 0.0)
             pairs.append((k1 * (1.0 - 1e-6), k1 * (1.0 + 1e-6)))
-            ends.append(tuple(boundary_determinant(problem, k) for k in pairs[-1]))
+            ends.append(tuple(reduced_det(problem, k) for k in pairs[-1]))
         return [*pairs, *scan.brackets], [*ends, *scan.end_values]
 
     # A cap of 7 evaluations: a bracket that reaches it ends at the midpoint
@@ -1531,10 +1564,10 @@ class TestMultiLevelBisection:
         cfg = SearchConfig(refine_tol=tol)
         for problem in (_zero_crack(), make_problem(eta=0.5, alpha=0.3, theta=2.0)):
             pairs, ends = self._batch(problem)
-            expected = _sequential_bisection(pairs, problem, cfg).tolist()
+            expected = _sequential_bisection(pairs, problem, cfg)
             if levels is not None:
                 pairs = [_bisected(pair, problem, levels) for pair in pairs]
-                ends = [tuple(boundary_determinant(problem, k) for k in p) for p in pairs]
+                ends = [tuple(reduced_det(problem, k) for k in p) for p in pairs]
             for pair, end, ref in zip(pairs, ends, expected):
                 evals = solver._tally.evals
                 k = refine_root([pair], problem, cfg, [end])[0]
@@ -1567,20 +1600,20 @@ class TestMultiLevelBisection:
         for problem, scan in searched:
             roots = refine_root(scan.brackets, problem, cfg, scan.end_values)
             expected = _sequential_bisection(scan.brackets, problem, cfg)
-            for pair, k, ref in zip(scan.brackets, roots, expected.tolist()):
+            for pair, k, ref in zip(scan.brackets, roots, expected):
                 assert _same_root(problem, k, ref, tol), (pair, k, ref)
 
 
 class TestKernelCallsPerSolve:
     def _count(self, monkeypatch):
-        calls = []
-        original = solver.boundary_determinant
+        """The scanned prefix after each scan pass from here on, one entry a pass."""
+        prefixes, original = [], solver._candidates
         monkeypatch.setattr(
             solver,
-            "boundary_determinant",
-            lambda problem, K: calls.append(np.size(K)) or original(problem, K),
+            "_candidates",
+            lambda nodes, values: prefixes.append(len(values)) or original(nodes, values),
         )
-        return calls
+        return prefixes
 
     @staticmethod
     def _solve(problem, cfg=SearchConfig()):
@@ -1590,20 +1623,20 @@ class TestKernelCallsPerSolve:
         return spectrum, solver._tally.evals - before
 
     def test_cracked_five_modes(self, monkeypatch):
-        # One scan block is the solve's only array-kernel call; its five
-        # brackets take 15 one-K evaluations. The crack at alpha = 0.4 =
+        # One scan pass of 57 values, through the upper guide of K_6, and its
+        # five brackets take 17 one-K evaluations. The crack at alpha = 0.4 =
         # 2 beta / 5 sits on a zero of mode 5's curvature, so K_5 stays a
         # root: its guide midpoint, of sign 0, is a zero-width bracket, which
         # takes none.
         calls = self._count(monkeypatch)
         _, evals = self._solve(make_problem(eta=1.0, alpha=0.4, theta=0.8))
-        assert calls == [256]
-        assert evals == 15
+        assert calls == [57]
+        assert evals == 17
 
     def test_cracked_batch_of_three(self, monkeypatch):
         # The problem above and two more, solved in turn and then again: each
-        # solve scans its first block in a call of its own and refines each
-        # bracket, with the same counts and roots both times.
+        # solve scans in one pass of its own and refines each bracket, with
+        # the same counts and roots both times.
         problems = [
             make_problem(eta=1.0, alpha=0.4, theta=0.8),
             make_problem(beta=2.5, eta=0.0, alpha=0.7, theta=5.0),
@@ -1611,22 +1644,22 @@ class TestKernelCallsPerSolve:
         ]
         calls = self._count(monkeypatch)
         alone = []
-        for problem, expected in zip(problems, (15, 20, 13)):
+        for problem, scanned, expected in zip(problems, (57, 74, 57), (17, 25, 14)):
             spectrum, evals = self._solve(problem)
             alone.append(spectrum)
-            assert (calls, evals) == ([256], expected)
+            assert (calls, evals) == ([scanned], expected)
             calls.clear()
         again = []
         for problem in problems:
             spectrum, evals = self._solve(problem)
             again.append((spectrum, evals))
-        assert again == list(zip(alone, (15, 20, 13)))
-        assert calls == [256, 256, 256]
+        assert again == list(zip(alone, (17, 25, 14)))
+        assert calls == [57, 74, 57]
 
     def test_cracked_five_modes_in_the_benchmark_ranges(self):
         # Cracked problems drawn as the benchmark's cracked workload draws
-        # them, the compliance scaled by the armchair geometry: 16.7 one-K
-        # evaluations a solve, at most 19.
+        # them, the compliance scaled by the armchair geometry: 19.5 one-K
+        # evaluations a solve, at most 25.
         rng = np.random.default_rng(2015)
         evals = []
         for _ in range(50):
@@ -1634,7 +1667,7 @@ class TestKernelCallsPerSolve:
             alpha = beta * rng.uniform(0.1, 0.9)
             problem = ArchProblem(beta, eta, CrackJoint(alpha, _armchair_theta(rng.uniform(0.1, 0.8))))
             evals.append(self._solve(problem, SearchConfig(max_modes=5))[1])
-        assert sum(evals) / len(evals) <= 17.0 and max(evals) <= 20
+        assert sum(evals) / len(evals) <= 20.0 and max(evals) <= 26
 
     def test_wide_bracket(self):
         # A bracket [1.000001, 5.6e6] where F is far from linear: bisection
@@ -1650,16 +1683,16 @@ class TestKernelCallsPerSolve:
 
     def test_guide_pairs_end_near_their_midpoints(self, monkeypatch):
         # The guide pairs around the first five uncracked K_n, whose midpoints
-        # have sign 0, take two one-K evaluations each and no array-kernel
-        # call, and end within the tolerance of their midpoints. The scan
-        # holds those midpoints as nodes and hands them on as zero-width
-        # brackets, which take no evaluation.
+        # have sign 0, take two one-K evaluations each and no scan pass, and
+        # end within the tolerance of their midpoints. The scan holds those
+        # midpoints as nodes and hands them on as zero-width brackets, which
+        # take no evaluation; its one pass ends at the sixth.
         problem = _zero_crack(eta=1.0)
         brackets = [
             (k * (1.0 - 1e-6), k * (1.0 + 1e-6))
             for k in (uncracked_K_closed_form(n, 1.0, 1.0) for n in range(1, 6))
         ]
-        ends = [tuple(boundary_determinant(problem, k) for k in pair) for pair in brackets]
+        ends = [tuple(reduced_det(problem, k) for k in pair) for pair in brackets]
         scan = _scan(problem)
         calls = self._count(monkeypatch)
         evals = solver._tally.evals
@@ -1668,9 +1701,9 @@ class TestKernelCallsPerSolve:
         midpoints = [0.5 * (lo + hi) for lo, hi in brackets]
         for k, mid in zip(roots, midpoints):
             assert abs(k - mid) <= 0.5e-10 * mid
-        assert scan.brackets == tuple((k, k) for k in midpoints)
+        assert scan.brackets[:5] == tuple((k, k) for k in midpoints)
         evals = solver._tally.evals
-        roots = refine_root(scan.brackets, problem, SearchConfig(), scan.end_values)
+        roots = refine_root(scan.brackets[:5], problem, SearchConfig(), scan.end_values[:5])
         assert calls == [] and solver._tally.evals == evals
         assert roots == midpoints
 
@@ -1707,20 +1740,32 @@ class TestKernelCallsPerSolve:
         assert calls == []
 
     def test_first_block_sized_to_the_requested_modes(self, monkeypatch):
-        # The first-block rule serves cracked solves; the crack of zero
-        # compliance shows it against known K_n.
+        # The first pass ends at the upper guide of the K_n one past the
+        # requested modes; the crack of zero compliance shows it against known K_n.
         calls = self._count(monkeypatch)
         # beta = 2 pi, eta = 4: the fundamental, K_3 = 0.15625 (lam = 1.5),
-        # lies near node 100 of the whole grid, K_1 = 0.28125 (lam = 0.5) is
-        # the second mode, and K_2 = 0 lies below k_min.
+        # is node 5 of the whole grid, K_1 = 0.28125 (lam = 0.5) is the
+        # second mode, and K_2 = 0 lies below k_min.
         problem = _zero_crack(beta=2 * math.pi, eta=4.0)
         scan = _scan(problem, SearchConfig(max_modes=1))
-        assert calls == [60]
+        assert calls == [13]
         k3 = uncracked_K_closed_form(3, 2 * math.pi, 4.0)
         assert scan.brackets[0] == (k3, k3)
         calls.clear()
         _scan(_zero_crack(eta=1.0), SearchConfig(max_modes=5))
-        assert calls == [256]
+        assert calls == [57]
+
+
+def _closed_form_ks(beta, eta, k_min, k_max):
+    """Uncracked eigenvalues K_n in (k_min, k_max], ascending, by enumerating the closed form."""
+    ks, n = [], 1
+    while True:
+        k_n = uncracked_K_closed_form(n, beta, eta)
+        if n * math.pi / beta > 1.0 and k_n > k_max:
+            return sorted(ks)
+        if k_min < k_n:
+            ks.append(k_n)
+        n += 1
 
 
 def _closed_form_count(beta, eta, K):
@@ -1744,7 +1789,7 @@ class TestExactCount:
             problem = _zero_crack(beta=beta, eta=eta)
             n = solver._count_below(problem, K)
             assert n == _closed_form_count(beta, eta, K), (beta, eta, K)
-            sign, _ = boundary_determinant(problem, K)
+            sign, _ = reduced_det(problem, K)
             assert sign in (0, (-1) ** n)
 
     def test_none_below_zero_at_the_largest_eta(self):
@@ -1756,9 +1801,9 @@ class TestExactCount:
         # float twice, from the closed form with no kernel call.
         problem = make_problem(beta=DOUBLE_BETA)
         for modes in (1, 2, 3):
-            before = solver._tally.calls
+            before = solver._tally.passes
             spectrum = find_frequencies(problem, SearchConfig(max_modes=modes))
-            assert solver._tally.calls == before
+            assert solver._tally.passes == before
             assert len(spectrum) == modes
             assert rel_err(spectrum.K_values[0], 0.36) < 1e-12
             assert spectrum.K_values[:2] == (spectrum.K_values[0],) * min(modes, 2)
@@ -1804,7 +1849,7 @@ class TestExactCount:
         problem = make_problem()
         cfg = SearchConfig(k_min=1e20, k_max=1.001e20)
         nodes, limit = solver._grid_nodes(problem, cfg, sys.maxsize)
-        grid = set(nodes.tolist())
+        grid = set(nodes)
         first = solver._count_below(problem, cfg.k_min) + 1
         kns = [uncracked_K_closed_form(n, 1.0, 0.0) for n in range(first, first + 9)]
         inside = [k for k in kns if k < cfg.k_max]
@@ -1870,9 +1915,71 @@ class TestExactCount:
         cfg = SearchConfig(max_modes=1, grid_points=16, k_max=k_min + (k1 * (1 + 5e-7) - k_min) * 15)
         grid, _ = solver._grid_nodes(problem, cfg, sys.maxsize)
         lo, hi = k1 * (1 - 1e-6), k1 * (1 + 1e-6)
-        inside = grid[(grid > lo) & (grid < hi)]
-        assert inside.size == 1 and inside[0] != 0.5 * (lo + hi)
+        inside = [k for k in grid if lo < k < hi]
+        assert len(inside) == 1 and inside[0] != 0.5 * (lo + hi)
         scan = _scan(problem, cfg)
         assert scan.brackets == ((lo, inside[0]),)
         k = refine_root(scan.brackets, problem, cfg, scan.end_values)[0]
         assert abs(k - k1) <= 0.5 * cfg.refine_tol * k1
+
+
+class TestDefaultGrid:
+    """The default grid of 256 points against the 2000 it had before: the same
+    roots, in number and within refine_tol * max(1, K) or both in the band
+    of sign 0 (:func:`_same_root`), on seeded surveys, on close low roots
+    either side of K = 1 and on a close pair."""
+
+    @staticmethod
+    def _agree(problem, modes):
+        cfg = SearchConfig(max_modes=modes)
+        assert cfg.grid_points == 256
+        ks = _alone(problem, cfg)
+        dense = _alone(problem, replace(cfg, grid_points=2000))
+        if isinstance(dense, NoRootsInRange):
+            assert str(ks) == str(dense)
+            return None
+        assert len(ks) == len(dense), (problem, ks, dense)
+        for k, d in zip(ks.K_values, dense.K_values):
+            assert _same_root(problem, k, d, cfg.refine_tol), (problem, k, d)
+        return ks.K_values
+
+    @pytest.mark.parametrize("family", ["all-angles", "near-supports", "benchmark", "twelve-modes"])
+    def test_seeded_survey(self, family):
+        # "near-supports" puts the crack within 1% of a support, with
+        # compliances 1e-12 to 1e6 and eta up to 1000.
+        rng = np.random.default_rng(256)
+        for _ in range(40):
+            if family == "benchmark":
+                problem, modes = _draw("benchmark", rng)
+            elif family == "near-supports":
+                beta = 10.0 ** rng.uniform(math.log10(BETA_MIN), math.log10(2 * math.pi))
+                side = rng.uniform(0.001, 0.01)
+                alpha = beta * (side if rng.random() < 0.5 else 1.0 - side)
+                eta = 0.0 if rng.random() < 0.3 else 10.0 ** rng.uniform(-3.0, 3.0)
+                problem = ArchProblem(beta, eta, CrackJoint(alpha, 10.0 ** rng.uniform(-12.0, 6.0)))
+                modes = int(rng.integers(1, 9))
+            else:
+                problem, _ = _draw("all-angles", rng)
+                modes = 12 if family == "twelve-modes" else int(rng.integers(1, 9))
+            self._agree(problem, modes)
+
+    @pytest.mark.parametrize(
+        "beta, alpha_frac, theta", [(4.25, 0.4375, 10.0), (3.0, 0.875, 100.0), (3.5, 0.25, 100.0)]
+    )
+    def test_close_low_roots_either_side_of_one(self, beta, alpha_frac, theta):
+        # tests/test_shooting_oracle.py's stiff cracks at eta = 0, whose first
+        # two roots straddle K = 1.
+        ks = self._agree(ArchProblem(beta, 0.0, CrackJoint(alpha_frac * beta, theta)), 2)
+        assert ks[0] < 1.0 < ks[1]
+
+    @pytest.mark.parametrize("theta", [1e-6, 1e-4])
+    def test_close_pair_at_a_double_root(self, theta):
+        # A crack of compliance theta at alpha = 1.6557 splits the double root
+        # K_1 = K_2 = 0.36 of beta = pi/sqrt(0.4), eta = 0 by about theta*0.36:
+        # one root stays at 0.36, the guides' midpoint (the crack sits on a
+        # node of that mode), and the other lies at or above the upper guide,
+        # so both grids hold the pair apart. At 1e-4 F is flat there, and
+        # both solves end in its band of sign 0, 1.5e-10 apart and each
+        # within 8e-11 of the 60-digit root.
+        ks = self._agree(ArchProblem(DOUBLE_BETA, 0.0, CrackJoint(1.6557, theta)), 3)
+        assert 0.0 < ks[1] - ks[0] <= 2.0 * theta * 0.36 and rel_err(ks[2], 6.76) < 1e-6
