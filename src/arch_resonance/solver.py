@@ -6,10 +6,10 @@ kernel call. A cracked arch's boundary determinant, the reduced
 characteristic function F in closed form (:func:`kernel.det_sign_logmag_at`,
 no matrix), is scanned one K at a time on a grid of uniform nodes and guides
 around K = 1 and around each uncracked eigenvalue K_n, with their midpoint,
-in passes, until the scanned prefix holds the candidates of the requested
-modes: sign changes, each one root, and dips. The first pass runs through
-the upper guide of the K_n one past the requested modes, almost always all
-a solve needs, and each later pass doubles the prefix. A dip is a node far
+for the candidates of the requested modes: sign changes, each one root, and
+dips. The first pass runs through the upper guide of the K_n one past the
+requested modes, all a solve almost always needs; where it holds too few
+candidates, a second evaluates the rest of the grid. A dip is a node far
 below both neighbours of its sign, around which an even number of roots may
 lie unbracketed, so a dip among them fails the solve.
 Each bracket is then refined on its own by Brent's method with the same
@@ -19,8 +19,8 @@ its sine and a cracked one's from the null vector of its crack's matching
 matrix.
 
 Everything is deterministic: the same problem and configuration produce
-bit-identical spectra, however the scan splits its grid into passes,
-because F is evaluated at each K alone and each bracket is refined alone.
+bit-identical spectra, whether the scan takes one pass or two, because F
+is evaluated at each K alone and each bracket is refined alone.
 
 An uncracked solve imports neither numpy nor :mod:`kernel`, and the search
 works on lists: only a mode shape imports numpy itself, and a cracked search
@@ -70,9 +70,8 @@ class SearchConfig:
     ``grid_points`` and ``refine_tol`` tune only the scan and refinement; an
     uncracked spectrum is its closed form. ``k_max=None`` defaults to ten
     times the closed-form eigenvalue of the uncracked problem at mode
-    max(5, max_modes), which leaves ample room for the roots a crack shifts;
-    where that does not exceed k_min, the modes are counted from the
-    eigenvalues below k_min (:func:`_resolved`).
+    max(5, max_modes), counted on from the eigenvalues below k_min
+    (:func:`_resolved`), which leaves ample room for the roots a crack shifts.
     """
 
     k_min: float = 1e-6
@@ -153,28 +152,25 @@ _tally = _Tally()
 def _resolved(problem: ArchProblem, cfg: SearchConfig) -> SearchConfig:
     """``cfg`` with its default k_max (:class:`SearchConfig`) where it has none.
 
-    Where ten times K_n at n = max(5, max_modes) does not exceed k_min, n
-    counts on from N(k_min) (:func:`_count_below`), so K_n lies above k_min;
-    a default beyond the largest float is that float.
+    The default is ten times K_n at n = max(5, max_modes) + N(k_min)
+    (:func:`_count_below`), so the range holds max(5, max_modes) uncracked
+    K_n whatever k_min is; a default beyond the largest float is that float.
     """
     if cfg.k_max is not None:
         return cfg
-    n = max(5, cfg.max_modes)
-    k_max = 10.0 * max(model.uncracked_K_closed_form(n, problem.beta, problem.eta_nd), 1.0e-3)
-    if k_max <= cfg.k_min:
-        try:
-            n += _count_below(problem, cfg.k_min)
-            k_max = 10.0 * model.uncracked_K_closed_form(n, problem.beta, problem.eta_nd)
-        except OverflowError:  # N(k_min) or K_n beyond the largest float
-            k_max = math.inf
+    try:
+        n = max(5, cfg.max_modes) + _count_below(problem, cfg.k_min)
+        k_max = 10.0 * max(model.uncracked_K_closed_form(n, problem.beta, problem.eta_nd), 1.0e-3)
+    except OverflowError:  # N(k_min) or K_n beyond the largest float
+        k_max = math.inf
     # Not replace(): __post_init__ checked cfg, and the default exceeds k_min.
     resolved = object.__new__(SearchConfig)
     resolved.__dict__.update(vars(cfg), k_max=min(k_max, sys.float_info.max))
     return resolved
 
 
-def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, count: int, modes=None):
-    """First ``count`` nodes of the uniform K grid plus guides around K = 1 and each K_n.
+def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, modes=None):
+    """The uniform K grid plus guides around K = 1 and each K_n, ascending.
 
     The uncracked closed-form values are used even for cracked problems:
     tight nodes around each K_n either bracket the uncracked root directly or
@@ -192,50 +188,41 @@ def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, count: int, modes=None)
     cancel: at beta = 4.25, eta = 0, alpha = 0.4375 beta, theta_c = 10 the
     roots 0.825 and 1.31 both lay in [0.80, 1.41] and 9.83 came back as mode 1.
 
-    Only the first ``count`` nodes of the whole grid are built, from the
-    first count + 1 uniform nodes and the guides below the last of them.
-    Every node of the whole grid below that uniform node is one of those,
-    and they are at least count + 1 even after the near-duplicates are
-    dropped, since uniform nodes are never near-duplicates of each other.
     The guides come from the falling modes (lam <= 1) and then the rising
     ones, whose K_n grows with n: from N(k_min (1 - 2e-6)) on
     (:func:`_count_below`), below which no guide reaches past k_min, to the
-    first past that bound or k_max, the first after count + 1 lower guides
-    above k_min, which every later guide lies above, or the first whose lower
-    guide is not above the upper one before it: where adjacent K_n lie within
-    2e-6 of each other, guides no longer tell the modes apart. The scan
-    builds its grid this way, each pass through twice the prefix it scanned.
-    With ``modes``, the nodes end at the first past the upper guide of the
-    (modes + 1)-th smallest K_n above k_min, if that comes sooner: the scan's
-    first pass and the node that tells whether the grid goes on. Once the
-    rising K_n reach that guide, the uniform nodes and guides stop two
-    uniform nodes past it (one to spare for rounding). Returns the nodes and
-    the last upper guide before a pair of guides that overlap, above which
-    the grid does not resolve the modes, or inf. Every node is finite and
+    first past k_max or the first whose lower guide is not above the upper
+    one before it: where adjacent K_n lie within 2e-6 of each other, guides
+    no longer tell the modes apart. With ``modes``, the nodes end at the
+    last at or below the upper guide of the (modes + 1)-th smallest K_n above
+    k_min, the scan's first pass, a prefix of the whole grid: once the rising
+    K_n reach that guide, the uniform nodes and guides stop two uniform nodes
+    past it (one to spare for rounding). Returns the nodes and the last
+    upper guide before a pair of guides that overlap, above which the grid
+    does not resolve the modes, or inf. Every node is finite and
     nonnegative, as the kernel requires of K: where i*span overflows (a range
     near the largest float, which the scan fails first unless eta is 0 or
     nearly), a uniform node is k_max - (1 - i/(points - 1))*span instead.
     """
     k_min, k_max, points = cfg.k_min, cfg.k_max, cfg.grid_points
-    size, span = min(count + 1, points), k_max - k_min
-    bound = k_max if size == points else k_min + span * (size - 1) / (points - 1)
+    size, span, bound = points, k_max - k_min, k_max
     guides = [g for g in (1.0 - _GUIDE_OFFSET, 1.0 + _GUIDE_OFFSET) if k_min < g < bound]
     step = span / (points - 1)
     c = math.floor(problem.beta / math.pi)
     first = max(c + 1, _count_below(problem, k_min * (1.0 - 2.0 * _GUIDE_OFFSET)))
-    above, last, limit = 0, -1.0, math.inf  # limit: where guides stop telling modes apart
+    last, limit = -1.0, math.inf  # limit: where guides stop telling modes apart
     kns, through = [], math.inf  # the K_n above k_min, and the first pass's end
     closed_form, beta, eta = model.uncracked_K_closed_form, problem.beta, problem.eta_nd
     for n in itertools.chain(range(1, c + 1), itertools.count(first)):
         kn = closed_form(n, beta, eta)
         lo, hi = kn * (1.0 - _GUIDE_OFFSET), kn * (1.0 + _GUIDE_OFFSET)
         if n > c:
-            if kn > k_max or lo >= bound or above > count:
+            if kn > k_max or lo >= bound:
                 break
             if lo <= last:
                 limit = last
                 break
-            above, last = above + (k_min < lo), hi
+            last = hi
         for g in (lo, hi):
             if k_min < g < bound:
                 guides.append(g)
@@ -260,8 +247,8 @@ def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, count: int, modes=None)
     # A node within 1e-15*max(1, K) above its neighbour is dropped. Such pairs
     # never chain: the nodes of K = 1 and of a K_n sit 1e-6 apart or more.
     kept = [b for a, b in zip(nodes, nodes[1:]) if b - a > 1e-15 * (b if b > 1.0 else 1.0)]
-    nodes = [nodes[0], *kept[:count - 1]]
-    return nodes[:bisect.bisect_right(nodes, through) + 1], limit
+    nodes = [nodes[0], *kept]
+    return nodes[:bisect.bisect_right(nodes, through)], limit
 
 
 def _candidates(nodes, values):
@@ -307,16 +294,15 @@ def _count_below(problem: ArchProblem, K: float) -> int:
 def scan_and_bracket(problem: ArchProblem, cfg: SearchConfig) -> ScanResult:
     """Locate determinant sign changes of a cracked problem over its K range.
 
-    The grid is scanned in ascending passes, each node evaluated alone by
-    :func:`kernel.det_sign_logmag_at`. The first pass ends at the upper guide
-    of the (max_modes + 1)-th smallest K_n above k_min, one mode to spare for
-    a crack's shift, or with the grid. Each later pass doubles the scanned
-    prefix, so a scan of N nodes builds the grid and looks for candidates
-    about log2(N) times at most, O(N) work in all.
-    The scan stops after the first pass that leaves ``max_modes``
-    candidates, brackets and dips, in hand: the first candidates of the
-    whole grid, in order. A node of sign 0 is one zero-width bracket, even
-    at a double root.
+    Each node is evaluated alone by :func:`kernel.det_sign_logmag_at`. The
+    first pass runs through the upper guide of the (max_modes + 1)-th
+    smallest K_n above k_min, one mode to spare for a crack's shift, or
+    through the whole grid if that comes first. Each gap between adjacent
+    K_n holds an odd number of cracked roots, so that pass almost always
+    holds ``max_modes`` candidates, brackets and dips: the first candidates
+    of the whole grid, in order. Where it holds fewer, the whole grid is
+    built and the rest of it evaluated in a second pass. A node of sign 0 is
+    one zero-width bracket, even at a double root.
 
     Raises :class:`NoRootsInRange` when the scan yields no bracket, a dip
     among its first ``max_modes`` candidates (named by its K; a dip above is
@@ -331,29 +317,26 @@ def scan_and_bracket(problem: ArchProblem, cfg: SearchConfig) -> ScanResult:
         _count_below(problem, k_range.k_max)
     except OverflowError:
         raise _beyond(k_range) from None
-    # The first pass ends before the grid's next node, which tells whether it goes on.
-    nodes, limit = _grid_nodes(problem, k_range, sys.maxsize, cfg.max_modes)
-    end = len(nodes) - 1
     # Looked up here, not bound at import, so a wrapper set on the module sees each value.
     evaluate = kernel.det_sign_logmag_at
     crack = problem.crack
     eta, beta, alpha, theta = problem.eta_nd, problem.beta, crack.alpha, crack.theta_c
-    values = []
-    while True:
-        _tally.passes += 1
-        _tally.values += end - len(values)
-        values += [evaluate(k, eta, beta, alpha, theta) for k in nodes[len(values):end]]
-        lower, upper, dips = _candidates(nodes, values)
-        if limit < nodes[end - 1] and cfg.max_modes > (
-            sum(nodes[j] <= limit for j in upper) + sum(d < limit for d in dips)
-        ):
-            raise _beyond(k_range, "holds modes closer than the grid tells apart")
-        if end >= len(nodes) or len(lower) + len(dips) >= cfg.max_modes:
-            break
-        # The grid is built through twice the scanned prefix and one node
-        # more, which tells whether it goes on; only the added nodes are evaluated.
-        nodes, limit = _grid_nodes(problem, k_range, 2 * end + 1)
-        end = min(2 * end, len(nodes))
+    nodes, limit = _grid_nodes(problem, k_range, cfg.max_modes)
+    values = [evaluate(k, eta, beta, alpha, theta) for k in nodes]
+    _tally.passes += 1
+    lower, upper, dips = _candidates(nodes, values)
+    if len(lower) + len(dips) < cfg.max_modes:
+        # Too few candidates: a second pass evaluates the rest of the whole grid, if any.
+        nodes, limit = _grid_nodes(problem, k_range)
+        if len(nodes) > len(values):
+            values += [evaluate(k, eta, beta, alpha, theta) for k in nodes[len(values):]]
+            _tally.passes += 1
+            lower, upper, dips = _candidates(nodes, values)
+    _tally.values += len(values)
+    if limit < nodes[-1] and cfg.max_modes > (
+        sum(nodes[j] <= limit for j in upper) + sum(d < limit for d in dips)
+    ):
+        raise _beyond(k_range, "holds modes closer than the grid tells apart")
     if dips and sum(nodes[j] < dips[0] for j in lower) < cfg.max_modes:
         raise NoRootsInRange(
             f"the determinant dips without a sign change at K = {dips[0]!r}:"

@@ -992,17 +992,16 @@ class TestBatchedSearch:
             _alone(make_problem(), SearchConfig(max_modes=2, k_max=10.0))
         lines = [r.getMessage() for r in caplog.records if r.name == "arch_resonance.solver"]
         # Below k_max = 10, beta = 1 has no root and beta = 2 one, so both
-        # raise after scanning their whole grids of 258 and 261 nodes in 2
-        # passes each, of 256 and the rest (256 uniform, the guides at K = 1
-        # and, for beta = 2, the guides and midpoint of K_1 = 2.15), and
-        # refine nothing; beta = 6 stops after its first pass, through the
-        # upper guide of its third K_n, and its two roots take nine one-K
-        # evaluations. An uncracked problem is its closed form: no scan pass
+        # raise after scanning their whole grids of 258 and 261 nodes (256
+        # uniform, the guides at K = 1 and, for beta = 2, the guides and
+        # midpoint of K_1 = 2.15) in one pass each, and refine nothing;
+        # beta = 6 stops after its first pass, through the upper guide of its
+        # third K_n, and its two roots take nine one-K evaluations. An uncracked problem is its closed form: no scan pass
         # and no bracket refined, whether it solves or raises.
         assert lines == [
-            "find_frequencies: 2 scan passes, 258 scan evaluations, "
+            "find_frequencies: 1 scan passes, 258 scan evaluations, "
             "0 refinement evaluations, 0 brackets refined",
-            "find_frequencies: 2 scan passes, 261 scan evaluations, "
+            "find_frequencies: 1 scan passes, 261 scan evaluations, "
             "0 refinement evaluations, 0 brackets refined",
             "find_frequencies: 1 scan passes, 66 scan evaluations, "
             "9 refinement evaluations, 2 brackets refined",
@@ -1025,7 +1024,7 @@ def _dip(monkeypatch, problem):
     """
     lo, hi = find_frequencies(problem, SearchConfig(max_modes=2)).K_values
     cfg = solver._resolved(problem, SearchConfig())
-    nodes, _ = solver._grid_nodes(problem, cfg, cfg.grid_points)
+    nodes, _ = solver._grid_nodes(problem, cfg)
     inside = [k for k in nodes if lo < k < hi]
     assert len(inside) >= 3  # so the node's neighbours lie between the roots too
     k = inside[len(inside) // 2]
@@ -1159,23 +1158,18 @@ class TestEarlyExitScan:
     def test_grid_prefix_is_the_start_of_the_whole_grid(
         self, log_beta, eta, modes, points, log_k_max
     ):
-        # A prefix of count nodes, or one that ends at the first node past the
-        # upper guide of K_n one past ``modes`` (the scan's first pass), is the
-        # start of the whole grid bit for bit.
+        # The scan's first pass, the nodes through the upper guide of K_n one
+        # past ``modes``, is the start of the whole grid bit for bit.
         problem = ArchProblem(beta=10.0**log_beta, eta_nd=eta)
         k_max = None if log_k_max is None else 10.0**log_k_max
         cfg = solver._resolved(problem, SearchConfig(max_modes=modes, grid_points=points, k_max=k_max))
-        whole, limit = solver._grid_nodes(problem, cfg, sys.maxsize)  # no grid is that long
+        whole, limit = solver._grid_nodes(problem, cfg)
         assert limit == math.inf
         kns = _closed_form_ks(problem.beta, eta, cfg.k_min, whole[-1])
         through = kns[modes] * (1.0 + solver._GUIDE_OFFSET) if len(kns) > modes else math.inf
-        counts = {1, 2, 16, 17, 257, 258, 513, points - 2, points - 1, len(whole), len(whole) + 1}
-        for count in counts:
-            prefix, _ = solver._grid_nodes(problem, cfg, count)
-            assert [k.hex() for k in prefix] == [k.hex() for k in whole[:count]], count
-            first, _ = solver._grid_nodes(problem, cfg, count, modes)
-            end = min(count, bisect.bisect_right(whole, through) + 1)
-            assert [k.hex() for k in first] == [k.hex() for k in whole[:end]], count
+        first, _ = solver._grid_nodes(problem, cfg, modes)
+        end = bisect.bisect_right(whole, through)
+        assert [k.hex() for k in first] == [k.hex() for k in whole[:end]]
 
     @pytest.mark.parametrize("node", [1.0 - solver._GUIDE_OFFSET, 1.0 + solver._GUIDE_OFFSET])
     def test_a_guide_on_a_uniform_node_is_dropped(self, node):
@@ -1185,7 +1179,7 @@ class TestEarlyExitScan:
         problem = make_problem(beta=1.3, eta=1.0, alpha=0.4, theta=0.8)
         k_min, points = 1e-6, 2000
         cfg = SearchConfig(k_min=k_min, k_max=k_min + (node - k_min) * (points - 1), grid_points=points)
-        nodes, _ = solver._grid_nodes(problem, cfg, 300)
+        nodes, _ = solver._grid_nodes(problem, cfg)
         uniform = (k_min + (cfg.k_max - k_min) * np.arange(301) / (points - 1)).tolist()
         step, bound = (cfg.k_max - k_min) / (points - 1), uniform[-1]
         guides = [1.0 - solver._GUIDE_OFFSET, 1.0 + solver._GUIDE_OFFSET]
@@ -1200,61 +1194,37 @@ class TestEarlyExitScan:
             if not kept or k - kept[-1] > 1e-15 * max(1.0, k):
                 kept.append(k)
         assert abs(uniform[1] - node) <= 1e-15
-        assert nodes == kept[:300]
+        assert nodes[:300] == kept[:300]
 
-    @staticmethod
-    def _first_pass(monkeypatch, size, builds):
-        """Cut the scan's first pass to ``size`` nodes, as a grid whose K_n one
-        past the modes lay further up would; ``builds`` gets each build's count."""
-        grid = solver._grid_nodes
-
-        def built(problem, cfg, count, modes=None):
-            builds.append(count)
-            return grid(problem, cfg, size + 1 if modes else count)
-
-        monkeypatch.setattr(solver, "_grid_nodes", built)
-
-    @pytest.mark.parametrize("first, modes", [(16, 60), (256, 1400)])
-    def test_grid_builds_grow_geometrically(self, monkeypatch, first, modes):
-        # After a short first pass, each pass builds the grid once and
-        # evaluates at least as many values as all the passes before it, so
-        # a scan makes about log2(nodes / first pass) passes.
+    def test_a_short_first_pass_is_finished_by_the_whole_grid(self, monkeypatch):
+        # A first pass cut to 16 nodes, as a grid whose K_n one past the
+        # modes lay further up would end it, holds too few candidates: the
+        # whole grid is built once more and its nodes past the first pass
+        # are evaluated in a second pass, each node once and in order.
         problem = make_problem(beta=1.0, eta=1.0, alpha=0.4, theta=0.8)
-        cfg = SearchConfig(max_modes=modes)
-        builds, prefixes, candidates = [], [], solver._candidates
-        self._first_pass(monkeypatch, first, builds)
-        monkeypatch.setattr(
-            solver, "_candidates", lambda nodes, values: prefixes.append(len(values)) or candidates(nodes, values)
-        )
+        cfg = SearchConfig(max_modes=5)
+        grid, evaluate = solver._grid_nodes, kernel.det_sign_logmag_at
+        whole, _ = grid(problem, solver._resolved(problem, cfg))
+        builds, evaluated = [], []
+
+        def cut(problem, cfg, modes=None):
+            builds.append(modes)
+            nodes, limit = grid(problem, cfg)
+            return (nodes[:16] if modes else nodes), limit
+
+        def recorded(K, *args):
+            evaluated.append(K)
+            return evaluate(K, *args)
+
+        monkeypatch.setattr(solver, "_grid_nodes", cut)
+        monkeypatch.setattr(kernel, "det_sign_logmag_at", recorded)
+        passes = solver._tally.passes
+        scan = _scan(problem, cfg)
+        assert solver._tally.passes - passes == 2 and builds == [5, None]
+        assert evaluated == whole
         spectrum = find_frequencies(problem, cfg)
-        builds, prefixes = list(builds), list(prefixes)  # before the whole-grid scan adds to them
-        passes = [b - a for a, b in zip([0, *prefixes], prefixes)]
-        assert passes[0] == first and len(builds) == len(passes) >= 4, (builds, passes)
-        assert all(size >= sum(passes[:i]) for i, size in enumerate(passes) if i), passes
-        assert len(passes) <= math.log2(sum(passes) / passes[0]) + 2, passes
         monkeypatch.undo()
-        assert spectrum.roots == _whole_grid_spectrum(problem, cfg)
-
-    def test_candidate_search_is_linear_in_the_scan(self, monkeypatch):
-        # A scan of a few thousand modes, from a first pass of 256 nodes,
-        # looks for candidates in prefixes that double, so the nodes it hands
-        # _candidates sum to about twice the last prefix. Once per 256 nodes,
-        # they would grow as its square.
-        problem = make_problem(beta=1.0, eta=1.0, alpha=0.4, theta=0.8)
-        cfg = SearchConfig(max_modes=2000)
-        prefixes, candidates = [], solver._candidates
-        self._first_pass(monkeypatch, 256, [])
-
-        def counted(nodes, values):
-            prefixes.append(len(values))
-            return candidates(nodes, values)
-
-        monkeypatch.setattr(solver, "_candidates", counted)
-        spectrum = find_frequencies(problem, cfg)
-        prefixes = list(prefixes)
-        assert prefixes[-1] > 16 * 256
-        assert sum(prefixes) <= 4 * prefixes[-1], prefixes
-        monkeypatch.undo()
+        assert len(scan.brackets) >= 5
         assert spectrum.roots == _whole_grid_spectrum(problem, cfg)
 
     def test_partial_scan_is_a_prefix_of_the_whole_grid(self):
@@ -1295,6 +1265,65 @@ class TestEarlyExitScan:
         assert scans == [2]
         assert refines == [2]
         assert spectrum.K_values == (first_k, first_k)
+
+
+def _near_a_true_root(problem, k, tol):
+    """Whether the 60-digit F changes sign within tol * max(1, k) of k."""
+    d = tol * max(1.0, k)
+    crack = problem.crack
+    args = (problem.eta_nd, problem.beta, crack.alpha, crack.theta_c)
+    return reduced_det_mp(k - d, *args) * reduced_det_mp(k + d, *args) <= 0
+
+
+def _on_near_or_off_a_node(beta, rng):
+    """A crack angle on a node of a low mode, within 1e-6 beta of one, or anywhere."""
+    kind, m = rng.integers(3), int(rng.integers(2, 8))
+    node = beta * int(rng.integers(1, m)) / m
+    if kind == 0:
+        return node
+    if kind == 1:
+        return node + beta * rng.uniform(-1e-6, 1e-6)
+    return beta * rng.uniform(0.01, 0.99)
+
+
+class TestOnePass:
+    """Each gap between adjacent uncracked K_n holds an odd number of cracked
+    roots, so the first pass, through the upper guide of the K_n one past the
+    requested modes, holds their candidates: the rest of the grid is left."""
+
+    def test_seeded_survey_scans_once(self):
+        # Default k_max, k_min at 1e-6 or raised, cracks of compliance 1e-8 to
+        # 1e10 on, near and off the nodes of a mode, 1-200 modes and 16-2000
+        # grid points: each solve is one pass and the whole grid's roots.
+        rng = np.random.default_rng(37)
+        for _ in range(300):
+            beta = 10.0 ** rng.uniform(math.log10(0.05), math.log10(2 * math.pi))
+            eta = 0.0 if rng.random() < 0.25 else rng.uniform(0.0, 4.0)
+            crack = CrackJoint(_on_near_or_off_a_node(beta, rng), 10.0 ** rng.uniform(-8.0, 10.0))
+            problem = ArchProblem(beta, eta, crack)
+            k_min = 1e-6 if rng.random() < 0.5 else 10.0 ** rng.uniform(-3.0, 4.0)
+            modes = int(rng.integers(1, 11)) if rng.random() < 0.7 else int(rng.integers(1, 201))
+            points = int(rng.integers(16, 2001)) if rng.random() < 0.5 else 256
+            cfg = SearchConfig(k_min=k_min, max_modes=modes, grid_points=points)
+            passes = solver._tally.passes
+            roots = find_frequencies(problem, cfg).roots
+            assert solver._tally.passes - passes == 1, (problem, cfg)
+            assert roots == _whole_grid_spectrum(problem, cfg), (problem, cfg)
+
+    def test_many_mode_spectra_against_60_digits(self):
+        # 2000-3000 modes: 20 sampled roots, the first and last among them,
+        # each lie within refine_tol * max(1, K) of a sign change of the
+        # 60-digit F, and the spectrum ascends.
+        rng = np.random.default_rng(2500)
+        for _ in range(3):
+            beta, eta = rng.uniform(0.3, 6.0), rng.choice([0.0, rng.uniform(0.0, 2.0)])
+            problem = ArchProblem(beta, eta, CrackJoint(beta * rng.uniform(0.05, 0.95), 10.0 ** rng.uniform(-1.3, 1.3)))
+            cfg = SearchConfig(max_modes=int(rng.integers(2000, 3001)))
+            ks = find_frequencies(problem, cfg).K_values
+            assert len(ks) == cfg.max_modes and all(a <= b for a, b in zip(ks, ks[1:]))
+            sample = {0, len(ks) - 1, *rng.choice(len(ks), 18, replace=False).tolist()}
+            for i in sorted(sample):
+                assert _near_a_true_root(problem, ks[i], cfg.refine_tol), (problem, i, ks[i])
 
 
 def _straddles_a_true_root(problem, lo, hi, k, tol):
@@ -1744,11 +1773,14 @@ class TestKernelCallsPerSolve:
         # requested modes; the crack of zero compliance shows it against known K_n.
         calls = self._count(monkeypatch)
         # beta = 2 pi, eta = 4: the fundamental, K_3 = 0.15625 (lam = 1.5),
-        # is node 5 of the whole grid, K_1 = 0.28125 (lam = 0.5) is the
-        # second mode, and K_2 = 0 lies below k_min.
+        # is a node of the whole grid, K_1 = 0.28125 (lam = 0.5) is the
+        # second mode, and K_2 = 0 lies below k_min, so the default k_max is
+        # ten times K_6, not K_5: 11 values through the upper guide of K_1.
         problem = _zero_crack(beta=2 * math.pi, eta=4.0)
         scan = _scan(problem, SearchConfig(max_modes=1))
-        assert calls == [13]
+        k6 = uncracked_K_closed_form(6, 2 * math.pi, 4.0)
+        assert solver._resolved(problem, SearchConfig()).k_max == 10.0 * k6
+        assert calls == [11]
         k3 = uncracked_K_closed_form(3, 2 * math.pi, 4.0)
         assert scan.brackets[0] == (k3, k3)
         calls.clear()
@@ -1848,7 +1880,7 @@ class TestExactCount:
         # guide pair, however far up the mode numbers start.
         problem = make_problem()
         cfg = SearchConfig(k_min=1e20, k_max=1.001e20)
-        nodes, limit = solver._grid_nodes(problem, cfg, sys.maxsize)
+        nodes, limit = solver._grid_nodes(problem, cfg)
         grid = set(nodes)
         first = solver._count_below(problem, cfg.k_min) + 1
         kns = [uncracked_K_closed_form(n, 1.0, 0.0) for n in range(first, first + 9)]
@@ -1885,7 +1917,7 @@ class TestExactCount:
         assert kn(onset) * (1 - 1e-6) > kn(onset - 1) * (1 + 1e-6)
         problem = make_problem(eta=1.0, alpha=0.3, theta=0.5)
         cfg = SearchConfig(k_min=0.5 * (kn(onset - 9) + kn(onset - 8)), k_max=kn(onset + 50))
-        _, limit = solver._grid_nodes(problem, cfg, sys.maxsize)
+        _, limit = solver._grid_nodes(problem, cfg)
         assert limit == kn(onset) * (1 + 1e-6)
         ks = find_frequencies(problem, replace(cfg, max_modes=9)).K_values
         for i, k in enumerate(ks):
@@ -1905,6 +1937,31 @@ class TestExactCount:
         cfg = solver._resolved(make_problem(eta=1.0), SearchConfig(k_min=1e300))
         assert cfg.k_max == sys.float_info.max
 
+    @pytest.mark.parametrize("psi", [None, 0.3])
+    def test_default_k_max_counts_from_the_modes_below_a_raised_k_min(self, psi, capsys, tmp_path):
+        # At beta = 4.6003, eta = 0 the uncracked K_5..K_9 are 113.6, 249.3,
+        # 477.5, 832.2 and 1352.5, and K_1..K_4 lie below k_min = 93.55. Ten
+        # times K_5 left four roots in range, and freq exited 1; counted on
+        # from those four, the default is ten times K_9, and five rows print.
+        beta, k_min = 4.600296888500213, 93.55
+        config = tmp_path / "k.ini"
+        config.write_text(f"[search]\nk-min = {k_min}\n")
+        crack = [] if psi is None else ["--crack-psi", str(psi)]
+        argv = ["freq", "--beta", repr(beta), "--eta", "0", *crack, "--config", str(config), "--format", "csv"]
+        assert main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 6
+        theta = None if psi is None else compliance(PowerLawCompliance(), psi)
+        problem = ArchProblem(beta, 0.0, None if psi is None else CrackJoint(0.5 * beta, theta))
+        cfg = SearchConfig(k_min=k_min)
+        n = solver._count_below(problem, k_min)
+        assert n == 4 and solver._resolved(problem, cfg).k_max == 10.0 * uncracked_K_closed_form(9, beta, 0.0)
+        ks = find_frequencies(problem, cfg).K_values
+        if psi is None:
+            assert ks == tuple(uncracked_K_closed_form(i, beta, 0.0) for i in range(5, 10))
+        else:
+            for k in ks:
+                assert k > k_min and _near_a_true_root(problem, k, cfg.refine_tol), k
+
     def test_uniform_node_inside_a_guide_pair(self):
         # With 16 grid points and this k_max, uniform node 1 lies between the
         # guides of K_1, so their midpoint is not a node: the scan's bracket is
@@ -1913,7 +1970,7 @@ class TestExactCount:
         k1 = uncracked_K_closed_form(1, 1.0, 0.0)
         k_min = 1e-6
         cfg = SearchConfig(max_modes=1, grid_points=16, k_max=k_min + (k1 * (1 + 5e-7) - k_min) * 15)
-        grid, _ = solver._grid_nodes(problem, cfg, sys.maxsize)
+        grid, _ = solver._grid_nodes(problem, cfg)
         lo, hi = k1 * (1 - 1e-6), k1 * (1 + 1e-6)
         inside = [k for k in grid if lo < k < hi]
         assert len(inside) == 1 and inside[0] != 0.5 * (lo + hi)
