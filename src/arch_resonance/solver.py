@@ -7,11 +7,10 @@ characteristic function F in closed form (:func:`kernel.det_sign_logmag_at`,
 no matrix), is scanned one K at a time on a grid of uniform nodes and guides
 around K = 1 and around each uncracked eigenvalue K_n, with their midpoint,
 for the candidates of the requested modes: sign changes, each one root, and
-dips. The first pass runs through the upper guide of the K_n one past the
-requested modes, all a solve almost always needs; where it holds too few
-candidates, a second evaluates the rest of the grid. A dip is a node far
-below both neighbours of its sign, around which an even number of roots may
-lie unbracketed, so a dip among them fails the solve.
+dips. The scan walks the grid once, in ascending order, and stops at the
+last requested candidate. A dip is a node far below both neighbours of its
+sign, around which an even number of roots may lie unbracketed, so a dip
+among them fails the solve.
 Each bracket is then refined on its own by Brent's method with the same
 one-K form (:func:`refine_root`), about four evaluations a root. A spectrum
 holds roots only: :func:`mode_shape` samples an uncracked root's shape as
@@ -19,8 +18,8 @@ its sine and a cracked one's from the null vector of its crack's matching
 matrix.
 
 Everything is deterministic: the same problem and configuration produce
-bit-identical spectra, whether the scan takes one pass or two, because F
-is evaluated at each K alone and each bracket is refined alone.
+bit-identical spectra, because F is evaluated at each K alone and each
+bracket is refined alone.
 
 An uncracked solve imports neither numpy nor :mod:`kernel`, and the search
 works on lists: only a mode shape imports numpy itself, and a cracked search
@@ -29,7 +28,7 @@ imports the kernel, which loads numpy with it.
 
 from __future__ import annotations
 
-import bisect
+import heapq
 import itertools
 import logging
 import math
@@ -135,13 +134,12 @@ class ScanResult:
 
 
 class _Tally(threading.local):
-    """Scan passes and evaluations, and refine_root's one-K evaluations.
+    """Scan evaluations, and refine_root's one-K evaluations.
 
     Per thread, so that concurrent solves do not mix their counts; read
     around each find_frequencies call for its debug line.
     """
 
-    passes = 0
     values = 0
     evals = 0
 
@@ -169,8 +167,8 @@ def _resolved(problem: ArchProblem, cfg: SearchConfig) -> SearchConfig:
     return resolved
 
 
-def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, modes=None):
-    """The uniform K grid plus guides around K = 1 and each K_n, ascending.
+def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, limit=None):
+    """The uniform K grid plus guides around K = 1 and each K_n, ascending and lazily.
 
     The uncracked closed-form values are used even for cracked problems:
     tight nodes around each K_n either bracket the uncracked root directly or
@@ -188,87 +186,65 @@ def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, modes=None):
     cancel: at beta = 4.25, eta = 0, alpha = 0.4375 beta, theta_c = 10 the
     roots 0.825 and 1.31 both lay in [0.80, 1.41] and 9.83 came back as mode 1.
 
-    The guides come from the falling modes (lam <= 1) and then the rising
-    ones, whose K_n grows with n: from N(k_min (1 - 2e-6)) on
+    The nodes merge three ascending streams: the uniform nodes, the guides
+    of K = 1 and of the falling modes (lam <= 1), and the guides of the
+    rising ones, whose K_n grows with n: from N(k_min (1 - 2e-6)) on
     (:func:`_count_below`), below which no guide reaches past k_min, to the
     first past k_max or the first whose lower guide is not above the upper
     one before it: where adjacent K_n lie within 2e-6 of each other, guides
-    no longer tell the modes apart. With ``modes``, the nodes end at the
-    last at or below the upper guide of the (modes + 1)-th smallest K_n above
-    k_min, the scan's first pass, a prefix of the whole grid: once the rising
-    K_n reach that guide, the uniform nodes and guides stop two uniform nodes
-    past it (one to spare for rounding). Returns the nodes and the last
-    upper guide before a pair of guides that overlap, above which the grid
-    does not resolve the modes, or inf. Every node is finite and
-    nonnegative, as the kernel requires of K: where i*span overflows (a range
-    near the largest float, which the scan fails first unless eta is 0 or
-    nearly), a uniform node is k_max - (1 - i/(points - 1))*span instead.
+    no longer tell the modes apart. There the rising guides stop and, where
+    a one-item list ``limit`` is given, set ``limit[0]`` to the last upper
+    guide, above which the grid does not resolve the modes; the merge takes
+    that stop before it yields a node above that guide. Every node is
+    finite and nonnegative, as the kernel requires of K: where i*span
+    overflows (a range near the largest float, which the scan fails first
+    unless eta is 0 or nearly), a uniform node is
+    k_max - (1 - i/(points - 1))*span instead.
     """
     k_min, k_max, points = cfg.k_min, cfg.k_max, cfg.grid_points
-    size, span, bound = points, k_max - k_min, k_max
-    guides = [g for g in (1.0 - _GUIDE_OFFSET, 1.0 + _GUIDE_OFFSET) if k_min < g < bound]
-    step = span / (points - 1)
-    c = math.floor(problem.beta / math.pi)
-    first = max(c + 1, _count_below(problem, k_min * (1.0 - 2.0 * _GUIDE_OFFSET)))
-    last, limit = -1.0, math.inf  # limit: where guides stop telling modes apart
-    kns, through = [], math.inf  # the K_n above k_min, and the first pass's end
+    span, den = k_max - k_min, points - 1
+    step = span / den
     closed_form, beta, eta = model.uncracked_K_closed_form, problem.beta, problem.eta_nd
-    for n in itertools.chain(range(1, c + 1), itertools.count(first)):
-        kn = closed_form(n, beta, eta)
+    c = math.floor(beta / math.pi)
+    first = max(c + 1, _count_below(problem, k_min * (1.0 - 2.0 * _GUIDE_OFFSET)))
+
+    def guides(kn):
+        """K_n's guides in the range, ascending, with their midpoint where no uniform node parts them."""
         lo, hi = kn * (1.0 - _GUIDE_OFFSET), kn * (1.0 + _GUIDE_OFFSET)
-        if n > c:
-            if kn > k_max or lo >= bound:
-                break
+        if k_min < lo and hi < k_max and (lo - k_min) // step == (hi - k_min) // step:
+            return lo, 0.5 * (lo + hi), hi
+        return [g for g in (lo, hi) if k_min < g < k_max]
+
+    def rising():
+        last = -1.0
+        for n in itertools.count(first):
+            kn = closed_form(n, beta, eta)
+            lo = kn * (1.0 - _GUIDE_OFFSET)
+            if kn > k_max or lo >= k_max:
+                return
             if lo <= last:
-                limit = last
-                break
-            last = hi
-        for g in (lo, hi):
-            if k_min < g < bound:
-                guides.append(g)
-        if k_min < lo and hi < bound and (lo - k_min) // step == (hi - k_min) // step:
-            guides.append(0.5 * (lo + hi))
-        if modes is not None and kn > k_min and through == math.inf:
-            kns.append(kn)
-            # The rising K_n ascend: once this one is the (modes + 1)-th
-            # smallest or above it, that K_n is known.
-            if n > c and len(kns) > modes and (top := sorted(kns)[modes]) <= kn:
-                through = top * (1.0 + _GUIDE_OFFSET)
-                size = min(size, math.floor((through - k_min) / step) + 3)
-                if size < points:
-                    bound = k_min + span * (size - 1) / (points - 1)
-    # The uniform nodes k_min + span*i/(points - 1), bound the last, then the guides.
-    den = points - 1
-    nodes = [i * span / den + k_min for i in range(size)]
-    if nodes[-1] == math.inf:  # i*span overflows, so those nodes count down from k_max
-        nodes = [x if x < math.inf else k_max - (1.0 - i / den) * span for i, x in enumerate(nodes)]
-    nodes += guides
-    nodes.sort()
+                if limit is not None:
+                    limit[0] = last
+                return
+            last = kn * (1.0 + _GUIDE_OFFSET)
+            yield from guides(kn)
+
+    low = [g for g in (1.0 - _GUIDE_OFFSET, 1.0 + _GUIDE_OFFSET) if k_min < g < k_max]
+    low += [g for n in range(1, c + 1) for g in guides(closed_form(n, beta, eta))]
+    low.sort()
+    # The uniform nodes k_min + span*i/(points - 1), i = 0 .. points - 1.
+    uniform = (i * span / den + k_min for i in range(points))
+    if den * span / den + k_min == math.inf:  # i*span overflows, so those nodes count down from k_max
+        uniform = (x if x < math.inf else k_max - (1.0 - i / den) * span for i, x in enumerate(uniform))
     # A node within 1e-15*max(1, K) above its neighbour is dropped. Such pairs
     # never chain: the nodes of K = 1 and of a K_n sit 1e-6 apart or more.
-    kept = [b for a, b in zip(nodes, nodes[1:]) if b - a > 1e-15 * (b if b > 1.0 else 1.0)]
-    nodes = [nodes[0], *kept]
-    return nodes[:bisect.bisect_right(nodes, through)], limit
-
-
-def _candidates(nodes, values):
-    """Brackets (lower and upper node indices) and dip nodes (floats) of a scanned prefix.
-
-    ``values`` holds the (sign, log-magnitude) of the prefix's nodes. A node
-    with sign 0 is a bracket of its own; a sign change between two nonzero
-    nodes brackets the gap. Both are keyed by their lower node. A sign change
-    needs its upper node and a dip its right-hand neighbour, so every
-    candidate of a prefix of the grid is also one of the whole grid.
-    """
-    signs, logs = zip(*values) if values else ((), ())
-    # A node of sign 0, or one whose sign the next node's (none past the last) changes.
-    lower = [j for j, s, t in zip(itertools.count(), signs, signs[1:] + (0,)) if s * t < 0 or not s]
-    upper = [j + 1 if signs[j] else j for j in lower]
-    # A node below min(a, b) - drop, its neighbours' log-magnitudes a and b, of their sign.
-    dips = [nodes[j] for j, a, m, b in zip(itertools.count(1), logs, logs[1:], logs[2:])
-            if m <= (a if a < b else b) - _DIP_THRESHOLD
-            and signs[j - 1] == signs[j] == signs[j + 1] != 0]
-    return lower, upper, dips
+    nodes = heapq.merge(uniform, low, rising())
+    a = next(nodes)
+    yield a
+    for b in nodes:
+        if b - a > 1e-15 * (b if b > 1.0 else 1.0):
+            yield b
+        a = b
 
 
 def _mode_numbers(problem: ArchProblem, K: float) -> tuple[float, float]:
@@ -292,24 +268,20 @@ def _count_below(problem: ArchProblem, K: float) -> int:
 
 
 def scan_and_bracket(problem: ArchProblem, cfg: SearchConfig) -> ScanResult:
-    """Locate determinant sign changes of a cracked problem over its K range.
+    """Bracket the first ``max_modes`` determinant roots of a cracked problem.
 
-    Each node is evaluated alone by :func:`kernel.det_sign_logmag_at`. The
-    first pass runs through the upper guide of the (max_modes + 1)-th
-    smallest K_n above k_min, one mode to spare for a crack's shift, or
-    through the whole grid if that comes first. Each gap between adjacent
-    K_n holds an odd number of cracked roots, so that pass almost always
-    holds ``max_modes`` candidates, brackets and dips: the first candidates
-    of the whole grid, in order. Where it holds fewer, the whole grid is
-    built and the rest of it evaluated in a second pass. A node of sign 0 is
-    one zero-width bracket, even at a double root.
+    One walk of the grid (:func:`_grid_nodes`), ascending, evaluates each
+    node alone by :func:`kernel.det_sign_logmag_at` and stops once it holds
+    ``max_modes`` candidates, brackets and dips, or the grid ends. A node of
+    sign 0 is one zero-width bracket, even at a double root; a sign change
+    between two nonzero nodes brackets the gap.
 
-    Raises :class:`NoRootsInRange` when the scan yields no bracket, a dip
-    among its first ``max_modes`` candidates (named by its K; a dip above is
-    ignored), fewer than ``max_modes`` candidates below the limit past which
-    the grid's guides do not tell the modes apart (:func:`_grid_nodes`), once
-    the scan passes it, or N(k_max) (:func:`_count_below`) overflows, a range
-    beyond doubles.
+    Raises :class:`NoRootsInRange` when N(k_max) (:func:`_count_below`)
+    overflows, a range beyond doubles; when the walk passes the limit above
+    which the grid's guides do not tell the modes apart with fewer than
+    ``max_modes`` candidates below it; when a dip is among the candidates
+    (named by its K); and when the grid holds fewer than ``max_modes``
+    brackets, in that order.
     """
     from . import kernel
     k_range = _resolved(problem, cfg)
@@ -321,34 +293,40 @@ def scan_and_bracket(problem: ArchProblem, cfg: SearchConfig) -> ScanResult:
     evaluate = kernel.det_sign_logmag_at
     crack = problem.crack
     eta, beta, alpha, theta = problem.eta_nd, problem.beta, crack.alpha, crack.theta_c
-    nodes, limit = _grid_nodes(problem, k_range, cfg.max_modes)
-    values = [evaluate(k, eta, beta, alpha, theta) for k in nodes]
-    _tally.passes += 1
-    lower, upper, dips = _candidates(nodes, values)
-    if len(lower) + len(dips) < cfg.max_modes:
-        # Too few candidates: a second pass evaluates the rest of the whole grid, if any.
-        nodes, limit = _grid_nodes(problem, k_range)
-        if len(nodes) > len(values):
-            values += [evaluate(k, eta, beta, alpha, theta) for k in nodes[len(values):]]
-            _tally.passes += 1
-            lower, upper, dips = _candidates(nodes, values)
-    _tally.values += len(values)
-    if limit < nodes[-1] and cfg.max_modes > (
-        sum(nodes[j] <= limit for j in upper) + sum(d < limit for d in dips)
-    ):
+    needed, limit_at = cfg.max_modes, [math.inf]
+    brackets, end_values, dips = [], [], []
+    # The values (sign, log-magnitude) of the previous node k0 and of the one
+    # before it, of sign 0 before the grid: no candidate ends there.
+    v0 = v00 = (0, 0.0)
+    # The grid is never empty: it holds 16 uniform nodes or more.
+    for count, k in enumerate(_grid_nodes(problem, k_range, limit_at), 1):
+        v = evaluate(k, eta, beta, alpha, theta)
+        s = v[0]
+        if not s:
+            brackets.append((k, k))
+            end_values.append((v, v))
+        elif s * v0[0] < 0:
+            brackets.append((k0, k))
+            end_values.append((v0, v))
+        # A dip: k0 far below both neighbours, all three of one sign.
+        elif s == v0[0] == v00[0] and v0[1] <= (v00[1] if v00[1] < v[1] else v[1]) - _DIP_THRESHOLD:
+            dips.append(k0)
+        k0, v0, v00 = k, v, v0
+        if len(brackets) + len(dips) >= needed:
+            break
+    _tally.values += count
+    limit = limit_at[0]
+    if limit < k0 and needed > sum(hi <= limit for _, hi in brackets) + sum(d < limit for d in dips):
         raise _beyond(k_range, "holds modes closer than the grid tells apart")
-    if dips and sum(nodes[j] < dips[0] for j in lower) < cfg.max_modes:
+    # The walk stops at max_modes candidates, so a dip always has fewer brackets below it.
+    if dips:
         raise NoRootsInRange(
             f"the determinant dips without a sign change at K = {dips[0]!r}:"
             " an even number of roots may lie there unbracketed"
         )
-    if not lower:
-        raise _short(0, k_range)
-    pairs = list(zip(lower, upper))
-    return ScanResult(
-        brackets=tuple((nodes[i], nodes[j]) for i, j in pairs),
-        end_values=tuple((values[i], values[j]) for i, j in pairs),
-    )
+    if len(brackets) < needed:
+        raise _short(len(brackets), k_range)
+    return ScanResult(brackets=tuple(brackets), end_values=tuple(end_values))
 
 
 def refine_root(brackets, problem: ArchProblem, cfg: SearchConfig, end_values) -> list[float]:
@@ -451,37 +429,33 @@ def find_frequencies(problem: ArchProblem, cfg: SearchConfig | None = None) -> S
 
     The K = 0 inextensional artifact is excluded by ``k_min``. An uncracked
     spectrum is its closed form (:func:`_closed_form_spectrum`), with no
-    kernel call. A cracked scan stops once it holds ``max_modes``
-    candidates, and only the first ``max_modes`` brackets are refined; no
-    null vector is computed (:func:`mode_shape` does that). Each bracket is
-    one root: the brackets sit in disjoint grid intervals, so two that
-    refine to nearly the same K are a near-double root split by a grid node,
-    and both are reported. Raises :class:`NoRootsInRange` when the range
+    kernel call. A cracked scan stops at its ``max_modes``-th candidate, and
+    its brackets are refined; no null vector is computed (:func:`mode_shape`
+    does that). Each bracket is one root: the brackets sit in disjoint grid
+    intervals, so two that refine to nearly the same K are a near-double
+    root split by a grid node, and both are reported. Raises :class:`NoRootsInRange` when the range
     holds fewer than ``max_modes`` roots, or when a dip is among the first
     ``max_modes`` candidates.
 
-    Logs one debug line per call, also when it raises: the scan's passes
-    and evaluations, the refinement's evaluations and the brackets refined
-    (the searched roots).
+    Logs one debug line per call, also when it raises: the scan's
+    evaluations, the refinement's evaluations and the brackets refined (the
+    searched roots).
     """
     cfg = cfg if cfg is not None else SearchConfig()
-    passes, values, evals, refined = _tally.passes, _tally.values, _tally.evals, 0
+    values, evals, refined = _tally.values, _tally.evals, 0
     try:
         if problem.crack is None:
             return _closed_form_spectrum(problem, cfg)
         scan = scan_and_bracket(problem, cfg)
-        found = scan.brackets[: cfg.max_modes]
-        if len(found) < cfg.max_modes:
-            raise _short(len(found), _resolved(problem, cfg))
-        ks = refine_root(found, problem, cfg, scan.end_values[: cfg.max_modes])
+        ks = refine_root(scan.brackets, problem, cfg, scan.end_values)
         refined = len(ks)
         return Spectrum(tuple(map(Root, ks)))
     finally:
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug(
-                "find_frequencies: %d scan passes, %d scan evaluations, "
-                "%d refinement evaluations, %d brackets refined",
-                _tally.passes - passes, _tally.values - values, _tally.evals - evals, refined,
+                "find_frequencies: %d scan evaluations, %d refinement evaluations, "
+                "%d brackets refined",
+                _tally.values - values, _tally.evals - evals, refined,
             )
 
 

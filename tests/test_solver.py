@@ -1,4 +1,3 @@
-import bisect
 import logging
 import math
 import sys
@@ -59,15 +58,24 @@ def _exact_sine(n, samples):
 
 def _scan(problem, cfg=SearchConfig()):
     """The problem's scan, in the default configuration unless ``cfg`` is given."""
-    return scan_and_bracket(problem, cfg)
+    return solver.scan_and_bracket(problem, cfg)
 
 
 def _whole_scan(problem, cfg=SearchConfig()):
-    """The problem's scan over its whole grid, in the range ``cfg`` gives it.
+    """Every bracket of the problem's whole grid, in the range ``cfg`` gives it.
 
-    No grid holds ``sys.maxsize`` candidates, so the scan never stops early.
+    Written out apart from the scan's walk: each node of the grid is
+    evaluated, a node of sign 0 is a zero-width bracket and a sign change
+    between two nonzero nodes brackets the gap. Dips are not looked for.
     """
-    return _scan(problem, replace(solver._resolved(problem, cfg), max_modes=sys.maxsize))
+    nodes = list(solver._grid_nodes(problem, solver._resolved(problem, cfg)))
+    values = [reduced_det(problem, k) for k in nodes]
+    pairs = [(j, j) if not s else (j - 1, j) for j, s in enumerate(v[0] for v in values)
+             if not s or (j and s * values[j - 1][0] < 0)]
+    return solver.ScanResult(
+        brackets=tuple((nodes[i], nodes[j]) for i, j in pairs),
+        end_values=tuple((values[i], values[j]) for i, j in pairs),
+    )
 
 
 def _refine(pair, problem, cfg=SearchConfig()):
@@ -132,18 +140,6 @@ class TestScanAndBracket:
             scan = _scan(problem)
             assert find_frequencies(problem).K_values == expected
         assert {type(k) for pair in scan.brackets for k in pair} == {float}
-
-    def test_candidates_of_a_constructed_prefix(self):
-        # A node of sign 0 is a bracket of its own and a sign change between
-        # nonzero nodes brackets the gap, both keyed by their lower node; a
-        # node far below both same-sign neighbours is a dip, and the last
-        # node, with no right-hand neighbour, is none.
-        deep = -2.0 * solver._DIP_THRESHOLD
-        values = [(1, 0.0), (-1, 0.0), (-1, deep), (-1, 0.0), (0, -math.inf), (1, 0.0),
-                  (1, 0.0), (1, deep)]
-        nodes = [float(i) for i in range(len(values))]
-        assert solver._candidates(nodes, values) == ([0, 4], [1, 4], [2.0])
-        assert solver._candidates(nodes[:3], values[:3]) == ([0], [1], [])
 
 
 class TestRefineRoot:
@@ -291,14 +287,14 @@ class TestOracleEquivalence:
                 if rel_err(ks[i], ks[i - 1]) <= 1e-12:
                     ks[i] = ks[i - 1]
             expected.append(tuple(ks))
-        passes = solver._tally.passes
+        values = solver._tally.values
         for problem, ks in zip(problems, expected):
             if len(ks) < modes:
                 with pytest.raises(NoRootsInRange):
                     find_frequencies(problem, cfg)
             else:
                 assert find_frequencies(problem, cfg).K_values == ks
-        assert solver._tally.passes == passes
+        assert solver._tally.values == values
 
 
 class TestModeShape:
@@ -382,11 +378,11 @@ class TestModeShape:
         # An uncracked root is sampled as its closed-form sine: it is not
         # polished, and no basis, matching matrix or null vector is built. A
         # cracked root takes all of them, and its polish evaluates F one K at
-        # a time: no shape runs a scan pass.
+        # a time: no shape runs a scan.
         cases = ((make_problem(eta=0.5), False), (make_problem(0.5, 0.5, 0.2, 1.0), True))
         for problem, cracked in cases:
             for root in find_frequencies(problem, SearchConfig(max_modes=3)).roots:
-                passes = solver._tally.passes
+                values = solver._tally.values
                 with (
                     mock.patch.object(kernel, "quartic_roots", wraps=kernel.quartic_roots) as basis,
                     mock.patch.object(kernel, "null_vector", wraps=kernel.null_vector) as null,
@@ -395,7 +391,7 @@ class TestModeShape:
                     ) as one_k,
                 ):
                     mode_shape(problem, root, samples=11)
-                assert solver._tally.passes == passes
+                assert solver._tally.values == values
                 assert basis.called == null.called == one_k.called == cracked
 
     def test_uncracked_shape_at_a_high_root_is_the_sine(self):
@@ -992,25 +988,19 @@ class TestBatchedSearch:
             _alone(make_problem(), SearchConfig(max_modes=2, k_max=10.0))
         lines = [r.getMessage() for r in caplog.records if r.name == "arch_resonance.solver"]
         # Below k_max = 10, beta = 1 has no root and beta = 2 one, so both
-        # raise after scanning their whole grids of 258 and 261 nodes (256
+        # raise after walking their whole grids of 258 and 261 nodes (256
         # uniform, the guides at K = 1 and, for beta = 2, the guides and
-        # midpoint of K_1 = 2.15) in one pass each, and refine nothing;
-        # beta = 6 stops after its first pass, through the upper guide of its
-        # third K_n, and its two roots take nine one-K evaluations. An uncracked problem is its closed form: no scan pass
-        # and no bracket refined, whether it solves or raises.
+        # midpoint of K_1 = 2.15), and refine nothing; beta = 6 stops at its
+        # second bracket, and its two roots take nine one-K evaluations. An
+        # uncracked problem is its closed form: no scan evaluation and no
+        # bracket refined, whether it solves or raises.
         assert lines == [
-            "find_frequencies: 1 scan passes, 258 scan evaluations, "
-            "0 refinement evaluations, 0 brackets refined",
-            "find_frequencies: 1 scan passes, 261 scan evaluations, "
-            "0 refinement evaluations, 0 brackets refined",
-            "find_frequencies: 1 scan passes, 66 scan evaluations, "
-            "9 refinement evaluations, 2 brackets refined",
-            "find_frequencies: 1 scan passes, 12 scan evaluations, "
-            "5 refinement evaluations, 1 brackets refined",
-            "find_frequencies: 0 scan passes, 0 scan evaluations, "
-            "0 refinement evaluations, 0 brackets refined",
-            "find_frequencies: 0 scan passes, 0 scan evaluations, "
-            "0 refinement evaluations, 0 brackets refined",
+            "find_frequencies: 258 scan evaluations, 0 refinement evaluations, 0 brackets refined",
+            "find_frequencies: 261 scan evaluations, 0 refinement evaluations, 0 brackets refined",
+            "find_frequencies: 23 scan evaluations, 9 refinement evaluations, 2 brackets refined",
+            "find_frequencies: 4 scan evaluations, 5 refinement evaluations, 1 brackets refined",
+            "find_frequencies: 0 scan evaluations, 0 refinement evaluations, 0 brackets refined",
+            "find_frequencies: 0 scan evaluations, 0 refinement evaluations, 0 brackets refined",
         ]
 
 
@@ -1024,8 +1014,7 @@ def _dip(monkeypatch, problem):
     """
     lo, hi = find_frequencies(problem, SearchConfig(max_modes=2)).K_values
     cfg = solver._resolved(problem, SearchConfig())
-    nodes, _ = solver._grid_nodes(problem, cfg)
-    inside = [k for k in nodes if lo < k < hi]
+    inside = [k for k in solver._grid_nodes(problem, cfg) if lo < k < hi]
     assert len(inside) >= 3  # so the node's neighbours lie between the roots too
     k = inside[len(inside) // 2]
     original = kernel.det_sign_logmag_at
@@ -1054,8 +1043,8 @@ class TestDip:
     """A node far below both neighbours of its sign fails the solve.
 
     An even number of roots may lie around a dip, none of them bracketed, so
-    a dip among the first max_modes candidates is a NoRootsInRange naming
-    its K.
+    a dip among the first max_modes candidates, which the scan's walk
+    evaluates, is a NoRootsInRange naming its K.
     """
 
     @pytest.mark.parametrize("problem", _DIP_PROBLEMS, ids=["zero-compliance", "cracked"])
@@ -1067,12 +1056,12 @@ class TestDip:
 
     @pytest.mark.parametrize("problem", _DIP_PROBLEMS, ids=["zero-compliance", "cracked"])
     def test_dip_above_the_requested_modes_is_ignored(self, problem, monkeypatch):
-        # The scan of one mode evaluates the dip, its second candidate, and
-        # ignores it; asking for two modes then fails.
+        # The walk of one mode stops at mode 1's bracket, below the dip, and
+        # never evaluates it; asking for two modes then fails.
         one = find_frequencies(problem, SearchConfig(max_modes=1))
         k, hits = _dip(monkeypatch, problem)
         assert _hex(find_frequencies(problem, SearchConfig(max_modes=1))) == _hex(one)
-        assert hits == [k]
+        assert hits == []
         with pytest.raises(NoRootsInRange):
             find_frequencies(problem, SearchConfig(max_modes=2))
 
@@ -1147,30 +1136,6 @@ class TestEarlyExitScan:
         else:
             assert find_frequencies(problem, cfg).roots == expected
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        log_beta=st.floats(math.log10(BETA_MIN), math.log10(2 * math.pi)),
-        eta=st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
-        modes=st.integers(1, 12),
-        points=st.sampled_from([16, 17, 257, 258, 2000]),
-        log_k_max=st.one_of(st.none(), st.floats(-2.0, 6.0)),
-    )
-    def test_grid_prefix_is_the_start_of_the_whole_grid(
-        self, log_beta, eta, modes, points, log_k_max
-    ):
-        # The scan's first pass, the nodes through the upper guide of K_n one
-        # past ``modes``, is the start of the whole grid bit for bit.
-        problem = ArchProblem(beta=10.0**log_beta, eta_nd=eta)
-        k_max = None if log_k_max is None else 10.0**log_k_max
-        cfg = solver._resolved(problem, SearchConfig(max_modes=modes, grid_points=points, k_max=k_max))
-        whole, limit = solver._grid_nodes(problem, cfg)
-        assert limit == math.inf
-        kns = _closed_form_ks(problem.beta, eta, cfg.k_min, whole[-1])
-        through = kns[modes] * (1.0 + solver._GUIDE_OFFSET) if len(kns) > modes else math.inf
-        first, _ = solver._grid_nodes(problem, cfg, modes)
-        end = bisect.bisect_right(whole, through)
-        assert [k.hex() for k in first] == [k.hex() for k in whole[:end]]
-
     @pytest.mark.parametrize("node", [1.0 - solver._GUIDE_OFFSET, 1.0 + solver._GUIDE_OFFSET])
     def test_a_guide_on_a_uniform_node_is_dropped(self, node):
         # k_max puts uniform node 1 within rounding of a guide of K = 1. The
@@ -1179,7 +1144,7 @@ class TestEarlyExitScan:
         problem = make_problem(beta=1.3, eta=1.0, alpha=0.4, theta=0.8)
         k_min, points = 1e-6, 2000
         cfg = SearchConfig(k_min=k_min, k_max=k_min + (node - k_min) * (points - 1), grid_points=points)
-        nodes, _ = solver._grid_nodes(problem, cfg)
+        nodes = list(solver._grid_nodes(problem, cfg))
         uniform = (k_min + (cfg.k_max - k_min) * np.arange(301) / (points - 1)).tolist()
         step, bound = (cfg.k_max - k_min) / (points - 1), uniform[-1]
         guides = [1.0 - solver._GUIDE_OFFSET, 1.0 + solver._GUIDE_OFFSET]
@@ -1196,43 +1161,43 @@ class TestEarlyExitScan:
         assert abs(uniform[1] - node) <= 1e-15
         assert nodes[:300] == kept[:300]
 
-    def test_a_short_first_pass_is_finished_by_the_whole_grid(self, monkeypatch):
-        # A first pass cut to 16 nodes, as a grid whose K_n one past the
-        # modes lay further up would end it, holds too few candidates: the
-        # whole grid is built once more and its nodes past the first pass
-        # are evaluated in a second pass, each node once and in order.
-        problem = make_problem(beta=1.0, eta=1.0, alpha=0.4, theta=0.8)
+    @pytest.mark.parametrize("dip", [False, True], ids=["sign-0", "dip"])
+    def test_the_walk_is_a_prefix_of_the_grid(self, monkeypatch, dip):
+        # The scan evaluates the grid's nodes in order, each once, and stops
+        # on the upper node of its fifth candidate. The crack at alpha = 0.4
+        # = 2 beta / 5 sits on a zero of mode 5's curvature, so K_5 stays a
+        # root: its guide midpoint, of sign 0, is the fifth bracket and the
+        # last node. A dip between modes 1 and 2 is the second candidate, so
+        # the walk ends on the upper node of the fourth bracket and fails.
+        problem = make_problem(eta=1.0, alpha=0.4, theta=0.8)
         cfg = SearchConfig(max_modes=5)
-        grid, evaluate = solver._grid_nodes, kernel.det_sign_logmag_at
-        whole, _ = grid(problem, solver._resolved(problem, cfg))
-        builds, evaluated = [], []
-
-        def cut(problem, cfg, modes=None):
-            builds.append(modes)
-            nodes, limit = grid(problem, cfg)
-            return (nodes[:16] if modes else nodes), limit
-
-        def recorded(K, *args):
-            evaluated.append(K)
-            return evaluate(K, *args)
-
-        monkeypatch.setattr(solver, "_grid_nodes", cut)
-        monkeypatch.setattr(kernel, "det_sign_logmag_at", recorded)
-        passes = solver._tally.passes
-        scan = _scan(problem, cfg)
-        assert solver._tally.passes - passes == 2 and builds == [5, None]
-        assert evaluated == whole
-        spectrum = find_frequencies(problem, cfg)
-        monkeypatch.undo()
-        assert len(scan.brackets) >= 5
-        assert spectrum.roots == _whole_grid_spectrum(problem, cfg)
+        grid = list(solver._grid_nodes(problem, solver._resolved(problem, cfg)))
+        whole = _whole_scan(problem, cfg)
+        if dip:
+            k, _ = _dip(monkeypatch, problem)
+        evaluate, evaluated = kernel.det_sign_logmag_at, []
+        monkeypatch.setattr(
+            kernel, "det_sign_logmag_at", lambda K, *args: evaluated.append(K) or evaluate(K, *args)
+        )
+        if dip:
+            with pytest.raises(NoRootsInRange, match=f"dips without a sign change at K = {k!r}"):
+                _scan(problem, cfg)
+            assert whole.brackets[0][1] < k < whole.brackets[1][0]
+            last = whole.brackets[3][1]
+        else:
+            scan = _scan(problem, cfg)
+            assert scan == solver.ScanResult(whole.brackets[:5], whole.end_values[:5])
+            last, k5 = scan.brackets[4]
+            assert last == k5 and scan.end_values[4][0][0] == 0
+            assert rel_err(last, uncracked_K_closed_form(5, 1.0, 1.0)) < 1e-15
+        assert evaluated == grid[: grid.index(last) + 1]
 
     def test_partial_scan_is_a_prefix_of_the_whole_grid(self):
         problem = make_problem(eta=1.0, alpha=0.4, theta=0.8)
         cfg = SearchConfig(max_modes=3)
         whole = _whole_scan(problem, cfg)
         partial = _scan(problem, cfg)
-        assert 3 <= len(partial.brackets) < len(whole.brackets)
+        assert 3 == len(partial.brackets) < len(whole.brackets)
         assert partial.brackets == whole.brackets[: len(partial.brackets)]
         assert partial.end_values == whole.end_values[: len(partial.brackets)]
 
@@ -1287,14 +1252,14 @@ def _on_near_or_off_a_node(beta, rng):
 
 
 class TestOnePass:
-    """Each gap between adjacent uncracked K_n holds an odd number of cracked
-    roots, so the first pass, through the upper guide of the K_n one past the
-    requested modes, holds their candidates: the rest of the grid is left."""
+    """The scan walks its grid once and stops at the last requested
+    candidate: the rest of the grid is left."""
 
-    def test_seeded_survey_scans_once(self):
+    def test_seeded_survey_against_the_whole_grid(self):
         # Default k_max, k_min at 1e-6 or raised, cracks of compliance 1e-8 to
         # 1e10 on, near and off the nodes of a mode, 1-200 modes and 16-2000
-        # grid points: each solve is one pass and the whole grid's roots.
+        # grid points: each scan's brackets and end values are the first
+        # max_modes of the whole grid's.
         rng = np.random.default_rng(37)
         for _ in range(300):
             beta = 10.0 ** rng.uniform(math.log10(0.05), math.log10(2 * math.pi))
@@ -1305,10 +1270,9 @@ class TestOnePass:
             modes = int(rng.integers(1, 11)) if rng.random() < 0.7 else int(rng.integers(1, 201))
             points = int(rng.integers(16, 2001)) if rng.random() < 0.5 else 256
             cfg = SearchConfig(k_min=k_min, max_modes=modes, grid_points=points)
-            passes = solver._tally.passes
-            roots = find_frequencies(problem, cfg).roots
-            assert solver._tally.passes - passes == 1, (problem, cfg)
-            assert roots == _whole_grid_spectrum(problem, cfg), (problem, cfg)
+            scan, whole = _scan(problem, cfg), _whole_scan(problem, cfg)
+            assert scan.brackets == whole.brackets[:modes], (problem, cfg)
+            assert scan.end_values == whole.end_values[:modes], (problem, cfg)
 
     def test_many_mode_spectra_against_60_digits(self):
         # 2000-3000 modes: 20 sampled roots, the first and last among them,
@@ -1635,14 +1599,18 @@ class TestMultiLevelBisection:
 
 class TestKernelCallsPerSolve:
     def _count(self, monkeypatch):
-        """The scanned prefix after each scan pass from here on, one entry a pass."""
-        prefixes, original = [], solver._candidates
-        monkeypatch.setattr(
-            solver,
-            "_candidates",
-            lambda nodes, values: prefixes.append(len(values)) or original(nodes, values),
-        )
-        return prefixes
+        """The nodes each scan evaluates from here on, one entry a scan."""
+        scans, original = [], solver.scan_and_bracket
+
+        def counted(problem, cfg):
+            values = solver._tally.values
+            try:
+                return original(problem, cfg)
+            finally:
+                scans.append(solver._tally.values - values)
+
+        monkeypatch.setattr(solver, "scan_and_bracket", counted)
+        return scans
 
     @staticmethod
     def _solve(problem, cfg=SearchConfig()):
@@ -1652,20 +1620,20 @@ class TestKernelCallsPerSolve:
         return spectrum, solver._tally.evals - before
 
     def test_cracked_five_modes(self, monkeypatch):
-        # One scan pass of 57 values, through the upper guide of K_6, and its
+        # One scan of 42 values, through the guide midpoint of K_5, and its
         # five brackets take 17 one-K evaluations. The crack at alpha = 0.4 =
         # 2 beta / 5 sits on a zero of mode 5's curvature, so K_5 stays a
         # root: its guide midpoint, of sign 0, is a zero-width bracket, which
         # takes none.
         calls = self._count(monkeypatch)
         _, evals = self._solve(make_problem(eta=1.0, alpha=0.4, theta=0.8))
-        assert calls == [57]
+        assert calls == [42]
         assert evals == 17
 
     def test_cracked_batch_of_three(self, monkeypatch):
         # The problem above and two more, solved in turn and then again: each
-        # solve scans in one pass of its own and refines each bracket, with
-        # the same counts and roots both times.
+        # solve makes one scan of its own and refines each bracket, with the
+        # same counts and roots both times.
         problems = [
             make_problem(eta=1.0, alpha=0.4, theta=0.8),
             make_problem(beta=2.5, eta=0.0, alpha=0.7, theta=5.0),
@@ -1673,7 +1641,7 @@ class TestKernelCallsPerSolve:
         ]
         calls = self._count(monkeypatch)
         alone = []
-        for problem, scanned, expected in zip(problems, (57, 74, 57), (17, 25, 14)):
+        for problem, scanned, expected in zip(problems, (42, 33, 41), (17, 25, 14)):
             spectrum, evals = self._solve(problem)
             alone.append(spectrum)
             assert (calls, evals) == ([scanned], expected)
@@ -1683,7 +1651,7 @@ class TestKernelCallsPerSolve:
             spectrum, evals = self._solve(problem)
             again.append((spectrum, evals))
         assert again == list(zip(alone, (17, 25, 14)))
-        assert calls == [57, 74, 57]
+        assert calls == [42, 33, 41]
 
     def test_cracked_five_modes_in_the_benchmark_ranges(self):
         # Cracked problems drawn as the benchmark's cracked workload draws
@@ -1712,10 +1680,10 @@ class TestKernelCallsPerSolve:
 
     def test_guide_pairs_end_near_their_midpoints(self, monkeypatch):
         # The guide pairs around the first five uncracked K_n, whose midpoints
-        # have sign 0, take two one-K evaluations each and no scan pass, and
-        # end within the tolerance of their midpoints. The scan holds those
+        # have sign 0, take two one-K evaluations each and no scan, and end
+        # within the tolerance of their midpoints. The scan holds those
         # midpoints as nodes and hands them on as zero-width brackets, which
-        # take no evaluation; its one pass ends at the sixth.
+        # take no evaluation; its walk ends at the fifth.
         problem = _zero_crack(eta=1.0)
         brackets = [
             (k * (1.0 - 1e-6), k * (1.0 + 1e-6))
@@ -1769,23 +1737,23 @@ class TestKernelCallsPerSolve:
         assert calls == []
 
     def test_first_block_sized_to_the_requested_modes(self, monkeypatch):
-        # The first pass ends at the upper guide of the K_n one past the
-        # requested modes; the crack of zero compliance shows it against known K_n.
+        # The walk ends at the last requested candidate; the crack of zero
+        # compliance shows it against known K_n.
         calls = self._count(monkeypatch)
         # beta = 2 pi, eta = 4: the fundamental, K_3 = 0.15625 (lam = 1.5),
         # is a node of the whole grid, K_1 = 0.28125 (lam = 0.5) is the
         # second mode, and K_2 = 0 lies below k_min, so the default k_max is
-        # ten times K_6, not K_5: 11 values through the upper guide of K_1.
+        # ten times K_6, not K_5: 5 values through the midpoint of K_3's guides.
         problem = _zero_crack(beta=2 * math.pi, eta=4.0)
         scan = _scan(problem, SearchConfig(max_modes=1))
         k6 = uncracked_K_closed_form(6, 2 * math.pi, 4.0)
         assert solver._resolved(problem, SearchConfig()).k_max == 10.0 * k6
-        assert calls == [11]
+        assert calls == [5]
         k3 = uncracked_K_closed_form(3, 2 * math.pi, 4.0)
         assert scan.brackets[0] == (k3, k3)
         calls.clear()
         _scan(_zero_crack(eta=1.0), SearchConfig(max_modes=5))
-        assert calls == [57]
+        assert calls == [42]
 
 
 def _closed_form_ks(beta, eta, k_min, k_max):
@@ -1833,9 +1801,9 @@ class TestExactCount:
         # float twice, from the closed form with no kernel call.
         problem = make_problem(beta=DOUBLE_BETA)
         for modes in (1, 2, 3):
-            before = solver._tally.passes
+            before = solver._tally.values
             spectrum = find_frequencies(problem, SearchConfig(max_modes=modes))
-            assert solver._tally.passes == before
+            assert solver._tally.values == before
             assert len(spectrum) == modes
             assert rel_err(spectrum.K_values[0], 0.36) < 1e-12
             assert spectrum.K_values[:2] == (spectrum.K_values[0],) * min(modes, 2)
@@ -1880,12 +1848,12 @@ class TestExactCount:
         # guide pair, however far up the mode numbers start.
         problem = make_problem()
         cfg = SearchConfig(k_min=1e20, k_max=1.001e20)
-        nodes, limit = solver._grid_nodes(problem, cfg)
-        grid = set(nodes)
+        limit = [math.inf]
+        grid = set(solver._grid_nodes(problem, cfg, limit))
         first = solver._count_below(problem, cfg.k_min) + 1
         kns = [uncracked_K_closed_form(n, 1.0, 0.0) for n in range(first, first + 9)]
         inside = [k for k in kns if k < cfg.k_max]
-        assert first == 31831 and len(inside) == 8 and limit == math.inf
+        assert first == 31831 and len(inside) == 8 and limit == [math.inf]
         for k in inside:
             assert {k * (1.0 - 1e-6), k * (1.0 + 1e-6)} <= grid
 
@@ -1917,14 +1885,31 @@ class TestExactCount:
         assert kn(onset) * (1 - 1e-6) > kn(onset - 1) * (1 + 1e-6)
         problem = make_problem(eta=1.0, alpha=0.3, theta=0.5)
         cfg = SearchConfig(k_min=0.5 * (kn(onset - 9) + kn(onset - 8)), k_max=kn(onset + 50))
-        _, limit = solver._grid_nodes(problem, cfg)
-        assert limit == kn(onset) * (1 + 1e-6)
+        limit = [math.inf]
+        list(solver._grid_nodes(problem, cfg, limit))
+        assert limit == [kn(onset) * (1 + 1e-6)]
         ks = find_frequencies(problem, replace(cfg, max_modes=9)).K_values
         for i, k in enumerate(ks):
             n = onset - 8 + i
             assert abs(k - kn(n)) < 0.5 * min(kn(n) - kn(n - 1), kn(n + 1) - kn(n))
         with pytest.raises(NoRootsInRange, match="closer than the grid tells apart"):
             find_frequencies(problem, replace(cfg, max_modes=10))
+
+    def test_limit_is_set_before_a_node_above_it(self):
+        # The grid of test_modes_below_the_grid_limit_are_found: the rising
+        # guides stop where they overlap, and the merge takes that stop before
+        # it yields a node above the last upper guide, so a walk that passes
+        # the limit knows it.
+        def kn(n):
+            return uncracked_K_closed_form(n, 1.0, 1.0)
+
+        onset = 10**6
+        cfg = SearchConfig(k_min=0.5 * (kn(onset - 9) + kn(onset - 8)), k_max=kn(onset + 50))
+        limit = [math.inf]
+        seen = [(k, limit[0]) for k in solver._grid_nodes(make_problem(eta=1.0), cfg, limit)]
+        top = kn(onset) * (1 + 1e-6)
+        assert limit == [top] and top in [k for k, _ in seen]
+        assert {at for k, at in seen if k > top} == {top}
 
     def test_k_max_defaults_above_a_large_k_min(self):
         # Ten times K_5 lies below k_min, so the modes count on from N(k_min).
@@ -1970,7 +1955,7 @@ class TestExactCount:
         k1 = uncracked_K_closed_form(1, 1.0, 0.0)
         k_min = 1e-6
         cfg = SearchConfig(max_modes=1, grid_points=16, k_max=k_min + (k1 * (1 + 5e-7) - k_min) * 15)
-        grid, _ = solver._grid_nodes(problem, cfg)
+        grid = solver._grid_nodes(problem, cfg)
         lo, hi = k1 * (1 - 1e-6), k1 * (1 + 1e-6)
         inside = [k for k in grid if lo < k < hi]
         assert len(inside) == 1 and inside[0] != 0.5 * (lo + hi)
