@@ -120,19 +120,6 @@ class Spectrum:
         return len(self.roots)
 
 
-@dataclass(frozen=True)
-class ScanResult:
-    """Sign-change brackets of one problem's scan, in ascending order.
-
-    ``end_values`` holds the determinant's sign and log-magnitude at each
-    bracket's ends, ((s_lo, m_lo), (s_hi, m_hi)), so refinement need not
-    evaluate the ends again.
-    """
-
-    brackets: tuple[tuple[float, float], ...]
-    end_values: tuple[tuple[tuple[int, float], tuple[int, float]], ...]
-
-
 class _Tally(threading.local):
     """Scan evaluations, and refine_root's one-K evaluations.
 
@@ -267,14 +254,17 @@ def _count_below(problem: ArchProblem, K: float) -> int:
     return math.floor(rising) - math.floor(falling)
 
 
-def scan_and_bracket(problem: ArchProblem, cfg: SearchConfig) -> ScanResult:
+def scan_and_bracket(problem: ArchProblem, cfg: SearchConfig) -> tuple:
     """Bracket the first ``max_modes`` determinant roots of a cracked problem.
 
     One walk of the grid (:func:`_grid_nodes`), ascending, evaluates each
     node alone by :func:`kernel.det_sign_logmag_at` and stops once it holds
     ``max_modes`` candidates, brackets and dips, or the grid ends. A node of
     sign 0 is one zero-width bracket, even at a double root; a sign change
-    between two nonzero nodes brackets the gap.
+    between two nonzero nodes brackets the gap. Returns the brackets in
+    ascending order, each one record of its two ends with F's (sign,
+    log-magnitude) at each, ((lo, (s_lo, m_lo)), (hi, (s_hi, m_hi))), so
+    refinement (:func:`refine_root`) need not evaluate the ends again.
 
     Raises :class:`NoRootsInRange` when N(k_max) (:func:`_count_below`)
     overflows, a range beyond doubles; when the walk passes the limit above
@@ -294,7 +284,7 @@ def scan_and_bracket(problem: ArchProblem, cfg: SearchConfig) -> ScanResult:
     crack = problem.crack
     eta, beta, alpha, theta = problem.eta_nd, problem.beta, crack.alpha, crack.theta_c
     needed, limit_at = cfg.max_modes, [math.inf]
-    brackets, end_values, dips = [], [], []
+    brackets, dips = [], []
     # The values (sign, log-magnitude) of the previous node k0 and of the one
     # before it, of sign 0 before the grid: no candidate ends there.
     v0 = v00 = (0, 0.0)
@@ -303,11 +293,9 @@ def scan_and_bracket(problem: ArchProblem, cfg: SearchConfig) -> ScanResult:
         v = evaluate(k, eta, beta, alpha, theta)
         s = v[0]
         if not s:
-            brackets.append((k, k))
-            end_values.append((v, v))
+            brackets.append(((k, v), (k, v)))
         elif s * v0[0] < 0:
-            brackets.append((k0, k))
-            end_values.append((v0, v))
+            brackets.append(((k0, v0), (k, v)))
         # A dip: k0 far below both neighbours, all three of one sign.
         elif s == v0[0] == v00[0] and v0[1] <= (v00[1] if v00[1] < v[1] else v[1]) - _DIP_THRESHOLD:
             dips.append(k0)
@@ -316,7 +304,7 @@ def scan_and_bracket(problem: ArchProblem, cfg: SearchConfig) -> ScanResult:
             break
     _tally.values += count
     limit = limit_at[0]
-    if limit < k0 and needed > sum(hi <= limit for _, hi in brackets) + sum(d < limit for d in dips):
+    if limit < k0 and needed > sum(hi <= limit for _, (hi, _) in brackets) + sum(d < limit for d in dips):
         raise _beyond(k_range, "holds modes closer than the grid tells apart")
     # The walk stops at max_modes candidates, so a dip always has fewer brackets below it.
     if dips:
@@ -326,19 +314,19 @@ def scan_and_bracket(problem: ArchProblem, cfg: SearchConfig) -> ScanResult:
         )
     if len(brackets) < needed:
         raise _short(len(brackets), k_range)
-    return ScanResult(brackets=tuple(brackets), end_values=tuple(end_values))
+    return tuple(brackets)
 
 
-def refine_root(brackets, problem: ArchProblem, cfg: SearchConfig, end_values) -> list[float]:
-    """Refine sign-change brackets down to refine_tol * max(1, K), one at a time.
+def refine_root(problem: ArchProblem, brackets, tol: float) -> list[float]:
+    """Refine sign-change brackets down to tol * max(1, K), one at a time.
 
-    ``brackets`` is a sequence of M (lo, hi) pairs of the cracked
-    ``problem``, giving a list of M roots.
-    ``end_values`` are the determinant's (sign, log-magnitude)
-    at each bracket's ends, ((s_lo, m_lo), (s_hi, m_hi)) per pair (ignored
-    for a zero-width pair), as the scan hands them on. A zero-width bracket
-    is its own root, an end of sign 0 is the root, and the other brackets
-    must straddle a sign change and lie in [0, inf).
+    ``brackets`` is a sequence of M bracket records of the cracked
+    ``problem``, ((lo, (s_lo, m_lo)), (hi, (s_hi, m_hi))) with the
+    determinant's sign and log-magnitude at each end, as
+    :func:`scan_and_bracket` returns them; it gives a list of M roots. An end
+    of sign 0 is the root, so a zero-width bracket of the scan is its own
+    root, and the other brackets must straddle a sign change and lie in
+    [0, inf).
 
     Each bracket runs Brent's method (zeroin; Brent, *Algorithms for
     Minimization without Derivatives*, 1973) on s * exp(m - m_ref), m_ref
@@ -347,20 +335,17 @@ def refine_root(brackets, problem: ArchProblem, cfg: SearchConfig, end_values) -
     quadratic or secant step is taken when it stays well inside the bracket
     and shrinks it fast enough, a bisection step otherwise, and no step is
     shorter than half the tolerance. The bracket ends when it is no wider
-    than refine_tol * max(1, mid), at its midpoint, at an evaluated K of
+    than tol * max(1, mid), at its midpoint, at an evaluated K of
     sign 0, or after ``_MAX_EVALUATIONS`` evaluations, at its midpoint.
     """
     from . import kernel
-    return [_brent(problem, float(lo), float(hi), ends, cfg.refine_tol, kernel.det_sign_logmag_at)
-            for (lo, hi), ends in zip(brackets, end_values)]
+    return [_brent(problem, bracket, tol, kernel.det_sign_logmag_at) for bracket in brackets]
 
 
-def _brent(problem: ArchProblem, lo: float, hi: float, ends, tol: float, evaluate) -> float:
-    """The root of one bracket (:func:`refine_root`); ``evaluate`` is
+def _brent(problem: ArchProblem, bracket, tol: float, evaluate) -> float:
+    """The root of one bracket record (:func:`refine_root`); ``evaluate`` is
     :func:`kernel.det_sign_logmag_at`, which the caller imports once."""
-    if lo == hi:
-        return lo
-    (s_lo, m_lo), (s_hi, m_hi) = ends
+    (lo, (s_lo, m_lo)), (hi, (s_hi, m_hi)) = bracket
     if s_lo == 0:
         return lo
     if s_hi == 0:
@@ -446,8 +431,7 @@ def find_frequencies(problem: ArchProblem, cfg: SearchConfig | None = None) -> S
     try:
         if problem.crack is None:
             return _closed_form_spectrum(problem, cfg)
-        scan = scan_and_bracket(problem, cfg)
-        ks = refine_root(scan.brackets, problem, cfg, scan.end_values)
+        ks = refine_root(problem, scan_and_bracket(problem, cfg), cfg.refine_tol)
         refined = len(ks)
         return Spectrum(tuple(map(Root, ks)))
     finally:
@@ -524,6 +508,7 @@ def _polish(problem: ArchProblem, k: float) -> float:
     when no sign change is found nearby.
     """
     from . import kernel
+    evaluate = kernel.det_sign_logmag_at
     crack = problem.crack
     args = (problem.eta_nd, problem.beta, crack.alpha, crack.theta_c)
     scale = max(1.0, k)
@@ -531,9 +516,9 @@ def _polish(problem: ArchProblem, k: float) -> float:
         lo, hi = k - delta * scale, k + delta * scale
         if not 0.0 < lo < hi < math.inf:
             break
-        ends = kernel.det_sign_logmag_at(lo, *args), kernel.det_sign_logmag_at(hi, *args)
-        if ends[0][0] * ends[1][0] != 1:
-            return _brent(problem, lo, hi, ends, 1e-13, kernel.det_sign_logmag_at)
+        bracket = (lo, evaluate(lo, *args)), (hi, evaluate(hi, *args))
+        if bracket[0][1][0] * bracket[1][1][0] != 1:
+            return _brent(problem, bracket, 1e-13, evaluate)
     logger.debug(
         "mode shape at the unpolished root K = %r: no sign change within 1e-6 max(1, K)", k
     )

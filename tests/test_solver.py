@@ -72,16 +72,22 @@ def _whole_scan(problem, cfg=SearchConfig()):
     values = [reduced_det(problem, k) for k in nodes]
     pairs = [(j, j) if not s else (j - 1, j) for j, s in enumerate(v[0] for v in values)
              if not s or (j and s * values[j - 1][0] < 0)]
-    return solver.ScanResult(
-        brackets=tuple((nodes[i], nodes[j]) for i, j in pairs),
-        end_values=tuple((values[i], values[j]) for i, j in pairs),
-    )
+    return tuple(((nodes[i], values[i]), (nodes[j], values[j])) for i, j in pairs)
+
+
+def _bracket(problem, pair):
+    """The bracket record of ``pair``, (lo, hi), with F's values evaluated here at its ends."""
+    return tuple((k, reduced_det(problem, k)) for k in pair)
+
+
+def _pairs(brackets):
+    """The (lo, hi) ends of bracket records."""
+    return tuple((lo, hi) for (lo, _), (hi, _) in brackets)
 
 
 def _refine(pair, problem, cfg=SearchConfig()):
     """One bracket's root, with its end values evaluated here."""
-    ends = tuple(reduced_det(problem, k) for k in pair)
-    return refine_root([pair], problem, cfg, [ends])[0]
+    return refine_root(problem, [_bracket(problem, pair)], cfg.refine_tol)[0]
 
 
 class TestSearchConfig:
@@ -103,8 +109,8 @@ class TestSearchConfig:
 class TestScanAndBracket:
     def test_single_bracket_contains_fundamental(self):
         result = _whole_scan(_zero_crack(), SearchConfig(k_max=100.0))
-        assert len(result.brackets) == 1
-        lo, hi = result.brackets[0]
+        assert len(result) == 1
+        (lo, hi), = _pairs(result)
         assert lo <= K1_B1_E0 <= hi
 
     def test_no_roots_below_fundamental(self):
@@ -115,14 +121,14 @@ class TestScanAndBracket:
         cfg = SearchConfig(k_max=10000.0)
         plain = _whole_scan(_zero_crack(), cfg)
         cracked = _whole_scan(make_problem(alpha=0.4, theta=0.0), cfg)
-        assert len(plain.brackets) == len(cracked.brackets)
+        assert len(plain) == len(cracked)
 
     def test_bracket_endpoints_straddle(self):
         # An uncracked root is the midpoint of its K_n guide pair, where the
         # sign is 0: a zero-width bracket. A cracked root's bracket straddles.
         for problem in (_zero_crack(eta=0.5), make_problem(eta=0.5, alpha=0.3, theta=2.0)):
             result = _whole_scan(problem, SearchConfig(k_max=5000.0))
-            for lo, hi in result.brackets:
+            for lo, hi in _pairs(result):
                 s_lo, _ = reduced_det(problem, lo)
                 s_hi, _ = reduced_det(problem, hi)
                 if problem.crack.theta_c == 0.0:
@@ -139,7 +145,7 @@ class TestScanAndBracket:
         with mock.patch.dict(sys.modules, {"numpy": None}):
             scan = _scan(problem)
             assert find_frequencies(problem).K_values == expected
-        assert {type(k) for pair in scan.brackets for k in pair} == {float}
+        assert {type(k) for pair in _pairs(scan) for k in pair} == {float}
 
 
 class TestRefineRoot:
@@ -152,10 +158,15 @@ class TestRefineRoot:
         assert rel_err(k, K1_B1_E1) < 1e-8
 
     def test_degenerate_bracket_returns_endpoint(self):
-        assert refine_root([(42.0, 42.0)], _zero_crack(), SearchConfig(), [None])[0] == 42.0
+        # A zero-width record of sign 0, as the scan hands on a node of sign
+        # 0, is its own root, with no evaluation.
+        evals = solver._tally.evals
+        end = (42.0, (0, -40.0))
+        assert refine_root(_zero_crack(), [(end, end)], 1e-10) == [42.0]
+        assert solver._tally.evals == evals
 
     def test_empty_bracket_list(self):
-        assert refine_root([], _zero_crack(), SearchConfig(), []) == []
+        assert refine_root(_zero_crack(), (), 1e-10) == []
 
     def test_unbracketed_rejected(self):
         with pytest.raises(ValueError):
@@ -783,9 +794,9 @@ class TestRefineOnlyReturned:
         calls = []
         original = getattr(module, name)
 
-        def recording(arg, *args, **kwargs):
-            calls.append(arg)
-            return original(arg, *args, **kwargs)
+        def recording(*args):
+            calls.append(args)
+            return original(*args)
 
         monkeypatch.setattr(module, name, recording)
         return calls
@@ -794,15 +805,15 @@ class TestRefineOnlyReturned:
     def test_brackets_and_null_vectors_cover_returned_roots(self, monkeypatch, modes):
         problem = make_problem(eta=1.0, alpha=0.4, theta=0.8)
         full = find_frequencies(problem, SearchConfig(max_modes=5))
-        assert len(_whole_scan(problem, SearchConfig(max_modes=5)).brackets) > 5
+        assert len(_whole_scan(problem, SearchConfig(max_modes=5))) > 5
         refined = self._record(monkeypatch, solver, "refine_root")
         nulls = self._record(monkeypatch, kernel, "null_vector")
         spectrum = find_frequencies(problem, SearchConfig(max_modes=modes))
-        assert sum(len(b) for b in refined) == modes
+        assert sum(len(brackets) for _, brackets, _ in refined) == modes
         assert nulls == []
         assert spectrum.roots == full.roots[:modes]
         mode_shape(problem, spectrum.roots[-1], samples=11)
-        assert [np.shape(m) for m in nulls] == [(4, 4)]  # one matrix, no stack
+        assert [np.shape(m) for m, in nulls] == [(4, 4)]  # one matrix, no stack
 
     def test_sweep_point_solves_only_its_mode(self, monkeypatch):
         from arch_resonance import ChiralityClass, SweepSpec, resolve_preset, run_sweep
@@ -829,16 +840,17 @@ class TestRefineOnlyReturned:
     def test_batch_matches_single_brackets(self):
         problem = make_problem(eta=0.5, alpha=0.3, theta=2.0)
         scan = _whole_scan(problem, SearchConfig(k_max=3000.0))
-        batch = refine_root(scan.brackets, problem, SearchConfig(), scan.end_values)
-        singles = [_refine(b, problem) for b in scan.brackets]
+        batch = refine_root(problem, scan, 1e-10)
+        singles = [_refine(pair, problem) for pair in _pairs(scan)]
         assert batch == singles
 
     def test_scan_end_values(self):
         problem = make_problem(eta=0.5, alpha=0.3, theta=2.0)
-        scan = _whole_scan(problem, SearchConfig(k_max=3000.0))
-        for (lo, hi), (at_lo, at_hi) in zip(scan.brackets, scan.end_values):
-            assert reduced_det(problem, lo) == at_lo
-            assert reduced_det(problem, hi) == at_hi
+        cfg = SearchConfig(k_max=3000.0, max_modes=len(_whole_scan(problem, SearchConfig(k_max=3000.0))))
+        args = problem.eta_nd, problem.beta, problem.crack.alpha, problem.crack.theta_c
+        for (lo, at_lo), (hi, at_hi) in _scan(problem, cfg):
+            assert kernel.det_sign_logmag_at(lo, *args) == at_lo
+            assert kernel.det_sign_logmag_at(hi, *args) == at_hi
             # The crack at alpha = 0.3 = 3 beta / 10 sits on a zero of mode
             # 10's curvature, so K_10 = 1965.94 stays a root: the midpoint of
             # its guide pair, of sign 0, is a zero-width bracket.
@@ -970,13 +982,10 @@ class TestBatchedSearch:
         # The search internals take the uncracked ones as the crack of zero compliance.
         searched = [p if p.crack else _zero_crack(p.beta, p.eta_nd) for p in problems]
         scans = [scan_and_bracket(problem, cfg) for problem in searched]
-        roots = [
-            refine_root(scan.brackets, problem, cfg, scan.end_values)
-            for problem, scan in zip(searched, scans)
-        ]
+        roots = [refine_root(problem, scan, cfg.refine_tol) for problem, scan in zip(searched, scans)]
         for problem, scan, ks in reversed(list(zip(searched, scans, roots))):
             assert scan_and_bracket(problem, cfg) == scan
-            assert ks == [_refine(pair, problem, cfg) for pair in scan.brackets]
+            assert ks == [_refine(pair, problem, cfg) for pair in _pairs(scan)]
 
     def test_one_debug_line_per_call(self, caplog):
         problems = [make_problem(beta=b, alpha=0.4 * b, theta=0.8) for b in (1.0, 2.0, 6.0)]
@@ -1111,8 +1120,7 @@ def _whole_grid_spectrum(problem, cfg):
     bisected independently), then keeps the first max_modes in ascending
     order, each bracket one root, as find_frequencies does.
     """
-    scan = _whole_scan(problem, cfg)
-    ks = solver.refine_root(scan.brackets, problem, cfg, end_values=scan.end_values)
+    ks = solver.refine_root(problem, _whole_scan(problem, cfg), cfg.refine_tol)
     return tuple(solver.Root(K=k) for k in ks)[: cfg.max_modes]
 
 
@@ -1172,7 +1180,8 @@ class TestEarlyExitScan:
         problem = make_problem(eta=1.0, alpha=0.4, theta=0.8)
         cfg = SearchConfig(max_modes=5)
         grid = list(solver._grid_nodes(problem, solver._resolved(problem, cfg)))
-        whole = _whole_scan(problem, cfg)
+        records = _whole_scan(problem, cfg)
+        whole = _pairs(records)
         if dip:
             k, _ = _dip(monkeypatch, problem)
         evaluate, evaluated = kernel.det_sign_logmag_at, []
@@ -1182,13 +1191,13 @@ class TestEarlyExitScan:
         if dip:
             with pytest.raises(NoRootsInRange, match=f"dips without a sign change at K = {k!r}"):
                 _scan(problem, cfg)
-            assert whole.brackets[0][1] < k < whole.brackets[1][0]
-            last = whole.brackets[3][1]
+            assert whole[0][1] < k < whole[1][0]
+            last = whole[3][1]
         else:
             scan = _scan(problem, cfg)
-            assert scan == solver.ScanResult(whole.brackets[:5], whole.end_values[:5])
-            last, k5 = scan.brackets[4]
-            assert last == k5 and scan.end_values[4][0][0] == 0
+            assert scan == records[:5]
+            (last, (sign, _)), (k5, _) = scan[4]
+            assert last == k5 and sign == 0
             assert rel_err(last, uncracked_K_closed_form(5, 1.0, 1.0)) < 1e-15
         assert evaluated == grid[: grid.index(last) + 1]
 
@@ -1197,9 +1206,8 @@ class TestEarlyExitScan:
         cfg = SearchConfig(max_modes=3)
         whole = _whole_scan(problem, cfg)
         partial = _scan(problem, cfg)
-        assert 3 == len(partial.brackets) < len(whole.brackets)
-        assert partial.brackets == whole.brackets[: len(partial.brackets)]
-        assert partial.end_values == whole.end_values[: len(partial.brackets)]
+        assert 3 == len(partial) < len(whole)
+        assert partial == whole[:3]
 
     def test_coincident_candidates_are_two_roots(self, monkeypatch):
         # The second candidate is made to refine onto the first root. It is
@@ -1209,14 +1217,14 @@ class TestEarlyExitScan:
         cfg = SearchConfig(max_modes=2)
         scan = _scan(problem, cfg)
         first_k = find_frequencies(problem, SearchConfig(max_modes=1)).roots[0].K
-        second_lo = scan.brackets[1][0]
+        second = scan[1]
         original = solver.refine_root
         refines = []
 
-        def duplicating(brackets, *args, **kwargs):
+        def duplicating(problem, brackets, tol):
             refines.append(len(brackets))
-            ks = original(brackets, *args, **kwargs)
-            return np.where(np.array(brackets)[:, 0] == second_lo, first_k, ks)
+            ks = original(problem, brackets, tol)
+            return [first_k if b == second else k for b, k in zip(brackets, ks)]
 
         monkeypatch.setattr(solver, "refine_root", duplicating)
         scans = []
@@ -1271,8 +1279,7 @@ class TestOnePass:
             points = int(rng.integers(16, 2001)) if rng.random() < 0.5 else 256
             cfg = SearchConfig(k_min=k_min, max_modes=modes, grid_points=points)
             scan, whole = _scan(problem, cfg), _whole_scan(problem, cfg)
-            assert scan.brackets == whole.brackets[:modes], (problem, cfg)
-            assert scan.end_values == whole.end_values[:modes], (problem, cfg)
+            assert scan == whole[:modes], (problem, cfg)
 
     def test_many_mode_spectra_against_60_digits(self):
         # 2000-3000 modes: 20 sampled roots, the first and last among them,
@@ -1367,9 +1374,8 @@ class TestBrentRefinement:
                 scan = _scan(problem, cfg)
             except NoRootsInRange:
                 continue
-            brackets = scan.brackets[:modes]
-            ks = refine_root(brackets, problem, cfg, scan.end_values[:modes])
-            for (lo, hi), k in zip(brackets, ks):
+            ks = refine_root(problem, scan, cfg.refine_tol)
+            for (lo, hi), k in zip(_pairs(scan), ks):
                 if lo != hi:
                     checked += 1
                     assert _straddles_a_true_root(problem, lo, hi, k, cfg.refine_tol), (problem, k)
@@ -1393,9 +1399,9 @@ class TestBrentRefinement:
         monkeypatch.setattr(
             kernel, "det_sign_logmag_at", lambda K, *args: seen.append(K) or original(K, *args)
         )
-        for pair, ends in zip(scan.brackets[:3], scan.end_values[:3]):
+        for bracket, pair in zip(scan, _pairs(scan)):
             seen.clear()
-            refine_root([pair], problem, cfg, [ends])
+            refine_root(problem, [bracket], cfg.refine_tol)
             assert len(seen) <= solver._MAX_EVALUATIONS
             assert all(pair[0] < k < pair[1] for k in seen), (pair, seen)
 
@@ -1422,10 +1428,10 @@ class TestBrentRefinement:
         problem = _zero_crack(beta=DOUBLE_BETA)
         cfg = SearchConfig()
         for pair in [(0.3, 7.0), (0.36 - 1e-6, 6.77), (0.36 + 1e-6, 6.77)]:
-            ends = tuple(reduced_det(problem, k) for k in pair)
-            assert ends[0][0] * ends[1][0] == -1
+            (_, (s_lo, _)), (_, (s_hi, _)) = bracket = _bracket(problem, pair)
+            assert s_lo * s_hi == -1
             evals = solver._tally.evals
-            k = refine_root([pair], problem, cfg, [ends])[0]
+            k = refine_root(problem, [bracket], cfg.refine_tol)[0]
             assert solver._tally.evals - evals <= solver._MAX_EVALUATIONS
             if reduced_det(problem, k)[0] != 0:
                 assert _straddles_a_true_root(problem, *pair, k, cfg.refine_tol), (pair, k)
@@ -1437,13 +1443,13 @@ class TestBrentRefinement:
         # then, which still straddles the root but is wider than the tolerance.
         problem = ArchProblem(0.06454, 0.0, CrackJoint(0.030614, 0.15648))
         scan = _scan(problem, SearchConfig(max_modes=1))
-        (lo, hi), ends = scan.brackets[0], scan.end_values[0]
+        (lo, hi), = _pairs(scan)
         evals = solver._tally.evals
-        root = refine_root([(lo, hi)], problem, SearchConfig(), [ends])[0]
+        root = refine_root(problem, scan, 1e-10)[0]
         assert solver._tally.evals - evals == 8
         monkeypatch.setattr(solver, "_MAX_EVALUATIONS", cap)
         evals = solver._tally.evals
-        capped = refine_root([(lo, hi)], problem, SearchConfig(), [ends])[0]
+        capped = refine_root(problem, scan, 1e-10)[0]
         assert solver._tally.evals - evals == cap
         assert lo < capped < hi
         assert abs(capped - root) > SearchConfig().refine_tol * root
@@ -1451,9 +1457,9 @@ class TestBrentRefinement:
     @pytest.mark.parametrize("pair", [(-1.0, 2.0), (1.0, math.inf), (2.0, 1.0)])
     def test_bracket_outside_the_range_is_rejected(self, pair):
         problem = make_problem(alpha=0.4, theta=0.8)
-        ends = ((1, 0.0), (-1, 0.0))
+        bracket = (pair[0], (1, 0.0)), (pair[1], (-1, 0.0))
         with pytest.raises(ValueError, match="must lie in"):
-            refine_root([pair], problem, SearchConfig(), [ends])
+            refine_root(problem, [bracket], 1e-10)
 
     @pytest.mark.parametrize("end", [0, 1])
     def test_end_of_sign_zero_is_the_root(self, end):
@@ -1463,7 +1469,7 @@ class TestBrentRefinement:
         ends = [(-1, 0.0), (1, 0.0)]
         ends[end] = (0, -40.0)
         evals = solver._tally.evals
-        assert refine_root([pair], problem, SearchConfig(), [ends])[0] == pair[end]
+        assert refine_root(problem, [tuple(zip(pair, ends))], 1e-10)[0] == pair[end]
         assert solver._tally.evals == evals
 
     def test_evaluated_sign_zero_is_the_root(self, monkeypatch):
@@ -1477,7 +1483,7 @@ class TestBrentRefinement:
             return (0, -40.0) if len(seen) == 1 else original(K, *args)
 
         monkeypatch.setattr(kernel, "det_sign_logmag_at", zero_at_first)
-        root = refine_root(scan.brackets[:1], problem, SearchConfig(), scan.end_values[:1])
+        root = refine_root(problem, scan, 1e-10)
         assert root == seen == [seen[0]]
 
 
@@ -1533,16 +1539,14 @@ class TestMultiLevelBisection:
     within half the tolerance of the bracket's sign change."""
 
     def _batch(self, problem):
-        # A zero-width bracket, for the crack of zero compliance the guide
-        # pair around K_1 (for beta = 1, eta = 0 its midpoint is K_1, where
-        # the sign is 0), and the scan's brackets, with their end values.
+        # For the crack of zero compliance the guide pair around K_1 (for
+        # beta = 1, eta = 0 its midpoint is K_1, where the sign is 0), and
+        # the scan's brackets, zero-width ones of sign 0 among them.
         scan = _whole_scan(problem, SearchConfig(k_max=3000.0))
-        pairs, ends = [(42.0, 42.0)], [None]
         if problem.crack.theta_c == 0.0:
             k1 = uncracked_K_closed_form(1, 1.0, 0.0)
-            pairs.append((k1 * (1.0 - 1e-6), k1 * (1.0 + 1e-6)))
-            ends.append(tuple(reduced_det(problem, k) for k in pairs[-1]))
-        return [*pairs, *scan.brackets], [*ends, *scan.end_values]
+            return (_bracket(problem, (k1 * (1.0 - 1e-6), k1 * (1.0 + 1e-6))), *scan)
+        return scan
 
     # A cap of 7 evaluations: a bracket that reaches it ends at the midpoint
     # of the bracket Brent's method holds then, inside its own.
@@ -1556,14 +1560,13 @@ class TestMultiLevelBisection:
         monkeypatch.setattr(solver, "_MAX_EVALUATIONS", cap)
         cfg = SearchConfig(refine_tol=tol)
         for problem in (_zero_crack(), make_problem(eta=0.5, alpha=0.3, theta=2.0)):
-            pairs, ends = self._batch(problem)
-            expected = _sequential_bisection(pairs, problem, cfg)
+            brackets = self._batch(problem)
+            expected = _sequential_bisection(_pairs(brackets), problem, cfg)
             if levels is not None:
-                pairs = [_bisected(pair, problem, levels) for pair in pairs]
-                ends = [tuple(reduced_det(problem, k) for k in p) for p in pairs]
-            for pair, end, ref in zip(pairs, ends, expected):
+                brackets = [_bracket(problem, _bisected(pair, problem, levels)) for pair in _pairs(brackets)]
+            for bracket, pair, ref in zip(brackets, _pairs(brackets), expected):
                 evals = solver._tally.evals
-                k = refine_root([pair], problem, cfg, [end])[0]
+                k = refine_root(problem, [bracket], tol)[0]
                 assert pair[0] <= k <= pair[1]
                 if solver._tally.evals - evals < cap:
                     assert _same_root(problem, k, ref, tol), (pair, k, ref)
@@ -1591,9 +1594,9 @@ class TestMultiLevelBisection:
         assume(searched)
         cfg = replace(cfg, refine_tol=tol)
         for problem, scan in searched:
-            roots = refine_root(scan.brackets, problem, cfg, scan.end_values)
-            expected = _sequential_bisection(scan.brackets, problem, cfg)
-            for pair, k, ref in zip(scan.brackets, roots, expected):
+            roots = refine_root(problem, scan, tol)
+            expected = _sequential_bisection(_pairs(scan), problem, cfg)
+            for pair, k, ref in zip(_pairs(scan), roots, expected):
                 assert _same_root(problem, k, ref, tol), (pair, k, ref)
 
 
@@ -1674,7 +1677,7 @@ class TestKernelCallsPerSolve:
         spectrum, evals = self._solve(problem, cfg)
         assert evals == 8
         assert spectrum.K_values == (953745.4126992151,)
-        lo, hi = _scan(problem, cfg).brackets[0]
+        (lo, hi), = _pairs(_scan(problem, cfg))
         assert lo == 1.000001
         assert _straddles_a_true_root(problem, lo, hi, spectrum.K_values[0], cfg.refine_tol)
 
@@ -1685,22 +1688,21 @@ class TestKernelCallsPerSolve:
         # midpoints as nodes and hands them on as zero-width brackets, which
         # take no evaluation; its walk ends at the fifth.
         problem = _zero_crack(eta=1.0)
-        brackets = [
+        pairs = [
             (k * (1.0 - 1e-6), k * (1.0 + 1e-6))
             for k in (uncracked_K_closed_form(n, 1.0, 1.0) for n in range(1, 6))
         ]
-        ends = [tuple(reduced_det(problem, k) for k in pair) for pair in brackets]
         scan = _scan(problem)
         calls = self._count(monkeypatch)
         evals = solver._tally.evals
-        roots = refine_root(brackets, problem, SearchConfig(), ends)
+        roots = refine_root(problem, [_bracket(problem, pair) for pair in pairs], 1e-10)
         assert calls == [] and solver._tally.evals - evals == 10
-        midpoints = [0.5 * (lo + hi) for lo, hi in brackets]
+        midpoints = [0.5 * (lo + hi) for lo, hi in pairs]
         for k, mid in zip(roots, midpoints):
             assert abs(k - mid) <= 0.5e-10 * mid
-        assert scan.brackets[:5] == tuple((k, k) for k in midpoints)
+        assert _pairs(scan) == tuple((k, k) for k in midpoints)
         evals = solver._tally.evals
-        roots = refine_root(scan.brackets[:5], problem, SearchConfig(), scan.end_values[:5])
+        roots = refine_root(problem, scan, 1e-10)
         assert calls == [] and solver._tally.evals == evals
         assert roots == midpoints
 
@@ -1750,7 +1752,7 @@ class TestKernelCallsPerSolve:
         assert solver._resolved(problem, SearchConfig()).k_max == 10.0 * k6
         assert calls == [5]
         k3 = uncracked_K_closed_form(3, 2 * math.pi, 4.0)
-        assert scan.brackets[0] == (k3, k3)
+        assert _pairs(scan) == ((k3, k3),)
         calls.clear()
         _scan(_zero_crack(eta=1.0), SearchConfig(max_modes=5))
         assert calls == [42]
@@ -1960,8 +1962,8 @@ class TestExactCount:
         inside = [k for k in grid if lo < k < hi]
         assert len(inside) == 1 and inside[0] != 0.5 * (lo + hi)
         scan = _scan(problem, cfg)
-        assert scan.brackets == ((lo, inside[0]),)
-        k = refine_root(scan.brackets, problem, cfg, scan.end_values)[0]
+        assert _pairs(scan) == ((lo, inside[0]),)
+        k = refine_root(problem, scan, cfg.refine_tol)[0]
         assert abs(k - k1) <= 0.5 * cfg.refine_tol * k1
 
 
