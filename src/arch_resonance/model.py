@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
@@ -43,7 +44,11 @@ class ChiralityClass(enum.Enum):
 
 @dataclass(frozen=True)
 class ChiralitySpec:
-    """Roll-up indices (n, m) of the graphene sheet, canonicalized to m <= n."""
+    """Roll-up indices (n, m) of the graphene sheet, canonicalized to m <= n.
+
+    n^2 + n*m + m^2 must not exceed the largest float, so that
+    :func:`tube_diameter` is a float.
+    """
 
     n: int
     m: int
@@ -61,6 +66,8 @@ class ChiralitySpec:
             raise ValueError("roll-up index m must be >= 0")
         if self.bond_length <= 0:
             raise ValueError("bond length must be positive")
+        if n * n + n * m + m * m > sys.float_info.max:  # exact: int against float
+            raise ValueError("roll-up indices too large: n^2 + n*m + m^2 exceeds the largest float")
 
 
 def classify_chirality(spec: ChiralitySpec) -> ChiralityClass:
@@ -190,7 +197,8 @@ def resolve_preset(
     The table maps the lowercase class name to a flat entry with keys
     ``youngs_modulus_tpa``, ``wall_thickness_nm``, ``mass_per_length_kg_per_m``,
     ``arch_radius_nm`` and either ``diameter_nm`` or roll-up indices ``n``/``m``
-    (plus optional ``bond_length_nm``).
+    (plus optional ``bond_length_nm``); an index read as a float must be a
+    finite integer, else :class:`InvalidPreset` names its key.
     """
     try:
         entry = preset_table[chirality.value]
@@ -209,6 +217,12 @@ def resolve_preset(
         d_nm = float(entry["diameter_nm"])
     elif "n" in entry and "m" in entry:
         bond = float(entry.get("bond_length_nm", DEFAULT_BOND_LENGTH_NM))
+        for key in ("n", "m"):
+            value = entry[key]
+            if isinstance(value, float) and not value.is_integer():  # inf and nan too
+                raise InvalidPreset(
+                    f"preset {chirality.value!r}: {key} must be a finite integer, got {value!r}"
+                )
         try:
             spec = ChiralitySpec(int(entry["n"]), int(entry["m"]), bond)
         except ValueError as exc:

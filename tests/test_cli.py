@@ -452,6 +452,8 @@ class TestBadInput:
              "--chirality", "armchair"],
             ["sweep", "--param", "beta", "--steps", "2", "--radius-nm", "1e300",
              "--chirality", "armchair"],
+            # Roll-up indices whose n^2 + n*m + m^2 is beyond the largest float.
+            ["freq", "--beta", "1", "--m", "1", "--n", "2" + "0" * 154],
         ],
     )
     def test_exits_two_with_one_line(self, argv, capsys):
@@ -501,6 +503,21 @@ class TestPresets:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "usage error: no preset entry for 'zigzag'\n"
+
+    @pytest.mark.parametrize("n", ["1e300", "inf"])
+    def test_index_beyond_floats_in_presets_file(self, n, capsys, tmp_path):
+        # n = 1e300 gives n^2 beyond the largest float, and inf no integer:
+        # bad input, not a traceback.
+        presets = tmp_path / "p.ini"
+        presets.write_text(
+            f"[armchair]\nyoungs_modulus_tpa = 1.0\nn = {n}\nm = 10\n"
+            "wall_thickness_nm = 0.34\nmass_per_length_kg_per_m = 1.6e-15\n"
+            "arch_radius_nm = 10.0\n"
+        )
+        assert main(["freq", "--chirality", "armchair", "--presets", str(presets)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("usage error:") and "Traceback" not in captured.err
 
     def test_missing_presets_file(self, capsys):
         load_presets()

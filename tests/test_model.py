@@ -48,6 +48,8 @@ class TestChirality:
         assert (spec.n, spec.m) == (8, 3)
 
     def test_invalid_indices(self):
+        with pytest.raises(ValueError, match="exceeds the largest float"):
+            ChiralitySpec(2 * 10**154, 1)
         with pytest.raises(ValueError):
             ChiralitySpec(0, 0)
         with pytest.raises(ValueError):
@@ -151,6 +153,15 @@ class TestResolvePreset:
     def test_nonpositive_field(self):
         entry = dict(GOOD_PRESET, youngs_modulus_tpa=0.0)
         with pytest.raises(InvalidPreset):
+            resolve_preset(ChiralityClass.ARMCHAIR, {"armchair": entry})
+
+    @pytest.mark.parametrize("key", ["n", "m"])
+    def test_indices_must_be_integers(self, key):
+        # A presets file's n = 10.7, m = 10.2 used to build the (10, 10) tube.
+        entry = dict(GOOD_PRESET, n=10.7, m=10.2)
+        del entry["diameter_nm"]
+        entry[{"n": "m", "m": "n"}[key]] = 10.0
+        with pytest.raises(InvalidPreset, match=f"'armchair': {key} must be a finite integer, got 10.[27]"):
             resolve_preset(ChiralityClass.ARMCHAIR, {"armchair": entry})
 
     def test_missing_key(self):
