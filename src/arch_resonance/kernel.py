@@ -25,7 +25,8 @@ shape at its root and takes one K.
 The kernel checks none of its input: callers pass valid problems, which
 :class:`model.ArchProblem` checks, and finite K >= 0 (the solver's own grid
 nodes and brackets, or a root :func:`solver.mode_shape` checks). Only
-:func:`null_vector` checks what it computes: a non-finite or singular matrix.
+:func:`null_vector` checks what it computes: a non-finite matrix or one of
+rank below 3.
 
 Basis conventions
 -----------------
@@ -274,6 +275,11 @@ def det_sign_logmag_at(K: float, eta_nd: float, beta: float, alpha: float, theta
     return (1 if f > 0.0 else -1), math.log(size)
 
 
+# Largest |cofactor| of a row-scaled matrix at or below which null_vector
+# takes its rank as below 3. At a polished cracked root, 9300 seeded simple
+# roots read 0.069 or more, and double roots about 2.5e-10, up to 1.4e-8 at
+# eta = 10.
+_RANK_TOL = 1e-6
 # _KEEP[i] lists the indices other than i: the rows or columns of a 3x3 minor.
 _KEEP = np.array([[j for j in range(4) if j != i] for i in range(4)])
 _COFACTOR_SIGN = (-1.0) ** np.add.outer(np.arange(4), np.arange(4))
@@ -288,7 +294,9 @@ def null_vector(matrix) -> np.ndarray:
     rank 3 every nonzero row of cofactors spans the null space. The
     3x3 minors are elementwise float products and sums, not LAPACK or
     matmul, so their bits do not depend on the BLAS build. Raises ValueError
-    for non-finite entries and for rank below 3, where every cofactor is 0.
+    for non-finite entries, and its subclass ``numpy.linalg.LinAlgError`` for
+    rank below 3: no cofactor larger than ``_RANK_TOL`` in magnitude, where a
+    vector picked from the rounding of a null plane would be arbitrary.
     """
     a = np.array(matrix, dtype=float)
     if not np.isfinite(a).all():
@@ -304,6 +312,8 @@ def null_vector(matrix) -> np.ndarray:
     cofactors = _COFACTOR_SIGN * minors
     row = cofactors[np.abs(cofactors).max(axis=1).argmax()]
     largest = row[np.abs(row).argmax()]
-    if largest == 0.0:
-        raise ValueError("matrix rank is below 3: every cofactor is 0, no unique null vector")
+    if abs(largest) <= _RANK_TOL:
+        raise np.linalg.LinAlgError(
+            f"matrix rank is below 3: no cofactor exceeds {_RANK_TOL:g}, no unique null vector"
+        )
     return row / largest

@@ -538,7 +538,8 @@ def mode_shape(problem: ArchProblem, root: Root, samples: int = 201) -> np.ndarr
     d1*u1(beta - phi) + d2*u2(beta - phi) right of it
     (:meth:`kernel.ModeBasis.support_rows`), (c1, c2, d1, d2) the null vector
     of the crack's matching matrix there (:func:`kernel.assemble_cracked`); a
-    double root is not detected.
+    matrix of rank below 3 there (:func:`kernel.null_vector`), a double root
+    or a pair of roots too close to tell apart, raises :class:`DoubleRoot`.
     Guaranteed: X is exactly 0 at both supports, the sample of largest |X|
     is exactly +1, every sample lies in [-1, 1], and a zero sample is +0.0.
     When every sample lies on a node, as with 2 samples or mode 2 at 3,
@@ -584,7 +585,11 @@ def mode_shape(problem: ArchProblem, root: Root, samples: int = 201) -> np.ndarr
         left = at < crack.alpha
         x, ref = (np.where(left, v, problem.beta - v) for v in (at, crack.alpha))
         rows = basis.support_rows(x, ref, nrows=1)[:, 0, :]
-        c = np.where(left[:, None], *kernel.null_vector(matrix).reshape(2, 2))  # (c1, c2), (d1, d2)
+        try:
+            vector = kernel.null_vector(matrix)
+        except np.linalg.LinAlgError:
+            raise DoubleRoot(f"K = {K!r} is a double root: its mode shapes span a plane") from None
+        c = np.where(left[:, None], *vector.reshape(2, 2))  # (c1, c2), (d1, d2)
         # Summed from +0.0, so an exact zero is +0.0.
         values = 0.0 + c[:, 0] * rows[:, 0] + c[:, 1] * rows[:, 1]
     peak = values[np.argmax(np.abs(values[:samples]))]

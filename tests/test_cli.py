@@ -335,6 +335,16 @@ class TestModeshapeCommand:
         assert outputs[0] == outputs[1]
         assert outputs[0].startswith("phi_rad,X\n")
 
+    def test_cracked_double_root_has_no_shape(self, capsys):
+        # psi = 1e-6 leaves K_1 = K_2 = 0.36 of beta = pi/sqrt(0.4), eta = 0
+        # double to the root's precision: no one shape, one line and exit 1.
+        argv = ["modeshape", "--beta", "4.967294132898051", "--eta", "0", "--crack-psi", "1e-6",
+                "--crack-alpha", "1.6557", "--mode", "1", "--samples", "5"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: K = 0.36 is a double root: its mode shapes span a plane\n"
+
     def test_mode_validation(self):
         assert main(["modeshape", "--beta", "1.0", "--mode", "0"]) == 2
         assert main(["modeshape", "--beta", "1.0", "--samples", "1"]) == 2

@@ -498,6 +498,21 @@ class TestNullVector:
         with pytest.raises(ValueError, match="rank is below 3"):
             null_vector([[1, 2, 0, 0], [3, 4, 0, 0], [5, 6, 0, 0], [0, 1, 0, 0]])
 
+    @pytest.mark.parametrize("size, rank3", [(1e-9, False), (1e-7, False), (1e-4, True)])
+    def test_rank_is_read_to_a_bound(self, size, rank3):
+        # A rank-2 matrix plus a rank-1 term of the given size in its zero
+        # columns: rank 3, its largest cofactor about that size, which reads
+        # as a rank of 3 only above 1e-6. Below, the error is numpy's
+        # LinAlgError, a ValueError.
+        rows = np.array([[1, 2, 0, 0], [3, 4, 0, 0], [5, 6, 0, 0], [0, 1, 0, 0]], dtype=float)
+        rows[:, 2:] += size * np.outer([0.9, 0.6, 0.7, 0.8], [1.0, 0.5])
+        if rank3:
+            v = null_vector(rows)
+            assert np.abs(rows @ v).max() <= 1e-9 * np.abs(rows).max()
+        else:
+            with pytest.raises(np.linalg.LinAlgError, match="rank is below 3"):
+                null_vector(rows)
+
 
 def _branch(K: float, eta: float) -> str:
     """The branch of mu2 at K, as :func:`kernel._lam2_roots_at` resolves it."""

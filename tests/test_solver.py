@@ -1827,6 +1827,35 @@ class TestExactCount:
         with pytest.raises(DoubleRoot):
             mode_shape(make_problem(beta=DOUBLE_BETA), root)
 
+    @pytest.mark.parametrize("eta", [0.0, 4.0])
+    @pytest.mark.parametrize("theta", [0.0, 1e-14])
+    def test_cracked_double_root_has_no_shape(self, eta, theta):
+        # The falling mode 1 meets the rising mode 2 where
+        # (1 - x)^2 (1 + 4 eta x) = (4x - 1)^2 (1 + eta x), x = (pi/beta)^2.
+        # A crack of compliance 0 or 1e-14 leaves that root double to its
+        # precision: the matching matrix has rank 2 there, so no shape.
+        lo, hi = 0.25, 1.0
+        for _ in range(100):
+            x = 0.5 * (lo + hi)
+            lo, hi = (x, hi) if (1 - x) ** 2 * (1 + 4 * eta * x) > (4 * x - 1) ** 2 * (1 + eta * x) else (lo, x)
+        beta = DOUBLE_BETA if eta == 0.0 else math.pi / math.sqrt(x)
+        for alpha in (beta / 3, 1.6557, 0.77 * beta):
+            problem = ArchProblem(beta, eta, CrackJoint(alpha, theta))
+            root = find_frequencies(problem, SearchConfig(max_modes=1)).roots[0]
+            assert rel_err(root.K, uncracked_K_closed_form(1, beta, eta)) < 1e-9
+            with pytest.raises(DoubleRoot, match=f"K = {root.K!r} is a double root"):
+                mode_shape(problem, root, samples=5)
+
+    def test_cracked_close_pair_has_shapes(self):
+        # A crack of compliance 1e-3 splits the double root by about 1e-3 K:
+        # two simple roots, each with its own shape.
+        problem = ArchProblem(DOUBLE_BETA, 0.0, CrackJoint(1.6557, 1e-3))
+        roots = find_frequencies(problem, SearchConfig(max_modes=2)).roots
+        assert 0.0 < roots[1].K - roots[0].K < 1e-3
+        shapes = [mode_shape(problem, root, samples=41)[:, 1] for root in roots]
+        assert all(shape.max() == 1.0 for shape in shapes)
+        assert np.abs(np.abs(shapes[0]) - np.abs(shapes[1])).max() > 0.1
+
     def test_close_roots_above_one_are_distinct(self):
         # Only a falling and a rising K_n, both below 1, can coincide: above
         # 1, K_n closer than the double-root window are distinct roots, each
