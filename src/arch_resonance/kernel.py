@@ -19,8 +19,8 @@ one float K with ``math`` on floats, in about 2 us (Python 3.11, shared
 scan's nodes, one at a time, Brent refinement and a mode shape's polish. It
 alone holds F's degenerate cases: a zero root, a repeated root and a crack
 term past the float range. The matching path (:func:`quartic_roots`,
-:class:`ModeBasis` and :func:`assemble_cracked`) samples one cracked mode
-shape at its root and takes one K.
+:class:`ModeBasis`, :func:`assemble_cracked`, :func:`null_vector`) shapes
+one cracked mode at its K, and it alone imports numpy: a search loads none.
 
 The kernel checks none of its input: callers pass valid problems, which
 :class:`model.ArchProblem` checks, and finite K >= 0 (the solver's own grid
@@ -72,8 +72,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Degeneracy window for branch switching (see _lam2_roots_at).
 DEGENERACY_TOL = 1e-10
@@ -104,6 +106,7 @@ class ModeBasis:
         Both keep the sign of the determinant of (o(mu1), o(mu2)), vanish
         with their second derivative at x = 0 and are bounded for x <= ref.
         """
+        import numpy as np
         x, ref = np.broadcast_arrays(x, ref)
         mu1, mu2 = self.mu1, self.mu2
         a1 = math.sqrt(-mu1)
@@ -120,7 +123,8 @@ class ModeBasis:
             # are d f/d mu at a repeated root; D[mu*f] = f(mu2) + mu1*D[f].
             e2, o2 = _trig_pair(mu2, x)
             if self.repeated:
-                de, do = _repeated_pair(mu1, x, e1, o1)
+                de, series, direct, small = _repeated_pair(mu1, x, e1, o1)
+                do = np.where(small, series, direct)
             else:
                 de, do = (e2 - e1) / (mu2 - mu1), (o2 - o1) / (mu2 - mu1)
             second = [do, de, o2 + mu1 * do, e2 + mu1 * de][:nrows]
@@ -167,13 +171,14 @@ def _odd_derivatives(mu, e, o, nrows: int) -> list:
 
 def _trig_pair(mu: float, phi) -> tuple:
     """The pair (e, o) of a root mu <= 0: cos(a*phi) and sin(a*phi)/a, or 1 and phi at 0."""
+    import numpy as np
     a = math.sqrt(-mu)
-    t = a * phi
-    return np.cos(t), phi if mu == 0.0 else np.sin(t) / a
+    return np.cos(a * phi), phi if mu == 0.0 else np.sin(a * phi) / a
 
 
 def _repeated_pair(mu, phi, e, o) -> tuple:
-    """(g, h) = (d e/d mu, d o/d mu) at a repeated root, given e and o there."""
+    """(g, series, direct, small) at a repeated root, given e and o there: g = d e/d mu, and
+    h = d o/d mu is series where small, else direct, as the caller selects (np.where or if)."""
     g = 0.5 * phi * o
     # Series for h; direct (phi*e - o)/(2 mu) cancels at small arguments.
     p2_ = phi * phi
@@ -182,8 +187,7 @@ def _repeated_pair(mu, phi, e, o) -> tuple:
     for k, fact in ((2, 120.0), (3, 5040.0), (4, 362880.0), (5, 39916800.0)):
         mupow = mupow * mu
         series = series + k * mupow * phi * p2_**k / fact
-    h = np.where(np.abs(mu) * phi * phi < 0.01, series, (phi * e - o) / (2.0 * mu))
-    return g, h
+    return g, series, (phi * e - o) / (2.0 * mu), abs(mu) * phi * phi < 0.01
 
 
 def assemble_cracked(
@@ -200,6 +204,7 @@ def assemble_cracked(
     enforce C3 continuity, so at any alpha the zero set in K and the null
     vectors are the uncracked arch's.
     """
+    import numpy as np
     # Both segments in one evaluation.
     x = np.array([alpha, beta - alpha])
     left, right = basis.support_rows(x, x)
@@ -245,9 +250,10 @@ def det_sign_logmag_at(K: float, eta_nd: float, beta: float, alpha: float, theta
     extra = 0.0
     if theta_c > 0.0:
         if repeated:
-            x = np.array([beta, alpha, gamma])
-            _, h = _repeated_pair(mu1, x, np.cos(a1 * x), np.sin(a1 * x) / a1)
-            h_b, h_a, h_g = h.tolist()
+            h_b, h_a, h_g = (series if small else direct for _, series, direct, small in (
+                _repeated_pair(mu1, beta, math.cos(a1 * beta), s1),
+                _repeated_pair(mu1, alpha, math.cos(a1 * alpha), o_a),
+                _repeated_pair(mu1, gamma, math.cos(a1 * gamma), o_g)))
             num, gap = h_b * o_a * o_g - s1 * (h_a * o_g + o_a * h_g), 1.0
         else:
             num, gap = s1 * t_a * t_g - s2 * o_a * o_g, mu1 - mu2
@@ -281,8 +287,8 @@ def det_sign_logmag_at(K: float, eta_nd: float, beta: float, alpha: float, theta
 # eta = 10.
 _RANK_TOL = 1e-6
 # _KEEP[i] lists the indices other than i: the rows or columns of a 3x3 minor.
-_KEEP = np.array([[j for j in range(4) if j != i] for i in range(4)])
-_COFACTOR_SIGN = (-1.0) ** np.add.outer(np.arange(4), np.arange(4))
+_KEEP = [[j for j in range(4) if j != i] for i in range(4)]
+_COFACTOR_SIGN = [[(-1.0) ** (i + j) for j in range(4)] for i in range(4)]
 
 
 def null_vector(matrix) -> np.ndarray:
@@ -298,18 +304,20 @@ def null_vector(matrix) -> np.ndarray:
     rank below 3: no cofactor larger than ``_RANK_TOL`` in magnitude, where a
     vector picked from the rounding of a null plane would be arbitrary.
     """
+    import numpy as np
+    keep = np.array(_KEEP)
     a = np.array(matrix, dtype=float)
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     scale = np.abs(a).max(axis=1)
     a = a / np.where(scale == 0.0, 1.0, scale)[:, None]
-    m = a[_KEEP[:, None, :, None], _KEEP[None, :, None, :]]  # minor (i, j) at [i, j]
+    m = a[keep[:, None, :, None], keep[None, :, None, :]]  # minor (i, j) at [i, j]
     minors = (
         m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1])
         - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
         + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0])
     )
-    cofactors = _COFACTOR_SIGN * minors
+    cofactors = np.array(_COFACTOR_SIGN) * minors
     row = cofactors[np.abs(cofactors).max(axis=1).argmax()]
     largest = row[np.abs(row).argmax()]
     if abs(largest) <= _RANK_TOL:

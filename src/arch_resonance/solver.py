@@ -22,8 +22,8 @@ bit-identical spectra, because F is evaluated at each K alone and each
 bracket is refined alone.
 
 An uncracked solve imports neither numpy nor :mod:`kernel`, and the search
-works on lists: only a mode shape imports numpy itself, and a cracked search
-imports the kernel, which loads numpy with it.
+works on lists: a cracked search imports the kernel, whose one-K form needs
+no numpy, and only a mode shape imports numpy.
 """
 
 from __future__ import annotations
@@ -533,19 +533,19 @@ def mode_shape(problem: ArchProblem, root: Root, samples: int = 201) -> np.ndarr
     with n*i reduced modulo 2*(samples - 1) in integers at sample i, so a node
     reads exactly 0; a K that is no K_n raises ValueError, and a double root
     (two n at one K below 1) :class:`DoubleRoot`. A cracked root's K must be
-    finite and nonnegative (else ValueError); it is polished
-    (:func:`_polish`), and X is c1*u1(phi) + c2*u2(phi) left of the crack and
-    d1*u1(beta - phi) + d2*u2(beta - phi) right of it
-    (:meth:`kernel.ModeBasis.support_rows`), (c1, c2, d1, d2) the null vector
-    of the crack's matching matrix there (:func:`kernel.assemble_cracked`); a
-    matrix of rank below 3 there (:func:`kernel.null_vector`), a double root
-    or a pair of roots too close to tell apart, raises :class:`DoubleRoot`.
-    Guaranteed: X is exactly 0 at both supports, the sample of largest |X|
-    is exactly +1, every sample lies in [-1, 1], and a zero sample is +0.0.
-    When every sample lies on a node, as with 2 samples or mode 2 at 3,
-    every X is +0.0: the largest sampled |X| is at or below 1e-8 times the
-    largest at 64 cell midpoints of [0, beta]. When the largest + and -
-    extrema tie, rounding decides which one is +1.
+    finite, nonnegative and leave the kernel's roots finite up to K + 1e-6
+    max(1, K) (else ValueError); it is polished (:func:`_polish`), and X is
+    c1*u1(phi) + c2*u2(phi) left of the crack and d1*u1(beta - phi) +
+    d2*u2(beta - phi) right of it (:meth:`kernel.ModeBasis.support_rows`),
+    (c1, c2, d1, d2) the null vector of the crack's matching matrix there
+    (:func:`kernel.assemble_cracked`); a matrix of rank below 3 there
+    (:func:`kernel.null_vector`), a double root or a pair of roots too close to
+    tell apart, raises :class:`DoubleRoot`. Guaranteed: X is exactly 0 at both
+    supports, the sample of largest |X| is exactly +1, every sample lies in
+    [-1, 1], and a zero sample is +0.0. When every sample lies on a node, as
+    with 2 samples or mode 2 at 3, every X is +0.0: the largest sampled |X| is
+    at or below 1e-8 times the largest at 64 cell midpoints of [0, beta]. When
+    the largest + and - extrema tie, rounding decides which one is +1.
     """
     import numpy as np
     if samples < 2:
@@ -572,12 +572,14 @@ def mode_shape(problem: ArchProblem, root: Root, samples: int = 201) -> np.ndarr
         m = exact[0] % (2 * den) * num % (2 * den)
         values = np.sin(np.pi * (m % den) / den) * np.where(m < den, 1.0, -1.0)
     else:
-        # The kernel takes K on trust, so a caller's root is checked here.
+        # The kernel takes K on trust, so a caller's root is checked here, as far as _polish reaches.
         if not math.isfinite(K):
             raise ValueError("trial eigenvalue and nonlocal parameter must be finite")
         if K < 0:
             raise ValueError("trial eigenvalue K must be nonnegative")
         from . import kernel
+        if not math.isfinite(kernel.quartic_roots(K + 1e-6 * max(1.0, K), problem.eta_nd).mu1):
+            raise ValueError(f"K = {K!r} is beyond the kernel's range: its roots overflow")
         crack = problem.crack
         basis = kernel.quartic_roots(_polish(problem, K), problem.eta_nd)
         matrix = kernel.assemble_cracked(basis, problem.beta, crack.alpha, crack.theta_c)

@@ -113,15 +113,32 @@ class TestImportGraph:
         assert "arch_resonance.solver" in loaded
         assert not loaded & {"numpy", "arch_resonance.kernel"}
 
+    def test_kernel_alone_skips_numpy(self, loaded_by):
+        loaded = loaded_by("import arch_resonance.kernel")
+        assert "arch_resonance.kernel" in loaded
+        assert "numpy" not in loaded
+
     @pytest.mark.parametrize(
         "argv",
         [
             ["freq", "--beta", "1", "--eta", "1", "--crack-psi", "0.3"],
-            ["modeshape", "--beta", "1", "--eta", "1", "--crack-psi", "0.3", "--samples", "5"],
+            ["sweep", "--param", "beta", "--steps", "3", "--chirality", "armchair",
+             "--crack-psi", "0.3", "--crack-alpha", "0.05", "--modes", "1"],
+            ["freq", "--beta", "1", "--eta", "1", "--crack-psi", "0.3", "--config", "kmin0.ini"],
         ],
-        ids=["cracked-freq", "cracked-modeshape"],
+        ids=["cracked-freq", "cracked-sweep", "cracked-freq-k-min-0"],
     )
-    def test_searches_and_shapes_load_numpy(self, loaded_by, argv):
+    def test_cracked_searches_load_the_kernel_without_numpy(self, loaded_by, argv, tmp_path):
+        # A k-min of 0 puts the scan's first node on the repeated root K = 0.
+        config = tmp_path / "kmin0.ini"
+        config.write_text("[search]\nk-min = 0\n")
+        argv = [str(config) if a == config.name else a for a in argv]
+        loaded = loaded_by(f"from arch_resonance.cli import main\nassert main({argv!r}) == 0")
+        assert "arch_resonance.kernel" in loaded
+        assert "numpy" not in loaded
+
+    def test_cracked_modeshape_loads_numpy_and_the_kernel(self, loaded_by):
+        argv = ["modeshape", "--beta", "1", "--eta", "1", "--crack-psi", "0.3", "--samples", "5"]
         loaded = loaded_by(f"from arch_resonance.cli import main\nassert main({argv!r}) == 0")
         assert {"numpy", "arch_resonance.kernel"} <= loaded
 

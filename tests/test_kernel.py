@@ -8,6 +8,8 @@ import pytest
 from arch_resonance import uncracked_K_closed_form
 from arch_resonance.kernel import (
     PIVOT_ZERO_TOL,
+    _lam2_roots_at,
+    _repeated_pair,
     assemble_cracked,
     det_sign_logmag_at,
     null_vector,
@@ -575,6 +577,55 @@ class TestOneK:
                 one = det_sign_logmag_at(k, eta, beta, alpha, theta)
                 assert (one[0] == 0) == (theta == 0.0)
         assert det_sign_logmag_at(1.0, eta, beta, 0.8, 1.0)[0] != 0
+
+
+def _repeated_on_arrays(K, eta, beta, alpha, theta):
+    """F at a repeated root with its three h values taken on a numpy array.
+
+    The kernel once evaluated them so: :func:`kernel._repeated_pair` on
+    np.array([beta, alpha, gamma]), selected by np.where. The rest is
+    det_sign_logmag_at's, where mu2 = mu1 < 0 and gap = 1.
+    """
+    mu1, mu2, repeated = _lam2_roots_at(K, eta)
+    assert repeated
+    a1 = math.sqrt(-mu1)
+    gamma = beta - alpha
+    s1 = math.sin(a1 * beta) / a1
+    o_a, o_g = math.sin(a1 * alpha) / a1, math.sin(a1 * gamma) / a1
+    a2 = math.sqrt(-mu2)
+    s2, b2 = math.sin(a2 * beta) / a2, 1.0 / a2
+    x = np.array([beta, alpha, gamma])
+    _, series, direct, small = _repeated_pair(mu1, x, np.cos(a1 * x), np.sin(a1 * x) / a1)
+    h_b, h_a, h_g = np.where(small, series, direct).tolist()
+    num = h_b * o_a * o_g - s1 * (h_a * o_g + o_a * h_g)
+    extra = theta * mu1 * mu2 * (num / 1.0)
+    assert math.isfinite(extra)
+    f = s1 * s2 + extra
+    size = abs(f)
+    if size <= PIVOT_ZERO_TOL * (b2 / a1 + abs(extra)):
+        return 0, math.log(size) if size else -math.inf
+    return (1 if f > 0.0 else -1), math.log(size)
+
+
+class TestRepeatedBranchOnFloats:
+    def test_float_h_keeps_the_array_bits(self):
+        # K near 0, where the roots are repeated for K*(1 + eta) within about
+        # 1e-10, and short segments, where h takes its series.
+        rng = random.Random(40)
+        repeated = series = 0
+        for i in range(4000):
+            k = rng.uniform(0.0, 2e-10) if i % 2 else 10.0 ** rng.uniform(-20.0, -9.5)
+            eta = 0.0 if rng.random() < 0.3 else rng.uniform(0.0, 10.0)
+            beta = 10.0 ** rng.uniform(-3.0, math.log10(2.0 * math.pi))
+            alpha = beta * rng.uniform(0.01, 0.99)
+            theta = 10.0 ** rng.uniform(-8.0, 10.0)
+            if not _lam2_roots_at(k, eta)[2]:
+                continue
+            repeated += 1
+            series += min(alpha, beta - alpha) ** 2 < 0.009
+            point = (k, eta, beta, alpha, theta)
+            assert det_sign_logmag_at(*point) == _repeated_on_arrays(*point), point
+        assert repeated >= 1500 and 500 <= series <= repeated - 500
 
 
 class TestCrackTermNearTheLargestFloat:

@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 import sys
 from dataclasses import replace
 from unittest import mock
@@ -469,6 +470,15 @@ class TestModeShape:
         # The kernel takes K on trust, so mode_shape checks a caller's root.
         with pytest.raises(ValueError, match=message):
             mode_shape(make_problem(alpha=0.3, theta=0.5), solver.Root(K=K), samples=5)
+
+    @pytest.mark.parametrize("K", [1.7e308, 4.4942328371557893e307])
+    def test_cracked_root_beyond_the_kernels_range(self, K):
+        # The quadratic's discriminant 4K overflows at eta = 0 from about
+        # 4.49e307, at K or at an end of the polish's intervals.
+        problem = ArchProblem(1.0, 0.0, CrackJoint(0.3, 0.5))
+        message = re.escape(f"K = {K!r} is beyond the kernel's range")
+        with pytest.raises(ValueError, match=message):
+            mode_shape(problem, solver.Root(K=K), samples=5)
 
     def test_sample_count_and_grid(self):
         problem = make_problem()
