@@ -7,7 +7,7 @@ back to frequencies. :mod:`arch_resonance.sweep` and :mod:`arch_resonance.cli`
 drive parameter studies and file output.
 
 Every exported name resolves on first access (PEP 562): ``import
-arch_resonance`` loads no submodule, and so no numpy, until a name is used.
+arch_resonance`` loads no submodule until a name is used.
 """
 
 import importlib

@@ -486,7 +486,7 @@ def _cmd_modeshape(inv: CliInvocation, s: _Settings) -> str:
         raise UsageError("--samples must be >= 2")
     spectrum = solver.find_frequencies(problem, replace(cfg, max_modes=mode))
     shape = solver.mode_shape(problem, spectrum.roots[mode - 1], samples)
-    flat = tuple(shape.ravel().tolist())  # phi_0, X_0, phi_1, X_1, ...
+    flat = tuple(v for pair in shape for v in pair)  # phi_0, X_0, phi_1, X_1, ...
     if inv.format == "json":
         doc = {
             "problem": _problem_echo(problem, tube, chirality),

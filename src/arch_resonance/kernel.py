@@ -20,7 +20,7 @@ scan's nodes, one at a time, Brent refinement and a mode shape's polish. It
 alone holds F's degenerate cases: a zero root, a repeated root and a crack
 term past the float range. The matching path (:func:`quartic_roots`,
 :class:`ModeBasis`, :func:`assemble_cracked`, :func:`null_vector`) shapes
-one cracked mode at its K, and it alone imports numpy: a search loads none.
+one cracked mode at its K, on floats too: the module uses ``math`` alone.
 
 The kernel checks none of its input: callers pass valid problems, which
 :class:`model.ArchProblem` checks, and finite K >= 0 (the solver's own grid
@@ -72,10 +72,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:
-    import numpy as np
+from .errors import DoubleRoot
 
 # Degeneracy window for branch switching (see _lam2_roots_at).
 DEGENERACY_TOL = 1e-10
@@ -95,41 +93,53 @@ class ModeBasis:
     mu2: float  # > 0 hyperbolic, 0 polynomial, < 0 trigonometric
     repeated: bool = False
 
-    def support_rows(self, x, ref, nrows: int = 4) -> np.ndarray:
-        """Derivatives in ``x`` of the two support-adapted columns, shape (..., nrows, 2).
+    def support_rows(self, xs, ref: float, nrows: int = 4) -> list:
+        """Derivatives 0..nrows-1 in x of the two support-adapted columns at the distances ``xs``.
 
-        ``x`` is the distance from a support, ``ref`` the segment's length;
-        the leading shape is theirs, broadcast against each other. Column 1
-        is o(mu1, x). Column 2 is o(mu2, x)/cosh(a2*ref) where mu2 > 0 (at
-        x = ref: tanh(a2*ref)/a2 and 1), else the divided difference
-        (o(mu2, x) - o(mu1, x))/(mu2 - mu1), d o/d mu at the repeated root.
-        Both keep the sign of the determinant of (o(mu1), o(mu2)), vanish
-        with their second derivative at x = 0 and are bounded for x <= ref.
+        Row k lists, for each x of ``xs``, the pair (column 1, column 2) of
+        k-th derivatives. ``x`` is the distance from a support and ``ref`` the
+        segment's length. Column 1 is o(mu1, x). Column 2 is o(mu2,
+        x)/cosh(a2*ref) where mu2 > 0 (at x = ref: tanh(a2*ref)/a2 and 1),
+        else the divided difference (o(mu2, x) - o(mu1, x))/(mu2 - mu1), d o/d
+        mu at the repeated root. Both keep the sign of the determinant of
+        (o(mu1), o(mu2)), vanish with their second derivative at x = 0 and are
+        bounded for x <= ref. Only the rows asked for are evaluated.
         """
-        import numpy as np
-        x, ref = np.broadcast_arrays(x, ref)
         mu1, mu2 = self.mu1, self.mu2
+        sin, cos, exp = math.sin, math.cos, math.exp
         a1 = math.sqrt(-mu1)
-        e1, o1 = np.cos(a1 * x), np.sin(a1 * x) / a1
+        # Rows 1 and 3 take the even functions e, and so does h at a repeated root.
+        evens = nrows > 1 or self.repeated
         if mu2 > 0.0:
             a = math.sqrt(mu2)
             # cosh(a*x) and sinh(a*x)/a over cosh(a*ref): bounded for x <= ref,
             # and exact (expm1) where a*x is small.
-            decay = np.exp(a * (x - ref)) / (1.0 + np.exp(-2.0 * a * ref))
-            e, o = (1.0 + np.exp(-2.0 * a * x)) * decay, -np.expm1(-2.0 * a * x) * decay / a
-            second = _odd_derivatives(mu2, e, o, nrows)
+            m, scale, expm1 = -2.0 * a, 1.0 + exp(-2.0 * a * ref), math.expm1
+            odd = [(sin(a1 * x) / a1, -expm1(m * x) * (exp(a * (x - ref)) / scale) / a)
+                   for x in xs]
+            even = [(cos(a1 * x), (1.0 + exp(m * x)) * (exp(a * (x - ref)) / scale))
+                    for x in xs] if evens else []
+            rows = [odd, even, ((mu1 * u, mu2 * v) for u, v in odd),
+                    ((mu1 * u, mu2 * v) for u, v in even)]
         else:
             # Divided differences D[f] = (f(mu2) - f(mu1)) / (mu2 - mu1), which
             # are d f/d mu at a repeated root; D[mu*f] = f(mu2) + mu1*D[f].
-            e2, o2 = _trig_pair(mu2, x)
+            a2 = math.sqrt(-mu2)
+            o1 = [sin(a1 * x) / a1 for x in xs]
+            e1 = [cos(a1 * x) for x in xs] if evens else []
+            o2 = xs if mu2 == 0.0 else [sin(a2 * x) / a2 for x in xs]
+            e2 = [cos(a2 * x) for x in xs] if evens else []
             if self.repeated:
-                de, series, direct, small = _repeated_pair(mu1, x, e1, o1)
-                do = np.where(small, series, direct)
+                pairs = [_repeated_pair(mu1, x, e, o) for x, e, o in zip(xs, e1, o1)]
+                de, do = [g for g, _ in pairs], [h for _, h in pairs]
             else:
-                de, do = (e2 - e1) / (mu2 - mu1), (o2 - o1) / (mu2 - mu1)
-            second = [do, de, o2 + mu1 * do, e2 + mu1 * de][:nrows]
-        table = np.array([_odd_derivatives(mu1, e1, o1, nrows), second])
-        return np.moveaxis(table, (0, 1), (-1, -2))
+                gap = mu2 - mu1
+                de = [(u - v) / gap for u, v in zip(e2, e1)]
+                do = [(u - v) / gap for u, v in zip(o2, o1)]
+            rows = [zip(o1, do), zip(e1, de),
+                    ((mu1 * u, w + mu1 * v) for u, v, w in zip(o1, do, o2)),
+                    ((mu1 * u, w + mu1 * v) for u, v, w in zip(e1, de, e2))]
+        return [list(row) for row in rows[:nrows]]
 
 
 def quartic_roots(K: float, eta_nd: float) -> ModeBasis:
@@ -151,49 +161,38 @@ def _lam2_roots_at(K: float, eta_nd: float) -> tuple:
     then True. The zero-root window scales with p2, not p2^2: mu2 is about
     -p0/p2, and at large K*eta a window in p2^2 would snap an O(1)
     hyperbolic root to 0. For K >= 0 and eta >= 0, p2 >= 2, so
-    disc = fl(p2^2) - 4 fl(1 - K) >= 4 - 4 = 0 in floating point too.
+    disc = fl(p2^2) - 4 fl(1 - K) >= 4 - 4 = 0 in floating point too. Where
+    p2^2 overflows, so does disc, and the pair is distinct: mu1 is -inf,
+    beyond the kernel's range.
     """
     p2, p0 = 2.0 + K * eta_nd, 1.0 - K
     square = p2 * p2
     disc = square - 4.0 * p0
     if abs(p0) <= DEGENERACY_TOL * p2:
         return -p2, 0.0, False
-    if abs(disc) <= DEGENERACY_TOL * square:
+    if abs(disc) <= DEGENERACY_TOL * square < math.inf:
         return -0.5 * p2, -0.5 * p2, True
     mu1 = -0.5 * (p2 + math.sqrt(disc))
     return mu1, p0 / mu1, False
 
 
-def _odd_derivatives(mu, e, o, nrows: int) -> list:
-    """Derivatives 0..nrows-1 of the odd function o of a pair with o' = e and e' = mu*o."""
-    return [o, e, mu * o, mu * e][:nrows]
-
-
-def _trig_pair(mu: float, phi) -> tuple:
-    """The pair (e, o) of a root mu <= 0: cos(a*phi) and sin(a*phi)/a, or 1 and phi at 0."""
-    import numpy as np
-    a = math.sqrt(-mu)
-    return np.cos(a * phi), phi if mu == 0.0 else np.sin(a * phi) / a
-
-
-def _repeated_pair(mu, phi, e, o) -> tuple:
-    """(g, series, direct, small) at a repeated root, given e and o there: g = d e/d mu, and
-    h = d o/d mu is series where small, else direct, as the caller selects (np.where or if)."""
+def _repeated_pair(mu: float, phi: float, e: float, o: float) -> tuple:
+    """(g, h) = (d e/d mu, d o/d mu) at a repeated root mu, given e and o there."""
     g = 0.5 * phi * o
-    # Series for h; direct (phi*e - o)/(2 mu) cancels at small arguments.
+    if not abs(mu) * phi * phi < 0.01:
+        return g, (phi * e - o) / (2.0 * mu)
+    # Series for h, where the direct (phi*e - o)/(2 mu) cancels.
     p2_ = phi * phi
-    series = phi * p2_ / 6.0
+    h = phi * p2_ / 6.0
     mupow = 1.0
     for k, fact in ((2, 120.0), (3, 5040.0), (4, 362880.0), (5, 39916800.0)):
         mupow = mupow * mu
-        series = series + k * mupow * phi * p2_**k / fact
-    return g, series, (phi * e - o) / (2.0 * mu), abs(mu) * phi * phi < 0.01
+        h = h + k * mupow * phi * p2_**k / fact
+    return g, h
 
 
-def assemble_cracked(
-    basis: ModeBasis, beta: float, alpha: float, theta_c: float
-) -> np.ndarray:
-    """4x4 crack matching system in the support-adapted basis at the basis's K.
+def assemble_cracked(basis: ModeBasis, beta: float, alpha: float, theta_c: float) -> list:
+    """4x4 crack matching system in the support-adapted basis at the basis's K: 4 rows of floats.
 
     Unknowns (c1, c2, d1, d2): X = c1*u1(phi) + c2*u2(phi) left of the crack
     and X = d1*u1(beta - phi) + d2*u2(beta - phi) right of it, where u1, u2
@@ -204,17 +203,17 @@ def assemble_cracked(
     enforce C3 continuity, so at any alpha the zero set in K and the null
     vectors are the uncracked arch's.
     """
-    import numpy as np
-    # Both segments in one evaluation.
-    x = np.array([alpha, beta - alpha])
-    left, right = basis.support_rows(x, x)
+    # Each segment at the crack, its own ref: derivatives 0-3, each (u1, u2).
+    ((l0,), (l1,), (l2,), (l3,)), ((r0,), (r1,), (r2,), (r3,)) = (
+        basis.support_rows((x,), x) for x in (alpha, beta - alpha)
+    )
     # d/dphi = -d/dx right of the crack: odd derivatives change sign there.
-    m = np.empty((4, 4))
-    m[0, :2], m[0, 2:] = left[0], -right[0]
-    m[1, :2], m[1, 2:] = left[2], -right[2]
-    m[2, :2], m[2, 2:] = left[3], right[3]
-    m[3, :2], m[3, 2:] = -left[1] - theta_c * left[2], -right[1]
-    return m
+    return [
+        [*l0, -r0[0], -r0[1]],
+        [*l2, -r2[0], -r2[1]],
+        [*l3, *r3],
+        [-l1[0] - theta_c * l2[0], -l1[1] - theta_c * l2[1], -r1[0], -r1[1]],
+    ]
 
 
 def det_sign_logmag_at(K: float, eta_nd: float, beta: float, alpha: float, theta_c: float):
@@ -250,10 +249,11 @@ def det_sign_logmag_at(K: float, eta_nd: float, beta: float, alpha: float, theta
     extra = 0.0
     if theta_c > 0.0:
         if repeated:
-            h_b, h_a, h_g = (series if small else direct for _, series, direct, small in (
-                _repeated_pair(mu1, beta, math.cos(a1 * beta), s1),
-                _repeated_pair(mu1, alpha, math.cos(a1 * alpha), o_a),
-                _repeated_pair(mu1, gamma, math.cos(a1 * gamma), o_g)))
+            # Three plain calls: a generator naming mu1 and a1 would make them
+            # closure cells, slower to read everywhere in this function.
+            h_b = _repeated_pair(mu1, beta, math.cos(a1 * beta), s1)[1]
+            h_a = _repeated_pair(mu1, alpha, math.cos(a1 * alpha), o_a)[1]
+            h_g = _repeated_pair(mu1, gamma, math.cos(a1 * gamma), o_g)[1]
             num, gap = h_b * o_a * o_g - s1 * (h_a * o_g + o_a * h_g), 1.0
         else:
             num, gap = s1 * t_a * t_g - s2 * o_a * o_g, mu1 - mu2
@@ -291,37 +291,40 @@ _KEEP = [[j for j in range(4) if j != i] for i in range(4)]
 _COFACTOR_SIGN = [[(-1.0) ** (i + j) for j in range(4)] for i in range(4)]
 
 
-def null_vector(matrix) -> np.ndarray:
+def null_vector(matrix) -> list:
     """Null vector of one 4x4 matrix of rank 3, its largest component exactly 1.
 
     The rows are scaled to unit max norm, and the vector is the row of
     cofactors (a column of the adjugate) with the largest max-abs: A times
     the cofactors of its row i is det(A) in entry i and 0 elsewhere, so at
-    rank 3 every nonzero row of cofactors spans the null space. The
-    3x3 minors are elementwise float products and sums, not LAPACK or
-    matmul, so their bits do not depend on the BLAS build. Raises ValueError
-    for non-finite entries, and its subclass ``numpy.linalg.LinAlgError`` for
-    rank below 3: no cofactor larger than ``_RANK_TOL`` in magnitude, where a
-    vector picked from the rounding of a null plane would be arbitrary.
+    rank 3 every nonzero row of cofactors spans the null space. The 3x3
+    minors are float products and sums in one fixed order. Raises ValueError
+    for non-finite entries, and :class:`DoubleRoot` for rank below 3: no
+    cofactor larger than ``_RANK_TOL`` in magnitude, where a vector picked
+    from the rounding of a null plane would be arbitrary.
     """
-    import numpy as np
-    keep = np.array(_KEEP)
-    a = np.array(matrix, dtype=float)
-    if not np.isfinite(a).all():
+    rows = [[float(v) for v in row] for row in matrix]
+    if not all(math.isfinite(v) for row in rows for v in row):
         raise ValueError("matrix entries must be finite")
-    scale = np.abs(a).max(axis=1)
-    a = a / np.where(scale == 0.0, 1.0, scale)[:, None]
-    m = a[keep[:, None, :, None], keep[None, :, None, :]]  # minor (i, j) at [i, j]
-    minors = (
-        m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1])
-        - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
-        + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0])
-    )
-    cofactors = np.array(_COFACTOR_SIGN) * minors
-    row = cofactors[np.abs(cofactors).max(axis=1).argmax()]
-    largest = row[np.abs(row).argmax()]
+    a = []
+    for row in rows:
+        scale = max(map(abs, row)) or 1.0
+        a.append([v / scale for v in row])
+    cofactors = []
+    for (i0, i1, i2), signs in zip(_KEEP, _COFACTOR_SIGN):
+        r0, r1, r2 = a[i0], a[i1], a[i2]
+        cofactors.append([
+            sign * (
+                r0[j0] * (r1[j1] * r2[j2] - r1[j2] * r2[j1])
+                - r0[j1] * (r1[j0] * r2[j2] - r1[j2] * r2[j0])
+                + r0[j2] * (r1[j0] * r2[j1] - r1[j1] * r2[j0])
+            )
+            for (j0, j1, j2), sign in zip(_KEEP, signs)
+        ])
+    row = max(cofactors, key=lambda r: max(map(abs, r)))
+    largest = max(row, key=abs)
     if abs(largest) <= _RANK_TOL:
-        raise np.linalg.LinAlgError(
+        raise DoubleRoot(
             f"matrix rank is below 3: no cofactor exceeds {_RANK_TOL:g}, no unique null vector"
         )
-    return row / largest
+    return [v / largest for v in row]

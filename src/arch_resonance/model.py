@@ -4,7 +4,7 @@ Chirality indices, tube geometry and material presets live here, together
 with the reduction of a dimensional tube description to the dimensionless
 :class:`ArchProblem` the solver consumes, and the reverse conversion from the
 dimensionless eigenvalue K back to an angular frequency, and the uncracked
-arch's closed-form eigenvalues; none of it imports numpy. Internal units are
+arch's closed-form eigenvalues. Internal units are
 SI; the few helpers that speak nanometers say so explicitly.
 """
 

@@ -21,9 +21,8 @@ Everything is deterministic: the same problem and configuration produce
 bit-identical spectra, because F is evaluated at each K alone and each
 bracket is refined alone.
 
-An uncracked solve imports neither numpy nor :mod:`kernel`, and the search
-works on lists: a cracked search imports the kernel, whose one-K form needs
-no numpy, and only a mode shape imports numpy.
+Everything runs on Python floats and lists, with ``math``. An uncracked
+solve or shape imports no :mod:`kernel`: a cracked one imports it.
 """
 
 from __future__ import annotations
@@ -35,14 +34,10 @@ import math
 import sys
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from . import model
 from .errors import DoubleRoot, NoRootsInRange
 from .model import ArchProblem
-
-if TYPE_CHECKING:
-    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -525,10 +520,10 @@ def _polish(problem: ArchProblem, k: float) -> float:
     return k
 
 
-def mode_shape(problem: ArchProblem, root: Root, samples: int = 201) -> np.ndarray:
+def mode_shape(problem: ArchProblem, root: Root, samples: int = 201) -> tuple:
     """Sample the spatial mode X on a uniform grid over [0, beta].
 
-    Returns an array of shape (samples, 2) with columns (phi, X). An uncracked
+    Returns a tuple of ``samples`` float pairs (phi, X). An uncracked
     root is sin(n*pi*phi/beta), for the one n whose closed-form K_n is its K,
     with n*i reduced modulo 2*(samples - 1) in integers at sample i, so a node
     reads exactly 0; a K that is no K_n raises ValueError, and a double root
@@ -547,11 +542,10 @@ def mode_shape(problem: ArchProblem, root: Root, samples: int = 201) -> np.ndarr
     at or below 1e-8 times the largest at 64 cell midpoints of [0, beta]. When
     the largest + and - extrema tie, rounding decides which one is +1.
     """
-    import numpy as np
     if samples < 2:
         raise ValueError("samples must be at least 2")
-    phis = problem.beta * np.arange(samples) / (samples - 1)
-    K = root.K
+    beta, K, last = problem.beta, root.K, samples - 1
+    phis = [beta * i / last for i in range(samples)]
     if problem.crack is None:
         # n lies within 1 + 2**-49 n of a mode number below 2**55: K_n is rounded by a few ulps.
         near = {}
@@ -559,7 +553,7 @@ def mode_shape(problem: ArchProblem, root: Root, samples: int = 201) -> np.ndarr
             if v < 2.0**55:
                 w = 1 + int(v * 2.0**-49)
                 for n in range(max(1, round(v) - w), round(v) + w + 1):
-                    near[n] = model.uncracked_K_closed_form(n, problem.beta, problem.eta_nd)
+                    near[n] = model.uncracked_K_closed_form(n, beta, problem.eta_nd)
         exact = [n for n, k in near.items() if k == K]
         if exact and K < 1.0 and sum(abs(k - K) <= _DOUBLE_ROOT * K for k in near.values()) > 1:
             raise DoubleRoot(f"K = {K!r} is a double root: its mode shapes span a plane")
@@ -567,10 +561,12 @@ def mode_shape(problem: ArchProblem, root: Root, samples: int = 201) -> np.ndarr
             raise ValueError(f"K = {K!r} is not the closed-form K_n of one uncracked mode n")
         # sin(n*pi*num/den) at the samples, num/den = i/(samples - 1), then the
         # cells, (2j + 1)/128, with n*num reduced modulo 2*den in integers.
-        num = np.concatenate([np.arange(samples), 2 * np.arange(64) + 1])
-        den = np.repeat(np.array([samples - 1, 128], dtype=np.int64), [samples, 64])
-        m = exact[0] % (2 * den) * num % (2 * den)
-        values = np.sin(np.pi * (m % den) / den) * np.where(m < den, 1.0, -1.0)
+        sin, pi = math.sin, math.pi
+        values, cell_values = [], []
+        for out, nums, den in ((values, range(samples), last), (cell_values, range(1, 128, 2), 128)):
+            reduced = exact[0] % (2 * den)
+            ms = [reduced * num % (2 * den) for num in nums]
+            out += [sin(pi * (m % den) / den) * (1.0 if m < den else -1.0) for m in ms]
     else:
         # The kernel takes K on trust, so a caller's root is checked here, as far as _polish reaches.
         if not math.isfinite(K):
@@ -580,23 +576,26 @@ def mode_shape(problem: ArchProblem, root: Root, samples: int = 201) -> np.ndarr
         from . import kernel
         if not math.isfinite(kernel.quartic_roots(K + 1e-6 * max(1.0, K), problem.eta_nd).mu1):
             raise ValueError(f"K = {K!r} is beyond the kernel's range: its roots overflow")
-        crack = problem.crack
+        alpha, theta = problem.crack.alpha, problem.crack.theta_c
         basis = kernel.quartic_roots(_polish(problem, K), problem.eta_nd)
-        matrix = kernel.assemble_cracked(basis, problem.beta, crack.alpha, crack.theta_c)
-        at = np.concatenate([phis, problem.beta * ((np.arange(64) + 0.5) / 64)])  # samples, cells
-        left = at < crack.alpha
-        x, ref = (np.where(left, v, problem.beta - v) for v in (at, crack.alpha))
-        rows = basis.support_rows(x, ref, nrows=1)[:, 0, :]
         try:
-            vector = kernel.null_vector(matrix)
-        except np.linalg.LinAlgError:
+            c1, c2, d1, d2 = kernel.null_vector(kernel.assemble_cracked(basis, beta, alpha, theta))
+        except DoubleRoot:
             raise DoubleRoot(f"K = {K!r} is a double root: its mode shapes span a plane") from None
-        c = np.where(left[:, None], *vector.reshape(2, 2))  # (c1, c2), (d1, d2)
+        from bisect import bisect_left
+        # The samples and the cells each ascend: those left of the crack come first.
+        cells = [beta * ((j + 0.5) / 64) for j in range(64)]
+        cut, cell_cut = bisect_left(phis, alpha), bisect_left(cells, alpha)
+        left, = basis.support_rows(phis[:cut] + cells[:cell_cut], alpha, nrows=1)
+        right, = basis.support_rows(
+            [beta - x for x in phis[cut:] + cells[cell_cut:]], beta - alpha, nrows=1)
         # Summed from +0.0, so an exact zero is +0.0.
-        values = 0.0 + c[:, 0] * rows[:, 0] + c[:, 1] * rows[:, 1]
-    peak = values[np.argmax(np.abs(values[:samples]))]
-    if abs(peak) > _NOISE * np.abs(values[samples:]).max():
-        values = values[:samples] / peak + 0.0
+        xl = [0.0 + c1 * u1 + c2 * u2 for u1, u2 in left]
+        xr = [0.0 + d1 * u1 + d2 * u2 for u1, u2 in right]
+        values, cell_values = xl[:cut] + xr[:samples - cut], xl[cut:] + xr[samples - cut:]
+    peak = max(values, key=abs)
+    if abs(peak) > _NOISE * max(map(abs, cell_values)):
+        values = [x / peak + 0.0 for x in values]
     else:
-        values = np.zeros(samples)
-    return np.column_stack([phis, values])
+        values = [0.0] * samples
+    return tuple(zip(phis, values))

@@ -110,8 +110,8 @@ def random_arch_points(seed: int, count: int):
         yield beta, eta, alpha, theta, ks
 
 
-def matching_matrix(problem: ArchProblem, K: float) -> np.ndarray:
-    """The 4x4 support-adapted matching matrix of a cracked problem at one K."""
+def matching_matrix(problem: ArchProblem, K: float) -> list:
+    """The 4x4 support-adapted matching matrix of a cracked problem at one K: 4 rows of floats."""
     basis = kernel.quartic_roots(K, problem.eta_nd)
     return kernel.assemble_cracked(basis, problem.beta, problem.crack.alpha, problem.crack.theta_c)
 
@@ -125,7 +125,7 @@ def assembled_signs(problem: ArchProblem, ks) -> list[int]:
     """
     return [
         (d > 0) - (d < 0)
-        for d in (cofactor_det(matching_matrix(problem, float(k)).tolist()) for k in ks)
+        for d in (cofactor_det(matching_matrix(problem, float(k))) for k in ks)
     ]
 
 

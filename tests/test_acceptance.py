@@ -173,7 +173,7 @@ def test_criterion_6_determinant_oracle():
 def test_criterion_7_mode_shapes():
     problem = make_problem()
     spectrum = find_frequencies(problem, SearchConfig(max_modes=1))
-    shape = mode_shape(problem, spectrum.roots[0], samples=257)
+    shape = np.asarray(mode_shape(problem, spectrum.roots[0], samples=257))
     phi, x = shape[:, 0], shape[:, 1]
     reference = np.sin(math.pi * phi)
     reference /= np.abs(reference).max()
@@ -183,7 +183,7 @@ def test_criterion_7_mode_shapes():
     theta = 2.0
     cracked = make_problem(alpha=0.5, theta=theta)
     spec_c = find_frequencies(cracked, SearchConfig(max_modes=1))
-    cs = mode_shape(cracked, spec_c.roots[0], samples=401)
+    cs = np.asarray(mode_shape(cracked, spec_c.roots[0], samples=401))
     xc = cs[:, 1]
     h = cs[1, 0] - cs[0, 0]
     i_mid = 200  # phi = 0.5 with 401 samples over [0, 1]

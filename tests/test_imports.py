@@ -6,6 +6,7 @@ with that of a bare one.
 """
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ import pytest
 
 import arch_resonance
 from arch_resonance import errors, kernel, model
+from arch_resonance.cli import main
 
 SRC = Path(arch_resonance.__file__).resolve().parents[1]
 GOLDEN = Path(__file__).parent / "golden"
@@ -43,6 +45,18 @@ EXPORTS = {
     ),
 }
 ALL = sorted([*EXPORTS, *(name for names in EXPORTS.values() for name in names)])
+
+# Requests that reach every command, cracked and uncracked, freq in every format.
+CRACKED = ["--beta", "1", "--eta", "1", "--crack-psi", "0.3"]
+EVERY_COMMAND = [
+    *(["freq", "--beta", "1", "--eta", "1", "--format", f] for f in ("table", "csv", "json")),
+    *(["freq", *CRACKED, "--format", f] for f in ("table", "csv", "json")),
+    ["sweep", "--param", "beta", "--steps", "3", "--chirality", "armchair", "--crack-psi", "0.3",
+     "--crack-alpha", "0.05", "--modes", "1"],
+    ["validate"],
+    *(["modeshape", "--beta", "1", "--eta", "1", "--samples", "9", "--format", f] for f in ("csv", "json")),
+    *(["modeshape", *CRACKED, "--samples", "9", "--format", f] for f in ("csv", "json")),
+]
 
 
 def run_fresh(statements: str) -> set[str]:
@@ -137,19 +151,41 @@ class TestImportGraph:
         assert "arch_resonance.kernel" in loaded
         assert "numpy" not in loaded
 
-    def test_cracked_modeshape_loads_numpy_and_the_kernel(self, loaded_by):
+    def test_cracked_modeshape_loads_the_kernel_without_numpy(self, loaded_by):
+        # Its matching matrix, null vector and samples are floats.
         argv = ["modeshape", "--beta", "1", "--eta", "1", "--crack-psi", "0.3", "--samples", "5"]
         loaded = loaded_by(f"from arch_resonance.cli import main\nassert main({argv!r}) == 0")
-        assert {"numpy", "arch_resonance.kernel"} <= loaded
+        assert "arch_resonance.kernel" in loaded
+        assert "numpy" not in loaded
 
     def test_uncracked_modeshape_skips_the_kernel(self, loaded_by):
-        # Its shape is the closed-form sine, sampled in numpy's arrays.
+        # Its shape is the closed-form sine, sampled on floats.
         loaded = loaded_by(
             "from arch_resonance.cli import main\n"
             "assert main(['modeshape', '--beta', '1', '--eta', '1', '--samples', '5']) == 0"
         )
-        assert "numpy" in loaded
-        assert "arch_resonance.kernel" not in loaded
+        assert not loaded & {"numpy", "arch_resonance.kernel"}
+
+    def test_every_command_runs_with_numpy_blocked(self, tmp_path, capsys):
+        # A None in sys.modules makes every import of numpy fail. Each
+        # request's output then equals a normal run's, byte for byte.
+        outputs = tmp_path / "outputs.json"
+        run_fresh(
+            "import contextlib, io, json, sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from arch_resonance.cli import main\n"
+            "texts = []\n"
+            f"for argv in {EVERY_COMMAND!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()) as text:\n"
+            "        assert main(argv) == 0, argv\n"
+            "    texts.append(text.getvalue())\n"
+            f"open({str(outputs)!r}, 'w').write(json.dumps(texts))"
+        )
+        blocked = json.loads(outputs.read_text())
+        assert len(blocked) == len(EVERY_COMMAND) == 12 and all(blocked)
+        for argv, text in zip(EVERY_COMMAND, blocked):
+            assert main(argv) == 0
+            assert capsys.readouterr().out == text, argv
 
     def test_closed_form_export_skips_numpy(self, loaded_by):
         loaded = loaded_by(

@@ -5,11 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
-from arch_resonance import uncracked_K_closed_form
+from arch_resonance import DoubleRoot, uncracked_K_closed_form
 from arch_resonance.kernel import (
     PIVOT_ZERO_TOL,
     _lam2_roots_at,
-    _repeated_pair,
     assemble_cracked,
     det_sign_logmag_at,
     null_vector,
@@ -31,7 +30,7 @@ ETAS = (0.0, 0.5, 1.0, 2.0)
 
 def _matrix_signs(stack) -> list[int]:
     """Cofactor-determinant signs of a stack of matrices."""
-    return [int(np.sign(cofactor_det(m.tolist()))) for m in stack]
+    return [int(np.sign(cofactor_det(m))) for m in stack]
 
 
 def _signs(ks, eta, beta, alpha, theta) -> list[int]:
@@ -68,6 +67,24 @@ class TestCharacteristicCoefficients:
 
 
 class TestQuarticRoots:
+    @pytest.mark.parametrize("K, eta", [(1e200, 1.0), (1.5e154, 1.0), (1e300, 1e10), (1e160, 1e-3)])
+    def test_overflowing_square_is_no_repeated_root(self, K, eta):
+        # Where p2^2 overflows, so does the discriminant: inf <= 1e-10 * inf
+        # once called the pair repeated, at a finite -p2/2. The roots are
+        # distinct, and mu1 is beyond the float range.
+        p2 = 2.0 + K * eta
+        assert p2 * p2 == math.inf
+        basis = quartic_roots(K, eta)
+        assert not basis.repeated and basis.mu1 == -math.inf
+
+    def test_largest_finite_square_keeps_its_roots(self):
+        # Just below the overflow the pair is distinct and finite: mu1 ~ -p2
+        # and mu2 = p0/mu1 ~ 1 at eta = 1.
+        basis = quartic_roots(1.3e154, 1.0)
+        assert not basis.repeated
+        assert basis.mu1 == pytest.approx(-1.3e154, rel=1e-15)
+        assert basis.mu2 == pytest.approx(1.0, rel=1e-15)
+
     def test_trig_plus_hyperbolic(self):
         # lam^2 roots of lam^4 + 3 lam^2 - 4: (-3 +- 5)/2 -> -4 and 1.
         basis = quartic_roots(5.0, 0.2)
@@ -128,7 +145,7 @@ class TestQuarticRoots:
     def test_zero_root_functions(self):
         # mu1 = -3, mu2 = 0: o(mu1, x) and the divided difference (x - o(mu1, x))/3.
         basis = quartic_roots(1.0, 1.0)
-        row0 = basis.support_rows(0.7, 1.3, nrows=1)[0]
+        (row0,), = basis.support_rows([0.7], 1.3, nrows=1)
         a = math.sqrt(3.0)
         o1 = math.sin(a * 0.7) / a
         assert row0[0] == pytest.approx(o1, rel=1e-14)
@@ -161,8 +178,9 @@ def _residual(basis, p2, p0, x, ref):
     """
     a = max(1.0, math.sqrt(-basis.mu1))
     h = 1e-3 / a
-    rows = basis.support_rows(x, ref)
-    diff = sum(w * basis.support_rows(x + k * h, ref) for k, w in zip(_FD_STEPS, _FD_WEIGHTS)) / h
+    # Rows (derivative, column) at x, then at each step of the difference.
+    rows, *shifted = np.asarray(basis.support_rows([x, *(x + k * h for k in _FD_STEPS)], ref)).swapaxes(0, 1)
+    diff = sum(w * r for r, w in zip(shifted, _FD_WEIGHTS)) / h
     worst = 0.0
     for j in range(2):
         size = max(abs(rows[m][j]) / a**m for m in range(4))
@@ -197,7 +215,7 @@ class TestBasisProperties:
         # support is far from singular for each branch.
         for K, eta in ((0.5, 0.0), (5.0, 0.2), (1.0, 1.0), (0.0, 0.0)):
             basis = quartic_roots(K, eta)
-            rows = basis.support_rows(0.6, 1.0, nrows=2)
+            rows = np.asarray(basis.support_rows([0.6], 1.0, nrows=2))[:, 0]
             scale = np.prod(np.abs(rows).max(axis=0))
             assert abs(cofactor_det(rows.tolist())) > 1e-6 * scale
 
@@ -258,7 +276,7 @@ class TestAssembleUncracked:
         # Both segments have length beta/2, so the rows of X and X'' are
         # antisymmetric and those of the third derivative and the slope jump
         # symmetric, bit for bit.
-        m = matching_matrix(make_problem(beta=1.0, eta=0.2, alpha=0.5, theta=0.0), 5.0)
+        m = np.array(matching_matrix(make_problem(beta=1.0, eta=0.2, alpha=0.5, theta=0.0), 5.0))
         assert m.shape == (4, 4)
         assert np.array_equal(m[:2, 2:], -m[:2, :2])
         assert np.array_equal(m[2:, 2:], m[2:, :2])
@@ -282,9 +300,8 @@ class TestAssembleUncracked:
     def test_near_zero_normalized_determinant_at_root(self):
         kn = uncracked_K_closed_form(2, 1.0, 0.5)
         matrix = matching_matrix(make_problem(beta=1.0, eta=0.5, alpha=0.5, theta=0.0), kn)
-        logmag = math.log(abs(cofactor_det(matrix.tolist())))
-        rows = [list(r) for r in matrix]
-        log_row_scales = sum(math.log(max(abs(x) for x in row)) for row in rows)
+        logmag = math.log(abs(cofactor_det(matrix)))
+        log_row_scales = sum(math.log(max(abs(x) for x in row)) for row in matrix)
         # Normalized determinant magnitude <= 1e-8.
         assert logmag - log_row_scales < math.log(1e-8)
 
@@ -319,9 +336,12 @@ class TestAssembleCracked:
             assert _changes(reduced) == changes[0]
 
     def test_one_matrix_per_k(self):
+        # 4 rows of 4 floats, in every branch of mu2.
         for problem in (make_problem(2.0, 0.3, 1.0, 0.0), make_problem(2.0, 0.3, 0.8, 0.5)):
             for k in (0.0, 0.5, 1.0, 7.0, 5.0e4):
-                assert matching_matrix(problem, k).shape == (4, 4)
+                rows = matching_matrix(problem, k)
+                assert len(rows) == 4
+                assert all(len(row) == 4 and all(type(v) is float for v in row) for row in rows)
 
 
 class TestSupportRows:
@@ -335,14 +355,15 @@ class TestSupportRows:
             second = o2 / math.cosh(math.sqrt(basis.mu2) * ref)
         else:
             second = (o2 - o1) / (basis.mu2 - basis.mu1)
-        rows = basis.support_rows(x, ref)
-        assert rows.shape == (4, 2)
+        rows = np.asarray(basis.support_rows([x], ref))
+        assert rows.shape == (4, 1, 2)
+        rows = rows[:, 0]
         assert rows[:, 0] == pytest.approx(o1, rel=1e-13, abs=1e-15)
         assert rows[:, 1] == pytest.approx(second, rel=1e-12, abs=1e-15)
 
     def test_supports_hold_exactly(self):
         for k in (0.0, 1e-8, 0.5, 1.0, 5.0, 400.0, 1e6):
-            rows = quartic_roots(k, 0.7).support_rows(0.0, 1.3, nrows=3)
+            rows = np.asarray(quartic_roots(k, 0.7).support_rows([0.0], 1.3, nrows=3))[:, 0]
             assert rows.shape == (3, 2)
             assert np.all(rows[0] == 0.0) and np.all(rows[2] == 0.0)
 
@@ -351,7 +372,7 @@ class TestSupportRows:
         for k in (1.0 + 1e-8, 2.0, 50.0, 1e5):
             basis = quartic_roots(k, 0.0)
             a2 = math.sqrt(basis.mu2)
-            rows = basis.support_rows(1.9, 1.9)
+            rows = np.asarray(basis.support_rows([1.9], 1.9))[:, 0]
             assert np.all(np.isfinite(rows))
             assert rows[0, 1] == pytest.approx(math.tanh(a2 * 1.9) / a2, rel=1e-14)
             assert rows[1, 1] == pytest.approx(1.0, rel=1e-15)
@@ -362,11 +383,11 @@ class TestSupportRows:
         # with no loss to cancellation down to the window's edge.
         at = quartic_roots(0.0, 0.5)
         assert at.repeated
-        limit = at.support_rows(1.7, 2.0)
+        limit = np.asarray(at.support_rows([1.7], 2.0))
         for K in (1e-6, 1e-8, 1e-10):
             near = quartic_roots(K, 0.5)
             assert not near.repeated
-            gap = np.abs(near.support_rows(1.7, 2.0) - limit).max() / np.abs(limit).max()
+            gap = np.abs(np.asarray(near.support_rows([1.7], 2.0)) - limit).max() / np.abs(limit).max()
             assert gap <= near.mu2 - near.mu1
 
     @pytest.mark.parametrize("beta, alpha", [(0.5, 0.2), (2.0, 1.4), (6.0, 3.0)])
@@ -374,7 +395,7 @@ class TestSupportRows:
         basis = quartic_roots(0.0, 0.3)
         for theta in (0.0, 1.0, 1e3):
             matrix = assemble_cracked(basis, beta, alpha, theta)
-            assert cofactor_det(matrix.tolist()) != 0.0
+            assert cofactor_det(matrix) != 0.0
             assert det_sign_logmag_at(0.0, 0.3, beta, alpha, theta)[0] != 0
 
 
@@ -492,27 +513,32 @@ class TestNullVector:
     def test_largest_component_is_one(self):
         # The null direction of these rows is (1, -1, 0, 0).
         v = null_vector([[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [2, 2, 3, 4]])
-        assert v.shape == (4,) and np.abs(v).max() == 1.0 and v[np.abs(v).argmax()] == 1.0
-        assert np.abs(v).tolist() == [1.0, 1.0, 0.0, 0.0]
+        assert type(v) is list and all(type(x) is float for x in v)
+        assert max(map(abs, v)) == 1.0 and max(v, key=abs) == 1.0
+        assert [abs(x) for x in v] == [1.0, 1.0, 0.0, 0.0]
 
     def test_rank_below_three_raises(self):
         # Rank 2: every 3x3 minor keeps a zero column, so every cofactor is 0.
-        with pytest.raises(ValueError, match="rank is below 3"):
+        with pytest.raises(DoubleRoot, match="rank is below 3"):
             null_vector([[1, 2, 0, 0], [3, 4, 0, 0], [5, 6, 0, 0], [0, 1, 0, 0]])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_raises(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            null_vector([[1, 2, 0, 0], [3, 4, 0, 0], [5, 6, 7, 0], [0, 1, 0, bad]])
 
     @pytest.mark.parametrize("size, rank3", [(1e-9, False), (1e-7, False), (1e-4, True)])
     def test_rank_is_read_to_a_bound(self, size, rank3):
         # A rank-2 matrix plus a rank-1 term of the given size in its zero
         # columns: rank 3, its largest cofactor about that size, which reads
-        # as a rank of 3 only above 1e-6. Below, the error is numpy's
-        # LinAlgError, a ValueError.
+        # as a rank of 3 only above 1e-6. Below, the error is DoubleRoot.
         rows = np.array([[1, 2, 0, 0], [3, 4, 0, 0], [5, 6, 0, 0], [0, 1, 0, 0]], dtype=float)
         rows[:, 2:] += size * np.outer([0.9, 0.6, 0.7, 0.8], [1.0, 0.5])
         if rank3:
             v = null_vector(rows)
             assert np.abs(rows @ v).max() <= 1e-9 * np.abs(rows).max()
         else:
-            with pytest.raises(np.linalg.LinAlgError, match="rank is below 3"):
+            with pytest.raises(DoubleRoot, match="rank is below 3"):
                 null_vector(rows)
 
 
@@ -582,9 +608,10 @@ class TestOneK:
 def _repeated_on_arrays(K, eta, beta, alpha, theta):
     """F at a repeated root with its three h values taken on a numpy array.
 
-    The kernel once evaluated them so: :func:`kernel._repeated_pair` on
-    np.array([beta, alpha, gamma]), selected by np.where. The rest is
-    det_sign_logmag_at's, where mu2 = mu1 < 0 and gap = 1.
+    The kernel once evaluated them so: h = d o/d mu on np.array([beta,
+    alpha, gamma]) both as its series and in the direct form, selected by
+    np.where. The rest is det_sign_logmag_at's, where mu2 = mu1 < 0 and gap
+    = 1.
     """
     mu1, mu2, repeated = _lam2_roots_at(K, eta)
     assert repeated
@@ -595,8 +622,14 @@ def _repeated_on_arrays(K, eta, beta, alpha, theta):
     a2 = math.sqrt(-mu2)
     s2, b2 = math.sin(a2 * beta) / a2, 1.0 / a2
     x = np.array([beta, alpha, gamma])
-    _, series, direct, small = _repeated_pair(mu1, x, np.cos(a1 * x), np.sin(a1 * x) / a1)
-    h_b, h_a, h_g = np.where(small, series, direct).tolist()
+    x2 = x * x
+    series = x * x2 / 6.0
+    mupow = 1.0
+    for k, fact in ((2, 120.0), (3, 5040.0), (4, 362880.0), (5, 39916800.0)):
+        mupow = mupow * mu1
+        series = series + k * mupow * x * x2**k / fact
+    direct = (x * np.cos(a1 * x) - np.sin(a1 * x) / a1) / (2.0 * mu1)
+    h_b, h_a, h_g = np.where(abs(mu1) * x * x < 0.01, series, direct).tolist()
     num = h_b * o_a * o_g - s1 * (h_a * o_g + o_a * h_g)
     extra = theta * mu1 * mu2 * (num / 1.0)
     assert math.isfinite(extra)

@@ -37,7 +37,7 @@ DOUBLE_BETA = 4.967294132898051  # pi / sqrt(0.4): K_1 = K_2 = 0.36 at eta = 0
 
 def _coefficients(problem, root):
     """The root's mode coefficients: the null vector of its boundary system."""
-    return tuple(kernel.null_vector(matching_matrix(problem, root.K)).tolist())
+    return tuple(kernel.null_vector(matching_matrix(problem, root.K)))
 
 
 def _zero_crack(beta=1.0, eta=0.0):
@@ -208,7 +208,7 @@ class TestFindFrequencies:
         # The null vector annihilates the row-scaled boundary matrix.
         spectrum = find_frequencies(make_problem(), SearchConfig(max_modes=3))
         for root in spectrum.roots:
-            matrix = matching_matrix(_zero_crack(), root.K)
+            matrix = np.array(matching_matrix(_zero_crack(), root.K))
             matrix /= np.abs(matrix).max(axis=1, keepdims=True)
             vec = kernel.null_vector(matrix)
             assert np.abs(matrix @ vec).max() <= 1e-7
@@ -313,7 +313,7 @@ class TestModeShape:
     def test_fundamental_is_sine(self):
         problem = make_problem()
         spectrum = find_frequencies(problem, SearchConfig(max_modes=1))
-        shape = mode_shape(problem, spectrum.roots[0], samples=257)
+        shape = np.asarray(mode_shape(problem, spectrum.roots[0], samples=257))
         phi, x = shape[:, 0], shape[:, 1]
         reference = np.sin(math.pi * phi)
         reference /= np.abs(reference).max()
@@ -324,7 +324,7 @@ class TestModeShape:
         for problem in (make_problem(eta=1.0), make_problem(eta=1.0, alpha=0.3, theta=0.7)):
             spectrum = find_frequencies(problem, SearchConfig(max_modes=2))
             for root in spectrum.roots:
-                shape = mode_shape(problem, root, samples=101)
+                shape = np.asarray(mode_shape(problem, root, samples=101))
                 assert shape[0, 1] == 0.0
                 assert shape[-1, 1] == 0.0
 
@@ -337,7 +337,7 @@ class TestModeShape:
             (make_problem(alpha=0.5, theta=1.0), 2),
         ):
             spectrum = find_frequencies(problem, SearchConfig(max_modes=mode))
-            shape = mode_shape(problem, spectrum.roots[-1], samples=64)
+            shape = np.asarray(mode_shape(problem, spectrum.roots[-1], samples=64))
             assert shape[:, 1].max() == 1.0
             assert shape[:, 1].min() >= -1.0
 
@@ -414,7 +414,7 @@ class TestModeShape:
         cfg = SearchConfig(k_min=1e10, k_max=1e12, max_modes=2)
         root = find_frequencies(problem, cfg).roots[1]
         assert root.K == uncracked_K_closed_form(62991, 1.0, 3.915896)
-        shape = mode_shape(problem, root, samples=200)
+        shape = np.asarray(mode_shape(problem, root, samples=200))
         sine = np.sin(62991 * math.pi * shape[:, 0])
         sine /= np.abs(sine).max()
         assert min(np.abs(shape[:, 1] - s * sine).max() for s in (1.0, -1.0)) <= 1e-6
@@ -437,7 +437,7 @@ class TestModeShape:
         problem = make_problem(beta, eta)
         root = find_frequencies(problem, cfg).roots[mode - 1]
         assert root.K == uncracked_K_closed_form(n, beta, eta)
-        shape = mode_shape(problem, root, samples=samples)
+        shape = np.asarray(mode_shape(problem, root, samples=samples))
         sine = _exact_sine(n, samples)
         assert min(np.abs(shape[:, 1] - s * sine).max() for s in (1.0, -1.0)) <= 1e-12
         assert shape[0, 1] == shape[-1, 1] == 0.0 and shape[:, 1].max() == 1.0
@@ -448,7 +448,7 @@ class TestModeShape:
         # when a shape was the null vector of the matching matrix with a crack
         # of zero compliance at beta/2.
         root = solver.Root(K=uncracked_K_closed_form(n, beta, eta))
-        shape = mode_shape(make_problem(beta, eta), root, samples=200)
+        shape = np.asarray(mode_shape(make_problem(beta, eta), root, samples=200))
         sine = _exact_sine(n, 200)
         assert min(np.abs(shape[:, 1] - s * sine).max() for s in (1.0, -1.0)) <= 1e-12
 
@@ -480,13 +480,26 @@ class TestModeShape:
         with pytest.raises(ValueError, match=message):
             mode_shape(problem, solver.Root(K=K), samples=5)
 
+    @pytest.mark.parametrize("K", [1e200, 1.5e154])
+    def test_cracked_root_whose_square_overflows(self, K):
+        # At eta = 1, p2^2 = (2 + K)^2 overflows from about K = 1.34e154. Such
+        # a K once read as a repeated root at -p2/2, and its shape was sampled
+        # through overflowing arithmetic: its roots overflow, so it is beyond
+        # the kernel's range.
+        problem = ArchProblem(1.0, 1.0, CrackJoint(0.3, 0.5))
+        message = re.escape(f"K = {K!r} is beyond the kernel's range: its roots overflow")
+        with pytest.raises(ValueError, match=message):
+            mode_shape(problem, solver.Root(K=K), samples=5)
+
     def test_sample_count_and_grid(self):
-        problem = make_problem()
-        spectrum = find_frequencies(problem, SearchConfig(max_modes=1))
-        shape = mode_shape(problem, spectrum.roots[0], samples=11)
-        assert shape.shape == (11, 2)
-        assert shape[0, 0] == 0.0
-        assert shape[-1, 0] == 1.0
+        # A tuple of (phi, X) float pairs, uncracked and cracked.
+        for problem in (make_problem(), make_problem(alpha=0.3, theta=0.7)):
+            root = find_frequencies(problem, SearchConfig(max_modes=1)).roots[0]
+            shape = mode_shape(problem, root, samples=11)
+            assert type(shape) is tuple and len(shape) == 11
+            assert all(type(pair) is tuple and [type(v) for v in pair] == [float, float] for pair in shape)
+            assert shape[0][0] == 0.0
+            assert shape[-1][0] == 1.0
 
     def test_cracked_slope_jump(self):
         theta = 2.0
@@ -495,8 +508,8 @@ class TestModeShape:
         root = spectrum.roots[0]
         basis = quartic_roots(root.K, problem.eta_nd)
         # Rows in the distance from each support; d/dphi = -d/dx on the right.
-        left = basis.support_rows(0.5, 0.5, nrows=3)
-        right = basis.support_rows(problem.beta - 0.5, problem.beta - 0.5, nrows=3)
+        left = [row[0] for row in basis.support_rows([0.5], 0.5, nrows=3)]
+        right = [row[0] for row in basis.support_rows([problem.beta - 0.5], problem.beta - 0.5, nrows=3)]
         c1, c2, d1, d2 = _coefficients(problem, root)
         left_slope = c1 * left[1][0] + c2 * left[1][1]
         right_slope = -(d1 * right[1][0] + d2 * right[1][1])
@@ -514,12 +527,12 @@ class TestModeShape:
         for root in find_frequencies(problem, SearchConfig(max_modes=3)).roots:
             coefficients = _coefficients(problem, root)
             assert len(coefficients) == 4
-            shape = mode_shape(problem, root, samples=101)
+            shape = np.asarray(mode_shape(problem, root, samples=101))
             assert abs(shape[0, 1]) <= 1e-12 and abs(shape[-1, 1]) <= 1e-12
             basis = quartic_roots(root.K, eta)
             c1, c2, d1, d2 = coefficients
             for (w1, w2), ref in (((c1, c2), alpha), ((d1, d2), beta - alpha)):
-                rows = basis.support_rows(0.0, ref, nrows=3)
+                rows = [row[0] for row in basis.support_rows([0.0], ref, nrows=3)]
                 for k in (0, 2):  # X and X'' at the support
                     assert abs(w1 * rows[k][0] + w2 * rows[k][1]) <= 1e-12
 
@@ -528,7 +541,7 @@ class TestModeShape:
         # divide by: every X is +0.0, not 0/0, uncracked and cracked.
         for problem in (make_problem(eta=1.0), make_problem(eta=1.0, alpha=0.3, theta=0.7)):
             root = find_frequencies(problem, SearchConfig(max_modes=1)).roots[0]
-            shape = mode_shape(problem, root, samples=2)
+            shape = np.asarray(mode_shape(problem, root, samples=2))
             assert shape[:, 0].tolist() == [0.0, problem.beta]
             assert shape[:, 1].tolist() == [0.0, 0.0]
             assert not np.signbit(shape[:, 1]).any()
@@ -545,10 +558,10 @@ class TestModeShape:
             (make_problem(1.0, 0.0, 0.5, 1.0), 2, 3),
         ):
             root = find_frequencies(problem, SearchConfig(max_modes=mode)).roots[mode - 1]
-            shape = mode_shape(problem, root, samples=samples)
+            shape = np.asarray(mode_shape(problem, root, samples=samples))
             assert shape[:, 1].tolist() == [0.0] * samples
             assert not np.signbit(shape[:, 1]).any()
-            assert mode_shape(problem, root, samples=samples + 1)[:, 1].max() == 1.0
+            assert max(x for _, x in mode_shape(problem, root, samples=samples + 1)) == 1.0
 
     def test_uncracked_shapes_match_the_sine_oracle(self):
         # An uncracked shape is sin(a*phi) with a = n*pi/beta, for the n whose
@@ -565,7 +578,7 @@ class TestModeShape:
             problem = make_problem(beta, eta)
             root = find_frequencies(problem, SearchConfig(max_modes=mode)).roots[mode - 1]
             try:
-                shape = mode_shape(problem, root, samples=200)
+                shape = np.asarray(mode_shape(problem, root, samples=200))
             except DoubleRoot:
                 continue
             a = wavenumbers / beta
@@ -654,7 +667,7 @@ class TestCrackedShapeOracle:
             problem = make_problem(beta, eta, alpha, theta)
             mode = int(rng.integers(1, 6))
             root = find_frequencies(problem, SearchConfig(max_modes=mode)).roots[mode - 1]
-            shape = mode_shape(problem, root)
+            shape = np.asarray(mode_shape(problem, root))
             reference, node = _pair_form_shape(problem, root.K, shape[:, 0])
             if node < 0.1 or reference.min() < -1.0 + 1e-6:
                 continue
@@ -1862,7 +1875,7 @@ class TestExactCount:
         problem = ArchProblem(DOUBLE_BETA, 0.0, CrackJoint(1.6557, 1e-3))
         roots = find_frequencies(problem, SearchConfig(max_modes=2)).roots
         assert 0.0 < roots[1].K - roots[0].K < 1e-3
-        shapes = [mode_shape(problem, root, samples=41)[:, 1] for root in roots]
+        shapes = [np.asarray(mode_shape(problem, root, samples=41))[:, 1] for root in roots]
         assert all(shape.max() == 1.0 for shape in shapes)
         assert np.abs(np.abs(shapes[0]) - np.abs(shapes[1])).max() > 0.1
 
@@ -1880,9 +1893,9 @@ class TestExactCount:
         assert rel_err(expected[2], expected[0]) < 1e-12
         spectrum = find_frequencies(problem, cfg)
         assert spectrum.K_values == expected
-        shape = mode_shape(problem, spectrum.roots[1], samples=5)[:, 1]
+        shape = np.asarray(mode_shape(problem, spectrum.roots[1], samples=5))[:, 1]
         assert shape.tolist() == [0.0] * 5 and not np.signbit(shape).any()
-        assert mode_shape(problem, spectrum.roots[1], samples=6)[:, 1].max() == 1.0
+        assert max(x for _, x in mode_shape(problem, spectrum.roots[1], samples=6)) == 1.0
 
     def test_guides_at_a_large_k_min(self):
         # Mode 31831 is the first above K = 1e20; each K_n of the range has its
