@@ -18,16 +18,15 @@ diagnostics on standard error.
 
 from __future__ import annotations
 
-# Only what every request needs; each command imports the rest where it is used.
-import argparse
+# Only what every request needs; the rest, argparse and logging too, is imported where used.
 import functools
-import logging
 import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any, Mapping
 
 from . import __version__, model
@@ -35,14 +34,7 @@ from .errors import DoubleRoot, InvalidPreset, InvalidSpec, MissingPreset, NoRoo
 from .errors import UsageError
 from .model import _FMT, _fmt
 
-logger = logging.getLogger("arch_resonance")
-
-_LOG_LEVELS = {
-    "error": logging.ERROR,
-    "warn": logging.WARNING,
-    "info": logging.INFO,
-    "debug": logging.DEBUG,
-}
+_LOG_LEVELS = {"error": 40, "warn": 30, "info": 20, "debug": 10}  # logging's numbers
 
 _SWEEP_DEFAULTS = {
     # parameter: (from, to, steps); radius bounds are nm at this boundary
@@ -50,11 +42,6 @@ _SWEEP_DEFAULTS = {
     "eta": (0.0, 4.0, 41),
     "radius": (2.0, 20.0, 41),
 }
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # noqa: A003 - argparse API
-        raise UsageError(message)
 
 
 @dataclass(frozen=True)
@@ -98,7 +85,13 @@ def _add_problem_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--presets", help="presets file path")
 
 
-def build_parser() -> _Parser:
+def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):  # noqa: A003 - argparse API
+            raise UsageError(message)
+
     parser = _Parser(prog="arch-resonance", description=__doc__)
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {__version__}"
@@ -141,7 +134,7 @@ def build_parser() -> _Parser:
 
 
 @functools.cache
-def _parser() -> _Parser:
+def _parser() -> argparse.ArgumentParser:
     """The process's one parser, built on first use: parsing does not mutate it."""
     return build_parser()
 
@@ -155,7 +148,7 @@ def parse(args: list[str]) -> CliInvocation:
     """
     parser = _parser()
     sub = parser.commands.get(args[0]) if args else None
-    namespace = sub.parse_args(args[1:], argparse.Namespace(command=args[0])) if sub else None
+    namespace = sub.parse_args(args[1:], SimpleNamespace(command=args[0])) if sub else None
     overrides = vars(namespace or parser.parse_args(args))
     return CliInvocation(
         command=overrides.pop("command"),
@@ -466,9 +459,10 @@ def _cmd_freq(inv: CliInvocation, s: _Settings) -> str:
     from . import solver
 
     problem, tube, chirality, cfg = _resolve_problem(s)
-    logger.info(
-        "freq: beta=%g eta_nd=%g crack=%s", problem.beta, problem.eta_nd, problem.crack
-    )
+    if logging := sys.modules.get("logging"):  # main imports it at info and debug
+        logging.getLogger("arch_resonance").info(
+            "freq: beta=%g eta_nd=%g crack=%s", problem.beta, problem.eta_nd, problem.crack
+        )
     spectrum = solver.find_frequencies(problem, cfg)
     payload = _spectrum_payload(spectrum, problem, tube)
     return _render_spectrum(payload, problem, tube, chirality, inv.format)
@@ -537,7 +531,10 @@ def _cmd_sweep(inv: CliInvocation, s: _Settings) -> str:
             **inputs,
             **_given(mode=s.get("modes", "search", cast=int)),
         )
-    logger.info("sweep: %s over [%g, %g] x %d", param, start, stop, steps)
+    if logging := sys.modules.get("logging"):
+        logging.getLogger("arch_resonance").info(
+            "sweep: %s over [%g, %g] x %d", param, start, stop, steps
+        )
     try:
         rows = sweep.run_sweep(spec)
     except InvalidSpec as exc:  # an invalid end of the range, found before any solve
@@ -596,11 +593,20 @@ def run(inv: CliInvocation) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    level = _LOG_LEVELS.get(
-        os.environ.get("ARCH_RESONANCE_LOG", "warn").lower(), logging.WARNING
-    )
-    logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(message)s")
-    logger.setLevel(level)
+    value = os.environ.get("ARCH_RESONANCE_LOG") or "warn"
+    level = _LOG_LEVELS.get(value.lower())
+    if level is None:
+        print(f"usage error: ARCH_RESONANCE_LOG={value!r} is not error, warn, info or debug",
+              file=sys.stderr)
+        return 2
+    # Nothing logs at warn or above; lines go to sys.stderr as it is when written.
+    if level < 30 or "logging" in sys.modules:
+        import logging
+
+        stderr = SimpleNamespace(write=lambda text: sys.stderr.write(text),
+                                 flush=lambda: sys.stderr.flush())
+        logging.basicConfig(stream=stderr, level=level, format="%(levelname)s %(message)s")
+        logging.getLogger("arch_resonance").setLevel(level)
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         inv = parse(argv)

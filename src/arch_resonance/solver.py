@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import logging
 import math
 import sys
 import threading
@@ -39,7 +38,7 @@ from . import model
 from .errors import DoubleRoot, NoRootsInRange
 from .model import ArchProblem
 
-logger = logging.getLogger(__name__)
+_logger = None  # bound by _bind_logger once something has imported logging
 
 # Log-magnitude drop (natural log) below both same-sign neighbours that makes
 # a node a dip, which fails the solve when among the requested modes' candidates.
@@ -404,6 +403,14 @@ def _brent(problem: ArchProblem, bracket, tol: float, evaluate) -> float:
     return 0.5 * (b + c)
 
 
+def _bind_logger():
+    """Bind the solver's logger, once logging is loaded: the solver never
+    imports it, and until something has, no record was asked for."""
+    global _logger
+    _logger = sys.modules["logging"].getLogger(__name__)
+    return _logger
+
+
 def find_frequencies(problem: ArchProblem, cfg: SearchConfig | None = None) -> Spectrum:
     """First ``max_modes`` eigenvalues in (k_min, k_max), in ascending order.
 
@@ -430,8 +437,9 @@ def find_frequencies(problem: ArchProblem, cfg: SearchConfig | None = None) -> S
         refined = len(ks)
         return Spectrum(tuple(map(Root, ks)))
     finally:
-        if logger.isEnabledFor(logging.DEBUG):
-            logger.debug(
+        log = _logger or "logging" in sys.modules and _bind_logger()
+        if log and log.isEnabledFor(10):  # logging.DEBUG
+            log.debug(
                 "find_frequencies: %d scan evaluations, %d refinement evaluations, "
                 "%d brackets refined",
                 _tally.values - values, _tally.evals - evals, refined,
@@ -514,9 +522,11 @@ def _polish(problem: ArchProblem, k: float) -> float:
         bracket = (lo, evaluate(lo, *args)), (hi, evaluate(hi, *args))
         if bracket[0][1][0] * bracket[1][1][0] != 1:
             return _brent(problem, bracket, 1e-13, evaluate)
-    logger.debug(
-        "mode shape at the unpolished root K = %r: no sign change within 1e-6 max(1, K)", k
-    )
+    log = _logger or "logging" in sys.modules and _bind_logger()
+    if log and log.isEnabledFor(10):
+        log.debug(
+            "mode shape at the unpolished root K = %r: no sign change within 1e-6 max(1, K)", k
+        )
     return k
 
 

@@ -1,7 +1,11 @@
 import copy
 import json
+import logging
 import math
+import os
 import random
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -11,6 +15,7 @@ from arch_resonance import ArchProblem, UsageError, cli, solver, uncracked_K_clo
 from arch_resonance.cli import build_parser, load_presets, main, parse
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+SRC = Path(cli.__file__).resolve().parents[1]
 
 
 class TestParse:
@@ -587,9 +592,82 @@ class TestMalformedFiles:
 
 
 class TestLogging:
-    def test_env_var_controls_level(self, capsys, monkeypatch):
-        monkeypatch.setenv("ARCH_RESONANCE_LOG", "debug")
-        assert main(["freq", "--beta", "1.0", "--eta", "0"]) == 0
+    """``ARCH_RESONANCE_LOG``. Stderr is read from fresh processes: in this one,
+    pytest's handlers on the root logger take the records."""
+
+    CRACKED = ["freq", "--beta", "1", "--eta", "1", "--crack-psi", "0.3"]
+    INFO = "INFO freq: beta=1 eta_nd=1 crack=CrackJoint(alpha=0.5, theta_c=3.4621633325275276)\n"
+    DEBUG = (
+        "DEBUG find_frequencies: 41 scan evaluations, 15 refinement evaluations, "
+        "5 brackets refined\n"
+    )
+
+    @staticmethod
+    def _fresh(code: str, level: str | None) -> subprocess.CompletedProcess:
+        env = {key: value for key, value in os.environ.items() if key != "ARCH_RESONANCE_LOG"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+        if level is not None:
+            env["ARCH_RESONANCE_LOG"] = level
+        return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+
+    def test_env_var_controls_level(self, capsys):
+        # Unset and empty are warn, and the values are read in any case.
+        expected = {
+            None: "", "": "", "error": "", "warn": "", "Warn": "",
+            "info": self.INFO, "INFO": self.INFO,
+            "debug": self.INFO + self.DEBUG, "Debug": self.INFO + self.DEBUG,
+        }
+        assert main(self.CRACKED) == 0
+        out = capsys.readouterr().out
+        code = f"from arch_resonance.cli import main\nraise SystemExit(main({self.CRACKED!r}))"
+        for level, err in expected.items():
+            done = self._fresh(code, level)
+            assert (done.returncode, done.stdout, done.stderr) == (0, out, err), level
+
+    def test_each_call_logs_to_the_stderr_of_its_time(self):
+        # A handler bound to the first call's stderr would write the second
+        # call's lines to the first's; each call adds no handler of its own.
+        code = (
+            "import contextlib, io, logging\n"
+            "from arch_resonance.cli import main\n"
+            "errs = []\n"
+            "for _ in range(2):\n"
+            "    with contextlib.redirect_stderr(io.StringIO()) as err:\n"
+            "        with contextlib.redirect_stdout(io.StringIO()):\n"
+            "            assert main(['freq', '--beta', '1', '--eta', '1']) == 0\n"
+            "    errs.append(err.getvalue())\n"
+            "print(repr(errs), len(logging.getLogger().handlers))"
+        )
+        done = self._fresh(code, "debug")
+        lines = (
+            "INFO freq: beta=1 eta_nd=1 crack=None\n"
+            "DEBUG find_frequencies: 0 scan evaluations, 0 refinement evaluations, "
+            "0 brackets refined\n"
+        )
+        assert (done.stdout, done.stderr) == (f"{[lines, lines]!r} 1\n", "")
+
+    @pytest.mark.parametrize("value", ["bogus", "verbose", "warning", " debug", "DEBUGGING"])
+    def test_bad_value_is_one_usage_error_line(self, value, monkeypatch, capsys):
+        monkeypatch.setenv("ARCH_RESONANCE_LOG", value)
+        assert main(self.CRACKED) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            f"usage error: ARCH_RESONANCE_LOG={value!r} is not error, warn, info or debug\n"
+        )
+
+    def test_records_reach_handlers_the_caller_set_up(self, caplog, monkeypatch):
+        # A process that has imported logging has each call set the level:
+        # info, then back to warn.
+        caplog.set_level(logging.DEBUG)
+        monkeypatch.setenv("ARCH_RESONANCE_LOG", "info")
+        assert main(self.CRACKED) == 0
+        records = [(r.name, r.levelname, r.funcName, r.getMessage()) for r in caplog.records]
+        assert records == [("arch_resonance", "INFO", "_cmd_freq", self.INFO[len("INFO "):-1])]
+        caplog.clear()
+        monkeypatch.delenv("ARCH_RESONANCE_LOG")
+        assert main(self.CRACKED) == 0
+        assert caplog.records == []
 
 
 class TestJsonBytes:

@@ -94,6 +94,67 @@ class TestImportGraph:
         }
         assert not loaded & heavy
 
+    def test_benchmark_setup_loads_neither_logging_nor_argparse(self, loaded_by):
+        # perfbench's set-up statements: import, shipped presets, an uncracked solve.
+        loaded = loaded_by(
+            "import arch_resonance\n"
+            "from arch_resonance import cli, solver\n"
+            "cli.load_presets()\n"
+            "problem = arch_resonance.ArchProblem(beta=1.0, eta_nd=1.0)\n"
+            "solver.find_frequencies(problem, solver.SearchConfig())"
+        )
+        assert {"arch_resonance.cli", "arch_resonance.solver", "configparser"} <= loaded
+        assert not loaded & {"logging", "argparse"}
+
+    def test_default_level_loads_no_logging(self, loaded_by):
+        # Nothing logs at warn or above, so no request at the default level needs logging.
+        loaded = loaded_by(
+            "import contextlib, io, os\n"
+            "os.environ.pop('ARCH_RESONANCE_LOG', None)\n"
+            "from arch_resonance.cli import main\n"
+            f"for argv in {EVERY_COMMAND!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+        )
+        assert {"argparse", "arch_resonance.solver", "arch_resonance.sweep"} <= loaded
+        assert "logging" not in loaded
+
+    @pytest.mark.parametrize("argv", EVERY_COMMAND, ids=" ".join)
+    def test_debug_level_loads_logging_and_logs(self, loaded_by, argv, tmp_path):
+        err = tmp_path / "stderr.txt"
+        loaded = loaded_by(
+            "import contextlib, io, os\n"
+            "os.environ['ARCH_RESONANCE_LOG'] = 'debug'\n"
+            "from arch_resonance.cli import main\n"
+            "with contextlib.redirect_stderr(io.StringIO()) as err:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"        assert main({argv!r}) == 0\n"
+            f"open({str(err)!r}, 'w').write(err.getvalue())"
+        )
+        assert "logging" in loaded
+        lines = err.read_text().splitlines()
+        assert any(line.startswith("DEBUG find_frequencies: ") for line in lines)
+        assert all(line.startswith(("DEBUG ", f"INFO {argv[0]}: ")) for line in lines)
+        assert any(line.startswith("INFO ") for line in lines) == (argv[0] in ("freq", "sweep"))
+
+    def test_solver_logs_once_the_caller_imports_logging(self, loaded_by, tmp_path):
+        # The solver finds logging when it logs, also if it was loaded first.
+        err = tmp_path / "stderr.txt"
+        loaded_by(
+            "import contextlib, io\n"
+            "from arch_resonance import ArchProblem, find_frequencies\n"
+            "find_frequencies(ArchProblem(beta=1.0, eta_nd=1.0))\n"
+            "import logging\n"
+            "with contextlib.redirect_stderr(io.StringIO()) as err:\n"
+            "    logging.basicConfig(level=logging.DEBUG, format='%(name)s %(message)s')\n"
+            "    find_frequencies(ArchProblem(beta=1.0, eta_nd=1.0))\n"
+            f"open({str(err)!r}, 'w').write(err.getvalue())"
+        )
+        assert err.read_text() == (
+            "arch_resonance.solver find_frequencies: 0 scan evaluations, "
+            "0 refinement evaluations, 0 brackets refined\n"
+        )
+
     @pytest.mark.parametrize(
         "argv, code",
         [(["--version"], 0), (["--help"], 0), (["freq", "--bogus"], 2)],
