@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import os
 import sys
+from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -53,36 +54,55 @@ class CliInvocation:
     format: str
 
 
-def _add_common(p: argparse.ArgumentParser, default_format: str) -> None:
-    p.add_argument("--config", help="sectioned key-value config file")
-    p.add_argument("--out", help="output path (default: standard output)")
-    p.add_argument(
-        "--format",
-        choices=("table", "csv", "json"),
-        default=default_format,
-        help=f"output format (default {default_format})",
-    )
+_Flag = namedtuple("_Flag", "name help type default choices group dest")
 
 
-def _add_problem_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--beta", type=float, help="central angle in rad")
-    eta = p.add_mutually_exclusive_group()
-    eta.add_argument("--eta", type=float, help="dimensionless nonlocal parameter")
-    eta.add_argument(
-        "--eta-nm2", type=float, help="physical nonlocal constant in nm^2"
-    )
-    p.add_argument("--radius-nm", type=float, help="arch radius in nm")
-    p.add_argument("--diameter-nm", type=float, help="tube diameter in nm")
-    p.add_argument("--n", type=int, help="roll-up index n (with --m derives diameter)")
-    p.add_argument("--m", type=int, help="roll-up index m")
-    p.add_argument(
-        "--chirality",
-        help="chirality class: armchair, zigzag or chiral (sweep also: all)",
-    )
-    p.add_argument("--crack-alpha", type=float, help="crack position angle in rad")
-    p.add_argument("--crack-psi", type=float, help="crack depth ratio c/h in [0, 1)")
-    p.add_argument("--crack-model", help="compliance model name")
-    p.add_argument("--presets", help="presets file path")
+def _flag(name, help, type=str, default=None, choices=None, group=None, dest=None) -> _Flag:
+    """A command's flag, as argparse declares it and :func:`parse` reads it. A request
+    gives at most one flag of a ``group``; ``dest`` defaults to argparse's."""
+    return _Flag(name, help, type, default, choices, group, dest or name[2:].replace("-", "_"))
+
+
+def _common(default_format: str) -> tuple[_Flag, ...]:
+    return (_flag("--config", "sectioned key-value config file"),
+            _flag("--out", "output path (default: standard output)"),
+            _flag("--format", f"output format (default {default_format})", str, default_format,
+                  ("table", "csv", "json")))
+
+
+_PROBLEM_FLAGS = (
+    _flag("--beta", "central angle in rad", float),
+    _flag("--eta", "dimensionless nonlocal parameter", float, group="eta"),
+    _flag("--eta-nm2", "physical nonlocal constant in nm^2", float, group="eta"),
+    _flag("--radius-nm", "arch radius in nm", float),
+    _flag("--diameter-nm", "tube diameter in nm", float),
+    _flag("--n", "roll-up index n (with --m derives diameter)", int),
+    _flag("--m", "roll-up index m", int),
+    _flag("--chirality", "chirality class: armchair, zigzag or chiral (sweep also: all)"),
+    _flag("--crack-alpha", "crack position angle in rad", float),
+    _flag("--crack-psi", "crack depth ratio c/h in [0, 1)", float),
+    _flag("--crack-model", "compliance model name"),
+    _flag("--presets", "presets file path"),
+)
+
+# The one declaration of each command's flags, in the order its help lists them.
+_FLAGS = {
+    "freq": ("natural frequency spectrum of one problem", (
+        *_PROBLEM_FLAGS, _flag("--modes", "number of modes (default 5)", int), *_common("table"))),
+    "sweep": ("parameter sweep emitting tabular data", (
+        *_PROBLEM_FLAGS,
+        _flag("--modes", "mode index to report (default 1)", int),
+        _flag("--param", "swept parameter", choices=("beta", "eta", "radius")),
+        _flag("--from", "sweep start", float, dest="from_"),
+        _flag("--to", "sweep end", float),
+        _flag("--steps", "number of grid points", int), *_common("csv"))),
+    "modeshape": ("sampled spatial mode shape", (
+        *_PROBLEM_FLAGS, _flag("--mode", "mode index (default 1)", int, 1),
+        _flag("--samples", "sample count (default 201)", int, 201), *_common("csv"))),
+    "validate": ("near-straight limit against published reference values", (
+        _flag("--beta", "small central angle in rad (default 0.05)", float), *_common("table"))),
+}
+_BY_NAME = {command: {f.name: f for f in flags} for command, (_, flags) in _FLAGS.items()}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,38 +117,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"%(prog)s {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    freq = sub.add_parser("freq", help="natural frequency spectrum of one problem")
-    _add_problem_flags(freq)
-    freq.add_argument("--modes", type=int, help="number of modes (default 5)")
-    _add_common(freq, "table")
-
-    swp = sub.add_parser("sweep", help="parameter sweep emitting tabular data")
-    _add_problem_flags(swp)
-    swp.add_argument("--modes", type=int, help="mode index to report (default 1)")
-    swp.add_argument(
-        "--param", choices=("beta", "eta", "radius"), help="swept parameter"
-    )
-    swp.add_argument("--from", dest="from_", type=float, help="sweep start")
-    swp.add_argument("--to", dest="to", type=float, help="sweep end")
-    swp.add_argument("--steps", type=int, help="number of grid points")
-    _add_common(swp, "csv")
-
-    shape = sub.add_parser("modeshape", help="sampled spatial mode shape")
-    _add_problem_flags(shape)
-    shape.add_argument("--mode", type=int, default=1, help="mode index (default 1)")
-    shape.add_argument(
-        "--samples", type=int, default=201, help="sample count (default 201)"
-    )
-    _add_common(shape, "csv")
-
-    val = sub.add_parser(
-        "validate", help="near-straight limit against published reference values"
-    )
-    val.add_argument(
-        "--beta", type=float, help="small central angle in rad (default 0.05)"
-    )
-    _add_common(val, "table")
+    for command, (summary, flags) in _FLAGS.items():
+        groups = {None: sub.add_parser(command, help=summary)}
+        for f in flags:
+            if f.group not in groups:
+                groups[f.group] = groups[None].add_mutually_exclusive_group()
+            groups[f.group].add_argument(
+                f.name, dest=f.dest, type=f.type, default=f.default, choices=f.choices, help=f.help
+            )
     parser.commands = sub.choices  # command word -> its subparser
     return parser
 
@@ -139,17 +135,38 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _plain(args: list[str]) -> dict[str, Any] | None:
+    """argparse's namespace of a plain vector, read from the table, where each value
+    converts to its flag's type and choices; None for any other vector."""
+    flags = _BY_NAME[args[0]]
+    namespace = {"command": args[0], **{f.dest: f.default for f in flags.values()}}
+    given = {}  # group, or a lone flag's own name -> the flag given
+    for name, raw in zip(args[1::2], args[2::2]):
+        flag = flags.get(name)
+        if flag is None or raw[:1] == "-" or given.setdefault(flag.group or name, name) != name:
+            return None
+        try:
+            namespace[flag.dest] = flag.type(raw)
+        except ValueError:
+            return None
+        if flag.choices and namespace[flag.dest] not in flag.choices:
+            return None
+    return namespace if len(args) % 2 else None
+
+
 def parse(args: list[str]) -> CliInvocation:
     """Parse an argument vector into a validated invocation.
 
-    A vector led by a command word goes to its subparser alone, anything else
-    to the full parser. Unknown flags raise :class:`UsageError` naming the
-    offender; ``--help`` and ``--version`` short-circuit through SystemExit(0).
+    A plain vector, a command word and exact ``--flag value`` pairs, is read
+    from the flag table; any other led by a command word goes to its subparser
+    alone, anything else to the full parser. Unknown flags raise UsageError
+    naming the offender; ``--help`` and ``--version`` exit via SystemExit(0).
     """
     parser = _parser()
     sub = parser.commands.get(args[0]) if args else None
-    namespace = sub.parse_args(args[1:], SimpleNamespace(command=args[0])) if sub else None
-    overrides = vars(namespace or parser.parse_args(args))
+    overrides = _plain(args) if sub else vars(parser.parse_args(args))
+    if overrides is None:
+        overrides = vars(sub.parse_args(args[1:], SimpleNamespace(command=args[0])))
     return CliInvocation(
         command=overrides.pop("command"),
         config_path=overrides.pop("config", None),
@@ -368,6 +385,9 @@ def _resolve_problem(s: _Settings):
 
     with _bad_input_is_usage_error():
         chirality, inputs = _resolve_inputs(s, allow_all=False)
+        for flag in ("radius-nm", "diameter-nm") if chirality is None else ():
+            if s.get(flag, "geometry", cast=str) is not None:
+                raise UsageError(f"--{flag} needs --chirality or --n/--m")
         tube = None if chirality is None else _resolve_tube(s, chirality, _presets(s))
         problem = model.nondimensionalize(tube, **inputs)
         cfg = solver.SearchConfig(

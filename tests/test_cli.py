@@ -1,4 +1,6 @@
+import contextlib
 import copy
+import io
 import json
 import logging
 import math
@@ -8,8 +10,11 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from arch_resonance import ArchProblem, UsageError, cli, solver, uncracked_K_closed_form
 from arch_resonance.cli import build_parser, load_presets, main, parse
@@ -114,7 +119,8 @@ class TestParseManyRequests:
 
 
 class TestDispatch:
-    """A command word's subparser parses alone; anything else, the full parser."""
+    """A plain vector is read from the flag table, any other led by a command word by its
+    subparser alone, anything else by the full parser."""
 
     @pytest.mark.parametrize("command", ["freq", "sweep", "modeshape", "validate"])
     def test_command_help_is_its_usage(self, command, capsys):
@@ -148,6 +154,101 @@ class TestDispatch:
         assert (inv.command, inv.overrides["beta"], inv.overrides["mode"]) == ("modeshape", 2.0, 3)
         with pytest.raises(UsageError, match="unrecognized arguments: --bogus"):
             parse(["freq", "--bogus"])
+
+        def sub_parse(*args, **kwargs):
+            raise AssertionError("argparse parsed a plain --flag value vector")
+
+        # A figure sweep's vector and a cracked JSON mode shape's are read from the flag table.
+        with monkeypatch.context() as m:
+            for sub in cli._parser().commands.values():
+                m.setattr(sub, "parse_args", sub_parse)
+            sweep = parse(["sweep", "--param", "eta", "--from", "0.4", "--to", "1.2000000000000002",
+                           "--steps", "9", "--chirality", "zigzag"])
+            shape = parse(["modeshape", "--beta", "1.25", "--eta", "2.5", "--chirality", "chiral",
+                           "--crack-psi", "0.3", "--crack-alpha", "0.5", "--mode", "2",
+                           "--samples", "200", "--format", "json"])
+        assert (sweep.command, sweep.format, sweep.overrides["from_"], sweep.overrides["to"],
+                sweep.overrides["steps"]) == ("sweep", "csv", 0.4, 1.2000000000000002, 9)
+        assert (shape.command, shape.format, shape.overrides["crack_psi"],
+                shape.overrides["samples"], shape.overrides["eta_nm2"]) == (
+            "modeshape", "json", 0.3, 200, None)
+
+
+def _argparse_parse(args: list[str]) -> cli.CliInvocation:
+    """``parse`` with every vector left to argparse, on a freshly built parser."""
+    with mock.patch.object(cli, "_plain", lambda args: None), \
+            mock.patch.object(cli, "_parser", build_parser):
+        return parse(args)
+
+
+def _outcome(parse_with, args: list[str]) -> tuple[str, str]:
+    """What a parse returns or raises, and what it prints."""
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
+        try:
+            result = repr(parse_with(args))  # repr: a NaN value equals itself
+        except UsageError as exc:
+            result = f"UsageError: {exc}"
+        except SystemExit as exc:
+            result = f"SystemExit: {exc.code}"
+    return result, printed.getvalue()
+
+
+_VALUES = {
+    float: st.one_of(
+        st.floats().map(repr),
+        st.sampled_from(["-1e-3", "-0", "nan", "inf", "-inf", "1e999", "1_0", " 2", "2.", "x", ""]),
+    ),
+    int: st.one_of(
+        st.integers(-3, 300).map(str), st.sampled_from(["-1", "1.5", "0x1", "1_0", " 7", "x", ""])
+    ),
+    str: st.sampled_from(["armchair", "all", "power-law", "c.ini", "", " ", "-x", "--beta"]),
+}
+_STRAYS = ["--", "-h", "--help", "--version", "--bogus", "-", "freq", "stray", ""]
+
+
+@st.composite
+def _vectors(draw) -> list[str]:
+    """Argument vectors built from a command's flags, most of them plain ``--flag value``."""
+    command = draw(st.sampled_from([*cli._FLAGS, "bogus"]))
+    flags = list(cli._BY_NAME.get(command, cli._BY_NAME["freq"]).values())
+    args = [command]
+    for _ in range(draw(st.integers(0, 6))):
+        flag = draw(st.sampled_from(flags))
+        values = st.sampled_from([*flag.choices, "xml"]) if flag.choices else _VALUES[flag.type]
+        name, value = flag.name, draw(values)
+        form = draw(st.sampled_from(["pair"] * 8 + ["abbreviated", "equals", "name", "value"]))
+        if form == "abbreviated":
+            name = name[: draw(st.integers(3, len(name)))]
+        pieces = {"equals": [f"{name}={value}"], "name": [name], "value": [value]}
+        args += pieces.get(form, [name, value])
+    if draw(st.booleans()):
+        args.insert(draw(st.integers(0, len(args))), draw(st.sampled_from(_STRAYS)))
+    return args
+
+
+class TestFlagTable:
+    """``parse`` reads plain ``--flag value`` vectors from the flag table and leaves
+    every other vector to argparse; both give what argparse alone gives."""
+
+    @settings(max_examples=400)
+    @given(_vectors())
+    @example(["freq", "--beta", "-1e-3"])
+    @example(["freq", "--beta", "nan", "--modes", "1.5"])
+    @example(["freq", "--eta", "1", "--eta-nm2", "1"])
+    @example(["freq", "--eta", "1", "--eta", "2"])
+    @example(["sweep", "--param", "psi"])
+    @example(["freq", "--format", "xml"])
+    @example(["freq", "--beta=1", "--eta", "1"])
+    @example(["freq", "--bet", "1"])
+    @example(["freq", "--m", "1", "--n", "1"])
+    @example(["freq", "--chirality", ""])
+    @example(["freq", "--", "--beta", "1"])
+    @example(["validate", "-h"])
+    @example(["validate", "--beta"])
+    @example(["validate", "1"])
+    def test_agrees_with_argparse(self, args):
+        assert _outcome(parse, args) == _outcome(_argparse_parse, args)
 
 
 class TestFreqCommand:
@@ -191,6 +292,38 @@ class TestFreqCommand:
 
     def test_eta_nm2_needs_material(self, capsys):
         assert main(["freq", "--eta-nm2", "1.0"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, config, flag",
+        [
+            (["freq", "--radius-nm", "-5"], "", "radius-nm"),
+            (["freq", "--diameter-nm", "0"], "", "diameter-nm"),
+            (["freq", "--eta-nm2", "1", "--radius-nm", "10"], "", "radius-nm"),
+            (["modeshape", "--diameter-nm", "0.7", "--radius-nm", "5"], "", "radius-nm"),
+            (["freq", "--beta", "2"], "[geometry]\nradius-nm = 5\n", "radius-nm"),
+            (["modeshape"], "[geometry]\ndiameter-nm = 0.7\n", "diameter-nm"),
+        ],
+    )
+    def test_geometry_needs_a_tube(self, argv, config, flag, capsys, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text(config)
+        assert main([*argv, "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: --{flag} needs --chirality or --n/--m\n"
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["freq", "--n", "10", "--m", "10", "--radius-nm", "5"], ""),
+            (["freq", "--radius-nm", "5"], "[geometry]\nchirality = armchair\n"),
+        ],
+    )
+    def test_geometry_with_a_tube(self, argv, config, capsys, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text(config)
+        assert main([*argv, "--config", str(path), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["problem"]["radius_m"] == pytest.approx(5e-9)
 
     def test_eta_nm2_conversion(self, capsys):
         # eta = 1 nm^2 on a 10 nm radius: eta_nd = 0.01.
@@ -763,7 +896,7 @@ _KNOWN = [
     (["freq", "--beta", "6.2831853", "--eta", "0", "--crack-psi", "0.999999",
       "--crack-alpha", "0.9"], {"k-min": "1e20", "k-max": "4e307", "grid-points": "16"}),
     (["freq", "--beta", "6.283185307179585", "--eta", "5e-324", "--crack-psi",
-      "0.9999999999999999", "--crack-alpha", "3.1415926535897927", "--diameter-nm", "0.5"],
+      "0.9999999999999999", "--crack-alpha", "3.1415926535897927"],
      {"k-min": "1e300", "k-max": "4e307"}),
     (["freq", "--beta", "1", "--eta", "1e308"], {"k-min": "0"}),
     (["freq", "--beta", "0.05", "--eta", "1.7976931348623157e308"],
