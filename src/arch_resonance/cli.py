@@ -25,10 +25,7 @@ import sys
 from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from importlib import resources
-from pathlib import Path
 from types import SimpleNamespace
-from typing import Any, Mapping
 
 from . import __version__, model
 from .errors import DoubleRoot, InvalidPreset, InvalidSpec, MissingPreset, NoRootsInRange
@@ -38,7 +35,7 @@ from .model import _FMT, _fmt
 _LOG_LEVELS = {"error": 40, "warn": 30, "info": 20, "debug": 10}  # logging's numbers
 
 _SWEEP_DEFAULTS = {
-    # parameter: (from, to, steps); radius bounds are nm at this boundary
+    # parameter: (from, to, steps), the choices of --param; radius bounds are nm at this boundary
     "beta": (0.1, 3.0, 59),
     "eta": (0.0, 4.0, 41),
     "radius": (2.0, 20.0, 41),
@@ -49,7 +46,7 @@ _SWEEP_DEFAULTS = {
 class CliInvocation:
     command: str
     config_path: str | None
-    overrides: dict[str, Any]
+    overrides: dict[str, object]
     output_path: str | None
     format: str
 
@@ -92,7 +89,7 @@ _FLAGS = {
     "sweep": ("parameter sweep emitting tabular data", (
         *_PROBLEM_FLAGS,
         _flag("--modes", "mode index to report (default 1)", int),
-        _flag("--param", "swept parameter", choices=("beta", "eta", "radius")),
+        _flag("--param", "swept parameter", choices=tuple(_SWEEP_DEFAULTS)),
         _flag("--from", "sweep start", float, dest="from_"),
         _flag("--to", "sweep end", float),
         _flag("--steps", "number of grid points", int), *_common("csv"))),
@@ -135,15 +132,19 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _plain(args: list[str]) -> dict[str, Any] | None:
+def _plain(args: list[str]) -> dict[str, object] | None:
     """argparse's namespace of a plain vector, read from the table, where each value
-    converts to its flag's type and choices; None for any other vector."""
+    converts to its flag's type and choices; None for any other vector. A numeric
+    flag's value may start with '-': ``--beta -1e-3`` reads as argparse reads
+    ``--beta=-1e-3``."""
     flags = _BY_NAME[args[0]]
     namespace = {"command": args[0], **{f.dest: f.default for f in flags.values()}}
     given = {}  # group, or a lone flag's own name -> the flag given
     for name, raw in zip(args[1::2], args[2::2]):
         flag = flags.get(name)
-        if flag is None or raw[:1] == "-" or given.setdefault(flag.group or name, name) != name:
+        if flag is None or given.setdefault(flag.group or name, name) != name:
+            return None
+        if raw[:1] == "-" and flag.type is str:  # argparse's to read: a flag, or a negative number
             return None
         try:
             namespace[flag.dest] = flag.type(raw)
@@ -158,15 +159,17 @@ def parse(args: list[str]) -> CliInvocation:
     """Parse an argument vector into a validated invocation.
 
     A plain vector, a command word and exact ``--flag value`` pairs, is read
-    from the flag table; any other led by a command word goes to its subparser
-    alone, anything else to the full parser. Unknown flags raise UsageError
-    naming the offender; ``--help`` and ``--version`` exit via SystemExit(0).
+    from the flag table, and argparse is not built; any other led by a command
+    word goes to its subparser alone, anything else to the full parser.
+    Unknown flags raise UsageError naming the offender; ``--help`` and
+    ``--version`` exit via SystemExit(0).
     """
-    parser = _parser()
-    sub = parser.commands.get(args[0]) if args else None
-    overrides = _plain(args) if sub else vars(parser.parse_args(args))
+    overrides = _plain(args) if args and args[0] in _FLAGS else None
     if overrides is None:
-        overrides = vars(sub.parse_args(args[1:], SimpleNamespace(command=args[0])))
+        parser = _parser()
+        sub = parser.commands.get(args[0]) if args else None
+        overrides = vars(sub.parse_args(args[1:], SimpleNamespace(command=args[0])) if sub
+                         else parser.parse_args(args))
     return CliInvocation(
         command=overrides.pop("command"),
         config_path=overrides.pop("config", None),
@@ -180,28 +183,28 @@ def parse(args: list[str]) -> CliInvocation:
 # Config and presets files
 
 
-def _read_ini(source, kind: str) -> dict[str, dict[str, str]]:
-    """A UTF-8 config or presets file (a path or a package resource) as plain dicts.
+def _read_ini(path: str, kind: str) -> dict[str, dict[str, str]]:
+    """A UTF-8 config or presets file as plain dicts.
 
     Values are interpolated here, so a file that is missing, unreadable or
-    malformed is a :class:`UsageError` naming it, in one line.
+    malformed is a :class:`UsageError` naming it as given, in one line.
     """
     import configparser
 
     cp = configparser.ConfigParser()
     try:
-        with source.open(encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             cp.read_file(fh)
         return {section: dict(cp[section]) for section in cp.sections()}
     except FileNotFoundError:
-        raise UsageError(f"{kind} file not found: {source}") from None
+        raise UsageError(f"{kind} file not found: {path}") from None
     except (OSError, configparser.Error, UnicodeDecodeError) as exc:
         reason = "; ".join(str(exc).splitlines())
-        raise UsageError(f"cannot read {kind} file {source}: {reason}") from None
+        raise UsageError(f"cannot read {kind} file {path}: {reason}") from None
 
 
 def _read_config(path: str | None) -> dict[str, dict[str, str]]:
-    return {} if path is None else _read_ini(Path(path), "config")
+    return {} if path is None else _read_ini(path, "config")
 
 
 def _numeric_table(sections: dict[str, dict[str, str]]) -> dict[str, dict[str, float]]:
@@ -221,8 +224,9 @@ def _numeric_table(sections: dict[str, dict[str, str]]) -> dict[str, dict[str, f
 
 @functools.cache
 def _shipped_presets() -> dict[str, dict[str, float]]:
-    """The package's ``presets.ini``, parsed once per process on first use."""
-    return _numeric_table(_read_ini(resources.files("arch_resonance") / "presets.ini", "presets"))
+    """The package's ``presets.ini``, beside this module, parsed once per process on first use."""
+    path = os.path.join(os.path.dirname(__file__), "presets.ini")
+    return _numeric_table(_read_ini(path, "presets"))
 
 
 def load_presets(path: str | None = None) -> dict[str, dict[str, float]]:
@@ -237,13 +241,13 @@ def load_presets(path: str | None = None) -> dict[str, dict[str, float]]:
     """
     if path is None:
         return {section: dict(entry) for section, entry in _shipped_presets().items()}
-    return _numeric_table(_read_ini(Path(path), "presets"))
+    return _numeric_table(_read_ini(path, "presets"))
 
 
 class _Settings:
     """Layered lookup: flag value, then config section key, then default."""
 
-    def __init__(self, overrides: Mapping[str, Any], config: Mapping[str, Mapping[str, str]]):
+    def __init__(self, overrides: dict[str, object], config: dict[str, dict[str, str]]):
         self.overrides = overrides
         self.config = config
 
@@ -287,7 +291,7 @@ def _resolve_compliance_model(s: _Settings) -> crack_models.ComplianceModel:
     raise UsageError(f"--crack-model: unknown model {name!r}")
 
 
-def _resolve_chirality(s: _Settings, allow_all: bool) -> Any:
+def _resolve_chirality(s: _Settings, allow_all: bool) -> model.ChiralityClass | str | None:
     n = s.get("n", "geometry", cast=int)
     m = s.get("m", "geometry", cast=int)
     if (n is None) != (m is None):
@@ -335,7 +339,7 @@ def _presets(s: _Settings) -> dict[str, dict[str, float]]:
     return load_presets(s.get("presets", "material", cast=str))
 
 
-def _given(**values) -> dict[str, Any]:
+def _given(**values) -> dict[str, object]:
     """The values that are set: the constructor they go to owns the defaults."""
     return {key: value for key, value in values.items() if value is not None}
 

@@ -14,12 +14,8 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
 
 from .errors import DegenerateSegment, InvalidPreset, MissingPreset
-
-if TYPE_CHECKING:
-    from . import crack as crack_models
 
 DEFAULT_BOND_LENGTH_NM = 0.142
 # Smallest central angle, rad. Eigenvalues grow like (pi/beta)^4 and the
@@ -190,7 +186,7 @@ class ArchProblem:
 
 def resolve_preset(
     chirality: ChiralityClass,
-    preset_table: Mapping[str, Mapping[str, float]],
+    preset_table: dict[str, dict[str, float]],
 ) -> PhysicalTube:
     """Build a :class:`PhysicalTube` from a presets table.
 

@@ -31,14 +31,11 @@ import heapq
 import itertools
 import math
 import sys
-import threading
 from dataclasses import dataclass
 
 from . import model
 from .errors import DoubleRoot, NoRootsInRange
 from .model import ArchProblem
-
-_logger = None  # bound by _bind_logger once something has imported logging
 
 # Log-magnitude drop (natural log) below both same-sign neighbours that makes
 # a node a dip, which fails the solve when among the requested modes' candidates.
@@ -64,7 +61,7 @@ class SearchConfig:
     uncracked spectrum is its closed form. ``k_max=None`` defaults to ten
     times the closed-form eigenvalue of the uncracked problem at mode
     max(5, max_modes), counted on from the eigenvalues below k_min
-    (:func:`_resolved`), which leaves ample room for the roots a crack shifts.
+    (:func:`_k_max`), which leaves ample room for the roots a crack shifts.
     """
 
     k_min: float = 1e-6
@@ -114,42 +111,26 @@ class Spectrum:
         return len(self.roots)
 
 
-class _Tally(threading.local):
-    """Scan evaluations, and refine_root's one-K evaluations.
-
-    Per thread, so that concurrent solves do not mix their counts; read
-    around each find_frequencies call for its debug line.
-    """
-
-    values = 0
-    evals = 0
-
-
-_tally = _Tally()
-
-
-def _resolved(problem: ArchProblem, cfg: SearchConfig) -> SearchConfig:
-    """``cfg`` with its default k_max (:class:`SearchConfig`) where it has none.
+def _k_max(problem: ArchProblem, cfg: SearchConfig) -> float:
+    """``cfg.k_max``, or its default (:class:`SearchConfig`) where it has none.
 
     The default is ten times K_n at n = max(5, max_modes) + N(k_min)
     (:func:`_count_below`), so the range holds max(5, max_modes) uncracked
     K_n whatever k_min is; a default beyond the largest float is that float.
     """
     if cfg.k_max is not None:
-        return cfg
+        return cfg.k_max
     try:
         n = max(5, cfg.max_modes) + _count_below(problem, cfg.k_min)
         k_max = 10.0 * max(model.uncracked_K_closed_form(n, problem.beta, problem.eta_nd), 1.0e-3)
     except OverflowError:  # N(k_min) or K_n beyond the largest float
-        k_max = math.inf
-    # Not replace(): __post_init__ checked cfg, and the default exceeds k_min.
-    resolved = object.__new__(SearchConfig)
-    resolved.__dict__.update(vars(cfg), k_max=min(k_max, sys.float_info.max))
-    return resolved
+        return sys.float_info.max
+    return min(k_max, sys.float_info.max)
 
 
-def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, limit=None):
-    """The uniform K grid plus guides around K = 1 and each K_n, ascending and lazily.
+def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, k_max: float, limit=None):
+    """The uniform K grid on [k_min, k_max] (``k_max`` resolved by :func:`_k_max`)
+    plus guides around K = 1 and each K_n, ascending and lazily.
 
     The uncracked closed-form values are used even for cracked problems:
     tight nodes around each K_n either bracket the uncracked root directly or
@@ -182,7 +163,7 @@ def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, limit=None):
     unless eta is 0 or nearly), a uniform node is
     k_max - (1 - i/(points - 1))*span instead.
     """
-    k_min, k_max, points = cfg.k_min, cfg.k_max, cfg.grid_points
+    k_min, points = cfg.k_min, cfg.grid_points
     span, den = k_max - k_min, points - 1
     step = span / den
     closed_form, beta, eta = model.uncracked_K_closed_form, problem.beta, problem.eta_nd
@@ -248,7 +229,7 @@ def _count_below(problem: ArchProblem, K: float) -> int:
     return math.floor(rising) - math.floor(falling)
 
 
-def scan_and_bracket(problem: ArchProblem, cfg: SearchConfig) -> tuple:
+def scan_and_bracket(problem: ArchProblem, cfg: SearchConfig, counts=None) -> tuple:
     """Bracket the first ``max_modes`` determinant roots of a cracked problem.
 
     One walk of the grid (:func:`_grid_nodes`), ascending, evaluates each
@@ -258,7 +239,9 @@ def scan_and_bracket(problem: ArchProblem, cfg: SearchConfig) -> tuple:
     between two nonzero nodes brackets the gap. Returns the brackets in
     ascending order, each one record of its two ends with F's (sign,
     log-magnitude) at each, ((lo, (s_lo, m_lo)), (hi, (s_hi, m_hi))), so
-    refinement (:func:`refine_root`) need not evaluate the ends again.
+    refinement (:func:`refine_root`) need not evaluate the ends again. Where
+    a list ``counts`` is given, the walk adds its evaluations to ``counts[0]``,
+    also when it raises.
 
     Raises :class:`NoRootsInRange` when N(k_max) (:func:`_count_below`)
     overflows, a range beyond doubles; when the walk passes the limit above
@@ -268,11 +251,11 @@ def scan_and_bracket(problem: ArchProblem, cfg: SearchConfig) -> tuple:
     brackets, in that order.
     """
     from . import kernel
-    k_range = _resolved(problem, cfg)
+    k_max = _k_max(problem, cfg)
     try:
-        _count_below(problem, k_range.k_max)
+        _count_below(problem, k_max)
     except OverflowError:
-        raise _beyond(k_range) from None
+        raise _beyond(cfg, k_max) from None
     # Looked up here, not bound at import, so a wrapper set on the module sees each value.
     evaluate = kernel.det_sign_logmag_at
     crack = problem.crack
@@ -283,7 +266,7 @@ def scan_and_bracket(problem: ArchProblem, cfg: SearchConfig) -> tuple:
     # before it, of sign 0 before the grid: no candidate ends there.
     v0 = v00 = (0, 0.0)
     # The grid is never empty: it holds 16 uniform nodes or more.
-    for count, k in enumerate(_grid_nodes(problem, k_range, limit_at), 1):
+    for count, k in enumerate(_grid_nodes(problem, cfg, k_max, limit_at), 1):
         v = evaluate(k, eta, beta, alpha, theta)
         s = v[0]
         if not s:
@@ -296,10 +279,11 @@ def scan_and_bracket(problem: ArchProblem, cfg: SearchConfig) -> tuple:
         k0, v0, v00 = k, v, v0
         if len(brackets) + len(dips) >= needed:
             break
-    _tally.values += count
+    if counts is not None:
+        counts[0] += count
     limit = limit_at[0]
     if limit < k0 and needed > sum(hi <= limit for _, (hi, _) in brackets) + sum(d < limit for d in dips):
-        raise _beyond(k_range, "holds modes closer than the grid tells apart")
+        raise _beyond(cfg, k_max, "holds modes closer than the grid tells apart")
     # The walk stops at max_modes candidates, so a dip always has fewer brackets below it.
     if dips:
         raise NoRootsInRange(
@@ -307,11 +291,11 @@ def scan_and_bracket(problem: ArchProblem, cfg: SearchConfig) -> tuple:
             " an even number of roots may lie there unbracketed"
         )
     if len(brackets) < needed:
-        raise _short(len(brackets), k_range)
+        raise _short(len(brackets), cfg, k_max)
     return tuple(brackets)
 
 
-def refine_root(problem: ArchProblem, brackets, tol: float) -> list[float]:
+def refine_root(problem: ArchProblem, brackets, tol: float, counts=None) -> list[float]:
     """Refine sign-change brackets down to tol * max(1, K), one at a time.
 
     ``brackets`` is a sequence of M bracket records of the cracked
@@ -331,14 +315,18 @@ def refine_root(problem: ArchProblem, brackets, tol: float) -> list[float]:
     shorter than half the tolerance. The bracket ends when it is no wider
     than tol * max(1, mid), at its midpoint, at an evaluated K of
     sign 0, or after ``_MAX_EVALUATIONS`` evaluations, at its midpoint.
+    Where a list ``counts`` is given, each bracket adds its evaluations to
+    ``counts[1]``.
     """
     from . import kernel
-    return [_brent(problem, bracket, tol, kernel.det_sign_logmag_at) for bracket in brackets]
+    counts = [0, 0] if counts is None else counts
+    return [_brent(problem, bracket, tol, kernel.det_sign_logmag_at, counts) for bracket in brackets]
 
 
-def _brent(problem: ArchProblem, bracket, tol: float, evaluate) -> float:
+def _brent(problem: ArchProblem, bracket, tol: float, evaluate, counts) -> float:
     """The root of one bracket record (:func:`refine_root`); ``evaluate`` is
-    :func:`kernel.det_sign_logmag_at`, which the caller imports once."""
+    :func:`kernel.det_sign_logmag_at`, which the caller imports once, and
+    ``counts[1]`` takes the evaluations."""
     (lo, (s_lo, m_lo)), (hi, (s_hi, m_hi)) = bracket
     if s_lo == 0:
         return lo
@@ -356,7 +344,7 @@ def _brent(problem: ArchProblem, bracket, tol: float, evaluate) -> float:
     a = c = lo
     fa = fc = s_lo * exp(m_lo - ref)
     d = e = b - a
-    # The tally (a thread-local) is updated once, on the way out.
+    # counts[1] is updated once, on the way out.
     for evals in range(_MAX_EVALUATIONS):
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
@@ -364,7 +352,7 @@ def _brent(problem: ArchProblem, bracket, tol: float, evaluate) -> float:
         mid = 0.5 * (b + c)
         # max(1.0, mid) without the call, which costs as much as the test.
         if abs(c - b) <= tol * (mid if mid > 1.0 else 1.0):
-            _tally.evals += evals
+            counts[1] += evals
             return mid
         half = 0.5 * (c - b)
         least = 0.5 * tol * (b if b > 1.0 else 1.0)
@@ -390,7 +378,7 @@ def _brent(problem: ArchProblem, bracket, tol: float, evaluate) -> float:
         b += d if abs(d) > least else math.copysign(least, half)
         sign, logmag = evaluate(b, eta, beta, alpha, theta)
         if not sign:
-            _tally.evals += evals + 1
+            counts[1] += evals + 1
             return b
         # Clamped so that exp neither overflows nor underflows to 0: the
         # bracket is kept by the sign alone, which the clamp leaves as it is.
@@ -399,16 +387,16 @@ def _brent(problem: ArchProblem, bracket, tol: float, evaluate) -> float:
         if (fb > 0.0) == (fc > 0.0):
             c, fc = a, fa
             d = e = b - a
-    _tally.evals += _MAX_EVALUATIONS
+    counts[1] += _MAX_EVALUATIONS
     return 0.5 * (b + c)
 
 
-def _bind_logger():
-    """Bind the solver's logger, once logging is loaded: the solver never
-    imports it, and until something has, no record was asked for."""
-    global _logger
-    _logger = sys.modules["logging"].getLogger(__name__)
-    return _logger
+def _debug_log():
+    """The solver's logger where it logs debug lines, else None. The solver
+    never imports logging: until something has, no record was asked for."""
+    logging = sys.modules.get("logging")
+    log = logging and logging.getLogger(__name__)
+    return log if log and log.isEnabledFor(10) else None  # logging.DEBUG
 
 
 def find_frequencies(problem: ArchProblem, cfg: SearchConfig | None = None) -> Spectrum:
@@ -426,23 +414,23 @@ def find_frequencies(problem: ArchProblem, cfg: SearchConfig | None = None) -> S
 
     Logs one debug line per call, also when it raises: the scan's
     evaluations, the refinement's evaluations and the brackets refined (the
-    searched roots).
+    searched roots), counted for this call alone, so that solves in
+    concurrent threads each log their own.
     """
     cfg = cfg if cfg is not None else SearchConfig()
-    values, evals, refined = _tally.values, _tally.evals, 0
+    counts, refined = [0, 0], 0  # this solve's scan and refinement evaluations
     try:
         if problem.crack is None:
             return _closed_form_spectrum(problem, cfg)
-        ks = refine_root(problem, scan_and_bracket(problem, cfg), cfg.refine_tol)
+        ks = refine_root(problem, scan_and_bracket(problem, cfg, counts), cfg.refine_tol, counts)
         refined = len(ks)
         return Spectrum(tuple(map(Root, ks)))
     finally:
-        log = _logger or "logging" in sys.modules and _bind_logger()
-        if log and log.isEnabledFor(10):  # logging.DEBUG
+        if log := _debug_log():
             log.debug(
                 "find_frequencies: %d scan evaluations, %d refinement evaluations, "
                 "%d brackets refined",
-                _tally.values - values, _tally.evals - evals, refined,
+                *counts, refined,
             )
 
 
@@ -459,8 +447,7 @@ def _closed_form_spectrum(problem: ArchProblem, cfg: SearchConfig) -> Spectrum:
     within ``_DOUBLE_ROOT`` of the one listed before it, a double root, is
     listed as that value again.
     """
-    k_range = _resolved(problem, cfg)
-    k_min, k_max = k_range.k_min, k_range.k_max
+    k_min, k_max = cfg.k_min, _k_max(problem, cfg)
     c = problem.beta / math.pi
     falling = (model.uncracked_K_closed_form(n, problem.beta, problem.eta_nd)
                for n in range(1, math.floor(c) + 1))
@@ -476,26 +463,27 @@ def _closed_form_spectrum(problem: ArchProblem, cfg: SearchConfig) -> Spectrum:
     except OverflowError:  # N(k_min) or a K_n beyond the largest float
         resolved = False
     if not resolved:
-        raise _beyond(k_range)
+        raise _beyond(cfg, k_max)
     ks += [k for k in rising if k_min < k < k_max]
     ks = sorted(ks)[: cfg.max_modes]
     for i in range(1, len(ks)):
         if ks[i] < 1.0 and ks[i] - ks[i - 1] <= _DOUBLE_ROOT * ks[i]:
             ks[i] = ks[i - 1]
     if len(ks) < cfg.max_modes:
-        raise _short(len(ks), k_range)
+        raise _short(len(ks), cfg, k_max)
     return Spectrum(roots=tuple(Root(K=k) for k in ks))
 
 
-def _short(found: int, cfg: SearchConfig) -> NoRootsInRange:
-    """The error of a resolved K range that holds ``found`` < max_modes roots."""
+def _short(found: int, cfg: SearchConfig, k_max: float) -> NoRootsInRange:
+    """The error of a K range up to the resolved ``k_max`` that holds ``found`` < max_modes roots."""
     count = f"{found} of {cfg.max_modes} requested" if found else "no determinant"
-    return NoRootsInRange(f"{count} roots in K range [{cfg.k_min}, {cfg.k_max}]")
+    return NoRootsInRange(f"{count} roots in K range [{cfg.k_min}, {k_max}]")
 
 
-def _beyond(cfg: SearchConfig, why="is beyond what double precision resolves") -> NoRootsInRange:
-    """The error of a resolved K range whose roots cannot be told apart, and why."""
-    return NoRootsInRange(f"K range [{cfg.k_min}, {cfg.k_max}] {why}")
+def _beyond(cfg: SearchConfig, k_max: float,
+            why="is beyond what double precision resolves") -> NoRootsInRange:
+    """The error of a K range up to the resolved ``k_max`` whose roots cannot be told apart, and why."""
+    return NoRootsInRange(f"K range [{cfg.k_min}, {k_max}] {why}")
 
 
 def _polish(problem: ArchProblem, k: float) -> float:
@@ -521,9 +509,8 @@ def _polish(problem: ArchProblem, k: float) -> float:
             break
         bracket = (lo, evaluate(lo, *args)), (hi, evaluate(hi, *args))
         if bracket[0][1][0] * bracket[1][1][0] != 1:
-            return _brent(problem, bracket, 1e-13, evaluate)
-    log = _logger or "logging" in sys.modules and _bind_logger()
-    if log and log.isEnabledFor(10):
+            return _brent(problem, bracket, 1e-13, evaluate, [0, 0])
+    if log := _debug_log():
         log.debug(
             "mode shape at the unpolished root K = %r: no sign change within 1e-6 max(1, K)", k
         )

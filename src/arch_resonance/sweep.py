@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping
 
 from . import model, solver
 from .errors import DegenerateSegment, InvalidSpec, NoRootsInRange
@@ -51,7 +50,7 @@ class SweepSpec:
     start: float
     stop: float
     steps: int
-    tubes: Mapping[model.ChiralityClass, model.PhysicalTube]
+    tubes: dict[model.ChiralityClass, model.PhysicalTube]
     mode: int = 1
     beta: float = 1.0
     eta_nd: float | None = None

@@ -181,6 +181,16 @@ def _argparse_parse(args: list[str]) -> cli.CliInvocation:
         return parse(args)
 
 
+def _equals_form(args: list[str]) -> list[str]:
+    """A plain vector with each value that starts with '-' joined to its flag,
+    ``--beta=-1e-3``: argparse reads ``--beta -1e-3`` as two flags, the joined form
+    as the flag and its value."""
+    joined = args[:1]
+    for name, raw in zip(args[1::2], args[2::2]):
+        joined += [f"{name}={raw}"] if raw[:1] == "-" else [name, raw]
+    return joined
+
+
 def _outcome(parse_with, args: list[str]) -> tuple[str, str]:
     """What a parse returns or raises, and what it prints."""
     printed = io.StringIO()
@@ -248,7 +258,26 @@ class TestFlagTable:
     @example(["validate", "--beta"])
     @example(["validate", "1"])
     def test_agrees_with_argparse(self, args):
-        assert _outcome(parse, args) == _outcome(_argparse_parse, args)
+        # A vector the table reads must read as argparse reads its --flag=value form
+        # for values that start with '-'; any other is argparse's own.
+        table = args[:1] and args[0] in cli._FLAGS and cli._plain(args) is not None
+        assert _outcome(parse, args) == _outcome(_argparse_parse, _equals_form(args) if table else args)
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(c, f.name) for c, flags in cli._BY_NAME.items() for f in flags.values() if f.type is not str],
+    )
+    def test_negative_number_is_a_value(self, command, flag, monkeypatch):
+        # What --flag=value gives argparse, without building it: a number below 0
+        # reaches its own check, as any other number does.
+        value = "-1e-3" if cli._BY_NAME[command][flag].type is float else "-2"
+        expected = _argparse_parse([command, f"{flag}={value}"])
+        monkeypatch.setattr(cli, "_parser", mock.Mock(side_effect=AssertionError("argparse built")))
+        assert parse([command, flag, value]) == expected
+
+    def test_negative_angle_is_a_range_error(self, capsys):
+        assert main(["freq", "--beta", "-1e-3"]) == 2
+        assert capsys.readouterr().err == "usage error: central angle must lie in [0.001, 2*pi]\n"
 
 
 class TestFreqCommand:

@@ -59,12 +59,24 @@ EVERY_COMMAND = [
 ]
 
 
-def run_fresh(statements: str) -> set[str]:
-    """Run ``statements`` in a fresh interpreter; the modules it has loaded after them."""
+# Every request of EVERY_COMMAND in one fresh interpreter, at the default log level.
+EVERY_REQUEST = (
+    "import contextlib, io, os\n"
+    "os.environ.pop('ARCH_RESONANCE_LOG', None)\n"
+    "from arch_resonance.cli import main\n"
+    f"for argv in {EVERY_COMMAND!r}:\n"
+    "    with contextlib.redirect_stdout(io.StringIO()):\n"
+    "        assert main(argv) == 0, argv\n"
+)
+
+
+def run_fresh(statements: str, *options: str) -> set[str]:
+    """Run ``statements`` in a fresh interpreter started with ``options``; the
+    modules it has loaded after them."""
     code = f"{statements}\nimport sys\nprint({MARKER!r}, *sys.modules, sep='\\n')"
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     done = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, *options, "-c", code],
         capture_output=True,
         text=True,
         cwd=SRC,
@@ -107,17 +119,21 @@ class TestImportGraph:
         assert not loaded & {"logging", "argparse"}
 
     def test_default_level_loads_no_logging(self, loaded_by):
-        # Nothing logs at warn or above, so no request at the default level needs logging.
-        loaded = loaded_by(
-            "import contextlib, io, os\n"
-            "os.environ.pop('ARCH_RESONANCE_LOG', None)\n"
-            "from arch_resonance.cli import main\n"
-            f"for argv in {EVERY_COMMAND!r}:\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        assert main(argv) == 0, argv\n"
-        )
-        assert {"argparse", "arch_resonance.solver", "arch_resonance.sweep"} <= loaded
-        assert "logging" not in loaded
+        # Nothing logs at warn or above, so no request at the default level needs
+        # logging; each is a plain vector, read without argparse.
+        loaded = loaded_by(EVERY_REQUEST)
+        assert {"arch_resonance.solver", "arch_resonance.sweep"} <= loaded
+        assert not loaded & {"logging", "argparse"}
+
+    def test_requests_load_no_startup_machinery(self):
+        # Without site (python -S) no .pth hook of the interpreter's
+        # site-packages loads modules first, so these are the program's own.
+        # Annotations are strings, presets.ini is read beside the module, each
+        # solve keeps its own counts and argparse parses no plain vector.
+        loaded = run_fresh(EVERY_REQUEST, "-S")
+        assert {"arch_resonance.solver", "arch_resonance.sweep", "arch_resonance.kernel"} <= loaded
+        unused = {"typing", "threading", "importlib.resources", "pathlib", "tempfile", "argparse"}
+        assert not loaded & unused
 
     @pytest.mark.parametrize("argv", EVERY_COMMAND, ids=" ".join)
     def test_debug_level_loads_logging_and_logs(self, loaded_by, argv, tmp_path):

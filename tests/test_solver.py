@@ -2,6 +2,7 @@ import logging
 import math
 import re
 import sys
+import threading
 from dataclasses import replace
 from unittest import mock
 
@@ -69,7 +70,7 @@ def _whole_scan(problem, cfg=SearchConfig()):
     evaluated, a node of sign 0 is a zero-width bracket and a sign change
     between two nonzero nodes brackets the gap. Dips are not looked for.
     """
-    nodes = list(solver._grid_nodes(problem, solver._resolved(problem, cfg)))
+    nodes = list(solver._grid_nodes(problem, cfg, solver._k_max(problem, cfg)))
     values = [reduced_det(problem, k) for k in nodes]
     pairs = [(j, j) if not s else (j - 1, j) for j, s in enumerate(v[0] for v in values)
              if not s or (j and s * values[j - 1][0] < 0)]
@@ -89,6 +90,26 @@ def _pairs(brackets):
 def _refine(pair, problem, cfg=SearchConfig()):
     """One bracket's root, with its end values evaluated here."""
     return refine_root(problem, [_bracket(problem, pair)], cfg.refine_tol)[0]
+
+
+def _one_k_calls():
+    """A wrapper on the one-K form: its ``call_count`` counts the evaluations made
+    while it is in place, those of conftest's ``reduced_det`` too."""
+    return mock.patch.object(kernel, "det_sign_logmag_at", wraps=kernel.det_sign_logmag_at)
+
+
+def _counted(name, made):
+    """``solver.<name>`` that appends the one-K evaluations of each call to ``made``."""
+    original = getattr(solver, name)
+
+    def counted(*args):
+        with _one_k_calls() as one_k:
+            try:
+                return original(*args)
+            finally:
+                made.append(one_k.call_count)
+
+    return counted
 
 
 class TestSearchConfig:
@@ -161,10 +182,10 @@ class TestRefineRoot:
     def test_degenerate_bracket_returns_endpoint(self):
         # A zero-width record of sign 0, as the scan hands on a node of sign
         # 0, is its own root, with no evaluation.
-        evals = solver._tally.evals
         end = (42.0, (0, -40.0))
-        assert refine_root(_zero_crack(), [(end, end)], 1e-10) == [42.0]
-        assert solver._tally.evals == evals
+        with _one_k_calls() as one_k:
+            assert refine_root(_zero_crack(), [(end, end)], 1e-10) == [42.0]
+        assert one_k.call_count == 0
 
     def test_empty_bracket_list(self):
         assert refine_root(_zero_crack(), (), 1e-10) == []
@@ -284,29 +305,29 @@ class TestOracleEquivalence:
         expected = []
         for problem in problems:
             try:
-                k_range = solver._resolved(problem, cfg)
+                top = solver._k_max(problem, cfg)
             except ValueError:  # the default k_max lies below k_min
                 return
             ks, n = [], 1
             while True:
                 k = uncracked_K_closed_form(n, problem.beta, eta)
-                if n * math.pi / problem.beta > 1.0 and k >= k_range.k_max:
+                if n * math.pi / problem.beta > 1.0 and k >= top:
                     break
                 ks.append(k)
                 n += 1
-            ks = sorted(k for k in ks if k_range.k_min < k < k_range.k_max)[:modes]
+            ks = sorted(k for k in ks if k_min < k < top)[:modes]
             for i in range(1, len(ks)):
                 if rel_err(ks[i], ks[i - 1]) <= 1e-12:
                     ks[i] = ks[i - 1]
             expected.append(tuple(ks))
-        values = solver._tally.values
-        for problem, ks in zip(problems, expected):
-            if len(ks) < modes:
-                with pytest.raises(NoRootsInRange):
-                    find_frequencies(problem, cfg)
-            else:
-                assert find_frequencies(problem, cfg).K_values == ks
-        assert solver._tally.values == values
+        with _one_k_calls() as one_k:
+            for problem, ks in zip(problems, expected):
+                if len(ks) < modes:
+                    with pytest.raises(NoRootsInRange):
+                        find_frequencies(problem, cfg)
+                else:
+                    assert find_frequencies(problem, cfg).K_values == ks
+        assert one_k.call_count == 0
 
 
 class TestModeShape:
@@ -394,8 +415,8 @@ class TestModeShape:
         cases = ((make_problem(eta=0.5), False), (make_problem(0.5, 0.5, 0.2, 1.0), True))
         for problem, cracked in cases:
             for root in find_frequencies(problem, SearchConfig(max_modes=3)).roots:
-                values = solver._tally.values
                 with (
+                    mock.patch.object(solver, "scan_and_bracket", wraps=solver.scan_and_bracket) as scan,
                     mock.patch.object(kernel, "quartic_roots", wraps=kernel.quartic_roots) as basis,
                     mock.patch.object(kernel, "null_vector", wraps=kernel.null_vector) as null,
                     mock.patch.object(
@@ -403,7 +424,7 @@ class TestModeShape:
                     ) as one_k,
                 ):
                     mode_shape(problem, root, samples=11)
-                assert solver._tally.values == values
+                assert not scan.called
                 assert basis.called == null.called == one_k.called == cracked
 
     def test_uncracked_shape_at_a_high_root_is_the_sine(self):
@@ -744,8 +765,7 @@ class TestSpectrumLength:
     def test_default_range_unchanged_up_to_five_modes(self):
         k5 = uncracked_K_closed_form(5, 1.0, 1.0)
         for modes in (1, 5):
-            cfg = solver._resolved(make_problem(eta=1.0), SearchConfig(max_modes=modes))
-            assert cfg.k_max == 10.0 * k5
+            assert solver._k_max(make_problem(eta=1.0), SearchConfig(max_modes=modes)) == 10.0 * k5
 
     def test_short_spectrum_raises(self):
         # beta = 1, eta = 0: K_1 = 78.7 and K_2 = 1490, so one root below 1000.
@@ -832,7 +852,7 @@ class TestRefineOnlyReturned:
         refined = self._record(monkeypatch, solver, "refine_root")
         nulls = self._record(monkeypatch, kernel, "null_vector")
         spectrum = find_frequencies(problem, SearchConfig(max_modes=modes))
-        assert sum(len(brackets) for _, brackets, _ in refined) == modes
+        assert sum(len(brackets) for _, brackets, *_ in refined) == modes
         assert nulls == []
         assert spectrum.roots == full.roots[:modes]
         mode_shape(problem, spectrum.roots[-1], samples=11)
@@ -1035,6 +1055,44 @@ class TestBatchedSearch:
             "find_frequencies: 0 scan evaluations, 0 refinement evaluations, 0 brackets refined",
         ]
 
+    def test_threads_log_their_own_counts(self, caplog):
+        # Four threads, more than the cores, solve the cracked problems of
+        # TestKernelCallsPerSolve at once, the interpreter switching between
+        # them every microsecond: each debug line holds the counts of its own
+        # solve.
+        problems = [
+            (make_problem(eta=1.0, alpha=0.4, theta=0.8), 42, 17),
+            (make_problem(beta=2.5, eta=0.0, alpha=0.7, theta=5.0), 33, 25),
+            (make_problem(beta=0.8, eta=3.0, alpha=0.6, theta=0.05), 41, 14),
+        ]
+        work = {f"solver {i}": problems[i % len(problems)] for i in range(4)}
+        start = threading.Barrier(len(work))
+
+        def solve(problem):
+            start.wait(timeout=60)
+            for _ in range(40):
+                find_frequencies(problem)
+
+        threads = [threading.Thread(target=solve, args=(p,), name=n) for n, (p, _, _) in work.items()]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with caplog.at_level(logging.DEBUG, logger="arch_resonance.solver"):
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        seen = [(r.threadName, r.getMessage()) for r in caplog.records if r.name == "arch_resonance.solver"]
+        expected = [
+            (name, f"find_frequencies: {values} scan evaluations, {evals} refinement evaluations, "
+                   "5 brackets refined")
+            for name, (_, values, evals) in work.items() for _ in range(40)
+        ]
+        assert sorted(seen) == expected
+
 
 def _dip(monkeypatch, problem):
     """Make the determinant of ``problem`` dip at a grid node between its modes 1 and 2.
@@ -1045,8 +1103,8 @@ def _dip(monkeypatch, problem):
     Returns the node's K and a list that gets one entry per evaluation of it.
     """
     lo, hi = find_frequencies(problem, SearchConfig(max_modes=2)).K_values
-    cfg = solver._resolved(problem, SearchConfig())
-    inside = [k for k in solver._grid_nodes(problem, cfg) if lo < k < hi]
+    cfg = SearchConfig()
+    inside = [k for k in solver._grid_nodes(problem, cfg, solver._k_max(problem, cfg)) if lo < k < hi]
     assert len(inside) >= 3  # so the node's neighbours lie between the roots too
     k = inside[len(inside) // 2]
     original = kernel.det_sign_logmag_at
@@ -1175,7 +1233,7 @@ class TestEarlyExitScan:
         problem = make_problem(beta=1.3, eta=1.0, alpha=0.4, theta=0.8)
         k_min, points = 1e-6, 2000
         cfg = SearchConfig(k_min=k_min, k_max=k_min + (node - k_min) * (points - 1), grid_points=points)
-        nodes = list(solver._grid_nodes(problem, cfg))
+        nodes = list(solver._grid_nodes(problem, cfg, cfg.k_max))
         uniform = (k_min + (cfg.k_max - k_min) * np.arange(301) / (points - 1)).tolist()
         step, bound = (cfg.k_max - k_min) / (points - 1), uniform[-1]
         guides = [1.0 - solver._GUIDE_OFFSET, 1.0 + solver._GUIDE_OFFSET]
@@ -1202,7 +1260,7 @@ class TestEarlyExitScan:
         # the walk ends on the upper node of the fourth bracket and fails.
         problem = make_problem(eta=1.0, alpha=0.4, theta=0.8)
         cfg = SearchConfig(max_modes=5)
-        grid = list(solver._grid_nodes(problem, solver._resolved(problem, cfg)))
+        grid = list(solver._grid_nodes(problem, cfg, solver._k_max(problem, cfg)))
         records = _whole_scan(problem, cfg)
         whole = _pairs(records)
         if dip:
@@ -1244,9 +1302,9 @@ class TestEarlyExitScan:
         original = solver.refine_root
         refines = []
 
-        def duplicating(problem, brackets, tol):
+        def duplicating(problem, brackets, tol, counts):
             refines.append(len(brackets))
-            ks = original(problem, brackets, tol)
+            ks = original(problem, brackets, tol, counts)
             return [first_k if b == second else k for b, k in zip(brackets, ks)]
 
         monkeypatch.setattr(solver, "refine_root", duplicating)
@@ -1255,7 +1313,7 @@ class TestEarlyExitScan:
         monkeypatch.setattr(
             solver,
             "scan_and_bracket",
-            lambda problem, cfg: scans.append(cfg.max_modes) or original_scan(problem, cfg),
+            lambda problem, cfg, counts: scans.append(cfg.max_modes) or original_scan(problem, cfg, counts),
         )
         spectrum = find_frequencies(problem, cfg)
         assert scans == [2]
@@ -1437,9 +1495,10 @@ class TestBrentRefinement:
         guide = (k1 * (1.0 - 1e-6), k1 * (1.0 + 1e-6))
         assert 0.5 * (guide[0] + guide[1]) == k1
         assert reduced_det(problem, k1)[0] == 0
-        evals = solver._tally.evals
-        k = _refine(guide, problem)
-        assert solver._tally.evals - evals <= solver._MAX_EVALUATIONS
+        bracket = _bracket(problem, guide)
+        with _one_k_calls() as one_k:
+            k = refine_root(problem, [bracket], SearchConfig().refine_tol)[0]
+        assert one_k.call_count <= solver._MAX_EVALUATIONS
         assert abs(k - k1) <= 0.5e-10 * k1 or reduced_det(problem, k)[0] == 0
 
     def test_bracket_at_a_double_root(self):
@@ -1453,9 +1512,9 @@ class TestBrentRefinement:
         for pair in [(0.3, 7.0), (0.36 - 1e-6, 6.77), (0.36 + 1e-6, 6.77)]:
             (_, (s_lo, _)), (_, (s_hi, _)) = bracket = _bracket(problem, pair)
             assert s_lo * s_hi == -1
-            evals = solver._tally.evals
-            k = refine_root(problem, [bracket], cfg.refine_tol)[0]
-            assert solver._tally.evals - evals <= solver._MAX_EVALUATIONS
+            with _one_k_calls() as one_k:
+                k = refine_root(problem, [bracket], cfg.refine_tol)[0]
+            assert one_k.call_count <= solver._MAX_EVALUATIONS
             if reduced_det(problem, k)[0] != 0:
                 assert _straddles_a_true_root(problem, *pair, k, cfg.refine_tol), (pair, k)
 
@@ -1467,13 +1526,13 @@ class TestBrentRefinement:
         problem = ArchProblem(0.06454, 0.0, CrackJoint(0.030614, 0.15648))
         scan = _scan(problem, SearchConfig(max_modes=1))
         (lo, hi), = _pairs(scan)
-        evals = solver._tally.evals
-        root = refine_root(problem, scan, 1e-10)[0]
-        assert solver._tally.evals - evals == 8
+        with _one_k_calls() as one_k:
+            root = refine_root(problem, scan, 1e-10)[0]
+        assert one_k.call_count == 8
         monkeypatch.setattr(solver, "_MAX_EVALUATIONS", cap)
-        evals = solver._tally.evals
-        capped = refine_root(problem, scan, 1e-10)[0]
-        assert solver._tally.evals - evals == cap
+        with _one_k_calls() as one_k:
+            capped = refine_root(problem, scan, 1e-10)[0]
+        assert one_k.call_count == cap
         assert lo < capped < hi
         assert abs(capped - root) > SearchConfig().refine_tol * root
 
@@ -1491,9 +1550,9 @@ class TestBrentRefinement:
         pair = (60.0, 80.0)
         ends = [(-1, 0.0), (1, 0.0)]
         ends[end] = (0, -40.0)
-        evals = solver._tally.evals
-        assert refine_root(problem, [tuple(zip(pair, ends))], 1e-10)[0] == pair[end]
-        assert solver._tally.evals == evals
+        with _one_k_calls() as one_k:
+            assert refine_root(problem, [tuple(zip(pair, ends))], 1e-10)[0] == pair[end]
+        assert one_k.call_count == 0
 
     def test_evaluated_sign_zero_is_the_root(self, monkeypatch):
         # The first K evaluated reads sign 0 here, so it is the root.
@@ -1588,10 +1647,10 @@ class TestMultiLevelBisection:
             if levels is not None:
                 brackets = [_bracket(problem, _bisected(pair, problem, levels)) for pair in _pairs(brackets)]
             for bracket, pair, ref in zip(brackets, _pairs(brackets), expected):
-                evals = solver._tally.evals
-                k = refine_root(problem, [bracket], tol)[0]
+                with _one_k_calls() as one_k:
+                    k = refine_root(problem, [bracket], tol)[0]
                 assert pair[0] <= k <= pair[1]
-                if solver._tally.evals - evals < cap:
+                if one_k.call_count < cap:
                     assert _same_root(problem, k, ref, tol), (pair, k, ref)
 
     @settings(max_examples=40, deadline=None)
@@ -1626,24 +1685,17 @@ class TestMultiLevelBisection:
 class TestKernelCallsPerSolve:
     def _count(self, monkeypatch):
         """The nodes each scan evaluates from here on, one entry a scan."""
-        scans, original = [], solver.scan_and_bracket
-
-        def counted(problem, cfg):
-            values = solver._tally.values
-            try:
-                return original(problem, cfg)
-            finally:
-                scans.append(solver._tally.values - values)
-
-        monkeypatch.setattr(solver, "scan_and_bracket", counted)
+        scans = []
+        monkeypatch.setattr(solver, "scan_and_bracket", _counted("scan_and_bracket", scans))
         return scans
 
     @staticmethod
     def _solve(problem, cfg=SearchConfig()):
         """The problem's spectrum and the one-K evaluations its refinement took."""
-        before = solver._tally.evals
-        spectrum = find_frequencies(problem, cfg)
-        return spectrum, solver._tally.evals - before
+        refined = []
+        with mock.patch.object(solver, "refine_root", _counted("refine_root", refined)):
+            spectrum = find_frequencies(problem, cfg)
+        return spectrum, sum(refined)
 
     def test_cracked_five_modes(self, monkeypatch):
         # One scan of 42 values, through the guide midpoint of K_5, and its
@@ -1717,16 +1769,17 @@ class TestKernelCallsPerSolve:
         ]
         scan = _scan(problem)
         calls = self._count(monkeypatch)
-        evals = solver._tally.evals
-        roots = refine_root(problem, [_bracket(problem, pair) for pair in pairs], 1e-10)
-        assert calls == [] and solver._tally.evals - evals == 10
+        brackets = [_bracket(problem, pair) for pair in pairs]
+        with _one_k_calls() as one_k:
+            roots = refine_root(problem, brackets, 1e-10)
+        assert calls == [] and one_k.call_count == 10
         midpoints = [0.5 * (lo + hi) for lo, hi in pairs]
         for k, mid in zip(roots, midpoints):
             assert abs(k - mid) <= 0.5e-10 * mid
         assert _pairs(scan) == tuple((k, k) for k in midpoints)
-        evals = solver._tally.evals
-        roots = refine_root(problem, scan, 1e-10)
-        assert calls == [] and solver._tally.evals == evals
+        with _one_k_calls() as one_k:
+            roots = refine_root(problem, scan, 1e-10)
+        assert calls == [] and one_k.call_count == 0
         assert roots == midpoints
 
     def test_sweep_point_mode_one(self, monkeypatch):
@@ -1772,7 +1825,7 @@ class TestKernelCallsPerSolve:
         problem = _zero_crack(beta=2 * math.pi, eta=4.0)
         scan = _scan(problem, SearchConfig(max_modes=1))
         k6 = uncracked_K_closed_form(6, 2 * math.pi, 4.0)
-        assert solver._resolved(problem, SearchConfig()).k_max == 10.0 * k6
+        assert solver._k_max(problem, SearchConfig()) == 10.0 * k6
         assert calls == [5]
         k3 = uncracked_K_closed_form(3, 2 * math.pi, 4.0)
         assert _pairs(scan) == ((k3, k3),)
@@ -1826,9 +1879,9 @@ class TestExactCount:
         # float twice, from the closed form with no kernel call.
         problem = make_problem(beta=DOUBLE_BETA)
         for modes in (1, 2, 3):
-            before = solver._tally.values
-            spectrum = find_frequencies(problem, SearchConfig(max_modes=modes))
-            assert solver._tally.values == before
+            with _one_k_calls() as one_k:
+                spectrum = find_frequencies(problem, SearchConfig(max_modes=modes))
+            assert one_k.call_count == 0
             assert len(spectrum) == modes
             assert rel_err(spectrum.K_values[0], 0.36) < 1e-12
             assert spectrum.K_values[:2] == (spectrum.K_values[0],) * min(modes, 2)
@@ -1903,7 +1956,7 @@ class TestExactCount:
         problem = make_problem()
         cfg = SearchConfig(k_min=1e20, k_max=1.001e20)
         limit = [math.inf]
-        grid = set(solver._grid_nodes(problem, cfg, limit))
+        grid = set(solver._grid_nodes(problem, cfg, cfg.k_max, limit))
         first = solver._count_below(problem, cfg.k_min) + 1
         kns = [uncracked_K_closed_form(n, 1.0, 0.0) for n in range(first, first + 9)]
         inside = [k for k in kns if k < cfg.k_max]
@@ -1918,11 +1971,11 @@ class TestExactCount:
         # the uniform grid's sign changes for the first modes skipped almost
         # every root in between.
         problem = make_problem(eta=1.0, alpha=0.3, theta=0.5)
-        cfg = solver._resolved(problem, SearchConfig(k_min=1e20, k_max=k_max))
+        cfg = SearchConfig(k_min=1e20, k_max=k_max)
         with pytest.raises(NoRootsInRange) as info:
             find_frequencies(problem, cfg)
         assert str(info.value) == (
-            f"K range [{cfg.k_min}, {cfg.k_max}] holds modes closer than the grid tells apart"
+            f"K range [{cfg.k_min}, {solver._k_max(problem, cfg)}] holds modes closer than the grid tells apart"
         )
 
     def test_modes_below_the_grid_limit_are_found(self):
@@ -1940,7 +1993,7 @@ class TestExactCount:
         problem = make_problem(eta=1.0, alpha=0.3, theta=0.5)
         cfg = SearchConfig(k_min=0.5 * (kn(onset - 9) + kn(onset - 8)), k_max=kn(onset + 50))
         limit = [math.inf]
-        list(solver._grid_nodes(problem, cfg, limit))
+        list(solver._grid_nodes(problem, cfg, cfg.k_max, limit))
         assert limit == [kn(onset) * (1 + 1e-6)]
         ks = find_frequencies(problem, replace(cfg, max_modes=9)).K_values
         for i, k in enumerate(ks):
@@ -1960,7 +2013,7 @@ class TestExactCount:
         onset = 10**6
         cfg = SearchConfig(k_min=0.5 * (kn(onset - 9) + kn(onset - 8)), k_max=kn(onset + 50))
         limit = [math.inf]
-        seen = [(k, limit[0]) for k in solver._grid_nodes(make_problem(eta=1.0), cfg, limit)]
+        seen = [(k, limit[0]) for k in solver._grid_nodes(make_problem(eta=1.0), cfg, cfg.k_max, limit)]
         top = kn(onset) * (1 + 1e-6)
         assert limit == [top] and top in [k for k, _ in seen]
         assert {at for k, at in seen if k > top} == {top}
@@ -1969,12 +2022,11 @@ class TestExactCount:
         # Ten times K_5 lies below k_min, so the modes count on from N(k_min).
         for eta in (0.0, 1.0):
             problem = make_problem(eta=eta)
-            cfg = solver._resolved(problem, SearchConfig(k_min=1e20))
+            k_max = solver._k_max(problem, SearchConfig(k_min=1e20))
             n = solver._count_below(problem, 1e20) + 5
-            assert cfg.k_max == 10.0 * uncracked_K_closed_form(n, 1.0, eta)
-            assert cfg.k_max > cfg.k_min
-        cfg = solver._resolved(make_problem(eta=1.0), SearchConfig(k_min=1e300))
-        assert cfg.k_max == sys.float_info.max
+            assert k_max == 10.0 * uncracked_K_closed_form(n, 1.0, eta)
+            assert k_max > 1e20
+        assert solver._k_max(make_problem(eta=1.0), SearchConfig(k_min=1e300)) == sys.float_info.max
 
     @pytest.mark.parametrize("psi", [None, 0.3])
     def test_default_k_max_counts_from_the_modes_below_a_raised_k_min(self, psi, capsys, tmp_path):
@@ -1993,7 +2045,7 @@ class TestExactCount:
         problem = ArchProblem(beta, 0.0, None if psi is None else CrackJoint(0.5 * beta, theta))
         cfg = SearchConfig(k_min=k_min)
         n = solver._count_below(problem, k_min)
-        assert n == 4 and solver._resolved(problem, cfg).k_max == 10.0 * uncracked_K_closed_form(9, beta, 0.0)
+        assert n == 4 and solver._k_max(problem, cfg) == 10.0 * uncracked_K_closed_form(9, beta, 0.0)
         ks = find_frequencies(problem, cfg).K_values
         if psi is None:
             assert ks == tuple(uncracked_K_closed_form(i, beta, 0.0) for i in range(5, 10))
@@ -2009,7 +2061,7 @@ class TestExactCount:
         k1 = uncracked_K_closed_form(1, 1.0, 0.0)
         k_min = 1e-6
         cfg = SearchConfig(max_modes=1, grid_points=16, k_max=k_min + (k1 * (1 + 5e-7) - k_min) * 15)
-        grid = solver._grid_nodes(problem, cfg)
+        grid = solver._grid_nodes(problem, cfg, cfg.k_max)
         lo, hi = k1 * (1 - 1e-6), k1 * (1 + 1e-6)
         inside = [k for k in grid if lo < k < hi]
         assert len(inside) == 1 and inside[0] != 0.5 * (lo + hi)
