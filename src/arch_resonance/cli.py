@@ -110,9 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
             raise UsageError(message)
 
     parser = _Parser(prog="arch-resonance", description=__doc__)
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
-    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (summary, flags) in _FLAGS.items():
         groups = {None: sub.add_parser(command, help=summary)}
@@ -132,11 +130,23 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _negatives_joined(args: list[str]) -> list[str]:
+    """A command's vector with each ``--flag -number`` pair before any ``--`` that
+    :func:`_plain` reads, a numeric flag and a negative number, joined into
+    ``--flag=-number``, which argparse reads as the value, not as a flag."""
+    joined = args[:1]
+    for raw in args[1:]:
+        if raw[:1] == "-" and "--" not in joined and _plain([args[0], joined[-1], raw]):
+            joined[-1] += "=" + raw
+        else:
+            joined.append(raw)
+    return joined
+
+
 def _plain(args: list[str]) -> dict[str, object] | None:
     """argparse's namespace of a plain vector, read from the table, where each value
-    converts to its flag's type and choices; None for any other vector. A numeric
-    flag's value may start with '-': ``--beta -1e-3`` reads as argparse reads
-    ``--beta=-1e-3``."""
+    converts to its flag's type and choices (a number may start with '-', as in
+    ``--beta=-1e-3``); None for any other vector."""
     flags = _BY_NAME[args[0]]
     namespace = {"command": args[0], **{f.dest: f.default for f in flags.values()}}
     given = {}  # group, or a lone flag's own name -> the flag given
@@ -144,7 +154,7 @@ def _plain(args: list[str]) -> dict[str, object] | None:
         flag = flags.get(name)
         if flag is None or given.setdefault(flag.group or name, name) != name:
             return None
-        if raw[:1] == "-" and flag.type is str:  # argparse's to read: a flag, or a negative number
+        if raw[:1] == "-" and flag.type is str:  # argparse's to read, or to refuse
             return None
         try:
             namespace[flag.dest] = flag.type(raw)
@@ -160,16 +170,16 @@ def parse(args: list[str]) -> CliInvocation:
 
     A plain vector, a command word and exact ``--flag value`` pairs, is read
     from the flag table, and argparse is not built; any other led by a command
-    word goes to its subparser alone, anything else to the full parser.
-    Unknown flags raise UsageError naming the offender; ``--help`` and
-    ``--version`` exit via SystemExit(0).
+    word goes to its subparser alone (:func:`_negatives_joined`), anything else
+    to the full parser. Unknown flags raise UsageError naming the offender;
+    ``--help`` and ``--version`` exit via SystemExit(0).
     """
     overrides = _plain(args) if args and args[0] in _FLAGS else None
     if overrides is None:
         parser = _parser()
         sub = parser.commands.get(args[0]) if args else None
-        overrides = vars(sub.parse_args(args[1:], SimpleNamespace(command=args[0])) if sub
-                         else parser.parse_args(args))
+        overrides = vars(sub.parse_args(_negatives_joined(args)[1:], SimpleNamespace(command=args[0]))
+                         if sub else parser.parse_args(args))
     return CliInvocation(
         command=overrides.pop("command"),
         config_path=overrides.pop("config", None),

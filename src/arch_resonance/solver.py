@@ -129,8 +129,8 @@ def _k_max(problem: ArchProblem, cfg: SearchConfig) -> float:
 
 
 def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, k_max: float, limit=None):
-    """The uniform K grid on [k_min, k_max] (``k_max`` resolved by :func:`_k_max`)
-    plus guides around K = 1 and each K_n, ascending and lazily.
+    """The uniform K grid up to the resolved ``k_max`` (:func:`_k_max`) plus
+    guides around K = 1 and each K_n, ascending and lazily.
 
     The uncracked closed-form values are used even for cracked problems:
     tight nodes around each K_n either bracket the uncracked root directly or
@@ -251,6 +251,7 @@ def scan_and_bracket(problem: ArchProblem, cfg: SearchConfig, counts=None) -> tu
     brackets, in that order.
     """
     from . import kernel
+    counts = [0, 0] if counts is None else counts
     k_max = _k_max(problem, cfg)
     try:
         _count_below(problem, k_max)
@@ -279,8 +280,7 @@ def scan_and_bracket(problem: ArchProblem, cfg: SearchConfig, counts=None) -> tu
         k0, v0, v00 = k, v, v0
         if len(brackets) + len(dips) >= needed:
             break
-    if counts is not None:
-        counts[0] += count
+    counts[0] += count
     limit = limit_at[0]
     if limit < k0 and needed > sum(hi <= limit for _, (hi, _) in brackets) + sum(d < limit for d in dips):
         raise _beyond(cfg, k_max, "holds modes closer than the grid tells apart")
@@ -313,10 +313,9 @@ def refine_root(problem: ArchProblem, brackets, tol: float, counts=None) -> list
     quadratic or secant step is taken when it stays well inside the bracket
     and shrinks it fast enough, a bisection step otherwise, and no step is
     shorter than half the tolerance. The bracket ends when it is no wider
-    than tol * max(1, mid), at its midpoint, at an evaluated K of
-    sign 0, or after ``_MAX_EVALUATIONS`` evaluations, at its midpoint.
-    Where a list ``counts`` is given, each bracket adds its evaluations to
-    ``counts[1]``.
+    than tol * max(1, mid), at its midpoint, at an evaluated K of sign 0, or
+    after ``_MAX_EVALUATIONS`` evaluations, at its midpoint. Where a list
+    ``counts`` is given, each bracket adds its evaluations to ``counts[1]``.
     """
     from . import kernel
     counts = [0, 0] if counts is None else counts
@@ -392,10 +391,13 @@ def _brent(problem: ArchProblem, bracket, tol: float, evaluate, counts) -> float
 
 
 def _debug_log():
-    """The solver's logger where it logs debug lines, else None. The solver
-    never imports logging: until something has, no record was asked for."""
+    """The solver's logger where it logs debug lines, else None, read from logging's
+    registry with no lock. The solver never imports logging: until something has,
+    no record was asked for."""
     logging = sys.modules.get("logging")
-    log = logging and logging.getLogger(__name__)
+    log = logging and logging.Logger.manager.loggerDict.get(__name__)
+    if logging and not isinstance(log, logging.Logger):  # not made, or a child's placeholder
+        log = logging.getLogger(__name__)
     return log if log and log.isEnabledFor(10) else None  # logging.DEBUG
 
 

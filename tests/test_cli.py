@@ -175,19 +175,34 @@ class TestDispatch:
 
 
 def _argparse_parse(args: list[str]) -> cli.CliInvocation:
-    """``parse`` with every vector left to argparse, on a freshly built parser."""
+    """``parse`` with every vector left to argparse as given, on a freshly built parser."""
     with mock.patch.object(cli, "_plain", lambda args: None), \
+            mock.patch.object(cli, "_negatives_joined", lambda args: args), \
             mock.patch.object(cli, "_parser", build_parser):
         return parse(args)
 
 
+def _is_number(flag, raw: str) -> bool:
+    try:
+        flag.type(raw)
+    except ValueError:
+        return False
+    return flag.type is not str
+
+
 def _equals_form(args: list[str]) -> list[str]:
-    """A plain vector with each value that starts with '-' joined to its flag,
-    ``--beta=-1e-3``: argparse reads ``--beta -1e-3`` as two flags, the joined form
-    as the flag and its value."""
+    """A vector with each value that starts with '-' and is a number of its numeric
+    flag, named exactly and before any ``--``, joined to the flag: ``--beta=-1e-3``.
+    argparse reads ``--beta -1e-3`` as two flags, the joined form as the flag and its
+    value. A str flag's value is left as it is, for argparse to refuse."""
+    flags = cli._BY_NAME.get(args[0], {}) if args else {}
     joined = args[:1]
-    for name, raw in zip(args[1::2], args[2::2]):
-        joined += [f"{name}={raw}"] if raw[:1] == "-" else [name, raw]
+    for i in range(1, len(args)):
+        flag = None if "--" in args[:i] else flags.get(args[i - 1])
+        if flag and args[i][:1] == "-" and _is_number(flag, args[i]):
+            joined[-1] = f"{args[i - 1]}={args[i]}"
+        else:
+            joined.append(args[i])
     return joined
 
 
@@ -207,10 +222,13 @@ def _outcome(parse_with, args: list[str]) -> tuple[str, str]:
 _VALUES = {
     float: st.one_of(
         st.floats().map(repr),
-        st.sampled_from(["-1e-3", "-0", "nan", "inf", "-inf", "1e999", "1_0", " 2", "2.", "x", ""]),
+        st.sampled_from(
+            ["-1e-3", "-0", "nan", "inf", "-inf", "1e999", "1_0", " 2", "2.", "x", "-x", ""]
+        ),
     ),
     int: st.one_of(
-        st.integers(-3, 300).map(str), st.sampled_from(["-1", "1.5", "0x1", "1_0", " 7", "x", ""])
+        st.integers(-3, 300).map(str),
+        st.sampled_from(["-1", "-1.5", "1.5", "0x1", "1_0", " 7", "x", ""]),
     ),
     str: st.sampled_from(["armchair", "all", "power-law", "c.ini", "", " ", "-x", "--beta"]),
 }
@@ -244,6 +262,12 @@ class TestFlagTable:
     @settings(max_examples=400)
     @given(_vectors())
     @example(["freq", "--beta", "-1e-3"])
+    @example(["freq", "--beta", "-1e-3", "--format", "xml"])
+    @example(["freq", "--bet", "-1e-3"])
+    @example(["freq", "--beta", "-x"])
+    @example(["freq", "--out", "-x"])
+    @example(["freq", "--chirality", "--beta"])
+    @example(["freq", "--", "--beta", "-1"])
     @example(["freq", "--beta", "nan", "--modes", "1.5"])
     @example(["freq", "--eta", "1", "--eta-nm2", "1"])
     @example(["freq", "--eta", "1", "--eta", "2"])
@@ -258,10 +282,9 @@ class TestFlagTable:
     @example(["validate", "--beta"])
     @example(["validate", "1"])
     def test_agrees_with_argparse(self, args):
-        # A vector the table reads must read as argparse reads its --flag=value form
-        # for values that start with '-'; any other is argparse's own.
-        table = args[:1] and args[0] in cli._FLAGS and cli._plain(args) is not None
-        assert _outcome(parse, args) == _outcome(_argparse_parse, _equals_form(args) if table else args)
+        # Whichever path reads it, a vector reads as argparse reads its --flag=value
+        # form for negative numbers.
+        assert _outcome(parse, args) == _outcome(_argparse_parse, _equals_form(args))
 
     @pytest.mark.parametrize(
         "command, flag",
@@ -278,6 +301,11 @@ class TestFlagTable:
     def test_negative_angle_is_a_range_error(self, capsys):
         assert main(["freq", "--beta", "-1e-3"]) == 2
         assert capsys.readouterr().err == "usage error: central angle must lie in [0.001, 2*pi]\n"
+
+    def test_negative_number_is_a_value_beside_a_bad_choice(self, capsys):
+        # argparse reads this vector, and names the bad choice, not --beta.
+        assert main(["freq", "--beta", "-1e-3", "--format", "xml"]) == 2
+        assert "argument --format: invalid choice: 'xml'" in capsys.readouterr().err
 
 
 class TestFreqCommand:

@@ -1055,6 +1055,23 @@ class TestBatchedSearch:
             "find_frequencies: 0 scan evaluations, 0 refinement evaluations, 0 brackets refined",
         ]
 
+    @pytest.mark.parametrize("registered", [None, "placeholder"])
+    def test_debug_line_before_the_logger_is_made(self, caplog, registered):
+        # The solver reads its logger from logging's registry, and makes it where
+        # the registry holds none, or only a placeholder for a child's logger.
+        registry = logging.Logger.manager.loggerDict
+        with mock.patch.dict(registry), caplog.at_level(logging.DEBUG, logger="arch_resonance"):
+            registry.pop(solver.__name__, None)
+            if registered:
+                child = logging.Logger(f"{solver.__name__}.child")
+                child.parent = logging.root
+                registry[solver.__name__] = logging.PlaceHolder(child)
+            find_frequencies(make_problem(beta=2.0), SearchConfig(max_modes=2))
+            assert isinstance(registry[solver.__name__], logging.Logger)
+        assert [r.getMessage() for r in caplog.records] == [
+            "find_frequencies: 0 scan evaluations, 0 refinement evaluations, 0 brackets refined"
+        ]
+
     def test_threads_log_their_own_counts(self, caplog):
         # Four threads, more than the cores, solve the cracked problems of
         # TestKernelCallsPerSolve at once, the interpreter switching between
