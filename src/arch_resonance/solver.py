@@ -45,8 +45,9 @@ _DIP_THRESHOLD = _DIP_DECADES * math.log(10.0)
 _GUIDE_OFFSET = 1e-6
 # One-K evaluations per refined bracket (refine_root).
 _MAX_EVALUATIONS = 200
-# A mode shape whose largest sample is at or below _NOISE times its amplitude,
-# its largest |X| at 64 cell midpoints of [0, beta], reads +0.0 throughout.
+# A cracked mode shape whose largest sample is at or below _NOISE times its
+# amplitude, its largest |X| at 64 cell midpoints of [0, beta], reads +0.0
+# throughout: its nodes read rounding noise, where an uncracked node reads 0.
 _NOISE = 1e-8
 # Relative window of an uncracked double root (the closed form and mode_shape),
 # below K = 1 only: a falling K_n (lam <= 1, so K_n < 1) meets a rising one.
@@ -537,9 +538,11 @@ def mode_shape(problem: ArchProblem, root: Root, samples: int = 201) -> tuple:
     tell apart, raises :class:`DoubleRoot`. Guaranteed: X is exactly 0 at both
     supports, the sample of largest |X| is exactly +1, every sample lies in
     [-1, 1], and a zero sample is +0.0. When every sample lies on a node, as
-    with 2 samples or mode 2 at 3, every X is +0.0: the largest sampled |X| is
-    at or below 1e-8 times the largest at 64 cell midpoints of [0, beta]. When
-    the largest + and - extrema tie, rounding decides which one is +1.
+    with 2 samples or mode 2 at 3, every X is +0.0: uncracked, exactly when
+    samples - 1 divides n (a node reads exactly 0); cracked, when the largest
+    sampled |X| is at or below 1e-8 times the largest at 64 cell midpoints of
+    [0, beta]. When the largest + and - extrema tie, rounding decides which
+    one is +1.
     """
     if samples < 2:
         raise ValueError("samples must be at least 2")
@@ -558,14 +561,10 @@ def mode_shape(problem: ArchProblem, root: Root, samples: int = 201) -> tuple:
             raise DoubleRoot(f"K = {K!r} is a double root: its mode shapes span a plane")
         if len(exact) != 1:
             raise ValueError(f"K = {K!r} is not the closed-form K_n of one uncracked mode n")
-        # sin(n*pi*num/den) at the samples, num/den = i/(samples - 1), then the
-        # cells, (2j + 1)/128, with n*num reduced modulo 2*den in integers.
-        sin, pi = math.sin, math.pi
-        values, cell_values = [], []
-        for out, nums, den in ((values, range(samples), last), (cell_values, range(1, 128, 2), 128)):
-            reduced = exact[0] % (2 * den)
-            ms = [reduced * num % (2 * den) for num in nums]
-            out += [sin(pi * (m % den) / den) * (1.0 if m < den else -1.0) for m in ms]
+        # sin(n*pi*i/(samples - 1)), with n*i reduced modulo 2*(samples - 1) in integers.
+        sin, pi, reduced = math.sin, math.pi, exact[0] % (2 * last)
+        ms = [reduced * i % (2 * last) for i in range(samples)]
+        values = [sin(pi * (m % last) / last) * (1.0 if m < last else -1.0) for m in ms]
     else:
         # The kernel takes K on trust, so a caller's root is checked here, as far as _polish reaches.
         if not math.isfinite(K):
@@ -593,7 +592,7 @@ def mode_shape(problem: ArchProblem, root: Root, samples: int = 201) -> tuple:
         xr = [0.0 + d1 * u1 + d2 * u2 for u1, u2 in right]
         values, cell_values = xl[:cut] + xr[:samples - cut], xl[cut:] + xr[samples - cut:]
     peak = max(values, key=abs)
-    if abs(peak) > _NOISE * max(map(abs, cell_values)):
+    if abs(peak) > (0.0 if problem.crack is None else _NOISE * max(map(abs, cell_values))):
         values = [x / peak + 0.0 for x in values]
     else:
         values = [0.0] * samples

@@ -149,6 +149,9 @@ class TestImportGraph:
         )
         assert "logging" in loaded
         lines = err.read_text().splitlines()
+        if argv[0] == "validate":  # its rows are closed forms: nothing is solved or logged
+            assert lines == []
+            return
         assert any(line.startswith("DEBUG find_frequencies: ") for line in lines)
         assert all(line.startswith(("DEBUG ", f"INFO {argv[0]}: ")) for line in lines)
         assert any(line.startswith("INFO ") for line in lines) == (argv[0] in ("freq", "sweep"))

@@ -473,6 +473,24 @@ class TestModeShape:
         sine = _exact_sine(n, 200)
         assert min(np.abs(shape[:, 1] - s * sine).max() for s in (1.0, -1.0)) <= 1e-12
 
+    @pytest.mark.parametrize("beta, eta", [(0.7, 0.0), (1.0, 1.0), (2.9, 3.5)])
+    def test_uncracked_shape_is_zero_exactly_when_every_sample_is_a_node(self, beta, eta):
+        # Sample i of mode n is a node exactly when (samples - 1) divides n*i,
+        # and reads exactly 0 there. So every sample is a node exactly when
+        # (samples - 1) divides n; any other shape peaks at sin(pi/3) or more,
+        # and is scaled to a largest |X| of exactly 1.
+        problem = make_problem(beta, eta)
+        for samples in (2, 3, 4, 5, 9, 65, 129, 201, 257):
+            last = samples - 1
+            modes = {*range(1, 41), last, 2 * last, 3 * last, 7 * last, 2**40 + 3, 2**50}
+            for n in sorted(modes):
+                root = solver.Root(K=uncracked_K_closed_form(n, beta, eta))
+                xs = [x for _, x in mode_shape(problem, root, samples=samples)]
+                if n % last == 0:
+                    assert xs == [0.0] * samples and not np.signbit(xs).any(), (n, samples)
+                else:
+                    assert max(map(abs, xs)) == 1.0, (n, samples)
+
     @pytest.mark.parametrize("K", [50.0, K1_B1_E0 * (1 + 1e-15), 1e300, math.inf, -1.0])
     def test_k_that_is_no_eigenvalue_is_rejected(self, K):
         # 1e300 and inf are beyond every K_n a double resolves: their mode

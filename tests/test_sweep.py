@@ -2,13 +2,19 @@ import functools
 import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from arch_resonance import (
+    ArchProblem,
     ChiralityClass,
     CrackSpec,
     InvalidSpec,
     PowerLawCompliance,
+    SearchConfig,
     SweepSpec,
+    find_frequencies,
+    omega_nd,
     resolve_preset,
     rows_to_csv,
     run_sweep,
@@ -18,6 +24,7 @@ from arch_resonance import (
 )
 from arch_resonance import solver
 from arch_resonance.cli import load_presets
+from arch_resonance.model import BETA_MIN
 from arch_resonance.sweep import CSV_HEADER
 from conftest import rel_err
 
@@ -212,6 +219,16 @@ class TestValidationTable:
     def test_straight_limit_approaches_pi_squared(self):
         rows = validation_table(0.005)
         assert abs(rows[0].omega_nd - math.pi**2) / math.pi**2 < 3e-4
+
+    @given(st.floats(BETA_MIN, 0.5))
+    @example(BETA_MIN)
+    @example(0.5)
+    def test_rows_are_the_solvers_fundamental(self, beta):
+        # Each row is K_1's closed form; the solver's first root is the reference.
+        cfg = SearchConfig(max_modes=1)
+        for row in validation_table(beta):
+            spectrum = find_frequencies(ArchProblem(beta=beta, eta_nd=row.eta), cfg)
+            assert row.omega_nd == omega_nd(spectrum.roots[0].K, beta)
 
     def test_large_angle_rejected(self):
         with pytest.raises(InvalidSpec):
