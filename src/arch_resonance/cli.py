@@ -24,10 +24,10 @@ import os
 import sys
 from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 from . import __version__, model
+from ._record import record, replace
 from .errors import DoubleRoot, InvalidPreset, InvalidSpec, MissingPreset, NoRootsInRange
 from .errors import UsageError
 from .model import _FMT, _fmt
@@ -42,7 +42,7 @@ _SWEEP_DEFAULTS = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class CliInvocation:
     command: str
     config_path: str | None
@@ -85,17 +85,19 @@ _PROBLEM_FLAGS = (
 # The one declaration of each command's flags, in the order its help lists them.
 _FLAGS = {
     "freq": ("natural frequency spectrum of one problem", (
-        *_PROBLEM_FLAGS, _flag("--modes", "number of modes (default 5)", int), *_common("table"))),
+        *_PROBLEM_FLAGS, _flag("--modes", "number of modes, 1 to 100000 (default 5)", int),
+        *_common("table"))),
     "sweep": ("parameter sweep emitting tabular data", (
         *_PROBLEM_FLAGS,
-        _flag("--modes", "mode index to report (default 1)", int),
+        _flag("--modes", "mode index to report, 1 to 100000 (default 1)", int),
         _flag("--param", "swept parameter", choices=tuple(_SWEEP_DEFAULTS)),
         _flag("--from", "sweep start", float, dest="from_"),
         _flag("--to", "sweep end", float),
         _flag("--steps", "number of grid points", int), *_common("csv"))),
     "modeshape": ("sampled spatial mode shape", (
-        *_PROBLEM_FLAGS, _flag("--mode", "mode index (default 1)", int, 1),
-        _flag("--samples", "sample count (default 201)", int, 201), *_common("csv"))),
+        *_PROBLEM_FLAGS, _flag("--mode", "mode index, 1 to 100000 (default 1)", int, 1),
+        _flag("--samples", "sample count, 2 to 1000000 (default 201)", int, 201),
+        *_common("csv"))),
     "validate": ("near-straight limit against published reference values", (
         _flag("--beta", "small central angle in rad (default 0.05)", float), *_common("table"))),
 }
@@ -512,7 +514,11 @@ def _cmd_modeshape(inv: CliInvocation, s: _Settings) -> str:
         raise UsageError("--mode must be >= 1")
     if samples < 2:
         raise UsageError("--samples must be >= 2")
-    spectrum = solver.find_frequencies(problem, replace(cfg, max_modes=mode))
+    if samples > solver.MAX_SAMPLES:
+        raise UsageError(f"--samples must be <= {solver.MAX_SAMPLES}")
+    with _bad_input_is_usage_error():  # a mode beyond solver.MAX_MODES
+        cfg = replace(cfg, max_modes=mode)
+    spectrum = solver.find_frequencies(problem, cfg)
     shape = solver.mode_shape(problem, spectrum.roots[mode - 1], samples)
     flat = tuple(v for pair in shape for v in pair)  # phi_0, X_0, phi_1, X_1, ...
     if inv.format == "json":

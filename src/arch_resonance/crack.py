@@ -12,8 +12,8 @@ the same contract: zero at ``psi = 0``, nonnegative and nondecreasing on
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .errors import InvalidModel, OutOfRange
 
 # Order-of-magnitude consistent with single-edge-crack flexibility results.
@@ -23,7 +23,7 @@ _VALIDATION_GRID_POINTS = 1000
 _VALIDATION_GRID_END = 0.95
 
 
-@dataclass(frozen=True)
+@record
 class PowerLawCompliance:
     """theta_c = kappa0 * (h/R) * psi**2 / (1 - psi)**2."""
 
@@ -39,7 +39,7 @@ class PowerLawCompliance:
         return self.kappa0 * (r * r)  # grouped so theta is exactly linear in kappa0
 
 
-@dataclass(frozen=True)
+@record
 class PolynomialCompliance:
     """theta_c = scale * (h/R) * sum(c_i * psi**i).
 

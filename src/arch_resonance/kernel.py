@@ -71,8 +71,8 @@ sin(n*pi*phi/beta) are closed forms (:func:`model.uncracked_K_closed_form`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import record
 from .errors import DoubleRoot
 
 # Degeneracy window for branch switching (see _lam2_roots_at).
@@ -81,7 +81,7 @@ DEGENERACY_TOL = 1e-10
 PIVOT_ZERO_TOL = 1e-13
 
 
-@dataclass(frozen=True)
+@record
 class ModeBasis:
     """Roots of the quadratic in lam^2 at one trial K, for the solution basis.
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
 
+from ._record import record
 from .errors import DegenerateSegment, InvalidPreset, MissingPreset
 
 DEFAULT_BOND_LENGTH_NM = 0.142
@@ -38,7 +38,7 @@ class ChiralityClass(enum.Enum):
     CHIRAL = "chiral"
 
 
-@dataclass(frozen=True)
+@record
 class ChiralitySpec:
     """Roll-up indices (n, m) of the graphene sheet, canonicalized to m <= n.
 
@@ -86,7 +86,7 @@ def tube_diameter(spec: ChiralitySpec) -> float:
     )
 
 
-@dataclass(frozen=True)
+@record
 class PhysicalTube:
     """Dimensional description of one tube bent into an arch (SI units).
 
@@ -128,7 +128,7 @@ class PhysicalTube:
         return math.pi * self.diameter**4 / 64.0
 
 
-@dataclass(frozen=True)
+@record
 class CrackSpec:
     """Physical crack description: position angle, depth ratio, compliance model."""
 
@@ -143,7 +143,7 @@ class CrackSpec:
             raise ValueError("crack position angle must be positive")
 
 
-@dataclass(frozen=True)
+@record
 class CrackJoint:
     """Crack reduced to its dimensionless form: position plus spring compliance."""
 
@@ -151,7 +151,7 @@ class CrackJoint:
     theta_c: float  # dimensionless, >= 0
 
 
-@dataclass(frozen=True)
+@record
 class ArchProblem:
     """Complete nondimensional problem: central angle, nonlocal parameter, crack.
 

@@ -31,9 +31,9 @@ import heapq
 import itertools
 import math
 import sys
-from dataclasses import dataclass
 
 from . import model
+from ._record import record
 from .errors import DoubleRoot, NoRootsInRange
 from .model import ArchProblem
 
@@ -52,14 +52,21 @@ _NOISE = 1e-8
 # Relative window of an uncracked double root (the closed form and mode_shape),
 # below K = 1 only: a falling K_n (lam <= 1, so K_n < 1) meets a rising one.
 _DOUBLE_ROOT = 1e-12
+# The most modes a solve and the most samples a mode shape give, so that what a
+# request allocates is bounded: at both bounds, a cracked JSON mode shape takes
+# about 3.5 s and 370 MB (2-core x86-64 VM), where 10**20 samples or modes run
+# out of memory.
+MAX_MODES = 10**5
+MAX_SAMPLES = 10**6
 
 
-@dataclass(frozen=True)
+@record
 class SearchConfig:
     """The K range and number of modes of a solve, and the cracked search's knobs.
 
     ``grid_points`` and ``refine_tol`` tune only the scan and refinement; an
-    uncracked spectrum is its closed form. ``k_max=None`` defaults to ten
+    uncracked spectrum is its closed form. ``max_modes`` lies in [1,
+    :data:`MAX_MODES`]. ``k_max=None`` defaults to ten
     times the closed-form eigenvalue of the uncracked problem at mode
     max(5, max_modes), counted on from the eigenvalues below k_min
     (:func:`_k_max`), which leaves ample room for the roots a crack shifts.
@@ -88,9 +95,11 @@ class SearchConfig:
             raise ValueError("refine_tol must lie in (0, 1e-3)")
         if self.max_modes < 1:
             raise ValueError("max_modes must be at least 1")
+        if self.max_modes > MAX_MODES:
+            raise ValueError(f"max_modes must be at most {MAX_MODES}")
 
 
-@dataclass(frozen=True)
+@record
 class Root:
     """One spectrum entry: an eigenvalue, a closed-form K_n or a refined root.
 
@@ -100,7 +109,7 @@ class Root:
     K: float
 
 
-@dataclass(frozen=True)
+@record
 class Spectrum:
     roots: tuple[Root, ...]
 
@@ -523,7 +532,8 @@ def _polish(problem: ArchProblem, k: float) -> float:
 def mode_shape(problem: ArchProblem, root: Root, samples: int = 201) -> tuple:
     """Sample the spatial mode X on a uniform grid over [0, beta].
 
-    Returns a tuple of ``samples`` float pairs (phi, X). An uncracked
+    Returns a tuple of ``samples`` float pairs (phi, X), ``samples`` in [2,
+    :data:`MAX_SAMPLES`] (else ValueError). An uncracked
     root is sin(n*pi*phi/beta), for the one n whose closed-form K_n is its K,
     with n*i reduced modulo 2*(samples - 1) in integers at sample i, so a node
     reads exactly 0; a K that is no K_n raises ValueError, and a double root
@@ -546,6 +556,8 @@ def mode_shape(problem: ArchProblem, root: Root, samples: int = 201) -> tuple:
     """
     if samples < 2:
         raise ValueError("samples must be at least 2")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"samples must be at most {MAX_SAMPLES}")
     beta, K, last = problem.beta, root.K, samples - 1
     phis = [beta * i / last for i in range(samples)]
     if problem.crack is None:

@@ -12,9 +12,9 @@ saying why (``no-root``, ``crack-outside``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 from . import model, solver
+from ._record import record, replace
 from .errors import DegenerateSegment, InvalidSpec, NoRootsInRange
 from .model import _fmt
 
@@ -33,7 +33,7 @@ REFERENCE_TABLE: dict[int, tuple[float, float]] = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class SweepSpec:
     """One sweep: the varied parameter, its grid, the tubes and the fixed context.
 
@@ -72,7 +72,7 @@ class SweepSpec:
             raise InvalidSpec("a sweep needs at least one tube")
 
 
-@dataclass(frozen=True)
+@record
 class SweepRow:
     chirality: str
     beta_rad: float
@@ -116,7 +116,8 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     the order of ``tubes``. Before anything is solved, both ends of the range
     are reduced for each tube: validity is monotone in the swept value, so a
     range with an invalid tube, central angle or nonlocal parameter raises
-    :class:`InvalidSpec`. Each point is then reduced and solved in turn
+    :class:`InvalidSpec`, and so does a mode beyond :data:`solver.MAX_MODES`.
+    Each point is then reduced and solved in turn
     (:func:`solver.find_frequencies`). A point that fails keeps its row with
     a blank K and a note: ``no-root`` (the search range holds fewer roots
     than the mode index) or ``crack-outside`` (the crack angle does not fit
@@ -131,7 +132,10 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
                 pass  # a crack-outside row, not an invalid range
             except ValueError as exc:
                 raise InvalidSpec(f"{spec.parameter} = {end:g}: {exc}") from None
-    cfg = solver.SearchConfig(max_modes=spec.mode)
+    try:
+        cfg = solver.SearchConfig(max_modes=spec.mode)
+    except ValueError as exc:  # a mode beyond solver.MAX_MODES
+        raise InvalidSpec(str(exc)) from None
     rows = []
     for value in grid:
         for chirality, tube in spec.tubes.items():
@@ -175,7 +179,7 @@ def rows_to_csv(rows: list[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
+@record
 class ValidationRow:
     mode: int
     eta: float

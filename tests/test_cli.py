@@ -669,6 +669,76 @@ class TestBadInput:
         assert captured.err.startswith("usage error:") and "Traceback" not in captured.err
 
 
+class TestRequestBounds:
+    """``solver.MAX_MODES`` and ``solver.MAX_SAMPLES``. Each request runs in a child
+    whose address space is capped, so an unbounded one ends in MemoryError
+    instead of taking the machine's memory."""
+
+    HUGE = "99999999999999999999"
+    BOUND_MODES = "usage error: max_modes must be at most 100000\n"
+    BOUND_SAMPLES = "usage error: --samples must be <= 1000000\n"
+
+    @staticmethod
+    def _capped(statements: str, *args: str) -> subprocess.CompletedProcess:
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))\n"
+            f"{statements}\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+        env.pop("ARCH_RESONANCE_LOG", None)
+        return subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                              text=True, env=env, timeout=60)
+
+    def test_bounds_are_the_help_texts(self):
+        assert (solver.MAX_MODES, solver.MAX_SAMPLES) == (10**5, 10**6)
+        for command, flag in (("freq", "--modes"), ("sweep", "--modes"), ("modeshape", "--mode")):
+            assert "1 to 100000" in cli._BY_NAME[command][flag].help
+        assert "2 to 1000000" in cli._BY_NAME["modeshape"]["--samples"].help
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["freq", "--modes", HUGE], BOUND_MODES),
+            (["freq", "--modes", "100001"], BOUND_MODES),
+            (["freq", "--crack-psi", "0.3", "--modes", HUGE], BOUND_MODES),
+            (["freq", "--config", "modes.ini"], BOUND_MODES),
+            (["modeshape", "--mode", HUGE], BOUND_MODES),
+            (["sweep", "--param", "beta", "--steps", "2", "--chirality", "armchair",
+              "--modes", HUGE], BOUND_MODES),
+            (["modeshape", "--samples", "200000000000000000000"], BOUND_SAMPLES),
+            (["modeshape", "--samples", "1000001"], BOUND_SAMPLES),
+            (["modeshape", "--crack-psi", "0.3", "--samples", HUGE], BOUND_SAMPLES),
+        ],
+        ids=["freq", "freq-one-over", "freq-cracked", "freq-config", "modeshape-mode", "sweep",
+             "modeshape-samples", "modeshape-one-over", "modeshape-cracked"],
+    )
+    def test_request_beyond_a_bound_is_a_usage_error(self, argv, err, tmp_path):
+        config = tmp_path / "modes.ini"
+        config.write_text(f"[search]\nmodes = {self.HUGE}\n")
+        argv = [str(config) if a == config.name else a for a in argv]
+        done = self._capped("from arch_resonance.cli import main\nsys.exit(main(sys.argv[1:]))",
+                            *argv)
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", err)
+
+    def test_library_refuses_beyond_the_bounds(self):
+        done = self._capped(
+            "from arch_resonance import ArchProblem, SearchConfig, find_frequencies, mode_shape\n"
+            "problem = ArchProblem(beta=1.0, eta_nd=1.0)\n"
+            "root = find_frequencies(problem).roots[0]\n"
+            "assert SearchConfig(max_modes=100000).max_modes == 100000\n"
+            "for make in (lambda: SearchConfig(max_modes=10**20),\n"
+            "             lambda: mode_shape(problem, root, 10**20)):\n"
+            "    try:\n"
+            "        make()\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n"
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == "max_modes must be at most 100000\nsamples must be at most 1000000\n"
+
+
 class TestPresets:
     def test_shipped_presets_complete(self):
         table = load_presets()

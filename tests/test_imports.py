@@ -129,11 +129,18 @@ class TestImportGraph:
         # Without site (python -S) no .pth hook of the interpreter's
         # site-packages loads modules first, so these are the program's own.
         # Annotations are strings, presets.ini is read beside the module, each
-        # solve keeps its own counts and argparse parses no plain vector.
+        # solve keeps its own counts, argparse parses no plain vector and the
+        # records are the package's own, not dataclasses with inspect.
         loaded = run_fresh(EVERY_REQUEST, "-S")
         assert {"arch_resonance.solver", "arch_resonance.sweep", "arch_resonance.kernel"} <= loaded
-        unused = {"typing", "threading", "importlib.resources", "pathlib", "tempfile", "argparse"}
+        unused = {"typing", "threading", "importlib.resources", "pathlib", "tempfile", "argparse",
+                  "dataclasses", "inspect", "ast", "dis", "tokenize", "copy"}
         assert not loaded & unused
+
+    def test_no_source_file_names_dataclasses(self):
+        # The records come from arch_resonance._record alone.
+        files = [p for p in (SRC / "arch_resonance").iterdir() if p.is_file()]
+        assert not [p.name for p in files if b"dataclasses" in p.read_bytes()]
 
     @pytest.mark.parametrize("argv", EVERY_COMMAND, ids=" ".join)
     def test_debug_level_loads_logging_and_logs(self, loaded_by, argv, tmp_path):

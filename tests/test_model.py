@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -22,6 +21,7 @@ from arch_resonance import (
     resolve_preset,
     tube_diameter,
 )
+from arch_resonance._record import replace
 from arch_resonance.model import BETA_MIN
 
 GOOD_PRESET = {

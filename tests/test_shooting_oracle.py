@@ -8,7 +8,6 @@ give a 2x2 determinant whose sign changes at every simple eigenvalue.
 """
 
 import csv
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +25,7 @@ from arch_resonance import (
     find_frequencies,
     resolve_preset,
 )
+from arch_resonance._record import replace
 from arch_resonance.cli import load_presets
 from arch_resonance.model import BETA_MIN
 

@@ -3,7 +3,6 @@ import math
 import re
 import sys
 import threading
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -25,6 +24,7 @@ from arch_resonance import (
     uncracked_K_closed_form,
 )
 from arch_resonance import kernel, solver
+from arch_resonance._record import replace
 from arch_resonance.cli import main
 from arch_resonance.kernel import quartic_roots
 from arch_resonance.model import BETA_MIN, SEGMENT_TOL
