@@ -11,14 +11,16 @@ range than modes requested, a determinant dip among them or a range beyond
 double precision, a mode shape of a double root, or unwritable output; 2
 usage error, which is any bad flag, a missing or malformed config or presets
 file, or a bad config or preset value met while resolving them into a
-problem or a sweep, reported in one line on standard error. The environment
+problem or a sweep, reported in one line on standard error. One table,
+``_FLAGS``, declares each command's flags: :func:`parse` reads every request
+from it, and each help is rendered from it. The environment
 variable ``ARCH_RESONANCE_LOG`` (error, warn, info, debug) controls
 diagnostics on standard error.
 """
 
 from __future__ import annotations
 
-# Only what every request needs; the rest, argparse and logging too, is imported where used.
+# Only what every request needs; the rest, logging too, is imported where used.
 import functools
 import os
 import sys
@@ -51,13 +53,13 @@ class CliInvocation:
     format: str
 
 
-_Flag = namedtuple("_Flag", "name help type default choices group dest")
+_Flag = namedtuple("_Flag", "name help type default choices bounds dest")
 
 
-def _flag(name, help, type=str, default=None, choices=None, group=None, dest=None) -> _Flag:
-    """A command's flag, as argparse declares it and :func:`parse` reads it. A request
-    gives at most one flag of a ``group``; ``dest`` defaults to argparse's."""
-    return _Flag(name, help, type, default, choices, group, dest or name[2:].replace("-", "_"))
+def _flag(name, help, type=str, default=None, choices=None, bounds=None, dest=None) -> _Flag:
+    """A command's flag, as :func:`parse` reads it: a ``type`` value, within ``choices``
+    or inclusive ``bounds`` where given, stored under ``dest``, by default the name's."""
+    return _Flag(name, help, type, default, choices, bounds, dest or name[2:].replace("-", "_"))
 
 
 def _common(default_format: str) -> tuple[_Flag, ...]:
@@ -69,8 +71,8 @@ def _common(default_format: str) -> tuple[_Flag, ...]:
 
 _PROBLEM_FLAGS = (
     _flag("--beta", "central angle in rad", float),
-    _flag("--eta", "dimensionless nonlocal parameter", float, group="eta"),
-    _flag("--eta-nm2", "physical nonlocal constant in nm^2", float, group="eta"),
+    _flag("--eta", "dimensionless nonlocal parameter", float),
+    _flag("--eta-nm2", "physical nonlocal constant in nm^2", float),
     _flag("--radius-nm", "arch radius in nm", float),
     _flag("--diameter-nm", "tube diameter in nm", float),
     _flag("--n", "roll-up index n (with --m derives diameter)", int),
@@ -81,112 +83,114 @@ _PROBLEM_FLAGS = (
     _flag("--crack-model", "compliance model name"),
     _flag("--presets", "presets file path"),
 )
+_MODES = (1, 100000)  # solver.MAX_MODES, which the library keeps too
 
 # The one declaration of each command's flags, in the order its help lists them.
 _FLAGS = {
     "freq": ("natural frequency spectrum of one problem", (
-        *_PROBLEM_FLAGS, _flag("--modes", "number of modes, 1 to 100000 (default 5)", int),
+        *_PROBLEM_FLAGS, _flag("--modes", "number of modes (default 5)", int, bounds=_MODES),
         *_common("table"))),
     "sweep": ("parameter sweep emitting tabular data", (
         *_PROBLEM_FLAGS,
-        _flag("--modes", "mode index to report, 1 to 100000 (default 1)", int),
+        _flag("--modes", "mode index to report (default 1)", int, bounds=_MODES),
         _flag("--param", "swept parameter", choices=tuple(_SWEEP_DEFAULTS)),
         _flag("--from", "sweep start", float, dest="from_"),
         _flag("--to", "sweep end", float),
         _flag("--steps", "number of grid points", int), *_common("csv"))),
     "modeshape": ("sampled spatial mode shape", (
-        *_PROBLEM_FLAGS, _flag("--mode", "mode index, 1 to 100000 (default 1)", int, 1),
-        _flag("--samples", "sample count, 2 to 1000000 (default 201)", int, 201),
+        *_PROBLEM_FLAGS, _flag("--mode", "mode index (default 1)", int, 1, bounds=_MODES),
+        _flag("--samples", "sample count (default 201)", int, 201, bounds=(2, 1000000)),
         *_common("csv"))),
     "validate": ("near-straight limit against published reference values", (
         _flag("--beta", "small central angle in rad (default 0.05)", float), *_common("table"))),
 }
 _BY_NAME = {command: {f.name: f for f in flags} for command, (_, flags) in _FLAGS.items()}
+_DEFAULTS = {command: {f.dest: f.default for f in flags} for command, (_, flags) in _FLAGS.items()}
+_HELP = ("-h", "--help")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    import argparse
-
-    class _Parser(argparse.ArgumentParser):
-        def error(self, message):  # noqa: A003 - argparse API
-            raise UsageError(message)
-
-    parser = _Parser(prog="arch-resonance", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (summary, flags) in _FLAGS.items():
-        groups = {None: sub.add_parser(command, help=summary)}
-        for f in flags:
-            if f.group not in groups:
-                groups[f.group] = groups[None].add_mutually_exclusive_group()
-            groups[f.group].add_argument(
-                f.name, dest=f.dest, type=f.type, default=f.default, choices=f.choices, help=f.help
-            )
-    parser.commands = sub.choices  # command word -> its subparser
-    return parser
+def _help(command: str | None) -> str:
+    """The help of ``command``, or of the program for None, rendered from the flag table."""
+    if command is None:
+        usage = "[-h] [--version] {%s} ..." % ",".join(_FLAGS)
+        about = "Exit codes: 0 success, 1 runtime failure, 2 usage error."
+        rows = [(name, summary) for name, (summary, _) in _FLAGS.items()]
+        rows.append(("--version", "print the version and exit"))
+    else:
+        usage = f"{command} [-h] [--flag VALUE | --flag=VALUE] ..."
+        about, flags = _FLAGS[command]
+        rows = [(f"{f.name} " + ("{%s}" % ",".join(f.choices) if f.choices else f.name[2:].upper()),
+                 f.help + ("; %d to %d" % f.bounds if f.bounds else "")) for f in flags]
+    rows.append(("-h, --help", "show this help and exit"))
+    width = max(len(left) for left, _ in rows) + 2
+    lines = [f"usage: arch-resonance {usage}", "", about, ""]
+    return "\n".join(lines + [f"  {left:<{width}}{right}" for left, right in rows]) + "\n"
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The process's one parser, built on first use: parsing does not mutate it."""
-    return build_parser()
-
-
-def _negatives_joined(args: list[str]) -> list[str]:
-    """A command's vector with each ``--flag -number`` pair before any ``--`` that
-    :func:`_plain` reads, a numeric flag and a negative number, joined into
-    ``--flag=-number``, which argparse reads as the value, not as a flag."""
-    joined = args[:1]
-    for raw in args[1:]:
-        if raw[:1] == "-" and "--" not in joined and _plain([args[0], joined[-1], raw]):
-            joined[-1] += "=" + raw
-        else:
-            joined.append(raw)
-    return joined
-
-
-def _plain(args: list[str]) -> dict[str, object] | None:
-    """argparse's namespace of a plain vector, read from the table, where each value
-    converts to its flag's type and choices (a number may start with '-', as in
-    ``--beta=-1e-3``); None for any other vector."""
-    flags = _BY_NAME[args[0]]
-    namespace = {"command": args[0], **{f.dest: f.default for f in flags.values()}}
-    given = {}  # group, or a lone flag's own name -> the flag given
-    for name, raw in zip(args[1::2], args[2::2]):
-        flag = flags.get(name)
-        if flag is None or given.setdefault(flag.group or name, name) != name:
-            return None
-        if raw[:1] == "-" and flag.type is str:  # argparse's to read, or to refuse
-            return None
-        try:
-            namespace[flag.dest] = flag.type(raw)
-        except ValueError:
-            return None
-        if flag.choices and namespace[flag.dest] not in flag.choices:
-            return None
-    return namespace if len(args) % 2 else None
+def _named(word: str, names) -> tuple[str | None, str | None]:
+    """The one of ``names`` that a ``--name`` or ``--name=value`` word names, in full or
+    by a unique prefix, and the value after its '=' (None without one); None for a word
+    that names none of them."""
+    name, equals, value = word.partition("=")
+    if name not in names:
+        long = name.startswith("--") and name != "--"
+        found = [n for n in names if n.startswith(name)] if long else []
+        if len(found) > 1:
+            raise UsageError(f"ambiguous option: {word} could match {', '.join(found)}")
+        name = found[0] if found else None
+    return name, value if equals else None
 
 
 def parse(args: list[str]) -> CliInvocation:
-    """Parse an argument vector into a validated invocation.
+    """Read an argument vector into an invocation, from the flag table.
 
-    A plain vector, a command word and exact ``--flag value`` pairs, is read
-    from the flag table, and argparse is not built; any other led by a command
-    word goes to its subparser alone (:func:`_negatives_joined`), anything else
-    to the full parser. Unknown flags raise UsageError naming the offender;
-    ``--help`` and ``--version`` exit via SystemExit(0).
+    The first word is the command, or ``-h``/``--help`` or ``--version``, which
+    print and exit via SystemExit(0). Each later word is a flag, in full or by a
+    unique prefix, with its value after ``=`` or as the next word, whatever that
+    is; a repeated flag's last value wins. Anything else raises UsageError.
     """
-    overrides = _plain(args) if args and args[0] in _FLAGS else None
-    if overrides is None:
-        parser = _parser()
-        sub = parser.commands.get(args[0]) if args else None
-        overrides = vars(sub.parse_args(_negatives_joined(args)[1:], SimpleNamespace(command=args[0]))
-                         if sub else parser.parse_args(args))
+    command = args[0] if args else None
+    if command not in _FLAGS:
+        if not args:
+            raise UsageError("the following arguments are required: command")
+        if command not in ("-h", "--help", "--version"):
+            raise UsageError(f"argument command: invalid choice: {command!r} "
+                             f"(choose from {', '.join(map(repr, _FLAGS))})")
+        sys.stdout.write(f"arch-resonance {__version__}\n" if command == "--version" else _help(None))
+        raise SystemExit(0)
+    flags = _BY_NAME[command]
+    overrides = dict(_DEFAULTS[command])
+    words = iter(args[1:])
+    for word in words:
+        flag, raw = flags.get(word), None
+        if flag is None:
+            name, raw = _named(word, (*flags, *_HELP))
+            if name in _HELP and raw is None:
+                sys.stdout.write(_help(command))
+                raise SystemExit(0)
+            if name is None or name in _HELP:
+                raise UsageError(f"unrecognized arguments: {word}")
+            flag = flags[name]
+        if raw is None:
+            raw = next(words, None)
+            if raw is None:
+                raise UsageError(f"argument {flag.name}: expected one argument")
+        try:
+            value = flag.type(raw)
+        except ValueError:
+            raise UsageError(
+                f"argument {flag.name}: invalid {flag.type.__name__} value: {raw!r}") from None
+        if flag.choices and value not in flag.choices:
+            raise UsageError(f"argument {flag.name}: invalid choice: {value!r} "
+                             f"(choose from {', '.join(map(repr, flag.choices))})")
+        if flag.bounds and not flag.bounds[0] <= value <= flag.bounds[1]:
+            raise UsageError("argument %s: %d is outside %d to %d" % (flag.name, value, *flag.bounds))
+        overrides[flag.dest] = value
     return CliInvocation(
-        command=overrides.pop("command"),
-        config_path=overrides.pop("config", None),
-        output_path=overrides.pop("out", None),
-        format=overrides.pop("format", "table"),
+        command=command,
+        config_path=overrides.pop("config"),
+        output_path=overrides.pop("out"),
+        format=overrides.pop("format"),
         overrides=overrides,
     )
 
@@ -304,24 +308,24 @@ def _resolve_compliance_model(s: _Settings) -> crack_models.ComplianceModel:
 
 
 def _resolve_chirality(s: _Settings, allow_all: bool) -> model.ChiralityClass | str | None:
+    """The class ``--n/--m`` derive or ``--chirality`` names; given both, they must agree."""
     n = s.get("n", "geometry", cast=int)
     m = s.get("m", "geometry", cast=int)
     if (n is None) != (m is None):
         raise UsageError("--n and --m must be given together")
-    if n is not None:
-        return model.classify_chirality(model.ChiralitySpec(n, m))
     name = s.get("chirality", "geometry", cast=str)
-    if name is None:
-        return None
-    name = name.lower()
-    if name == "all":
-        if allow_all:
-            return "all"
+    named = None if name is None else name.lower()
+    if named == "all" and not allow_all:
         raise UsageError("--chirality all is only valid for sweep")
-    try:
-        return model.ChiralityClass(name)
-    except ValueError:
-        raise UsageError(f"--chirality: unknown class {name!r}") from None
+    if named not in (None, "all"):
+        try:
+            named = model.ChiralityClass(named)
+        except ValueError:
+            raise UsageError(f"--chirality: unknown class {named!r}") from None
+    derived = named if n is None else model.classify_chirality(model.ChiralitySpec(n, m))
+    if named not in (None, derived):
+        raise UsageError(f"--chirality {name} contradicts --n {n} --m {m} ({derived.value})")
+    return derived
 
 
 def _resolve_tube(s: _Settings, chirality, presets) -> model.PhysicalTube:
@@ -508,17 +512,9 @@ def _cmd_modeshape(inv: CliInvocation, s: _Settings) -> str:
     from . import solver
 
     problem, tube, chirality, cfg = _resolve_problem(s)
-    mode = s.overrides["mode"]
+    mode = s.overrides["mode"]  # both within their flags' bounds, which parse checks
     samples = s.overrides["samples"]
-    if mode < 1:
-        raise UsageError("--mode must be >= 1")
-    if samples < 2:
-        raise UsageError("--samples must be >= 2")
-    if samples > solver.MAX_SAMPLES:
-        raise UsageError(f"--samples must be <= {solver.MAX_SAMPLES}")
-    with _bad_input_is_usage_error():  # a mode beyond solver.MAX_MODES
-        cfg = replace(cfg, max_modes=mode)
-    spectrum = solver.find_frequencies(problem, cfg)
+    spectrum = solver.find_frequencies(problem, replace(cfg, max_modes=mode))
     shape = solver.mode_shape(problem, spectrum.roots[mode - 1], samples)
     flat = tuple(v for pair in shape for v in pair)  # phi_0, X_0, phi_1, X_1, ...
     if inv.format == "json":

@@ -120,7 +120,7 @@ class TestImportGraph:
 
     def test_default_level_loads_no_logging(self, loaded_by):
         # Nothing logs at warn or above, so no request at the default level needs
-        # logging; each is a plain vector, read without argparse.
+        # logging, and the flag table reads every request.
         loaded = loaded_by(EVERY_REQUEST)
         assert {"arch_resonance.solver", "arch_resonance.sweep"} <= loaded
         assert not loaded & {"logging", "argparse"}
@@ -129,13 +129,32 @@ class TestImportGraph:
         # Without site (python -S) no .pth hook of the interpreter's
         # site-packages loads modules first, so these are the program's own.
         # Annotations are strings, presets.ini is read beside the module, each
-        # solve keeps its own counts, argparse parses no plain vector and the
+        # solve keeps its own counts, the flag table reads every request and the
         # records are the package's own, not dataclasses with inspect.
         loaded = run_fresh(EVERY_REQUEST, "-S")
         assert {"arch_resonance.solver", "arch_resonance.sweep", "arch_resonance.kernel"} <= loaded
         unused = {"typing", "threading", "importlib.resources", "pathlib", "tempfile", "argparse",
                   "dataclasses", "inspect", "ast", "dis", "tokenize", "copy"}
         assert not loaded & unused
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["freq", "--bogus"], 2), (["freq", "--beta=1", "--eta=1"], 0), (["freq", "--bet", "1"], 0),
+         (["freq", "--help"], 0)],
+        ids=["unknown-flag", "equals", "abbreviated", "help"],
+    )
+    def test_no_request_loads_argparse(self, argv, code):
+        # Under python -S, as above: a bad request, the --flag=value form, an
+        # abbreviation and a help are read from the flag table too.
+        loaded = run_fresh(
+            "import contextlib, io, os\n"
+            "os.environ.pop('ARCH_RESONANCE_LOG', None)\n"
+            "from arch_resonance.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            f"    assert main({argv!r}) == {code}",
+            "-S",
+        )
+        assert not loaded & {"argparse", "gettext"}
 
     def test_no_source_file_names_dataclasses(self):
         # The records come from arch_resonance._record alone.
