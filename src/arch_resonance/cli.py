@@ -2,18 +2,21 @@
 
 Four subcommands: ``freq`` (spectrum of one problem), ``sweep`` (parameter
 sweeps as CSV), ``modeshape`` (sampled spatial mode), ``validate``
-(near-straight table against published reference columns). Values can come
-from flags or from a sectioned config file; flags win. Dimensioned inputs are
-accepted in nm / TPa at this boundary and converted to SI internally.
+(near-straight table against published reference columns). Dimensioned inputs
+are accepted in nm / TPa at this boundary and converted to SI internally.
+
+One table, ``_FLAGS``, declares each command's settings: each flag, with its
+type, choices and bounds, and the ``[section] key`` config entry it mirrors,
+if any; a few settings are config entries alone. :func:`parse` reads every
+request's flags from it, each help is rendered from it, and a config value is
+read and checked as its flag's value is. A flag wins over its config entry.
 
 Exit codes: 0 success; 1 runtime failure, which is fewer roots in the search
 range than modes requested, a determinant dip among them or a range beyond
 double precision, a mode shape of a double root, or unwritable output; 2
-usage error, which is any bad flag, a missing or malformed config or presets
-file, or a bad config or preset value met while resolving them into a
-problem or a sweep, reported in one line on standard error. One table,
-``_FLAGS``, declares each command's flags: :func:`parse` reads every request
-from it, and each help is rendered from it. The environment
+usage error, which is any bad flag or config value, a missing or malformed
+config or presets file, or a bad value met while resolving the settings into
+a problem or a sweep, reported in one line on standard error. The environment
 variable ``ARCH_RESONANCE_LOG`` (error, warn, info, debug) controls
 diagnostics on standard error.
 """
@@ -21,7 +24,6 @@ diagnostics on standard error.
 from __future__ import annotations
 
 # Only what every request needs; the rest, logging too, is imported where used.
-import functools
 import os
 import sys
 from collections import namedtuple
@@ -43,6 +45,20 @@ _SWEEP_DEFAULTS = {
     "radius": (2.0, 20.0, 41),
 }
 
+# The shipped presets, one entry per chirality class, in the layout of a --presets
+# file. They are documented placeholders, not measurements: a 1 TPa modulus and a
+# 0.34 nm wall are the customary single-wall values, diameters follow from the
+# roll-up indices, and mass per length is the graphite-density shell estimate
+# rho * pi * d * h with rho = 2260 kg/m^3.
+_PRESETS = {
+    "armchair": {"youngs_modulus_tpa": 1.0, "n": 5.0, "m": 5.0, "wall_thickness_nm": 0.34,
+                 "mass_per_length_kg_per_m": 1.6367e-15, "arch_radius_nm": 10.0},
+    "zigzag": {"youngs_modulus_tpa": 1.0, "n": 10.0, "m": 0.0, "wall_thickness_nm": 0.34,
+               "mass_per_length_kg_per_m": 1.8899e-15, "arch_radius_nm": 10.0},
+    "chiral": {"youngs_modulus_tpa": 1.0, "n": 8.0, "m": 3.0, "wall_thickness_nm": 0.34,
+               "mass_per_length_kg_per_m": 1.8613e-15, "arch_radius_nm": 10.0},
+}
+
 
 @record
 class CliInvocation:
@@ -53,13 +69,22 @@ class CliInvocation:
     format: str
 
 
-_Flag = namedtuple("_Flag", "name help type default choices bounds dest")
+_Flag = namedtuple("_Flag", "name help type default choices bounds dest key")
 
 
-def _flag(name, help, type=str, default=None, choices=None, bounds=None, dest=None) -> _Flag:
-    """A command's flag, as :func:`parse` reads it: a ``type`` value, within ``choices``
-    or inclusive ``bounds`` where given, stored under ``dest``, by default the name's."""
-    return _Flag(name, help, type, default, choices, bounds, dest or name[2:].replace("-", "_"))
+def _flag(name, help, type=str, default=None, choices=None, bounds=None, dest=None,
+          key=None) -> _Flag:
+    """A command's setting: a ``type`` value, within ``choices`` or inclusive ``bounds``
+    where given, stored under ``dest``, by default the name's. ``key`` is the
+    ``(section, name)`` config entry it mirrors; a setting with no flag ``name`` is
+    that entry alone."""
+    dest = dest or (name[2:] if name else key[1]).replace("-", "_")
+    return _Flag(name, help, type, default, choices, bounds, dest, key)
+
+
+def _float_list(raw: str) -> tuple[float, ...]:
+    """Comma-separated numbers, bracketed or not: ``[0, 1.5, 2.0]``."""
+    return tuple(map(float, raw.strip().strip("[]").split(",")))
 
 
 def _common(default_format: str) -> tuple[_Flag, ...]:
@@ -69,43 +94,61 @@ def _common(default_format: str) -> tuple[_Flag, ...]:
                   ("table", "csv", "json")))
 
 
-_PROBLEM_FLAGS = (
-    _flag("--beta", "central angle in rad", float),
-    _flag("--eta", "dimensionless nonlocal parameter", float),
-    _flag("--eta-nm2", "physical nonlocal constant in nm^2", float),
-    _flag("--radius-nm", "arch radius in nm", float),
-    _flag("--diameter-nm", "tube diameter in nm", float),
-    _flag("--n", "roll-up index n (with --m derives diameter)", int),
-    _flag("--m", "roll-up index m", int),
-    _flag("--chirality", "chirality class: armchair, zigzag or chiral (sweep also: all)"),
-    _flag("--crack-alpha", "crack position angle in rad", float),
-    _flag("--crack-psi", "crack depth ratio c/h in [0, 1)", float),
-    _flag("--crack-model", "compliance model name"),
-    _flag("--presets", "presets file path"),
-)
-_MODES = (1, 100000)  # solver.MAX_MODES, which the library keeps too
+def _problem(classes: tuple[str, ...]) -> tuple[_Flag, ...]:
+    """The settings of a command that solves problems; ``classes`` are its --chirality's."""
+    return (
+        _flag("--beta", "central angle in rad", float, key=("geometry", "beta")),
+        _flag("--eta", "dimensionless nonlocal parameter", float, key=("nonlocal", "eta")),
+        _flag("--eta-nm2", "physical nonlocal constant in nm^2", float,
+              key=("nonlocal", "eta-nm2")),
+        _flag("--radius-nm", "arch radius in nm", float, key=("geometry", "radius-nm")),
+        _flag("--diameter-nm", "tube diameter in nm", float, key=("geometry", "diameter-nm")),
+        _flag("--n", "roll-up index n (with --m derives diameter)", int, key=("geometry", "n")),
+        _flag("--m", "roll-up index m", int, key=("geometry", "m")),
+        _flag("--chirality", "chirality class, in any case", str.lower, choices=classes,
+              key=("geometry", "chirality")),
+        _flag("--crack-alpha", "crack position angle in rad", float, key=("crack", "alpha_rad")),
+        _flag("--crack-psi", "crack depth ratio c/h in [0, 1)", float, key=("crack", "psi")),
+        _flag("--crack-model", "compliance model (default power-law)",
+              choices=("power-law", "polynomial"), key=("crack", "model")),
+        _flag(None, None, float, key=("crack", "kappa0")),
+        _flag(None, None, float, key=("crack", "scale")),
+        _flag(None, None, _float_list, key=("crack", "coefficients")),
+        _flag("--presets", "presets file path", key=("material", "presets")),
+    )
 
-# The one declaration of each command's flags, in the order its help lists them.
+
+_CLASSES = tuple(c.value for c in model.ChiralityClass)
+_MODES = (1, 100000)  # solver.MAX_MODES, which the library keeps too
+_SEARCH = tuple(_flag(None, None, type, key=("search", name))
+                for name, type in (("k-min", float), ("k-max", float), ("grid-points", int),
+                                   ("refine-tol", float)))
+
+# The one declaration of each command's settings, in the order its help lists the flags.
 _FLAGS = {
     "freq": ("natural frequency spectrum of one problem", (
-        *_PROBLEM_FLAGS, _flag("--modes", "number of modes (default 5)", int, bounds=_MODES),
-        *_common("table"))),
+        *_problem(_CLASSES),
+        _flag("--modes", "number of modes (default 5)", int, bounds=_MODES,
+              key=("search", "modes")),
+        *_SEARCH, *_common("table"))),
     "sweep": ("parameter sweep emitting tabular data", (
-        *_PROBLEM_FLAGS,
-        _flag("--modes", "mode index to report (default 1)", int, bounds=_MODES),
+        *_problem((*_CLASSES, "all")),
+        _flag("--modes", "mode index to report (default 1)", int, bounds=_MODES,
+              key=("search", "modes")),
         _flag("--param", "swept parameter", choices=tuple(_SWEEP_DEFAULTS)),
         _flag("--from", "sweep start", float, dest="from_"),
         _flag("--to", "sweep end", float),
         _flag("--steps", "number of grid points", int), *_common("csv"))),
     "modeshape": ("sampled spatial mode shape", (
-        *_PROBLEM_FLAGS, _flag("--mode", "mode index (default 1)", int, 1, bounds=_MODES),
+        *_problem(_CLASSES), _flag("--mode", "mode index (default 1)", int, 1, bounds=_MODES),
         _flag("--samples", "sample count (default 201)", int, 201, bounds=(2, 1000000)),
-        *_common("csv"))),
+        *_SEARCH, *_common("csv"))),
     "validate": ("near-straight limit against published reference values", (
         _flag("--beta", "small central angle in rad (default 0.05)", float), *_common("table"))),
 }
-_BY_NAME = {command: {f.name: f for f in flags} for command, (_, flags) in _FLAGS.items()}
-_DEFAULTS = {command: {f.dest: f.default for f in flags} for command, (_, flags) in _FLAGS.items()}
+_BY_NAME = {command: {f.name: f for f in flags if f.name} for command, (_, flags) in _FLAGS.items()}
+_DEFAULTS = {command: {f.dest: f.default for f in flags.values()}
+             for command, flags in _BY_NAME.items()}
 _HELP = ("-h", "--help")
 
 
@@ -118,9 +161,10 @@ def _help(command: str | None) -> str:
         rows.append(("--version", "print the version and exit"))
     else:
         usage = f"{command} [-h] [--flag VALUE | --flag=VALUE] ..."
-        about, flags = _FLAGS[command]
+        about = _FLAGS[command][0]
         rows = [(f"{f.name} " + ("{%s}" % ",".join(f.choices) if f.choices else f.name[2:].upper()),
-                 f.help + ("; %d to %d" % f.bounds if f.bounds else "")) for f in flags]
+                 f.help + ("; %d to %d" % f.bounds if f.bounds else ""))
+                for f in _BY_NAME[command].values()]
     rows.append(("-h, --help", "show this help and exit"))
     width = max(len(left) for left, _ in rows) + 2
     lines = [f"usage: arch-resonance {usage}", "", about, ""]
@@ -139,6 +183,21 @@ def _named(word: str, names) -> tuple[str | None, str | None]:
             raise UsageError(f"ambiguous option: {word} could match {', '.join(found)}")
         name = found[0] if found else None
     return name, value if equals else None
+
+
+def _value(flag: _Flag, raw: str, where: str):
+    """``raw`` read as ``flag``'s value; a bad one is a UsageError that starts ``where``."""
+    try:
+        value = flag.type(raw)
+    except ValueError:
+        kind = flag.type.__name__.lstrip("_").replace("_", " ")
+        raise UsageError(f"{where}: invalid {kind} value: {raw!r}") from None
+    if flag.choices and value not in flag.choices:
+        raise UsageError(f"{where}: invalid choice: {value!r} "
+                         f"(choose from {', '.join(map(repr, flag.choices))})")
+    if flag.bounds and not flag.bounds[0] <= value <= flag.bounds[1]:
+        raise UsageError("%s: %d is outside %d to %d" % (where, value, *flag.bounds))
+    return value
 
 
 def parse(args: list[str]) -> CliInvocation:
@@ -175,17 +234,7 @@ def parse(args: list[str]) -> CliInvocation:
             raw = next(words, None)
             if raw is None:
                 raise UsageError(f"argument {flag.name}: expected one argument")
-        try:
-            value = flag.type(raw)
-        except ValueError:
-            raise UsageError(
-                f"argument {flag.name}: invalid {flag.type.__name__} value: {raw!r}") from None
-        if flag.choices and value not in flag.choices:
-            raise UsageError(f"argument {flag.name}: invalid choice: {value!r} "
-                             f"(choose from {', '.join(map(repr, flag.choices))})")
-        if flag.bounds and not flag.bounds[0] <= value <= flag.bounds[1]:
-            raise UsageError("argument %s: %d is outside %d to %d" % (flag.name, value, *flag.bounds))
-        overrides[flag.dest] = value
+        overrides[flag.dest] = _value(flag, raw, f"argument {flag.name}")
     return CliInvocation(
         command=command,
         config_path=overrides.pop("config"),
@@ -219,13 +268,33 @@ def _read_ini(path: str, kind: str) -> dict[str, dict[str, str]]:
         raise UsageError(f"cannot read {kind} file {path}: {reason}") from None
 
 
-def _read_config(path: str | None) -> dict[str, dict[str, str]]:
-    return {} if path is None else _read_ini(path, "config")
+def _settings(inv: CliInvocation) -> dict[str, object]:
+    """Each setting of the request, by ``dest``: its flag's value if given, else its
+    config entry's, read as the flag's would be, else None."""
+    flags = _FLAGS[inv.command][1]
+    settings = {flag.dest: None for flag in flags} | inv.overrides
+    if inv.config_path is not None:
+        config = _read_ini(inv.config_path, "config")
+        for flag in flags:
+            raw = config.get(flag.key[0], {}).get(flag.key[1]) if flag.key else None
+            if raw is not None and settings[flag.dest] is None:
+                settings[flag.dest] = _value(flag, raw, "config [%s] %s" % flag.key)
+    return settings
 
 
-def _numeric_table(sections: dict[str, dict[str, str]]) -> dict[str, dict[str, float]]:
+def load_presets(path: str | None = None) -> dict[str, dict[str, float]]:
+    """Parse a presets file (shipped defaults when ``path`` is None).
+
+    Grammar: INI sections named after the chirality class, keys
+    ``youngs_modulus_tpa``, ``wall_thickness_nm``, ``mass_per_length_kg_per_m``,
+    ``arch_radius_nm`` and either ``diameter_nm`` or ``n``/``m`` (plus
+    optional ``bond_length_nm``). All values numeric. A ``path`` is read on
+    every call; each call returns a fresh table.
+    """
+    if path is None:
+        return {name: dict(entry) for name, entry in _PRESETS.items()}
     table: dict[str, dict[str, float]] = {}
-    for section, raw_entry in sections.items():
+    for section, raw_entry in _read_ini(path, "presets").items():
         entry = {}
         for key, raw in raw_entry.items():
             try:
@@ -238,121 +307,44 @@ def _numeric_table(sections: dict[str, dict[str, str]]) -> dict[str, dict[str, f
     return table
 
 
-@functools.cache
-def _shipped_presets() -> dict[str, dict[str, float]]:
-    """The package's ``presets.ini``, beside this module, parsed once per process on first use."""
-    path = os.path.join(os.path.dirname(__file__), "presets.ini")
-    return _numeric_table(_read_ini(path, "presets"))
-
-
-def load_presets(path: str | None = None) -> dict[str, dict[str, float]]:
-    """Parse a presets file (shipped defaults when ``path`` is None).
-
-    Grammar: INI sections named after the chirality class, keys
-    ``youngs_modulus_tpa``, ``wall_thickness_nm``, ``mass_per_length_kg_per_m``,
-    ``arch_radius_nm`` and either ``diameter_nm`` or ``n``/``m`` (plus
-    optional ``bond_length_nm``). All values numeric. A ``path`` is read on
-    every call; the shipped file is parsed once, and each call returns a
-    fresh copy of it.
-    """
-    if path is None:
-        return {section: dict(entry) for section, entry in _shipped_presets().items()}
-    return _numeric_table(_read_ini(path, "presets"))
-
-
-class _Settings:
-    """Layered lookup: flag value, then config section key, then default."""
-
-    def __init__(self, overrides: dict[str, object], config: dict[str, dict[str, str]]):
-        self.overrides = overrides
-        self.config = config
-
-    def get(self, flag: str, section: str, key: str | None = None, cast=float, default=None):
-        value = self.overrides.get(flag.replace("-", "_"))
-        if value is not None:
-            return value
-        raw = self.config.get(section, {}).get(key if key is not None else flag)
-        if raw is not None:
-            try:
-                return cast(raw)
-            except ValueError:
-                raise UsageError(f"config [{section}] {flag}: bad value {raw!r}") from None
-        return default
-
-
-def _parse_coefficient_list(raw: str) -> tuple[float, ...]:
-    text = raw.strip().strip("[]")
-    if not text:
-        raise UsageError("[crack] coefficients: empty list")
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise UsageError(f"[crack] coefficients: bad list {raw!r}") from None
-
-
-def _resolve_compliance_model(s: _Settings) -> crack_models.ComplianceModel:
+def _resolve_compliance_model(s: dict) -> crack_models.ComplianceModel:
     from . import crack as crack_models
 
-    name = s.get("crack-model", "crack", key="model", cast=str, default="power-law")
-    if name == "power-law":
-        kappa0 = s.get("kappa0", "crack", cast=float, default=crack_models.DEFAULT_KAPPA0)
-        return crack_models.PowerLawCompliance(kappa0=kappa0)
-    if name == "polynomial":
-        raw = s.config.get("crack", {}).get("coefficients")
-        if raw is None:
-            raise UsageError("[crack] coefficients required for the polynomial model")
-        coeffs = _parse_coefficient_list(raw)
-        scale = s.get("scale", "crack", cast=float, default=1.0)
-        return crack_models.PolynomialCompliance(coeffs, scale)
-    raise UsageError(f"--crack-model: unknown model {name!r}")
+    if s["crack_model"] == "polynomial":
+        coefficients = s["coefficients"] or ()  # none is the constructor's error
+        return crack_models.PolynomialCompliance(coefficients, **_given(scale=s["scale"]))
+    return crack_models.PowerLawCompliance(**_given(kappa0=s["kappa0"]))
 
 
-def _resolve_chirality(s: _Settings, allow_all: bool) -> model.ChiralityClass | str | None:
+def _resolve_chirality(s: dict) -> model.ChiralityClass | str | None:
     """The class ``--n/--m`` derive or ``--chirality`` names; given both, they must agree."""
-    n = s.get("n", "geometry", cast=int)
-    m = s.get("m", "geometry", cast=int)
+    n, m, name = s["n"], s["m"], s["chirality"]
     if (n is None) != (m is None):
         raise UsageError("--n and --m must be given together")
-    name = s.get("chirality", "geometry", cast=str)
-    named = None if name is None else name.lower()
-    if named == "all" and not allow_all:
-        raise UsageError("--chirality all is only valid for sweep")
-    if named not in (None, "all"):
-        try:
-            named = model.ChiralityClass(named)
-        except ValueError:
-            raise UsageError(f"--chirality: unknown class {named!r}") from None
+    named = name if name in (None, "all") else model.ChiralityClass(name)
     derived = named if n is None else model.classify_chirality(model.ChiralitySpec(n, m))
     if named not in (None, derived):
         raise UsageError(f"--chirality {name} contradicts --n {n} --m {m} ({derived.value})")
     return derived
 
 
-def _resolve_tube(s: _Settings, chirality, presets) -> model.PhysicalTube:
+def _resolve_tube(s: dict, chirality, presets) -> model.PhysicalTube:
     """The class's tube from ``presets``, with the geometry flags applied.
 
     The one place ``--radius-nm``, ``--diameter-nm`` and ``--n/--m`` reach a
     tube, for every command.
     """
     tube = model.resolve_preset(chirality, presets)
-    radius_nm = s.get("radius-nm", "geometry", cast=float)
-    diameter_nm = s.get("diameter-nm", "geometry", cast=float)
-    n = s.get("n", "geometry", cast=int)
-    m = s.get("m", "geometry", cast=int)
     updates = {}
-    if radius_nm is not None:
-        updates["radius"] = radius_nm * 1e-9
-    if diameter_nm is not None:
-        updates["diameter"] = diameter_nm * 1e-9
-    elif n is not None and m is not None:
-        updates["diameter"] = model.tube_diameter(model.ChiralitySpec(n, m)) * 1e-9
+    if s["radius_nm"] is not None:
+        updates["radius"] = s["radius_nm"] * 1e-9
+    if s["diameter_nm"] is not None:
+        updates["diameter"] = s["diameter_nm"] * 1e-9
+    elif s["n"] is not None and s["m"] is not None:
+        updates["diameter"] = model.tube_diameter(model.ChiralitySpec(s["n"], s["m"])) * 1e-9
     if updates:
         tube = replace(tube, **updates)
     return tube
-
-
-def _presets(s: _Settings) -> dict[str, dict[str, float]]:
-    return load_presets(s.get("presets", "material", cast=str))
 
 
 def _given(**values) -> dict[str, object]:
@@ -369,56 +361,49 @@ def _bad_input_is_usage_error():
         raise UsageError(str(exc)) from None
 
 
-def _resolve_inputs(s: _Settings, allow_all: bool):
+def _resolve_inputs(s: dict):
     """Chirality and the keyword arguments of :func:`model.nondimensionalize`.
 
     Shared by every command that solves a problem: ``beta``, the nonlocal
     parameter as ``eta_nd`` or ``eta_physical`` (m^2), and the crack.
     """
-    beta = s.get("beta", "geometry", cast=float, default=1.0)
-    eta_nd = s.get("eta", "nonlocal", cast=float)
-    eta_nm2 = s.get("eta-nm2", "nonlocal", cast=float)
+    beta = 1.0 if s["beta"] is None else s["beta"]
+    eta_nd, eta_nm2 = s["eta"], s["eta_nm2"]
     if eta_nd is not None and eta_nm2 is not None:
         raise UsageError("--eta and --eta-nm2 are mutually exclusive")
     if eta_nm2 is None and eta_nd is None:
         eta_nd = 1.0
     crack = None
-    psi = s.get("crack-psi", "crack", key="psi", cast=float, default=0.0)
-    if psi:
-        alpha = s.get("crack-alpha", "crack", key="alpha_rad", cast=float, default=0.5 * beta)
-        crack = model.CrackSpec(alpha, psi, _resolve_compliance_model(s))
+    if s["crack_psi"]:
+        alpha = 0.5 * beta if s["crack_alpha"] is None else s["crack_alpha"]
+        crack = model.CrackSpec(alpha, s["crack_psi"], _resolve_compliance_model(s))
     inputs = dict(
         beta=beta,
         eta_nd=eta_nd,
         eta_physical=eta_nm2 * 1e-18 if eta_nm2 is not None else None,
         crack=crack,
     )
-    return _resolve_chirality(s, allow_all), inputs
+    return _resolve_chirality(s), inputs
 
 
-def _resolve_problem(s: _Settings):
-    """Shared context resolution for freq and modeshape.
+def _resolve_problem(s: dict, modes: int | None):
+    """Shared context resolution for freq and modeshape, whose search is for ``modes``.
 
     Returns (problem, tube, chirality, search config).
     """
     from . import solver
 
     with _bad_input_is_usage_error():
-        chirality, inputs = _resolve_inputs(s, allow_all=False)
+        chirality, inputs = _resolve_inputs(s)
         for flag in ("radius-nm", "diameter-nm") if chirality is None else ():
-            if s.get(flag, "geometry", cast=str) is not None:
+            if s[flag.replace("-", "_")] is not None:
                 raise UsageError(f"--{flag} needs --chirality or --n/--m")
-        tube = None if chirality is None else _resolve_tube(s, chirality, _presets(s))
+        presets = None if chirality is None else load_presets(s["presets"])
+        tube = None if chirality is None else _resolve_tube(s, chirality, presets)
         problem = model.nondimensionalize(tube, **inputs)
-        cfg = solver.SearchConfig(
-            **_given(
-                k_min=s.get("k-min", "search", cast=float),
-                k_max=s.get("k-max", "search", cast=float),
-                grid_points=s.get("grid-points", "search", cast=int),
-                refine_tol=s.get("refine-tol", "search", cast=float),
-                max_modes=s.get("modes", "search", cast=int),
-            )
-        )
+        cfg = solver.SearchConfig(**_given(k_min=s["k_min"], k_max=s["k_max"],
+                                           grid_points=s["grid_points"],
+                                           refine_tol=s["refine_tol"], max_modes=modes))
     return problem, tube, chirality, cfg
 
 
@@ -495,10 +480,10 @@ def _render_spectrum(payload, problem, tube, chirality, fmt: str) -> str:
 # Commands
 
 
-def _cmd_freq(inv: CliInvocation, s: _Settings) -> str:
+def _cmd_freq(inv: CliInvocation, s: dict) -> str:
     from . import solver
 
-    problem, tube, chirality, cfg = _resolve_problem(s)
+    problem, tube, chirality, cfg = _resolve_problem(s, s["modes"])
     if logging := sys.modules.get("logging"):  # main imports it at info and debug
         logging.getLogger("arch_resonance").info(
             "freq: beta=%g eta_nd=%g crack=%s", problem.beta, problem.eta_nd, problem.crack
@@ -508,13 +493,12 @@ def _cmd_freq(inv: CliInvocation, s: _Settings) -> str:
     return _render_spectrum(payload, problem, tube, chirality, inv.format)
 
 
-def _cmd_modeshape(inv: CliInvocation, s: _Settings) -> str:
+def _cmd_modeshape(inv: CliInvocation, s: dict) -> str:
     from . import solver
 
-    problem, tube, chirality, cfg = _resolve_problem(s)
-    mode = s.overrides["mode"]  # both within their flags' bounds, which parse checks
-    samples = s.overrides["samples"]
-    spectrum = solver.find_frequencies(problem, replace(cfg, max_modes=mode))
+    mode, samples = s["mode"], s["samples"]  # both within their flags' bounds
+    problem, tube, chirality, cfg = _resolve_problem(s, mode)
+    spectrum = solver.find_frequencies(problem, cfg)
     shape = solver.mode_shape(problem, spectrum.roots[mode - 1], samples)
     flat = tuple(v for pair in shape for v in pair)  # phi_0, X_0, phi_1, X_1, ...
     if inv.format == "json":
@@ -533,31 +517,28 @@ def _cmd_modeshape(inv: CliInvocation, s: _Settings) -> str:
     return ("phi_rad,X\n" + f"{_FMT},{_FMT}\n" * samples) % flat
 
 
-def _cmd_sweep(inv: CliInvocation, s: _Settings) -> str:
+def _cmd_sweep(inv: CliInvocation, s: dict) -> str:
     from . import sweep
 
-    param = s.overrides.get("param")
+    param = s["param"]
     if param is None:
         raise UsageError("--param is required for sweep")
     d_from, d_to, d_steps = _SWEEP_DEFAULTS[param]
-    start = s.overrides.get("from_")
-    stop = s.overrides.get("to")
-    steps = s.overrides.get("steps")
-    start = d_from if start is None else start
-    stop = d_to if stop is None else stop
-    steps = d_steps if steps is None else steps
+    start = d_from if s["from_"] is None else s["from_"]
+    stop = d_to if s["to"] is None else s["to"]
+    steps = d_steps if s["steps"] is None else s["steps"]
     if param == "radius":
         start, stop = start * 1e-9, stop * 1e-9  # nm at the CLI boundary
 
-    if any(s.get(flag, "geometry", cast=str) is not None for flag in ("diameter-nm", "n", "m")):
+    if any(s[dest] is not None for dest in ("diameter_nm", "n", "m")):
         raise UsageError(
             "sweep uses each chirality preset's diameter; "
             "--diameter-nm and --n/--m do not apply (use --chirality)"
         )
     with _bad_input_is_usage_error():
-        chirality, inputs = _resolve_inputs(s, allow_all=True)
+        chirality, inputs = _resolve_inputs(s)
         classes = tuple(model.ChiralityClass) if chirality in (None, "all") else (chirality,)
-        presets = _presets(s)
+        presets = load_presets(s["presets"])
         spec = sweep.SweepSpec(
             parameter=param,
             start=start,
@@ -565,7 +546,7 @@ def _cmd_sweep(inv: CliInvocation, s: _Settings) -> str:
             steps=steps,
             tubes={c: _resolve_tube(s, c, presets) for c in classes},
             **inputs,
-            **_given(mode=s.get("modes", "search", cast=int)),
+            **_given(mode=s["modes"]),
         )
     if logging := sys.modules.get("logging"):
         logging.getLogger("arch_resonance").info(
@@ -583,11 +564,10 @@ def _cmd_sweep(inv: CliInvocation, s: _Settings) -> str:
     return sweep.rows_to_csv(rows)
 
 
-def _cmd_validate(inv: CliInvocation, s: _Settings) -> str:
+def _cmd_validate(inv: CliInvocation, s: dict) -> str:
     from . import sweep
 
-    beta_small = s.overrides.get("beta")
-    beta_small = 0.05 if beta_small is None else beta_small
+    beta_small = 0.05 if s["beta"] is None else s["beta"]
     try:
         rows = sweep.validation_table(beta_small)
     except InvalidSpec as exc:
@@ -615,7 +595,7 @@ _COMMANDS = {
 
 def run(inv: CliInvocation) -> int:
     """Execute a parsed invocation; returns the process exit code."""
-    settings = _Settings(inv.overrides, _read_config(inv.config_path))
+    settings = _settings(inv)
     try:
         text = _COMMANDS[inv.command](inv, settings)
         _write(text, inv.output_path)

@@ -83,9 +83,9 @@ def build_parser():
     parser = _Parser(prog="arch-resonance")
     parser.add_argument("--version", action="version", version=f"%(prog)s {cli.__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (summary, flags) in cli._FLAGS.items():
+    for command, (summary, _) in cli._FLAGS.items():
         command_parser = sub.add_parser(command, help=summary)
-        for f in flags:
+        for f in cli._BY_NAME[command].values():  # a config entry alone has no flag
             command_parser.add_argument(f.name, dest=f.dest, type=typed(f), default=f.default,
                                         choices=f.choices, help=f.help)
     return parser
@@ -424,8 +424,8 @@ class TestFreqCommand:
         path.write_text(config)
         request = ["freq", "--n", "6", "--m", "6", *argv, "--beta", "1", "--eta", "1"]
         assert main([*request, "--config", str(path)]) == 2
-        name = argv[1] if argv else "zigzag"
-        assert capsys.readouterr() == ("", f"usage error: --chirality {name} contradicts "
+        # The class is read in any case, as the flag table reads it: lowercased.
+        assert capsys.readouterr() == ("", "usage error: --chirality zigzag contradicts "
                                           "--n 6 --m 6 (armchair)\n")
 
     def test_chirality_agreeing_with_the_indices(self, capsys):
@@ -546,6 +546,92 @@ class TestConfigPrecedence:
         assert main(["freq", "--config", str(cfg)]) == 2
         captured = capsys.readouterr()
         assert captured.err == "usage error: k_min must leave room for a default k_max\n"
+
+
+# A refused and an admitted value of each flag with a config entry, and the flags
+# the admitted one needs beside it; a path is refused by no check of its own.
+_KEYED = {
+    "--beta": ("x", "2", []),
+    "--eta": ("-", "0.5", []),
+    "--eta-nm2": ("1e", "1", ["--chirality", "armchair"]),
+    "--radius-nm": ("x", "5", ["--chirality", "armchair"]),
+    "--diameter-nm": ("", "0.8", ["--chirality", "zigzag"]),
+    "--n": ("1.5", "6", ["--m", "6"]),
+    "--m": ("x", "6", ["--n", "6"]),
+    "--chirality": ("bogus", "ZigZag", []),
+    "--crack-alpha": ("x", "0.3", ["--crack-psi", "0.3"]),
+    "--crack-psi": ("x", "0.3", []),
+    "--crack-model": ("foo", "power-law", ["--crack-psi", "0.3"]),
+    "--presets": (None, "shipped.ini", ["--chirality", "chiral"]),
+    "--modes": ("0", "2", []),
+}
+_BASE = {"freq": ["freq"], "sweep": ["sweep", "--param", "beta", "--steps", "2"],
+         "modeshape": ["modeshape", "--samples", "5"]}
+
+
+class TestKeyedSettings:
+    """A config entry is read as its flag is: one type, choice and bound check."""
+
+    @staticmethod
+    def _answer(argv, capsys) -> tuple[int, str, str]:
+        code = main(argv)
+        return (code, *capsys.readouterr())
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(c, f) for c, (_, flags) in cli._FLAGS.items() for f in flags if f.name and f.key],
+        ids=lambda x: x if isinstance(x, str) else x.name,
+    )
+    def test_flag_and_config_entry_read_alike(self, command, flag, capsys, tmp_path):
+        refused, admitted, beside = _KEYED[flag.name]
+        config = tmp_path / "c.ini"
+        (tmp_path / "shipped.ini").write_text("".join(
+            f"[{name}]\n" + "".join(f"{k} = {v!r}\n" for k, v in entry.items())
+            for name, entry in load_presets().items()))
+        where = "config [%s] %s" % flag.key
+        if refused is not None:
+            code, out, err = self._answer([*_BASE[command], flag.name, refused], capsys)
+            prefix = f"usage error: argument {flag.name}: "
+            assert (code, out) == (2, "") and err.startswith(prefix)
+            config.write_text(f"[{flag.key[0]}]\n{flag.key[1]} = {refused}\n")
+            assert self._answer([*_BASE[command], "--config", str(config)], capsys) == (
+                2, "", f"usage error: {where}: {err[len(prefix):]}")
+        admitted = str(tmp_path / admitted) if flag.name == "--presets" else admitted
+        by_flag = self._answer([*_BASE[command], *beside, flag.name, admitted], capsys)
+        config.write_text(f"[{flag.key[0]}]\n{flag.key[1]} = {admitted}\n")
+        by_key = self._answer([*_BASE[command], *beside, "--config", str(config)], capsys)
+        assert by_key == by_flag
+        assert by_flag[0] == (2 if command == "sweep" and flag.name in ("--diameter-nm", "--n",
+                                                                         "--m") else 0)
+
+    @pytest.mark.parametrize(
+        "argv, config, err",
+        [
+            # Once "config [crack] crack-psi: bad value 'x'", a key the file does not have.
+            (["freq"], "[crack]\npsi = x\n", "config [crack] psi: invalid float value: 'x'"),
+            (["freq"], "[crack]\nkappa0 = x\n", "config [crack] kappa0: invalid float value: 'x'"),
+            (["freq", "--crack-psi", "0.3"], "[crack]\nmodel = polynomial\ncoefficients = []\n",
+             "config [crack] coefficients: invalid float list value: '[]'"),
+            (["freq", "--crack-psi", "0.3"], "[crack]\nmodel = polynomial\n",
+             "polynomial model needs at least one coefficient"),
+            (["modeshape"], "[search]\ngrid-points = 1.5\n",
+             "config [search] grid-points: invalid int value: '1.5'"),
+            (["freq"], "[geometry]\nchirality = all\n", "config [geometry] chirality: invalid "
+             "choice: 'all' (choose from 'armchair', 'zigzag', 'chiral')"),
+            # A bad value is refused also where the request would not use it.
+            (["freq", "--crack-model", "foo"], "", "argument --crack-model: invalid choice: "
+             "'foo' (choose from 'power-law', 'polynomial')"),
+            (["freq", "--chirality", "all"], "", "argument --chirality: invalid choice: "
+             "'all' (choose from 'armchair', 'zigzag', 'chiral')"),
+        ],
+        ids=["psi", "kappa0", "coefficients", "no-coefficients", "grid-points", "chirality-all",
+             "model-uncracked", "chirality-all-flag"],
+    )
+    def test_bad_value_names_its_entry(self, argv, config, err, capsys, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text(config)
+        assert main([*argv, "--config", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"usage error: {err}\n")
 
 
 class TestModeshapeCommand:
@@ -733,7 +819,8 @@ class TestRequestBounds:
     instead of taking the machine's memory."""
 
     HUGE = "99999999999999999999"
-    BOUND_CONFIG = "usage error: max_modes must be at most 100000\n"  # the library's own
+    # A config entry is read and checked as its flag is.
+    BOUND_CONFIG = f"usage error: config [search] modes: {HUGE} is outside 1 to 100000\n"
 
     @staticmethod
     def _capped(statements: str, *args: str) -> subprocess.CompletedProcess:
@@ -765,6 +852,8 @@ class TestRequestBounds:
             (["freq", "--modes", "0"], _outside("--modes", "0")),
             (["freq", "--crack-psi", "0.3", "--modes", HUGE], _outside("--modes", HUGE)),
             (["freq", "--config", "modes.ini"], BOUND_CONFIG),
+            (["sweep", "--param", "beta", "--steps", "2", "--chirality", "armchair",
+              "--config", "modes.ini"], BOUND_CONFIG),
             (["modeshape", "--mode", HUGE], _outside("--mode", HUGE)),
             (["modeshape", "--mode", "0"], _outside("--mode", "0")),
             (["sweep", "--param", "beta", "--steps", "2", "--chirality", "armchair",
@@ -778,7 +867,7 @@ class TestRequestBounds:
             (["modeshape", "--crack-psi", "0.3", "--samples", HUGE],
              _outside("--samples", HUGE, "2 to 1000000")),
         ],
-        ids=["freq", "freq-one-over", "freq-zero", "freq-cracked", "freq-config",
+        ids=["freq", "freq-one-over", "freq-zero", "freq-cracked", "freq-config", "sweep-config",
              "modeshape-mode", "modeshape-mode-zero", "sweep", "sweep-zero", "modeshape-samples",
              "modeshape-one-over", "modeshape-one", "modeshape-cracked"],
     )
@@ -789,6 +878,21 @@ class TestRequestBounds:
         done = self._capped("from arch_resonance.cli import main\nsys.exit(main(sys.argv[1:]))",
                             *argv)
         assert (done.returncode, done.stdout, done.stderr) == (2, "", err)
+
+    def test_modes_key_below_its_bound(self, capsys, tmp_path):
+        # freq and sweep refuse it as they refuse --modes 0; modeshape reads --mode
+        # alone, so the key is no setting of its own.
+        config = tmp_path / "modes.ini"
+        config.write_text("[search]\nmodes = 0\n")
+        for argv in (["freq"], ["sweep", "--param", "beta", "--steps", "2"]):
+            assert main([*argv, "--config", str(config)]) == 2
+            err = "usage error: config [search] modes: 0 is outside 1 to 100000\n"
+            assert capsys.readouterr() == ("", err)
+        argv = ["modeshape", "--samples", "5", "--config", str(config)]
+        assert main(argv) == 0
+        alone = capsys.readouterr()
+        assert main(argv[:-2]) == 0
+        assert capsys.readouterr() == alone
 
     def test_library_refuses_beyond_the_bounds(self):
         done = self._capped(
@@ -813,6 +917,15 @@ class TestPresets:
         assert set(table) == {"armchair", "zigzag", "chiral"}
         for entry in table.values():
             assert entry["youngs_modulus_tpa"] > 0
+
+    def test_readme_block_is_the_shipped_table(self, tmp_path):
+        # README's Presets section shows the shipped table as a --presets file.
+        readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+        section = readme[readme.index("### Presets\n"):]
+        block = section[section.index("```ini\n") + 7:section.index("```\n", 7)]
+        path = tmp_path / "presets.ini"
+        path.write_text(block)
+        assert load_presets(str(path)) == load_presets()
 
     def test_custom_presets_file(self, capsys, tmp_path):
         presets = tmp_path / "p.ini"

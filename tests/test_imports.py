@@ -108,6 +108,7 @@ class TestImportGraph:
 
     def test_benchmark_setup_loads_neither_logging_nor_argparse(self, loaded_by):
         # perfbench's set-up statements: import, shipped presets, an uncracked solve.
+        # The shipped presets are a literal, so no parser loads for them.
         loaded = loaded_by(
             "import arch_resonance\n"
             "from arch_resonance import cli, solver\n"
@@ -115,8 +116,8 @@ class TestImportGraph:
             "problem = arch_resonance.ArchProblem(beta=1.0, eta_nd=1.0)\n"
             "solver.find_frequencies(problem, solver.SearchConfig())"
         )
-        assert {"arch_resonance.cli", "arch_resonance.solver", "configparser"} <= loaded
-        assert not loaded & {"logging", "argparse"}
+        assert {"arch_resonance.cli", "arch_resonance.solver"} <= loaded
+        assert not loaded & {"logging", "argparse", "configparser"}
 
     def test_default_level_loads_no_logging(self, loaded_by):
         # Nothing logs at warn or above, so no request at the default level needs
@@ -128,13 +129,13 @@ class TestImportGraph:
     def test_requests_load_no_startup_machinery(self):
         # Without site (python -S) no .pth hook of the interpreter's
         # site-packages loads modules first, so these are the program's own.
-        # Annotations are strings, presets.ini is read beside the module, each
+        # Annotations are strings, the shipped presets are a literal, each
         # solve keeps its own counts, the flag table reads every request and the
         # records are the package's own, not dataclasses with inspect.
         loaded = run_fresh(EVERY_REQUEST, "-S")
         assert {"arch_resonance.solver", "arch_resonance.sweep", "arch_resonance.kernel"} <= loaded
         unused = {"typing", "threading", "importlib.resources", "pathlib", "tempfile", "argparse",
-                  "dataclasses", "inspect", "ast", "dis", "tokenize", "copy"}
+                  "dataclasses", "inspect", "ast", "dis", "tokenize", "copy", "configparser"}
         assert not loaded & unused
 
     @pytest.mark.parametrize(
@@ -215,8 +216,9 @@ class TestImportGraph:
             "assert main(['freq', '--beta', '1', '--eta', '1']) == 0"
         )
         assert "arch_resonance.solver" in loaded
+        # It reads no user file, so neither configparser nor its re loads.
         unused = {"numpy", "arch_resonance.kernel", "arch_resonance.sweep", "arch_resonance.crack",
-                  "json", "configparser"}
+                  "json", "configparser", "re"}
         assert not loaded & unused
 
     @pytest.mark.parametrize(
