@@ -7,9 +7,11 @@ are accepted in nm / TPa at this boundary and converted to SI internally.
 
 One table, ``_FLAGS``, declares each command's settings: each flag, with its
 type, choices and bounds, and the ``[section] key`` config entry it mirrors,
-if any; a few settings are config entries alone. :func:`parse` reads every
-request's flags from it, each help is rendered from it, and a config value is
-read and checked as its flag's value is. A flag wins over its config entry.
+if any; a few settings are config entries alone. :func:`parse` reads a whole
+request from it, flags and then the ``--config`` file, into one dict of the
+command's settings; each help is rendered from it, and a config value is read
+and checked as its flag's value is. A flag wins over its config entry, and a
+config key that no command's setting names is refused.
 
 Exit codes: 0 success; 1 runtime failure, which is fewer roots in the search
 range than modes requested, a determinant dip among them or a range beyond
@@ -31,7 +33,7 @@ from contextlib import contextmanager
 from types import SimpleNamespace
 
 from . import __version__, model
-from ._record import record, replace
+from ._record import replace
 from .errors import DoubleRoot, InvalidPreset, InvalidSpec, MissingPreset, NoRootsInRange
 from .errors import UsageError
 from .model import _FMT, _fmt
@@ -58,15 +60,6 @@ _PRESETS = {
     "chiral": {"youngs_modulus_tpa": 1.0, "n": 8.0, "m": 3.0, "wall_thickness_nm": 0.34,
                "mass_per_length_kg_per_m": 1.8613e-15, "arch_radius_nm": 10.0},
 }
-
-
-@record
-class CliInvocation:
-    command: str
-    config_path: str | None
-    overrides: dict[str, object]
-    output_path: str | None
-    format: str
 
 
 _Flag = namedtuple("_Flag", "name help type default choices bounds dest key")
@@ -138,7 +131,8 @@ _FLAGS = {
         _flag("--param", "swept parameter", choices=tuple(_SWEEP_DEFAULTS)),
         _flag("--from", "sweep start", float, dest="from_"),
         _flag("--to", "sweep end", float),
-        _flag("--steps", "number of grid points", int), *_common("csv"))),
+        _flag("--steps", "number of grid points", int, bounds=(2, 100000)),  # sweep.MAX_STEPS
+        *_common("csv"))),
     "modeshape": ("sampled spatial mode shape", (
         *_problem(_CLASSES), _flag("--mode", "mode index (default 1)", int, 1, bounds=_MODES),
         _flag("--samples", "sample count (default 201)", int, 201, bounds=(2, 1000000)),
@@ -147,8 +141,7 @@ _FLAGS = {
         _flag("--beta", "small central angle in rad (default 0.05)", float), *_common("table"))),
 }
 _BY_NAME = {command: {f.name: f for f in flags if f.name} for command, (_, flags) in _FLAGS.items()}
-_DEFAULTS = {command: {f.dest: f.default for f in flags.values()}
-             for command, flags in _BY_NAME.items()}
+_KEYS = {f.key for _, flags in _FLAGS.values() for f in flags if f.key}  # one file serves all
 _HELP = ("-h", "--help")
 
 
@@ -200,13 +193,16 @@ def _value(flag: _Flag, raw: str, where: str):
     return value
 
 
-def parse(args: list[str]) -> CliInvocation:
-    """Read an argument vector into an invocation, from the flag table.
+def parse(args: list[str]) -> tuple[str, dict[str, object]]:
+    """Read a whole request from the flag table: its command and its settings.
 
     The first word is the command, or ``-h``/``--help`` or ``--version``, which
     print and exit via SystemExit(0). Each later word is a flag, in full or by a
     unique prefix, with its value after ``=`` or as the next word, whatever that
-    is; a repeated flag's last value wins. Anything else raises UsageError.
+    is; a repeated flag's last value wins. Each setting, by ``dest``, is its
+    flag's value if given, else its ``--config`` entry's, read as the flag's
+    would be, else its default. A config key that no command's setting names,
+    and anything else bad, raise UsageError.
     """
     command = args[0] if args else None
     if command not in _FLAGS:
@@ -217,8 +213,7 @@ def parse(args: list[str]) -> CliInvocation:
                              f"(choose from {', '.join(map(repr, _FLAGS))})")
         sys.stdout.write(f"arch-resonance {__version__}\n" if command == "--version" else _help(None))
         raise SystemExit(0)
-    flags = _BY_NAME[command]
-    overrides = dict(_DEFAULTS[command])
+    flags, given = _BY_NAME[command], {}
     words = iter(args[1:])
     for word in words:
         flag, raw = flags.get(word), None
@@ -234,14 +229,19 @@ def parse(args: list[str]) -> CliInvocation:
             raw = next(words, None)
             if raw is None:
                 raise UsageError(f"argument {flag.name}: expected one argument")
-        overrides[flag.dest] = _value(flag, raw, f"argument {flag.name}")
-    return CliInvocation(
-        command=command,
-        config_path=overrides.pop("config"),
-        output_path=overrides.pop("out"),
-        format=overrides.pop("format"),
-        overrides=overrides,
-    )
+        given[flag.dest] = _value(flag, raw, f"argument {flag.name}")
+    settings = {f.dest: f.default for f in _FLAGS[command][1]} | given
+    if settings["config"] is not None:
+        keyed = {f.key: f for f in _FLAGS[command][1] if f.key}
+        for section, entries in _read_ini(settings["config"], "config").items():
+            for key, raw in entries.items():
+                where = f"config [{section}] {key}"
+                if (section, key) not in _KEYS:
+                    raise UsageError(f"{where}: unknown key")
+                flag = keyed.get((section, key))
+                if flag and flag.dest not in given:
+                    settings[flag.dest] = _value(flag, raw, where)
+    return command, settings
 
 
 # --------------------------------------------------------------------------
@@ -252,11 +252,13 @@ def _read_ini(path: str, kind: str) -> dict[str, dict[str, str]]:
     """A UTF-8 config or presets file as plain dicts.
 
     Values are interpolated here, so a file that is missing, unreadable or
-    malformed is a :class:`UsageError` naming it as given, in one line.
+    malformed is a :class:`UsageError` naming it as given, in one line. A
+    presets file's ``[DEFAULT]`` keys are copied into each of its sections; in a
+    config file ``[DEFAULT]`` is a section like any other.
     """
     import configparser
 
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(default_section="DEFAULT" if kind == "presets" else None)
     try:
         with open(path, encoding="utf-8") as fh:
             cp.read_file(fh)
@@ -266,20 +268,6 @@ def _read_ini(path: str, kind: str) -> dict[str, dict[str, str]]:
     except (OSError, configparser.Error, UnicodeDecodeError) as exc:
         reason = "; ".join(str(exc).splitlines())
         raise UsageError(f"cannot read {kind} file {path}: {reason}") from None
-
-
-def _settings(inv: CliInvocation) -> dict[str, object]:
-    """Each setting of the request, by ``dest``: its flag's value if given, else its
-    config entry's, read as the flag's would be, else None."""
-    flags = _FLAGS[inv.command][1]
-    settings = {flag.dest: None for flag in flags} | inv.overrides
-    if inv.config_path is not None:
-        config = _read_ini(inv.config_path, "config")
-        for flag in flags:
-            raw = config.get(flag.key[0], {}).get(flag.key[1]) if flag.key else None
-            if raw is not None and settings[flag.dest] is None:
-                settings[flag.dest] = _value(flag, raw, "config [%s] %s" % flag.key)
-    return settings
 
 
 def load_presets(path: str | None = None) -> dict[str, dict[str, float]]:
@@ -480,7 +468,7 @@ def _render_spectrum(payload, problem, tube, chirality, fmt: str) -> str:
 # Commands
 
 
-def _cmd_freq(inv: CliInvocation, s: dict) -> str:
+def _cmd_freq(s: dict) -> str:
     from . import solver
 
     problem, tube, chirality, cfg = _resolve_problem(s, s["modes"])
@@ -490,10 +478,10 @@ def _cmd_freq(inv: CliInvocation, s: dict) -> str:
         )
     spectrum = solver.find_frequencies(problem, cfg)
     payload = _spectrum_payload(spectrum, problem, tube)
-    return _render_spectrum(payload, problem, tube, chirality, inv.format)
+    return _render_spectrum(payload, problem, tube, chirality, s["format"])
 
 
-def _cmd_modeshape(inv: CliInvocation, s: dict) -> str:
+def _cmd_modeshape(s: dict) -> str:
     from . import solver
 
     mode, samples = s["mode"], s["samples"]  # both within their flags' bounds
@@ -501,7 +489,7 @@ def _cmd_modeshape(inv: CliInvocation, s: dict) -> str:
     spectrum = solver.find_frequencies(problem, cfg)
     shape = solver.mode_shape(problem, spectrum.roots[mode - 1], samples)
     flat = tuple(v for pair in shape for v in pair)  # phi_0, X_0, phi_1, X_1, ...
-    if inv.format == "json":
+    if s["format"] == "json":
         doc = {
             "problem": _problem_echo(problem, tube, chirality),
             "mode": mode,
@@ -517,7 +505,7 @@ def _cmd_modeshape(inv: CliInvocation, s: dict) -> str:
     return ("phi_rad,X\n" + f"{_FMT},{_FMT}\n" * samples) % flat
 
 
-def _cmd_sweep(inv: CliInvocation, s: dict) -> str:
+def _cmd_sweep(s: dict) -> str:
     from . import sweep
 
     param = s["param"]
@@ -556,15 +544,15 @@ def _cmd_sweep(inv: CliInvocation, s: dict) -> str:
         rows = sweep.run_sweep(spec)
     except InvalidSpec as exc:  # an invalid end of the range, found before any solve
         raise UsageError(str(exc)) from None
-    if inv.format == "json":
+    if s["format"] == "json":
         return _json([row.__dict__ for row in rows])
-    if inv.format == "table":
+    if s["format"] == "table":
         text_rows = sweep.rows_to_csv(rows).splitlines()
         return "\n".join(line.replace(",", "\t") for line in text_rows) + "\n"
     return sweep.rows_to_csv(rows)
 
 
-def _cmd_validate(inv: CliInvocation, s: dict) -> str:
+def _cmd_validate(s: dict) -> str:
     from . import sweep
 
     beta_small = 0.05 if s["beta"] is None else s["beta"]
@@ -572,9 +560,9 @@ def _cmd_validate(inv: CliInvocation, s: dict) -> str:
         rows = sweep.validation_table(beta_small)
     except InvalidSpec as exc:
         raise UsageError(str(exc)) from None
-    if inv.format == "json":
+    if s["format"] == "json":
         return _json([row.__dict__ for row in rows])
-    if inv.format == "csv":
+    if s["format"] == "csv":
         return sweep.validation_to_csv(rows)
     lines = [f"{'Mode':>4}  {'eta':>5}  {'Present':>10}  {'Thai':>10}  {'Computed':>12}"]
     for r in rows:
@@ -593,12 +581,10 @@ _COMMANDS = {
 }
 
 
-def run(inv: CliInvocation) -> int:
-    """Execute a parsed invocation; returns the process exit code."""
-    settings = _settings(inv)
+def run(command: str, settings: dict[str, object]) -> int:
+    """Execute a parsed request; returns the process exit code."""
     try:
-        text = _COMMANDS[inv.command](inv, settings)
-        _write(text, inv.output_path)
+        _write(_COMMANDS[command](settings), settings["out"])
     except (NoRootsInRange, DoubleRoot) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -625,17 +611,12 @@ def main(argv: list[str] | None = None) -> int:
         logging.getLogger("arch_resonance").setLevel(level)
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
-        inv = parse(argv)
+        return run(*parse(argv))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:  # --help / --version
         return int(exc.code or 0)
-    try:
-        return run(inv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -4,9 +4,9 @@ A crack of depth ratio ``psi = c/h`` is represented downstream as a massless
 rotational spring producing a slope jump proportional to the local curvature.
 The literature offers several flexibility functions for this mapping; none is
 canonical for a circular thin-walled section, so this module ships a
-documented power-law default and accepts user polynomials, both satisfying
-the same contract: zero at ``psi = 0``, nonnegative and nondecreasing on
-``[0, 1)``.
+documented power-law default and accepts user polynomials, both meant to
+satisfy the same contract: zero at ``psi = 0``, nonnegative and nondecreasing
+on ``[0, 1)``. :func:`compliance` refuses a negative value at the depth asked.
 """
 
 from __future__ import annotations
@@ -18,9 +18,6 @@ from .errors import InvalidModel, OutOfRange
 
 # Order-of-magnitude consistent with single-edge-crack flexibility results.
 DEFAULT_KAPPA0 = 6.0 * math.pi
-
-_VALIDATION_GRID_POINTS = 1000
-_VALIDATION_GRID_END = 0.95
 
 
 @record
@@ -44,9 +41,9 @@ class PolynomialCompliance:
     """theta_c = scale * (h/R) * sum(c_i * psi**i).
 
     Intended for transplanting a flexibility polynomial from the literature.
-    The constant term must be zero (an intact section has no compliance) and
-    the polynomial must be nonnegative on a 1000-point grid of [0, 0.95];
-    violations raise :class:`InvalidModel` at construction.
+    The constant term must be zero (an intact section has no compliance), else
+    :class:`InvalidModel` at construction; :func:`compliance` raises it where
+    the polynomial is negative at the depth asked.
     """
 
     coefficients: tuple[float, ...]
@@ -61,21 +58,12 @@ class PolynomialCompliance:
             raise InvalidModel("polynomial constant term must be zero")
         if self.scale < 0:
             raise InvalidModel("scale must be nonnegative")
-        for i in range(_VALIDATION_GRID_POINTS):
-            psi = _VALIDATION_GRID_END * i / (_VALIDATION_GRID_POINTS - 1)
-            if self._poly(psi) < 0.0:
-                raise InvalidModel(
-                    f"polynomial compliance is negative at psi={psi:.4f}"
-                )
-
-    def _poly(self, psi: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coefficients):
-            acc = acc * psi + c
-        return acc
 
     def raw(self, psi: float) -> float:
-        return self.scale * self._poly(psi)
+        acc = 0.0
+        for c in reversed(self.coefficients):  # Horner
+            acc = acc * psi + c
+        return self.scale * acc
 
 
 ComplianceModel = PowerLawCompliance | PolynomialCompliance
@@ -91,11 +79,14 @@ def compliance(
     ``geometry`` is (wall thickness, arch radius); the compliance of a local
     hinge enters the slope-jump condition scaled by their ratio h/R. Pass the
     default (1, 1) to disable the geometry factor for purely nondimensional
-    studies.
+    studies. A depth at which the model is negative raises :class:`InvalidModel`.
     """
     if not 0.0 <= psi < 1.0:
         raise OutOfRange(f"depth ratio must lie in [0, 1), got {psi}")
     h, radius = geometry
     if h <= 0 or radius <= 0:
         raise ValueError("geometry factors must be positive")
-    return (h / radius) * model.raw(psi)
+    theta = (h / radius) * model.raw(psi)
+    if theta < 0.0:
+        raise InvalidModel(f"compliance is negative at psi={psi!r}")
+    return theta

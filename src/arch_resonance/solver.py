@@ -192,7 +192,7 @@ def _grid_nodes(problem: ArchProblem, cfg: SearchConfig, k_max: float, limit=Non
         for n in itertools.count(first):
             kn = closed_form(n, beta, eta)
             lo = kn * (1.0 - _GUIDE_OFFSET)
-            if kn > k_max or lo >= k_max:
+            if kn > k_max:
                 return
             if lo <= last:
                 if limit is not None:

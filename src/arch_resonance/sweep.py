@@ -21,6 +21,10 @@ from .model import _fmt
 CSV_HEADER = "chirality,beta_rad,eta_nd,radius_m,alpha_rad,psi,mode,K,omega_nd,omega_rad_s,note"
 
 _PARAMETERS = ("beta", "eta", "radius")
+# The most grid values a sweep takes, so that what it allocates is bounded: at
+# the bound, a cracked JSON sweep of all three classes takes about 33 s and
+# 790 MB (2-core x86-64 VM), where 10**11 steps run out of memory.
+MAX_STEPS = 10**5
 
 # Mode-1 reference values for the uncracked near-straight limit, printed next
 # to the computed column by the validation table: eta -> (present, thai).
@@ -62,6 +66,8 @@ class SweepSpec:
             raise InvalidSpec(f"parameter must be one of {_PARAMETERS}")
         if self.steps < 2:
             raise InvalidSpec("a sweep needs at least 2 steps")
+        if self.steps > MAX_STEPS:
+            raise InvalidSpec(f"a sweep takes at most {MAX_STEPS} steps")
         if not -math.inf < self.start < self.stop < math.inf:
             raise InvalidSpec("sweep range must be finite with start < stop")
         if (self.eta_nd is None) == (self.eta_physical is None):

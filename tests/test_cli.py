@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arch_resonance import ArchProblem, UsageError, cli, solver, uncracked_K_closed_form
+from arch_resonance import ArchProblem, UsageError, cli, solver, sweep, uncracked_K_closed_form
 from arch_resonance.cli import load_presets, main, parse
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -25,25 +25,32 @@ SRC = Path(cli.__file__).resolve().parents[1]
 
 class TestParse:
     def test_freq_flags(self):
-        inv = parse(["freq", "--beta", "1.0", "--eta", "1.0", "--modes", "3"])
-        assert inv.command == "freq"
-        assert inv.overrides["beta"] == 1.0
-        assert inv.overrides["eta"] == 1.0
-        assert inv.overrides["modes"] == 3
-        assert inv.format == "table"
+        command, settings = parse(["freq", "--beta", "1.0", "--eta", "1.0", "--modes", "3"])
+        assert command == "freq"
+        assert settings["beta"] == 1.0
+        assert settings["eta"] == 1.0
+        assert settings["modes"] == 3
+        assert settings["format"] == "table"
 
     def test_sweep_flags(self):
-        inv = parse(
+        command, settings = parse(
             ["sweep", "--param", "eta", "--from", "0", "--to", "4", "--steps", "41",
              "--out", "fig4.csv"]
         )
-        assert inv.command == "sweep"
-        assert inv.overrides["param"] == "eta"
-        assert inv.overrides["from_"] == 0.0
-        assert inv.overrides["to"] == 4.0
-        assert inv.overrides["steps"] == 41
-        assert inv.output_path == "fig4.csv"
-        assert inv.format == "csv"
+        assert command == "sweep"
+        assert settings["param"] == "eta"
+        assert settings["from_"] == 0.0
+        assert settings["to"] == 4.0
+        assert settings["steps"] == 41
+        assert settings["out"] == "fig4.csv"
+        assert settings["format"] == "csv"
+
+    def test_every_setting_of_the_command(self):
+        # Each of the command's settings, config entries alone included, by dest.
+        command, settings = parse(["modeshape", "--beta", "1"])
+        assert list(settings) == [f.dest for f in cli._FLAGS["modeshape"][1]]
+        assert (settings["beta"], settings["mode"], settings["samples"]) == (1.0, 1, 201)
+        assert settings["kappa0"] is None and settings["config"] is None
 
     def test_unknown_flag_named(self):
         with pytest.raises(UsageError, match="--bogus"):
@@ -92,31 +99,34 @@ def build_parser():
 
 
 def _reference(args: list[str]) -> dict[str, object]:
-    return vars(build_parser().parse_args(args))
+    """The reference's namespace, with None for each setting that has no flag."""
+    read = vars(build_parser().parse_args(args))
+    return {f.dest: None for f in cli._FLAGS[read["command"]][1]} | read
 
 
 def _namespace(args: list[str]) -> dict[str, object]:
-    """What ``parse`` reads, in the reference's namespace layout."""
-    inv = parse(args)
-    return {"command": inv.command, "config": inv.config_path, "out": inv.output_path,
-            "format": inv.format, **inv.overrides}
+    """What ``parse`` reads, in the reference's namespace layout. Only the flags are
+    compared, so a ``--config`` file is read as an empty one."""
+    with mock.patch.object(cli, "_read_ini", return_value={}):
+        command, settings = parse(args)
+    return {"command": command, **settings}
 
 
 class TestParseManyRequests:
     """One process parses many argument vectors."""
 
     def test_default_returns_after_explicit_value(self):
-        assert parse(["modeshape", "--mode", "3"]).overrides["mode"] == 3
-        assert parse(["modeshape"]).overrides["mode"] == 1
+        assert parse(["modeshape", "--mode", "3"])[1]["mode"] == 3
+        assert parse(["modeshape"])[1]["mode"] == 1
         assert _namespace(["modeshape"]) == _reference(["modeshape"])
 
     def test_eta_flags_in_turn(self, capsys):
-        assert parse(["freq", "--eta", "1.5"]).overrides["eta"] == 1.5
-        inv = parse(["freq", "--eta-nm2", "0.5"])
-        assert inv.overrides["eta_nm2"] == 0.5 and inv.overrides["eta"] is None
+        assert parse(["freq", "--eta", "1.5"])[1]["eta"] == 1.5
+        settings = parse(["freq", "--eta-nm2", "0.5"])[1]
+        assert settings["eta_nm2"] == 0.5 and settings["eta"] is None
         assert main(["freq", "--eta", "1", "--eta-nm2", "0.5"]) == 2
         assert capsys.readouterr().err == "usage error: --eta and --eta-nm2 are mutually exclusive\n"
-        assert parse(["freq", "--eta", "2"]).overrides["eta"] == 2.0
+        assert parse(["freq", "--eta", "2"])[1]["eta"] == 2.0
 
     def test_usage_error_then_valid_argv(self):
         with pytest.raises(UsageError, match="--bogus"):
@@ -130,7 +140,7 @@ class TestParseManyRequests:
             parse(["--version"])
         assert exc.value.code == 0
         assert main(["--version"]) == 0
-        assert parse(["validate"]).command == "validate"
+        assert parse(["validate"])[0] == "validate"
 
 
 class TestDispatch:
@@ -190,7 +200,7 @@ class TestDispatch:
         assert capsys.readouterr().err == f"usage error: {message}\n"
 
     def test_repeated_flag_last_value_wins(self):
-        assert parse(["freq", "--beta", "1", "--bet=2", "--beta", "3"]).overrides["beta"] == 3.0
+        assert parse(["freq", "--beta", "1", "--bet=2", "--beta", "3"])[1]["beta"] == 3.0
 
 
 def _equals_form(args: list[str]) -> list[str]:
@@ -623,15 +633,48 @@ class TestKeyedSettings:
              "'foo' (choose from 'power-law', 'polynomial')"),
             (["freq", "--chirality", "all"], "", "argument --chirality: invalid choice: "
              "'all' (choose from 'armchair', 'zigzag', 'chiral')"),
+            # A polynomial's sign is checked at the depth asked: here past 0.95.
+            (["freq", "--crack-psi", "0.99"], "[crack]\nmodel = polynomial\n"
+             "coefficients = [0, 1, -1.04]\n", "compliance is negative at psi=0.99"),
         ],
         ids=["psi", "kappa0", "coefficients", "no-coefficients", "grid-points", "chirality-all",
-             "model-uncracked", "chirality-all-flag"],
+             "model-uncracked", "chirality-all-flag", "polynomial-negative"],
     )
     def test_bad_value_names_its_entry(self, argv, config, err, capsys, tmp_path):
         path = tmp_path / "c.ini"
         path.write_text(config)
         assert main([*argv, "--config", str(path)]) == 2
         assert capsys.readouterr() == ("", f"usage error: {err}\n")
+
+    def test_polynomial_positive_at_the_depth_asked(self, capsys, tmp_path):
+        # psi - 1.2 psi^2 is negative past psi = 0.83, and 0.2 at 0.5.
+        path = tmp_path / "c.ini"
+        path.write_text("[crack]\nmodel = polynomial\ncoefficients = [0, 1, -1.2]\n")
+        assert main(["freq", "--crack-psi", "0.5", "--config", str(path), "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["problem"]["crack"]["theta_c"] == pytest.approx(0.2, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "config, where",
+        [
+            ("[crack]\npis = 0.3\n", "[crack] pis"),
+            ("[Search]\nmodes = 3\n", "[Search] modes"),
+            ("[output]\nformat = json\n", "[output] format"),
+            # configparser would copy a [DEFAULT] key into every section, and
+            # into none in a file with no other section; here it is a section
+            # like any other, whose keys no setting names.
+            ("[DEFAULT]\npsi = 0.3\n", "[DEFAULT] psi"),
+            ("[DEFAULT]\npsi = 0.3\n\n[crack]\nmodel = power-law\n", "[DEFAULT] psi"),
+            ("[crack]\npsi = 0.3\nalpha = 0.5\n", "[crack] alpha"),
+        ],
+        ids=["misspelt", "section-case", "section", "default", "default-beside", "after-a-known"],
+    )
+    @pytest.mark.parametrize("command", ["freq", "sweep", "modeshape", "validate"])
+    def test_unknown_key_is_refused(self, command, config, where, capsys, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text(config)
+        assert main([*_BASE.get(command, [command]), "--config", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"usage error: config {where}: unknown key\n")
 
 
 class TestModeshapeCommand:
@@ -814,9 +857,9 @@ def _outside(flag: str, value: str, bounds: str = "1 to 100000") -> str:
 
 
 class TestRequestBounds:
-    """``solver.MAX_MODES`` and ``solver.MAX_SAMPLES``. Each request runs in a child
-    whose address space is capped, so an unbounded one ends in MemoryError
-    instead of taking the machine's memory."""
+    """``solver.MAX_MODES``, ``solver.MAX_SAMPLES`` and ``sweep.MAX_STEPS``. Each
+    request runs in a child whose address space is capped, so an unbounded one
+    ends in MemoryError instead of taking the machine's memory."""
 
     HUGE = "99999999999999999999"
     # A config entry is read and checked as its flag is.
@@ -843,6 +886,9 @@ class TestRequestBounds:
             assert "; 1 to 100000\n" in cli._help(command)
         assert cli._BY_NAME["modeshape"]["--samples"].bounds == (2, solver.MAX_SAMPLES)
         assert "; 2 to 1000000\n" in cli._help("modeshape")
+        assert sweep.MAX_STEPS == 10**5
+        assert cli._BY_NAME["sweep"]["--steps"].bounds == (2, sweep.MAX_STEPS)
+        assert "; 2 to 100000\n" in cli._help("sweep")
 
     @pytest.mark.parametrize(
         "argv, err",
@@ -866,10 +912,17 @@ class TestRequestBounds:
             (["modeshape", "--samples", "1"], _outside("--samples", "1", "2 to 1000000")),
             (["modeshape", "--crack-psi", "0.3", "--samples", HUGE],
              _outside("--samples", HUGE, "2 to 1000000")),
+            (["sweep", "--param", "beta", "--steps", "100000000000", "--chirality", "armchair"],
+             _outside("--steps", "100000000000", "2 to 100000")),
+            (["sweep", "--param", "beta", "--steps", "100001", "--chirality", "armchair"],
+             _outside("--steps", "100001", "2 to 100000")),
+            (["sweep", "--param", "beta", "--steps", "1", "--chirality", "armchair"],
+             _outside("--steps", "1", "2 to 100000")),
         ],
         ids=["freq", "freq-one-over", "freq-zero", "freq-cracked", "freq-config", "sweep-config",
              "modeshape-mode", "modeshape-mode-zero", "sweep", "sweep-zero", "modeshape-samples",
-             "modeshape-one-over", "modeshape-one", "modeshape-cracked"],
+             "modeshape-one-over", "modeshape-one", "modeshape-cracked", "sweep-steps",
+             "sweep-steps-one-over", "sweep-steps-one"],
     )
     def test_request_beyond_a_bound_is_a_usage_error(self, argv, err, tmp_path):
         config = tmp_path / "modes.ini"
@@ -897,18 +950,21 @@ class TestRequestBounds:
     def test_library_refuses_beyond_the_bounds(self):
         done = self._capped(
             "from arch_resonance import ArchProblem, SearchConfig, find_frequencies, mode_shape\n"
+            "from arch_resonance.sweep import SweepSpec\n"
             "problem = ArchProblem(beta=1.0, eta_nd=1.0)\n"
             "root = find_frequencies(problem).roots[0]\n"
             "assert SearchConfig(max_modes=100000).max_modes == 100000\n"
             "for make in (lambda: SearchConfig(max_modes=10**20),\n"
-            "             lambda: mode_shape(problem, root, 10**20)):\n"
+            "             lambda: mode_shape(problem, root, 10**20),\n"
+            "             lambda: SweepSpec('beta', 0.1, 3.0, 10**20, {}, eta_nd=1.0)):\n"
             "    try:\n"
             "        make()\n"
             "    except ValueError as exc:\n"
             "        print(exc)\n"
         )
         assert (done.returncode, done.stderr) == (0, "")
-        assert done.stdout == "max_modes must be at most 100000\nsamples must be at most 1000000\n"
+        assert done.stdout == ("max_modes must be at most 100000\nsamples must be at most 1000000\n"
+                               "a sweep takes at most 100000 steps\n")
 
 
 class TestPresets:

@@ -50,8 +50,18 @@ class TestPolynomial:
         assert compliance(model, 0.5) == pytest.approx(1.5, rel=1e-14)
 
     def test_negative_rejected(self):
+        # The sign is checked at the depth asked, not on a grid at construction:
+        # psi - 1.2 psi^2 is 0.2 at 0.5 and negative past 1/1.2.
+        model = PolynomialCompliance((0.0, 1.0, -1.2))
+        assert compliance(model, 0.5) == pytest.approx(0.2, rel=1e-14)
+        with pytest.raises(InvalidModel, match=r"^compliance is negative at psi=0\.9$"):
+            compliance(model, 0.9)
+        # Past 0.95, where the grid ended.
+        with pytest.raises(InvalidModel, match=r"psi=0\.99$"):
+            compliance(PolynomialCompliance((0.0, 1.0, -1.04)), 0.99, (0.34, 10.0))
         with pytest.raises(InvalidModel):
-            PolynomialCompliance((0.0, -1.0))
+            compliance(PolynomialCompliance((0.0, -1.0)), 1e-300)
+        assert compliance(PolynomialCompliance((0.0, -1.0)), 0.0) == 0.0
 
     def test_nonzero_constant_rejected(self):
         with pytest.raises(InvalidModel):

@@ -1,7 +1,7 @@
 """The package's frozen records: fields, defaults, immutability, equality, repr, replace.
 
-Every record of ``cli``, ``crack``, ``kernel``, ``model``, ``solver`` and
-``sweep`` behaves as a frozen dataclass does: its ``repr`` is part of the
+Every record of ``crack``, ``kernel``, ``model``, ``solver`` and ``sweep``
+behaves as a frozen dataclass does: its ``repr`` is part of the
 program's output (the ``freq`` info line prints a :class:`CrackJoint`), its
 ``__dict__`` is the JSON of a sweep or validation row, and ``replace`` runs
 its checks again.
@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from arch_resonance import cli, crack, kernel, model, solver, sweep
+from arch_resonance import crack, kernel, model, solver, sweep
 from arch_resonance._record import replace
 
 TUBE = model.PhysicalTube(1e12, 1e-8, 1e-9, 3.4e-10, 1e-15)
@@ -72,10 +72,6 @@ CASES = [
     Case(sweep.ValidationRow, ("mode", "eta", "present", "thai", "omega_nd"),
          (1, 0.0, 9.75821, 9.2745, 9.87),
          "ValidationRow(mode=1, eta=0.0, present=9.75821, thai=9.2745, omega_nd=9.87)", {}),
-    Case(cli.CliInvocation, ("command", "config_path", "overrides", "output_path", "format"),
-         ("freq", None, {}, None, "table"),
-         "CliInvocation(command='freq', config_path=None, overrides={}, output_path=None, "
-         "format='table')", {}),
 ]
 IDS = [case.cls.__name__ for case in CASES]
 
