@@ -34,8 +34,8 @@ _EXPORTS = {
     ),
     "solver": ("Root", "SearchConfig", "Spectrum", "find_frequencies", "mode_shape"),
     "sweep": (
-        "REFERENCE_TABLE", "SweepRow", "SweepSpec", "ValidationRow", "rows_to_csv", "run_sweep",
-        "validation_table", "validation_to_csv",
+        "REFERENCE_TABLE", "SweepRow", "SweepSpec", "ValidationRow", "run_sweep",
+        "validation_table",
     ),
 }
 # Exported name -> the submodule that defines it; a submodule names itself.

@@ -1,9 +1,12 @@
 """Command line front end.
 
 Four subcommands: ``freq`` (spectrum of one problem), ``sweep`` (parameter
-sweeps as CSV), ``modeshape`` (sampled spatial mode), ``validate``
-(near-straight table against published reference columns). Dimensioned inputs
-are accepted in nm / TPa at this boundary and converted to SI internally.
+sweeps), ``modeshape`` (sampled spatial mode), ``validate`` (near-straight
+table against published reference columns). Dimensioned inputs are accepted
+in nm / TPa at this boundary and converted to SI internally. Each command
+resolves and solves what can fail, then hands its columns, JSON head and rows
+to one writer, :func:`_render`, the only code that knows the output formats;
+:func:`run` writes its chunks as they come.
 
 One table, ``_FLAGS``, declares each command's settings: each flag, with its
 type, choices and bounds, and the ``[section] key`` config entry it mirrors,
@@ -29,14 +32,13 @@ from __future__ import annotations
 import os
 import sys
 from collections import namedtuple
-from contextlib import contextmanager
+from itertools import chain, islice
 from types import SimpleNamespace
 
 from . import __version__, model
 from ._record import replace
 from .errors import DoubleRoot, InvalidPreset, InvalidSpec, MissingPreset, NoRootsInRange
 from .errors import UsageError
-from .model import _FMT, _fmt
 
 _LOG_LEVELS = {"error": 40, "warn": 30, "info": 20, "debug": 10}  # logging's numbers
 
@@ -340,15 +342,6 @@ def _given(**values) -> dict[str, object]:
     return {key: value for key, value in values.items() if value is not None}
 
 
-@contextmanager
-def _bad_input_is_usage_error():
-    """Report invalid values met while resolving settings as a usage error."""
-    try:
-        yield
-    except (ValueError, MissingPreset) as exc:
-        raise UsageError(str(exc)) from None
-
-
 def _resolve_inputs(s: dict):
     """Chirality and the keyword arguments of :func:`model.nondimensionalize`.
 
@@ -381,7 +374,7 @@ def _resolve_problem(s: dict, modes: int | None):
     """
     from . import solver
 
-    with _bad_input_is_usage_error():
+    try:
         chirality, inputs = _resolve_inputs(s)
         for flag in ("radius-nm", "diameter-nm") if chirality is None else ():
             if s[flag.replace("-", "_")] is not None:
@@ -392,24 +385,16 @@ def _resolve_problem(s: dict, modes: int | None):
         cfg = solver.SearchConfig(**_given(k_min=s["k_min"], k_max=s["k_max"],
                                            grid_points=s["grid_points"],
                                            refine_tol=s["refine_tol"], max_modes=modes))
+    except (ValueError, MissingPreset) as exc:  # a bad value met while resolving
+        raise UsageError(str(exc)) from None
     return problem, tube, chirality, cfg
 
 
 # --------------------------------------------------------------------------
-# Output helpers
+# Commands: each resolves and solves what can fail, then hands its output to
+# the writer as (columns, JSON head, rows).
 
-def _json(doc) -> str:
-    import json
-
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def _write(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+_SPECTRUM = ("mode", "K", "omega_nd", "omega_rad_s", "flag")
 
 
 def _problem_echo(problem, tube, chirality) -> dict:
@@ -423,52 +408,7 @@ def _problem_echo(problem, tube, chirality) -> dict:
     }
 
 
-def _spectrum_payload(spectrum, problem, tube) -> list[dict]:
-    out = []
-    for i, root in enumerate(spectrum.roots, start=1):
-        omega = model.omega_from_K(root.K, tube) if tube is not None else None
-        out.append(
-            {
-                "mode": i,
-                "K": root.K,
-                "omega_nd": model.omega_nd(root.K, problem.beta),
-                "omega_rad_s": omega,
-                # Every root is bracketed; the goldens and perfbench's CSV check read it.
-                "flag": "Bracketed",
-            }
-        )
-    return out
-
-
-def _render_spectrum(payload, problem, tube, chirality, fmt: str) -> str:
-    if fmt == "json":
-        doc = {
-            "problem": _problem_echo(problem, tube, chirality),
-            "spectrum": payload,
-        }
-        return _json(doc)
-    if fmt == "csv":
-        lines = ["mode,K,omega_nd,omega_rad_s,flag"]
-        for row in payload:
-            values = map(_fmt, (row["K"], row["omega_nd"], row["omega_rad_s"]))
-            lines.append(",".join([str(row["mode"]), *values, row["flag"]]))
-        return "\n".join(lines) + "\n"
-    header = f"{'mode':>4}  {'K':>16}  {'omega_nd':>16}  {'omega_rad_s':>16}  flag"
-    lines = [header]
-    for row in payload:
-        omega = _fmt(row["omega_rad_s"]) or "-"
-        lines.append(
-            f"{row['mode']:>4}  {_fmt(row['K']):>16}  {_fmt(row['omega_nd']):>16}  "
-            f"{omega:>16}  {row['flag']}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-# --------------------------------------------------------------------------
-# Commands
-
-
-def _cmd_freq(s: dict) -> str:
+def _cmd_freq(s: dict) -> tuple:
     from . import solver
 
     problem, tube, chirality, cfg = _resolve_problem(s, s["modes"])
@@ -477,35 +417,25 @@ def _cmd_freq(s: dict) -> str:
             "freq: beta=%g eta_nd=%g crack=%s", problem.beta, problem.eta_nd, problem.crack
         )
     spectrum = solver.find_frequencies(problem, cfg)
-    payload = _spectrum_payload(spectrum, problem, tube)
-    return _render_spectrum(payload, problem, tube, chirality, s["format"])
+    # Every root is bracketed; the goldens and perfbench's CSV check read the flag.
+    rows = ((i, root.K, model.omega_nd(root.K, problem.beta),
+             None if tube is None else model.omega_from_K(root.K, tube), "Bracketed")
+            for i, root in enumerate(spectrum.roots, start=1))
+    return _SPECTRUM, {"problem": _problem_echo(problem, tube, chirality), "spectrum": dict}, rows
 
 
-def _cmd_modeshape(s: dict) -> str:
+def _cmd_modeshape(s: dict) -> tuple:
     from . import solver
 
     mode, samples = s["mode"], s["samples"]  # both within their flags' bounds
     problem, tube, chirality, cfg = _resolve_problem(s, mode)
-    spectrum = solver.find_frequencies(problem, cfg)
-    shape = solver.mode_shape(problem, spectrum.roots[mode - 1], samples)
-    flat = tuple(v for pair in shape for v in pair)  # phi_0, X_0, phi_1, X_1, ...
-    if s["format"] == "json":
-        doc = {
-            "problem": _problem_echo(problem, tube, chirality),
-            "mode": mode,
-            "K": spectrum.roots[mode - 1].K,
-            "shape": [],
-        }
-        # json.dumps with an indent runs json's pure-Python encoder, slow for
-        # a long shape, so the pairs are spliced in at the last key, "shape",
-        # in that encoder's layout; repr is what json writes for a finite
-        # float, and every sample is finite.
-        pairs = ",\n".join(["    [\n      %r,\n      %r\n    ]"] * samples) % flat
-        return _json(doc).removesuffix("[]\n}\n") + f"[\n{pairs}\n  ]\n}}\n"
-    return ("phi_rad,X\n" + f"{_FMT},{_FMT}\n" * samples) % flat
+    root = solver.find_frequencies(problem, cfg).roots[mode - 1]
+    head = {"problem": _problem_echo(problem, tube, chirality), "mode": mode, "K": root.K,
+            "shape": list}
+    return ("phi_rad", "X"), head, solver.mode_shape(problem, root, samples)
 
 
-def _cmd_sweep(s: dict) -> str:
+def _cmd_sweep(s: dict) -> tuple:
     from . import sweep
 
     param = s["param"]
@@ -523,54 +453,30 @@ def _cmd_sweep(s: dict) -> str:
             "sweep uses each chirality preset's diameter; "
             "--diameter-nm and --n/--m do not apply (use --chirality)"
         )
-    with _bad_input_is_usage_error():
+    try:  # SweepSpec checks both ends of the range before any point is solved
         chirality, inputs = _resolve_inputs(s)
         classes = tuple(model.ChiralityClass) if chirality in (None, "all") else (chirality,)
         presets = load_presets(s["presets"])
-        spec = sweep.SweepSpec(
-            parameter=param,
-            start=start,
-            stop=stop,
-            steps=steps,
-            tubes={c: _resolve_tube(s, c, presets) for c in classes},
-            **inputs,
-            **_given(mode=s["modes"]),
-        )
+        tubes = {c: _resolve_tube(s, c, presets) for c in classes}
+        spec = sweep.SweepSpec(param, start, stop, steps, tubes, **inputs, **_given(mode=s["modes"]))
+    except (ValueError, MissingPreset) as exc:  # a bad value met while resolving
+        raise UsageError(str(exc)) from None
     if logging := sys.modules.get("logging"):
         logging.getLogger("arch_resonance").info(
             "sweep: %s over [%g, %g] x %d", param, start, stop, steps
         )
-    try:
-        rows = sweep.run_sweep(spec)
-    except InvalidSpec as exc:  # an invalid end of the range, found before any solve
-        raise UsageError(str(exc)) from None
-    if s["format"] == "json":
-        return _json([row.__dict__ for row in rows])
-    if s["format"] == "table":
-        text_rows = sweep.rows_to_csv(rows).splitlines()
-        return "\n".join(line.replace(",", "\t") for line in text_rows) + "\n"
-    return sweep.rows_to_csv(rows)
+    return sweep.SweepRow.__match_args__, None, sweep.row_values(spec)
 
 
-def _cmd_validate(s: dict) -> str:
+def _cmd_validate(s: dict) -> tuple:
     from . import sweep
 
     beta_small = 0.05 if s["beta"] is None else s["beta"]
     try:
-        rows = sweep.validation_table(beta_small)
+        rows = sweep.validation_values(beta_small)
     except InvalidSpec as exc:
         raise UsageError(str(exc)) from None
-    if s["format"] == "json":
-        return _json([row.__dict__ for row in rows])
-    if s["format"] == "csv":
-        return sweep.validation_to_csv(rows)
-    lines = [f"{'Mode':>4}  {'eta':>5}  {'Present':>10}  {'Thai':>10}  {'Computed':>12}"]
-    for r in rows:
-        lines.append(
-            f"{r.mode:>4}  {_fmt(r.eta):>5}  {_fmt(r.present):>10}  "
-            f"{_fmt(r.thai):>10}  {_fmt(r.omega_nd):>12}"
-        )
-    return "\n".join(lines) + "\n"
+    return sweep.ValidationRow.__match_args__, None, rows
 
 
 _COMMANDS = {
@@ -580,11 +486,131 @@ _COMMANDS = {
     "validate": _cmd_validate,
 }
 
+# --------------------------------------------------------------------------
+# The writer: the one place that knows the output formats
+
+_BLOCK = 256  # rows rendered by one % and written as one chunk
+# A table's layout: the cell separator, each column's right-aligned width (none
+# past the tuple), the text of a blank cell and the header labels (None: the
+# column names). A command without a layout of its own writes CSV as its table.
+_CSV = (",", (), "", None)
+_TABLES = {
+    "freq": ("  ", (4, 16, 16, 16), "-", None),
+    "sweep": ("\t", (), "", None),
+    "validate": ("  ", (4, 5, 10, 10, 12), "", ("Mode", "eta", "Present", "Thai", "Computed")),
+}
+# (command, format) -> its fixed text: a memo, as the text depends on nothing else.
+_LAYOUTS: dict = {}
+_KIND = {str: 1, type(None): 2}  # a cell's type -> its spec in a layout's column; else 0
+
+
+def _json(value, indent: str) -> str:
+    """``value`` in ``json.dumps(indent=2)``'s layout, nested ``indent`` deep: a
+    dict, None, a string of the fixed vocabulary (nothing to escape), or a finite
+    number, whose repr is its JSON (as an empty dict's is)."""
+    if isinstance(value, dict) and value:
+        inner = indent + "  "
+        items = ",\n".join(f'{inner}"{key}": {_json(v, inner)}' for key, v in value.items())
+        return f"{{\n{items}\n{indent}}}"
+    return "null" if value is None else f'"{value}"' if isinstance(value, str) else repr(value)
+
+
+def _layout(command: str, fmt: str, columns, key, form) -> tuple:
+    """The fixed text of a command's output in ``fmt``, as :func:`_render` reads it.
+
+    That is the header; each column's spec of a number, of a string and of a
+    blank (None: its text, then ``%.0s``, which writes nothing); a row's
+    opening, cell separator and closing; the text between rows, before the
+    first, after the last, and in place of none; and a memo of row templates.
+    """
+    if fmt == "json":
+        indent = "  " if key else ""  # of the list of rows
+        at = indent + "  "  # of each row
+        prefixes = [f'{at}  "{c}": ' if form is dict else at + "  " for c in columns]
+        kinds = [(p + "%r", p + '"%s"', p + "null%.0s") for p in prefixes]
+        brackets = "{}" if form is dict else "[]"
+        end = "\n}\n" if key else "\n"
+        return (f'  "{key}": ' if key else "", kinds, f"{at}{brackets[0]}\n", ",\n",
+                f"\n{at}{brackets[1]}", ",\n", "[\n", f"\n{indent}]{end}", f"[]{end}", {})
+    sep, widths, blank, labels = _TABLES.get(command, _CSV) if fmt == "table" else _CSV
+    widths = [*widths, *[""] * (len(columns) - len(widths))]
+    header = sep.join(f"%{w}s" % label for w, label in zip(widths, labels or columns))
+    kinds = [(f"%{w}.9g", f"%{w}s", f"%{w}s" % blank + "%.0s") for w in widths]
+    return header + "\n", kinds, "", sep, "", "\n", "", "\n", "", {}
+
+
+def _render(command: str, fmt: str, columns, head, rows):
+    """Yield a command's output in ``fmt``, its rows a block at a time.
+
+    Each row is a tuple in ``columns`` order of strings and numbers, and None
+    for a blank number; a column of strings holds strings in every row. A CSV
+    or table (the command's layout in :data:`_TABLES`) starts with a header
+    line and writes a number in 9 significant digits. JSON is what
+    ``json.dumps(doc, indent=2)`` writes, with the list of rows for doc, each
+    an object of the columns; given a ``head``, doc is the head, and the rows
+    are the value of its last key, whose value (``dict`` or ``list``) is the
+    form of each row.
+    """
+    layout = _LAYOUTS.get((command, fmt))
+    if layout is None:
+        key, form = [*head.items()][-1] if head else (None, dict)
+        layout = _LAYOUTS[command, fmt] = _layout(command, fmt, columns, key, form)
+    header, _, _, _, _, between, first, last, empty, _ = layout
+    if fmt == "json" and head:
+        entries = [*head.items()][:-1]
+        header = "{\n" + "".join(f'  "{k}": {_json(v, "  ")},\n' for k, v in entries) + header
+    yield header
+    rows, lead, size = iter(rows), first, _BLOCK
+    while size == _BLOCK and (block := list(islice(rows, _BLOCK))):
+        flat, size, text = tuple(chain.from_iterable(block)), len(block), None
+        if lead is first:
+            line, blanks = _template(layout, block[0])
+        # A block whose blanks are the first row's takes one %: a number in a
+        # blank's cell would be lost, and a None in a number's fails %.9g but
+        # not JSON's %r, so those are counted.
+        if all(flat[j::len(columns)].count(None) == size for j in blanks) and (
+                fmt != "json" or flat.count(None) == size * len(blanks)):
+            try:  # the row template repeated, a separator between each two
+                text = ((line + between) * size)[:-len(between)] % flat
+            except TypeError:  # a None in a number's cell
+                pass
+        if text is None:  # the blanks vary: row by row
+            text = between.join([_template(layout, row)[0] % row for row in block])
+        yield lead + text
+        lead = between
+    yield empty if lead is first else last
+
+
+def _template(layout: tuple, row) -> tuple:
+    """The % template of a row with ``row``'s strings and blanks, and its blanks' indices."""
+    _, kinds, opening, sep, closing, *_, lines = layout
+    types = tuple(map(type, row))
+    if types not in lines:
+        specs = [kind[_KIND.get(t, 0)] for kind, t in zip(kinds, types)]
+        blanks = [j for j, t in enumerate(types) if t is type(None)]
+        lines[types] = opening + sep.join(specs) + closing, blanks
+    return lines[types]
+
 
 def run(command: str, settings: dict[str, object]) -> int:
-    """Execute a parsed request; returns the process exit code."""
+    """Execute a parsed request; returns the process exit code.
+
+    The command solves what can fail before it hands over its rows, and its
+    output is written as it is rendered: to standard output, or to ``--out``,
+    opened when the first chunk arrives, so a request that fails first
+    creates no file. A failure after that leaves what was written.
+    """
+    path = settings["out"]
     try:
-        _write(_COMMANDS[command](settings), settings["out"])
+        columns, head, rows = _COMMANDS[command](settings)
+        chunks = _render(command, settings["format"], columns, head, rows)
+        if path is None:
+            for chunk in chunks:  # standard output may be any object with a write
+                sys.stdout.write(chunk)
+        elif (chunk := next(chunks, None)) is not None:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(chunk)
+                fh.writelines(chunks)
     except (NoRootsInRange, DoubleRoot) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

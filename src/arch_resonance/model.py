@@ -25,11 +25,6 @@ DEFAULT_BOND_LENGTH_NM = 0.142
 BETA_MIN = 1e-3
 # Shortest segment a crack may leave at either side, rad.
 SEGMENT_TOL = 1e-9
-_FMT = "%.9g"  # 9 significant digits, every number the package writes
-
-
-def _fmt(x: float | None) -> str:
-    return "" if x is None else _FMT % x
 
 
 class ChiralityClass(enum.Enum):

@@ -2,11 +2,12 @@
 
 A sweep varies one of {central angle, nonlocal parameter, arch radius} while
 holding the rest of the context fixed, solves for the requested mode at each
-point and chirality class in turn, and emits rows ready for CSV serialization.
+point and chirality class in turn, and yields one row per point and class.
 Every point is reduced through :func:`model.nondimensionalize`. A range that
-is invalid input at either end raises :class:`InvalidSpec` before anything is
-solved; a point that cannot be solved keeps its row, with a blank K and a note
-saying why (``no-root``, ``crack-outside``).
+is invalid input at either end makes :class:`SweepSpec` raise
+:class:`InvalidSpec`, so nothing is solved; a point that cannot be solved
+keeps its row, with a blank K and a note saying why (``no-root``,
+``crack-outside``).
 """
 
 from __future__ import annotations
@@ -16,9 +17,6 @@ import math
 from . import model, solver
 from ._record import record, replace
 from .errors import DegenerateSegment, InvalidSpec, NoRootsInRange
-from .model import _fmt
-
-CSV_HEADER = "chirality,beta_rad,eta_nd,radius_m,alpha_rad,psi,mode,K,omega_nd,omega_rad_s,note"
 
 _PARAMETERS = ("beta", "eta", "radius")
 # The most grid values a sweep takes, so that what it allocates is bounded: at
@@ -48,6 +46,11 @@ class SweepSpec:
     tube's radius, and an ``eta`` sweep always sweeps the dimensionless
     value. A fixed ``eta_physical`` makes the dimensionless value track the
     (possibly swept) radius.
+
+    Both ends of the range are reduced for each tube: validity is monotone in
+    the swept value, so a range with an invalid tube, central angle or
+    nonlocal parameter raises :class:`InvalidSpec`, and so does a mode beyond
+    :data:`solver.MAX_MODES`.
     """
 
     parameter: str
@@ -76,6 +79,18 @@ class SweepSpec:
             raise InvalidSpec("mode index must be >= 1")
         if not self.tubes:
             raise InvalidSpec("a sweep needs at least one tube")
+        span, last = self.stop - self.start, self.steps - 1
+        for tube in self.tubes.values():
+            for i in (0, last):
+                end = self.start + span * i / last  # _linspace's first and last value
+                try:
+                    _reduce(self, end, tube, self.crack)
+                except DegenerateSegment:
+                    pass  # a crack-outside row, not an invalid range
+                except ValueError as exc:
+                    raise InvalidSpec(f"{self.parameter} = {end:g}: {exc}") from None
+        if self.mode > solver.MAX_MODES:
+            raise InvalidSpec(f"max_modes must be at most {solver.MAX_MODES}")
 
 
 @record
@@ -93,9 +108,9 @@ class SweepRow:
     note: str = ""
 
 
-def _linspace(start: float, stop: float, steps: int) -> list[float]:
-    span = stop - start
-    return [start + span * i / (steps - 1) for i in range(steps)]
+def _linspace(start: float, stop: float, steps: int):
+    span, last = stop - start, steps - 1
+    return (start + span * i / last for i in range(steps))
 
 
 def _reduce(
@@ -115,39 +130,29 @@ def _reduce(
     return tube, model.nondimensionalize(tube, crack=crack, **inputs)
 
 
-def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Evaluate the sweep grid in parameter-major order.
+def run_sweep(spec: SweepSpec):
+    """Yield the sweep's rows in parameter-major order, each as it is solved.
 
-    Produces ``steps * len(tubes)`` rows, the classes of each grid value in
-    the order of ``tubes``. Before anything is solved, both ends of the range
-    are reduced for each tube: validity is monotone in the swept value, so a
-    range with an invalid tube, central angle or nonlocal parameter raises
-    :class:`InvalidSpec`, and so does a mode beyond :data:`solver.MAX_MODES`.
-    Each point is then reduced and solved in turn
-    (:func:`solver.find_frequencies`). A point that fails keeps its row with
-    a blank K and a note: ``no-root`` (the search range holds fewer roots
-    than the mode index) or ``crack-outside`` (the crack angle does not fit
-    that arch).
+    Yields ``steps * len(tubes)`` rows, the classes of each grid value in the
+    order of ``tubes``; ``list(run_sweep(spec))`` is all of them. Each point
+    is reduced and solved in turn (:func:`solver.find_frequencies`). A point
+    that fails keeps its row with a blank K and a note: ``no-root`` (the
+    search range holds fewer roots than the mode index) or ``crack-outside``
+    (the crack angle does not fit that arch).
     """
-    grid = _linspace(spec.start, spec.stop, spec.steps)
-    for tube in spec.tubes.values():
-        for end in (grid[0], grid[-1]):
-            try:
-                _reduce(spec, end, tube, spec.crack)
-            except DegenerateSegment:
-                pass  # a crack-outside row, not an invalid range
-            except ValueError as exc:
-                raise InvalidSpec(f"{spec.parameter} = {end:g}: {exc}") from None
-    try:
-        cfg = solver.SearchConfig(max_modes=spec.mode)
-    except ValueError as exc:  # a mode beyond solver.MAX_MODES
-        raise InvalidSpec(str(exc)) from None
-    rows = []
-    for value in grid:
+    return (SweepRow(*values) for values in row_values(spec))
+
+
+def row_values(spec: SweepSpec):
+    """Yield each row of :func:`run_sweep` as the tuple of its fields, in order."""
+    cfg = solver.SearchConfig(max_modes=spec.mode)
+    crack = spec.crack
+    alpha, psi = (0.0, 0.0) if crack is None else (crack.position_angle, crack.depth_ratio)
+    for value in _linspace(spec.start, spec.stop, spec.steps):
         for chirality, tube in spec.tubes.items():
             k_value, note = None, ""
             try:
-                point_tube, problem = _reduce(spec, value, tube, spec.crack)
+                point_tube, problem = _reduce(spec, value, tube, crack)
             except DegenerateSegment:
                 point_tube, problem = _reduce(spec, value, tube, None)
                 note = "crack-outside"
@@ -156,33 +161,10 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
                     k_value = solver.find_frequencies(problem, cfg).roots[-1].K
                 except NoRootsInRange:
                     note = "no-root"
-            solved = k_value is not None
-            rows.append(
-                SweepRow(
-                    chirality=chirality.value,
-                    beta_rad=problem.beta,
-                    eta_nd=problem.eta_nd,
-                    radius_m=point_tube.radius,
-                    alpha_rad=spec.crack.position_angle if spec.crack is not None else 0.0,
-                    psi=spec.crack.depth_ratio if spec.crack is not None else 0.0,
-                    mode=spec.mode,
-                    K=k_value,
-                    omega_nd=model.omega_nd(k_value, problem.beta) if solved else None,
-                    omega_rad_s=model.omega_from_K(k_value, point_tube) if solved else None,
-                    note=note,
-                )
-            )
-    return rows
-
-
-def rows_to_csv(rows: list[SweepRow]) -> str:
-    """Serialize sweep rows with the fixed header, 9 significant digits."""
-    lines = [CSV_HEADER]
-    for r in rows:
-        context = map(_fmt, (r.beta_rad, r.eta_nd, r.radius_m, r.alpha_rad, r.psi))
-        result = map(_fmt, (r.K, r.omega_nd, r.omega_rad_s))
-        lines.append(",".join([r.chirality, *context, str(r.mode), *result, r.note]))
-    return "\n".join(lines) + "\n"
+            omegas = (None, None) if k_value is None else (
+                model.omega_nd(k_value, problem.beta), model.omega_from_K(k_value, point_tube))
+            yield (chirality.value, problem.beta, problem.eta_nd, point_tube.radius, alpha, psi,
+                   spec.mode, k_value, *omegas, note)
 
 
 @record
@@ -205,21 +187,15 @@ def validation_table(beta_small: float = 0.05) -> list[ValidationRow]:
     normalization is only pinned in the classical limit, where
     Omega -> pi^2 as beta -> 0.
     """
+    return [ValidationRow(*values) for values in validation_values(beta_small)]
+
+
+def validation_values(beta_small: float = 0.05) -> list[tuple]:
+    """Each row of :func:`validation_table` as the tuple of its fields, in order."""
     if not model.BETA_MIN <= beta_small <= 0.5:
         raise InvalidSpec(
             f"validation requires a small central angle in [{model.BETA_MIN:g}, 0.5]"
         )
-    rows = []
-    for eta, (present, thai) in REFERENCE_TABLE.items():
-        eta = float(eta)
-        omega = model.omega_nd(model.uncracked_K_closed_form(1, beta_small, eta), beta_small)
-        rows.append(ValidationRow(mode=1, eta=eta, present=present, thai=thai, omega_nd=omega))
-    return rows
-
-
-def validation_to_csv(rows: list[ValidationRow]) -> str:
-    lines = ["mode,eta,present,thai,omega_nd"]
-    for r in rows:
-        values = map(_fmt, (r.eta, r.present, r.thai, r.omega_nd))
-        lines.append(",".join([str(r.mode), *values]))
-    return "\n".join(lines) + "\n"
+    return [(1, float(eta), present, thai,
+             model.omega_nd(model.uncracked_K_closed_form(1, beta_small, eta), beta_small))
+            for eta, (present, thai) in REFERENCE_TABLE.items()]

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arch_resonance import ArchProblem, UsageError, cli, solver, sweep, uncracked_K_closed_form
+from arch_resonance import ArchProblem, DoubleRoot, UsageError, cli, solver, sweep
+from arch_resonance import uncracked_K_closed_form
 from arch_resonance.cli import load_presets, main, parse
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -1167,11 +1168,19 @@ class TestLogging:
         assert caplog.records == []
 
 
+# A sweep whose first rows are crack-outside, and one whose last are no-root:
+# a blank (None) K first, and after solved rows.
+CRACK_OUTSIDE_FIRST = ["sweep", "--param", "beta", "--from", "0.1", "--to", "3", "--steps", "4",
+                       "--chirality", "armchair", "--crack-psi", "0.3", "--crack-alpha", "1.5"]
+NO_ROOT_LAST = ["sweep", "--param", "eta", "--from", "0", "--to", "1e300", "--steps", "3",
+                "--beta", "1", "--chirality", "chiral", "--crack-psi", "0.4", "--crack-alpha", "0.3"]
+
+
 class TestJsonBytes:
     """``--format json`` prints what ``json.dumps(..., indent=2)`` of its own document does.
 
-    A mode shape writes its (phi, X) pairs without the json module, so these
-    requests pin every command's JSON bytes to the stdlib's rendering.
+    The writer renders JSON without the json module, so these requests pin
+    every command's JSON bytes to the stdlib's rendering.
     """
 
     CRACK = ["--crack-psi", "0.3", "--crack-alpha", "0.4"]
@@ -1180,21 +1189,95 @@ class TestJsonBytes:
         "argv",
         [
             ["freq", "--beta", "1", "--eta", "1"],
+            ["freq", "--beta", "1", "--eta", "1", "--chirality", "armchair"],
             ["freq", "--beta", "1", "--eta", "1", *CRACK],
             ["sweep", "--param", "beta", "--steps", "2", "--chirality", "zigzag"],
+            CRACK_OUTSIDE_FIRST,
+            NO_ROOT_LAST,
             ["validate"],
             ["modeshape", "--beta", "1", "--eta", "1", "--samples", "2"],
             ["modeshape", "--beta", "1", "--eta", "1", *CRACK, "--samples", "2"],
             ["modeshape", "--beta", "1", "--eta", "1", "--mode", "2"],
             ["modeshape", "--beta", "1", "--eta", "1", *CRACK, "--mode", "2"],
+            ["modeshape", "--beta", "1", "--eta", "1", *CRACK, "--samples", "600"],
         ],
-        ids=["freq", "freq-cracked", "sweep", "validate", "modeshape-2", "modeshape-2-cracked",
-             "modeshape", "modeshape-cracked"],
+        ids=["freq", "freq-tube", "freq-cracked", "sweep", "sweep-crack-outside-first",
+             "sweep-no-root-last", "validate", "modeshape-2", "modeshape-2-cracked", "modeshape",
+             "modeshape-cracked", "modeshape-three-blocks"],
     )
     def test_stdlib_rendering(self, argv, capsys):
         assert main(argv + ["--format", "json"]) == 0
         out = capsys.readouterr().out
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_blanks_are_null(self, capsys):
+        # freq without a tube has no omega_rad_s; a failed sweep point has no K.
+        assert main(["freq", "--beta", "1", "--eta", "1", "--format", "json"]) == 0
+        spectrum = json.loads(capsys.readouterr().out)["spectrum"]
+        assert [row["omega_rad_s"] for row in spectrum] == [None] * 5
+        for argv, notes in ((CRACK_OUTSIDE_FIRST, ["crack-outside"] * 2 + ["", ""]),
+                            (NO_ROOT_LAST, ["", "no-root", "no-root"])):
+            assert main(argv + ["--format", "json"]) == 0
+            rows = json.loads(capsys.readouterr().out)
+            assert [row["note"] for row in rows] == notes
+            assert [row["K"] is None for row in rows] == [bool(note) for note in notes]
+
+    @pytest.mark.parametrize("fmt, sep", [("csv", ","), ("table", "\t")])
+    def test_blanks_are_empty_cells(self, fmt, sep, capsys):
+        for argv in (CRACK_OUTSIDE_FIRST, NO_ROOT_LAST):
+            assert main(argv + ["--format", fmt]) == 0
+            for line in capsys.readouterr().out.splitlines()[1:]:
+                cells = line.split(sep)
+                assert len(cells) == 11
+                assert (cells[7:10] == ["", "", ""]) == bool(cells[10])
+
+
+class TestStreaming:
+    """Output is written as it is rendered, a block of rows at a time."""
+
+    def test_header_is_written_before_the_last_point_is_solved(self, monkeypatch):
+        written, seen = io.StringIO(), []
+        original = solver.find_frequencies
+        monkeypatch.setattr(solver, "find_frequencies",
+                            lambda *args: seen.append(written.getvalue()) or original(*args))
+        monkeypatch.setattr(sys, "stdout", written)
+        assert main(["sweep", "--param", "beta", "--steps", "3", "--chirality", "armchair"]) == 0
+        assert len(seen) == 3
+        assert seen[-1] == "chirality,beta_rad,eta_nd,radius_m,alpha_rad,psi,mode,K,omega_nd," \
+                           "omega_rad_s,note\n"
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["freq", "--beta", "1", "--eta", "1", "--crack-psi", "0.3", "--config", "short.ini"], 1),
+         (["sweep", "--param", "beta", "--from", "6", "--to", "7", "--steps", "2",
+           "--chirality", "armchair"], 2)],
+        ids=["freq-short-range", "sweep-bad-range"],
+    )
+    def test_a_request_that_fails_first_creates_no_file(self, argv, code, tmp_path, capsys):
+        (tmp_path / "short.ini").write_text("[search]\nk-max = 10\n")
+        argv = [str(tmp_path / a) if a.endswith(".ini") else a for a in argv]
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == code
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_a_failure_partway_leaves_what_was_written(self, monkeypatch, tmp_path, capsys):
+        # A failure while rows are written ends the request with one line and
+        # exit 1; --out keeps the chunks written before it, here the header.
+        original = solver.find_frequencies
+
+        def fail_second(problem, cfg):
+            if problem.beta > 1.0:
+                raise DoubleRoot("a point failed")
+            return original(problem, cfg)
+
+        monkeypatch.setattr(solver, "find_frequencies", fail_second)
+        out = tmp_path / "out.csv"
+        argv = ["sweep", "--param", "beta", "--from", "1", "--to", "2", "--steps", "2",
+                "--chirality", "armchair", "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: a point failed\n"
+        assert out.read_text().startswith("chirality,beta_rad,") and out.read_text().count("\n") == 1
 
 
 class TestGoldenFiles:

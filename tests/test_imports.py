@@ -40,8 +40,8 @@ EXPORTS = {
     ),
     "solver": ("Root", "SearchConfig", "Spectrum", "find_frequencies", "mode_shape"),
     "sweep": (
-        "REFERENCE_TABLE", "SweepRow", "SweepSpec", "ValidationRow", "rows_to_csv", "run_sweep",
-        "validation_table", "validation_to_csv",
+        "REFERENCE_TABLE", "SweepRow", "SweepSpec", "ValidationRow", "run_sweep",
+        "validation_table",
     ),
 }
 ALL = sorted([*EXPORTS, *(name for names in EXPORTS.values() for name in names)])
@@ -59,14 +59,16 @@ EVERY_COMMAND = [
 ]
 
 
-# Every request of EVERY_COMMAND in one fresh interpreter, at the default log level.
+# Every request of EVERY_COMMAND in one fresh interpreter, at the default log
+# level. Standard output is swapped by hand, so the harness loads no contextlib.
 EVERY_REQUEST = (
-    "import contextlib, io, os\n"
+    "import io, os, sys\n"
     "os.environ.pop('ARCH_RESONANCE_LOG', None)\n"
     "from arch_resonance.cli import main\n"
     f"for argv in {EVERY_COMMAND!r}:\n"
-    "    with contextlib.redirect_stdout(io.StringIO()):\n"
-    "        assert main(argv) == 0, argv\n"
+    "    sys.stdout = io.StringIO()\n"
+    "    assert main(argv) == 0, argv\n"
+    "sys.stdout = sys.__stdout__\n"
 )
 
 
@@ -135,8 +137,34 @@ class TestImportGraph:
         loaded = run_fresh(EVERY_REQUEST, "-S")
         assert {"arch_resonance.solver", "arch_resonance.sweep", "arch_resonance.kernel"} <= loaded
         unused = {"typing", "threading", "importlib.resources", "pathlib", "tempfile", "argparse",
-                  "dataclasses", "inspect", "ast", "dis", "tokenize", "copy", "configparser"}
+                  "dataclasses", "inspect", "ast", "dis", "tokenize", "copy", "configparser",
+                  "contextlib"}
         assert not loaded & unused
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["freq", "--beta", "1", "--eta", "1", "--format", "json"],
+            ["sweep", "--param", "beta", "--steps", "3", "--chirality", "armchair", "--format", "json"],
+            ["validate", "--format", "json"],
+        ],
+        ids=["freq", "sweep", "validate"],
+    )
+    def test_json_requests_load_neither_json_nor_re(self, argv):
+        # Under python -S, as above: the CLI writes JSON itself, so neither the
+        # json module nor the re it imports loads.
+        loaded = run_fresh(
+            "import io, os, sys\n"
+            "os.environ.pop('ARCH_RESONANCE_LOG', None)\n"
+            "from arch_resonance.cli import main\n"
+            "sys.stdout = io.StringIO()\n"
+            f"code = main({argv!r})\n"
+            "sys.stdout = sys.__stdout__\n"
+            "assert code == 0\n",
+            "-S",
+        )
+        assert "arch_resonance.cli" in loaded
+        assert not loaded & {"json", "re"}
 
     @pytest.mark.parametrize(
         "argv, code",
@@ -312,7 +340,7 @@ class TestImportGraph:
 
 class TestSurface:
     def test_all_is_unchanged(self):
-        assert len(ALL) == 46
+        assert len(ALL) == 44
         assert sorted(arch_resonance.__all__) == ALL
 
     @pytest.mark.parametrize("module", sorted(EXPORTS))

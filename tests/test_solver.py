@@ -892,7 +892,7 @@ class TestRefineOnlyReturned:
             parameter="beta", start=0.5, stop=1.0, steps=2, eta_nd=1.0, mode=3,
             tubes={armchair: resolve_preset(armchair, load_presets())},
         )
-        rows = run_sweep(spec)
+        rows = list(run_sweep(spec))
         # One call per point, each asking only for mode 3.
         assert asked == [3, 3]
         for row in rows:
@@ -1827,7 +1827,7 @@ class TestKernelCallsPerSolve:
             parameter="beta", start=1.0, stop=2.0, steps=2, eta_nd=1.0,
             tubes={armchair: resolve_preset(armchair, load_presets())},
         )
-        run_sweep(spec)
+        assert len(list(run_sweep(spec))) == 2
         # Both points are uncracked, so each is its closed-form K_1.
         assert calls == []
 

@@ -16,16 +16,13 @@ from arch_resonance import (
     find_frequencies,
     omega_nd,
     resolve_preset,
-    rows_to_csv,
     run_sweep,
     uncracked_K_closed_form,
     validation_table,
-    validation_to_csv,
 )
 from arch_resonance import solver
-from arch_resonance.cli import load_presets
+from arch_resonance.cli import load_presets, main
 from arch_resonance.model import BETA_MIN
-from arch_resonance.sweep import CSV_HEADER
 from conftest import rel_err
 
 PRESETS = load_presets()
@@ -83,12 +80,30 @@ class TestSpecValidation:
 
         monkeypatch.setattr(solver, "find_frequencies", no_solve)
         with pytest.raises(InvalidSpec, match=f"{parameter} = "):
-            run_sweep(eta_sweep(parameter=parameter, start=start, stop=stop))
+            eta_sweep(parameter=parameter, start=start, stop=stop)
+
+    def test_mode_beyond_the_bound_rejected(self):
+        with pytest.raises(InvalidSpec, match="at most 100000"):
+            eta_sweep(mode=solver.MAX_MODES + 1)
+
+
+class TestStreaming:
+    def test_rows_are_yielded_as_solved(self, monkeypatch):
+        # Nothing is solved until a row is asked for, and then only its point.
+        solved = []
+        original = solver.find_frequencies
+        monkeypatch.setattr(
+            solver, "find_frequencies", lambda *args: solved.append(args) or original(*args)
+        )
+        rows = run_sweep(eta_sweep())
+        assert solved == []
+        assert next(rows).eta_nd == 0.0 and len(solved) == 1
+        assert len(list(rows)) == 4 and len(solved) == 5
 
 
 class TestEtaSweep:
     def test_matches_closed_form(self):
-        rows = run_sweep(eta_sweep())
+        rows = list(run_sweep(eta_sweep()))
         assert len(rows) == 5
         for row, eta in zip(rows, (0.0, 1.0, 2.0, 3.0, 4.0)):
             assert row.eta_nd == eta
@@ -96,7 +111,7 @@ class TestEtaSweep:
             assert row.note == ""
 
     def test_strictly_decreasing(self):
-        rows = run_sweep(eta_sweep(steps=9))
+        rows = list(run_sweep(eta_sweep(steps=9)))
         values = [row.omega_nd for row in rows]
         assert all(b < a for a, b in zip(values, values[1:]))
 
@@ -144,7 +159,7 @@ class TestOrderingAndDegradation:
             tubes=TUBES,
             eta_nd=1.0,
         )
-        rows = run_sweep(spec)
+        rows = list(run_sweep(spec))
         assert [r.chirality for r in rows] == [
             "armchair",
             "zigzag",
@@ -167,7 +182,7 @@ class TestOrderingAndDegradation:
             eta_nd=1.0,
             crack=crack,
         )
-        rows = run_sweep(spec)
+        rows = list(run_sweep(spec))
         assert len(rows) == 5
         bad = [r for r in rows if r.note == "crack-outside"]
         good = [r for r in rows if r.note == ""]
@@ -183,23 +198,23 @@ class TestOrderingAndDegradation:
         spec = SweepSpec(
             parameter="beta", start=1.0, stop=3.0, steps=3, tubes=ARMCHAIR, eta_nd=0.0
         )
-        rows = run_sweep(spec)
+        rows = list(run_sweep(spec))
         assert [r.note for r in rows] == ["no-root", "", ""]
         assert rows[0].K is rows[0].omega_nd is rows[0].omega_rad_s is None
         for row in rows[1:]:
             assert rel_err(row.K, uncracked_K_closed_form(1, row.beta_rad, 0.0)) < 1e-8
-        assert rows_to_csv(rows).splitlines()[1].endswith(",1,,,,no-root")
 
-    def test_byte_identical_reruns(self):
-        spec = eta_sweep()
-        assert rows_to_csv(run_sweep(spec)) == rows_to_csv(run_sweep(spec))
+    def test_byte_identical_reruns(self, capsys):
+        argv = ["sweep", "--param", "eta", "--steps", "5", "--chirality", "armchair"]
+        texts = [main(argv) or capsys.readouterr().out for _ in range(2)]
+        assert texts[0] == texts[1]
+        assert list(run_sweep(eta_sweep())) == list(run_sweep(eta_sweep()))
 
-    def test_csv_header_exact(self):
-        text = rows_to_csv(run_sweep(eta_sweep(steps=2)))
-        assert text.splitlines()[0] == CSV_HEADER
-        assert (
-            CSV_HEADER
-            == "chirality,beta_rad,eta_nd,radius_m,alpha_rad,psi,mode,K,omega_nd,omega_rad_s,note"
+    def test_csv_header_exact(self, capsys):
+        argv = ["sweep", "--param", "eta", "--steps", "2", "--chirality", "armchair"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "chirality,beta_rad,eta_nd,radius_m,alpha_rad,psi,mode,K,omega_nd,omega_rad_s,note"
         )
 
 
@@ -238,8 +253,8 @@ class TestValidationTable:
         with pytest.raises(InvalidSpec):
             validation_table(1e-200)
 
-    def test_csv_serialization(self):
-        text = validation_to_csv(validation_table(0.05))
-        lines = text.splitlines()
+    def test_csv_serialization(self, capsys):
+        assert main(["validate", "--beta", "0.05", "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "mode,eta,present,thai,omega_nd"
         assert lines[1].startswith("1,0,9.75821,9.2745,")
